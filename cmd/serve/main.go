@@ -489,7 +489,7 @@ func run(o options) error {
 		close(done)
 		wg.Wait()
 		if s.tee != nil {
-			s.tee.emit(s.tee.st.Flush())
+			s.tee.st.Drain(s.tee.emit)
 		}
 		if s.ckpt != nil && settled {
 			s.mu.Lock()

@@ -16,7 +16,6 @@ import (
 	"smartsra/internal/core"
 	"smartsra/internal/loadgen"
 	"smartsra/internal/metrics"
-	"smartsra/internal/session"
 	"smartsra/internal/simulator"
 	"smartsra/internal/webgraph"
 )
@@ -174,17 +173,14 @@ func TestLiveOfflineEquivalenceWithExpiry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var sessions []session.Session
-	malformed, err := st.IngestFilesCuts([]string{filepath.Join(dir, "access.log")}, clf.FilePos{}, 0, cuts,
-		func(s []session.Session) { sessions = append(sessions, s...) }, nil)
+	var want bytes.Buffer
+	sessions := 0
+	replay := encodeInto(t, &want, &sessions)
+	malformed, err := st.IngestFilesCuts([]string{filepath.Join(dir, "access.log")}, clf.FilePos{}, 0, cuts, replay, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sessions = append(sessions, st.Flush()...)
-	var want bytes.Buffer
-	if err := session.WriteAll(&want, sessions); err != nil {
-		t.Fatal(err)
-	}
+	st.Drain(replay)
 	got, err := os.ReadFile(filepath.Join(dir, "sessions.txt"))
 	if err != nil {
 		t.Fatal(err)
@@ -194,7 +190,7 @@ func TestLiveOfflineEquivalenceWithExpiry(t *testing.T) {
 			len(got), want.Len(), len(cuts), malformed, child.output())
 	}
 	t.Logf("byte-identical with expiry on: %d sessions, %d bytes, %d cuts replayed (replay: %s)",
-		len(sessions), len(got), len(cuts), rep)
+		sessions, len(got), len(cuts), rep)
 }
 
 // TestDropReconciliationConservation is the drop-count accounting pin: a

@@ -105,6 +105,18 @@ func soakChild() error {
 	return run(o)
 }
 
+// encodeInto is the replay tests' sink. A sink's batches are lent
+// (core.SessionSink), so it encodes each one while it is valid — and counts
+// the sessions — instead of collecting them for a WriteAll afterwards.
+func encodeInto(t *testing.T, buf *bytes.Buffer, n *int) core.SessionSink {
+	return func(batch []session.Session) {
+		*n += len(batch)
+		if err := session.WriteAll(buf, batch); err != nil {
+			t.Error(err)
+		}
+	}
+}
+
 // soakProc is one child serve process with its captured output.
 type soakProc struct {
 	cmd *exec.Cmd
@@ -287,17 +299,14 @@ func TestSoakCrashRecoveryUnderLoad(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var sessions []session.Session
-	malformed, err := st.IngestFiles([]string{logPath}, clf.FilePos{},
-		func(s []session.Session) { sessions = append(sessions, s...) }, nil)
+	var want bytes.Buffer
+	sessions := 0
+	replay := encodeInto(t, &want, &sessions)
+	malformed, err := st.IngestFiles([]string{logPath}, clf.FilePos{}, replay, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sessions = append(sessions, st.Flush()...)
-	var want bytes.Buffer
-	if err := session.WriteAll(&want, sessions); err != nil {
-		t.Fatal(err)
-	}
+	st.Drain(replay)
 	got, err := os.ReadFile(filepath.Join(dir, "sessions.txt"))
 	if err != nil {
 		t.Fatal(err)
@@ -307,5 +316,5 @@ func TestSoakCrashRecoveryUnderLoad(t *testing.T) {
 			len(got), want.Len(), malformed, child.output())
 	}
 	t.Logf("byte-identical: %d sessions, %d bytes (log malformed lines after SIGKILL: %d)",
-		len(sessions), len(got), malformed)
+		sessions, len(got), malformed)
 }

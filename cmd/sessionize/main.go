@@ -363,7 +363,9 @@ func runStream(cfg core.Config, pl plan.Plan, rho, expire time.Duration, paths [
 	if err != nil {
 		return err
 	}
-	emit(st.Flush())
+	// End of input: on a file nearly every user is still open, so the drain
+	// streams through the same sink instead of materializing them all.
+	st.Drain(emit)
 	if err := out.Flush(); err != nil {
 		return err
 	}
@@ -519,17 +521,16 @@ func runStreamCheckpointed(cfg core.Config, pl plan.Plan, rho, expire time.Durat
 	if sinkErr != nil {
 		return sinkErr
 	}
-	if err := session.WriteAll(sf, st.Flush()); err != nil {
-		return err
+	// The sweep is stopped, so emit needs no lock from here on. good still
+	// advances only past batches whose write succeeded.
+	st.Drain(emit)
+	if sinkErr != nil {
+		return sinkErr
 	}
 	if err := sf.Sync(); err != nil {
 		return err
 	}
 	// The run is complete: record that, so a rerun replays nothing.
-	good, err = sf.Seek(0, io.SeekCurrent)
-	if err != nil {
-		return err
-	}
 	if err := w.Save(&checkpoint.Checkpoint{
 		LogOffset: cur.Offset, LogFile: cur.File, LogPath: paths[cur.File],
 		SinkOffset: good, Tail: st.Snapshot(),

@@ -4,12 +4,14 @@ import (
 	"bufio"
 	"bytes"
 	"fmt"
+	"io"
 	"runtime"
 	"sync"
 	"testing"
 
 	"smartsra/internal/clf"
 	"smartsra/internal/core"
+	"smartsra/internal/session"
 	"smartsra/internal/simulator"
 	"smartsra/internal/webgraph"
 )
@@ -196,4 +198,82 @@ func BenchmarkTailPushBatch(b *testing.B) {
 			b.ReportMetric(recs*float64(b.N)/b.Elapsed().Seconds(), "records/s")
 		})
 	}
+}
+
+// perSession runs body b.N times and reports its cost per session:
+// ns/session, and allocs/session and B/session from the runtime's own
+// counters (b.ReportAllocs' figures are per op, which here is a whole batch
+// or drain). Each iteration's setup runs outside both the clock and the
+// allocation counters; body returns how many sessions it handled.
+func perSession[T any](b *testing.B, setup func() T, body func(T) int) {
+	b.Helper()
+	var before, after runtime.MemStats
+	var sessions int
+	var mallocs, bytes uint64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		in := setup()
+		runtime.ReadMemStats(&before)
+		b.StartTimer()
+		sessions += body(in)
+		b.StopTimer()
+		runtime.ReadMemStats(&after)
+		mallocs += after.Mallocs - before.Mallocs
+		bytes += after.TotalAlloc - before.TotalAlloc
+	}
+	n := float64(max(sessions, 1))
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/n, "ns/session")
+	b.ReportMetric(float64(mallocs)/n, "allocs/session")
+	b.ReportMetric(float64(bytes)/n, "B/session")
+}
+
+// BenchmarkWriteAll is the encode + sink layer on its own: the text
+// encoding of one whole reconstruction, the call every sink in the tree
+// makes per finalized batch.
+func BenchmarkWriteAll(b *testing.B) {
+	g, records, _ := ingestWorkload(b)
+	tl, err := core.NewTail(core.Config{Graph: g}, 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	sessions := append(tl.PushBatch(records), tl.Flush()...)
+	perSession(b, func() []session.Session { return sessions }, func(s []session.Session) int {
+		if err := session.WriteAll(io.Discard, s); err != nil {
+			b.Fatal(err)
+		}
+		return len(s)
+	})
+}
+
+// BenchmarkTailDrain is the end-of-input drain on its own — the state a
+// Tail is in at the end of an offline file, every user's last burst still
+// open (4,000 agents: 16 drain batches) — in its two forms: Drain lends
+// bounded batches to a sink (here one that only counts), Flush materializes
+// the same sessions for the caller to keep. A test binary also overwrites
+// every lent batch after the sink returns (see core.SessionSink); that pass
+// is part of Drain's time here and allocates nothing.
+func BenchmarkTailDrain(b *testing.B) {
+	params := simulator.PaperParams()
+	params.Agents = 4000
+	g, res := benchWorkload(b, webgraph.PaperTopology(), params)
+	records := res.Log(g)
+	filled := func() *core.Tail {
+		tl, err := core.NewTail(core.Config{Graph: g}, 0)
+		if err != nil {
+			b.Fatal(err)
+		}
+		tl.PushBatch(records)
+		return tl
+	}
+	b.Run("drain", func(b *testing.B) {
+		perSession(b, filled, func(tl *core.Tail) int {
+			n := 0
+			tl.Drain(func(batch []session.Session) { n += len(batch) })
+			return n
+		})
+	})
+	b.Run("flush", func(b *testing.B) {
+		perSession(b, filled, func(tl *core.Tail) int { return len(tl.Flush()) })
+	})
 }

@@ -108,17 +108,18 @@ func referenceRun(t *testing.T, c corpus) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var out []session.Session
-	if _, err := st.Ingest(bytes.NewReader(c.log), func(s []session.Session) {
-		out = append(out, s...)
-	}); err != nil {
-		t.Fatal(err)
-	}
-	out = append(out, st.Flush()...)
+	// The sink's batches are lent (core.SessionSink): encode them while they
+	// are valid instead of collecting them.
 	var buf bytes.Buffer
-	if err := session.WriteAll(&buf, out); err != nil {
+	write := func(s []session.Session) {
+		if err := session.WriteAll(&buf, s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := st.Ingest(bytes.NewReader(c.log), write); err != nil {
 		t.Fatal(err)
 	}
+	st.Drain(write)
 	return buf.Bytes()
 }
 

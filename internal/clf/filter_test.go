@@ -114,6 +114,33 @@ func TestStandardCleaning(t *testing.T) {
 	}
 }
 
+// TestStandardCleaningMatchesChain holds the fused predicate to the chain it
+// stands for, over the cross product of the field values each link looks at.
+func TestStandardCleaningMatchesChain(t *testing.T) {
+	fused := StandardCleaning()
+	chain := Chain(SuccessOnly, MethodGET, DropResources, DropRobots)
+	uris := []string{
+		"/", "/page.html", "/p/17.html?x=1.png", "/a.b/c", "/x.PNG", "/s.css?v=2", "/s.js#top",
+		"/robots.txt", "/ROBOTS.TXT?probe", "/robots.txt#x", "/robots.txt/", "/dir/robots.txt",
+		"/x.woff2", "/x.woff22", "", "?", "#",
+	}
+	n := 0
+	for _, method := range []string{"GET", "get", "POST", "HEAD", ""} {
+		for _, status := range []int{0, 199, 200, 204, 299, 300, 304, 404, 500} {
+			for _, uri := range uris {
+				r := rec(method, uri, status)
+				if got, want := fused(r), chain(r); got != want {
+					t.Errorf("%s %q %d: fused keeps %v, chain keeps %v", method, uri, status, got, want)
+				}
+				n++
+			}
+		}
+	}
+	if n < 500 {
+		t.Fatalf("only %d combinations", n)
+	}
+}
+
 func TestDropUserAgentContaining(t *testing.T) {
 	f := DropUserAgentContaining("Bot", "crawler")
 	r := rec("GET", "/x", 200)

@@ -48,16 +48,24 @@ func (st *ShardedTail) PushBatch(recs []clf.Record) []session.Session {
 }
 
 // PushBatchInto is PushBatch appending onto dst, for callers that hand the
-// result straight to a SessionSink and recycle the buffer (the sink contract
-// forbids retention): long-running drain loops stay allocation-free on the
-// output side. Pass dst[:0] to reuse capacity across batches.
+// result straight to a sink and recycle the buffer: long-running drain loops
+// stay allocation-free on the output side. Pass dst[:0] to reuse capacity
+// across batches. The appended sessions' entry arrays are the caller's, as
+// with PushBatch.
 func (st *ShardedTail) PushBatchInto(dst []session.Session, recs []clf.Record) []session.Session {
 	return st.pushBatchInto(dst, recs)
 }
 
-// pushBatchInto is PushBatch appending onto dst: the streaming ingest loop
-// passes one recycled buffer so steady-state batches allocate no output
-// slice at all (the sink contract forbids retention).
+// pushBatchTo is the sink-delivering PushBatch the ingest feeder drives; see
+// Tail.pushBatchTo. The batch is lent as far as the sink is concerned, but
+// built on the shards' kept scratches (see drainTo).
+func (st *ShardedTail) pushBatchTo(buf []session.Session, recs []clf.Record, sink SessionSink) []session.Session {
+	buf = st.pushBatchInto(buf[:0], recs)
+	deliver(sink, buf, true)
+	return buf
+}
+
+// pushBatchInto is PushBatch appending onto dst.
 func (st *ShardedTail) pushBatchInto(dst []session.Session, recs []clf.Record) []session.Session {
 	if len(recs) == 0 {
 		return dst
@@ -74,19 +82,17 @@ func (st *ShardedTail) pushBatchInto(dst []session.Session, recs []clf.Record) [
 	// outside any lock.
 	var filtered, unresolved int64
 	for i := range recs {
-		rec := &recs[i]
-		if st.cfg.Filter != nil && !st.cfg.Filter(*rec) {
+		user, page, res := st.cfg.stage(&recs[i])
+		switch res {
+		case stageFiltered:
 			filtered++
 			continue
-		}
-		page, ok := st.cfg.Resolver(rec.URI)
-		if !ok {
+		case stageUnresolved:
 			unresolved++
 			continue
 		}
-		user := st.cfg.Key(*rec)
 		si := shardOf(user, len(st.shards))
-		scr.routes[si] = append(scr.routes[si], routedRec{seq: int32(i), page: page, user: user, at: rec.Time})
+		scr.routes[si] = append(scr.routes[si], routedRec{seq: int32(i), page: page, user: user, at: recs[i].Time})
 	}
 	if filtered != 0 {
 		st.filtered.Add(filtered)

@@ -75,7 +75,7 @@ func TestGoldenCorpusBatchSizes(t *testing.T) {
 			for _, workers := range []int{1, 4} {
 				cfg := Config{Graph: g, Workers: workers, BatchRecords: batch}
 				var got []session.Session
-				collect := func(s []session.Session) { got = append(got, s...) }
+				collect := keep(&got)
 				var malformed int
 				if shards == 0 {
 					tl, err := NewTail(cfg, 0)

@@ -100,21 +100,19 @@ type cutPusher interface {
 // snapshot's record count), and whenever the next cut's boundary is reached
 // the batch is split there, Expire(cut.At) runs, and its sessions go to the
 // sink in place — exactly the interleaving the live run journaled. Batches
-// are delivered through pushBatchInto, whose output is pinned byte-identical
+// are delivered through pushBatchTo, whose output is pinned byte-identical
 // to a record-at-a-time Push loop, so splitting never changes emission.
 //
 // The returned flush applies any cuts at or past the final record count
 // (expiry that fired after the last record arrived); call it after the
-// stream ends, before Flush.
+// stream ends, before Flush or Drain.
 func cutFeeder(p cutPusher, sink SessionSink, base int64, cuts []ExpiryCut) (feed func([]clf.Record), flush func()) {
 	count := base
 	ci := 0
 	var buf []session.Session
 	applyDue := func() {
 		for ci < len(cuts) && cuts[ci].Records <= count {
-			if out := p.Expire(cuts[ci].At); len(out) > 0 {
-				sink(out)
-			}
+			deliver(sink, p.Expire(cuts[ci].At), false)
 			ci++
 		}
 	}
@@ -127,10 +125,7 @@ func cutFeeder(p cutPusher, sink SessionSink, base int64, cuts []ExpiryCut) (fee
 					n = int(room)
 				}
 			}
-			buf = p.pushBatchInto(buf[:0], recs[:n])
-			if len(buf) > 0 {
-				sink(buf)
-			}
+			buf = p.pushBatchTo(buf, recs[:n], sink)
 			count += int64(n)
 			recs = recs[n:]
 		}

@@ -129,9 +129,7 @@ func TestIngestFilesCutsEquivalence(t *testing.T) {
 					t.Fatal(err)
 				}
 				var got []session.Session
-				malformed, err := st.IngestFilesCuts([]string{logPath}, clf.FilePos{}, 0, cuts, func(s []session.Session) {
-					got = append(got, s...)
-				}, nil)
+				malformed, err := st.IngestFilesCuts([]string{logPath}, clf.FilePos{}, 0, cuts, keep(&got), nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -185,9 +183,7 @@ func TestIngestFilesCutsEquivalence(t *testing.T) {
 		t.Fatalf("restored record count %d, want %d", base, split)
 	}
 	pending := CutsAfter(cuts, appliedSeq)
-	if _, err := st.IngestFilesCuts([]string{logPath}, clf.FilePos{Offset: resumeOff}, base, pending, func(s []session.Session) {
-		got = append(got, s...)
-	}, nil); err != nil {
+	if _, err := st.IngestFilesCuts([]string{logPath}, clf.FilePos{Offset: resumeOff}, base, pending, keep(&got), nil); err != nil {
 		t.Fatal(err)
 	}
 	got = append(got, st.Flush()...)

@@ -146,9 +146,7 @@ func TestGoldenCorpusSimgen(t *testing.T) {
 					t.Fatal(err)
 				}
 				var got []session.Session
-				malformed, err := st.Ingest(bytes.NewReader(log), func(s []session.Session) {
-					got = append(got, s...)
-				})
+				malformed, err := st.Ingest(bytes.NewReader(log), keep(&got))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -170,9 +168,7 @@ func TestGoldenCorpusSimgen(t *testing.T) {
 	}
 	var got []session.Session
 	var lastOff int64
-	if _, err := st.IngestOffsets(bytes.NewReader(log), func(s []session.Session) {
-		got = append(got, s...)
-	}, func(off int64) { lastOff = off }); err != nil {
+	if _, err := st.IngestOffsets(bytes.NewReader(log), keep(&got), func(off int64) { lastOff = off }); err != nil {
 		t.Fatal(err)
 	}
 	if lastOff != int64(len(log)) {

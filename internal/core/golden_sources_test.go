@@ -117,7 +117,7 @@ func TestGoldenCorpusSources(t *testing.T) {
 					t.Fatal(err)
 				}
 				got = nil
-				collect := func(s []session.Session) { got = append(got, s...) }
+				collect := keep(&got)
 				bad, err = tl2.IngestFiles(paths, clf.FilePos{}, collect, nil)
 				if err != nil {
 					t.Fatalf("%s: Tail.IngestFiles: %v", label, err)

@@ -237,7 +237,7 @@ func TestGoldenCorpusStream(t *testing.T) {
 				t.Fatal(err)
 			}
 			var got []session.Session
-			collect := func(s []session.Session) { got = append(got, s...) }
+			collect := keep(&got)
 			bad, err := tl.Ingest(bytes.NewReader(log), collect)
 			if err != nil {
 				t.Fatal(err)

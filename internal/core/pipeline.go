@@ -109,6 +109,30 @@ func (c Config) effectiveStreamDepth() int {
 	return c.StreamDepth
 }
 
+// stageResult is the verdict of the pre-buffer stages on one record.
+type stageResult uint8
+
+const (
+	staged stageResult = iota
+	stageFiltered
+	stageUnresolved
+)
+
+// stage runs the pure per-record stages that precede buffering — clean,
+// resolve, key — for Tail and ShardedTail alike. The record travels by
+// pointer: a clf.Record is 184 bytes, and the Filter and Key calls, whose
+// types take it by value, are the only copies a line pays.
+func (c *Config) stage(rec *clf.Record) (user string, page webgraph.PageID, res stageResult) {
+	if c.Filter != nil && !c.Filter(*rec) {
+		return "", 0, stageFiltered
+	}
+	page, ok := c.Resolver(rec.URI)
+	if !ok {
+		return "", 0, stageUnresolved
+	}
+	return c.Key(*rec), page, staged
+}
+
 // Pipeline is an immutable, reusable log-to-sessions processor. It is safe
 // for concurrent use: every stage is a pure function of its input.
 type Pipeline struct {

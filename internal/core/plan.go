@@ -30,6 +30,7 @@ type Sessionizer interface {
 	Push(clf.Record) []session.Session
 	PushBatch([]clf.Record) []session.Session
 	Flush() []session.Session
+	Drain(SessionSink)
 	Expire(time.Time) []session.Session
 	Ingest(io.Reader, SessionSink) (int, error)
 	IngestOffsets(io.Reader, SessionSink, func(int64)) (int, error)

@@ -62,9 +62,7 @@ func TestPlanGoldenEquivalence(t *testing.T) {
 					t.Fatal(err)
 				}
 				var got []session.Session
-				bad, err := st.Ingest(bytes.NewReader(log), func(s []session.Session) {
-					got = append(got, s...)
-				})
+				bad, err := st.Ingest(bytes.NewReader(log), keep(&got))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -132,9 +130,7 @@ func TestSessionizerConcurrentExpire(t *testing.T) {
 		}
 	}()
 	var got []session.Session
-	if _, err := st.Ingest(bytes.NewReader(log), func(s []session.Session) {
-		got = append(got, s...)
-	}); err != nil {
+	if _, err := st.Ingest(bytes.NewReader(log), keep(&got)); err != nil {
 		t.Fatal(err)
 	}
 	close(stop)

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -21,9 +20,9 @@ import (
 // append.
 //
 // Because a user lives in exactly one shard, per-user processing is
-// identical to a single Tail's; Flush and Expire merge the shard outputs
-// back into global user order, so the emitted sessions are byte-identical
-// to a single Tail fed the same records, for any shard count.
+// identical to a single Tail's; Flush, Drain and Expire close users in
+// global user order across the shards, so the emitted sessions are
+// byte-identical to a single Tail fed the same records, for any shard count.
 type ShardedTail struct {
 	cfg    Config
 	rho    time.Duration
@@ -71,16 +70,15 @@ func (st *ShardedTail) Shards() int { return len(st.shards) }
 func (st *ShardedTail) Push(rec clf.Record) []session.Session {
 	st.records.Add(1)
 	metricTailRecords.Inc()
-	if st.cfg.Filter != nil && !st.cfg.Filter(rec) {
+	user, page, res := st.cfg.stage(&rec)
+	switch res {
+	case stageFiltered:
 		st.filtered.Add(1)
 		return nil
-	}
-	page, ok := st.cfg.Resolver(rec.URI)
-	if !ok {
+	case stageUnresolved:
 		st.unresolved.Add(1)
 		return nil
 	}
-	user := st.cfg.Key(rec)
 	sh := st.shards[shardOf(user, len(st.shards))]
 	sh.mu.Lock()
 	out := sh.tail.pushResolved(nil, user, page, rec.Time)
@@ -102,57 +100,75 @@ func (st *ShardedTail) Buffered() int {
 }
 
 // Expire finalizes every user whose last request is more than ρ before now,
-// merging shard outputs into global user order (identical to Tail.Expire).
-// Shards expire concurrently, each under its own lock, so a large Expire
-// does not serialize behind every shard in turn and concurrent Push calls
-// only ever wait for their own shard's slice of the work.
+// in global user order (identical to Tail.Expire).
 func (st *ShardedTail) Expire(now time.Time) []session.Session {
-	return st.drain(func(t *Tail) []session.Session { return t.Expire(now) })
+	var out []session.Session
+	st.drainTo(closing{aged: true, now: now}, collectInto(&out), false)
+	return out
 }
 
 // Flush finalizes everything buffered, in user order (identical to
 // Tail.Flush). The ShardedTail remains usable afterwards.
 func (st *ShardedTail) Flush() []session.Session {
-	return st.drain((*Tail).Flush)
+	var out []session.Session
+	st.drainTo(closing{}, collectInto(&out), false)
+	return out
 }
 
-// drain runs f on every shard — concurrently, each under its own lock — and
-// merges the outputs into user order. Per-shard results are collected into
-// a slot per shard and concatenated in shard order before the merge, so the
-// result is identical to the old sequential drain: each shard's output is
-// already sorted by user and a user lives in exactly one shard, so a stable
-// sort on user restores the global order a single Tail would have produced,
-// without disturbing each user's session order.
-func (st *ShardedTail) drain(f func(*Tail) []session.Session) []session.Session {
-	parts := make([][]session.Session, len(st.shards))
-	if len(st.shards) == 1 {
-		sh := st.shards[0]
+// Drain is Tail.Drain on the sharded processor: the streaming Flush, in
+// bounded batches under SessionSink's ownership rule. sink runs on the
+// calling goroutine with no shard lock held.
+func (st *ShardedTail) Drain(sink SessionSink) {
+	st.drainTo(closing{}, sink, true)
+}
+
+// drainTo is Tail.drainTo across shards. Each shard's users are picked, in
+// user order, under that shard's lock; the lists are then merged —
+// a user lives in exactly one shard, so taking the smallest head each time
+// yields the global user order a single Tail would have closed in — and
+// closed in batches of at most drainBatchUsers, each user under its shard's
+// lock, each batch handed to sink with no lock held. Pushes on other
+// goroutines interleave between those short critical sections instead of
+// waiting out a whole shard's drain; closeUsers revalidates every user for
+// that reason.
+//
+// The shards build on their kept scratches whatever lent says: several
+// goroutines may be draining and pushing at once, so no arena here has a
+// moment at which everything it handed out is known dead. lent still decides
+// whether deliver treats the batch as lent.
+func (st *ShardedTail) drainTo(c closing, sink SessionSink, lent bool) {
+	lists := make([][]string, len(st.shards))
+	for i, sh := range st.shards {
 		sh.mu.Lock()
-		parts[0] = f(sh.tail)
+		lists[i] = sh.tail.pick(c)
 		sh.mu.Unlock()
-	} else {
-		var wg sync.WaitGroup
-		for i, sh := range st.shards {
-			wg.Add(1)
-			go func(i int, sh *tailShard) {
-				defer wg.Done()
-				sh.mu.Lock()
-				parts[i] = f(sh.tail)
-				sh.mu.Unlock()
-			}(i, sh)
+	}
+	var buf []session.Session
+	for {
+		buf = buf[:0]
+		n := 0
+		for ; n < drainBatchUsers; n++ {
+			si := -1
+			for i, l := range lists {
+				if len(l) > 0 && (si < 0 || l[0] < lists[si][0]) {
+					si = i
+				}
+			}
+			if si < 0 {
+				break
+			}
+			sh := st.shards[si]
+			sh.mu.Lock()
+			buf = sh.tail.closeUsers(buf, lists[si][:1], c)
+			sh.tail.syncMetrics()
+			sh.mu.Unlock()
+			lists[si] = lists[si][1:]
 		}
-		wg.Wait()
+		if n == 0 {
+			return
+		}
+		deliver(sink, buf, lent)
 	}
-	n := 0
-	for _, p := range parts {
-		n += len(p)
-	}
-	out := make([]session.Session, 0, n)
-	for _, p := range parts {
-		out = append(out, p...)
-	}
-	sort.SliceStable(out, func(i, j int) bool { return out[i].User < out[j].User })
-	return out
 }
 
 // Stats aggregates the counters across shards (plus the pre-shard stage

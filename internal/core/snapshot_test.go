@@ -224,7 +224,7 @@ func TestIngestOffsetsConsistentSnapshots(t *testing.T) {
 	var emitted []session.Session
 	var points []point
 	if _, err := src.IngestOffsets(bytes.NewReader(log),
-		func(s []session.Session) { emitted = append(emitted, s...) },
+		keep(&emitted),
 		func(off int64) {
 			points = append(points, point{off, src.Snapshot(), renderSessions(t, emitted)})
 		}); err != nil {
@@ -245,7 +245,7 @@ func TestIngestOffsetsConsistentSnapshots(t *testing.T) {
 		}
 		var tail []session.Session
 		if _, err := dst.Ingest(bytes.NewReader(log[p.off:]),
-			func(s []session.Session) { tail = append(tail, s...) }); err != nil {
+			keep(&tail)); err != nil {
 			t.Fatal(err)
 		}
 		tail = append(tail, dst.Flush()...)

@@ -7,8 +7,16 @@ import (
 	"smartsra/internal/session"
 )
 
-// SessionSink consumes sessions as they finalize during streaming
-// ingestion. Implementations must not retain the slice past the call.
+// SessionSink consumes sessions as they finalize: during streaming ingestion
+// and from Drain.
+//
+// Ownership: a batch is lent, valid until the sink returns. That covers the
+// slice, every Session in it and every Session's Entries array — after the
+// return the sessionizer reuses all three for the next batch. A sink that
+// encodes or writes what it is given (session.WriteAll) needs nothing more;
+// one that keeps sessions must Clone each of them before returning. The
+// slice-returning calls (Push, PushBatch, Expire, Flush) are the opposite:
+// what they return is the caller's to keep.
 type SessionSink func([]session.Session)
 
 // DiscardSessions is the sink for callers that only want the side effects
@@ -22,7 +30,8 @@ func DiscardSessions([]session.Session) {}
 // (workers + depth) chunks no matter how long the log is — nothing is
 // materialized. sink receives sessions as records finalize them (nil means
 // DiscardSessions); it runs on the calling goroutine. The Tail is NOT
-// flushed: call Flush (or keep pushing) afterwards, matching live-tail use.
+// flushed: call Drain or Flush (or keep pushing) afterwards, matching
+// live-tail use.
 //
 // The emitted sessions are byte-identical to pushing clf.ReadAll's records
 // one by one, for any workers/depth — the golden-corpus and fuzz harnesses
@@ -73,44 +82,34 @@ func (st *ShardedTail) IngestFiles(paths []string, start clf.FilePos, sink Sessi
 	return ingestFiles(paths, start, st.cfg, sink, st, progress)
 }
 
-// pusher is the slice of the Sessionizer surface ingestion needs.
-// pushBatchInto appends onto a caller-recycled buffer; see chunkFeeder.
+// pusher is the slice of the Sessionizer surface ingestion needs:
+// pushBatchTo pushes recs and lends the sessions they finalized to sink,
+// building them in buf — the feeder's recycled buffer — and returning it for
+// the next call.
 type pusher interface {
-	Push(clf.Record) []session.Session
-	pushBatchInto(dst []session.Session, recs []clf.Record) []session.Session
+	pushBatchTo(buf []session.Session, recs []clf.Record, sink SessionSink) []session.Session
 }
 
 // chunkFeeder builds the per-chunk delivery function ingestion hands to the
-// clf chunk pipeline, honoring Config.BatchRecords: 1 loops Push per record
-// (checkpoint consistency and sink latency identical to the legacy path),
-// <= 0 hands the whole chunk to PushBatch, > 1 slices the chunk into
-// sub-batches of at most that many records. Output is identical for every
-// setting — PushBatch is pinned byte-identical to a Push loop.
+// clf chunk pipeline, honoring Config.BatchRecords: <= 0 hands the whole
+// chunk to the sessionizer at once, n >= 1 slices it into sub-batches of at
+// most n records (1 being the per-record delivery whose checkpoint
+// consistency and sink latency interactive pipes want). Output is identical
+// for every setting — a batched push is pinned byte-identical to a Push
+// loop.
 func chunkFeeder(cfg Config, p pusher, sink SessionSink) func([]clf.Record) {
 	batch := cfg.BatchRecords
-	if batch == 1 {
-		return func(recs []clf.Record) {
-			for i := range recs {
-				if out := p.Push(recs[i]); len(out) > 0 {
-					sink(out)
-				}
-			}
-		}
-	}
-	// One output buffer for the whole ingestion: the sink must not retain
-	// the slice past the call, so each batch reuses the previous one's
-	// storage and the steady state allocates nothing per batch.
+	// One session buffer for the whole ingestion: batches are lent to the
+	// sink, so each reuses the previous one's storage and the steady state
+	// allocates nothing per batch.
 	var buf []session.Session
 	return func(recs []clf.Record) {
 		for len(recs) > 0 {
 			n := len(recs)
-			if batch > 1 && n > batch {
+			if batch >= 1 && n > batch {
 				n = batch
 			}
-			buf = p.pushBatchInto(buf[:0], recs[:n])
-			if len(buf) > 0 {
-				sink(buf)
-			}
+			buf = p.pushBatchTo(buf, recs[:n], sink)
 			recs = recs[n:]
 		}
 	}
@@ -126,10 +125,10 @@ func ingest(r io.Reader, cfg Config, sink SessionSink, p pusher, progress func(i
 		// Per-record delivery keeps the interactive-pipe scanner degrade
 		// alive inside clf (workers == 1, no progress): records surface as
 		// lines arrive instead of when a chunk fills.
+		one := make([]clf.Record, 1)
 		return clf.StreamParallelOffsetsChunked(r, cfg.effectiveWorkers(), cfg.effectiveStreamDepth(), cfg.StreamChunkBytes, func(rec clf.Record) {
-			if out := p.Push(rec); len(out) > 0 {
-				sink(out)
-			}
+			one[0] = rec
+			feed(one)
 		}, progress)
 	}
 	return clf.StreamChunked(r, cfg.effectiveWorkers(), cfg.effectiveStreamDepth(), cfg.StreamChunkBytes, feed, progress)

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"smartsra/internal/clf"
-	"smartsra/internal/heuristics"
 	"smartsra/internal/metrics"
 	"smartsra/internal/session"
 	"smartsra/internal/webgraph"
@@ -56,10 +55,19 @@ type Tail struct {
 	skipCloses      int64 // closes left before the next timed reconstruct
 	untimedCloses   int64 // closes since the last timed reconstruct
 
-	// appendRec is cfg.Heuristic when it implements the allocation-lean
-	// streaming extension, nil otherwise (closeInto then falls back to
-	// Reconstruct plus an append).
-	appendRec heuristics.SessionAppender
+	// Smart-SRA reconstructs on scratches the Tail owns (see
+	// heuristics.SmartSRA.WithScratch); for any other heuristic these are nil
+	// and closeInto falls back to Reconstruct plus an append. keptAppend
+	// serves the slice-returning calls, whose sessions are the caller's to
+	// keep: its scratch is never released. lentAppend serves sink deliveries,
+	// and lentRelease takes its entry storage back after each sink return
+	// (SessionSink's rule; a no-op for other heuristics, whose sessions the
+	// collector reclaims). lending says which of the two closeInto uses.
+	keptAppend, lentAppend func([]session.Session, session.Stream) []session.Session
+	lentRelease            func()
+	lending                bool
+	// drainBuf is drainTo's recycled batch buffer.
+	drainBuf []session.Session
 
 	// wheel is the expiry wheel: open-burst users bucketed by the
 	// ρ-granularity time bucket of their last activity as of insertion.
@@ -133,24 +141,30 @@ func NewTail(cfg Config, rho time.Duration) (*Tail, error) {
 	if rho < 0 {
 		return nil, fmt.Errorf("core: negative burst gap %v", rho)
 	}
-	appendRec, _ := p.cfg.Heuristic.(heuristics.SessionAppender)
-	return &Tail{
-		cfg:       p.cfg,
-		rho:       rho,
-		rhoNano:   rho.Nanoseconds(),
-		appendRec: appendRec,
-		buffers:   make(map[string]*burst),
-		wheel:     make(map[int64][]string),
+	t := &Tail{
+		cfg:     p.cfg,
+		rho:     rho,
+		rhoNano: rho.Nanoseconds(),
+		buffers: make(map[string]*burst),
+		wheel:   make(map[int64][]string),
 		reconstructHist: metrics.GetHistogram(metrics.WithLabels(
 			"core.tail.reconstruct.seconds", "heur", p.cfg.Heuristic.Name())),
-	}, nil
+		lentRelease: func() {},
+	}
+	if sra, ok := p.cfg.Heuristic.(interface {
+		WithScratch() (func([]session.Session, session.Stream) []session.Session, func())
+	}); ok {
+		t.keptAppend, _ = sra.WithScratch()
+		t.lentAppend, t.lentRelease = sra.WithScratch()
+	}
+	return t, nil
 }
 
 // Push feeds one record, returning any sessions finalized by its arrival
 // (usually none; occasionally the previous burst of the same user).
 // Malformed-record handling belongs to the caller (clf.Scanner skips them).
 func (t *Tail) Push(rec clf.Record) []session.Session {
-	out := t.pushRecord(nil, rec)
+	out := t.pushRecord(nil, &rec)
 	t.syncMetrics()
 	return out
 }
@@ -163,33 +177,42 @@ func (t *Tail) PushBatch(recs []clf.Record) []session.Session {
 	return t.pushBatchInto(nil, recs)
 }
 
-// pushBatchInto is PushBatch appending onto dst; the streaming ingest loop
-// passes one recycled buffer so steady-state batches allocate no output
-// slice at all (the sink contract forbids retention).
+// pushBatchInto is PushBatch appending onto dst.
 func (t *Tail) pushBatchInto(dst []session.Session, recs []clf.Record) []session.Session {
 	for i := range recs {
-		dst = t.pushRecord(dst, recs[i])
+		dst = t.pushRecord(dst, &recs[i])
 	}
 	t.syncMetrics()
 	return dst
 }
 
-// pushRecord is the shared Push/PushBatch body: count, filter, resolve, key,
-// buffer. Finalized sessions are appended onto dst; the caller syncs
-// metrics.
-func (t *Tail) pushRecord(dst []session.Session, rec clf.Record) []session.Session {
+// pushBatchTo is the sink-delivering PushBatch the ingest feeder drives: the
+// sessions recs finalize are built in buf (the feeder's recycled buffer,
+// returned for the next call) and lent to sink.
+func (t *Tail) pushBatchTo(buf []session.Session, recs []clf.Record, sink SessionSink) []session.Session {
+	t.lending = true
+	buf = t.pushBatchInto(buf[:0], recs)
+	t.lending = false
+	deliver(sink, buf, true)
+	t.lentRelease()
+	return buf
+}
+
+// pushRecord is the shared Push/PushBatch body: count, stage, buffer.
+// Finalized sessions are appended onto dst; the caller syncs metrics.
+func (t *Tail) pushRecord(dst []session.Session, rec *clf.Record) []session.Session {
 	t.stats.Records++
 	t.pendingRecords++
-	if t.cfg.Filter != nil && !t.cfg.Filter(rec) {
+	user, page, res := t.cfg.stage(rec)
+	switch res {
+	case stageFiltered:
 		t.stats.Filtered++
 		return dst
-	}
-	page, ok := t.cfg.Resolver(rec.URI)
-	if !ok {
+	case stageUnresolved:
 		t.stats.Unresolved++
 		return dst
 	}
-	return t.pushResolved(dst, t.cfg.Key(rec), page, rec.Time)
+	return t.pushResolved(dst, user, page, rec.Time)
 }
 
 // pushResolved buffers one already-cleaned, already-resolved request. It is
@@ -244,14 +267,18 @@ func (t *Tail) wheelBuckets() int { return len(t.wheel) }
 // is proportional to the users whose activity buckets aged past the cutoff,
 // independent of how many users the Tail has ever seen.
 func (t *Tail) Expire(now time.Time) []session.Session {
-	out := t.expireLocked(now)
-	t.syncMetrics()
+	var out []session.Session
+	t.drainTo(closing{aged: true, now: now}, collectInto(&out), false)
 	return out
 }
 
-// expireLocked is Expire without the metrics sync (ShardedTail syncs once
-// per shard drain).
-func (t *Tail) expireLocked(now time.Time) []session.Session {
+// agedUsers takes every bucket at or before now-ρ off the expiry wheel and
+// returns, in user order, the users in them whose last request is more than
+// ρ before now; the others move forward to the bucket of their true last
+// activity (the lazy half of the wheel's bookkeeping). The returned users
+// are off the wheel: the caller closes them (closeUsers puts back any that
+// turn active again first).
+func (t *Tail) agedUsers(now time.Time) []string {
 	if len(t.wheel) == 0 {
 		return nil
 	}
@@ -278,33 +305,38 @@ func (t *Tail) expireLocked(now time.Time) []session.Session {
 			if now.Sub(b.last) > t.rho {
 				users = append(users, u)
 			} else {
-				// Still active: move forward to the bucket of the true last
-				// activity (the lazy half of the wheel's bookkeeping).
 				t.wheelAdd(u, b.last)
 			}
 		}
 	}
 	// Sorting keeps the emission order identical to the pre-wheel full scan.
 	sort.Strings(users)
-	var out []session.Session
-	for _, u := range users {
-		b := t.buffers[u]
-		out = t.closeInto(out, u, b)
-		t.evict(u, b)
-	}
-	return out
+	return users
 }
 
 // Flush finalizes everything buffered, in user order, and evicts every user.
 // The Tail remains usable afterwards (a returning user is counted anew).
+// The whole result is materialized; at the end of a large input prefer
+// Drain.
 func (t *Tail) Flush() []session.Session {
-	out := t.flushLocked()
-	t.syncMetrics()
+	var out []session.Session
+	t.drainTo(closing{}, collectInto(&out), false)
 	return out
 }
 
-// flushLocked is Flush without the metrics sync.
-func (t *Tail) flushLocked() []session.Session {
+// Drain is the streaming Flush: it finalizes everything buffered, in user
+// order, handing the sessions to sink in bounded batches under SessionSink's
+// ownership rule instead of returning them, so the end of an offline input —
+// where nearly every user is still open — costs one batch of memory, not the
+// whole tail of the run. The batches concatenated are exactly what Flush
+// would have returned.
+func (t *Tail) Drain(sink SessionSink) {
+	t.drainTo(closing{}, sink, true)
+}
+
+// openUsers returns every user with buffered entries, in user order, and
+// empties the expiry wheel: the caller closes them all.
+func (t *Tail) openUsers() []string {
 	users := make([]string, 0, len(t.buffers))
 	for u, b := range t.buffers {
 		if len(b.entries) > 0 {
@@ -312,16 +344,8 @@ func (t *Tail) flushLocked() []session.Session {
 		}
 	}
 	sort.Strings(users)
-	// Most bursts reconstruct to one session; presizing at one per user
-	// absorbs the bulk of the append growth in a full drain.
-	out := make([]session.Session, 0, len(users))
-	for _, u := range users {
-		b := t.buffers[u]
-		out = t.closeInto(out, u, b)
-		t.evict(u, b)
-	}
 	clear(t.wheel)
-	return out
+	return users
 }
 
 // Stats returns the counters accumulated so far. Sessions counts emitted
@@ -372,10 +396,15 @@ func (t *Tail) closeInto(dst []session.Session, user string, b *burst) []session
 // sessions onto dst — directly when the heuristic supports it, via the
 // Reconstruct slice otherwise.
 func (t *Tail) reconstructInto(dst []session.Session, user string, entries []session.Entry) []session.Session {
-	if t.appendRec != nil {
-		return t.appendRec.AppendSessions(dst, session.Stream{User: user, Entries: entries})
+	stream := session.Stream{User: user, Entries: entries}
+	switch {
+	case t.keptAppend == nil:
+		return append(dst, t.cfg.Heuristic.Reconstruct(stream)...)
+	case t.lending:
+		return t.lentAppend(dst, stream)
+	default:
+		return t.keptAppend(dst, stream)
 	}
-	return append(dst, t.cfg.Heuristic.Reconstruct(session.Stream{User: user, Entries: entries})...)
 }
 
 // evict removes a closed user from the buffer map and recycles the burst

@@ -9,18 +9,42 @@ import "smartsra/internal/session"
 // of clobbering a neighbour. Allocation is append-only within a block —
 // handed-out regions are never rewritten — so an arena is safe to reuse
 // across Reconstruct calls (the scratch pool does): retained sessions pin at
-// most one partially shared block, bounded by arenaMaxBlock.
+// most one partially shared block, bounded by arenaMaxBlock. The one
+// exception is rewind, for an owner whose handed-out sessions have all died.
 type entryArena struct {
 	block []session.Entry
 	// next sizes the next block: seeded near the stream length so small
 	// users get one small block, growing geometrically (capped) under
 	// session-set blowup.
 	next int
+	// spilled counts the entries of blocks filled and left behind; rewind
+	// reads it to learn how much one lending period really needed.
+	spilled int
 }
 
 // arenaMaxBlock caps block growth so a pathological candidate does not make
 // every later block huge.
 const arenaMaxBlock = 4096
+
+// arenaMaxRewound caps the block a rewind keeps (4 MiB of entries): a
+// lending period larger than that goes back to arenaMaxBlock blocks the
+// collector reclaims.
+const arenaMaxRewound = 1 << 17
+
+// rewind makes everything handed out so far reusable; the owner calls it
+// only once no session from the arena is alive (SmartSRA.WithScratch's
+// release). A period that fit the current block just resets it. One that
+// spilled over several gets a single block with half again its size, so a
+// steady run of similar periods — a drain in equal batches — settles on one
+// block and allocates nothing.
+func (a *entryArena) rewind() {
+	need := a.spilled + len(a.block)
+	a.block = a.block[:0]
+	if a.spilled > 0 && need <= arenaMaxRewound {
+		a.block = make([]session.Entry, 0, need+need/2)
+	}
+	a.spilled = 0
+}
 
 // alloc returns a zeroed n-entry slice with capacity exactly n.
 func (a *entryArena) alloc(n int) []session.Entry {
@@ -35,6 +59,7 @@ func (a *entryArena) alloc(n int) []session.Entry {
 		if size < n {
 			size = n
 		}
+		a.spilled += len(a.block)
 		a.block = make([]session.Entry, 0, size)
 		a.next = size * 2
 	}

@@ -35,17 +35,6 @@ type Describer interface {
 	Describe() string
 }
 
-// SessionAppender is an optional Reconstructor extension for streaming
-// callers: AppendSessions reconstructs stream like Reconstruct but appends
-// the sessions onto dst and returns it, so a consumer closing millions of
-// bursts can drain into one reused output slice instead of allocating an
-// intermediate slice per burst. The appended region must equal what
-// Reconstruct would have returned, in the same order; like Reconstruct,
-// implementations never retain or modify the input stream.
-type SessionAppender interface {
-	AppendSessions(dst []session.Session, stream session.Stream) []session.Session
-}
-
 // ReconstructAll applies h to every stream and concatenates the results.
 func ReconstructAll(h Reconstructor, streams []session.Stream) []session.Session {
 	var out []session.Session

@@ -143,12 +143,36 @@ func (h SmartSRA) Reconstruct(stream session.Stream) []session.Session {
 	return h.AppendSessions(nil, stream)
 }
 
-// AppendSessions implements SessionAppender: it reconstructs directly onto
-// dst, so a caller draining many bursts (core's streaming Tail) reuses one
-// output slice instead of paying an intermediate allocation per burst.
+// AppendSessions reconstructs stream like Reconstruct but appends the
+// sessions onto dst and returns it. The appended region equals what
+// Reconstruct would have returned, in the same order, and its entry arrays
+// are the caller's to keep.
 func (h SmartSRA) AppendSessions(dst []session.Session, stream session.Stream) []session.Session {
-	start := len(dst)
 	scr := sraScratchPool.Get().(*sraScratch)
+	dst = h.appendSessions(dst, stream, scr)
+	sraScratchPool.Put(scr)
+	return dst
+}
+
+// WithScratch returns AppendSessions bound to a scratch of the caller's own
+// — a streaming consumer closing one burst after another skips the pool
+// round trip per call — together with release, which ends the life of every
+// session appended since the previous release: their entry arrays are
+// reused by later calls, so the caller must have dropped them all. A caller
+// that never calls release keeps AppendSessions' guarantee that appended
+// sessions are its to keep. The pair shares state and is not safe for
+// concurrent use.
+func (h SmartSRA) WithScratch() (appendSessions func(dst []session.Session, stream session.Stream) []session.Session, release func()) {
+	scr := new(sraScratch)
+	return func(dst []session.Session, stream session.Stream) []session.Session {
+		return h.appendSessions(dst, stream, scr)
+	}, scr.arena.rewind
+}
+
+// appendSessions is the reconstruction behind AppendSessions and
+// WithScratch, on whichever scratch the entry point owns.
+func (h SmartSRA) appendSessions(dst []session.Session, stream session.Stream, scr *sraScratch) []session.Session {
+	start := len(dst)
 	if scr.arena.block == nil {
 		scr.arena.next = len(stream.Entries) + 8
 	}
@@ -160,7 +184,6 @@ func (h SmartSRA) AppendSessions(dst []session.Session, stream session.Stream) [
 			dst = append(dst, session.Session{User: stream.User, Entries: entries})
 		}
 	}
-	sraScratchPool.Put(scr)
 	// The algorithm keeps only maximal sequences; enforce it over this
 	// stream's sessions so no output session is subsumed by another (also
 	// drops exact duplicates that can arise from separate extension paths).

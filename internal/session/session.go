@@ -7,7 +7,7 @@ package session
 
 import (
 	"fmt"
-	"strings"
+	"strconv"
 	"time"
 
 	"smartsra/internal/webgraph"
@@ -67,18 +67,22 @@ func (s Session) Duration() time.Duration {
 }
 
 // String renders the session compactly, e.g. "u7:[3 14 15]".
-func (s Session) String() string {
-	var sb strings.Builder
-	sb.WriteString(s.User)
-	sb.WriteString(":[")
-	for i, e := range s.Entries {
+func (s Session) String() string { return string(s.AppendText(nil)) }
+
+// AppendText appends the String rendering of s — one line of the session
+// text format, without the newline — to dst and returns the extended
+// buffer. It allocates only when dst must grow, so a writer encoding many
+// sessions into one reused buffer (WriteAll) pays nothing per session.
+func (s Session) AppendText(dst []byte) []byte {
+	dst = append(dst, s.User...)
+	dst = append(dst, ':', '[')
+	for i := range s.Entries {
 		if i > 0 {
-			sb.WriteByte(' ')
+			dst = append(dst, ' ')
 		}
-		fmt.Fprintf(&sb, "%d", e.Page)
+		dst = strconv.AppendInt(dst, int64(s.Entries[i].Page), 10)
 	}
-	sb.WriteByte(']')
-	return sb.String()
+	return append(dst, ']')
 }
 
 // Clone returns a deep copy of the session.

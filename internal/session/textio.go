@@ -6,6 +6,7 @@ import (
 	"io"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"smartsra/internal/webgraph"
@@ -77,16 +78,45 @@ func ReadAll(r io.Reader) ([]Session, error) {
 	return out, nil
 }
 
-// WriteAll writes sessions in the text format, one per line.
+// encodeBufs recycles WriteAll's encode buffers: every sink in the tree
+// writes through WriteAll, once per finalized batch, so the buffer is the
+// one allocation a write would otherwise repeat.
+var encodeBufs = sync.Pool{New: func() any {
+	b := make([]byte, 0, encodeChunk+1024)
+	return &b
+}}
+
+// encodeChunk is how much encoded text WriteAll gathers before a Write:
+// large enough that a file sink sees few system calls, small enough to stay
+// in cache while it is being filled.
+const encodeChunk = 32 << 10
+
+// WriteAll writes sessions in the text format, one per line. Sessions are
+// encoded into a reused buffer and handed to w in chunks of about
+// encodeChunk bytes, so w needs no buffering of its own for throughput and
+// nothing is retained from sessions once WriteAll returns. The first Write
+// error (a short write included) ends the call; what w took of the chunk in
+// flight is then a torn tail the caller must discard.
 func WriteAll(w io.Writer, sessions []Session) error {
-	bw := bufio.NewWriter(w)
-	for _, s := range sessions {
-		if _, err := bw.WriteString(s.String()); err != nil {
-			return fmt.Errorf("session: write: %w", err)
-		}
-		if err := bw.WriteByte('\n'); err != nil {
-			return fmt.Errorf("session: write: %w", err)
+	bp := encodeBufs.Get().(*[]byte)
+	buf := (*bp)[:0]
+	var err error
+	for i := range sessions {
+		buf = append(sessions[i].AppendText(buf), '\n')
+		if len(buf) >= encodeChunk {
+			if _, err = w.Write(buf); err != nil {
+				break
+			}
+			buf = buf[:0]
 		}
 	}
-	return bw.Flush()
+	if err == nil && len(buf) > 0 {
+		_, err = w.Write(buf)
+	}
+	*bp = buf[:0]
+	encodeBufs.Put(bp)
+	if err != nil {
+		return fmt.Errorf("session: write: %w", err)
+	}
+	return nil
 }
