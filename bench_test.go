@@ -460,10 +460,11 @@ func BenchmarkApplicationPrefetch(b *testing.B) {
 // BenchmarkEvaluatePoint measures one full evaluation point — simulate,
 // reconstruct with all four heuristics, score under both metrics — at bench
 // scale (250 agents). This is the latency floor of every sweep: cmd/evaluate
-// runs one of these per swept value. The sharded variant partitions the
-// per-user reconstruction and matching across a bounded worker budget; on
-// >=4 cores it should show a >=2x wall-clock speedup over workers=1 while
-// producing bit-identical results (pinned by TestEvaluatePointWithBudgets).
+// runs one of these per swept value. The sharded variant splits each
+// heuristic's reconstruct-and-score pass over the streams across a bounded
+// worker budget; on >=4 cores it should show a >=2x wall-clock speedup over
+// workers=1 while producing bit-identical results (pinned by
+// TestEvaluatePointWithBudgets).
 func BenchmarkEvaluatePoint(b *testing.B) {
 	cfg := benchConfig()
 	g, err := eval.Topology(cfg)
@@ -487,9 +488,10 @@ func BenchmarkEvaluatePoint(b *testing.B) {
 }
 
 // BenchmarkScoreMatched measures the one-to-one matching scorer over one
-// Table 5 workload's Smart-SRA candidates. Pages are precomputed once per
-// session per call (not per Captures probe), so allocs/op stays flat in the
-// probe count.
+// Table 5 workload's Smart-SRA candidates, materialised: both sides are
+// packed into flat page arenas grouped by user once per call, so allocs/op
+// does not grow with the session or probe count. (The kernel on its own,
+// fed per user as the point driver feeds it, is eval's BenchmarkScorePoint.)
 func BenchmarkScoreMatched(b *testing.B) {
 	params := simulator.PaperParams()
 	params.Agents = 250

@@ -5,7 +5,6 @@ package eval
 
 import (
 	"fmt"
-	"sort"
 
 	"smartsra/internal/session"
 )
@@ -41,17 +40,8 @@ func (a Accuracy) String() string {
 // user captures it; sessions of other users never match (the reconstruction
 // is per-user to begin with).
 func Score(real, candidates []session.Session) Accuracy {
-	byUser := make(map[string][]session.Session)
-	for _, h := range candidates {
-		byUser[h.User] = append(byUser[h.User], h)
-	}
-	acc := Accuracy{Real: len(real)}
-	for _, r := range real {
-		if session.CapturedByAny(byUser[r.User], r) {
-			acc.Captured++
-		}
-	}
-	return acc
+	t := indexSessions(real).scoreSessions(candidates, 1)
+	return Accuracy{Real: len(real), Captured: t.exists}
 }
 
 // SessionStats summarizes a reconstructed session set, used alongside
@@ -70,28 +60,11 @@ type SessionStats struct {
 
 // Summarize computes SessionStats for a session set.
 func Summarize(sessions []session.Session) SessionStats {
-	st := SessionStats{Sessions: len(sessions)}
-	if len(sessions) == 0 {
-		return st
+	var t tally
+	for i := range sessions {
+		t.count(len(sessions[i].Entries))
 	}
-	lengths := make([]int, len(sessions))
-	total := 0
-	for i, s := range sessions {
-		lengths[i] = s.Len()
-		total += s.Len()
-		if s.Len() > st.MaxLength {
-			st.MaxLength = s.Len()
-		}
-	}
-	sort.Ints(lengths)
-	st.MeanLength = float64(total) / float64(len(sessions))
-	mid := len(lengths) / 2
-	if len(lengths)%2 == 1 {
-		st.MedianLength = float64(lengths[mid])
-	} else {
-		st.MedianLength = float64(lengths[mid-1]+lengths[mid]) / 2
-	}
-	return st
+	return t.stats()
 }
 
 // String formats the stats for reports.

@@ -23,7 +23,11 @@ var (
 	metricPointsDone = metrics.GetCounter("eval.points.completed")
 	metricSeedsDone  = metrics.GetCounter("eval.seeds.completed")
 	metricPointTime  = metrics.GetTimer("eval.point")
-	metricPointHist  = metrics.GetHistogram("eval.point.seconds")
+	// The point's two stages: producing the streams (simulator.Run and the
+	// optional CLF round trip), then reconstructing and scoring them.
+	metricSimulateTime = metrics.GetTimer("eval.point.simulate")
+	metricScoreTime    = metrics.GetTimer("eval.point.reconstruct_score")
+	metricPointHist    = metrics.GetHistogram("eval.point.seconds")
 )
 
 // HeuristicNames lists the four heuristics in the paper's order.
@@ -118,20 +122,21 @@ func EvaluatePointOn(g *webgraph.Graph, cfg RunConfig) (*PointResult, error) {
 }
 
 // EvaluatePointWith is EvaluatePointOn under an explicit worker budget
-// (opts.Workers; <= 0 means GOMAXPROCS). The budget caps the TOTAL
-// concurrency of the point — the scorer pool (one task per heuristic, plus
-// the optional referrer chain) and the per-user shards inside each scorer
-// (heuristics.ReconstructAllWith, ScoreMatchedWith) compose multiplicatively
-// to at most the budget, and the agent simulator inherits it too, so nesting
-// points inside a sweep pool never oversubscribes the machine. The result is
-// bit-identical for any budget: scorers write distinct keys, per-user work
-// is order-independent, and the simulator seeds agents independently.
+// (opts.Workers; <= 0 means GOMAXPROCS), which the agent simulator and then
+// each heuristic's pass over the streams get in turn, so nesting points
+// inside a sweep pool never oversubscribes the machine. A pass handles one
+// user at a time: reconstructed, scored under both metrics against the
+// point's shared real-session index, measured, and dropped before the next
+// (sessionIndex.scoreStreams); the budget shards the streams. The result is
+// bit-identical for any budget: per-user results are integers summed in any
+// order, and the simulator seeds agents independently.
 func EvaluatePointWith(g *webgraph.Graph, cfg RunConfig, opts RunOptions) (*PointResult, error) {
-	defer func(start time.Time) {
+	start := time.Now()
+	defer func() {
 		d := time.Since(start)
 		metricPointTime.Observe(d)
 		metricPointHist.ObserveDuration(d)
-	}(time.Now())
+	}()
 	budget := opts.Workers
 	if budget <= 0 {
 		budget = runtime.GOMAXPROCS(0)
@@ -150,6 +155,9 @@ func EvaluatePointWith(g *webgraph.Graph, cfg RunConfig, opts RunOptions) (*Poin
 			return nil, err
 		}
 	}
+	simulated := time.Now()
+	metricSimulateTime.Observe(simulated.Sub(start))
+	defer func() { metricScoreTime.Observe(time.Since(simulated)) }()
 	build := cfg.Heuristics
 	if build == nil {
 		build = DefaultHeuristics
@@ -160,89 +168,25 @@ func EvaluatePointWith(g *webgraph.Graph, cfg RunConfig, opts RunOptions) (*Poin
 		Reconstructed: make(map[string]SessionStats),
 		RealSessions:  len(res.Real),
 	}
-	type score struct {
-		name    string
-		matched Accuracy
-		exists  Accuracy
-		recon   SessionStats
-		err     error
+	record := func(name string, t tally, recon SessionStats) {
+		point.Matched[name] = Accuracy{Real: len(res.Real), Captured: t.matched}
+		point.Exists[name] = Accuracy{Real: len(res.Real), Captured: t.exists}
+		point.Reconstructed[name] = recon
 	}
-	hs := build(g)
-	n := len(hs)
-	if cfg.IncludeReferrer {
-		n++
-	}
-	// Split the budget: up to n scorers run concurrently, each sharding its
-	// per-user work across budget/scorers workers, so scorers × shards stays
-	// within the cap.
-	scorers := n
-	if scorers > budget {
-		scorers = budget
-	}
-	shards := budget / scorers
-	if shards < 1 {
-		shards = 1
-	}
-	scores := make([]score, n) // one preallocated slot per task: no shared writes
-	tasks := make([]func(), 0, n)
-	for i, h := range hs {
-		i, h := i, h
-		tasks = append(tasks, func() {
-			candidates := heuristics.ReconstructAllWith(h, streams, shards)
-			scores[i] = score{
-				name:    h.Name(),
-				matched: ScoreMatchedWith(res.Real, candidates, shards),
-				exists:  Score(res.Real, candidates),
-				recon:   Summarize(candidates),
-			}
-		})
+	real := indexSessions(res.Real)
+	for _, h := range build(g) {
+		t := real.scoreStreams(h, streams, budget)
+		record(h.Name(), t, t.stats())
 	}
 	if cfg.IncludeReferrer {
-		ref := &scores[n-1]
-		tasks = append(tasks, func() {
-			r := referrer.New(g)
-			chain, err := r.Reconstruct(res.LogCombined(g))
-			if err != nil {
-				ref.err = err
-				return
-			}
-			*ref = score{
-				name:    r.Name(),
-				matched: ScoreMatchedWith(res.Real, chain, shards),
-				exists:  Score(res.Real, chain),
-				recon:   Summarize(chain),
-			}
-		})
-	}
-	if scorers <= 1 {
-		for _, task := range tasks {
-			task()
+		// The chain is reconstructed from the whole log, not per stream, so
+		// its sessions reach the kernel through the grouping feeder.
+		r := referrer.New(g)
+		chain, err := r.Reconstruct(res.LogCombined(g))
+		if err != nil {
+			return nil, err
 		}
-	} else {
-		next := make(chan int)
-		var wg sync.WaitGroup
-		for w := 0; w < scorers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range next {
-					tasks[i]()
-				}
-			}()
-		}
-		for i := range tasks {
-			next <- i
-		}
-		close(next)
-		wg.Wait()
-	}
-	for _, s := range scores {
-		if s.err != nil {
-			return nil, s.err
-		}
-		point.Matched[s.name] = s.matched
-		point.Exists[s.name] = s.exists
-		point.Reconstructed[s.name] = s.recon
+		record(r.Name(), real.scoreSessions(chain, budget), Summarize(chain))
 	}
 	metricPointsDone.Inc()
 	return point, nil

@@ -1,13 +1,6 @@
 package eval
 
-import (
-	"runtime"
-	"sync"
-	"sync/atomic"
-
-	"smartsra/internal/session"
-	"smartsra/internal/webgraph"
-)
+import "smartsra/internal/session"
 
 // ScoreMatched computes accuracy under one-to-one matching: each
 // reconstructed session may be credited for at most one real session
@@ -31,84 +24,23 @@ func ScoreMatched(real, candidates []session.Session) Accuracy {
 	return ScoreMatchedWith(real, candidates, 1)
 }
 
-// matchProblem is one user's bipartite matching instance. Page sequences
-// are extracted once here — not once per Captures probe — so the matcher's
-// inner loop is allocation-free.
-type matchProblem struct {
-	realPages [][]webgraph.PageID
-	candPages [][]webgraph.PageID
-}
-
-// ScoreMatchedWith is ScoreMatched sharded across a bounded worker pool:
-// users are independent matching problems, so they are partitioned over
-// min(workers, users) goroutines and the per-user matching sizes summed.
-// Maximum-matching size is unique, and integer addition commutes, so the
-// result is identical to the sequential computation for any worker count.
-// workers <= 0 means GOMAXPROCS; workers == 1 (or a single user) runs
-// inline with no goroutines.
+// ScoreMatchedWith is ScoreMatched with the users — independent matching
+// problems — split over min(workers, users) goroutines. Maximum-matching
+// size is unique and integer addition commutes, so the result is the
+// sequential one for any worker count. workers <= 0 means GOMAXPROCS;
+// workers == 1 (or a single user) runs inline with no goroutines.
 func ScoreMatchedWith(real, candidates []session.Session, workers int) Accuracy {
-	users := make(map[string]*matchProblem)
-	order := make([]*matchProblem, 0, len(users))
-	for _, r := range real {
-		u := users[r.User]
-		if u == nil {
-			u = &matchProblem{}
-			users[r.User] = u
-			order = append(order, u)
-		}
-		u.realPages = append(u.realPages, r.Pages())
-	}
-	for _, h := range candidates {
-		if u := users[h.User]; u != nil {
-			u.candPages = append(u.candPages, h.Pages())
-		}
-	}
-	acc := Accuracy{Real: len(real)}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(order) {
-		workers = len(order)
-	}
-	if workers <= 1 {
-		var m matcher
-		for _, u := range order {
-			acc.Captured += m.match(u)
-		}
-		return acc
-	}
-	var (
-		next     atomic.Int64
-		captured atomic.Int64
-		wg       sync.WaitGroup
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var m matcher // per-worker scratch, reused across users
-			sum := 0
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(order) {
-					break
-				}
-				sum += m.match(order[i])
-			}
-			captured.Add(int64(sum))
-		}()
-	}
-	wg.Wait()
-	acc.Captured = int(captured.Load())
-	return acc
+	t := indexSessions(real).scoreSessions(candidates, workers)
+	return Accuracy{Real: len(real), Captured: t.matched}
 }
 
-// matcher computes maximum bipartite matchings, keeping its working buffers
-// across calls so per-user problems allocate only the adjacency lists. It is
-// not safe for concurrent use; give each worker its own.
+// matcher holds one user's capture graph and computes its maximum bipartite
+// matching, keeping its buffers across users so the steady state allocates
+// nothing. Not safe for concurrent use; each worker has its own.
 type matcher struct {
 	adj       [][]int
 	adjArena  []int
+	nc        int // candidates in the current graph
 	matchCand []int
 	seen      []bool
 	stack     []matchFrame
@@ -120,48 +52,58 @@ type matchFrame struct {
 	i, ai, j int
 }
 
-// match computes the maximum matching size between one user's real sessions
-// and the candidates capturing them. Per-user problem sizes are usually tiny
-// (tens of sessions), but merged proxy users can be arbitrarily large, so
-// the augmenting-path search uses an explicit stack — the recursive
-// formulation overflows the goroutine stack on adversarial instances whose
-// augmenting chains thread through every session (see TestMatchUserDeepChain).
-func (m *matcher) match(u *matchProblem) int {
-	nr, nc := len(u.realPages), len(u.candPages)
-	if nr == 0 || nc == 0 {
-		return 0
-	}
-	// adj[i] lists candidate indices capturing real session i, packed into
-	// one arena so the lists cost a single allocation.
+// capture builds one user's capture graph — adj[i] lists the candidates that
+// capture real session i, packed into one arena — and returns how many real
+// sessions have a capturer at all, the Exists reading. Nothing else in eval
+// evaluates the capture relation.
+func (m *matcher) capture(real, cand pageLists) (captured int) {
+	nr, nc := real.len(), cand.len()
 	if cap(m.adj) < nr {
 		m.adj = make([][]int, nr)
 	}
-	adj := m.adj[:nr]
+	m.adj, m.nc = m.adj[:nr], nc
 	m.adjArena = m.adjArena[:0]
-	for i, rp := range u.realPages {
+	for i := range m.adj {
+		rp := real.list(i)
 		lo := len(m.adjArena)
-		for j, cp := range u.candPages {
-			if session.ContainsPages(cp, rp) {
+		for j := 0; j < nc; j++ {
+			if session.ContainsPages(cand.list(j), rp) {
 				m.adjArena = append(m.adjArena, j)
 			}
 		}
-		adj[i] = m.adjArena[lo:len(m.adjArena):len(m.adjArena)]
+		m.adj[i] = m.adjArena[lo:len(m.adjArena):len(m.adjArena)]
+		if len(m.adjArena) > lo {
+			captured++
+		}
 	}
-	if cap(m.matchCand) < nc {
-		m.matchCand = make([]int, nc)
-		m.seen = make([]bool, nc)
+	return captured
+}
+
+// matching returns the maximum matching size of the graph capture just
+// built, the Matched reading. Per-user problem sizes are usually tiny (tens
+// of sessions), but merged proxy users can be arbitrarily large, so the
+// augmenting-path search uses an explicit stack — the recursive formulation
+// overflows the goroutine stack on adversarial instances whose augmenting
+// chains thread through every session (see TestMatchUserDeepChain).
+func (m *matcher) matching() int {
+	if cap(m.matchCand) < m.nc {
+		m.matchCand = make([]int, m.nc)
+		m.seen = make([]bool, m.nc)
 	}
-	matchCand := m.matchCand[:nc] // candidate -> real (or -1)
-	seen := m.seen[:nc]
+	matchCand := m.matchCand[:m.nc] // candidate -> real (or -1)
+	seen := m.seen[:m.nc]
 	for j := range matchCand {
 		matchCand[j] = -1
 	}
 	matched := 0
-	for i := range adj {
+	for i := range m.adj {
+		if len(m.adj[i]) == 0 {
+			continue
+		}
 		for j := range seen {
 			seen[j] = false
 		}
-		if m.augment(adj, matchCand, seen, i) {
+		if m.augment(m.adj, matchCand, seen, i) {
 			matched++
 		}
 	}

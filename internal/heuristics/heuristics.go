@@ -35,6 +35,43 @@ type Describer interface {
 	Describe() string
 }
 
+// Lend returns h's reconstruction for a single-goroutine loop that is done
+// with one user's sessions before it asks for the next (eval's scoring
+// loop). The sessions reconstruct returns are lent: they live in scratch
+// the pair owns — or alias the stream's own entries — and die at release, so
+// the loop calls release once per user, after it has dropped them, and the
+// steady state allocates nothing. A heuristic Lend does not know is served
+// by its Reconstruct, with a release that does nothing.
+func Lend(h Reconstructor) (reconstruct func(session.Stream) []session.Session, release func()) {
+	var appendSessions func(dst []session.Session, stream session.Stream) []session.Session
+	release = func() {}
+	switch h := h.(type) {
+	case TimeTotal:
+		appendSessions = func(dst []session.Session, st session.Stream) []session.Session {
+			return h.appendSessions(dst, st, true)
+		}
+	case TimeGap:
+		appendSessions = func(dst []session.Session, st session.Stream) []session.Session {
+			return h.appendSessions(dst, st, true)
+		}
+	case Navigation:
+		scr := new(navScratch)
+		appendSessions = func(dst []session.Session, st session.Stream) []session.Session {
+			return h.appendSessions(dst, st, scr)
+		}
+		release = scr.arena.rewind
+	case SmartSRA:
+		appendSessions, release = h.WithScratch()
+	default:
+		return h.Reconstruct, release
+	}
+	var buf []session.Session
+	return func(st session.Stream) []session.Session {
+		buf = appendSessions(buf[:0], st)
+		return buf
+	}, release
+}
+
 // ReconstructAll applies h to every stream and concatenates the results.
 func ReconstructAll(h Reconstructor, streams []session.Stream) []session.Session {
 	var out []session.Session
@@ -80,7 +117,14 @@ func ReconstructAllWith(h Reconstructor, streams []session.Stream, workers int) 
 		}()
 	}
 	wg.Wait()
-	var out []session.Session
+	total := 0
+	for _, sessions := range per {
+		total += len(sessions)
+	}
+	if total == 0 {
+		return nil // what ReconstructAll returns for no sessions
+	}
+	out := make([]session.Session, 0, total)
 	for _, sessions := range per {
 		out = append(out, sessions...)
 	}

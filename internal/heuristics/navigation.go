@@ -47,13 +47,27 @@ func (Navigation) Describe() string {
 // non-decreasing time order; the paper's pseudocode does not assign them
 // times (they are served from the browser cache and never hit the server).
 // Sessions are assembled in one reusable scratch buffer and copied out
-// exact-size from a per-call entry arena when they close, so a stream with
-// many sessions costs a handful of block allocations instead of per-session
+// exact-size from an entry arena when they close, so a stream with many
+// sessions costs a handful of block allocations instead of per-session
 // append churn.
 func (h Navigation) Reconstruct(stream session.Stream) []session.Session {
-	var out []session.Session
-	arena := entryArena{next: len(stream.Entries) + 8}
-	var cur []session.Entry // scratch: reused across sessions, copied on close
+	return h.appendSessions(nil, stream, new(navScratch))
+}
+
+// navScratch is the working state of one Navigation reconstruction. Lend
+// keeps one across users and rewinds the arena once each user's sessions
+// have been dropped.
+type navScratch struct {
+	cur   []session.Entry // the open session: reused, copied out on close
+	arena entryArena
+}
+
+func (h Navigation) appendSessions(out []session.Session, stream session.Stream, scr *navScratch) []session.Session {
+	arena := &scr.arena
+	if arena.block == nil {
+		arena.next = len(stream.Entries) + 8
+	}
+	cur := scr.cur[:0]
 	closeCur := func() {
 		out = append(out, session.Session{User: stream.User, Entries: arena.cloneAll(cur)})
 		cur = cur[:0]
@@ -105,5 +119,6 @@ func (h Navigation) Reconstruct(stream session.Stream) []session.Session {
 	if len(cur) > 0 {
 		closeCur()
 	}
+	scr.cur = cur
 	return out
 }

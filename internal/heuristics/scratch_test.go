@@ -106,3 +106,46 @@ func TestArenaRewind(t *testing.T) {
 		t.Errorf("rewind kept a %d-entry block, cap is %d", cap(a.block), arenaMaxRewound)
 	}
 }
+
+// unknownHeuristic hides a heuristic's concrete type from Lend.
+type unknownHeuristic struct{ Reconstructor }
+
+// TestLendMatchesReconstruct pins the lent per-user entry of every heuristic
+// to its Reconstruct, user after user with a release in between — so each
+// user's sessions are right even though they reuse the storage, or alias the
+// stream, that the previous user's were handed out from — and the input
+// stream is left as it was.
+func TestLendMatchesReconstruct(t *testing.T) {
+	g := fuzzGraph(t)
+	rng := rand.New(rand.NewSource(9))
+	var streams []session.Stream
+	for i := 0; i < 200; i++ {
+		gen := randomStream
+		if i%3 == 0 {
+			gen = chainStream
+		}
+		streams = append(streams, gen(g, rng, rng.Intn(120)))
+	}
+	limited := NewNavigation(g)
+	limited.MaxGap = session.DefaultPageStay
+	for _, h := range []Reconstructor{
+		NewTimeTotal(), NewTimeGap(), NewNavigation(g), limited, NewSmartSRA(g),
+		unknownHeuristic{NewTimeGap()},
+	} {
+		reconstruct, release := Lend(h)
+		for pass := 0; pass < 2; pass++ {
+			for i, st := range streams {
+				before := append([]session.Entry(nil), st.Entries...)
+				got := reconstruct(st)
+				want := h.Reconstruct(st)
+				if len(got) != len(want) || (len(want) > 0 && !reflect.DeepEqual(deepClone(got), want)) {
+					t.Fatalf("%s pass %d stream %d: lent sessions differ from Reconstruct's", h.Name(), pass, i)
+				}
+				release()
+				if !reflect.DeepEqual(st.Entries, before) {
+					t.Fatalf("%s stream %d: the input stream was modified", h.Name(), i)
+				}
+			}
+		}
+	}
+}

@@ -29,23 +29,35 @@ func (h TimeTotal) Describe() string {
 
 // Reconstruct implements Reconstructor.
 func (h TimeTotal) Reconstruct(stream session.Stream) []session.Session {
-	var out []session.Session
-	var cur []session.Entry
-	var first time.Time
-	for _, e := range stream.Entries {
-		if len(cur) > 0 && e.Time.Sub(first) > h.Delta {
-			out = append(out, session.Session{User: stream.User, Entries: cur})
-			cur = nil
+	return h.appendSessions(nil, stream, false)
+}
+
+func (h TimeTotal) appendSessions(dst []session.Session, stream session.Stream, lent bool) []session.Session {
+	entries := stream.Entries
+	return appendRuns(dst, stream, lent, func(first, i int) bool {
+		return entries[i].Time.Sub(entries[first].Time) > h.Delta
+	})
+}
+
+// appendRuns appends the sessions of a time-oriented heuristic: contiguous
+// runs of the stream, a new one starting at every entry i for which cut,
+// given the current run's first index, says i may not join. A run is copied
+// out exact-size unless lent, when it aliases stream.Entries — only for a
+// consumer that drops the sessions before the stream goes away (Lend).
+func appendRuns(dst []session.Session, stream session.Stream, lent bool, cut func(first, i int) bool) []session.Session {
+	first := 0
+	for i := 1; i <= len(stream.Entries); i++ {
+		if i < len(stream.Entries) && !cut(first, i) {
+			continue
 		}
-		if len(cur) == 0 {
-			first = e.Time
+		run := stream.Entries[first:i:i]
+		if !lent {
+			run = append([]session.Entry(nil), run...)
 		}
-		cur = append(cur, e)
+		dst = append(dst, session.Session{User: stream.User, Entries: run})
+		first = i
 	}
-	if len(cur) > 0 {
-		out = append(out, session.Session{User: stream.User, Entries: cur})
-	}
-	return out
+	return dst
 }
 
 // TimeGap is the paper's second time-oriented heuristic (heur2): the time
@@ -69,17 +81,12 @@ func (h TimeGap) Describe() string {
 
 // Reconstruct implements Reconstructor.
 func (h TimeGap) Reconstruct(stream session.Stream) []session.Session {
-	var out []session.Session
-	var cur []session.Entry
-	for _, e := range stream.Entries {
-		if len(cur) > 0 && e.Time.Sub(cur[len(cur)-1].Time) > h.Rho {
-			out = append(out, session.Session{User: stream.User, Entries: cur})
-			cur = nil
-		}
-		cur = append(cur, e)
-	}
-	if len(cur) > 0 {
-		out = append(out, session.Session{User: stream.User, Entries: cur})
-	}
-	return out
+	return h.appendSessions(nil, stream, false)
+}
+
+func (h TimeGap) appendSessions(dst []session.Session, stream session.Stream, lent bool) []session.Session {
+	entries := stream.Entries
+	return appendRuns(dst, stream, lent, func(_, i int) bool {
+		return entries[i].Time.Sub(entries[i-1].Time) > h.Rho
+	})
 }

@@ -13,17 +13,15 @@ import (
 //
 // Empty real sessions are vacuously captured.
 //
-// Captures materializes both page sequences on every call; hot paths that
-// probe many pairs (eval.ScoreMatched, MaximalOnly) precompute Pages once
-// per session and use ContainsPages instead.
+// Pages are compared in place on the entry slices, so a probe allocates
+// nothing; callers that already hold flat page sequences use ContainsPages.
 func Captures(h, r Session) bool {
-	return indexOf(h.Pages(), r.Pages()) >= 0
+	return entryIndexOf(h.Entries, r.Entries) >= 0
 }
 
 // ContainsPages reports whether needle occurs as a contiguous subsequence of
-// haystack — the capture relation over pre-extracted page sequences. It is
-// the allocation-free core of Captures for callers that reuse page slices
-// across many probes.
+// haystack — the capture relation over flat page sequences (eval's scoring
+// kernel keeps every session's pages in one arena).
 func ContainsPages(haystack, needle []webgraph.PageID) bool {
 	return indexOf(haystack, needle) >= 0
 }

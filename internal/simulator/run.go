@@ -116,10 +116,14 @@ func Run(g *webgraph.Graph, p Params) (*Result, error) {
 			// returned for the next run (sweeps call Run once per point).
 			scr := scratchPool.Get().(*agentScratch)
 			defer scratchPool.Put(scr)
+			// One generator per worker, re-seeded per agent: Seed rebuilds the
+			// whole 4.9 KB source state, so the draws equal a fresh source's
+			// without allocating one per agent.
+			rng := rand.New(rand.NewSource(0))
 			for i := range next {
 				// Seed each agent independently so scheduling cannot change
 				// results. SplitMix-style mixing decorrelates nearby seeds.
-				rng := rand.New(rand.NewSource(mixSeed(p.Seed, int64(i))))
+				rng.Seed(mixSeed(p.Seed, int64(i)))
 				// Whole-second start times survive the CLF format round trip.
 				jitter := time.Duration(rng.Int63n(int64(p.StartWindow))).Truncate(time.Second)
 				start := p.Start.Add(jitter)
@@ -133,7 +137,18 @@ func Run(g *webgraph.Graph, p Params) (*Result, error) {
 	close(next)
 	wg.Wait()
 
-	res := &Result{}
+	nReal, nStreams := 0, 0
+	for i := range outcomes {
+		nReal += len(outcomes[i].real)
+		if len(outcomes[i].served) > 0 {
+			nStreams++
+		}
+	}
+	res := &Result{
+		Real:      make([]session.Session, 0, nReal),
+		Streams:   make([]session.Stream, 0, nStreams),
+		Referrers: make([][]webgraph.PageID, 0, nStreams),
+	}
 	res.Stats.Agents = p.Agents
 	users := assignUsers(p)
 	for i := range outcomes {

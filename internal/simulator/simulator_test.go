@@ -3,6 +3,7 @@ package simulator
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -583,5 +584,65 @@ func TestStayLognormalSkew(t *testing.T) {
 	if StayNormal.String() != "normal" || StayLognormal.String() != "lognormal" ||
 		StayModel(9).String() == "" {
 		t.Error("StayModel.String wrong")
+	}
+}
+
+// referenceRun is Run read naively: agents one after another, each with a
+// freshly built source and scratch, results grown by append. Run's shared
+// per-worker generator and presized slices must not be observable.
+func referenceRun(g *webgraph.Graph, p Params) *Result {
+	p = p.withDefaults()
+	users := assignUsers(p)
+	res := &Result{}
+	res.Stats.Agents = p.Agents
+	for i := 0; i < p.Agents; i++ {
+		rng := rand.New(rand.NewSource(mixSeed(p.Seed, int64(i))))
+		jitter := time.Duration(rng.Int63n(int64(p.StartWindow))).Truncate(time.Second)
+		scr := &agentScratch{visited: make(map[webgraph.PageID]bool)}
+		o := runAgent(g, p, AgentID(i), p.Start.Add(jitter), rng, scr)
+		for s := range o.real {
+			o.real[s].User = users[i]
+		}
+		res.Real = append(res.Real, o.real...)
+		if len(o.served) > 0 {
+			res.Streams = append(res.Streams, session.Stream{User: users[i], Entries: o.served})
+			res.Referrers = append(res.Referrers, o.refs)
+		}
+		res.Stats.add(o.stats)
+	}
+	res.mergeSharedUsers()
+	return res
+}
+
+func TestRunMatchesFreshSourcePerAgent(t *testing.T) {
+	g := testTopology(t)
+	for _, proxy := range []float64{0, 0.4} {
+		p := testParams()
+		p.Seed = 7
+		p.ProxyFraction = proxy
+		p.ProxySize = 3
+		want := referenceRun(g, p)
+		if len(want.Real) == 0 || len(want.Streams) == 0 {
+			t.Fatalf("proxy=%v: degenerate reference: %v", proxy, want.Stats)
+		}
+		for _, workers := range []int{1, 2, 5} {
+			p.Workers = workers
+			got, err := Run(g, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.Stats != want.Stats {
+				t.Errorf("proxy=%v workers=%d: Stats %+v, want %+v", proxy, workers, got.Stats, want.Stats)
+			}
+			if !reflect.DeepEqual(got.Real, want.Real) {
+				t.Errorf("proxy=%v workers=%d: Real differs", proxy, workers)
+			}
+			if !reflect.DeepEqual(got.Streams, want.Streams) {
+				t.Errorf("proxy=%v workers=%d: Streams differ", proxy, workers)
+			}
+			if !reflect.DeepEqual(got.Referrers, want.Referrers) {
+				t.Errorf("proxy=%v workers=%d: Referrers differ", proxy, workers)
+			}
+		}
 	}
 }
