@@ -3,14 +3,18 @@ package smartsra
 import (
 	"bufio"
 	"bytes"
+	"compress/gzip"
 	"fmt"
 	"io"
+	"os"
+	"path/filepath"
 	"runtime"
 	"sync"
 	"testing"
 
 	"smartsra/internal/clf"
 	"smartsra/internal/core"
+	"smartsra/internal/metrics"
 	"smartsra/internal/session"
 	"smartsra/internal/simulator"
 	"smartsra/internal/webgraph"
@@ -276,4 +280,60 @@ func BenchmarkTailDrain(b *testing.B) {
 	b.Run("flush", func(b *testing.B) {
 		perSession(b, filled, func(tl *core.Tail) int { return len(tl.Flush()) })
 	})
+}
+
+// BenchmarkStreamGzip is the gzip ingest stage on the sequential plan: a
+// rotated set of four gzip members (≈ 8 MiB decoded each) through
+// clf.StreamFilesChunked with one worker, so each member inflates on its
+// decoder goroutine beside the parse loop. Per line: ns, and B and allocs
+// from the runtime's own counters (the ring is per member, so both stay flat
+// as members grow), plus which side of the decoder/parser boundary waited —
+// wait-ns is the parser blocked on the decoder, stall-ns the decoder blocked
+// on a free ring buffer.
+func BenchmarkStreamGzip(b *testing.B) {
+	_, _, data := ingestWorkload(b)
+	dir := b.TempDir()
+	var paths []string
+	for m := 0; m < 4; m++ {
+		path := filepath.Join(dir, fmt.Sprintf("access.%d.gz", m))
+		f, err := os.Create(path)
+		if err != nil {
+			b.Fatal(err)
+		}
+		gz, _ := gzip.NewWriterLevel(f, gzip.BestSpeed)
+		for n := 0; n < 8<<20; n += len(data) {
+			if _, err := gz.Write(data); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if err := gz.Close(); err != nil {
+			b.Fatal(err)
+		}
+		if err := f.Close(); err != nil {
+			b.Fatal(err)
+		}
+		paths = append(paths, path)
+	}
+	wait, stall := metrics.GetCounter("clf.decode.wait_ns"), metrics.GetCounter("clf.decode.stall_ns")
+	wait0, stall0 := wait.Value(), stall.Value()
+	var before, after runtime.MemStats
+	lines := 0
+	runtime.ReadMemStats(&before)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		bad, err := clf.StreamFilesChunked(paths, clf.StreamConfig{Workers: 1},
+			func(recs []clf.Record) { lines += len(recs) }, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		lines += bad
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	n := float64(max(lines, 1))
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/n, "ns/line")
+	b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/n, "B/line")
+	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/n, "allocs/line")
+	b.ReportMetric(float64(wait.Value()-wait0)/n, "wait-ns/line")
+	b.ReportMetric(float64(stall.Value()-stall0)/n, "stall-ns/line")
 }

@@ -89,13 +89,19 @@ type stackedCloser struct {
 }
 
 func (s *stackedCloser) Close() error {
+	err := closeAll(s.closers)
+	s.closers = nil
+	return err
+}
+
+// closeAll closes every closer in order and returns the first error.
+func closeAll(closers []io.Closer) error {
 	var first error
-	for _, c := range s.closers {
+	for _, c := range closers {
 		if err := c.Close(); err != nil && first == nil {
 			first = err
 		}
 	}
-	s.closers = nil
 	return first
 }
 

@@ -7,6 +7,18 @@ import (
 	"io"
 	"os"
 	"sync"
+	"time"
+
+	"smartsra/internal/metrics"
+)
+
+// Decode-stage instrumentation: which side of the decoder/parser boundary is
+// the bottleneck on a given input. wait_ns is the parse side blocked on the
+// decoder, stall_ns the decoder blocked on a free ring buffer.
+var (
+	metricDecodeChunks = metrics.GetCounter("clf.decode.chunks")
+	metricDecodeWait   = metrics.GetCounter("clf.decode.wait_ns")
+	metricDecodeStall  = metrics.GetCounter("clf.decode.stall_ns")
 )
 
 // SourceKind identifies how a Source feeds bytes to the parse pipeline.
@@ -56,7 +68,9 @@ type FilePos struct {
 // producing it. A return with err != nil carries no data: io.EOF signals a
 // clean end of input. The chunk is owned by the caller until the Source is
 // closed — mmap chunks alias the mapping, so Close must not run before the
-// chunk's consumers finish.
+// chunk's consumers finish — except on a source marked serial, whose chunk
+// is lent only until the next NextChunk (it aliases a read or ring buffer
+// that is then refilled).
 type Source interface {
 	NextChunk(chunkBytes int) (chunk []byte, end int64, skipped int, err error)
 	Kind() SourceKind
@@ -68,7 +82,8 @@ type Source interface {
 // lines are skipped and counted (never buffered whole), matching the
 // sequential lineScanner's policy.
 type readerSource struct {
-	r       io.Reader
+	r       io.Reader // read inline, on the caller's goroutine, when dec is nil
+	dec     *decoder  // gzip: blocks arrive from the member's decode goroutine
 	kind    SourceKind
 	closers []io.Closer
 
@@ -88,7 +103,7 @@ type readerSource struct {
 // chunks alias the read buffer itself — zero-copy, like the mmap source —
 // with only a carried partial line stitched through a small side buffer.
 // Must not be set when chunks stay in flight concurrently (the worker-pool
-// path, asyncSource prefetch).
+// path).
 func (s *readerSource) markSerial() { s.serial = true }
 
 func newReaderSource(r io.Reader, kind SourceKind, pos int64, closers ...io.Closer) *readerSource {
@@ -98,14 +113,25 @@ func newReaderSource(r io.Reader, kind SourceKind, pos int64, closers ...io.Clos
 func (s *readerSource) Kind() SourceKind { return s.kind }
 
 func (s *readerSource) Close() error {
-	var first error
-	for _, c := range s.closers {
-		if err := c.Close(); err != nil && first == nil {
-			first = err
-		}
+	if s.dec != nil {
+		return s.dec.close()
 	}
+	err := closeAll(s.closers)
 	s.closers = nil
-	return first
+	return err
+}
+
+// readBlock returns the next block of up to chunkBytes input bytes, valid
+// until the following readBlock, with io.ReadFull's error convention.
+func (s *readerSource) readBlock(chunkBytes int) ([]byte, error) {
+	if s.dec != nil {
+		return s.dec.next()
+	}
+	if len(s.buf) != chunkBytes {
+		s.buf = make([]byte, chunkBytes)
+	}
+	n, err := io.ReadFull(s.r, s.buf)
+	return s.buf[:n], err
 }
 
 func (s *readerSource) NextChunk(chunkBytes int) ([]byte, int64, int, error) {
@@ -122,12 +148,9 @@ func (s *readerSource) NextChunk(chunkBytes int) ([]byte, int64, int, error) {
 	if chunkBytes <= 0 {
 		chunkBytes = readChunkSize
 	}
-	if len(s.buf) != chunkBytes {
-		s.buf = make([]byte, chunkBytes)
-	}
 	for s.rerr == nil {
-		n, rerr := io.ReadFull(s.r, s.buf)
-		out := s.consume(s.buf[:n])
+		b, rerr := s.readBlock(chunkBytes)
+		out := s.consume(b)
 		if rerr != nil {
 			// Record the block's terminal condition; any chunk cut from the
 			// block is still delivered first.
@@ -155,6 +178,16 @@ func (s *readerSource) NextChunk(chunkBytes int) ([]byte, int64, int, error) {
 			end, skipped := s.pos, s.pending
 			s.pending = 0
 			return nil, end, skipped, nil
+		}
+		if s.dec != nil {
+			// How a gzip member ended is part of reading it: a stream cut
+			// short passes for a short final block above and only fails when
+			// the decoder is closed. Report that here, where the sequential
+			// loop and the worker pool both stop on it, not as a Close error
+			// the pool would only see after moving on to the next file.
+			if err := s.dec.close(); err != nil {
+				s.rerr = fmt.Errorf("clf: read: %w", err)
+			}
 		}
 	}
 	return nil, 0, 0, s.rerr
@@ -205,8 +238,8 @@ func (s *readerSource) consume(b []byte) []byte {
 		return nil
 	}
 	if s.serial {
-		// Zero-copy serial delivery: the chunk aliases s.buf, which is not
-		// refilled until the caller asks for the next chunk. A carried
+		// Zero-copy serial delivery: the chunk aliases the block, which is
+		// not refilled until the caller asks for the next chunk. A carried
 		// partial line is stitched to the block's first line in the small
 		// joined buffer, and the rest of the block is held back one call
 		// (pendingData) so both halves ship without copying the block.
@@ -226,7 +259,7 @@ func (s *readerSource) consume(b []byte) []byte {
 		return out
 	}
 	// Fresh backing for both chunk and carry: the returned chunk is handed
-	// to workers, and both s.buf and s.carry are reused.
+	// to workers, and both the block and s.carry are reused.
 	out := make([]byte, 0, len(s.carry)+nl+1)
 	out = append(append(out, s.carry...), b[:nl+1]...)
 	s.carry = append(s.carry[:0], b[nl+1:]...)
@@ -293,63 +326,126 @@ func (s *bytesSource) NextChunk(chunkBytes int) ([]byte, int64, int, error) {
 	return chunk, int64(cut), 0, nil
 }
 
-// asyncSource decodes an inner Source ahead of the pipeline on its own
-// goroutine — the mechanism that lets gzip decompression of upcoming files
-// in a rotated set overlap with parsing the current one.
-type asyncSource struct {
-	kind   SourceKind
-	ch     chan asyncChunk
-	cancel chan struct{}
-	done   chan struct{}
+// decodeRingDepth is how many block buffers one gzip member's decoder
+// cycles through: one lent to the parse side, one queued, one being filled.
+const decodeRingDepth = 3
+
+// decoder inflates one gzip member on its own goroutine, beside whatever
+// parses it — the current member of a rotated set as well as prefetched
+// ones, for any worker count. Decoded bytes cross over in blocks of
+// chunkBytes read straight into a fixed ring of recycled buffers: a buffer
+// belongs to the decoder while it is filled, to the parse side from next
+// until the following next (readerSource either aliases it, serial, or
+// copies the chunk out of it), and then goes back to be refilled. Steady
+// state allocates nothing, whatever the member's length.
+type decoder struct {
+	blocks chan block    // decoder → parse side, in stream order
+	free   chan []byte   // parse side → decoder, buffers to refill
+	cancel chan struct{} // closed by close: stop decoding
+	done   chan struct{} // closed once the goroutine is gone and closeErr set
 	once   sync.Once
+	held   []byte // parse side: buffer of the block it is reading
+	made   int    // decode side: ring buffers allocated so far
+
+	closeErr error // closing the gzip reader and the file, read after done
 }
 
-type asyncChunk struct {
-	data    []byte
-	end     int64
-	skipped int
-	err     error
+// block is one io.ReadFull into a ring buffer: the bytes and the result.
+type block struct {
+	data []byte
+	err  error
 }
 
-func newAsyncSource(inner Source, chunkBytes int) *asyncSource {
-	a := &asyncSource{
-		kind:   inner.Kind(),
-		ch:     make(chan asyncChunk, 2),
+// startDecoder starts decoding r after discarding skip decoded bytes (the
+// resume offset; a failure there arrives as the first block's error). The
+// goroutine closes closers when it ends — at the stream's end, on a read
+// error, or on close — and close reports their first error.
+func startDecoder(r io.Reader, name string, skip int64, chunkBytes int, closers ...io.Closer) *decoder {
+	if chunkBytes <= 0 {
+		chunkBytes = readChunkSize
+	}
+	d := &decoder{
+		// Both sized to the ring: there are never more buffers than slots,
+		// so neither side ever blocks on a send.
+		blocks: make(chan block, decodeRingDepth),
+		free:   make(chan []byte, decodeRingDepth),
 		cancel: make(chan struct{}),
 		done:   make(chan struct{}),
 	}
 	go func() {
-		defer close(a.done)
-		defer inner.Close()
+		defer close(d.done)
+		defer func() { d.closeErr = closeAll(closers) }()
+		defer close(d.blocks)
+		if skip > 0 {
+			if _, err := io.CopyN(io.Discard, r, skip); err != nil {
+				d.blocks <- block{err: fmt.Errorf("gzip %s: resume offset %d: %w", name, skip, err)}
+				return
+			}
+		}
 		for {
-			data, end, skipped, err := inner.NextChunk(chunkBytes)
-			select {
-			case a.ch <- asyncChunk{data, end, skipped, err}:
-				if err != nil {
-					return
-				}
-			case <-a.cancel:
+			buf := d.buffer(chunkBytes)
+			if buf == nil {
+				return
+			}
+			n, err := io.ReadFull(r, buf)
+			d.blocks <- block{buf[:n], err}
+			if err != nil {
 				return
 			}
 		}
 	}()
-	return a
+	return d
 }
 
-func (a *asyncSource) Kind() SourceKind { return a.kind }
-
-func (a *asyncSource) NextChunk(int) ([]byte, int64, int, error) {
-	c, ok := <-a.ch
-	if !ok {
-		return nil, 0, 0, io.EOF
+// buffer returns a ring buffer to fill: a recycled one, else a new one while
+// the ring is short of its depth (a short member never pays for buffers it
+// would not cycle through), else it waits; nil once cancelled.
+func (d *decoder) buffer(size int) []byte {
+	select {
+	case buf := <-d.free:
+		return buf
+	case <-d.cancel:
+		return nil
+	default:
 	}
-	return c.data, c.end, c.skipped, c.err
+	if d.made < decodeRingDepth {
+		d.made++
+		return make([]byte, size)
+	}
+	start := time.Now()
+	select {
+	case buf := <-d.free:
+		metricDecodeStall.Add(int64(time.Since(start)))
+		return buf
+	case <-d.cancel:
+		return nil
+	}
 }
 
-func (a *asyncSource) Close() error {
-	a.once.Do(func() { close(a.cancel) })
-	<-a.done
-	return nil
+// next hands the previous block's buffer back to the decoder and returns
+// the next block, waiting for the decoder if it is behind.
+func (d *decoder) next() ([]byte, error) {
+	if d.held != nil {
+		d.free <- d.held
+		d.held = nil
+	}
+	start := time.Now()
+	b, ok := <-d.blocks
+	metricDecodeWait.Add(int64(time.Since(start)))
+	if !ok {
+		return nil, io.EOF // after the terminal block, or after close
+	}
+	metricDecodeChunks.Inc()
+	d.held = b.data[:cap(b.data)]
+	return b.data, b.err
+}
+
+// close stops the decoder, waits for its goroutine, and reports the error
+// of closing the gzip reader (a truncated member surfaces here) and file.
+func (d *decoder) close() error {
+	d.once.Do(func() { close(d.cancel) })
+	<-d.done
+	return d.closeErr
 }
 
 // gzipMagic is the two-byte header that selects the gzip source.
@@ -366,8 +462,9 @@ func sniffGzip(f *os.File) bool {
 // openSourceAt opens path as a Source positioned at offset (decoded bytes
 // for gzip members). Plain files become mmap windows when supported and not
 // disabled, the buffered reader otherwise; gzip files always decode through
-// the buffered path, discarding to the resume offset.
-func openSourceAt(path string, offset int64, noMmap bool) (Source, error) {
+// the buffered path, on a goroutine of their own that starts here, in blocks
+// of chunkBytes, discarding to the resume offset first.
+func openSourceAt(path string, offset int64, noMmap bool, chunkBytes int) (Source, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
@@ -378,14 +475,8 @@ func openSourceAt(path string, offset int64, noMmap bool) (Source, error) {
 			f.Close()
 			return nil, fmt.Errorf("clf: gzip %s: %w", path, err)
 		}
-		if offset > 0 {
-			if _, err := io.CopyN(io.Discard, gz, offset); err != nil {
-				gz.Close()
-				f.Close()
-				return nil, fmt.Errorf("clf: gzip %s: resume offset %d: %w", path, offset, err)
-			}
-		}
-		return newReaderSource(gz, SourceGzip, offset, gz, f), nil
+		dec := startDecoder(gz, path, offset, chunkBytes, gz, f)
+		return &readerSource{kind: SourceGzip, pos: offset, dec: dec}, nil
 	}
 	info, err := f.Stat()
 	if err != nil {

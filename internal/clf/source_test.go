@@ -22,22 +22,7 @@ func writeTestFile(t *testing.T, dir, name, data string) string {
 
 func writeGzipFile(t *testing.T, dir, name, data string) string {
 	t.Helper()
-	path := filepath.Join(dir, name)
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gz := gzip.NewWriter(f)
-	if _, err := gz.Write([]byte(data)); err != nil {
-		t.Fatal(err)
-	}
-	if err := gz.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-	return path
+	return writeTestFile(t, dir, name, string(gzipBytes(t, data, gzip.DefaultCompression)))
 }
 
 // rotatedSet writes a synthetic log as a 3-file rotated set — first part
@@ -243,17 +228,21 @@ func TestStreamFilesOversizedLine(t *testing.T) {
 		"reader": writeTestFile(t, dir, "reader.log", body),
 		"gzip":   writeGzipFile(t, dir, "compressed.log.gz", body),
 	}
+	// At the smaller chunk sizes the line spans many blocks, and on the gzip
+	// source wraps its decode ring many times over.
 	for name, path := range cases {
 		for _, workers := range []int{1, 3} {
-			var recs int
-			bad, err := StreamFiles([]string{path}, StreamConfig{
-				Workers: workers, NoMmap: name == "reader",
-			}, func(Record) { recs++ }, nil)
-			if err != nil {
-				t.Fatalf("%s workers=%d: %v", name, workers, err)
-			}
-			if recs != 2 || bad != 1 {
-				t.Fatalf("%s workers=%d: %d records / %d malformed, want 2/1", name, workers, recs, bad)
+			for _, chunk := range []int{512, 64 << 10, readChunkSize} {
+				var recs int
+				bad, err := StreamFiles([]string{path}, StreamConfig{
+					Workers: workers, ChunkBytes: chunk, NoMmap: name == "reader",
+				}, func(Record) { recs++ }, nil)
+				if err != nil {
+					t.Fatalf("%s workers=%d chunk=%d: %v", name, workers, chunk, err)
+				}
+				if recs != 2 || bad != 1 {
+					t.Fatalf("%s workers=%d chunk=%d: %d records / %d malformed, want 2/1", name, workers, chunk, recs, bad)
+				}
 			}
 		}
 	}
@@ -295,7 +284,7 @@ func TestSourceKinds(t *testing.T) {
 	plain := writeTestFile(t, dir, "a.log", sampleLine+"\n")
 	gzp := writeGzipFile(t, dir, "a.log.gz", sampleLine+"\n")
 
-	s, err := openSourceAt(plain, 0, false)
+	s, err := openSourceAt(plain, 0, false, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -308,7 +297,7 @@ func TestSourceKinds(t *testing.T) {
 	}
 	s.Close()
 
-	s, err = openSourceAt(plain, 0, true)
+	s, err = openSourceAt(plain, 0, true, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -317,7 +306,7 @@ func TestSourceKinds(t *testing.T) {
 	}
 	s.Close()
 
-	s, err = openSourceAt(gzp, 0, false)
+	s, err = openSourceAt(gzp, 0, false, readChunkSize)
 	if err != nil {
 		t.Fatal(err)
 	}

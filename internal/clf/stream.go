@@ -137,7 +137,8 @@ func perRecord(emit func(Record)) func([]Record) {
 // file, mmap allowed.
 type StreamConfig struct {
 	// Workers is the parse fan-out; <= 0 means GOMAXPROCS. Workers == 1
-	// runs a direct sequential loop with no pipeline goroutines at all.
+	// runs a direct sequential loop with no pipeline goroutines; only an
+	// open gzip member brings one, its decoder.
 	Workers int
 	// Depth bounds in-flight parsed chunks; <= 0 means DefaultStreamDepth.
 	Depth int
@@ -158,8 +159,9 @@ type StreamConfig struct {
 // as the best Source for its content: mmap windows for plain files (chunks
 // alias the mapping; no line is ever copied between read and parse), the
 // buffered reader for pipes or when mmap is unavailable, gzip decoding for
-// compressed members — with upcoming gzip members decoded ahead on their own
-// goroutines so decompression overlaps parsing when workers > 1.
+// compressed members — each on a goroutine of its own, so decompression
+// overlaps parsing for any worker count; with workers > 1 upcoming members
+// start decoding ahead as well.
 //
 // Files are independent record streams: a final line without a trailing
 // newline still parses, exactly as if the files were concatenated with
@@ -192,8 +194,9 @@ func StreamFilesChunked(paths []string, cfg StreamConfig, emitChunk func([]Recor
 		chunkBytes = readChunkSize
 	}
 
-	// Decode-ahead: when the pool is parsing file i, up to lookahead of the
-	// next gzip members decompress concurrently on their own goroutines.
+	// Every gzip member decodes on its own goroutine from the moment it is
+	// opened. Open-ahead: when the pool is parsing file i, up to lookahead of
+	// the next members are opened too, so their decoders run concurrently.
 	lookahead := 0
 	if workers > 1 {
 		lookahead = workers - 1
@@ -216,7 +219,7 @@ func StreamFilesChunked(paths []string, cfg StreamConfig, emitChunk func([]Recor
 				off = cfg.Start.Offset
 			}
 			var err error
-			if s, err = openSourceAt(paths[i], off, cfg.NoMmap); err != nil {
+			if s, err = openSourceAt(paths[i], off, cfg.NoMmap, chunkBytes); err != nil {
 				return nil, err
 			}
 		}
@@ -225,12 +228,9 @@ func StreamFilesChunked(paths []string, cfg StreamConfig, emitChunk func([]Recor
 			if _, ok := ahead[k]; ok {
 				continue
 			}
-			ns, err := openSourceAt(paths[k], 0, cfg.NoMmap)
+			ns, err := openSourceAt(paths[k], 0, cfg.NoMmap, chunkBytes)
 			if err != nil {
 				break // the open(k) that matters will report it
-			}
-			if ns.Kind() == SourceGzip {
-				ns = newAsyncSource(ns, chunkBytes)
 			}
 			ahead[k] = ns
 		}
@@ -280,7 +280,8 @@ func streamSources(n, first int, open func(int) (Source, error), workers, depth,
 		// Direct sequential loop: source → parseChunkInto → emitChunk, no
 		// pipeline. This is the mmap fast path on one core — no goroutine
 		// handoffs, no chunk copies, one scratch record slice reused for
-		// every chunk, just window slicing and the byte-level parser.
+		// every chunk, just window slicing and the byte-level parser. (A
+		// gzip source hands over one ring buffer per chunk from its decoder.)
 		// One scratch record slice serves every chunk; sizing it for a full
 		// chunk of minimal lines up front replaces the per-stream append
 		// growth ladder (records are ~170 B, so the ladder's copies and
@@ -294,8 +295,8 @@ func streamSources(n, first int, open func(int) (Source, error), workers, depth,
 			}
 			if rs, ok := src.(interface{ markSerial() }); ok {
 				// This loop consumes each chunk before pulling the next, so
-				// reader-backed sources can hand out their read buffer
-				// directly (zero-copy, like the mmap windows).
+				// reader-backed sources can hand out their read or ring
+				// buffer directly (zero-copy, like the mmap windows).
 				rs.markSerial()
 			}
 			for {

@@ -2,6 +2,7 @@ package clf
 
 import (
 	"bytes"
+	"compress/gzip"
 	"strings"
 	"testing"
 )
@@ -102,7 +103,8 @@ func TestStreamParallelOversizedLine(t *testing.T) {
 
 // FuzzStreamChunks pins the chunk splitter/reassembler against the
 // sequential Scanner for arbitrary byte input, tiny chunk sizes, and any
-// workers/depth: no line is ever dropped, duplicated, or split, including
+// workers/depth, from a plain reader and from a gzip member's decode ring
+// (serial and pooled): no line is ever dropped, duplicated, or split, including
 // CR/LF edge cases and lines longer than the chunk size. Equivalence of the
 // record sequence plus the malformed count implies all three — a dropped or
 // duplicated line changes a count, a split line changes both parses.
@@ -132,13 +134,28 @@ func FuzzStreamChunks(f *testing.F) {
 		if gotBad != wantBad {
 			t.Fatalf("malformed count %d, want %d", gotBad, wantBad)
 		}
-		if len(got) != len(want) {
-			t.Fatalf("%d records, want %d", len(got), len(want))
-		}
-		for i := range got {
-			if !recordsMatch(got[i], want[i]) {
-				t.Fatalf("record %d differs:\n%+v\n%+v", i, got[i], want[i])
+		sameRecords(t, "reader", got, want)
+
+		// The same bytes as a gzip member: blocks of chunk bytes cross from
+		// the decode goroutine through the ring, lent to the serial loop
+		// (workers 1) or copied out for the pool.
+		packed := gzipBytes(t, string(input), gzip.BestSpeed)
+		for _, gw := range []int{1, w} {
+			gz, err := gzip.NewReader(bytes.NewReader(packed))
+			if err != nil {
+				t.Fatal(err)
 			}
+			src := &readerSource{kind: SourceGzip, dec: startDecoder(gz, "fuzz", 0, chunk, gz)}
+			var ring []Record
+			ringBad, err := streamSources(1, 0, func(int) (Source, error) { return src, nil }, gw, d, chunk,
+				func(recs []Record) { ring = append(ring, recs...) }, nil)
+			if err != nil {
+				t.Fatalf("gzip ring, workers %d: %v", gw, err)
+			}
+			if ringBad != wantBad {
+				t.Fatalf("gzip ring, workers %d: malformed count %d, want %d", gw, ringBad, wantBad)
+			}
+			sameRecords(t, "gzip ring", ring, want)
 		}
 	})
 }

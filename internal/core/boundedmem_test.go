@@ -1,13 +1,18 @@
 package core
 
 import (
+	"compress/gzip"
 	"fmt"
 	"io"
+	"os"
+	"path/filepath"
 	"runtime"
+	rtmetrics "runtime/metrics"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"smartsra/internal/clf"
 	"smartsra/internal/heuristics"
 )
 
@@ -70,12 +75,16 @@ func (r *synthLogReader) Read(p []byte) (int, error) {
 	return n, nil
 }
 
-// memSampler wraps a reader and records the heap high-water mark while the
-// pipeline drains it, sampling every few Read calls so the measurement
-// covers the whole ingestion, not just the end state.
+// memSampler records the high-water of the live heap — what the latest GC
+// mark found reachable (/gc/heap/live:bytes) — while a pipeline runs. Unlike
+// HeapAlloc it leaves out garbage not yet collected, so it does not follow
+// GC pacing (HeapAlloc's high-water read 49 and 101 MiB on one commit). As a
+// reader it samples every few Read calls, so the measurement covers the whole
+// ingestion, not just the end state; file ingestion samples once per chunk.
 type memSampler struct {
 	r     io.Reader
 	calls int
+	live  [1]rtmetrics.Sample
 	high  atomic.Uint64
 }
 
@@ -88,20 +97,22 @@ func (m *memSampler) Read(p []byte) (int, error) {
 }
 
 func (m *memSampler) sample() {
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	if ms.HeapAlloc > m.high.Load() {
-		m.high.Store(ms.HeapAlloc)
+	m.live[0].Name = "/gc/heap/live:bytes"
+	rtmetrics.Read(m.live[:])
+	if v := m.live[0].Value.Uint64(); v > m.high.Load() {
+		m.high.Store(v)
 	}
 }
 
 // TestStreamParallelBoundedMemory is the bounded-memory regression test: a
 // multi-hundred-MiB synthetic log (generated, never materialized) streamed
-// through ShardedTail.Ingest must keep the heap high-water under a fixed
+// through ShardedTail.Ingest must keep the live-heap high-water under a fixed
 // budget that does not depend on the log's length — the property that
 // separates StreamParallel from ReadAllParallel, whose record slice alone
 // would dwarf the budget. Two lengths run under the same budget to pin the
-// independence claim.
+// independence claim, once through the worker pool from a reader and once
+// on the sequential plan from a gzip file, whose decoder ring is then under
+// the same budget.
 func TestStreamParallelBoundedMemory(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-hundred-MiB ingestion")
@@ -113,9 +124,9 @@ func TestStreamParallelBoundedMemory(t *testing.T) {
 	if raceEnabled {
 		short, long = 16<<20, 64<<20
 	}
-	// Measured high-water is ~85 MiB (≈40 MiB live × the GC's 2× growth
-	// target); the budget leaves headroom without letting a regression to
-	// O(log) memory slip through — the long log is twice the budget.
+	// The live heap peaks near 25 MiB; the budget leaves headroom without
+	// letting a regression to O(log) memory slip through — the long log is
+	// twice the budget.
 	const budget = 128 << 20
 
 	g := goldenGraph()
@@ -124,21 +135,22 @@ func TestStreamParallelBoundedMemory(t *testing.T) {
 		uris = append(uris, g.Label(p))
 	}
 
-	run := func(total int64) uint64 {
+	// ingest feeds total bytes of log to st and samples while it does.
+	run := func(workers int, total int64, ingest func(st *ShardedTail, m *memSampler) (int, error)) uint64 {
 		st, err := NewShardedTail(Config{
 			Graph: g,
 			// Time-gap keeps burst reconstruction linear; the test measures
 			// ingestion memory, not Smart-SRA's CPU profile.
 			Heuristic:   heuristics.NewTimeGap(),
-			Workers:     4,
+			Workers:     workers,
 			StreamDepth: 8,
 		}, 0, 4)
 		if err != nil {
 			t.Fatal(err)
 		}
 		runtime.GC()
-		src := &memSampler{r: newSynthLogReader(total, uris)}
-		bad, err := st.Ingest(src, DiscardSessions)
+		var m memSampler
+		bad, err := ingest(st, &m)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -146,39 +158,75 @@ func TestStreamParallelBoundedMemory(t *testing.T) {
 			t.Fatalf("synthetic log produced %d malformed lines", bad)
 		}
 		st.Flush()
-		src.sample()
+		runtime.GC() // the last chunks' survivors count too
+		m.sample()
 		stats := st.Stats()
 		if stats.Records == 0 || stats.Sessions == 0 {
 			t.Fatalf("pipeline did no work: %+v", stats)
 		}
-		t.Logf("total=%d MiB records=%d sessions=%d heap high-water=%d MiB",
-			total>>20, stats.Records, stats.Sessions, src.high.Load()>>20)
-		return src.high.Load()
+		t.Logf("workers=%d total=%d MiB records=%d sessions=%d live-heap high-water=%d MiB",
+			workers, total>>20, stats.Records, stats.Sessions, m.high.Load()>>20)
+		return m.high.Load()
+	}
+	fromReader := func(total int64) uint64 {
+		return run(4, total, func(st *ShardedTail, m *memSampler) (int, error) {
+			m.r = newSynthLogReader(total, uris)
+			return st.Ingest(m, DiscardSessions)
+		})
+	}
+	fromGzip := func(total int64) uint64 {
+		path := filepath.Join(t.TempDir(), "access.log.gz")
+		f, err := os.Create(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gz, _ := gzip.NewWriterLevel(f, gzip.BestSpeed)
+		if _, err := io.Copy(gz, newSynthLogReader(total, uris)); err != nil {
+			t.Fatal(err)
+		}
+		if err := gz.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return run(1, total, func(st *ShardedTail, m *memSampler) (int, error) {
+			return st.IngestFiles([]string{path}, clf.FilePos{}, DiscardSessions, func(clf.FilePos) error {
+				m.sample()
+				return nil
+			})
+		})
 	}
 
-	highShort := run(short)
-	highLong := run(long)
-	if highShort > budget {
-		t.Errorf("short log (%d MiB): heap high-water %d MiB exceeds budget %d MiB",
-			short>>20, highShort>>20, uint64(budget)>>20)
-	}
-	if highLong > budget {
-		t.Errorf("long log (%d MiB): heap high-water %d MiB exceeds budget %d MiB — "+
-			"streaming ingestion is no longer bounded", long>>20, highLong>>20, uint64(budget)>>20)
-	}
-	// A 4× longer log must not move the high-water materially: that is the
-	// length-independence claim itself. The slack is relative (up to 2× the
-	// short run, floored at 32 MiB) because the GC's high-water jitters with
-	// pacing — a true O(length) regression shows up as ~4× growth and blows
-	// the absolute budget above anyway. Skipped under -race, where the
-	// scaled-down short run ends before the heap reaches its steady-state
-	// plateau and the comparison would measure ramp-up, not growth.
-	slack := highShort
-	if slack < 32<<20 {
-		slack = 32 << 20
-	}
-	if !raceEnabled && highLong > highShort+slack {
-		t.Errorf("heap high-water grew with log length: %d MiB (short) -> %d MiB (long)",
-			highShort>>20, highLong>>20)
+	for _, c := range []struct {
+		name   string
+		source func(int64) uint64
+	}{{"reader", fromReader}, {"gzip", fromGzip}} {
+		name, source := c.name, c.source
+		highShort := source(short)
+		highLong := source(long)
+		if highShort > budget {
+			t.Errorf("%s, short log (%d MiB): live-heap high-water %d MiB exceeds budget %d MiB",
+				name, short>>20, highShort>>20, uint64(budget)>>20)
+		}
+		if highLong > budget {
+			t.Errorf("%s, long log (%d MiB): live-heap high-water %d MiB exceeds budget %d MiB — "+
+				"streaming ingestion is no longer bounded", name, long>>20, highLong>>20, uint64(budget)>>20)
+		}
+		// A 4× longer log must not move the high-water materially: that is
+		// the length-independence claim itself. The slack is relative (up to
+		// 2× the short run, floored at 32 MiB) — a true O(length) regression
+		// shows up as ~4× growth and blows the absolute budget above anyway.
+		// Skipped under -race, where the scaled-down short run ends before
+		// the heap reaches its steady-state plateau and the comparison would
+		// measure ramp-up, not growth.
+		slack := highShort
+		if slack < 32<<20 {
+			slack = 32 << 20
+		}
+		if !raceEnabled && highLong > highShort+slack {
+			t.Errorf("%s: live-heap high-water grew with log length: %d MiB (short) -> %d MiB (long)",
+				name, highShort>>20, highLong>>20)
+		}
 	}
 }

@@ -53,7 +53,7 @@ func (t *Tail) IngestOffsets(r io.Reader, sink SessionSink, progress func(offset
 // IngestFiles streams an ordered multi-file log set — plain, gzip, or mixed,
 // as log rotation produces — into the Tail through the zero-copy source
 // layer: plain files are served as mmap windows (no line is copied between
-// read and parse), gzip members decode ahead of the parse pool, and the
+// read and parse), gzip members decode on goroutines of their own, and the
 // emitted sessions are byte-identical to ingesting the decompressed
 // concatenation through Ingest. start resumes mid-set; progress (optional)
 // receives the line-aligned clf.FilePos each chunk completes at, and may

@@ -41,7 +41,8 @@ const (
 	KindLive
 	// KindGzip is a gzip-compressed file (or set containing one): size on
 	// disk understates the bytes to parse, and the decode stage is
-	// sequential per member.
+	// sequential per member — one goroutine per open member, beside the
+	// parser, whatever the plan (a sequential plan has it too).
 	KindGzip
 )
 
@@ -80,8 +81,9 @@ type Input struct {
 	// (concurrent request handlers).
 	Feeders int
 	// Files is how many files make up the input (a rotated set); <= 1
-	// means a single stream. For KindGzip sets, more files mean more
-	// decode-ahead overlap.
+	// means a single stream. Every open gzip member decodes ahead of its
+	// parser; on a parallel plan the next workers-1 members (at most 4) are
+	// opened early too, so more files mean more decoders at once.
 	Files int
 }
 
@@ -251,7 +253,7 @@ func Decide(in Input) Plan {
 	p.Sequential = false
 	switch {
 	case in.Kind == KindGzip:
-		p.Reason = fmt.Sprintf("%d cores, %s gzip (≈%s decoded) in %s chunks", cores, fmtBytes(in.SizeBytes), fmtBytes(size), fmtBytes(int64(chunk)))
+		p.Reason = fmt.Sprintf("%d cores, %s gzip (≈%s decoded, decode-ahead) in %s chunks", cores, fmtBytes(in.SizeBytes), fmtBytes(size), fmtBytes(int64(chunk)))
 	case size >= 0:
 		p.Reason = fmt.Sprintf("%d cores, %s in %s chunks", cores, fmtBytes(size), fmtBytes(int64(chunk)))
 	default:
