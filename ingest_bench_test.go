@@ -285,11 +285,13 @@ func BenchmarkTailDrain(b *testing.B) {
 // BenchmarkStreamGzip is the gzip ingest stage on the sequential plan: a
 // rotated set of four gzip members (≈ 8 MiB decoded each) through
 // clf.StreamFilesChunked with one worker, so each member inflates on its
-// decoder goroutine beside the parse loop. Per line: ns, and B and allocs
-// from the runtime's own counters (the ring is per member, so both stay flat
-// as members grow), plus which side of the decoder/parser boundary waited —
-// wait-ns is the parser blocked on the decoder, stall-ns the decoder blocked
-// on a free ring buffer.
+// decoder goroutine beside the parser goroutine, beside a no-op emit. Per
+// line: ns, and B and allocs from the runtime's own counters (the rings are
+// per member and per stream, so both stay flat as members grow), plus which
+// side of each boundary waited — wait-ns is the parser blocked on the
+// decoder, stall-ns the decoder blocked on a free ring buffer; parse-wait-ns
+// the emitting side blocked on the parser, parse-stall-ns the parser blocked
+// on a free record slice (the emit is empty, so next to nothing on two Ps).
 func BenchmarkStreamGzip(b *testing.B) {
 	_, _, data := ingestWorkload(b)
 	dir := b.TempDir()
@@ -316,6 +318,8 @@ func BenchmarkStreamGzip(b *testing.B) {
 	}
 	wait, stall := metrics.GetCounter("clf.decode.wait_ns"), metrics.GetCounter("clf.decode.stall_ns")
 	wait0, stall0 := wait.Value(), stall.Value()
+	pwait, pstall := metrics.GetCounter("clf.parse.wait_ns"), metrics.GetCounter("clf.parse.stall_ns")
+	pwait0, pstall0 := pwait.Value(), pstall.Value()
 	var before, after runtime.MemStats
 	lines := 0
 	runtime.ReadMemStats(&before)
@@ -336,4 +340,6 @@ func BenchmarkStreamGzip(b *testing.B) {
 	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/n, "allocs/line")
 	b.ReportMetric(float64(wait.Value()-wait0)/n, "wait-ns/line")
 	b.ReportMetric(float64(stall.Value()-stall0)/n, "stall-ns/line")
+	b.ReportMetric(float64(pwait.Value()-pwait0)/n, "parse-wait-ns/line")
+	b.ReportMetric(float64(pstall.Value()-pstall0)/n, "parse-stall-ns/line")
 }

@@ -345,11 +345,14 @@ func TestGzipSourceSteadyStateAllocs(t *testing.T) {
 	}
 	short, shortBlocks := drain(10_000)
 	long, longBlocks := drain(80_000)
-	if shortBlocks < 4*decodeRingDepth || longBlocks < 6*shortBlocks {
+	if shortBlocks < 4*ringDepth || longBlocks < 6*shortBlocks {
 		t.Fatalf("members too short to cycle the ring: %d and %d chunks", shortBlocks, longBlocks)
 	}
 	t.Logf("%d chunks: %d B allocated; %d chunks: %d B", shortBlocks, short, longBlocks, long)
-	if long > short+chunk {
+	// The short member may get by on two buffers where the long one takes
+	// its third; past that, a couple of KiB of runtime noise, well under one
+	// small allocation per extra block.
+	if long > short+chunk+2048 {
 		t.Errorf("allocation grows with member length: %d B for %d chunks, %d B for %d", short, shortBlocks, long, longBlocks)
 	}
 }

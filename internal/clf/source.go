@@ -12,13 +12,17 @@ import (
 	"smartsra/internal/metrics"
 )
 
-// Decode-stage instrumentation: which side of the decoder/parser boundary is
-// the bottleneck on a given input. wait_ns is the parse side blocked on the
-// decoder, stall_ns the decoder blocked on a free ring buffer.
+// Stage instrumentation: which side of the decoder/parser boundary, and of
+// the sequential plan's parser/tail boundary, is the bottleneck on a given
+// input. wait_ns is the consuming side blocked on the producing goroutine,
+// stall_ns the producer blocked because its whole ring is still lent out.
 var (
 	metricDecodeChunks = metrics.GetCounter("clf.decode.chunks")
 	metricDecodeWait   = metrics.GetCounter("clf.decode.wait_ns")
 	metricDecodeStall  = metrics.GetCounter("clf.decode.stall_ns")
+	metricParseChunks  = metrics.GetCounter("clf.parse.chunks")
+	metricParseWait    = metrics.GetCounter("clf.parse.wait_ns")
+	metricParseStall   = metrics.GetCounter("clf.parse.stall_ns")
 )
 
 // SourceKind identifies how a Source feeds bytes to the parse pipeline.
@@ -326,26 +330,70 @@ func (s *bytesSource) NextChunk(chunkBytes int) ([]byte, int64, int, error) {
 	return chunk, int64(cut), 0, nil
 }
 
-// decodeRingDepth is how many block buffers one gzip member's decoder
-// cycles through: one lent to the parse side, one queued, one being filled.
-const decodeRingDepth = 3
+// ringDepth is how many buffers a producing goroutine — a gzip member's
+// decoder, the sequential plan's parser — cycles through: one lent to the
+// consuming side, one queued, one being filled.
+const ringDepth = 3
+
+// ring is the buffer side of a two-goroutine handoff: the producer takes a
+// buffer, fills it and sends it on; the consumer puts it back on free when it
+// is done with it. There are never more than ringDepth buffers, so free never
+// blocks a put, and steady state allocates nothing however long the input.
+type ring[T any] struct {
+	free   chan T        // consumer → producer, buffers to refill
+	cancel chan struct{} // closed by the consumer: stop producing
+	done   chan struct{} // closed once the producing goroutine is gone
+	once   sync.Once
+	made   int // producer side: buffers allocated so far
+}
+
+func newRing[T any]() ring[T] {
+	return ring[T]{free: make(chan T, ringDepth), cancel: make(chan struct{}), done: make(chan struct{})}
+}
+
+// take returns a buffer to fill: a recycled one, else one from alloc while
+// the ring is short of its depth (a short input never pays for buffers it
+// would not cycle through), else it waits, adding the wait to stall; false
+// once stopped.
+func (r *ring[T]) take(alloc func() T, stall *metrics.Counter) (buf T, ok bool) {
+	select {
+	case buf = <-r.free:
+		return buf, true
+	case <-r.cancel:
+		return buf, false
+	default:
+	}
+	if r.made < ringDepth {
+		r.made++
+		return alloc(), true
+	}
+	start := time.Now()
+	select {
+	case buf = <-r.free:
+		stall.Add(int64(time.Since(start)))
+		return buf, true
+	case <-r.cancel:
+		return buf, false
+	}
+}
+
+// stop tells the producer to end and waits until its goroutine is gone.
+func (r *ring[T]) stop() {
+	r.once.Do(func() { close(r.cancel) })
+	<-r.done
+}
 
 // decoder inflates one gzip member on its own goroutine, beside whatever
 // parses it — the current member of a rotated set as well as prefetched
 // ones, for any worker count. Decoded bytes cross over in blocks of
-// chunkBytes read straight into a fixed ring of recycled buffers: a buffer
+// chunkBytes read straight into a ring of recycled buffers: a buffer
 // belongs to the decoder while it is filled, to the parse side from next
 // until the following next (readerSource either aliases it, serial, or
-// copies the chunk out of it), and then goes back to be refilled. Steady
-// state allocates nothing, whatever the member's length.
+// copies the chunk out of it), and then goes back to be refilled.
 type decoder struct {
-	blocks chan block    // decoder → parse side, in stream order
-	free   chan []byte   // parse side → decoder, buffers to refill
-	cancel chan struct{} // closed by close: stop decoding
-	done   chan struct{} // closed once the goroutine is gone and closeErr set
-	once   sync.Once
-	held   []byte // parse side: buffer of the block it is reading
-	made   int    // decode side: ring buffers allocated so far
+	ring[[]byte]
+	blocks chan block // decoder → parse side, in stream order
+	held   []byte     // parse side: buffer of the block it is reading
 
 	closeErr error // closing the gzip reader and the file, read after done
 }
@@ -364,14 +412,9 @@ func startDecoder(r io.Reader, name string, skip int64, chunkBytes int, closers 
 	if chunkBytes <= 0 {
 		chunkBytes = readChunkSize
 	}
-	d := &decoder{
-		// Both sized to the ring: there are never more buffers than slots,
-		// so neither side ever blocks on a send.
-		blocks: make(chan block, decodeRingDepth),
-		free:   make(chan []byte, decodeRingDepth),
-		cancel: make(chan struct{}),
-		done:   make(chan struct{}),
-	}
+	// blocks is sized to the ring like free: there are never more buffers
+	// than slots, so neither side ever blocks on a send.
+	d := &decoder{ring: newRing[[]byte](), blocks: make(chan block, ringDepth)}
 	go func() {
 		defer close(d.done)
 		defer func() { d.closeErr = closeAll(closers) }()
@@ -383,8 +426,8 @@ func startDecoder(r io.Reader, name string, skip int64, chunkBytes int, closers 
 			}
 		}
 		for {
-			buf := d.buffer(chunkBytes)
-			if buf == nil {
+			buf, ok := d.take(func() []byte { return make([]byte, chunkBytes) }, metricDecodeStall)
+			if !ok {
 				return
 			}
 			n, err := io.ReadFull(r, buf)
@@ -395,31 +438,6 @@ func startDecoder(r io.Reader, name string, skip int64, chunkBytes int, closers 
 		}
 	}()
 	return d
-}
-
-// buffer returns a ring buffer to fill: a recycled one, else a new one while
-// the ring is short of its depth (a short member never pays for buffers it
-// would not cycle through), else it waits; nil once cancelled.
-func (d *decoder) buffer(size int) []byte {
-	select {
-	case buf := <-d.free:
-		return buf
-	case <-d.cancel:
-		return nil
-	default:
-	}
-	if d.made < decodeRingDepth {
-		d.made++
-		return make([]byte, size)
-	}
-	start := time.Now()
-	select {
-	case buf := <-d.free:
-		metricDecodeStall.Add(int64(time.Since(start)))
-		return buf
-	case <-d.cancel:
-		return nil
-	}
 }
 
 // next hands the previous block's buffer back to the decoder and returns
@@ -443,8 +461,7 @@ func (d *decoder) next() ([]byte, error) {
 // close stops the decoder, waits for its goroutine, and reports the error
 // of closing the gzip reader (a truncated member surfaces here) and file.
 func (d *decoder) close() error {
-	d.once.Do(func() { close(d.cancel) })
-	<-d.done
+	d.stop()
 	return d.closeErr
 }
 

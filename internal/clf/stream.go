@@ -1,11 +1,14 @@
 package clf
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"runtime"
 	"sync"
 	"sync/atomic"
+	"testing"
+	"time"
 )
 
 // DefaultStreamDepth is the default depth of StreamParallel's in-order
@@ -81,7 +84,7 @@ func streamParallel(r io.Reader, workers, depth, chunkSize int, emit func(Record
 		workers = runtime.GOMAXPROCS(0)
 	}
 	// The sequential degrade has no chunk boundaries to report, so offset
-	// consumers stay on the chunked pipeline even single-threaded.
+	// consumers stay on the chunked pipeline even at workers == 1.
 	if workers == 1 && progress == nil {
 		return Stream(r, emit)
 	}
@@ -92,13 +95,15 @@ func streamParallel(r io.Reader, workers, depth, chunkSize int, emit func(Record
 // chunk's records as one slice instead of one callback per record — the feed
 // for batch consumers (core's PushBatch ingestion), which pay their
 // per-delivery costs once per chunk. The slice is only valid during the
-// call; emitChunk must not retain it (the sequential path reuses one scratch
-// slice for every chunk). Record order, malformed accounting, and progress
-// boundaries are identical to the per-record entry points. Note the latency
-// trade: unlike StreamParallel, workers == 1 does not degrade to the
-// line-at-a-time scanner, so a pipe's records are delivered only when a
-// chunk fills or the input ends — callers tailing an interactive pipe should
-// use the per-record API (or batch == 1 at the core layer).
+// call; emitChunk must not retain it: when it returns the slice goes back to
+// a parse goroutine, which refills it while the next chunk is emitted (test
+// binaries overwrite it first, see retire). Record order, malformed
+// accounting, and progress boundaries are identical to the per-record entry
+// points. Note the latency trade: unlike StreamParallel, workers == 1 does
+// not degrade to the line-at-a-time scanner, so a pipe's records are
+// delivered only when a chunk fills or the input ends — callers tailing an
+// interactive pipe should use the per-record API (or batch == 1 at the core
+// layer).
 func StreamChunked(r io.Reader, workers, depth, chunkBytes int, emitChunk func([]Record), progress func(offset int64)) (malformed int, err error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -136,9 +141,9 @@ func perRecord(emit func(Record)) func([]Record) {
 // DefaultStreamDepth, ~1 MiB chunks, start at the first byte of the first
 // file, mmap allowed.
 type StreamConfig struct {
-	// Workers is the parse fan-out; <= 0 means GOMAXPROCS. Workers == 1
-	// runs a direct sequential loop with no pipeline goroutines; only an
-	// open gzip member brings one, its decoder.
+	// Workers is the parse fan-out; <= 0 means GOMAXPROCS. Workers == 1 is
+	// the sequential plan: no pool, one parser goroutine a chunk or two ahead
+	// of the calling one, which emits — and one decoder per open gzip member.
 	Workers int
 	// Depth bounds in-flight parsed chunks; <= 0 means DefaultStreamDepth.
 	Depth int
@@ -239,10 +244,111 @@ func StreamFilesChunked(paths []string, cfg StreamConfig, emitChunk func([]Recor
 	return streamSources(len(paths), first, open, workers, cfg.Depth, chunkBytes, emitChunk, progress)
 }
 
-// parsedChunk is one chunk's parse result.
+// parsedChunk is one chunk's parse result. From the sequential plan's parser
+// it also says where the chunk ended, bad includes the over-long lines skipped
+// on the way there, and a message with err set is the last: how the stream
+// ended, when not cleanly.
 type parsedChunk struct {
 	recs []Record
 	bad  int
+	pos  FilePos
+	err  error
+}
+
+// retire ends the loan of a chunk's records — emitChunk has returned — and
+// gives the slice back empty, to be refilled. In test binaries the records
+// are first overwritten with sentinels, so a consumer that kept the slice
+// fails its next comparison instead of racing with the parser.
+func retire(recs []Record) []Record {
+	if poisonLent {
+		for i := range recs {
+			recs[i] = Record{Host: "\x00lent", Status: -1}
+		}
+	}
+	return recs[:0]
+}
+
+// poisonLent is true exactly in "go test" binaries (as core's, for sessions).
+var poisonLent = testing.Testing()
+
+// parser is the parse stage of the sequential plan: one goroutine that owns
+// the sources, the intern table and NextChunk → parseChunkIntern, beside the
+// goroutine that emits. Each chunk is parsed — its bytes consumed — before
+// the next NextChunk, into a ring of recycled record slices: a slice belongs
+// to the parser while it is filled and to the emitting side from out until
+// emitChunk has returned, then goes back on free.
+type parser struct {
+	ring[[]Record]
+	out chan parsedChunk // parser → emitting side, in input order; closed at the end
+	in  *internTable
+}
+
+// startParser starts parsing sources first..n-1 in turn. The goroutine closes
+// every source it opened, whichever way it ends.
+func startParser(n, first int, open func(int) (Source, error), chunkBytes int) *parser {
+	// out is sized to the ring: a chunk never waits for a slot.
+	p := &parser{ring: newRing[[]Record](), out: make(chan parsedChunk, ringDepth), in: newInternTable()}
+	go func() {
+		defer close(p.done)
+		defer close(p.out)
+		for i := first; i < n; i++ {
+			src, err := open(i)
+			if err == nil {
+				err = p.drain(i, src, chunkBytes)
+			}
+			if err != nil {
+				p.send(parsedChunk{err: err}) // after a stop nobody reads it
+				return
+			}
+		}
+	}()
+	return p
+}
+
+var errStopped = errors.New("clf: stream stopped")
+
+// drain parses src to its end and closes it.
+func (p *parser) drain(i int, src Source, chunkBytes int) error {
+	if rs, ok := src.(interface{ markSerial() }); ok {
+		// Every chunk is parsed before the next is pulled, so reader-backed
+		// sources can hand out their read or ring buffer directly (zero-copy,
+		// like the mmap windows).
+		rs.markSerial()
+	}
+	for {
+		data, end, skipped, err := src.NextChunk(chunkBytes)
+		if err != nil {
+			cerr := src.Close()
+			if err == io.EOF {
+				err = cerr
+			}
+			return err
+		}
+		// Sized for a chunk of minimal lines: records are ~170 B, growing costs.
+		recs, ok := p.take(func() []Record { return make([]Record, 0, chunkBytes/48+1) }, metricParseStall)
+		if ok {
+			if p.in.full() {
+				p.in = newInternTable()
+			}
+			var bad int
+			recs, bad = parseChunkIntern(data, recs, p.in)
+			ok = p.send(parsedChunk{recs: recs, bad: skipped + bad, pos: FilePos{File: i, Offset: end}})
+		}
+		if !ok {
+			src.Close()
+			return errStopped
+		}
+	}
+}
+
+// send hands c to the emitting side; false once stopped.
+func (p *parser) send(c parsedChunk) bool {
+	select {
+	case p.out <- c:
+		return true
+	case <-p.cancel:
+		return false
+	}
 }
 
 // sourceJob carries one line-aligned chunk through the pipeline. done is
@@ -268,7 +374,9 @@ type sourceJob struct {
 // (via order, whose fixed buffer is the backpressure bound); the calling
 // goroutine drains order in FIFO — input order — waiting on each job's own
 // done channel, so delivery order never depends on worker scheduling.
-// workers == 1 skips the goroutines entirely and parses inline.
+// workers == 1 needs none of that: one parser goroutine reads and parses in
+// input order and the calling goroutine emits behind it. Either way every
+// goroutine started here has ended, its sources closed, on return.
 func streamSources(n, first int, open func(int) (Source, error), workers, depth, chunkBytes int, emitChunk func([]Record), progress func(FilePos) error) (malformed int, err error) {
 	records := 0
 	defer func() {
@@ -277,60 +385,29 @@ func streamSources(n, first int, open func(int) (Source, error), workers, depth,
 	}()
 
 	if workers == 1 {
-		// Direct sequential loop: source → parseChunkInto → emitChunk, no
-		// pipeline. This is the mmap fast path on one core — no goroutine
-		// handoffs, no chunk copies, one scratch record slice reused for
-		// every chunk, just window slicing and the byte-level parser. (A
-		// gzip source hands over one ring buffer per chunk from its decoder.)
-		// One scratch record slice serves every chunk; sizing it for a full
-		// chunk of minimal lines up front replaces the per-stream append
-		// growth ladder (records are ~170 B, so the ladder's copies and
-		// garbage dwarf one right-sized allocation).
-		scratch := make([]Record, 0, chunkBytes/48+1)
-		in := newInternTable()
-		for i := first; i < n; i++ {
-			src, err := open(i)
-			if err != nil {
-				return malformed, err
+		// The sequential plan: parse over there, emit in order here.
+		p := startParser(n, first, open, chunkBytes)
+		defer p.stop() // every exit waits for the parser, which closes its source
+		for {
+			start := time.Now()
+			c, ok := <-p.out
+			metricParseWait.Add(int64(time.Since(start)))
+			if !ok || c.err != nil {
+				return malformed, c.err
 			}
-			if rs, ok := src.(interface{ markSerial() }); ok {
-				// This loop consumes each chunk before pulling the next, so
-				// reader-backed sources can hand out their read or ring
-				// buffer directly (zero-copy, like the mmap windows).
-				rs.markSerial()
+			metricParseChunks.Inc()
+			records += len(c.recs)
+			malformed += c.bad
+			if len(c.recs) > 0 {
+				emitChunk(c.recs)
 			}
-			for {
-				data, end, skipped, nerr := src.NextChunk(chunkBytes)
-				if nerr != nil {
-					cerr := src.Close()
-					if nerr != io.EOF {
-						return malformed, nerr
-					}
-					if cerr != nil {
-						return malformed, cerr
-					}
-					break
-				}
-				malformed += skipped
-				var bad int
-				if in.full() {
-					in = newInternTable()
-				}
-				scratch, bad = parseChunkIntern(data, scratch[:0], in)
-				records += len(scratch)
-				malformed += bad
-				if len(scratch) > 0 {
-					emitChunk(scratch)
-				}
-				if progress != nil {
-					if perr := progress(FilePos{File: i, Offset: end}); perr != nil {
-						src.Close()
-						return malformed, perr
-					}
+			p.free <- retire(c.recs)
+			if progress != nil {
+				if perr := progress(c.pos); perr != nil {
+					return malformed, perr
 				}
 			}
 		}
-		return malformed, nil
 	}
 
 	if depth <= 0 {
@@ -338,6 +415,9 @@ func streamSources(n, first int, open func(int) (Source, error), workers, depth,
 	}
 	work := make(chan *sourceJob)
 	order := make(chan *sourceJob, depth)
+	// Record slices go round as on the sequential plan, but a worker takes a
+	// retired one or allocates, never waits: no deadlock against depth.
+	free := make(chan []Record, depth+workers)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -350,10 +430,16 @@ func streamSources(n, first int, open func(int) (Source, error), workers, depth,
 				if in.full() {
 					in = newInternTable()
 				}
-				// Records are pointer-heavy (five strings each), so an
-				// append-grown slice pays repeated copy + write-barrier
-				// bills; size it once from the shortest plausible line.
-				recs, bad := parseChunkIntern(j.data, make([]Record, 0, len(j.data)/48+1), in)
+				var recs []Record
+				select {
+				case recs = <-free:
+				default:
+					// Records are pointer-heavy (eight strings each), so an
+					// append-grown slice pays repeated copy + write-barrier
+					// bills; size it once from the shortest plausible line.
+					recs = make([]Record, 0, len(j.data)/48+1)
+				}
+				recs, bad := parseChunkIntern(j.data, recs, in)
 				j.done <- parsedChunk{recs: recs, bad: bad}
 			}
 		}()
@@ -419,6 +505,10 @@ func streamSources(n, first int, open func(int) (Source, error), workers, depth,
 			emitChunk(res.recs)
 		}
 		records += len(res.recs)
+		select {
+		case free <- retire(res.recs):
+		default:
+		}
 		malformed += res.bad + j.skipped
 		if progress != nil {
 			if perr := progress(j.pos); perr != nil {

@@ -3,6 +3,7 @@ package clf
 import (
 	"bytes"
 	"compress/gzip"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -103,8 +104,9 @@ func TestStreamParallelOversizedLine(t *testing.T) {
 
 // FuzzStreamChunks pins the chunk splitter/reassembler against the
 // sequential Scanner for arbitrary byte input, tiny chunk sizes, and any
-// workers/depth, from a plain reader and from a gzip member's decode ring
-// (serial and pooled): no line is ever dropped, duplicated, or split, including
+// workers/depth, from a plain reader (pooled, and on the sequential plan's
+// parser goroutine with its positions held to the inline loop's) and from a
+// gzip member's decode ring (serial and pooled): no line is ever dropped, duplicated, or split, including
 // CR/LF edge cases and lines longer than the chunk size. Equivalence of the
 // record sequence plus the malformed count implies all three — a dropped or
 // duplicated line changes a count, a split line changes both parses.
@@ -135,6 +137,18 @@ func FuzzStreamChunks(f *testing.F) {
 			t.Fatalf("malformed count %d, want %d", gotBad, wantBad)
 		}
 		sameRecords(t, "reader", got, want)
+
+		// The sequential plan, its parser a goroutine ahead of the emitting
+		// side: the Scanner's records, and the inline loop's positions.
+		plain := func(int) (Source, error) { return newReaderSource(bytes.NewReader(input), SourceReader, 0), nil }
+		ref, ahead := inlineSources(1, 0, plain, chunk), aheadSources(1, 0, plain, chunk)
+		if ahead.err != nil || ahead.bad != wantBad {
+			t.Fatalf("parse-ahead: malformed count %d, want %d; err %v", ahead.bad, wantBad, ahead.err)
+		}
+		sameRecords(t, "parse-ahead", ahead.recs, want)
+		if !reflect.DeepEqual(ahead.marks, ref.marks) {
+			t.Fatalf("parse-ahead: positions differ from the inline loop's:\n%v\n%v", ahead.marks, ref.marks)
+		}
 
 		// The same bytes as a gzip member: blocks of chunk bytes cross from
 		// the decode goroutine through the ring, lent to the serial loop

@@ -2,7 +2,8 @@
 // knobs — parse workers, sessionizer shards, stream depth, chunk bytes —
 // from the machine (GOMAXPROCS), the input (size and kind), and an optional
 // observed-throughput calibration probe, and falls back to the sequential
-// clf.Stream / single-Tail path whenever parallelism cannot win.
+// plan — one parser goroutine beside a single Tail — whenever a worker pool
+// cannot win.
 //
 // The motivating inversion is in the committed 1-core benchmarks:
 // BENCH_ingest.json records parse_speedup 0.80 and BENCH_stream.json
@@ -107,17 +108,18 @@ func (in Input) feeders() int {
 // Plan is the execution configuration the planner chose. Zero is not a
 // valid plan; obtain one from Decide, DecideCalibrated, or Resolve.
 type Plan struct {
-	// Workers is the parse-stage goroutine count; 1 means the sequential
-	// scanner.
+	// Workers is the parse pool's goroutine count; 1 means no pool — the
+	// sequential plan's single parser.
 	Workers int
 	// Shards is the sessionizer shard count; 1 means a single Tail's worth
 	// of state (use a lock-striped ShardedTail only when feeders contend).
 	Shards int
 	// StreamDepth is the in-order delivery channel depth for the parallel
-	// reader (inert when Workers == 1).
+	// reader (inert when Workers == 1: the sequential plan's parser runs at
+	// most a fixed two chunks ahead).
 	StreamDepth int
-	// ChunkBytes is the line-aligned parse chunk size (inert when
-	// Workers == 1).
+	// ChunkBytes is the line-aligned parse chunk size, on every plan: a
+	// chunk is the unit of handoff, delivery and replay position.
 	ChunkBytes int
 	// Batch is the sessionizer delivery granularity (core.Config's
 	// BatchRecords): 1 pushes record-at-a-time — the low-latency choice for
@@ -126,8 +128,9 @@ type Plan struct {
 	// shard lock and metrics flush once per chunk instead of once per
 	// record. Never changes the emitted sessions, only when they surface.
 	Batch int
-	// Sequential reports that the parse stage should take the sequential
-	// clf.Stream path: parallelism cannot win on this input.
+	// Sequential reports the sequential plan: chunks are parsed in order by
+	// one goroutine and sessionized by another (per-line, on the caller's, at
+	// Batch == 1 without offsets) — a worker pool cannot win on this input.
 	Sequential bool
 	// Mmap reports that plain-file input will be served as memory-mapped
 	// zero-copy windows (informational: clf.StreamFiles selects the source
@@ -138,9 +141,12 @@ type Plan struct {
 }
 
 func (p Plan) String() string {
-	mode := "parallel"
-	if p.Sequential {
-		mode = "sequential"
+	// The goroutines the plan runs, then its knobs; depth is the pool's.
+	mode := "sequential"
+	run, depth := "parser ‖ tail", ""
+	if !p.Sequential {
+		mode = "parallel"
+		run, depth = fmt.Sprintf("reader + %d workers ‖ tail", p.Workers), fmt.Sprintf(" depth=%d", p.StreamDepth)
 	}
 	if p.Mmap {
 		mode += "+mmap"
@@ -151,8 +157,8 @@ func (p Plan) String() string {
 	} else if p.Batch > 1 {
 		batch = strconv.Itoa(p.Batch)
 	}
-	return fmt.Sprintf("%s: workers=%d shards=%d depth=%d chunk=%s batch=%s — %s",
-		mode, p.Workers, p.Shards, p.StreamDepth, fmtBytes(int64(p.ChunkBytes)), batch, p.Reason)
+	return fmt.Sprintf("%s: %s, +1 decoder per open gzip member; shards=%d%s chunk=%s batch=%s — %s",
+		mode, run, p.Shards, depth, fmtBytes(int64(p.ChunkBytes)), batch, p.Reason)
 }
 
 const (
@@ -174,7 +180,9 @@ const (
 
 // Decide sizes the execution for in without measuring anything: a pure,
 // deterministic decision table over cores x input-size x kind. Use
-// DecideCalibrated when a sample of the input is cheaply available.
+// DecideCalibrated when a sample of the input is cheaply available. Up to
+// two cores the answer is always the sequential plan — its parser and tail
+// already occupy both — so there is nothing for a probe to decide.
 func Decide(in Input) Plan {
 	cores := in.cores()
 	feeders := in.feeders()
@@ -186,7 +194,7 @@ func Decide(in Input) Plan {
 		Sequential:  true,
 		// Plain files stream as zero-copy mmap windows when the build
 		// supports it — a per-source decision that holds for sequential
-		// plans too (the direct loop slices windows without goroutines).
+		// plans too (the parser slices windows without copying).
 		Mmap: in.Kind == KindFile && clf.MmapSupported,
 	}
 	// Batched sessionizer delivery is a pure throughput win on bounded
@@ -221,6 +229,12 @@ func Decide(in Input) Plan {
 		// Live records arrive one at a time from the handlers; there is no
 		// byte stream to chunk-parallelize.
 		p.Reason = fmt.Sprintf("live traffic on %d cores: per-record pushes, %d-way shard striping", cores, p.Shards)
+		return p
+	}
+	if cores == 2 {
+		// Measured: a 2-worker pool is within 5 % of the sequential plan
+		// either way, at 1.15x (plain) to 2.1x (gzip) its memory.
+		p.Reason = "2 cores: the sequential plan already parses on one and sessionizes on the other; a pool has no free core"
 		return p
 	}
 	if size >= 0 && size < MinParallelBytes {

@@ -48,6 +48,48 @@ func TestDecideTable(t *testing.T) {
 			},
 		},
 		{
+			// Parser and tail already hold both cores: a pool is no faster
+			// and holds more memory.
+			name: "two cores large file",
+			in:   Input{Cores: 2, SizeBytes: 512 * MiB, Kind: KindFile},
+			want: func(t *testing.T, p Plan) {
+				if !p.Sequential || p.Workers != 1 || p.Shards != 1 || p.Batch != 0 {
+					t.Fatalf("want the sequential plan with chunk delivery, got %+v", p)
+				}
+				if !strings.Contains(p.Reason, "2 cores") {
+					t.Fatalf("reason does not name the cores: %q", p.Reason)
+				}
+			},
+		},
+		{
+			name: "two cores rotated gzip set",
+			in:   Input{Cores: 2, SizeBytes: 64 * MiB, Kind: KindGzip, Files: 4},
+			want: func(t *testing.T, p Plan) {
+				if !p.Sequential || p.Workers != 1 {
+					t.Fatalf("want the sequential plan, got %+v", p)
+				}
+			},
+		},
+		{
+			name: "two cores endless pipe",
+			in:   Input{Cores: 2, SizeBytes: -1, Kind: KindPipe},
+			want: func(t *testing.T, p Plan) {
+				if !p.Sequential || p.Batch != 1 {
+					t.Fatalf("want the sequential plan delivering per record, got %+v", p)
+				}
+			},
+		},
+		{
+			// Shards answer feeder contention, not parse speed: unchanged.
+			name: "two cores live",
+			in:   Input{Cores: 2, SizeBytes: -1, Kind: KindLive},
+			want: func(t *testing.T, p Plan) {
+				if !p.Sequential || p.Shards != 2 || !strings.Contains(p.Reason, "live traffic") {
+					t.Fatalf("want 2-way striping with the live reason, got %+v", p)
+				}
+			},
+		},
+		{
 			name: "small file on many cores",
 			in:   Input{Cores: 8, SizeBytes: 1 * MiB, Kind: KindFile},
 			want: func(t *testing.T, p Plan) {
@@ -241,6 +283,34 @@ func TestResolveAutoOneCore(t *testing.T) {
 	}
 	if len(notes) != 0 {
 		t.Fatalf("auto plan should not clamp anything: %v", notes)
+	}
+}
+
+// TestTwoCoresSkipTheProbe: with the table already sequential there is
+// nothing to calibrate — the auto plan is Decide's, sample or no sample, so
+// it cannot flip from run to run — and an explicit -workers still overrides.
+func TestTwoCoresSkipTheProbe(t *testing.T) {
+	in := Input{Cores: 2, SizeBytes: 80 << 20, Kind: KindFile}
+	sample := bytes.Repeat([]byte("not a log line\n"), MaxProbeBytes/15)
+	p, notes := Resolve(in, Auto, Auto, Auto, Auto, sample)
+	if p != Decide(in) || strings.Contains(p.Reason, "probe") || len(notes) != 0 {
+		t.Fatalf("auto on 2 cores = %+v (notes %v), want the table's plan unprobed", p, notes)
+	}
+	if p, _ = Resolve(in, Knob{N: 2}, Auto, Auto, Auto, sample); p.Sequential || p.Workers != 2 {
+		t.Fatalf("-workers 2 on 2 cores = %+v, want the pool", p)
+	}
+}
+
+// TestPlanString: a plan's line names the goroutines it runs, and only a
+// pool plan prints the pool's depth.
+func TestPlanString(t *testing.T) {
+	seq := Decide(Input{Cores: 2, SizeBytes: 80 << 20, Kind: KindFile}).String()
+	if !strings.Contains(seq, "parser ‖ tail") || !strings.Contains(seq, "decoder") || strings.Contains(seq, "depth=") {
+		t.Errorf("sequential plan reads %q", seq)
+	}
+	par := Decide(Input{Cores: 8, SizeBytes: 512 << 20, Kind: KindFile}).String()
+	if !strings.Contains(par, "8 workers") || !strings.Contains(par, "depth=16") {
+		t.Errorf("parallel plan reads %q", par)
 	}
 }
 
