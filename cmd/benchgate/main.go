@@ -1,43 +1,17 @@
-// Command benchgate checks bench JSON files (the -benchjson / -benchingest /
-// -benchstream outputs) against the planner's no-regression contract: every
-// *_speedup field compares the adaptive plan's path to the sequential
-// baseline, so a healthy planner keeps each one >= 1.0 on every core count.
-// A speedup below the threshold means the planner chose a losing plan and
-// the gate fails the build.
+// Command benchgate gates the JSON reports of CI's load and chaos smokes —
+// conservation checks that hold on any hardware. (Speed is not its business:
+// bench/ measures that, paired against the parent commit.)
 //
 // Usage:
 //
-//	benchgate [-min 1.0] [-slack 0.05] [-baseline BENCH_stream.json] \
-//	    bench_ingest_ci.json bench_stream_ci.json ...
+//	benchgate loadgen_ci.json chaos_ci.json ...
 //
-// On measurements produced by a single-core runner (gomaxprocs 1 in the
-// JSON) the sequential fallback makes every plan-vs-baseline speedup 1.0 by
-// identity, so a violation there can only be measurement noise; the gate
-// reports it as advisory instead of failing. Two exceptions hold on every
-// core count: mmap_speedup (the mmap source removes a copy — it does not
-// need parallelism to win) and ingest_batch_speedup (batching amortizes
-// locks and metrics flushes per batch — a claim that is strongest on one
-// core, where there is no parallelism to hide a regression behind). -slack
-// absorbs run-to-run timer noise without letting a genuinely losing plan
-// through.
-//
-// With -baseline, every *_recs_per_sec field present in both a checked file
-// and the committed baseline JSON must stay within -regress of the baseline
-// value: a fresh measurement that throughput-regresses past that fraction
-// fails the gate. The default -regress is generous because single-run
-// throughput on shared CI runners jitters by double-digit percentages; the
-// gate exists to catch structural regressions (a lost fast path), not to
-// litigate noise.
-//
-// The gate also sanity-checks every *_recs_per_sec field: a zero, negative,
-// or non-finite throughput means the bench itself is broken, and that fails
-// regardless of core count.
-//
-// A cmd/loadgen JSON report (tool == "loadgen") is gated on its own terms:
+// A cmd/loadgen JSON report (tool == "loadgen") must conserve:
 // accepted + shed + rejected + errors must equal sent exactly, errors must
 // be zero (the smoke replays against a healthy local server), and the p99
 // latency must be positive (the histogram measured something). Absolute
-// latency ceilings are advisory on a 1-core runner.
+// latency ceilings are advisory on a 1-core runner (gomaxprocs 1 in the
+// JSON).
 //
 // A chaos report (tool == "loadgen-chaos", from cmd/loadgen -chaos) is gated
 // on degradation-and-recovery invariants instead: exact conservation after
@@ -49,34 +23,18 @@ package main
 
 import (
 	"encoding/json"
-	"flag"
 	"fmt"
 	"os"
-	"sort"
-	"strings"
 )
 
 func main() {
-	min := flag.Float64("min", 1.0, "minimum acceptable value for every *_speedup field")
-	slack := flag.Float64("slack", 0.05, "measurement-noise tolerance subtracted from -min before failing")
-	baseline := flag.String("baseline", "", "committed bench JSON to gate *_recs_per_sec fields against")
-	regress := flag.Float64("regress", 0.30, "largest tolerated fractional throughput drop vs -baseline")
-	flag.Parse()
-	if flag.NArg() == 0 {
-		fmt.Fprintln(os.Stderr, "benchgate: no bench JSON files given")
+	if len(os.Args) < 2 {
+		fmt.Fprintln(os.Stderr, "benchgate: no report JSON files given")
 		os.Exit(2)
 	}
-	var base map[string]any
-	if *baseline != "" {
-		var err error
-		if base, err = readFields(*baseline); err != nil {
-			fmt.Fprintf(os.Stderr, "benchgate: %s: %v\n", *baseline, err)
-			os.Exit(2)
-		}
-	}
 	failed := false
-	for _, path := range flag.Args() {
-		bad, err := check(path, *min, *slack, base, *regress)
+	for _, path := range os.Args[1:] {
+		bad, err := check(path)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "benchgate: %s: %v\n", path, err)
 			os.Exit(2)
@@ -89,114 +47,26 @@ func main() {
 	}
 }
 
-func readFields(path string) (map[string]any, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var fields map[string]any
-	if err := json.Unmarshal(data, &fields); err != nil {
-		return nil, err
-	}
-	return fields, nil
-}
-
-// neverAdvisory lists the speedup gates that hold even on a 1-core runner,
-// where every parallelism claim degenerates to identity.
-func neverAdvisory(field string) bool {
-	switch field {
-	case "mmap_speedup":
-		// mmap vs the buffered reader is a copy-elimination claim, not a
-		// parallelism claim.
-		return true
-	case "ingest_batch_speedup":
-		// Batch vs per-record ingestion is a lock/metrics amortization
-		// claim; one core is exactly where a batching regression has
-		// nothing to hide behind.
-		return true
-	}
-	return false
-}
-
 // check reports whether path holds a gated violation (advisory findings are
 // printed but do not fail).
-func check(path string, min, slack float64, base map[string]any, regress float64) (bool, error) {
-	fields, err := readFields(path)
+func check(path string) (bool, error) {
+	data, err := os.ReadFile(path)
 	if err != nil {
 		return false, err
 	}
-	cores := 0
-	if v, ok := fields["gomaxprocs"].(float64); ok {
-		cores = int(v)
+	var fields map[string]any
+	if err := json.Unmarshal(data, &fields); err != nil {
+		return false, err
 	}
-	advisory := cores <= 1
-
 	switch tool, _ := fields["tool"].(string); tool {
 	case "loadgen":
-		return checkLoadgen(path, fields, advisory)
+		cores, _ := fields["gomaxprocs"].(float64)
+		return checkLoadgen(path, fields, cores <= 1)
 	case "loadgen-chaos":
 		return checkLoadgenChaos(path, fields)
+	default:
+		return false, fmt.Errorf("tool %q is neither a loadgen nor a loadgen-chaos report", tool)
 	}
-
-	var speedups, rates []string
-	for k := range fields {
-		if strings.HasSuffix(k, "_speedup") {
-			speedups = append(speedups, k)
-		}
-		if strings.HasSuffix(k, "_recs_per_sec") {
-			rates = append(rates, k)
-		}
-	}
-	sort.Strings(speedups)
-	sort.Strings(rates)
-	if len(speedups) == 0 && len(rates) == 0 {
-		fmt.Printf("%s: no *_speedup or *_recs_per_sec fields (not a speedup bench), skipped\n", path)
-		return false, nil
-	}
-
-	bad := false
-	for _, k := range rates {
-		v, ok := fields[k].(float64)
-		if !ok {
-			return false, fmt.Errorf("field %q is not a number", k)
-		}
-		if v <= 0 {
-			fmt.Printf("%s: %s = %v is not a positive throughput — the bench is broken\n", path, k, v)
-			bad = true
-			continue
-		}
-		want, ok := base[k].(float64)
-		if !ok || want <= 0 {
-			continue // field absent from the baseline (or no baseline given)
-		}
-		floor := want * (1 - regress)
-		if v >= floor {
-			fmt.Printf("%s: %s = %.0f ok vs baseline %.0f (floor %.0f)\n", path, k, v, want, floor)
-		} else {
-			fmt.Printf("%s: %s = %.0f REGRESSES past the baseline %.0f by more than %.0f%% (floor %.0f)\n",
-				path, k, v, want, regress*100, floor)
-			bad = true
-		}
-	}
-	for _, k := range speedups {
-		v, ok := fields[k].(float64)
-		if !ok {
-			return false, fmt.Errorf("field %q is not a number", k)
-		}
-		switch {
-		case v >= min:
-			fmt.Printf("%s: %s = %.2f ok (>= %.2f)\n", path, k, v, min)
-		case v >= min-slack:
-			fmt.Printf("%s: %s = %.2f within noise slack of %.2f (>= %.2f)\n", path, k, v, min, min-slack)
-		case advisory && !neverAdvisory(k):
-			fmt.Printf("%s: %s = %.2f below %.2f on a 1-core runner — advisory only (sequential fallback is identity, this is noise)\n",
-				path, k, v, min)
-		default:
-			fmt.Printf("%s: %s = %.2f VIOLATES the >= %.2f gate (plan: %v)\n", path, k, v, min, planOf(fields))
-			bad = true
-		}
-	}
-	return bad, nil
 }
 
 // loadgenP99Ceiling is the advisory latency threshold for the CI load smoke.
@@ -384,15 +254,4 @@ func checkLoadgenChaos(path string, fields map[string]any) (bool, error) {
 			need["admission_admitted"], need["admission_ip_limited"])
 	}
 	return bad, nil
-}
-
-// planOf pulls whichever plan field the bench recorded, for the failure
-// message.
-func planOf(fields map[string]any) string {
-	for _, k := range []string{"plan", "plan_parse", "plan_live"} {
-		if s, ok := fields[k].(string); ok {
-			return s
-		}
-	}
-	return "unrecorded"
 }

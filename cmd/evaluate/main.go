@@ -14,19 +14,9 @@
 // -progress reports per-point completion and a final metrics snapshot on
 // stderr, leaving stdout byte-identical.
 //
-// -benchjson FILE switches to self-benchmark mode: instead of sweeping, one
-// evaluation point is timed repeatedly at the configured -agents scale and
-// the measurement (ns/op, allocs/op, sessions/sec) is written as JSON —
-// the data behind BENCH_point.json and the CI bench artifact. -benchingest
-// does the same for the batch ingestion layer, and -benchstream for the
-// bounded-memory streaming path (Stream/StreamParallel and the end-to-end
-// streaming-sessionizer Ingest pipeline, including its heap high-water
-// mark) — the data behind BENCH_stream.json. Both bench modes size their
-// parallel paths with the adaptive execution planner (-bench-workers,
-// -shards, -stream-depth, all defaulting to "auto") and record the chosen
-// plan in the JSON; their speedup fields compare the planned path against
-// the sequential baseline, so a healthy planner keeps them >= 1.0 on every
-// core count.
+// How fast any of this runs is the benchmark's to say, not this command's:
+// bench/ times `evaluate -experiment lpp` end to end (workload eval_sweep)
+// and the ingestion layers one by one; see bench/README.md.
 //
 // Accuracy is reported under both readings of the paper's §5.1 metric:
 // matched (one-to-one, headline) and exists (any capturer counts); see
@@ -43,7 +33,6 @@ import (
 
 	"smartsra/internal/eval"
 	"smartsra/internal/metrics"
-	"smartsra/internal/plan"
 )
 
 func main() {
@@ -61,35 +50,17 @@ func main() {
 		withRef    = flag.Bool("include-referrer", false, "also evaluate the referrer-chain upper bound (heurR)")
 		workers    = flag.Int("workers", 0, "concurrent sweep points (<=0: all cores; 1: sequential)")
 		progress   = flag.Bool("progress", false, "report per-point progress and a metrics snapshot on stderr")
-		benchjson  = flag.String("benchjson", "", "benchmark one evaluation point and write the measurement as JSON to this file ('-' for stdout), instead of sweeping")
-		benchingst = flag.String("benchingest", "", "benchmark the streaming ingestion layer (parse, Tail, ShardedTail) and write the measurement as JSON to this file ('-' for stdout), instead of sweeping")
-		benchstrm  = flag.String("benchstream", "", "benchmark the bounded-memory streaming path (Stream, StreamParallel, streaming-sessionizer Ingest) and write the measurement as JSON to this file ('-' for stdout), instead of sweeping")
-		benchWkrs  = flag.String("bench-workers", "auto", "parse workers for -benchingest/-benchstream: auto (planned) or a number")
-		shards     = flag.String("shards", "auto", "sessionizer shard count for -benchingest/-benchstream: auto (planned) or a number (<=0: all cores)")
-		depth      = flag.String("stream-depth", "auto", "in-flight parsed chunks for -benchstream: auto (planned) or a number")
 	)
 	flag.Parse()
-	knobs := [3]plan.Knob{}
-	var err error
-	if knobs[0], err = plan.ParseKnob("bench-workers", *benchWkrs); err == nil {
-		if knobs[1], err = plan.ParseKnob("shards", *shards); err == nil {
-			knobs[2], err = plan.ParseKnob("stream-depth", *depth)
-		}
-	}
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "evaluate:", err)
-		os.Exit(2)
-	}
 	if err := run(*experiment, *agents, *seed, *replicas, *pages, *outdeg, *csvDir, *svgDir,
-		*stats, *viaCLF, *withRef, *workers, *progress, *benchjson, *benchingst, *benchstrm, knobs); err != nil {
+		*stats, *viaCLF, *withRef, *workers, *progress); err != nil {
 		fmt.Fprintln(os.Stderr, "evaluate:", err)
 		os.Exit(1)
 	}
 }
 
 func run(experiment string, agents int, seed int64, replicas int, pages int, outdeg float64,
-	csvDir, svgDir string, sessionStats, viaCLF, withRef bool, workers int, progress bool,
-	benchjson, benchingest, benchstream string, knobs [3]plan.Knob) error {
+	csvDir, svgDir string, sessionStats, viaCLF, withRef bool, workers int, progress bool) error {
 	base := eval.PaperDefaults()
 	base.Params.Agents = agents
 	base.Params.Seed = seed
@@ -97,16 +68,6 @@ func run(experiment string, agents int, seed int64, replicas int, pages int, out
 	base.Topology.AvgOutDegree = outdeg
 	base.ViaCLF = viaCLF
 	base.IncludeReferrer = withRef
-
-	if benchjson != "" {
-		return runBenchJSON(base, workers, benchjson)
-	}
-	if benchingest != "" {
-		return runBenchIngest(base, knobs[0], knobs[1], benchingest)
-	}
-	if benchstream != "" {
-		return runBenchStream(base, knobs[0], knobs[1], knobs[2], benchstream)
-	}
 
 	start := time.Now()
 	if progress {

@@ -39,9 +39,9 @@ func TestDropLedgerCoalescing(t *testing.T) {
 func TestDropLedgerRestore(t *testing.T) {
 	l := &dropLedger{}
 	l.restore([]checkpoint.DropSpan{
-		{Start: 0, End: 100, Records: 2},    // entirely before the offset: kept
-		{Start: 100, End: 300, Records: 4},  // straddles: clipped to [100,200)
-		{Start: 200, End: 400, Records: 3},  // at/past the offset: dropped
+		{Start: 0, End: 100, Records: 2},   // entirely before the offset: kept
+		{Start: 100, End: 300, Records: 4}, // straddles: clipped to [100,200)
+		{Start: 200, End: 400, Records: 3}, // at/past the offset: dropped
 		{Start: 1000, End: 1100, Records: 1},
 	}, 200)
 	spans := l.snapshot()

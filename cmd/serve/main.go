@@ -146,7 +146,6 @@ type options struct {
 	backfill    string
 	workers     plan.Knob
 	depth       plan.Knob
-	batch       plan.Knob
 	ckptPath    string
 	ckptEvery   time.Duration
 	queueCap    int
@@ -168,7 +167,6 @@ func main() {
 		shards  = flag.String("shards", "auto", "ShardedTail shard count for -sessions: auto (planned) or a number (0 = all cores)")
 		workers = flag.String("workers", "auto", "parse goroutines for -backfill and checkpoint replay: auto (planned), 0 sequential, -1 all cores")
 		depth   = flag.String("stream-depth", "auto", "in-flight parsed chunks for replay: auto (planned) or a number (bounds replay heap, never changes output)")
-		batch   = flag.String("batch", "auto", "replay delivery granularity: auto (planned), 1 per-record, 0 whole chunks, n>1 sub-batches of n (never changes output)")
 	)
 	flag.StringVar(&o.topoPath, "topology", "", "topology JSON written by simgen (required)")
 	flag.StringVar(&o.addr, "addr", ":8080", "listen address")
@@ -198,9 +196,7 @@ func main() {
 	var err error
 	if o.shards, err = plan.ParseKnob("shards", *shards); err == nil {
 		if o.workers, err = plan.ParseKnob("workers", *workers); err == nil {
-			if o.depth, err = plan.ParseKnob("stream-depth", *depth); err == nil {
-				o.batch, err = plan.ParseKnob("batch", *batch)
-			}
+			o.depth, err = plan.ParseKnob("stream-depth", *depth)
 		}
 	}
 	if err != nil {
@@ -284,7 +280,7 @@ func run(o options) error {
 			shape = plan.StatPaths(replayPaths)
 			sample = plan.SamplePaths(replayPaths)
 		}
-		pl, notes := plan.Resolve(shape, o.workers, o.shards, o.depth, o.batch, sample)
+		pl, notes := plan.Resolve(shape, o.workers, o.shards, o.depth, plan.Auto, sample)
 		if o.shards.Auto {
 			// Shards answer request-handler contention, not the replay
 			// file's single delivery goroutine.

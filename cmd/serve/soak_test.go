@@ -94,7 +94,7 @@ func soakChild() error {
 	}
 	for name, dst := range map[string]*plan.Knob{
 		"shards": &o.shards, "workers": &o.workers,
-		"stream-depth": &o.depth, "batch": &o.batch,
+		"stream-depth": &o.depth,
 	} {
 		k, err := plan.ParseKnob(name, "auto")
 		if err != nil {

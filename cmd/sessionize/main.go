@@ -25,7 +25,9 @@
 // order through a bounded channel straight into a streaming sessionizer,
 // and sessions print as they finalize. Memory stays bounded by
 // (workers + depth) chunks regardless of log size, so it suits logs far
-// larger than RAM (or stdin pipes that never end). Sessions are emitted in
+// larger than RAM (or stdin pipes that never end: a chunk read from stdin is
+// what one read returned, so a `tail -f` pipe's lines are sessionized as they
+// arrive, on any worker count). Sessions are emitted in
 // finalization order rather than batch order; for Smart-SRA and the
 // time-gap heuristic the session contents are identical to batch mode.
 //
@@ -77,15 +79,15 @@ import (
 
 // options collects the parsed command line.
 type options struct {
-	topoPath, logPath, heur       string
-	noClean, statsOnly            bool
-	workers, shards, depth, batch plan.Knob
-	stream                        bool
-	sessionGap                    time.Duration
-	expireEvery                   time.Duration
-	sessPath, ckptPath            string
-	ckptEvery                     time.Duration
-	cutsPath                      string
+	topoPath, logPath, heur string
+	noClean, statsOnly      bool
+	workers, shards, depth  plan.Knob
+	stream                  bool
+	sessionGap              time.Duration
+	expireEvery             time.Duration
+	sessPath, ckptPath      string
+	ckptEvery               time.Duration
+	cutsPath                string
 }
 
 func main() {
@@ -94,7 +96,6 @@ func main() {
 		workers     = flag.String("workers", "auto", "pipeline parallelism: auto (planned), 0 sequential, -1 all cores, n>0 that many workers (output is identical for any value)")
 		shards      = flag.String("shards", "auto", "streaming sessionizer shard count for -stream: auto (planned) or a number (0 = all cores)")
 		depth       = flag.String("stream-depth", "auto", "in-flight parsed chunks for -stream: auto (planned) or a number (memory/throughput trade, never changes output)")
-		batch       = flag.String("batch", "auto", "sessionizer delivery granularity: auto (planned: whole chunks for files, per-record for pipes), 1 per-record, 0 whole chunks, n>1 sub-batches of n (never changes output)")
 		expireEvery = flag.Duration("expire-every", 0, "finalize quiet users this often while streaming (0 = auto: 30s for pipes/stdin, off for files; <0 = off)")
 	)
 	flag.StringVar(&o.topoPath, "topology", "", "topology JSON written by simgen (required)")
@@ -117,9 +118,7 @@ func main() {
 	var err error
 	if o.workers, err = plan.ParseKnob("workers", *workers); err == nil {
 		if o.shards, err = plan.ParseKnob("shards", *shards); err == nil {
-			if o.depth, err = plan.ParseKnob("stream-depth", *depth); err == nil {
-				o.batch, err = plan.ParseKnob("batch", *batch)
-			}
+			o.depth, err = plan.ParseKnob("stream-depth", *depth)
 		}
 	}
 	if err != nil {
@@ -204,7 +203,7 @@ func run(o options) error {
 		shape = plan.StatPaths(paths)
 		sample = plan.SamplePaths(paths)
 	}
-	pl, notes := plan.Resolve(shape, o.workers, o.shards, o.depth, o.batch, sample)
+	pl, notes := plan.Resolve(shape, o.workers, o.shards, o.depth, plan.Auto, sample)
 	for _, n := range notes {
 		fmt.Fprintln(os.Stderr, "sessionize:", n)
 	}
@@ -353,7 +352,7 @@ func runStream(cfg core.Config, pl plan.Plan, rho, expire time.Duration, paths [
 	var malformed int
 	switch {
 	case paths == nil:
-		malformed, err = st.Ingest(bufio.NewReader(os.Stdin), sink)
+		malformed, err = st.Ingest(os.Stdin, sink, nil)
 	case len(cuts) > 0:
 		malformed, err = st.IngestFilesCuts(paths, clf.FilePos{}, 0, cuts, sink, nil)
 	default:

@@ -35,10 +35,10 @@ func ingestWorkload(b *testing.B) (*webgraph.Graph, []clf.Record, []byte) {
 }
 
 // BenchmarkIngest measures the streaming ingestion layer: CLF parse
-// throughput (legacy per-line-string path, []byte fast path, chunk-parallel
-// reader) and Tail vs concurrently-fed ShardedTail sessionization. The
-// records/s metric is the headline; allocs/op shows the parse path's
-// allocation reduction. On >=4 cores the parallel and sharded variants
+// throughput (legacy per-line-string path, []byte fast path, the chunk reader
+// collected into a slice as ProcessLog does) and Tail vs concurrently-fed
+// ShardedTail sessionization. The records/s metric is the headline;
+// allocs/op shows the parse path's allocation reduction. On >=4 cores the parallel and sharded variants
 // should show a >=2x records/s win over their sequential baselines while
 // producing identical output (pinned by TestReadAllParallelMatchesReadAll
 // and TestShardedTailEquivalentToTail under -race).
@@ -76,7 +76,9 @@ func BenchmarkIngest(b *testing.B) {
 			b.ReportAllocs()
 			b.SetBytes(int64(len(data)))
 			for i := 0; i < b.N; i++ {
-				if _, _, err := clf.ReadAllParallel(bytes.NewReader(data), workers); err != nil {
+				var all []clf.Record
+				if _, err := clf.StreamChunked(bytes.NewReader(data), clf.StreamConfig{Workers: workers},
+					func(recs []clf.Record) { all = append(all, recs...) }, nil); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -155,8 +157,8 @@ func BenchmarkIngest(b *testing.B) {
 }
 
 // BenchmarkTailPush is the sessionizer hot path record-at-a-time: the
-// baseline the batched path is gated against (batch >= single, enforced by
-// cmd/benchgate on ingest_batch_speedup).
+// baseline BenchmarkTailPushBatch is read against (bench/ reports the same
+// pair as core.push1_ns_per_rec and core.tail_ns_per_rec).
 func BenchmarkTailPush(b *testing.B) {
 	g, records, _ := ingestWorkload(b)
 	recs := float64(len(records))

@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"smartsra/internal/checkpoint"
+	"smartsra/internal/clf"
 	"smartsra/internal/core"
 	"smartsra/internal/faultio"
 	"smartsra/internal/session"
@@ -116,7 +117,7 @@ func referenceRun(t *testing.T, c corpus) []byte {
 			t.Fatal(err)
 		}
 	}
-	if _, err := st.Ingest(bytes.NewReader(c.log), write); err != nil {
+	if _, err := st.Ingest(bytes.NewReader(c.log), write, nil); err != nil {
 		t.Fatal(err)
 	}
 	st.Drain(write)
@@ -169,14 +170,14 @@ func attempt(t *testing.T, c corpus, sinkPath, ckptPath string, fsys checkpoint.
 	}
 
 	boundaries := 0
-	_, ingestErr := st.IngestOffsets(reader, func(s []session.Session) {
+	_, ingestErr := st.Ingest(reader, func(s []session.Session) {
 		if err := session.WriteAll(bw, s); err != nil {
 			t.Fatal(err)
 		}
-	}, func(off int64) {
+	}, func(pos clf.FilePos) error {
 		boundaries++
 		if boundaries%3 != 0 {
-			return
+			return nil
 		}
 		// A consistent point: flush the sink so SinkOffset covers every
 		// session emitted up to this chunk boundary, then snapshot.
@@ -193,10 +194,11 @@ func attempt(t *testing.T, c corpus, sinkPath, ckptPath string, fsys checkpoint.
 		// A failed save is survivable by design: the previous checkpoint
 		// stays valid, recovery just replays a longer suffix.
 		checkpoint.Save(fsys, ckptPath, &checkpoint.Checkpoint{
-			LogOffset:  start + off,
+			LogOffset:  start + pos.Offset,
 			SinkOffset: size,
 			Tail:       st.Snapshot(),
 		})
+		return nil
 	})
 
 	if killAt >= 0 {

@@ -108,7 +108,7 @@ func aheadStream(paths []string, cfg StreamConfig) (run inlineRun) {
 }
 
 // TestParseAheadMatchesInline: with parsing on a goroutine of its own the
-// sequential plan emits clf.Stream's records and malformed count and reports
+// sequential plan emits ReadAll's records and malformed count and reports
 // exactly the inline loop's positions — every one of them, for chunks from
 // one line to the whole member, over gzip, mmap and reader members — and a
 // run resumed from any reported position emits the rest and reports the rest
@@ -123,11 +123,12 @@ func TestParseAheadMatchesInline(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		bad, err := Stream(rc, func(rec Record) { want = append(want, rec) })
+		recs, bad, err := ReadAll(rc)
 		rc.Close()
 		if err != nil {
 			t.Fatal(err)
 		}
+		want = append(want, recs...)
 		wantBad += bad
 	}
 	for _, noMmap := range []bool{false, true} {
@@ -138,7 +139,7 @@ func TestParseAheadMatchesInline(t *testing.T) {
 				t.Fatalf("%+v: inline err %v, ahead err %v", cfg, ref.err, got.err)
 			}
 			if got.bad != wantBad || ref.bad != wantBad {
-				t.Fatalf("%+v: malformed %d (inline %d), Stream has %d", cfg, got.bad, ref.bad, wantBad)
+				t.Fatalf("%+v: malformed %d (inline %d), ReadAll has %d", cfg, got.bad, ref.bad, wantBad)
 			}
 			sameRecords(t, "full run", got.recs, want)
 			if !reflect.DeepEqual(got.marks, ref.marks) {
@@ -174,7 +175,7 @@ func TestLentRecordsArePoisoned(t *testing.T) {
 	log := synthLog(67, 600)
 	for _, workers := range []int{1, 4} {
 		var kept [][]Record
-		_, err := StreamChunked(strings.NewReader(log), workers, 2, 4096, func(recs []Record) { kept = append(kept, recs) }, nil)
+		_, err := StreamChunked(strings.NewReader(log), StreamConfig{Workers: workers, Depth: 2, ChunkBytes: 4096}, func(recs []Record) { kept = append(kept, recs) }, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -247,11 +248,11 @@ func TestParserLeavesNoGoroutine(t *testing.T) {
 	}
 
 	// A reader the caller lent: nothing to close, the goroutine still ends.
-	if _, err := StreamChunked(strings.NewReader(text), 1, 0, 2048, func([]Record) {}, func(int64) {}); err != nil {
+	if _, err := StreamChunked(strings.NewReader(text), StreamConfig{Workers: 1, ChunkBytes: 2048}, func([]Record) {}, func(FilePos) error { return nil }); err != nil {
 		t.Fatal(err)
 	}
 	settle(t, "borrowed reader to the end", before)
-	if _, err := StreamChunked(&chunkFailReader{data: []byte(text)}, 1, 0, 2048, func([]Record) {}, nil); err == nil {
+	if _, err := StreamChunked(&chunkFailReader{data: []byte(text)}, StreamConfig{Workers: 1, ChunkBytes: 2048}, func([]Record) {}, nil); err == nil {
 		t.Fatal("borrowed reader: the read error is lost")
 	}
 	settle(t, "borrowed reader, read error", before)
@@ -295,7 +296,7 @@ func TestAbortDropsChunksParsedAhead(t *testing.T) {
 			if err != nil {
 				break
 			}
-			recs, bad := parseChunkInto(data, nil)
+			recs, bad := parseChunkIntern(data, nil, newInternTable())
 			ref.bad += bad
 			ref.recs = append(ref.recs, recs...)
 			ref.marks = append(ref.marks, posMark{Seen: len(ref.recs)})

@@ -14,10 +14,15 @@ func TestStreamParallelOffsetsLineAligned(t *testing.T) {
 	for _, workers := range []int{1, 3} {
 		for _, chunk := range []int{128, 4096, readChunkSize} {
 			var offsets []int64
-			records := 0
-			_, err := streamParallel(strings.NewReader(log), workers, 2, chunk,
-				func(Record) { records++ },
-				func(off int64) { offsets = append(offsets, off) })
+			_, err := StreamChunked(strings.NewReader(log), StreamConfig{Workers: workers, Depth: 2, ChunkBytes: chunk},
+				func([]Record) {},
+				func(pos FilePos) error {
+					if pos.File != 0 {
+						t.Fatalf("workers=%d chunk=%d: a single reader reported file %d", workers, chunk, pos.File)
+					}
+					offsets = append(offsets, pos.Offset)
+					return nil
+				})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -58,9 +63,12 @@ func TestStreamParallelOffsetsResume(t *testing.T) {
 	}
 	var bounds []boundary
 	seen := 0
-	if _, err := streamParallel(strings.NewReader(log), 4, 2, 512,
-		func(Record) { seen++ },
-		func(off int64) { bounds = append(bounds, boundary{off, seen}) }); err != nil {
+	if _, err := StreamChunked(strings.NewReader(log), StreamConfig{Workers: 4, Depth: 2, ChunkBytes: 512},
+		func(recs []Record) { seen += len(recs) },
+		func(pos FilePos) error {
+			bounds = append(bounds, boundary{pos.Offset, seen})
+			return nil
+		}); err != nil {
 		t.Fatal(err)
 	}
 	if seen != len(want) {
@@ -68,9 +76,8 @@ func TestStreamParallelOffsetsResume(t *testing.T) {
 	}
 
 	for _, b := range bounds {
-		var got []Record
-		if _, err := StreamParallel(strings.NewReader(log[b.off:]), 2, 2,
-			func(rec Record) { got = append(got, rec) }); err != nil {
+		got, _, err := streamAll(strings.NewReader(log[b.off:]), StreamConfig{Workers: 2, Depth: 2})
+		if err != nil {
 			t.Fatal(err)
 		}
 		rest := want[b.seen:]
@@ -85,9 +92,8 @@ func TestStreamParallelOffsetsResume(t *testing.T) {
 	}
 }
 
-// TestStreamParallelOffsetsSingleWorker: a non-nil progress forces the
-// chunked pipeline even at workers == 1, and its output still matches the
-// sequential reader.
+// TestStreamParallelOffsetsSingleWorker: progress fires at workers == 1 too,
+// and the output still matches the sequential reader.
 func TestStreamParallelOffsetsSingleWorker(t *testing.T) {
 	log := synthLog(23, 800)
 	want, wantBad, err := ReadAll(strings.NewReader(log))
@@ -96,9 +102,9 @@ func TestStreamParallelOffsetsSingleWorker(t *testing.T) {
 	}
 	var got []Record
 	fired := 0
-	gotBad, err := StreamParallelOffsets(strings.NewReader(log), 1, 2,
-		func(rec Record) { got = append(got, rec) },
-		func(int64) { fired++ })
+	gotBad, err := StreamChunked(strings.NewReader(log), StreamConfig{Workers: 1, Depth: 2},
+		func(recs []Record) { got = append(got, recs...) },
+		func(FilePos) error { fired++; return nil })
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,10 +1,6 @@
 package clf
 
-import (
-	"bytes"
-	"io"
-	"runtime"
-)
+import "bytes"
 
 // readChunkSize is the target size of one line-aligned parse chunk. Chunks
 // are extended to the next newline, so lines never straddle workers.
@@ -14,47 +10,15 @@ const readChunkSize = 1 << 20
 // it is a defect (or an attack), and both readers fail the same way.
 const maxLineBytes = 1 << 20
 
-// ReadAllParallel is ReadAll with the parse stage fanned out over a bounded
-// worker pool: the input is split into line-aligned chunks of about 1 MiB,
-// chunks are parsed concurrently through the byte-level fast path, and the
-// records are concatenated in input order — the result is identical to
-// ReadAll's for any worker count (records, order, and malformed count).
-// workers <= 0 means GOMAXPROCS; workers == 1 (or a single chunk's worth of
-// input) degrades to the sequential reader.
-//
-// It is StreamParallel collecting into a slice: use StreamParallel directly
-// when the records feed a streaming consumer (core.Tail), so memory stays
-// bounded on unbounded logs.
-func ReadAllParallel(r io.Reader, workers int) (records []Record, malformed int, err error) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers == 1 {
-		return ReadAll(r)
-	}
-	// A deep order channel keeps the batch path free-running: the consumer
-	// only appends, so backpressure would just idle workers.
-	malformed, err = streamParallel(r, workers, 4*workers, readChunkSize, func(rec Record) {
-		records = append(records, rec)
-	}, nil)
-	return records, malformed, err
-}
-
-// parseChunkInto parses every line of one chunk (the final line may lack a
+// parseChunkIntern parses every line of one chunk (the final line may lack a
 // trailing newline) into the caller-provided slice, skipping blank lines and
 // counting malformed ones, mirroring the Scanner's accounting — including
 // the over-long-line policy: a line past the 1 MiB cap (possible when a
 // Source serves windows larger than the cap, e.g. an mmap window grown
 // around a huge line) is counted and skipped, exactly as the sequential
-// lineScanner does. The chunk gets a fresh string-intern arena; loops that
-// parse many chunks should hold a persistent table and call parseChunkIntern
-// so repeated hosts/URIs stay the same string across the whole input.
-func parseChunkInto(data []byte, recs []Record) ([]Record, int) {
-	return parseChunkIntern(data, recs, newInternTable())
-}
-
-// parseChunkIntern is parseChunkInto with a caller-owned intern table. The
-// caller retires the table via full() — parsing never grows it past the next
+// lineScanner does. The intern table is the caller's, held across chunks so
+// repeated hosts/URIs stay the same string across the whole input; the
+// caller retires it via full() — parsing never grows it past the next
 // chunk's distinct strings.
 func parseChunkIntern(data []byte, recs []Record, in *internTable) ([]Record, int) {
 	bad := 0

@@ -55,9 +55,10 @@ func (k SourceKind) String() string {
 
 // FilePos addresses a byte position within an ordered multi-file input set:
 // File indexes the (lexically ordered) path list, Offset is the byte offset
-// within that file — for gzip members it counts decoded bytes. StreamFiles
-// only reports positions on line boundaries, so a resume from any reported
-// FilePos replays exactly the records not yet emitted.
+// within that file — for gzip members it counts decoded bytes; a borrowed
+// reader (StreamChunked) is file 0. Only positions on line boundaries are
+// reported, so a resume from any reported FilePos replays exactly the records
+// not yet emitted.
 type FilePos struct {
 	File   int
 	Offset int64
@@ -81,10 +82,9 @@ type Source interface {
 	Close() error
 }
 
-// readerSource cuts an io.Reader into line-aligned chunks, porting the
-// chunk-producer loop that previously lived inside streamParallel. Over-long
-// lines are skipped and counted (never buffered whole), matching the
-// sequential lineScanner's policy.
+// readerSource cuts an io.Reader into line-aligned chunks. Over-long lines
+// are skipped and counted (never buffered whole), matching the sequential
+// lineScanner's policy.
 type readerSource struct {
 	r       io.Reader // read inline, on the caller's goroutine, when dec is nil
 	dec     *decoder  // gzip: blocks arrive from the member's decode goroutine
@@ -126,7 +126,12 @@ func (s *readerSource) Close() error {
 }
 
 // readBlock returns the next block of up to chunkBytes input bytes, valid
-// until the following readBlock, with io.ReadFull's error convention.
+// until the following readBlock. A gzip member's decoder fills whole blocks
+// on its own goroutine (io.ReadFull's error convention). A plain reader's
+// block is what one Read returned: a file or an in-memory reader fills it,
+// a pipe hands over what its writer has written so far — waiting for
+// chunkBytes would hold a live producer's lines back until some 13,000 more
+// had arrived.
 func (s *readerSource) readBlock(chunkBytes int) ([]byte, error) {
 	if s.dec != nil {
 		return s.dec.next()
@@ -134,8 +139,12 @@ func (s *readerSource) readBlock(chunkBytes int) ([]byte, error) {
 	if len(s.buf) != chunkBytes {
 		s.buf = make([]byte, chunkBytes)
 	}
-	n, err := io.ReadFull(s.r, s.buf)
-	return s.buf[:n], err
+	for empty := 0; empty < maxConsecutiveEmptyReads; empty++ {
+		if n, err := s.r.Read(s.buf); n > 0 || err != nil {
+			return s.buf[:n], err
+		}
+	}
+	return nil, io.ErrNoProgress
 }
 
 func (s *readerSource) NextChunk(chunkBytes int) ([]byte, int64, int, error) {
@@ -272,10 +281,11 @@ func (s *readerSource) consume(b []byte) []byte {
 }
 
 // stop records the terminal condition of the underlying reader. A clean end
-// (EOF, or ErrUnexpectedEOF from the final short block) becomes io.EOF; real
-// errors drop the carried partial line, matching the previous producer.
+// (EOF, or the decoder's ErrUnexpectedEOF from a final short block) becomes
+// io.EOF; real errors — a plain reader's own ErrUnexpectedEOF among them —
+// drop the carried partial line, matching the previous producer.
 func (s *readerSource) stop(rerr error) {
-	if rerr == io.EOF || rerr == io.ErrUnexpectedEOF {
+	if rerr == io.EOF || (s.dec != nil && rerr == io.ErrUnexpectedEOF) {
 		s.rerr = io.EOF
 		return
 	}

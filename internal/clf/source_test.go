@@ -113,9 +113,9 @@ func TestStreamFilesMatchesConcat(t *testing.T) {
 		for _, noMmap := range []bool{false, true} {
 			for _, chunk := range []int{256, 4096, readChunkSize} {
 				var got []Record
-				bad, err := StreamFiles(paths, StreamConfig{
+				bad, err := StreamFilesChunked(paths, StreamConfig{
 					Workers: workers, ChunkBytes: chunk, NoMmap: noMmap,
-				}, func(rec Record) { got = append(got, rec) }, nil)
+				}, func(recs []Record) { got = append(got, recs...) }, nil)
 				if err != nil {
 					t.Fatalf("workers=%d noMmap=%v chunk=%d: %v", workers, noMmap, chunk, err)
 				}
@@ -149,8 +149,8 @@ func TestStreamFilesResume(t *testing.T) {
 	}
 	var marks []mark
 	var count int
-	_, err = StreamFiles(paths, StreamConfig{Workers: 2, ChunkBytes: 512},
-		func(Record) { count++ },
+	_, err = StreamFilesChunked(paths, StreamConfig{Workers: 2, ChunkBytes: 512},
+		func(recs []Record) { count += len(recs) },
 		func(pos FilePos) error {
 			marks = append(marks, mark{pos, count})
 			return nil
@@ -168,9 +168,9 @@ func TestStreamFilesResume(t *testing.T) {
 		}
 		for _, workers := range []int{1, 3} {
 			var got []Record
-			_, err := StreamFiles(paths, StreamConfig{
+			_, err := StreamFilesChunked(paths, StreamConfig{
 				Workers: workers, ChunkBytes: 512, Start: m.pos,
-			}, func(rec Record) { got = append(got, rec) }, nil)
+			}, func(recs []Record) { got = append(got, recs...) }, nil)
 			if err != nil {
 				t.Fatalf("resume at %+v: %v", m.pos, err)
 			}
@@ -196,8 +196,8 @@ func TestStreamFilesProgressAbort(t *testing.T) {
 	errStop := errors.New("stop here")
 	for _, workers := range []int{1, 4} {
 		var emitted, boundaries, atAbort int
-		_, err := StreamFiles(paths, StreamConfig{Workers: workers, ChunkBytes: 512},
-			func(Record) { emitted++ },
+		_, err := StreamFilesChunked(paths, StreamConfig{Workers: workers, ChunkBytes: 512},
+			func(recs []Record) { emitted += len(recs) },
 			func(FilePos) error {
 				boundaries++
 				if boundaries == 7 {
@@ -234,9 +234,9 @@ func TestStreamFilesOversizedLine(t *testing.T) {
 		for _, workers := range []int{1, 3} {
 			for _, chunk := range []int{512, 64 << 10, readChunkSize} {
 				var recs int
-				bad, err := StreamFiles([]string{path}, StreamConfig{
+				bad, err := StreamFilesChunked([]string{path}, StreamConfig{
 					Workers: workers, ChunkBytes: chunk, NoMmap: name == "reader",
-				}, func(Record) { recs++ }, nil)
+				}, func(c []Record) { recs += len(c) }, nil)
 				if err != nil {
 					t.Fatalf("%s workers=%d chunk=%d: %v", name, workers, chunk, err)
 				}

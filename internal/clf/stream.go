@@ -2,7 +2,6 @@ package clf
 
 import (
 	"errors"
-	"fmt"
 	"io"
 	"runtime"
 	"sync"
@@ -11,7 +10,7 @@ import (
 	"time"
 )
 
-// DefaultStreamDepth is the default depth of StreamParallel's in-order
+// DefaultStreamDepth is the default depth of the worker pool's in-order
 // delivery channel: how many parsed chunks may be in flight between the
 // reader and the consumer before the reader blocks. Together with the worker
 // count it bounds the pipeline's heap: roughly
@@ -19,127 +18,9 @@ import (
 // them, independent of how long the log is.
 const DefaultStreamDepth = 8
 
-// Stream parses every record in r in input order, invoking emit for each,
-// and returns the malformed-line count. It is ReadAll without the slice:
-// memory is bounded by one line, so it suits logs that never end. Records
-// parsed before a read error are emitted before the error returns.
-func Stream(r io.Reader, emit func(Record)) (malformed int, err error) {
-	sc := NewScanner(r)
-	for sc.Scan() {
-		emit(sc.Record())
-	}
-	malformed, _ = sc.Malformed()
-	if err := sc.Err(); err != nil {
-		return malformed, fmt.Errorf("clf: read: %w", err)
-	}
-	return malformed, nil
-}
-
-// StreamParallel is Stream with the parse stage fanned out over a bounded
-// worker pool: the input is cut into line-aligned chunks of about 1 MiB,
-// chunks are parsed concurrently through the byte-level fast path (with a
-// per-chunk string-intern arena), and records are delivered to emit in input
-// order through a fixed-depth channel. For any workers/depth the emitted
-// sequence and malformed count are identical to Stream's (and ReadAll's).
-//
-// Unlike ReadAllParallel nothing is materialized: heap stays bounded by
-// (depth + workers) chunks regardless of log length, which is what a
-// reactive processor tailing an unbounded log needs. emit runs on the
-// calling goroutine; workers <= 0 means GOMAXPROCS, workers == 1 degrades
-// to the sequential Stream, depth <= 0 means DefaultStreamDepth.
-func StreamParallel(r io.Reader, workers, depth int, emit func(Record)) (malformed int, err error) {
-	return streamParallel(r, workers, depth, readChunkSize, emit, nil)
-}
-
-// StreamParallelOffsets is StreamParallel with replay-offset reporting for
-// checkpointing consumers: after the last record of each line-aligned chunk
-// has been emitted, progress is called (on the same goroutine as emit) with
-// the byte offset just past that chunk, relative to the start of r. Every
-// reported offset sits on a line boundary, so a reader that seeks there and
-// resumes streaming sees exactly the records not yet emitted — the property
-// crash recovery replays depend on. With a non-nil progress the chunked
-// pipeline runs even for workers == 1 (the emitted sequence is identical;
-// only offsets are added).
-func StreamParallelOffsets(r io.Reader, workers, depth int, emit func(Record), progress func(offset int64)) (malformed int, err error) {
-	return streamParallel(r, workers, depth, readChunkSize, emit, progress)
-}
-
-// StreamParallelOffsetsChunked is StreamParallelOffsets with an explicit
-// chunk size. Progress boundaries fall at chunk ends, so callers tuning
-// checkpoint granularity (or tests forcing many boundaries on small inputs)
-// pick the chunk size; chunkBytes <= 0 means the default ~1 MiB.
-func StreamParallelOffsetsChunked(r io.Reader, workers, depth, chunkBytes int, emit func(Record), progress func(offset int64)) (malformed int, err error) {
-	if chunkBytes <= 0 {
-		chunkBytes = readChunkSize
-	}
-	return streamParallel(r, workers, depth, chunkBytes, emit, progress)
-}
-
-// streamParallel adapts the single-reader entry points onto the source
-// engine: the reader becomes one buffered Source and offsets lose their file
-// index. The sequential degrade (workers == 1 without offsets) is kept so
-// pipes retain per-line latency instead of waiting for a chunk to fill.
-func streamParallel(r io.Reader, workers, depth, chunkSize int, emit func(Record), progress func(int64)) (malformed int, err error) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	// The sequential degrade has no chunk boundaries to report, so offset
-	// consumers stay on the chunked pipeline even at workers == 1.
-	if workers == 1 && progress == nil {
-		return Stream(r, emit)
-	}
-	return streamChunked(r, workers, depth, chunkSize, perRecord(emit), progress)
-}
-
-// StreamChunked is StreamParallelOffsetsChunked delivering each line-aligned
-// chunk's records as one slice instead of one callback per record — the feed
-// for batch consumers (core's PushBatch ingestion), which pay their
-// per-delivery costs once per chunk. The slice is only valid during the
-// call; emitChunk must not retain it: when it returns the slice goes back to
-// a parse goroutine, which refills it while the next chunk is emitted (test
-// binaries overwrite it first, see retire). Record order, malformed
-// accounting, and progress boundaries are identical to the per-record entry
-// points. Note the latency trade: unlike StreamParallel, workers == 1 does
-// not degrade to the line-at-a-time scanner, so a pipe's records are
-// delivered only when a chunk fills or the input ends — callers tailing an
-// interactive pipe should use the per-record API (or batch == 1 at the core
-// layer).
-func StreamChunked(r io.Reader, workers, depth, chunkBytes int, emitChunk func([]Record), progress func(offset int64)) (malformed int, err error) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if chunkBytes <= 0 {
-		chunkBytes = readChunkSize
-	}
-	return streamChunked(r, workers, depth, chunkBytes, emitChunk, progress)
-}
-
-// streamChunked wires a single borrowed reader into the source engine.
-func streamChunked(r io.Reader, workers, depth, chunkSize int, emitChunk func([]Record), progress func(int64)) (malformed int, err error) {
-	var fileProgress func(FilePos) error
-	if progress != nil {
-		fileProgress = func(pos FilePos) error {
-			progress(pos.Offset)
-			return nil
-		}
-	}
-	src := newReaderSource(r, SourceReader, 0) // no closers: r is borrowed
-	open := func(int) (Source, error) { return src, nil }
-	return streamSources(1, 0, open, workers, depth, chunkSize, emitChunk, fileProgress)
-}
-
-// perRecord adapts a per-record callback onto the chunk-delivery engine.
-func perRecord(emit func(Record)) func([]Record) {
-	return func(recs []Record) {
-		for i := range recs {
-			emit(recs[i])
-		}
-	}
-}
-
-// StreamConfig tunes StreamFiles. Zero values mean: GOMAXPROCS workers,
-// DefaultStreamDepth, ~1 MiB chunks, start at the first byte of the first
-// file, mmap allowed.
+// StreamConfig tunes StreamChunked and StreamFilesChunked. Zero values mean:
+// GOMAXPROCS workers, DefaultStreamDepth, ~1 MiB chunks, start at the first
+// byte of the first file, mmap allowed.
 type StreamConfig struct {
 	// Workers is the parse fan-out; <= 0 means GOMAXPROCS. Workers == 1 is
 	// the sequential plan: no pool, one parser goroutine a chunk or two ahead
@@ -151,97 +32,126 @@ type StreamConfig struct {
 	ChunkBytes int
 	// Start is the resume position: files before Start.File are skipped and
 	// Start.File begins at Start.Offset (a line boundary previously reported
-	// through progress; decoded bytes for gzip members).
+	// through progress; decoded bytes for gzip members). A borrowed reader
+	// has no position to seek to: StreamChunked ignores it.
 	Start FilePos
 	// NoMmap forces the buffered reader for plain files (benchmarks and
 	// equivalence tests; gzip always decodes through the buffered path).
 	NoMmap bool
 }
 
-// StreamFiles streams the records of an ordered multi-file log set — plain,
-// gzip, or mixed, as a rotated retention window produces — in input order
-// through the same bounded pipeline as StreamParallel. Each file is opened
-// as the best Source for its content: mmap windows for plain files (chunks
-// alias the mapping; no line is ever copied between read and parse), the
-// buffered reader for pipes or when mmap is unavailable, gzip decoding for
-// compressed members — each on a goroutine of its own, so decompression
-// overlaps parsing for any worker count; with workers > 1 upcoming members
-// start decoding ahead as well.
+// withDefaults resolves the zero values the openers themselves read.
+func (c StreamConfig) withDefaults() StreamConfig {
+	if c.Workers <= 0 {
+		c.Workers = runtime.GOMAXPROCS(0)
+	}
+	if c.ChunkBytes <= 0 {
+		c.ChunkBytes = readChunkSize
+	}
+	return c
+}
+
+// StreamChunked streams the records of a reader the caller lends — a pipe,
+// a socket, stdin, bytes in memory — in input order, and returns the
+// malformed-line count. The input is cut into line-aligned chunks of at most
+// about cfg.ChunkBytes, parsed through the byte-level fast path on
+// cfg.Workers goroutines, and each chunk's records arrive as one slice,
+// whatever the worker count identical in sequence and malformed count to
+// ReadAll's. Over-long lines (> 1 MiB) are skipped and counted as malformed;
+// records parsed before a read error are emitted before the error returns.
+//
+// The slice is lent, valid only during the call: when emitChunk returns it
+// goes back to a parse goroutine, which refills it while the next chunk is
+// emitted (test binaries overwrite it first, see retire).
+//
+// A chunk is cut from what one Read returned, never waited for: a file or
+// an in-memory reader fills it, a pipe delivers what its writer has written
+// so far. Latency on a live pipe is therefore the writer's, on every worker
+// count, and heap stays bounded by (workers + depth) chunks however long the
+// input runs.
+//
+// After each chunk's records are emitted, progress (if non-nil) receives
+// FilePos{0, offset}: the offset, relative to where r stood, just past the
+// chunk. Every one is a line boundary, so a reader that seeks there and
+// streams again sees exactly the records not yet emitted — what crash
+// recovery replays depend on. A non-nil error from progress aborts the
+// stream and is returned.
+func StreamChunked(r io.Reader, cfg StreamConfig, emitChunk func([]Record), progress func(FilePos) error) (malformed int, err error) {
+	cfg = cfg.withDefaults()
+	src := newReaderSource(r, SourceReader, 0) // no closers: r is borrowed
+	open := func(int) (Source, error) { return src, nil }
+	return streamSources(1, 0, open, cfg.Workers, cfg.Depth, cfg.ChunkBytes, emitChunk, progress)
+}
+
+// StreamFilesChunked is StreamChunked over an ordered multi-file log set —
+// plain, gzip, or mixed, as a rotated retention window produces — from
+// cfg.Start on. Each file is opened as the best Source for its content: mmap
+// windows for plain files (chunks alias the mapping; no line is ever copied
+// between read and parse), the buffered reader when mmap is unavailable or
+// disabled, gzip decoding for compressed members — each on a goroutine of
+// its own, so decompression overlaps parsing for any worker count; with
+// workers > 1 upcoming members start decoding ahead as well.
 //
 // Files are independent record streams: a final line without a trailing
 // newline still parses, exactly as if the files were concatenated with
-// newline separators (OpenLogInput's batch view). After each chunk's records
-// are emitted, progress (if non-nil) receives the line-aligned FilePos just
-// past the chunk; a non-nil error from progress aborts the stream and is
-// returned, which checkpointing consumers use to stop cleanly mid-set.
-// Over-long lines (> 1 MiB) are skipped and counted as malformed.
-func StreamFiles(paths []string, cfg StreamConfig, emit func(Record), progress func(FilePos) error) (malformed int, err error) {
-	return StreamFilesChunked(paths, cfg, perRecord(emit), progress)
-}
-
-// StreamFilesChunked is StreamFiles with chunk-batch delivery: each
-// line-aligned chunk's records arrive as one slice, valid only during the
-// call (see StreamChunked for the contract and the pipe-latency trade).
+// newline separators (OpenLogInput's batch view). progress receives the
+// line-aligned FilePos just past each chunk (decoded bytes within a gzip
+// member); checkpointing consumers return an error from it to stop cleanly
+// mid-set.
 func StreamFilesChunked(paths []string, cfg StreamConfig, emitChunk func([]Record), progress func(FilePos) error) (malformed int, err error) {
-	first := cfg.Start.File
-	if first < 0 {
-		first = 0
-	}
+	cfg = cfg.withDefaults()
+	first := max(cfg.Start.File, 0)
 	if first >= len(paths) {
 		return 0, nil
 	}
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	chunkBytes := cfg.ChunkBytes
-	if chunkBytes <= 0 {
-		chunkBytes = readChunkSize
-	}
-
 	// Every gzip member decodes on its own goroutine from the moment it is
-	// opened. Open-ahead: when the pool is parsing file i, up to lookahead of
-	// the next members are opened too, so their decoders run concurrently.
-	lookahead := 0
-	if workers > 1 {
-		lookahead = workers - 1
-		if lookahead > 4 {
-			lookahead = 4
+	// opened, so the pool opens ahead: while it parses file i, up to workers-1
+	// (at most 4) of the next members are open too, their decoders running.
+	o := &fileOpener{paths: paths, cfg: cfg, lookahead: min(cfg.Workers-1, 4), ahead: make(map[int]Source)}
+	defer o.closeUnused()
+	return streamSources(len(paths), first, o.open, cfg.Workers, cfg.Depth, cfg.ChunkBytes, emitChunk, progress)
+}
+
+// fileOpener opens the members of a file set for streamSources, lookahead of
+// them early; ahead holds the ones opened and not yet asked for.
+type fileOpener struct {
+	paths     []string
+	cfg       StreamConfig
+	lookahead int
+	ahead     map[int]Source
+}
+
+func (o *fileOpener) open(i int) (Source, error) {
+	s, ok := o.ahead[i]
+	if !ok {
+		var off int64
+		if i == o.cfg.Start.File {
+			off = o.cfg.Start.Offset
+		}
+		var err error
+		if s, err = openSourceAt(o.paths[i], off, o.cfg.NoMmap, o.cfg.ChunkBytes); err != nil {
+			return nil, err
 		}
 	}
-	ahead := make(map[int]Source)
-	defer func() {
-		// Close prefetched sources never consumed (early abort or error).
-		for _, s := range ahead {
-			s.Close()
+	delete(o.ahead, i)
+	for k := i + 1; k <= i+o.lookahead && k < len(o.paths); k++ {
+		if _, ok := o.ahead[k]; ok {
+			continue
 		}
-	}()
-	open := func(i int) (Source, error) {
-		s, ok := ahead[i]
-		if !ok {
-			var off int64
-			if i == cfg.Start.File {
-				off = cfg.Start.Offset
-			}
-			var err error
-			if s, err = openSourceAt(paths[i], off, cfg.NoMmap, chunkBytes); err != nil {
-				return nil, err
-			}
+		ns, err := openSourceAt(o.paths[k], 0, o.cfg.NoMmap, o.cfg.ChunkBytes)
+		if err != nil {
+			break // the open(k) that matters will report it
 		}
-		delete(ahead, i)
-		for k := i + 1; k <= i+lookahead && k < len(paths); k++ {
-			if _, ok := ahead[k]; ok {
-				continue
-			}
-			ns, err := openSourceAt(paths[k], 0, cfg.NoMmap, chunkBytes)
-			if err != nil {
-				break // the open(k) that matters will report it
-			}
-			ahead[k] = ns
-		}
-		return s, nil
+		o.ahead[k] = ns
 	}
-	return streamSources(len(paths), first, open, workers, cfg.Depth, chunkBytes, emitChunk, progress)
+	return s, nil
+}
+
+// closeUnused closes prefetched sources never consumed (early abort or error).
+func (o *fileOpener) closeUnused() {
+	for _, s := range o.ahead {
+		s.Close()
+	}
 }
 
 // parsedChunk is one chunk's parse result. From the sequential plan's parser
@@ -367,7 +277,7 @@ type sourceJob struct {
 
 // streamSources runs the parse pipeline over n ordered sources, opened
 // lazily by open, starting at index first, delivering each chunk's records
-// as one slice (per-record callers wrap with perRecord).
+// as one slice.
 //
 // Shape: one producer goroutine pulls line-aligned chunks from each source
 // in turn and sends each job to both the workers (via work) and the consumer

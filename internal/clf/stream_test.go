@@ -3,21 +3,28 @@ package clf
 import (
 	"bytes"
 	"compress/gzip"
+	"errors"
+	"io"
 	"reflect"
 	"strings"
 	"testing"
 )
 
-// TestStreamMatchesReadAll pins the sequential streaming reader to ReadAll:
-// same records in the same order, same malformed count.
+// streamAll collects what StreamChunked emits, copying each lent slice out.
+func streamAll(r io.Reader, cfg StreamConfig) (recs []Record, malformed int, err error) {
+	malformed, err = StreamChunked(r, cfg, func(c []Record) { recs = append(recs, c...) }, nil)
+	return recs, malformed, err
+}
+
+// TestStreamMatchesReadAll pins the sequential plan to ReadAll: same records
+// in the same order, same malformed count.
 func TestStreamMatchesReadAll(t *testing.T) {
 	log := synthLog(21, 3000)
 	want, wantBad, err := ReadAll(strings.NewReader(log))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var got []Record
-	gotBad, err := Stream(strings.NewReader(log), func(rec Record) { got = append(got, rec) })
+	got, gotBad, err := streamAll(strings.NewReader(log), StreamConfig{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,9 +51,7 @@ func TestStreamParallelMatchesReadAll(t *testing.T) {
 		for _, workers := range []int{1, 2, 3, 8} {
 			for _, depth := range []int{1, 2, 8} {
 				for _, chunk := range []int{64, 4096, readChunkSize} {
-					var got []Record
-					gotBad, err := streamParallel(strings.NewReader(log), workers, depth, chunk,
-						func(rec Record) { got = append(got, rec) }, nil)
+					got, gotBad, err := streamAll(strings.NewReader(log), StreamConfig{Workers: workers, Depth: depth, ChunkBytes: chunk})
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -66,15 +71,13 @@ func TestStreamParallelMatchesReadAll(t *testing.T) {
 	}
 }
 
-// TestStreamParallelPartialOnReadError mirrors the ReadAllParallel contract:
-// records delivered before a read error are emitted, and the error is
-// returned after them.
+// TestStreamParallelPartialOnReadError mirrors the ReadAll contract: records
+// delivered before a read error are emitted, and the error is returned after
+// them.
 func TestStreamParallelPartialOnReadError(t *testing.T) {
 	log := synthLog(9, 300)
 	want, _, seqErr := ReadAll(&chunkFailReader{data: []byte(log)})
-	var got []Record
-	_, parErr := StreamParallel(&chunkFailReader{data: []byte(log)}, 4, 2,
-		func(rec Record) { got = append(got, rec) })
+	got, _, parErr := streamAll(&chunkFailReader{data: []byte(log)}, StreamConfig{Workers: 4, Depth: 2})
 	if seqErr == nil || parErr == nil {
 		t.Fatalf("want read errors, got %v / %v", seqErr, parErr)
 	}
@@ -88,48 +91,92 @@ func TestStreamParallelPartialOnReadError(t *testing.T) {
 // line cannot stop ingestion of everything around it.
 func TestStreamParallelOversizedLine(t *testing.T) {
 	huge := sampleLine + "\n" + strings.Repeat("a", maxLineBytes+2) + "\n" + sampleLine + "\n"
-	var seqRecs, parRecs int
-	seqBad, seqErr := Stream(strings.NewReader(huge), func(Record) { seqRecs++ })
-	parBad, parErr := StreamParallel(strings.NewReader(huge), 4, 2, func(Record) { parRecs++ })
+	seq, seqBad, seqErr := streamAll(strings.NewReader(huge), StreamConfig{Workers: 1})
+	par, parBad, parErr := streamAll(strings.NewReader(huge), StreamConfig{Workers: 4, Depth: 2})
 	if seqErr != nil || parErr != nil {
 		t.Fatalf("oversized line must not abort: sequential err=%v, parallel err=%v", seqErr, parErr)
 	}
-	if seqRecs != 2 || parRecs != 2 {
-		t.Fatalf("records around the oversized line: sequential %d, parallel %d, want 2", seqRecs, parRecs)
+	if len(seq) != 2 || len(par) != 2 {
+		t.Fatalf("records around the oversized line: sequential %d, parallel %d, want 2", len(seq), len(par))
 	}
 	if seqBad != 1 || parBad != 1 {
 		t.Fatalf("oversized line must count as malformed once: sequential %d, parallel %d", seqBad, parBad)
 	}
 }
 
+// TestTruncatedGzipThroughBorrowedReader: a reader's own ErrUnexpectedEOF —
+// here OpenDecoded's, over a gzip file cut short, as ProcessLog reads one — is
+// a read error on every worker count, not the clean end the decoder ring's
+// short final block is.
+func TestTruncatedGzipThroughBorrowedReader(t *testing.T) {
+	whole := gzipBytes(t, synthLog(83, 1200), gzip.DefaultCompression)
+	cut := writeTestFile(t, t.TempDir(), "cut.gz", string(whole[:len(whole)/2]))
+	for _, workers := range []int{1, 2, 4} {
+		rc, err := OpenDecoded(cut)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, _, err := streamAll(rc, StreamConfig{Workers: workers})
+		rc.Close()
+		if !errors.Is(err, io.ErrUnexpectedEOF) || len(got) == 0 {
+			t.Fatalf("workers=%d: %d records, err = %v, want the records before the cut and ErrUnexpectedEOF", workers, len(got), err)
+		}
+	}
+}
+
+// shortReader hands out r a few bytes at a time: the i-th Read returns at
+// most sizes[i] % 9 bytes, 0 standing for an empty (0, nil) read — never two
+// in a row, so it always makes progress. The reads a pipe or a socket gives.
+type shortReader struct {
+	r     io.Reader
+	sizes []byte
+	i     int
+	idle  bool
+}
+
+func (s *shortReader) Read(p []byte) (int, error) {
+	n := len(p)
+	if len(s.sizes) > 0 {
+		n = int(s.sizes[s.i%len(s.sizes)]) % 9
+		s.i++
+	}
+	if n == 0 && !s.idle {
+		s.idle = true
+		return 0, nil
+	}
+	s.idle = false
+	return s.r.Read(p[:min(max(n, 1), len(p))])
+}
+
 // FuzzStreamChunks pins the chunk splitter/reassembler against the
 // sequential Scanner for arbitrary byte input, tiny chunk sizes, and any
-// workers/depth, from a plain reader (pooled, and on the sequential plan's
-// parser goroutine with its positions held to the inline loop's) and from a
-// gzip member's decode ring (serial and pooled): no line is ever dropped, duplicated, or split, including
-// CR/LF edge cases and lines longer than the chunk size. Equivalence of the
-// record sequence plus the malformed count implies all three — a dropped or
-// duplicated line changes a count, a split line changes both parses.
+// workers/depth, from a plain reader that returns fuzzed short reads (pooled,
+// and on the sequential plan's parser goroutine with its positions held to
+// the inline loop's) and from a gzip member's decode ring (serial and
+// pooled): no line is ever dropped, duplicated, or split, including CR/LF
+// edge cases, lines longer than the chunk size and lines that arrive a byte
+// at a time. Equivalence of the record sequence plus the malformed count
+// implies all three — a dropped or duplicated line changes a count, a split
+// line changes both parses.
 func FuzzStreamChunks(f *testing.F) {
-	f.Add([]byte(sampleLine+"\n"+sampleLine), uint8(4), uint8(2), uint8(1))
-	f.Add([]byte("garbage\r\n\r\n"+sampleLine+"\r\n"), uint8(1), uint8(3), uint8(2))
-	f.Add([]byte(sampleLine+` "/r.html" "agent"`+"\n\n"+sampleLine), uint8(16), uint8(2), uint8(8))
-	f.Add([]byte(strings.Repeat("x", 300)+"\n"+sampleLine+"\n"), uint8(7), uint8(5), uint8(1))
-	f.Add([]byte("\n\r\n \t\n"), uint8(2), uint8(2), uint8(2))
-	f.Fuzz(func(t *testing.T, input []byte, chunkSize, workers, depth uint8) {
+	f.Add([]byte(sampleLine+"\n"+sampleLine), uint8(4), uint8(2), uint8(1), []byte{})
+	f.Add([]byte("garbage\r\n\r\n"+sampleLine+"\r\n"), uint8(1), uint8(3), uint8(2), []byte{1})
+	f.Add([]byte(sampleLine+` "/r.html" "agent"`+"\n\n"+sampleLine), uint8(16), uint8(2), uint8(8), []byte{0, 7, 3})
+	f.Add([]byte(strings.Repeat("x", 300)+"\n"+sampleLine+"\n"), uint8(7), uint8(5), uint8(1), []byte{8, 0, 2, 5})
+	f.Add([]byte("\n\r\n \t\n"), uint8(2), uint8(2), uint8(2), []byte{0, 1})
+	f.Fuzz(func(t *testing.T, input []byte, chunkSize, workers, depth uint8, reads []byte) {
 		if len(input) > 1<<16 {
 			return
 		}
 		// Chunks of 1..64 bytes force every boundary case; workers >= 2 so
-		// the parallel path (not the Stream fallback) is exercised.
+		// the pool (not the sequential plan, which follows) is exercised.
 		chunk := int(chunkSize)%64 + 1
 		w := int(workers)%4 + 2
 		d := int(depth)%4 + 1
+		short := func() io.Reader { return &shortReader{r: bytes.NewReader(input), sizes: reads} }
 
 		want, wantBad, wantErr := ReadAll(bytes.NewReader(input))
-		var got []Record
-		gotBad, gotErr := streamParallel(bytes.NewReader(input), w, d, chunk,
-			func(rec Record) { got = append(got, rec) }, nil)
+		got, gotBad, gotErr := streamAll(short(), StreamConfig{Workers: w, Depth: d, ChunkBytes: chunk})
 		if (wantErr == nil) != (gotErr == nil) {
 			t.Fatalf("error mismatch: scanner %v, stream %v", wantErr, gotErr)
 		}
@@ -140,7 +187,7 @@ func FuzzStreamChunks(f *testing.F) {
 
 		// The sequential plan, its parser a goroutine ahead of the emitting
 		// side: the Scanner's records, and the inline loop's positions.
-		plain := func(int) (Source, error) { return newReaderSource(bytes.NewReader(input), SourceReader, 0), nil }
+		plain := func(int) (Source, error) { return newReaderSource(short(), SourceReader, 0), nil }
 		ref, ahead := inlineSources(1, 0, plain, chunk), aheadSources(1, 0, plain, chunk)
 		if ahead.err != nil || ahead.bad != wantBad {
 			t.Fatalf("parse-ahead: malformed count %d, want %d; err %v", ahead.bad, wantBad, ahead.err)

@@ -15,9 +15,9 @@ import (
 // golden corpus through PushBatch in every batch size — record-at-a-time,
 // tiny, chunk-unaligned, large, and the whole log at once — produces bytes
 // identical to the committed golden stream output, on the plain Tail and on
-// every shard count. The same sweep then runs through Ingest with the
-// Config.BatchRecords knob (0 = whole chunk, 1 = legacy per-record loop),
-// which is the path cmd/serve and cmd/sessionize actually configure.
+// every shard count. The same corpus then runs through Ingest — the path
+// cmd/serve and cmd/sessionize actually take — where a batch is a chunk, in
+// chunks from about one line to the whole log.
 func TestGoldenCorpusBatchSizes(t *testing.T) {
 	log := readGolden(t, "golden.log")
 	g := goldenGraph()
@@ -71,9 +71,9 @@ func TestGoldenCorpusBatchSizes(t *testing.T) {
 	}
 
 	for _, shards := range []int{0, 2} {
-		for _, batch := range []int{0, 1, 2, 7, 64} {
+		for _, chunk := range []int{0, 128, 1024, 64 << 10} {
 			for _, workers := range []int{1, 4} {
-				cfg := Config{Graph: g, Workers: workers, BatchRecords: batch}
+				cfg := Config{Graph: g, Workers: workers, StreamChunkBytes: chunk}
 				var got []session.Session
 				collect := keep(&got)
 				var malformed int
@@ -82,7 +82,7 @@ func TestGoldenCorpusBatchSizes(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					if malformed, err = tl.Ingest(bytes.NewReader(log), collect); err != nil {
+					if malformed, err = tl.Ingest(bytes.NewReader(log), collect, nil); err != nil {
 						t.Fatal(err)
 					}
 					got = append(got, tl.Flush()...)
@@ -91,18 +91,18 @@ func TestGoldenCorpusBatchSizes(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					if malformed, err = st.Ingest(bytes.NewReader(log), collect); err != nil {
+					if malformed, err = st.Ingest(bytes.NewReader(log), collect, nil); err != nil {
 						t.Fatal(err)
 					}
 					got = append(got, st.Flush()...)
 				}
 				if malformed != goldenMalformed {
-					t.Fatalf("shards=%d batch=%d workers=%d: malformed %d, want %d",
-						shards, batch, workers, malformed, goldenMalformed)
+					t.Fatalf("shards=%d chunk=%d workers=%d: malformed %d, want %d",
+						shards, chunk, workers, malformed, goldenMalformed)
 				}
 				if !bytes.Equal(renderSessions(t, got), want) {
-					t.Fatalf("shards=%d batch=%d workers=%d: Ingest sessions differ from golden",
-						shards, batch, workers)
+					t.Fatalf("shards=%d chunk=%d workers=%d: Ingest sessions differ from golden",
+						shards, chunk, workers)
 				}
 			}
 		}

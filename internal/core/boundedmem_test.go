@@ -108,7 +108,7 @@ func (m *memSampler) sample() {
 // multi-hundred-MiB synthetic log (generated, never materialized) streamed
 // through ShardedTail.Ingest must keep the live-heap high-water under a fixed
 // budget that does not depend on the log's length — the property that
-// separates StreamParallel from ReadAllParallel, whose record slice alone
+// separates streaming ingestion from ProcessLog, whose record slice alone
 // would dwarf the budget. Two lengths run under the same budget to pin the
 // independence claim, once through the worker pool from a reader and once
 // on the sequential plan from a gzip file, whose decoder ring is then under
@@ -171,7 +171,7 @@ func TestStreamParallelBoundedMemory(t *testing.T) {
 	fromReader := func(total int64) uint64 {
 		return run(4, total, func(st *ShardedTail, m *memSampler) (int, error) {
 			m.r = newSynthLogReader(total, uris)
-			return st.Ingest(m, DiscardSessions)
+			return st.Ingest(m, DiscardSessions, nil)
 		})
 	}
 	fromGzip := func(total int64) uint64 {

@@ -88,25 +88,24 @@ func CutsAfter(cuts []ExpiryCut, seq int64) []ExpiryCut {
 	return out
 }
 
-// cutPusher is the processor surface cut replay needs: batched pushes plus
-// timed expiry. Tail and ShardedTail both satisfy it.
-type cutPusher interface {
-	pusher
-	Expire(now time.Time) []session.Session
-}
-
-// cutFeeder wraps the chunk-delivery function with cut application: records
-// are counted as they are pushed (starting from base, the restored
-// snapshot's record count), and whenever the next cut's boundary is reached
-// the batch is split there, Expire(cut.At) runs, and its sessions go to the
-// sink in place — exactly the interleaving the live run journaled. Batches
-// are delivered through pushBatchTo, whose output is pinned byte-identical
-// to a record-at-a-time Push loop, so splitting never changes emission.
+// cutFeeder builds the per-chunk delivery function ingestion hands to the
+// clf chunk reader: each chunk goes to the sessionizer whole — one lock round
+// and one metrics flush per chunk — through pushBatchTo, whose output is
+// pinned byte-identical to a record-at-a-time Push loop. One session buffer
+// serves the whole ingestion: batches are lent to the sink, so each reuses
+// the previous one's storage and the steady state allocates nothing per
+// batch.
+//
+// With cuts it also replays them: records are counted as they are pushed
+// (starting from base, the restored snapshot's record count), and whenever
+// the next cut's boundary is reached the chunk is split there, Expire(cut.At)
+// runs, and its sessions go to the sink in place — exactly the interleaving
+// the live run journaled. Splitting never changes emission.
 //
 // The returned flush applies any cuts at or past the final record count
 // (expiry that fired after the last record arrived); call it after the
 // stream ends, before Flush or Drain.
-func cutFeeder(p cutPusher, sink SessionSink, base int64, cuts []ExpiryCut) (feed func([]clf.Record), flush func()) {
+func cutFeeder(p pusher, sink SessionSink, base int64, cuts []ExpiryCut) (feed func([]clf.Record), flush func()) {
 	count := base
 	ci := 0
 	var buf []session.Session
@@ -142,30 +141,10 @@ func cutFeeder(p cutPusher, sink SessionSink, base int64, cuts []ExpiryCut) (fee
 // that run's — periodic expiry stops being a source of divergence and
 // becomes part of the replayed input.
 func (t *Tail) IngestFilesCuts(paths []string, start clf.FilePos, base int64, cuts []ExpiryCut, sink SessionSink, progress func(clf.FilePos) error) (malformed int, err error) {
-	return ingestFilesCuts(paths, start, t.cfg, base, cuts, sink, t, progress)
+	return ingest(t.cfg, t, logInput{paths: paths, start: start, base: base, cuts: cuts}, sink, progress)
 }
 
 // IngestFilesCuts is Tail.IngestFilesCuts on the sharded processor.
 func (st *ShardedTail) IngestFilesCuts(paths []string, start clf.FilePos, base int64, cuts []ExpiryCut, sink SessionSink, progress func(clf.FilePos) error) (malformed int, err error) {
-	return ingestFilesCuts(paths, start, st.cfg, base, cuts, sink, st, progress)
-}
-
-// ingestFilesCuts wires the clf multi-file chunked stream through a
-// cut-splitting feeder.
-func ingestFilesCuts(paths []string, start clf.FilePos, cfg Config, base int64, cuts []ExpiryCut, sink SessionSink, p cutPusher, progress func(clf.FilePos) error) (int, error) {
-	if sink == nil {
-		sink = DiscardSessions
-	}
-	feed, flush := cutFeeder(p, sink, base, cuts)
-	malformed, err := clf.StreamFilesChunked(paths, clf.StreamConfig{
-		Workers:    cfg.effectiveWorkers(),
-		Depth:      cfg.effectiveStreamDepth(),
-		ChunkBytes: cfg.StreamChunkBytes,
-		Start:      start,
-	}, feed, progress)
-	if err != nil {
-		return malformed, err
-	}
-	flush()
-	return malformed, nil
+	return ingest(st.cfg, st, logInput{paths: paths, start: start, base: base, cuts: cuts}, sink, progress)
 }

@@ -64,7 +64,7 @@ func TestCutJournalRoundTrip(t *testing.T) {
 // corpus: a record-at-a-time Push loop with Expire(At) applied at the
 // journaled record boundaries is the reference, and IngestFilesCuts must
 // reproduce its emission stream byte for byte across the shard × worker ×
-// batch sweep — including a restart mid-stream (snapshot, restore, resume
+// chunk-size sweep — including a restart mid-stream (snapshot, restore, resume
 // with base = restored record count and the remaining cuts).
 func TestIngestFilesCutsEquivalence(t *testing.T) {
 	g := golden2Graph(t)
@@ -121,9 +121,9 @@ func TestIngestFilesCutsEquivalence(t *testing.T) {
 
 	for _, shards := range []int{1, 4} {
 		for _, workers := range []int{1, 3} {
-			for _, batch := range []int{0, 7, 1024} {
-				name := fmt.Sprintf("shards=%d workers=%d batch=%d", shards, workers, batch)
-				cfg := Config{Graph: g, Workers: workers, StreamDepth: 2, BatchRecords: batch}
+			for _, chunk := range []int{0, 512, 8192} {
+				name := fmt.Sprintf("shards=%d workers=%d chunk=%d", shards, workers, chunk)
+				cfg := Config{Graph: g, Workers: workers, StreamDepth: 2, StreamChunkBytes: chunk}
 				st, err := NewSessionizer(cfg, 0, shards, false)
 				if err != nil {
 					t.Fatal(err)

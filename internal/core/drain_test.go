@@ -39,7 +39,7 @@ func TestLentBatchIsPoisoned(t *testing.T) {
 		}
 		var retained []session.Session
 		retain := func(batch []session.Session) { retained = append(retained, batch...) }
-		if _, err := st.Ingest(bytes.NewReader(log), retain); err != nil {
+		if _, err := st.Ingest(bytes.NewReader(log), retain, nil); err != nil {
 			t.Fatal(err)
 		}
 		fed := len(retained)
@@ -149,7 +149,7 @@ func TestDrainEquivalence(t *testing.T) {
 
 				st = build()
 				got = nil
-				if _, err := st.Ingest(strings.NewReader(log.String()), keep(&got)); err != nil {
+				if _, err := st.Ingest(strings.NewReader(log.String()), keep(&got), nil); err != nil {
 					t.Fatal(err)
 				}
 				batches := 0

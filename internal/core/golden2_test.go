@@ -146,7 +146,7 @@ func TestGoldenCorpusSimgen(t *testing.T) {
 					t.Fatal(err)
 				}
 				var got []session.Session
-				malformed, err := st.Ingest(bytes.NewReader(log), keep(&got))
+				malformed, err := st.Ingest(bytes.NewReader(log), keep(&got), nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -167,15 +167,15 @@ func TestGoldenCorpusSimgen(t *testing.T) {
 		t.Fatal(err)
 	}
 	var got []session.Session
-	var lastOff int64
-	if _, err := st.IngestOffsets(bytes.NewReader(log), keep(&got), func(off int64) { lastOff = off }); err != nil {
+	var last clf.FilePos
+	if _, err := st.Ingest(bytes.NewReader(log), keep(&got), func(pos clf.FilePos) error { last = pos; return nil }); err != nil {
 		t.Fatal(err)
 	}
-	if lastOff != int64(len(log)) {
-		t.Fatalf("final offset %d, want %d", lastOff, len(log))
+	if want := (clf.FilePos{Offset: int64(len(log))}); last != want {
+		t.Fatalf("final position %+v, want %+v", last, want)
 	}
 	got = append(got, st.Flush()...)
 	if !bytes.Equal(renderSessions(t, got), wantStream) {
-		t.Fatal("IngestOffsets sessions differ from golden2")
+		t.Fatal("Ingest sessions with progress differ from golden2")
 	}
 }

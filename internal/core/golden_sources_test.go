@@ -97,10 +97,14 @@ func TestGoldenCorpusSources(t *testing.T) {
 					t.Fatal(err)
 				}
 				var got []session.Session
-				bad, err := clf.StreamFiles(paths, clf.StreamConfig{Workers: workers, NoMmap: noMmap},
-					func(rec clf.Record) { got = append(got, tl.Push(rec)...) }, nil)
+				bad, err := clf.StreamFilesChunked(paths, clf.StreamConfig{Workers: workers, NoMmap: noMmap},
+					func(recs []clf.Record) {
+						for _, rec := range recs {
+							got = append(got, tl.Push(rec)...)
+						}
+					}, nil)
 				if err != nil {
-					t.Fatalf("%s: StreamFiles: %v", label, err)
+					t.Fatalf("%s: StreamFilesChunked: %v", label, err)
 				}
 				got = append(got, tl.Flush()...)
 				if bad != goldenMalformed {

@@ -120,8 +120,9 @@ func readGoldenOrGot(t *testing.T, name string, got []byte) []byte {
 }
 
 // TestGoldenCorpusStream pins the serve-style streaming path: every record
-// source (ReadAll, ReadAllParallel, Stream, StreamParallel, Tail.Ingest,
-// ShardedTail.Ingest) feeding every processor (Tail, ShardedTail) across the
+// source (ReadAll; StreamChunked collected into a slice as ProcessLog does,
+// on the sequential plan, and on the pool; Tail.Ingest, ShardedTail.Ingest)
+// feeding every processor (Tail, ShardedTail) across the
 // {workers, shards, depth} sweep emits byte-identical sessions — the
 // finalized-during-feed prefix and the Flush tail concatenated — and the
 // same malformed count.
@@ -186,31 +187,31 @@ func TestGoldenCorpusStream(t *testing.T) {
 	for _, workers := range []int{1, 2, 4, 8} {
 		for _, depth := range []int{1, 2, 8} {
 			workers, depth := workers, depth
-			parRecords, parBad, err := clf.ReadAllParallel(bytes.NewReader(log), workers)
+			// streamed pushes every record StreamChunked emits under cfg.
+			streamed := func(cfg clf.StreamConfig) func(*testing.T, func(clf.Record) []session.Session, *[]session.Session) int {
+				return func(t *testing.T, push func(clf.Record) []session.Session, collect *[]session.Session) int {
+					bad, err := clf.StreamChunked(bytes.NewReader(log), cfg, func(recs []clf.Record) {
+						for _, rec := range recs {
+							*collect = append(*collect, push(rec)...)
+						}
+					}, nil)
+					if err != nil {
+						t.Fatal(err)
+					}
+					return bad
+				}
+			}
+			var parRecords []clf.Record
+			parBad, err := clf.StreamChunked(bytes.NewReader(log), clf.StreamConfig{Workers: workers},
+				func(recs []clf.Record) { parRecords = append(parRecords, recs...) }, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
 			sources := []source{
 				{"readall", feedAll(refRecords, refBad)},
-				{fmt.Sprintf("readallparallel/w%d", workers), feedAll(parRecords, parBad)},
-				{"stream", func(t *testing.T, push func(clf.Record) []session.Session, collect *[]session.Session) int {
-					bad, err := clf.Stream(bytes.NewReader(log), func(rec clf.Record) {
-						*collect = append(*collect, push(rec)...)
-					})
-					if err != nil {
-						t.Fatal(err)
-					}
-					return bad
-				}},
-				{fmt.Sprintf("streamparallel/w%d/d%d", workers, depth), func(t *testing.T, push func(clf.Record) []session.Session, collect *[]session.Session) int {
-					bad, err := clf.StreamParallel(bytes.NewReader(log), workers, depth, func(rec clf.Record) {
-						*collect = append(*collect, push(rec)...)
-					})
-					if err != nil {
-						t.Fatal(err)
-					}
-					return bad
-				}},
+				{fmt.Sprintf("collected/w%d", workers), feedAll(parRecords, parBad)},
+				{"streamchunked/w1", streamed(clf.StreamConfig{Workers: 1})},
+				{fmt.Sprintf("streamchunked/w%d/d%d", workers, depth), streamed(clf.StreamConfig{Workers: workers, Depth: depth})},
 			}
 			for _, src := range sources {
 				for _, shards := range []int{0, 1, 3, 8} {
@@ -238,7 +239,7 @@ func TestGoldenCorpusStream(t *testing.T) {
 			}
 			var got []session.Session
 			collect := keep(&got)
-			bad, err := tl.Ingest(bytes.NewReader(log), collect)
+			bad, err := tl.Ingest(bytes.NewReader(log), collect, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -252,7 +253,7 @@ func TestGoldenCorpusStream(t *testing.T) {
 					t.Fatal(err)
 				}
 				got = nil
-				bad, err := st.Ingest(bytes.NewReader(log), collect)
+				bad, err := st.Ingest(bytes.NewReader(log), collect, nil)
 				if err != nil {
 					t.Fatal(err)
 				}

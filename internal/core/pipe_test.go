@@ -1,0 +1,59 @@
+package core
+
+import (
+	"errors"
+	"fmt"
+	"io"
+	"testing"
+	"time"
+
+	"smartsra/internal/session"
+)
+
+// TestPipeDeliversWhatWasWritten: three lines go down a pipe, the third
+// closing its user's burst, and the writer keeps the pipe open — writing
+// nothing more — until that session has reached the sink. An ingestion that
+// waits for a chunk to fill never sinks it; then the writer's timeout fails
+// the pipe.
+func TestPipeDeliversWhatWasWritten(t *testing.T) {
+	g := goldenGraph()
+	t0 := time.Date(2006, 1, 2, 12, 0, 0, 0, time.UTC)
+	lines := []string{
+		tailRec("u", "/P1.html", t0).String() + "\n",
+		tailRec("u", "/P13.html", t0.Add(2*time.Minute)).String() + "\n",
+		tailRec("u", "/P1.html", t0.Add(13*time.Minute)).String() + "\n", // an 11-minute gap
+	}
+	for _, shards := range []int{1, 3} { // a Tail, a ShardedTail
+		for _, workers := range []int{1, 2, 4} {
+			st, err := NewSessionizer(Config{Graph: g, Workers: workers}, 0, shards, shards > 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pr, pw := io.Pipe()
+			sunk := make(chan struct{})
+			go func() {
+				for _, line := range lines {
+					io.WriteString(pw, line)
+				}
+				select {
+				case <-sunk:
+					pw.Close()
+				case <-time.After(5 * time.Second):
+					pw.CloseWithError(errors.New("the writer gave up waiting"))
+				}
+			}()
+			var got []string
+			_, err = st.Ingest(pr, func(s []session.Session) {
+				for i := range s {
+					got = append(got, fmt.Sprint(s[i].User, s[i].Len()))
+				}
+				if len(got) == 1 {
+					close(sunk)
+				}
+			}, nil)
+			if err != nil || len(got) != 1 || got[0] != "u2" {
+				t.Errorf("shards=%d workers=%d: want session u2 sunk while the writer holds the pipe open; got %v, err %v", shards, workers, got, err)
+			}
+		}
+	}
+}

@@ -73,19 +73,10 @@ type Config struct {
 	// memory/throughput trade.
 	StreamDepth int
 	// StreamChunkBytes is the streaming reader's chunk size, which is also
-	// the granularity of IngestOffsets progress callbacks — and therefore of
+	// the granularity of ingestion's progress callbacks — and therefore of
 	// checkpoints. <= 0 means the clf default (~1 MiB). Like StreamDepth it
 	// never changes the output.
 	StreamChunkBytes int
-	// BatchRecords selects how ingestion hands parsed records to the
-	// sessionizer: 1 feeds Push record-at-a-time (the low-latency choice for
-	// interactive pipes, where the batch path would wait for a full chunk
-	// before emitting anything); <= 0 hands each parsed chunk to PushBatch
-	// whole (the throughput choice — one lock acquisition and one metrics
-	// flush per chunk); > 1 splits chunks into sub-batches of at most that
-	// many records, trading a little locking for finer sink latency. The
-	// knob never changes the emitted sessions, only when they surface.
-	BatchRecords int
 }
 
 // effectiveWorkers resolves the Workers knob: 0 → 1 (sequential zero
@@ -196,7 +187,10 @@ func (s Stats) String() string {
 // sessions. It fails only on read errors; data-quality issues are counted in
 // Stats.
 func (p *Pipeline) ProcessLog(r io.Reader) (*Result, error) {
-	records, malformed, err := clf.ReadAllParallel(r, p.cfg.effectiveWorkers())
+	var records []clf.Record
+	malformed, err := clf.StreamChunked(r, clf.StreamConfig{Workers: p.cfg.effectiveWorkers()}, func(recs []clf.Record) {
+		records = append(records, recs...) // recs is lent: copy out
+	}, nil)
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}

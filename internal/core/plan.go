@@ -17,7 +17,6 @@ func (c Config) WithPlan(p plan.Plan) Config {
 	c.Workers = p.Workers
 	c.StreamDepth = p.StreamDepth
 	c.StreamChunkBytes = p.ChunkBytes
-	c.BatchRecords = p.Batch
 	return c
 }
 
@@ -32,8 +31,7 @@ type Sessionizer interface {
 	Flush() []session.Session
 	Drain(SessionSink)
 	Expire(time.Time) []session.Session
-	Ingest(io.Reader, SessionSink) (int, error)
-	IngestOffsets(io.Reader, SessionSink, func(int64)) (int, error)
+	Ingest(io.Reader, SessionSink, func(clf.FilePos) error) (int, error)
 	IngestFiles([]string, clf.FilePos, SessionSink, func(clf.FilePos) error) (int, error)
 	IngestFilesCuts([]string, clf.FilePos, int64, []ExpiryCut, SessionSink, func(clf.FilePos) error) (int, error)
 	Snapshot() TailSnapshot

@@ -62,7 +62,7 @@ func TestPlanGoldenEquivalence(t *testing.T) {
 					t.Fatal(err)
 				}
 				var got []session.Session
-				bad, err := st.Ingest(bytes.NewReader(log), keep(&got))
+				bad, err := st.Ingest(bytes.NewReader(log), keep(&got), nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -130,7 +130,7 @@ func TestSessionizerConcurrentExpire(t *testing.T) {
 		}
 	}()
 	var got []session.Session
-	if _, err := st.Ingest(bytes.NewReader(log), keep(&got)); err != nil {
+	if _, err := st.Ingest(bytes.NewReader(log), keep(&got), nil); err != nil {
 		t.Fatal(err)
 	}
 	close(stop)

@@ -223,16 +223,17 @@ func TestIngestOffsetsConsistentSnapshots(t *testing.T) {
 	}
 	var emitted []session.Session
 	var points []point
-	if _, err := src.IngestOffsets(bytes.NewReader(log),
+	if _, err := src.Ingest(bytes.NewReader(log),
 		keep(&emitted),
-		func(off int64) {
-			points = append(points, point{off, src.Snapshot(), renderSessions(t, emitted)})
+		func(pos clf.FilePos) error {
+			points = append(points, point{pos.Offset, src.Snapshot(), renderSessions(t, emitted)})
+			return nil
 		}); err != nil {
 		t.Fatal(err)
 	}
 	emitted = append(emitted, src.Flush()...)
 	if !bytes.Equal(renderSessions(t, emitted), want) {
-		t.Fatal("uninterrupted IngestOffsets diverges from golden")
+		t.Fatal("uninterrupted Ingest with progress diverges from golden")
 	}
 
 	for i, p := range points {
@@ -245,7 +246,7 @@ func TestIngestOffsetsConsistentSnapshots(t *testing.T) {
 		}
 		var tail []session.Session
 		if _, err := dst.Ingest(bytes.NewReader(log[p.off:]),
-			keep(&tail)); err != nil {
+			keep(&tail), nil); err != nil {
 			t.Fatal(err)
 		}
 		tail = append(tail, dst.Flush()...)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"io"
+	"time"
 
 	"smartsra/internal/clf"
 	"smartsra/internal/session"
@@ -23,31 +24,30 @@ type SessionSink func([]session.Session)
 // (metrics, stats) of streaming ingestion.
 func DiscardSessions([]session.Session) {}
 
-// Ingest streams a CLF log into the Tail through the bounded-memory
-// parallel parser: the input is parsed in line-aligned chunks on
-// Config.Workers goroutines and delivered in input order through a channel
-// of depth Config.StreamDepth straight into Push, so heap stays bounded by
-// (workers + depth) chunks no matter how long the log is — nothing is
-// materialized. sink receives sessions as records finalize them (nil means
+// Ingest streams a CLF log from a reader the caller lends — a pipe, stdin,
+// bytes in memory — into the Tail through the bounded-memory chunk reader
+// (clf.StreamChunked): the input is parsed in line-aligned chunks on
+// Config.Workers goroutines and delivered in input order straight into the
+// batched push, so heap stays bounded by (workers + depth) chunks no matter
+// how long the log is — nothing is materialized — and a chunk is what one
+// Read returned, so a live pipe's records are pushed as its writer writes
+// them. sink receives sessions as records finalize them (nil means
 // DiscardSessions); it runs on the calling goroutine. The Tail is NOT
 // flushed: call Drain or Flush (or keep pushing) afterwards, matching
 // live-tail use.
 //
+// progress (optional) runs on the calling goroutine after every chunk with
+// clf.FilePos{0, offset}: the byte offset, relative to where r stood, whose
+// records — and the sessions they finalized — have been fully pushed and
+// sunk. At that moment Snapshot() is exactly consistent with the offset,
+// which is the invariant crash recovery needs; a non-nil error from it
+// aborts the stream and is returned.
+//
 // The emitted sessions are byte-identical to pushing clf.ReadAll's records
 // one by one, for any workers/depth — the golden-corpus and fuzz harnesses
 // pin this.
-func (t *Tail) Ingest(r io.Reader, sink SessionSink) (malformed int, err error) {
-	return ingest(r, t.cfg, sink, t, nil)
-}
-
-// IngestOffsets is Ingest with replay-offset reporting for checkpointing
-// callers: progress runs on the delivery goroutine after every line-aligned
-// chunk, with the byte offset (relative to r's start) whose records — and
-// the sessions they finalized — have been fully pushed and sunk. At that
-// moment Snapshot() is exactly consistent with the offset, which is the
-// invariant crash recovery needs.
-func (t *Tail) IngestOffsets(r io.Reader, sink SessionSink, progress func(offset int64)) (malformed int, err error) {
-	return ingest(r, t.cfg, sink, t, progress)
+func (t *Tail) Ingest(r io.Reader, sink SessionSink, progress func(clf.FilePos) error) (malformed int, err error) {
+	return ingest(t.cfg, t, logInput{r: r}, sink, progress)
 }
 
 // IngestFiles streams an ordered multi-file log set — plain, gzip, or mixed,
@@ -55,94 +55,69 @@ func (t *Tail) IngestOffsets(r io.Reader, sink SessionSink, progress func(offset
 // layer: plain files are served as mmap windows (no line is copied between
 // read and parse), gzip members decode on goroutines of their own, and the
 // emitted sessions are byte-identical to ingesting the decompressed
-// concatenation through Ingest. start resumes mid-set; progress (optional)
-// receives the line-aligned clf.FilePos each chunk completes at, and may
-// return a non-nil error to abort the stream — the checkpointing caller's
-// clean-stop lever.
+// concatenation through Ingest. start resumes mid-set; progress is Ingest's,
+// with the file's index in paths (and decoded bytes within a gzip member) —
+// the checkpointing caller's clean-stop lever.
 func (t *Tail) IngestFiles(paths []string, start clf.FilePos, sink SessionSink, progress func(clf.FilePos) error) (malformed int, err error) {
-	return ingestFiles(paths, start, t.cfg, sink, t, progress)
+	return ingest(t.cfg, t, logInput{paths: paths, start: start}, sink, progress)
 }
 
 // Ingest is Tail.Ingest on the sharded processor. Parsing fans out over
-// Config.Workers; Push itself is invoked from the single delivery
+// Config.Workers; the push itself is invoked from the single delivery
 // goroutine, so per-user arrival order — the determinism contract — is
 // preserved while the parse stage runs at full parallelism. Concurrent
 // Push/Expire from other goroutines remains safe during ingestion.
-func (st *ShardedTail) Ingest(r io.Reader, sink SessionSink) (malformed int, err error) {
-	return ingest(r, st.cfg, sink, st, nil)
-}
-
-// IngestOffsets is Tail.IngestOffsets on the sharded processor.
-func (st *ShardedTail) IngestOffsets(r io.Reader, sink SessionSink, progress func(offset int64)) (malformed int, err error) {
-	return ingest(r, st.cfg, sink, st, progress)
+func (st *ShardedTail) Ingest(r io.Reader, sink SessionSink, progress func(clf.FilePos) error) (malformed int, err error) {
+	return ingest(st.cfg, st, logInput{r: r}, sink, progress)
 }
 
 // IngestFiles is Tail.IngestFiles on the sharded processor.
 func (st *ShardedTail) IngestFiles(paths []string, start clf.FilePos, sink SessionSink, progress func(clf.FilePos) error) (malformed int, err error) {
-	return ingestFiles(paths, start, st.cfg, sink, st, progress)
+	return ingest(st.cfg, st, logInput{paths: paths, start: start}, sink, progress)
 }
 
-// pusher is the slice of the Sessionizer surface ingestion needs:
+// pusher is the slice of the Sessionizer surface ingestion needs.
 // pushBatchTo pushes recs and lends the sessions they finalized to sink,
 // building them in buf — the feeder's recycled buffer — and returning it for
-// the next call.
+// the next call; Expire is what a replayed cut runs.
 type pusher interface {
 	pushBatchTo(buf []session.Session, recs []clf.Record, sink SessionSink) []session.Session
+	Expire(now time.Time) []session.Session
 }
 
-// chunkFeeder builds the per-chunk delivery function ingestion hands to the
-// clf chunk pipeline, honoring Config.BatchRecords: <= 0 hands the whole
-// chunk to the sessionizer at once, n >= 1 slices it into sub-batches of at
-// most n records (1 being the per-record delivery whose checkpoint
-// consistency and sink latency interactive pipes want). Output is identical
-// for every setting — a batched push is pinned byte-identical to a Push
-// loop.
-func chunkFeeder(cfg Config, p pusher, sink SessionSink) func([]clf.Record) {
-	batch := cfg.BatchRecords
-	// One session buffer for the whole ingestion: batches are lent to the
-	// sink, so each reuses the previous one's storage and the steady state
-	// allocates nothing per batch.
-	var buf []session.Session
-	return func(recs []clf.Record) {
-		for len(recs) > 0 {
-			n := len(recs)
-			if batch >= 1 && n > batch {
-				n = batch
-			}
-			buf = p.pushBatchTo(buf, recs[:n], sink)
-			recs = recs[n:]
-		}
-	}
+// logInput is what one ingestion reads — r, a borrowed reader, or when r is
+// nil the files of paths from start on — and the journaled expiries to
+// replay over it: cuts, counted from base records already in the
+// sessionizer (see IngestFilesCuts).
+type logInput struct {
+	r     io.Reader
+	paths []string
+	start clf.FilePos
+	base  int64
+	cuts  []ExpiryCut
 }
 
-// ingest wires the clf chunked stream into a sessionizer.
-func ingest(r io.Reader, cfg Config, sink SessionSink, p pusher, progress func(int64)) (int, error) {
+// ingest is the one ingestion engine: it wires the clf chunk reader for in
+// through the feeder into a sessionizer.
+func ingest(cfg Config, p pusher, in logInput, sink SessionSink, progress func(clf.FilePos) error) (malformed int, err error) {
 	if sink == nil {
 		sink = DiscardSessions
 	}
-	feed := chunkFeeder(cfg, p, sink)
-	if cfg.BatchRecords == 1 {
-		// Per-record delivery keeps the interactive-pipe scanner degrade
-		// alive inside clf (workers == 1, no progress): records surface as
-		// lines arrive instead of when a chunk fills.
-		one := make([]clf.Record, 1)
-		return clf.StreamParallelOffsetsChunked(r, cfg.effectiveWorkers(), cfg.effectiveStreamDepth(), cfg.StreamChunkBytes, func(rec clf.Record) {
-			one[0] = rec
-			feed(one)
-		}, progress)
-	}
-	return clf.StreamChunked(r, cfg.effectiveWorkers(), cfg.effectiveStreamDepth(), cfg.StreamChunkBytes, feed, progress)
-}
-
-// ingestFiles wires the clf multi-file chunked stream into a sessionizer.
-func ingestFiles(paths []string, start clf.FilePos, cfg Config, sink SessionSink, p pusher, progress func(clf.FilePos) error) (int, error) {
-	if sink == nil {
-		sink = DiscardSessions
-	}
-	return clf.StreamFilesChunked(paths, clf.StreamConfig{
+	feed, flush := cutFeeder(p, sink, in.base, in.cuts)
+	scfg := clf.StreamConfig{
 		Workers:    cfg.effectiveWorkers(),
 		Depth:      cfg.effectiveStreamDepth(),
 		ChunkBytes: cfg.StreamChunkBytes,
-		Start:      start,
-	}, chunkFeeder(cfg, p, sink), progress)
+		Start:      in.start,
+	}
+	if in.r != nil {
+		malformed, err = clf.StreamChunked(in.r, scfg, feed, progress)
+	} else {
+		malformed, err = clf.StreamFilesChunked(in.paths, scfg, feed, progress)
+	}
+	if err != nil {
+		return malformed, err
+	}
+	flush()
+	return malformed, nil
 }

@@ -29,11 +29,14 @@ const (
 )
 
 // DecideCalibrated is Decide backed by an observed-throughput probe: when
-// the decision table picks the parallel path and a large-enough sample of
-// the actual input is available, the sequential scanner and the chunked
-// parallel reader are both timed on the sample, and the plan falls back to
-// sequential unless parallelism wins by CalibrateMargin. A nil or short
-// sample leaves the table's decision standing.
+// the decision table picks the pool and a large-enough sample of the actual
+// input is available, the two plans the run could take are both timed on the
+// sample — the sequential plan it would fall back to (clf.StreamChunked at
+// Workers 1: a parser goroutine beside the emitting one) and the pool
+// (Workers p.Workers behind a reader goroutine), cutting the same chunks —
+// and the plan falls back to sequential unless the pool wins by
+// CalibrateMargin. A nil or short sample leaves the table's decision
+// standing.
 func DecideCalibrated(in Input, sample []byte) Plan {
 	p := Decide(in)
 	if p.Sequential || len(sample) < minProbeBytes {
@@ -48,22 +51,23 @@ func DecideCalibrated(in Input, sample []byte) Plan {
 	return p
 }
 
-// Calibrate times the sequential scanner against p's chunk-parallel reader
-// on sample and returns the parallel:sequential throughput ratio (> 1 means
-// parallel is faster). Chunks are shrunk so the sample exercises every
-// worker; each path takes the best of a few runs to damp scheduler noise.
+// Calibrate times the sequential plan against p's worker pool on sample and
+// returns the parallel:sequential throughput ratio (> 1 means parallel is
+// faster). Chunks are shrunk, on both sides alike, so the sample exercises
+// every worker; each path takes the best of a few runs to damp scheduler
+// noise.
 func Calibrate(sample []byte, p Plan) float64 {
 	chunk := len(sample) / (4 * p.Workers)
 	if chunk < 8<<10 {
 		chunk = 8 << 10
 	}
-	drop := func(clf.Record) {}
-	seq := bestOf(probeRuns, func() {
-		clf.Stream(bytes.NewReader(sample), drop)
-	})
-	par := bestOf(probeRuns, func() {
-		clf.StreamParallelOffsetsChunked(bytes.NewReader(sample), p.Workers, p.StreamDepth, chunk, drop, nil)
-	})
+	run := func(workers int) time.Duration {
+		cfg := clf.StreamConfig{Workers: workers, Depth: p.StreamDepth, ChunkBytes: chunk}
+		return bestOf(probeRuns, func() {
+			clf.StreamChunked(bytes.NewReader(sample), cfg, func([]clf.Record) {}, nil)
+		})
+	}
+	seq, par := run(1), run(p.Workers)
 	if par <= 0 {
 		return 1
 	}

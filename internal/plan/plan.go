@@ -5,13 +5,13 @@
 // plan — one parser goroutine beside a single Tail — whenever a worker pool
 // cannot win.
 //
-// The motivating inversion is in the committed 1-core benchmarks:
-// BENCH_ingest.json records parse_speedup 0.80 and BENCH_stream.json
-// stream_speedup 0.58 — chunk fan-out costs real scheduling and memory
-// traffic, so on small machines (or small inputs, or bursty heavy-tailed
-// traffic) the parallel readers lose to the sequential scanner and the
-// operator previously had to guess -workers/-shards/-stream-depth to avoid
-// the regression. The planner makes that call instead.
+// A pool costs real scheduling and memory traffic: on one core it can only
+// lose, on two the sequential plan's parser and tail already hold both
+// (measured: a 2-worker pool within 5 % either way at 1.15x to 2.1x the
+// memory, EXPERIMENTS.md), and on small inputs or bursty heavy-tailed
+// traffic start-up and the in-order merge eat the win. The operator
+// previously had to guess -workers/-shards/-stream-depth to avoid the
+// regression; the planner makes that call instead.
 //
 // Every plan is a pure performance decision: the parallel paths are
 // byte-identical to the sequential ones for any {workers, shards, depth,
@@ -121,20 +121,13 @@ type Plan struct {
 	// ChunkBytes is the line-aligned parse chunk size, on every plan: a
 	// chunk is the unit of handoff, delivery and replay position.
 	ChunkBytes int
-	// Batch is the sessionizer delivery granularity (core.Config's
-	// BatchRecords): 1 pushes record-at-a-time — the low-latency choice for
-	// pipes and live traffic, where a batch would sit waiting for a chunk to
-	// fill — and <= 0 hands each parsed chunk to PushBatch whole, paying the
-	// shard lock and metrics flush once per chunk instead of once per
-	// record. Never changes the emitted sessions, only when they surface.
-	Batch int
 	// Sequential reports the sequential plan: chunks are parsed in order by
-	// one goroutine and sessionized by another (per-line, on the caller's, at
-	// Batch == 1 without offsets) — a worker pool cannot win on this input.
+	// one goroutine and sessionized by another — a worker pool cannot win on
+	// this input.
 	Sequential bool
 	// Mmap reports that plain-file input will be served as memory-mapped
-	// zero-copy windows (informational: clf.StreamFiles selects the source
-	// per file; this records the expectation for logs and benchmarks).
+	// zero-copy windows (informational: clf.StreamFilesChunked selects the
+	// source per file; this records the expectation for logs and benchmarks).
 	Mmap bool
 	// Reason is the one-line human explanation logged at startup.
 	Reason string
@@ -151,14 +144,8 @@ func (p Plan) String() string {
 	if p.Mmap {
 		mode += "+mmap"
 	}
-	batch := "chunk"
-	if p.Batch == 1 {
-		batch = "1"
-	} else if p.Batch > 1 {
-		batch = strconv.Itoa(p.Batch)
-	}
-	return fmt.Sprintf("%s: %s, +1 decoder per open gzip member; shards=%d%s chunk=%s batch=%s — %s",
-		mode, run, p.Shards, depth, fmtBytes(int64(p.ChunkBytes)), batch, p.Reason)
+	return fmt.Sprintf("%s: %s, +1 decoder per open gzip member; shards=%d%s chunk=%s — %s",
+		mode, run, p.Shards, depth, fmtBytes(int64(p.ChunkBytes)), p.Reason)
 }
 
 const (
@@ -197,13 +184,6 @@ func Decide(in Input) Plan {
 		// plans too (the parser slices windows without copying).
 		Mmap: in.Kind == KindFile && clf.MmapSupported,
 	}
-	// Batched sessionizer delivery is a pure throughput win on bounded
-	// inputs, but a pipe or live stream may dribble: a batch would sit
-	// waiting for its chunk to fill while the operator watches nothing
-	// happen, so interactive kinds deliver record-at-a-time.
-	if in.Kind == KindPipe || in.Kind == KindLive {
-		p.Batch = 1
-	}
 	// Gzip sizes on disk understate the parse work; plan against the
 	// estimated decoded size so a 2 MiB .gz (≈ 8 MiB of lines) still fans
 	// out. The estimate steers sizing only — never correctness.
@@ -213,8 +193,8 @@ func Decide(in Input) Plan {
 	}
 	// Shards stripe feeder contention, which needs both real parallelism
 	// and more than one pusher; a single delivery goroutine gains nothing
-	// from extra locked shards (the committed tail_speedup 0.97 is that
-	// overhead, measured).
+	// from extra locked shards (a 2-shard ShardedTail behind one feeder
+	// measured 0.97x a plain Tail: that overhead).
 	if cores > 1 && feeders > 1 {
 		p.Shards = cores
 		if feeders < p.Shards {
@@ -354,9 +334,9 @@ func ParseKnob(name, s string) (Knob, error) {
 //
 // Explicit knob conventions match the historical integer flags: workers 0
 // means sequential, workers/shards < 0 mean all cores, depth <= 0 means the
-// default. For batch, <= 0 means whole-chunk delivery and 1 means
-// record-at-a-time.
-func Resolve(in Input, workers, shards, depth, batch Knob, sample []byte) (Plan, []string) {
+// default. The fifth knob (once -batch) is ignored: bench/ calls Resolve with
+// six arguments, so the parameter stays until a benchmark PR can drop it.
+func Resolve(in Input, workers, shards, depth, _ Knob, sample []byte) (Plan, []string) {
 	var p Plan
 	if workers.Auto {
 		p = DecideCalibrated(in, sample)
@@ -403,13 +383,6 @@ func Resolve(in Input, workers, shards, depth, batch Knob, sample []byte) (Plan,
 			d = minStreamDepth
 		}
 		p.StreamDepth = d
-	}
-	if !batch.Auto {
-		b := batch.N
-		if b < 0 {
-			b = 0
-		}
-		p.Batch = b
 	}
 	return p, notes
 }

@@ -53,8 +53,8 @@ func TestDecideTable(t *testing.T) {
 			name: "two cores large file",
 			in:   Input{Cores: 2, SizeBytes: 512 * MiB, Kind: KindFile},
 			want: func(t *testing.T, p Plan) {
-				if !p.Sequential || p.Workers != 1 || p.Shards != 1 || p.Batch != 0 {
-					t.Fatalf("want the sequential plan with chunk delivery, got %+v", p)
+				if !p.Sequential || p.Workers != 1 || p.Shards != 1 {
+					t.Fatalf("want the sequential plan, got %+v", p)
 				}
 				if !strings.Contains(p.Reason, "2 cores") {
 					t.Fatalf("reason does not name the cores: %q", p.Reason)
@@ -74,8 +74,8 @@ func TestDecideTable(t *testing.T) {
 			name: "two cores endless pipe",
 			in:   Input{Cores: 2, SizeBytes: -1, Kind: KindPipe},
 			want: func(t *testing.T, p Plan) {
-				if !p.Sequential || p.Batch != 1 {
-					t.Fatalf("want the sequential plan delivering per record, got %+v", p)
+				if !p.Sequential {
+					t.Fatalf("want the sequential plan, got %+v", p)
 				}
 			},
 		},
@@ -301,12 +301,17 @@ func TestTwoCoresSkipTheProbe(t *testing.T) {
 	}
 }
 
-// TestPlanString: a plan's line names the goroutines it runs, and only a
-// pool plan prints the pool's depth.
+// TestPlanString: a plan's line names the goroutines it runs, only a pool
+// plan prints the pool's depth, and a pipe's plan reads like a file's — the
+// delivery granularity is the source's, not a knob to print.
 func TestPlanString(t *testing.T) {
 	seq := Decide(Input{Cores: 2, SizeBytes: 80 << 20, Kind: KindFile}).String()
 	if !strings.Contains(seq, "parser ‖ tail") || !strings.Contains(seq, "decoder") || strings.Contains(seq, "depth=") {
 		t.Errorf("sequential plan reads %q", seq)
+	}
+	pipe := Decide(Input{Cores: 2, SizeBytes: -1, Kind: KindPipe}).String()
+	if !strings.Contains(pipe, "parser ‖ tail") || strings.Contains(pipe, "batch=") || strings.Contains(seq, "batch=") {
+		t.Errorf("pipe plan reads %q, file plan %q", pipe, seq)
 	}
 	par := Decide(Input{Cores: 8, SizeBytes: 512 << 20, Kind: KindFile}).String()
 	if !strings.Contains(par, "8 workers") || !strings.Contains(par, "depth=16") {

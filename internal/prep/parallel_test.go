@@ -19,8 +19,8 @@ func synthRecords(n int) []clf.Record {
 	records := make([]clf.Record, n)
 	for i := range records {
 		rec := clf.Record{
-			Host:     fmt.Sprintf("10.0.%d.%d", rng.Intn(4), rng.Intn(50)),
-			Ident:    "-", AuthUser: "-",
+			Host:  fmt.Sprintf("10.0.%d.%d", rng.Intn(4), rng.Intn(50)),
+			Ident: "-", AuthUser: "-",
 			Time:     t0.Add(time.Duration(rng.Intn(600)) * time.Second),
 			Method:   "GET",
 			URI:      fmt.Sprintf("/p%d", rng.Intn(40)),

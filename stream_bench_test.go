@@ -3,6 +3,7 @@ package smartsra
 import (
 	"bytes"
 	"fmt"
+	"os"
 	"runtime"
 	"testing"
 
@@ -11,37 +12,32 @@ import (
 )
 
 // BenchmarkStreamIngest measures the bounded-memory streaming path:
-// sequential Stream vs the chunk-parallel StreamParallel reader (whose
-// intern arena is what pushes allocs/record toward zero), and the
-// end-to-end pipeline — StreamParallel feeding a ShardedTail through
-// Ingest — that cmd/sessionize -stream and cmd/serve -backfill run. The
-// records/s metric is the headline; output equivalence with the batch
-// readers is pinned by TestGoldenCorpusStream and FuzzStreamChunks.
+// clf.StreamChunked on the sequential plan (Workers 1) vs the worker pool,
+// and the end-to-end pipelines — the pool feeding a ShardedTail through
+// Ingest, as cmd/sessionize -stream and cmd/serve -backfill run it, and the
+// sequential plan reading an OS pipe that is written 64 KiB at a time, as
+// `cat access.log | sessionize -stream -log -` does. The records/s metric is
+// the headline; output equivalence with ReadAll is pinned by
+// TestGoldenCorpusStream and FuzzStreamChunks.
 func BenchmarkStreamIngest(b *testing.B) {
 	g, records, data := ingestWorkload(b)
 	recs := float64(len(records))
 
-	b.Run("stream", func(b *testing.B) {
-		b.ReportAllocs()
-		b.SetBytes(int64(len(data)))
-		for i := 0; i < b.N; i++ {
-			if _, err := clf.Stream(bytes.NewReader(data), func(clf.Record) {}); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.ReportMetric(recs*float64(b.N)/b.Elapsed().Seconds(), "records/s")
-	})
-	for _, workers := range []int{2, runtime.GOMAXPROCS(0)} {
-		b.Run(fmt.Sprintf("stream-parallel/workers=%d", workers), func(b *testing.B) {
+	stream := func(workers int) func(*testing.B) {
+		return func(b *testing.B) {
 			b.ReportAllocs()
 			b.SetBytes(int64(len(data)))
 			for i := 0; i < b.N; i++ {
-				if _, err := clf.StreamParallel(bytes.NewReader(data), workers, 0, func(clf.Record) {}); err != nil {
+				if _, err := clf.StreamChunked(bytes.NewReader(data), clf.StreamConfig{Workers: workers}, func([]clf.Record) {}, nil); err != nil {
 					b.Fatal(err)
 				}
 			}
 			b.ReportMetric(recs*float64(b.N)/b.Elapsed().Seconds(), "records/s")
-		})
+		}
+	}
+	b.Run("stream", stream(1))
+	for _, workers := range []int{2, runtime.GOMAXPROCS(0)} {
+		b.Run(fmt.Sprintf("stream-parallel/workers=%d", workers), stream(workers))
 	}
 	b.Run("ingest-sharded", func(b *testing.B) {
 		b.ReportAllocs()
@@ -51,10 +47,39 @@ func BenchmarkStreamIngest(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			if _, err := st.Ingest(bytes.NewReader(data), core.DiscardSessions); err != nil {
+			if _, err := st.Ingest(bytes.NewReader(data), core.DiscardSessions, nil); err != nil {
 				b.Fatal(err)
 			}
 			st.Flush()
+		}
+		b.ReportMetric(recs*float64(b.N)/b.Elapsed().Seconds(), "records/s")
+	})
+	b.Run("pipe", func(b *testing.B) {
+		b.ReportAllocs()
+		b.SetBytes(int64(len(data)))
+		for i := 0; i < b.N; i++ {
+			pr, pw, err := os.Pipe()
+			if err != nil {
+				b.Fatal(err)
+			}
+			go func() {
+				defer pw.Close()
+				for off := 0; off < len(data); off += 64 << 10 {
+					if _, err := pw.Write(data[off:min(off+64<<10, len(data))]); err != nil {
+						return // the reader failed and closed its end
+					}
+				}
+			}()
+			tl, err := core.NewTail(core.Config{Graph: g}, 0)
+			if err != nil {
+				b.Fatal(err)
+			}
+			_, err = tl.Ingest(pr, core.DiscardSessions, nil)
+			pr.Close()
+			if err != nil {
+				b.Fatal(err)
+			}
+			tl.Flush()
 		}
 		b.ReportMetric(recs*float64(b.N)/b.Elapsed().Seconds(), "records/s")
 	})
