@@ -27,7 +27,8 @@
 // (workers + depth) chunks regardless of log size, so it suits logs far
 // larger than RAM (or stdin pipes that never end: a chunk read from stdin is
 // what one read returned, so a `tail -f` pipe's lines are sessionized as they
-// arrive, on any worker count). Sessions are emitted in
+// arrive, on any worker count, and the sessions they close are flushed to the
+// output with them). Sessions are emitted in
 // finalization order rather than batch order; for Smart-SRA and the
 // time-gap heuristic the session contents are identical to batch mode.
 //
@@ -324,7 +325,10 @@ func runStream(cfg core.Config, pl plan.Plan, rho, expire time.Duration, paths [
 	out := bufio.NewWriter(dst)
 	// The expire sweep races Ingest's emits, so every write goes through one
 	// mutex; the sweep also flushes, so a downstream pipe sees expired
-	// sessions now rather than at the next buffer fill.
+	// sessions now rather than at the next buffer fill — and on stdin so does
+	// every sunk batch: a chunk there is what one read returned, and whoever
+	// watches a live pipe's output should see its sessions as its lines
+	// arrive, not at the next sweep.
 	var mu sync.Mutex
 	emit := func(s []session.Session) {
 		if statsOnly || len(s) == 0 {
@@ -335,19 +339,25 @@ func runStream(cfg core.Config, pl plan.Plan, rho, expire time.Duration, paths [
 			os.Exit(1)
 		}
 	}
+	flush := func() {
+		if err := out.Flush(); err != nil {
+			fmt.Fprintln(os.Stderr, "sessionize:", err)
+			os.Exit(1)
+		}
+	}
 	sink := func(s []session.Session) {
 		mu.Lock()
 		defer mu.Unlock()
 		emit(s)
+		if paths == nil {
+			flush()
+		}
 	}
 	stopExpire := startExpireLoop(expire, func(now time.Time) {
 		mu.Lock()
 		defer mu.Unlock()
 		emit(st.Expire(now))
-		if err := out.Flush(); err != nil {
-			fmt.Fprintln(os.Stderr, "sessionize:", err)
-			os.Exit(1)
-		}
+		flush()
 	})
 	var malformed int
 	switch {

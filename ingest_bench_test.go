@@ -258,7 +258,11 @@ func BenchmarkWriteAll(b *testing.B) {
 // bounded batches to a sink (here one that only counts), Flush materializes
 // the same sessions for the caller to keep. A test binary also overwrites
 // every lent batch after the sink returns (see core.SessionSink); that pass
-// is part of Drain's time here and allocates nothing.
+// is part of Drain's time here and allocates nothing. On more than one P
+// Drain reconstructs its batches on goroutines of its own and Flush does
+// not, so run it at -cpu 1,2: Drain's gain is the second P's.
+// wait-ns/session is how long Drain's caller waited for the next batch in
+// order (core.drain.wait_ns) — on one P, the whole reconstruction.
 func BenchmarkTailDrain(b *testing.B) {
 	params := simulator.PaperParams()
 	params.Agents = 4000
@@ -273,11 +277,15 @@ func BenchmarkTailDrain(b *testing.B) {
 		return tl
 	}
 	b.Run("drain", func(b *testing.B) {
+		wait := metrics.GetCounter("core.drain.wait_ns")
+		wait0, sessions := wait.Value(), 0
 		perSession(b, filled, func(tl *core.Tail) int {
 			n := 0
 			tl.Drain(func(batch []session.Session) { n += len(batch) })
+			sessions += n
 			return n
 		})
+		b.ReportMetric(float64(wait.Value()-wait0)/float64(max(sessions, 1)), "wait-ns/session")
 	})
 	b.Run("flush", func(b *testing.B) {
 		perSession(b, filled, func(tl *core.Tail) int { return len(tl.Flush()) })

@@ -58,7 +58,9 @@ func (st *ShardedTail) PushBatchInto(dst []session.Session, recs []clf.Record) [
 
 // pushBatchTo is the sink-delivering PushBatch the ingest feeder drives; see
 // Tail.pushBatchTo. The batch is lent as far as the sink is concerned, but
-// built on the shards' kept scratches (see drainTo).
+// built on the shards' kept scratches: several goroutines may be pushing at
+// once, so no shard's arena has a moment at which everything it handed out
+// is known dead.
 func (st *ShardedTail) pushBatchTo(buf []session.Session, recs []clf.Record, sink SessionSink) []session.Session {
 	buf = st.pushBatchInto(buf[:0], recs)
 	deliver(sink, buf, true)

@@ -26,36 +26,60 @@ func keep(dst *[]session.Session) SessionSink {
 
 // TestLentBatchIsPoisoned pins the test-only poison itself: a sink that
 // retains a lent batch without cloning must see sentinels afterwards, on
-// the feeder path and on Drain, for a Tail and for a ShardedTail.
+// the feeder path and on Drain, for a Tail and for a ShardedTail. On the
+// golden corpus, whose drain is one batch and whose arenas are never reused,
+// that is every retained session. On one whose drain goes twice round the
+// slot ring (on lanes at two Ps or more; the poison pass runs on the caller
+// after each in-order collect) an earlier batch's storage has since been
+// rebuilt on, which is the other thing a keeper gets to see; the last batch's
+// has not, and must read as sentinels.
 func TestLentBatchIsPoisoned(t *testing.T) {
 	if !poisonLent {
 		t.Fatal("poisonLent is off in a test binary")
 	}
-	log := readGolden(t, "golden.log")
-	for _, shards := range []int{0, 2} {
-		st, err := NewSessionizer(Config{Graph: goldenGraph()}, 0, shards, shards > 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var retained []session.Session
-		retain := func(batch []session.Session) { retained = append(retained, batch...) }
-		if _, err := st.Ingest(bytes.NewReader(log), retain, nil); err != nil {
-			t.Fatal(err)
-		}
-		fed := len(retained)
-		st.Drain(retain)
-		if fed == 0 || len(retained) == fed {
-			t.Fatalf("shards=%d: corpus closed %d sessions while feeding, %d in Drain; want both > 0", shards, fed, len(retained)-fed)
-		}
-		for i, s := range retained {
-			for _, e := range s.Entries {
-				if e.Page >= 0 {
-					t.Fatalf("shards=%d: retained session %d still reads %v after its sink returned", shards, i, s)
+	var ring bytes.Buffer
+	for _, r := range drainCorpus(2*drainSlots*drainBatchUsers + 7) {
+		ring.WriteString(r.String())
+		ring.WriteByte('\n')
+	}
+	for name, log := range map[string][]byte{"golden": readGolden(t, "golden.log"), "ring": ring.Bytes()} {
+		for _, shards := range []int{0, 2} {
+			st, err := NewSessionizer(Config{Graph: goldenGraph()}, 0, shards, shards > 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var retained []session.Session
+			last := 0 // where the latest delivery starts in retained
+			retain := func(batch []session.Session) {
+				last = len(retained)
+				retained = append(retained, batch...)
+			}
+			if _, err := st.Ingest(bytes.NewReader(log), retain, nil); err != nil {
+				t.Fatal(err)
+			}
+			fed := len(retained)
+			st.Drain(retain)
+			if fed == 0 || len(retained) == fed {
+				t.Fatalf("%s shards=%d: corpus closed %d sessions while feeding, %d in Drain; want both > 0", name, shards, fed, len(retained)-fed)
+			}
+			if name == "golden" {
+				last = 0
+			}
+			for i, s := range retained[last:] {
+				for _, e := range s.Entries {
+					if e.Page >= 0 {
+						t.Fatalf("%s shards=%d: retained session %d still reads %v after its sink returned", name, shards, last+i, s)
+					}
 				}
 			}
 		}
 	}
 }
+
+// drainCorpusOpen is the length of the burst drainCorpus leaves every user
+// with: a detaching drain takes that many entries off Buffered per user (only
+// the draining goroutine detaches, so its sink may read it).
+const drainCorpusOpen = 5
 
 // drainCorpus builds a log in which user i of n walks the paper's Figure 1
 // site. Every user ends with an open burst, so the final drain closes
@@ -192,29 +216,33 @@ func TestDrainEquivalence(t *testing.T) {
 // TestDrainMixedOwnership interleaves the two ownership regimes on one Tail:
 // sessions returned by PushBatch and Expire are the caller's and must read
 // the same after later lent deliveries have been made, released and (in
-// tests) poisoned on the same Tail.
+// tests) poisoned on the same Tail — by pushBatchTo's lane, and by a Drain of
+// one batch and of several (on goroutines at two Ps or more), whose lanes are
+// released slot by slot.
 func TestDrainMixedOwnership(t *testing.T) {
-	recs := drainCorpus(40)
-	tl, err := NewTail(Config{Graph: goldenGraph()}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cut := len(recs) / 2
-	owned := tl.PushBatch(recs[:cut])
-	owned = append(owned, tl.Expire(recs[cut].Time)...)
-	if len(owned) == 0 {
-		t.Fatal("first half closed no session")
-	}
-	before := renderSessions(t, owned)
-	var lent []session.Session
-	var buf []session.Session
-	buf = tl.pushBatchTo(buf, recs[cut:], keep(&lent))
-	tl.Drain(keep(&lent))
-	owned2 := tl.PushBatch(recs[:cut]) // kept scratch again, after a release
-	if !bytes.Equal(renderSessions(t, owned), before) {
-		t.Fatal("caller-owned sessions changed after lent deliveries on the same Tail")
-	}
-	if len(lent) == 0 || len(owned2) == 0 {
-		t.Fatalf("lent %d, second owned batch %d sessions; want both > 0", len(lent), len(owned2))
+	for _, users := range []int{40, 2*drainSlots*drainBatchUsers + 40} {
+		recs := drainCorpus(users)
+		tl, err := NewTail(Config{Graph: goldenGraph()}, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cut := len(recs) / 2
+		owned := tl.PushBatch(recs[:cut])
+		owned = append(owned, tl.Expire(recs[cut].Time)...)
+		if len(owned) == 0 {
+			t.Fatal("first half closed no session")
+		}
+		before := renderSessions(t, owned)
+		var lent []session.Session
+		var buf []session.Session
+		buf = tl.pushBatchTo(buf, recs[cut:], keep(&lent))
+		tl.Drain(keep(&lent))
+		owned2 := tl.PushBatch(recs[:cut]) // kept scratch again, after a release
+		if !bytes.Equal(renderSessions(t, owned), before) {
+			t.Fatalf("users=%d: caller-owned sessions changed after lent deliveries on the same Tail", users)
+		}
+		if len(lent) == 0 || len(owned2) == 0 {
+			t.Fatalf("users=%d: lent %d, second owned batch %d sessions; want both > 0", users, len(lent), len(owned2))
+		}
 	}
 }

@@ -27,10 +27,12 @@ type ShardedTail struct {
 	cfg    Config
 	rho    time.Duration
 	shards []*tailShard
-	// Pre-shard stage counters are process-shared, so they are atomic.
+	// Pre-shard stage counters are process-shared, so they are atomic; so is
+	// sessions: what Drain reconstructed, outside every shard.
 	records    atomic.Int64
 	filtered   atomic.Int64
 	unresolved atomic.Int64
+	sessions   atomic.Int64
 }
 
 // tailShard pairs one Tail with the mutex that serializes access to it.
@@ -102,73 +104,87 @@ func (st *ShardedTail) Buffered() int {
 // Expire finalizes every user whose last request is more than ρ before now,
 // in global user order (identical to Tail.Expire).
 func (st *ShardedTail) Expire(now time.Time) []session.Session {
-	var out []session.Session
-	st.drainTo(closing{aged: true, now: now}, collectInto(&out), false)
-	return out
+	return st.closeAll(closing{aged: true, now: now})
 }
 
 // Flush finalizes everything buffered, in user order (identical to
 // Tail.Flush). The ShardedTail remains usable afterwards.
 func (st *ShardedTail) Flush() []session.Session {
-	var out []session.Session
-	st.drainTo(closing{}, collectInto(&out), false)
-	return out
+	return st.closeAll(closing{})
 }
 
 // Drain is Tail.Drain on the sharded processor: the streaming Flush, in
 // bounded batches under SessionSink's ownership rule. sink runs on the
-// calling goroutine with no shard lock held.
+// calling goroutine with no shard lock held; each user is detached under its
+// shard's lock and reconstructed outside every lock on the drain's own lanes
+// (drainLent). Pushes and drains on other goroutines interleave between
+// those short critical sections, and detachUser revalidates every user, so
+// a burst's sessions go to exactly one caller.
 func (st *ShardedTail) Drain(sink SessionSink) {
-	st.drainTo(closing{}, sink, true)
+	start := time.Now()
+	users, next := st.pickMerged(closing{})
+	drainLent(start, users, st.cfg.Heuristic, sink, func(dst []session.Stream) ([]session.Stream, bool) {
+		n := 0
+		for ; n < drainBatchUsers; n++ {
+			sh, user := next()
+			if sh == nil {
+				break
+			}
+			sh.mu.Lock()
+			if s, ok := sh.tail.detachUser(user, closing{}); ok {
+				dst = append(dst, s)
+			}
+			sh.tail.syncMetrics()
+			sh.mu.Unlock()
+		}
+		return dst, n > 0
+	}, func(sessions int, _ ...session.Stream) {
+		st.sessions.Add(int64(sessions))
+		metricTailSessions.Add(int64(sessions))
+	})
 }
 
-// drainTo is Tail.drainTo across shards. Each shard's users are picked, in
-// user order, under that shard's lock; the lists are then merged —
-// a user lives in exactly one shard, so taking the smallest head each time
-// yields the global user order a single Tail would have closed in — and
-// closed in batches of at most drainBatchUsers, each user under its shard's
-// lock, each batch handed to sink with no lock held. Pushes on other
-// goroutines interleave between those short critical sections instead of
-// waiting out a whole shard's drain; closeUsers revalidates every user for
-// that reason.
-//
-// The shards build on their kept scratches whatever lent says: several
-// goroutines may be draining and pushing at once, so no arena here has a
-// moment at which everything it handed out is known dead. lent still decides
-// whether deliver treats the batch as lent.
-func (st *ShardedTail) drainTo(c closing, sink SessionSink, lent bool) {
+// pickMerged picks c's users on every shard, in user order under the shard's
+// lock, and returns their number and next, which yields them merged, each
+// with its shard (nil at the end): a user lives in exactly one shard, so the
+// smallest head each time is the order a single Tail closes in.
+func (st *ShardedTail) pickMerged(c closing) (users int, next func() (*tailShard, string)) {
 	lists := make([][]string, len(st.shards))
 	for i, sh := range st.shards {
 		sh.mu.Lock()
 		lists[i] = sh.tail.pick(c)
 		sh.mu.Unlock()
+		users += len(lists[i])
 	}
-	var buf []session.Session
-	for {
-		buf = buf[:0]
-		n := 0
-		for ; n < drainBatchUsers; n++ {
-			si := -1
-			for i, l := range lists {
-				if len(l) > 0 && (si < 0 || l[0] < lists[si][0]) {
-					si = i
-				}
+	return users, func() (*tailShard, string) {
+		si := -1
+		for i, l := range lists {
+			if len(l) > 0 && (si < 0 || l[0] < lists[si][0]) {
+				si = i
 			}
-			if si < 0 {
-				break
-			}
-			sh := st.shards[si]
-			sh.mu.Lock()
-			buf = sh.tail.closeUsers(buf, lists[si][:1], c)
-			sh.tail.syncMetrics()
-			sh.mu.Unlock()
-			lists[si] = lists[si][1:]
 		}
-		if n == 0 {
-			return
+		if si < 0 {
+			return nil, ""
 		}
-		deliver(sink, buf, lent)
+		user := lists[si][0]
+		lists[si] = lists[si][1:]
+		return st.shards[si], user
 	}
+}
+
+// closeAll is Tail.closeAll across shards, for Flush and Expire: the picked
+// users are closed in merged order, each under its shard's lock and on that
+// shard's kept scratch.
+func (st *ShardedTail) closeAll(c closing) []session.Session {
+	var out []session.Session
+	_, next := st.pickMerged(c)
+	for sh, user := next(); sh != nil; sh, user = next() {
+		sh.mu.Lock()
+		out = sh.tail.closeUser(out, user, c)
+		sh.tail.syncMetrics()
+		sh.mu.Unlock()
+	}
+	return out
 }
 
 // Stats aggregates the counters across shards (plus the pre-shard stage
@@ -178,6 +194,7 @@ func (st *ShardedTail) Stats() Stats {
 		Records:    int(st.records.Load()),
 		Filtered:   int(st.filtered.Load()),
 		Unresolved: int(st.unresolved.Load()),
+		Sessions:   int(st.sessions.Load()),
 	}
 	for _, sh := range st.shards {
 		sh.mu.Lock()

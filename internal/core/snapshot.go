@@ -118,6 +118,7 @@ func (st *ShardedTail) Snapshot() TailSnapshot {
 		Records:    int(st.records.Load()),
 		Filtered:   int(st.filtered.Load()),
 		Unresolved: int(st.unresolved.Load()),
+		Sessions:   int(st.sessions.Load()),
 	}}
 	for _, sh := range st.shards {
 		s := sh.tail.Stats()
@@ -182,6 +183,7 @@ func (st *ShardedTail) Restore(snap TailSnapshot) error {
 	st.records.Store(int64(snap.Stats.Records))
 	st.filtered.Store(int64(snap.Stats.Filtered))
 	st.unresolved.Store(int64(snap.Stats.Unresolved))
+	st.sessions.Store(0)
 	for _, sh := range st.shards {
 		sh.tail.syncMetrics()
 	}

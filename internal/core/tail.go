@@ -3,12 +3,12 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync/atomic"
 	"time"
 
 	"smartsra/internal/clf"
-	"smartsra/internal/metrics"
 	"smartsra/internal/session"
 	"smartsra/internal/webgraph"
 )
@@ -46,28 +46,13 @@ type Tail struct {
 	buffers  map[string]*burst
 	buffered int // entries currently held in open bursts, across all users
 	stats    Stats
-	// reconstructHist times Heuristic.Reconstruct per burst close, labeled
-	// by heuristic so /debug/metrics exposes one series per strategy. Timing
-	// is sampled (see reconstructSampleEvery): the count stays exact, the
-	// distribution is estimated from every Nth close, and the hot path pays
-	// the two time.Now calls only on sampled closes.
-	reconstructHist *metrics.Histogram
-	skipCloses      int64 // closes left before the next timed reconstruct
-	untimedCloses   int64 // closes since the last timed reconstruct
-
-	// Smart-SRA reconstructs on scratches the Tail owns (see
-	// heuristics.SmartSRA.WithScratch); for any other heuristic these are nil
-	// and closeInto falls back to Reconstruct plus an append. keptAppend
-	// serves the slice-returning calls, whose sessions are the caller's to
-	// keep: its scratch is never released. lentAppend serves sink deliveries,
-	// and lentRelease takes its entry storage back after each sink return
-	// (SessionSink's rule; a no-op for other heuristics, whose sessions the
-	// collector reclaims). lending says which of the two closeInto uses.
-	keptAppend, lentAppend func([]session.Session, session.Stream) []session.Session
-	lentRelease            func()
-	lending                bool
-	// drainBuf is drainTo's recycled batch buffer.
-	drainBuf []session.Session
+	// closeInto reconstructs on one of two lanes. kept serves the
+	// slice-returning calls, whose sessions are the caller's to keep: it is
+	// never released. lent serves pushBatchTo, which releases it after each
+	// sink return (SessionSink's rule). lending says which; Drain brings
+	// lanes of its own (drainLent).
+	kept, lent *lane
+	lending    bool
 
 	// wheel is the expiry wheel: open-burst users bucketed by the
 	// ρ-granularity time bucket of their last activity as of insertion.
@@ -98,13 +83,6 @@ type Tail struct {
 	// the single-goroutine contract).
 	bufferedGauge atomic.Int64
 }
-
-// reconstructSampleEvery is the close-timing sample rate: the first close and
-// every Nth after it run under the clock, and the untimed closes between are
-// folded into the sampled observation by weight. At millions of bursts per
-// second the histogram's cost drops to ~nothing while count stays exact and
-// the estimated distribution tracks the true one.
-const reconstructSampleEvery = 64
 
 // Free-list bounds: how many retired burst headers / entry arrays to keep,
 // and the largest entry array worth keeping (a pathological mega-burst's
@@ -141,23 +119,15 @@ func NewTail(cfg Config, rho time.Duration) (*Tail, error) {
 	if rho < 0 {
 		return nil, fmt.Errorf("core: negative burst gap %v", rho)
 	}
-	t := &Tail{
+	return &Tail{
 		cfg:     p.cfg,
 		rho:     rho,
 		rhoNano: rho.Nanoseconds(),
 		buffers: make(map[string]*burst),
 		wheel:   make(map[int64][]string),
-		reconstructHist: metrics.GetHistogram(metrics.WithLabels(
-			"core.tail.reconstruct.seconds", "heur", p.cfg.Heuristic.Name())),
-		lentRelease: func() {},
-	}
-	if sra, ok := p.cfg.Heuristic.(interface {
-		WithScratch() (func([]session.Session, session.Stream) []session.Session, func())
-	}); ok {
-		t.keptAppend, _ = sra.WithScratch()
-		t.lentAppend, t.lentRelease = sra.WithScratch()
-	}
-	return t, nil
+		kept:    newLane(p.cfg.Heuristic),
+		lent:    newLane(p.cfg.Heuristic),
+	}, nil
 }
 
 // Push feeds one record, returning any sessions finalized by its arrival
@@ -194,7 +164,7 @@ func (t *Tail) pushBatchTo(buf []session.Session, recs []clf.Record, sink Sessio
 	buf = t.pushBatchInto(buf[:0], recs)
 	t.lending = false
 	deliver(sink, buf, true)
-	t.lentRelease()
+	t.lent.release()
 	return buf
 }
 
@@ -231,7 +201,7 @@ func (t *Tail) pushResolved(dst []session.Session, user string, page webgraph.Pa
 		// Gap close: the user stays buffered (their next burst starts with
 		// this record), so no eviction and no wheel touch — the stale wheel
 		// entry is revalidated lazily when its bucket ages out.
-		out = t.closeInto(out, user, b)
+		out = t.closeInto(out, t.detach(user, b))
 		b.entries = t.newEntrySlice()
 	} else if atN < b.lastNano {
 		b.unsorted = true
@@ -267,16 +237,14 @@ func (t *Tail) wheelBuckets() int { return len(t.wheel) }
 // is proportional to the users whose activity buckets aged past the cutoff,
 // independent of how many users the Tail has ever seen.
 func (t *Tail) Expire(now time.Time) []session.Session {
-	var out []session.Session
-	t.drainTo(closing{aged: true, now: now}, collectInto(&out), false)
-	return out
+	return t.closeAll(closing{aged: true, now: now})
 }
 
 // agedUsers takes every bucket at or before now-ρ off the expiry wheel and
 // returns, in user order, the users in them whose last request is more than
 // ρ before now; the others move forward to the bucket of their true last
 // activity (the lazy half of the wheel's bookkeeping). The returned users
-// are off the wheel: the caller closes them (closeUsers puts back any that
+// are off the wheel: the caller closes them (detachUser puts back any that
 // turn active again first).
 func (t *Tail) agedUsers(now time.Time) []string {
 	if len(t.wheel) == 0 {
@@ -292,7 +260,7 @@ func (t *Tail) agedUsers(now time.Time) []string {
 	if len(aged) == 0 {
 		return nil
 	}
-	sort.Slice(aged, func(i, j int) bool { return aged[i] < aged[j] })
+	slices.Sort(aged)
 	var users []string
 	for _, bk := range aged {
 		bucket := t.wheel[bk]
@@ -310,7 +278,7 @@ func (t *Tail) agedUsers(now time.Time) []string {
 		}
 	}
 	// Sorting keeps the emission order identical to the pre-wheel full scan.
-	sort.Strings(users)
+	slices.Sort(users)
 	return users
 }
 
@@ -319,9 +287,7 @@ func (t *Tail) agedUsers(now time.Time) []string {
 // The whole result is materialized; at the end of a large input prefer
 // Drain.
 func (t *Tail) Flush() []session.Session {
-	var out []session.Session
-	t.drainTo(closing{}, collectInto(&out), false)
-	return out
+	return t.closeAll(closing{})
 }
 
 // Drain is the streaming Flush: it finalizes everything buffered, in user
@@ -331,7 +297,19 @@ func (t *Tail) Flush() []session.Session {
 // whole tail of the run. The batches concatenated are exactly what Flush
 // would have returned.
 func (t *Tail) Drain(sink SessionSink) {
-	t.drainTo(closing{}, sink, true)
+	start := time.Now()
+	users := t.openUsers()
+	drainLent(start, len(users), t.cfg.Heuristic, sink, func(dst []session.Stream) ([]session.Stream, bool) {
+		n := min(len(users), drainBatchUsers)
+		for _, u := range users[:n] {
+			if st, ok := t.detachUser(u, closing{}); ok {
+				dst = append(dst, st)
+			}
+		}
+		users = users[n:]
+		return dst, n > 0
+	}, t.settle)
+	t.syncMetrics()
 }
 
 // openUsers returns every user with buffered entries, in user order, and
@@ -343,7 +321,7 @@ func (t *Tail) openUsers() []string {
 			users = append(users, u)
 		}
 	}
-	sort.Strings(users)
+	slices.Sort(users)
 	clear(t.wheel)
 	return users
 }
@@ -354,11 +332,14 @@ func (t *Tail) openUsers() []string {
 // again (see the Tail doc).
 func (t *Tail) Stats() Stats { return t.stats }
 
-// close runs the heuristic on a burst and takes ownership of its entries
-// (recycling them afterwards — no heuristic retains the input slice; see
-// heuristics.Reconstructor). The burst is left empty; the caller decides
-// whether to evict it or hand it a fresh entry slice.
-func (t *Tail) closeInto(dst []session.Session, user string, b *burst) []session.Session {
+// detach is the first of the three steps of closing a burst: it and settle
+// touch the Tail and run under its owner's serialization (the one-goroutine
+// contract or the shard lock); between them lane.reconstruct is a pure
+// function of the detached stream on a scratch of its own and may run
+// anywhere. closeInto runs the three back to back, drainLent spreads the
+// middle one over goroutines. detach takes b's entries off as a stream and
+// leaves the burst empty: the caller evicts it or hands it a fresh slice.
+func (t *Tail) detach(user string, b *burst) session.Stream {
 	entries := b.entries
 	b.entries = nil
 	t.buffered -= len(entries)
@@ -373,38 +354,47 @@ func (t *Tail) closeInto(dst []session.Session, user string, b *burst) []session
 		})
 		b.unsorted = false
 	}
-	from := len(dst)
-	if t.skipCloses == 0 {
-		start := time.Now()
-		dst = t.reconstructInto(dst, user, entries)
-		t.reconstructHist.ObserveWeighted(time.Since(start).Seconds(), 1+t.untimedCloses)
-		t.untimedCloses = 0
-		t.skipCloses = reconstructSampleEvery - 1
-	} else {
-		dst = t.reconstructInto(dst, user, entries)
-		t.skipCloses--
-		t.untimedCloses++
-	}
-	n := len(dst) - from
-	t.stats.Sessions += n
-	t.pendingSessions += int64(n)
-	t.recycleEntries(entries)
-	return dst
+	return session.Stream{User: user, Entries: entries}
 }
 
-// reconstructInto runs the heuristic over one closed burst, appending its
-// sessions onto dst — directly when the heuristic supports it, via the
-// Reconstruct slice otherwise.
-func (t *Tail) reconstructInto(dst []session.Session, user string, entries []session.Entry) []session.Session {
-	stream := session.Stream{User: user, Entries: entries}
-	switch {
-	case t.keptAppend == nil:
-		return append(dst, t.cfg.Heuristic.Reconstruct(stream)...)
-	case t.lending:
-		return t.lentAppend(dst, stream)
-	default:
-		return t.keptAppend(dst, stream)
+// detachUser detaches and evicts one picked user. The pick may be stale — a
+// ShardedTail releases the shard lock between picking and closing — so a user
+// whose burst is gone is skipped (ok false), and so is one c no longer
+// selects: active again within ρ of c.now, they go back on the expiry wheel.
+func (t *Tail) detachUser(user string, c closing) (st session.Stream, ok bool) {
+	b := t.buffers[user]
+	if b == nil || len(b.entries) == 0 {
+		return st, false
 	}
+	if c.aged && c.now.Sub(b.last) <= t.rho {
+		t.wheelAdd(user, b.last)
+		return st, false
+	}
+	st = t.detach(user, b)
+	t.evict(user, b)
+	return st, true
+}
+
+// settle counts the sessions reconstructed from streams and recycles their
+// entry arrays: no heuristic retains its input (heuristics.Reconstructor).
+func (t *Tail) settle(sessions int, streams ...session.Stream) {
+	t.stats.Sessions += sessions
+	t.pendingSessions += int64(sessions)
+	for i := range streams {
+		t.recycleEntries(streams[i].Entries)
+	}
+}
+
+// closeInto reconstructs a detached stream onto dst and settles it.
+func (t *Tail) closeInto(dst []session.Session, st session.Stream) []session.Session {
+	l := t.kept
+	if t.lending {
+		l = t.lent
+	}
+	from := len(dst)
+	dst = l.reconstruct(dst, st)
+	t.settle(len(dst)-from, st)
+	return dst
 }
 
 // evict removes a closed user from the buffer map and recycles the burst
@@ -501,6 +491,8 @@ func (t *Tail) syncMetrics() {
 		metricTailSessions.Add(t.pendingSessions)
 		t.pendingSessions = 0
 	}
+	t.kept.flush()
+	t.lent.flush()
 }
 
 // entriesSorted reports whether the burst is already in time order (the
