@@ -25,7 +25,9 @@
 // the -log and -sessions files for logrotate-style rotation without
 // dropping records. Runtime counters — requests served, log lines written,
 // write errors, retry/dead-letter/checkpoint events — are exposed as plain
-// text at /debug/metrics.
+// text at /debug/metrics, and CPU, heap, allocation, goroutine and execution
+// trace profiles of the running server at /debug/pprof/ (go tool pprof
+// http://host/debug/pprof/profile?seconds=10).
 //
 // With -sessions the request path is decoupled from the sessionizer by a
 // bounded ingest queue: the handler appends the record to the access log and
@@ -86,6 +88,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"net/http/pprof"
 	"os"
 	"os/signal"
 	"strconv"
@@ -359,6 +362,10 @@ func run(o options) error {
 
 	mux := http.NewServeMux()
 	mux.Handle("/debug/metrics", metrics.Handler())
+	// Index also serves the named profiles (heap, allocs, goroutine, ...).
+	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	site := webserver.AccessLogWith(webserver.NewSite(g), flushAfter{s},
 		webserver.LogOptions{Now: time.Now, TrustForwardedFor: o.trustFwd})
 	root := site
@@ -368,8 +375,8 @@ func run(o options) error {
 	// Admission control sits outside the queue gate: a flooding client is
 	// turned away (429) before it can even contend for a queue slot, and the
 	// in-flight cap bounds handler concurrency before any work happens.
-	// /debug/metrics stays outside both gates — observability must survive
-	// the very overload it reports on.
+	// /debug/metrics and /debug/pprof/ stay outside both gates — observability
+	// must survive the very overload it reports on.
 	if o.maxInflight > 0 || o.ipRate > 0 {
 		adm := webserver.NewAdmission(webserver.AdmissionConfig{
 			MaxInFlight:       o.maxInflight,
@@ -388,7 +395,7 @@ func run(o options) error {
 		return err
 	}
 	fmt.Printf("serve: listening on %s\n", ln.Addr())
-	fmt.Printf("serving %s on %s (log: %s, format: %s, metrics: /debug/metrics)\n",
+	fmt.Printf("serving %s on %s (log: %s, format: %s, metrics: /debug/metrics, profiles: /debug/pprof/)\n",
 		g, ln.Addr(), orStderr(o.logPath), format(o.combined))
 	if s.tee != nil {
 		fmt.Printf("sessionizing live to %s (%d shards, expire every %v)\n",
@@ -1054,6 +1061,9 @@ func (f flushAfter) Record(r clf.Record) {
 	if f.s.logCount != nil {
 		spanStart = f.s.logCount.total
 	}
+	// The sink latches its first error until a rotation resets it, so a
+	// failure is news only when the latch was clear before this record.
+	wasFailing := f.s.sink.Err() != nil
 	f.s.sink.Record(r)
 	err := f.s.sink.Flush()
 	if q := f.s.queue; q != nil {
@@ -1078,7 +1088,9 @@ func (f flushAfter) Record(r clf.Record) {
 	f.s.ingestMu.Unlock()
 	if err != nil {
 		metricLogWriteErrors.Inc()
-		fmt.Fprintln(os.Stderr, "serve: log write:", err)
+		if !wasFailing {
+			fmt.Fprintln(os.Stderr, "serve: log write:", err, "(later failures are only counted, in serve.log_write_errors, until the log is reopened)")
+		}
 	}
 	if f.s.tee != nil && f.s.queue == nil {
 		// -ingest-queue 0: the legacy synchronous path, sessionizing on the

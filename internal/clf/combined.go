@@ -23,7 +23,12 @@ func (r Record) HasReferer() bool { return r.Referer != "" && r.Referer != NoFie
 
 // CombinedString renders the record as a combined-format line. Empty
 // referer/user-agent render as "-".
-func (r Record) CombinedString() string {
+func (r Record) CombinedString() string { return string(r.appendCombinedTo(nil)) }
+
+// appendCombinedTo appends the record's combined-format line (without
+// trailing newline) to dst: the common-format line, rendered once, and the
+// two quoted fields.
+func (r Record) appendCombinedTo(dst []byte) []byte {
 	ref, agent := r.Referer, r.UserAgent
 	if ref == "" {
 		ref = NoField
@@ -31,16 +36,21 @@ func (r Record) CombinedString() string {
 	if agent == "" {
 		agent = NoField
 	}
-	return r.String() + " \"" + escapeQuoted(ref) + "\" \"" + escapeQuoted(agent) + "\""
+	dst = append(r.appendTo(dst), ' ')
+	dst = append(appendQuoted(dst, ref), ' ')
+	return appendQuoted(dst, agent)
 }
 
-// escapeQuoted drops embedded double quotes, which the combined format
-// cannot represent unescaped; real servers escape or strip them too.
-func escapeQuoted(s string) string {
-	if !strings.ContainsRune(s, '"') {
-		return s
+// appendQuoted appends s between double quotes, dropping embedded double
+// quotes, which the combined format cannot represent unescaped; real servers
+// escape or strip them too.
+func appendQuoted(dst []byte, s string) []byte {
+	dst = append(dst, '"')
+	for i := strings.IndexByte(s, '"'); i >= 0; i = strings.IndexByte(s, '"') {
+		dst = append(dst, s[:i]...)
+		s = s[i+1:]
 	}
-	return strings.ReplaceAll(s, `"`, "")
+	return append(append(dst, s...), '"')
 }
 
 // ParseCombinedRecord parses a combined-format line. The common-format

@@ -18,6 +18,7 @@ package clf
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 	"time"
 )
@@ -54,7 +55,12 @@ type Record struct {
 }
 
 // String renders the record as a CLF line (without trailing newline).
-func (r Record) String() string {
+func (r Record) String() string { return string(r.appendTo(nil)) }
+
+// appendTo appends the record's CLF line (without trailing newline) to dst.
+// It is the one rendering of the common-format fields: String, the combined
+// rendering and Writer all go through it.
+func (r Record) appendTo(dst []byte) []byte {
 	ident, user := r.Ident, r.AuthUser
 	if ident == "" {
 		ident = "-"
@@ -62,13 +68,26 @@ func (r Record) String() string {
 	if user == "" {
 		user = "-"
 	}
-	bytes := "-"
-	if r.Bytes >= 0 {
-		bytes = fmt.Sprintf("%d", r.Bytes)
+	dst = append(dst, r.Host...)
+	dst = append(dst, ' ')
+	dst = append(dst, ident...)
+	dst = append(dst, ' ')
+	dst = append(dst, user...)
+	dst = append(dst, " ["...)
+	dst = r.Time.AppendFormat(dst, TimeLayout)
+	dst = append(dst, "] \""...)
+	dst = append(dst, r.Method...)
+	dst = append(dst, ' ')
+	dst = append(dst, r.URI...)
+	dst = append(dst, ' ')
+	dst = append(dst, r.Protocol...)
+	dst = append(dst, "\" "...)
+	dst = strconv.AppendInt(dst, int64(r.Status), 10)
+	dst = append(dst, ' ')
+	if r.Bytes < 0 {
+		return append(dst, '-')
 	}
-	return fmt.Sprintf("%s %s %s [%s] \"%s %s %s\" %d %s",
-		r.Host, ident, user, r.Time.Format(TimeLayout),
-		r.Method, r.URI, r.Protocol, r.Status, bytes)
+	return strconv.AppendInt(dst, r.Bytes, 10)
 }
 
 // Request reconstructs the quoted request line, e.g. "GET /x HTTP/1.1".

@@ -186,20 +186,19 @@ func NewCombinedWriter(w io.Writer) *Writer {
 	return &Writer{w: bufio.NewWriter(w), combined: true}
 }
 
-// Write appends one record as a CLF line.
+// Write appends one record as a CLF line, rendered straight into the
+// buffer's free space.
 func (w *Writer) Write(rec Record) error {
 	if w.err != nil {
 		return w.err
 	}
-	line := rec.String()
+	line := w.w.AvailableBuffer()
 	if w.combined {
-		line = rec.CombinedString()
+		line = rec.appendCombinedTo(line)
+	} else {
+		line = rec.appendTo(line)
 	}
-	if _, err := w.w.WriteString(line); err != nil {
-		w.err = err
-		return err
-	}
-	if err := w.w.WriteByte('\n'); err != nil {
+	if _, err := w.w.Write(append(line, '\n')); err != nil {
 		w.err = err
 		return err
 	}

@@ -10,10 +10,12 @@
 package webserver
 
 import (
+	"bytes"
 	"fmt"
 	"html"
 	"net"
 	"net/http"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -25,13 +27,29 @@ import (
 // Site is an http.Handler serving a topology as HTML pages.
 type Site struct {
 	g *webgraph.Graph
+	// pages[p] is page p's body and lengths[p] its Content-Length header
+	// value. NewSite builds both and nothing writes them afterwards, so
+	// every request shares them without synchronisation.
+	pages   [][]byte
+	lengths [][]string
 }
+
+// ctHTML is the page responses' shared, never-written Content-Type value.
+var ctHTML = []string{"text/html; charset=utf-8"}
 
 // NewSite returns a handler for the topology. Page URIs are the graph's
 // labels; "/" redirects to the first start page; "/robots.txt" is served so
-// crawler traffic patterns can be exercised.
+// crawler traffic patterns can be exercised. The graph is immutable, so
+// every page is rendered here, once: about 110 B plus 50 B per out-edge each.
 func NewSite(g *webgraph.Graph) *Site {
-	return &Site{g: g}
+	s := &Site{g: g, pages: make([][]byte, g.NumPages()), lengths: make([][]string, g.NumPages())}
+	var buf []byte
+	for _, page := range g.Pages() {
+		buf = s.render(buf[:0], page)
+		s.pages[page] = bytes.Clone(buf)
+		s.lengths[page] = []string{strconv.Itoa(len(buf))}
+	}
+	return s
 }
 
 // ServeHTTP implements http.Handler.
@@ -55,17 +73,22 @@ func (s *Site) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		http.NotFound(w, r)
 		return
 	}
-	w.Header().Set("Content-Type", "text/html; charset=utf-8")
-	var sb strings.Builder
+	h := w.Header()
+	h["Content-Type"] = ctHTML
+	h["Content-Length"] = s.lengths[page]
+	w.Write(s.pages[page])
+}
+
+// render appends a page's HTML to dst: its title and one anchor per out-edge.
+func (s *Site) render(dst []byte, page webgraph.PageID) []byte {
 	title := html.EscapeString(s.g.Label(page))
-	fmt.Fprintf(&sb, "<!DOCTYPE html>\n<html><head><title>%s</title></head><body>\n", title)
-	fmt.Fprintf(&sb, "<h1>%s</h1>\n<ul>\n", title)
+	dst = fmt.Appendf(dst, "<!DOCTYPE html>\n<html><head><title>%s</title></head><body>\n", title)
+	dst = fmt.Appendf(dst, "<h1>%s</h1>\n<ul>\n", title)
 	for _, succ := range s.g.Succ(page) {
 		uri := html.EscapeString(s.g.Label(succ))
-		fmt.Fprintf(&sb, "<li><a href=%q>%s</a></li>\n", uri, uri)
+		dst = fmt.Appendf(dst, "<li><a href=%q>%s</a></li>\n", uri, uri)
 	}
-	sb.WriteString("</ul></body></html>\n")
-	fmt.Fprint(w, sb.String())
+	return append(dst, "</ul></body></html>\n"...)
 }
 
 // LogSink receives finished access-log records.
