@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sync"
-	"time"
 
 	"smartsra/internal/checkpoint"
 	"smartsra/internal/clf"
@@ -17,9 +15,9 @@ import (
 // and logged but never reaches the live tail — before this ledger existed it
 // was simply gone until someone replayed the log offline. The ledger records
 // each dropped record's exact byte span in the access log (the request path
-// flushes per record under ingestMu, so spans are exact and adjacent drops
-// coalesce), and a background reconciler re-reads those spans during idle
-// periods and feeds the records back through the ingest queue. Conservation
+// flushes per record under the log lock, so spans are exact and adjacent
+// drops coalesce), and the owner re-reads those spans whenever live traffic
+// leaves its queue empty and pushes the records into the tail. Conservation
 // is then exact and observable: serve.requests == serve.ingest.enqueued once
 // serve.drops.pending reaches zero.
 var (
@@ -39,9 +37,10 @@ var (
 // dropped from the live tail and still owe the sessionizer a backfill.
 // Spans are coalesced on append and persisted inside each checkpoint
 // (Checkpoint.DropSpans), so a crash cannot leak dropped records past the
-// accounting.
+// accounting. The server's log lock guards it: handlers record under the
+// lock they already hold for the append, the owner takes it around every
+// other call.
 type dropLedger struct {
-	mu      sync.Mutex
 	spans   []checkpoint.DropSpan
 	records int64 // total pending records across spans
 }
@@ -53,7 +52,6 @@ func (l *dropLedger) record(start, end int64) {
 	if end <= start {
 		return
 	}
-	l.mu.Lock()
 	if n := len(l.spans); n > 0 && l.spans[n-1].End == start {
 		l.spans[n-1].End = end
 		l.spans[n-1].Records++
@@ -62,26 +60,22 @@ func (l *dropLedger) record(start, end int64) {
 	}
 	l.records++
 	metricDropsPending.Set(l.records)
-	l.mu.Unlock()
 	metricDropsRecorded.Inc()
 }
 
 // snapshot returns the pending spans for checkpointing.
 func (l *dropLedger) snapshot() []checkpoint.DropSpan {
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	return append([]checkpoint.DropSpan(nil), l.spans...)
 }
 
 // restore replaces the ledger with spans from a checkpoint, discarding any
 // span at or past logOff: recovery replays the log from logOff, so those
 // records re-enter the tail through the replay and backfilling them again
-// would double-push. Spans straddling logOff are clipped (defensive — the
-// checkpoint barrier means spans never straddle in practice; record counts
-// for clipped spans are re-derived at reconcile time from the actual parse).
+// would double-push. Spans straddling logOff are clipped (defensive — a
+// checkpoint is taken with the queue settled, so spans never straddle in
+// practice; record counts for clipped spans are re-derived at reconcile time
+// from the actual parse).
 func (l *dropLedger) restore(spans []checkpoint.DropSpan, logOff int64) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	l.spans = l.spans[:0]
 	l.records = 0
 	for _, sp := range spans {
@@ -101,8 +95,6 @@ func (l *dropLedger) restore(spans []checkpoint.DropSpan, logOff int64) {
 // returns how many records that was. Rotation calls it: spans reference the
 // rotated-away file and can no longer be backfilled from s.logPath.
 func (l *dropLedger) flushLost() int64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	lost := l.records
 	l.spans = l.spans[:0]
 	l.records = 0
@@ -113,8 +105,6 @@ func (l *dropLedger) flushLost() int64 {
 
 // pending reports the ledger backlog in records.
 func (l *dropLedger) pending() int64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	return l.records
 }
 
@@ -122,8 +112,6 @@ func (l *dropLedger) pending() int64 {
 // empty. If the reconciler cannot finish it, the unfinished remainder comes
 // back via record-style re-insertion at the front.
 func (l *dropLedger) take() (checkpoint.DropSpan, bool) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	if len(l.spans) == 0 {
 		return checkpoint.DropSpan{}, false
 	}
@@ -140,15 +128,13 @@ func (l *dropLedger) putBack(sp checkpoint.DropSpan) {
 	if sp.Records <= 0 || sp.End <= sp.Start {
 		return
 	}
-	l.mu.Lock()
 	l.spans = append([]checkpoint.DropSpan{sp}, l.spans...)
 	l.records += sp.Records
 	metricDropsPending.Set(l.records)
-	l.mu.Unlock()
 }
 
 // countingFile counts bytes written through to the underlying writer. The
-// access-log writer flushes once per record under ingestMu, so the count
+// access-log writer flushes once per record under the log lock, so the count
 // observed before and after a record's flush brackets that record's exact
 // byte span — the precision the drop ledger needs.
 type countingFile struct {
@@ -162,83 +148,42 @@ func (c *countingFile) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// reconcileLoop drains the drop ledger while the server is otherwise idle:
-// each tick, if the ingest queue is empty and drops are pending, it re-reads
-// one span from the access log, parses it, and feeds the records back
-// through the normal reserve/enqueue protocol. Records that cannot be
-// re-admitted (live load returned mid-span) go back to the ledger; records
-// that cannot be re-read are counted lost, never silently skipped.
-func (s *server) reconcileLoop(every time.Duration, done chan struct{}, wg *sync.WaitGroup) {
-	defer wg.Done()
-	ticker := time.NewTicker(every)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-ticker.C:
-			// Drain as much as an idle queue allows this tick; stop on the
-			// first pass that makes no progress (live load came back). After
-			// a productive pass, wait for the enqueued backfill to settle —
-			// otherwise the idle gate mistakes our own records for live load
-			// and a tiny queue crawls at one record per tick.
-			for i := 0; i < 256; i++ {
-				before := s.drops.pending()
-				if before == 0 {
-					break
-				}
-				s.reconcileOnce()
-				if s.drops.pending() >= before {
-					break
-				}
-				s.queue.barrier()
-			}
-		case <-done:
-			return
-		}
-	}
-}
+// reconcileReadMax bounds the log bytes one reconcile pass reads, however long
+// the span: a span coalesces every adjacent drop, so a queue that stayed full
+// for a minute is one span of tens of megabytes.
+const reconcileReadMax = 64 << 10
 
-// reconcileFinal drains the whole ledger at shutdown, alternating backfill
-// passes with queue barriers so each enqueued span settles into the tail
-// before the next one is read. Bounded by wait — an unreconcilable ledger
-// (queue wedged by a straggling handler) is reported, never spun on.
-func (s *server) reconcileFinal(wait time.Duration) {
-	deadline := time.Now().Add(wait)
-	for s.drops.pending() > 0 {
-		if time.Now().After(deadline) {
-			fmt.Fprintf(os.Stderr, "serve: %d dropped records still unreconciled at shutdown (replay the log offline to recover them)\n", s.drops.pending())
-			return
-		}
-		s.reconcileOnce()
-		s.queue.barrier()
+// reconcilePass backfills the head of the oldest ledger span: at most one
+// read of reconcileReadMax bytes and one push of drainBatchMax records,
+// straight into the tail — the owner is the tail's only pusher, so there is
+// no queue slot to win. Whatever of the span it did not reach goes back to
+// the ledger clipped to exactly the unprocessed suffix; records that cannot
+// be re-read are counted lost, never silently skipped. It reports whether
+// the ledger still owes records a further pass could backfill.
+func (o *owner) reconcilePass() (more bool) {
+	s := o.s
+	if s.drops == nil {
+		return false
 	}
-}
-
-// reconcileOnce backfills at most one ledger span. It runs under the shared
-// server lock like the request path, so a checkpoint (exclusive lock +
-// queue barrier) always observes the ledger and the tail at one consistent
-// cut: a span is either still pending or fully enqueued and settled.
-func (s *server) reconcileOnce() {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if s.drops == nil || s.queue == nil {
-		return
-	}
-	// Idle gate: only reconcile when the queue is empty — live traffic has
-	// strict priority over backfill.
-	if s.queue.pending.Load() > 0 {
-		return
-	}
+	s.logMu.Lock()
 	sp, ok := s.drops.take()
+	s.logMu.Unlock()
 	if !ok {
-		return
+		return false
 	}
-	buf := make([]byte, sp.End-sp.Start)
+	rest := sp // what goes back to the ledger
+	defer func() {
+		s.logMu.Lock()
+		s.drops.putBack(rest)
+		more = more && s.drops.pending() > 0
+		s.logMu.Unlock()
+	}()
 	f, err := os.Open(s.logPath)
 	if err != nil {
-		s.drops.putBack(sp)
 		fmt.Fprintln(os.Stderr, "serve: reconcile open log:", err)
-		return
+		return false
 	}
+	buf := make([]byte, min(sp.End-sp.Start, reconcileReadMax))
 	_, err = f.ReadAt(buf, sp.Start)
 	f.Close()
 	if err != nil {
@@ -247,54 +192,42 @@ func (s *server) reconcileOnce() {
 		// the records for offline recovery.
 		metricDropsLost.Add(sp.Records)
 		fmt.Fprintf(os.Stderr, "serve: reconcile read span [%d,%d): %v (counted lost)\n", sp.Start, sp.End, err)
-		return
+		rest = checkpoint.DropSpan{}
+		return true
+	}
+	if nl := bytes.LastIndexByte(buf, '\n'); nl >= 0 && sp.End-sp.Start > reconcileReadMax {
+		buf = buf[:nl+1] // a partial read ends at its last whole line
 	}
 
-	// Parse and enqueue line by line, tracking the byte offset so an
-	// interrupted span goes back clipped to exactly the unprocessed suffix.
+	// Parse line by line, tracking the byte offset so the remainder goes back
+	// clipped to exactly the unprocessed suffix.
 	off := sp.Start
-	var admitted, lost int64
-	rest := buf
-	for len(rest) > 0 {
-		nl := bytes.IndexByte(rest, '\n')
-		if nl < 0 {
-			nl = len(rest)
-		}
-		line := rest[:nl]
-		advance := nl
-		if nl < len(rest) {
-			advance++
-		}
+	var lost int64
+	batch := o.batch[:0]
+	for len(buf) > 0 && len(batch) < drainBatchMax {
+		line, after, _ := bytes.Cut(buf, []byte{'\n'})
+		off += int64(len(buf) - len(after))
+		buf = after
 		rec, _, perr := clf.ParseAnyRecordBytes(line)
 		if perr != nil {
 			// Logged lines are sanitized to re-parse; a failure here means
 			// the file changed under us. Skip the line, count it lost.
-			metricDropsLost.Inc()
 			lost++
-			off += int64(advance)
-			rest = rest[advance:]
 			continue
 		}
-		if !s.queue.tryReserve() {
-			// Live load is back; return the remainder to the ledger.
-			if admitted > 0 {
-				metricDropsReconciled.Add(admitted)
-			}
-			s.drops.putBack(checkpoint.DropSpan{Start: off, End: sp.End, Records: sp.Records - admitted - lost})
-			return
-		}
-		s.ingestMu.Lock()
-		s.queue.enqueue(rec)
-		s.ingestMu.Unlock()
-		admitted++
-		off += int64(advance)
-		rest = rest[advance:]
+		batch = append(batch, rec)
 	}
+	admitted := int64(len(batch))
+	o.push(batch)
+	metricEnqueued.Add(admitted)
 	metricDropsReconciled.Add(admitted)
-	if admitted+lost != sp.Records {
+	metricDropsLost.Add(lost)
+	if off >= sp.End && admitted+lost != sp.Records {
 		// Coalesced span accounting drifted from the actual line count —
 		// surface it rather than silently absorbing the difference.
-		fmt.Fprintf(os.Stderr, "serve: reconcile span [%d,%d): parsed %d records (%d lost), ledger said %d\n",
-			sp.Start, sp.End, admitted, lost, sp.Records)
+		fmt.Fprintf(os.Stderr, "serve: reconcile span ending at %d: parsed %d records (%d lost), ledger said %d\n",
+			sp.End, admitted, lost, sp.Records)
 	}
+	rest = checkpoint.DropSpan{Start: off, End: sp.End, Records: sp.Records - admitted - lost}
+	return true
 }

@@ -61,7 +61,7 @@ func TestLogWriteFailureReportedOncePerOutage(t *testing.T) {
 	rec := testRecord(1)
 	serve := func(n int) {
 		for i := 0; i < n; i++ {
-			flushAfter{s}.Record(rec)
+			s.Record(rec)
 		}
 	}
 

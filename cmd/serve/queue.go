@@ -1,19 +1,19 @@
 package main
 
 import (
-	"sync"
-	"sync/atomic"
-	"time"
+	"net/http"
+	"strconv"
 
-	"smartsra/internal/clf"
 	"smartsra/internal/metrics"
+	"smartsra/internal/webserver"
 )
 
 var (
 	// metricShed counts requests (503 mode) or records (drop-count mode)
 	// refused because the ingest queue was full.
 	metricShed = metrics.GetCounter("serve.shed")
-	// metricEnqueued counts records accepted into the ingest queue.
+	// metricEnqueued counts records accepted for the sessionizer: sent down
+	// the ingest queue, or backfilled from the drop ledger.
 	metricEnqueued = metrics.GetCounter("serve.ingest.enqueued")
 	// metricPending tracks reserved-but-not-yet-sessionized records — the
 	// queue's live occupancy.
@@ -24,8 +24,9 @@ var (
 	// metricReserveFailures counts tryReserve losses — every time the bound
 	// turned someone away, regardless of which shed mode handled it.
 	metricReserveFailures = metrics.GetCounter("serve.ingest.reserve_failures")
-	// metricBarrierWait is how long checkpoint/rotation barriers waited for
-	// the drainer to settle — the latency cost of a consistent cut.
+	// metricBarrierWait is how long a checkpoint or rotation, holding the log
+	// lock, took to empty the queue into the tail — the latency cost of a
+	// consistent cut.
 	metricBarrierWait = metrics.Default.GetHistogramBuckets("serve.ingest.barrier.seconds", metrics.LatencyBuckets)
 )
 
@@ -37,186 +38,41 @@ const (
 	shed503 = "503"
 	// shedDropCount serves and logs the request but drops the record from
 	// the live sessionizer, counting the drop. The log then holds more than
-	// the tail saw; a later offline run or checkpoint replay recovers the
-	// difference.
+	// the tail saw, until the owner backfills the difference from the log.
 	shedDropCount = "drop-count"
 )
 
-// ingestQueue decouples the request path from the sessionizer: the handler
-// reserves a slot and enqueues the record, a single drainer goroutine feeds
-// records to the sessionizer in batches, and a full queue sheds load
-// explicitly instead of blocking requests or growing without bound.
-//
-// The reservation protocol makes the channel send non-blocking by
-// construction: a record is only sent after tryReserve won a slot against
-// capacity, the channel buffer holds capacity records, and the slot is
-// released only after the drainer fully processed the record. The queue is
-// therefore a hard bound on sessionizer backlog (and, in 503 mode, on
-// admitted-but-unprocessed requests).
-type ingestQueue struct {
-	capacity int64
-	ch       chan clf.Record
-	pending  atomic.Int64 // slots reserved and not yet finished
-
-	mu   sync.Mutex
-	cond *sync.Cond
-	enq  int64 // records enqueued
-	done int64 // records pushed to the tail AND emitted to the session sink
-
-	stopc  chan struct{}
-	exited chan struct{}
-}
-
-func newIngestQueue(capacity int) *ingestQueue {
-	q := &ingestQueue{
-		capacity: int64(capacity),
-		ch:       make(chan clf.Record, capacity),
-		stopc:    make(chan struct{}),
-		exited:   make(chan struct{}),
-	}
-	q.cond = sync.NewCond(&q.mu)
-	metricQueueDepth.Set(int64(capacity))
-	return q
-}
-
-// tryReserve claims a slot, or reports the queue full. A winning caller MUST
-// eventually enqueue exactly one record (the drainer releases the slot).
-func (q *ingestQueue) tryReserve() bool {
+// tryReserve claims a queue slot, or reports the queue full. A winning caller
+// MUST eventually send exactly one record (the owner releases the slot).
+func (s *server) tryReserve() bool {
 	for {
-		p := q.pending.Load()
-		if p >= q.capacity {
+		p := s.pending.Load()
+		if p >= s.capacity {
 			metricReserveFailures.Inc()
 			return false
 		}
-		if q.pending.CompareAndSwap(p, p+1) {
+		if s.pending.CompareAndSwap(p, p+1) {
 			metricPending.Set(p + 1)
 			return true
 		}
 	}
 }
 
-// enqueue hands a reserved record to the drainer. Callers serialize enqueues
-// with the access-log append (the server's ingest mutex), so queue order is
-// log order — the property that makes the live tail's input a prefix-replay
-// of the log.
-func (q *ingestQueue) enqueue(rec clf.Record) {
-	q.mu.Lock()
-	q.enq++
-	q.mu.Unlock()
-	metricEnqueued.Inc()
-	q.ch <- rec // never blocks: slot was reserved
-}
-
-// finish releases n processed slots and wakes barrier waiters.
-func (q *ingestQueue) finish(n int) {
-	q.mu.Lock()
-	q.done += int64(n)
-	q.cond.Broadcast()
-	q.mu.Unlock()
-	metricPending.Set(q.pending.Add(-int64(n)))
-}
-
-// barrier blocks until every record enqueued so far has been fully processed
-// (pushed into the tail and emitted to the session sink). The checkpoint
-// path calls it while holding the server's exclusive lock — no new records
-// can be logged or enqueued, the drainer needs no server lock to make
-// progress, so the wait terminates and the snapshot then observes log, tail,
-// and session file at one consistent cut.
-func (q *ingestQueue) barrier() {
-	start := time.Now()
-	q.mu.Lock()
-	for q.done < q.enq {
-		q.cond.Wait()
-	}
-	q.mu.Unlock()
-	metricBarrierWait.Observe(time.Since(start).Seconds())
-}
-
-// drain is the drainer goroutine body: it batches whatever is queued (up to
-// batchMax) and hands each batch to process, until stop — then it empties
-// the queue and exits. process runs outside every server lock.
-func (q *ingestQueue) drain(batchMax int, process func([]clf.Record)) {
-	defer close(q.exited)
-	batch := make([]clf.Record, 0, batchMax)
-	flush := func() {
-		if len(batch) == 0 {
+// shedGate admits a request only if the ingest queue has a free slot,
+// reserving it for the record the access logger will send once the request
+// completes. A full queue refuses the request outright — 503, shed counter —
+// before anything is served or logged, so the access log and the
+// sessionizer's input stay identical and the server's memory stays bounded
+// no matter how hard the load generator pushes.
+func (s *server) shedGate(next http.Handler) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if !s.tryReserve() {
+			metricShed.Inc()
+			// Jittered so the shed cohort doesn't re-thunder in lockstep.
+			w.Header().Set("Retry-After", strconv.Itoa(webserver.RetryAfterSeconds()))
+			http.Error(w, "overloaded: ingest queue full", http.StatusServiceUnavailable)
 			return
 		}
-		process(batch)
-		q.finish(len(batch))
-		// Records hold field strings; clear them before reuse so the pooled
-		// backing array does not pin request data.
-		for i := range batch {
-			batch[i] = clf.Record{}
-		}
-		batch = batch[:0]
-	}
-	for {
-		select {
-		case rec := <-q.ch:
-			batch = append(batch, rec)
-			// Opportunistically fill the batch from what is already queued:
-			// under load one tail lock and one sink write cover many records.
-			for len(batch) < batchMax {
-				select {
-				case rec := <-q.ch:
-					batch = append(batch, rec)
-				default:
-					goto full
-				}
-			}
-		full:
-			flush()
-		case <-q.stopc:
-			for {
-				select {
-				case rec := <-q.ch:
-					batch = append(batch, rec)
-					if len(batch) == batchMax {
-						flush()
-					}
-				default:
-					flush()
-					return
-				}
-			}
-		}
-	}
-}
-
-// stop shuts the drainer down after it empties the queue, processes any
-// record that slipped in behind it (a handler past the HTTP shutdown
-// deadline can still enqueue — the reservation protocol guarantees it a
-// buffer slot), and reports whether everything enqueued was processed within
-// wait. False means a request is still mid-flight with its slot reserved;
-// the caller skips the final checkpoint so the next start replays the log
-// instead of trusting a cut that never settled.
-func (q *ingestQueue) stop(wait time.Duration, process func([]clf.Record)) bool {
-	close(q.stopc)
-	<-q.exited
-	deadline := time.Now().Add(wait)
-	for {
-		// Settled needs pending == 0, not just done == enq: a handler that
-		// reserved a slot but has not enqueued yet could still append to the
-		// log and the queue after this returns, and a checkpoint barrier
-		// taken on that cut would wait forever.
-		q.mu.Lock()
-		settled := q.done == q.enq && q.pending.Load() == 0
-		q.mu.Unlock()
-		if settled {
-			return true
-		}
-		if time.Now().After(deadline) {
-			return false
-		}
-		select {
-		case rec := <-q.ch:
-			process([]clf.Record{rec})
-			q.finish(1)
-		default:
-			// enq is incremented before the channel send; give the straggler
-			// a beat to land its record.
-			time.Sleep(time.Millisecond)
-		}
-	}
+		next.ServeHTTP(w, r)
+	})
 }

@@ -4,8 +4,9 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strconv"
-	"sync"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -27,10 +28,11 @@ func testRecord(i int) clf.Record {
 // off-by-one, no silent admission.
 func TestQueueShedsExactlyAtCapacity(t *testing.T) {
 	const capacity = 8
-	q := newIngestQueue(capacity)
+	f := newLiveFixture(t, func(o *options) { o.queueCap = capacity })
+	s := f.s
 	won := 0
 	for i := 0; i < 3*capacity; i++ {
-		if q.tryReserve() {
+		if s.tryReserve() {
 			won++
 		}
 	}
@@ -38,35 +40,29 @@ func TestQueueShedsExactlyAtCapacity(t *testing.T) {
 		t.Fatalf("%d reservations won against capacity %d", won, capacity)
 	}
 
-	// Enqueue the reserved records and drain them; every slot frees up.
-	var processed atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		q.drain(4, func(recs []clf.Record) { processed.Add(int64(len(recs))) })
-	}()
+	// Send the reserved records; once the owner has pushed them every slot
+	// frees up.
+	f.start()
 	for i := 0; i < capacity; i++ {
-		q.enqueue(testRecord(i))
+		s.Record(testRecord(i))
 	}
-	q.barrier()
-	if processed.Load() != capacity {
-		t.Fatalf("drainer processed %d of %d", processed.Load(), capacity)
+	f.waitIdle()
+	if got := f.own.tee.st.Stats().Records; got != capacity {
+		t.Fatalf("owner pushed %d of %d", got, capacity)
 	}
 	for i := 0; i < capacity; i++ {
-		if !q.tryReserve() {
-			t.Fatalf("slot %d not released after drain", i)
+		if !s.tryReserve() {
+			t.Fatalf("slot %d not released after the push", i)
 		}
 	}
-	if q.tryReserve() {
+	if s.tryReserve() {
 		t.Fatal("over-admitted past capacity after refill")
 	}
-	// Stop with reserved-but-never-enqueued slots: the queue cannot settle,
-	// and stop must say so instead of deadlocking.
-	if settled := q.stop(50*time.Millisecond, func([]clf.Record) {}); settled {
-		t.Fatal("stop reported settled with reservations never enqueued")
+	// Stop with reserved-but-never-sent slots: the queue cannot settle, and
+	// stop must say so instead of deadlocking.
+	if settled := f.stop(50 * time.Millisecond); settled {
+		t.Fatal("stop reported settled with reservations never sent")
 	}
-	wg.Wait()
 }
 
 // TestQueueStopDrainsFullBacklog: stopping with the queue full to capacity
@@ -74,92 +70,47 @@ func TestQueueShedsExactlyAtCapacity(t *testing.T) {
 // a full queue or drop its backlog.
 func TestQueueStopDrainsFullBacklog(t *testing.T) {
 	const capacity = 512
-	q := newIngestQueue(capacity)
+	f := newLiveFixture(t, func(o *options) { o.queueCap = capacity })
 	for i := 0; i < capacity; i++ {
-		if !q.tryReserve() {
-			t.Fatalf("reservation %d lost", i)
-		}
-		q.enqueue(testRecord(i))
+		f.send(testRecord(i))
 	}
-	// Start the drainer only now: the whole backlog is already queued, so
-	// the stop path must hand it over without deadlocking.
-	var processed atomic.Int64
-	done := make(chan bool, 1)
-	go func() {
-		go q.drain(64, func(recs []clf.Record) { processed.Add(int64(len(recs))) })
-		done <- q.stop(5*time.Second, func(recs []clf.Record) { processed.Add(int64(len(recs))) })
-	}()
-	select {
-	case settled := <-done:
-		if !settled {
-			t.Fatal("stop did not settle a fully-enqueued backlog")
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("shutdown deadlocked on a full queue")
+	// Start the owner only now: the whole backlog is already queued, and the
+	// stop request may well be the first message it takes.
+	f.start()
+	if settled := f.stop(5 * time.Second); !settled {
+		t.Fatal("stop did not settle a fully-queued backlog")
 	}
-	if processed.Load() != capacity {
-		t.Fatalf("processed %d of %d backlog records", processed.Load(), capacity)
+	if got := f.own.tee.st.Stats().Records; got != capacity {
+		t.Fatalf("processed %d of %d backlog records", got, capacity)
 	}
 }
 
-// TestQueueStragglerAfterStop: a record enqueued after the drainer exited
-// (the post-shutdown-deadline straggler) is processed by stop itself.
+// TestQueueStragglerAfterStop: a record sent after the owner began its stop
+// sequence (the post-shutdown-deadline straggler) is processed by it.
 func TestQueueStragglerAfterStop(t *testing.T) {
-	q := newIngestQueue(4)
-	go q.drain(4, func([]clf.Record) {})
-	if !q.tryReserve() {
+	f := newLiveFixture(t, func(o *options) { o.queueCap = 4 })
+	if !f.s.tryReserve() {
 		t.Fatal("reserve failed on an empty queue")
 	}
-	stopped := make(chan bool, 1)
-	go func() {
-		stopped <- q.stop(5*time.Second, func([]clf.Record) {})
-	}()
-	time.Sleep(20 * time.Millisecond) // let the drainer exit first
-	q.enqueue(testRecord(1))
-	select {
-	case settled := <-stopped:
-		if !settled {
-			t.Fatal("stop abandoned a straggler it had the slot accounting for")
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("stop hung on a straggler")
+	f.start()
+	f.own.quit <- 5 * time.Second // taken: the owner is in its stop sequence
+	f.stopped = true
+	f.s.Record(testRecord(1))
+	if settled := <-f.own.settled; !settled {
+		t.Fatal("stop abandoned a straggler it had the slot accounting for")
+	}
+	if got := f.own.tee.st.Stats().Records; got != 1 {
+		t.Fatalf("straggler not pushed: tail saw %d records", got)
 	}
 }
 
-// TestQueueBarrierWaitsForProcessing: barrier must not return while an
-// enqueued record is still being processed (pushed + emitted).
-func TestQueueBarrierWaitsForProcessing(t *testing.T) {
-	q := newIngestQueue(4)
-	release := make(chan struct{})
-	var finished atomic.Bool
-	go q.drain(1, func([]clf.Record) {
-		<-release
-		finished.Store(true)
-	})
-	if !q.tryReserve() {
-		t.Fatal("reserve failed")
+// TestIngestQueueZeroRejected: the synchronous in-handler path is gone, and
+// asking for it says which flag to change.
+func TestIngestQueueZeroRejected(t *testing.T) {
+	err := run(options{topoPath: "unused.json", shedMode: shed503, queueCap: 0})
+	if err == nil || !strings.Contains(err.Error(), "-ingest-queue") {
+		t.Fatalf("run with -ingest-queue 0: %v, want an error naming the flag", err)
 	}
-	q.enqueue(testRecord(1))
-	barrierDone := make(chan struct{})
-	go func() {
-		q.barrier()
-		close(barrierDone)
-	}()
-	select {
-	case <-barrierDone:
-		t.Fatal("barrier returned while the drainer was mid-batch")
-	case <-time.After(50 * time.Millisecond):
-	}
-	close(release)
-	select {
-	case <-barrierDone:
-	case <-time.After(10 * time.Second):
-		t.Fatal("barrier never released")
-	}
-	if !finished.Load() {
-		t.Fatal("barrier returned before processing finished")
-	}
-	q.stop(time.Second, func([]clf.Record) {})
 }
 
 // TestShedGateExactCounts: with capacity C and an inner handler that holds
@@ -168,8 +119,7 @@ func TestQueueBarrierWaitsForProcessing(t *testing.T) {
 func TestShedGateExactCounts(t *testing.T) {
 	const capacity, burst = 3, 20
 	metricShed.Add(-metricShed.Value()) // isolate this test's counts
-	q := newIngestQueue(capacity)
-	s := &server{queue: q, shedMode: shed503}
+	s := &server{capacity: capacity, shedMode: shed503}
 
 	release := make(chan struct{})
 	var admitted atomic.Int64
@@ -200,7 +150,7 @@ func TestShedGateExactCounts(t *testing.T) {
 	// All capacity slots claimed, the rest shed, before anyone is released.
 	deadline := time.Now().Add(5 * time.Second)
 	for metricShed.Value() < burst-capacity && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
+		runtime.Gosched()
 	}
 	close(release)
 	var oks, unavailable int

@@ -92,16 +92,7 @@ func soakChild() error {
 		}
 		o.reconcileEvery = d
 	}
-	for name, dst := range map[string]*plan.Knob{
-		"shards": &o.shards, "workers": &o.workers,
-		"stream-depth": &o.depth,
-	} {
-		k, err := plan.ParseKnob(name, "auto")
-		if err != nil {
-			return err
-		}
-		*dst = k
-	}
+	o.workers, o.depth = plan.Auto, plan.Auto
 	return run(o)
 }
 

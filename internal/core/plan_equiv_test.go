@@ -29,7 +29,6 @@ func TestPlanGoldenEquivalence(t *testing.T) {
 		{Cores: 4, SizeBytes: -1, Kind: plan.KindPipe},
 		{Cores: 8, SizeBytes: 512 << 20, Kind: plan.KindFile}, // pretend-huge: full parallel plan
 		{Cores: 16, SizeBytes: 6 << 20, Kind: plan.KindFile},  // shrunken chunks
-		{Cores: 4, SizeBytes: -1, Kind: plan.KindLive, Feeders: 8},
 	}
 	for _, in := range inputs {
 		for _, calibrated := range []bool{false, true} {

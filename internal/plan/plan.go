@@ -37,9 +37,6 @@ const (
 	// KindPipe is a pipe, FIFO, socket, or terminal: size unknown, possibly
 	// endless.
 	KindPipe
-	// KindLive is live traffic pushed record by record from concurrent
-	// producers (the serve request path).
-	KindLive
 	// KindGzip is a gzip-compressed file (or set containing one): size on
 	// disk understates the bytes to parse, and the decode stage is
 	// sequential per member — one goroutine per open member, beside the
@@ -53,8 +50,6 @@ func (k Kind) String() string {
 		return "file"
 	case KindPipe:
 		return "pipe"
-	case KindLive:
-		return "live"
 	case KindGzip:
 		return "gzip"
 	}
@@ -72,15 +67,10 @@ type Input struct {
 	// Cores is the schedulable parallelism; <= 0 means runtime.GOMAXPROCS.
 	Cores int
 	// SizeBytes is the number of input bytes still to read; < 0 when
-	// unknown (pipes, live traffic).
+	// unknown (pipes).
 	SizeBytes int64
 	// Kind is the input's shape.
 	Kind Kind
-	// Feeders is how many goroutines will push records concurrently into
-	// the sessionizer. <= 0 means the kind's default: 1 for files and
-	// pipes (the in-order delivery goroutine), 2x cores for live traffic
-	// (concurrent request handlers).
-	Feeders int
 	// Files is how many files make up the input (a rotated set); <= 1
 	// means a single stream. Every open gzip member decodes ahead of its
 	// parser; on a parallel plan the next workers-1 members (at most 4) are
@@ -95,24 +85,17 @@ func (in Input) cores() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-func (in Input) feeders() int {
-	if in.Feeders > 0 {
-		return in.Feeders
-	}
-	if in.Kind == KindLive {
-		return 2 * in.cores()
-	}
-	return 1
-}
-
 // Plan is the execution configuration the planner chose. Zero is not a
 // valid plan; obtain one from Decide, DecideCalibrated, or Resolve.
 type Plan struct {
 	// Workers is the parse pool's goroutine count; 1 means no pool — the
 	// sequential plan's single parser.
 	Workers int
-	// Shards is the sessionizer shard count; 1 means a single Tail's worth
-	// of state (use a lock-striped ShardedTail only when feeders contend).
+	// Shards is the sessionizer shard count. The planner always says 1:
+	// every input it plans is delivered to the sessionizer by one goroutine,
+	// and a second locked shard behind one feeder is pure cost (a 2-shard
+	// ShardedTail measured 0.97x a plain Tail). Only an explicit -shards
+	// raises it.
 	Shards int
 	// StreamDepth is the in-order delivery channel depth for the parallel
 	// reader (inert when Workers == 1: the sequential plan's parser runs at
@@ -172,7 +155,6 @@ const (
 // already occupy both — so there is nothing for a probe to decide.
 func Decide(in Input) Plan {
 	cores := in.cores()
-	feeders := in.feeders()
 	p := Plan{
 		Workers:     1,
 		Shards:      1,
@@ -191,24 +173,8 @@ func Decide(in Input) Plan {
 	if in.Kind == KindGzip && size >= 0 {
 		size *= GzipExpansion
 	}
-	// Shards stripe feeder contention, which needs both real parallelism
-	// and more than one pusher; a single delivery goroutine gains nothing
-	// from extra locked shards (a 2-shard ShardedTail behind one feeder
-	// measured 0.97x a plain Tail: that overhead).
-	if cores > 1 && feeders > 1 {
-		p.Shards = cores
-		if feeders < p.Shards {
-			p.Shards = feeders
-		}
-	}
 	if cores == 1 {
 		p.Reason = "1 core: chunk fan-out cannot outrun the sequential scanner"
-		return p
-	}
-	if in.Kind == KindLive {
-		// Live records arrive one at a time from the handlers; there is no
-		// byte stream to chunk-parallelize.
-		p.Reason = fmt.Sprintf("live traffic on %d cores: per-record pushes, %d-way shard striping", cores, p.Shards)
 		return p
 	}
 	if cores == 2 {
@@ -259,8 +225,7 @@ func Decide(in Input) Plan {
 	return p
 }
 
-// sequentialFallback converts p into its sequential equivalent, keeping the
-// shard decision (shards answer feeder contention, not parse speed).
+// sequentialFallback converts p into its sequential equivalent.
 func (p Plan) sequentialFallback(reason string) Plan {
 	p.Workers = 1
 	p.Sequential = true

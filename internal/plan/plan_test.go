@@ -38,16 +38,6 @@ func TestDecideTable(t *testing.T) {
 			},
 		},
 		{
-			// A 1-core live server: extra locked shards are pure overhead.
-			name: "one core live many feeders",
-			in:   Input{Cores: 1, Kind: KindLive, SizeBytes: -1, Feeders: 32},
-			want: func(t *testing.T, p Plan) {
-				if p.Shards != 1 {
-					t.Fatalf("shards = %d on 1 core, want 1: %+v", p.Shards, p)
-				}
-			},
-		},
-		{
 			// Parser and tail already hold both cores: a pool is no faster
 			// and holds more memory.
 			name: "two cores large file",
@@ -76,16 +66,6 @@ func TestDecideTable(t *testing.T) {
 			want: func(t *testing.T, p Plan) {
 				if !p.Sequential {
 					t.Fatalf("want the sequential plan, got %+v", p)
-				}
-			},
-		},
-		{
-			// Shards answer feeder contention, not parse speed: unchanged.
-			name: "two cores live",
-			in:   Input{Cores: 2, SizeBytes: -1, Kind: KindLive},
-			want: func(t *testing.T, p Plan) {
-				if !p.Sequential || p.Shards != 2 || !strings.Contains(p.Reason, "live traffic") {
-					t.Fatalf("want 2-way striping with the live reason, got %+v", p)
 				}
 			},
 		},
@@ -138,27 +118,6 @@ func TestDecideTable(t *testing.T) {
 			want: func(t *testing.T, p Plan) {
 				if p.Sequential || p.Workers != 4 {
 					t.Fatalf("unbounded pipe on 4 cores should use all of them, got %+v", p)
-				}
-			},
-		},
-		{
-			name: "live traffic on many cores",
-			in:   Input{Cores: 4, SizeBytes: -1, Kind: KindLive},
-			want: func(t *testing.T, p Plan) {
-				if p.Shards != 4 {
-					t.Fatalf("live on 4 cores wants 4 shards, got %+v", p)
-				}
-				if !p.Sequential {
-					t.Fatalf("live pushes have no byte stream to chunk: %+v", p)
-				}
-			},
-		},
-		{
-			name: "live traffic few feeders",
-			in:   Input{Cores: 8, SizeBytes: -1, Kind: KindLive, Feeders: 3},
-			want: func(t *testing.T, p Plan) {
-				if p.Shards != 3 {
-					t.Fatalf("3 feeders need at most 3 shards, got %d", p.Shards)
 				}
 			},
 		},
