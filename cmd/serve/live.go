@@ -11,7 +11,6 @@ import (
 	"smartsra/internal/checkpoint"
 	"smartsra/internal/clf"
 	"smartsra/internal/core"
-	"smartsra/internal/plan"
 	"smartsra/internal/session"
 	"smartsra/internal/webgraph"
 	"smartsra/internal/webserver"
@@ -100,27 +99,14 @@ func newOwner(opts options) (_ *owner, err error) {
 		return o, nil
 	}
 
-	// Replay parallelism is planned from the file that will be replayed
-	// (checkpoint recovery replays -log, -backfill its own files). The live
-	// tail itself has one pusher — this goroutine — so it has one shard.
-	cfg := core.Config{Graph: g}
-	var replayPaths []string
-	if opts.ckptPath != "" {
-		replayPaths = []string{opts.logPath}
-	} else if opts.backfill != "" {
-		if replayPaths, err = clf.ResolveLogPaths(opts.backfill); err != nil {
+	var backfill []string
+	if opts.backfill != "" {
+		if backfill, err = clf.ResolveLogPaths(opts.backfill); err != nil {
 			return nil, err
 		}
 	}
-	if replayPaths != nil {
-		pl, notes := plan.Resolve(plan.StatPaths(replayPaths), opts.workers, plan.Auto, opts.depth, plan.Auto, plan.SamplePaths(replayPaths))
-		for _, n := range notes {
-			fmt.Fprintln(os.Stderr, "serve:", n)
-		}
-		fmt.Fprintln(os.Stderr, "serve: plan:", pl)
-		cfg = cfg.WithPlan(pl)
-	}
-	st, err := core.NewShardedTail(cfg, opts.sessionGap, 1)
+	// The live tail has one pusher — this goroutine — so it has one shard.
+	st, err := core.NewShardedTail(core.Config{Graph: g}, opts.sessionGap, 1)
 	if err != nil {
 		return nil, err
 	}
@@ -152,7 +138,7 @@ func newOwner(opts options) (_ *owner, err error) {
 		o.ckpt = checkpoint.NewWriter(checkpoint.OS, opts.ckptPath, opts.ckptEvery)
 		err = o.recoverFromCheckpoint()
 	} else if opts.backfill != "" {
-		err = o.tee.backfill(replayPaths)
+		err = o.tee.backfill(backfill)
 	}
 	return o, err
 }

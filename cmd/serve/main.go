@@ -7,16 +7,9 @@
 //
 //	serve -topology topology.json [-addr :8080] [-log access.log] [-combined]
 //	      [-sessions sessions.txt] [-expire-every 30s]
-//	      [-backfill old.log] [-workers auto|N] [-stream-depth auto|D]
+//	      [-backfill old.log]
 //	      [-checkpoint state.ckpt] [-checkpoint-every 10s]
 //	      [-ingest-queue 1024] [-shed-mode 503] [-trust-forwarded]
-//
-// -workers and -stream-depth default to "auto": the execution planner sizes
-// replay parallelism (-backfill, checkpoint recovery) from the core count and
-// the replayed file, falling back to the sequential reader wherever a pool
-// cannot win. Explicit numbers override the planner but are clamped to usable
-// values; the effective plan is logged once at startup and never changes
-// output. The live tail has one pusher, so it has one shard.
 //
 // The log flushes on every request, and Ctrl-C (SIGINT/SIGTERM) shuts down
 // gracefully, flushing every still-buffered session when -sessions is active
@@ -73,9 +66,9 @@
 // before serving begins, so the live tail starts with history already in
 // place. It accepts a comma-separated list of paths and/or globs
 // ("access.log*"), replayed in lexical order with gzip members decoded
-// transparently, and uses the bounded-memory streaming reader (-workers
-// parse goroutines, -stream-depth in-flight chunks), so arbitrarily large
-// history replays in fixed heap.
+// transparently, and uses the bounded-memory streaming reader (a decoder per
+// gzip member ‖ one parser ‖ the owner pushing into the tail), as checkpoint
+// recovery does, so arbitrarily large history replays in fixed heap.
 package main
 
 import (
@@ -96,7 +89,6 @@ import (
 
 	"smartsra/internal/clf"
 	"smartsra/internal/metrics"
-	"smartsra/internal/plan"
 	"smartsra/internal/webgraph"
 	"smartsra/internal/webserver"
 )
@@ -140,8 +132,6 @@ type options struct {
 	sessionGap  time.Duration
 	expireEvery time.Duration
 	backfill    string
-	workers     plan.Knob
-	depth       plan.Knob
 	ckptPath    string
 	ckptEvery   time.Duration
 	queueCap    int
@@ -181,11 +171,7 @@ func (o options) validate() error {
 }
 
 func main() {
-	var (
-		o       options
-		workers = flag.String("workers", "auto", "parse goroutines for -backfill and checkpoint replay: auto (planned), 0 sequential, -1 all cores")
-		depth   = flag.String("stream-depth", "auto", "in-flight parsed chunks for replay: auto (planned) or a number (bounds replay heap, never changes output)")
-	)
+	var o options
 	flag.StringVar(&o.topoPath, "topology", "", "topology JSON written by simgen (required)")
 	flag.StringVar(&o.addr, "addr", ":8080", "listen address")
 	flag.StringVar(&o.logPath, "log", "", "access log file (default: stderr)")
@@ -209,14 +195,6 @@ func main() {
 	flag.Parse()
 	if o.topoPath == "" {
 		flag.Usage()
-		os.Exit(2)
-	}
-	var err error
-	if o.workers, err = plan.ParseKnob("workers", *workers); err == nil {
-		o.depth, err = plan.ParseKnob("stream-depth", *depth)
-	}
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "serve:", err)
 		os.Exit(2)
 	}
 	if err := run(o); err != nil {

@@ -21,7 +21,6 @@ import (
 	"smartsra/internal/core"
 	"smartsra/internal/loadgen"
 	"smartsra/internal/metrics"
-	"smartsra/internal/plan"
 	"smartsra/internal/session"
 	"smartsra/internal/simulator"
 	"smartsra/internal/webgraph"
@@ -92,7 +91,6 @@ func soakChild() error {
 		}
 		o.reconcileEvery = d
 	}
-	o.workers, o.depth = plan.Auto, plan.Auto
 	return run(o)
 }
 

@@ -6,31 +6,24 @@
 // Usage:
 //
 //	sessionize -topology topology.json -log access.log [-heuristic heur4]
-//	           [-no-clean] [-stats-only] [-workers auto|N]
-//	           [-stream] [-stream-depth auto|D] [-shards auto|S]
-//	           [-expire-every 30s]
+//	           [-no-clean] [-stats-only] [-stream] [-expire-every 30s]
 //	           [-sessions out.txt] [-checkpoint state.ckpt] [-checkpoint-every 5s]
 //
-// -workers, -shards, and -stream-depth default to "auto": an execution plan
-// is sized from the core count, the input's size and kind (file vs pipe),
-// and a short observed-throughput probe, falling back to the sequential
-// path whenever parallelism cannot win (one core, small inputs, or a probe
-// that shows chunked parsing losing on this machine). Explicit numbers
-// override the planner but are clamped to what the input can feed; the
-// effective plan is logged once at startup. Every plan produces
-// byte-identical output — the knobs only trade throughput and memory.
+// A log is read one way: each gzip member of -log inflates on a goroutine of
+// its own, one parser goroutine cuts and parses line-aligned chunks, and the
+// calling goroutine cleans, sessionizes and writes behind it. There is
+// nothing to size and no flag that changes it (-workers is still accepted,
+// and ignored, for the benchmark's command line).
 //
-// -stream switches to bounded-memory streaming ingestion: the log is parsed
-// in line-aligned chunks on the planned worker count, delivered in input
-// order through a bounded channel straight into a streaming sessionizer,
-// and sessions print as they finalize. Memory stays bounded by
-// (workers + depth) chunks regardless of log size, so it suits logs far
-// larger than RAM (or stdin pipes that never end: a chunk read from stdin is
-// what one read returned, so a `tail -f` pipe's lines are sessionized as they
-// arrive, on any worker count, and the sessions they close are flushed to the
-// output with them). Sessions are emitted in
-// finalization order rather than batch order; for Smart-SRA and the
-// time-gap heuristic the session contents are identical to batch mode.
+// -stream switches to bounded-memory streaming ingestion: each parsed chunk
+// goes straight into a streaming sessionizer and sessions print as they
+// finalize. Memory stays bounded by a few chunks regardless of log size, so
+// it suits logs far larger than RAM (or stdin pipes that never end: a chunk
+// read from stdin is what one read returned, so a `tail -f` pipe's lines are
+// sessionized as they arrive and the sessions they close are flushed to the
+// output with them). Sessions are emitted in finalization order rather than
+// batch order; for Smart-SRA and the time-gap heuristic the session contents
+// are identical to batch mode.
 //
 // -expire-every finalizes users quiet for longer than the session gap even
 // while input is still flowing, so an endless pipe emits sessions
@@ -65,6 +58,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strconv"
 	"sync"
 	"time"
 
@@ -72,7 +66,6 @@ import (
 	"smartsra/internal/clf"
 	"smartsra/internal/core"
 	"smartsra/internal/heuristics"
-	"smartsra/internal/plan"
 	"smartsra/internal/referrer"
 	"smartsra/internal/session"
 	"smartsra/internal/webgraph"
@@ -82,7 +75,6 @@ import (
 type options struct {
 	topoPath, logPath, heur string
 	noClean, statsOnly      bool
-	workers, shards, depth  plan.Knob
 	stream                  bool
 	sessionGap              time.Duration
 	expireEvery             time.Duration
@@ -92,13 +84,11 @@ type options struct {
 }
 
 func main() {
-	var (
-		o           options
-		workers     = flag.String("workers", "auto", "pipeline parallelism: auto (planned), 0 sequential, -1 all cores, n>0 that many workers (output is identical for any value)")
-		shards      = flag.String("shards", "auto", "streaming sessionizer shard count for -stream: auto (planned) or a number (0 = all cores)")
-		depth       = flag.String("stream-depth", "auto", "in-flight parsed chunks for -stream: auto (planned) or a number (memory/throughput trade, never changes output)")
-		expireEvery = flag.Duration("expire-every", 0, "finalize quiet users this often while streaming (0 = auto: 30s for pipes/stdin, off for files; <0 = off)")
-	)
+	var o options
+	// -workers is parsed and ignored. It stays because bench/offline.go:138
+	// passes "-workers 0"; ROADMAP item 3 (f) drops it with that line.
+	workers := flag.String("workers", "auto", "ignored: a log is read by one parser goroutine beside the sessionizer (accepts auto or an integer)")
+	flag.DurationVar(&o.expireEvery, "expire-every", 0, "finalize quiet users this often while streaming (0 = auto: 30s for pipes/stdin, off for files; <0 = off)")
 	flag.StringVar(&o.topoPath, "topology", "", "topology JSON written by simgen (required)")
 	flag.StringVar(&o.logPath, "log", "", "CLF access logs: comma-separated paths/globs, gzip ok (required; - for stdin)")
 	flag.StringVar(&o.heur, "heuristic", "heur4", "heur1|heur2|heur3|heur4|referrer (referrer needs a combined-format log)")
@@ -111,20 +101,19 @@ func main() {
 	flag.DurationVar(&o.ckptEvery, "checkpoint-every", 5*time.Second, "how often to snapshot state for -checkpoint")
 	flag.StringVar(&o.cutsPath, "cuts", "", "expiry-cut journal written by serve (<sessions>.cuts): replay its timed expiries at the exact record boundaries the live run used (needs -stream and a real -log file)")
 	flag.Parse()
-	o.expireEvery = *expireEvery
 	if o.topoPath == "" || o.logPath == "" {
 		flag.Usage()
 		os.Exit(2)
 	}
-	var err error
-	if o.workers, err = plan.ParseKnob("workers", *workers); err == nil {
-		if o.shards, err = plan.ParseKnob("shards", *shards); err == nil {
-			o.depth, err = plan.ParseKnob("stream-depth", *depth)
+	if *workers != "auto" {
+		n, err := strconv.Atoi(*workers)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "sessionize: -workers: want \"auto\" or an integer, got %q\n", *workers)
+			os.Exit(2)
 		}
-	}
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "sessionize:", err)
-		os.Exit(2)
+		if n != 0 && n != 1 {
+			fmt.Fprintf(os.Stderr, "sessionize: -workers %d has no effect: one parser goroutine reads the log\n", n)
+		}
 	}
 	if err := run(o); err != nil {
 		fmt.Fprintln(os.Stderr, "sessionize:", err)
@@ -188,34 +177,20 @@ func run(o options) error {
 			return err
 		}
 		defer rc.Close()
-		return runReferrer(g, rc, o.statsOnly)
+		return runReferrer(g, rc, o.statsOnly, o.sessPath)
 	}
 
 	h, err := pickHeuristic(o.heur, g)
 	if err != nil {
 		return err
 	}
-	var shape plan.Input
-	var sample []byte
-	if paths == nil {
-		shape = plan.Stat(os.Stdin)
-		sample = plan.Sample(os.Stdin)
-	} else {
-		shape = plan.StatPaths(paths)
-		sample = plan.SamplePaths(paths)
-	}
-	pl, notes := plan.Resolve(shape, o.workers, o.shards, o.depth, plan.Auto, sample)
-	for _, n := range notes {
-		fmt.Fprintln(os.Stderr, "sessionize:", n)
-	}
-	fmt.Fprintln(os.Stderr, "sessionize: plan:", pl)
-	cfg := core.Config{Graph: g, Heuristic: h}.WithPlan(pl)
+	cfg := core.Config{Graph: g, Heuristic: h}
 	if o.noClean {
 		cfg.Filter = clf.KeepAll
 	}
 	if o.stream {
 		expire := o.expireEvery
-		if expire == 0 && shape.Kind == plan.KindPipe {
+		if expire == 0 && mayNeverEnd(paths) {
 			// Live-ish input: without periodic expiry an endless pipe would
 			// buffer every user's open burst until EOF never comes.
 			expire = 30 * time.Second
@@ -237,9 +212,9 @@ func run(o options) error {
 			fmt.Fprintf(os.Stderr, "sessionize: replaying %d expiry cuts from %s\n", len(cuts), o.cutsPath)
 		}
 		if o.ckptPath != "" {
-			return runStreamCheckpointed(cfg, pl, o.sessionGap, expire, paths, o.sessPath, o.ckptPath, o.ckptEvery)
+			return runStreamCheckpointed(cfg, o.sessionGap, expire, paths, o.sessPath, o.ckptPath, o.ckptEvery)
 		}
-		return runStream(cfg, pl, o.sessionGap, expire, paths, o.statsOnly, o.sessPath, cuts)
+		return runStream(cfg, o.sessionGap, expire, paths, o.statsOnly, o.sessPath, cuts)
 	}
 	pipeline, err := core.NewPipeline(cfg)
 	if err != nil {
@@ -264,6 +239,21 @@ func run(o options) error {
 	}
 	fmt.Fprintf(os.Stderr, "pipeline:  %s\n", res.Stats)
 	return nil
+}
+
+// mayNeverEnd reports input that is not all regular files: stdin (nil paths)
+// when it is a pipe or a terminal, or a named FIFO or device.
+func mayNeverEnd(paths []string) bool {
+	irregular := func(fi os.FileInfo, err error) bool { return err != nil || !fi.Mode().IsRegular() }
+	if paths == nil {
+		return irregular(os.Stdin.Stat())
+	}
+	for _, p := range paths {
+		if irregular(os.Stat(p)) {
+			return true
+		}
+	}
+	return false
 }
 
 // startExpireLoop runs tick every interval until the returned stop function
@@ -296,21 +286,21 @@ func startExpireLoop(every time.Duration, tick func(time.Time)) (stop func()) {
 }
 
 // runStream ingests the log through the bounded-memory streaming path: a
-// streaming sessionizer fed in input order by the planned reader, writing
+// streaming sessionizer fed in input order by the chunk reader, writing
 // each session the moment its burst closes. Heap usage is independent of
 // log length, so this path handles logs larger than RAM and never-ending
 // stdin pipes. File inputs (paths non-nil) go through the zero-copy source
-// layer — mmap windows for plain files, pooled decode for gzip members;
+// layer — mmap windows for plain files, a decoder goroutine per gzip member;
 // nil paths reads stdin. With expire > 0 a background sweep also finalizes
 // users quiet for longer than the session gap, so sessions keep flowing
 // while input does. A non-empty cuts sequence (from -cuts) replays serve's
 // journaled timed expiries at the exact record boundaries the live run froze
 // them at, making the output byte-identical to the live session stream even
 // when the server ran with -expire-every.
-func runStream(cfg core.Config, pl plan.Plan, rho, expire time.Duration, paths []string, statsOnly bool, sessPath string, cuts []core.ExpiryCut) error {
+func runStream(cfg core.Config, rho, expire time.Duration, paths []string, statsOnly bool, sessPath string, cuts []core.ExpiryCut) (err error) {
 	// Cut replay applies Expire inline in the delivery goroutine, so it
 	// needs no concurrent-safe tail; only the wall-clock sweep does.
-	st, err := core.NewSessionizer(cfg, rho, pl.Shards, expire > 0)
+	st, err := core.NewSessionizer(cfg, rho, expire > 0)
 	if err != nil {
 		return err
 	}
@@ -320,7 +310,11 @@ func runStream(cfg core.Config, pl plan.Plan, rho, expire time.Duration, paths [
 		if err != nil {
 			return err
 		}
-		defer dst.Close()
+		defer func() {
+			if cerr := dst.Close(); err == nil {
+				err = cerr
+			}
+		}()
 	}
 	out := bufio.NewWriter(dst)
 	// The expire sweep races Ingest's emits, so every write goes through one
@@ -370,6 +364,11 @@ func runStream(cfg core.Config, pl plan.Plan, rho, expire time.Duration, paths [
 	}
 	stopExpire()
 	if err != nil {
+		// Sessions sunk before a read error are output like any other: write
+		// them out. The read error stays the message and the exit status.
+		if ferr := out.Flush(); ferr != nil {
+			fmt.Fprintln(os.Stderr, "sessionize:", ferr)
+		}
 		return err
 	}
 	// End of input: on a file nearly every user is still open, so the drain
@@ -425,8 +424,8 @@ func validateResume(ck *checkpoint.Checkpoint, paths []string) (clf.FilePos, str
 // sink mutex with the write and snapshot paths, so every checkpoint records
 // a consistent (log position, session offset, open bursts) cut even while
 // expiry is emitting.
-func runStreamCheckpointed(cfg core.Config, pl plan.Plan, rho, expire time.Duration, paths []string, sessPath, ckptPath string, every time.Duration) error {
-	st, err := core.NewSessionizer(cfg, rho, pl.Shards, expire > 0)
+func runStreamCheckpointed(cfg core.Config, rho, expire time.Duration, paths []string, sessPath, ckptPath string, every time.Duration) error {
+	st, err := core.NewSessionizer(cfg, rho, expire > 0)
 	if err != nil {
 		return err
 	}
@@ -576,7 +575,7 @@ func writeSessions(sessPath string, sessions []session.Session) error {
 }
 
 // runReferrer sessionizes a combined-format log by referrer chaining.
-func runReferrer(g *webgraph.Graph, in io.Reader, statsOnly bool) error {
+func runReferrer(g *webgraph.Graph, in io.Reader, statsOnly bool, sessPath string) error {
 	records, malformed, err := clf.ReadAll(in)
 	if err != nil {
 		return err
@@ -588,7 +587,7 @@ func runReferrer(g *webgraph.Graph, in io.Reader, statsOnly bool) error {
 		return err
 	}
 	if !statsOnly {
-		if err := session.WriteAll(os.Stdout, sessions); err != nil {
+		if err := writeSessions(sessPath, sessions); err != nil {
 			return err
 		}
 	}

@@ -3,6 +3,7 @@ package main
 import (
 	"bufio"
 	"bytes"
+	"compress/gzip"
 	"fmt"
 	"io"
 	"os"
@@ -119,22 +120,16 @@ func TestPipeSessionReachesStdoutAsItsLinesArrive(t *testing.T) {
 	}
 }
 
-// TestPathRedirectAndPipeWriteOneFile: by path (mmap, a plain Tail), through
-// a redirect (a regular file on stdin) and through a pipe into two shards (the
-// ShardedTail's drain) a log must give one and the same sessions file. 777
-// users are open at end of input, so every run's drain is four batches,
-// reconstructed on lanes.
-func TestPathRedirectAndPipeWriteOneFile(t *testing.T) {
-	dir := t.TempDir()
-	topo := figure1(t, dir)
+// walkLog is 777 users' log on the Figure 1 site: a quarter of them have an
+// earlier burst, closed while feeding, and all 777 are open at end of input,
+// so a run's drain is four batches, reconstructed on lanes.
+func walkLog() string {
 	walk := []string{"/P1.html", "/P13.html", "/P34.html", "/P1.html", "/P20.html", "/P23.html"}
 	base := time.Date(2006, 1, 2, 8, 0, 0, 0, time.UTC)
 	var log strings.Builder
 	for step := range walk {
-		for u := 0; u < 777; u++ {
-			if u%4 == 0 { // an earlier burst, closed while feeding
-				log.WriteString(logLine(fmt.Sprintf("10.2.%d.%d", u>>8, u&255), base.Add(time.Duration(step)*time.Minute), walk[step]))
-			}
+		for u := 0; u < 777; u += 4 {
+			log.WriteString(logLine(fmt.Sprintf("10.2.%d.%d", u>>8, u&255), base.Add(time.Duration(step)*time.Minute), walk[step]))
 		}
 	}
 	for step := range walk {
@@ -142,29 +137,44 @@ func TestPathRedirectAndPipeWriteOneFile(t *testing.T) {
 			log.WriteString(logLine(fmt.Sprintf("10.2.%d.%d", u>>8, u&255), base.Add(2*time.Hour+time.Duration(step)*time.Minute), walk[(step+u)%len(walk)]))
 		}
 	}
+	return log.String()
+}
+
+// streamTo runs sessionize -stream into dir/name.sessions and returns the
+// file and the child's stderr; the run must succeed and count 777 users.
+func streamTo(t *testing.T, dir, name string, stdin io.Reader, args ...string) (sessions []byte, stderr string) {
+	t.Helper()
+	out := filepath.Join(dir, name+".sessions")
+	cmd, errBuf := sessionize(append([]string{"-topology", filepath.Join(dir, "topology.json"), "-stream", "-sessions", out}, args...)...)
+	cmd.Stdin = stdin
+	if err := cmd.Run(); err != nil {
+		t.Fatalf("%s: %v; stderr:\n%s", name, err, errBuf)
+	}
+	if !strings.Contains(errBuf.String(), "users=777") {
+		t.Fatalf("%s: stderr has no users=777:\n%s", name, errBuf)
+	}
+	b, err := os.ReadFile(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b, errBuf.String()
+}
+
+// TestPathRedirectAndPipeWriteOneFile: by path (mmap, a plain Tail), through
+// a redirect (a regular file on stdin), through a pipe, and through a pipe
+// with the expire sweep armed (the lock-guarded one-shard ShardedTail and its
+// drain; an hour, so it never fires) a log must give one and the same
+// sessions file.
+func TestPathRedirectAndPipeWriteOneFile(t *testing.T) {
+	dir := t.TempDir()
+	figure1(t, dir)
+	log := walkLog()
 	logPath := filepath.Join(dir, "access.log")
-	if err := os.WriteFile(logPath, []byte(log.String()), 0o644); err != nil {
+	if err := os.WriteFile(logPath, []byte(log), 0o644); err != nil {
 		t.Fatal(err)
 	}
 
-	run := func(name string, stdin io.Reader, args ...string) []byte {
-		t.Helper()
-		out := filepath.Join(dir, name+".sessions")
-		cmd, stderr := sessionize(append([]string{"-topology", topo, "-stream", "-sessions", out}, args...)...)
-		cmd.Stdin = stdin
-		if err := cmd.Run(); err != nil {
-			t.Fatalf("%s: %v; stderr:\n%s", name, err, stderr)
-		}
-		if !strings.Contains(stderr.String(), "users=777") {
-			t.Fatalf("%s: stderr has no users=777:\n%s", name, stderr)
-		}
-		b, err := os.ReadFile(out)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return b
-	}
-	byPath := run("path", nil, "-log", logPath)
+	byPath, _ := streamTo(t, dir, "path", nil, "-log", logPath)
 	if bytes.Count(byPath, []byte("\n")) < 2*777 {
 		t.Fatalf("by path: %d session lines for 777 users", bytes.Count(byPath, []byte("\n")))
 	}
@@ -173,11 +183,144 @@ func TestPathRedirectAndPipeWriteOneFile(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	if got := run("redirect", f, "-log", "-", "-expire-every", "-1s"); !bytes.Equal(got, byPath) {
+	if got, _ := streamTo(t, dir, "redirect", f, "-log", "-", "-expire-every", "-1s"); !bytes.Equal(got, byPath) {
 		t.Errorf("sessionize < log differs from sessionize -log log (%d vs %d bytes)", len(got), len(byPath))
 	}
 	// A reader that is not a file: exec copies it into a pipe, as cat would.
-	if got := run("pipe", strings.NewReader(log.String()), "-log", "-", "-shards", "2", "-expire-every", "-1s"); !bytes.Equal(got, byPath) {
-		t.Errorf("cat log | sessionize differs from sessionize -log log (%d vs %d bytes)", len(got), len(byPath))
+	for _, expire := range []string{"-1s", "1h"} {
+		if got, _ := streamTo(t, dir, "pipe"+expire, strings.NewReader(log), "-log", "-", "-expire-every", expire); !bytes.Equal(got, byPath) {
+			t.Errorf("cat log | sessionize -expire-every %s differs from sessionize -log log (%d vs %d bytes)", expire, len(got), len(byPath))
+		}
+	}
+}
+
+// TestWorkersFlagIsParsedAndIgnored: -workers survives for the benchmark's
+// command line and changes nothing — auto or any integer writes the file no
+// flag writes, a count that once meant a pool earns one line on stderr —
+// while a value that is neither, and the flags that went, are usage errors.
+func TestWorkersFlagIsParsedAndIgnored(t *testing.T) {
+	dir := t.TempDir()
+	topo := figure1(t, dir)
+	logPath := filepath.Join(dir, "access.log")
+	if err := os.WriteFile(logPath, []byte(walkLog()), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	const notice = "-workers 4 has no effect"
+	want, stderr := streamTo(t, dir, "noflag", nil, "-log", logPath)
+	if strings.Contains(stderr, "-workers") {
+		t.Errorf("no flag: stderr mentions -workers:\n%s", stderr)
+	}
+	for w, notices := range map[string]int{"auto": 0, "0": 0, "4": 1} {
+		got, stderr := streamTo(t, dir, "workers"+w, nil, "-log", logPath, "-workers", w)
+		if !bytes.Equal(got, want) {
+			t.Errorf("-workers %s: sessions differ from a run without the flag (%d vs %d bytes)", w, len(got), len(want))
+		}
+		if strings.Count(stderr, "-workers") != notices || strings.Count(stderr, notice) != notices {
+			t.Errorf("-workers %s: want %d notice lines on stderr:\n%s", w, notices, stderr)
+		}
+	}
+	for _, bad := range [][]string{{"-workers", "x"}, {"-shards", "2"}, {"-stream-depth", "8"}} {
+		cmd, stderr := sessionize(append([]string{"-topology", topo, "-log", logPath, "-stream"}, bad...)...)
+		err := cmd.Run()
+		if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != 2 {
+			t.Errorf("%v: err = %v, want exit status 2; stderr:\n%s", bad, err, stderr)
+		}
+	}
+}
+
+// TestReadErrorKeepsSessionsAlreadySunk: sessions finalized before a read
+// error are output — in the -sessions file or on stdout — and the run still
+// exits 1 with the read error as its message. The log's second and third
+// lines each close the burst before them; the gzip member after it is cut
+// short inside its first block.
+func TestReadErrorKeepsSessionsAlreadySunk(t *testing.T) {
+	dir := t.TempDir()
+	topo := figure1(t, dir)
+	at := time.Date(2006, 1, 2, 8, 0, 0, 0, time.UTC)
+	small := filepath.Join(dir, "small.log")
+	if err := os.WriteFile(small, []byte(logLine("10.0.0.1", at, "/P1.html")+
+		logLine("10.0.0.1", at.Add(time.Hour), "/P13.html")+logLine("10.0.0.1", at.Add(2*time.Hour), "/P34.html")), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var packed bytes.Buffer
+	gz := gzip.NewWriter(&packed)
+	for u := 0; u < 500; u++ { // one line a user: nothing closes
+		io.WriteString(gz, logLine(fmt.Sprintf("10.9.%d.%d", u>>8, u&255), at.Add(3*time.Hour), "/P1.html"))
+	}
+	if err := gz.Close(); err != nil || packed.Len() < 400 {
+		t.Fatalf("gzip member of %d bytes, err %v", packed.Len(), err)
+	}
+	tiny := filepath.Join(dir, "tiny.gz")
+	if err := os.WriteFile(tiny, packed.Bytes()[:200], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	const want = "10.0.0.1:[0]\n10.0.0.1:[1]\n"
+
+	for _, toFile := range []bool{true, false} {
+		args := []string{"-topology", topo, "-log", small + "," + tiny, "-stream"}
+		out := filepath.Join(dir, "out.sessions")
+		if toFile {
+			args = append(args, "-sessions", out)
+		}
+		cmd, stderr := sessionize(args...)
+		var stdout bytes.Buffer
+		cmd.Stdout = &stdout
+		err := cmd.Run()
+		if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != 1 || !strings.Contains(stderr.String(), "unexpected EOF") {
+			t.Fatalf("to file %v: err = %v, want exit status 1 and the read error; stderr:\n%s", toFile, err, stderr)
+		}
+		got := stdout.String()
+		if toFile {
+			b, err := os.ReadFile(out)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if stdout.Len() != 0 {
+				t.Errorf("to file: stdout has %q", stdout.String())
+			}
+			got = string(b)
+		}
+		if got != want {
+			t.Errorf("to file %v: sessions %q, want %q", toFile, got, want)
+		}
+	}
+}
+
+// TestReferrerHonoursSessions: -heuristic referrer writes where -sessions
+// says, like every other heuristic: the file holds what stdout held without
+// the flag, and stdout stays empty.
+func TestReferrerHonoursSessions(t *testing.T) {
+	dir := t.TempDir()
+	topo := figure1(t, dir)
+	at := time.Date(2006, 1, 2, 8, 0, 0, 0, time.UTC)
+	combined := func(host string, at time.Time, uri, referer string) string {
+		return strings.TrimSuffix(logLine(host, at, uri), "\n") + fmt.Sprintf(" %q \"test\"\n", referer)
+	}
+	logPath := filepath.Join(dir, "combined.log")
+	if err := os.WriteFile(logPath, []byte(combined("10.0.0.1", at, "/P1.html", "-")+
+		combined("10.0.0.1", at.Add(time.Minute), "/P13.html", "/P1.html")+
+		combined("10.0.0.2", at.Add(2*time.Minute), "/P1.html", "-")), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	run := func(args ...string) string {
+		t.Helper()
+		cmd, stderr := sessionize(append([]string{"-topology", topo, "-log", logPath, "-heuristic", "referrer"}, args...)...)
+		var stdout bytes.Buffer
+		cmd.Stdout = &stdout
+		if err := cmd.Run(); err != nil {
+			t.Fatalf("%v: %v; stderr:\n%s", args, err, stderr)
+		}
+		return stdout.String()
+	}
+	want := run()
+	if !strings.Contains(want, "10.0.0.1:[0 1]") {
+		t.Fatalf("stdout without -sessions:\n%s", want)
+	}
+	out := filepath.Join(dir, "referrer.sessions")
+	if stdout := run("-sessions", out); stdout != "" {
+		t.Errorf("stdout with -sessions: %q", stdout)
+	}
+	if got, err := os.ReadFile(out); err != nil || string(got) != want {
+		t.Errorf("%s holds %q (err %v), want %q", out, got, err, want)
 	}
 }

@@ -38,10 +38,9 @@ func ingestWorkload(b *testing.B) (*webgraph.Graph, []clf.Record, []byte) {
 // throughput (legacy per-line-string path, []byte fast path, the chunk reader
 // collected into a slice as ProcessLog does) and Tail vs concurrently-fed
 // ShardedTail sessionization. The records/s metric is the headline;
-// allocs/op shows the parse path's allocation reduction. On >=4 cores the parallel and sharded variants
-// should show a >=2x records/s win over their sequential baselines while
-// producing identical output (pinned by TestReadAllParallelMatchesReadAll
-// and TestShardedTailEquivalentToTail under -race).
+// allocs/op shows the parse path's allocation reduction. Output identity is
+// pinned by TestReadAllParallelMatchesReadAll and
+// TestShardedTailEquivalentToTail under -race.
 func BenchmarkIngest(b *testing.B) {
 	g, records, data := ingestWorkload(b)
 	recs := float64(len(records))
@@ -71,20 +70,18 @@ func BenchmarkIngest(b *testing.B) {
 		}
 		b.ReportMetric(recs*float64(b.N)/b.Elapsed().Seconds(), "records/s")
 	})
-	for _, workers := range []int{2, runtime.GOMAXPROCS(0)} {
-		b.Run(fmt.Sprintf("parse-parallel/workers=%d", workers), func(b *testing.B) {
-			b.ReportAllocs()
-			b.SetBytes(int64(len(data)))
-			for i := 0; i < b.N; i++ {
-				var all []clf.Record
-				if _, err := clf.StreamChunked(bytes.NewReader(data), clf.StreamConfig{Workers: workers},
-					func(recs []clf.Record) { all = append(all, recs...) }, nil); err != nil {
-					b.Fatal(err)
-				}
+	b.Run("parse-chunked", func(b *testing.B) {
+		b.ReportAllocs()
+		b.SetBytes(int64(len(data)))
+		for i := 0; i < b.N; i++ {
+			var all []clf.Record
+			if _, err := clf.StreamChunked(bytes.NewReader(data), clf.StreamConfig{},
+				func(recs []clf.Record) { all = append(all, recs...) }, nil); err != nil {
+				b.Fatal(err)
 			}
-			b.ReportMetric(recs*float64(b.N)/b.Elapsed().Seconds(), "records/s")
-		})
-	}
+		}
+		b.ReportMetric(recs*float64(b.N)/b.Elapsed().Seconds(), "records/s")
+	})
 
 	b.Run("tail", func(b *testing.B) {
 		b.ReportAllocs()
@@ -292,10 +289,10 @@ func BenchmarkTailDrain(b *testing.B) {
 	})
 }
 
-// BenchmarkStreamGzip is the gzip ingest stage on the sequential plan: a
-// rotated set of four gzip members (≈ 8 MiB decoded each) through
-// clf.StreamFilesChunked with one worker, so each member inflates on its
-// decoder goroutine beside the parser goroutine, beside a no-op emit. Per
+// BenchmarkStreamGzip is the gzip ingest stage: a rotated set of four gzip
+// members (≈ 8 MiB decoded each) through clf.StreamFilesChunked, so each
+// member inflates on its decoder goroutine beside the parser goroutine,
+// beside a no-op emit. Per
 // line: ns, and B and allocs from the runtime's own counters (the rings are
 // per member and per stream, so both stay flat as members grow), plus which
 // side of each boundary waited — wait-ns is the parser blocked on the
@@ -335,7 +332,7 @@ func BenchmarkStreamGzip(b *testing.B) {
 	runtime.ReadMemStats(&before)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		bad, err := clf.StreamFilesChunked(paths, clf.StreamConfig{Workers: 1},
+		bad, err := clf.StreamFilesChunked(paths, clf.StreamConfig{},
 			func(recs []clf.Record) { lines += len(recs) }, nil)
 		if err != nil {
 			b.Fatal(err)

@@ -29,11 +29,11 @@ type inlineRun struct {
 	err   error
 }
 
-// inlineSources is the loop the sequential plan ran before it had a parser
+// inlineSources is the loop streamSources ran before it had a parser
 // goroutine — source → parse → emit → progress on one goroutine, one scratch
-// slice — kept as the reference for what the plan must still emit and where
-// it must report: chunk boundaries and positions are the source's, so they
-// may not move because parsing does.
+// slice — kept as the reference for what it must still emit and where it must
+// report: chunk boundaries and positions are the source's, so they may not
+// move because parsing does.
 func inlineSources(n, first int, open func(int) (Source, error), chunkBytes int) (run inlineRun) {
 	scratch := make([]Record, 0, 64)
 	in := newInternTable()
@@ -42,9 +42,6 @@ func inlineSources(n, first int, open func(int) (Source, error), chunkBytes int)
 		if err != nil {
 			run.err = err
 			return run
-		}
-		if rs, ok := src.(interface{ markSerial() }); ok {
-			rs.markSerial()
 		}
 		for {
 			data, end, skipped, nerr := src.NextChunk(chunkBytes)
@@ -72,7 +69,7 @@ func inlineSources(n, first int, open func(int) (Source, error), chunkBytes int)
 
 // aheadSources is the same pass through the engine under test.
 func aheadSources(n, first int, open func(int) (Source, error), chunkBytes int) (run inlineRun) {
-	run.bad, run.err = streamSources(n, first, open, 1, 0, chunkBytes,
+	run.bad, run.err = streamSources(n, first, open, chunkBytes,
 		func(recs []Record) { run.recs = append(run.recs, recs...) },
 		func(pos FilePos) error {
 			run.marks = append(run.marks, posMark{pos, len(run.recs)})
@@ -108,7 +105,7 @@ func aheadStream(paths []string, cfg StreamConfig) (run inlineRun) {
 }
 
 // TestParseAheadMatchesInline: with parsing on a goroutine of its own the
-// sequential plan emits ReadAll's records and malformed count and reports
+// stream emits ReadAll's records and malformed count and reports
 // exactly the inline loop's positions — every one of them, for chunks from
 // one line to the whole member, over gzip, mmap and reader members — and a
 // run resumed from any reported position emits the rest and reports the rest
@@ -133,7 +130,7 @@ func TestParseAheadMatchesInline(t *testing.T) {
 	}
 	for _, noMmap := range []bool{false, true} {
 		for _, chunk := range []int{64, 200, 4096, 64 << 10, 1 << 20} {
-			cfg := StreamConfig{Workers: 1, ChunkBytes: chunk, NoMmap: noMmap}
+			cfg := StreamConfig{ChunkBytes: chunk, NoMmap: noMmap}
 			ref, got := inlineStream(paths, cfg), aheadStream(paths, cfg)
 			if ref.err != nil || got.err != nil {
 				t.Fatalf("%+v: inline err %v, ahead err %v", cfg, ref.err, got.err)
@@ -163,36 +160,34 @@ func TestParseAheadMatchesInline(t *testing.T) {
 	}
 }
 
-// TestLentRecordsArePoisoned pins the test-only overwrite itself, on both
-// engines: the slices a consumer was lent hold nothing but sentinels once
-// the stream is over (while it runs they are being refilled), so a consumer
-// that kept one — in any test of the module — compares garbage, not records
-// that happen to be right.
+// TestLentRecordsArePoisoned pins the test-only overwrite itself: the slices
+// a consumer was lent hold nothing but sentinels once the stream is over
+// (while it runs they are being refilled), so a consumer that kept one — in
+// any test of the module — compares garbage, not records that happen to be
+// right.
 func TestLentRecordsArePoisoned(t *testing.T) {
 	if !poisonLent {
 		t.Fatal("poisonLent is off in a test binary")
 	}
 	log := synthLog(67, 600)
-	for _, workers := range []int{1, 4} {
-		var kept [][]Record
-		_, err := StreamChunked(strings.NewReader(log), StreamConfig{Workers: workers, Depth: 2, ChunkBytes: 4096}, func(recs []Record) { kept = append(kept, recs) }, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(kept) < 4 {
-			t.Fatalf("workers=%d: only %d chunks", workers, len(kept))
-		}
-		for _, recs := range kept {
-			for _, r := range recs {
-				if r.Host != "\x00lent" {
-					t.Fatalf("workers=%d: a lent slice still holds %+v", workers, r)
-				}
+	var kept [][]Record
+	_, err := StreamChunked(strings.NewReader(log), StreamConfig{ChunkBytes: 4096}, func(recs []Record) { kept = append(kept, recs) }, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(kept) < 4 {
+		t.Fatalf("only %d chunks", len(kept))
+	}
+	for _, recs := range kept {
+		for _, r := range recs {
+			if r.Host != "\x00lent" {
+				t.Fatalf("a lent slice still holds %+v", r)
 			}
 		}
 	}
 }
 
-// TestParserLeavesNoGoroutine: however a sequential-plan stream ends — end
+// TestParserLeavesNoGoroutine: however a stream ends — end
 // of input, a read error, a truncated gzip member, a later file that does
 // not open, progress saying stop — the parser goroutine (and any decoder
 // behind it) is gone when the call returns, for mmap, reader, gzip and
@@ -240,7 +235,7 @@ func TestParserLeavesNoGoroutine(t *testing.T) {
 		if strings.Contains(tc.name, "last chunk") {
 			chunk = 1 << 20
 		}
-		_, err := StreamFilesChunked(tc.paths, StreamConfig{Workers: 1, ChunkBytes: chunk, NoMmap: tc.noMmap}, func([]Record) {}, tc.progress)
+		_, err := StreamFilesChunked(tc.paths, StreamConfig{ChunkBytes: chunk, NoMmap: tc.noMmap}, func([]Record) {}, tc.progress)
 		if !tc.check(err) {
 			t.Fatalf("%s: err = %v", tc.name, err)
 		}
@@ -248,16 +243,16 @@ func TestParserLeavesNoGoroutine(t *testing.T) {
 	}
 
 	// A reader the caller lent: nothing to close, the goroutine still ends.
-	if _, err := StreamChunked(strings.NewReader(text), StreamConfig{Workers: 1, ChunkBytes: 2048}, func([]Record) {}, func(FilePos) error { return nil }); err != nil {
+	if _, err := StreamChunked(strings.NewReader(text), StreamConfig{ChunkBytes: 2048}, func([]Record) {}, func(FilePos) error { return nil }); err != nil {
 		t.Fatal(err)
 	}
 	settle(t, "borrowed reader to the end", before)
-	if _, err := StreamChunked(&chunkFailReader{data: []byte(text)}, StreamConfig{Workers: 1, ChunkBytes: 2048}, func([]Record) {}, nil); err == nil {
+	if _, err := StreamChunked(&chunkFailReader{data: []byte(text)}, StreamConfig{ChunkBytes: 2048}, func([]Record) {}, nil); err == nil {
 		t.Fatal("borrowed reader: the read error is lost")
 	}
 	settle(t, "borrowed reader, read error", before)
 	src := newReaderSource(strings.NewReader(text), SourceReader, 0)
-	if _, err := streamSources(1, 0, func(int) (Source, error) { return src, nil }, 1, 0, 2048, func([]Record) {}, stopAt(3)); err != errStop {
+	if _, err := streamSources(1, 0, func(int) (Source, error) { return src, nil }, 2048, func([]Record) {}, stopAt(3)); err != errStop {
 		t.Fatalf("borrowed reader abort: err = %v", err)
 	}
 	settle(t, "borrowed reader abort", before)
@@ -310,7 +305,7 @@ func TestAbortDropsChunksParsedAhead(t *testing.T) {
 	src := &countingSource{bytesSource: bytesSource{data: []byte(text)}}
 	var got []Record
 	reports := 0
-	bad, err := streamSources(1, 0, func(int) (Source, error) { return src, nil }, 1, 0, chunk,
+	bad, err := streamSources(1, 0, func(int) (Source, error) { return src, nil }, chunk,
 		func(recs []Record) { got = append(got, recs...) },
 		func(FilePos) error {
 			if reports++; reports < k {
@@ -350,7 +345,7 @@ func TestParseCountersSaySideThatWaited(t *testing.T) {
 	text := synthLog(79, 400)
 	run := func(src Source, emit func([]Record)) (chunks, wait, stall int64) {
 		c0, w0, s0 := metricParseChunks.Value(), metricParseWait.Value(), metricParseStall.Value()
-		if _, err := streamSources(1, 0, func(int) (Source, error) { return src, nil }, 1, 0, 2048, emit, nil); err != nil {
+		if _, err := streamSources(1, 0, func(int) (Source, error) { return src, nil }, 2048, emit, nil); err != nil {
 			t.Fatal(err)
 		}
 		return metricParseChunks.Value() - c0, metricParseWait.Value() - w0, metricParseStall.Value() - s0

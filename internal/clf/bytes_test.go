@@ -234,21 +234,19 @@ func TestReadAllParallelMatchesReadAll(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, workers := range []int{1, 2, 3, 8} {
-			got, gotBad, err := streamAll(strings.NewReader(log), StreamConfig{Workers: workers})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if gotBad != wantBad {
-				t.Fatalf("seed %d workers %d: malformed %d, want %d", seed, workers, gotBad, wantBad)
-			}
-			if len(got) != len(want) {
-				t.Fatalf("seed %d workers %d: %d records, want %d", seed, workers, len(got), len(want))
-			}
-			for i := range got {
-				if !recordsMatch(got[i], want[i]) {
-					t.Fatalf("seed %d workers %d: record %d differs:\n%+v\n%+v", seed, workers, i, got[i], want[i])
-				}
+		got, gotBad, err := streamAll(strings.NewReader(log), StreamConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if gotBad != wantBad {
+			t.Fatalf("seed %d: malformed %d, want %d", seed, gotBad, wantBad)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("seed %d: %d records, want %d", seed, len(got), len(want))
+		}
+		for i := range got {
+			if !recordsMatch(got[i], want[i]) {
+				t.Fatalf("seed %d: record %d differs:\n%+v\n%+v", seed, i, got[i], want[i])
 			}
 		}
 	}
@@ -257,7 +255,7 @@ func TestReadAllParallelMatchesReadAll(t *testing.T) {
 func TestReadAllParallelNoTrailingNewline(t *testing.T) {
 	log := strings.TrimSuffix(synthLog(7, 200), "\n")
 	want, wantBad, _ := ReadAll(strings.NewReader(log))
-	got, gotBad, err := streamAll(strings.NewReader(log), StreamConfig{Workers: 4})
+	got, gotBad, err := streamAll(strings.NewReader(log), StreamConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,7 +269,7 @@ func TestReadAllParallelOversizedLine(t *testing.T) {
 	// paths, and its unterminated tail at EOF does not double-count.
 	huge := sampleLine + "\n" + strings.Repeat("a", maxLineBytes+2)
 	seq, seqBad, seqErr := ReadAll(strings.NewReader(huge))
-	par, parBad, parErr := streamAll(strings.NewReader(huge), StreamConfig{Workers: 4})
+	par, parBad, parErr := streamAll(strings.NewReader(huge), StreamConfig{})
 	if seqErr != nil || parErr != nil {
 		t.Fatalf("oversized line must not abort: sequential err=%v, parallel err=%v", seqErr, parErr)
 	}
@@ -300,7 +298,7 @@ func (f *chunkFailReader) Read(p []byte) (int, error) {
 func TestReadAllParallelPartialOnReadError(t *testing.T) {
 	log := synthLog(9, 300)
 	want, _, seqErr := ReadAll(&chunkFailReader{data: []byte(log)})
-	got, _, parErr := streamAll(&chunkFailReader{data: []byte(log)}, StreamConfig{Workers: 4})
+	got, _, parErr := streamAll(&chunkFailReader{data: []byte(log)}, StreamConfig{})
 	if seqErr == nil || parErr == nil {
 		t.Fatalf("want read errors, got %v / %v", seqErr, parErr)
 	}

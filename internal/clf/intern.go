@@ -1,15 +1,15 @@
 package clf
 
-// internTable is the per-batch string-intern arena for the chunk-parallel
-// parse path. Real access logs repeat a small set of hosts, URIs, referers,
-// and user agents millions of times; interning makes the []byte→string
+// internTable is the per-batch string-intern arena for the chunk parse path.
+// Real access logs repeat a small set of hosts, URIs, referers, and user
+// agents millions of times; interning makes the []byte→string
 // conversion allocation-free for every repeat, cutting the last per-record
 // allocations (Host and URI) of the byte fast path to amortized ~0.
 //
 // Table lifetime is the owner's choice, with boundedness always preserved:
 // the sequential Scanner scopes its table to ~readChunkSize bytes of input,
-// while the chunk engine keeps one table per parse loop (per worker) and
-// retires it once it holds maxInternEntries strings. Persisting across
+// while the chunk engine's parser keeps one table and retires it once it
+// holds maxInternEntries strings. Persisting across
 // chunks matters beyond allocation count: a host seen in every chunk stays
 // the SAME string, so downstream map lookups keyed by it (the sessionizer's
 // per-user buffers) hit the pointer-equality fast path instead of comparing

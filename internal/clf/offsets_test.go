@@ -11,38 +11,35 @@ import (
 // length.
 func TestStreamParallelOffsetsLineAligned(t *testing.T) {
 	log := synthLog(5, 2500)
-	for _, workers := range []int{1, 3} {
-		for _, chunk := range []int{128, 4096, readChunkSize} {
-			var offsets []int64
-			_, err := StreamChunked(strings.NewReader(log), StreamConfig{Workers: workers, Depth: 2, ChunkBytes: chunk},
-				func([]Record) {},
-				func(pos FilePos) error {
-					if pos.File != 0 {
-						t.Fatalf("workers=%d chunk=%d: a single reader reported file %d", workers, chunk, pos.File)
-					}
-					offsets = append(offsets, pos.Offset)
-					return nil
-				})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(offsets) == 0 {
-				t.Fatalf("workers=%d chunk=%d: no offsets reported", workers, chunk)
-			}
-			var prev int64
-			for _, off := range offsets {
-				if off <= prev && !(off == prev && off == int64(len(log))) {
-					t.Fatalf("workers=%d chunk=%d: offsets not increasing: %d after %d", workers, chunk, off, prev)
+	for _, chunk := range []int{128, 4096, readChunkSize} {
+		var offsets []int64
+		_, err := StreamChunked(strings.NewReader(log), StreamConfig{ChunkBytes: chunk},
+			func([]Record) {},
+			func(pos FilePos) error {
+				if pos.File != 0 {
+					t.Fatalf("chunk=%d: a single reader reported file %d", chunk, pos.File)
 				}
-				if off != int64(len(log)) && log[off-1] != '\n' {
-					t.Fatalf("workers=%d chunk=%d: offset %d not on a line boundary", workers, chunk, off)
-				}
-				prev = off
+				offsets = append(offsets, pos.Offset)
+				return nil
+			})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(offsets) == 0 {
+			t.Fatalf("chunk=%d: no offsets reported", chunk)
+		}
+		var prev int64
+		for _, off := range offsets {
+			if off <= prev && !(off == prev && off == int64(len(log))) {
+				t.Fatalf("chunk=%d: offsets not increasing: %d after %d", chunk, off, prev)
 			}
-			if offsets[len(offsets)-1] != int64(len(log)) {
-				t.Fatalf("workers=%d chunk=%d: final offset %d, want %d",
-					workers, chunk, offsets[len(offsets)-1], len(log))
+			if off != int64(len(log)) && log[off-1] != '\n' {
+				t.Fatalf("chunk=%d: offset %d not on a line boundary", chunk, off)
 			}
+			prev = off
+		}
+		if offsets[len(offsets)-1] != int64(len(log)) {
+			t.Fatalf("chunk=%d: final offset %d, want %d", chunk, offsets[len(offsets)-1], len(log))
 		}
 	}
 }
@@ -63,7 +60,7 @@ func TestStreamParallelOffsetsResume(t *testing.T) {
 	}
 	var bounds []boundary
 	seen := 0
-	if _, err := StreamChunked(strings.NewReader(log), StreamConfig{Workers: 4, Depth: 2, ChunkBytes: 512},
+	if _, err := StreamChunked(strings.NewReader(log), StreamConfig{ChunkBytes: 512},
 		func(recs []Record) { seen += len(recs) },
 		func(pos FilePos) error {
 			bounds = append(bounds, boundary{pos.Offset, seen})
@@ -76,7 +73,7 @@ func TestStreamParallelOffsetsResume(t *testing.T) {
 	}
 
 	for _, b := range bounds {
-		got, _, err := streamAll(strings.NewReader(log[b.off:]), StreamConfig{Workers: 2, Depth: 2})
+		got, _, err := streamAll(strings.NewReader(log[b.off:]), StreamConfig{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -92,8 +89,9 @@ func TestStreamParallelOffsetsResume(t *testing.T) {
 	}
 }
 
-// TestStreamParallelOffsetsSingleWorker: progress fires at workers == 1 too,
-// and the output still matches the sequential reader.
+// TestStreamParallelOffsetsSingleWorker: progress fires at the default chunk
+// size too — an input of one chunk — and the output still matches the
+// sequential reader.
 func TestStreamParallelOffsetsSingleWorker(t *testing.T) {
 	log := synthLog(23, 800)
 	want, wantBad, err := ReadAll(strings.NewReader(log))
@@ -102,14 +100,14 @@ func TestStreamParallelOffsetsSingleWorker(t *testing.T) {
 	}
 	var got []Record
 	fired := 0
-	gotBad, err := StreamChunked(strings.NewReader(log), StreamConfig{Workers: 1, Depth: 2},
+	gotBad, err := StreamChunked(strings.NewReader(log), StreamConfig{},
 		func(recs []Record) { got = append(got, recs...) },
 		func(FilePos) error { fired++; return nil })
 	if err != nil {
 		t.Fatal(err)
 	}
 	if fired == 0 {
-		t.Fatal("progress never fired with workers=1")
+		t.Fatal("progress never fired")
 	}
 	if gotBad != wantBad || len(got) != len(want) {
 		t.Fatalf("got %d/%d, want %d/%d", len(got), gotBad, len(want), wantBad)

@@ -3,7 +3,7 @@ package clf
 import "bytes"
 
 // readChunkSize is the target size of one line-aligned parse chunk. Chunks
-// are extended to the next newline, so lines never straddle workers.
+// are extended to the next newline, so no line straddles two of them.
 const readChunkSize = 1 << 20
 
 // maxLineBytes mirrors the Scanner's 1 MiB line cap: a "line" that exceeds

@@ -24,29 +24,27 @@ func TestPipeDeliversWhatWasWritten(t *testing.T) {
 	if err != nil || len(want) == 0 {
 		t.Fatalf("%d records in the lines to write, err %v", len(want), err)
 	}
-	for _, workers := range []int{1, 2, 4} {
-		pr, pw := io.Pipe()
-		delivered := make(chan struct{})
-		go func() {
-			for _, line := range lines {
-				io.WriteString(pw, line)
-			}
-			select {
-			case <-delivered:
-				pw.Close()
-			case <-time.After(5 * time.Second):
-				pw.CloseWithError(errors.New("the writer gave up waiting"))
-			}
-		}()
-		got := 0
-		_, err := clf.StreamChunked(pr, clf.StreamConfig{Workers: workers}, func(recs []clf.Record) {
-			if got += len(recs); got == len(want) {
-				close(delivered)
-			}
-		}, nil)
-		if err != nil || got != len(want) {
-			t.Errorf("workers=%d: want %d records emitted while the writer holds the pipe open; got %d, err %v", workers, len(want), got, err)
+	pr, pw := io.Pipe()
+	delivered := make(chan struct{})
+	go func() {
+		for _, line := range lines {
+			io.WriteString(pw, line)
 		}
+		select {
+		case <-delivered:
+			pw.Close()
+		case <-time.After(5 * time.Second):
+			pw.CloseWithError(errors.New("the writer gave up waiting"))
+		}
+	}()
+	got := 0
+	_, err = clf.StreamChunked(pr, clf.StreamConfig{}, func(recs []clf.Record) {
+		if got += len(recs); got == len(want) {
+			close(delivered)
+		}
+	}, nil)
+	if err != nil || got != len(want) {
+		t.Errorf("want %d records emitted while the writer holds the pipe open; got %d, err %v", len(want), got, err)
 	}
 }
 
@@ -146,54 +144,52 @@ func TestAwkwardReaders(t *testing.T) {
 		{"faultio torn write", func() io.Reader { return tornPipe(log, faultAt/100) }, faultio.ErrInjected},
 	}
 	for _, tc := range cases {
-		for _, workers := range []int{1, 2, 4} {
-			for _, chunk := range []int{64, 4096, 0} {
-				what := fmt.Sprintf("%s workers=%d chunk=%d", tc.name, workers, chunk)
-				cfg := clf.StreamConfig{Workers: workers, ChunkBytes: chunk}
-				wantRecs, wantMalformed, end := want, wantBad, len(log)
-				if tc.fault != nil {
-					wantRecs, wantMalformed, end = before, beforeBad, len(whole)
-				}
-				type mark struct {
-					off  int64
-					seen int
-				}
-				var got []clf.Record
-				var marks []mark
-				r := tc.open()
-				bad, err := clf.StreamChunked(r, cfg,
-					func(recs []clf.Record) { got = append(got, recs...) },
-					func(pos clf.FilePos) error {
-						if pos.File != 0 || pos.Offset <= 0 || log[pos.Offset-1] != '\n' {
-							t.Fatalf("%s: position %+v is not a line boundary", what, pos)
-						}
-						marks = append(marks, mark{pos.Offset, len(got)})
-						return nil
-					})
-				if !errors.Is(err, tc.fault) {
-					t.Fatalf("%s: err = %v, want %v", what, err, tc.fault)
-				}
-				if fr, ok := r.(*failReader); ok && fr.after != 0 {
-					t.Fatalf("%s: read %d more times after the error", what, fr.after)
-				}
-				if bad != wantMalformed {
-					t.Fatalf("%s: %d malformed, want %d", what, bad, wantMalformed)
-				}
-				clf.SameRecords(t, what, got, wantRecs)
-				if len(marks) == 0 || marks[len(marks)-1].off != int64(end) {
-					t.Fatalf("%s: positions %+v do not end at %d", what, marks, end)
-				}
-				for i, m := range marks {
-					if i%(len(marks)/8+1) != 0 && i != len(marks)-1 {
-						continue
+		for _, chunk := range []int{64, 4096, 0} {
+			what := fmt.Sprintf("%s chunk=%d", tc.name, chunk)
+			cfg := clf.StreamConfig{ChunkBytes: chunk}
+			wantRecs, wantMalformed, end := want, wantBad, len(log)
+			if tc.fault != nil {
+				wantRecs, wantMalformed, end = before, beforeBad, len(whole)
+			}
+			type mark struct {
+				off  int64
+				seen int
+			}
+			var got []clf.Record
+			var marks []mark
+			r := tc.open()
+			bad, err := clf.StreamChunked(r, cfg,
+				func(recs []clf.Record) { got = append(got, recs...) },
+				func(pos clf.FilePos) error {
+					if pos.File != 0 || pos.Offset <= 0 || log[pos.Offset-1] != '\n' {
+						t.Fatalf("%s: position %+v is not a line boundary", what, pos)
 					}
-					var rest []clf.Record
-					if _, err := clf.StreamChunked(strings.NewReader(log[m.off:]), cfg,
-						func(recs []clf.Record) { rest = append(rest, recs...) }, nil); err != nil {
-						t.Fatal(err)
-					}
-					clf.SameRecords(t, fmt.Sprintf("%s resumed at %d", what, m.off), rest, want[m.seen:])
+					marks = append(marks, mark{pos.Offset, len(got)})
+					return nil
+				})
+			if !errors.Is(err, tc.fault) {
+				t.Fatalf("%s: err = %v, want %v", what, err, tc.fault)
+			}
+			if fr, ok := r.(*failReader); ok && fr.after != 0 {
+				t.Fatalf("%s: read %d more times after the error", what, fr.after)
+			}
+			if bad != wantMalformed {
+				t.Fatalf("%s: %d malformed, want %d", what, bad, wantMalformed)
+			}
+			clf.SameRecords(t, what, got, wantRecs)
+			if len(marks) == 0 || marks[len(marks)-1].off != int64(end) {
+				t.Fatalf("%s: positions %+v do not end at %d", what, marks, end)
+			}
+			for i, m := range marks {
+				if i%(len(marks)/8+1) != 0 && i != len(marks)-1 {
+					continue
 				}
+				var rest []clf.Record
+				if _, err := clf.StreamChunked(strings.NewReader(log[m.off:]), cfg,
+					func(recs []clf.Record) { rest = append(rest, recs...) }, nil); err != nil {
+					t.Fatal(err)
+				}
+				clf.SameRecords(t, fmt.Sprintf("%s resumed at %d", what, m.off), rest, want[m.seen:])
 			}
 		}
 	}

@@ -14,6 +14,13 @@
 // Session reconstruction only needs the host (IP), timestamp, and URL; the
 // other fields are carried so logs round-trip and can be filtered on status
 // and method.
+//
+// Logs are read through StreamChunked (a borrowed reader) or
+// StreamFilesChunked (plain, gzip or rotated files), one engine: each gzip
+// member inflates on a goroutine of its own, one parser goroutine cuts and
+// parses line-aligned chunks, and the caller receives each chunk's records
+// in input order. ReadAll, the line-at-a-time Scanner, is the reference the
+// tests hold that engine to.
 package clf
 
 import (

@@ -13,9 +13,9 @@ import (
 )
 
 // Stage instrumentation: which side of the decoder/parser boundary, and of
-// the sequential plan's parser/tail boundary, is the bottleneck on a given
-// input. wait_ns is the consuming side blocked on the producing goroutine,
-// stall_ns the producer blocked because its whole ring is still lent out.
+// the parser/tail boundary, is the bottleneck on a given input. wait_ns is
+// the consuming side blocked on the producing goroutine, stall_ns the
+// producer blocked because its whole ring is still lent out.
 var (
 	metricDecodeChunks = metrics.GetCounter("clf.decode.chunks")
 	metricDecodeWait   = metrics.GetCounter("clf.decode.wait_ns")
@@ -71,11 +71,9 @@ type FilePos struct {
 // within this source just past the consumed input (always a line boundary),
 // and how many over-long lines (> 1 MiB) were skipped and dropped while
 // producing it. A return with err != nil carries no data: io.EOF signals a
-// clean end of input. The chunk is owned by the caller until the Source is
-// closed — mmap chunks alias the mapping, so Close must not run before the
-// chunk's consumers finish — except on a source marked serial, whose chunk
-// is lent only until the next NextChunk (it aliases a read or ring buffer
-// that is then refilled).
+// clean end of input. The chunk is lent until the next NextChunk or Close:
+// it aliases the mapping, or a read or ring buffer that is then refilled, so
+// the caller consumes each chunk before asking for the next.
 type Source interface {
 	NextChunk(chunkBytes int) (chunk []byte, end int64, skipped int, err error)
 	Kind() SourceKind
@@ -93,22 +91,13 @@ type readerSource struct {
 
 	buf         []byte
 	carry       []byte // unterminated tail of the previous block (own backing)
-	joined      []byte // serial mode's small carry-stitching buffer
-	pendingData []byte // serial mode: rest of the block after a stitched chunk
+	joined      []byte // small carry-stitching buffer
+	pendingData []byte // rest of the block after a stitched chunk
 	pos         int64  // absolute offset of the first byte of carry
-	serial      bool   // caller consumes each chunk before the next NextChunk
 	skipping    bool   // inside an over-long line; carry is empty
 	pending     int    // skipped lines not yet reported
 	rerr        error  // sticky terminal result
 }
-
-// markSerial declares that the caller fully consumes every returned chunk
-// before calling NextChunk again (the workers == 1 direct parse loop). Serial
-// chunks alias the read buffer itself — zero-copy, like the mmap source —
-// with only a carried partial line stitched through a small side buffer.
-// Must not be set when chunks stay in flight concurrently (the worker-pool
-// path).
-func (s *readerSource) markSerial() { s.serial = true }
 
 func newReaderSource(r io.Reader, kind SourceKind, pos int64, closers ...io.Closer) *readerSource {
 	return &readerSource{r: r, kind: kind, pos: pos, closers: closers}
@@ -149,7 +138,7 @@ func (s *readerSource) readBlock(chunkBytes int) ([]byte, error) {
 
 func (s *readerSource) NextChunk(chunkBytes int) ([]byte, int64, int, error) {
 	if out := s.pendingData; len(out) > 0 {
-		// Serial mode: the remainder of the last read block, delayed so the
+		// The remainder of the last read block, delayed so the
 		// carry-stitched front could ship first. Delivered before any error
 		// report — pre-split it was part of the same returned chunk.
 		s.pendingData = nil
@@ -195,9 +184,8 @@ func (s *readerSource) NextChunk(chunkBytes int) ([]byte, int64, int, error) {
 		if s.dec != nil {
 			// How a gzip member ended is part of reading it: a stream cut
 			// short passes for a short final block above and only fails when
-			// the decoder is closed. Report that here, where the sequential
-			// loop and the worker pool both stop on it, not as a Close error
-			// the pool would only see after moving on to the next file.
+			// the decoder is closed. Report that here, as the read error it
+			// is, not as a Close error.
 			if err := s.dec.close(); err != nil {
 				s.rerr = fmt.Errorf("clf: read: %w", err)
 			}
@@ -250,31 +238,22 @@ func (s *readerSource) consume(b []byte) []byte {
 		}
 		return nil
 	}
-	if s.serial {
-		// Zero-copy serial delivery: the chunk aliases the block, which is
-		// not refilled until the caller asks for the next chunk. A carried
-		// partial line is stitched to the block's first line in the small
-		// joined buffer, and the rest of the block is held back one call
-		// (pendingData) so both halves ship without copying the block.
-		var out []byte
-		if len(s.carry) == 0 {
-			out = b[:nl+1]
-		} else {
-			first := bytes.IndexByte(b, '\n') // exists: nl >= 0
-			s.joined = append(append(s.joined[:0], s.carry...), b[:first+1]...)
-			out = s.joined
-			if first < nl {
-				s.pendingData = b[first+1 : nl+1]
-			}
+	// Zero-copy delivery: the chunk aliases the block, which is not refilled
+	// until the caller asks for the next chunk. A carried partial line is
+	// stitched to the block's first line in the small joined buffer, and the
+	// rest of the block is held back one call (pendingData) so both halves
+	// ship without copying the block.
+	var out []byte
+	if len(s.carry) == 0 {
+		out = b[:nl+1]
+	} else {
+		first := bytes.IndexByte(b, '\n') // exists: nl >= 0
+		s.joined = append(append(s.joined[:0], s.carry...), b[:first+1]...)
+		out = s.joined
+		if first < nl {
+			s.pendingData = b[first+1 : nl+1]
 		}
-		s.carry = append(s.carry[:0], b[nl+1:]...)
-		s.pos += int64(len(out))
-		return out
 	}
-	// Fresh backing for both chunk and carry: the returned chunk is handed
-	// to workers, and both the block and s.carry are reused.
-	out := make([]byte, 0, len(s.carry)+nl+1)
-	out = append(append(out, s.carry...), b[:nl+1]...)
 	s.carry = append(s.carry[:0], b[nl+1:]...)
 	s.pos += int64(len(out))
 	return out
@@ -341,8 +320,8 @@ func (s *bytesSource) NextChunk(chunkBytes int) ([]byte, int64, int, error) {
 }
 
 // ringDepth is how many buffers a producing goroutine — a gzip member's
-// decoder, the sequential plan's parser — cycles through: one lent to the
-// consuming side, one queued, one being filled.
+// decoder, the parser — cycles through: one lent to the consuming side, one
+// queued, one being filled.
 const ringDepth = 3
 
 // ring is the buffer side of a two-goroutine handoff: the producer takes a
@@ -393,13 +372,11 @@ func (r *ring[T]) stop() {
 	<-r.done
 }
 
-// decoder inflates one gzip member on its own goroutine, beside whatever
-// parses it — the current member of a rotated set as well as prefetched
-// ones, for any worker count. Decoded bytes cross over in blocks of
-// chunkBytes read straight into a ring of recycled buffers: a buffer
-// belongs to the decoder while it is filled, to the parse side from next
-// until the following next (readerSource either aliases it, serial, or
-// copies the chunk out of it), and then goes back to be refilled.
+// decoder inflates one gzip member on its own goroutine, beside the parser.
+// Decoded bytes cross over in blocks of chunkBytes read straight into a ring
+// of recycled buffers: a buffer belongs to the decoder while it is filled, to
+// the parse side from next until the following next (readerSource's chunks
+// alias it), and then goes back to be refilled.
 type decoder struct {
 	ring[[]byte]
 	blocks chan block // decoder → parse side, in stream order

@@ -83,8 +83,7 @@ func TestResolveLogPaths(t *testing.T) {
 
 // TestStreamFilesMatchesConcat is the multi-file equivalence bar: a rotated
 // plain/gzip/plain set streams byte-identically to zcat-then-concatenate
-// through the sequential reader, across worker counts, chunk sizes, and
-// mmap on/off.
+// through the sequential reader, across chunk sizes and mmap on/off.
 func TestStreamFilesMatchesConcat(t *testing.T) {
 	paths, full := rotatedSet(t, 11, 600)
 	want, wantBad, err := ReadAll(strings.NewReader(full))
@@ -109,24 +108,21 @@ func TestStreamFilesMatchesConcat(t *testing.T) {
 		t.Fatalf("OpenLogInput: %d/%d records, want %d/%d", len(cat), catBad, len(want), wantBad)
 	}
 
-	for _, workers := range []int{1, 2, 4} {
-		for _, noMmap := range []bool{false, true} {
-			for _, chunk := range []int{256, 4096, readChunkSize} {
-				var got []Record
-				bad, err := StreamFilesChunked(paths, StreamConfig{
-					Workers: workers, ChunkBytes: chunk, NoMmap: noMmap,
-				}, func(recs []Record) { got = append(got, recs...) }, nil)
-				if err != nil {
-					t.Fatalf("workers=%d noMmap=%v chunk=%d: %v", workers, noMmap, chunk, err)
-				}
-				if bad != wantBad || len(got) != len(want) {
-					t.Fatalf("workers=%d noMmap=%v chunk=%d: %d/%d records, want %d/%d",
-						workers, noMmap, chunk, len(got), bad, len(want), wantBad)
-				}
-				for i := range got {
-					if !recordsMatch(got[i], want[i]) {
-						t.Fatalf("workers=%d noMmap=%v chunk=%d: record %d differs", workers, noMmap, chunk, i)
-					}
+	for _, noMmap := range []bool{false, true} {
+		for _, chunk := range []int{256, 4096, readChunkSize} {
+			var got []Record
+			bad, err := StreamFilesChunked(paths, StreamConfig{ChunkBytes: chunk, NoMmap: noMmap},
+				func(recs []Record) { got = append(got, recs...) }, nil)
+			if err != nil {
+				t.Fatalf("noMmap=%v chunk=%d: %v", noMmap, chunk, err)
+			}
+			if bad != wantBad || len(got) != len(want) {
+				t.Fatalf("noMmap=%v chunk=%d: %d/%d records, want %d/%d",
+					noMmap, chunk, len(got), bad, len(want), wantBad)
+			}
+			for i := range got {
+				if !recordsMatch(got[i], want[i]) {
+					t.Fatalf("noMmap=%v chunk=%d: record %d differs", noMmap, chunk, i)
 				}
 			}
 		}
@@ -149,7 +145,7 @@ func TestStreamFilesResume(t *testing.T) {
 	}
 	var marks []mark
 	var count int
-	_, err = StreamFilesChunked(paths, StreamConfig{Workers: 2, ChunkBytes: 512},
+	_, err = StreamFilesChunked(paths, StreamConfig{ChunkBytes: 512},
 		func(recs []Record) { count += len(recs) },
 		func(pos FilePos) error {
 			marks = append(marks, mark{pos, count})
@@ -166,22 +162,19 @@ func TestStreamFilesResume(t *testing.T) {
 		if i%5 != 0 {
 			continue
 		}
-		for _, workers := range []int{1, 3} {
-			var got []Record
-			_, err := StreamFilesChunked(paths, StreamConfig{
-				Workers: workers, ChunkBytes: 512, Start: m.pos,
-			}, func(recs []Record) { got = append(got, recs...) }, nil)
-			if err != nil {
-				t.Fatalf("resume at %+v: %v", m.pos, err)
-			}
-			rest := want[m.seen:]
-			if len(got) != len(rest) {
-				t.Fatalf("resume at %+v workers=%d: %d records, want %d", m.pos, workers, len(got), len(rest))
-			}
-			for j := range got {
-				if !recordsMatch(got[j], rest[j]) {
-					t.Fatalf("resume at %+v workers=%d: record %d differs", m.pos, workers, j)
-				}
+		var got []Record
+		_, err := StreamFilesChunked(paths, StreamConfig{ChunkBytes: 512, Start: m.pos},
+			func(recs []Record) { got = append(got, recs...) }, nil)
+		if err != nil {
+			t.Fatalf("resume at %+v: %v", m.pos, err)
+		}
+		rest := want[m.seen:]
+		if len(got) != len(rest) {
+			t.Fatalf("resume at %+v: %d records, want %d", m.pos, len(got), len(rest))
+		}
+		for j := range got {
+			if !recordsMatch(got[j], rest[j]) {
+				t.Fatalf("resume at %+v: record %d differs", m.pos, j)
 			}
 		}
 	}
@@ -189,32 +182,30 @@ func TestStreamFilesResume(t *testing.T) {
 
 // TestStreamFilesProgressAbort: a progress error stops the stream cleanly —
 // the error comes back, emission halts at the rejected boundary, and every
-// source (including in-flight mmaps and the gzip decode-ahead goroutines)
-// is closed without leaking or crashing.
+// source (including the mmaps and the gzip decoder goroutines) is closed
+// without leaking or crashing.
 func TestStreamFilesProgressAbort(t *testing.T) {
 	paths, _ := rotatedSet(t, 31, 400)
 	errStop := errors.New("stop here")
-	for _, workers := range []int{1, 4} {
-		var emitted, boundaries, atAbort int
-		_, err := StreamFilesChunked(paths, StreamConfig{Workers: workers, ChunkBytes: 512},
-			func(recs []Record) { emitted += len(recs) },
-			func(FilePos) error {
-				boundaries++
-				if boundaries == 7 {
-					atAbort = emitted
-					return errStop
-				}
-				return nil
-			})
-		if !errors.Is(err, errStop) {
-			t.Fatalf("workers=%d: err = %v, want errStop", workers, err)
-		}
-		if boundaries != 7 {
-			t.Fatalf("workers=%d: progress kept firing after abort (%d calls)", workers, boundaries)
-		}
-		if emitted != atAbort {
-			t.Fatalf("workers=%d: %d records emitted after abort", workers, emitted-atAbort)
-		}
+	var emitted, boundaries, atAbort int
+	_, err := StreamFilesChunked(paths, StreamConfig{ChunkBytes: 512},
+		func(recs []Record) { emitted += len(recs) },
+		func(FilePos) error {
+			boundaries++
+			if boundaries == 7 {
+				atAbort = emitted
+				return errStop
+			}
+			return nil
+		})
+	if !errors.Is(err, errStop) {
+		t.Fatalf("err = %v, want errStop", err)
+	}
+	if boundaries != 7 {
+		t.Fatalf("progress kept firing after abort (%d calls)", boundaries)
+	}
+	if emitted != atAbort {
+		t.Fatalf("%d records emitted after abort", emitted-atAbort)
 	}
 }
 
@@ -231,18 +222,15 @@ func TestStreamFilesOversizedLine(t *testing.T) {
 	// At the smaller chunk sizes the line spans many blocks, and on the gzip
 	// source wraps its decode ring many times over.
 	for name, path := range cases {
-		for _, workers := range []int{1, 3} {
-			for _, chunk := range []int{512, 64 << 10, readChunkSize} {
-				var recs int
-				bad, err := StreamFilesChunked([]string{path}, StreamConfig{
-					Workers: workers, ChunkBytes: chunk, NoMmap: name == "reader",
-				}, func(c []Record) { recs += len(c) }, nil)
-				if err != nil {
-					t.Fatalf("%s workers=%d chunk=%d: %v", name, workers, chunk, err)
-				}
-				if recs != 2 || bad != 1 {
-					t.Fatalf("%s workers=%d chunk=%d: %d records / %d malformed, want 2/1", name, workers, chunk, recs, bad)
-				}
+		for _, chunk := range []int{512, 64 << 10, readChunkSize} {
+			var recs int
+			bad, err := StreamFilesChunked([]string{path}, StreamConfig{ChunkBytes: chunk, NoMmap: name == "reader"},
+				func(c []Record) { recs += len(c) }, nil)
+			if err != nil {
+				t.Fatalf("%s chunk=%d: %v", name, chunk, err)
+			}
+			if recs != 2 || bad != 1 {
+				t.Fatalf("%s chunk=%d: %d records / %d malformed, want 2/1", name, chunk, recs, bad)
 			}
 		}
 	}

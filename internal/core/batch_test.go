@@ -72,38 +72,34 @@ func TestGoldenCorpusBatchSizes(t *testing.T) {
 
 	for _, shards := range []int{0, 2} {
 		for _, chunk := range []int{0, 128, 1024, 64 << 10} {
-			for _, workers := range []int{1, 4} {
-				cfg := Config{Graph: g, Workers: workers, StreamChunkBytes: chunk}
-				var got []session.Session
-				collect := keep(&got)
-				var malformed int
-				if shards == 0 {
-					tl, err := NewTail(cfg, 0)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if malformed, err = tl.Ingest(bytes.NewReader(log), collect, nil); err != nil {
-						t.Fatal(err)
-					}
-					got = append(got, tl.Flush()...)
-				} else {
-					st, err := NewShardedTail(cfg, 0, shards)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if malformed, err = st.Ingest(bytes.NewReader(log), collect, nil); err != nil {
-						t.Fatal(err)
-					}
-					got = append(got, st.Flush()...)
+			cfg := Config{Graph: g, StreamChunkBytes: chunk}
+			var got []session.Session
+			collect := keep(&got)
+			var malformed int
+			if shards == 0 {
+				tl, err := NewTail(cfg, 0)
+				if err != nil {
+					t.Fatal(err)
 				}
-				if malformed != goldenMalformed {
-					t.Fatalf("shards=%d chunk=%d workers=%d: malformed %d, want %d",
-						shards, chunk, workers, malformed, goldenMalformed)
+				if malformed, err = tl.Ingest(bytes.NewReader(log), collect, nil); err != nil {
+					t.Fatal(err)
 				}
-				if !bytes.Equal(renderSessions(t, got), want) {
-					t.Fatalf("shards=%d chunk=%d workers=%d: Ingest sessions differ from golden",
-						shards, chunk, workers)
+				got = append(got, tl.Flush()...)
+			} else {
+				st, err := NewShardedTail(cfg, 0, shards)
+				if err != nil {
+					t.Fatal(err)
 				}
+				if malformed, err = st.Ingest(bytes.NewReader(log), collect, nil); err != nil {
+					t.Fatal(err)
+				}
+				got = append(got, st.Flush()...)
+			}
+			if malformed != goldenMalformed {
+				t.Fatalf("shards=%d chunk=%d: malformed %d, want %d", shards, chunk, malformed, goldenMalformed)
+			}
+			if !bytes.Equal(renderSessions(t, got), want) {
+				t.Fatalf("shards=%d chunk=%d: Ingest sessions differ from golden", shards, chunk)
 			}
 		}
 	}

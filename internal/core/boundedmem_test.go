@@ -110,9 +110,8 @@ func (m *memSampler) sample() {
 // budget that does not depend on the log's length — the property that
 // separates streaming ingestion from ProcessLog, whose record slice alone
 // would dwarf the budget. Two lengths run under the same budget to pin the
-// independence claim, once through the worker pool from a reader and once
-// on the sequential plan from a gzip file, whose decoder ring is then under
-// the same budget.
+// independence claim, once from a reader and once from a gzip file, whose
+// decoder ring is then under the same budget.
 func TestStreamParallelBoundedMemory(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-hundred-MiB ingestion")
@@ -136,14 +135,12 @@ func TestStreamParallelBoundedMemory(t *testing.T) {
 	}
 
 	// ingest feeds total bytes of log to st and samples while it does.
-	run := func(workers int, total int64, ingest func(st *ShardedTail, m *memSampler) (int, error)) uint64 {
+	run := func(total int64, ingest func(st *ShardedTail, m *memSampler) (int, error)) uint64 {
 		st, err := NewShardedTail(Config{
 			Graph: g,
 			// Time-gap keeps burst reconstruction linear; the test measures
 			// ingestion memory, not Smart-SRA's CPU profile.
-			Heuristic:   heuristics.NewTimeGap(),
-			Workers:     workers,
-			StreamDepth: 8,
+			Heuristic: heuristics.NewTimeGap(),
 		}, 0, 4)
 		if err != nil {
 			t.Fatal(err)
@@ -164,12 +161,12 @@ func TestStreamParallelBoundedMemory(t *testing.T) {
 		if stats.Records == 0 || stats.Sessions == 0 {
 			t.Fatalf("pipeline did no work: %+v", stats)
 		}
-		t.Logf("workers=%d total=%d MiB records=%d sessions=%d live-heap high-water=%d MiB",
-			workers, total>>20, stats.Records, stats.Sessions, m.high.Load()>>20)
+		t.Logf("total=%d MiB records=%d sessions=%d live-heap high-water=%d MiB",
+			total>>20, stats.Records, stats.Sessions, m.high.Load()>>20)
 		return m.high.Load()
 	}
 	fromReader := func(total int64) uint64 {
-		return run(4, total, func(st *ShardedTail, m *memSampler) (int, error) {
+		return run(total, func(st *ShardedTail, m *memSampler) (int, error) {
 			m.r = newSynthLogReader(total, uris)
 			return st.Ingest(m, DiscardSessions, nil)
 		})
@@ -190,7 +187,7 @@ func TestStreamParallelBoundedMemory(t *testing.T) {
 		if err := f.Close(); err != nil {
 			t.Fatal(err)
 		}
-		return run(1, total, func(st *ShardedTail, m *memSampler) (int, error) {
+		return run(total, func(st *ShardedTail, m *memSampler) (int, error) {
 			return st.IngestFiles([]string{path}, clf.FilePos{}, DiscardSessions, func(clf.FilePos) error {
 				m.sample()
 				return nil

@@ -63,8 +63,8 @@ func TestCutJournalRoundTrip(t *testing.T) {
 // TestIngestFilesCutsEquivalence pins the cut-replay contract on the simgen
 // corpus: a record-at-a-time Push loop with Expire(At) applied at the
 // journaled record boundaries is the reference, and IngestFilesCuts must
-// reproduce its emission stream byte for byte across the shard × worker ×
-// chunk-size sweep — including a restart mid-stream (snapshot, restore, resume
+// reproduce its emission stream byte for byte across the shard × chunk-size
+// sweep — including a restart mid-stream (snapshot, restore, resume
 // with base = restored record count and the remaining cuts).
 func TestIngestFilesCutsEquivalence(t *testing.T) {
 	g := golden2Graph(t)
@@ -119,27 +119,24 @@ func TestIngestFilesCutsEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	for _, shards := range []int{1, 4} {
-		for _, workers := range []int{1, 3} {
-			for _, chunk := range []int{0, 512, 8192} {
-				name := fmt.Sprintf("shards=%d workers=%d chunk=%d", shards, workers, chunk)
-				cfg := Config{Graph: g, Workers: workers, StreamDepth: 2, StreamChunkBytes: chunk}
-				st, err := NewSessionizer(cfg, 0, shards, false)
-				if err != nil {
-					t.Fatal(err)
-				}
-				var got []session.Session
-				malformed, err := st.IngestFilesCuts([]string{logPath}, clf.FilePos{}, 0, cuts, keep(&got), nil)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if malformed != 0 {
-					t.Fatalf("%s: malformed = %d, want 0", name, malformed)
-				}
-				got = append(got, st.Flush()...)
-				if !bytes.Equal(renderSessions(t, got), wantBytes) {
-					t.Fatalf("%s: cut-replayed sessions differ from sequential reference", name)
-				}
+	for _, shards := range []int{0, 4} {
+		for _, chunk := range []int{0, 512, 8192} {
+			name := fmt.Sprintf("shards=%d chunk=%d", shards, chunk)
+			st, err := newProcessor(Config{Graph: g, StreamChunkBytes: chunk}, shards)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got []session.Session
+			malformed, err := st.IngestFilesCuts([]string{logPath}, clf.FilePos{}, 0, cuts, keep(&got), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if malformed != 0 {
+				t.Fatalf("%s: malformed = %d, want 0", name, malformed)
+			}
+			got = append(got, st.Flush()...)
+			if !bytes.Equal(renderSessions(t, got), wantBytes) {
+				t.Fatalf("%s: cut-replayed sessions differ from sequential reference", name)
 			}
 		}
 	}
@@ -171,7 +168,7 @@ func TestIngestFilesCutsEquivalence(t *testing.T) {
 		resumeOff += int64(nl) + 1
 		rest = rest[nl+1:]
 	}
-	st, err := NewShardedTail(Config{Graph: g, Workers: 2, StreamDepth: 2}, 0, 3)
+	st, err := NewShardedTail(Config{Graph: g}, 0, 3)
 	if err != nil {
 		t.Fatal(err)
 	}

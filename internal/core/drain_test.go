@@ -24,6 +24,15 @@ func keep(dst *[]session.Session) SessionSink {
 	}
 }
 
+// newProcessor is a Tail for shards 0 and a ShardedTail of that many shards
+// otherwise, behind the surface they share.
+func newProcessor(cfg Config, shards int) (Sessionizer, error) {
+	if shards == 0 {
+		return NewTail(cfg, 0)
+	}
+	return NewShardedTail(cfg, 0, shards)
+}
+
 // TestLentBatchIsPoisoned pins the test-only poison itself: a sink that
 // retains a lent batch without cloning must see sentinels afterwards, on
 // the feeder path and on Drain, for a Tail and for a ShardedTail. On the
@@ -44,7 +53,7 @@ func TestLentBatchIsPoisoned(t *testing.T) {
 	}
 	for name, log := range map[string][]byte{"golden": readGolden(t, "golden.log"), "ring": ring.Bytes()} {
 		for _, shards := range []int{0, 2} {
-			st, err := NewSessionizer(Config{Graph: goldenGraph()}, 0, shards, shards > 0)
+			st, err := newProcessor(Config{Graph: goldenGraph()}, shards)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -158,7 +167,7 @@ func TestDrainEquivalence(t *testing.T) {
 			for _, shards := range []int{0, 1, 2, 4} {
 				label := fmt.Sprintf("%s users=%d shards=%d", name, users, shards)
 				build := func() Sessionizer {
-					st, err := NewSessionizer(cfg, 0, shards, shards > 0)
+					st, err := newProcessor(cfg, shards)
 					if err != nil {
 						t.Fatal(err)
 					}

@@ -113,7 +113,7 @@ func TestDrainLanesMatchInline(t *testing.T) {
 				for _, shards := range []int{0, 1, 2, 4} {
 					label := fmt.Sprintf("%s users=%d procs=%d shards=%d", name, users, procs, shards)
 					runtime.GOMAXPROCS(procs)
-					st, err := NewSessionizer(cfg, 0, shards, shards > 0)
+					st, err := newProcessor(cfg, shards)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -167,7 +167,7 @@ func TestDrainSinkBlocksLanesRunAhead(t *testing.T) {
 	for _, procs := range []int{2, 4} {
 		for _, shards := range []int{0, 2} {
 			runtime.GOMAXPROCS(procs)
-			st, err := NewSessionizer(Config{Graph: goldenGraph()}, 0, shards, shards > 0)
+			st, err := newProcessor(Config{Graph: goldenGraph()}, shards)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -214,7 +214,7 @@ func TestDrainLeavesNoGoroutine(t *testing.T) {
 		for _, shards := range []int{0, 2} {
 			for _, panicAt := range []int{-1, 0, 3, 6} {
 				runtime.GOMAXPROCS(procs)
-				st, err := NewSessionizer(Config{Graph: goldenGraph()}, 0, shards, shards > 0)
+				st, err := newProcessor(Config{Graph: goldenGraph()}, shards)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -83,7 +83,7 @@ func TestGoldenCorpusSimgen(t *testing.T) {
 	g := golden2Graph(t)
 	log := readGolden(t, "golden2.log")
 
-	// Batch reference and sweep.
+	// Batch reference.
 	ref, err := NewPipeline(Config{Graph: g})
 	if err != nil {
 		t.Fatal(err)
@@ -96,25 +96,6 @@ func TestGoldenCorpusSimgen(t *testing.T) {
 		t.Fatalf("simgen corpus has %d malformed lines, want 0", res.Stats.Malformed)
 	}
 	writeOrCompareGolden(t, "golden2.batch.sessions", renderSessions(t, res.Sessions))
-	wantBatch := readGoldenOrGot(t, "golden2.batch.sessions", renderSessions(t, res.Sessions))
-	for _, workers := range []int{-1, 3} {
-		for _, depth := range []int{0, 2} {
-			p, err := NewPipeline(Config{Graph: g, Workers: workers, StreamDepth: depth})
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := p.ProcessLog(bytes.NewReader(log))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got.Stats != res.Stats {
-				t.Fatalf("workers=%d depth=%d: stats %+v, want %+v", workers, depth, got.Stats, res.Stats)
-			}
-			if !bytes.Equal(renderSessions(t, got.Sessions), wantBatch) {
-				t.Fatalf("workers=%d depth=%d: batch sessions differ from golden2", workers, depth)
-			}
-		}
-	}
 
 	// Streaming reference (single Tail, sequential feed) and sweep.
 	refTail, err := NewTail(Config{Graph: g}, 0)
@@ -137,32 +118,27 @@ func TestGoldenCorpusSimgen(t *testing.T) {
 	wantStream := readGoldenOrGot(t, "golden2.stream.sessions", renderSessions(t, refStream))
 
 	for _, shards := range []int{1, 3, 5} {
-		for _, workers := range []int{1, 3} {
-			for _, depth := range []int{1, 4} {
-				name := fmt.Sprintf("shards=%d workers=%d depth=%d", shards, workers, depth)
-				cfg := Config{Graph: g, Workers: workers, StreamDepth: depth}
-				st, err := NewShardedTail(cfg, 0, shards)
-				if err != nil {
-					t.Fatal(err)
-				}
-				var got []session.Session
-				malformed, err := st.Ingest(bytes.NewReader(log), keep(&got), nil)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if malformed != 0 {
-					t.Fatalf("%s: malformed = %d, want 0", name, malformed)
-				}
-				got = append(got, st.Flush()...)
-				if !bytes.Equal(renderSessions(t, got), wantStream) {
-					t.Fatalf("%s: streamed sessions differ from golden2", name)
-				}
-			}
+		name := fmt.Sprintf("shards=%d", shards)
+		st, err := NewShardedTail(Config{Graph: g}, 0, shards)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []session.Session
+		malformed, err := st.Ingest(bytes.NewReader(log), keep(&got), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if malformed != 0 {
+			t.Fatalf("%s: malformed = %d, want 0", name, malformed)
+		}
+		got = append(got, st.Flush()...)
+		if !bytes.Equal(renderSessions(t, got), wantStream) {
+			t.Fatalf("%s: streamed sessions differ from golden2", name)
 		}
 	}
 
 	// The offset-reporting path must emit the identical stream too.
-	st, err := NewShardedTail(Config{Graph: g, Workers: 2, StreamDepth: 2, StreamChunkBytes: 16 << 10}, 0, 3)
+	st, err := NewShardedTail(Config{Graph: g, StreamChunkBytes: 16 << 10}, 0, 3)
 	if err != nil {
 		t.Fatal(err)
 	}

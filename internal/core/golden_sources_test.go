@@ -62,8 +62,8 @@ func splitGoldenLines(t *testing.T, log []byte, n int) [][]byte {
 // bytes as the in-memory readers: the corpus served from a plain file (mmap
 // and buffered-reader sources), a gzip copy, and a rotated three-file set
 // with a gzip member and a missing final newline, through both the raw
-// clf.StreamFiles reader and the Tail/ShardedTail IngestFiles entry points,
-// across worker/shard widths.
+// clf.StreamFilesChunked reader and the Tail/ShardedTail IngestFiles entry
+// points, across shard widths.
 func TestGoldenCorpusSources(t *testing.T) {
 	log := readGolden(t, "golden.log")
 	g := goldenGraph()
@@ -88,64 +88,62 @@ func TestGoldenCorpusSources(t *testing.T) {
 
 	for name, paths := range layouts {
 		for _, noMmap := range []bool{false, true} {
-			for _, workers := range []int{1, 2, 4} {
-				label := fmt.Sprintf("%s/nommap=%v/w%d", name, noMmap, workers)
+			label := fmt.Sprintf("%s/nommap=%v", name, noMmap)
 
-				// Raw reader into a single Tail.
-				tl, err := NewTail(Config{Graph: g}, 0)
-				if err != nil {
-					t.Fatal(err)
-				}
-				var got []session.Session
-				bad, err := clf.StreamFilesChunked(paths, clf.StreamConfig{Workers: workers, NoMmap: noMmap},
-					func(recs []clf.Record) {
-						for _, rec := range recs {
-							got = append(got, tl.Push(rec)...)
-						}
-					}, nil)
-				if err != nil {
-					t.Fatalf("%s: StreamFilesChunked: %v", label, err)
-				}
-				got = append(got, tl.Flush()...)
-				if bad != goldenMalformed {
-					t.Fatalf("%s: malformed %d, want %d", label, bad, goldenMalformed)
-				}
-				if !bytes.Equal(renderSessions(t, got), want) {
-					t.Fatalf("%s: sessions differ from golden", label)
-				}
+			// Raw reader into a single Tail.
+			tl, err := NewTail(Config{Graph: g}, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got []session.Session
+			bad, err := clf.StreamFilesChunked(paths, clf.StreamConfig{NoMmap: noMmap},
+				func(recs []clf.Record) {
+					for _, rec := range recs {
+						got = append(got, tl.Push(rec)...)
+					}
+				}, nil)
+			if err != nil {
+				t.Fatalf("%s: StreamFilesChunked: %v", label, err)
+			}
+			got = append(got, tl.Flush()...)
+			if bad != goldenMalformed {
+				t.Fatalf("%s: malformed %d, want %d", label, bad, goldenMalformed)
+			}
+			if !bytes.Equal(renderSessions(t, got), want) {
+				t.Fatalf("%s: sessions differ from golden", label)
+			}
 
-				// IngestFiles entry points (the sessionize/serve deployment).
-				cfg := Config{Graph: g, Workers: workers}
-				tl2, err := NewTail(cfg, 0)
+			// IngestFiles entry points (the sessionize/serve deployment).
+			cfg := Config{Graph: g}
+			tl2, err := NewTail(cfg, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got = nil
+			collect := keep(&got)
+			bad, err = tl2.IngestFiles(paths, clf.FilePos{}, collect, nil)
+			if err != nil {
+				t.Fatalf("%s: Tail.IngestFiles: %v", label, err)
+			}
+			got = append(got, tl2.Flush()...)
+			if bad != goldenMalformed || !bytes.Equal(renderSessions(t, got), want) {
+				t.Fatalf("%s: Tail.IngestFiles differs from golden (malformed=%d)", label, bad)
+			}
+
+			for _, shards := range []int{1, 3} {
+				st, err := NewShardedTail(cfg, 0, shards)
 				if err != nil {
 					t.Fatal(err)
 				}
 				got = nil
-				collect := keep(&got)
-				bad, err = tl2.IngestFiles(paths, clf.FilePos{}, collect, nil)
+				bad, err := st.IngestFiles(paths, clf.FilePos{}, collect, nil)
 				if err != nil {
-					t.Fatalf("%s: Tail.IngestFiles: %v", label, err)
+					t.Fatalf("%s s=%d: ShardedTail.IngestFiles: %v", label, shards, err)
 				}
-				got = append(got, tl2.Flush()...)
+				got = append(got, st.Flush()...)
 				if bad != goldenMalformed || !bytes.Equal(renderSessions(t, got), want) {
-					t.Fatalf("%s: Tail.IngestFiles differs from golden (malformed=%d)", label, bad)
-				}
-
-				for _, shards := range []int{1, 3} {
-					st, err := NewShardedTail(cfg, 0, shards)
-					if err != nil {
-						t.Fatal(err)
-					}
-					got = nil
-					bad, err := st.IngestFiles(paths, clf.FilePos{}, collect, nil)
-					if err != nil {
-						t.Fatalf("%s s=%d: ShardedTail.IngestFiles: %v", label, shards, err)
-					}
-					got = append(got, st.Flush()...)
-					if bad != goldenMalformed || !bytes.Equal(renderSessions(t, got), want) {
-						t.Fatalf("%s s=%d: ShardedTail.IngestFiles differs from golden (malformed=%d)",
-							label, shards, bad)
-					}
+					t.Fatalf("%s s=%d: ShardedTail.IngestFiles differs from golden (malformed=%d)",
+						label, shards, bad)
 				}
 			}
 		}

@@ -18,7 +18,7 @@ import (
 // unresolved lines, pinned to checked-in session output. Every ingestion
 // variant — batch (sessionize-style Pipeline.ProcessLog) and streaming
 // (serve-style Tail/ShardedTail feeding) — must reproduce its golden file
-// byte for byte across the whole {workers, shards, depth} sweep, and every
+// byte for byte across the whole {source, chunk size, shards} sweep, and every
 // variant must count the same malformed lines. Regenerate with
 //
 //	go test ./internal/core -run TestGoldenCorpus -update
@@ -69,8 +69,7 @@ func goldenGraph() *webgraph.Graph {
 }
 
 // TestGoldenCorpusBatch pins the sessionize-style batch path: ProcessLog
-// over every workers/depth combination produces the committed session file
-// and stats line.
+// produces the committed session file and stats line.
 func TestGoldenCorpusBatch(t *testing.T) {
 	log := readGolden(t, "golden.log")
 	g := goldenGraph()
@@ -88,26 +87,6 @@ func TestGoldenCorpusBatch(t *testing.T) {
 	if res.Stats.Malformed != goldenMalformed {
 		t.Fatalf("batch malformed = %d, want %d", res.Stats.Malformed, goldenMalformed)
 	}
-
-	want := readGoldenOrGot(t, "golden.batch.sessions", renderSessions(t, res.Sessions))
-	for _, workers := range []int{-1, 2, 4, 9} {
-		for _, depth := range []int{0, 1, 3} {
-			p, err := NewPipeline(Config{Graph: g, Workers: workers, StreamDepth: depth})
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := p.ProcessLog(bytes.NewReader(log))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got.Stats != res.Stats {
-				t.Fatalf("workers=%d depth=%d: stats %+v, want %+v", workers, depth, got.Stats, res.Stats)
-			}
-			if !bytes.Equal(renderSessions(t, got.Sessions), want) {
-				t.Fatalf("workers=%d depth=%d: sessions differ from golden", workers, depth)
-			}
-		}
-	}
 }
 
 // readGoldenOrGot returns the golden bytes, or (under -update, when the file
@@ -121,9 +100,9 @@ func readGoldenOrGot(t *testing.T, name string, got []byte) []byte {
 
 // TestGoldenCorpusStream pins the serve-style streaming path: every record
 // source (ReadAll; StreamChunked collected into a slice as ProcessLog does,
-// on the sequential plan, and on the pool; Tail.Ingest, ShardedTail.Ingest)
-// feeding every processor (Tail, ShardedTail) across the
-// {workers, shards, depth} sweep emits byte-identical sessions — the
+// and pushed chunk by chunk, at the default and at a small chunk size;
+// Tail.Ingest, ShardedTail.Ingest) feeding every processor (Tail,
+// ShardedTail) across the shard sweep emits byte-identical sessions — the
 // finalized-during-feed prefix and the Flush tail concatenated — and the
 // same malformed count.
 func TestGoldenCorpusStream(t *testing.T) {
@@ -156,8 +135,8 @@ func TestGoldenCorpusStream(t *testing.T) {
 		push  func(clf.Record) []session.Session
 		flush func() []session.Session
 	}
-	newProc := func(t *testing.T, shards, workers, depth int) proc {
-		cfg := Config{Graph: g, Workers: workers, StreamDepth: depth}
+	newProc := func(t *testing.T, shards int) proc {
+		cfg := Config{Graph: g}
 		if shards == 0 {
 			tl, err := NewTail(cfg, 0)
 			if err != nil {
@@ -184,85 +163,77 @@ func TestGoldenCorpusStream(t *testing.T) {
 			return bad
 		}
 	}
-	for _, workers := range []int{1, 2, 4, 8} {
-		for _, depth := range []int{1, 2, 8} {
-			workers, depth := workers, depth
-			// streamed pushes every record StreamChunked emits under cfg.
-			streamed := func(cfg clf.StreamConfig) func(*testing.T, func(clf.Record) []session.Session, *[]session.Session) int {
-				return func(t *testing.T, push func(clf.Record) []session.Session, collect *[]session.Session) int {
-					bad, err := clf.StreamChunked(bytes.NewReader(log), cfg, func(recs []clf.Record) {
-						for _, rec := range recs {
-							*collect = append(*collect, push(rec)...)
-						}
-					}, nil)
-					if err != nil {
-						t.Fatal(err)
-					}
-					return bad
+	// streamed pushes every record StreamChunked emits under cfg.
+	streamed := func(cfg clf.StreamConfig) func(*testing.T, func(clf.Record) []session.Session, *[]session.Session) int {
+		return func(t *testing.T, push func(clf.Record) []session.Session, collect *[]session.Session) int {
+			bad, err := clf.StreamChunked(bytes.NewReader(log), cfg, func(recs []clf.Record) {
+				for _, rec := range recs {
+					*collect = append(*collect, push(rec)...)
 				}
-			}
-			var parRecords []clf.Record
-			parBad, err := clf.StreamChunked(bytes.NewReader(log), clf.StreamConfig{Workers: workers},
-				func(recs []clf.Record) { parRecords = append(parRecords, recs...) }, nil)
+			}, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			sources := []source{
-				{"readall", feedAll(refRecords, refBad)},
-				{fmt.Sprintf("collected/w%d", workers), feedAll(parRecords, parBad)},
-				{"streamchunked/w1", streamed(clf.StreamConfig{Workers: 1})},
-				{fmt.Sprintf("streamchunked/w%d/d%d", workers, depth), streamed(clf.StreamConfig{Workers: workers, Depth: depth})},
-			}
-			for _, src := range sources {
-				for _, shards := range []int{0, 1, 3, 8} {
-					p := newProc(t, shards, workers, depth)
-					var got []session.Session
-					bad := src.feed(t, p.push, &got)
-					got = append(got, p.flush()...)
-					if bad != goldenMalformed {
-						t.Fatalf("%s -> %s (w=%d d=%d): malformed %d, want %d",
-							src.name, p.name, workers, depth, bad, goldenMalformed)
-					}
-					if !bytes.Equal(renderSessions(t, got), want) {
-						t.Fatalf("%s -> %s (w=%d d=%d): sessions differ from golden:\n%s",
-							src.name, p.name, workers, depth, renderSessions(t, got))
-					}
-				}
-			}
-
-			// The Ingest entry points (the serve -backfill / sessionize
-			// -stream path) must land on the same golden bytes.
-			cfg := Config{Graph: g, Workers: workers, StreamDepth: depth}
-			tl, err := NewTail(cfg, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
+			return bad
+		}
+	}
+	var parRecords []clf.Record
+	parBad, err := clf.StreamChunked(bytes.NewReader(log), clf.StreamConfig{},
+		func(recs []clf.Record) { parRecords = append(parRecords, recs...) }, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sources := []source{
+		{"readall", feedAll(refRecords, refBad)},
+		{"collected", feedAll(parRecords, parBad)},
+		{"streamchunked", streamed(clf.StreamConfig{})},
+		{"streamchunked/4KiB", streamed(clf.StreamConfig{ChunkBytes: 4096})},
+	}
+	for _, src := range sources {
+		for _, shards := range []int{0, 1, 3, 8} {
+			p := newProc(t, shards)
 			var got []session.Session
-			collect := keep(&got)
-			bad, err := tl.Ingest(bytes.NewReader(log), collect, nil)
-			if err != nil {
-				t.Fatal(err)
+			bad := src.feed(t, p.push, &got)
+			got = append(got, p.flush()...)
+			if bad != goldenMalformed {
+				t.Fatalf("%s -> %s: malformed %d, want %d", src.name, p.name, bad, goldenMalformed)
 			}
-			got = append(got, tl.Flush()...)
-			if bad != goldenMalformed || !bytes.Equal(renderSessions(t, got), want) {
-				t.Fatalf("tail.Ingest (w=%d d=%d): output differs from golden (malformed=%d)", workers, depth, bad)
+			if !bytes.Equal(renderSessions(t, got), want) {
+				t.Fatalf("%s -> %s: sessions differ from golden:\n%s", src.name, p.name, renderSessions(t, got))
 			}
-			for _, shards := range []int{1, 3, 8} {
-				st, err := NewShardedTail(cfg, 0, shards)
-				if err != nil {
-					t.Fatal(err)
-				}
-				got = nil
-				bad, err := st.Ingest(bytes.NewReader(log), collect, nil)
-				if err != nil {
-					t.Fatal(err)
-				}
-				got = append(got, st.Flush()...)
-				if bad != goldenMalformed || !bytes.Equal(renderSessions(t, got), want) {
-					t.Fatalf("sharded.Ingest (w=%d d=%d s=%d): output differs from golden (malformed=%d)",
-						workers, depth, shards, bad)
-				}
-			}
+		}
+	}
+
+	// The Ingest entry points (the serve -backfill / sessionize
+	// -stream path) must land on the same golden bytes.
+	cfg := Config{Graph: g}
+	tl, err := NewTail(cfg, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []session.Session
+	collect := keep(&got)
+	bad, err := tl.Ingest(bytes.NewReader(log), collect, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got = append(got, tl.Flush()...)
+	if bad != goldenMalformed || !bytes.Equal(renderSessions(t, got), want) {
+		t.Fatalf("tail.Ingest: output differs from golden (malformed=%d)", bad)
+	}
+	for _, shards := range []int{1, 3, 8} {
+		st, err := NewShardedTail(cfg, 0, shards)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got = nil
+		bad, err := st.Ingest(bytes.NewReader(log), collect, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got = append(got, st.Flush()...)
+		if bad != goldenMalformed || !bytes.Equal(renderSessions(t, got), want) {
+			t.Fatalf("sharded.Ingest (s=%d): output differs from golden (malformed=%d)", shards, bad)
 		}
 	}
 }

@@ -9,12 +9,17 @@
 //	p, _ := core.NewPipeline(core.Config{Graph: g})
 //	result, _ := p.ProcessLog(logFile)
 //	for _, s := range result.Sessions { ... }
+//
+// However a log gets here — ProcessLog, which collects it, or the streaming
+// Tail.Ingest / IngestFiles, which do not — it is read one way: a decoder per
+// gzip member ‖ clf's one parser goroutine ‖ the calling goroutine, which
+// cleans, sessionizes and sinks; an end-of-input Drain adds its lanes.
+// Nothing here sizes or selects that.
 package core
 
 import (
 	"fmt"
 	"io"
-	"runtime"
 	"time"
 
 	"smartsra/internal/clf"
@@ -57,47 +62,11 @@ type Config struct {
 	Key prep.UserKey
 	// Resolver maps URIs to pages; nil means resolving against Graph labels.
 	Resolver prep.Resolver
-	// Workers bounds the pipeline's parallelism: log parsing, stream
-	// building, and session reconstruction all fan out over this many
-	// goroutines, with output identical to the sequential path for any
-	// value. Zero keeps the legacy sequential behaviour; negative means
-	// GOMAXPROCS.
-	Workers int
-	// StreamDepth is the depth of the in-order delivery channel used by the
-	// bounded-memory streaming ingestion path (Tail.Ingest,
-	// ShardedTail.Ingest): how many parsed ~1 MiB chunks may be in flight
-	// between the log reader and the session processor. Together with
-	// Workers it caps the streaming path's heap at roughly
-	// (StreamDepth + Workers) chunks, independent of log length. <= 0 means
-	// clf.DefaultStreamDepth. The value never changes the output, only the
-	// memory/throughput trade.
-	StreamDepth int
 	// StreamChunkBytes is the streaming reader's chunk size, which is also
 	// the granularity of ingestion's progress callbacks — and therefore of
-	// checkpoints. <= 0 means the clf default (~1 MiB). Like StreamDepth it
-	// never changes the output.
+	// checkpoints. <= 0 means the clf default (~1 MiB). It never changes the
+	// output.
 	StreamChunkBytes int
-}
-
-// effectiveWorkers resolves the Workers knob: 0 → 1 (sequential zero
-// value), < 0 → GOMAXPROCS, otherwise the explicit count.
-func (c Config) effectiveWorkers() int {
-	switch {
-	case c.Workers == 0:
-		return 1
-	case c.Workers < 0:
-		return runtime.GOMAXPROCS(0)
-	default:
-		return c.Workers
-	}
-}
-
-// effectiveStreamDepth resolves the StreamDepth knob.
-func (c Config) effectiveStreamDepth() int {
-	if c.StreamDepth <= 0 {
-		return clf.DefaultStreamDepth
-	}
-	return c.StreamDepth
 }
 
 // stageResult is the verdict of the pre-buffer stages on one record.
@@ -188,7 +157,7 @@ func (s Stats) String() string {
 // Stats.
 func (p *Pipeline) ProcessLog(r io.Reader) (*Result, error) {
 	var records []clf.Record
-	malformed, err := clf.StreamChunked(r, clf.StreamConfig{Workers: p.cfg.effectiveWorkers()}, func(recs []clf.Record) {
+	malformed, err := clf.StreamChunked(r, clf.StreamConfig{}, func(recs []clf.Record) {
 		records = append(records, recs...) // recs is lent: copy out
 	}, nil)
 	if err != nil {
@@ -204,16 +173,15 @@ func (p *Pipeline) ProcessLog(r io.Reader) (*Result, error) {
 
 // ProcessRecords runs the pipeline on already-parsed records.
 func (p *Pipeline) ProcessRecords(records []clf.Record) (*Result, error) {
-	workers := p.cfg.effectiveWorkers()
-	streams, pstats, err := prep.BuildStreamsWith(records, p.cfg.Resolver, prep.Options{
+	streams, pstats, err := prep.BuildStreams(records, p.cfg.Resolver, prep.Options{
 		Filter: p.cfg.Filter,
 		Key:    p.cfg.Key,
-	}, workers)
+	})
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
 	start := time.Now()
-	sessions := heuristics.ReconstructAllWith(p.cfg.Heuristic, streams, workers)
+	sessions := heuristics.ReconstructAll(p.cfg.Heuristic, streams)
 	metrics.GetHistogram(metrics.WithLabels(
 		"core.pipeline.reconstruct.seconds", "heur", p.cfg.Heuristic.Name(),
 	)).ObserveDuration(time.Since(start))

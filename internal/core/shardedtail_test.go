@@ -313,8 +313,9 @@ func TestShardedTailConcurrentExpireInterleaving(t *testing.T) {
 	}
 }
 
-// TestPipelineParallelMatchesSequential pins Pipeline.ProcessLog: the
-// Workers knob must not change the result in any way.
+// TestPipelineParallelMatchesSequential pins Pipeline.ProcessLog, whose log
+// is parsed on a goroutine beside the caller, to ProcessRecords over the
+// sequential Scanner's records: same stats, sessions and streams.
 func TestPipelineParallelMatchesSequential(t *testing.T) {
 	g, records := simulatedLog(t, 5, 120)
 	var buf bytes.Buffer
@@ -322,51 +323,44 @@ func TestPipelineParallelMatchesSequential(t *testing.T) {
 		t.Fatal(err)
 	}
 	log := buf.Bytes()
-
-	seq, err := NewPipeline(Config{Graph: g})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := seq.ProcessLog(bytes.NewReader(log))
-	if err != nil {
-		t.Fatal(err)
+	scanned, malformed, err := clf.ReadAll(bytes.NewReader(log))
+	if err != nil || malformed != 0 {
+		t.Fatalf("ReadAll: %d malformed, err %v", malformed, err)
 	}
 
-	for _, workers := range []int{-1, 2, 4, 9} {
-		for _, h := range []heuristics.Reconstructor{nil, heuristics.NewTimeGap()} {
-			par, err := NewPipeline(Config{Graph: g, Heuristic: h, Workers: workers})
-			if err != nil {
-				t.Fatal(err)
+	for _, h := range []heuristics.Reconstructor{nil, heuristics.NewTimeGap()} {
+		p, err := NewPipeline(Config{Graph: g, Heuristic: h})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := p.ProcessRecords(scanned)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := p.ProcessLog(bytes.NewReader(log))
+		if err != nil {
+			t.Fatal(err)
+		}
+		name := p.Heuristic().Name()
+		if got.Stats != want.Stats {
+			t.Fatalf("%s: stats differ: %+v vs %+v", name, got.Stats, want.Stats)
+		}
+		ws, gs := sessionStrings(want.Sessions), sessionStrings(got.Sessions)
+		if len(ws) != len(gs) {
+			t.Fatalf("%s: %d sessions vs %d", name, len(gs), len(ws))
+		}
+		for i := range ws {
+			if ws[i] != gs[i] {
+				t.Fatalf("%s: session %d differs:\nseq: %s\npar: %s", name, i, ws[i], gs[i])
 			}
-			got, err := par.ProcessLog(bytes.NewReader(log))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if h != nil {
-				// Different heuristic: only check it ran; equivalence below
-				// is against the default-config reference.
-				if got.Stats.Records != want.Stats.Records {
-					t.Fatalf("workers=%d: records %d vs %d", workers, got.Stats.Records, want.Stats.Records)
-				}
-				continue
-			}
-			if got.Stats != want.Stats {
-				t.Fatalf("workers=%d: stats differ: %+v vs %+v", workers, got.Stats, want.Stats)
-			}
-			ws, gs := sessionStrings(want.Sessions), sessionStrings(got.Sessions)
-			for i := range ws {
-				if ws[i] != gs[i] {
-					t.Fatalf("workers=%d: session %d differs:\nseq: %s\npar: %s", workers, i, ws[i], gs[i])
-				}
-			}
-			if len(got.Streams) != len(want.Streams) {
-				t.Fatalf("workers=%d: %d streams vs %d", workers, len(got.Streams), len(want.Streams))
-			}
-			for i := range want.Streams {
-				if want.Streams[i].User != got.Streams[i].User ||
-					len(want.Streams[i].Entries) != len(got.Streams[i].Entries) {
-					t.Fatalf("workers=%d: stream %d differs", workers, i)
-				}
+		}
+		if len(got.Streams) != len(want.Streams) {
+			t.Fatalf("%s: %d streams vs %d", name, len(got.Streams), len(want.Streams))
+		}
+		for i := range want.Streams {
+			if want.Streams[i].User != got.Streams[i].User ||
+				len(want.Streams[i].Entries) != len(got.Streams[i].Entries) {
+				t.Fatalf("%s: stream %d differs", name, i)
 			}
 		}
 	}

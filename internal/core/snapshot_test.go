@@ -216,7 +216,7 @@ func TestIngestOffsetsConsistentSnapshots(t *testing.T) {
 		snap TailSnapshot
 		sunk []byte // sessions emitted up to this boundary
 	}
-	cfg := Config{Graph: g, Workers: 2, StreamDepth: 2}
+	cfg := Config{Graph: g}
 	src, err := NewShardedTail(cfg, 0, 3)
 	if err != nil {
 		t.Fatal(err)

@@ -26,15 +26,14 @@ func DiscardSessions([]session.Session) {}
 
 // Ingest streams a CLF log from a reader the caller lends — a pipe, stdin,
 // bytes in memory — into the Tail through the bounded-memory chunk reader
-// (clf.StreamChunked): the input is parsed in line-aligned chunks on
-// Config.Workers goroutines and delivered in input order straight into the
-// batched push, so heap stays bounded by (workers + depth) chunks no matter
-// how long the log is — nothing is materialized — and a chunk is what one
-// Read returned, so a live pipe's records are pushed as its writer writes
-// them. sink receives sessions as records finalize them (nil means
-// DiscardSessions); it runs on the calling goroutine. The Tail is NOT
-// flushed: call Drain or Flush (or keep pushing) afterwards, matching
-// live-tail use.
+// (clf.StreamChunked): the input is parsed in line-aligned chunks on one
+// goroutine beside this one and delivered in input order straight into the
+// batched push, so heap stays bounded by a few chunks no matter how long the
+// log is — nothing is materialized — and a chunk is what one Read returned,
+// so a live pipe's records are pushed as its writer writes them. sink
+// receives sessions as records finalize them (nil means DiscardSessions); it
+// runs on the calling goroutine. The Tail is NOT flushed: call Drain or Flush
+// (or keep pushing) afterwards, matching live-tail use.
 //
 // progress (optional) runs on the calling goroutine after every chunk with
 // clf.FilePos{0, offset}: the byte offset, relative to where r stood, whose
@@ -44,8 +43,8 @@ func DiscardSessions([]session.Session) {}
 // aborts the stream and is returned.
 //
 // The emitted sessions are byte-identical to pushing clf.ReadAll's records
-// one by one, for any workers/depth — the golden-corpus and fuzz harnesses
-// pin this.
+// one by one, for any chunk size — the golden-corpus and fuzz harnesses pin
+// this.
 func (t *Tail) Ingest(r io.Reader, sink SessionSink, progress func(clf.FilePos) error) (malformed int, err error) {
 	return ingest(t.cfg, t, logInput{r: r}, sink, progress)
 }
@@ -62,11 +61,10 @@ func (t *Tail) IngestFiles(paths []string, start clf.FilePos, sink SessionSink, 
 	return ingest(t.cfg, t, logInput{paths: paths, start: start}, sink, progress)
 }
 
-// Ingest is Tail.Ingest on the sharded processor. Parsing fans out over
-// Config.Workers; the push itself is invoked from the single delivery
-// goroutine, so per-user arrival order — the determinism contract — is
-// preserved while the parse stage runs at full parallelism. Concurrent
-// Push/Expire from other goroutines remains safe during ingestion.
+// Ingest is Tail.Ingest on the sharded processor. The push is invoked from
+// the calling goroutine alone, so per-user arrival order — the determinism
+// contract — is preserved. Concurrent Push/Expire from other goroutines
+// remains safe during ingestion.
 func (st *ShardedTail) Ingest(r io.Reader, sink SessionSink, progress func(clf.FilePos) error) (malformed int, err error) {
 	return ingest(st.cfg, st, logInput{r: r}, sink, progress)
 }
@@ -104,12 +102,7 @@ func ingest(cfg Config, p pusher, in logInput, sink SessionSink, progress func(c
 		sink = DiscardSessions
 	}
 	feed, flush := cutFeeder(p, sink, in.base, in.cuts)
-	scfg := clf.StreamConfig{
-		Workers:    cfg.effectiveWorkers(),
-		Depth:      cfg.effectiveStreamDepth(),
-		ChunkBytes: cfg.StreamChunkBytes,
-		Start:      in.start,
-	}
+	scfg := clf.StreamConfig{ChunkBytes: cfg.StreamChunkBytes, Start: in.start}
 	if in.r != nil {
 		malformed, err = clf.StreamChunked(in.r, scfg, feed, progress)
 	} else {

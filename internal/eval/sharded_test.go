@@ -137,38 +137,6 @@ func TestMatcherReuseAcrossUsers(t *testing.T) {
 	}
 }
 
-func TestReconstructAllWithMatchesSequential(t *testing.T) {
-	cfg := smallConfig()
-	cfg.Params.Agents = 200
-	g, err := Topology(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := simulator.Run(g, cfg.Params)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, h := range DefaultHeuristics(g) {
-		seq := heuristics.ReconstructAll(h, res.Streams)
-		for _, workers := range []int{0, 1, 2, 8} {
-			par := heuristics.ReconstructAllWith(h, res.Streams, workers)
-			if !reflect.DeepEqual(seq, par) {
-				t.Errorf("%s workers=%d: sharded reconstruction differs", h.Name(), workers)
-			}
-		}
-	}
-	// Shape edge cases: empty and single-stream inputs mirror the sequential
-	// result exactly (including nil-ness).
-	for _, streams := range [][]session.Stream{nil, res.Streams[:1]} {
-		h := heuristics.NewSmartSRA(g)
-		seq := heuristics.ReconstructAll(h, streams)
-		par := heuristics.ReconstructAllWith(h, streams, 8)
-		if !reflect.DeepEqual(seq, par) {
-			t.Errorf("streams=%d: shape differs: %v vs %v", len(streams), seq, par)
-		}
-	}
-}
-
 // split must never oversubscribe: the pool times each task's share stays
 // within the total budget, and both factors stay >= 1 for every
 // (workers, n) combination. (workers=0 means GOMAXPROCS, so the explicit

@@ -11,13 +11,7 @@
 // input and configuration, safe for concurrent use.
 package heuristics
 
-import (
-	"runtime"
-	"sync"
-	"sync/atomic"
-
-	"smartsra/internal/session"
-)
+import "smartsra/internal/session"
 
 // Reconstructor is a session reconstruction heuristic.
 type Reconstructor interface {
@@ -77,56 +71,6 @@ func ReconstructAll(h Reconstructor, streams []session.Stream) []session.Session
 	var out []session.Session
 	for _, st := range streams {
 		out = append(out, h.Reconstruct(st)...)
-	}
-	return out
-}
-
-// ReconstructAllWith is ReconstructAll sharded across a bounded worker pool:
-// streams are partitioned over min(workers, len(streams)) goroutines (each
-// user's stream reconstructed exactly once) and the per-stream results are
-// concatenated in stream order, so the output is identical to
-// ReconstructAll's for any worker count. workers <= 0 means GOMAXPROCS;
-// workers == 1 (or a single stream) runs inline with no goroutines.
-//
-// Heuristics are pure functions of their input (see Reconstructor), which is
-// what makes the per-user work embarrassingly parallel.
-func ReconstructAllWith(h Reconstructor, streams []session.Stream, workers int) []session.Session {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(streams) {
-		workers = len(streams)
-	}
-	if workers <= 1 {
-		return ReconstructAll(h, streams)
-	}
-	per := make([][]session.Session, len(streams))
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(streams) {
-					return
-				}
-				per[i] = h.Reconstruct(streams[i])
-			}
-		}()
-	}
-	wg.Wait()
-	total := 0
-	for _, sessions := range per {
-		total += len(sessions)
-	}
-	if total == 0 {
-		return nil // what ReconstructAll returns for no sessions
-	}
-	out := make([]session.Session, 0, total)
-	for _, sessions := range per {
-		out = append(out, sessions...)
 	}
 	return out
 }

@@ -2,9 +2,7 @@ package smartsra
 
 import (
 	"bytes"
-	"fmt"
 	"os"
-	"runtime"
 	"testing"
 
 	"smartsra/internal/clf"
@@ -12,10 +10,9 @@ import (
 )
 
 // BenchmarkStreamIngest measures the bounded-memory streaming path:
-// clf.StreamChunked on the sequential plan (Workers 1) vs the worker pool,
-// and the end-to-end pipelines — the pool feeding a ShardedTail through
-// Ingest, as cmd/sessionize -stream and cmd/serve -backfill run it, and the
-// sequential plan reading an OS pipe that is written 64 KiB at a time, as
+// clf.StreamChunked alone, and the end-to-end pipelines — a ShardedTail fed
+// through Ingest, as cmd/serve -backfill runs it, and a Tail reading an OS
+// pipe that is written 64 KiB at a time, as
 // `cat access.log | sessionize -stream -log -` does. The records/s metric is
 // the headline; output equivalence with ReadAll is pinned by
 // TestGoldenCorpusStream and FuzzStreamChunks.
@@ -23,27 +20,21 @@ func BenchmarkStreamIngest(b *testing.B) {
 	g, records, data := ingestWorkload(b)
 	recs := float64(len(records))
 
-	stream := func(workers int) func(*testing.B) {
-		return func(b *testing.B) {
-			b.ReportAllocs()
-			b.SetBytes(int64(len(data)))
-			for i := 0; i < b.N; i++ {
-				if _, err := clf.StreamChunked(bytes.NewReader(data), clf.StreamConfig{Workers: workers}, func([]clf.Record) {}, nil); err != nil {
-					b.Fatal(err)
-				}
+	b.Run("stream", func(b *testing.B) {
+		b.ReportAllocs()
+		b.SetBytes(int64(len(data)))
+		for i := 0; i < b.N; i++ {
+			if _, err := clf.StreamChunked(bytes.NewReader(data), clf.StreamConfig{}, func([]clf.Record) {}, nil); err != nil {
+				b.Fatal(err)
 			}
-			b.ReportMetric(recs*float64(b.N)/b.Elapsed().Seconds(), "records/s")
 		}
-	}
-	b.Run("stream", stream(1))
-	for _, workers := range []int{2, runtime.GOMAXPROCS(0)} {
-		b.Run(fmt.Sprintf("stream-parallel/workers=%d", workers), stream(workers))
-	}
+		b.ReportMetric(recs*float64(b.N)/b.Elapsed().Seconds(), "records/s")
+	})
 	b.Run("ingest-sharded", func(b *testing.B) {
 		b.ReportAllocs()
 		b.SetBytes(int64(len(data)))
 		for i := 0; i < b.N; i++ {
-			st, err := core.NewShardedTail(core.Config{Graph: g, Workers: -1}, 0, 0)
+			st, err := core.NewShardedTail(core.Config{Graph: g}, 0, 0)
 			if err != nil {
 				b.Fatal(err)
 			}
