@@ -2,7 +2,9 @@ package main
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"math/rand"
 	"net"
 	"net/http"
@@ -421,6 +423,72 @@ func TestListenerErrorKeepsOpenSessions(t *testing.T) {
 		t.Fatal(err)
 	}
 	if size := int64(len(f.readFile(f.opts.logPath))); ck.LogOffset != size {
+		t.Fatalf("final checkpoint LogOffset = %d, log is %d bytes", ck.LogOffset, size)
+	}
+}
+
+// TestVersion1CheckpointFallsBackToFullReplay: a checkpoint an older build
+// left (format version 1, gob) is not read. serve replays the whole log with
+// its cut journal instead, and the session file ends as the offline
+// `sessionize -cuts` replay of the log — rebuilt from byte 0, as the
+// scribbled-over head of the old session file shows.
+func TestVersion1CheckpointFallsBackToFullReplay(t *testing.T) {
+	first := newLiveFixture(t, withCheckpoint)
+	first.start()
+	for i := 0; i < 12; i++ {
+		first.send(request(fmt.Sprintf("10.0.0.%d", i%4), i, time.Duration(i)*time.Second))
+	}
+	first.waitIdle()
+	first.clock = t0.Add(session.DefaultPageStay + time.Minute)
+	first.expire <- time.Time{}
+	for i := 0; i < 6; i++ {
+		first.send(request(fmt.Sprintf("10.0.0.%d", i%4), 12+i, 20*time.Minute+time.Duration(i)*time.Second))
+	}
+	if !first.stop(5 * time.Second) {
+		t.Fatal("first run did not settle")
+	}
+
+	payload := []byte("a gob stream, intact under its CRC")
+	v1 := append([]byte("SSRACKP\x01"), binary.LittleEndian.AppendUint64(nil, uint64(len(payload)))...)
+	v1 = binary.LittleEndian.AppendUint32(v1, crc32.ChecksumIEEE(payload))
+	if err := os.WriteFile(first.opts.ckptPath, append(v1, payload...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	old := first.readFile(first.opts.sessPath)
+	if len(old) < 16 {
+		t.Fatalf("first run wrote %d session bytes", len(old))
+	}
+	copy(old, "XXXXXXXXXXXXXXXX")
+	if err := os.WriteFile(first.opts.sessPath, old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	second := newLiveFixture(t, func(o *options) {
+		o.logPath, o.sessPath, o.ckptPath = first.opts.logPath, first.opts.sessPath, first.opts.ckptPath
+	})
+	second.start()
+	for i := 0; i < 4; i++ {
+		second.send(request(fmt.Sprintf("10.0.1.%d", i), i, 40*time.Minute+time.Duration(i)*time.Second))
+	}
+	if !second.stop(5 * time.Second) {
+		t.Fatal("second run did not settle")
+	}
+
+	cuts, err := core.ReadCuts(bytes.NewReader(second.readFile(second.opts.sessPath + ".cuts")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(cuts) != 1 {
+		t.Fatalf("journal holds %d cuts, want the first run's one", len(cuts))
+	}
+	if live, want := second.readFile(second.opts.sessPath), second.replay(cuts); !bytes.Equal(live, want) {
+		t.Fatalf("session file after the fallback diverges from the cut-replay of the log:\nlive:\n%s\nreplay:\n%s", live, want)
+	}
+	ck, err := checkpoint.Load(checkpoint.OS, second.opts.ckptPath)
+	if err != nil {
+		t.Fatalf("no readable checkpoint after the fallback: %v", err)
+	}
+	if size := int64(len(second.readFile(second.opts.logPath))); ck.LogOffset != size {
 		t.Fatalf("final checkpoint LogOffset = %d, log is %d bytes", ck.LogOffset, size)
 	}
 }

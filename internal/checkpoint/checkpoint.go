@@ -9,16 +9,17 @@
 //
 // Files are written atomically (temp file, fsync, rename) with a versioned
 // magic header and a CRC32 over the payload, so a reader either gets a
-// complete, intact checkpoint or a detectable error — never a torn one.
+// complete, intact checkpoint or a detectable error — never a torn one. The
+// payload (format version 2) is the Checkpoint's fields in a fixed order,
+// integers as varints, strings length-prefixed, each time as Unix seconds,
+// nanoseconds and a zone tag; the file-layout comment below lists the order.
+// A file of any other version — version 1 was a gob stream — is ErrCorrupt,
+// and the tools fall back to a full replay.
 package checkpoint
 
 import (
-	"bytes"
-	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io/fs"
 	"path/filepath"
 
@@ -42,24 +43,23 @@ type Checkpoint struct {
 	// Tail is the sessionizer state at LogOffset.
 	Tail core.TailSnapshot
 	// LogFile indexes the (lexically ordered) multi-file input set that
-	// LogOffset applies to; 0 for single-file inputs, so checkpoints written
-	// before multi-file support decode with the correct meaning. For gzip
-	// members LogOffset counts decoded bytes. Gob tolerates the added
-	// fields, so the file format version is unchanged.
+	// LogOffset applies to; 0 for single-file inputs. For gzip members
+	// LogOffset counts decoded bytes. The payload has a fixed field order, so
+	// adding a field to Checkpoint means bumping the format version.
 	LogFile int
 	// LogPath is the path LogFile referred to when the checkpoint was
 	// written. Recovery validates it still names the same position in the
 	// resolved set — a rotated/renamed set makes the checkpoint stale
 	// (degrade to full replay) instead of silently replaying the wrong
-	// file. Empty in pre-multi-file checkpoints, which skips the check.
+	// file. Empty skips the check.
 	LogPath string
 	// CutSeq is the sequence number of the last journaled expiry cut whose
 	// emission is already reflected in Tail and SinkOffset. Recovery
 	// re-applies only journal cuts with Seq > CutSeq during log replay,
-	// keeping timed-expiry emission replayable across a crash. Zero in
-	// checkpoints written before expiry cuts existed (gob tolerates the
-	// added field), which re-applies every journaled cut — correct, since
-	// those runs journaled none.
+	// keeping timed-expiry emission replayable across a crash. Zero when no
+	// cut was journaled yet, which re-applies every journaled cut. Like every
+	// field, it has a fixed place in the payload: adding a field means
+	// bumping the format version.
 	CutSeq int64
 	// DropSpans are byte ranges of the access log that were served and
 	// logged but dropped from the sessionizer under drop-count shedding and
@@ -81,16 +81,35 @@ type DropSpan struct {
 }
 
 // ErrCorrupt reports a checkpoint file that exists but cannot be trusted:
-// bad magic, unknown version, truncation, CRC mismatch, or an undecodable
-// payload. Callers must treat it as "no checkpoint" and fall back to a full
-// replay — errors.Is(err, ErrCorrupt) distinguishes it from I/O failures.
+// bad magic, another format version, truncation, CRC mismatch, an
+// undecodable payload, or decoded state no writer can have meant. Callers
+// must treat it as "no checkpoint" and fall back to a full replay —
+// errors.Is(err, ErrCorrupt) distinguishes it from I/O failures.
 var ErrCorrupt = errors.New("checkpoint: corrupt or truncated file")
 
 // File layout: magic (7 bytes) + version (1 byte) + payload length (8 bytes
-// LE) + CRC32-IEEE of payload (4 bytes LE) + gob payload.
+// LE) + CRC32-IEEE of payload (4 bytes LE) + payload. The version-2 payload,
+// in order (varint = signed zigzag varint, uvarint = unsigned, string =
+// uvarint length + bytes, time = varint Unix seconds + uvarint nanoseconds +
+// uvarint zone tag, 0 for UTC and 1 + zigzag(offset seconds) otherwise):
+//
+//	LogOffset, SinkOffset, LogFile      varint ×3
+//	LogPath                             string
+//	CutSeq                              varint
+//	Tail.Stats: Records, Malformed, Filtered, Unresolved, Users, Sessions
+//	                                    varint ×6
+//	len(Tail.Users)                     uvarint, then per user:
+//	  User, Last                        string, time
+//	  len(Entries)                      uvarint, then per entry:
+//	    Page, Time                      varint, time
+//	len(DropSpans)                      uvarint, then per span:
+//	  Start, End, Records               varint ×3
+//
+// Nothing follows the last span. Every varint is minimally encoded, so a
+// payload decodes to exactly one checkpoint and re-encodes to the same bytes.
 const (
 	magic      = "SSRACKP"
-	version    = 1
+	version    = 2
 	headerSize = len(magic) + 1 + 8 + 4
 )
 
@@ -108,11 +127,17 @@ var (
 		"checkpoint.events", "kind", "corrupt"))
 )
 
-// Save writes ck to path atomically: the payload goes to a temp file in the
+// Save writes ck to path atomically: the file goes to a temp file in the
 // same directory, is synced to stable storage, and is renamed over path, so
 // a crash or write fault mid-save leaves the previous checkpoint intact. Any
-// failure removes the temp file and counts a save_error.
-func Save(fsys FS, path string, ck *Checkpoint) (err error) {
+// failure removes the temp file and counts a save_error. A Writer does the
+// same into an encode buffer it keeps from one save to the next.
+func Save(fsys FS, path string, ck *Checkpoint) error {
+	return write(fsys, path, encode(nil, ck))
+}
+
+// write puts the encoded file data at path the way Save promises.
+func write(fsys FS, path string, data []byte) (err error) {
 	defer func() {
 		if err != nil {
 			metricSaveErrors.Inc()
@@ -120,23 +145,12 @@ func Save(fsys FS, path string, ck *Checkpoint) (err error) {
 			metricSaves.Inc()
 		}
 	}()
-	var payload bytes.Buffer
-	if err := gob.NewEncoder(&payload).Encode(ck); err != nil {
-		return fmt.Errorf("checkpoint: encode: %w", err)
-	}
-	buf := make([]byte, 0, headerSize+payload.Len())
-	buf = append(buf, magic...)
-	buf = append(buf, version)
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(payload.Len()))
-	buf = binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(payload.Bytes()))
-	buf = append(buf, payload.Bytes()...)
-
 	f, err := fsys.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
 	if err != nil {
 		return fmt.Errorf("checkpoint: create temp: %w", err)
 	}
 	tmp := f.Name()
-	if _, err := f.Write(buf); err != nil {
+	if _, err := f.Write(data); err != nil {
 		f.Close()
 		fsys.Remove(tmp)
 		return fmt.Errorf("checkpoint: write: %w", err)
@@ -159,46 +173,21 @@ func Save(fsys FS, path string, ck *Checkpoint) (err error) {
 
 // Load reads and verifies the checkpoint at path. It returns fs.ErrNotExist
 // when no checkpoint exists, an ErrCorrupt-wrapped error when the file fails
-// any integrity check, and the decoded checkpoint otherwise.
+// any integrity check — header, length, CRC, payload decoding, or a position
+// or drop span no writer can have meant — and the decoded checkpoint
+// otherwise.
 func Load(fsys FS, path string) (*Checkpoint, error) {
 	data, err := fsys.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	if len(data) < headerSize {
+	ck, err := parse(data)
+	if err != nil {
 		metricCorrupt.Inc()
-		return nil, fmt.Errorf("%w: %d bytes, header needs %d", ErrCorrupt, len(data), headerSize)
-	}
-	if string(data[:len(magic)]) != magic {
-		metricCorrupt.Inc()
-		return nil, fmt.Errorf("%w: bad magic %q", ErrCorrupt, data[:len(magic)])
-	}
-	if v := data[len(magic)]; v != version {
-		metricCorrupt.Inc()
-		return nil, fmt.Errorf("%w: version %d, want %d", ErrCorrupt, v, version)
-	}
-	n := binary.LittleEndian.Uint64(data[len(magic)+1:])
-	sum := binary.LittleEndian.Uint32(data[len(magic)+9:])
-	payload := data[headerSize:]
-	if uint64(len(payload)) != n {
-		metricCorrupt.Inc()
-		return nil, fmt.Errorf("%w: payload %d bytes, header says %d", ErrCorrupt, len(payload), n)
-	}
-	if got := crc32.ChecksumIEEE(payload); got != sum {
-		metricCorrupt.Inc()
-		return nil, fmt.Errorf("%w: CRC %08x, want %08x", ErrCorrupt, got, sum)
-	}
-	var ck Checkpoint
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&ck); err != nil {
-		metricCorrupt.Inc()
-		return nil, fmt.Errorf("%w: decode: %v", ErrCorrupt, err)
-	}
-	if ck.LogOffset < 0 || ck.SinkOffset < 0 {
-		metricCorrupt.Inc()
-		return nil, fmt.Errorf("%w: negative offset (log=%d sink=%d)", ErrCorrupt, ck.LogOffset, ck.SinkOffset)
+		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
 	metricLoads.Inc()
-	return &ck, nil
+	return ck, nil
 }
 
 // Resume is Load for startup paths: it folds the three cases recovery cares

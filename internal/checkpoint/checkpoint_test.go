@@ -1,10 +1,13 @@
 package checkpoint_test
 
 import (
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"io/fs"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -129,6 +132,78 @@ func TestLoadRejectsCorruption(t *testing.T) {
 	}
 	check("empty", nil)
 	check("garbage", []byte("not a checkpoint at all, but long enough to pass the size check"))
+}
+
+// TestLoadRejectsImpossibleState: a file can be intact — right header, right
+// CRC, a payload that decodes — and still hold state no writer can have meant.
+// Each case is written by Save, through the encoder, and must load as
+// ErrCorrupt; the controls beside them must load.
+func TestLoadRejectsImpossibleState(t *testing.T) {
+	spans := func(s ...checkpoint.DropSpan) func(*checkpoint.Checkpoint) {
+		return func(ck *checkpoint.Checkpoint) { ck.DropSpans = s }
+	}
+	cases := []struct {
+		name string
+		mut  func(*checkpoint.Checkpoint)
+		ok   bool
+	}{
+		{"negative LogOffset", func(ck *checkpoint.Checkpoint) { ck.LogOffset = -1 }, false},
+		{"negative SinkOffset", func(ck *checkpoint.Checkpoint) { ck.SinkOffset = -1 }, false},
+		{"negative LogFile", func(ck *checkpoint.Checkpoint) { ck.LogFile = -1 }, false},
+		{"negative CutSeq", func(ck *checkpoint.Checkpoint) { ck.CutSeq = -1 }, false},
+		{"spans unsorted", spans(checkpoint.DropSpan{Start: 3000, End: 3500, Records: 4}, checkpoint.DropSpan{Start: 1024, End: 2048, Records: 12}), false},
+		{"spans overlap", spans(checkpoint.DropSpan{Start: 1024, End: 2048, Records: 12}, checkpoint.DropSpan{Start: 2000, End: 2500, Records: 4}), false},
+		{"span Start < 0", spans(checkpoint.DropSpan{Start: -10, End: 20, Records: 1}), false},
+		{"span End == Start", spans(checkpoint.DropSpan{Start: 10, End: 10, Records: 1}), false},
+		{"span End < Start", spans(checkpoint.DropSpan{Start: 20, End: 10, Records: 1}), false},
+		{"span Records 0", spans(checkpoint.DropSpan{Start: 10, End: 20}), false},
+		{"span Records < 0", spans(checkpoint.DropSpan{Start: 10, End: 20, Records: -3}), false},
+		{"control: sample", func(*checkpoint.Checkpoint) {}, true},
+		{"control: zero positions, no spans", func(ck *checkpoint.Checkpoint) {
+			ck.LogOffset, ck.SinkOffset, ck.LogFile, ck.CutSeq, ck.DropSpans = 0, 0, 0, 0, nil
+		}, true},
+		{"control: adjacent spans from 0", spans(checkpoint.DropSpan{Start: 0, End: 100, Records: 2}, checkpoint.DropSpan{Start: 100, End: 101, Records: 1}), true},
+	}
+	dir := t.TempDir()
+	for _, c := range cases {
+		ck := sampleCheckpoint()
+		c.mut(ck)
+		path := filepath.Join(dir, "state.ckpt")
+		if err := checkpoint.Save(checkpoint.OS, path, ck); err != nil {
+			t.Fatal(err)
+		}
+		got, err := checkpoint.Load(checkpoint.OS, path)
+		switch {
+		case c.ok && err != nil:
+			t.Errorf("%s: Load = %v, want it accepted", c.name, err)
+		case c.ok && !equalCheckpoints(got, ck):
+			t.Errorf("%s: round trip changed the checkpoint", c.name)
+		case !c.ok && !errors.Is(err, checkpoint.ErrCorrupt):
+			t.Errorf("%s: Load = %v, want ErrCorrupt", c.name, err)
+		}
+	}
+}
+
+// TestLoadRejectsVersion1: a file a gob-writing build left (format version 1)
+// is not read; it is ErrCorrupt with a reason that names the version, so
+// recovery falls back to a full replay and says why.
+func TestLoadRejectsVersion1(t *testing.T) {
+	// A valid version-1 header whose CRC holds: the version alone refuses it.
+	payload := []byte("a gob stream, intact under its CRC")
+	file := append([]byte("SSRACKP\x01"), binary.LittleEndian.AppendUint64(nil, uint64(len(payload)))...)
+	file = binary.LittleEndian.AppendUint32(file, crc32.ChecksumIEEE(payload))
+	file = append(file, payload...)
+	path := filepath.Join(t.TempDir(), "state.ckpt")
+	if err := os.WriteFile(path, file, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := checkpoint.Load(checkpoint.OS, path); !errors.Is(err, checkpoint.ErrCorrupt) || !strings.Contains(err.Error(), "version 1") {
+		t.Fatalf("Load of a version-1 file = %v, want ErrCorrupt naming version 1", err)
+	}
+	ck, reason, err := checkpoint.Resume(checkpoint.OS, path)
+	if ck != nil || err != nil || !strings.Contains(reason, "version 1") {
+		t.Fatalf("Resume of a version-1 file = (%v, %q, %v), want a cold start naming version 1", ck, reason, err)
+	}
 }
 
 // TestFailedSaveLeavesPreviousIntact: injected write/sync/rename faults make

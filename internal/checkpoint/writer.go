@@ -16,6 +16,9 @@ type Writer struct {
 	every time.Duration
 	last  time.Time
 	err   error
+	// buf holds the last save's file; the next save encodes into its
+	// storage, so a steady-state save allocates nothing for the encoding.
+	buf []byte
 }
 
 // NewWriter returns a Writer that saves to path via fsys at most once per
@@ -33,7 +36,8 @@ func (w *Writer) Path() string { return w.path }
 // flaky disk degrades recovery granularity, it does not stop ingestion.
 func (w *Writer) Save(ck *Checkpoint) error {
 	w.last = w.now()
-	w.err = Save(w.fsys, w.path, ck)
+	w.buf = encode(w.buf, ck)
+	w.err = write(w.fsys, w.path, w.buf)
 	return w.err
 }
 
