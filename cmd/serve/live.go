@@ -57,7 +57,7 @@ type owner struct {
 }
 
 // drainBatchMax bounds how many records one push hands the sessionizer: one
-// tail lock round and one session write per batch.
+// metrics flush and one session write per batch.
 const drainBatchMax = 256
 
 // ready is the always-ready channel owed points at.
@@ -105,8 +105,9 @@ func newOwner(opts options) (_ *owner, err error) {
 			return nil, err
 		}
 	}
-	// The live tail has one pusher — this goroutine — so it has one shard.
-	st, err := core.NewShardedTail(core.Config{Graph: g}, opts.sessionGap, 1)
+	// The live tail has one owner — the owner goroutine — so it is a plain
+	// Tail, with no lock.
+	st, err := core.NewTail(core.Config{Graph: g}, opts.sessionGap)
 	if err != nil {
 		return nil, err
 	}
@@ -193,8 +194,8 @@ func (o *owner) stop(wait time.Duration) bool {
 }
 
 // pushFrom takes first and whatever else is already queued, up to a batch,
-// through the sessionizer, then releases their slots. Under load one tail
-// lock round and one session write cover many records.
+// through the sessionizer, then releases their slots. Under load one metrics
+// flush and one session write cover many records.
 func (o *owner) pushFrom(first clf.Record) {
 	batch := append(o.batch[:0], first)
 fill:
@@ -563,7 +564,7 @@ func (s *server) repairLogTail() error {
 // write from a failed attempt is healed by its own retry instead of
 // corrupting the file.
 type sessionTee struct {
-	st   *core.ShardedTail
+	st   *core.Tail
 	sink *core.RetrySink
 	f    *os.File
 	good int64    // session-file bytes known to hold only complete batches
@@ -585,7 +586,7 @@ func openSessions(path string) (*os.File, int64, error) {
 	return f, size, nil
 }
 
-func newSessionTee(st *core.ShardedTail, path string) (*sessionTee, error) {
+func newSessionTee(st *core.Tail, path string) (*sessionTee, error) {
 	f, size, err := openSessions(path)
 	if err != nil {
 		return nil, err

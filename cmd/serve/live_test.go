@@ -149,7 +149,7 @@ func (f *liveFixture) fence() { f.reconcile <- time.Time{} }
 // replay is what an offline run makes of the fixture's log and cut journal.
 func (f *liveFixture) replay(cuts []core.ExpiryCut) []byte {
 	f.t.Helper()
-	st, err := core.NewShardedTail(core.Config{Graph: fixtureGraph}, f.opts.sessionGap, 1)
+	st, err := core.NewTail(core.Config{Graph: fixtureGraph}, f.opts.sessionGap)
 	if err != nil {
 		f.t.Fatal(err)
 	}

@@ -22,13 +22,13 @@
 // http://host/debug/pprof/profile?seconds=10).
 //
 // With -sessions the server sessionizes its own traffic live, and one
-// goroutine — the owner, live.go — does all of it: it alone pushes into the
-// core.ShardedTail (Smart-SRA), appends finalized sessions to the session
-// file (through a core.RetrySink, so transient write failures are retried and
-// persistent ones land in <sessions>.deadletter instead of vanishing; once
-// writes recover, the journal is re-ingested and truncated), expires quiet
-// users every -expire-every, journals those expiry cuts, backfills shed
-// records, checkpoints and rotates. The request path shares one lock with it,
+// goroutine — the owner, live.go — does all of it: it alone touches the
+// core.Tail (Smart-SRA, no lock: nothing else may), appends finalized
+// sessions to the session file (through a core.RetrySink, so transient write
+// failures are retried and persistent ones land in <sessions>.deadletter
+// instead of vanishing; once writes recover, the journal is re-ingested and
+// truncated), expires quiet users every -expire-every, journals those expiry
+// cuts, backfills shed records, checkpoints and rotates. The request path shares one lock with it,
 // the log lock: a handler holds it to append its record to the access log,
 // flush, and send the record down the bounded ingest queue (-ingest-queue
 // records, at least 1), so queue order is log order; the owner holds it only

@@ -169,7 +169,7 @@ func TestLiveOfflineEquivalenceWithExpiry(t *testing.T) {
 
 	// The pin: replaying the log with the journaled cuts reproduces the live
 	// session file exactly.
-	st, err := core.NewShardedTail(core.Config{Graph: g}, gap, 1)
+	st, err := core.NewTail(core.Config{Graph: g}, gap)
 	if err != nil {
 		t.Fatal(err)
 	}

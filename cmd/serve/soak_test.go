@@ -284,7 +284,7 @@ func TestSoakCrashRecoveryUnderLoad(t *testing.T) {
 	// run cannot be the reference — wall-clock timestamps differ — but the
 	// log IS the run, so replaying it is replaying the run.)
 	logPath := filepath.Join(dir, "access.log")
-	st, err := core.NewShardedTail(core.Config{Graph: g}, 0, 1)
+	st, err := core.NewTail(core.Config{Graph: g}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -27,10 +27,14 @@
 //
 // -expire-every finalizes users quiet for longer than the session gap even
 // while input is still flowing, so an endless pipe emits sessions
-// continuously instead of holding every open burst until EOF. The default
-// (0) enables a 30s sweep for pipes and stdin and disables it for regular
-// files, where wall-clock expiry would split historical sessions that
-// batch mode merges; a negative value forces it off everywhere.
+// continuously instead of holding every open burst until EOF. Each tick runs
+// on the goroutine that sessionizes, between two chunks — the record boundary
+// serve journals a cut at — and fires on an idle pipe too, where the parser
+// goroutine is the one waiting for input; with it on, every sunk batch is
+// flushed to the output. The default (0) enables a 30s tick for pipes and
+// stdin and disables it for regular files, where wall-clock expiry would
+// split historical sessions that batch mode merges; a negative value forces
+// it off everywhere.
 //
 // -checkpoint makes a streaming run crash-safe: state is periodically
 // snapshotted (open bursts + byte offsets, atomic CRC-protected writes),
@@ -59,7 +63,6 @@ import (
 	"io"
 	"os"
 	"strconv"
-	"sync"
 	"time"
 
 	"smartsra/internal/checkpoint"
@@ -146,7 +149,7 @@ func run(o options) error {
 		if o.expireEvery > 0 {
 			return fmt.Errorf("-cuts replaces wall-clock expiry with the journaled cut sequence; drop -expire-every")
 		}
-		o.expireEvery = -1 // force the wall-clock sweep off; cuts are the expiry
+		o.expireEvery = -1 // force the wall-clock tick off; cuts are the expiry
 	}
 	tf, err := os.Open(o.topoPath)
 	if err != nil {
@@ -195,8 +198,10 @@ func run(o options) error {
 			// buffer every user's open burst until EOF never comes.
 			expire = 30 * time.Second
 		}
-		if expire < 0 {
-			expire = 0
+		if expire > 0 {
+			tick := time.NewTicker(expire)
+			defer tick.Stop()
+			cfg.ExpireTick = tick.C
 		}
 		var cuts []core.ExpiryCut
 		if o.cutsPath != "" {
@@ -212,9 +217,9 @@ func run(o options) error {
 			fmt.Fprintf(os.Stderr, "sessionize: replaying %d expiry cuts from %s\n", len(cuts), o.cutsPath)
 		}
 		if o.ckptPath != "" {
-			return runStreamCheckpointed(cfg, o.sessionGap, expire, paths, o.sessPath, o.ckptPath, o.ckptEvery)
+			return runStreamCheckpointed(cfg, o.sessionGap, paths, o.sessPath, o.ckptPath, o.ckptEvery)
 		}
-		return runStream(cfg, o.sessionGap, expire, paths, o.statsOnly, o.sessPath, cuts)
+		return runStream(cfg, o.sessionGap, paths, o.statsOnly, o.sessPath, cuts)
 	}
 	pipeline, err := core.NewPipeline(cfg)
 	if err != nil {
@@ -256,51 +261,20 @@ func mayNeverEnd(paths []string) bool {
 	return false
 }
 
-// startExpireLoop runs tick every interval until the returned stop function
-// is called (the same stoppable-ticker shape serve uses). A non-positive
-// interval starts nothing.
-func startExpireLoop(every time.Duration, tick func(time.Time)) (stop func()) {
-	if every <= 0 {
-		return func() {}
-	}
-	done := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		t := time.NewTicker(every)
-		defer t.Stop()
-		for {
-			select {
-			case <-done:
-				return
-			case now := <-t.C:
-				tick(now)
-			}
-		}
-	}()
-	return func() {
-		close(done)
-		wg.Wait()
-	}
-}
-
 // runStream ingests the log through the bounded-memory streaming path: a
-// streaming sessionizer fed in input order by the chunk reader, writing
-// each session the moment its burst closes. Heap usage is independent of
-// log length, so this path handles logs larger than RAM and never-ending
-// stdin pipes. File inputs (paths non-nil) go through the zero-copy source
-// layer — mmap windows for plain files, a decoder goroutine per gzip member;
-// nil paths reads stdin. With expire > 0 a background sweep also finalizes
-// users quiet for longer than the session gap, so sessions keep flowing
-// while input does. A non-empty cuts sequence (from -cuts) replays serve's
-// journaled timed expiries at the exact record boundaries the live run froze
-// them at, making the output byte-identical to the live session stream even
-// when the server ran with -expire-every.
-func runStream(cfg core.Config, rho, expire time.Duration, paths []string, statsOnly bool, sessPath string, cuts []core.ExpiryCut) (err error) {
-	// Cut replay applies Expire inline in the delivery goroutine, so it
-	// needs no concurrent-safe tail; only the wall-clock sweep does.
-	st, err := core.NewSessionizer(cfg, rho, expire > 0)
+// Tail fed in input order by the chunk reader, writing each session the
+// moment its burst closes. Heap usage is independent of log length, so this
+// path handles logs larger than RAM and never-ending stdin pipes. File inputs
+// (paths non-nil) go through the zero-copy source layer — mmap windows for
+// plain files, a decoder goroutine per gzip member; nil paths reads stdin.
+// With cfg.ExpireTick set, each tick also finalizes users quiet for longer
+// than the session gap, so sessions keep flowing while input does. A
+// non-empty cuts sequence (from -cuts) replays serve's journaled timed
+// expiries at the exact record boundaries the live run froze them at, making
+// the output byte-identical to the live session stream even when the server
+// ran with -expire-every.
+func runStream(cfg core.Config, rho time.Duration, paths []string, statsOnly bool, sessPath string, cuts []core.ExpiryCut) (err error) {
+	st, err := core.NewTail(cfg, rho)
 	if err != nil {
 		return err
 	}
@@ -317,13 +291,6 @@ func runStream(cfg core.Config, rho, expire time.Duration, paths []string, stats
 		}()
 	}
 	out := bufio.NewWriter(dst)
-	// The expire sweep races Ingest's emits, so every write goes through one
-	// mutex; the sweep also flushes, so a downstream pipe sees expired
-	// sessions now rather than at the next buffer fill — and on stdin so does
-	// every sunk batch: a chunk there is what one read returned, and whoever
-	// watches a live pipe's output should see its sessions as its lines
-	// arrive, not at the next sweep.
-	var mu sync.Mutex
 	emit := func(s []session.Session) {
 		if statsOnly || len(s) == 0 {
 			return
@@ -333,26 +300,20 @@ func runStream(cfg core.Config, rho, expire time.Duration, paths []string, stats
 			os.Exit(1)
 		}
 	}
-	flush := func() {
-		if err := out.Flush(); err != nil {
-			fmt.Fprintln(os.Stderr, "sessionize:", err)
-			os.Exit(1)
+	// Live input flushes every sunk batch: on stdin a chunk is what one read
+	// returned, and whoever watches a live pipe's output should see its
+	// sessions as its lines arrive — and an expiry tick's as it fires, not at
+	// the next buffer fill.
+	sink := emit
+	if paths == nil || cfg.ExpireTick != nil {
+		sink = func(s []session.Session) {
+			emit(s)
+			if err := out.Flush(); err != nil {
+				fmt.Fprintln(os.Stderr, "sessionize:", err)
+				os.Exit(1)
+			}
 		}
 	}
-	sink := func(s []session.Session) {
-		mu.Lock()
-		defer mu.Unlock()
-		emit(s)
-		if paths == nil {
-			flush()
-		}
-	}
-	stopExpire := startExpireLoop(expire, func(now time.Time) {
-		mu.Lock()
-		defer mu.Unlock()
-		emit(st.Expire(now))
-		flush()
-	})
 	var malformed int
 	switch {
 	case paths == nil:
@@ -362,7 +323,6 @@ func runStream(cfg core.Config, rho, expire time.Duration, paths []string, stats
 	default:
 		malformed, err = st.IngestFiles(paths, clf.FilePos{}, sink, nil)
 	}
-	stopExpire()
 	if err != nil {
 		// Sessions sunk before a read error are output like any other: write
 		// them out. The read error stays the message and the exit status.
@@ -420,12 +380,12 @@ func validateResume(ck *checkpoint.Checkpoint, paths []string) (clf.FilePos, str
 // at chunk boundaries while streaming — across the whole multi-file set,
 // with (file index, byte offset) positions so a kill inside access.log.2.gz
 // resumes there. A missing, corrupt, or stale checkpoint falls back to a
-// full run from the start of the set. The optional expire sweep shares the
-// sink mutex with the write and snapshot paths, so every checkpoint records
-// a consistent (log position, session offset, open bursts) cut even while
-// expiry is emitting.
-func runStreamCheckpointed(cfg core.Config, rho, expire time.Duration, paths []string, sessPath, ckptPath string, every time.Duration) error {
-	st, err := core.NewSessionizer(cfg, rho, expire > 0)
+// full run from the start of the set. Expiry ticks, the writes and the
+// snapshots all run on the goroutine that ingests, so every checkpoint
+// records a consistent (log position, session offset, open bursts) cut even
+// while expiry is emitting.
+func runStreamCheckpointed(cfg core.Config, rho time.Duration, paths []string, sessPath, ckptPath string, every time.Duration) error {
+	st, err := core.NewTail(cfg, rho)
 	if err != nil {
 		return err
 	}
@@ -475,11 +435,10 @@ func runStreamCheckpointed(cfg core.Config, rho, expire time.Duration, paths []s
 	}
 
 	w := checkpoint.NewWriter(checkpoint.OS, ckptPath, every)
-	var mu sync.Mutex
 	good := sinkOff
 	cur := start
 	var sinkErr error
-	// Caller holds mu.
+	// good advances only past batches whose write succeeded.
 	emit := func(s []session.Session) {
 		if sinkErr != nil || len(s) == 0 {
 			return
@@ -488,21 +447,7 @@ func runStreamCheckpointed(cfg core.Config, rho, expire time.Duration, paths []s
 			good, sinkErr = sf.Seek(0, io.SeekCurrent)
 		}
 	}
-	stopExpire := startExpireLoop(expire, func(now time.Time) {
-		mu.Lock()
-		defer mu.Unlock()
-		if sinkErr != nil {
-			return
-		}
-		emit(st.Expire(now))
-	})
-	malformed, err := st.IngestFiles(paths, start, func(s []session.Session) {
-		mu.Lock()
-		defer mu.Unlock()
-		emit(s)
-	}, func(pos clf.FilePos) error {
-		mu.Lock()
-		defer mu.Unlock()
+	malformed, err := st.IngestFiles(paths, start, emit, func(pos clf.FilePos) error {
 		cur = pos
 		if sinkErr != nil {
 			return nil
@@ -522,15 +467,12 @@ func runStreamCheckpointed(cfg core.Config, rho, expire time.Duration, paths []s
 		}
 		return nil
 	})
-	stopExpire()
 	if err != nil {
 		return err
 	}
 	if sinkErr != nil {
 		return sinkErr
 	}
-	// The sweep is stopped, so emit needs no lock from here on. good still
-	// advances only past batches whose write succeeded.
 	st.Drain(emit)
 	if sinkErr != nil {
 		return sinkErr
@@ -549,7 +491,7 @@ func runStreamCheckpointed(cfg core.Config, rho, expire time.Duration, paths []s
 	return nil
 }
 
-func printStreamStats(cfg core.Config, st core.Sessionizer, malformed int) {
+func printStreamStats(cfg core.Config, st *core.Tail, malformed int) {
 	stats := st.Stats()
 	stats.Malformed = malformed
 	if d, ok := cfg.Heuristic.(heuristics.Describer); ok {

@@ -120,6 +120,60 @@ func TestPipeSessionReachesStdoutAsItsLinesArrive(t *testing.T) {
 	}
 }
 
+// TestExpiryFiresOnAnIdlePipe: with -expire-every on, a user quiet for longer
+// than the session gap has their session written while stdin is still open
+// and nothing more arrives — the tick does not wait for input. The line is
+// historical, so the first tick expires it; the timeout is the failure guard,
+// not the synchronisation.
+func TestExpiryFiresOnAnIdlePipe(t *testing.T) {
+	cmd, stderr := sessionize("-topology", figure1(t, t.TempDir()), "-log", "-", "-stream",
+		"-session-gap", "1s", "-expire-every", "50ms")
+	pr, pw, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cmd.Stdin = pr
+	stdout, err := cmd.StdoutPipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	pr.Close()
+	lines := make(chan string, 1)
+	go func() {
+		defer close(lines)
+		for sc := bufio.NewScanner(stdout); sc.Scan(); {
+			lines <- sc.Text()
+		}
+	}()
+	fail := func(format string, args ...any) {
+		t.Helper()
+		cmd.Process.Kill()
+		cmd.Wait()
+		t.Fatalf(format+"; stderr:\n%s", append(args, stderr)...)
+	}
+	if _, err := io.WriteString(pw, logLine("10.0.0.1", time.Date(2006, 1, 2, 8, 0, 0, 0, time.UTC), "/P1.html")); err != nil {
+		fail("write: %v", err)
+	}
+	select {
+	case line, ok := <-lines:
+		if !ok || line != "10.0.0.1:[0]" {
+			fail("stdout gave %q (open %v), want 10.0.0.1:[0]", line, ok)
+		}
+	case <-time.After(30 * time.Second):
+		fail("no session on stdout 30 s after the line, stdin still open")
+	}
+	pw.Close()
+	if extra, ok := <-lines; ok {
+		t.Errorf("unexpected line %q after EOF", extra)
+	}
+	if err := cmd.Wait(); err != nil {
+		t.Fatalf("sessionize: %v; stderr:\n%s", err, stderr)
+	}
+}
+
 // walkLog is 777 users' log on the Figure 1 site: a quarter of them have an
 // earlier burst, closed while feeding, and all 777 are open at end of input,
 // so a run's drain is four batches, reconstructed on lanes.
@@ -160,10 +214,9 @@ func streamTo(t *testing.T, dir, name string, stdin io.Reader, args ...string) (
 	return b, errBuf.String()
 }
 
-// TestPathRedirectAndPipeWriteOneFile: by path (mmap, a plain Tail), through
-// a redirect (a regular file on stdin), through a pipe, and through a pipe
-// with the expire sweep armed (the lock-guarded one-shard ShardedTail and its
-// drain; an hour, so it never fires) a log must give one and the same
+// TestPathRedirectAndPipeWriteOneFile: by path (mmap), through a redirect (a
+// regular file on stdin), through a pipe, and through a pipe with the expire
+// tick armed (an hour, so it never fires) a log must give one and the same
 // sessions file.
 func TestPathRedirectAndPipeWriteOneFile(t *testing.T) {
 	dir := t.TempDir()

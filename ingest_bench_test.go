@@ -9,7 +9,6 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
-	"sync"
 	"testing"
 
 	"smartsra/internal/clf"
@@ -36,11 +35,10 @@ func ingestWorkload(b *testing.B) (*webgraph.Graph, []clf.Record, []byte) {
 
 // BenchmarkIngest measures the streaming ingestion layer: CLF parse
 // throughput (legacy per-line-string path, []byte fast path, the chunk reader
-// collected into a slice as ProcessLog does) and Tail vs concurrently-fed
-// ShardedTail sessionization. The records/s metric is the headline;
-// allocs/op shows the parse path's allocation reduction. Output identity is
-// pinned by TestReadAllParallelMatchesReadAll and
-// TestShardedTailEquivalentToTail under -race.
+// collected into a slice as ProcessLog does) and Tail sessionization, record
+// by record and in batches. The records/s metric is the headline; allocs/op
+// shows the parse path's allocation reduction. Output identity is pinned by
+// TestReadAllParallelMatchesReadAll and TestGoldenCorpusBatchSizes.
 func BenchmarkIngest(b *testing.B) {
 	g, records, data := ingestWorkload(b)
 	recs := float64(len(records))
@@ -115,42 +113,6 @@ func BenchmarkIngest(b *testing.B) {
 		}
 		b.ReportMetric(recs*float64(b.N)/b.Elapsed().Seconds(), "records/s")
 	})
-	b.Run("sharded-tail", func(b *testing.B) {
-		// Partition records by user across feeders so each user's arrival
-		// order is preserved (the determinism contract's requirement).
-		feeders := runtime.GOMAXPROCS(0)
-		if feeders < 2 {
-			feeders = 2
-		}
-		feeds := make([][]clf.Record, feeders)
-		for _, rec := range records {
-			h := uint32(2166136261)
-			for i := 0; i < len(rec.Host); i++ {
-				h = (h ^ uint32(rec.Host[i])) * 16777619
-			}
-			feeds[h%uint32(feeders)] = append(feeds[h%uint32(feeders)], rec)
-		}
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			st, err := core.NewShardedTail(core.Config{Graph: g}, 0, 0)
-			if err != nil {
-				b.Fatal(err)
-			}
-			var wg sync.WaitGroup
-			for _, part := range feeds {
-				wg.Add(1)
-				go func(part []clf.Record) {
-					defer wg.Done()
-					for _, rec := range part {
-						st.Push(rec)
-					}
-				}(part)
-			}
-			wg.Wait()
-			st.Flush()
-		}
-		b.ReportMetric(recs*float64(b.N)/b.Elapsed().Seconds(), "records/s")
-	})
 }
 
 // BenchmarkTailPush is the sessionizer hot path record-at-a-time: the
@@ -175,8 +137,7 @@ func BenchmarkTailPush(b *testing.B) {
 }
 
 // BenchmarkTailPushBatch is the same workload through the batched hot path:
-// one metrics flush per 8192-record batch on a Tail, and one lock
-// acquisition per touched shard per batch on a ShardedTail.
+// one metrics flush per 8192-record batch, on one shard and on four.
 func BenchmarkTailPushBatch(b *testing.B) {
 	g, records, _ := ingestWorkload(b)
 	recs := float64(len(records))

@@ -75,14 +75,14 @@ func rotateCorpus(t *testing.T, c corpus, dir string) []string {
 // checkpoint every 3rd progress boundary through fsys, and — when
 // killAfter >= 0 — crash by failing the progress callback at that boundary,
 // leaving a torn tail on the session file.
-func attemptFiles(t *testing.T, c corpus, paths []string, sinkPath, ckptPath string, fsys checkpoint.FS, shards, killAfter int) bool {
+func attemptFiles(t *testing.T, c corpus, paths []string, sinkPath, ckptPath string, fsys checkpoint.FS, killAfter int) bool {
 	t.Helper()
 
 	ck, _, err := checkpoint.Resume(fsys, ckptPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := core.NewShardedTail(c.config(), 0, shards)
+	st, err := core.NewTail(c.config(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,20 +202,18 @@ func TestCrashRecoveryMultiFile(t *testing.T) {
 				// Kill after a few boundaries per attempt; a checkpoint lands
 				// every 3rd boundary, so attempts that get that far make
 				// forward progress, and the final uninterrupted pass finishes
-				// the set regardless. The shard count rotates across restarts
-				// to prove snapshots are layout-independent.
-				layouts := []int{1, 3, 4, 2}
+				// the set regardless.
 				kills, killed := 4, 0
 				for i := 0; i < kills; i++ {
 					killAfter := 2 + rng.Intn(6)
-					if !attemptFiles(t, c, paths, sinkPath, ckptPath, fsys, layouts[i%len(layouts)], killAfter) {
+					if !attemptFiles(t, c, paths, sinkPath, ckptPath, fsys, killAfter) {
 						killed++
 					}
 				}
 				if killed == 0 {
 					t.Fatalf("seed %d: no attempt crashed — the harness never exercised recovery", seed)
 				}
-				if !attemptFiles(t, c, paths, sinkPath, ckptPath, fsys, layouts[kills%len(layouts)], -1) {
+				if !attemptFiles(t, c, paths, sinkPath, ckptPath, fsys, -1) {
 					t.Fatalf("seed %d: final attempt did not complete", seed)
 				}
 

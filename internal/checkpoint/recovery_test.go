@@ -105,7 +105,7 @@ func (c corpus) config() core.Config {
 // and render the complete session set.
 func referenceRun(t *testing.T, c corpus) []byte {
 	t.Helper()
-	st, err := core.NewShardedTail(c.config(), 0, 4)
+	st, err := core.NewTail(c.config(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,14 +129,14 @@ func referenceRun(t *testing.T, c corpus) []byte {
 // chunk boundaries through fsys, and — when killAt >= 0 — crash at that byte
 // offset, leaving a torn tail on the session file. It returns whether the
 // pass ran to completion (flushing open bursts into the session file).
-func attempt(t *testing.T, c corpus, sinkPath, ckptPath string, fsys checkpoint.FS, shards int, killAt int64) bool {
+func attempt(t *testing.T, c corpus, sinkPath, ckptPath string, fsys checkpoint.FS, killAt int64) bool {
 	t.Helper()
 
 	ck, _, err := checkpoint.Resume(fsys, ckptPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := core.NewShardedTail(c.config(), 0, shards)
+	st, err := core.NewTail(c.config(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,21 +259,19 @@ func TestCrashRecoveryEquivalence(t *testing.T) {
 
 				// Sorted random kill points: each crash happens strictly
 				// later in the log than the last checkpoint, so the run makes
-				// progress; the shard count changes across restarts to prove
-				// snapshots are layout-independent.
+				// progress.
 				kills := make([]int64, 4)
 				for i := range kills {
 					kills[i] = 1 + rng.Int63n(int64(len(c.log))-1)
 				}
 				sort.Slice(kills, func(i, j int) bool { return kills[i] < kills[j] })
 
-				layouts := []int{1, 3, 4, 2, 3}
-				for i, killAt := range kills {
-					if attempt(t, c, sinkPath, ckptPath, fsys, layouts[i%len(layouts)], killAt) {
+				for _, killAt := range kills {
+					if attempt(t, c, sinkPath, ckptPath, fsys, killAt) {
 						t.Fatalf("seed %d: attempt with kill at %d ran to completion", seed, killAt)
 					}
 				}
-				if !attempt(t, c, sinkPath, ckptPath, fsys, layouts[len(kills)%len(layouts)], -1) {
+				if !attempt(t, c, sinkPath, ckptPath, fsys, -1) {
 					t.Fatalf("seed %d: final attempt did not complete", seed)
 				}
 
@@ -301,7 +299,7 @@ func TestCrashRecoveryCorruptCheckpointFallsBack(t *testing.T) {
 	sinkPath := filepath.Join(dir, "sessions.txt")
 	ckptPath := filepath.Join(dir, "state.ckpt")
 
-	if attempt(t, c, sinkPath, ckptPath, checkpoint.OS, 3, int64(len(c.log)*2/3)) {
+	if attempt(t, c, sinkPath, ckptPath, checkpoint.OS, int64(len(c.log)*2/3)) {
 		t.Fatal("kill attempt ran to completion")
 	}
 	data, err := os.ReadFile(ckptPath)
@@ -315,7 +313,7 @@ func TestCrashRecoveryCorruptCheckpointFallsBack(t *testing.T) {
 	if ck, reason, err := checkpoint.Resume(checkpoint.OS, ckptPath); ck != nil || reason == "" || err != nil {
 		t.Fatalf("Resume on corrupt checkpoint = (%v, %q, %v), want detected corruption", ck, reason, err)
 	}
-	if !attempt(t, c, sinkPath, ckptPath, checkpoint.OS, 2, -1) {
+	if !attempt(t, c, sinkPath, ckptPath, checkpoint.OS, -1) {
 		t.Fatal("full-replay attempt did not complete")
 	}
 	got, err := os.ReadFile(sinkPath)

@@ -24,6 +24,13 @@ type StreamConfig struct {
 	// NoMmap forces the buffered reader for plain files (benchmarks and
 	// equivalence tests; gzip always decodes through the buffered path).
 	NoMmap bool
+	// Tick, when non-nil, is a second input of the emitting loop: each value
+	// received runs OnTick on the goroutine that emits, between two chunks —
+	// after one chunk's emitChunk and progress, before the next chunk's. The
+	// parser, not the emitting goroutine, blocks in Read, so a tick fires on
+	// an idle pipe too.
+	Tick   <-chan time.Time
+	OnTick func(time.Time)
 }
 
 // withDefaults resolves the zero value the openers themselves read.
@@ -62,7 +69,7 @@ func (c StreamConfig) withDefaults() StreamConfig {
 func StreamChunked(r io.Reader, cfg StreamConfig, emitChunk func([]Record), progress func(FilePos) error) (malformed int, err error) {
 	src := newReaderSource(r, SourceReader, 0) // no closers: r is borrowed
 	open := func(int) (Source, error) { return src, nil }
-	return streamSources(1, 0, open, cfg.withDefaults().ChunkBytes, emitChunk, progress)
+	return streamSources(1, 0, open, cfg.withDefaults(), emitChunk, progress)
 }
 
 // StreamFilesChunked is StreamChunked over an ordered multi-file log set —
@@ -89,7 +96,7 @@ func StreamFilesChunked(paths []string, cfg StreamConfig, emitChunk func([]Recor
 		}
 		return openSourceAt(paths[i], off, cfg.NoMmap, cfg.ChunkBytes)
 	}
-	return streamSources(len(paths), max(cfg.Start.File, 0), open, cfg.ChunkBytes, emitChunk, progress)
+	return streamSources(len(paths), max(cfg.Start.File, 0), open, cfg, emitChunk, progress)
 }
 
 // parsedChunk is one chunk's parse result and where the chunk ended; bad
@@ -197,20 +204,28 @@ func (p *parser) send(c parsedChunk) bool {
 // streamSources runs the parse pipeline over n ordered sources, opened
 // lazily by open, starting at index first, delivering each chunk's records
 // as one slice: one parser goroutine reads and parses in input order and the
-// calling goroutine emits behind it. The parser has ended, its sources
-// closed, on return.
-func streamSources(n, first int, open func(int) (Source, error), chunkBytes int, emitChunk func([]Record), progress func(FilePos) error) (malformed int, err error) {
+// calling goroutine emits behind it, running cfg.OnTick for each cfg.Tick in
+// between. The parser has ended, its sources closed, on return.
+func streamSources(n, first int, open func(int) (Source, error), cfg StreamConfig, emitChunk func([]Record), progress func(FilePos) error) (malformed int, err error) {
 	records := 0
 	defer func() {
 		metricRecords.Add(int64(records))
 		metricMalformed.Add(int64(malformed))
 	}()
-	p := startParser(n, first, open, chunkBytes)
+	p := startParser(n, first, open, cfg.ChunkBytes)
 	defer p.stop() // every exit waits for the parser, which closes its source
 	for {
 		start := time.Now()
-		c, ok := <-p.out
-		metricParseWait.Add(int64(time.Since(start)))
+		var c parsedChunk
+		var ok bool
+		select {
+		case c, ok = <-p.out:
+			metricParseWait.Add(int64(time.Since(start)))
+		case now := <-cfg.Tick:
+			metricParseWait.Add(int64(time.Since(start)))
+			cfg.OnTick(now)
+			continue
+		}
 		if !ok || c.err != nil {
 			return malformed, c.err
 		}

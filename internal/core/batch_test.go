@@ -15,9 +15,9 @@ import (
 // golden corpus through PushBatch in every batch size — record-at-a-time,
 // tiny, chunk-unaligned, large, and the whole log at once — produces bytes
 // identical to the committed golden stream output, on the plain Tail and on
-// every shard count. The same corpus then runs through Ingest — the path
-// cmd/serve and cmd/sessionize actually take — where a batch is a chunk, in
-// chunks from about one line to the whole log.
+// every shard count. The same corpus then runs through Tail.Ingest — the
+// path cmd/serve and cmd/sessionize actually take — where a batch is a
+// chunk, in chunks from about one line to the whole log.
 func TestGoldenCorpusBatchSizes(t *testing.T) {
 	log := readGolden(t, "golden.log")
 	g := goldenGraph()
@@ -70,37 +70,22 @@ func TestGoldenCorpusBatchSizes(t *testing.T) {
 		}
 	}
 
-	for _, shards := range []int{0, 2} {
-		for _, chunk := range []int{0, 128, 1024, 64 << 10} {
-			cfg := Config{Graph: g, StreamChunkBytes: chunk}
-			var got []session.Session
-			collect := keep(&got)
-			var malformed int
-			if shards == 0 {
-				tl, err := NewTail(cfg, 0)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if malformed, err = tl.Ingest(bytes.NewReader(log), collect, nil); err != nil {
-					t.Fatal(err)
-				}
-				got = append(got, tl.Flush()...)
-			} else {
-				st, err := NewShardedTail(cfg, 0, shards)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if malformed, err = st.Ingest(bytes.NewReader(log), collect, nil); err != nil {
-					t.Fatal(err)
-				}
-				got = append(got, st.Flush()...)
-			}
-			if malformed != goldenMalformed {
-				t.Fatalf("shards=%d chunk=%d: malformed %d, want %d", shards, chunk, malformed, goldenMalformed)
-			}
-			if !bytes.Equal(renderSessions(t, got), want) {
-				t.Fatalf("shards=%d chunk=%d: Ingest sessions differ from golden", shards, chunk)
-			}
+	for _, chunk := range []int{0, 128, 1024, 64 << 10} {
+		tl, err := NewTail(Config{Graph: g, StreamChunkBytes: chunk}, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []session.Session
+		malformed, err := tl.Ingest(bytes.NewReader(log), keep(&got), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got = append(got, tl.Flush()...)
+		if malformed != goldenMalformed {
+			t.Fatalf("chunk=%d: malformed %d, want %d", chunk, malformed, goldenMalformed)
+		}
+		if !bytes.Equal(renderSessions(t, got), want) {
+			t.Fatalf("chunk=%d: Ingest sessions differ from golden", chunk)
 		}
 	}
 }

@@ -106,7 +106,7 @@ func (m *memSampler) sample() {
 
 // TestStreamParallelBoundedMemory is the bounded-memory regression test: a
 // multi-hundred-MiB synthetic log (generated, never materialized) streamed
-// through ShardedTail.Ingest must keep the live-heap high-water under a fixed
+// through Tail.Ingest must keep the live-heap high-water under a fixed
 // budget that does not depend on the log's length — the property that
 // separates streaming ingestion from ProcessLog, whose record slice alone
 // would dwarf the budget. Two lengths run under the same budget to pin the
@@ -135,13 +135,13 @@ func TestStreamParallelBoundedMemory(t *testing.T) {
 	}
 
 	// ingest feeds total bytes of log to st and samples while it does.
-	run := func(total int64, ingest func(st *ShardedTail, m *memSampler) (int, error)) uint64 {
-		st, err := NewShardedTail(Config{
+	run := func(total int64, ingest func(st *Tail, m *memSampler) (int, error)) uint64 {
+		st, err := NewTail(Config{
 			Graph: g,
 			// Time-gap keeps burst reconstruction linear; the test measures
 			// ingestion memory, not Smart-SRA's CPU profile.
 			Heuristic: heuristics.NewTimeGap(),
-		}, 0, 4)
+		}, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -166,7 +166,7 @@ func TestStreamParallelBoundedMemory(t *testing.T) {
 		return m.high.Load()
 	}
 	fromReader := func(total int64) uint64 {
-		return run(total, func(st *ShardedTail, m *memSampler) (int, error) {
+		return run(total, func(st *Tail, m *memSampler) (int, error) {
 			m.r = newSynthLogReader(total, uris)
 			return st.Ingest(m, DiscardSessions, nil)
 		})
@@ -187,7 +187,7 @@ func TestStreamParallelBoundedMemory(t *testing.T) {
 		if err := f.Close(); err != nil {
 			t.Fatal(err)
 		}
-		return run(total, func(st *ShardedTail, m *memSampler) (int, error) {
+		return run(total, func(st *Tail, m *memSampler) (int, error) {
 			return st.IngestFiles([]string{path}, clf.FilePos{}, DiscardSessions, func(clf.FilePos) error {
 				m.sample()
 				return nil

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"strconv"
+	"strings"
 	"time"
 
 	"smartsra/internal/clf"
@@ -48,7 +50,9 @@ func AppendCut(w io.Writer, c ExpiryCut) error {
 // is a torn append from a crash and is ignored — every complete line before
 // it is still valid. Any malformed complete line is an error: the journal is
 // machine-written, so a bad line means corruption, and replaying around it
-// would silently produce a different session stream.
+// would silently produce a different session stream. A well-formed line is
+// exactly what AppendCut writes: "cut" and three integers, one space apart,
+// each as strconv.FormatInt prints it (no sign but a minus, no leading zero).
 func ReadCuts(r io.Reader) ([]ExpiryCut, error) {
 	var cuts []ExpiryCut
 	br := bufio.NewReader(r)
@@ -61,17 +65,33 @@ func ReadCuts(r io.Reader) ([]ExpiryCut, error) {
 		if err != nil {
 			return nil, err
 		}
-		var c ExpiryCut
-		var nanos int64
-		if _, err := fmt.Sscanf(line, "cut %d %d %d", &c.Seq, &c.Records, &nanos); err != nil {
-			return nil, fmt.Errorf("core: cut journal line %d: %q: %w", len(cuts)+1, line, err)
+		c, ok := parseCut(line[:len(line)-1])
+		if !ok {
+			return nil, fmt.Errorf("core: cut journal line %d: malformed: %q", len(cuts)+1, line)
 		}
 		if c.Seq <= 0 || c.Records < 0 {
 			return nil, fmt.Errorf("core: cut journal line %d: non-positive seq or negative records: %q", len(cuts)+1, line)
 		}
-		c.At = time.Unix(0, nanos)
 		cuts = append(cuts, c)
 	}
+}
+
+// parseCut parses one journal line without its newline, accepting only
+// AppendCut's rendering.
+func parseCut(line string) (c ExpiryCut, ok bool) {
+	f := strings.Split(line, " ")
+	if len(f) != 4 || f[0] != "cut" {
+		return c, false
+	}
+	var v [3]int64
+	for i, s := range f[1:] {
+		n, err := strconv.ParseInt(s, 10, 64)
+		if err != nil || strconv.FormatInt(n, 10) != s {
+			return c, false
+		}
+		v[i] = n
+	}
+	return ExpiryCut{Seq: v[0], Records: v[1], At: time.Unix(0, v[2])}, true
 }
 
 // CutsAfter returns the cuts with Seq > seq, sorted by Seq — the suffix a
@@ -89,12 +109,11 @@ func CutsAfter(cuts []ExpiryCut, seq int64) []ExpiryCut {
 }
 
 // cutFeeder builds the per-chunk delivery function ingestion hands to the
-// clf chunk reader: each chunk goes to the sessionizer whole — one lock round
-// and one metrics flush per chunk — through pushBatchTo, whose output is
-// pinned byte-identical to a record-at-a-time Push loop. One session buffer
-// serves the whole ingestion: batches are lent to the sink, so each reuses
-// the previous one's storage and the steady state allocates nothing per
-// batch.
+// clf chunk reader: each chunk goes to the Tail whole — one metrics flush per
+// chunk — through pushBatchTo, whose output is pinned byte-identical to a
+// record-at-a-time Push loop. One session buffer serves the whole ingestion:
+// batches are lent to the sink, so each reuses the previous one's storage and
+// the steady state allocates nothing per batch.
 //
 // With cuts it also replays them: records are counted as they are pushed
 // (starting from base, the restored snapshot's record count), and whenever
@@ -102,16 +121,19 @@ func CutsAfter(cuts []ExpiryCut, seq int64) []ExpiryCut {
 // runs, and its sessions go to the sink in place — exactly the interleaving
 // the live run journaled. Splitting never changes emission.
 //
-// The returned flush applies any cuts at or past the final record count
-// (expiry that fired after the last record arrived); call it after the
-// stream ends, before Flush or Drain.
-func cutFeeder(p pusher, sink SessionSink, base int64, cuts []ExpiryCut) (feed func([]clf.Record), flush func()) {
+// expire is that same step for a live tick: between two chunks — the record
+// boundary a cut names — Expire(now) and its sessions to the sink. The
+// returned flush applies any cuts at or past the final record count (expiry
+// that fired after the last record arrived); call it after the stream ends,
+// before Flush or Drain.
+func (t *Tail) cutFeeder(sink SessionSink, base int64, cuts []ExpiryCut) (feed func([]clf.Record), expire func(time.Time), flush func()) {
 	count := base
 	ci := 0
 	var buf []session.Session
+	expire = func(at time.Time) { deliver(sink, t.Expire(at), false) }
 	applyDue := func() {
 		for ci < len(cuts) && cuts[ci].Records <= count {
-			deliver(sink, p.Expire(cuts[ci].At), false)
+			expire(cuts[ci].At)
 			ci++
 		}
 	}
@@ -124,13 +146,12 @@ func cutFeeder(p pusher, sink SessionSink, base int64, cuts []ExpiryCut) (feed f
 					n = int(room)
 				}
 			}
-			buf = p.pushBatchTo(buf, recs[:n], sink)
+			buf = t.pushBatchTo(buf, recs[:n], sink)
 			count += int64(n)
 			recs = recs[n:]
 		}
 	}
-	flush = func() { applyDue() }
-	return feed, flush
+	return feed, expire, applyDue
 }
 
 // IngestFilesCuts is IngestFiles with timed-expiry replay: base is the
@@ -141,10 +162,5 @@ func cutFeeder(p pusher, sink SessionSink, base int64, cuts []ExpiryCut) (feed f
 // that run's — periodic expiry stops being a source of divergence and
 // becomes part of the replayed input.
 func (t *Tail) IngestFilesCuts(paths []string, start clf.FilePos, base int64, cuts []ExpiryCut, sink SessionSink, progress func(clf.FilePos) error) (malformed int, err error) {
-	return ingest(t.cfg, t, logInput{paths: paths, start: start, base: base, cuts: cuts}, sink, progress)
-}
-
-// IngestFilesCuts is Tail.IngestFilesCuts on the sharded processor.
-func (st *ShardedTail) IngestFilesCuts(paths []string, start clf.FilePos, base int64, cuts []ExpiryCut, sink SessionSink, progress func(clf.FilePos) error) (malformed int, err error) {
-	return ingest(st.cfg, st, logInput{paths: paths, start: start, base: base, cuts: cuts}, sink, progress)
+	return t.ingest(logInput{paths: paths, start: start, base: base, cuts: cuts}, sink, progress)
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"bytes"
-	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -60,12 +59,95 @@ func TestCutJournalRoundTrip(t *testing.T) {
 	}
 }
 
+// TestReadCutsAcceptsOnlyAppendCutLines: a complete journal line is exactly
+// what AppendCut writes — "cut" and three integers, one space apart, each as
+// strconv.FormatInt prints it — or the journal is corrupt. A torn final line
+// stays ignored whatever it holds.
+func TestReadCutsAcceptsOnlyAppendCutLines(t *testing.T) {
+	for _, line := range []string{
+		"cut 1 0 0",
+		"cut 7 42 -5",
+		"cut 9223372036854775807 9223372036854775807 -9223372036854775808",
+	} {
+		cuts, err := ReadCuts(strings.NewReader(line + "\n" + "cut 01 torn"))
+		if err != nil || len(cuts) != 1 {
+			t.Errorf("%q: %d cuts, err %v; want it accepted", line, len(cuts), err)
+		}
+	}
+	for _, line := range []string{
+		"cut 1 2 3junk",
+		"cut 1 2 3 4",
+		"cut +1 2 3",
+		"cut 01 2 3",
+		"cut 1 02 3",
+		"cut 1 2 -0",
+		"cut 1 2 +3",
+		"cut 1  2 3",
+		"cut 1 2 3 ",
+		" cut 1 2 3",
+		"cut\t1 2 3",
+		"cut 1 2 3\r",
+		"Cut 1 2 3",
+		"cut 1 2",
+		"cut 1 2 9223372036854775808",
+		"cut 0 2 3",
+		"cut 1 -2 3",
+		"",
+	} {
+		if cuts, err := ReadCuts(strings.NewReader("cut 1 0 0\n" + line + "\n")); err == nil {
+			t.Errorf("%q accepted as %+v", line, cuts)
+		}
+	}
+}
+
+// FuzzReadCuts: whatever a cut journal holds, ReadCuts never panics; an
+// accepted journal re-encodes through AppendCut to its bytes up to the last
+// newline (a torn tail is ignored); and CutsAfter keeps exactly the later
+// cuts, in Seq order. testdata/fuzz holds a journal a real serve
+// -expire-every run wrote.
+func FuzzReadCuts(f *testing.F) {
+	f.Add([]byte("cut 1 0 1000000005\ncut 2 42 2000000000\ncut 3 42 3000000999\ncut 4 99 12"), int64(1))
+	f.Add([]byte("cut 3 7 -1\ncut 1 9 0\n"), int64(2))
+	f.Add([]byte("cut 1 2 3junk\n"), int64(0))
+	f.Add([]byte{}, int64(0))
+	f.Fuzz(func(t *testing.T, data []byte, after int64) {
+		cuts, err := ReadCuts(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var again bytes.Buffer
+		for _, c := range cuts {
+			if err := AppendCut(&again, c); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if whole := data[:bytes.LastIndexByte(data, '\n')+1]; !bytes.Equal(again.Bytes(), whole) {
+			t.Fatalf("accepted journal re-encodes differently:\nread  %q\nwrote %q", whole, again.Bytes())
+		}
+		later := 0
+		for _, c := range cuts {
+			if c.Seq > after {
+				later++
+			}
+		}
+		kept := CutsAfter(cuts, after)
+		if len(kept) != later {
+			t.Fatalf("CutsAfter(%d) kept %d cuts, want %d", after, len(kept), later)
+		}
+		for i, c := range kept {
+			if c.Seq <= after || i > 0 && c.Seq < kept[i-1].Seq {
+				t.Fatalf("CutsAfter(%d) = %+v: not the later cuts in Seq order", after, kept)
+			}
+		}
+	})
+}
+
 // TestIngestFilesCutsEquivalence pins the cut-replay contract on the simgen
 // corpus: a record-at-a-time Push loop with Expire(At) applied at the
 // journaled record boundaries is the reference, and IngestFilesCuts must
-// reproduce its emission stream byte for byte across the shard × chunk-size
-// sweep — including a restart mid-stream (snapshot, restore, resume
-// with base = restored record count and the remaining cuts).
+// reproduce its emission stream byte for byte across the chunk-size sweep —
+// including a restart mid-stream (snapshot, restore, resume with base =
+// restored record count and the remaining cuts).
 func TestIngestFilesCutsEquivalence(t *testing.T) {
 	g := golden2Graph(t)
 	log := readGolden(t, "golden2.log")
@@ -119,30 +201,27 @@ func TestIngestFilesCutsEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	for _, shards := range []int{0, 4} {
-		for _, chunk := range []int{0, 512, 8192} {
-			name := fmt.Sprintf("shards=%d chunk=%d", shards, chunk)
-			st, err := newProcessor(Config{Graph: g, StreamChunkBytes: chunk}, shards)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var got []session.Session
-			malformed, err := st.IngestFilesCuts([]string{logPath}, clf.FilePos{}, 0, cuts, keep(&got), nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if malformed != 0 {
-				t.Fatalf("%s: malformed = %d, want 0", name, malformed)
-			}
-			got = append(got, st.Flush()...)
-			if !bytes.Equal(renderSessions(t, got), wantBytes) {
-				t.Fatalf("%s: cut-replayed sessions differ from sequential reference", name)
-			}
+	for _, chunk := range []int{0, 512, 8192} {
+		st, err := NewTail(Config{Graph: g, StreamChunkBytes: chunk}, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []session.Session
+		malformed, err := st.IngestFilesCuts([]string{logPath}, clf.FilePos{}, 0, cuts, keep(&got), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if malformed != 0 {
+			t.Fatalf("chunk=%d: malformed = %d, want 0", chunk, malformed)
+		}
+		got = append(got, st.Flush()...)
+		if !bytes.Equal(renderSessions(t, got), wantBytes) {
+			t.Fatalf("chunk=%d: cut-replayed sessions differ from sequential reference", chunk)
 		}
 	}
 
 	// Crash-recovery shape: run the first part through a Tail fed directly,
-	// snapshot, restore into a fresh ShardedTail, and resume the file replay
+	// snapshot, restore into a fresh Tail, and resume the file replay
 	// from the matching byte offset with base = restored record count and
 	// only the still-pending cuts. The concatenated emission must match.
 	split := n * 2 / 5
@@ -168,7 +247,7 @@ func TestIngestFilesCutsEquivalence(t *testing.T) {
 		resumeOff += int64(nl) + 1
 		rest = rest[nl+1:]
 	}
-	st, err := NewShardedTail(Config{Graph: g}, 0, 3)
+	st, err := NewTail(Config{Graph: g}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

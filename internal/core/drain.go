@@ -21,29 +21,12 @@ import (
 // reconstruction and encoding.
 const drainBatchUsers = 256
 
-// closing selects the users a drain closes: everyone with an open burst (the
-// zero value, Flush and Drain), or with aged set those whose last request is
-// more than ρ before now (Expire).
-type closing struct {
-	aged bool
-	now  time.Time
-}
-
-// pick takes the users c selects off the expiry wheel and returns them in
-// user order; the caller closes them.
-func (t *Tail) pick(c closing) []string {
-	if c.aged {
-		return t.agedUsers(c.now)
-	}
-	return t.openUsers()
-}
-
-// closeAll is Flush and Expire: the users c selects are closed and evicted in
-// user order on the kept lane, so the sessions are the caller's to keep.
-func (t *Tail) closeAll(c closing) []session.Session {
+// closeAll is Flush and Expire: the picked users, in user order, are closed
+// and evicted on the kept lane, so the sessions are the caller's to keep.
+func (t *Tail) closeAll(users []string) []session.Session {
 	var out []session.Session
-	for _, u := range t.pick(c) {
-		out = t.closeUser(out, u, c)
+	for _, u := range users {
+		out = t.closeUser(out, u)
 	}
 	t.syncMetrics()
 	return out
@@ -51,8 +34,8 @@ func (t *Tail) closeAll(c closing) []session.Session {
 
 // closeUser closes and evicts one picked user (see detachUser), appending
 // their sessions onto dst. The caller syncs metrics.
-func (t *Tail) closeUser(dst []session.Session, user string, c closing) []session.Session {
-	if st, ok := t.detachUser(user, c); ok {
+func (t *Tail) closeUser(dst []session.Session, user string) []session.Session {
+	if st, ok := t.detachUser(user); ok {
 		dst = t.closeInto(dst, st)
 	}
 	return dst
@@ -153,22 +136,21 @@ var (
 	metricDrainWaitNs  = metrics.GetCounter("core.drain.wait_ns")
 )
 
-// drainLent is the engine behind Drain, for a Tail and a ShardedTail, which
-// picked users users since start. detach fills a slot with the next batch of
-// at most drainBatchUsers streams in user order (false at the end); the batch
-// is reconstructed on the slot's lane, lent to sink under SessionSink's rule,
-// then its arena is released and settle accounts for it. detach, sink and
-// settle run on the caller, strictly in batch order. More than one batch on
-// more than one P reconstructs on min(GOMAXPROCS, drainSlots) goroutines, the
-// caller detaching and queueing up to drainSlots batches ahead of the one it
-// collects — same output, batch boundaries and sink goroutine — and they are
-// joined before drainLent returns, also when sink panics. Otherwise no
-// goroutine starts and a batch is reconstructed where it is collected.
-func drainLent(start time.Time, users int, h heuristics.Reconstructor, sink SessionSink,
-	detach func([]session.Stream) ([]session.Stream, bool), settle func(int, ...session.Stream)) {
+// drainLent is the engine behind Drain, which picked users, in user order,
+// since start. Each slot is filled with the next batch of at most
+// drainBatchUsers detached streams; the batch is reconstructed on the slot's
+// lane, lent to sink under SessionSink's rule, then its arena is released and
+// settle accounts for it. Detach, sink and settle run on the caller, strictly
+// in batch order. More than one batch on more than one P reconstructs on
+// min(GOMAXPROCS, drainSlots) goroutines, the caller detaching and queueing up
+// to drainSlots batches ahead of the one it collects — same output, batch
+// boundaries and sink goroutine — and they are joined before drainLent
+// returns, also when sink panics. Otherwise no goroutine starts and a batch is
+// reconstructed where it is collected.
+func (t *Tail) drainLent(start time.Time, users []string, sink SessionSink) {
 	lanes := min(runtime.GOMAXPROCS(0), drainSlots)
 	slots := make([]drainSlot, drainSlots)
-	if users <= drainBatchUsers || lanes == 1 {
+	if len(users) <= drainBatchUsers || lanes == 1 {
 		lanes, slots = 0, slots[:1]
 	}
 	work := make(chan *drainSlot, len(slots)) // every slot can be queued at once
@@ -191,9 +173,17 @@ func drainLent(start time.Time, users int, h heuristics.Reconstructor, sink Sess
 		for more && queued-collected < len(slots) {
 			s := &slots[queued%len(slots)]
 			if s.lane == nil {
-				s.lane, s.done = newLane(h), make(chan struct{}, 1)
+				s.lane, s.done = newLane(t.cfg.Heuristic), make(chan struct{}, 1)
 			}
-			if s.streams, more = detach(s.streams[:0]); more {
+			n := min(len(users), drainBatchUsers)
+			s.streams = s.streams[:0]
+			for _, u := range users[:n] {
+				if st, ok := t.detachUser(u); ok {
+					s.streams = append(s.streams, st)
+				}
+			}
+			users = users[n:]
+			if more = n > 0; more {
 				queued++
 				work <- s
 			}
@@ -213,7 +203,7 @@ func drainLent(start time.Time, users int, h heuristics.Reconstructor, sink Sess
 		deliver(sink, s.batch, true)
 		s.lane.release()
 		s.lane.flush()
-		settle(len(s.batch), s.streams...)
+		t.settle(len(s.batch), s.streams...)
 		metricDrainUsers.Add(int64(len(s.streams)))
 		s.batch = s.batch[:0]
 	}

@@ -24,18 +24,9 @@ func keep(dst *[]session.Session) SessionSink {
 	}
 }
 
-// newProcessor is a Tail for shards 0 and a ShardedTail of that many shards
-// otherwise, behind the surface they share.
-func newProcessor(cfg Config, shards int) (Sessionizer, error) {
-	if shards == 0 {
-		return NewTail(cfg, 0)
-	}
-	return NewShardedTail(cfg, 0, shards)
-}
-
 // TestLentBatchIsPoisoned pins the test-only poison itself: a sink that
 // retains a lent batch without cloning must see sentinels afterwards, on
-// the feeder path and on Drain, for a Tail and for a ShardedTail. On the
+// the feeder path and on Drain. On the
 // golden corpus, whose drain is one batch and whose arenas are never reused,
 // that is every retained session. On one whose drain goes twice round the
 // slot ring (on lanes at two Ps or more; the poison pass runs on the caller
@@ -52,33 +43,31 @@ func TestLentBatchIsPoisoned(t *testing.T) {
 		ring.WriteByte('\n')
 	}
 	for name, log := range map[string][]byte{"golden": readGolden(t, "golden.log"), "ring": ring.Bytes()} {
-		for _, shards := range []int{0, 2} {
-			st, err := newProcessor(Config{Graph: goldenGraph()}, shards)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var retained []session.Session
-			last := 0 // where the latest delivery starts in retained
-			retain := func(batch []session.Session) {
-				last = len(retained)
-				retained = append(retained, batch...)
-			}
-			if _, err := st.Ingest(bytes.NewReader(log), retain, nil); err != nil {
-				t.Fatal(err)
-			}
-			fed := len(retained)
-			st.Drain(retain)
-			if fed == 0 || len(retained) == fed {
-				t.Fatalf("%s shards=%d: corpus closed %d sessions while feeding, %d in Drain; want both > 0", name, shards, fed, len(retained)-fed)
-			}
-			if name == "golden" {
-				last = 0
-			}
-			for i, s := range retained[last:] {
-				for _, e := range s.Entries {
-					if e.Page >= 0 {
-						t.Fatalf("%s shards=%d: retained session %d still reads %v after its sink returned", name, shards, last+i, s)
-					}
+		st, err := NewTail(Config{Graph: goldenGraph()}, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var retained []session.Session
+		last := 0 // where the latest delivery starts in retained
+		retain := func(batch []session.Session) {
+			last = len(retained)
+			retained = append(retained, batch...)
+		}
+		if _, err := st.Ingest(bytes.NewReader(log), retain, nil); err != nil {
+			t.Fatal(err)
+		}
+		fed := len(retained)
+		st.Drain(retain)
+		if fed == 0 || len(retained) == fed {
+			t.Fatalf("%s: corpus closed %d sessions while feeding, %d in Drain; want both > 0", name, fed, len(retained)-fed)
+		}
+		if name == "golden" {
+			last = 0
+		}
+		for i, s := range retained[last:] {
+			for _, e := range s.Entries {
+				if e.Page >= 0 {
+					t.Fatalf("%s: retained session %d still reads %v after its sink returned", name, last+i, s)
 				}
 			}
 		}
@@ -128,9 +117,9 @@ func drainCorpus(n int) []clf.Record {
 
 // TestDrainEquivalence pins the streaming drain to the two older ways of
 // emptying a sessionizer, byte for byte: a Push loop plus Flush on a plain
-// Tail is the reference; PushBatch plus Flush, and Ingest plus Drain, must
-// reproduce it on a Tail and on 1, 2 and 4 shards, across the drain-batch
-// boundary (batch−1, batch, batch+1 open users), with a Snapshot/Restore in
+// Tail is the reference; PushBatch plus Flush must reproduce it on a Tail and
+// on 1, 2 and 4 shards, and Ingest plus Drain on a Tail, across the
+// drain-batch boundary (batch−1, batch, batch+1 open users), with a Snapshot/Restore in
 // the middle of the input, and for a heuristic that reconstructs through
 // plain Reconstruct (heur3) as well as for Smart-SRA on its owned scratch.
 func TestDrainEquivalence(t *testing.T) {
@@ -164,59 +153,62 @@ func TestDrainEquivalence(t *testing.T) {
 				t.Fatalf("%s users=%d: corpus closes %d sessions while feeding, %d at the end; want both > 0", name, users, fedWant, len(want)-fedWant)
 			}
 
-			for _, shards := range []int{0, 1, 2, 4} {
-				label := fmt.Sprintf("%s users=%d shards=%d", name, users, shards)
-				build := func() Sessionizer {
-					st, err := newProcessor(cfg, shards)
-					if err != nil {
-						t.Fatal(err)
-					}
-					return st
-				}
-
-				st := build()
-				got := append(st.PushBatch(recs), st.Flush()...)
-				if !bytes.Equal(renderSessions(t, got), wantBytes) {
-					t.Errorf("%s: PushBatch+Flush differs from the Push loop", label)
-				}
-
-				st = build()
-				got = nil
-				if _, err := st.Ingest(strings.NewReader(log.String()), keep(&got), nil); err != nil {
-					t.Fatal(err)
-				}
-				batches := 0
-				collect := keep(&got)
-				st.Drain(func(b []session.Session) { batches++; collect(b) })
-				if !bytes.Equal(renderSessions(t, got), wantBytes) {
-					t.Errorf("%s: Ingest+Drain differs from the Push loop", label)
-				}
-				if wantBatches := (users + drainBatchUsers - 1) / drainBatchUsers; batches != wantBatches {
-					t.Errorf("%s: Drain delivered %d batches for %d open users, want %d", label, batches, users, wantBatches)
-				}
-				if st.Buffered() != 0 || len(st.Snapshot().Users) != 0 {
-					t.Errorf("%s: Drain left %d entries, %d users buffered", label, st.Buffered(), len(st.Snapshot().Users))
-				}
-				if s := st.Stats(); s.Sessions != len(want) || s.Users != ref.Stats().Users {
-					t.Errorf("%s: stats after Drain %+v, reference %+v", label, s, ref.Stats())
-				}
-
-				// Restore mid-input into this shard count, then drain.
-				half := len(recs) * 3 / 4
-				src, err := NewTail(cfg, 0)
+			label := fmt.Sprintf("%s users=%d", name, users)
+			build := func() *Tail {
+				st, err := NewTail(cfg, 0)
 				if err != nil {
 					t.Fatal(err)
 				}
-				got = src.PushBatch(recs[:half])
-				st = build()
-				if err := st.Restore(src.Snapshot()); err != nil {
+				return st
+			}
+			st := build()
+			got := append(st.PushBatch(recs), st.Flush()...)
+			if !bytes.Equal(renderSessions(t, got), wantBytes) {
+				t.Errorf("%s: PushBatch+Flush differs from the Push loop", label)
+			}
+			for _, shards := range []int{1, 2, 4} {
+				sh, err := NewShardedTail(cfg, 0, shards)
+				if err != nil {
 					t.Fatal(err)
 				}
-				got = append(got, st.PushBatch(recs[half:])...)
-				st.Drain(keep(&got))
-				if !bytes.Equal(renderSessions(t, got), wantBytes) {
-					t.Errorf("%s: Snapshot/Restore+Drain differs from the Push loop", label)
+				if got := append(sh.PushBatch(recs), sh.Flush()...); !bytes.Equal(renderSessions(t, got), wantBytes) {
+					t.Errorf("%s shards=%d: PushBatch+Flush differs from the Push loop", label, shards)
 				}
+			}
+
+			st = build()
+			got = nil
+			if _, err := st.Ingest(strings.NewReader(log.String()), keep(&got), nil); err != nil {
+				t.Fatal(err)
+			}
+			batches := 0
+			collect := keep(&got)
+			st.Drain(func(b []session.Session) { batches++; collect(b) })
+			if !bytes.Equal(renderSessions(t, got), wantBytes) {
+				t.Errorf("%s: Ingest+Drain differs from the Push loop", label)
+			}
+			if wantBatches := (users + drainBatchUsers - 1) / drainBatchUsers; batches != wantBatches {
+				t.Errorf("%s: Drain delivered %d batches for %d open users, want %d", label, batches, users, wantBatches)
+			}
+			if st.Buffered() != 0 || len(st.Snapshot().Users) != 0 {
+				t.Errorf("%s: Drain left %d entries, %d users buffered", label, st.Buffered(), len(st.Snapshot().Users))
+			}
+			if s := st.Stats(); s.Sessions != len(want) || s.Users != ref.Stats().Users {
+				t.Errorf("%s: stats after Drain %+v, reference %+v", label, s, ref.Stats())
+			}
+
+			// Restore mid-input into a fresh Tail, then drain.
+			half := len(recs) * 3 / 4
+			src := build()
+			got = src.PushBatch(recs[:half])
+			st = build()
+			if err := st.Restore(src.Snapshot()); err != nil {
+				t.Fatal(err)
+			}
+			got = append(got, st.PushBatch(recs[half:])...)
+			st.Drain(keep(&got))
+			if !bytes.Equal(renderSessions(t, got), wantBytes) {
+				t.Errorf("%s: Snapshot/Restore+Drain differs from the Push loop", label)
 			}
 		}
 	}

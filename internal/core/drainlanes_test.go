@@ -4,12 +4,9 @@ import (
 	"bytes"
 	"fmt"
 	"runtime"
-	"slices"
-	"sync"
 	"testing"
 	"time"
 
-	"smartsra/internal/clf"
 	"smartsra/internal/heuristics"
 	"smartsra/internal/session"
 )
@@ -23,12 +20,12 @@ func restoreProcs(t *testing.T) {
 
 // drainGoroutines counts the goroutines drainLent started that are still
 // alive, and how many of those are parked waiting for a slot. It reads the
-// runtime's own goroutine dump: the lanes are the only functions literal in
-// drainLent, and a parked one's header says "chan receive".
+// runtime's own goroutine dump: the lanes are the only function literals in
+// (*Tail).drainLent, and a parked one's header says "chan receive".
 func drainGoroutines() (alive, idle int) {
 	buf := stackBuf[:runtime.Stack(stackBuf, true)]
 	for _, g := range bytes.Split(buf, []byte("\n\n")) {
-		if !bytes.Contains(g, []byte("core.drainLent.func")) {
+		if !bytes.Contains(g, []byte("core.(*Tail).drainLent.func")) {
 			continue
 		}
 		alive++
@@ -75,8 +72,8 @@ func wantLanes(users, procs int) int {
 // to the reference that cannot: a Push loop plus Flush on a plain Tail. For
 // open-user counts on both sides of one batch and of one trip round the slot
 // ring (9 batches wrap it twice), with unsorted bursts (drainCorpus), for
-// Smart-SRA on owned arenas and for heur3 through plain Reconstruct, on a Tail
-// and on 1, 2 and 4 shards, at GOMAXPROCS 1, 2 and 4: the same bytes, batch
+// Smart-SRA on owned arenas and for heur3 through plain Reconstruct, at
+// GOMAXPROCS 1, 2 and 4: the same bytes, batch
 // count and Stats, nothing left buffered, exactly one
 // core.tail.reconstruct.seconds observation per user closed, and exactly the
 // goroutines wantLanes says — none on one P or for one batch — never more
@@ -110,44 +107,42 @@ func TestDrainLanesMatchInline(t *testing.T) {
 			wantBytes := renderSessions(t, want)
 
 			for _, procs := range []int{1, 2, 4} {
-				for _, shards := range []int{0, 1, 2, 4} {
-					label := fmt.Sprintf("%s users=%d procs=%d shards=%d", name, users, procs, shards)
-					runtime.GOMAXPROCS(procs)
-					st, err := newProcessor(cfg, shards)
-					if err != nil {
-						t.Fatal(err)
+				label := fmt.Sprintf("%s users=%d procs=%d", name, users, procs)
+				runtime.GOMAXPROCS(procs)
+				st, err := NewTail(cfg, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got := st.PushBatch(recs)
+				before := hist.Count()
+				batches := 0
+				collect := keep(&got)
+				st.Drain(func(batch []session.Session) {
+					if alive, _ := drainGoroutines(); alive != wantLanes(users, procs) {
+						t.Errorf("%s: %d drain goroutines alive in the sink, want %d", label, alive, wantLanes(users, procs))
 					}
-					got := st.PushBatch(recs)
-					before := hist.Count()
-					batches := 0
-					collect := keep(&got)
-					st.Drain(func(batch []session.Session) {
-						if alive, _ := drainGoroutines(); alive != wantLanes(users, procs) {
-							t.Errorf("%s: %d drain goroutines alive in the sink, want %d", label, alive, wantLanes(users, procs))
-						}
-						batches++
-						detached := users - st.Buffered()/drainCorpusOpen
-						if ahead := detached - (batches-1)*b; ahead > drainSlots*b {
-							t.Errorf("%s: %d users detached beyond the %d sunk, more than %d slots hold", label, ahead, (batches-1)*b, drainSlots)
-						}
-						collect(batch)
-					})
-					if closed := hist.Count() - before; closed != int64(users) {
-						t.Errorf("%s: Drain observed %d reconstructions, want %d", label, closed, users)
+					batches++
+					detached := users - st.Buffered()/drainCorpusOpen
+					if ahead := detached - (batches-1)*b; ahead > drainSlots*b {
+						t.Errorf("%s: %d users detached beyond the %d sunk, more than %d slots hold", label, ahead, (batches-1)*b, drainSlots)
 					}
-					drainGoroutinesGone(t, label)
-					if !bytes.Equal(renderSessions(t, got), wantBytes) {
-						t.Errorf("%s: PushBatch+Drain differs from the Push loop + Flush", label)
-					}
-					if wantBatches := (users + b - 1) / b; batches != wantBatches {
-						t.Errorf("%s: Drain delivered %d batches, want %d", label, batches, wantBatches)
-					}
-					if st.Buffered() != 0 || len(st.Snapshot().Users) != 0 {
-						t.Errorf("%s: Drain left %d entries, %d users buffered", label, st.Buffered(), len(st.Snapshot().Users))
-					}
-					if s := st.Stats(); s != ref.Stats() {
-						t.Errorf("%s: stats after Drain %+v, reference %+v", label, s, ref.Stats())
-					}
+					collect(batch)
+				})
+				if closed := hist.Count() - before; closed != int64(users) {
+					t.Errorf("%s: Drain observed %d reconstructions, want %d", label, closed, users)
+				}
+				drainGoroutinesGone(t, label)
+				if !bytes.Equal(renderSessions(t, got), wantBytes) {
+					t.Errorf("%s: PushBatch+Drain differs from the Push loop + Flush", label)
+				}
+				if wantBatches := (users + b - 1) / b; batches != wantBatches {
+					t.Errorf("%s: Drain delivered %d batches, want %d", label, batches, wantBatches)
+				}
+				if st.Buffered() != 0 || len(st.Snapshot().Users) != 0 {
+					t.Errorf("%s: Drain left %d entries, %d users buffered", label, st.Buffered(), len(st.Snapshot().Users))
+				}
+				if s := st.Stats(); s != ref.Stats() {
+					t.Errorf("%s: stats after Drain %+v, reference %+v", label, s, ref.Stats())
 				}
 			}
 		}
@@ -165,38 +160,36 @@ func TestDrainSinkBlocksLanesRunAhead(t *testing.T) {
 	const users = 9*drainBatchUsers + 3
 	recs := drainCorpus(users)
 	for _, procs := range []int{2, 4} {
-		for _, shards := range []int{0, 2} {
-			runtime.GOMAXPROCS(procs)
-			st, err := newProcessor(Config{Graph: goldenGraph()}, shards)
-			if err != nil {
-				t.Fatal(err)
-			}
-			st.PushBatch(recs)
-			sunk := 0
-			st.Drain(func(batch []session.Session) {
-				deadline := time.Now().Add(30 * time.Second)
-				for {
-					alive, idle := drainGoroutines()
-					if alive != min(procs, drainSlots) {
-						t.Fatalf("procs=%d shards=%d: %d drain goroutines, want %d", procs, shards, alive, min(procs, drainSlots))
-					}
-					if idle == alive {
-						break
-					}
-					if time.Now().After(deadline) {
-						t.Fatalf("procs=%d shards=%d: %d of %d lanes still busy behind a blocked sink", procs, shards, alive-idle, alive)
-					}
-					time.Sleep(100 * time.Microsecond)
+		runtime.GOMAXPROCS(procs)
+		st, err := NewTail(Config{Graph: goldenGraph()}, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st.PushBatch(recs)
+		sunk := 0
+		st.Drain(func(batch []session.Session) {
+			deadline := time.Now().Add(30 * time.Second)
+			for {
+				alive, idle := drainGoroutines()
+				if alive != min(procs, drainSlots) {
+					t.Fatalf("procs=%d: %d drain goroutines, want %d", procs, alive, min(procs, drainSlots))
 				}
-				want := min(users, (sunk+drainSlots)*drainBatchUsers)
-				if detached := users - st.Buffered()/drainCorpusOpen; detached != want {
-					t.Errorf("procs=%d shards=%d: %d users detached with batch %d in the sink and the lanes idle, want %d", procs, shards, detached, sunk, want)
+				if idle == alive {
+					break
 				}
-				sunk++
-			})
-			if want := (users + drainBatchUsers - 1) / drainBatchUsers; sunk != want {
-				t.Errorf("procs=%d shards=%d: %d batches sunk, want %d", procs, shards, sunk, want)
+				if time.Now().After(deadline) {
+					t.Fatalf("procs=%d: %d of %d lanes still busy behind a blocked sink", procs, alive-idle, alive)
+				}
+				time.Sleep(100 * time.Microsecond)
 			}
+			want := min(users, (sunk+drainSlots)*drainBatchUsers)
+			if detached := users - st.Buffered()/drainCorpusOpen; detached != want {
+				t.Errorf("procs=%d: %d users detached with batch %d in the sink and the lanes idle, want %d", procs, detached, sunk, want)
+			}
+			sunk++
+		})
+		if want := (users + drainBatchUsers - 1) / drainBatchUsers; sunk != want {
+			t.Errorf("procs=%d: %d batches sunk, want %d", procs, sunk, want)
 		}
 	}
 }
@@ -211,157 +204,43 @@ func TestDrainLeavesNoGoroutine(t *testing.T) {
 	const users = 6*drainBatchUsers + 1
 	recs := drainCorpus(users)
 	for _, procs := range []int{1, 2, 4} {
-		for _, shards := range []int{0, 2} {
-			for _, panicAt := range []int{-1, 0, 3, 6} {
-				runtime.GOMAXPROCS(procs)
-				st, err := newProcessor(Config{Graph: goldenGraph()}, shards)
-				if err != nil {
-					t.Fatal(err)
-				}
-				st.PushBatch(recs)
-				before := runtime.NumGoroutine()
-				batch, started := 0, 0
-				func() {
-					defer func() {
-						if r := recover(); r != nil && r != "sink" {
-							panic(r)
-						}
-					}()
-					st.Drain(func([]session.Session) {
-						alive, _ := drainGoroutines()
-						started = max(started, alive)
-						if batch == panicAt {
-							panic("sink")
-						}
-						batch++
-					})
+		for _, panicAt := range []int{-1, 0, 3, 6} {
+			runtime.GOMAXPROCS(procs)
+			st, err := NewTail(Config{Graph: goldenGraph()}, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			st.PushBatch(recs)
+			before := runtime.NumGoroutine()
+			batch, started := 0, 0
+			func() {
+				defer func() {
+					if r := recover(); r != nil && r != "sink" {
+						panic(r)
+					}
 				}()
-				drainGoroutinesGone(t, fmt.Sprintf("procs=%d shards=%d panic at batch %d", procs, shards, panicAt))
-				if after := runtime.NumGoroutine(); after > before {
-					t.Errorf("procs=%d shards=%d panic at batch %d: %d goroutines before Drain, %d after", procs, shards, panicAt, before, after)
-				}
-				if started != wantLanes(users, procs) {
-					t.Errorf("procs=%d shards=%d: Drain started %d goroutines, want %d", procs, shards, started, wantLanes(users, procs))
-				}
-				// Whatever the sink did, the sessionizer stays usable: a
-				// second Drain closes what the first had not detached.
-				st.Drain(DiscardSessions)
-				if st.Buffered() != 0 {
-					t.Errorf("procs=%d shards=%d panic at batch %d: %d entries buffered after a second Drain", procs, shards, panicAt, st.Buffered())
-				}
-			}
-		}
-	}
-}
-
-// TestShardedDrainBesidePushers runs Drain — on lanes, outside every shard
-// lock — while other goroutines push. The traffic is built so that the answer
-// does not depend on where a drain happens to cut a burst: every user only
-// ever requests three pages with no link between them, so each request is a
-// session of its own under Smart-SRA, however its burst was split. Every
-// record's session must then come out exactly once, to exactly one caller —
-// a pusher whose record closed the burst, or one of the drains — and Stats
-// must count them all. Run it under -race: the lanes' arenas, the shards'
-// kept scratches and the poisoned batches are all in play at once.
-func TestShardedDrainBesidePushers(t *testing.T) {
-	restoreProcs(t)
-	runtime.GOMAXPROCS(4)
-	g := goldenGraph()
-	pages := []string{"/P20.html", "/P34.html", "/P49.html"}
-	const (
-		users   = 3*drainBatchUsers + 17
-		bursts  = 4
-		pushers = 3
-	)
-	base := time.Date(2006, 1, 2, 8, 0, 0, 0, time.UTC)
-	record := func(u, burst, step int) clf.Record {
-		return clf.Record{
-			Host: fmt.Sprintf("10.1.%d.%d", u>>8, u&255), Ident: "-", AuthUser: "-",
-			Time:   base.Add(time.Duration(burst)*time.Hour + time.Duration(step)*time.Minute),
-			Method: "GET", URI: pages[step], Protocol: "HTTP/1.1", Status: 200, Bytes: 100,
-		}
-	}
-	var want []string
-	for u := 0; u < users; u++ {
-		for burst := 0; burst < bursts; burst++ {
-			for step := range pages {
-				r := record(u, burst, step)
-				p, _ := g.PageByURI(r.URI)
-				want = append(want, string(renderSessions(t, []session.Session{{User: r.Host, Entries: []session.Entry{{Page: p, Time: r.Time}}}})))
-			}
-		}
-	}
-	slices.Sort(want)
-
-	st, err := NewShardedTail(Config{Graph: g}, 0, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var mu sync.Mutex
-	var got []session.Session
-	kept := func(s []session.Session) { // caller-owned results
-		mu.Lock()
-		got = append(got, s...)
-		mu.Unlock()
-	}
-	lent := func(batch []session.Session) {
-		mu.Lock()
-		defer mu.Unlock()
-		keep(&got)(batch)
-	}
-	var wg sync.WaitGroup
-	done := make(chan struct{})
-	for p := 0; p < pushers; p++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var batch []clf.Record
-			for burst := 0; burst < bursts; burst++ {
-				for step := range pages {
-					batch = batch[:0]
-					for u := p; u < users; u += pushers { // a user has one pusher: arrival order
-						batch = append(batch, record(u, burst, step))
+				st.Drain(func([]session.Session) {
+					alive, _ := drainGoroutines()
+					started = max(started, alive)
+					if batch == panicAt {
+						panic("sink")
 					}
-					kept(st.PushBatch(batch[:len(batch)/2]))
-					for _, r := range batch[len(batch)/2:] {
-						kept(st.Push(r))
-					}
-				}
+					batch++
+				})
+			}()
+			drainGoroutinesGone(t, fmt.Sprintf("procs=%d panic at batch %d", procs, panicAt))
+			if after := runtime.NumGoroutine(); after > before {
+				t.Errorf("procs=%d panic at batch %d: %d goroutines before Drain, %d after", procs, panicAt, before, after)
 			}
-		}()
-	}
-	drains := 0
-	var dwg sync.WaitGroup
-	dwg.Add(1)
-	go func() {
-		defer dwg.Done()
-		for {
-			select {
-			case <-done:
-				return
-			default:
-				st.Drain(lent)
-				drains++
+			if started != wantLanes(users, procs) {
+				t.Errorf("procs=%d: Drain started %d goroutines, want %d", procs, started, wantLanes(users, procs))
+			}
+			// Whatever the sink did, the Tail stays usable: a second Drain
+			// closes what the first had not detached.
+			st.Drain(DiscardSessions)
+			if st.Buffered() != 0 {
+				t.Errorf("procs=%d panic at batch %d: %d entries buffered after a second Drain", procs, panicAt, st.Buffered())
 			}
 		}
-	}()
-	wg.Wait()
-	close(done)
-	dwg.Wait()
-	st.Drain(lent)
-	if drains == 0 {
-		t.Fatal("no Drain ran beside the pushers")
-	}
-
-	lines := make([]string, len(got))
-	for i, s := range got {
-		lines[i] = string(renderSessions(t, []session.Session{s}))
-	}
-	slices.Sort(lines)
-	if !slices.Equal(lines, want) {
-		t.Errorf("%d sessions emitted for %d records (%d drains ran beside the pushers); want each record's exactly once", len(lines), len(want), drains)
-	}
-	if s := st.Stats(); s.Sessions != len(want) || s.Records != len(want) || st.Buffered() != 0 {
-		t.Errorf("stats %+v, %d entries buffered; want %d records and sessions, nothing buffered", s, st.Buffered(), len(want))
 	}
 }

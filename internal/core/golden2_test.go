@@ -3,7 +3,6 @@ package core
 import (
 	"bufio"
 	"bytes"
-	"fmt"
 	"math/rand"
 	"os"
 	"testing"
@@ -117,32 +116,29 @@ func TestGoldenCorpusSimgen(t *testing.T) {
 	writeOrCompareGolden(t, "golden2.stream.sessions", renderSessions(t, refStream))
 	wantStream := readGoldenOrGot(t, "golden2.stream.sessions", renderSessions(t, refStream))
 
-	for _, shards := range []int{1, 3, 5} {
-		name := fmt.Sprintf("shards=%d", shards)
-		st, err := NewShardedTail(Config{Graph: g}, 0, shards)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var got []session.Session
-		malformed, err := st.Ingest(bytes.NewReader(log), keep(&got), nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if malformed != 0 {
-			t.Fatalf("%s: malformed = %d, want 0", name, malformed)
-		}
-		got = append(got, st.Flush()...)
-		if !bytes.Equal(renderSessions(t, got), wantStream) {
-			t.Fatalf("%s: streamed sessions differ from golden2", name)
-		}
-	}
-
-	// The offset-reporting path must emit the identical stream too.
-	st, err := NewShardedTail(Config{Graph: g, StreamChunkBytes: 16 << 10}, 0, 3)
+	tl, err := NewTail(Config{Graph: g}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var got []session.Session
+	malformed, err := tl.Ingest(bytes.NewReader(log), keep(&got), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if malformed != 0 {
+		t.Fatalf("malformed = %d, want 0", malformed)
+	}
+	got = append(got, tl.Flush()...)
+	if !bytes.Equal(renderSessions(t, got), wantStream) {
+		t.Fatal("streamed sessions differ from golden2")
+	}
+
+	// The offset-reporting path must emit the identical stream too.
+	st, err := NewTail(Config{Graph: g, StreamChunkBytes: 16 << 10}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got = nil
 	var last clf.FilePos
 	if _, err := st.Ingest(bytes.NewReader(log), keep(&got), func(pos clf.FilePos) error { last = pos; return nil }); err != nil {
 		t.Fatal(err)

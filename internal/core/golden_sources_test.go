@@ -62,8 +62,7 @@ func splitGoldenLines(t *testing.T, log []byte, n int) [][]byte {
 // bytes as the in-memory readers: the corpus served from a plain file (mmap
 // and buffered-reader sources), a gzip copy, and a rotated three-file set
 // with a gzip member and a missing final newline, through both the raw
-// clf.StreamFilesChunked reader and the Tail/ShardedTail IngestFiles entry
-// points, across shard widths.
+// clf.StreamFilesChunked reader and the Tail.IngestFiles entry point.
 func TestGoldenCorpusSources(t *testing.T) {
 	log := readGolden(t, "golden.log")
 	g := goldenGraph()
@@ -113,9 +112,8 @@ func TestGoldenCorpusSources(t *testing.T) {
 				t.Fatalf("%s: sessions differ from golden", label)
 			}
 
-			// IngestFiles entry points (the sessionize/serve deployment).
-			cfg := Config{Graph: g}
-			tl2, err := NewTail(cfg, 0)
+			// The IngestFiles entry point (the sessionize/serve deployment).
+			tl2, err := NewTail(Config{Graph: g}, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -128,23 +126,6 @@ func TestGoldenCorpusSources(t *testing.T) {
 			got = append(got, tl2.Flush()...)
 			if bad != goldenMalformed || !bytes.Equal(renderSessions(t, got), want) {
 				t.Fatalf("%s: Tail.IngestFiles differs from golden (malformed=%d)", label, bad)
-			}
-
-			for _, shards := range []int{1, 3} {
-				st, err := NewShardedTail(cfg, 0, shards)
-				if err != nil {
-					t.Fatal(err)
-				}
-				got = nil
-				bad, err := st.IngestFiles(paths, clf.FilePos{}, collect, nil)
-				if err != nil {
-					t.Fatalf("%s s=%d: ShardedTail.IngestFiles: %v", label, shards, err)
-				}
-				got = append(got, st.Flush()...)
-				if bad != goldenMalformed || !bytes.Equal(renderSessions(t, got), want) {
-					t.Fatalf("%s s=%d: ShardedTail.IngestFiles differs from golden (malformed=%d)",
-						label, shards, bad)
-				}
 			}
 		}
 	}

@@ -3,7 +3,6 @@ package core
 import (
 	"bytes"
 	"flag"
-	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -17,8 +16,8 @@ import (
 // malformed, out-of-order, CRLF-terminated, combined-format, filtered, and
 // unresolved lines, pinned to checked-in session output. Every ingestion
 // variant — batch (sessionize-style Pipeline.ProcessLog) and streaming
-// (serve-style Tail/ShardedTail feeding) — must reproduce its golden file
-// byte for byte across the whole {source, chunk size, shards} sweep, and every
+// (serve-style Tail feeding) — must reproduce its golden file byte for byte
+// across the whole {source, chunk size, batch size} sweep, and every
 // variant must count the same malformed lines. Regenerate with
 //
 //	go test ./internal/core -run TestGoldenCorpus -update
@@ -101,8 +100,7 @@ func readGoldenOrGot(t *testing.T, name string, got []byte) []byte {
 // TestGoldenCorpusStream pins the serve-style streaming path: every record
 // source (ReadAll; StreamChunked collected into a slice as ProcessLog does,
 // and pushed chunk by chunk, at the default and at a small chunk size;
-// Tail.Ingest, ShardedTail.Ingest) feeding every processor (Tail,
-// ShardedTail) across the shard sweep emits byte-identical sessions — the
+// Tail.Ingest) feeding a Tail emits byte-identical sessions — the
 // finalized-during-feed prefix and the Flush tail concatenated — and the
 // same malformed count.
 func TestGoldenCorpusStream(t *testing.T) {
@@ -128,28 +126,6 @@ func TestGoldenCorpusStream(t *testing.T) {
 	refSessions = append(refSessions, refTail.Flush()...)
 	writeOrCompareGolden(t, "golden.stream.sessions", renderSessions(t, refSessions))
 	want := readGoldenOrGot(t, "golden.stream.sessions", renderSessions(t, refSessions))
-
-	// makeSink builds a processor with push/flush hooks for the sweep.
-	type proc struct {
-		name  string
-		push  func(clf.Record) []session.Session
-		flush func() []session.Session
-	}
-	newProc := func(t *testing.T, shards int) proc {
-		cfg := Config{Graph: g}
-		if shards == 0 {
-			tl, err := NewTail(cfg, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return proc{name: "tail", push: tl.Push, flush: tl.Flush}
-		}
-		st, err := NewShardedTail(cfg, 0, shards)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return proc{name: fmt.Sprintf("sharded/%d", shards), push: st.Push, flush: st.Flush}
-	}
 
 	type source struct {
 		name string
@@ -190,24 +166,24 @@ func TestGoldenCorpusStream(t *testing.T) {
 		{"streamchunked/4KiB", streamed(clf.StreamConfig{ChunkBytes: 4096})},
 	}
 	for _, src := range sources {
-		for _, shards := range []int{0, 1, 3, 8} {
-			p := newProc(t, shards)
-			var got []session.Session
-			bad := src.feed(t, p.push, &got)
-			got = append(got, p.flush()...)
-			if bad != goldenMalformed {
-				t.Fatalf("%s -> %s: malformed %d, want %d", src.name, p.name, bad, goldenMalformed)
-			}
-			if !bytes.Equal(renderSessions(t, got), want) {
-				t.Fatalf("%s -> %s: sessions differ from golden:\n%s", src.name, p.name, renderSessions(t, got))
-			}
+		tl, err := NewTail(Config{Graph: g}, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []session.Session
+		bad := src.feed(t, tl.Push, &got)
+		got = append(got, tl.Flush()...)
+		if bad != goldenMalformed {
+			t.Fatalf("%s: malformed %d, want %d", src.name, bad, goldenMalformed)
+		}
+		if !bytes.Equal(renderSessions(t, got), want) {
+			t.Fatalf("%s: sessions differ from golden:\n%s", src.name, renderSessions(t, got))
 		}
 	}
 
-	// The Ingest entry points (the serve -backfill / sessionize
-	// -stream path) must land on the same golden bytes.
-	cfg := Config{Graph: g}
-	tl, err := NewTail(cfg, 0)
+	// The Ingest entry point (the serve -backfill / sessionize -stream path)
+	// must land on the same golden bytes.
+	tl, err := NewTail(Config{Graph: g}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,20 +196,5 @@ func TestGoldenCorpusStream(t *testing.T) {
 	got = append(got, tl.Flush()...)
 	if bad != goldenMalformed || !bytes.Equal(renderSessions(t, got), want) {
 		t.Fatalf("tail.Ingest: output differs from golden (malformed=%d)", bad)
-	}
-	for _, shards := range []int{1, 3, 8} {
-		st, err := NewShardedTail(cfg, 0, shards)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got = nil
-		bad, err := st.Ingest(bytes.NewReader(log), collect, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got = append(got, st.Flush()...)
-		if bad != goldenMalformed || !bytes.Equal(renderSessions(t, got), want) {
-			t.Fatalf("sharded.Ingest (s=%d): output differs from golden (malformed=%d)", shards, bad)
-		}
 	}
 }

@@ -23,35 +23,33 @@ func TestPipeDeliversWhatWasWritten(t *testing.T) {
 		tailRec("u", "/P13.html", t0.Add(2*time.Minute)).String() + "\n",
 		tailRec("u", "/P1.html", t0.Add(13*time.Minute)).String() + "\n", // an 11-minute gap
 	}
-	for _, shards := range []int{0, 3} { // a Tail, a ShardedTail
-		st, err := newProcessor(Config{Graph: g}, shards)
-		if err != nil {
-			t.Fatal(err)
+	st, err := NewTail(Config{Graph: g}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pr, pw := io.Pipe()
+	sunk := make(chan struct{})
+	go func() {
+		for _, line := range lines {
+			io.WriteString(pw, line)
 		}
-		pr, pw := io.Pipe()
-		sunk := make(chan struct{})
-		go func() {
-			for _, line := range lines {
-				io.WriteString(pw, line)
-			}
-			select {
-			case <-sunk:
-				pw.Close()
-			case <-time.After(5 * time.Second):
-				pw.CloseWithError(errors.New("the writer gave up waiting"))
-			}
-		}()
-		var got []string
-		_, err = st.Ingest(pr, func(s []session.Session) {
-			for i := range s {
-				got = append(got, fmt.Sprint(s[i].User, s[i].Len()))
-			}
-			if len(got) == 1 {
-				close(sunk)
-			}
-		}, nil)
-		if err != nil || len(got) != 1 || got[0] != "u2" {
-			t.Errorf("shards=%d: want session u2 sunk while the writer holds the pipe open; got %v, err %v", shards, got, err)
+		select {
+		case <-sunk:
+			pw.Close()
+		case <-time.After(5 * time.Second):
+			pw.CloseWithError(errors.New("the writer gave up waiting"))
 		}
+	}()
+	var got []string
+	_, err = st.Ingest(pr, func(s []session.Session) {
+		for i := range s {
+			got = append(got, fmt.Sprint(s[i].User, s[i].Len()))
+		}
+		if len(got) == 1 {
+			close(sunk)
+		}
+	}, nil)
+	if err != nil || len(got) != 1 || got[0] != "u2" {
+		t.Errorf("want session u2 sunk while the writer holds the pipe open; got %v, err %v", got, err)
 	}
 }

@@ -13,8 +13,9 @@
 // However a log gets here — ProcessLog, which collects it, or the streaming
 // Tail.Ingest / IngestFiles, which do not — it is read one way: a decoder per
 // gzip member ‖ clf's one parser goroutine ‖ the calling goroutine, which
-// cleans, sessionizes and sinks; an end-of-input Drain adds its lanes.
-// Nothing here sizes or selects that.
+// cleans, sessionizes and sinks, and expires between chunks when a tick says
+// so; an end-of-input Drain adds its lanes. Nothing here sizes or selects
+// that, and nothing here takes a lock: a Tail has one owner goroutine.
 package core
 
 import (
@@ -67,6 +68,10 @@ type Config struct {
 	// checkpoints. <= 0 means the clf default (~1 MiB). It never changes the
 	// output.
 	StreamChunkBytes int
+	// ExpireTick, when non-nil, is a Tail ingestion's periodic expiry: each
+	// value received runs Expire with it between two chunks, on the goroutine
+	// that ingests (see Tail.Ingest). Typically a time.Ticker's C.
+	ExpireTick <-chan time.Time
 }
 
 // stageResult is the verdict of the pre-buffer stages on one record.
@@ -79,9 +84,9 @@ const (
 )
 
 // stage runs the pure per-record stages that precede buffering — clean,
-// resolve, key — for Tail and ShardedTail alike. The record travels by
-// pointer: a clf.Record is 184 bytes, and the Filter and Key calls, whose
-// types take it by value, are the only copies a line pays.
+// resolve, key. The record travels by pointer: a clf.Record is 184 bytes,
+// and the Filter and Key calls, whose types take it by value, are the only
+// copies a line pays.
 func (c *Config) stage(rec *clf.Record) (user string, page webgraph.PageID, res stageResult) {
 	if c.Filter != nil && !c.Filter(*rec) {
 		return "", 0, stageFiltered

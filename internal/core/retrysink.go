@@ -2,7 +2,6 @@ package core
 
 import (
 	"io"
-	"sync"
 	"time"
 
 	"smartsra/internal/metrics"
@@ -95,11 +94,10 @@ func (o RetryOptions) maxDelay() time.Duration {
 // starts failing is visible on /debug/metrics instead of silently discarding
 // finalized sessions.
 //
-// Emit is safe for concurrent use; batches are written one at a time, so a
-// slow or failing underlying writer backpressures producers rather than
-// interleaving partial lines.
+// Emit is not safe for concurrent use: one goroutine owns a RetrySink, as it
+// owns the Tail whose sessions it writes, so a slow or failing underlying
+// writer backpressures that goroutine.
 type RetrySink struct {
-	mu      sync.Mutex
 	write   func([]session.Session) error
 	opts    RetryOptions
 	lastErr error
@@ -131,8 +129,6 @@ func (s *RetrySink) Emit(batch []session.Session) {
 	if len(batch) == 0 {
 		return
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	sleep := s.opts.Sleep
 	if sleep == nil {
 		sleep = time.Sleep
@@ -178,7 +174,6 @@ func (s *RetrySink) Emit(batch []session.Session) {
 // working) sink and the journal is truncated to empty. A journal that
 // cannot be read back, or a sink that fails again mid-re-ingest, leaves the
 // journal intact — nothing is truncated before its sessions have landed.
-// Caller holds s.mu.
 func (s *RetrySink) compact() {
 	if _, err := s.journal.Seek(0, io.SeekStart); err != nil {
 		return
@@ -210,11 +205,7 @@ func (s *RetrySink) compact() {
 
 // Err returns the most recent exhausted-retries error, or nil when every
 // batch so far landed (possibly after retries).
-func (s *RetrySink) Err() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.lastErr
-}
+func (s *RetrySink) Err() error { return s.lastErr }
 
 // backoff is the delay before retry number attempt (1-based): BaseDelay
 // doubled per retry, capped at MaxDelay.

@@ -3,7 +3,6 @@ package core
 import (
 	"bytes"
 	"errors"
-	"fmt"
 	"os"
 	"testing"
 	"time"
@@ -328,33 +327,5 @@ func TestRetrySinkBackoffCap(t *testing.T) {
 		if d != want[i]*time.Millisecond {
 			t.Fatalf("delay %d = %v, want %v (all: %v)", i, d, want[i]*time.Millisecond, delays)
 		}
-	}
-}
-
-// TestRetrySinkConcurrentEmits: concurrent producers never interleave lines
-// of different batches (pinned under -race by the suite's race run).
-func TestRetrySinkConcurrentEmits(t *testing.T) {
-	var buf bytes.Buffer
-	sink := NewRetrySink(func(s []session.Session) error {
-		return session.WriteAll(&buf, s)
-	}, RetryOptions{Sleep: func(time.Duration) {}})
-	done := make(chan struct{})
-	for g := 0; g < 4; g++ {
-		go func(g int) {
-			defer func() { done <- struct{}{} }()
-			for i := 0; i < 50; i++ {
-				sink.Emit(testBatch(fmt.Sprintf("10.1.%d.%d", g, i), 1, 2, 3))
-			}
-		}(g)
-	}
-	for g := 0; g < 4; g++ {
-		<-done
-	}
-	got, err := session.ReadAll(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatalf("concurrent emits corrupted output: %v", err)
-	}
-	if len(got) != 200 {
-		t.Fatalf("%d sessions written, want 200", len(got))
 	}
 }

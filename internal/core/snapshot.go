@@ -19,11 +19,6 @@ import (
 // expiry wheel removes. Stats.Users stays cumulative across the snapshot
 // (see Tail's Users semantics); the expiry wheel itself needs no serialized
 // form, because Restore rebuilds it from each user's Last timestamp.
-//
-// The format is deliberately shard-free: ShardedTail.Snapshot merges its
-// shards into one user-sorted list and ShardedTail.Restore re-hashes users
-// onto whatever shard count the restoring process runs with, so a snapshot
-// taken with N shards restores into M shards (or a plain Tail) unchanged.
 type TailSnapshot struct {
 	// Stats are the counters accumulated up to the snapshot.
 	Stats Stats
@@ -45,8 +40,8 @@ type UserState struct {
 }
 
 // Snapshot deep-copies the Tail's recoverable state. Like every other Tail
-// method it must not race with Push; callers streaming concurrently take
-// their snapshot from the delivery goroutine (or under their own lock).
+// method it runs on the owner goroutine; during ingestion, that is the
+// progress callback's.
 func (t *Tail) Snapshot() TailSnapshot {
 	snap := TailSnapshot{
 		Stats: t.stats,
@@ -98,95 +93,6 @@ func (t *Tail) Restore(snap TailSnapshot) error {
 		t.wheelAdd(user, b.last)
 	}
 	t.syncMetrics()
-	return nil
-}
-
-// Snapshot merges every shard's state into one shard-free snapshot. It locks
-// all shards for the duration, so the result is consistent even with
-// concurrent Push calls: a snapshot observes each record entirely or not at
-// all.
-func (st *ShardedTail) Snapshot() TailSnapshot {
-	for _, sh := range st.shards {
-		sh.mu.Lock()
-	}
-	defer func() {
-		for _, sh := range st.shards {
-			sh.mu.Unlock()
-		}
-	}()
-	snap := TailSnapshot{Stats: Stats{
-		Records:    int(st.records.Load()),
-		Filtered:   int(st.filtered.Load()),
-		Unresolved: int(st.unresolved.Load()),
-		Sessions:   int(st.sessions.Load()),
-	}}
-	for _, sh := range st.shards {
-		s := sh.tail.Stats()
-		snap.Stats.Users += s.Users
-		snap.Stats.Sessions += s.Sessions
-		for user, b := range sh.tail.buffers {
-			if len(b.entries) == 0 {
-				continue
-			}
-			snap.Users = append(snap.Users, UserState{
-				User:    user,
-				Last:    b.last,
-				Entries: append([]session.Entry(nil), b.entries...),
-			})
-		}
-	}
-	sort.Slice(snap.Users, func(i, j int) bool { return snap.Users[i].User < snap.Users[j].User })
-	return snap
-}
-
-// Restore replaces the ShardedTail's state with the snapshot's, re-hashing
-// users onto this processor's shard count (which need not match the one the
-// snapshot was taken with) and rebuilding each shard's expiry wheel. Not
-// safe to run concurrently with Push.
-func (st *ShardedTail) Restore(snap TailSnapshot) error {
-	if err := snap.validate(); err != nil {
-		return err
-	}
-	for _, sh := range st.shards {
-		sh.mu.Lock()
-	}
-	defer func() {
-		for _, sh := range st.shards {
-			sh.mu.Unlock()
-		}
-	}()
-	for _, sh := range st.shards {
-		sh.tail.buffers = make(map[string]*burst)
-		sh.tail.wheel = make(map[int64][]string)
-		sh.tail.buffered = 0
-		sh.tail.stats = Stats{}
-	}
-	for _, u := range snap.Users {
-		if len(u.Entries) == 0 {
-			continue // entry-less user from a pre-eviction snapshot
-		}
-		sh := st.shards[shardOf(u.User, len(st.shards))]
-		sh.tail.buffers[u.User] = &burst{
-			entries:  append([]session.Entry(nil), u.Entries...),
-			last:     u.Last,
-			lastNano: u.Last.UnixNano(),
-			unsorted: !entriesSorted(u.Entries),
-		}
-		sh.tail.buffered += len(u.Entries)
-		sh.tail.wheelAdd(u.User, u.Last)
-	}
-	// The aggregate user and session counts have no natural shard (users are
-	// cumulative activations, not the open set); parking them on shard 0
-	// keeps Stats() exact — per-shard splits are not exposed.
-	st.shards[0].tail.stats.Sessions = snap.Stats.Sessions
-	st.shards[0].tail.stats.Users = snap.Stats.Users
-	st.records.Store(int64(snap.Stats.Records))
-	st.filtered.Store(int64(snap.Stats.Filtered))
-	st.unresolved.Store(int64(snap.Stats.Unresolved))
-	st.sessions.Store(0)
-	for _, sh := range st.shards {
-		sh.tail.syncMetrics()
-	}
 	return nil
 }
 

@@ -62,72 +62,6 @@ func TestTailSnapshotRestoreRoundTrip(t *testing.T) {
 	}
 }
 
-// TestShardedSnapshotRestoreAcrossShardCounts: a snapshot taken from one
-// shard count restores into any other shard count (and into a plain Tail)
-// without changing the emitted sessions or the stats.
-func TestShardedSnapshotRestoreAcrossShardCounts(t *testing.T) {
-	log := readGolden(t, "golden.log")
-	g := goldenGraph()
-	records, _, err := clf.ReadAll(bytes.NewReader(log))
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	ref, err := NewTail(Config{Graph: g}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := feedTail(ref.Push, records)
-	want = append(want, ref.Flush()...)
-	wantBytes := renderSessions(t, want)
-	wantStats := ref.Stats()
-
-	cut := len(records) / 2
-	for _, fromShards := range []int{1, 3, 8} {
-		src, err := NewShardedTail(Config{Graph: g}, 0, fromShards)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := feedTail(src.Push, records[:cut])
-		snap := src.Snapshot()
-		if snap.Stats != src.Stats() {
-			t.Fatalf("from=%d: snapshot stats %+v, want %+v", fromShards, snap.Stats, src.Stats())
-		}
-
-		for _, toShards := range []int{1, 2, 5} {
-			dst, err := NewShardedTail(Config{Graph: g}, 0, toShards)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := dst.Restore(snap); err != nil {
-				t.Fatalf("from=%d to=%d: restore: %v", fromShards, toShards, err)
-			}
-			cont := append(append([]session.Session(nil), got...), feedTail(dst.Push, records[cut:])...)
-			cont = append(cont, dst.Flush()...)
-			if !bytes.Equal(renderSessions(t, cont), wantBytes) {
-				t.Fatalf("from=%d to=%d: sessions diverge", fromShards, toShards)
-			}
-			if dst.Stats() != wantStats {
-				t.Fatalf("from=%d to=%d: stats %+v, want %+v", fromShards, toShards, dst.Stats(), wantStats)
-			}
-		}
-
-		// Sharded snapshot into a plain Tail.
-		tl, err := NewTail(Config{Graph: g}, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := tl.Restore(snap); err != nil {
-			t.Fatalf("from=%d to=tail: restore: %v", fromShards, err)
-		}
-		cont := append(append([]session.Session(nil), got...), feedTail(tl.Push, records[cut:])...)
-		cont = append(cont, tl.Flush()...)
-		if !bytes.Equal(renderSessions(t, cont), wantBytes) {
-			t.Fatalf("from=%d to=tail: sessions diverge", fromShards)
-		}
-	}
-}
-
 // TestSnapshotIsDeepCopy: mutating the processor after Snapshot must not
 // change the snapshot, and restoring must not alias the snapshot's slices.
 func TestSnapshotIsDeepCopy(t *testing.T) {
@@ -164,8 +98,7 @@ func TestSnapshotIsDeepCopy(t *testing.T) {
 }
 
 // TestRestoreRejectsInvalidSnapshots: logically corrupt snapshots (duplicate
-// or unsorted users, stats inconsistent with the user list) are rejected by
-// both processors.
+// or unsorted users, stats inconsistent with the user list) are rejected.
 func TestRestoreRejectsInvalidSnapshots(t *testing.T) {
 	g := goldenGraph()
 	cases := map[string]TailSnapshot{
@@ -192,13 +125,6 @@ func TestRestoreRejectsInvalidSnapshots(t *testing.T) {
 		if err := tl.Restore(snap); err == nil {
 			t.Errorf("%s: Tail.Restore accepted invalid snapshot", name)
 		}
-		st, err := NewShardedTail(Config{Graph: g}, 0, 3)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := st.Restore(snap); err == nil {
-			t.Errorf("%s: ShardedTail.Restore accepted invalid snapshot", name)
-		}
 	}
 }
 
@@ -217,7 +143,7 @@ func TestIngestOffsetsConsistentSnapshots(t *testing.T) {
 		sunk []byte // sessions emitted up to this boundary
 	}
 	cfg := Config{Graph: g}
-	src, err := NewShardedTail(cfg, 0, 3)
+	src, err := NewTail(cfg, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +163,7 @@ func TestIngestOffsetsConsistentSnapshots(t *testing.T) {
 	}
 
 	for i, p := range points {
-		dst, err := NewShardedTail(cfg, 0, 2)
+		dst, err := NewTail(cfg, 0)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -2,7 +2,6 @@ package core
 
 import (
 	"io"
-	"time"
 
 	"smartsra/internal/clf"
 	"smartsra/internal/session"
@@ -42,11 +41,15 @@ func DiscardSessions([]session.Session) {}
 // which is the invariant crash recovery needs; a non-nil error from it
 // aborts the stream and is returned.
 //
+// Each value from Config.ExpireTick runs Expire with it on the calling
+// goroutine, between two chunks, and lends the sessions to sink: on an idle
+// pipe too, since the parser goroutine is the one blocked reading it.
+//
 // The emitted sessions are byte-identical to pushing clf.ReadAll's records
 // one by one, for any chunk size — the golden-corpus and fuzz harnesses pin
 // this.
 func (t *Tail) Ingest(r io.Reader, sink SessionSink, progress func(clf.FilePos) error) (malformed int, err error) {
-	return ingest(t.cfg, t, logInput{r: r}, sink, progress)
+	return t.ingest(logInput{r: r}, sink, progress)
 }
 
 // IngestFiles streams an ordered multi-file log set — plain, gzip, or mixed,
@@ -58,29 +61,7 @@ func (t *Tail) Ingest(r io.Reader, sink SessionSink, progress func(clf.FilePos) 
 // with the file's index in paths (and decoded bytes within a gzip member) —
 // the checkpointing caller's clean-stop lever.
 func (t *Tail) IngestFiles(paths []string, start clf.FilePos, sink SessionSink, progress func(clf.FilePos) error) (malformed int, err error) {
-	return ingest(t.cfg, t, logInput{paths: paths, start: start}, sink, progress)
-}
-
-// Ingest is Tail.Ingest on the sharded processor. The push is invoked from
-// the calling goroutine alone, so per-user arrival order — the determinism
-// contract — is preserved. Concurrent Push/Expire from other goroutines
-// remains safe during ingestion.
-func (st *ShardedTail) Ingest(r io.Reader, sink SessionSink, progress func(clf.FilePos) error) (malformed int, err error) {
-	return ingest(st.cfg, st, logInput{r: r}, sink, progress)
-}
-
-// IngestFiles is Tail.IngestFiles on the sharded processor.
-func (st *ShardedTail) IngestFiles(paths []string, start clf.FilePos, sink SessionSink, progress func(clf.FilePos) error) (malformed int, err error) {
-	return ingest(st.cfg, st, logInput{paths: paths, start: start}, sink, progress)
-}
-
-// pusher is the slice of the Sessionizer surface ingestion needs.
-// pushBatchTo pushes recs and lends the sessions they finalized to sink,
-// building them in buf — the feeder's recycled buffer — and returning it for
-// the next call; Expire is what a replayed cut runs.
-type pusher interface {
-	pushBatchTo(buf []session.Session, recs []clf.Record, sink SessionSink) []session.Session
-	Expire(now time.Time) []session.Session
+	return t.ingest(logInput{paths: paths, start: start}, sink, progress)
 }
 
 // logInput is what one ingestion reads — r, a borrowed reader, or when r is
@@ -96,13 +77,13 @@ type logInput struct {
 }
 
 // ingest is the one ingestion engine: it wires the clf chunk reader for in
-// through the feeder into a sessionizer.
-func ingest(cfg Config, p pusher, in logInput, sink SessionSink, progress func(clf.FilePos) error) (malformed int, err error) {
+// through the feeder into the Tail, and the expiry tick into its loop.
+func (t *Tail) ingest(in logInput, sink SessionSink, progress func(clf.FilePos) error) (malformed int, err error) {
 	if sink == nil {
 		sink = DiscardSessions
 	}
-	feed, flush := cutFeeder(p, sink, in.base, in.cuts)
-	scfg := clf.StreamConfig{ChunkBytes: cfg.StreamChunkBytes, Start: in.start}
+	feed, expire, flush := t.cutFeeder(sink, in.base, in.cuts)
+	scfg := clf.StreamConfig{ChunkBytes: t.cfg.StreamChunkBytes, Start: in.start, Tick: t.cfg.ExpireTick, OnTick: expire}
 	if in.r != nil {
 		malformed, err = clf.StreamChunked(in.r, scfg, feed, progress)
 	} else {

@@ -5,7 +5,6 @@ import (
 	"math"
 	"slices"
 	"sort"
-	"sync/atomic"
 	"time"
 
 	"smartsra/internal/clf"
@@ -37,8 +36,9 @@ import (
 // require remembering every user forever, which is the unbounded growth this
 // design removes.
 //
-// Tail is not safe for concurrent use; wrap it in a mutex if multiple
-// goroutines feed it.
+// Tail is not safe for concurrent use: one goroutine owns it. A periodic
+// Expire beside ingestion runs on that goroutine too, between two chunks
+// (Config.ExpireTick).
 type Tail struct {
 	cfg      Config
 	rho      time.Duration
@@ -77,11 +77,6 @@ type Tail struct {
 	lastBuffered    int64
 	maxDepth        int64
 	syncedMaxDepth  int64
-	// bufferedGauge mirrors buffered for lock-free readers: ShardedTail
-	// sums it across shards so a /debug/metrics scrape never takes a shard
-	// lock. Written only under the owner's serialization (the shard lock or
-	// the single-goroutine contract).
-	bufferedGauge atomic.Int64
 }
 
 // Free-list bounds: how many retired burst headers / entry arrays to keep,
@@ -144,11 +139,14 @@ func (t *Tail) Push(rec clf.Record) []session.Session {
 // them. It is the amortized hot path: stage counters and metrics flush once
 // per batch instead of once per record. The input slice is not retained.
 func (t *Tail) PushBatch(recs []clf.Record) []session.Session {
-	return t.pushBatchInto(nil, recs)
+	return t.PushBatchInto(nil, recs)
 }
 
-// pushBatchInto is PushBatch appending onto dst.
-func (t *Tail) pushBatchInto(dst []session.Session, recs []clf.Record) []session.Session {
+// PushBatchInto is PushBatch appending onto dst, for callers that hand the
+// result straight to a sink and recycle the buffer (pass dst[:0]): a
+// long-running push loop stays allocation-free on the output side. The
+// appended sessions are the caller's, as with PushBatch.
+func (t *Tail) PushBatchInto(dst []session.Session, recs []clf.Record) []session.Session {
 	for i := range recs {
 		dst = t.pushRecord(dst, &recs[i])
 	}
@@ -161,7 +159,7 @@ func (t *Tail) pushBatchInto(dst []session.Session, recs []clf.Record) []session
 // returned for the next call) and lent to sink.
 func (t *Tail) pushBatchTo(buf []session.Session, recs []clf.Record, sink SessionSink) []session.Session {
 	t.lending = true
-	buf = t.pushBatchInto(buf[:0], recs)
+	buf = t.PushBatchInto(buf[:0], recs)
 	t.lending = false
 	deliver(sink, buf, true)
 	t.lent.release()
@@ -185,9 +183,8 @@ func (t *Tail) pushRecord(dst []session.Session, rec *clf.Record) []session.Sess
 	return t.pushResolved(dst, user, page, rec.Time)
 }
 
-// pushResolved buffers one already-cleaned, already-resolved request. It is
-// the post-shard half of Push: ShardedTail runs Filter/Resolver/Key in the
-// caller's goroutine and routes here under the owning shard's lock.
+// pushResolved buffers one already-cleaned, already-resolved request: the
+// half of Push after staging, which ShardedTail routes to a user's shard.
 func (t *Tail) pushResolved(dst []session.Session, user string, page webgraph.PageID, at time.Time) []session.Session {
 	atN := at.UnixNano()
 	b := t.buffers[user]
@@ -237,15 +234,14 @@ func (t *Tail) wheelBuckets() int { return len(t.wheel) }
 // is proportional to the users whose activity buckets aged past the cutoff,
 // independent of how many users the Tail has ever seen.
 func (t *Tail) Expire(now time.Time) []session.Session {
-	return t.closeAll(closing{aged: true, now: now})
+	return t.closeAll(t.agedUsers(now))
 }
 
 // agedUsers takes every bucket at or before now-ρ off the expiry wheel and
 // returns, in user order, the users in them whose last request is more than
 // ρ before now; the others move forward to the bucket of their true last
 // activity (the lazy half of the wheel's bookkeeping). The returned users
-// are off the wheel: the caller closes them (detachUser puts back any that
-// turn active again first).
+// are off the wheel: the caller closes them.
 func (t *Tail) agedUsers(now time.Time) []string {
 	if len(t.wheel) == 0 {
 		return nil
@@ -287,7 +283,7 @@ func (t *Tail) agedUsers(now time.Time) []string {
 // The whole result is materialized; at the end of a large input prefer
 // Drain.
 func (t *Tail) Flush() []session.Session {
-	return t.closeAll(closing{})
+	return t.closeAll(t.openUsers())
 }
 
 // Drain is the streaming Flush: it finalizes everything buffered, in user
@@ -298,17 +294,7 @@ func (t *Tail) Flush() []session.Session {
 // would have returned.
 func (t *Tail) Drain(sink SessionSink) {
 	start := time.Now()
-	users := t.openUsers()
-	drainLent(start, len(users), t.cfg.Heuristic, sink, func(dst []session.Stream) ([]session.Stream, bool) {
-		n := min(len(users), drainBatchUsers)
-		for _, u := range users[:n] {
-			if st, ok := t.detachUser(u, closing{}); ok {
-				dst = append(dst, st)
-			}
-		}
-		users = users[n:]
-		return dst, n > 0
-	}, t.settle)
+	t.drainLent(start, t.openUsers(), sink)
 	t.syncMetrics()
 }
 
@@ -333,12 +319,12 @@ func (t *Tail) openUsers() []string {
 func (t *Tail) Stats() Stats { return t.stats }
 
 // detach is the first of the three steps of closing a burst: it and settle
-// touch the Tail and run under its owner's serialization (the one-goroutine
-// contract or the shard lock); between them lane.reconstruct is a pure
-// function of the detached stream on a scratch of its own and may run
-// anywhere. closeInto runs the three back to back, drainLent spreads the
-// middle one over goroutines. detach takes b's entries off as a stream and
-// leaves the burst empty: the caller evicts it or hands it a fresh slice.
+// touch the Tail and run on its owner goroutine; between them
+// lane.reconstruct is a pure function of the detached stream on a scratch of
+// its own and may run anywhere. closeInto runs the three back to back,
+// drainLent spreads the middle one over goroutines. detach takes b's entries
+// off as a stream and leaves the burst empty: the caller evicts it or hands
+// it a fresh slice.
 func (t *Tail) detach(user string, b *burst) session.Stream {
 	entries := b.entries
 	b.entries = nil
@@ -357,17 +343,12 @@ func (t *Tail) detach(user string, b *burst) session.Stream {
 	return session.Stream{User: user, Entries: entries}
 }
 
-// detachUser detaches and evicts one picked user. The pick may be stale — a
-// ShardedTail releases the shard lock between picking and closing — so a user
-// whose burst is gone is skipped (ok false), and so is one c no longer
-// selects: active again within ρ of c.now, they go back on the expiry wheel.
-func (t *Tail) detachUser(user string, c closing) (st session.Stream, ok bool) {
+// detachUser detaches and evicts one picked user. One already closed is
+// skipped (ok false): the expiry wheel can hold a stale entry beside a fresh
+// one for a user evicted and back, so agedUsers may pick them twice.
+func (t *Tail) detachUser(user string) (st session.Stream, ok bool) {
 	b := t.buffers[user]
 	if b == nil || len(b.entries) == 0 {
-		return st, false
-	}
-	if c.aged && c.now.Sub(b.last) <= t.rho {
-		t.wheelAdd(user, b.last)
 		return st, false
 	}
 	st = t.detach(user, b)
@@ -480,7 +461,6 @@ func (t *Tail) syncMetrics() {
 	}
 	if d := int64(t.buffered) - t.lastBuffered; d != 0 {
 		metricTailBuffered.Add(d)
-		t.bufferedGauge.Add(d)
 		t.lastBuffered = int64(t.buffered)
 	}
 	if t.maxDepth > t.syncedMaxDepth {

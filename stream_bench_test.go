@@ -10,8 +10,8 @@ import (
 )
 
 // BenchmarkStreamIngest measures the bounded-memory streaming path:
-// clf.StreamChunked alone, and the end-to-end pipelines — a ShardedTail fed
-// through Ingest, as cmd/serve -backfill runs it, and a Tail reading an OS
+// clf.StreamChunked alone, and the end-to-end pipelines — a Tail fed through
+// Ingest, as cmd/serve -backfill runs it, and a Tail reading an OS
 // pipe that is written 64 KiB at a time, as
 // `cat access.log | sessionize -stream -log -` does. The records/s metric is
 // the headline; output equivalence with ReadAll is pinned by
@@ -30,11 +30,11 @@ func BenchmarkStreamIngest(b *testing.B) {
 		}
 		b.ReportMetric(recs*float64(b.N)/b.Elapsed().Seconds(), "records/s")
 	})
-	b.Run("ingest-sharded", func(b *testing.B) {
+	b.Run("ingest", func(b *testing.B) {
 		b.ReportAllocs()
 		b.SetBytes(int64(len(data)))
 		for i := 0; i < b.N; i++ {
-			st, err := core.NewShardedTail(core.Config{Graph: g}, 0, 0)
+			st, err := core.NewTail(core.Config{Graph: g}, 0)
 			if err != nil {
 				b.Fatal(err)
 			}
