@@ -501,12 +501,12 @@ func (o *owner) recoverFromCheckpoint() error {
 		s.drops.restore(ck.DropSpans, ck.LogOffset)
 	}
 
-	// Replay through the zero-copy source reader (mmap for the on-disk
-	// log), checkpointing as we go so a crash during a long recovery does
-	// not restart it from scratch. With pending cuts the mid-replay
-	// checkpoints are skipped — a snapshot taken between cuts cannot yet
-	// say how many of them it contains — so that (rare) recovery shape
-	// restarts from the previous checkpoint if interrupted.
+	// Replay through the chunk reader, checkpointing as we go so a crash
+	// during a long recovery does not restart it from scratch; a log
+	// truncated under the replay ends it at the short read. With pending
+	// cuts the mid-replay checkpoints are skipped — a snapshot taken between
+	// cuts cannot yet say how many of them it contains — so that (rare)
+	// recovery shape restarts from the previous checkpoint if interrupted.
 	progress := func(pos clf.FilePos) error {
 		o.ckpt.MaybeSave(func() *checkpoint.Checkpoint {
 			return o.buildCheckpoint(pos.Offset)

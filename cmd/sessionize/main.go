@@ -265,8 +265,8 @@ func mayNeverEnd(paths []string) bool {
 // Tail fed in input order by the chunk reader, writing each session the
 // moment its burst closes. Heap usage is independent of log length, so this
 // path handles logs larger than RAM and never-ending stdin pipes. File inputs
-// (paths non-nil) go through the zero-copy source layer — mmap windows for
-// plain files, a decoder goroutine per gzip member; nil paths reads stdin.
+// (paths non-nil) are read like stdin, one read buffer at a time, with a
+// decoder goroutine per gzip member; nil paths reads stdin.
 // With cfg.ExpireTick set, each tick also finalizes users quiet for longer
 // than the session gap, so sessions keep flowing while input does. A
 // non-empty cuts sequence (from -cuts) replays serve's journaled timed

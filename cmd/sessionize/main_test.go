@@ -214,7 +214,7 @@ func streamTo(t *testing.T, dir, name string, stdin io.Reader, args ...string) (
 	return b, errBuf.String()
 }
 
-// TestPathRedirectAndPipeWriteOneFile: by path (mmap), through a redirect (a
+// TestPathRedirectAndPipeWriteOneFile: by path, through a redirect (a
 // regular file on stdin), through a pipe, and through a pipe with the expire
 // tick armed (an hour, so it never fires) a log must give one and the same
 // sessions file.

@@ -85,7 +85,7 @@ func opener(paths []string, cfg StreamConfig) func(int) (Source, error) {
 		if i == cfg.Start.File {
 			off = cfg.Start.Offset
 		}
-		return openSourceAt(paths[i], off, cfg.NoMmap, cfg.ChunkBytes)
+		return openSourceAt(paths[i], off, cfg.ChunkBytes)
 	}
 }
 
@@ -107,7 +107,7 @@ func aheadStream(paths []string, cfg StreamConfig) (run inlineRun) {
 // TestParseAheadMatchesInline: with parsing on a goroutine of its own the
 // stream emits ReadAll's records and malformed count and reports
 // exactly the inline loop's positions — every one of them, for chunks from
-// one line to the whole member, over gzip, mmap and reader members — and a
+// one line to the whole member, over gzip and plain members — and a
 // run resumed from any reported position emits the rest and reports the rest
 // of the positions. (CI runs this under -cpu 1,2,4: the handoff must not
 // depend on how the two goroutines are scheduled.)
@@ -128,33 +128,31 @@ func TestParseAheadMatchesInline(t *testing.T) {
 		want = append(want, recs...)
 		wantBad += bad
 	}
-	for _, noMmap := range []bool{false, true} {
-		for _, chunk := range []int{64, 200, 4096, 64 << 10, 1 << 20} {
-			cfg := StreamConfig{ChunkBytes: chunk, NoMmap: noMmap}
-			ref, got := inlineStream(paths, cfg), aheadStream(paths, cfg)
-			if ref.err != nil || got.err != nil {
-				t.Fatalf("%+v: inline err %v, ahead err %v", cfg, ref.err, got.err)
+	for _, chunk := range []int{64, 200, 4096, 64 << 10, 1 << 20} {
+		cfg := StreamConfig{ChunkBytes: chunk}
+		ref, got := inlineStream(paths, cfg), aheadStream(paths, cfg)
+		if ref.err != nil || got.err != nil {
+			t.Fatalf("%+v: inline err %v, ahead err %v", cfg, ref.err, got.err)
+		}
+		if got.bad != wantBad || ref.bad != wantBad {
+			t.Fatalf("%+v: malformed %d (inline %d), ReadAll has %d", cfg, got.bad, ref.bad, wantBad)
+		}
+		sameRecords(t, "full run", got.recs, want)
+		if !reflect.DeepEqual(got.marks, ref.marks) {
+			t.Fatalf("%+v: positions differ from the inline loop's:\n%v\n%v", cfg, got.marks, ref.marks)
+		}
+		// Resumed, a member cuts its blocks from the new start, so the
+		// reference is the inline loop resumed there too.
+		for _, m := range ref.marks {
+			rcfg := cfg
+			rcfg.Start = m.Pos
+			rref, again := inlineStream(paths, rcfg), aheadStream(paths, rcfg)
+			if rref.err != nil || again.err != nil || again.bad != rref.bad {
+				t.Fatalf("%+v: inline %d malformed, err %v; ahead %d, err %v", rcfg, rref.bad, rref.err, again.bad, again.err)
 			}
-			if got.bad != wantBad || ref.bad != wantBad {
-				t.Fatalf("%+v: malformed %d (inline %d), ReadAll has %d", cfg, got.bad, ref.bad, wantBad)
-			}
-			sameRecords(t, "full run", got.recs, want)
-			if !reflect.DeepEqual(got.marks, ref.marks) {
-				t.Fatalf("%+v: positions differ from the inline loop's:\n%v\n%v", cfg, got.marks, ref.marks)
-			}
-			// Resumed, a reader-backed member cuts its blocks from the new
-			// start, so the reference is the inline loop resumed there too.
-			for _, m := range ref.marks {
-				rcfg := cfg
-				rcfg.Start = m.Pos
-				rref, again := inlineStream(paths, rcfg), aheadStream(paths, rcfg)
-				if rref.err != nil || again.err != nil || again.bad != rref.bad {
-					t.Fatalf("%+v: inline %d malformed, err %v; ahead %d, err %v", rcfg, rref.bad, rref.err, again.bad, again.err)
-				}
-				sameRecords(t, "resumed run", again.recs, want[m.Seen:])
-				if !reflect.DeepEqual(again.marks, rref.marks) {
-					t.Fatalf("%+v: positions differ from the inline loop's:\n%v\n%v", rcfg, again.marks, rref.marks)
-				}
+			sameRecords(t, "resumed run", again.recs, want[m.Seen:])
+			if !reflect.DeepEqual(again.marks, rref.marks) {
+				t.Fatalf("%+v: positions differ from the inline loop's:\n%v\n%v", rcfg, again.marks, rref.marks)
 			}
 		}
 	}
@@ -190,7 +188,7 @@ func TestLentRecordsArePoisoned(t *testing.T) {
 // TestParserLeavesNoGoroutine: however a stream ends — end
 // of input, a read error, a truncated gzip member, a later file that does
 // not open, progress saying stop — the parser goroutine (and any decoder
-// behind it) is gone when the call returns, for mmap, reader, gzip and
+// behind it) is gone when the call returns, for plain, gzip and
 // borrowed-reader sources.
 func TestParserLeavesNoGoroutine(t *testing.T) {
 	dir := t.TempDir()
@@ -214,28 +212,24 @@ func TestParserLeavesNoGoroutine(t *testing.T) {
 	files := []struct {
 		name     string
 		paths    []string
-		noMmap   bool
 		progress func(FilePos) error
 		check    func(error) bool
 	}{
-		{"mmap to the end", plain, false, nil, func(err error) bool { return err == nil }},
-		{"reader to the end", plain, true, nil, func(err error) bool { return err == nil }},
-		{"gzip to the end", packed, false, nil, func(err error) bool { return err == nil }},
-		{"mmap then missing file", []string{plain[0], missing}, false, nil, func(err error) bool { return errors.Is(err, os.ErrNotExist) }},
-		{"reader then missing file", []string{plain[0], missing}, true, nil, func(err error) bool { return errors.Is(err, os.ErrNotExist) }},
-		{"gzip then missing file", []string{packed[0], missing}, false, nil, func(err error) bool { return errors.Is(err, os.ErrNotExist) }},
-		{"truncated gzip member", []string{packed[0], cut, plain[0]}, false, nil, func(err error) bool { return errors.Is(err, io.ErrUnexpectedEOF) }},
-		{"mmap abort", plain, false, stopAt(3), func(err error) bool { return err == errStop }},
-		{"reader abort", plain, true, stopAt(3), func(err error) bool { return err == errStop }},
-		{"gzip abort", packed, false, stopAt(3), func(err error) bool { return err == errStop }},
-		{"abort at a member's last chunk", packed, false, stopAt(1), func(err error) bool { return err == errStop }},
+		{"plain to the end", plain, nil, func(err error) bool { return err == nil }},
+		{"gzip to the end", packed, nil, func(err error) bool { return err == nil }},
+		{"plain then missing file", []string{plain[0], missing}, nil, func(err error) bool { return errors.Is(err, os.ErrNotExist) }},
+		{"gzip then missing file", []string{packed[0], missing}, nil, func(err error) bool { return errors.Is(err, os.ErrNotExist) }},
+		{"truncated gzip member", []string{packed[0], cut, plain[0]}, nil, func(err error) bool { return errors.Is(err, io.ErrUnexpectedEOF) }},
+		{"plain abort", plain, stopAt(3), func(err error) bool { return err == errStop }},
+		{"gzip abort", packed, stopAt(3), func(err error) bool { return err == errStop }},
+		{"abort at a member's last chunk", packed, stopAt(1), func(err error) bool { return err == errStop }},
 	}
 	for _, tc := range files {
 		chunk := 2048
 		if strings.Contains(tc.name, "last chunk") {
 			chunk = 1 << 20
 		}
-		_, err := StreamFilesChunked(tc.paths, StreamConfig{ChunkBytes: chunk, NoMmap: tc.noMmap}, func([]Record) {}, tc.progress)
+		_, err := StreamFilesChunked(tc.paths, StreamConfig{ChunkBytes: chunk}, func([]Record) {}, tc.progress)
 		if !tc.check(err) {
 			t.Fatalf("%s: err = %v", tc.name, err)
 		}
@@ -251,29 +245,29 @@ func TestParserLeavesNoGoroutine(t *testing.T) {
 		t.Fatal("borrowed reader: the read error is lost")
 	}
 	settle(t, "borrowed reader, read error", before)
-	src := newReaderSource(strings.NewReader(text), SourceReader, 0)
+	src := newReaderSource(strings.NewReader(text), 0)
 	if _, err := streamSources(1, 0, func(int) (Source, error) { return src, nil }, StreamConfig{ChunkBytes: 2048}, func([]Record) {}, stopAt(3)); err != errStop {
 		t.Fatalf("borrowed reader abort: err = %v", err)
 	}
 	settle(t, "borrowed reader abort", before)
 }
 
-// countingSource is an in-memory source that tells how far ahead of the
-// emitting side it has been read, and whether it was closed.
+// countingSource is a reader source over bytes in memory that tells how far
+// ahead of the emitting side it has been read, and whether it was closed.
 type countingSource struct {
-	bytesSource
+	*readerSource
 	calls  atomic.Int32
 	closed atomic.Bool
 }
 
 func (s *countingSource) NextChunk(n int) ([]byte, int64, int, error) {
 	s.calls.Add(1)
-	return s.bytesSource.NextChunk(n)
+	return s.readerSource.NextChunk(n)
 }
 
 func (s *countingSource) Close() error {
 	s.closed.Store(true)
-	return s.bytesSource.Close()
+	return s.readerSource.Close()
 }
 
 // TestAbortDropsChunksParsedAhead: when progress rejects chunk k, chunks
@@ -285,7 +279,7 @@ func TestAbortDropsChunksParsedAhead(t *testing.T) {
 	text := synthLog(73, 900)
 	ref := inlineRun{}
 	{
-		src := &bytesSource{data: []byte(text)}
+		src := memSource(text)
 		for {
 			data, _, _, err := src.NextChunk(chunk)
 			if err != nil {
@@ -302,7 +296,7 @@ func TestAbortDropsChunksParsedAhead(t *testing.T) {
 	}
 	before := runtime.NumGoroutine()
 	errStop := errors.New("stop")
-	src := &countingSource{bytesSource: bytesSource{data: []byte(text)}}
+	src := &countingSource{readerSource: memSource(text)}
 	var got []Record
 	reports := 0
 	bad, err := streamSources(1, 0, func(int) (Source, error) { return src, nil }, StreamConfig{ChunkBytes: chunk},
@@ -350,9 +344,9 @@ func TestParseCountersSaySideThatWaited(t *testing.T) {
 		}
 		return metricParseChunks.Value() - c0, metricParseWait.Value() - w0, metricParseStall.Value() - s0
 	}
-	want := countChunks([]byte(text), 2048)
+	want := countChunks(text, 2048)
 
-	chunks, _, stall := run(&bytesSource{data: []byte(text)}, func([]Record) { time.Sleep(2 * time.Millisecond) })
+	chunks, _, stall := run(memSource(text), func([]Record) { time.Sleep(2 * time.Millisecond) })
 	if chunks != want {
 		t.Fatalf("clf.parse.chunks moved by %d over %d chunks", chunks, want)
 	}
@@ -360,7 +354,7 @@ func TestParseCountersSaySideThatWaited(t *testing.T) {
 		t.Errorf("slow consumer: clf.parse.stall_ns moved by %d, want at least %d", stall, min)
 	}
 
-	slow := &slowSource{bytesSource: bytesSource{data: []byte(text)}, delay: 2 * time.Millisecond}
+	slow := &slowSource{readerSource: memSource(text), delay: 2 * time.Millisecond}
 	chunks, wait, _ := run(slow, func([]Record) {})
 	if chunks != want {
 		t.Fatalf("clf.parse.chunks moved by %d over %d chunks", chunks, want)
@@ -370,9 +364,14 @@ func TestParseCountersSaySideThatWaited(t *testing.T) {
 	}
 }
 
-// countChunks says how many chunks a bytesSource cuts data into.
-func countChunks(data []byte, chunk int) (n int64) {
-	src := &bytesSource{data: data}
+// memSource is a reader source over text in memory, with nothing to close.
+func memSource(text string) *readerSource {
+	return newReaderSource(strings.NewReader(text), 0)
+}
+
+// countChunks says how many chunks a reader source cuts text into.
+func countChunks(text string, chunk int) (n int64) {
+	src := memSource(text)
 	for {
 		if _, _, _, err := src.NextChunk(chunk); err != nil {
 			return n
@@ -383,11 +382,11 @@ func countChunks(data []byte, chunk int) (n int64) {
 
 // slowSource takes delay over every chunk.
 type slowSource struct {
-	bytesSource
+	*readerSource
 	delay time.Duration
 }
 
 func (s *slowSource) NextChunk(n int) ([]byte, int64, int, error) {
 	time.Sleep(s.delay)
-	return s.bytesSource.NextChunk(n)
+	return s.readerSource.NextChunk(n)
 }

@@ -71,9 +71,8 @@ func readInline(t *testing.T, path, text string) inlineMember {
 	return m
 }
 
-// mixedSet writes a rotated set that alternates gzip and plain members —
-// the plain ones are mmap windows or the buffered reader, by NoMmap — with
-// unterminated final lines on one member of each kind, and returns the
+// mixedSet writes a rotated set that alternates gzip and plain members,
+// with unterminated final lines on one member of each kind, and returns the
 // paths and each member's decoded text.
 func mixedSet(t *testing.T, seed int64, lines int) (paths, texts []string) {
 	t.Helper()
@@ -108,8 +107,8 @@ func sameRecords(t *testing.T, what string, got, want []Record) {
 }
 
 // TestStreamFilesMatchesInline holds StreamFilesChunked — gzip members
-// decoding on their own goroutines into the ring, beside mmap and reader
-// members — to the inline reference: same records and
+// decoding on their own goroutines into the ring, beside plain members read
+// inline — to the inline reference: same records and
 // malformed count, every progress position on a line end with exactly the
 // reference's records delivered by then, and a resume from such a position
 // replaying exactly the rest.
@@ -134,71 +133,69 @@ func TestStreamFilesMatchesInline(t *testing.T) {
 		pos  FilePos
 		seen int
 	}
-	for _, noMmap := range []bool{false, true} {
-		for _, chunk := range []int{512, 4096, 64 << 10, 1 << 20} {
-			cfg := StreamConfig{ChunkBytes: chunk, NoMmap: noMmap}
-			var got []Record
-			var marks []mark
-			bad, err := StreamFilesChunked(paths, cfg,
-				func(recs []Record) { got = append(got, recs...) },
-				func(pos FilePos) error {
-					marks = append(marks, mark{pos, len(got)})
-					return nil
-				})
+	for _, chunk := range []int{512, 4096, 64 << 10, 1 << 20} {
+		cfg := StreamConfig{ChunkBytes: chunk}
+		var got []Record
+		var marks []mark
+		bad, err := StreamFilesChunked(paths, cfg,
+			func(recs []Record) { got = append(got, recs...) },
+			func(pos FilePos) error {
+				marks = append(marks, mark{pos, len(got)})
+				return nil
+			})
+		if err != nil {
+			t.Fatalf("%+v: %v", cfg, err)
+		}
+		if bad != wantBad {
+			t.Fatalf("%+v: malformed %d, want %d", cfg, bad, wantBad)
+		}
+		sameRecords(t, "full run", got, want)
+
+		last := FilePos{}
+		ends := make(map[int]int64)
+		for _, m := range marks {
+			if m.pos.File < last.File || (m.pos.File == last.File && m.pos.Offset < last.Offset) {
+				t.Fatalf("%+v: position %+v after %+v", cfg, m.pos, last)
+			}
+			last = m.pos
+			ends[m.pos.File] = m.pos.Offset
+			seen, ok := members[m.pos.File].seenAt[m.pos.Offset]
+			if !ok {
+				t.Fatalf("%+v: position %+v is not a line end", cfg, m.pos)
+			}
+			if base[m.pos.File]+seen != m.seen {
+				t.Fatalf("%+v: %d records delivered at %+v, inline reader has %d", cfg, m.seen, m.pos, base[m.pos.File]+seen)
+			}
+		}
+		for i, text := range texts {
+			if ends[i] != int64(len(text)) {
+				t.Fatalf("%+v: member %d ends at %d, want %d", cfg, i, ends[i], len(text))
+			}
+		}
+
+		// Resume from about eight of the positions.
+		for k := 0; k < len(marks); k += len(marks)/8 + 1 {
+			m := marks[k]
+			var rest strings.Builder // what an inline reader sees from m.pos on
+			rest.WriteString(texts[m.pos.File][m.pos.Offset:])
+			for _, text := range texts[m.pos.File+1:] {
+				rest.WriteString("\n" + text)
+			}
+			_, restBad, err := ReadAll(strings.NewReader(rest.String()))
 			if err != nil {
-				t.Fatalf("%+v: %v", cfg, err)
+				t.Fatal(err)
 			}
-			if bad != wantBad {
-				t.Fatalf("%+v: malformed %d, want %d", cfg, bad, wantBad)
+			rcfg := cfg
+			rcfg.Start = m.pos
+			var again []Record
+			bad, err := StreamFilesChunked(paths, rcfg, func(recs []Record) { again = append(again, recs...) }, nil)
+			if err != nil {
+				t.Fatalf("%+v: %v", rcfg, err)
 			}
-			sameRecords(t, "full run", got, want)
-
-			last := FilePos{}
-			ends := make(map[int]int64)
-			for _, m := range marks {
-				if m.pos.File < last.File || (m.pos.File == last.File && m.pos.Offset < last.Offset) {
-					t.Fatalf("%+v: position %+v after %+v", cfg, m.pos, last)
-				}
-				last = m.pos
-				ends[m.pos.File] = m.pos.Offset
-				seen, ok := members[m.pos.File].seenAt[m.pos.Offset]
-				if !ok {
-					t.Fatalf("%+v: position %+v is not a line end", cfg, m.pos)
-				}
-				if base[m.pos.File]+seen != m.seen {
-					t.Fatalf("%+v: %d records delivered at %+v, inline reader has %d", cfg, m.seen, m.pos, base[m.pos.File]+seen)
-				}
+			if bad != restBad {
+				t.Fatalf("%+v: malformed %d, want %d", rcfg, bad, restBad)
 			}
-			for i, text := range texts {
-				if ends[i] != int64(len(text)) {
-					t.Fatalf("%+v: member %d ends at %d, want %d", cfg, i, ends[i], len(text))
-				}
-			}
-
-			// Resume from about eight of the positions.
-			for k := 0; k < len(marks); k += len(marks)/8 + 1 {
-				m := marks[k]
-				var rest strings.Builder // what an inline reader sees from m.pos on
-				rest.WriteString(texts[m.pos.File][m.pos.Offset:])
-				for _, text := range texts[m.pos.File+1:] {
-					rest.WriteString("\n" + text)
-				}
-				_, restBad, err := ReadAll(strings.NewReader(rest.String()))
-				if err != nil {
-					t.Fatal(err)
-				}
-				rcfg := cfg
-				rcfg.Start = m.pos
-				var again []Record
-				bad, err := StreamFilesChunked(paths, rcfg, func(recs []Record) { again = append(again, recs...) }, nil)
-				if err != nil {
-					t.Fatalf("%+v: %v", rcfg, err)
-				}
-				if bad != restBad {
-					t.Fatalf("%+v: malformed %d, want %d", rcfg, bad, restBad)
-				}
-				sameRecords(t, "resumed run", again, want[m.seen:])
-			}
+			sameRecords(t, "resumed run", again, want[m.seen:])
 		}
 	}
 }
@@ -268,7 +265,7 @@ func TestDecoderLeavesNoGoroutine(t *testing.T) {
 	before := runtime.NumGoroutine()
 
 	for _, chunks := range []int{0, 2, -1} {
-		src, err := openSourceAt(paths[0], 0, false, 1024)
+		src, err := openSourceAt(paths[0], 0, 1024)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -313,7 +310,7 @@ func TestGzipSourceSteadyStateAllocs(t *testing.T) {
 		path := writeTestFile(t, dir, "member.gz", string(gzipBytes(t, synthLog(53, lines), gzip.NoCompression)))
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		src, err := openSourceAt(path, 0, false, chunk)
+		src, err := openSourceAt(path, 0, chunk)
 		if err != nil {
 			t.Fatal(err)
 		}

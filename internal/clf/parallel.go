@@ -13,9 +13,9 @@ const maxLineBytes = 1 << 20
 // parseChunkIntern parses every line of one chunk (the final line may lack a
 // trailing newline) into the caller-provided slice, skipping blank lines and
 // counting malformed ones, mirroring the Scanner's accounting — including
-// the over-long-line policy: a line past the 1 MiB cap (possible when a
-// Source serves windows larger than the cap, e.g. an mmap window grown
-// around a huge line) is counted and skipped, exactly as the sequential
+// the over-long-line policy: a line past the 1 MiB cap (possible when chunks
+// are larger than the cap: a Source checks only the first line of each of
+// its blocks) is counted and skipped, exactly as the sequential
 // lineScanner does. The intern table is the caller's, held across chunks so
 // repeated hosts/URIs stay the same string across the whole input; the
 // caller retires it via full() — parsing never grows it past the next

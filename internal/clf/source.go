@@ -25,34 +25,6 @@ var (
 	metricParseStall   = metrics.GetCounter("clf.parse.stall_ns")
 )
 
-// SourceKind identifies how a Source feeds bytes to the parse pipeline.
-type SourceKind int
-
-const (
-	// SourceReader is the buffered io.Reader path: blocks are read into a
-	// scratch buffer and cut at line boundaries (pipes, sockets, stdin, and
-	// files when mmap is unavailable or disabled).
-	SourceReader SourceKind = iota
-	// SourceMmap serves line-aligned windows of a memory-mapped file:
-	// chunks alias the mapping, so neither the splitter nor the parser ever
-	// copies a line.
-	SourceMmap
-	// SourceGzip is the buffered path behind a gzip decoder, selected by
-	// sniffing the 0x1f 0x8b magic bytes.
-	SourceGzip
-)
-
-func (k SourceKind) String() string {
-	switch k {
-	case SourceMmap:
-		return "mmap"
-	case SourceGzip:
-		return "gzip"
-	default:
-		return "reader"
-	}
-}
-
 // FilePos addresses a byte position within an ordered multi-file input set:
 // File indexes the (lexically ordered) path list, Offset is the byte offset
 // within that file — for gzip members it counts decoded bytes; a borrowed
@@ -72,21 +44,20 @@ type FilePos struct {
 // and how many over-long lines (> 1 MiB) were skipped and dropped while
 // producing it. A return with err != nil carries no data: io.EOF signals a
 // clean end of input. The chunk is lent until the next NextChunk or Close:
-// it aliases the mapping, or a read or ring buffer that is then refilled, so
-// the caller consumes each chunk before asking for the next.
+// it aliases a read or ring buffer that is then refilled, so the caller
+// consumes each chunk before asking for the next.
 type Source interface {
 	NextChunk(chunkBytes int) (chunk []byte, end int64, skipped int, err error)
-	Kind() SourceKind
 	Close() error
 }
 
-// readerSource cuts an io.Reader into line-aligned chunks. Over-long lines
-// are skipped and counted (never buffered whole), matching the sequential
-// lineScanner's policy.
+// readerSource cuts an io.Reader into line-aligned chunks — every input is
+// one: a plain file, a pipe, stdin, bytes in memory, a gzip member's decoded
+// blocks. Over-long lines are skipped and counted (never buffered whole),
+// matching the sequential lineScanner's policy.
 type readerSource struct {
 	r       io.Reader // read inline, on the caller's goroutine, when dec is nil
 	dec     *decoder  // gzip: blocks arrive from the member's decode goroutine
-	kind    SourceKind
 	closers []io.Closer
 
 	buf         []byte
@@ -99,11 +70,9 @@ type readerSource struct {
 	rerr        error  // sticky terminal result
 }
 
-func newReaderSource(r io.Reader, kind SourceKind, pos int64, closers ...io.Closer) *readerSource {
-	return &readerSource{r: r, kind: kind, pos: pos, closers: closers}
+func newReaderSource(r io.Reader, pos int64, closers ...io.Closer) *readerSource {
+	return &readerSource{r: r, pos: pos, closers: closers}
 }
-
-func (s *readerSource) Kind() SourceKind { return s.kind }
 
 func (s *readerSource) Close() error {
 	if s.dec != nil {
@@ -273,52 +242,6 @@ func (s *readerSource) stop(rerr error) {
 	s.rerr = fmt.Errorf("clf: read: %w", rerr)
 }
 
-// bytesSource serves line-aligned windows of an in-memory byte slice —
-// normally an mmap'd file, so NextChunk is zero-copy: the window aliases the
-// mapping and stays valid until Close unmaps it.
-type bytesSource struct {
-	data  []byte
-	off   int
-	kind  SourceKind
-	unmap func() error
-}
-
-func (s *bytesSource) Kind() SourceKind { return s.kind }
-
-func (s *bytesSource) Close() error {
-	s.data = nil
-	if s.unmap == nil {
-		return nil
-	}
-	u := s.unmap
-	s.unmap = nil
-	return u()
-}
-
-func (s *bytesSource) NextChunk(chunkBytes int) ([]byte, int64, int, error) {
-	if chunkBytes <= 0 {
-		chunkBytes = readChunkSize
-	}
-	if s.off >= len(s.data) {
-		return nil, 0, 0, io.EOF
-	}
-	cut := s.off + chunkBytes
-	if cut >= len(s.data) {
-		cut = len(s.data)
-	} else if nl := bytes.LastIndexByte(s.data[s.off:cut], '\n'); nl >= 0 {
-		cut = s.off + nl + 1
-	} else if j := bytes.IndexByte(s.data[cut:], '\n'); j >= 0 {
-		// The window's single line extends past it: grow to the newline so
-		// every chunk holds whole lines. parseChunk enforces the line cap.
-		cut += j + 1
-	} else {
-		cut = len(s.data)
-	}
-	chunk := s.data[s.off:cut]
-	s.off = cut
-	return chunk, int64(cut), 0, nil
-}
-
 // ringDepth is how many buffers a producing goroutine — a gzip member's
 // decoder, the parser — cycles through: one lent to the consuming side, one
 // queued, one being filled.
@@ -464,11 +387,12 @@ func sniffGzip(f *os.File) bool {
 }
 
 // openSourceAt opens path as a Source positioned at offset (decoded bytes
-// for gzip members). Plain files become mmap windows when supported and not
-// disabled, the buffered reader otherwise; gzip files always decode through
-// the buffered path, on a goroutine of their own that starts here, in blocks
+// for gzip members). A plain file is read where it stands, one Read into the
+// source's buffer per block, so what stays resident is that buffer however
+// large the file, and a file truncated under the reader ends at a short read.
+// A gzip file decodes on a goroutine of its own that starts here, in blocks
 // of chunkBytes, discarding to the resume offset first.
-func openSourceAt(path string, offset int64, noMmap bool, chunkBytes int) (Source, error) {
+func openSourceAt(path string, offset int64, chunkBytes int) (Source, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
@@ -480,32 +404,7 @@ func openSourceAt(path string, offset int64, noMmap bool, chunkBytes int) (Sourc
 			return nil, fmt.Errorf("clf: gzip %s: %w", path, err)
 		}
 		dec := startDecoder(gz, path, offset, chunkBytes, gz, f)
-		return &readerSource{kind: SourceGzip, pos: offset, dec: dec}, nil
-	}
-	info, err := f.Stat()
-	if err != nil {
-		f.Close()
-		return nil, err
-	}
-	if !noMmap && info.Mode().IsRegular() {
-		if data, unmap, merr := mmapFile(f, info.Size()); merr == nil {
-			off := int(offset)
-			if offset > info.Size() {
-				off = len(data)
-			}
-			fc := f
-			return &bytesSource{data: data, off: off, kind: SourceMmap, unmap: func() error {
-				err := unmap()
-				fc.Close()
-				return err
-			}}, nil
-		}
-		// Mapping failed (or, on non-unix builds, the whole-file load did):
-		// rewind and fall through to the buffered reader.
-		if _, err := f.Seek(0, io.SeekStart); err != nil {
-			f.Close()
-			return nil, err
-		}
+		return &readerSource{pos: offset, dec: dec}, nil
 	}
 	if offset > 0 {
 		if _, err := f.Seek(offset, io.SeekStart); err != nil {
@@ -513,5 +412,5 @@ func openSourceAt(path string, offset int64, noMmap bool, chunkBytes int) (Sourc
 			return nil, err
 		}
 	}
-	return newReaderSource(f, SourceReader, offset, f), nil
+	return newReaderSource(f, offset, f), nil
 }

@@ -83,7 +83,7 @@ func TestResolveLogPaths(t *testing.T) {
 
 // TestStreamFilesMatchesConcat is the multi-file equivalence bar: a rotated
 // plain/gzip/plain set streams byte-identically to zcat-then-concatenate
-// through the sequential reader, across chunk sizes and mmap on/off.
+// through the sequential reader, across chunk sizes.
 func TestStreamFilesMatchesConcat(t *testing.T) {
 	paths, full := rotatedSet(t, 11, 600)
 	want, wantBad, err := ReadAll(strings.NewReader(full))
@@ -108,22 +108,19 @@ func TestStreamFilesMatchesConcat(t *testing.T) {
 		t.Fatalf("OpenLogInput: %d/%d records, want %d/%d", len(cat), catBad, len(want), wantBad)
 	}
 
-	for _, noMmap := range []bool{false, true} {
-		for _, chunk := range []int{256, 4096, readChunkSize} {
-			var got []Record
-			bad, err := StreamFilesChunked(paths, StreamConfig{ChunkBytes: chunk, NoMmap: noMmap},
-				func(recs []Record) { got = append(got, recs...) }, nil)
-			if err != nil {
-				t.Fatalf("noMmap=%v chunk=%d: %v", noMmap, chunk, err)
-			}
-			if bad != wantBad || len(got) != len(want) {
-				t.Fatalf("noMmap=%v chunk=%d: %d/%d records, want %d/%d",
-					noMmap, chunk, len(got), bad, len(want), wantBad)
-			}
-			for i := range got {
-				if !recordsMatch(got[i], want[i]) {
-					t.Fatalf("noMmap=%v chunk=%d: record %d differs", noMmap, chunk, i)
-				}
+	for _, chunk := range []int{256, 4096, readChunkSize} {
+		var got []Record
+		bad, err := StreamFilesChunked(paths, StreamConfig{ChunkBytes: chunk},
+			func(recs []Record) { got = append(got, recs...) }, nil)
+		if err != nil {
+			t.Fatalf("chunk=%d: %v", chunk, err)
+		}
+		if bad != wantBad || len(got) != len(want) {
+			t.Fatalf("chunk=%d: %d/%d records, want %d/%d", chunk, len(got), bad, len(want), wantBad)
+		}
+		for i := range got {
+			if !recordsMatch(got[i], want[i]) {
+				t.Fatalf("chunk=%d: record %d differs", chunk, i)
 			}
 		}
 	}
@@ -182,8 +179,8 @@ func TestStreamFilesResume(t *testing.T) {
 
 // TestStreamFilesProgressAbort: a progress error stops the stream cleanly —
 // the error comes back, emission halts at the rejected boundary, and every
-// source (including the mmaps and the gzip decoder goroutines) is closed
-// without leaking or crashing.
+// source (including the gzip decoder goroutines) is closed without leaking
+// or crashing.
 func TestStreamFilesProgressAbort(t *testing.T) {
 	paths, _ := rotatedSet(t, 31, 400)
 	errStop := errors.New("stop here")
@@ -209,22 +206,21 @@ func TestStreamFilesProgressAbort(t *testing.T) {
 	}
 }
 
-// TestStreamFilesOversizedLine: the skip-and-count policy holds on every
-// source kind — mmap windows, the buffered reader, and gzip.
+// TestStreamFilesOversizedLine: the skip-and-count policy holds on a plain
+// file and on a gzip member.
 func TestStreamFilesOversizedLine(t *testing.T) {
 	body := sampleLine + "\n" + strings.Repeat("z", maxLineBytes+2) + "\n" + sampleLine + "\n"
 	dir := t.TempDir()
 	cases := map[string]string{
-		"mmap":   writeTestFile(t, dir, "plain.log", body),
-		"reader": writeTestFile(t, dir, "reader.log", body),
-		"gzip":   writeGzipFile(t, dir, "compressed.log.gz", body),
+		"plain": writeTestFile(t, dir, "plain.log", body),
+		"gzip":  writeGzipFile(t, dir, "compressed.log.gz", body),
 	}
 	// At the smaller chunk sizes the line spans many blocks, and on the gzip
 	// source wraps its decode ring many times over.
 	for name, path := range cases {
 		for _, chunk := range []int{512, 64 << 10, readChunkSize} {
 			var recs int
-			bad, err := StreamFilesChunked([]string{path}, StreamConfig{ChunkBytes: chunk, NoMmap: name == "reader"},
+			bad, err := StreamFilesChunked([]string{path}, StreamConfig{ChunkBytes: chunk},
 				func(c []Record) { recs += len(c) }, nil)
 			if err != nil {
 				t.Fatalf("%s chunk=%d: %v", name, chunk, err)
@@ -234,6 +230,46 @@ func TestStreamFilesOversizedLine(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestPlainFileTruncatedWhileStreaming: a plain log truncated while it is
+// being read — logrotate's copytruncate under a running sessionize, serve's
+// recovery replay or -backfill — ends the stream cleanly or with a read
+// error, never with a fault, and no record beyond what the file held is
+// emitted. A source that mapped the file took SIGBUS here, on the first
+// page past the new end.
+func TestPlainFileTruncatedWhileStreaming(t *testing.T) {
+	block := synthLog(89, 10_000)
+	perBlock, _, err := ReadAll(strings.NewReader(block))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const copies = 16
+	text := strings.Repeat(block, copies)
+	if len(text) < 10<<20 {
+		t.Fatalf("log is %d bytes, want at least 10 MiB", len(text))
+	}
+	held := copies * len(perBlock)
+	path := writeTestFile(t, t.TempDir(), "access.log", text)
+	var emitted, chunks int
+	_, err = StreamFilesChunked([]string{path}, StreamConfig{ChunkBytes: 64 << 10}, func(recs []Record) {
+		if chunks++; chunks == 1 {
+			if err := os.Truncate(path, 0); err != nil {
+				t.Error(err)
+			}
+		}
+		emitted += len(recs)
+	}, nil)
+	if err != nil && !strings.HasPrefix(err.Error(), "clf: read:") {
+		t.Fatalf("err = %v, want nil or a read error", err)
+	}
+	if emitted > held {
+		t.Fatalf("%d records emitted, the file held %d", emitted, held)
+	}
+	if emitted == held {
+		t.Fatalf("all %d records emitted: the file was read to its end before it was truncated", held)
+	}
+	t.Logf("%d of %d records emitted, %d chunks, err %v", emitted, held, chunks, err)
 }
 
 // TestOpenDecodedSniffsGzip: decoding is by magic bytes, not extension.
@@ -265,41 +301,26 @@ func TestOpenLogInputStdin(t *testing.T) {
 	}
 }
 
-// TestSourceKinds: openSourceAt picks mmap for plain files (when supported),
-// reader when disabled, gzip by sniffing.
+// TestSourceKinds: openSourceAt decodes a file by its magic bytes, not its
+// name — a gzip member named like a plain log gets a decoder, a plain log
+// named like a gzip member is read as it is.
 func TestSourceKinds(t *testing.T) {
 	dir := t.TempDir()
-	plain := writeTestFile(t, dir, "a.log", sampleLine+"\n")
-	gzp := writeGzipFile(t, dir, "a.log.gz", sampleLine+"\n")
-
-	s, err := openSourceAt(plain, 0, false, 0)
-	if err != nil {
-		t.Fatal(err)
+	for path, gz := range map[string]bool{
+		writeGzipFile(t, dir, "a.log", sampleLine+"\n"):    true,
+		writeTestFile(t, dir, "a.log.gz", sampleLine+"\n"): false,
+	} {
+		s, err := openSourceAt(path, 0, readChunkSize)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := s.(*readerSource).dec != nil; got != gz {
+			t.Errorf("%s: decoded %v, want %v", filepath.Base(path), got, gz)
+		}
+		chunk, _, _, err := s.NextChunk(readChunkSize)
+		if err != nil || string(chunk) != sampleLine+"\n" {
+			t.Errorf("%s: first chunk %q, %v", filepath.Base(path), chunk, err)
+		}
+		s.Close()
 	}
-	wantKind := SourceMmap
-	if !MmapSupported {
-		wantKind = SourceReader
-	}
-	if s.Kind() != wantKind {
-		t.Fatalf("plain file kind = %v, want %v", s.Kind(), wantKind)
-	}
-	s.Close()
-
-	s, err = openSourceAt(plain, 0, true, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Kind() != SourceReader {
-		t.Fatalf("NoMmap kind = %v", s.Kind())
-	}
-	s.Close()
-
-	s, err = openSourceAt(gzp, 0, false, readChunkSize)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Kind() != SourceGzip {
-		t.Fatalf("gzip kind = %v", s.Kind())
-	}
-	s.Close()
 }

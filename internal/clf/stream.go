@@ -8,7 +8,7 @@ import (
 )
 
 // StreamConfig tunes StreamChunked and StreamFilesChunked. Zero values mean:
-// ~1 MiB chunks, start at the first byte of the first file, mmap allowed.
+// ~1 MiB chunks, start at the first byte of the first file, no tick.
 type StreamConfig struct {
 	// Workers is ignored: there is one parser goroutine and no pool. The
 	// field stays because bench/layers.go:104 and :269 set it; ROADMAP item 3
@@ -21,8 +21,9 @@ type StreamConfig struct {
 	// through progress; decoded bytes for gzip members). A borrowed reader
 	// has no position to seek to: StreamChunked ignores it.
 	Start FilePos
-	// NoMmap forces the buffered reader for plain files (benchmarks and
-	// equivalence tests; gzip always decodes through the buffered path).
+	// NoMmap is ignored: every plain file is read, none is mapped. The field
+	// stays because bench/layers.go:269 sets it; ROADMAP item 3 drops it
+	// with Workers.
 	NoMmap bool
 	// Tick, when non-nil, is a second input of the emitting loop: each value
 	// received runs OnTick on the goroutine that emits, between two chunks —
@@ -67,19 +68,19 @@ func (c StreamConfig) withDefaults() StreamConfig {
 // recovery replays depend on. A non-nil error from progress aborts the
 // stream and is returned.
 func StreamChunked(r io.Reader, cfg StreamConfig, emitChunk func([]Record), progress func(FilePos) error) (malformed int, err error) {
-	src := newReaderSource(r, SourceReader, 0) // no closers: r is borrowed
+	src := newReaderSource(r, 0) // no closers: r is borrowed
 	open := func(int) (Source, error) { return src, nil }
 	return streamSources(1, 0, open, cfg.withDefaults(), emitChunk, progress)
 }
 
 // StreamFilesChunked is StreamChunked over an ordered multi-file log set —
 // plain, gzip, or mixed, as a rotated retention window produces — from
-// cfg.Start on. Each file is opened, when the parser reaches it, as the best
-// Source for its content: mmap windows for plain files (chunks alias the
-// mapping; no line is ever copied between read and parse), the buffered
-// reader when mmap is unavailable or disabled, gzip decoding for compressed
-// members — on a goroutine of the member's own, so decompression overlaps
-// parsing.
+// cfg.Start on. Each file is opened when the parser reaches it and read the
+// way StreamChunked reads a reader — one Read per block into a recycled
+// buffer the chunks alias, so a plain file costs that buffer however large it
+// is — except that a gzip member is decoded on a goroutine of its own, so
+// decompression overlaps parsing. A plain file truncated while it is read
+// ends at the short read, as a clean end of that file.
 //
 // Files are independent record streams: a final line without a trailing
 // newline still parses, exactly as if the files were concatenated with
@@ -94,7 +95,7 @@ func StreamFilesChunked(paths []string, cfg StreamConfig, emitChunk func([]Recor
 		if i == cfg.Start.File {
 			off = cfg.Start.Offset
 		}
-		return openSourceAt(paths[i], off, cfg.NoMmap, cfg.ChunkBytes)
+		return openSourceAt(paths[i], off, cfg.ChunkBytes)
 	}
 	return streamSources(len(paths), max(cfg.Start.File, 0), open, cfg, emitChunk, progress)
 }

@@ -175,7 +175,7 @@ func FuzzStreamChunks(f *testing.F) {
 
 		// The parser a goroutine ahead of the emitting side: the Scanner's
 		// records, and the inline loop's positions.
-		plain := func(int) (Source, error) { return newReaderSource(short(), SourceReader, 0), nil }
+		plain := func(int) (Source, error) { return newReaderSource(short(), 0), nil }
 		ref, ahead := inlineSources(1, 0, plain, chunk), aheadSources(1, 0, plain, chunk)
 		if ahead.err != nil || ahead.bad != wantBad {
 			t.Fatalf("parse-ahead: malformed count %d, want %d; err %v", ahead.bad, wantBad, ahead.err)
@@ -192,7 +192,7 @@ func FuzzStreamChunks(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		src := &readerSource{kind: SourceGzip, dec: startDecoder(gz, "fuzz", 0, chunk, gz)}
+		src := &readerSource{dec: startDecoder(gz, "fuzz", 0, chunk, gz)}
 		ring := aheadSources(1, 0, func(int) (Source, error) { return src, nil }, chunk)
 		if ring.err != nil {
 			t.Fatalf("gzip ring: %v", ring.err)

@@ -7,8 +7,10 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"runtime/debug"
 	rtmetrics "runtime/metrics"
-	"sync/atomic"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -75,33 +77,54 @@ func (r *synthLogReader) Read(p []byte) (int, error) {
 	return n, nil
 }
 
-// memSampler records the high-water of the live heap — what the latest GC
-// mark found reachable (/gc/heap/live:bytes) — while a pipeline runs. Unlike
-// HeapAlloc it leaves out garbage not yet collected, so it does not follow
-// GC pacing (HeapAlloc's high-water read 49 and 101 MiB on one commit). As a
-// reader it samples every few Read calls, so the measurement covers the whole
-// ingestion, not just the end state; file ingestion samples once per chunk.
+// memSampler records, once per chunk (from the progress callback), two
+// high-waters while a pipeline runs. live is the live heap — what the latest
+// GC mark found reachable (/gc/heap/live:bytes); unlike HeapAlloc it leaves
+// out garbage not yet collected, so it does not follow GC pacing (HeapAlloc's
+// high-water read 49 and 101 MiB on one commit). rss is the process's
+// resident set (VmRSS), which also sees what no heap metric does: file pages
+// mapped into the process.
 type memSampler struct {
-	r     io.Reader
-	calls int
-	live  [1]rtmetrics.Sample
-	high  atomic.Uint64
-}
-
-func (m *memSampler) Read(p []byte) (int, error) {
-	m.calls++
-	if m.calls%8 == 0 {
-		m.sample()
-	}
-	return m.r.Read(p)
+	sample1 [1]rtmetrics.Sample
+	live    uint64
+	rss     uint64
 }
 
 func (m *memSampler) sample() {
-	m.live[0].Name = "/gc/heap/live:bytes"
-	rtmetrics.Read(m.live[:])
-	if v := m.live[0].Value.Uint64(); v > m.high.Load() {
-		m.high.Store(v)
+	m.sample1[0].Name = "/gc/heap/live:bytes"
+	rtmetrics.Read(m.sample1[:])
+	m.live = max(m.live, m.sample1[0].Value.Uint64())
+	if rss, ok := vmRSS(); ok {
+		m.rss = max(m.rss, rss)
 	}
+}
+
+// progress is the sampler as an ingestion progress callback.
+func (m *memSampler) progress(clf.FilePos) error {
+	m.sample()
+	return nil
+}
+
+// vmRSS reads the process's resident set size from /proc/self/status; false
+// where there is no such file (every OS but Linux).
+func vmRSS() (uint64, bool) {
+	status, err := os.ReadFile("/proc/self/status")
+	if err != nil {
+		return 0, false
+	}
+	for _, line := range strings.Split(string(status), "\n") {
+		if kb, ok := strings.CutPrefix(line, "VmRSS:"); ok {
+			n, err := strconv.ParseUint(strings.TrimSpace(strings.TrimSuffix(kb, "kB")), 10, 64)
+			return n << 10, err == nil
+		}
+	}
+	return 0, false
+}
+
+// memUse is what one ingestion held at most: the live heap's high-water and
+// how far the resident set grew over what it was at the start.
+type memUse struct {
+	live, rssGrowth uint64
 }
 
 // TestStreamParallelBoundedMemory is the bounded-memory regression test: a
@@ -111,7 +134,10 @@ func (m *memSampler) sample() {
 // separates streaming ingestion from ProcessLog, whose record slice alone
 // would dwarf the budget. Two lengths run under the same budget to pin the
 // independence claim, once from a reader and once from a gzip file, whose
-// decoder ring is then under the same budget.
+// decoder ring is then under the same budget. The short log also runs from a
+// plain file, whose resident set must grow no more than the reader's: a file
+// costs its read buffer, not its length in mapped pages, which no heap metric
+// would show.
 func TestStreamParallelBoundedMemory(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-hundred-MiB ingestion")
@@ -134,8 +160,8 @@ func TestStreamParallelBoundedMemory(t *testing.T) {
 		uris = append(uris, g.Label(p))
 	}
 
-	// ingest feeds total bytes of log to st and samples while it does.
-	run := func(total int64, ingest func(st *Tail, m *memSampler) (int, error)) uint64 {
+	// ingest feeds total bytes of log to st and samples once per chunk.
+	run := func(total int64, ingest func(st *Tail, m *memSampler) (int, error)) memUse {
 		st, err := NewTail(Config{
 			Graph: g,
 			// Time-gap keeps burst reconstruction linear; the test measures
@@ -145,7 +171,10 @@ func TestStreamParallelBoundedMemory(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		runtime.GC()
+		// Every run starts from a heap handed back to the OS, so each one's
+		// resident-set growth is its own.
+		debug.FreeOSMemory()
+		start, _ := vmRSS()
 		var m memSampler
 		bad, err := ingest(st, &m)
 		if err != nil {
@@ -161,55 +190,71 @@ func TestStreamParallelBoundedMemory(t *testing.T) {
 		if stats.Records == 0 || stats.Sessions == 0 {
 			t.Fatalf("pipeline did no work: %+v", stats)
 		}
-		t.Logf("total=%d MiB records=%d sessions=%d live-heap high-water=%d MiB",
-			total>>20, stats.Records, stats.Sessions, m.high.Load()>>20)
-		return m.high.Load()
+		use := memUse{live: m.live, rssGrowth: m.rss - min(m.rss, start)}
+		t.Logf("total=%d MiB records=%d sessions=%d live-heap high-water=%d MiB resident-set growth=%d MiB",
+			total>>20, stats.Records, stats.Sessions, use.live>>20, use.rssGrowth>>20)
+		return use
 	}
-	fromReader := func(total int64) uint64 {
-		return run(total, func(st *Tail, m *memSampler) (int, error) {
-			m.r = newSynthLogReader(total, uris)
-			return st.Ingest(m, DiscardSessions, nil)
-		})
-	}
-	fromGzip := func(total int64) uint64 {
-		path := filepath.Join(t.TempDir(), "access.log.gz")
+	// writeLog writes total bytes of the synthetic log to a file, gzipped
+	// when gz is set.
+	writeLog := func(name string, total int64, gz bool) string {
+		path := filepath.Join(t.TempDir(), name)
 		f, err := os.Create(path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		gz, _ := gzip.NewWriterLevel(f, gzip.BestSpeed)
-		if _, err := io.Copy(gz, newSynthLogReader(total, uris)); err != nil {
+		var w io.Writer = f
+		var zw *gzip.Writer
+		if gz {
+			zw, _ = gzip.NewWriterLevel(f, gzip.BestSpeed)
+			w = zw
+		}
+		if _, err := io.Copy(w, newSynthLogReader(total, uris)); err != nil {
 			t.Fatal(err)
 		}
-		if err := gz.Close(); err != nil {
-			t.Fatal(err)
+		if zw != nil {
+			if err := zw.Close(); err != nil {
+				t.Fatal(err)
+			}
 		}
 		if err := f.Close(); err != nil {
 			t.Fatal(err)
 		}
+		return path
+	}
+	fromReader := func(total int64) memUse {
 		return run(total, func(st *Tail, m *memSampler) (int, error) {
-			return st.IngestFiles([]string{path}, clf.FilePos{}, DiscardSessions, func(clf.FilePos) error {
-				m.sample()
-				return nil
-			})
+			return st.Ingest(newSynthLogReader(total, uris), DiscardSessions, m.progress)
 		})
 	}
+	fromFile := func(path string, total int64) memUse {
+		return run(total, func(st *Tail, m *memSampler) (int, error) {
+			return st.IngestFiles([]string{path}, clf.FilePos{}, DiscardSessions, m.progress)
+		})
+	}
+	fromGzip := func(total int64) memUse { return fromFile(writeLog("access.log.gz", total, true), total) }
+	fromPlain := func(total int64) memUse { return fromFile(writeLog("access.log", total, false), total) }
 
+	checkBudget := func(name string, total int64, use memUse) {
+		if use.live > budget {
+			t.Errorf("%s, %d MiB log: live-heap high-water %d MiB exceeds budget %d MiB",
+				name, total>>20, use.live>>20, uint64(budget)>>20)
+		}
+	}
+	var readerShort memUse
 	for _, c := range []struct {
 		name   string
-		source func(int64) uint64
+		source func(int64) memUse
 	}{{"reader", fromReader}, {"gzip", fromGzip}} {
 		name, source := c.name, c.source
-		highShort := source(short)
-		highLong := source(long)
-		if highShort > budget {
-			t.Errorf("%s, short log (%d MiB): live-heap high-water %d MiB exceeds budget %d MiB",
-				name, short>>20, highShort>>20, uint64(budget)>>20)
+		useShort := source(short)
+		useLong := source(long)
+		if name == "reader" {
+			readerShort = useShort
 		}
-		if highLong > budget {
-			t.Errorf("%s, long log (%d MiB): live-heap high-water %d MiB exceeds budget %d MiB — "+
-				"streaming ingestion is no longer bounded", name, long>>20, highLong>>20, uint64(budget)>>20)
-		}
+		checkBudget(name, short, useShort)
+		checkBudget(name, long, useLong)
+		highShort, highLong := useShort.live, useLong.live
 		// A 4× longer log must not move the high-water materially: that is
 		// the length-independence claim itself. The slack is relative (up to
 		// 2× the short run, floored at 32 MiB) — a true O(length) regression
@@ -217,13 +262,25 @@ func TestStreamParallelBoundedMemory(t *testing.T) {
 		// Skipped under -race, where the scaled-down short run ends before
 		// the heap reaches its steady-state plateau and the comparison would
 		// measure ramp-up, not growth.
-		slack := highShort
-		if slack < 32<<20 {
-			slack = 32 << 20
-		}
+		slack := max(highShort, 32<<20)
 		if !raceEnabled && highLong > highShort+slack {
 			t.Errorf("%s: live-heap high-water grew with log length: %d MiB (short) -> %d MiB (long)",
 				name, highShort>>20, highLong>>20)
 		}
+	}
+
+	// A plain file goes through the reader's source: its resident set may
+	// grow by what the reader's did, plus a margin for the heap's own
+	// run-to-run spread, and not by the file's length. Skipped where VmRSS
+	// cannot be read, and under -race, whose quartered log is barely larger
+	// than the margin.
+	plain := fromPlain(short)
+	checkBudget("plain", short, plain)
+	const rssMargin = 16 << 20
+	if _, ok := vmRSS(); !ok || raceEnabled {
+		t.Logf("resident-set comparison skipped (VmRSS readable: %v, race: %v)", ok, raceEnabled)
+	} else if plain.rssGrowth > readerShort.rssGrowth+rssMargin {
+		t.Errorf("plain file, %d MiB log: resident set grew %d MiB, the reader's %d MiB (+%d MiB margin): the file's pages stay resident",
+			short>>20, plain.rssGrowth>>20, readerShort.rssGrowth>>20, rssMargin>>20)
 	}
 }

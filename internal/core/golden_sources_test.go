@@ -3,7 +3,6 @@ package core
 import (
 	"bytes"
 	"compress/gzip"
-	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -59,10 +58,10 @@ func splitGoldenLines(t *testing.T, log []byte, n int) [][]byte {
 }
 
 // TestGoldenCorpusSources pins the on-disk Source layer to the same golden
-// bytes as the in-memory readers: the corpus served from a plain file (mmap
-// and buffered-reader sources), a gzip copy, and a rotated three-file set
-// with a gzip member and a missing final newline, through both the raw
-// clf.StreamFilesChunked reader and the Tail.IngestFiles entry point.
+// bytes as the in-memory readers: the corpus served from a plain file, a
+// gzip copy, and a rotated three-file set with a gzip member and a missing
+// final newline, through both the raw clf.StreamFilesChunked reader and the
+// Tail.IngestFiles entry point.
 func TestGoldenCorpusSources(t *testing.T) {
 	log := readGolden(t, "golden.log")
 	g := goldenGraph()
@@ -86,47 +85,43 @@ func TestGoldenCorpusSources(t *testing.T) {
 	}
 
 	for name, paths := range layouts {
-		for _, noMmap := range []bool{false, true} {
-			label := fmt.Sprintf("%s/nommap=%v", name, noMmap)
+		// Raw reader into a single Tail.
+		tl, err := NewTail(Config{Graph: g}, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []session.Session
+		bad, err := clf.StreamFilesChunked(paths, clf.StreamConfig{},
+			func(recs []clf.Record) {
+				for _, rec := range recs {
+					got = append(got, tl.Push(rec)...)
+				}
+			}, nil)
+		if err != nil {
+			t.Fatalf("%s: StreamFilesChunked: %v", name, err)
+		}
+		got = append(got, tl.Flush()...)
+		if bad != goldenMalformed {
+			t.Fatalf("%s: malformed %d, want %d", name, bad, goldenMalformed)
+		}
+		if !bytes.Equal(renderSessions(t, got), want) {
+			t.Fatalf("%s: sessions differ from golden", name)
+		}
 
-			// Raw reader into a single Tail.
-			tl, err := NewTail(Config{Graph: g}, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var got []session.Session
-			bad, err := clf.StreamFilesChunked(paths, clf.StreamConfig{NoMmap: noMmap},
-				func(recs []clf.Record) {
-					for _, rec := range recs {
-						got = append(got, tl.Push(rec)...)
-					}
-				}, nil)
-			if err != nil {
-				t.Fatalf("%s: StreamFilesChunked: %v", label, err)
-			}
-			got = append(got, tl.Flush()...)
-			if bad != goldenMalformed {
-				t.Fatalf("%s: malformed %d, want %d", label, bad, goldenMalformed)
-			}
-			if !bytes.Equal(renderSessions(t, got), want) {
-				t.Fatalf("%s: sessions differ from golden", label)
-			}
-
-			// The IngestFiles entry point (the sessionize/serve deployment).
-			tl2, err := NewTail(Config{Graph: g}, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got = nil
-			collect := keep(&got)
-			bad, err = tl2.IngestFiles(paths, clf.FilePos{}, collect, nil)
-			if err != nil {
-				t.Fatalf("%s: Tail.IngestFiles: %v", label, err)
-			}
-			got = append(got, tl2.Flush()...)
-			if bad != goldenMalformed || !bytes.Equal(renderSessions(t, got), want) {
-				t.Fatalf("%s: Tail.IngestFiles differs from golden (malformed=%d)", label, bad)
-			}
+		// The IngestFiles entry point (the sessionize/serve deployment).
+		tl2, err := NewTail(Config{Graph: g}, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got = nil
+		collect := keep(&got)
+		bad, err = tl2.IngestFiles(paths, clf.FilePos{}, collect, nil)
+		if err != nil {
+			t.Fatalf("%s: Tail.IngestFiles: %v", name, err)
+		}
+		got = append(got, tl2.Flush()...)
+		if bad != goldenMalformed || !bytes.Equal(renderSessions(t, got), want) {
+			t.Fatalf("%s: Tail.IngestFiles differs from golden (malformed=%d)", name, bad)
 		}
 	}
 }

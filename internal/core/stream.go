@@ -53,13 +53,13 @@ func (t *Tail) Ingest(r io.Reader, sink SessionSink, progress func(clf.FilePos) 
 }
 
 // IngestFiles streams an ordered multi-file log set — plain, gzip, or mixed,
-// as log rotation produces — into the Tail through the zero-copy source
-// layer: plain files are served as mmap windows (no line is copied between
-// read and parse), gzip members decode on goroutines of their own, and the
-// emitted sessions are byte-identical to ingesting the decompressed
-// concatenation through Ingest. start resumes mid-set; progress is Ingest's,
-// with the file's index in paths (and decoded bytes within a gzip member) —
-// the checkpointing caller's clean-stop lever.
+// as log rotation produces — into the Tail through the same chunk reader:
+// a plain file costs one read buffer however large it is, gzip members
+// decode on goroutines of their own, and the emitted sessions are
+// byte-identical to ingesting the decompressed concatenation through Ingest.
+// start resumes mid-set; progress is Ingest's, with the file's index in
+// paths (and decoded bytes within a gzip member) — the checkpointing
+// caller's clean-stop lever.
 func (t *Tail) IngestFiles(paths []string, start clf.FilePos, sink SessionSink, progress func(clf.FilePos) error) (malformed int, err error) {
 	return t.ingest(logInput{paths: paths, start: start}, sink, progress)
 }

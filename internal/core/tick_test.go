@@ -19,7 +19,9 @@ import (
 // goroutine between chunks, however eagerly it fires, and loses no record.
 // The golden log's records are historical, so each Expire(now) closes every
 // open burst and the session split legitimately differs from the golden one;
-// every record must still be consumed, and nothing may deadlock or race.
+// every record must still be consumed, and nothing may deadlock or race. The
+// log's second half is held back until a tick has been taken, so at least one
+// lands between chunks however the goroutines are scheduled.
 func TestSessionizerConcurrentExpire(t *testing.T) {
 	log := readGolden(t, "golden.log")
 	tick := make(chan time.Time)
@@ -27,21 +29,25 @@ func TestSessionizerConcurrentExpire(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stop, ticks := make(chan struct{}), make(chan int)
+	stop, ticks, taken := make(chan struct{}), make(chan int), make(chan struct{})
 	go func() {
 		n := 0
 		defer func() { ticks <- n }()
 		for {
 			select {
 			case tick <- time.Now():
-				n++
+				if n++; n == 1 {
+					close(taken)
+				}
 			case <-stop:
 				return
 			}
 		}
 	}()
 	var got []session.Session
-	_, err = st.Ingest(bytes.NewReader(log), keep(&got), nil)
+	half := len(log) / 2
+	in := io.MultiReader(bytes.NewReader(log[:half]), &heldReader{bytes.NewReader(log[half:]), taken})
+	_, err = st.Ingest(in, keep(&got), nil)
 	close(stop)
 	fired := <-ticks
 	if err != nil {
@@ -63,6 +69,21 @@ func TestSessionizerConcurrentExpire(t *testing.T) {
 	}
 	if len(got) == 0 {
 		t.Fatal("no sessions emitted")
+	}
+}
+
+// heldReader reads r once ready is closed; after 30 s without it, it fails.
+type heldReader struct {
+	r     io.Reader
+	ready <-chan struct{}
+}
+
+func (h *heldReader) Read(p []byte) (int, error) {
+	select {
+	case <-h.ready:
+		return h.r.Read(p)
+	case <-time.After(30 * time.Second):
+		return 0, errors.New("held input: no tick was taken")
 	}
 }
 
