@@ -170,10 +170,12 @@ func BenchmarkSweepSequential(b *testing.B) {
 	}
 }
 
-// BenchmarkSweepParallel runs the same sweep under the bounded worker pool
-// at increasing widths; on >=4 cores the all-cores variant should show a
-// >=2x wall-clock speedup over BenchmarkSweepSequential while producing
-// bit-identical PointResults (pinned by TestRunWithMatchesSequential).
+// BenchmarkSweepParallel runs the same sweep with its points on a pool of
+// increasing width — the harness's only concurrency besides the simulator's
+// agents, which get what the pool leaves of the budget. On >=4 cores the
+// all-cores variant should show a >=2x wall-clock speedup over
+// BenchmarkSweepSequential while producing bit-identical PointResults
+// (pinned by TestRunWithMatchesSequential).
 func BenchmarkSweepParallel(b *testing.B) {
 	exp := eval.Figure8(benchConfig())
 	exp.Values = exp.Values[:8]
@@ -460,31 +462,24 @@ func BenchmarkApplicationPrefetch(b *testing.B) {
 // BenchmarkEvaluatePoint measures one full evaluation point — simulate,
 // reconstruct with all four heuristics, score under both metrics — at bench
 // scale (250 agents). This is the latency floor of every sweep: cmd/evaluate
-// runs one of these per swept value. The sharded variant splits each
-// heuristic's reconstruct-and-score pass over the streams across a bounded
-// worker budget; on >=4 cores it should show a >=2x wall-clock speedup over
-// workers=1 while producing bit-identical results (pinned by
-// TestEvaluatePointWithBudgets).
+// runs one of these per swept value, the simulator on its share of the
+// worker budget and everything after it on one goroutine.
 func BenchmarkEvaluatePoint(b *testing.B) {
 	cfg := benchConfig()
 	g, err := eval.Topology(cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, workers := range []int{1, runtime.GOMAXPROCS(0)} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			b.ReportAllocs()
-			var sessions int
-			for i := 0; i < b.N; i++ {
-				p, err := eval.EvaluatePointWith(g, cfg, eval.RunOptions{Workers: workers})
-				if err != nil {
-					b.Fatal(err)
-				}
-				sessions = p.RealSessions
-			}
-			b.ReportMetric(float64(sessions)*float64(b.N)/b.Elapsed().Seconds(), "sessions/s")
-		})
+	b.ReportAllocs()
+	var sessions int
+	for i := 0; i < b.N; i++ {
+		p, err := eval.EvaluatePointOn(g, cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		sessions = p.RealSessions
 	}
+	b.ReportMetric(float64(sessions)*float64(b.N)/b.Elapsed().Seconds(), "sessions/s")
 }
 
 // BenchmarkScoreMatched measures the one-to-one matching scorer over one

@@ -8,11 +8,16 @@
 //	         [-pages 300] [-outdeg 15] [-csv DIR] [-session-stats] [-via-clf]
 //	         [-workers N] [-progress]
 //
-// Sweep points run concurrently under a bounded worker pool (-workers,
-// default all cores) over one shared topology; any worker count produces
-// byte-identical output because every point is seeded independently.
-// -progress reports per-point completion and a final metrics snapshot on
-// stderr, leaving stdout byte-identical.
+// Sweep points (and -experiment defaults replicas) run concurrently on one
+// bounded worker pool (-workers, default all cores) over one shared
+// topology. Each point runs on one goroutine of the pool; its simulator's
+// agents get -workers divided by the points running at once (at least one),
+// and everything after the simulation runs on the point's goroutine. Any
+// worker count produces byte-identical output because every point is seeded
+// independently. -progress reports per-point completion and a final metrics
+// snapshot on stderr — the eval.point.seconds histogram and its two stages,
+// eval.point.simulate.seconds and eval.point.score.seconds — leaving stdout
+// byte-identical.
 //
 // How fast any of this runs is the benchmark's to say, not this command's:
 // bench/ times `evaluate -experiment lpp` end to end (workload eval_sweep)

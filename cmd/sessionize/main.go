@@ -96,7 +96,7 @@ func main() {
 	flag.StringVar(&o.logPath, "log", "", "CLF access logs: comma-separated paths/globs, gzip ok (required; - for stdin)")
 	flag.StringVar(&o.heur, "heuristic", "heur4", "heur1|heur2|heur3|heur4|referrer (referrer needs a combined-format log)")
 	flag.BoolVar(&o.noClean, "no-clean", false, "skip the standard data-cleaning filter")
-	flag.BoolVar(&o.statsOnly, "stats-only", false, "print statistics but not the sessions")
+	flag.BoolVar(&o.statsOnly, "stats-only", false, "print statistics but not the sessions (cannot be combined with -sessions)")
 	flag.BoolVar(&o.stream, "stream", false, "bounded-memory streaming ingestion: sessions print as they finalize, heap independent of log size")
 	flag.DurationVar(&o.sessionGap, "session-gap", 0, "burst gap ρ for -stream: a user quiet this long ends their burst (0 = the paper's 10m; match the serve run when replaying its log)")
 	flag.StringVar(&o.sessPath, "sessions", "", "write sessions to this file instead of stdout (required by -checkpoint)")
@@ -106,6 +106,10 @@ func main() {
 	flag.Parse()
 	if o.topoPath == "" || o.logPath == "" {
 		flag.Usage()
+		os.Exit(2)
+	}
+	if o.statsOnly && o.sessPath != "" {
+		fmt.Fprintln(os.Stderr, "sessionize: -stats-only prints no sessions, so -sessions has nothing to write; drop one of the two")
 		os.Exit(2)
 	}
 	if *workers != "auto" {

@@ -281,6 +281,40 @@ func TestWorkersFlagIsParsedAndIgnored(t *testing.T) {
 	}
 }
 
+// TestStatsOnlyRejectsSessions: -stats-only writes no sessions, so naming a
+// -sessions file as well is a usage error in every mode, caught before the
+// file is opened — the file a user already had is left as it was.
+func TestStatsOnlyRejectsSessions(t *testing.T) {
+	dir := t.TempDir()
+	topo := figure1(t, dir)
+	at := time.Date(2006, 1, 2, 8, 0, 0, 0, time.UTC)
+	logPath := filepath.Join(dir, "access.log")
+	if err := os.WriteFile(logPath, []byte(logLine("10.0.0.1", at, "/P1.html")+
+		logLine("10.0.0.1", at.Add(time.Hour), "/P13.html")), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	const kept = "sessions from an earlier run\n"
+	for name, mode := range map[string][]string{
+		"batch":             nil,
+		"stream":            {"-stream"},
+		"stream checkpoint": {"-stream", "-checkpoint", filepath.Join(dir, "state.ckpt")},
+	} {
+		out := filepath.Join(dir, "kept.sessions")
+		if err := os.WriteFile(out, []byte(kept), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		cmd, stderr := sessionize(append([]string{"-topology", topo, "-log", logPath, "-stats-only", "-sessions", out}, mode...)...)
+		err := cmd.Run()
+		if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != 2 ||
+			!strings.Contains(stderr.String(), "-stats-only") || !strings.Contains(stderr.String(), "-sessions") {
+			t.Errorf("%s: err = %v, want exit status 2 naming both flags; stderr:\n%s", name, err, stderr)
+		}
+		if got, err := os.ReadFile(out); err != nil || string(got) != kept {
+			t.Errorf("%s: %s holds %q (err %v), want it unchanged", name, out, got, err)
+		}
+	}
+}
+
 // TestReadErrorKeepsSessionsAlreadySunk: sessions finalized before a read
 // error are output — in the -sessions file or on stdout — and the run still
 // exits 1 with the read error as its message. The log's second and third

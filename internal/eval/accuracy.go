@@ -40,7 +40,7 @@ func (a Accuracy) String() string {
 // user captures it; sessions of other users never match (the reconstruction
 // is per-user to begin with).
 func Score(real, candidates []session.Session) Accuracy {
-	t := indexSessions(real).scoreSessions(candidates, 1)
+	t := indexSessions(real).scoreSessions(candidates)
 	return Accuracy{Real: len(real), Captured: t.exists}
 }
 

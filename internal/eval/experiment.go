@@ -22,12 +22,11 @@ import (
 var (
 	metricPointsDone = metrics.GetCounter("eval.points.completed")
 	metricSeedsDone  = metrics.GetCounter("eval.seeds.completed")
-	metricPointTime  = metrics.GetTimer("eval.point")
+	metricPointHist  = metrics.GetHistogram("eval.point.seconds")
 	// The point's two stages: producing the streams (simulator.Run and the
 	// optional CLF round trip), then reconstructing and scoring them.
-	metricSimulateTime = metrics.GetTimer("eval.point.simulate")
-	metricScoreTime    = metrics.GetTimer("eval.point.reconstruct_score")
-	metricPointHist    = metrics.GetHistogram("eval.point.seconds")
+	metricSimulateHist = metrics.GetHistogram("eval.point.simulate.seconds")
+	metricScoreHist    = metrics.GetHistogram("eval.point.score.seconds")
 )
 
 // HeuristicNames lists the four heuristics in the paper's order.
@@ -115,35 +114,16 @@ func EvaluatePoint(cfg RunConfig) (*PointResult, error) {
 }
 
 // EvaluatePointOn is EvaluatePoint over an already-generated topology. The
-// graph is only read, never written, so many points may share one. It runs
-// under the full-machine worker budget; see EvaluatePointWith.
+// graph is only read, never written, so many points may share one. The
+// simulator spreads agents over cfg.Params.Workers goroutines (0: its own
+// default); everything after it runs on the calling goroutine. Each
+// heuristic makes one pass over the streams, handling one user at a time:
+// reconstructed, scored under both metrics against the point's shared
+// real-session index, measured, and dropped before the next
+// (sessionIndex.scoreStreams).
 func EvaluatePointOn(g *webgraph.Graph, cfg RunConfig) (*PointResult, error) {
-	return EvaluatePointWith(g, cfg, RunOptions{})
-}
-
-// EvaluatePointWith is EvaluatePointOn under an explicit worker budget
-// (opts.Workers; <= 0 means GOMAXPROCS), which the agent simulator and then
-// each heuristic's pass over the streams get in turn, so nesting points
-// inside a sweep pool never oversubscribes the machine. A pass handles one
-// user at a time: reconstructed, scored under both metrics against the
-// point's shared real-session index, measured, and dropped before the next
-// (sessionIndex.scoreStreams); the budget shards the streams. The result is
-// bit-identical for any budget: per-user results are integers summed in any
-// order, and the simulator seeds agents independently.
-func EvaluatePointWith(g *webgraph.Graph, cfg RunConfig, opts RunOptions) (*PointResult, error) {
 	start := time.Now()
-	defer func() {
-		d := time.Since(start)
-		metricPointTime.Observe(d)
-		metricPointHist.ObserveDuration(d)
-	}()
-	budget := opts.Workers
-	if budget <= 0 {
-		budget = runtime.GOMAXPROCS(0)
-	}
-	if cfg.Params.Workers == 0 {
-		cfg.Params.Workers = budget
-	}
+	defer func() { metricPointHist.ObserveDuration(time.Since(start)) }()
 	res, err := simulator.Run(g, cfg.Params)
 	if err != nil {
 		return nil, err
@@ -156,8 +136,8 @@ func EvaluatePointWith(g *webgraph.Graph, cfg RunConfig, opts RunOptions) (*Poin
 		}
 	}
 	simulated := time.Now()
-	metricSimulateTime.Observe(simulated.Sub(start))
-	defer func() { metricScoreTime.Observe(time.Since(simulated)) }()
+	metricSimulateHist.ObserveDuration(simulated.Sub(start))
+	defer func() { metricScoreHist.ObserveDuration(time.Since(simulated)) }()
 	build := cfg.Heuristics
 	if build == nil {
 		build = DefaultHeuristics
@@ -175,7 +155,7 @@ func EvaluatePointWith(g *webgraph.Graph, cfg RunConfig, opts RunOptions) (*Poin
 	}
 	real := indexSessions(res.Real)
 	for _, h := range build(g) {
-		t := real.scoreStreams(h, streams, budget)
+		t := real.scoreStreams(h, streams)
 		record(h.Name(), t, t.stats())
 	}
 	if cfg.IncludeReferrer {
@@ -186,7 +166,7 @@ func EvaluatePointWith(g *webgraph.Graph, cfg RunConfig, opts RunOptions) (*Poin
 		if err != nil {
 			return nil, err
 		}
-		record(r.Name(), real.scoreSessions(chain, budget), Summarize(chain))
+		record(r.Name(), real.scoreSessions(chain), Summarize(chain))
 	}
 	metricPointsDone.Inc()
 	return point, nil
@@ -330,37 +310,57 @@ type RunOptions struct {
 	Progress func(done, total int)
 }
 
-// workers resolves the effective pool size for n tasks.
-func (o RunOptions) workers(n int) int {
-	w := o.Workers
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	if w > n {
-		w = n
-	}
-	return w
-}
-
-// split divides the total worker budget between a pool of n top-level tasks
-// and the budget each concurrently-running task receives, so that
-// pool × per-task concurrency never exceeds the total. With fewer tasks
-// than budget the leftover goes to within-task sharding (e.g. a 3-point
-// sweep on 8 cores runs 3 points × 2-way shards).
-func (o RunOptions) split(n int) (pool, perTask int) {
-	total := o.Workers
+// runPoints evaluates every configuration on g under the harness's one
+// pool: min(Workers, len(cfgs)) goroutines, each running whole points. A
+// point whose Params.Workers is 0 gives its simulator the pool's share of
+// the budget, Workers / pool, so the pool never oversubscribes the machine.
+// The points come back in cfgs order; on failure the lowest-indexed failing
+// point's error is returned with its index, and every point still runs.
+func runPoints(g *webgraph.Graph, cfgs []RunConfig, opts RunOptions) ([]*PointResult, int, error) {
+	total := opts.Workers
 	if total <= 0 {
 		total = runtime.GOMAXPROCS(0)
 	}
-	pool = o.workers(n)
-	if pool < 1 {
-		pool = 1
+	pool := max(1, min(total, len(cfgs)))
+	share := max(1, total/pool)
+	points := make([]*PointResult, len(cfgs))
+	errs := make([]error, len(cfgs))
+	var (
+		mu   sync.Mutex
+		done int
+		wg   sync.WaitGroup
+	)
+	next := make(chan int)
+	for w := 0; w < pool; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range next {
+				cfg := cfgs[i]
+				if cfg.Params.Workers == 0 {
+					cfg.Params.Workers = share
+				}
+				points[i], errs[i] = EvaluatePointOn(g, cfg)
+				if opts.Progress != nil {
+					mu.Lock()
+					done++
+					opts.Progress(done, len(cfgs))
+					mu.Unlock()
+				}
+			}
+		}()
 	}
-	perTask = total / pool
-	if perTask < 1 {
-		perTask = 1
+	for i := range cfgs {
+		next <- i
 	}
-	return pool, perTask
+	close(next)
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			return nil, i, err
+		}
+	}
+	return points, 0, nil
 }
 
 // Run executes the sweep sequentially — the bit-for-bit reference for
@@ -389,15 +389,12 @@ func (e Experiment) pointConfigs() ([]RunConfig, error) {
 	return cfgs, nil
 }
 
-// RunWith executes the sweep under a bounded worker pool. The topology is
-// generated once (the swept variables only affect agent behavior, and
-// topology generation is seeded independently — see RunConfig.TopologySeed)
-// and shared read-only by every point. The worker budget covers the whole
-// sweep: concurrent points split it, and each point shards its per-user
-// reconstruction and scoring across its share (EvaluatePointWith), so
-// points × shards never oversubscribes. Results are identical to Run's for
-// any worker count; on error the lowest-indexed failing point's error is
-// returned.
+// RunWith executes the sweep's points under the bounded worker pool
+// (runPoints). The topology is generated once (the swept variables only
+// affect agent behavior, and topology generation is seeded independently —
+// see RunConfig.TopologySeed) and shared read-only by every point. Results
+// are identical to Run's for any worker count; on error the lowest-indexed
+// failing point's error is returned.
 func (e Experiment) RunWith(opts RunOptions) (*SweepResult, error) {
 	cfgs, err := e.pointConfigs()
 	if err != nil {
@@ -407,49 +404,14 @@ func (e Experiment) RunWith(opts RunOptions) (*SweepResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	points := make([]PointResult, len(cfgs))
-	var (
-		mu       sync.Mutex
-		firstErr error
-		errIdx   int
-		done     int
-	)
-	pool, perPoint := opts.split(len(cfgs))
-	pointOpts := RunOptions{Workers: perPoint}
-	next := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < pool; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				point, err := EvaluatePointWith(g, cfgs[i], pointOpts)
-				mu.Lock()
-				if err != nil {
-					if firstErr == nil || i < errIdx {
-						firstErr = fmt.Errorf("eval: %s at %s=%.2f: %w",
-							e.Name, e.Variable, e.Values[i], err)
-						errIdx = i
-					}
-				} else {
-					point.X = e.Values[i]
-					points[i] = *point
-				}
-				done++
-				if opts.Progress != nil {
-					opts.Progress(done, len(cfgs))
-				}
-				mu.Unlock()
-			}
-		}()
+	points, i, err := runPoints(g, cfgs, opts)
+	if err != nil {
+		return nil, fmt.Errorf("eval: %s at %s=%.2f: %w", e.Name, e.Variable, e.Values[i], err)
 	}
-	for i := range cfgs {
-		next <- i
+	res := &SweepResult{Experiment: e, Points: make([]PointResult, len(points))}
+	for i, p := range points {
+		p.X = e.Values[i]
+		res.Points[i] = *p
 	}
-	close(next)
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	return &SweepResult{Experiment: e, Points: points}, nil
+	return res, nil
 }

@@ -1,15 +1,12 @@
 package eval
 
 import (
-	"runtime"
-	"sync"
-
 	"smartsra/internal/heuristics"
 	"smartsra/internal/session"
 	"smartsra/internal/webgraph"
 )
 
-// The scoring kernel. Every scorer — Score, ScoreMatched*, Summarize and the
+// The scoring kernel. Every scorer — Score, ScoreMatched, Summarize and the
 // point driver — ends here: one user's real sessions and one user's
 // candidates go in as packed page lists, the capture graph between them is
 // built once (matcher.capture), and both accuracy readings come off it.
@@ -94,8 +91,7 @@ func indexSessions(real []session.Session) *sessionIndex {
 }
 
 // tally is what scoring one heuristic's candidates yields. Every field is an
-// integer sum over users, so per-worker tallies merge by addition and the
-// total does not depend on how the users were split.
+// integer sum over users.
 type tally struct {
 	// exists counts real sessions some candidate captures; matched is the
 	// summed per-user maximum matching.
@@ -109,17 +105,6 @@ func (t *tally) count(length int) {
 		t.hist = append(t.hist, make([]int, length+1-len(t.hist))...)
 	}
 	t.hist[length]++
-}
-
-func (t *tally) add(o tally) {
-	t.exists += o.exists
-	t.matched += o.matched
-	if len(o.hist) > len(t.hist) {
-		t.hist = append(t.hist, make([]int, len(o.hist)-len(t.hist))...)
-	}
-	for n, c := range o.hist {
-		t.hist[n] += c
-	}
 }
 
 // stats reads SessionStats off the length histogram; the median is the
@@ -153,7 +138,7 @@ func (t tally) stats() SessionStats {
 	return st
 }
 
-// scorer is one worker's scratch and running sums.
+// scorer is one pass's scratch and running sums.
 type scorer struct {
 	tally
 	m    matcher
@@ -169,63 +154,29 @@ func (s *scorer) user(real, cand pageLists) {
 	s.matched += s.m.matching()
 }
 
-// shard splits [0, n) into min(workers, n) contiguous ranges, runs body over
-// each with a scorer of its own (concurrently when there are several) and
-// returns the merged tally. workers <= 0 means GOMAXPROCS.
-func shard(n, workers int, body func(s *scorer, lo, hi int)) tally {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		var s scorer
-		body(&s, 0, n)
-		return s.tally
-	}
-	parts := make([]tally, workers)
-	var wg sync.WaitGroup
-	for w := range parts {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			var s scorer
-			body(&s, w*n/workers, (w+1)*n/workers)
-			parts[w] = s.tally
-		}(w)
-	}
-	wg.Wait()
-	total := parts[0]
-	for _, p := range parts[1:] {
-		total.add(p)
-	}
-	return total
-}
-
 // scoreSessions scores a candidate set in any order against the indexed real
 // sessions: group by user, then the kernel per user.
-func (ix *sessionIndex) scoreSessions(candidates []session.Session, workers int) tally {
+func (ix *sessionIndex) scoreSessions(candidates []session.Session) tally {
 	cx := groupByUser(candidates, ix.users, false)
-	return shard(len(ix.first)-1, workers, func(s *scorer, lo, hi int) {
-		for u := lo; u < hi; u++ {
-			s.user(ix.user(u), cx.user(u))
-		}
-	})
+	var s scorer
+	for u := 0; u < len(ix.first)-1; u++ {
+		s.user(ix.user(u), cx.user(u))
+	}
+	return s.tally
 }
 
 // scoreStreams reconstructs and scores each stream where it stands: one
 // user's candidates are packed, measured and matched, then released, so no
 // candidate set for the whole population ever exists. Streams must carry
 // distinct users (simulator.Run and prep.BuildStreams both guarantee it).
-func (ix *sessionIndex) scoreStreams(h heuristics.Reconstructor, streams []session.Stream, workers int) tally {
-	return shard(len(streams), workers, func(s *scorer, lo, hi int) {
-		reconstruct, release := heuristics.Lend(h)
-		for _, st := range streams[lo:hi] {
-			s.candidates(ix, st.User, reconstruct(st))
-			release()
-		}
-	})
+func (ix *sessionIndex) scoreStreams(h heuristics.Reconstructor, streams []session.Stream) tally {
+	var s scorer
+	reconstruct, release := heuristics.Lend(h)
+	for _, st := range streams {
+		s.candidates(ix, st.User, reconstruct(st))
+		release()
+	}
+	return s.tally
 }
 
 // candidates takes one user's whole candidate set: it copies the pages into

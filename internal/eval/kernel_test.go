@@ -110,12 +110,9 @@ func naivePoint(t *testing.T, g *webgraph.Graph, cfg RunConfig) *PointResult {
 	return point
 }
 
-var budgets = []int{1, 2, 3, 8}
-
 // The fused per-user pass must give what the materialise-then-score chain
 // gave, on whatever the simulator produces: random sites, seeds and
-// behaviour draws, with and without proxy-merged users, for every budget.
-// Run under -race to also pin the sharded loop.
+// behaviour draws, with and without proxy-merged users.
 func TestEvaluatePointMatchesNaiveChain(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	trials := 8
@@ -169,14 +166,12 @@ func checkPointAgainstNaive(t *testing.T, what string, cfg RunConfig) *PointResu
 	if want.RealSessions == 0 || want.Exists["heur4"].Captured == 0 {
 		t.Fatalf("%s: degenerate workload: %+v", what, want)
 	}
-	for _, budget := range budgets {
-		got, err := EvaluatePointWith(g, cfg, RunOptions{Workers: budget})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("%s budget %d:\n got %+v\nwant %+v", what, budget, got, want)
-		}
+	got, err := EvaluatePointOn(g, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("%s:\n got %+v\nwant %+v", what, got, want)
 	}
 	return want
 }
@@ -227,15 +222,13 @@ func TestScoreStreamsMatchesNaive(t *testing.T) {
 		rng.Shuffle(len(real), func(i, j int) { real[i], real[j] = real[j], real[i] })
 		wantExists, wantMatched := naiveExists(real, cands), naiveMatched(real, cands)
 		wantStats := naiveStats(cands)
-		for _, budget := range budgets {
-			got := indexSessions(real).scoreStreams(h, streams, budget)
-			if got.exists != wantExists || got.matched != wantMatched || got.stats() != wantStats {
-				t.Fatalf("trial %d budget %d: streams give exists=%d matched=%d %v, naive %d %d %v\nreal %v\ncands %v",
-					trial, budget, got.exists, got.matched, got.stats(), wantExists, wantMatched, wantStats, real, cands)
-			}
-			if got := ScoreMatchedWith(real, cands, budget); got != (Accuracy{Real: len(real), Captured: wantMatched}) {
-				t.Fatalf("trial %d budget %d: ScoreMatchedWith = %v, naive %d", trial, budget, got, wantMatched)
-			}
+		got := indexSessions(real).scoreStreams(h, streams)
+		if got.exists != wantExists || got.matched != wantMatched || got.stats() != wantStats {
+			t.Fatalf("trial %d: streams give exists=%d matched=%d %v, naive %d %d %v\nreal %v\ncands %v",
+				trial, got.exists, got.matched, got.stats(), wantExists, wantMatched, wantStats, real, cands)
+		}
+		if got := ScoreMatched(real, cands); got != (Accuracy{Real: len(real), Captured: wantMatched}) {
+			t.Fatalf("trial %d: ScoreMatched = %v, naive %d", trial, got, wantMatched)
 		}
 		rng.Shuffle(len(cands), func(i, j int) { cands[i], cands[j] = cands[j], cands[i] })
 		if got := Score(real, cands); got != (Accuracy{Real: len(real), Captured: wantExists}) {
@@ -282,7 +275,7 @@ func kernelWorkload(tb testing.TB, agents int) (*webgraph.Graph, *simulator.Resu
 	return g, res, indexSessions(res.Real)
 }
 
-// Once a worker's scratch has grown to its population, reconstructing and
+// Once a scorer's scratch has grown to its population, reconstructing and
 // scoring a user allocates nothing, for any of the paper's heuristics.
 func TestScoreStreamsSteadyStateAllocs(t *testing.T) {
 	g, res, ix := kernelWorkload(t, 60)
@@ -316,7 +309,7 @@ func BenchmarkScorePoint(b *testing.B) {
 	matched := 0
 	for i := 0; i < b.N; i++ {
 		for _, h := range hs {
-			matched += ix.scoreStreams(h, res.Streams, 1).matched
+			matched += ix.scoreStreams(h, res.Streams).matched
 		}
 	}
 	b.StopTimer()

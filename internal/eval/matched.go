@@ -21,22 +21,13 @@ import "smartsra/internal/session"
 // paper's ordering and levels. See DESIGN.md and EXPERIMENTS.md; Score keeps
 // the literal unconstrained metric for comparison.
 func ScoreMatched(real, candidates []session.Session) Accuracy {
-	return ScoreMatchedWith(real, candidates, 1)
-}
-
-// ScoreMatchedWith is ScoreMatched with the users — independent matching
-// problems — split over min(workers, users) goroutines. Maximum-matching
-// size is unique and integer addition commutes, so the result is the
-// sequential one for any worker count. workers <= 0 means GOMAXPROCS;
-// workers == 1 (or a single user) runs inline with no goroutines.
-func ScoreMatchedWith(real, candidates []session.Session, workers int) Accuracy {
-	t := indexSessions(real).scoreSessions(candidates, workers)
+	t := indexSessions(real).scoreSessions(candidates)
 	return Accuracy{Real: len(real), Captured: t.matched}
 }
 
 // matcher holds one user's capture graph and computes its maximum bipartite
 // matching, keeping its buffers across users so the steady state allocates
-// nothing. Not safe for concurrent use; each worker has its own.
+// nothing. Not safe for concurrent use; each scorer has its own.
 type matcher struct {
 	adj       [][]int
 	adjArena  []int

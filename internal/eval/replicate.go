@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"strings"
-	"sync"
 
 	"smartsra/internal/stats"
 )
@@ -33,12 +32,12 @@ func Replicate(cfg RunConfig, seeds []int64) (*ReplicateResult, error) {
 	return ReplicateWith(cfg, seeds, RunOptions{Workers: 1})
 }
 
-// ReplicateWith is Replicate under a bounded worker pool: the topology is
-// generated once and shared read-only, and seeds are evaluated concurrently.
-// Results are identical to Replicate's for any worker count. The summarized
-// series are the heuristics the points actually evaluated — including
-// custom cfg.Heuristics sets and the cfg.IncludeReferrer upper bound — not
-// a hardcoded list.
+// ReplicateWith is Replicate under the bounded worker pool (runPoints): the
+// topology is generated once and shared read-only, and seeds are evaluated
+// concurrently. Results are identical to Replicate's for any worker count.
+// The summarized series are the heuristics the points actually evaluated —
+// including custom cfg.Heuristics sets and the cfg.IncludeReferrer upper
+// bound — not a hardcoded list.
 func ReplicateWith(cfg RunConfig, seeds []int64, opts RunOptions) (*ReplicateResult, error) {
 	if len(seeds) == 0 {
 		return nil, fmt.Errorf("eval: no seeds to replicate over")
@@ -47,62 +46,18 @@ func ReplicateWith(cfg RunConfig, seeds []int64, opts RunOptions) (*ReplicateRes
 	if err != nil {
 		return nil, err
 	}
-	points := make([]*PointResult, len(seeds))
-	var (
-		mu       sync.Mutex
-		firstErr error
-		errIdx   int
-		done     int
-	)
-	pool, perSeed := opts.split(len(seeds))
-	seedOpts := RunOptions{Workers: perSeed}
-	next := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < pool; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				c := cfg
-				c.Params.Seed = seeds[i]
-				point, err := EvaluatePointWith(g, c, seedOpts)
-				if err == nil {
-					metricSeedsDone.Inc()
-				}
-				mu.Lock()
-				if err != nil {
-					if firstErr == nil || i < errIdx {
-						firstErr = fmt.Errorf("eval: replicate seed %d: %w", seeds[i], err)
-						errIdx = i
-					}
-				} else {
-					points[i] = point
-				}
-				done++
-				if opts.Progress != nil {
-					opts.Progress(done, len(seeds))
-				}
-				mu.Unlock()
-			}
-		}()
+	cfgs := make([]RunConfig, len(seeds))
+	for i, seed := range seeds {
+		cfgs[i] = cfg
+		cfgs[i].Params.Seed = seed
 	}
-	for i := range seeds {
-		next <- i
+	points, i, err := runPoints(g, cfgs, opts)
+	if err != nil {
+		return nil, fmt.Errorf("eval: replicate seed %d: %w", seeds[i], err)
 	}
-	close(next)
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	// Derive the series from the evaluated points' actual keys: every point
-	// runs the same configuration, but take the union for robustness.
-	present := make(map[string]bool)
-	for _, p := range points {
-		for name := range p.Matched {
-			present[name] = true
-		}
-	}
-	names := orderSeries(present)
+	metricSeedsDone.Add(int64(len(seeds)))
+	// Every point runs the same configuration, so they all carry its series.
+	names := points[0].SeriesNames()
 	matched := make(map[string][]float64, len(names))
 	exists := make(map[string][]float64, len(names))
 	for _, p := range points { // seed order, so summaries are seed-ordered
@@ -124,25 +79,12 @@ func ReplicateWith(cfg RunConfig, seeds []int64, opts RunOptions) (*ReplicateRes
 	return out, nil
 }
 
-// names returns the report-order series, falling back to the summarized map
-// keys (sorted) for results built before Names existed.
-func (r *ReplicateResult) names() []string {
-	if len(r.Names) > 0 {
-		return r.Names
-	}
-	present := make(map[string]bool, len(r.Matched))
-	for name := range r.Matched {
-		present[name] = true
-	}
-	return orderSeries(present)
-}
-
 // WriteTable renders the replication as mean ± 95% CI per evaluated series.
 func (r *ReplicateResult) WriteTable(w io.Writer) error {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "replicated over %d seeds — accuracy %% mean ± 95%% CI\n", len(r.Seeds))
 	fmt.Fprintf(&sb, "%-8s %-22s %s\n", "", "matched", "exists")
-	for _, h := range r.names() {
+	for _, h := range r.Names {
 		m, e := r.Matched[h], r.Exists[h]
 		fmt.Fprintf(&sb, "%-8s %6.2f ± %-13.2f %6.2f ± %.2f\n",
 			h, m.Mean, m.CI95(), e.Mean, e.CI95())

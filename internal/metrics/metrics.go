@@ -1,11 +1,11 @@
 // Package metrics provides tiny, dependency-free runtime instrumentation
-// for the pipeline's hot layers: atomic counters and timers registered by
-// name in a Registry, a sorted text snapshot for logs and CLIs, and an
-// http.Handler suitable for a /debug/metrics endpoint.
+// for the pipeline's hot layers: atomic counters, gauges and histograms
+// registered by name in a Registry, a sorted text snapshot for logs and
+// CLIs, and an http.Handler suitable for a /debug/metrics endpoint.
 //
-// Counters and timers are safe for concurrent use and designed to sit on
-// hot paths: call sites hold the *Counter / *Timer returned by a one-time
-// lookup instead of resolving the name per event.
+// Every metric is safe for concurrent use and designed to sit on hot paths:
+// call sites hold the *Counter / *Histogram returned by a one-time lookup
+// instead of resolving the name per event.
 //
 //	var processed = metrics.GetCounter("core.pipeline.records")
 //	...
@@ -39,33 +39,6 @@ func (c *Counter) Add(n int64) { c.v.Add(n) }
 
 // Value returns the current count.
 func (c *Counter) Value() int64 { return c.v.Load() }
-
-// Timer accumulates observed durations: event count and total elapsed time.
-type Timer struct {
-	count atomic.Int64
-	nanos atomic.Int64
-}
-
-// Observe records one event of duration d.
-func (t *Timer) Observe(d time.Duration) {
-	t.count.Add(1)
-	t.nanos.Add(int64(d))
-}
-
-// Count returns the number of observations.
-func (t *Timer) Count() int64 { return t.count.Load() }
-
-// Total returns the accumulated duration.
-func (t *Timer) Total() time.Duration { return time.Duration(t.nanos.Load()) }
-
-// Mean returns the average observed duration (zero when empty).
-func (t *Timer) Mean() time.Duration {
-	n := t.Count()
-	if n == 0 {
-		return 0
-	}
-	return time.Duration(t.nanos.Load() / n)
-}
 
 // Gauge is an instantaneous value that can move both ways (buffer depths,
 // pool sizes, high watermarks).
@@ -174,13 +147,12 @@ func (h *Histogram) Count() int64 { return h.count.Load() }
 // Sum returns the sum of observed values.
 func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sumBits.Load()) }
 
-// Registry is a named set of counters, gauges, timers, and histograms. The
-// zero value is not usable; call NewRegistry.
+// Registry is a named set of counters, gauges, and histograms. The zero
+// value is not usable; call NewRegistry.
 type Registry struct {
 	mu         sync.RWMutex
 	counters   map[string]*Counter
 	gauges     map[string]*Gauge
-	timers     map[string]*Timer
 	histograms map[string]*Histogram
 }
 
@@ -189,7 +161,6 @@ func NewRegistry() *Registry {
 	return &Registry{
 		counters:   make(map[string]*Counter),
 		gauges:     make(map[string]*Gauge),
-		timers:     make(map[string]*Timer),
 		histograms: make(map[string]*Histogram),
 	}
 }
@@ -256,37 +227,6 @@ func (r *Registry) GetHistogramBuckets(name string, bounds []float64) *Histogram
 	return h
 }
 
-// GetTimer returns the timer registered under name, creating it on first use.
-func (r *Registry) GetTimer(name string) *Timer {
-	r.mu.RLock()
-	t := r.timers[name]
-	r.mu.RUnlock()
-	if t != nil {
-		return t
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if t = r.timers[name]; t == nil {
-		t = &Timer{}
-		r.timers[name] = t
-	}
-	return t
-}
-
-// TimerStats is a timer's state at snapshot time.
-type TimerStats struct {
-	Count int64
-	Total time.Duration
-}
-
-// Mean returns the average duration (zero when empty).
-func (s TimerStats) Mean() time.Duration {
-	if s.Count == 0 {
-		return 0
-	}
-	return s.Total / time.Duration(s.Count)
-}
-
 // HistogramStats is a histogram's state at snapshot time: the bucket upper
 // bounds, per-bucket (non-cumulative) counts with the +Inf overflow bucket
 // last, and the total count and sum.
@@ -347,7 +287,6 @@ func (s HistogramStats) Quantile(q float64) float64 {
 type Snapshot struct {
 	Counters   map[string]int64
 	Gauges     map[string]int64
-	Timers     map[string]TimerStats
 	Histograms map[string]HistogramStats
 }
 
@@ -358,7 +297,6 @@ func (r *Registry) Snapshot() Snapshot {
 	s := Snapshot{
 		Counters:   make(map[string]int64, len(r.counters)),
 		Gauges:     make(map[string]int64, len(r.gauges)),
-		Timers:     make(map[string]TimerStats, len(r.timers)),
 		Histograms: make(map[string]HistogramStats, len(r.histograms)),
 	}
 	for name, c := range r.counters {
@@ -366,9 +304,6 @@ func (r *Registry) Snapshot() Snapshot {
 	}
 	for name, g := range r.gauges {
 		s.Gauges[name] = g.Value()
-	}
-	for name, t := range r.timers {
-		s.Timers[name] = TimerStats{Count: t.Count(), Total: t.Total()}
 	}
 	for name, h := range r.histograms {
 		hs := HistogramStats{
@@ -396,10 +331,6 @@ func (r *Registry) Reset() {
 	for _, g := range r.gauges {
 		g.v.Store(0)
 	}
-	for _, t := range r.timers {
-		t.count.Store(0)
-		t.nanos.Store(0)
-	}
 	for _, h := range r.histograms {
 		for i := range h.counts {
 			h.counts[i].Store(0)
@@ -414,8 +345,7 @@ func (r *Registry) Reset() {
 //
 //	counter clf.scanner.malformed 3
 //	gauge   core.tail.buffered.entries 117
-//	timer   eval.point count=40 total=12.4s mean=310ms
-//	histo   eval.point.seconds count=40 mean=0.31 p50=0.28 p95=0.52 max<=1
+//	histo   eval.point.seconds count=40 mean=0.31 p50=0.28 p95=0.52 p99=0.61
 func (s Snapshot) WriteText(w io.Writer) error {
 	var sb strings.Builder
 	sortedNames := func(m map[string]int64) []string {
@@ -432,17 +362,7 @@ func (s Snapshot) WriteText(w io.Writer) error {
 	for _, name := range sortedNames(s.Gauges) {
 		fmt.Fprintf(&sb, "gauge   %s %d\n", name, s.Gauges[name])
 	}
-	names := make([]string, 0, len(s.Timers))
-	for name := range s.Timers {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		t := s.Timers[name]
-		fmt.Fprintf(&sb, "timer   %s count=%d total=%s mean=%s\n",
-			name, t.Count, t.Total.Round(time.Microsecond), t.Mean().Round(time.Microsecond))
-	}
-	names = names[:0]
+	names := make([]string, 0, len(s.Histograms))
 	for name := range s.Histograms {
 		names = append(names, name)
 	}
@@ -472,12 +392,12 @@ func promName(name string) string {
 }
 
 // WritePrometheus renders the snapshot in the Prometheus text exposition
-// format (version 0.0.4): counters and gauges as single series, timers as
-// <name>_count / <name>_seconds_total counters, histograms as classic
-// cumulative <name>_bucket{le="..."} series with _sum and _count. Labeled
-// registry keys built with WithLabels ("name{k=\"v\"}") are split back into
-// metric name and label set; every series of one base name shares a single
-// TYPE line, and histogram buckets merge "le" into the series labels.
+// format (version 0.0.4): counters and gauges as single series, histograms
+// as classic cumulative <name>_bucket{le="..."} series with _sum and _count.
+// Labeled registry keys built with WithLabels ("name{k=\"v\"}") are split
+// back into metric name and label set; every series of one base name shares
+// a single TYPE line, and histogram buckets merge "le" into the series
+// labels.
 func (s Snapshot) WritePrometheus(w io.Writer) error {
 	var sb strings.Builder
 	keysOf := func(m map[string]int64) []string {
@@ -503,25 +423,6 @@ func (s Snapshot) WritePrometheus(w io.Writer) error {
 		for _, key := range group {
 			_, labels := splitLabels(key)
 			fmt.Fprintf(&sb, "%s %d\n", promSeries(n, promLabels(labels)), s.Gauges[key])
-		}
-	}
-	timerKeys := make([]string, 0, len(s.Timers))
-	for name := range s.Timers {
-		timerKeys = append(timerKeys, name)
-	}
-	for _, group := range groupedKeys(timerKeys) {
-		base, _ := splitLabels(group[0])
-		n := promName(base)
-		fmt.Fprintf(&sb, "# TYPE %s_count counter\n", n)
-		for _, key := range group {
-			_, labels := splitLabels(key)
-			fmt.Fprintf(&sb, "%s %d\n", promSeries(n+"_count", promLabels(labels)), s.Timers[key].Count)
-		}
-		fmt.Fprintf(&sb, "# TYPE %s_seconds_total counter\n", n)
-		for _, key := range group {
-			_, labels := splitLabels(key)
-			fmt.Fprintf(&sb, "%s %g\n", promSeries(n+"_seconds_total", promLabels(labels)),
-				s.Timers[key].Total.Seconds())
 		}
 	}
 	histoKeys := make([]string, 0, len(s.Histograms))
@@ -607,9 +508,6 @@ func GetCounter(name string) *Counter { return Default.GetCounter(name) }
 
 // GetGauge returns a gauge from the Default registry.
 func GetGauge(name string) *Gauge { return Default.GetGauge(name) }
-
-// GetTimer returns a timer from the Default registry.
-func GetTimer(name string) *Timer { return Default.GetTimer(name) }
 
 // GetHistogram returns a DefaultBuckets histogram from the Default registry.
 func GetHistogram(name string) *Histogram { return Default.GetHistogram(name) }

@@ -6,7 +6,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 )
 
 func TestCounter(t *testing.T) {
@@ -25,25 +24,6 @@ func TestCounter(t *testing.T) {
 	}
 }
 
-func TestTimer(t *testing.T) {
-	r := NewRegistry()
-	tm := r.GetTimer("t")
-	if tm.Mean() != 0 {
-		t.Errorf("empty Mean = %v", tm.Mean())
-	}
-	tm.Observe(100 * time.Millisecond)
-	tm.Observe(300 * time.Millisecond)
-	if tm.Count() != 2 {
-		t.Errorf("Count = %d", tm.Count())
-	}
-	if tm.Total() != 400*time.Millisecond {
-		t.Errorf("Total = %v", tm.Total())
-	}
-	if tm.Mean() != 200*time.Millisecond {
-		t.Errorf("Mean = %v", tm.Mean())
-	}
-}
-
 func TestConcurrentCounters(t *testing.T) {
 	r := NewRegistry()
 	const goroutines, per = 16, 1000
@@ -55,7 +35,6 @@ func TestConcurrentCounters(t *testing.T) {
 			// Mix get-or-create with increments to race the registry too.
 			for i := 0; i < per; i++ {
 				r.GetCounter("shared").Inc()
-				r.GetTimer("shared.t").Observe(time.Microsecond)
 			}
 		}()
 	}
@@ -63,34 +42,24 @@ func TestConcurrentCounters(t *testing.T) {
 	if got := r.GetCounter("shared").Value(); got != goroutines*per {
 		t.Errorf("counter = %d, want %d", got, goroutines*per)
 	}
-	if got := r.GetTimer("shared.t").Count(); got != goroutines*per {
-		t.Errorf("timer count = %d, want %d", got, goroutines*per)
-	}
 }
 
 func TestSnapshotAndReset(t *testing.T) {
 	r := NewRegistry()
 	r.GetCounter("b").Add(2)
 	r.GetCounter("a").Add(1)
-	r.GetTimer("t").Observe(time.Second)
 	s := r.Snapshot()
 	if s.Counters["a"] != 1 || s.Counters["b"] != 2 {
 		t.Errorf("snapshot counters = %v", s.Counters)
-	}
-	if ts := s.Timers["t"]; ts.Count != 1 || ts.Total != time.Second || ts.Mean() != time.Second {
-		t.Errorf("snapshot timer = %+v", s.Timers["t"])
 	}
 	text := s.String()
 	ia, ib := strings.Index(text, "counter a 1"), strings.Index(text, "counter b 2")
 	if ia < 0 || ib < 0 || ia > ib {
 		t.Errorf("snapshot text not sorted:\n%s", text)
 	}
-	if !strings.Contains(text, "timer   t count=1 total=1s mean=1s") {
-		t.Errorf("timer line missing:\n%s", text)
-	}
 	c := r.GetCounter("a")
 	r.Reset()
-	if c.Value() != 0 || r.GetTimer("t").Count() != 0 {
+	if c.Value() != 0 {
 		t.Error("Reset did not zero metrics")
 	}
 	c.Inc() // cached pointer stays live after Reset
@@ -119,9 +88,6 @@ func TestDefaultRegistryHelpers(t *testing.T) {
 	c.Inc()
 	if Default.Snapshot().Counters[name] == 0 {
 		t.Error("package-level counter not in Default registry")
-	}
-	if GetTimer(name) == nil {
-		t.Error("GetTimer returned nil")
 	}
 	rec := httptest.NewRecorder()
 	Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/", nil))

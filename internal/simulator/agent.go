@@ -3,7 +3,6 @@ package simulator
 import (
 	"math"
 	"math/rand"
-	"sync"
 	"time"
 
 	"smartsra/internal/session"
@@ -12,8 +11,8 @@ import (
 
 // agentScratch holds the per-agent working buffers — the browser-cache map
 // and the page arena the pick/backtrack scans fill — so a worker reuses one
-// set across all its agents instead of reallocating per agent. Pooled across
-// runs (evaluation sweeps simulate thousands of agents per point).
+// set across all its agents instead of reallocating per agent. Each worker
+// of a Run allocates its own.
 type agentScratch struct {
 	visited map[webgraph.PageID]bool
 	pages   []webgraph.PageID
@@ -24,12 +23,6 @@ type agentScratch struct {
 // session, with its unvisited successors packed at pages[lo:hi].
 type btCand struct {
 	idx, lo, hi int
-}
-
-var scratchPool = sync.Pool{
-	New: func() any {
-		return &agentScratch{visited: make(map[webgraph.PageID]bool)}
-	},
 }
 
 // agentOutcome collects everything one simulated user produced.

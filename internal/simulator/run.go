@@ -112,10 +112,8 @@ func Run(g *webgraph.Graph, p Params) (*Result, error) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			// One pooled scratch per worker, shared by all its agents and
-			// returned for the next run (sweeps call Run once per point).
-			scr := scratchPool.Get().(*agentScratch)
-			defer scratchPool.Put(scr)
+			// One scratch per worker, shared by all its agents.
+			scr := &agentScratch{visited: make(map[webgraph.PageID]bool)}
 			// One generator per worker, re-seeded per agent: Seed rebuilds the
 			// whole 4.9 KB source state, so the draws equal a fresh source's
 			// without allocating one per agent.
