@@ -11,13 +11,20 @@
 // Sweep points (and -experiment defaults replicas) run concurrently on one
 // bounded worker pool (-workers, default all cores) over one shared
 // topology. Each point runs on one goroutine of the pool; its simulator's
-// agents get -workers divided by the points running at once (at least one),
-// and everything after the simulation runs on the point's goroutine. Any
-// worker count produces byte-identical output because every point is seeded
-// independently. -progress reports per-point completion and a final metrics
-// snapshot on stderr — the eval.point.seconds histogram and its two stages,
-// eval.point.simulate.seconds and eval.point.score.seconds — leaving stdout
-// byte-identical.
+// agents get -workers divided by the points running at once (at least one)
+// and hand each finished user to the point's goroutine, which reconstructs
+// and scores it beside the simulator and drops it, so a point holds a few
+// users per simulator worker, never its population. Any worker count
+// produces byte-identical output because every point is seeded
+// independently. -progress reports
+// per-point completion and a final metrics snapshot on stderr, leaving
+// stdout byte-identical: eval.point.seconds is a point's wall time,
+// eval.point.score.seconds the part its goroutine spent on the users handed
+// to it (timed per user, not per entry), and eval.point.simulate.seconds the
+// rest, spent waiting for the simulator's next user.
+//
+// A -replicas below 1, a -pages below 2 or any positional argument is a
+// usage error: exit 2 before any work.
 //
 // How fast any of this runs is the benchmark's to say, not this command's:
 // bench/ times `evaluate -experiment lpp` end to end (workload eval_sweep)
@@ -57,11 +64,31 @@ func main() {
 		progress   = flag.Bool("progress", false, "report per-point progress and a metrics snapshot on stderr")
 	)
 	flag.Parse()
+	if msg := usageError(*replicas, *pages, flag.Args()); msg != "" {
+		fmt.Fprintln(os.Stderr, "evaluate:", msg)
+		os.Exit(2)
+	}
 	if err := run(*experiment, *agents, *seed, *replicas, *pages, *outdeg, *csvDir, *svgDir,
 		*stats, *viaCLF, *withRef, *workers, *progress); err != nil {
 		fmt.Fprintln(os.Stderr, "evaluate:", err)
 		os.Exit(1)
 	}
+}
+
+// usageError says what is wrong with the command line before any work, or
+// returns "". A topology needs two pages (-pages 0 would silently fall back
+// to the paper's site and drop -outdeg), a replication at least one seed,
+// and evaluate takes no positional arguments.
+func usageError(replicas, pages int, args []string) string {
+	switch {
+	case replicas < 1:
+		return fmt.Sprintf("-replicas %d: want at least 1", replicas)
+	case pages < 2:
+		return fmt.Sprintf("-pages %d: want at least 2", pages)
+	case len(args) > 0:
+		return fmt.Sprintf("unexpected argument %q: evaluate takes flags only", args[0])
+	}
+	return ""
 }
 
 func run(experiment string, agents int, seed int64, replicas int, pages int, outdeg float64,

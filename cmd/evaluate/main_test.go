@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"os/exec"
 	"strings"
@@ -23,14 +24,50 @@ func TestMain(m *testing.M) {
 // stderr.
 func evaluate(t *testing.T, args ...string) (stdout, stderr string) {
 	t.Helper()
+	stdout, stderr, err := evaluateExit(args...)
+	if err != nil {
+		t.Fatalf("evaluate %v: %v; stderr:\n%s", args, err, stderr)
+	}
+	return stdout, stderr
+}
+
+// evaluateExit is evaluate for a run that may fail: the error is the
+// child's exit status.
+func evaluateExit(args ...string) (stdout, stderr string, err error) {
 	cmd := exec.Command(os.Args[0], args...)
 	cmd.Env = append(os.Environ(), "EVALUATE_CHILD=1", "GOMAXPROCS=4")
 	var out, errBuf bytes.Buffer
 	cmd.Stdout, cmd.Stderr = &out, &errBuf
-	if err := cmd.Run(); err != nil {
-		t.Fatalf("evaluate %v: %v; stderr:\n%s", args, err, errBuf.String())
+	err = cmd.Run()
+	return out.String(), errBuf.String(), err
+}
+
+// A command line that cannot mean what it says exits 2 before any work,
+// naming what is wrong: -replicas below 1 (a negative count panicked, 0 got
+// as far as building the topology), -pages below 2 (0 fell back to the
+// paper's site and dropped -outdeg), and a positional argument (ignored).
+func TestUsageErrorsExitTwo(t *testing.T) {
+	for _, c := range []struct {
+		args []string
+		name string
+	}{
+		{[]string{"-experiment", "defaults", "-agents", "50", "-replicas", "-1"}, "-replicas"},
+		{[]string{"-experiment", "defaults", "-agents", "50", "-replicas", "0"}, "-replicas"},
+		{[]string{"-experiment", "lpp", "-pages", "0", "-outdeg", "3", "-agents", "50"}, "-pages"},
+		{[]string{"-experiment", "lpp", "-pages", "1", "-agents", "50"}, "-pages"},
+		{[]string{"-experiment", "lpp", "-agents", "50", "extra"}, `"extra"`},
+	} {
+		stdout, stderr, err := evaluateExit(c.args...)
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+			t.Errorf("%v: exit %v, want status 2; stderr:\n%s", c.args, err, stderr)
+			continue
+		}
+		if stdout != "" || !strings.Contains(stderr, c.name) || strings.Contains(stderr, "panic") {
+			t.Errorf("%v: want no output and a message naming %s, got stdout %q stderr:\n%s",
+				c.args, c.name, stdout, stderr)
+		}
 	}
-	return out.String(), errBuf.String()
 }
 
 // TestOutputIndependentOfWorkers: a sweep, a replication, and a single

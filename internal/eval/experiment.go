@@ -23,8 +23,12 @@ var (
 	metricPointsDone = metrics.GetCounter("eval.points.completed")
 	metricSeedsDone  = metrics.GetCounter("eval.seeds.completed")
 	metricPointHist  = metrics.GetHistogram("eval.point.seconds")
-	// The point's two stages: producing the streams (simulator.Run and the
-	// optional CLF round trip), then reconstructing and scoring them.
+	// A point's wall time split by what its goroutine did. Simulation and
+	// scoring interleave, so both are sums taken per user, not stages: score
+	// is the time spent on users handed over (packing the real sessions, the
+	// optional CLF or referrer round trip, reconstruction and scoring), and
+	// simulate is the rest of the wall time, spent waiting for the simulator
+	// to finish the next user.
 	metricSimulateHist = metrics.GetHistogram("eval.point.simulate.seconds")
 	metricScoreHist    = metrics.GetHistogram("eval.point.score.seconds")
 )
@@ -116,60 +120,142 @@ func EvaluatePoint(cfg RunConfig) (*PointResult, error) {
 // EvaluatePointOn is EvaluatePoint over an already-generated topology. The
 // graph is only read, never written, so many points may share one. The
 // simulator spreads agents over cfg.Params.Workers goroutines (0: its own
-// default); everything after it runs on the calling goroutine. Each
-// heuristic makes one pass over the streams, handling one user at a time:
-// reconstructed, scored under both metrics against the point's shared
-// real-session index, measured, and dropped before the next
-// (sessionIndex.scoreStreams).
+// default) and hands each finished user to the calling goroutine
+// (simulator.Each), which scores it beside the simulator: the user's real
+// sessions are packed, every heuristic reconstructs its stream and is scored
+// under both metrics, and the user is dropped before the next. A point
+// therefore holds a few users per simulator worker, never its population.
+//
+// ViaCLF and IncludeReferrer are per-user too: the user's slice of the log is
+// rendered, parsed back and grouped (prep.BuildStreams), or chained
+// (referrer.Reconstruct). Both group records by host and stable-sort each
+// host's records by time, and a user's records are already in time order, so
+// this equals running them over the whole time-sorted log.
 func EvaluatePointOn(g *webgraph.Graph, cfg RunConfig) (*PointResult, error) {
 	start := time.Now()
-	defer func() { metricPointHist.ObserveDuration(time.Since(start)) }()
-	res, err := simulator.Run(g, cfg.Params)
+	ps := newPointScorer(g, cfg)
+	var (
+		scoring time.Duration
+		failed  error
+	)
+	stats, err := simulator.Each(g, cfg.Params, func(u *simulator.User) {
+		if failed == nil {
+			began := time.Now()
+			failed = ps.user(u)
+			scoring += time.Since(began)
+		}
+	})
+	if err == nil {
+		err = failed
+	}
 	if err != nil {
 		return nil, err
 	}
-	streams := res.Streams
-	if cfg.ViaCLF {
-		streams, err = roundTripCLF(g, res)
-		if err != nil {
-			return nil, err
-		}
-	}
-	simulated := time.Now()
-	metricSimulateHist.ObserveDuration(simulated.Sub(start))
-	defer func() { metricScoreHist.ObserveDuration(time.Since(simulated)) }()
-	build := cfg.Heuristics
-	if build == nil {
-		build = DefaultHeuristics
-	}
+	wall := time.Since(start)
+	metricPointHist.ObserveDuration(wall)
+	metricScoreHist.ObserveDuration(scoring)
+	metricSimulateHist.ObserveDuration(wall - scoring)
 	point := &PointResult{
 		Matched:       make(map[string]Accuracy),
 		Exists:        make(map[string]Accuracy),
 		Reconstructed: make(map[string]SessionStats),
-		RealSessions:  len(res.Real),
+		RealSessions:  stats.RealSessions,
 	}
-	record := func(name string, t tally, recon SessionStats) {
-		point.Matched[name] = Accuracy{Real: len(res.Real), Captured: t.matched}
-		point.Exists[name] = Accuracy{Real: len(res.Real), Captured: t.exists}
-		point.Reconstructed[name] = recon
+	record := func(name string, t tally) {
+		point.Matched[name] = Accuracy{Real: stats.RealSessions, Captured: t.matched}
+		point.Exists[name] = Accuracy{Real: stats.RealSessions, Captured: t.exists}
+		point.Reconstructed[name] = t.stats()
 	}
-	real := indexSessions(res.Real)
-	for _, h := range build(g) {
-		t := real.scoreStreams(h, streams)
-		record(h.Name(), t, t.stats())
+	for i, h := range ps.heuristics {
+		record(h.Name(), ps.passes[i].tally)
 	}
 	if cfg.IncludeReferrer {
-		// The chain is reconstructed from the whole log, not per stream, so
-		// its sessions reach the kernel through the grouping feeder.
-		r := referrer.New(g)
-		chain, err := r.Reconstruct(res.LogCombined(g))
-		if err != nil {
-			return nil, err
-		}
-		record(r.Name(), real.scoreSessions(chain), Summarize(chain))
+		record(ps.chain.Name(), ps.chained.tally)
 	}
 	metricPointsDone.Inc()
 	return point, nil
+}
+
+// pointScorer is a point's scoring side: one pass per heuristic (plus the
+// referrer chain's scorer under IncludeReferrer), fed one simulated user at
+// a time. Every tally is an integer sum or a histogram, so the order users
+// arrive in cannot change the result.
+type pointScorer struct {
+	g          *webgraph.Graph
+	cfg        RunConfig
+	heuristics []heuristics.Reconstructor
+	passes     []*pass
+	chain      referrer.Reconstructor
+	chained    scorer
+	real       pageLists // the current user's real sessions
+}
+
+func newPointScorer(g *webgraph.Graph, cfg RunConfig) *pointScorer {
+	build := cfg.Heuristics
+	if build == nil {
+		build = DefaultHeuristics
+	}
+	ps := &pointScorer{g: g, cfg: cfg, heuristics: build(g), chain: referrer.New(g)}
+	for _, h := range ps.heuristics {
+		ps.passes = append(ps.passes, newPass(h))
+	}
+	return ps
+}
+
+// user packs u's real sessions, then reconstructs and scores u under every
+// pass. Nothing of u is kept.
+func (ps *pointScorer) user(u *simulator.User) error {
+	ps.real.reset()
+	for i := range u.Real {
+		ps.real.add(u.Real[i].Entries)
+	}
+	streams := []session.Stream{{User: u.Label, Entries: u.Stream}}
+	if ps.cfg.ViaCLF {
+		var err error
+		if streams, err = roundTripCLF(ps.g, u); err != nil {
+			return err
+		}
+	}
+	for _, p := range ps.passes {
+		for _, st := range streams {
+			p.user(ps.real, st)
+		}
+	}
+	if ps.cfg.IncludeReferrer {
+		chain, err := ps.chain.Reconstruct(userLog(u).LogCombined(ps.g))
+		if err != nil {
+			return err
+		}
+		ps.chained.candidates(ps.real, chain)
+	}
+	return nil
+}
+
+// userLog is a run holding only u, so that its Log and LogCombined render
+// u's slice of the whole run's log.
+func userLog(u *simulator.User) *simulator.Result {
+	return &simulator.Result{
+		Streams:   []session.Stream{{User: u.Label, Entries: u.Stream}},
+		Referrers: [][]webgraph.PageID{u.Refs},
+	}
+}
+
+// roundTripCLF renders u's requests as CLF text and rebuilds its stream
+// through the full parsing/cleaning pipeline, as a production deployment
+// would: one stream, or none if cleaning dropped every record.
+func roundTripCLF(g *webgraph.Graph, u *simulator.User) ([]session.Stream, error) {
+	records := userLog(u).Log(g)
+	for i, r := range records {
+		rec, err := clf.ParseRecord(r.String())
+		if err != nil {
+			return nil, fmt.Errorf("eval: round trip: %w", err)
+		}
+		records[i] = rec
+	}
+	streams, _, err := prep.BuildStreams(records, prep.GraphResolver(g), prep.Options{
+		Filter: clf.StandardCleaning(),
+	})
+	return streams, err
 }
 
 // SeriesNames returns the heuristic names actually present in the point, in
@@ -209,25 +295,6 @@ func orderSeries(present map[string]bool) []string {
 	}
 	sort.Strings(extras)
 	return append(names, extras...)
-}
-
-// roundTripCLF renders the run as a CLF log and rebuilds the streams through
-// the full parsing/cleaning pipeline, as a production deployment would.
-func roundTripCLF(g *webgraph.Graph, res *simulator.Result) ([]session.Stream, error) {
-	records := res.Log(g)
-	// Render to text and parse back so the format itself is exercised.
-	reparsed := make([]clf.Record, 0, len(records))
-	for _, r := range records {
-		rec, err := clf.ParseRecord(r.String())
-		if err != nil {
-			return nil, fmt.Errorf("eval: round trip: %w", err)
-		}
-		reparsed = append(reparsed, rec)
-	}
-	streams, _, err := prep.BuildStreams(reparsed, prep.GraphResolver(g), prep.Options{
-		Filter: clf.StandardCleaning(),
-	})
-	return streams, err
 }
 
 // Experiment is a one-dimensional parameter sweep, as in Figures 8-10.

@@ -10,6 +10,8 @@ import (
 // point driver — ends here: one user's real sessions and one user's
 // candidates go in as packed page lists, the capture graph between them is
 // built once (matcher.capture), and both accuracy readings come off it.
+// Score and ScoreMatched reach it through a session index over whole sets;
+// the point driver hands it one simulated user at a time (pass.user).
 
 // pageLists packs page sequences into one arena: list i is
 // pages[spans[i].lo:spans[i].hi]. A sub-slice of spans over the same pages
@@ -38,8 +40,8 @@ func (p *pageLists) add(entries []session.Entry) {
 
 // sessionIndex is a session set grouped by user label — through a map, not
 // by position, because proxy-merged agents share one label. User number u
-// owns lists [first[u], first[u+1]). It is read-only once built, so all the
-// scorers of a point share the index of its real sessions.
+// owns lists [first[u], first[u+1]). Score and ScoreMatched, which take whole
+// session sets, build one over the real sessions.
 type sessionIndex struct {
 	users map[string]int
 	first []int
@@ -165,30 +167,37 @@ func (ix *sessionIndex) scoreSessions(candidates []session.Session) tally {
 	return s.tally
 }
 
-// scoreStreams reconstructs and scores each stream where it stands: one
-// user's candidates are packed, measured and matched, then released, so no
-// candidate set for the whole population ever exists. Streams must carry
-// distinct users (simulator.Run and prep.BuildStreams both guarantee it).
-func (ix *sessionIndex) scoreStreams(h heuristics.Reconstructor, streams []session.Stream) tally {
-	var s scorer
-	reconstruct, release := heuristics.Lend(h)
-	for _, st := range streams {
-		s.candidates(ix, st.User, reconstruct(st))
-		release()
-	}
-	return s.tally
-}
-
 // candidates takes one user's whole candidate set: it copies the pages into
 // the scratch arena — the sessions themselves are not kept — counts the
-// lengths, and scores the user if it has real sessions.
-func (s *scorer) candidates(ix *sessionIndex, user string, cands []session.Session) {
+// lengths, and scores them against the user's real sessions.
+func (s *scorer) candidates(real pageLists, cands []session.Session) {
 	s.cand.reset()
 	for i := range cands {
 		s.count(len(cands[i].Entries))
 		s.cand.add(cands[i].Entries)
 	}
-	if u, ok := ix.users[user]; ok {
-		s.user(ix.user(u), s.cand)
-	}
+	s.user(real, s.cand)
+}
+
+// pass is one heuristic's share of a point: its lent reconstruction and the
+// scorer every user's candidates are summed into. A point drives one pass
+// per heuristic, one user at a time, so no candidate set for the whole
+// population ever exists.
+type pass struct {
+	scorer
+	reconstruct func(session.Stream) []session.Session
+	release     func()
+}
+
+func newPass(h heuristics.Reconstructor) *pass {
+	p := &pass{}
+	p.reconstruct, p.release = heuristics.Lend(h)
+	return p
+}
+
+// user reconstructs one user's stream, scores the candidates against the
+// user's real sessions, and hands the lent sessions back.
+func (p *pass) user(real pageLists, st session.Stream) {
+	p.candidates(real, p.reconstruct(st))
+	p.release()
 }

@@ -8,7 +8,10 @@ import (
 	"sort"
 	"testing"
 
+	"smartsra/internal/clf"
 	"smartsra/internal/heuristics"
+	"smartsra/internal/prep"
+	"smartsra/internal/referrer"
 	"smartsra/internal/session"
 	"smartsra/internal/simulator"
 	"smartsra/internal/webgraph"
@@ -87,8 +90,10 @@ func naiveStats(sessions []session.Session) SessionStats {
 	return st
 }
 
-// naivePoint is the old chain: materialise every heuristic's candidates for
-// the whole population, then score the set as a whole.
+// naivePoint is the old chain: simulate the whole run, take its streams (or,
+// under ViaCLF, rebuild them from the whole time-sorted log), materialise
+// every heuristic's candidates for the whole population — and the referrer
+// chain's over the whole combined log — then score each set as a whole.
 func naivePoint(t *testing.T, g *webgraph.Graph, cfg RunConfig) *PointResult {
 	t.Helper()
 	res, err := simulator.Run(g, cfg.Params)
@@ -101,13 +106,59 @@ func naivePoint(t *testing.T, g *webgraph.Graph, cfg RunConfig) *PointResult {
 		Reconstructed: make(map[string]SessionStats),
 		RealSessions:  len(res.Real),
 	}
+	record := func(name string, cands []session.Session) {
+		point.Matched[name] = Accuracy{Real: len(res.Real), Captured: naiveMatched(res.Real, cands)}
+		point.Exists[name] = Accuracy{Real: len(res.Real), Captured: naiveExists(res.Real, cands)}
+		point.Reconstructed[name] = naiveStats(cands)
+	}
+	streams := res.Streams
+	if cfg.ViaCLF {
+		records := res.Log(g)
+		for i, r := range records {
+			if records[i], err = clf.ParseRecord(r.String()); err != nil {
+				t.Fatal(err)
+			}
+		}
+		streams, _, err = prep.BuildStreams(records, prep.GraphResolver(g), prep.Options{Filter: clf.StandardCleaning()})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
 	for _, h := range DefaultHeuristics(g) {
-		cands := heuristics.ReconstructAll(h, res.Streams)
-		point.Matched[h.Name()] = Accuracy{Real: len(res.Real), Captured: naiveMatched(res.Real, cands)}
-		point.Exists[h.Name()] = Accuracy{Real: len(res.Real), Captured: naiveExists(res.Real, cands)}
-		point.Reconstructed[h.Name()] = naiveStats(cands)
+		record(h.Name(), heuristics.ReconstructAll(h, streams))
+	}
+	if cfg.IncludeReferrer {
+		r := referrer.New(g)
+		chain, err := r.Reconstruct(res.LogCombined(g))
+		if err != nil {
+			t.Fatal(err)
+		}
+		record(r.Name(), chain)
 	}
 	return point
+}
+
+// randomPointConfig draws a small random site and a random point on it.
+func randomPointConfig(rng *rand.Rand, proxies bool) RunConfig {
+	cfg := RunConfig{
+		Topology: webgraph.TopologyConfig{
+			Pages: 30 + rng.Intn(60), AvgOutDegree: 3 + 5*rng.Float64(),
+			StartPageFraction: 0.05 + 0.1*rng.Float64(),
+			Model:             webgraph.ModelUniform, EnsureReachable: true,
+		},
+		TopologySeed: rng.Int63(),
+		Params:       simulator.PaperParams(),
+	}
+	cfg.Params.Agents = 30 + rng.Intn(60)
+	cfg.Params.Seed = rng.Int63()
+	cfg.Params.STP = 0.02 + 0.18*rng.Float64()
+	cfg.Params.LPP = 0.9 * rng.Float64()
+	cfg.Params.NIP = 0.9 * rng.Float64()
+	if proxies {
+		cfg.Params.ProxyFraction = 0.5
+		cfg.Params.ProxySize = 2 + rng.Intn(4)
+	}
+	return cfg
 }
 
 // The fused per-user pass must give what the materialise-then-score chain
@@ -120,25 +171,26 @@ func TestEvaluatePointMatchesNaiveChain(t *testing.T) {
 		trials = 3
 	}
 	for trial := 0; trial < trials; trial++ {
-		cfg := RunConfig{
-			Topology: webgraph.TopologyConfig{
-				Pages: 30 + rng.Intn(60), AvgOutDegree: 3 + 5*rng.Float64(),
-				StartPageFraction: 0.05 + 0.1*rng.Float64(),
-				Model:             webgraph.ModelUniform, EnsureReachable: true,
-			},
-			TopologySeed: rng.Int63(),
-			Params:       simulator.PaperParams(),
+		checkPointAgainstNaive(t, fmt.Sprintf("trial %d", trial), randomPointConfig(rng, trial%2 == 1))
+	}
+}
+
+// A point rebuilds each user's stream from that user's slice of the log
+// (ViaCLF) and chains each user's combined records on their own
+// (IncludeReferrer); both must equal the same pipeline over the whole
+// time-sorted log, with and without proxy-merged users.
+func TestEvaluatePointMatchesNaiveChainViaLog(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	for _, c := range []struct{ viaCLF, referrer bool }{{true, false}, {false, true}, {true, true}} {
+		for _, proxies := range []bool{false, true} {
+			cfg := randomPointConfig(rng, proxies)
+			cfg.ViaCLF, cfg.IncludeReferrer = c.viaCLF, c.referrer
+			what := fmt.Sprintf("via-clf=%v referrer=%v proxies=%v", c.viaCLF, c.referrer, proxies)
+			point := checkPointAgainstNaive(t, what, cfg)
+			if c.referrer && point.Exists["heurR"].Captured == 0 {
+				t.Errorf("%s: degenerate workload: the chain captures nothing", what)
+			}
 		}
-		cfg.Params.Agents = 30 + rng.Intn(60)
-		cfg.Params.Seed = rng.Int63()
-		cfg.Params.STP = 0.02 + 0.18*rng.Float64()
-		cfg.Params.LPP = 0.9 * rng.Float64()
-		cfg.Params.NIP = 0.9 * rng.Float64()
-		if trial%2 == 1 {
-			cfg.Params.ProxyFraction = 0.5
-			cfg.Params.ProxySize = 2 + rng.Intn(4)
-		}
-		checkPointAgainstNaive(t, fmt.Sprintf("trial %d", trial), cfg)
 	}
 }
 
@@ -188,7 +240,7 @@ func (h scripted) Reconstruct(st session.Stream) []session.Session { return h[st
 // contested matchings are common) with every awkward shape: users with real
 // sessions but no stream, streams of users with no real session, empty
 // candidate sets, empty sessions, real sessions of one user scattered through
-// the slice. The stream loop and the three exported feeders must all agree
+// the slice. The per-user pass and the three exported feeders must all agree
 // with the naive readings.
 func TestScoreStreamsMatchesNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
@@ -222,7 +274,18 @@ func TestScoreStreamsMatchesNaive(t *testing.T) {
 		rng.Shuffle(len(real), func(i, j int) { real[i], real[j] = real[j], real[i] })
 		wantExists, wantMatched := naiveExists(real, cands), naiveMatched(real, cands)
 		wantStats := naiveStats(cands)
-		got := indexSessions(real).scoreStreams(h, streams)
+		p := newPass(h)
+		var lists pageLists
+		for _, st := range streams {
+			lists.reset()
+			for _, r := range real {
+				if r.User == st.User {
+					lists.add(r.Entries)
+				}
+			}
+			p.user(lists, st)
+		}
+		got := p.tally
 		if got.exists != wantExists || got.matched != wantMatched || got.stats() != wantStats {
 			t.Fatalf("trial %d: streams give exists=%d matched=%d %v, naive %d %d %v\nreal %v\ncands %v",
 				trial, got.exists, got.matched, got.stats(), wantExists, wantMatched, wantStats, real, cands)
@@ -259,8 +322,9 @@ func TestHistogramMedian(t *testing.T) {
 	}
 }
 
-// kernelWorkload is one simulated population with its real-session index.
-func kernelWorkload(tb testing.TB, agents int) (*webgraph.Graph, *simulator.Result, *sessionIndex) {
+// kernelWorkload is one simulated population at the paper's defaults,
+// collected user by user as a point receives it.
+func kernelWorkload(tb testing.TB, agents int) (*webgraph.Graph, RunConfig, []*simulator.User) {
 	tb.Helper()
 	cfg := PaperDefaults()
 	cfg.Params.Agents = agents
@@ -268,56 +332,58 @@ func kernelWorkload(tb testing.TB, agents int) (*webgraph.Graph, *simulator.Resu
 	if err != nil {
 		tb.Fatal(err)
 	}
-	res, err := simulator.Run(g, cfg.Params)
-	if err != nil {
+	var users []*simulator.User
+	if _, err := simulator.Each(g, cfg.Params, func(u *simulator.User) { users = append(users, u) }); err != nil {
 		tb.Fatal(err)
 	}
-	return g, res, indexSessions(res.Real)
+	return g, cfg, users
 }
 
-// Once a scorer's scratch has grown to its population, reconstructing and
-// scoring a user allocates nothing, for any of the paper's heuristics.
+// Once a point's scratch has grown to its population, packing, reconstructing
+// and scoring a user allocates nothing, for any of the paper's heuristics.
 func TestScoreStreamsSteadyStateAllocs(t *testing.T) {
-	g, res, ix := kernelWorkload(t, 60)
+	g, cfg, users := kernelWorkload(t, 60)
 	for _, h := range DefaultHeuristics(g) {
-		var s scorer
-		reconstruct, release := heuristics.Lend(h)
+		cfg.Heuristics = func(*webgraph.Graph) []heuristics.Reconstructor { return []heuristics.Reconstructor{h} }
+		ps := newPointScorer(g, cfg)
 		pass := func() {
-			for _, st := range res.Streams {
-				s.candidates(ix, st.User, reconstruct(st))
-				release()
+			for _, u := range users {
+				if err := ps.user(u); err != nil {
+					t.Fatal(err)
+				}
 			}
 		}
 		pass()
 		pass() // the arenas settle on one block after the first rewinds
 		if n := testing.AllocsPerRun(5, pass); n != 0 {
-			t.Errorf("%s: %v allocations per pass over %d users", h.Name(), n, len(res.Streams))
+			t.Errorf("%s: %v allocations per pass over %d users", h.Name(), n, len(users))
 		}
 	}
 }
 
-// BenchmarkScorePoint measures the kernel alone: the four heuristics'
-// reconstruct → capture → match passes over a prebuilt point (streams and
-// real-session index), sequential.
+// BenchmarkScorePoint measures a point's scoring side alone: the four
+// heuristics' reconstruct → capture → match passes over users simulated
+// beforehand, sequential.
 func BenchmarkScorePoint(b *testing.B) {
-	g, res, ix := kernelWorkload(b, 250)
-	hs := DefaultHeuristics(g)
+	g, cfg, users := kernelWorkload(b, 250)
+	ps := newPointScorer(g, cfg)
 	b.ReportAllocs()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	b.ResetTimer()
-	matched := 0
 	for i := 0; i < b.N; i++ {
-		for _, h := range hs {
-			matched += ix.scoreStreams(h, res.Streams).matched
+		for _, u := range users {
+			if err := ps.user(u); err != nil {
+				b.Fatal(err)
+			}
 		}
 	}
 	b.StopTimer()
 	runtime.ReadMemStats(&after)
-	if matched == 0 {
+	if ps.passes[len(ps.passes)-1].matched == 0 {
 		b.Fatal("nothing matched")
 	}
-	users := float64(b.N * len(hs) * len(res.Streams))
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/users, "ns/user")
-	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/users, "allocs/user")
+	n := float64(b.N * len(ps.passes) * len(users))
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/n, "ns/user")
+	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/n, "allocs/user")
 }
