@@ -14,11 +14,11 @@
 // JSON).
 //
 // A chaos report (tool == "loadgen-chaos", from cmd/loadgen -chaos) is gated
-// on degradation-and-recovery invariants instead: exact conservation after
-// drop reconciliation (serve_requests == serve_enqueued with the ledger
-// drained), every adversary defended against (slowloris all server-closed,
-// floods 429'd, malformed refused), and admission metrics that actually
-// moved. These hold on any hardware and always gate.
+// on degradation-and-recovery invariants instead: exact conservation (every
+// logged request read back by the live sessionizer, serve_requests ==
+// serve_ingest_records), every adversary defended against (slowloris all
+// server-closed, floods 429'd, malformed refused), and admission metrics that
+// actually moved. These hold on any hardware and always gate.
 package main
 
 import (
@@ -138,13 +138,13 @@ func checkLoadgen(path string, fields map[string]any, advisory bool) (bool, erro
 
 // checkLoadgenChaos gates a cmd/loadgen -chaos JSON report: a replay plus
 // the adversarial suite against a hardened serve, with the server's own
-// /debug/metrics scraped into the report after reconciliation settled.
+// /debug/metrics scraped into the report once its live sessionizer caught up.
 // Everything here holds on any hardware:
 //
 //   - client accounting conserves exactly, including the 429 bucket
-//   - the server's drop ledger drained (drops_pending == 0, nothing lost)
-//     and conservation is exact: serve_requests == serve_enqueued, with
-//     every recorded drop reconciled
+//   - server conservation is exact: every logged request was read back from
+//     the access log into the live sessionizer (serve_requests ==
+//     serve_ingest_records)
 //   - each adversary actually ran and was defended against: slowloris
 //     connections all server-closed, flood requests classified with some
 //     429s, malformed lines all refused
@@ -160,8 +160,7 @@ func checkLoadgenChaos(path string, fields map[string]any) (bool, error) {
 	need := map[string]float64{}
 	for _, key := range []string{
 		"sent", "accepted", "shed", "rejected", "errors",
-		"serve_requests", "serve_enqueued",
-		"drops_recorded", "drops_reconciled", "drops_pending", "drops_lost",
+		"serve_requests", "serve_ingest_records",
 		"admission_admitted", "admission_ip_limited",
 		"chaos_slow_opened", "chaos_slow_server_closed",
 		"chaos_flood_sent", "chaos_flood_accepted", "chaos_flood_rejected",
@@ -193,21 +192,13 @@ func checkLoadgenChaos(path string, fields map[string]any) (bool, error) {
 			need["accepted"], need["shed"], need["rejected"], need["errors"], need["sent"])
 	}
 
-	// Server-side conservation after reconciliation — the whole point.
-	switch {
-	case need["drops_pending"] != 0:
-		fail("drop ledger never drained: %.0f records still pending", need["drops_pending"])
-	case need["drops_lost"] != 0:
-		fail("%.0f dropped records lost without a rotation", need["drops_lost"])
-	case need["serve_requests"] != need["serve_enqueued"]:
-		fail("conservation violated after reconciliation: serve_requests %.0f != serve_enqueued %.0f",
-			need["serve_requests"], need["serve_enqueued"])
-	case need["drops_reconciled"] != need["drops_recorded"]:
-		fail("reconciled %.0f of %.0f recorded drops with pending at 0",
-			need["drops_reconciled"], need["drops_recorded"])
-	default:
-		ok("conservation exact: serve_requests %.0f == serve_enqueued %.0f (%.0f drops reconciled, 0 pending, 0 lost)",
-			need["serve_requests"], need["serve_enqueued"], need["drops_recorded"])
+	// Server-side conservation: the log is the sessionizer's input.
+	if need["serve_requests"] != need["serve_ingest_records"] {
+		fail("conservation violated: serve_requests %.0f != serve_ingest_records %.0f",
+			need["serve_requests"], need["serve_ingest_records"])
+	} else {
+		ok("conservation exact: serve_requests %.0f == serve_ingest_records %.0f",
+			need["serve_requests"], need["serve_ingest_records"])
 	}
 
 	// Each adversary must have run AND been defended against — a chaos run

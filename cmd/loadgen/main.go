@@ -170,12 +170,12 @@ func run(url, topoPath string, agents int, seed int64, stp, lpp, nip float64,
 }
 
 // mergeServeMetrics scrapes the server's /debug/metrics into fields under
-// flat benchgate-friendly keys. It first polls until drop reconciliation has
-// drained (serve.drops.pending == 0 and the conservation identity
-// serve.requests == serve.ingest.enqueued + serve.drops.lost holds), because
-// the whole point of the chaos gate is to assert the settled state; after
-// 30s it records whatever the server reports — a stuck ledger should fail
-// the gate loudly, not hide behind a scrape that gave up silently.
+// flat benchgate-friendly keys. It first polls until the live sessionizer has
+// read every logged request back from the access log (serve.requests ==
+// serve.ingest.records), because the chaos gate asserts the settled state;
+// after 30s it records whatever the server reports — a sessionizer that fell
+// behind for good should fail the gate loudly, not hide behind a scrape that
+// gave up silently.
 func mergeServeMetrics(fields map[string]any, url string) error {
 	ctx, cancel := context.WithTimeout(context.Background(), 45*time.Second)
 	defer cancel()
@@ -187,21 +187,14 @@ func mergeServeMetrics(fields map[string]any, url string) error {
 		if err != nil {
 			return err
 		}
-		settled := m["serve.drops.pending"] == 0 &&
-			m["serve.requests"] == m["serve.ingest.enqueued"]+m["serve.drops.lost"]
-		if settled || time.Now().After(deadline) {
+		if m["serve.requests"] == m["serve.ingest.records"] || time.Now().After(deadline) {
 			break
 		}
 		time.Sleep(500 * time.Millisecond)
 	}
 	for k, name := range map[string]string{
 		"serve_requests":          "serve.requests",
-		"serve_enqueued":          "serve.ingest.enqueued",
-		"serve_shed":              "serve.shed",
-		"drops_recorded":          "serve.drops.recorded",
-		"drops_reconciled":        "serve.drops.reconciled",
-		"drops_pending":           "serve.drops.pending",
-		"drops_lost":              "serve.drops.lost",
+		"serve_ingest_records":    "serve.ingest.records",
 		"admission_admitted":      `serve.admission.requests{outcome="admitted"}`,
 		"admission_ip_limited":    `serve.admission.requests{outcome="ip_limited"}`,
 		"admission_inflight_shed": `serve.admission.requests{outcome="inflight_shed"}`,

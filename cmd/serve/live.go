@@ -2,6 +2,7 @@ package main
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
 	"os"
@@ -11,57 +12,58 @@ import (
 	"smartsra/internal/checkpoint"
 	"smartsra/internal/clf"
 	"smartsra/internal/core"
+	"smartsra/internal/metrics"
 	"smartsra/internal/session"
 	"smartsra/internal/webgraph"
 	"smartsra/internal/webserver"
 )
 
-// owner is the one goroutine behind the ingest queue (run), and the state
-// only it touches once serving starts: the tail, the session file, the cut
-// journal and its numbering, the checkpoint writer. Everything that happens
-// to that state — a batch of records, an expiry, a checkpoint, a reconcile
-// pass, a rotation, shutdown — is a message its single select takes, so each
-// happens at an exact record boundary with no lock to say so. The one thing
-// it shares with the request path is the server's log lock, which it takes
-// to checkpoint or rotate (freezing the log while it empties the queue) and
-// around its reads and writes of the drop ledger.
+// metricIngested counts the records the owner parsed from the live access
+// log; once it has caught up, serve.ingest.records == serve.requests.
+var metricIngested = metrics.GetCounter("serve.ingest.records")
+
+// owner is the one goroutine that reads the access log (run), and the state
+// only it touches once serving starts: its place in the log, the tail, the
+// session file, the cut journal and its numbering, the checkpoint writer.
+// Everything that happens to that state — the log grew, an expiry, a
+// checkpoint, a rotation, shutdown — is a message its single select takes,
+// and each starts by reading the log to its end (catchUp), so each happens at
+// an exact record boundary with no lock to say so. The one thing it shares
+// with the request path is the server's log lock, which it takes to rotate.
 type owner struct {
 	s *server
 
 	tee *sessionTee // nil without -sessions: only rotation is left to do
 	// cutsFile journals timed-expiry cuts (<sessions>.cuts) so an offline
-	// replay can reproduce periodic Expire emission exactly; nil unless the
-	// live tail's input is a prefix-replay of the log (503 mode), which is
-	// when byte-identity is claimed. cutSeq is the last journaled (or
-	// restored) cut's sequence number.
+	// replay can reproduce periodic Expire emission exactly. cutSeq is the
+	// last journaled (or restored) cut's sequence number.
 	cutsFile *os.File
 	cutSeq   int64
 	ckpt     *checkpoint.Writer // nil without -checkpoint
 
-	batch []clf.Record      // recycled queue batch
+	// log is the owner's own read descriptor on the access log, positioned
+	// at off+torn. off is where the owner's next line starts: every line
+	// before it is in the tail. buf[:torn] holds the bytes read past off that
+	// do not yet end in a newline.
+	log   *os.File
+	off   int64
+	buf   []byte
+	torn  int
+	batch []clf.Record      // recycled parse of one read
 	out   []session.Session // recycled session output of one push
 
-	// The owner's inbox beside the record queue. run fills the tick channels
+	// The owner's inbox beside the wake channel. run fills the tick channels
 	// from tickers and hup from the signal; tests fire them by hand. A nil
 	// channel is a case that never fires.
-	now           func() time.Time
-	expireTick    <-chan time.Time
-	ckptTick      <-chan time.Time
-	reconcileTick <-chan time.Time
-	hup           <-chan os.Signal
-	// owed is ready (closed) from a reconcile tick until a pass finds the drop
-	// ledger empty, so backfill continues pass by pass between other messages.
-	owed    <-chan struct{}
-	quit    chan time.Duration // stop request: how long to wait for stragglers
-	settled chan bool          // the stop sequence's answer
+	now        func() time.Time
+	expireTick <-chan time.Time
+	ckptTick   <-chan time.Time
+	hup        <-chan os.Signal
+	quit, done chan struct{} // stop request; closed when run has returned
 }
 
-// drainBatchMax bounds how many records one push hands the sessionizer: one
-// metrics flush and one session write per batch.
-const drainBatchMax = 256
-
-// ready is the always-ready channel owed points at.
-var ready = func() chan struct{} { c := make(chan struct{}); close(c); return c }()
+// logBlock is how much of the access log one read asks for.
+const logBlock = 64 << 10
 
 // newOwner opens everything the options name and brings the sessionizer up
 // to date with it — checkpoint recovery or -backfill — single-threaded,
@@ -80,8 +82,8 @@ func newOwner(opts options) (_ *owner, err error) {
 		return nil, err
 	}
 
-	s := &server{g: g, combined: opts.combined, logPath: opts.logPath, shedMode: opts.shedMode}
-	o := &owner{s: s, now: time.Now, quit: make(chan time.Duration), settled: make(chan bool, 1)}
+	s := &server{g: g, combined: opts.combined, logPath: opts.logPath}
+	o := &owner{s: s, now: time.Now, quit: make(chan struct{}), done: make(chan struct{})}
 	defer func() {
 		if err != nil {
 			o.close()
@@ -89,10 +91,10 @@ func newOwner(opts options) (_ *owner, err error) {
 	}()
 	out := io.Writer(os.Stderr)
 	if opts.logPath != "" {
-		if err := s.openLog(); err != nil {
+		if o.off, err = s.openLog(); err != nil {
 			return nil, err
 		}
-		out = s.logCount
+		out = s.logFile
 	}
 	s.sink = webserver.NewWriterSink(newLogWriter(out, opts.combined))
 	if opts.sessPath == "" {
@@ -114,25 +116,18 @@ func newOwner(opts options) (_ *owner, err error) {
 	if o.tee, err = newSessionTee(st, opts.sessPath); err != nil {
 		return nil, err
 	}
-	s.capacity = int64(opts.queueCap)
-	s.ch = make(chan clf.Record, opts.queueCap) // one buffer slot per reservable slot
-	metricQueueDepth.Set(s.capacity)
+	s.wake = make(chan struct{}, 1)
 
-	if opts.shedMode == shed503 {
-		// Journal timed-expiry cuts beside the session file: in 503 mode the
-		// tail's input is a prefix-replay of the log, so replaying the log
-		// with these cuts reproduces the live emission byte for byte even
-		// with -expire-every on. Without a checkpoint the tail starts fresh
-		// and old cut indices are meaningless, so truncate.
-		mode := os.O_CREATE | os.O_RDWR | os.O_APPEND
-		if opts.ckptPath == "" {
-			mode |= os.O_TRUNC
-		}
-		if o.cutsFile, err = os.OpenFile(opts.sessPath+".cuts", mode, 0o644); err != nil {
-			return nil, err
-		}
-	} else if opts.logPath != "" {
-		s.drops = &dropLedger{}
+	// Journal timed-expiry cuts beside the session file: the tail's input is
+	// the log, so replaying the log with these cuts reproduces the live
+	// emission byte for byte even with -expire-every on. Without a checkpoint
+	// the tail starts fresh and old cut indices are meaningless, so truncate.
+	mode := os.O_CREATE | os.O_RDWR | os.O_APPEND
+	if opts.ckptPath == "" {
+		mode |= os.O_TRUNC
+	}
+	if o.cutsFile, err = os.OpenFile(opts.sessPath+".cuts", mode, 0o644); err != nil {
+		return nil, err
 	}
 
 	if opts.ckptPath != "" {
@@ -141,12 +136,32 @@ func newOwner(opts options) (_ *owner, err error) {
 	} else if opts.backfill != "" {
 		err = o.tee.backfill(backfill)
 	}
-	return o, err
+	if err != nil {
+		return nil, err
+	}
+	return o, o.follow(o.off)
+}
+
+// follow opens the owner's read descriptor on the access log's current file
+// at off, in place of the one it had.
+func (o *owner) follow(off int64) error {
+	f, err := os.Open(o.s.logPath)
+	if err == nil {
+		_, err = f.Seek(off, io.SeekStart)
+	}
+	if err != nil {
+		f.Close()
+		return err
+	}
+	o.log.Close()
+	o.log, o.off, o.torn = f, off, 0
+	return nil
 }
 
 // close releases the files newOwner (or a rotation since) opened.
 func (o *owner) close() {
 	o.s.logFile.Close()
+	o.log.Close()
 	o.cutsFile.Close()
 	if o.tee != nil {
 		o.tee.f.Close()
@@ -157,59 +172,68 @@ func (o *owner) close() {
 // run is the owner goroutine: it takes one message at a time until a stop
 // request, and answers that with the stop sequence.
 func (o *owner) run() {
+	defer close(o.done)
 	for {
 		select {
-		case rec := <-o.s.ch:
-			o.pushFrom(rec)
+		case <-o.s.wake:
+			o.catchUp()
 		case <-o.expireTick:
 			o.expire()
 		case <-o.ckptTick:
 			if err := o.checkpoint(); err != nil {
 				fmt.Fprintln(os.Stderr, "serve: checkpoint:", err)
 			}
-		case <-o.reconcileTick:
-			o.owed = ready
-		case <-o.owed:
-			// Live traffic has strict priority: a pass only runs against an
-			// empty queue, and is short enough to look again soon.
-			if len(o.s.ch) == 0 && !o.reconcilePass() {
-				o.owed = nil
-			}
 		case <-o.hup:
 			fmt.Println("caught SIGHUP, reopening log files")
 			o.rotate()
-		case wait := <-o.quit:
-			o.settled <- o.shutdown(wait)
+		case <-o.quit:
+			o.shutdown()
 			return
 		}
 	}
 }
 
-// stop ends the owner goroutine through its stop sequence, giving handlers
-// that still hold a queue slot up to wait to deliver, and reports whether
-// every reserved slot was delivered and processed.
-func (o *owner) stop(wait time.Duration) bool {
-	o.quit <- wait
-	return <-o.settled
+// stop ends the owner goroutine through its stop sequence.
+func (o *owner) stop() {
+	close(o.quit)
+	<-o.done
 }
 
-// pushFrom takes first and whatever else is already queued, up to a batch,
-// through the sessionizer, then releases their slots. Under load one metrics
-// flush and one session write cover many records.
-func (o *owner) pushFrom(first clf.Record) {
-	batch := append(o.batch[:0], first)
-fill:
-	for len(batch) < drainBatchMax {
-		select {
-		case rec := <-o.s.ch:
-			batch = append(batch, rec)
-		default:
-			break fill
+// catchUp reads the access log from where the owner stopped to the end of
+// the file, logBlock bytes a read, and pushes every whole line through the
+// sessionizer. A torn last line — a write in progress, or one that failed
+// halfway — stays in buf until its newline lands. Lines are parsed exactly as
+// a replay of the log parses them, so the tail's input is the log's records,
+// in the log's order.
+//
+// A read that does not fill the buffer has reached the end, so a wake costs
+// one read(2) — not ReadAt's two, a pread and its EOF probe: under load each
+// costs several times its price in a loop (EXPERIMENTS.md, "The access log
+// is the ingest queue"). Whatever is written after that read comes with a
+// wake of its own.
+func (o *owner) catchUp() {
+	for {
+		if o.torn == len(o.buf) { // first read, or one line fills the buffer
+			o.buf = append(o.buf, make([]byte, max(len(o.buf), logBlock))...)
+		}
+		n, err := o.log.Read(o.buf[o.torn:])
+		full := o.torn+n == len(o.buf)
+		data := o.buf[:o.torn+n]
+		if whole := bytes.LastIndexByte(data, '\n') + 1; whole > 0 {
+			o.batch, _ = clf.ParseChunk(data[:whole], o.batch[:0])
+			metricIngested.Add(int64(len(o.batch)))
+			o.push(o.batch)
+			o.off += int64(whole)
+			data = data[whole:]
+		}
+		o.torn = copy(o.buf, data)
+		if err != nil && err != io.EOF {
+			fmt.Fprintln(os.Stderr, "serve: read access log:", err)
+		}
+		if !full || err != nil {
+			return
 		}
 	}
-	n := int64(len(batch))
-	o.push(batch)
-	metricPending.Set(o.s.pending.Add(-n))
 }
 
 // push feeds a batch built on o.batch to the tail, writes whatever sessions
@@ -223,127 +247,84 @@ func (o *owner) push(batch []clf.Record) {
 	o.batch = batch[:0]
 }
 
-// settle empties the queue into the tail. The caller holds the log lock, so
-// nothing can be logged or queued meanwhile: on return every logged record is
-// in the tail and its sessions in the session file — the consistent cut a
-// checkpoint or a rotation needs. (A 503-mode handler that reserved a slot
-// but has not reached the log yet is simply not part of the cut.)
-func (o *owner) settle() {
-	start := time.Now()
-	for {
-		select {
-		case rec := <-o.s.ch:
-			o.pushFrom(rec)
-		default:
-			metricBarrierWait.Observe(time.Since(start).Seconds())
-			return
-		}
-	}
-}
-
 // expire finalizes quiet users so a user who leaves still gets their last
 // session written. It needs no freeze: the owner is the only pusher, so the
-// tail's record count between two messages is an exact record boundary. That
-// boundary is what makes timed expiry replayable: when the cut journal is
-// active, a sweep that emitted sessions is recorded as (seq, tail record
-// count, cutoff), and an offline replay applying Expire(cutoff) after exactly
-// that many records reproduces the live emission byte for byte. Sweeps that
-// emit nothing are not journaled — an empty Expire changes no output-relevant
-// state.
+// tail's record count after catching up is an exact record boundary. That
+// boundary is what makes timed expiry replayable: a sweep that emitted
+// sessions is journaled as (seq, tail record count, cutoff), and an offline
+// replay applying Expire(cutoff) after exactly that many records reproduces
+// the live emission byte for byte. Sweeps that emit nothing are not
+// journaled — an empty Expire changes no output-relevant state.
 func (o *owner) expire() {
+	o.catchUp()
 	now := o.now()
 	out := o.tee.st.Expire(now)
 	if len(out) == 0 {
 		return
 	}
 	o.tee.sink.Emit(out)
-	if o.cutsFile != nil {
-		o.cutSeq++
-		cut := core.ExpiryCut{Seq: o.cutSeq, Records: int64(o.tee.st.Stats().Records), At: now}
-		if err := core.AppendCut(o.cutsFile, cut); err != nil {
-			fmt.Fprintln(os.Stderr, "serve: cut journal:", err)
-		}
+	o.cutSeq++
+	cut := core.ExpiryCut{Seq: o.cutSeq, Records: int64(o.tee.st.Stats().Records), At: now}
+	if err := core.AppendCut(o.cutsFile, cut); err != nil {
+		fmt.Fprintln(os.Stderr, "serve: cut journal:", err)
 	}
 }
 
-// checkpoint saves one under the log lock — handlers wait at the log append
-// for as long as settling, the syncs, the snapshot and the save take. Without
-// settle a logged-but-still-queued record would be inside the checkpoint's
-// log offset but absent from its tail snapshot, and recovery would lose it.
+// checkpoint saves one at the log offset the owner has read to, without the
+// log lock: handlers keep appending past off meanwhile, and a start from this
+// checkpoint replays those lines from the log.
 func (o *owner) checkpoint() error {
-	s := o.s
-	s.logMu.Lock()
-	defer s.logMu.Unlock()
-	o.settle()
-	if err := s.sink.Flush(); err != nil {
+	o.catchUp()
+	if err := o.s.logFile.Sync(); err != nil {
 		return err
 	}
-	if err := s.logFile.Sync(); err != nil {
+	// The snapshot's CutSeq refers into the journal; make sure the journal
+	// is at least as durable as the checkpoint that cites it.
+	if err := o.cutsFile.Sync(); err != nil {
 		return err
 	}
-	if o.cutsFile != nil {
-		// The snapshot's CutSeq refers into the journal; make sure the
-		// journal is at least as durable as the checkpoint that cites it.
-		if err := o.cutsFile.Sync(); err != nil {
-			return err
-		}
-	}
-	info, err := s.logFile.Stat()
-	if err != nil {
-		return err
-	}
-	return o.ckpt.Save(o.buildCheckpoint(info.Size()))
+	return o.ckpt.Save(o.buildCheckpoint(o.off))
 }
 
 // buildCheckpoint assembles a checkpoint at the given access-log offset. The
-// caller guarantees nothing is pushed or logged meanwhile (the log lock with
-// the queue settled, or single-threaded recovery), so the session-file sync,
-// the offset, and the snapshot are one consistent cut.
+// caller is the owner (or single-threaded recovery), so nothing is pushed
+// meanwhile: the session-file sync, the offset, and the snapshot are one
+// consistent cut.
 func (o *owner) buildCheckpoint(logOff int64) *checkpoint.Checkpoint {
 	if err := o.tee.f.Sync(); err != nil {
 		fmt.Fprintln(os.Stderr, "serve: session file sync:", err)
 	}
-	ck := &checkpoint.Checkpoint{
+	return &checkpoint.Checkpoint{
 		LogOffset:  logOff,
 		LogPath:    o.s.logPath,
 		SinkOffset: o.tee.good,
 		Tail:       o.tee.st.Snapshot(),
 		CutSeq:     o.cutSeq,
 	}
-	if o.s.drops != nil {
-		ck.DropSpans = o.s.drops.snapshot()
-	}
-	return ck
 }
 
 // rotate reopens the access-log and session files in place (SIGHUP /
-// logrotate). Under the log lock no request is mid-write, and the queue is
-// settled first so the old log and the sessions emitted from it rotate as a
-// pair; a fresh checkpoint follows at once because the old one's offsets
-// refer to the rotated-away files.
+// logrotate). Under the log lock no request is mid-write: the owner reads the
+// old log to its end, so the old log and the sessions emitted from it rotate
+// as a pair, and then both sides switch to the new file. A fresh checkpoint
+// follows at once because the old one's offsets refer to the rotated-away
+// files.
 func (o *owner) rotate() {
 	s := o.s
 	s.logMu.Lock()
-	if o.tee != nil {
-		o.settle()
-	}
 	if s.logFile != nil {
-		if err := s.sink.Flush(); err != nil {
-			fmt.Fprintln(os.Stderr, "serve: log flush on rotate:", err)
+		if o.tee != nil {
+			o.catchUp()
 		}
 		old := s.logFile
-		if err := s.openLog(); err != nil {
+		if size, err := s.openLog(); err != nil {
 			fmt.Fprintln(os.Stderr, "serve: reopen log:", err)
 		} else {
-			s.sink.Reset(newLogWriter(s.logCount, s.combined))
+			s.sink.Reset(newLogWriter(s.logFile, s.combined))
 			old.Close()
-			if s.drops != nil {
-				// Pending drop spans reference byte offsets in the
-				// rotated-away file; reading those offsets from the fresh
-				// file would backfill the wrong records. Count them lost
-				// (the rotated log still holds them for offline recovery).
-				if lost := s.drops.flushLost(); lost > 0 {
-					fmt.Fprintf(os.Stderr, "serve: rotation orphaned %d unreconciled dropped records (recover them offline from the rotated log)\n", lost)
+			if o.tee != nil {
+				if err := o.follow(size); err != nil {
+					fmt.Fprintln(os.Stderr, "serve: follow reopened log:", err)
 				}
 			}
 		}
@@ -361,77 +342,47 @@ func (o *owner) rotate() {
 	}
 }
 
-// openLog opens (or reopens) the access log for appending and starts
-// counting bytes at its current size, so the drop ledger can record each
-// shed record's exact span (the per-record flush under the log lock makes
-// before/after counts bracket exactly one record).
-func (s *server) openLog() error {
-	f, err := os.OpenFile(s.logPath, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+// openLog opens (or reopens) the access log for appending (and reading, for
+// recovery's look at its last byte) and returns its size, where the owner
+// starts reading it.
+func (s *server) openLog() (int64, error) {
+	f, err := os.OpenFile(s.logPath, os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
 	if err != nil {
-		return err
+		return 0, err
 	}
 	info, err := f.Stat()
 	if err != nil {
 		f.Close()
-		return err
+		return 0, err
 	}
 	s.logFile = f
-	s.logCount = &countingFile{w: f, total: info.Size()}
-	return nil
+	return info.Size(), nil
 }
 
 // shutdown is the stop sequence, the same for a signal and a listener error:
-// settle the queue, backfill what the drop ledger still owes, flush every
-// open burst, and checkpoint the result. It waits up to wait for handlers
-// still holding a slot (one past the HTTP shutdown deadline can still log and
-// send — its slot guarantees it buffer space); if one never delivers, the cut
-// never settled, so the final checkpoint is skipped and the next start
-// replays the log instead of trusting it.
-func (o *owner) shutdown(wait time.Duration) (settled bool) {
+// read the log to its end, flush every open burst, and checkpoint the result.
+// A line logged after that read (a handler past the HTTP shutdown deadline)
+// is past the final checkpoint's offset, so the next start replays it.
+func (o *owner) shutdown() {
 	if o.tee == nil {
-		return true
+		return
 	}
-	s := o.s
-	timeout := time.NewTimer(wait)
-	defer timeout.Stop()
-	settled = true
-	for settled && s.pending.Load() > 0 {
-		select {
-		case rec := <-s.ch:
-			o.pushFrom(rec)
-		case <-timeout.C:
-			settled = false
-			fmt.Fprintln(os.Stderr, "serve: ingest queue did not settle; skipping final checkpoint (next start replays the log)")
-		}
-	}
-	if s.drops != nil {
-		// Last chance to settle the conservation accounting in-process.
-		end := time.Now().Add(wait)
-		for more := settled; more && time.Now().Before(end); {
-			more = o.reconcilePass()
-		}
-		s.logMu.Lock()
-		owed := s.drops.pending()
-		s.logMu.Unlock()
-		if owed > 0 {
-			fmt.Fprintf(os.Stderr, "serve: %d dropped records still unreconciled at shutdown (replay the log offline to recover them)\n", owed)
-		}
-	}
+	o.catchUp()
 	o.tee.st.Drain(o.tee.sink.Emit)
-	if o.ckpt != nil && settled {
+	if o.ckpt != nil {
 		if err := o.checkpoint(); err != nil {
 			fmt.Fprintln(os.Stderr, "serve: final checkpoint:", err)
 		}
 	}
-	return settled
 }
 
 // recoverFromCheckpoint brings the sessionizer back to a state consistent
 // with the access log: restore the latest valid snapshot, truncate the
 // session file to the recorded offset (dropping the crashed run's
 // post-checkpoint writes the replay will re-emit), and replay the log from
-// the recorded offset. A missing, corrupt, or stale checkpoint degrades to
-// a full replay from offset zero — never to loading bad state.
+// the recorded offset to its end, where the owner goes on reading. A missing,
+// corrupt, or stale checkpoint degrades to a full replay from offset zero —
+// never to loading bad state.
 func (o *owner) recoverFromCheckpoint() error {
 	s := o.s
 	ck, reason, err := checkpoint.Resume(checkpoint.OS, o.ckpt.Path())
@@ -466,7 +417,7 @@ func (o *owner) recoverFromCheckpoint() error {
 	}
 	if ck == nil {
 		// Nothing restored is the checkpoint of an empty run: no records, no
-		// cuts, no drop spans, both offsets zero.
+		// cuts, both offsets zero.
 		ck = &checkpoint.Checkpoint{}
 	}
 	if err := o.tee.resetTo(ck.SinkOffset); err != nil {
@@ -476,29 +427,23 @@ func (o *owner) recoverFromCheckpoint() error {
 	// Load the cut journal: cuts newer than the snapshot (Seq > CutSeq) are
 	// re-applied during replay at their recorded record boundaries, so the
 	// replayed suffix interleaves timed-expiry emission exactly as the
-	// crashed run did. New cuts continue the journal's numbering.
-	var pendingCuts []core.ExpiryCut
-	if o.cutsFile != nil {
-		// Freshly opened, the journal reads from its start; being O_APPEND,
-		// it is written at its end wherever the reading stopped.
-		allCuts, err := core.ReadCuts(o.cutsFile)
-		if err != nil {
-			return fmt.Errorf("read cut journal: %w", err)
-		}
-		pendingCuts = core.CutsAfter(allCuts, ck.CutSeq)
-		for _, c := range allCuts {
-			if c.Seq > o.cutSeq {
-				o.cutSeq = c.Seq
-			}
-		}
-		if o.cutSeq < ck.CutSeq {
-			fmt.Fprintf(os.Stderr, "serve: cut journal ends at seq %d but checkpoint recorded %d (journal lost?); continuing\n",
-				o.cutSeq, ck.CutSeq)
-			o.cutSeq = ck.CutSeq
+	// crashed run did. New cuts continue the journal's numbering. Freshly
+	// opened, the journal reads from its start; being O_APPEND, it is written
+	// at its end wherever the reading stopped.
+	allCuts, err := core.ReadCuts(o.cutsFile)
+	if err != nil {
+		return fmt.Errorf("read cut journal: %w", err)
+	}
+	pendingCuts := core.CutsAfter(allCuts, ck.CutSeq)
+	for _, c := range allCuts {
+		if c.Seq > o.cutSeq {
+			o.cutSeq = c.Seq
 		}
 	}
-	if s.drops != nil {
-		s.drops.restore(ck.DropSpans, ck.LogOffset)
+	if o.cutSeq < ck.CutSeq {
+		fmt.Fprintf(os.Stderr, "serve: cut journal ends at seq %d but checkpoint recorded %d (journal lost?); continuing\n",
+			o.cutSeq, ck.CutSeq)
+		o.cutSeq = ck.CutSeq
 	}
 
 	// Replay through the chunk reader, checkpointing as we go so a crash
@@ -520,7 +465,8 @@ func (o *owner) recoverFromCheckpoint() error {
 	if err != nil {
 		return fmt.Errorf("replay %s: %w", s.logPath, err)
 	}
-	if err := o.ckpt.Save(o.buildCheckpoint(logInfo.Size())); err != nil {
+	o.off = logInfo.Size()
+	if err := o.ckpt.Save(o.buildCheckpoint(o.off)); err != nil {
 		fmt.Fprintln(os.Stderr, "serve: checkpoint:", err)
 	}
 	stats := o.tee.st.Stats()
@@ -533,27 +479,17 @@ func (o *owner) recoverFromCheckpoint() error {
 // the access log, so freshly served records do not concatenate onto it.
 func (s *server) repairLogTail() error {
 	info, err := s.logFile.Stat()
-	if err != nil {
+	if err != nil || info.Size() == 0 {
 		return err
 	}
-	if info.Size() == 0 {
-		return nil
-	}
-	f, err := os.Open(s.logPath)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
 	last := make([]byte, 1)
-	if _, err := f.ReadAt(last, info.Size()-1); err != nil {
+	if _, err := s.logFile.ReadAt(last, info.Size()-1); err != nil {
 		return err
 	}
 	if last[0] != '\n' {
-		if _, err := s.logFile.WriteString("\n"); err != nil {
-			return err
-		}
+		_, err = s.logFile.WriteString("\n")
 	}
-	return nil
+	return err
 }
 
 // sessionTee is the owner's sessionizer and its session file: finalized

@@ -14,6 +14,7 @@ import (
 	"runtime"
 	"strings"
 	"sync"
+	"syscall"
 	"testing"
 	"time"
 
@@ -34,9 +35,9 @@ type liveFixture struct {
 	own  *owner
 	s    *server
 
-	expire, ckpt, reconcile chan time.Time
-	clock                   time.Time // what own.now returns
-	stopped                 bool
+	expire, ckpt chan time.Time
+	clock        time.Time // what own.now returns
+	stopped      bool
 }
 
 // t0 is where the fixtures' request times start.
@@ -54,10 +55,9 @@ var fixtureGraph = func() *webgraph.Graph {
 	return g
 }()
 
-// newLiveFixture builds the owner for {-log, -sessions, -ingest-queue 64,
-// 503 mode} in a fresh directory, adjusted by mut (which sees the paths, so
-// it can point ckptPath into opts' directory). The owner goroutine is not
-// running until start.
+// newLiveFixture builds the owner for {-log, -sessions} in a fresh directory,
+// adjusted by mut (which sees the paths, so it can point ckptPath into opts'
+// directory). The owner goroutine is not running until start.
 func newLiveFixture(t *testing.T, mut func(*options)) *liveFixture {
 	t.Helper()
 	dir := t.TempDir()
@@ -71,14 +71,11 @@ func newLiveFixture(t *testing.T, mut func(*options)) *liveFixture {
 	if err := tf.Close(); err != nil {
 		t.Fatal(err)
 	}
-	f := &liveFixture{t: t, clock: t0,
-		expire: make(chan time.Time), ckpt: make(chan time.Time), reconcile: make(chan time.Time)}
+	f := &liveFixture{t: t, clock: t0, expire: make(chan time.Time), ckpt: make(chan time.Time)}
 	f.opts = options{
 		topoPath: filepath.Join(dir, "topology.json"),
 		logPath:  filepath.Join(dir, "access.log"),
 		sessPath: filepath.Join(dir, "sessions.txt"),
-		queueCap: 64,
-		shedMode: shed503,
 		trustFwd: true,
 	}
 	if mut != nil {
@@ -89,10 +86,10 @@ func newLiveFixture(t *testing.T, mut func(*options)) *liveFixture {
 	}
 	f.s = f.own.s
 	f.own.now = func() time.Time { return f.clock }
-	f.own.expireTick, f.own.ckptTick, f.own.reconcileTick = f.expire, f.ckpt, f.reconcile
+	f.own.expireTick, f.own.ckptTick = f.expire, f.ckpt
 	t.Cleanup(func() {
 		if !f.stopped {
-			f.stop(time.Second)
+			f.stop()
 		}
 		f.own.close()
 	})
@@ -101,9 +98,18 @@ func newLiveFixture(t *testing.T, mut func(*options)) *liveFixture {
 
 func (f *liveFixture) start() { go f.own.run() }
 
-func (f *liveFixture) stop(wait time.Duration) bool {
+func (f *liveFixture) stop() {
 	f.stopped = true
-	return f.own.stop(wait)
+	f.own.stop()
+}
+
+func testRecord(i int) clf.Record {
+	return clf.Record{
+		Host: "10.0.0.1", Ident: "-", AuthUser: "-",
+		Time:   time.Date(2026, 8, 8, 12, 0, i, 0, time.UTC),
+		Method: "GET", URI: fmt.Sprintf("/p/%d.html", i), Protocol: "HTTP/1.1",
+		Status: 200, Bytes: 100,
+	}
 }
 
 // request is user asking for one of the fixture topology's pages, at after t0.
@@ -114,15 +120,8 @@ func request(user string, page int, at time.Duration) clf.Record {
 	return r
 }
 
-// send is the request path for one record: the shed gate's reservation in
-// 503 mode, then the access logger's sink.
-func (f *liveFixture) send(r clf.Record) {
-	f.t.Helper()
-	if f.s.shedMode == shed503 && !f.s.tryReserve() {
-		f.t.Fatal("ingest queue full")
-	}
-	f.s.Record(r)
-}
+// send is the request path for one record: the access logger's sink.
+func (f *liveFixture) send(r clf.Record) { f.s.Record(r) }
 
 // spin waits, yielding, until cond holds; a stuck condition fails the test
 // instead of hanging it.
@@ -135,16 +134,16 @@ func (f *liveFixture) spin(what string, cond func() bool) {
 	}
 }
 
-// waitIdle returns once every record sent so far is pushed and its sessions
-// written (its queue slot released).
-func (f *liveFixture) waitIdle() {
-	f.t.Helper()
-	f.spin("the queue to empty", func() bool { return f.s.pending.Load() == 0 })
+// fence returns once the owner has finished every message it took before and
+// read the log as far as it reached when fence was called. Wakes go through
+// the owner's one-slot channel: the second send returns only once the owner
+// took the first, which it did after the log reached that far, and the third
+// only once it finished reading for the first.
+func (f *liveFixture) fence() {
+	for i := 0; i < 3; i++ {
+		f.s.wake <- struct{}{}
+	}
 }
-
-// fence returns once the owner has finished every message it took before: it
-// takes one more, a reconcile tick, which with no drop ledger does nothing.
-func (f *liveFixture) fence() { f.reconcile <- time.Time{} }
 
 // replay is what an offline run makes of the fixture's log and cut journal.
 func (f *liveFixture) replay(cuts []core.ExpiryCut) []byte {
@@ -161,6 +160,16 @@ func (f *liveFixture) replay(cuts []core.ExpiryCut) []byte {
 	}
 	st.Drain(sink)
 	return want.Bytes()
+}
+
+// cutReplay is replay with the fixture's own cut journal.
+func (f *liveFixture) cutReplay() []byte {
+	f.t.Helper()
+	cuts, err := core.ReadCuts(bytes.NewReader(f.readFile(f.opts.sessPath + ".cuts")))
+	if err != nil {
+		f.t.Fatal(err)
+	}
+	return f.replay(cuts)
 }
 
 func (f *liveFixture) readFile(path string) []byte {
@@ -183,16 +192,14 @@ func TestExpiryCutAtExactRecordBoundary(t *testing.T) {
 	for i := 0; i < k; i++ {
 		f.send(request(fmt.Sprintf("10.0.0.%d", i%3), i, time.Duration(i)*time.Second))
 	}
-	f.waitIdle()
+	f.fence()
 	f.clock = t0.Add(session.DefaultPageStay + time.Minute) // every burst so far is past ρ
 	f.expire <- time.Time{}
 	f.fence()
 	for i := 0; i < m; i++ {
 		f.send(request(fmt.Sprintf("10.0.0.%d", i%3), k+i, 20*time.Minute+time.Duration(i)*time.Second))
 	}
-	if !f.stop(5 * time.Second) {
-		t.Fatal("stop did not settle")
-	}
+	f.stop()
 
 	cuts, err := core.ReadCuts(bytes.NewReader(f.readFile(f.opts.sessPath + ".cuts")))
 	if err != nil {
@@ -211,9 +218,9 @@ func TestExpiryCutAtExactRecordBoundary(t *testing.T) {
 }
 
 // hookFS is the real filesystem with a test's code in two places of a
-// checkpoint save: before the temp file is created, and before it is renamed
-// over the checkpoint (when it is complete, and the owner still holds the log
-// lock).
+// checkpoint save, both on the owner goroutine: before the temp file is
+// created, and before it is renamed over the checkpoint (when it is
+// complete).
 type hookFS struct {
 	checkpoint.FS
 	beforeCreate func()
@@ -246,16 +253,17 @@ func page(h http.Handler, user string, i int) *httptest.ResponseRecorder {
 	return w
 }
 
-// TestQueueBarrierWaitsForProcessing: a checkpoint's barrier is the log lock
-// plus the owner emptying its own queue, so no checkpoint may hold a record
-// that is logged but not yet in the tail. With eight goroutines requesting
-// pages throughout, every checkpoint saved must cover exactly the log lines
-// its tail snapshot counted and exactly the session bytes written.
+// TestQueueBarrierWaitsForProcessing: the access log is the queue, and a
+// checkpoint's barrier is the owner reading it up to the offset it records,
+// so no checkpoint may hold a record that is logged before its offset but not
+// in its tail. With eight goroutines requesting pages throughout, every
+// checkpoint saved must sit on a line boundary of the log, with exactly as
+// many lines before it as its tail snapshot counted, and cover exactly the
+// session bytes written.
 func TestQueueBarrierWaitsForProcessing(t *testing.T) {
 	f := newLiveFixture(t, withCheckpoint)
 	saves := 0
 	f.own.ckpt = checkpoint.NewWriter(hookFS{FS: checkpoint.OS, beforeRename: func(tmp string) {
-		// On the owner goroutine, inside Save, under the log lock.
 		saves++
 		ck, err := checkpoint.Load(checkpoint.OS, tmp)
 		if err != nil {
@@ -263,9 +271,13 @@ func TestQueueBarrierWaitsForProcessing(t *testing.T) {
 			return
 		}
 		log := f.readFile(f.opts.logPath)
-		if int64(len(log)) != ck.LogOffset || bytes.Count(log, []byte("\n")) != ck.Tail.Stats.Records {
-			t.Errorf("checkpoint %d: LogOffset %d with %d records in the tail, but the log is %d bytes in %d lines",
-				saves, ck.LogOffset, ck.Tail.Stats.Records, len(log), bytes.Count(log, []byte("\n")))
+		if ck.LogOffset > int64(len(log)) || (ck.LogOffset > 0 && log[ck.LogOffset-1] != '\n') {
+			t.Errorf("checkpoint %d: LogOffset %d is not a line boundary of the %d-byte log", saves, ck.LogOffset, len(log))
+			return
+		}
+		if lines := bytes.Count(log[:ck.LogOffset], []byte("\n")); lines != ck.Tail.Stats.Records {
+			t.Errorf("checkpoint %d: %d records in the tail, but %d log lines before LogOffset %d",
+				saves, ck.Tail.Stats.Records, lines, ck.LogOffset)
 		}
 		if sess := f.readFile(f.opts.sessPath); ck.SinkOffset != f.own.tee.good || ck.SinkOffset != int64(len(sess)) {
 			t.Errorf("checkpoint %d: SinkOffset %d, session file known good to %d of %d bytes",
@@ -296,24 +308,24 @@ func TestQueueBarrierWaitsForProcessing(t *testing.T) {
 	}
 	f.ckpt <- time.Time{}
 	f.fence()
-	if !f.stop(5 * time.Second) { // one more checkpoint, the final one
-		t.Fatal("stop did not settle")
-	}
+	f.stop() // one more checkpoint, the final one
 	if saves < 3 {
 		t.Fatalf("only %d checkpoints were saved beside the traffic", saves)
 	}
-	if lines := bytes.Count(f.readFile(f.opts.logPath), []byte("\n")); lines == 0 {
-		t.Fatal("no request was logged")
+	if lines := bytes.Count(f.readFile(f.opts.logPath), []byte("\n")); lines != 8*300 {
+		t.Fatalf("log has %d lines, want %d", lines, 8*300)
+	}
+	if live, want := f.readFile(f.opts.sessPath), f.cutReplay(); !bytes.Equal(live, want) {
+		t.Fatal("live sessions diverge from the cut-replay of the log")
 	}
 }
 
-// TestFreezeIsTheLogLockOnly pins what a checkpoint save stops today, so the
-// day the save moves off the request path (ROADMAP item 2, Overlap) this test
-// shows it. While the owner is inside checkpoint.Save it holds the log lock
-// and nothing else: /debug/metrics answers, a page request is served up to
-// its log append and waits there, and an expiry tick — which needs no lock —
-// waits only because the owner is busy saving, and runs the moment it is not.
-func TestFreezeIsTheLogLockOnly(t *testing.T) {
+// TestCheckpointSaveLeavesLogLockFree: a checkpoint no longer freezes the
+// request path. While the owner is inside checkpoint.Save the log lock is
+// free, /debug/metrics answers, and a page request is served and logged; once
+// the save is done the owner reads that line like any other, and its record
+// reaches the session file.
+func TestCheckpointSaveLeavesLogLockFree(t *testing.T) {
 	f := newLiveFixture(t, withCheckpoint)
 	hold, entered, release := true, make(chan struct{}), make(chan struct{})
 	f.own.ckpt = checkpoint.NewWriter(hookFS{FS: checkpoint.OS, beforeCreate: func() {
@@ -328,47 +340,240 @@ func TestFreezeIsTheLogLockOnly(t *testing.T) {
 	f.ckpt <- time.Time{}
 	<-entered // the owner is inside Save
 
-	h := f.s.handler(f.opts)
-	if f.s.logMu.TryLock() {
-		t.Fatal("the log lock is free during a checkpoint save")
+	// A failure lets the save finish first, so the owner can still stop.
+	fail := func(format string, args ...any) {
+		close(release)
+		t.Fatalf(format, args...)
 	}
+	h := f.s.handler(f.opts)
+	if !f.s.logMu.TryLock() {
+		fail("the log lock is held during a checkpoint save")
+	}
+	f.s.logMu.Unlock()
 	metrics := httptest.NewRecorder()
 	h.ServeHTTP(metrics, httptest.NewRequest("GET", "/debug/metrics", nil))
 	if metrics.Code != http.StatusOK || !strings.Contains(metrics.Body.String(), "serve.requests") {
-		t.Fatalf("/debug/metrics during a save: status %d", metrics.Code)
+		fail("/debug/metrics during a save: status %d", metrics.Code)
 	}
-	f.clock = t0.Add(session.DefaultPageStay + time.Minute) // the first request's burst is past ρ
-	expired := make(chan struct{})
-	go func() {
-		f.expire <- time.Time{}
-		close(expired)
-	}()
-	logged := metricRequests.Value()
 	lines := bytes.Count(f.readFile(f.opts.logPath), []byte("\n"))
 	served := make(chan *httptest.ResponseRecorder, 1)
 	go func() { served <- page(h, "10.0.0.2", 2) }()
-	f.spin("the page request to reach its log append", func() bool { return metricRequests.Value() > logged })
 	select {
-	case <-served:
-		t.Fatal("a page request completed while the checkpoint held the log lock")
-	case <-expired:
-		t.Fatal("the owner took an expiry tick while it was inside Save")
-	default:
-	}
-
-	release <- struct{}{}
-	if w := <-served; w.Code != http.StatusOK {
-		t.Fatalf("page request after the save: status %d", w.Code)
-	}
-	<-expired
-	if !f.stop(5 * time.Second) {
-		t.Fatal("stop did not settle")
+	case w := <-served:
+		if w.Code != http.StatusOK {
+			fail("page request during the save: status %d", w.Code)
+		}
+	case <-time.After(30 * time.Second):
+		fail("a page request waited on the checkpoint save")
 	}
 	if got := bytes.Count(f.readFile(f.opts.logPath), []byte("\n")); got != lines+1 {
-		t.Fatalf("log has %d lines after the blocked request completed, want %d", got, lines+1)
+		fail("log has %d lines after the request served during the save, want %d", got, lines+1)
 	}
-	if cuts := f.readFile(f.opts.sessPath + ".cuts"); bytes.Count(cuts, []byte("\n")) != 1 {
-		t.Fatalf("the expiry tick that waited out the save journaled %q, want one cut", cuts)
+
+	close(release)
+	f.fence()
+	f.stop()
+	sessions, err := session.ReadAll(bytes.NewReader(f.readFile(f.opts.sessPath)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	users := map[string]bool{}
+	for _, s := range sessions {
+		users[s.User] = true
+	}
+	if !users["10.0.0.1"] || !users["10.0.0.2"] {
+		t.Fatalf("session file has users %v, want both 10.0.0.1 and the one served during the save", users)
+	}
+}
+
+// TestQueueStopDrainsFullBacklog: the access log is the queue, and stopping
+// reads it to its end. Records logged before the owner ever ran — the stop
+// request may be the first message it takes — are all processed. Logging
+// them left the owner a wake.
+func TestQueueStopDrainsFullBacklog(t *testing.T) {
+	const backlog = 512
+	f := newLiveFixture(t, nil)
+	ingested := metricIngested.Value()
+	for i := 0; i < backlog; i++ {
+		f.send(testRecord(i))
+	}
+	if len(f.s.wake) != 1 {
+		t.Error("logging a record left the owner no wake")
+	}
+	f.start()
+	f.stop()
+	if got := f.own.tee.st.Stats().Records; got != backlog {
+		t.Fatalf("processed %d of %d backlog records", got, backlog)
+	}
+	if got := metricIngested.Value() - ingested; got != backlog {
+		t.Fatalf("serve.ingest.records grew by %d, want %d", got, backlog)
+	}
+}
+
+// TestQueueStragglerAfterStop: a record logged after the owner's stop
+// sequence read the log (a handler past the HTTP shutdown deadline) is past
+// the final checkpoint's offset, so the next start replays it into the tail.
+func TestQueueStragglerAfterStop(t *testing.T) {
+	first := newLiveFixture(t, withCheckpoint)
+	first.start()
+	first.send(request("10.0.0.1", 1, 0))
+	first.stop()
+	first.send(request("10.0.9.9", 2, time.Second)) // the straggler
+
+	second := newLiveFixture(t, func(o *options) {
+		o.logPath, o.sessPath, o.ckptPath = first.opts.logPath, first.opts.sessPath, first.opts.ckptPath
+	})
+	if got := second.own.tee.st.Stats().Records; got != 2 {
+		t.Fatalf("recovered tail counts %d records, want the first run's one and the straggler", got)
+	}
+	second.start()
+	second.stop()
+	sessions, err := session.ReadAll(bytes.NewReader(second.readFile(second.opts.sessPath)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	stragglers := 0
+	for _, s := range sessions {
+		if s.User == "10.0.9.9" {
+			stragglers++
+		}
+	}
+	if len(sessions) != 2 || stragglers != 1 {
+		t.Fatalf("session file holds %d sessions, %d of the straggler; want one of each user", len(sessions), stragglers)
+	}
+}
+
+// TestFailedLogWriteNeverReachesTheTail: a record whose access-log write
+// failed is not in the log, so it must not be in the live sessions either —
+// after a log outage the session file is still exactly what a -cuts replay
+// of the log produces.
+func TestFailedLogWriteNeverReachesTheTail(t *testing.T) {
+	f := newLiveFixture(t, nil)
+	f.start()
+	for i := 0; i < 3; i++ {
+		f.send(request("10.0.0.1", i, time.Duration(i)*time.Second))
+	}
+	f.s.sink.Reset(newLogWriter(&failAfterWrites{}, false)) // the disk fills
+	captureStderr(t, func() { f.send(request("10.0.5.5", 4, 4*time.Second)) })
+	f.s.sink.Reset(newLogWriter(f.s.logFile, false)) // a rotation reopens it
+	for i := 0; i < 3; i++ {
+		f.send(request("10.0.0.2", i, time.Duration(5+i)*time.Second))
+	}
+	f.stop()
+	if live, want := f.readFile(f.opts.sessPath), f.cutReplay(); !bytes.Equal(live, want) {
+		t.Fatalf("live sessions diverge from the cut-replay of the log after a failed write:\nlive:\n%s\nreplay:\n%s", live, want)
+	}
+}
+
+// TestTornLineWaitsForItsNewline: the owner consumes the log only through
+// its last newline. Half a line appended through another file descriptor is
+// not ingested; once the rest and its newline land it is ingested, once.
+func TestTornLineWaitsForItsNewline(t *testing.T) {
+	f := newLiveFixture(t, nil)
+	f.start()
+	ingested := metricIngested.Value()
+	w, err := os.OpenFile(f.opts.logPath, os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	line := request("10.0.7.7", 3, 0).String() + "\n"
+	half := len(line) / 2
+	if _, err := w.WriteString(line[:half]); err != nil {
+		t.Fatal(err)
+	}
+	f.fence()
+	if got := metricIngested.Value() - ingested; got != 0 {
+		t.Fatalf("%d records ingested from half a line", got)
+	}
+	if _, err := w.WriteString(line[half:]); err != nil {
+		t.Fatal(err)
+	}
+	f.fence()
+	f.send(request("10.0.7.8", 4, time.Second))
+	f.fence()
+	if got := metricIngested.Value() - ingested; got != 2 {
+		t.Fatalf("%d records ingested, want the completed line and the one logged after it", got)
+	}
+	f.stop()
+	if got := f.own.tee.st.Stats().Records; got != 2 {
+		t.Fatalf("tail saw %d records, want 2", got)
+	}
+	if live, want := f.readFile(f.opts.sessPath), f.cutReplay(); !bytes.Equal(live, want) {
+		t.Fatalf("live sessions diverge from the replay of the log:\nlive:\n%s\nreplay:\n%s", live, want)
+	}
+}
+
+// TestRotationReadsTheOldLogToItsEnd: on SIGHUP the owner reads the old log
+// to its end under the log lock before both sides switch files, so records
+// it had not read yet are not lost with the rotated-away file, and the live
+// session file is the replay of the rotated set.
+func TestRotationReadsTheOldLogToItsEnd(t *testing.T) {
+	f := newLiveFixture(t, nil)
+	hup := make(chan os.Signal)
+	f.own.hup = hup
+	for i := 0; i < 3; i++ {
+		f.send(request("10.0.0.1", i, time.Duration(i)*time.Second))
+	}
+	select { // the owner sees no wake: only the rotation can read these
+	case <-f.s.wake:
+	default:
+	}
+	rotated := f.opts.logPath + ".1"
+	if err := os.Rename(f.opts.logPath, rotated); err != nil {
+		t.Fatal(err)
+	}
+	f.start()
+	hup <- syscall.SIGHUP
+	f.fence() // the rotation is done
+	for i := 0; i < 2; i++ {
+		f.send(request("10.0.0.1", 3+i, time.Duration(3+i)*time.Second))
+	}
+	f.stop()
+	if got := f.own.tee.st.Stats().Records; got != 5 {
+		t.Fatalf("tail saw %d records, want the 3 in the rotated log and the 2 after", got)
+	}
+	if n := bytes.Count(f.readFile(f.opts.logPath), []byte("\n")); n != 2 {
+		t.Fatalf("the reopened log has %d lines, want 2", n)
+	}
+	st, err := core.NewTail(core.Config{Graph: fixtureGraph}, f.opts.sessionGap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want bytes.Buffer
+	n := 0
+	sink := encodeInto(t, &want, &n)
+	if _, err := st.IngestFiles([]string{rotated, f.opts.logPath}, clf.FilePos{}, sink, nil); err != nil {
+		t.Fatal(err)
+	}
+	st.Drain(sink)
+	if live := f.readFile(f.opts.sessPath); !bytes.Equal(live, want.Bytes()) {
+		t.Fatalf("live sessions diverge from the replay of the rotated set:\nlive:\n%s\nreplay:\n%s", live, want.Bytes())
+	}
+}
+
+// TestUsageErrorsNameTheirFlags: a flag combination that cannot work is
+// refused before any file is opened, with a message naming the flags.
+func TestUsageErrorsNameTheirFlags(t *testing.T) {
+	dir := t.TempDir()
+	in := func(name string) string { return filepath.Join(dir, name) }
+	for _, c := range []struct {
+		opts options
+		want string
+	}{
+		{options{sessPath: in("s.txt")}, "-sessions needs -log"},
+		{options{sessPath: in("s.txt"), ckptPath: in("c")}, "-sessions needs -log"},
+		{options{logPath: in("a.log"), ckptPath: in("c")}, "-checkpoint needs -log and -sessions"},
+		{options{logPath: in("a.log"), sessPath: in("s.txt"), ckptPath: in("c"), backfill: in("old.log")}, "-checkpoint replaces -backfill"},
+		{options{logPath: in("a.log"), backfill: in("old.log")}, "-backfill needs -sessions"},
+	} {
+		c.opts.topoPath = in("topology.json")
+		if err := run(c.opts); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("run(%+v) = %v, want an error containing %q", c.opts, err, c.want)
+		}
+	}
+	if ents, err := os.ReadDir(dir); err != nil || len(ents) != 0 {
+		t.Fatalf("a rejected run left %v behind (err %v)", ents, err)
 	}
 }
 
@@ -427,52 +632,81 @@ func TestListenerErrorKeepsOpenSessions(t *testing.T) {
 	}
 }
 
+// checkpointFile frames payload as a checkpoint file of the given format
+// version, with a CRC that holds.
+func checkpointFile(version byte, payload []byte) []byte {
+	file := append([]byte("SSRACKP"), version)
+	file = binary.LittleEndian.AppendUint64(file, uint64(len(payload)))
+	file = binary.LittleEndian.AppendUint32(file, crc32.ChecksumIEEE(payload))
+	return append(file, payload...)
+}
+
 // TestVersion1CheckpointFallsBackToFullReplay: a checkpoint an older build
 // left (format version 1, gob) is not read. serve replays the whole log with
 // its cut journal instead, and the session file ends as the offline
 // `sessionize -cuts` replay of the log — rebuilt from byte 0, as the
 // scribbled-over head of the old session file shows.
 func TestVersion1CheckpointFallsBackToFullReplay(t *testing.T) {
+	fallsBackToFullReplay(t, 1, func([]byte) []byte {
+		return checkpointFile(1, []byte("a gob stream, intact under its CRC"))
+	})
+}
+
+// TestVersion2CheckpointFallsBackToFullReplay: so is the checkpoint a build
+// with the drop ledger left (format version 2): this run's own checkpoint
+// re-framed the way that build wrote it, with an empty drop-span list at the
+// end of the payload.
+func TestVersion2CheckpointFallsBackToFullReplay(t *testing.T) {
+	fallsBackToFullReplay(t, 2, func(current []byte) []byte {
+		return checkpointFile(2, append(bytes.Clone(current[20:]), 0))
+	})
+}
+
+// fallsBackToFullReplay runs serve, replaces its checkpoint with old(the
+// checkpoint it wrote), scribbles over the session file's head, and requires
+// the next run to refuse the checkpoint for its format version and rebuild
+// the session file as the cut-replay of the log.
+func fallsBackToFullReplay(t *testing.T, version int, old func(current []byte) []byte) {
 	first := newLiveFixture(t, withCheckpoint)
 	first.start()
 	for i := 0; i < 12; i++ {
 		first.send(request(fmt.Sprintf("10.0.0.%d", i%4), i, time.Duration(i)*time.Second))
 	}
-	first.waitIdle()
+	first.fence()
 	first.clock = t0.Add(session.DefaultPageStay + time.Minute)
 	first.expire <- time.Time{}
+	first.fence() // the sweep is done before later records are logged
 	for i := 0; i < 6; i++ {
 		first.send(request(fmt.Sprintf("10.0.0.%d", i%4), 12+i, 20*time.Minute+time.Duration(i)*time.Second))
 	}
-	if !first.stop(5 * time.Second) {
-		t.Fatal("first run did not settle")
-	}
+	first.stop()
 
-	payload := []byte("a gob stream, intact under its CRC")
-	v1 := append([]byte("SSRACKP\x01"), binary.LittleEndian.AppendUint64(nil, uint64(len(payload)))...)
-	v1 = binary.LittleEndian.AppendUint32(v1, crc32.ChecksumIEEE(payload))
-	if err := os.WriteFile(first.opts.ckptPath, append(v1, payload...), 0o644); err != nil {
+	if err := os.WriteFile(first.opts.ckptPath, old(first.readFile(first.opts.ckptPath)), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	old := first.readFile(first.opts.sessPath)
-	if len(old) < 16 {
-		t.Fatalf("first run wrote %d session bytes", len(old))
+	scribbled := first.readFile(first.opts.sessPath)
+	if len(scribbled) < 16 {
+		t.Fatalf("first run wrote %d session bytes", len(scribbled))
 	}
-	copy(old, "XXXXXXXXXXXXXXXX")
-	if err := os.WriteFile(first.opts.sessPath, old, 0o644); err != nil {
+	copy(scribbled, "XXXXXXXXXXXXXXXX")
+	if err := os.WriteFile(first.opts.sessPath, scribbled, 0o644); err != nil {
 		t.Fatal(err)
 	}
 
-	second := newLiveFixture(t, func(o *options) {
-		o.logPath, o.sessPath, o.ckptPath = first.opts.logPath, first.opts.sessPath, first.opts.ckptPath
+	var second *liveFixture
+	stderr := captureStderr(t, func() {
+		second = newLiveFixture(t, func(o *options) {
+			o.logPath, o.sessPath, o.ckptPath = first.opts.logPath, first.opts.sessPath, first.opts.ckptPath
+		})
 	})
+	if want := fmt.Sprintf("format version %d", version); !strings.Contains(stderr, want) {
+		t.Fatalf("recovery's stderr does not say %q:\n%s", want, stderr)
+	}
 	second.start()
 	for i := 0; i < 4; i++ {
 		second.send(request(fmt.Sprintf("10.0.1.%d", i), i, 40*time.Minute+time.Duration(i)*time.Second))
 	}
-	if !second.stop(5 * time.Second) {
-		t.Fatal("second run did not settle")
-	}
+	second.stop()
 
 	cuts, err := core.ReadCuts(bytes.NewReader(second.readFile(second.opts.sessPath + ".cuts")))
 	if err != nil {
@@ -490,113 +724,5 @@ func TestVersion1CheckpointFallsBackToFullReplay(t *testing.T) {
 	}
 	if size := int64(len(second.readFile(second.opts.logPath))); ck.LogOffset != size {
 		t.Fatalf("final checkpoint LogOffset = %d, log is %d bytes", ck.LogOffset, size)
-	}
-}
-
-// dropFixture is a drop-count server with a one-slot queue whose owner has
-// not started: the first record takes the slot, and the n that follow are all
-// shed into the ledger as one coalesced span.
-func dropFixture(t *testing.T, first clf.Record, n int, dropped func(i int) clf.Record) *liveFixture {
-	f := newLiveFixture(t, func(o *options) { o.shedMode, o.queueCap = shedDropCount, 1 })
-	f.send(first)
-	for i := 0; i < n; i++ {
-		f.send(dropped(i))
-	}
-	if spans := f.s.drops.snapshot(); len(spans) != 1 || spans[0].Records != int64(n) {
-		t.Fatalf("ledger = %+v, want one span of %d records", spans, n)
-	}
-	return f
-}
-
-// TestReconcilePassIsBounded: a span however long is backfilled in passes of
-// at most reconcileReadMax log bytes and drainBatchMax records, and ends
-// fully reconciled: every logged request reached the sessionizer.
-func TestReconcilePassIsBounded(t *testing.T) {
-	const n = 10000
-	requests, enqueued, reconciled := metricRequests.Value(), metricEnqueued.Value(), metricDropsReconciled.Value()
-	f := dropFixture(t, request("10.9.9.9", 0, 0), n, func(i int) clf.Record {
-		return request(fmt.Sprintf("10.2.%d.%d", i/250, i%250), i, 0)
-	})
-	// The test goroutine is the owner here: it takes the queued record and
-	// then runs the passes by hand, looking at the ledger between them.
-	f.own.pushFrom(<-f.s.ch)
-	passes := 0
-	for more := true; more; passes++ {
-		before := f.s.drops.snapshot()[0]
-		more = f.own.reconcilePass()
-		after := checkpoint.DropSpan{Start: before.End, End: before.End}
-		if spans := f.s.drops.snapshot(); len(spans) > 0 {
-			after = spans[0]
-		}
-		if read, recs := after.Start-before.Start, before.Records-after.Records; read <= 0 || read > reconcileReadMax || recs <= 0 || recs > drainBatchMax {
-			t.Fatalf("pass %d consumed %d bytes and %d records, want at most %d and %d", passes, read, recs, reconcileReadMax, drainBatchMax)
-		}
-		if more != (f.s.drops.pending() > 0) {
-			t.Fatalf("pass %d reported more=%v with %d records owed", passes, more, f.s.drops.pending())
-		}
-	}
-	if passes < n/drainBatchMax {
-		t.Fatalf("%d records took %d passes", n, passes)
-	}
-	if got := f.own.tee.st.Stats().Records; got != n+1 {
-		t.Fatalf("tail saw %d records, want %d", got, n+1)
-	}
-	if r, e := metricRequests.Value()-requests, metricEnqueued.Value()-enqueued; r != n+1 || e != r {
-		t.Fatalf("serve.requests grew by %d and serve.ingest.enqueued by %d, want both %d", r, e, n+1)
-	}
-	if got := metricDropsReconciled.Value() - reconciled; got != n || metricDropsPending.Value() != 0 {
-		t.Fatalf("reconciled %d of %d with %d pending", got, n, metricDropsPending.Value())
-	}
-	f.stopped = true // the owner goroutine never ran
-}
-
-// TestLiveRecordOvertakesReconcile: backfill yields to live traffic between
-// passes. Each user of the dropped span makes two requests an hour apart, so
-// pushing the second writes that user's first session at once — the session
-// file is a journal of push order, 128 sessions a pass. A live record sent
-// while the owner is inside the span's third pass must land in that journal
-// straight after that pass, ahead of the thirty-odd still to come.
-func TestLiveRecordOvertakesReconcile(t *testing.T) {
-	const users, liveUser, heldPass = 5000, "10.9.9.9", 3
-	spanUser := func(u int) string { return fmt.Sprintf("10.3.%d.%d", u/250, u%250) }
-	f := dropFixture(t, request(liveUser, 0, 0), 2*users, func(i int) clf.Record {
-		return request(spanUser(i/2), i/2, time.Duration(i%2)*time.Hour)
-	})
-	// The session sink's write runs on the owner goroutine, once a pass.
-	held, resume := make(chan struct{}), make(chan struct{})
-	writes := 0
-	f.own.tee.sink = core.NewRetrySink(func(batch []session.Session) error {
-		if writes++; writes == heldPass {
-			held <- struct{}{}
-			<-resume
-		}
-		return f.own.tee.writeBatch(batch)
-	}, core.RetryOptions{DeadLetter: f.own.tee.dead})
-	f.start()
-	f.waitIdle()
-	f.reconcile <- time.Time{}
-	<-held
-	f.send(request(liveUser, 1, time.Hour)) // pushing it closes the live user's first burst
-	resume <- struct{}{}
-	f.spin("the ledger to empty", func() bool { return metricDropsPending.Value() == 0 })
-	if !f.stop(5 * time.Second) {
-		t.Fatal("stop did not settle")
-	}
-
-	sessions, err := session.ReadAll(bytes.NewReader(f.readFile(f.opts.sessPath)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(sessions) != 2*(users+1) {
-		t.Fatalf("%d sessions written, want two for each of %d users", len(sessions), users+1)
-	}
-	live := -1
-	for i, s := range sessions[:users+1] { // the journal; the rest is the final Drain
-		if s.User == liveUser {
-			live = i
-		}
-	}
-	if want := heldPass * drainBatchMax / 2; live != want {
-		t.Fatalf("the live record's session is #%d in push order, want #%d: right behind pass %d", live, want, heldPass)
 	}
 }

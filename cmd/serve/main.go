@@ -9,7 +9,7 @@
 //	      [-sessions sessions.txt] [-expire-every 30s]
 //	      [-backfill old.log]
 //	      [-checkpoint state.ckpt] [-checkpoint-every 10s]
-//	      [-ingest-queue 1024] [-shed-mode 503] [-trust-forwarded]
+//	      [-trust-forwarded]
 //
 // The log flushes on every request, and Ctrl-C (SIGINT/SIGTERM) shuts down
 // gracefully, flushing every still-buffered session when -sessions is active
@@ -21,30 +21,24 @@
 // profiles of the running server at /debug/pprof/ (go tool pprof
 // http://host/debug/pprof/profile?seconds=10).
 //
-// With -sessions the server sessionizes its own traffic live, and one
-// goroutine — the owner, live.go — does all of it: it alone touches the
-// core.Tail (Smart-SRA, no lock: nothing else may), appends finalized
-// sessions to the session file (through a core.RetrySink, so transient write
-// failures are retried and persistent ones land in <sessions>.deadletter
-// instead of vanishing; once writes recover, the journal is re-ingested and
-// truncated), expires quiet users every -expire-every, journals those expiry
-// cuts, backfills shed records, checkpoints and rotates. The request path shares one lock with it,
-// the log lock: a handler holds it to append its record to the access log,
-// flush, and send the record down the bounded ingest queue (-ingest-queue
-// records, at least 1), so queue order is log order; the owner holds it only
-// to checkpoint or rotate, which is the one time handlers wait for it.
+// With -sessions (which needs -log) the server sessionizes its own traffic
+// live, from the access log it writes, and one goroutine — the owner,
+// live.go — does all of it: it reads the log from its own offset, alone
+// touches the core.Tail (Smart-SRA, no lock: nothing else may), appends
+// finalized sessions to the session file (through a core.RetrySink, so
+// transient write failures are retried and persistent ones land in
+// <sessions>.deadletter instead of vanishing; once writes recover, the
+// journal is re-ingested and truncated), expires quiet users every
+// -expire-every, journals those expiry cuts, checkpoints and rotates. A
+// handler appends its line to the log and flushes under the log lock, then
+// wakes the owner; the log is the only queue between them, so the live
+// tail's input is the log by construction. The owner takes the log lock only
+// to rotate.
 //
-// When the queue is full the server sheds load explicitly instead of
-// blocking requests or buffering without bound. -shed-mode picks how: "503"
-// (the default) refuses the whole request with 503 Service Unavailable before
-// it is served or logged, so the access log stays exactly equal to what the
-// sessionizer ingested; "drop-count" serves and logs the request but drops
-// the record from the live sessionizer, noting its byte span in the log, and
-// the owner re-reads those spans and pushes the records once live traffic
-// leaves it idle (-reconcile-every). Either way every shed is counted in the
-// serve.shed metric — never silent. Per-request latency lands in the
-// serve.request.seconds histogram, whose p50/p95/p99 show up at
-// /debug/metrics.
+// Nothing behind the log sheds: a request is refused, if at all, by
+// admission control (-max-inflight, -ip-rate) before it is served or logged.
+// Per-request latency lands in the serve.request.seconds histogram, whose
+// p50/p95/p99 show up at /debug/metrics.
 //
 // -trust-forwarded keys the client identity off the first X-Forwarded-For
 // address when the header is present — required when traffic arrives through
@@ -83,7 +77,6 @@ import (
 	"os"
 	"os/signal"
 	"sync"
-	"sync/atomic"
 	"syscall"
 	"time"
 
@@ -134,8 +127,6 @@ type options struct {
 	backfill    string
 	ckptPath    string
 	ckptEvery   time.Duration
-	queueCap    int
-	shedMode    string
 	trustFwd    bool
 
 	maxInflight       int
@@ -144,12 +135,14 @@ type options struct {
 	readHeaderTimeout time.Duration
 	readTimeout       time.Duration
 	idleTimeout       time.Duration
-	reconcileEvery    time.Duration
 }
 
 // validate rejects flag combinations that cannot work before any file is
 // opened.
 func (o options) validate() error {
+	if o.sessPath != "" && o.logPath == "" {
+		return fmt.Errorf("-sessions needs -log (the live sessionizer reads the access log)")
+	}
 	if o.ckptPath != "" {
 		if o.logPath == "" || o.sessPath == "" {
 			return fmt.Errorf("-checkpoint needs -log and -sessions (its offsets refer to those files)")
@@ -161,12 +154,6 @@ func (o options) validate() error {
 	if o.backfill != "" && o.sessPath == "" {
 		return fmt.Errorf("-backfill needs -sessions (there is nowhere to put the sessions)")
 	}
-	if o.shedMode != shed503 && o.shedMode != shedDropCount {
-		return fmt.Errorf("-shed-mode must be %q or %q, got %q", shed503, shedDropCount, o.shedMode)
-	}
-	if o.queueCap < 1 {
-		return fmt.Errorf("-ingest-queue must be >= 1, got %d (the sessionizer is only ever fed through the queue)", o.queueCap)
-	}
 	return nil
 }
 
@@ -176,14 +163,12 @@ func main() {
 	flag.StringVar(&o.addr, "addr", ":8080", "listen address")
 	flag.StringVar(&o.logPath, "log", "", "access log file (default: stderr)")
 	flag.BoolVar(&o.combined, "combined", false, "write Combined Log Format")
-	flag.StringVar(&o.sessPath, "sessions", "", "sessionize traffic live, appending finalized sessions to this file")
+	flag.StringVar(&o.sessPath, "sessions", "", "sessionize the access log live, appending finalized sessions to this file (needs -log)")
 	flag.DurationVar(&o.sessionGap, "session-gap", 0, "burst gap ρ: a user quiet this long ends their burst (0 = the paper's 10m; offline replays must use the same value)")
 	flag.DurationVar(&o.expireEvery, "expire-every", 30*time.Second, "how often to expire quiet users' bursts for -sessions")
 	flag.StringVar(&o.backfill, "backfill", "", "existing access logs to stream through the sessionizer before serving: paths/globs, gzip ok (needs -sessions)")
 	flag.StringVar(&o.ckptPath, "checkpoint", "", "crash-recovery checkpoint file (needs -log and -sessions)")
 	flag.DurationVar(&o.ckptEvery, "checkpoint-every", 10*time.Second, "how often to snapshot state for -checkpoint")
-	flag.IntVar(&o.queueCap, "ingest-queue", 1024, "bounded ingest queue between the request path and the sessionizer, in records (at least 1)")
-	flag.StringVar(&o.shedMode, "shed-mode", shed503, "what a full ingest queue does: 503 (refuse request, keep log == tail input) or drop-count (serve and log, drop from live tail)")
 	flag.BoolVar(&o.trustFwd, "trust-forwarded", false, "log the first X-Forwarded-For address as the client (trusted proxies and loadgen only)")
 	flag.IntVar(&o.maxInflight, "max-inflight", 0, "admission control: max concurrently handled requests, 503 above it (0 = unlimited)")
 	flag.Float64Var(&o.ipRate, "ip-rate", 0, "admission control: per-client sustained requests/second, 429 above it (0 = unlimited; keyed like the access log, so -trust-forwarded applies)")
@@ -191,7 +176,6 @@ func main() {
 	flag.DurationVar(&o.readHeaderTimeout, "read-header-timeout", 5*time.Second, "drop connections that take longer than this to send request headers (slowloris defense)")
 	flag.DurationVar(&o.readTimeout, "read-timeout", 30*time.Second, "drop connections whose full request takes longer than this to read")
 	flag.DurationVar(&o.idleTimeout, "idle-timeout", 60*time.Second, "close keep-alive connections idle longer than this")
-	flag.DurationVar(&o.reconcileEvery, "reconcile-every", 2*time.Second, "how often to backfill drop-count-shed records from the log while idle (needs -shed-mode drop-count)")
 	flag.Parse()
 	if o.topoPath == "" {
 		flag.Usage()
@@ -224,8 +208,7 @@ func run(o options) error {
 	fmt.Printf("serving %s on %s (log: %s, format: %s, metrics: /debug/metrics, profiles: /debug/pprof/)\n",
 		s.g, ln.Addr(), orStderr(o.logPath), format(o.combined))
 	if own.tee != nil {
-		fmt.Printf("sessionizing live to %s (expire every %v)\n", o.sessPath, o.expireEvery)
-		fmt.Printf("ingest queue: %d records, shed mode %s\n", o.queueCap, o.shedMode)
+		fmt.Printf("sessionizing %s live to %s (expire every %v)\n", o.logPath, o.sessPath, o.expireEvery)
 	}
 	if own.ckpt != nil {
 		fmt.Printf("checkpointing to %s every %v\n", o.ckptPath, o.ckptEvery)
@@ -238,9 +221,6 @@ func run(o options) error {
 	}
 	if own.ckpt != nil {
 		own.ckptTick = time.Tick(o.ckptEvery)
-	}
-	if s.drops != nil {
-		own.reconcileTick = time.Tick(o.reconcileEvery)
 	}
 	hup := make(chan os.Signal, 1)
 	signal.Notify(hup, syscall.SIGHUP)
@@ -263,7 +243,7 @@ func run(o options) error {
 
 // serve starts the owner and the HTTP server and returns when a stop signal
 // or a listener error ends the run. Both exits end in the owner's one stop
-// sequence — settle the queue, reconcile, flush every open burst, final
+// sequence — read the log to its end, flush every open burst, final
 // checkpoint — so neither loses the open sessions.
 func (o *owner) serve(srv *http.Server, ln net.Listener, stop <-chan os.Signal) error {
 	go o.run()
@@ -276,18 +256,19 @@ func (o *owner) serve(srv *http.Server, ln net.Listener, stop <-chan os.Signal) 
 		fmt.Printf("caught %v, shutting down\n", sig)
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		defer cancel()
-		// A handler still running past the deadline keeps its queue slot;
-		// the stop sequence waits for it and reports if it never settles.
+		// A handler still running past the deadline may log after the
+		// owner's last read; that line is past the final checkpoint's
+		// offset, so the next start replays it.
 		if err = srv.Shutdown(ctx); errors.Is(err, context.DeadlineExceeded) {
 			err = nil
 		}
 	}
-	o.stop(5 * time.Second)
+	o.stop()
 	return err
 }
 
-// handler builds the request path: pages behind the access logger, the shed
-// gate and admission control, with the debug endpoints beside them.
+// handler builds the request path: pages behind the access logger and
+// admission control, with the debug endpoints beside them.
 func (s *server) handler(o options) http.Handler {
 	mux := http.NewServeMux()
 	mux.Handle("/debug/metrics", metrics.Handler())
@@ -297,14 +278,11 @@ func (s *server) handler(o options) http.Handler {
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	root := webserver.AccessLogWith(webserver.NewSite(s.g), s,
 		webserver.LogOptions{Now: time.Now, TrustForwardedFor: o.trustFwd})
-	if s.ch != nil && s.shedMode == shed503 {
-		root = s.shedGate(root)
-	}
-	// Admission control sits outside the queue gate: a flooding client is
-	// turned away (429) before it can even contend for a queue slot, and the
-	// in-flight cap bounds handler concurrency before any work happens.
-	// /debug/metrics and /debug/pprof/ stay outside both gates — observability
-	// must survive the very overload it reports on.
+	// Admission control is the one place a request is refused: a flooding
+	// client is turned away (429) and the in-flight cap bounds handler
+	// concurrency (503) before anything is served or logged. /debug/metrics
+	// and /debug/pprof/ stay outside it — observability must survive the very
+	// overload it reports on.
 	if o.maxInflight > 0 || o.ipRate > 0 {
 		adm := webserver.NewAdmission(webserver.AdmissionConfig{
 			MaxInFlight:       o.maxInflight,
@@ -328,40 +306,28 @@ func timed(next http.Handler) http.Handler {
 	})
 }
 
-// server is what the request path can reach: the access log and the sending
-// end of the ingest queue. Everything downstream of the queue — tail, session
-// file, cut journal, checkpoints — belongs to the owner (live.go) and is not
-// reachable from here.
+// server is what the request path can reach: the access log, and a way to
+// wake the owner. Everything downstream of the log — tail, session file, cut
+// journal, checkpoints — belongs to the owner (live.go) and is not reachable
+// from here.
 type server struct {
 	g        *webgraph.Graph
 	combined bool
 
 	// logMu is the log lock, the only lock on the live path. A handler holds
-	// it for {log append, flush, enqueue}, so queue order is exactly log
-	// order: the live tail's input is a prefix-replay of the access log,
-	// which is what makes crash recovery (replay the log) reproduce the live
-	// run byte for byte. The owner holds it to checkpoint or rotate — with
-	// the lock held and the queue emptied, every logged record is in the
-	// tail — and that is the only time a handler waits on the owner.
-	logMu    sync.Mutex
-	logPath  string
-	logFile  *os.File      // nil when logging to stderr
-	logCount *countingFile // counts log bytes for drop spans; nil on stderr
-	sink     *webserver.WriterSink
+	// it for {log append, flush}, so while the owner holds it every appended
+	// line is in the file — what a rotation needs before it reads the old
+	// file to its end and swaps the writer. The owner reads the log without
+	// it otherwise; rotating is the one time a handler waits on the owner.
+	logMu   sync.Mutex
+	logPath string
+	logFile *os.File // nil when logging to stderr; synced by the owner
+	sink    *webserver.WriterSink
 
-	// The ingest queue, request path to owner; ch is nil without -sessions.
-	// A record is only sent after tryReserve won one of capacity slots, ch
-	// buffers capacity records, and the owner releases the slot only after
-	// the record is pushed and its sessions written — so the send never
-	// blocks and the queue is a hard bound on sessionizer backlog.
-	shedMode string
-	capacity int64
-	ch       chan clf.Record
-	pending  atomic.Int64 // slots reserved and not yet released
-
-	// drops is the drop-count reconciliation ledger, guarded by logMu; nil
-	// outside {-shed-mode drop-count, -log, -sessions}.
-	drops *dropLedger
+	// wake tells the owner the log has grown; nil without -sessions. One slot:
+	// a wake that finds it full is already covered by the pending one, since
+	// the owner reads to the end of the file.
+	wake chan struct{}
 }
 
 func newLogWriter(out io.Writer, combined bool) *clf.Writer {
@@ -372,42 +338,21 @@ func newLogWriter(out io.Writer, combined bool) *clf.Writer {
 }
 
 // Record implements webserver.LogSink, the access logger's sink: it appends
-// and flushes each record so tail -f works, and hands it to the owner when
-// one is sessionizing.
+// and flushes each record so tail -f works — and so the owner, which reads
+// the same file, sees it — then wakes the owner if one is sessionizing.
 func (s *server) Record(r clf.Record) {
-	// CLF timestamps have second precision, and the access log is the
-	// source of truth crash recovery replays from — so the live sessionizer
-	// must see exactly the timestamp a replay would parse, or sessions
-	// reconstructed across a restart could split differently.
-	r.Time = r.Time.Truncate(time.Second)
 	metricRequests.Inc()
 	s.logMu.Lock()
-	var spanStart int64
-	if s.logCount != nil {
-		spanStart = s.logCount.total
-	}
 	// The sink latches its first error until a rotation resets it, so a
 	// failure is news only when the latch was clear before this record.
 	wasFailing := s.sink.Err() != nil
 	s.sink.Record(r)
 	err := s.sink.Flush()
-	switch {
-	case s.ch == nil:
-	case s.shedMode == shed503 || s.tryReserve():
-		// 503 mode: shedGate reserved the slot before the request ran.
-		// drop-count claims it here: the request was served and logged
-		// either way, only the live tail misses out.
-		metricEnqueued.Inc()
-		s.ch <- r // never blocks: the slot is reserved
-	default:
-		metricShed.Inc()
-		if s.drops != nil && err == nil {
-			// The record's exact bytes in the log: the flush above just
-			// pushed them through the counter.
-			s.drops.record(spanStart, s.logCount.total)
-		}
-	}
 	s.logMu.Unlock()
+	select {
+	case s.wake <- struct{}{}:
+	default: // a wake is already pending, or nobody sessionizes (nil)
+	}
 	if err != nil {
 		metricLogWriteErrors.Inc()
 		if !wasFailing {

@@ -98,7 +98,7 @@ func TestLogWriteFailureReportedOncePerOutage(t *testing.T) {
 }
 
 // The profiles are on serve's own mux: a running server answers
-// /debug/pprof/ and a named profile under it, outside the shed gate.
+// /debug/pprof/ and a named profile under it, outside admission control.
 func TestServePprofEndpoint(t *testing.T) {
 	dir := t.TempDir()
 	soakCorpus(t, dir, 60, 17) // only its topology.json is used

@@ -10,7 +10,6 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
-	"strconv"
 	"strings"
 	"sync"
 	"syscall"
@@ -55,8 +54,6 @@ func soakChild() error {
 		// without a cut journal. TestLiveOfflineEquivalenceWithExpiry turns
 		// it on via SERVE_SOAK_EXPIRE and replays with the journaled cuts.
 		expireEvery: 0,
-		queueCap:    64,
-		shedMode:    shed503,
 		trustFwd:    true,
 	}
 	// Scenario knobs so the robustness tests reuse this one child.
@@ -73,23 +70,6 @@ func soakChild() error {
 			return err
 		}
 		o.expireEvery = d
-	}
-	if v := os.Getenv("SERVE_SOAK_SHED_MODE"); v != "" {
-		o.shedMode = v
-	}
-	if v := os.Getenv("SERVE_SOAK_QUEUE"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil {
-			return err
-		}
-		o.queueCap = n
-	}
-	if v := os.Getenv("SERVE_SOAK_RECONCILE"); v != "" {
-		d, err := time.ParseDuration(v)
-		if err != nil {
-			return err
-		}
-		o.reconcileEvery = d
 	}
 	return run(o)
 }
@@ -166,8 +146,8 @@ func startServe(t *testing.T, dir, addr string, extraEnv ...string) *soakProc {
 // with checkpointing on, the process is SIGKILLed mid-load and restarted,
 // and after a final graceful shutdown the session file must be byte-
 // identical to an offline sequential sessionization of the final access log
-// — crash recovery plus bounded-ingest reordering lost nothing and invented
-// nothing. Client-side accounting must conserve exactly:
+// — crash recovery plus the owner following the log lost nothing and
+// invented nothing. Client-side accounting must conserve exactly:
 // accepted + shed + errors == sent.
 func TestSoakCrashRecoveryUnderLoad(t *testing.T) {
 	if testing.Short() {
@@ -263,7 +243,8 @@ func TestSoakCrashRecoveryUnderLoad(t *testing.T) {
 	}
 	t.Logf("soak replay: %s", rep)
 
-	// Graceful shutdown: drain the queue, flush the tail, final checkpoint.
+	// Graceful shutdown: read the log to its end, flush the tail, final
+	// checkpoint.
 	if err := child.cmd.Process.Signal(syscall.SIGTERM); err != nil {
 		t.Fatal(err)
 	}

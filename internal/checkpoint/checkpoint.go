@@ -10,11 +10,13 @@
 // Files are written atomically (temp file, fsync, rename) with a versioned
 // magic header and a CRC32 over the payload, so a reader either gets a
 // complete, intact checkpoint or a detectable error — never a torn one. The
-// payload (format version 2) is the Checkpoint's fields in a fixed order,
+// payload (format version 3) is the Checkpoint's fields in a fixed order,
 // integers as varints, strings length-prefixed, each time as Unix seconds,
 // nanoseconds and a zone tag; the file-layout comment below lists the order.
-// A file of any other version — version 1 was a gob stream — is ErrCorrupt,
-// and the tools fall back to a full replay.
+// A file of any other version is ErrCorrupt, and the tools fall back to a
+// full replay: version 1 was a gob stream, and version 2 ended in a list of
+// drop spans, which serve's drop-count shedding kept and which went with it.
+// So the first start after each of those upgrades replays the log once.
 package checkpoint
 
 import (
@@ -32,8 +34,9 @@ type Checkpoint struct {
 	// LogOffset is the byte offset into the source access log up to which
 	// Tail is consistent: every record before it has been pushed and every
 	// session those records finalized has been written to the sink. Offsets
-	// come from core's Ingest progress callback and are line-aligned, so
-	// replay can seek straight to it.
+	// come from core's Ingest progress callback, or are the line boundary
+	// serve's owner has read the live log to; either way they are
+	// line-aligned, so replay can seek straight to it.
 	LogOffset int64
 	// SinkOffset is the size of the session output file at snapshot time,
 	// after flushing. Recovery truncates the session file to this length
@@ -61,23 +64,6 @@ type Checkpoint struct {
 	// field, it has a fixed place in the payload: adding a field means
 	// bumping the format version.
 	CutSeq int64
-	// DropSpans are byte ranges of the access log that were served and
-	// logged but dropped from the sessionizer under drop-count shedding and
-	// not yet reconciled at snapshot time. Recovery restores them as the
-	// pending-backfill ledger so a crash cannot leak dropped records past
-	// the conservation accounting.
-	DropSpans []DropSpan
-}
-
-// DropSpan is a half-open byte range [Start, End) of the access log holding
-// Records consecutive records that were dropped from the live tail under
-// drop-count shedding. Spans are coalesced by the writer (adjacent drops
-// merge), and reconciliation re-reads the range and pushes the records back
-// through the ingest queue.
-type DropSpan struct {
-	Start   int64
-	End     int64
-	Records int64
 }
 
 // ErrCorrupt reports a checkpoint file that exists but cannot be trusted:
@@ -88,7 +74,7 @@ type DropSpan struct {
 var ErrCorrupt = errors.New("checkpoint: corrupt or truncated file")
 
 // File layout: magic (7 bytes) + version (1 byte) + payload length (8 bytes
-// LE) + CRC32-IEEE of payload (4 bytes LE) + payload. The version-2 payload,
+// LE) + CRC32-IEEE of payload (4 bytes LE) + payload. The version-3 payload,
 // in order (varint = signed zigzag varint, uvarint = unsigned, string =
 // uvarint length + bytes, time = varint Unix seconds + uvarint nanoseconds +
 // uvarint zone tag, 0 for UTC and 1 + zigzag(offset seconds) otherwise):
@@ -102,14 +88,12 @@ var ErrCorrupt = errors.New("checkpoint: corrupt or truncated file")
 //	  User, Last                        string, time
 //	  len(Entries)                      uvarint, then per entry:
 //	    Page, Time                      varint, time
-//	len(DropSpans)                      uvarint, then per span:
-//	  Start, End, Records               varint ×3
 //
-// Nothing follows the last span. Every varint is minimally encoded, so a
+// Nothing follows the last user. Every varint is minimally encoded, so a
 // payload decodes to exactly one checkpoint and re-encodes to the same bytes.
 const (
 	magic      = "SSRACKP"
-	version    = 2
+	version    = 3
 	headerSize = len(magic) + 1 + 8 + 4
 )
 
@@ -174,8 +158,7 @@ func write(fsys FS, path string, data []byte) (err error) {
 // Load reads and verifies the checkpoint at path. It returns fs.ErrNotExist
 // when no checkpoint exists, an ErrCorrupt-wrapped error when the file fails
 // any integrity check — header, length, CRC, payload decoding, or a position
-// or drop span no writer can have meant — and the decoded checkpoint
-// otherwise.
+// no writer can have meant — and the decoded checkpoint otherwise.
 func Load(fsys FS, path string) (*Checkpoint, error) {
 	data, err := fsys.ReadFile(path)
 	if err != nil {

@@ -34,23 +34,14 @@ func sampleCheckpoint() *checkpoint.Checkpoint {
 			},
 		},
 		CutSeq: 7,
-		DropSpans: []checkpoint.DropSpan{
-			{Start: 1024, End: 2048, Records: 12},
-			{Start: 3000, End: 3500, Records: 4},
-		},
 	}
 }
 
 func equalCheckpoints(a, b *checkpoint.Checkpoint) bool {
 	if a.LogOffset != b.LogOffset || a.SinkOffset != b.SinkOffset ||
 		a.Tail.Stats != b.Tail.Stats || len(a.Tail.Users) != len(b.Tail.Users) ||
-		a.CutSeq != b.CutSeq || len(a.DropSpans) != len(b.DropSpans) {
+		a.CutSeq != b.CutSeq {
 		return false
-	}
-	for i := range a.DropSpans {
-		if a.DropSpans[i] != b.DropSpans[i] {
-			return false
-		}
 	}
 	for i := range a.Tail.Users {
 		au, bu := a.Tail.Users[i], b.Tail.Users[i]
@@ -139,9 +130,6 @@ func TestLoadRejectsCorruption(t *testing.T) {
 // Each case is written by Save, through the encoder, and must load as
 // ErrCorrupt; the controls beside them must load.
 func TestLoadRejectsImpossibleState(t *testing.T) {
-	spans := func(s ...checkpoint.DropSpan) func(*checkpoint.Checkpoint) {
-		return func(ck *checkpoint.Checkpoint) { ck.DropSpans = s }
-	}
 	cases := []struct {
 		name string
 		mut  func(*checkpoint.Checkpoint)
@@ -151,18 +139,10 @@ func TestLoadRejectsImpossibleState(t *testing.T) {
 		{"negative SinkOffset", func(ck *checkpoint.Checkpoint) { ck.SinkOffset = -1 }, false},
 		{"negative LogFile", func(ck *checkpoint.Checkpoint) { ck.LogFile = -1 }, false},
 		{"negative CutSeq", func(ck *checkpoint.Checkpoint) { ck.CutSeq = -1 }, false},
-		{"spans unsorted", spans(checkpoint.DropSpan{Start: 3000, End: 3500, Records: 4}, checkpoint.DropSpan{Start: 1024, End: 2048, Records: 12}), false},
-		{"spans overlap", spans(checkpoint.DropSpan{Start: 1024, End: 2048, Records: 12}, checkpoint.DropSpan{Start: 2000, End: 2500, Records: 4}), false},
-		{"span Start < 0", spans(checkpoint.DropSpan{Start: -10, End: 20, Records: 1}), false},
-		{"span End == Start", spans(checkpoint.DropSpan{Start: 10, End: 10, Records: 1}), false},
-		{"span End < Start", spans(checkpoint.DropSpan{Start: 20, End: 10, Records: 1}), false},
-		{"span Records 0", spans(checkpoint.DropSpan{Start: 10, End: 20}), false},
-		{"span Records < 0", spans(checkpoint.DropSpan{Start: 10, End: 20, Records: -3}), false},
 		{"control: sample", func(*checkpoint.Checkpoint) {}, true},
-		{"control: zero positions, no spans", func(ck *checkpoint.Checkpoint) {
-			ck.LogOffset, ck.SinkOffset, ck.LogFile, ck.CutSeq, ck.DropSpans = 0, 0, 0, 0, nil
+		{"control: zero positions", func(ck *checkpoint.Checkpoint) {
+			ck.LogOffset, ck.SinkOffset, ck.LogFile, ck.CutSeq = 0, 0, 0, 0
 		}, true},
-		{"control: adjacent spans from 0", spans(checkpoint.DropSpan{Start: 0, End: 100, Records: 2}, checkpoint.DropSpan{Start: 100, End: 101, Records: 1}), true},
 	}
 	dir := t.TempDir()
 	for _, c := range cases {

@@ -30,7 +30,7 @@ func seal(buf []byte) []byte {
 	return buf
 }
 
-// appendPayload appends the version-2 payload: the fields in the order the
+// appendPayload appends the version-3 payload: the fields in the order the
 // file-layout comment in checkpoint.go lists them.
 func appendPayload(b []byte, ck *Checkpoint) []byte {
 	b = binary.AppendVarint(b, ck.LogOffset)
@@ -52,12 +52,6 @@ func appendPayload(b []byte, ck *Checkpoint) []byte {
 			b = binary.AppendVarint(b, int64(e.Page))
 			b = appendTime(b, e.Time)
 		}
-	}
-	b = binary.AppendUvarint(b, uint64(len(ck.DropSpans)))
-	for _, sp := range ck.DropSpans {
-		b = binary.AppendVarint(b, sp.Start)
-		b = binary.AppendVarint(b, sp.End)
-		b = binary.AppendVarint(b, sp.Records)
 	}
 	return b
 }
@@ -91,7 +85,6 @@ const (
 	minTime  = 3
 	minUser  = 1 + minTime + 1
 	minEntry = 1 + minTime
-	minSpan  = 3
 )
 
 // decoder reads a payload front to back. The first failure is kept and every
@@ -213,12 +206,6 @@ func decodePayload(payload []byte) (*Checkpoint, error) {
 			u.Entries[j] = session.Entry{Page: webgraph.PageID(page), Time: d.time()}
 		}
 	}
-	if n := d.count(minSpan); n > 0 {
-		ck.DropSpans = make([]DropSpan, n)
-	}
-	for i := range ck.DropSpans {
-		ck.DropSpans[i] = DropSpan{Start: d.varint(), End: d.varint(), Records: d.varint()}
-	}
 	if d.err == nil && len(d.b) > 0 {
 		d.fail("%d trailing bytes", len(d.b))
 	}
@@ -229,22 +216,11 @@ func decodePayload(payload []byte) (*Checkpoint, error) {
 }
 
 // validate rejects a decoded checkpoint no writer can have meant: negative
-// positions, and drop spans that are empty, reversed, overlapping or out of
-// order (the ledger coalesces and appends in log order).
+// positions.
 func (ck *Checkpoint) validate() error {
 	if ck.LogOffset < 0 || ck.SinkOffset < 0 || ck.LogFile < 0 || ck.CutSeq < 0 {
 		return fmt.Errorf("negative position (log=%d sink=%d file=%d cutseq=%d)",
 			ck.LogOffset, ck.SinkOffset, ck.LogFile, ck.CutSeq)
-	}
-	prevEnd := int64(0)
-	for i, sp := range ck.DropSpans {
-		switch {
-		case sp.Start < 0 || sp.End <= sp.Start || sp.Records < 1:
-			return fmt.Errorf("drop span %d is %+v", i, sp)
-		case sp.Start < prevEnd:
-			return fmt.Errorf("drop span %d %+v starts before the previous one ends at %d", i, sp, prevEnd)
-		}
-		prevEnd = sp.End
 	}
 	return nil
 }

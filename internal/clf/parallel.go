@@ -45,3 +45,11 @@ func parseChunkIntern(data []byte, recs []Record, in *internTable) ([]Record, in
 	}
 	return recs, bad
 }
+
+// ParseChunk is the stream readers' chunk parse for a caller that reads its
+// own bytes (serve's owner following the access log it writes): every line of
+// data appended to recs, blank lines skipped, malformed and over-long ones
+// counted. Strings are copied, not interned, so data may be reused at once.
+func ParseChunk(data []byte, recs []Record) ([]Record, int) {
+	return parseChunkIntern(data, recs, nil)
+}

@@ -101,7 +101,7 @@ func TestScrapeMetrics(t *testing.T) {
 		}
 		w.Write([]byte(
 			"counter serve.requests 42\n" +
-				"gauge   serve.drops.pending 0\n" +
+				"gauge   serve.conns.open 0\n" +
 				"counter serve.admission.requests{outcome=\"admitted\"} 7\n" +
 				"hist    serve.request.seconds count=3\n"))
 	}))
@@ -110,8 +110,8 @@ func TestScrapeMetrics(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := map[string]int64{
-		"serve.requests":      42,
-		"serve.drops.pending": 0,
+		"serve.requests":   42,
+		"serve.conns.open": 0,
 		`serve.admission.requests{outcome="admitted"}`: 7,
 	}
 	for k, v := range want {

@@ -1,6 +1,6 @@
-// Admission control: the connection-level gate in front of the ingest
-// queue. The queue (cmd/serve) sheds when the sessionizer falls behind;
-// admission sheds before any work happens at all — a global in-flight cap
+// Admission control: the connection-level gate in front of the access log,
+// and the only place cmd/serve sheds load. It sheds before any work happens
+// at all — a global in-flight cap
 // bounds concurrent request handling, and per-IP token buckets stop a
 // single source (crawler, flood, misbehaving proxy client) from starving
 // everyone else. Both limits respond with the standard backpressure
@@ -34,11 +34,11 @@ var (
 	metricEvictedIPs = metrics.GetCounter("serve.admission.evicted_ips")
 )
 
-// RetryAfterSeconds returns a jittered Retry-After value in [1, 3] seconds.
-// Shedding responses (admission 503/429 and the ingest queue's 503) all use
-// it: a fixed Retry-After teaches every shed client the same wake-up time,
-// which converts one overload spike into a train of them.
-func RetryAfterSeconds() int { return 1 + rand.Intn(3) }
+// retryAfterSeconds returns a jittered Retry-After value in [1, 3] seconds.
+// Both admission refusals (503 and 429) use it: a fixed Retry-After teaches
+// every shed client the same wake-up time, which converts one overload spike
+// into a train of them.
+func retryAfterSeconds() int { return 1 + rand.Intn(3) }
 
 // AdmissionConfig configures the admission gate. The zero value disables
 // everything — each limit is opt-in.
@@ -65,7 +65,7 @@ type AdmissionConfig struct {
 	// clock to assert exact admission counts.
 	Now func() time.Time
 	// RetryAfter supplies the Retry-After seconds for shed responses; nil
-	// means RetryAfterSeconds.
+	// means a jittered 1 to 3.
 	RetryAfter func() int
 }
 
@@ -94,7 +94,7 @@ func NewAdmission(cfg AdmissionConfig) *Admission {
 		cfg.Now = time.Now
 	}
 	if cfg.RetryAfter == nil {
-		cfg.RetryAfter = RetryAfterSeconds
+		cfg.RetryAfter = retryAfterSeconds
 	}
 	if cfg.MaxTrackedIPs <= 0 {
 		cfg.MaxTrackedIPs = 65536

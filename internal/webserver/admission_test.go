@@ -199,9 +199,9 @@ func TestBucketTableBounded(t *testing.T) {
 func TestRetryAfterJitterBound(t *testing.T) {
 	seen := make(map[int]bool)
 	for i := 0; i < 1000; i++ {
-		s := RetryAfterSeconds()
+		s := retryAfterSeconds()
 		if s < 1 || s > 3 {
-			t.Fatalf("RetryAfterSeconds() = %d, want within [1,3]", s)
+			t.Fatalf("retryAfterSeconds() = %d, want within [1,3]", s)
 		}
 		seen[s] = true
 	}
