@@ -17,13 +17,18 @@
 //
 // -stream switches to bounded-memory streaming ingestion: each parsed chunk
 // goes straight into a streaming sessionizer and sessions print as they
-// finalize. Memory stays bounded by a few chunks regardless of log size, so
-// it suits logs far larger than RAM (or stdin pipes that never end: a chunk
-// read from stdin is what one read returned, so a `tail -f` pipe's lines are
-// sessionized as they arrive and the sessions they close are flushed to the
-// output with them). Sessions are emitted in finalization order rather than
-// batch order; for Smart-SRA and the time-gap heuristic the session contents
-// are identical to batch mode.
+// finalize. Memory is a few chunks plus the users of the log's last 2ρ to
+// 3ρ (the session gap): the sessionizer reads time off the log, and closes a
+// user once the newest record is more than 2ρ past their last request —
+// one ρ the paper's burst gap, one a lateness allowance for records logged
+// out of order. Memory therefore does not grow with the log's length or its
+// total user count, so it suits logs far larger than RAM (or stdin pipes
+// that never end: a chunk read from stdin is what one read returned, so a
+// `tail -f` pipe's lines are sessionized as they arrive and the sessions
+// they close are flushed to the output with them). Sessions are emitted in
+// finalization order rather than batch order; for Smart-SRA and the
+// time-gap heuristic the session contents are identical to batch mode. The
+// users= count is of activity periods: a user closed and back counts again.
 //
 // -expire-every finalizes users quiet for longer than the session gap even
 // while input is still flowing, so an endless pipe emits sessions
@@ -97,7 +102,7 @@ func main() {
 	flag.StringVar(&o.heur, "heuristic", "heur4", "heur1|heur2|heur3|heur4|referrer (referrer needs a combined-format log)")
 	flag.BoolVar(&o.noClean, "no-clean", false, "skip the standard data-cleaning filter")
 	flag.BoolVar(&o.statsOnly, "stats-only", false, "print statistics but not the sessions (cannot be combined with -sessions)")
-	flag.BoolVar(&o.stream, "stream", false, "bounded-memory streaming ingestion: sessions print as they finalize, heap independent of log size")
+	flag.BoolVar(&o.stream, "stream", false, "bounded-memory streaming ingestion: sessions print as they finalize, heap holds the users of the log's last 2-3 session gaps, independent of log size")
 	flag.DurationVar(&o.sessionGap, "session-gap", 0, "burst gap ρ for -stream: a user quiet this long ends their burst (0 = the paper's 10m; match the serve run when replaying its log)")
 	flag.StringVar(&o.sessPath, "sessions", "", "write sessions to this file instead of stdout (required by -checkpoint)")
 	flag.StringVar(&o.ckptPath, "checkpoint", "", "crash-recovery checkpoint file for -stream (resume an interrupted run exactly)")
@@ -267,8 +272,9 @@ func mayNeverEnd(paths []string) bool {
 
 // runStream ingests the log through the bounded-memory streaming path: a
 // Tail fed in input order by the chunk reader, writing each session the
-// moment its burst closes. Heap usage is independent of log length, so this
-// path handles logs larger than RAM and never-ending stdin pipes. File inputs
+// moment its burst closes — on a gap, or when the log's clock runs 2ρ past
+// it. Heap usage is independent of log length and of the users it has seen,
+// so this path handles logs larger than RAM and never-ending stdin pipes. File inputs
 // (paths non-nil) are read like stdin, one read buffer at a time, with a
 // decoder goroutine per gzip member; nil paths reads stdin.
 // With cfg.ExpireTick set, each tick also finalizes users quiet for longer
@@ -335,8 +341,8 @@ func runStream(cfg core.Config, rho time.Duration, paths []string, statsOnly boo
 		}
 		return err
 	}
-	// End of input: on a file nearly every user is still open, so the drain
-	// streams through the same sink instead of materializing them all.
+	// End of input: the users of the log's last 2ρ are still open. The drain
+	// streams them through the same sink, one batch at a time.
 	st.Drain(emit)
 	if err := out.Flush(); err != nil {
 		return err

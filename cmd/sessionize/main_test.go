@@ -28,7 +28,8 @@ func TestMain(m *testing.M) {
 }
 
 // sessionize prepares a child running this package's main on args, on two Ps
-// whatever the box has, so a drain of more than one batch runs on lanes.
+// whatever the box has, so the parser and the sessionizer can run side by
+// side.
 func sessionize(args ...string) (*exec.Cmd, *bytes.Buffer) {
 	cmd := exec.Command(os.Args[0], args...)
 	cmd.Env = append(os.Environ(), "SESSIONIZE_CHILD=1", "GOMAXPROCS=2")
@@ -175,8 +176,10 @@ func TestExpiryFiresOnAnIdlePipe(t *testing.T) {
 }
 
 // walkLog is 777 users' log on the Figure 1 site: a quarter of them have an
-// earlier burst, closed while feeding, and all 777 are open at end of input,
-// so a run's drain is four batches, reconstructed on lanes.
+// earlier burst, closed while feeding — all but the first by the log's clock,
+// two hours on, which evicts them, so they count again when they return: 971
+// activity periods — and all 777 are open at end of input, so a run's drain
+// is four batches.
 func walkLog() string {
 	walk := []string{"/P1.html", "/P13.html", "/P34.html", "/P1.html", "/P20.html", "/P23.html"}
 	base := time.Date(2006, 1, 2, 8, 0, 0, 0, time.UTC)
@@ -195,7 +198,8 @@ func walkLog() string {
 }
 
 // streamTo runs sessionize -stream into dir/name.sessions and returns the
-// file and the child's stderr; the run must succeed and count 777 users.
+// file and the child's stderr; the run must succeed and count walkLog's 971
+// user activity periods (Tail's Stats.Users).
 func streamTo(t *testing.T, dir, name string, stdin io.Reader, args ...string) (sessions []byte, stderr string) {
 	t.Helper()
 	out := filepath.Join(dir, name+".sessions")
@@ -204,8 +208,8 @@ func streamTo(t *testing.T, dir, name string, stdin io.Reader, args ...string) (
 	if err := cmd.Run(); err != nil {
 		t.Fatalf("%s: %v; stderr:\n%s", name, err, errBuf)
 	}
-	if !strings.Contains(errBuf.String(), "users=777") {
-		t.Fatalf("%s: stderr has no users=777:\n%s", name, errBuf)
+	if !strings.Contains(errBuf.String(), "users=971") {
+		t.Fatalf("%s: stderr has no users=971:\n%s", name, errBuf)
 	}
 	b, err := os.ReadFile(out)
 	if err != nil {
@@ -319,7 +323,8 @@ func TestStatsOnlyRejectsSessions(t *testing.T) {
 // error are output — in the -sessions file or on stdout — and the run still
 // exits 1 with the read error as its message. The log's second and third
 // lines each close the burst before them; the gzip member after it is cut
-// short inside its first block.
+// short inside its first block, and the lines it gives before the cut, an
+// hour on, move the log's clock 2ρ past the third line's burst.
 func TestReadErrorKeepsSessionsAlreadySunk(t *testing.T) {
 	dir := t.TempDir()
 	topo := figure1(t, dir)
@@ -331,7 +336,7 @@ func TestReadErrorKeepsSessionsAlreadySunk(t *testing.T) {
 	}
 	var packed bytes.Buffer
 	gz := gzip.NewWriter(&packed)
-	for u := 0; u < 500; u++ { // one line a user: nothing closes
+	for u := 0; u < 500; u++ { // one line a user: nothing closes but 10.0.0.1
 		io.WriteString(gz, logLine(fmt.Sprintf("10.9.%d.%d", u>>8, u&255), at.Add(3*time.Hour), "/P1.html"))
 	}
 	if err := gz.Close(); err != nil || packed.Len() < 400 {
@@ -341,7 +346,7 @@ func TestReadErrorKeepsSessionsAlreadySunk(t *testing.T) {
 	if err := os.WriteFile(tiny, packed.Bytes()[:200], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	const want = "10.0.0.1:[0]\n10.0.0.1:[1]\n"
+	const want = "10.0.0.1:[0]\n10.0.0.1:[1]\n10.0.0.1:[4]\n"
 
 	for _, toFile := range []bool{true, false} {
 		args := []string{"-topology", topo, "-log", small + "," + tiny, "-stream"}

@@ -9,6 +9,8 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
+	"strings"
 	"testing"
 
 	"smartsra/internal/clf"
@@ -210,40 +212,54 @@ func BenchmarkWriteAll(b *testing.B) {
 	})
 }
 
-// BenchmarkTailDrain is the end-of-input drain on its own — the state a
-// Tail is in at the end of an offline file, every user's last burst still
-// open (4,000 agents: 16 drain batches) — in its two forms: Drain lends
-// bounded batches to a sink (here one that only counts), Flush materializes
-// the same sessions for the caller to keep. A test binary also overwrites
+// BenchmarkTailDrain is a drain of many open users on its own, in its two
+// forms: Drain lends bounded batches to a sink (here one that only counts),
+// Flush materializes the same sessions for the caller to keep. At the end of
+// a file the log's clock has already closed all but the last 2ρ of users, so
+// the Tail here is restored with every user of 4,000 agents open, as a
+// checkpoint could hold them: 16 drain batches. A test binary also overwrites
 // every lent batch after the sink returns (see core.SessionSink); that pass
-// is part of Drain's time here and allocates nothing. On more than one P
-// Drain reconstructs its batches on goroutines of its own and Flush does
-// not, so run it at -cpu 1,2: Drain's gain is the second P's.
-// wait-ns/session is how long Drain's caller waited for the next batch in
-// order (core.drain.wait_ns) — on one P, the whole reconstruction.
+// is part of Drain's time here and allocates nothing.
 func BenchmarkTailDrain(b *testing.B) {
 	params := simulator.PaperParams()
 	params.Agents = 4000
 	g, res := benchWorkload(b, webgraph.PaperTopology(), params)
-	records := res.Log(g)
+	var snap core.TailSnapshot
+	index := map[string]int{}
+	for _, r := range res.Log(g) {
+		page, ok := g.PageByURI(r.URI)
+		if !ok {
+			continue
+		}
+		i, seen := index[r.Host]
+		if !seen {
+			i, index[r.Host] = len(snap.Users), len(snap.Users)
+			snap.Users = append(snap.Users, core.UserState{User: r.Host})
+		}
+		u := &snap.Users[i]
+		u.Entries = append(u.Entries, session.Entry{Page: page, Time: r.Time})
+		if r.Time.After(u.Last) {
+			u.Last = r.Time
+		}
+	}
+	slices.SortFunc(snap.Users, func(x, y core.UserState) int { return strings.Compare(x.User, y.User) })
+	snap.Stats.Users = len(snap.Users)
 	filled := func() *core.Tail {
 		tl, err := core.NewTail(core.Config{Graph: g}, 0)
 		if err != nil {
 			b.Fatal(err)
 		}
-		tl.PushBatch(records)
+		if err := tl.Restore(snap); err != nil {
+			b.Fatal(err)
+		}
 		return tl
 	}
 	b.Run("drain", func(b *testing.B) {
-		wait := metrics.GetCounter("core.drain.wait_ns")
-		wait0, sessions := wait.Value(), 0
 		perSession(b, filled, func(tl *core.Tail) int {
 			n := 0
 			tl.Drain(func(batch []session.Session) { n += len(batch) })
-			sessions += n
 			return n
 		})
-		b.ReportMetric(float64(wait.Value()-wait0)/float64(max(sessions, 1)), "wait-ns/session")
 	})
 	b.Run("flush", func(b *testing.B) {
 		perSession(b, filled, func(tl *core.Tail) int { return len(tl.Flush()) })

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -92,10 +93,14 @@ func TestGoldenCorpusBatchSizes(t *testing.T) {
 
 // TestExpireBoundedByActiveUsers is the unbounded-growth regression test: a
 // million distinct users, each appearing once and never returning, streamed
-// with periodic Expire calls. The buffer map, the expiry wheel, and the
-// entry backlog must all track the ACTIVE window — the users inside the last
-// ρ — not the users ever seen; before eviction and the wheel, the buffer map
-// grew one entry per user forever and every Expire scanned all of them.
+// with periodic Expire calls, and streamed with none, as a file is read. The
+// buffer map, the expiry wheel, and the entry backlog must all track the
+// ACTIVE window, not the users ever seen: the users inside the last ρ plus
+// one expire interval under Expire, and without it the last 3ρ of log time,
+// which is the most the log's clock leaves open. Before eviction and the
+// wheel, the buffer map grew one entry per user forever and every Expire
+// scanned all of them; before the log's clock, a run with no Expire held
+// every user to the end.
 func TestExpireBoundedByActiveUsers(t *testing.T) {
 	if testing.Short() {
 		t.Skip("million-user stream")
@@ -105,65 +110,74 @@ func TestExpireBoundedByActiveUsers(t *testing.T) {
 		users = 1 << 17
 	}
 	g := goldenGraph()
-	// Time-gap keeps single-entry reconstruction trivial; the test measures
-	// state bounds, not heuristic cost.
-	tl, err := NewTail(Config{Graph: g, Heuristic: heuristics.NewTimeGap()}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
 	base := time.Date(2006, 1, 2, 0, 0, 0, 0, time.UTC)
 	// 20 new users per second: with ρ = 10 min the active window holds
 	// ~12k users, and the expire cadence below adds at most one interval's
-	// worth on top. The bounds assert that order of magnitude, two decades
-	// below the total user count.
+	// worth on top; with no Expire the window is 2ρ to 3ρ, 24k to 36k users.
+	// The bounds assert that order of magnitude, a decade or two below the
+	// total user count.
 	const perSec = 20
-	const expireEvery = 8192
-	sessions, maxActive, maxBuffered, maxBuckets := 0, 0, 0, 0
-	for i := 0; i < users; i++ {
-		at := base.Add(time.Duration(i) * (time.Second / perSec))
-		host := fmt.Sprintf("10.%d.%d.%d", i>>16&255, i>>8&255, i&255)
-		sessions += len(tl.Push(tailRec(host, "/P1.html", at)))
-		if i%expireEvery == 0 {
-			sessions += len(tl.Expire(at))
-			if a := tl.ActiveUsers(); a > maxActive {
-				maxActive = a
-			}
-			if b := tl.Buffered(); b > maxBuffered {
-				maxBuffered = b
-			}
-			if w := tl.wheelBuckets(); w > maxBuckets {
-				maxBuckets = w
+	const sampleEvery = 8192
+	for _, tc := range []struct {
+		name        string
+		expire      bool
+		activeBound int
+	}{
+		// Window (~12k) + one expire interval (8192), with slack.
+		{"expire", true, 1 << 15},
+		// Three ρ of arrivals, and the one record that moves the clock.
+		{"log clock", false, 3*600*perSec + 1},
+	} {
+		// Time-gap keeps single-entry reconstruction trivial; the test
+		// measures state bounds, not heuristic cost.
+		tl, err := NewTail(Config{Graph: g, Heuristic: heuristics.NewTimeGap()}, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sessions, maxActive, maxBuffered, maxBuckets := 0, 0, 0, 0
+		for i := 0; i < users; i++ {
+			at := base.Add(time.Duration(i) * (time.Second / perSec))
+			host := fmt.Sprintf("10.%d.%d.%d", i>>16&255, i>>8&255, i&255)
+			sessions += len(tl.Push(tailRec(host, "/P1.html", at)))
+			if i%sampleEvery == 0 {
+				if tc.expire {
+					sessions += len(tl.Expire(at))
+				}
+				maxActive = max(maxActive, tl.ActiveUsers())
+				maxBuffered = max(maxBuffered, tl.Buffered())
+				maxBuckets = max(maxBuckets, tl.wheelBuckets())
 			}
 		}
-	}
-	sessions += len(tl.Flush())
-	if sessions != users {
-		t.Errorf("sessions = %d, want one per user (%d)", sessions, users)
-	}
-	if st := tl.Stats(); st.Users != users || st.Sessions != users {
-		t.Errorf("stats = %+v, want %d users and sessions", st, users)
-	}
-	// Window (~12k) + one expire interval (8192), with slack; a regression
-	// back to users-ever-seen state blows through this by 30-60×.
-	const activeBound = 1 << 15
-	if maxActive > activeBound {
-		t.Errorf("active users peaked at %d (bound %d) — state no longer bounded by the active window",
-			maxActive, activeBound)
-	}
-	if maxBuffered > activeBound {
-		t.Errorf("buffered entries peaked at %d (bound %d)", maxBuffered, activeBound)
-	}
-	// One ρ-wide bucket covers 12k arrivals here; an expire interval spans
-	// ~7 buckets. A bound of 64 catches the wheel ever reverting to
-	// per-user or per-second granularity.
-	if maxBuckets > 64 {
-		t.Errorf("expiry wheel peaked at %d buckets (bound 64)", maxBuckets)
+		sessions += len(tl.Flush())
+		if sessions != users {
+			t.Errorf("%s: sessions = %d, want one per user (%d)", tc.name, sessions, users)
+		}
+		if st := tl.Stats(); st.Users != users || st.Sessions != users {
+			t.Errorf("%s: stats = %+v, want %d users and sessions", tc.name, st, users)
+		}
+		// A regression back to users-ever-seen state blows through this by
+		// 30-60×.
+		if maxActive > tc.activeBound {
+			t.Errorf("%s: active users peaked at %d (bound %d) — state no longer bounded by the active window",
+				tc.name, maxActive, tc.activeBound)
+		}
+		if maxBuffered > tc.activeBound {
+			t.Errorf("%s: buffered entries peaked at %d (bound %d)", tc.name, maxBuffered, tc.activeBound)
+		}
+		// One ρ-wide bucket covers 12k arrivals here; an expire interval
+		// spans ~7 buckets. A bound of 64 catches the wheel ever reverting to
+		// per-user or per-second granularity, or keeping every bucket.
+		if maxBuckets > 64 {
+			t.Errorf("%s: expiry wheel peaked at %d buckets (bound 64)", tc.name, maxBuckets)
+		}
 	}
 }
 
 // TestRestoreRebuildsExpiryWheel pins that Restore re-seeds the expiry wheel
 // from the snapshot's last-activity times: expiring a restored Tail evicts
-// exactly the users the original would have evicted, in the same order.
+// exactly the users the original would have evicted, in the same order. It
+// also rebuilds the log's clock from the newest of them, so a restored Tail
+// sweeps at the same record as the original, closing the same users.
 func TestRestoreRebuildsExpiryWheel(t *testing.T) {
 	g := goldenGraph()
 	t0 := time.Date(2006, 1, 2, 12, 0, 0, 0, time.UTC)
@@ -190,5 +204,32 @@ func TestRestoreRebuildsExpiryWheel(t *testing.T) {
 	}
 	if got := restored.Expire(t0.Add(30 * time.Minute)); len(got) != 1 || got[0].User != "b" {
 		t.Fatalf("second expire emitted %v, want user b", got)
+	}
+
+	// The clock. ρ-wide buckets start on the ten minutes. At b's record the
+	// clock minus ρ enters the 12:00 bucket and sweeps: a, quiet 19 minutes,
+	// stays open. c's record at 12:19 stays in that bucket, so nothing sweeps,
+	// though a is now 28 minutes quiet; d's at 12:21 enters the 12:10 bucket
+	// and closes a. A restored Tail that swept at its first record would close
+	// a at c's.
+	tl, err = NewTail(Config{Graph: g}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tl.Push(tailRec("a", "/P1.html", t0.Add(-9*time.Minute)))
+	tl.Push(tailRec("b", "/P1.html", t0.Add(10*time.Minute)))
+	if err := restored.Restore(tl.Snapshot()); err != nil {
+		t.Fatal(err)
+	}
+	for _, step := range []struct {
+		user  string
+		at    time.Duration
+		close string
+	}{{"c", 19 * time.Minute, ""}, {"d", 21 * time.Minute, "a:[0]"}, {"e", 29 * time.Minute, ""}} {
+		rec := tailRec(step.user, "/P1.html", t0.Add(step.at))
+		want, got := tl.Push(rec), restored.Push(rec)
+		if w, g := strings.Join(sessionStrings(want), " "), strings.Join(sessionStrings(got), " "); w != step.close || g != w {
+			t.Errorf("at %s's record the original closed %q, the restored Tail %q; want %q", step.user, w, g, step.close)
+		}
 	}
 }

@@ -2,8 +2,6 @@ package core
 
 import (
 	"math"
-	"runtime"
-	"sync"
 	"testing"
 	"time"
 
@@ -21,25 +19,39 @@ import (
 // reconstruction and encoding.
 const drainBatchUsers = 256
 
-// closeAll is Flush and Expire: the picked users, in user order, are closed
-// and evicted on the kept lane, so the sessions are the caller's to keep.
-func (t *Tail) closeAll(users []string) []session.Session {
-	var out []session.Session
-	for _, u := range users {
-		out = t.closeUser(out, u)
+// Drain is the streaming Flush: it finalizes everything buffered, in user
+// order, in batches of drainBatchUsers users built on the lent lane and lent
+// to sink one at a time under SessionSink's ownership rule, so the end of an
+// input costs one batch of memory, however many users are still open. The
+// batches concatenated are exactly what Flush would have returned.
+func (t *Tail) Drain(sink SessionSink) {
+	start := time.Now()
+	users := t.openUsers()
+	var batch []session.Session
+	batches := 0
+	for len(users) > 0 {
+		n := min(len(users), drainBatchUsers)
+		t.lending = true
+		batch = t.closeUsers(batch[:0], users[:n])
+		t.lending = false
+		deliver(sink, batch, true)
+		t.lent.release()
+		metricDrainUsers.Add(int64(n))
+		users = users[n:]
+		batches++
 	}
+	metricDrainBatches.Add(int64(batches))
+	metricDrainNs.Add(int64(time.Since(start)))
 	t.syncMetrics()
-	return out
 }
 
-// closeUser closes and evicts one picked user (see detachUser), appending
-// their sessions onto dst. The caller syncs metrics.
-func (t *Tail) closeUser(dst []session.Session, user string) []session.Session {
-	if st, ok := t.detachUser(user); ok {
-		dst = t.closeInto(dst, st)
-	}
-	return dst
-}
+// What a drain did: batches sunk, users closed into them, and Drain's wall
+// time, pick included.
+var (
+	metricDrainBatches = metrics.GetCounter("core.drain.batches")
+	metricDrainUsers   = metrics.GetCounter("core.drain.users")
+	metricDrainNs      = metrics.GetCounter("core.drain.ns")
+)
 
 // reconstructSampleEvery is the close-timing sample rate: a lane's first
 // close and every Nth after it run under the clock, and the untimed closes
@@ -102,114 +114,6 @@ func (l *lane) flush() {
 		l.hist.ObserveWeighted(l.last, l.untimed)
 		l.untimed = 0
 	}
-}
-
-// drainSlots is how many batches a drain has detached at once — one in the
-// sink, the others queued or reconstructing — and the most goroutines it
-// reconstructs on: what stays on the caller (pick, detach, encode, write) was
-// ~30 % of the inline drain, so past four the caller is the slow side.
-const drainSlots = 4
-
-// drainSlot is one batch in flight through drainLent: the reconstructing
-// goroutine's from queueing until done, the caller's before and after.
-type drainSlot struct {
-	lane    *lane
-	streams []session.Stream
-	batch   []session.Session
-	done    chan struct{}
-}
-
-func (s *drainSlot) reconstruct() {
-	for _, st := range s.streams {
-		s.batch = s.lane.reconstruct(s.batch, st)
-	}
-}
-
-// Which side of the drain's handoff waited, as clf.decode.* and clf.parse.*
-// say it: wait_ns is the caller blocked on (with no goroutines: building) the
-// next batch in order. Close to ns, Phase 2 bounds the drain and cores would
-// help; far below it, pick, detach, encode and the sink do.
-var (
-	metricDrainBatches = metrics.GetCounter("core.drain.batches")
-	metricDrainUsers   = metrics.GetCounter("core.drain.users")
-	metricDrainNs      = metrics.GetCounter("core.drain.ns")
-	metricDrainWaitNs  = metrics.GetCounter("core.drain.wait_ns")
-)
-
-// drainLent is the engine behind Drain, which picked users, in user order,
-// since start. Each slot is filled with the next batch of at most
-// drainBatchUsers detached streams; the batch is reconstructed on the slot's
-// lane, lent to sink under SessionSink's rule, then its arena is released and
-// settle accounts for it. Detach, sink and settle run on the caller, strictly
-// in batch order. More than one batch on more than one P reconstructs on
-// min(GOMAXPROCS, drainSlots) goroutines, the caller detaching and queueing up
-// to drainSlots batches ahead of the one it collects — same output, batch
-// boundaries and sink goroutine — and they are joined before drainLent
-// returns, also when sink panics. Otherwise no goroutine starts and a batch is
-// reconstructed where it is collected.
-func (t *Tail) drainLent(start time.Time, users []string, sink SessionSink) {
-	lanes := min(runtime.GOMAXPROCS(0), drainSlots)
-	slots := make([]drainSlot, drainSlots)
-	if len(users) <= drainBatchUsers || lanes == 1 {
-		lanes, slots = 0, slots[:1]
-	}
-	work := make(chan *drainSlot, len(slots)) // every slot can be queued at once
-	var wg sync.WaitGroup
-	defer wg.Wait()
-	defer close(work)
-	for range lanes {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for s := range work {
-				s.reconstruct()
-				s.done <- struct{}{}
-			}
-		}()
-	}
-	var wait time.Duration
-	queued, collected, more := 0, 0, true
-	for {
-		for more && queued-collected < len(slots) {
-			s := &slots[queued%len(slots)]
-			if s.lane == nil {
-				s.lane, s.done = newLane(t.cfg.Heuristic), make(chan struct{}, 1)
-			}
-			n := min(len(users), drainBatchUsers)
-			s.streams = s.streams[:0]
-			for _, u := range users[:n] {
-				if st, ok := t.detachUser(u); ok {
-					s.streams = append(s.streams, st)
-				}
-			}
-			users = users[n:]
-			if more = n > 0; more {
-				queued++
-				work <- s
-			}
-		}
-		if collected == queued {
-			break
-		}
-		s := &slots[collected%len(slots)]
-		collected++
-		waitStart := time.Now()
-		if lanes > 0 {
-			<-s.done
-		} else {
-			(<-work).reconstruct() // no goroutines: the caller is the lane
-		}
-		wait += time.Since(waitStart)
-		deliver(sink, s.batch, true)
-		s.lane.release()
-		s.lane.flush()
-		t.settle(len(s.batch), s.streams...)
-		metricDrainUsers.Add(int64(len(s.streams)))
-		s.batch = s.batch[:0]
-	}
-	metricDrainBatches.Add(int64(collected))
-	metricDrainWaitNs.Add(int64(wait))
-	metricDrainNs.Add(int64(time.Since(start)))
 }
 
 // deliver hands one batch to sink (empty batches are not delivered). A lent

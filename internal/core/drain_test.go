@@ -26,19 +26,17 @@ func keep(dst *[]session.Session) SessionSink {
 
 // TestLentBatchIsPoisoned pins the test-only poison itself: a sink that
 // retains a lent batch without cloning must see sentinels afterwards, on
-// the feeder path and on Drain. On the
-// golden corpus, whose drain is one batch and whose arenas are never reused,
-// that is every retained session. On one whose drain goes twice round the
-// slot ring (on lanes at two Ps or more; the poison pass runs on the caller
-// after each in-order collect) an earlier batch's storage has since been
-// rebuilt on, which is the other thing a keeper gets to see; the last batch's
-// has not, and must read as sentinels.
+// the feeder path and on Drain. On the golden corpus, whose drain is one
+// batch and whose arenas are never reused, that is every retained session.
+// On one whose drain is nine batches on the one lent lane, an earlier
+// batch's storage has since been rebuilt on, which is the other thing a
+// keeper gets to see; the last batch's has not, and must read as sentinels.
 func TestLentBatchIsPoisoned(t *testing.T) {
 	if !poisonLent {
 		t.Fatal("poisonLent is off in a test binary")
 	}
 	var ring bytes.Buffer
-	for _, r := range drainCorpus(2*drainSlots*drainBatchUsers + 7) {
+	for _, r := range drainCorpus(8*drainBatchUsers + 7) {
 		ring.WriteString(r.String())
 		ring.WriteByte('\n')
 	}
@@ -217,11 +215,10 @@ func TestDrainEquivalence(t *testing.T) {
 // TestDrainMixedOwnership interleaves the two ownership regimes on one Tail:
 // sessions returned by PushBatch and Expire are the caller's and must read
 // the same after later lent deliveries have been made, released and (in
-// tests) poisoned on the same Tail — by pushBatchTo's lane, and by a Drain of
-// one batch and of several (on goroutines at two Ps or more), whose lanes are
-// released slot by slot.
+// tests) poisoned on the same Tail — by pushBatchTo, and by a Drain of one
+// batch and of several, which rewind the lent lane after every batch.
 func TestDrainMixedOwnership(t *testing.T) {
-	for _, users := range []int{40, 2*drainSlots*drainBatchUsers + 40} {
+	for _, users := range []int{40, 8*drainBatchUsers + 40} {
 		recs := drainCorpus(users)
 		tl, err := NewTail(Config{Graph: goldenGraph()}, 0)
 		if err != nil {

@@ -125,8 +125,9 @@ func TestTailBufferedGauges(t *testing.T) {
 		t.Errorf("buffered.maxdepth = %d, want >= 3", got)
 	}
 	// A push beyond rho closes user 1's burst: its 3 entries drain, the new
-	// entry joins a fresh burst.
-	if out := tail.Push(clf.Record{Host: "10.0.0.1", Time: base.Add(time.Hour),
+	// entry joins a fresh burst. 13 minutes after user 2's request it is not
+	// 2ρ past it, so the log's clock leaves user 2 open.
+	if out := tail.Push(clf.Record{Host: "10.0.0.1", Time: base.Add(14 * time.Minute),
 		Method: "GET", URI: "/P1.html", Protocol: "HTTP/1.1", Status: 200}); len(out) == 0 {
 		t.Fatal("burst close emitted no sessions")
 	}

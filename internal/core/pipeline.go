@@ -14,8 +14,8 @@
 // Tail.Ingest / IngestFiles, which do not — it is read one way: a decoder per
 // gzip member ‖ clf's one parser goroutine ‖ the calling goroutine, which
 // cleans, sessionizes and sinks, and expires between chunks when a tick says
-// so; an end-of-input Drain adds its lanes. Nothing here sizes or selects
-// that, and nothing here takes a lock: a Tail has one owner goroutine.
+// so. Nothing here sizes or selects that, nothing here takes a lock — a Tail
+// has one owner goroutine — and nothing here starts a goroutine.
 package core
 
 import (

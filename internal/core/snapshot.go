@@ -17,8 +17,9 @@ import (
 // them from the live processor, so carrying them in checkpoints would grow
 // the snapshot with users-ever-seen — exactly the unbounded state the
 // expiry wheel removes. Stats.Users stays cumulative across the snapshot
-// (see Tail's Users semantics); the expiry wheel itself needs no serialized
-// form, because Restore rebuilds it from each user's Last timestamp.
+// (see Tail's Users semantics); neither the expiry wheel nor the log's clock
+// needs a serialized form, because Restore rebuilds both from each user's
+// Last timestamp.
 type TailSnapshot struct {
 	// Stats are the counters accumulated up to the snapshot.
 	Stats Stats
@@ -63,7 +64,7 @@ func (t *Tail) Snapshot() TailSnapshot {
 
 // Restore replaces the Tail's state with the snapshot's, discarding anything
 // currently buffered, and rebuilds the expiry wheel from the restored users'
-// last-activity times. It validates the snapshot (no duplicate users, stats
+// last-activity times and the log's clock from the newest of them. It validates the snapshot (no duplicate users, stats
 // consistent with the user list) so a logically corrupt snapshot is rejected
 // instead of silently poisoning recovery.
 func (t *Tail) Restore(snap TailSnapshot) error {
@@ -89,8 +90,10 @@ func (t *Tail) Restore(snap TailSnapshot) error {
 	t.buffered = buffered
 	t.stats = snap.Stats
 	t.wheel = wheel
+	t.clock = idleClock
 	for user, b := range buffers {
 		t.wheelAdd(user, b.last)
+		t.clock.advance(b.last, t.rho)
 	}
 	t.syncMetrics()
 	return nil

@@ -27,8 +27,9 @@ func DiscardSessions([]session.Session) {}
 // bytes in memory — into the Tail through the bounded-memory chunk reader
 // (clf.StreamChunked): the input is parsed in line-aligned chunks on one
 // goroutine beside this one and delivered in input order straight into the
-// batched push, so heap stays bounded by a few chunks no matter how long the
-// log is — nothing is materialized — and a chunk is what one Read returned,
+// batched push, so heap stays bounded by a few chunks plus the users the
+// log's clock leaves open, no matter how long the log is — nothing is
+// materialized — and a chunk is what one Read returned,
 // so a live pipe's records are pushed as its writer writes them. sink
 // receives sessions as records finalize them (nil means DiscardSessions); it
 // runs on the calling goroutine. The Tail is NOT flushed: call Drain or Flush

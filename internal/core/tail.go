@@ -18,21 +18,32 @@ import (
 //
 // Records are buffered per user into "activity bursts". A user's burst is
 // closed — and handed to the heuristic — when a new record arrives more
-// than the page-stay bound ρ after the burst's last request, or when
-// Expire/Flush decides the user has gone quiet. Because every heuristic's
-// sessions never span a gap larger than ρ (that is the Phase-1 page-stay
-// rule), burst-at-a-time reconstruction is exactly equivalent to batch
-// processing for Smart-SRA and the time-gap heuristic; the time-total and
-// navigation heuristics can merge across >ρ gaps in batch mode, so their
-// streamed output may split earlier (documented, covered by tests).
+// than the page-stay bound ρ after the burst's last request, when the log's
+// own clock has run 2ρ past it, or when Expire/Flush decides the user has
+// gone quiet. Because every heuristic's sessions never span a gap larger
+// than ρ (that is the Phase-1 page-stay rule), burst-at-a-time
+// reconstruction is exactly equivalent to batch processing for Smart-SRA and
+// the time-gap heuristic; the time-total and navigation heuristics can merge
+// across >ρ gaps in batch mode, so their streamed output may split earlier
+// (documented, covered by tests).
 //
-// Memory is bounded by the ACTIVE users: when Expire or Flush closes a
-// user's burst the user is evicted from the buffer map (and their burst and
-// entry storage recycled), so a long-running tail holds state only for users
-// inside the current activity window, not for every user ever seen. The
-// price is in Stats.Users: a user who returns after eviction is counted
-// again, so Users counts user activity periods (distinct users between two
-// full drains), not lifetime-unique users — exact unique counting would
+// The log's clock is the newest request among the open users. Whenever it
+// minus ρ enters a new ρ-wide bucket of the expiry wheel, the pushing call
+// closes, in user order, every user quiet for more than 2ρ of log time (the
+// sweep). One ρ is the burst gap, the other a lateness allowance: a record at
+// most ρ behind the newest finds its user's burst as an in-order log would
+// have left it, so it is sessionized exactly as in order; a record more than
+// ρ behind whose user the sweep already closed opens a new burst. The clock
+// is a function of the open users — Restore recomputes it, and it is
+// forgotten when the Tail empties — so checkpoints need no field for it.
+//
+// Memory is bounded by the ACTIVE users: when the sweep, Expire or Flush
+// closes a user's burst the user is evicted from the buffer map (and their
+// burst and entry storage recycled), so a tail holds state only for users
+// inside the current activity window — on a file with no Expire, the log's
+// last 2ρ to 3ρ — not for every user ever seen. The price is in Stats.Users:
+// a user who returns after eviction is counted again, so Users counts user
+// activity periods, not lifetime-unique users — exact unique counting would
 // require remembering every user forever, which is the unbounded growth this
 // design removes.
 //
@@ -48,9 +59,8 @@ type Tail struct {
 	stats    Stats
 	// closeInto reconstructs on one of two lanes. kept serves the
 	// slice-returning calls, whose sessions are the caller's to keep: it is
-	// never released. lent serves pushBatchTo, which releases it after each
-	// sink return (SessionSink's rule). lending says which; Drain brings
-	// lanes of its own (drainLent).
+	// never released. lent serves pushBatchTo and Drain, which release it
+	// after each sink return (SessionSink's rule). lending says which.
 	kept, lent *lane
 	lending    bool
 
@@ -62,6 +72,8 @@ type Tail struct {
 	// only users whose buckets have aged past the cutoff: O(active), not
 	// O(ever seen).
 	wheel map[int64][]string
+	// clock is the log's own time, which the sweep in pushRecord reads.
+	clock logClock
 
 	// Free lists recycle the per-burst storage that eviction retires: burst
 	// headers and []session.Entry backing arrays. Both are bounded so a
@@ -120,6 +132,7 @@ func NewTail(cfg Config, rho time.Duration) (*Tail, error) {
 		rhoNano: rho.Nanoseconds(),
 		buffers: make(map[string]*burst),
 		wheel:   make(map[int64][]string),
+		clock:   idleClock,
 		kept:    newLane(p.cfg.Heuristic),
 		lent:    newLane(p.cfg.Heuristic),
 	}, nil
@@ -166,8 +179,9 @@ func (t *Tail) pushBatchTo(buf []session.Session, recs []clf.Record, sink Sessio
 	return buf
 }
 
-// pushRecord is the shared Push/PushBatch body: count, stage, buffer.
-// Finalized sessions are appended onto dst; the caller syncs metrics.
+// pushRecord is the shared Push/PushBatch body: count, stage, buffer, then
+// sweep if the record moved the log's clock into a new bucket. Finalized
+// sessions are appended onto dst; the caller syncs metrics.
 func (t *Tail) pushRecord(dst []session.Session, rec *clf.Record) []session.Session {
 	t.stats.Records++
 	t.pendingRecords++
@@ -180,11 +194,16 @@ func (t *Tail) pushRecord(dst []session.Session, rec *clf.Record) []session.Sess
 		t.stats.Unresolved++
 		return dst
 	}
-	return t.pushResolved(dst, user, page, rec.Time)
+	dst = t.pushResolved(dst, user, page, rec.Time)
+	if cut, ok := t.clock.advance(rec.Time, t.rho); ok {
+		dst = t.closeUsers(dst, t.agedUsers(cut))
+	}
+	return dst
 }
 
 // pushResolved buffers one already-cleaned, already-resolved request: the
-// half of Push after staging, which ShardedTail routes to a user's shard.
+// half of Push after staging, which ShardedTail routes to a user's shard. It
+// does not sweep: the clock belongs to whoever routes the records.
 func (t *Tail) pushResolved(dst []session.Session, user string, page webgraph.PageID, at time.Time) []session.Session {
 	atN := at.UnixNano()
 	b := t.buffers[user]
@@ -230,11 +249,14 @@ func (t *Tail) wheelBuckets() int { return len(t.wheel) }
 
 // Expire finalizes every user whose last request is more than ρ before now,
 // returning their sessions and evicting the users. Call it periodically when
-// tailing a live log so quiet users' sessions are not held forever; its cost
+// tailing a live log, whose clock can stand still while the wall clock does
+// not, so quiet users' sessions are not held until the next record; its cost
 // is proportional to the users whose activity buckets aged past the cutoff,
 // independent of how many users the Tail has ever seen.
 func (t *Tail) Expire(now time.Time) []session.Session {
-	return t.closeAll(t.agedUsers(now))
+	out := t.closeUsers(nil, t.agedUsers(now))
+	t.syncMetrics()
+	return out
 }
 
 // agedUsers takes every bucket at or before now-ρ off the expiry wheel and
@@ -246,7 +268,7 @@ func (t *Tail) agedUsers(now time.Time) []string {
 	if len(t.wheel) == 0 {
 		return nil
 	}
-	cutBucket := t.bucketOf(now.Add(-t.rho))
+	cutBucket := bucketOf(now.Add(-t.rho), t.rho)
 	var aged []int64
 	for bk := range t.wheel {
 		if bk <= cutBucket {
@@ -283,19 +305,9 @@ func (t *Tail) agedUsers(now time.Time) []string {
 // The whole result is materialized; at the end of a large input prefer
 // Drain.
 func (t *Tail) Flush() []session.Session {
-	return t.closeAll(t.openUsers())
-}
-
-// Drain is the streaming Flush: it finalizes everything buffered, in user
-// order, handing the sessions to sink in bounded batches under SessionSink's
-// ownership rule instead of returning them, so the end of an offline input —
-// where nearly every user is still open — costs one batch of memory, not the
-// whole tail of the run. The batches concatenated are exactly what Flush
-// would have returned.
-func (t *Tail) Drain(sink SessionSink) {
-	start := time.Now()
-	t.drainLent(start, t.openUsers(), sink)
+	out := t.closeUsers(nil, t.openUsers())
 	t.syncMetrics()
+	return out
 }
 
 // openUsers returns every user with buffered entries, in user order, and
@@ -314,26 +326,23 @@ func (t *Tail) openUsers() []string {
 
 // Stats returns the counters accumulated so far. Sessions counts emitted
 // sessions only; buffered requests are not yet sessions. Users counts user
-// activations: a user evicted by Expire/Flush who later returns is counted
-// again (see the Tail doc).
+// activations: a user evicted by the log's clock, Expire or Flush who later
+// returns is counted again (see the Tail doc).
 func (t *Tail) Stats() Stats { return t.stats }
 
-// detach is the first of the three steps of closing a burst: it and settle
-// touch the Tail and run on its owner goroutine; between them
-// lane.reconstruct is a pure function of the detached stream on a scratch of
-// its own and may run anywhere. closeInto runs the three back to back,
-// drainLent spreads the middle one over goroutines. detach takes b's entries
-// off as a stream and leaves the burst empty: the caller evicts it or hands
-// it a fresh slice.
+// detach takes b's entries off as a stream for closeInto and leaves the
+// burst empty: the caller evicts it or hands it a fresh slice.
 func (t *Tail) detach(user string, b *burst) session.Stream {
 	entries := b.entries
 	b.entries = nil
 	t.buffered -= len(entries)
 	// Out-of-order arrivals within the burst (merged proxy logs, clock
-	// skew) are sorted here; cross-burst reordering beyond ρ is a log
-	// defect the caller owns. Logs are overwhelmingly in order, and
-	// pushResolved flags the rare inversion as it arrives, so the common
-	// close pays neither a sort nor a scan.
+	// skew) are sorted here; cross-burst reordering beyond ρ, and a record
+	// more than ρ behind the log's newest, are log defects the caller owns:
+	// such a record may find its user's burst closed and open a new one.
+	// Logs are overwhelmingly in order, and pushResolved flags the rare
+	// inversion as it arrives, so the common close pays neither a sort nor a
+	// scan.
 	if b.unsorted {
 		sort.SliceStable(entries, func(i, j int) bool {
 			return entries[i].Time.Before(entries[j].Time)
@@ -343,30 +352,24 @@ func (t *Tail) detach(user string, b *burst) session.Stream {
 	return session.Stream{User: user, Entries: entries}
 }
 
-// detachUser detaches and evicts one picked user. One already closed is
-// skipped (ok false): the expiry wheel can hold a stale entry beside a fresh
+// closeUsers closes and evicts the picked users, in the order given,
+// appending their sessions onto dst; the caller syncs metrics. A user already
+// closed is skipped: the expiry wheel can hold a stale entry beside a fresh
 // one for a user evicted and back, so agedUsers may pick them twice.
-func (t *Tail) detachUser(user string) (st session.Stream, ok bool) {
-	b := t.buffers[user]
-	if b == nil || len(b.entries) == 0 {
-		return st, false
+func (t *Tail) closeUsers(dst []session.Session, users []string) []session.Session {
+	for _, u := range users {
+		if b := t.buffers[u]; b != nil && len(b.entries) > 0 {
+			st := t.detach(u, b)
+			t.evict(u, b)
+			dst = t.closeInto(dst, st)
+		}
 	}
-	st = t.detach(user, b)
-	t.evict(user, b)
-	return st, true
+	return dst
 }
 
-// settle counts the sessions reconstructed from streams and recycles their
-// entry arrays: no heuristic retains its input (heuristics.Reconstructor).
-func (t *Tail) settle(sessions int, streams ...session.Stream) {
-	t.stats.Sessions += sessions
-	t.pendingSessions += int64(sessions)
-	for i := range streams {
-		t.recycleEntries(streams[i].Entries)
-	}
-}
-
-// closeInto reconstructs a detached stream onto dst and settles it.
+// closeInto reconstructs a detached stream onto dst, on the lent lane while
+// lending and the kept one otherwise, counts its sessions and recycles its
+// entry array: no heuristic retains its input (heuristics.Reconstructor).
 func (t *Tail) closeInto(dst []session.Session, st session.Stream) []session.Session {
 	l := t.kept
 	if t.lending {
@@ -374,15 +377,20 @@ func (t *Tail) closeInto(dst []session.Session, st session.Stream) []session.Ses
 	}
 	from := len(dst)
 	dst = l.reconstruct(dst, st)
-	t.settle(len(dst)-from, st)
+	t.stats.Sessions += len(dst) - from
+	t.pendingSessions += int64(len(dst) - from)
+	t.recycleEntries(st.Entries)
 	return dst
 }
 
 // evict removes a closed user from the buffer map and recycles the burst
 // header. The user's wheel entry (if any) is dropped lazily when its bucket
-// ages out.
+// ages out. The last user out takes the log's clock with them.
 func (t *Tail) evict(user string, b *burst) {
 	delete(t.buffers, user)
+	if len(t.buffers) == 0 {
+		t.clock = idleClock
+	}
 	if len(t.freeBursts) < maxFreeBursts {
 		b.entries = nil
 		b.last = time.Time{}
@@ -435,20 +443,44 @@ func (t *Tail) recycleEntries(s []session.Entry) {
 
 // wheelAdd inserts user into the expiry-wheel bucket covering at.
 func (t *Tail) wheelAdd(user string, at time.Time) {
-	bk := t.bucketOf(at)
+	bk := bucketOf(at, t.rho)
 	t.wheel[bk] = append(t.wheel[bk], user)
 }
 
 // bucketOf maps a timestamp to its ρ-width wheel bucket (floor division, so
 // pre-epoch timestamps bucket consistently too).
-func (t *Tail) bucketOf(at time.Time) int64 {
+func bucketOf(at time.Time, rho time.Duration) int64 {
 	ns := at.UnixNano()
-	w := int64(t.rho)
+	w := int64(rho)
 	bk := ns / w
 	if ns < 0 && ns%w != 0 {
 		bk--
 	}
 	return bk
+}
+
+// logClock is a log's own time: newest is the newest request among the open
+// users (UnixNano), bucket the wheel bucket of newest − ρ, which the sweep
+// last ran at. idleClock is the clock of a Tail with no open user.
+type logClock struct{ newest, bucket int64 }
+
+var idleClock = logClock{math.MinInt64, math.MinInt64}
+
+// advance moves the clock forward to at, if at is newer. When at − ρ enters a
+// new bucket it returns that cutoff with ok true: agedUsers(cut) are the
+// users quiet for more than 2ρ of log time, for the caller to close.
+func (c *logClock) advance(at time.Time, rho time.Duration) (cut time.Time, ok bool) {
+	n := at.UnixNano()
+	if n <= c.newest {
+		return cut, false
+	}
+	c.newest = n
+	cut = at.Add(-rho)
+	if bk := bucketOf(cut, rho); bk > c.bucket {
+		c.bucket = bk
+		return cut, true
+	}
+	return cut, false
 }
 
 // syncMetrics folds the deferred per-operation deltas into the process-wide

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 	"time"
 
@@ -104,21 +105,46 @@ func TestTailCountsFilteredAndUnresolved(t *testing.T) {
 	}
 }
 
+// TestTailSortsOutOfOrderWithinBurst: a record that arrives behind its user's
+// newest joins the open burst in time order. The lateness cases pin the log's
+// clock's contract: a record at most ρ behind the newest in the log finds its
+// user's burst open and joins it; one more than ρ behind, whose user the
+// clock has already closed, opens a new burst.
 func TestTailSortsOutOfOrderWithinBurst(t *testing.T) {
 	g, _ := webgraph.PaperFigure1()
-	tl, err := NewTail(Config{Graph: g, Heuristic: heuristics.NewTimeGap()}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
 	t0 := time.Date(2006, 1, 2, 12, 0, 0, 0, time.UTC)
-	tl.Push(tailRec("u", "/P13.html", t0.Add(time.Minute)))
-	tl.Push(tailRec("u", "/P1.html", t0)) // arrives late
-	got := tl.Flush()
-	if len(got) != 1 {
-		t.Fatalf("flush emitted %v", got)
-	}
-	if got[0].Entries[0].Page != mustPage(t, g, "/P1.html") {
-		t.Errorf("out-of-order entries not sorted: %v", got[0])
+	for _, tc := range []struct {
+		name string
+		recs []clf.Record
+		want string // every session, closed while pushing and then flushed
+	}{
+		{"within burst", []clf.Record{
+			tailRec("u", "/P13.html", t0.Add(time.Minute)),
+			tailRec("u", "/P1.html", t0), // arrives late
+		}, "u:[0 1]"},
+		{"lateness ρ", []clf.Record{
+			tailRec("a", "/P1.html", t0),
+			tailRec("b", "/P1.html", t0.Add(20*time.Minute)),  // a is 2ρ quiet, not more
+			tailRec("a", "/P13.html", t0.Add(10*time.Minute)), // ρ behind b
+		}, "a:[0 1] b:[0]"},
+		{"lateness beyond ρ", []clf.Record{
+			tailRec("a", "/P1.html", t0),
+			tailRec("b", "/P1.html", t0.Add(21*time.Minute)), // closes a
+			tailRec("a", "/P13.html", t0.Add(9*time.Minute)), // 12 minutes behind b
+		}, "a:[0] a:[1] b:[0]"},
+	} {
+		tl, err := NewTail(Config{Graph: g, Heuristic: heuristics.NewTimeGap()}, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []session.Session
+		for _, r := range tc.recs {
+			got = append(got, tl.Push(r)...)
+		}
+		got = append(got, tl.Flush()...)
+		if s := strings.Join(sessionStrings(got), " "); s != tc.want {
+			t.Errorf("%s: sessions %q, want %q", tc.name, s, tc.want)
+		}
 	}
 }
 

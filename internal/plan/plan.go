@@ -1,6 +1,6 @@
 // Package plan is what is left of the execution planner. There is one
-// execution shape — a decoder per gzip member ‖ one parser ‖ the tail ‖ the
-// drain lanes (internal/clf's StreamFilesChunked, internal/core's Drain) — so
+// execution shape — a decoder per gzip member ‖ one parser ‖ the tail
+// (internal/clf's StreamFilesChunked, internal/core's Tail) — so
 // there is nothing to plan, nothing is probed, and no package of this module
 // imports plan. The names below stay only because bench/layers.go:409 calls
 // them to time its plan.resolve_ms row; the benchmark PR of ROADMAP item 3 (f)
