@@ -15,8 +15,8 @@
 // gracefully, flushing every still-buffered session when -sessions is active
 // (use a file and tail -f to watch). SIGHUP reopens the -log and -sessions
 // files for logrotate-style rotation without dropping records. Runtime
-// counters — requests served, log lines written, write errors,
-// retry/dead-letter/checkpoint events — are exposed as plain text at
+// counters — requests served, log lines read back, write errors, sessions
+// held — are exposed as plain text at
 // /debug/metrics, and CPU, heap, allocation, goroutine and execution trace
 // profiles of the running server at /debug/pprof/ (go tool pprof
 // http://host/debug/pprof/profile?seconds=10).
@@ -25,15 +25,15 @@
 // live, from the access log it writes, and one goroutine — the owner,
 // live.go — does all of it: it reads the log from its own offset, alone
 // touches the core.Tail (Smart-SRA, no lock: nothing else may), appends
-// finalized sessions to the session file (through a core.RetrySink, so
-// transient write failures are retried and persistent ones land in
-// <sessions>.deadletter instead of vanishing; once writes recover, the
-// journal is re-ingested and truncated), expires quiet users every
+// finalized sessions to the session file, expires quiet users every
 // -expire-every, journals those expiry cuts, checkpoints and rotates. A
 // handler appends its line to the log and flushes under the log lock, then
 // wakes the owner; the log is the only queue between them, so the live
 // tail's input is the log by construction. The owner takes the log lock only
-// to rotate.
+// to rotate. A session write that fails is held, and until the file takes it
+// the owner reads no more of the log: the log is the backlog of the session
+// file too, so no later session lands before a held one, and each message
+// the owner takes retries the write.
 //
 // Nothing behind the log sheds: a request is refused, if at all, by
 // admission control (-max-inflight, -ip-rate) before it is served or logged.
@@ -92,8 +92,8 @@ var (
 	// metricLogWriteErrors counts requests whose access-log write failed —
 	// silent data loss made alertable.
 	metricLogWriteErrors = metrics.GetCounter("serve.log_write_errors")
-	// metricSessionWriteErrors counts failed session-file write attempts
-	// (before any retry succeeds or dead-letters).
+	// metricSessionWriteErrors counts failed session-file writes: the one
+	// that starts an outage and every retry of the held sessions in it.
 	metricSessionWriteErrors = metrics.GetCounter("serve.session_write_errors")
 	// metricLatency is the server-side request latency distribution.
 	metricLatency = metrics.Default.GetHistogramBuckets("serve.request.seconds", metrics.LatencyBuckets)

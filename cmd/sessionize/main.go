@@ -464,14 +464,14 @@ func runStreamCheckpointed(cfg core.Config, rho time.Duration, paths []string, s
 		}
 		// A failed save only costs recovery granularity: the previous
 		// checkpoint file stays valid (atomic rename), so keep streaming.
-		if _, err := w.MaybeSave(func() *checkpoint.Checkpoint {
+		if _, err := w.MaybeSave(func() (*checkpoint.Checkpoint, error) {
 			if err := sf.Sync(); err != nil {
-				fmt.Fprintln(os.Stderr, "sessionize: session file sync:", err)
+				return nil, fmt.Errorf("session file sync: %w", err)
 			}
 			return &checkpoint.Checkpoint{
 				LogOffset: pos.Offset, LogFile: pos.File, LogPath: paths[pos.File],
 				SinkOffset: good, Tail: st.Snapshot(),
-			}
+			}, nil
 		}); err != nil {
 			fmt.Fprintln(os.Stderr, "sessionize: checkpoint:", err)
 		}

@@ -225,7 +225,8 @@ func TestFailedSaveLeavesPreviousIntact(t *testing.T) {
 }
 
 // TestWriterRateLimit: MaybeSave honors the interval, only builds the
-// snapshot when due, and a failed save does not stop later saves.
+// snapshot when due, a failed build skips the save without waiting out the
+// interval, and a failed save does not stop later saves.
 func TestWriterRateLimit(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "state.ckpt")
@@ -235,11 +236,18 @@ func TestWriterRateLimit(t *testing.T) {
 	w.Now = func() time.Time { return clock }
 
 	builds := 0
-	build := func() *checkpoint.Checkpoint {
+	build := func() (*checkpoint.Checkpoint, error) {
 		builds++
 		ck := sampleCheckpoint()
 		ck.LogOffset = int64(builds)
-		return ck
+		return ck, nil
+	}
+	unsynced := errors.New("session file sync failed")
+	if saved, err := w.MaybeSave(func() (*checkpoint.Checkpoint, error) { return nil, unsynced }); saved || err != unsynced {
+		t.Fatalf("MaybeSave with a failing build = (%v, %v), want no save and the build's error", saved, err)
+	}
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
+		t.Fatalf("a failed build left a checkpoint file (stat err %v)", err)
 	}
 
 	if saved, err := w.MaybeSave(build); !saved || err != nil {

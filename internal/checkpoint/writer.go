@@ -43,12 +43,17 @@ func (w *Writer) Save(ck *Checkpoint) error {
 
 // MaybeSave saves if at least the configured interval elapsed since the last
 // save. build is only invoked when a save is due, so callers can defer the
-// (lock-taking) snapshot work to it.
-func (w *Writer) MaybeSave(build func() *Checkpoint) (saved bool, err error) {
+// snapshot work (and the syncs it needs) to it; an error from build skips the
+// save and is returned, and the next call is due again.
+func (w *Writer) MaybeSave(build func() (*Checkpoint, error)) (saved bool, err error) {
 	if now := w.now(); !w.last.IsZero() && now.Sub(w.last) < w.every {
 		return false, nil
 	}
-	return true, w.Save(build())
+	ck, err := build()
+	if err != nil {
+		return false, err
+	}
+	return true, w.Save(ck)
 }
 
 // Err returns the most recent Save error, or nil if the last save landed.
