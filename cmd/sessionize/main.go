@@ -94,7 +94,7 @@ type options struct {
 func main() {
 	var o options
 	// -workers is parsed and ignored. It stays because bench/offline.go:138
-	// passes "-workers 0"; ROADMAP item 3 (f) drops it with that line.
+	// passes "-workers 0"; ROADMAP item 2 drops it with that line.
 	workers := flag.String("workers", "auto", "ignored: a log is read by one parser goroutine beside the sessionizer (accepts auto or an integer)")
 	flag.DurationVar(&o.expireEvery, "expire-every", 0, "finalize quiet users this often while streaming (0 = auto: 30s for pipes/stdin, off for files; <0 = off)")
 	flag.StringVar(&o.topoPath, "topology", "", "topology JSON written by simgen (required)")

@@ -69,7 +69,7 @@ func inlineSources(n, first int, open func(int) (Source, error), chunkBytes int)
 
 // aheadSources is the same pass through the engine under test.
 func aheadSources(n, first int, open func(int) (Source, error), chunkBytes int) (run inlineRun) {
-	run.bad, run.err = streamSources(n, first, open, StreamConfig{ChunkBytes: chunkBytes},
+	run.bad, run.err = streamSources(n, first, open, StreamConfig{ChunkBytes: chunkBytes}, copyRecord,
 		func(recs []Record) { run.recs = append(run.recs, recs...) },
 		func(pos FilePos) error {
 			run.marks = append(run.marks, posMark{pos, len(run.recs)})
@@ -185,6 +185,44 @@ func TestLentRecordsArePoisoned(t *testing.T) {
 	}
 }
 
+// lentHost is a staged element that names its own sentinel.
+type lentHost struct{ host string }
+
+func (lentHost) Lent() lentHost { return lentHost{"\x00lent"} }
+
+// TestLentStagedSlicesArePoisoned: a staged stream's lent slices are
+// overwritten too, whatever the element type — with the type's own Lent
+// sentinel where it has one, with the zero value where it has none.
+func TestLentStagedSlicesArePoisoned(t *testing.T) {
+	log := synthLog(67, 600)
+	cfg := StreamConfig{ChunkBytes: 4096}
+	var named [][]lentHost
+	if _, err := StreamStaged(strings.NewReader(log), cfg, func(r *Record) lentHost { return lentHost{r.Host} },
+		func(hosts []lentHost) { named = append(named, hosts) }, nil); err != nil {
+		t.Fatal(err)
+	}
+	var plain [][]int64
+	if _, err := StreamStaged(strings.NewReader(log), cfg, func(r *Record) int64 { return int64(len(r.Host)) },
+		func(sizes []int64) { plain = append(plain, sizes) }, nil); err != nil {
+		t.Fatal(err)
+	}
+	if len(named) < 4 || len(plain) != len(named) {
+		t.Fatalf("%d and %d chunks", len(named), len(plain))
+	}
+	for i := range named {
+		for _, h := range named[i] {
+			if h.host != "\x00lent" {
+				t.Fatalf("a lent slice still holds %+v", h)
+			}
+		}
+		for _, n := range plain[i] {
+			if n != 0 {
+				t.Fatalf("a lent slice still holds %d", n)
+			}
+		}
+	}
+}
+
 // TestParserLeavesNoGoroutine: however a stream ends — end
 // of input, a read error, a truncated gzip member, a later file that does
 // not open, progress saying stop — the parser goroutine (and any decoder
@@ -246,7 +284,7 @@ func TestParserLeavesNoGoroutine(t *testing.T) {
 	}
 	settle(t, "borrowed reader, read error", before)
 	src := newReaderSource(strings.NewReader(text), 0)
-	if _, err := streamSources(1, 0, func(int) (Source, error) { return src, nil }, StreamConfig{ChunkBytes: 2048}, func([]Record) {}, stopAt(3)); err != errStop {
+	if _, err := streamSources(1, 0, func(int) (Source, error) { return src, nil }, StreamConfig{ChunkBytes: 2048}, copyRecord, func([]Record) {}, stopAt(3)); err != errStop {
 		t.Fatalf("borrowed reader abort: err = %v", err)
 	}
 	settle(t, "borrowed reader abort", before)
@@ -299,7 +337,7 @@ func TestAbortDropsChunksParsedAhead(t *testing.T) {
 	src := &countingSource{readerSource: memSource(text)}
 	var got []Record
 	reports := 0
-	bad, err := streamSources(1, 0, func(int) (Source, error) { return src, nil }, StreamConfig{ChunkBytes: chunk},
+	bad, err := streamSources(1, 0, func(int) (Source, error) { return src, nil }, StreamConfig{ChunkBytes: chunk}, copyRecord,
 		func(recs []Record) { got = append(got, recs...) },
 		func(FilePos) error {
 			if reports++; reports < k {
@@ -339,7 +377,7 @@ func TestParseCountersSaySideThatWaited(t *testing.T) {
 	text := synthLog(79, 400)
 	run := func(src Source, emit func([]Record)) (chunks, wait, stall int64) {
 		c0, w0, s0 := metricParseChunks.Value(), metricParseWait.Value(), metricParseStall.Value()
-		if _, err := streamSources(1, 0, func(int) (Source, error) { return src, nil }, StreamConfig{ChunkBytes: 2048}, emit, nil); err != nil {
+		if _, err := streamSources(1, 0, func(int) (Source, error) { return src, nil }, StreamConfig{ChunkBytes: 2048}, copyRecord, emit, nil); err != nil {
 			t.Fatal(err)
 		}
 		return metricParseChunks.Value() - c0, metricParseWait.Value() - w0, metricParseStall.Value() - s0

@@ -10,17 +10,17 @@ const readChunkSize = 1 << 20
 // it is a defect (or an attack), and both readers fail the same way.
 const maxLineBytes = 1 << 20
 
-// parseChunkIntern parses every line of one chunk (the final line may lack a
-// trailing newline) into the caller-provided slice, skipping blank lines and
-// counting malformed ones, mirroring the Scanner's accounting — including
-// the over-long-line policy: a line past the 1 MiB cap (possible when chunks
-// are larger than the cap: a Source checks only the first line of each of
-// its blocks) is counted and skipped, exactly as the sequential
-// lineScanner does. The intern table is the caller's, held across chunks so
-// repeated hosts/URIs stay the same string across the whole input; the
-// caller retires it via full() — parsing never grows it past the next
-// chunk's distinct strings.
-func parseChunkIntern(data []byte, recs []Record, in *internTable) ([]Record, int) {
+// parseChunkAs parses every line of one chunk (the final line may lack a
+// trailing newline) into *rec and appends stage(rec) onto out, skipping blank
+// lines and counting malformed ones, mirroring the Scanner's accounting —
+// including the over-long-line policy: a line past the 1 MiB cap (possible
+// when chunks are larger than the cap: a Source checks only the first line of
+// each of its blocks) is counted and skipped, exactly as the sequential
+// lineScanner does. rec is the caller's scratch (see parser.rec). The intern
+// table is the caller's, held across chunks so repeated hosts/URIs stay the
+// same string across the whole input; the caller retires it via full() —
+// parsing never grows it past the next chunk's distinct strings.
+func parseChunkAs[T any](data []byte, out []T, in *internTable, rec *Record, stage func(*Record) T) ([]T, int) {
 	bad := 0
 	for len(data) > 0 {
 		var line []byte
@@ -36,14 +36,19 @@ func parseChunkIntern(data []byte, recs []Record, in *internTable) ([]Record, in
 		if isBlankBytes(line) {
 			continue
 		}
-		rec, _, err := parseAnyRecordBytesIn(line, in)
-		if err != nil {
+		var err error
+		if *rec, _, err = parseAnyRecordBytesIn(line, in); err != nil {
 			bad++
 			continue
 		}
-		recs = append(recs, rec)
+		out = append(out, stage(rec))
 	}
-	return recs, bad
+	return out, bad
+}
+
+// parseChunkIntern is parseChunkAs keeping the records themselves.
+func parseChunkIntern(data []byte, recs []Record, in *internTable) ([]Record, int) {
+	return parseChunkAs(data, recs, in, new(Record), copyRecord)
 }
 
 // ParseChunk is the stream readers' chunk parse for a caller that reads its

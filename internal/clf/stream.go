@@ -7,12 +7,12 @@ import (
 	"time"
 )
 
-// StreamConfig tunes StreamChunked and StreamFilesChunked. Zero values mean:
+// StreamConfig tunes the Stream* readers. Zero values mean:
 // ~1 MiB chunks, start at the first byte of the first file, no tick.
 type StreamConfig struct {
 	// Workers is ignored: there is one parser goroutine and no pool. The
-	// field stays because bench/layers.go:104 and :269 set it; ROADMAP item 3
-	// (f) drops it with them.
+	// field stays because bench/layers.go:104 and :269 set it; ROADMAP item 2
+	// drops it with them.
 	Workers int
 	// ChunkBytes is the target chunk size; <= 0 means ~1 MiB.
 	ChunkBytes int
@@ -22,7 +22,7 @@ type StreamConfig struct {
 	// has no position to seek to: StreamChunked ignores it.
 	Start FilePos
 	// NoMmap is ignored: every plain file is read, none is mapped. The field
-	// stays because bench/layers.go:269 sets it; ROADMAP item 3 drops it
+	// stays because bench/layers.go:269 sets it; ROADMAP item 2 drops it
 	// with Workers.
 	NoMmap bool
 	// Tick, when non-nil, is a second input of the emitting loop: each value
@@ -67,10 +67,27 @@ func (c StreamConfig) withDefaults() StreamConfig {
 // streams again sees exactly the records not yet emitted — what crash
 // recovery replays depend on. A non-nil error from progress aborts the
 // stream and is returned.
+//
+// It is kept out of line, as is StreamFilesChunked: inlined, it leaves its
+// caller calling the generic StreamStaged, past which the compiler cannot
+// see that emitChunk does not escape, and the caller's closure and what it
+// captures move to the heap.
+//
+//go:noinline
 func StreamChunked(r io.Reader, cfg StreamConfig, emitChunk func([]Record), progress func(FilePos) error) (malformed int, err error) {
+	return StreamStaged(r, cfg, copyRecord, emitChunk, progress)
+}
+
+// StreamStaged is StreamChunked handing on, in place of each record, what
+// stage makes of it: stage runs on the parser goroutine, once per record in
+// input order, so it must be safe to call beside the calling goroutine (a
+// pure function of the record). Its *Record is the parser's scratch, valid
+// only during the call. A consumer that needs three fields of a 168-byte
+// Record pays for three in the ring.
+func StreamStaged[T any](r io.Reader, cfg StreamConfig, stage func(*Record) T, emitChunk func([]T), progress func(FilePos) error) (malformed int, err error) {
 	src := newReaderSource(r, 0) // no closers: r is borrowed
 	open := func(int) (Source, error) { return src, nil }
-	return streamSources(1, 0, open, cfg.withDefaults(), emitChunk, progress)
+	return streamSources(1, 0, open, cfg.withDefaults(), stage, emitChunk, progress)
 }
 
 // StreamFilesChunked is StreamChunked over an ordered multi-file log set —
@@ -88,7 +105,15 @@ func StreamChunked(r io.Reader, cfg StreamConfig, emitChunk func([]Record), prog
 // line-aligned FilePos just past each chunk (decoded bytes within a gzip
 // member); checkpointing consumers return an error from it to stop cleanly
 // mid-set.
+//
+//go:noinline
 func StreamFilesChunked(paths []string, cfg StreamConfig, emitChunk func([]Record), progress func(FilePos) error) (malformed int, err error) {
+	return StreamFilesStaged(paths, cfg, copyRecord, emitChunk, progress)
+}
+
+// StreamFilesStaged is StreamFilesChunked handing on what stage makes of each
+// record, as StreamStaged does.
+func StreamFilesStaged[T any](paths []string, cfg StreamConfig, stage func(*Record) T, emitChunk func([]T), progress func(FilePos) error) (malformed int, err error) {
 	cfg = cfg.withDefaults()
 	open := func(i int) (Source, error) {
 		var off int64
@@ -97,52 +122,76 @@ func StreamFilesChunked(paths []string, cfg StreamConfig, emitChunk func([]Recor
 		}
 		return openSourceAt(paths[i], off, cfg.ChunkBytes)
 	}
-	return streamSources(len(paths), max(cfg.Start.File, 0), open, cfg, emitChunk, progress)
+	return streamSources(len(paths), max(cfg.Start.File, 0), open, cfg, stage, emitChunk, progress)
 }
+
+// copyRecord is the stage of the Record streams: the record itself.
+func copyRecord(rec *Record) Record { return *rec }
 
 // parsedChunk is one chunk's parse result and where the chunk ended; bad
 // includes the over-long lines skipped on the way there, and a message with
 // err set is the last: how the stream ended, when not cleanly.
-type parsedChunk struct {
-	recs []Record
+type parsedChunk[T any] struct {
+	recs []T
 	bad  int
 	pos  FilePos
 	err  error
 }
 
-// retire ends the loan of a chunk's records — emitChunk has returned — and
-// gives the slice back empty, to be refilled. In test binaries the records
-// are first overwritten with sentinels, so a consumer that kept the slice
-// fails its next comparison instead of racing with the parser.
-func retire(recs []Record) []Record {
-	if poisonLent {
-		for i := range recs {
-			recs[i] = Record{Host: "\x00lent", Status: -1}
+// retire ends the loan of a chunk's elements — emitChunk has returned — and
+// gives the slice back empty, to be refilled. In test binaries the elements
+// are first overwritten with a sentinel (poison), so a consumer that kept the
+// slice fails its next comparison instead of racing with the parser.
+func retire[T any](recs []T) []T {
+	if poisonLent && len(recs) > 0 {
+		poison(&recs[0])
+		for i := 1; i < len(recs); i++ {
+			recs[i] = recs[0]
 		}
 	}
 	return recs[:0]
+}
+
+// poison overwrites *elem with what a retired element reads in test
+// binaries: for a Record, host "\x00lent" and status -1; for an element type
+// with a Lent method, what that returns; for any other, the zero value.
+func poison[T any](elem *T) {
+	switch p := any(elem).(type) {
+	case *Record:
+		*p = Record{Host: "\x00lent", Status: -1}
+	case interface{ Lent() T }:
+		*elem = p.Lent()
+	default:
+		var zero T
+		*elem = zero
+	}
 }
 
 // poisonLent is true exactly in "go test" binaries (as core's, for sessions).
 var poisonLent = testing.Testing()
 
 // parser is the parse stage: one goroutine that owns the sources, the intern
-// table and NextChunk → parseChunkIntern, beside the goroutine that emits.
+// table and NextChunk → parseChunkAs, beside the goroutine that emits.
 // Each chunk is parsed — its bytes consumed — before the next NextChunk, into
-// a ring of recycled record slices: a slice belongs to the parser while it is
-// filled and to the emitting side from out until emitChunk has returned, then
-// goes back on free.
-type parser struct {
-	ring[[]Record]
-	out chan parsedChunk // parser → emitting side, in input order; closed at the end
-	in  *internTable
+// a ring of recycled slices of staged records: a slice belongs to the parser
+// while it is filled and to the emitting side from out until emitChunk has
+// returned, then goes back on free.
+type parser[T any] struct {
+	ring[[]T]
+	out   chan parsedChunk[T] // parser → emitting side, in input order; closed at the end
+	in    *internTable
+	stage func(*Record) T
+	// rec is the record each line is parsed into and stage reads. It is a
+	// field, not a local, because its address goes to stage, an indirect
+	// call: a local would escape, one heap Record per line.
+	rec Record
 }
 
 // startParser starts parsing sources first..n-1 in turn. The goroutine closes
 // every source it opened, whichever way it ends.
-func startParser(n, first int, open func(int) (Source, error), chunkBytes int) *parser {
+func startParser[T any](n, first int, open func(int) (Source, error), chunkBytes int, stage func(*Record) T) *parser[T] {
 	// out is sized to the ring: a chunk never waits for a slot.
-	p := &parser{ring: newRing[[]Record](), out: make(chan parsedChunk, ringDepth), in: newInternTable()}
+	p := &parser[T]{ring: newRing[[]T](), out: make(chan parsedChunk[T], ringDepth), in: newInternTable(), stage: stage}
 	go func() {
 		defer close(p.done)
 		defer close(p.out)
@@ -152,7 +201,7 @@ func startParser(n, first int, open func(int) (Source, error), chunkBytes int) *
 				err = p.drain(i, src, chunkBytes)
 			}
 			if err != nil {
-				p.send(parsedChunk{err: err}) // after a stop nobody reads it
+				p.send(parsedChunk[T]{err: err}) // after a stop nobody reads it
 				return
 			}
 		}
@@ -163,7 +212,7 @@ func startParser(n, first int, open func(int) (Source, error), chunkBytes int) *
 var errStopped = errors.New("clf: stream stopped")
 
 // drain parses src to its end and closes it.
-func (p *parser) drain(i int, src Source, chunkBytes int) error {
+func (p *parser[T]) drain(i int, src Source, chunkBytes int) error {
 	for {
 		// Each chunk is parsed before the next is pulled: a reader-backed
 		// source hands out its read or ring buffer itself and refills it here.
@@ -175,15 +224,16 @@ func (p *parser) drain(i int, src Source, chunkBytes int) error {
 			}
 			return err
 		}
-		// Sized for a chunk of minimal lines: records are ~170 B, growing costs.
-		recs, ok := p.take(func() []Record { return make([]Record, 0, chunkBytes/48+1) }, metricParseStall)
+		// Sized for a chunk of minimal (~48-byte) lines, so a slice never
+		// grows: growing would copy it and leave the old array to the collector.
+		recs, ok := p.take(func() []T { return make([]T, 0, chunkBytes/48+1) }, metricParseStall)
 		if ok {
 			if p.in.full() {
 				p.in = newInternTable()
 			}
 			var bad int
-			recs, bad = parseChunkIntern(data, recs, p.in)
-			ok = p.send(parsedChunk{recs: recs, bad: skipped + bad, pos: FilePos{File: i, Offset: end}})
+			recs, bad = parseChunkAs(data, recs, p.in, &p.rec, p.stage)
+			ok = p.send(parsedChunk[T]{recs: recs, bad: skipped + bad, pos: FilePos{File: i, Offset: end}})
 		}
 		if !ok {
 			src.Close()
@@ -193,7 +243,7 @@ func (p *parser) drain(i int, src Source, chunkBytes int) error {
 }
 
 // send hands c to the emitting side; false once stopped.
-func (p *parser) send(c parsedChunk) bool {
+func (p *parser[T]) send(c parsedChunk[T]) bool {
 	select {
 	case p.out <- c:
 		return true
@@ -203,21 +253,22 @@ func (p *parser) send(c parsedChunk) bool {
 }
 
 // streamSources runs the parse pipeline over n ordered sources, opened
-// lazily by open, starting at index first, delivering each chunk's records
-// as one slice: one parser goroutine reads and parses in input order and the
-// calling goroutine emits behind it, running cfg.OnTick for each cfg.Tick in
-// between. The parser has ended, its sources closed, on return.
-func streamSources(n, first int, open func(int) (Source, error), cfg StreamConfig, emitChunk func([]Record), progress func(FilePos) error) (malformed int, err error) {
+// lazily by open, starting at index first, delivering each chunk's staged
+// records as one slice: one parser goroutine reads, parses and stages in
+// input order and the calling goroutine emits behind it, running cfg.OnTick
+// for each cfg.Tick in between. The parser has ended, its sources closed, on
+// return.
+func streamSources[T any](n, first int, open func(int) (Source, error), cfg StreamConfig, stage func(*Record) T, emitChunk func([]T), progress func(FilePos) error) (malformed int, err error) {
 	records := 0
 	defer func() {
 		metricRecords.Add(int64(records))
 		metricMalformed.Add(int64(malformed))
 	}()
-	p := startParser(n, first, open, cfg.ChunkBytes)
+	p := startParser(n, first, open, cfg.ChunkBytes, stage)
 	defer p.stop() // every exit waits for the parser, which closes its source
 	for {
 		start := time.Now()
-		var c parsedChunk
+		var c parsedChunk[T]
 		var ok bool
 		select {
 		case c, ok = <-p.out:

@@ -149,7 +149,7 @@ func TestStreamParallelBoundedMemory(t *testing.T) {
 	if raceEnabled {
 		short, long = 16<<20, 64<<20
 	}
-	// The live heap peaks near 25 MiB; the budget leaves headroom without
+	// The live heap peaks near 15 MiB; the budget leaves headroom without
 	// letting a regression to O(log) memory slip through — the long log is
 	// twice the budget.
 	const budget = 128 << 20
@@ -282,5 +282,43 @@ func TestStreamParallelBoundedMemory(t *testing.T) {
 	} else if plain.rssGrowth > readerShort.rssGrowth+rssMargin {
 		t.Errorf("plain file, %d MiB log: resident set grew %d MiB, the reader's %d MiB (+%d MiB margin): the file's pages stay resident",
 			short>>20, plain.rssGrowth>>20, readerShort.rssGrowth>>20, rssMargin>>20)
+	}
+}
+
+// TestParseRingHoldsPageViews: the parser stages each record before it goes
+// into the ring, so the ring holds 48-byte page views, not 168-byte records.
+// A 16 MiB few-user log through Tail.Ingest keeps the live heap under 8 MiB;
+// three 1 MiB chunks' worth of Record slices would be 11 MB on their own.
+func TestParseRingHoldsPageViews(t *testing.T) {
+	if testing.Short() {
+		t.Skip("16 MiB ingestion")
+	}
+	const total, budget = 16 << 20, 8 << 20
+	g := goldenGraph()
+	uris := make([]string, 0, g.NumPages())
+	for _, p := range g.Pages() {
+		uris = append(uris, g.Label(p))
+	}
+	st, err := NewTail(Config{Graph: g, Heuristic: heuristics.NewTimeGap()}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC() // what earlier tests left is garbage, not live
+	var m memSampler
+	// Sixteen users whose bursts close every 10,000 lines: the Tail's own
+	// state stays a few hundred KiB, and what is left is the reader's.
+	log := newSynthLogReader(total, uris)
+	log.hosts, log.jumpEvery = 16, 10_000
+	if _, err := st.Ingest(log, DiscardSessions, m.progress); err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	m.sample()
+	if st.Stats().Records == 0 {
+		t.Fatal("the log ingested nothing")
+	}
+	t.Logf("live-heap high-water %.1f MiB", float64(m.live)/(1<<20))
+	if m.live > budget {
+		t.Errorf("live-heap high-water %d MiB over %d MiB: the parse ring holds more than page views", m.live>>20, budget>>20)
 	}
 }

@@ -109,11 +109,13 @@ func CutsAfter(cuts []ExpiryCut, seq int64) []ExpiryCut {
 }
 
 // cutFeeder builds the per-chunk delivery function ingestion hands to the
-// clf chunk reader: each chunk goes to the Tail whole — one metrics flush per
-// chunk — through pushBatchTo, whose output is pinned byte-identical to a
-// record-at-a-time Push loop. One session buffer serves the whole ingestion:
-// batches are lent to the sink, so each reuses the previous one's storage and
-// the steady state allocates nothing per batch.
+// clf chunk reader: each chunk's page views — one per record, staged on the
+// parser goroutine, filtered and unresolved records included — go to the
+// Tail whole — one metrics flush per chunk — through pushBatchTo, whose
+// output is pinned byte-identical to a record-at-a-time Push loop. One
+// session buffer serves the whole ingestion: batches are lent to the sink, so
+// each reuses the previous one's storage and the steady state allocates
+// nothing per batch.
 //
 // With cuts it also replays them: records are counted as they are pushed
 // (starting from base, the restored snapshot's record count), and whenever
@@ -126,7 +128,7 @@ func CutsAfter(cuts []ExpiryCut, seq int64) []ExpiryCut {
 // returned flush applies any cuts at or past the final record count (expiry
 // that fired after the last record arrived); call it after the stream ends,
 // before Flush or Drain.
-func (t *Tail) cutFeeder(sink SessionSink, base int64, cuts []ExpiryCut) (feed func([]clf.Record), expire func(time.Time), flush func()) {
+func (t *Tail) cutFeeder(sink SessionSink, base int64, cuts []ExpiryCut) (feed func([]pageView), expire func(time.Time), flush func()) {
 	count := base
 	ci := 0
 	var buf []session.Session
@@ -137,18 +139,18 @@ func (t *Tail) cutFeeder(sink SessionSink, base int64, cuts []ExpiryCut) (feed f
 			ci++
 		}
 	}
-	feed = func(recs []clf.Record) {
-		for len(recs) > 0 {
+	feed = func(views []pageView) {
+		for len(views) > 0 {
 			applyDue()
-			n := len(recs)
+			n := len(views)
 			if ci < len(cuts) {
 				if room := cuts[ci].Records - count; int64(n) > room {
 					n = int(room)
 				}
 			}
-			buf = t.pushBatchTo(buf, recs[:n], sink)
+			buf = t.pushBatchTo(buf, views[:n], sink)
 			count += int64(n)
-			recs = recs[n:]
+			views = views[n:]
 		}
 	}
 	return feed, expire, applyDue

@@ -177,24 +177,7 @@ func TestIngestFilesCutsEquivalence(t *testing.T) {
 	}
 
 	// Reference: sequential Push loop with cuts applied in place.
-	ref, err := NewTail(Config{Graph: g}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var want []session.Session
-	ci := 0
-	for i, rec := range records {
-		for ci < len(cuts) && cuts[ci].Records <= int64(i) {
-			want = append(want, ref.Expire(cuts[ci].At)...)
-			ci++
-		}
-		want = append(want, ref.Push(rec)...)
-	}
-	for ; ci < len(cuts); ci++ {
-		want = append(want, ref.Expire(cuts[ci].At)...)
-	}
-	want = append(want, ref.Flush()...)
-	wantBytes := renderSessions(t, want)
+	wantBytes, _ := pushLoop(t, Config{Graph: g}, records, cuts)
 
 	logPath := filepath.Join(t.TempDir(), "access.log")
 	if err := os.WriteFile(logPath, log, 0o644); err != nil {
@@ -230,7 +213,7 @@ func TestIngestFilesCutsEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	var got []session.Session
-	ci = 0
+	ci := 0
 	for i := int64(0); i < split; i++ {
 		for ci < len(cuts) && cuts[ci].Records <= i {
 			got = append(got, head.Expire(cuts[ci].At)...)

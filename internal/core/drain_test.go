@@ -233,7 +233,7 @@ func TestDrainMixedOwnership(t *testing.T) {
 		before := renderSessions(t, owned)
 		var lent []session.Session
 		var buf []session.Session
-		buf = tl.pushBatchTo(buf, recs[cut:], keep(&lent))
+		buf = tl.pushBatchTo(buf, stageAll(tl, recs[cut:]), keep(&lent))
 		tl.Drain(keep(&lent))
 		owned2 := tl.PushBatch(recs[:cut]) // kept scratch again, after a release
 		if !bytes.Equal(renderSessions(t, owned), before) {

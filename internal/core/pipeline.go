@@ -58,6 +58,10 @@ type Config struct {
 	Heuristic heuristics.Reconstructor
 	// Filter cleans records before user identification; nil means
 	// clf.StandardCleaning(). Use clf.KeepAll to disable cleaning.
+	//
+	// Filter, Key and Resolver must be pure functions of their input: during
+	// a Tail's Ingest* they run on clf's parser goroutine, beside the
+	// goroutine that owns the Tail, a chunk or two ahead of it.
 	Filter clf.Filter
 	// Key identifies users; nil means prep.ByIP.
 	Key prep.UserKey
@@ -83,19 +87,37 @@ const (
 	stageUnresolved
 )
 
+// pageView is a record after the pure stages: who asked for which page
+// when — all Phase 1 reads of a log line (§1: IP, time, URL) — or, in res,
+// why the record goes no further. A filtered or unresolved record keeps its
+// place as a pageView, so record counts and ExpiryCut boundaries see every
+// record. It is what clf's parse ring carries during ingestion: 48 bytes
+// where the record it came from is 168.
+type pageView struct {
+	user string
+	at   time.Time
+	page webgraph.PageID
+	res  stageResult
+}
+
+// Lent is what clf overwrites a retired slice of page views with in test
+// binaries (see clf.StreamStaged): a user no log names.
+func (pageView) Lent() pageView { return pageView{user: "\x00lent"} }
+
 // stage runs the pure per-record stages that precede buffering — clean,
-// resolve, key. The record travels by pointer: a clf.Record is 184 bytes,
+// resolve, key. The record travels by pointer: a clf.Record is 168 bytes,
 // and the Filter and Key calls, whose types take it by value, are the only
-// copies a line pays.
-func (c *Config) stage(rec *clf.Record) (user string, page webgraph.PageID, res stageResult) {
+// copies a line pays. During Tail ingestion it runs on clf's parser
+// goroutine, beside the Tail's.
+func (c *Config) stage(rec *clf.Record) pageView {
 	if c.Filter != nil && !c.Filter(*rec) {
-		return "", 0, stageFiltered
+		return pageView{res: stageFiltered}
 	}
 	page, ok := c.Resolver(rec.URI)
 	if !ok {
-		return "", 0, stageUnresolved
+		return pageView{res: stageUnresolved}
 	}
-	return c.Key(*rec), page, staged
+	return pageView{user: c.Key(*rec), at: rec.Time, page: page}
 }
 
 // Pipeline is an immutable, reusable log-to-sessions processor. It is safe

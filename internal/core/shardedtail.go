@@ -45,12 +45,12 @@ func (st *ShardedTail) PushBatch(recs []clf.Record) []session.Session {
 	metricTailRecords.Add(int64(len(recs)))
 	var out []session.Session
 	for i := range recs {
-		user, page, res := st.cfg.stage(&recs[i])
-		if res != staged {
+		v := st.cfg.stage(&recs[i])
+		if v.res != staged {
 			continue
 		}
-		out = st.shards[shardOf(user, len(st.shards))].pushResolved(out, user, page, recs[i].Time)
-		if cut, ok := st.clock.advance(recs[i].Time, st.rho); ok {
+		out = st.shards[shardOf(v.user, len(st.shards))].pushResolved(out, v.user, v.page, v.at)
+		if cut, ok := st.clock.advance(v.at, st.rho); ok {
 			out = st.closeMerged(out, func(t *Tail) []string { return t.agedUsers(cut) })
 		}
 	}

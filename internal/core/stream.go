@@ -25,11 +25,13 @@ func DiscardSessions([]session.Session) {}
 
 // Ingest streams a CLF log from a reader the caller lends — a pipe, stdin,
 // bytes in memory — into the Tail through the bounded-memory chunk reader
-// (clf.StreamChunked): the input is parsed in line-aligned chunks on one
-// goroutine beside this one and delivered in input order straight into the
-// batched push, so heap stays bounded by a few chunks plus the users the
-// log's clock leaves open, no matter how long the log is — nothing is
-// materialized — and a chunk is what one Read returned,
+// (clf.StreamStaged): the input is parsed in line-aligned chunks on one
+// goroutine beside this one, which also runs Config's Filter, Resolver and
+// Key on each record, and each chunk's page views — user, time, page — are
+// delivered in input order straight into the batched push, so heap stays
+// bounded by a few chunks plus the users the log's clock leaves open, no
+// matter how long the log is — nothing is materialized — and a chunk is what
+// one Read returned,
 // so a live pipe's records are pushed as its writer writes them. sink
 // receives sessions as records finalize them (nil means DiscardSessions); it
 // runs on the calling goroutine. The Tail is NOT flushed: call Drain or Flush
@@ -85,10 +87,13 @@ func (t *Tail) ingest(in logInput, sink SessionSink, progress func(clf.FilePos) 
 	}
 	feed, expire, flush := t.cutFeeder(sink, in.base, in.cuts)
 	scfg := clf.StreamConfig{ChunkBytes: t.cfg.StreamChunkBytes, Start: in.start, Tick: t.cfg.ExpireTick, OnTick: expire}
+	// The pure stages run on the parser goroutine: the ring between it and
+	// this one carries page views, not records.
+	stage := t.cfg.stage
 	if in.r != nil {
-		malformed, err = clf.StreamChunked(in.r, scfg, feed, progress)
+		malformed, err = clf.StreamStaged(in.r, scfg, stage, feed, progress)
 	} else {
-		malformed, err = clf.StreamFilesChunked(in.paths, scfg, feed, progress)
+		malformed, err = clf.StreamFilesStaged(in.paths, scfg, stage, feed, progress)
 	}
 	if err != nil {
 		return malformed, err

@@ -72,14 +72,15 @@ type Tail struct {
 	// only users whose buckets have aged past the cutoff: O(active), not
 	// O(ever seen).
 	wheel map[int64][]string
-	// clock is the log's own time, which the sweep in pushRecord reads.
+	// clock is the log's own time, which the sweep in pushStaged reads.
 	clock logClock
 
-	// Free lists recycle the per-burst storage that eviction retires: burst
-	// headers and []session.Entry backing arrays. Both are bounded so a
-	// transient spike does not pin memory forever.
+	// Free lists recycle the per-burst storage that eviction and growth
+	// retire: burst headers, and []session.Entry backing arrays by capacity
+	// class (freeEntries[c] holds arrays of burstCap<<c entries). All are
+	// bounded so a transient spike does not pin memory forever.
 	freeBursts  []*burst
-	freeEntries [][]session.Entry
+	freeEntries [entryClasses][][]session.Entry
 
 	// Deferred mirrors of the process-wide metrics: pushResolved and close
 	// touch only these plain fields, and syncMetrics folds them into the
@@ -91,13 +92,18 @@ type Tail struct {
 	syncedMaxDepth  int64
 }
 
-// Free-list bounds: how many retired burst headers / entry arrays to keep,
-// and the largest entry array worth keeping (a pathological mega-burst's
-// array is better returned to the allocator).
+// Entry arrays come in capacity classes: class c holds burstCap<<c entries.
+// A burst starts at class 0 and moves up one class each time it fills its
+// array, handing the full one back, so it never holds more than twice its
+// entries or burstCap; a closed burst's array goes back to its own class,
+// never to a new burst, which would leave a long burst's capacity to a short
+// one. The free lists keep at most maxFreeBursts headers and, in class c,
+// maxFreeEntries>>c arrays: the same number of slots in every class.
 const (
 	maxFreeBursts  = 512
 	maxFreeEntries = 512
-	maxRecycledCap = 1024
+	burstCap       = 16
+	entryClasses   = 7 // up to 1024 entries; a longer burst grows by append
 )
 
 // burst is one user's open request run. lastNano mirrors last.UnixNano()
@@ -142,7 +148,7 @@ func NewTail(cfg Config, rho time.Duration) (*Tail, error) {
 // (usually none; occasionally the previous burst of the same user).
 // Malformed-record handling belongs to the caller (clf.Scanner skips them).
 func (t *Tail) Push(rec clf.Record) []session.Session {
-	out := t.pushRecord(nil, &rec)
+	out := t.pushStaged(nil, t.cfg.stage(&rec))
 	t.syncMetrics()
 	return out
 }
@@ -161,32 +167,37 @@ func (t *Tail) PushBatch(recs []clf.Record) []session.Session {
 // appended sessions are the caller's, as with PushBatch.
 func (t *Tail) PushBatchInto(dst []session.Session, recs []clf.Record) []session.Session {
 	for i := range recs {
-		dst = t.pushRecord(dst, &recs[i])
+		dst = t.pushStaged(dst, t.cfg.stage(&recs[i]))
 	}
 	t.syncMetrics()
 	return dst
 }
 
-// pushBatchTo is the sink-delivering PushBatch the ingest feeder drives: the
-// sessions recs finalize are built in buf (the feeder's recycled buffer,
-// returned for the next call) and lent to sink.
-func (t *Tail) pushBatchTo(buf []session.Session, recs []clf.Record, sink SessionSink) []session.Session {
+// pushBatchTo is the sink-delivering PushBatch the ingest feeder drives, over
+// records the parser has already staged: the sessions views finalize are
+// built in buf (the feeder's recycled buffer, returned for the next call) and
+// lent to sink.
+func (t *Tail) pushBatchTo(buf []session.Session, views []pageView, sink SessionSink) []session.Session {
 	t.lending = true
-	buf = t.PushBatchInto(buf[:0], recs)
+	buf = buf[:0]
+	for i := range views {
+		buf = t.pushStaged(buf, views[i])
+	}
+	t.syncMetrics()
 	t.lending = false
 	deliver(sink, buf, true)
 	t.lent.release()
 	return buf
 }
 
-// pushRecord is the shared Push/PushBatch body: count, stage, buffer, then
-// sweep if the record moved the log's clock into a new bucket. Finalized
-// sessions are appended onto dst; the caller syncs metrics.
-func (t *Tail) pushRecord(dst []session.Session, rec *clf.Record) []session.Session {
+// pushStaged is the one push body, behind Push, PushBatch and ingestion:
+// count the staged record, buffer it, then sweep if it moved the log's clock
+// into a new bucket. Finalized sessions are appended onto dst; the caller
+// syncs metrics.
+func (t *Tail) pushStaged(dst []session.Session, v pageView) []session.Session {
 	t.stats.Records++
 	t.pendingRecords++
-	user, page, res := t.cfg.stage(rec)
-	switch res {
+	switch v.res {
 	case stageFiltered:
 		t.stats.Filtered++
 		return dst
@@ -194,8 +205,8 @@ func (t *Tail) pushRecord(dst []session.Session, rec *clf.Record) []session.Sess
 		t.stats.Unresolved++
 		return dst
 	}
-	dst = t.pushResolved(dst, user, page, rec.Time)
-	if cut, ok := t.clock.advance(rec.Time, t.rho); ok {
+	dst = t.pushResolved(dst, v.user, v.page, v.at)
+	if cut, ok := t.clock.advance(v.at, t.rho); ok {
 		dst = t.closeUsers(dst, t.agedUsers(cut))
 	}
 	return dst
@@ -218,9 +229,12 @@ func (t *Tail) pushResolved(dst []session.Session, user string, page webgraph.Pa
 		// this record), so no eviction and no wheel touch — the stale wheel
 		// entry is revalidated lazily when its bucket ages out.
 		out = t.closeInto(out, t.detach(user, b))
-		b.entries = t.newEntrySlice()
+		b.entries = t.takeEntries(0)
 	} else if atN < b.lastNano {
 		b.unsorted = true
+	}
+	if len(b.entries) == cap(b.entries) {
+		b.entries = t.growEntries(b.entries)
 	}
 	b.entries = append(b.entries, session.Entry{Page: page, Time: at})
 	t.buffered++
@@ -411,34 +425,56 @@ func (t *Tail) newBurst() *burst {
 	} else {
 		b = &burst{}
 	}
-	b.entries = t.newEntrySlice()
+	b.entries = t.takeEntries(0)
 	b.lastNano = math.MinInt64
 	b.unsorted = false
 	return b
 }
 
-// newEntrySlice pops a recycled entry backing array (len 0), or allocates a
-// fresh one at a typical burst's capacity.
-func (t *Tail) newEntrySlice() []session.Entry {
-	if n := len(t.freeEntries); n > 0 {
-		s := t.freeEntries[n-1]
-		t.freeEntries[n-1] = nil
-		t.freeEntries = t.freeEntries[:n-1]
+// takeEntries pops a recycled entry array of class c (len 0), or allocates
+// one. Class 0 is where every burst starts: a typical burst's size, so the
+// common case pays no 1→2→4→8→16 growth ladder.
+func (t *Tail) takeEntries(c int) []session.Entry {
+	free := t.freeEntries[c]
+	if n := len(free); n > 0 {
+		s := free[n-1]
+		free[n-1] = nil
+		t.freeEntries[c] = free[:n-1]
 		return s
 	}
-	// Nothing to recycle: start at a typical burst's size so the common
-	// case pays one allocation instead of a 1→2→4→8→16 growth ladder.
-	return make([]session.Entry, 0, 16)
+	return make([]session.Entry, 0, burstCap<<c)
 }
 
-// recycleEntries returns a closed burst's backing array to the free list.
-// Safe because no Reconstructor retains the input entries (they copy what
-// they keep), and Snapshot deep-copies — pinned by tests.
-func (t *Tail) recycleEntries(s []session.Entry) {
-	if cap(s) == 0 || cap(s) > maxRecycledCap || len(t.freeEntries) >= maxFreeEntries {
-		return
+// growEntries moves a full entry array's entries into an array of the next
+// class and recycles the full one. An array of no class — restored from a
+// snapshot, or past the largest class — is returned as it is, for append.
+func (t *Tail) growEntries(s []session.Entry) []session.Entry {
+	c := entryClass(cap(s))
+	if c < 0 || c+1 == entryClasses {
+		return s
 	}
-	t.freeEntries = append(t.freeEntries, s[:0])
+	grown := append(t.takeEntries(c+1), s...)
+	t.recycleEntries(s)
+	return grown
+}
+
+// recycleEntries returns an entry array to the free list of its class, if it
+// has one. Safe because no Reconstructor retains the input entries (they
+// copy what they keep), and Snapshot deep-copies — pinned by tests.
+func (t *Tail) recycleEntries(s []session.Entry) {
+	if c := entryClass(cap(s)); c >= 0 && len(t.freeEntries[c]) < maxFreeEntries>>c {
+		t.freeEntries[c] = append(t.freeEntries[c], s[:0])
+	}
+}
+
+// entryClass is the class of an entry array of capacity n, or -1.
+func entryClass(n int) int {
+	for c := range entryClasses {
+		if burstCap<<c == n {
+			return c
+		}
+	}
+	return -1
 }
 
 // wheelAdd inserts user into the expiry-wheel bucket covering at.

@@ -3,7 +3,7 @@
 // (internal/clf's StreamFilesChunked, internal/core's Tail) — so
 // there is nothing to plan, nothing is probed, and no package of this module
 // imports plan. The names below stay only because bench/layers.go:409 calls
-// them to time its plan.resolve_ms row; the benchmark PR of ROADMAP item 3 (f)
+// them to time its plan.resolve_ms row; the benchmark PR of ROADMAP item 2
 // drops the row and this package with it.
 package plan
 
