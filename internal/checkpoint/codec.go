@@ -6,6 +6,7 @@ import (
 	"hash/crc32"
 	"time"
 
+	"smartsra/internal/clf"
 	"smartsra/internal/core"
 	"smartsra/internal/session"
 	"smartsra/internal/webgraph"
@@ -92,10 +93,6 @@ const (
 type decoder struct {
 	b   []byte
 	err error
-	// The last fixed zone made, reused while offsets repeat (a log carries
-	// one zone), as clf's parser does.
-	zoneOff int64
-	zone    *time.Location
 }
 
 func (d *decoder) fail(format string, args ...any) {
@@ -142,8 +139,9 @@ func (d *decoder) string() string {
 }
 
 // time reverses appendTime. A non-UTC offset comes back as time.Local when
-// the local zone has that offset at that instant, otherwise as an unnamed
-// fixed zone — the rule time.Parse and Time.UnmarshalBinary use.
+// the local zone has that offset at that instant, otherwise in clf's unnamed
+// fixed zone for it — the rule time.Parse and Time.UnmarshalBinary use, and
+// the Location clf's parser gives the same offset.
 func (d *decoder) time() time.Time {
 	sec, nsec, tag := d.varint(), d.uvarint(), d.uvarint()
 	if nsec >= 1e9 {
@@ -160,10 +158,7 @@ func (d *decoder) time() time.Time {
 	if _, local := t.Zone(); int64(local) == off {
 		return t
 	}
-	if d.zone == nil || d.zoneOff != off {
-		d.zoneOff, d.zone = off, time.FixedZone("", int(off))
-	}
-	return t.In(d.zone)
+	return t.In(clf.FixedZone(int(off)))
 }
 
 // decodePayload reverses appendPayload. Entries are carved out of shared

@@ -154,8 +154,9 @@ func (m memFS) ReadFile(string) ([]byte, error) { return m.data, nil }
 // (framed) an arbitrary payload under a valid header and CRC, which is what
 // a buggy or older build would leave — Load returns ErrCorrupt or a
 // checkpoint that encodes back to the very same bytes, and restoring its tail
-// is accepted or refused without a panic. testdata/fuzz holds a checkpoint a
-// real serve wrote under load.
+// is accepted or refused without a panic; a tail that accepts it snapshots
+// back to the same bytes too. testdata/fuzz holds a checkpoint a real serve
+// wrote under load.
 func FuzzCheckpointLoad(f *testing.F) {
 	for _, ck := range []*Checkpoint{{}, {LogOffset: 4096, CutSeq: 3}, bigCheckpoint(3, 2)} {
 		file := encode(nil, ck)
@@ -188,6 +189,23 @@ func FuzzCheckpointLoad(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		tail.Restore(ck.Tail) // it may refuse the snapshot; it may not panic
+		if tail.Restore(ck.Tail) != nil {
+			return // it may refuse the snapshot; it may not panic
+		}
+		// What the Tail accepted it gives back, time by time and zone by
+		// zone, through the slots it holds them in: the same bytes, apart
+		// from the entry-less users Restore skips.
+		open := *ck
+		open.Tail.Users = nil
+		for _, u := range ck.Tail.Users {
+			if len(u.Entries) > 0 {
+				open.Tail.Users = append(open.Tail.Users, u)
+			}
+		}
+		back := *ck
+		back.Tail = tail.Snapshot()
+		if got, want := encode(nil, &back), encode(nil, &open); !bytes.Equal(got, want) {
+			t.Fatalf("restored tail snapshots differently:\nread  %x\nwrote %x", want, got)
+		}
 	})
 }

@@ -3,6 +3,7 @@ package clf
 import (
 	"compress/gzip"
 	"errors"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -427,4 +428,79 @@ type slowSource struct {
 func (s *slowSource) NextChunk(n int) ([]byte, int64, int, error) {
 	time.Sleep(s.delay)
 	return s.readerSource.NextChunk(n)
+}
+
+// TestParseRingFollowsLineLength: the parser sizes each ring slice by the
+// lines of the chunk it fills, not by the shortest line a chunk could hold,
+// and regrows a recycled slice only for a chunk with more lines. Over
+// 200-byte lines, the slice lent for each chunk cut from a whole 1 MiB read
+// block has at most one slot in eight spare (plus one); the others — the line
+// stitched from two blocks, which the reader ships on its own, and the short
+// last chunk — get a recycled slice no wider than those. The ring of a
+// 48-byte-line bound lent 21,846-slot slices.
+func TestParseRingFollowsLineLength(t *testing.T) {
+	const lineLen, lines = 200, 30_000
+	var b strings.Builder
+	for i := 0; i < lines; i++ {
+		line := fmt.Sprintf("10.0.%d.%d - - [02/Jan/2006:15:04:05 -0700] \"GET /", i/256%256, i%256)
+		tail := " HTTP/1.1\" 200 100\n"
+		b.WriteString(line + strings.Repeat("p", lineLen-len(line)-len(tail)) + tail)
+	}
+	log := b.String()
+	if len(log) != lineLen*lines {
+		t.Fatalf("log is %d bytes, want %d", len(log), lineLen*lines)
+	}
+	type lent struct{ len, cap int }
+	var chunks []lent
+	_, err := StreamStaged(strings.NewReader(log), StreamConfig{}, func(r *Record) int32 { return int32(r.Status) },
+		func(v []int32) { chunks = append(chunks, lent{len(v), cap(v)}) }, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const whole = readChunkSize/lineLen - 1 // lines of a block, less the one cut at each end
+	widest, full := 0, 0
+	for i, c := range chunks {
+		if c.len < whole {
+			continue
+		}
+		full++
+		if c.cap > c.len*9/8+1 {
+			t.Errorf("chunk %d: %d lines lent in a %d-slot slice", i, c.len, c.cap)
+		}
+		widest = max(widest, c.cap)
+	}
+	if full < 4 {
+		t.Fatalf("%d of %d chunks were cut from a whole block", full, len(chunks))
+	}
+	for i, c := range chunks {
+		if c.len < whole && c.cap > widest {
+			t.Errorf("chunk %d: %d lines lent in a %d-slot slice, wider than any whole block's (%d)", i, c.len, c.cap, widest)
+		}
+	}
+}
+
+// TestFixedZoneIsOnePerOffset: a log whose lines interleave zone offsets
+// gives every time at one offset the same *Location, and FixedZone hands that
+// Location back, so a time kept as an instant and an offset is rebuilt == to
+// the parsed one.
+func TestFixedZoneIsOnePerOffset(t *testing.T) {
+	var b strings.Builder
+	zones := []string{"-0700", "+0530", "+0000", "-0330"}
+	for i := 0; i < 40; i++ {
+		fmt.Fprintf(&b, "10.0.0.%d - - [02/Jan/2006:15:04:%02d %s] \"GET /a HTTP/1.1\" 200 1\n", i%3, i, zones[i%len(zones)])
+	}
+	recs, bad, err := ReadAll(strings.NewReader(b.String()))
+	if err != nil || bad != 0 || len(recs) != 40 {
+		t.Fatalf("%d records, %d malformed, %v", len(recs), bad, err)
+	}
+	for _, rec := range recs {
+		_, off := rec.Time.Zone()
+		if rec.Time.Location() == time.Local {
+			continue // the local zone's own offset
+		}
+		if back := rec.Time.In(FixedZone(off)); back != rec.Time {
+			t.Fatalf("%v is not == to its instant rebuilt in FixedZone(%d) (%p, parsed in %p)",
+				rec.Time, off, FixedZone(off), rec.Time.Location())
+		}
+	}
 }

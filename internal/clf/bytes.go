@@ -49,11 +49,11 @@ func ParseAnyRecordBytes(line []byte) (Record, bool, error) {
 	return parseAnyRecordBytesIn(line, nil)
 }
 
-// parseAnyRecordBytesIn is ParseAnyRecordBytes with a per-batch intern table
-// (nil disables interning). The chunk-parallel readers pass one table per
-// chunk so repeated hosts, URIs, referers, and user agents are copied once
-// per batch instead of once per record. Interned strings are equal values,
-// so the result is indistinguishable from the nil-table path.
+// parseAnyRecordBytesIn is ParseAnyRecordBytes with the caller's intern table
+// (nil disables interning). The chunk readers pass the table their parser
+// keeps across chunks, so repeated hosts, URIs, referers, and user agents are
+// copied once per table instead of once per record. Interned strings are
+// equal values, so the result is indistinguishable from the nil-table path.
 func parseAnyRecordBytesIn(line []byte, in *internTable) (Record, bool, error) {
 	trimmed := trimCRLF(line)
 	if prefix, ref, agent, ok := splitCombinedTailBytes(trimmed); ok {
@@ -359,8 +359,7 @@ func daysIn(m time.Month, year int) int {
 	}
 }
 
-// cachedZone memoizes the last fabricated fixed-offset Location, since a log
-// file near-universally carries a single zone offset. Sharing one *Location
+// cachedZone is one fabricated fixed-offset Location. Sharing one *Location
 // across records is behaviorally identical to time.Parse's per-call
 // time.FixedZone (same name, same offset).
 type cachedZone struct {
@@ -368,15 +367,40 @@ type cachedZone struct {
 	loc    *time.Location
 }
 
-var zoneCache atomic.Pointer[cachedZone]
+// zoneCache holds every Location FixedZone has made, up to maxFixedZones
+// offsets, in a slice that is never changed once published: a log carries one
+// zone, a merged one a few, and each offset keeps one Location for the life of
+// the process.
+var zoneCache atomic.Pointer[[]cachedZone]
 
-func fixedZoneFor(offset int) *time.Location {
-	if z := zoneCache.Load(); z != nil && z.offset == offset {
-		return z.loc
+const maxFixedZones = 64
+
+// FixedZone returns the unnamed fixed-offset Location the parser gives a time
+// whose offset, offset seconds east of UTC, is not the local zone's. It is
+// the same *Location every call for one offset, so a caller that keeps only a
+// time's instant and offset (core's Tail does) rebuilds a Time that is == to
+// the parsed one. Safe for concurrent use.
+func FixedZone(offset int) *time.Location {
+	for {
+		p := zoneCache.Load()
+		var zones []cachedZone
+		if p != nil {
+			zones = *p
+		}
+		for i := range zones {
+			if zones[i].offset == offset {
+				return zones[i].loc
+			}
+		}
+		loc := time.FixedZone("", offset)
+		if len(zones) >= maxFixedZones {
+			return loc
+		}
+		grown := append(zones[:len(zones):len(zones)], cachedZone{offset: offset, loc: loc})
+		if zoneCache.CompareAndSwap(p, &grown) {
+			return loc
+		}
 	}
-	z := &cachedZone{offset: offset, loc: time.FixedZone("", offset)}
-	zoneCache.Store(z)
-	return z.loc
 }
 
 // parseCLFTime is the hand-rolled fixed-format parser for TimeLayout
@@ -424,5 +448,5 @@ func parseCLFTime(b []byte) (time.Time, bool) {
 	if _, localOff := t.In(time.Local).Zone(); localOff == offset {
 		return t.In(time.Local), true
 	}
-	return t.In(fixedZoneFor(offset)), true
+	return t.In(FixedZone(offset)), true
 }

@@ -18,8 +18,9 @@ const maxLineBytes = 1 << 20
 // each of its blocks) is counted and skipped, exactly as the sequential
 // lineScanner does. rec is the caller's scratch (see parser.rec). The intern
 // table is the caller's, held across chunks so repeated hosts/URIs stay the
-// same string across the whole input; the caller retires it via full() —
-// parsing never grows it past the next chunk's distinct strings.
+// same string for as long as it lives; the caller retires it via full()
+// before a chunk, so it holds at most maxInternEntries plus one chunk's
+// distinct strings.
 func parseChunkAs[T any](data []byte, out []T, in *internTable, rec *Record, stage func(*Record) T) ([]T, int) {
 	bad := 0
 	for len(data) > 0 {

@@ -1,6 +1,7 @@
 package clf
 
 import (
+	"bytes"
 	"errors"
 	"io"
 	"testing"
@@ -224,10 +225,15 @@ func (p *parser[T]) drain(i int, src Source, chunkBytes int) error {
 			}
 			return err
 		}
-		// Sized for a chunk of minimal (~48-byte) lines, so a slice never
-		// grows: growing would copy it and leave the old array to the collector.
-		recs, ok := p.take(func() []T { return make([]T, 0, chunkBytes/48+1) }, metricParseStall)
+		// A slice holds at most one element per line of the chunk (the last
+		// may have no newline), so it is made or regrown to that many before
+		// the parse and never grows during it: the ring's slices follow the
+		// log's line length, not the shortest line a chunk could hold.
+		recs, ok := p.take(func() []T { return nil }, metricParseStall)
 		if ok {
+			if n := bytes.Count(data, []byte{'\n'}) + 1; cap(recs) < n {
+				recs = make([]T, 0, n)
+			}
 			if p.in.full() {
 				p.in = newInternTable()
 			}

@@ -33,7 +33,8 @@ type TailSnapshot struct {
 type UserState struct {
 	// User is the identification key (typically the IP).
 	User string
-	// Last is the timestamp of the user's most recent request.
+	// Last is the timestamp of the user's most recent request: the newest
+	// of Entries' times, the first of them if several are equally new.
 	Last time.Time
 	// Entries are the requests buffered in the user's open burst, in arrival
 	// order.
@@ -49,13 +50,14 @@ func (t *Tail) Snapshot() TailSnapshot {
 		Users: make([]UserState, 0, len(t.buffers)),
 	}
 	for user, b := range t.buffers {
-		if len(b.entries) == 0 {
+		if len(b.slots) == 0 {
 			continue
 		}
+		entries := appendEntries(make([]session.Entry, 0, len(b.slots)), b.slots)
 		snap.Users = append(snap.Users, UserState{
 			User:    user,
-			Last:    b.last,
-			Entries: append([]session.Entry(nil), b.entries...),
+			Last:    entries[newest(entries)].Time,
+			Entries: entries,
 		})
 	}
 	sort.Slice(snap.Users, func(i, j int) bool { return snap.Users[i].User < snap.Users[j].User })
@@ -64,9 +66,11 @@ func (t *Tail) Snapshot() TailSnapshot {
 
 // Restore replaces the Tail's state with the snapshot's, discarding anything
 // currently buffered, and rebuilds the expiry wheel from the restored users'
-// last-activity times and the log's clock from the newest of them. It validates the snapshot (no duplicate users, stats
-// consistent with the user list) so a logically corrupt snapshot is rejected
-// instead of silently poisoning recovery.
+// last-activity times and the log's clock from the newest of them. It
+// validates the snapshot (no duplicate users, stats consistent with the user
+// list, each Last its user's newest entry time, every time one a Tail can
+// hold) so a logically corrupt snapshot is rejected instead of silently
+// poisoning recovery.
 func (t *Tail) Restore(snap TailSnapshot) error {
 	if err := snap.validate(); err != nil {
 		return err
@@ -78,11 +82,14 @@ func (t *Tail) Restore(snap TailSnapshot) error {
 		if len(u.Entries) == 0 {
 			continue // entry-less user from a pre-eviction snapshot
 		}
+		slots := make([]slot, len(u.Entries))
+		for i, e := range u.Entries {
+			slots[i] = slotOf(e.Page, e.Time)
+		}
 		buffers[u.User] = &burst{
-			entries:  append([]session.Entry(nil), u.Entries...),
-			last:     u.Last,
+			slots:    slots,
 			lastNano: u.Last.UnixNano(),
-			unsorted: !entriesSorted(u.Entries),
+			unsorted: !slotsSorted(slots),
 		}
 		buffered += len(u.Entries)
 	}
@@ -92,8 +99,8 @@ func (t *Tail) Restore(snap TailSnapshot) error {
 	t.wheel = wheel
 	t.clock = idleClock
 	for user, b := range buffers {
-		t.wheelAdd(user, b.last)
-		t.clock.advance(b.last, t.rho)
+		t.wheelAdd(user, b.lastNano)
+		t.clock.advance(time.Unix(0, b.lastNano), t.rho)
 	}
 	t.syncMetrics()
 	return nil
@@ -102,9 +109,27 @@ func (t *Tail) Restore(snap TailSnapshot) error {
 // validate rejects snapshots whose invariants do not hold — the last line of
 // defense behind the checkpoint file's CRC. Stats.Users may exceed the user
 // list (closed users are evicted but stay counted); it can never be smaller.
+// A user's Last must be its newest entry's time, instant and zone: a stale
+// one would split or expire the restored burst early. Every time must be
+// one a Tail holds (see the Tail doc), or the restored burst would read a
+// wrapped one.
 func (s TailSnapshot) validate() error {
 	if s.Stats.Users < len(s.Users) {
 		return fmt.Errorf("core: snapshot stats.Users=%d but %d user states", s.Stats.Users, len(s.Users))
+	}
+	for i := range s.Users {
+		u := &s.Users[i]
+		if len(u.Entries) == 0 {
+			continue // skipped by Restore
+		}
+		for _, e := range u.Entries {
+			if !fitsSlot(e.Time) {
+				return fmt.Errorf("core: snapshot user %q has an entry at %v, which a tail cannot hold", u.User, e.Time)
+			}
+		}
+		if top := u.Entries[newest(u.Entries)].Time; !fitsSlot(u.Last) || slotOf(0, u.Last) != slotOf(0, top) {
+			return fmt.Errorf("core: snapshot user %q has last %v, but its newest entry is at %v", u.User, u.Last, top)
+		}
 	}
 	for i := 1; i < len(s.Users); i++ {
 		if s.Users[i].User == s.Users[i-1].User {
@@ -115,6 +140,17 @@ func (s TailSnapshot) validate() error {
 		}
 	}
 	return nil
+}
+
+// newest is the index of the first of entries' newest times.
+func newest(entries []session.Entry) int {
+	n := 0
+	for i := range entries {
+		if entries[i].Time.After(entries[n].Time) {
+			n = i
+		}
+	}
+	return n
 }
 
 // Buffered returns the number of entries held across all user states — the

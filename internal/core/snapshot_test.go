@@ -3,9 +3,11 @@ package core
 import (
 	"bytes"
 	"testing"
+	"time"
 
 	"smartsra/internal/clf"
 	"smartsra/internal/session"
+	"smartsra/internal/webgraph"
 )
 
 // feedTail pushes records one by one, collecting finalized sessions.
@@ -124,6 +126,70 @@ func TestRestoreRejectsInvalidSnapshots(t *testing.T) {
 		}
 		if err := tl.Restore(snap); err == nil {
 			t.Errorf("%s: Tail.Restore accepted invalid snapshot", name)
+		}
+	}
+}
+
+// TestRestoreChecksLast: a user's Last must be its newest entry's time, and
+// every time one a Tail can hold. A stale Last would close the restored burst
+// at the wrong record, and a time past 2262 would wrap to 1677 in the burst;
+// both are refused as corrupt. The control snapshots — entries out of order,
+// the newest twice, each zone kind — are accepted, and come back from
+// Snapshot as they went in.
+func TestRestoreChecksLast(t *testing.T) {
+	g := goldenGraph()
+	t0 := time.Date(2026, 3, 1, 12, 0, 0, 0, time.UTC)
+	user := func(last time.Time, times ...time.Time) TailSnapshot {
+		u := UserState{User: "10.0.0.1", Last: last}
+		for i, at := range times {
+			u.Entries = append(u.Entries, session.Entry{Page: webgraph.PageID(i), Time: at})
+		}
+		return TailSnapshot{Stats: Stats{Users: 1}, Users: []UserState{u}}
+	}
+	min1, min2 := t0.Add(time.Minute), t0.Add(2*time.Minute)
+	far := time.Date(2300, 1, 1, 0, 0, 0, 0, time.UTC)
+	bad := map[string]TailSnapshot{
+		"stale last":         user(min1, t0, min1, min2),
+		"last past newest":   user(t0.Add(5*time.Minute), t0, min1, min2),
+		"last in other zone": user(min2.In(time.FixedZone("", 3600)), t0, min1, min2),
+		"after 2262":         user(far, t0, far),
+		"before 1678":        user(min2, time.Date(1600, 1, 1, 0, 0, 0, 0, time.UTC), min2),
+		"offset of 2^40 s":   user(min2, t0.In(time.FixedZone("", 1<<40)), min2),
+	}
+	for name, snap := range bad {
+		tl, err := NewTail(Config{Graph: g}, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := tl.Restore(snap); err == nil {
+			t.Errorf("%s: Tail.Restore accepted %+v", name, snap.Users[0])
+		}
+	}
+	good := map[string]TailSnapshot{
+		"in order":     user(min2, t0, min1, min2),
+		"out of order": user(min2, min1, min2, t0),
+		"newest twice": user(min2, t0, min2, min1, min2.In(time.FixedZone("", -3600))),
+		"zones":        user(min2.Local(), t0.In(time.FixedZone("", 19800)), min1, min2.Local()),
+	}
+	for name, snap := range good {
+		tl, err := NewTail(Config{Graph: g}, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := tl.Restore(snap); err != nil {
+			t.Errorf("%s: %v", name, err)
+			continue
+		}
+		got := tl.Snapshot().Users[0]
+		want := snap.Users[0]
+		if !got.Last.Equal(want.Last) || got.Last.Location() != want.Last.Location() || len(got.Entries) != len(want.Entries) {
+			t.Errorf("%s: came back as %+v, want %+v", name, got, want)
+			continue
+		}
+		for i := range got.Entries {
+			if e, w := got.Entries[i], want.Entries[i]; e.Page != w.Page || !e.Time.Equal(w.Time) || e.Time.String() != w.Time.String() {
+				t.Errorf("%s: entry %d came back as %v, want %v", name, i, e, w)
+			}
 		}
 	}
 }

@@ -27,10 +27,10 @@ func stageAll(tl *Tail, recs []clf.Record) []pageView {
 	return views
 }
 
-// openCap is the capacity of every open burst's entry array, summed.
+// openCap is the capacity of every open burst's slot array, summed.
 func openCap(tl *Tail) (n int) {
 	for _, b := range tl.buffers {
-		n += cap(b.entries)
+		n += cap(b.slots)
 	}
 	return n
 }

@@ -1,10 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 	"time"
 
 	"smartsra/internal/clf"
@@ -47,6 +47,17 @@ import (
 // require remembering every user forever, which is the unbounded growth this
 // design removes.
 //
+// An open burst holds each request as a 16-byte slot with no pointer in it —
+// page, the kind of zone its time had, and the time as UnixNano — where a
+// session.Entry is 32 bytes whose time.Time points at its Location, so the
+// collector never scans a burst array. Entries are rebuilt from the slots
+// only when a burst closes, into one scratch array the Tail reuses, and when
+// it is snapshotted. A time keeps its instant and its zone through a slot —
+// UTC, time.Local, or a fixed offset, which comes back as clf.FixedZone's
+// Location — but not a monotonic clock reading, or the name of a zone that is
+// neither UTC nor Local; and only instants UnixNano can hold, years 1678 to
+// 2262, are kept.
+//
 // Tail is not safe for concurrent use: one goroutine owns it. A periodic
 // Expire beside ingestion runs on that goroutine too, between two chunks
 // (Config.ExpireTick).
@@ -76,11 +87,15 @@ type Tail struct {
 	clock logClock
 
 	// Free lists recycle the per-burst storage that eviction and growth
-	// retire: burst headers, and []session.Entry backing arrays by capacity
-	// class (freeEntries[c] holds arrays of burstCap<<c entries). All are
-	// bounded so a transient spike does not pin memory forever.
-	freeBursts  []*burst
-	freeEntries [entryClasses][][]session.Entry
+	// retire: burst headers, and slot arrays by capacity class (freeSlots[c]
+	// holds arrays of burstCap<<c slots). All are bounded so a transient
+	// spike does not pin memory forever.
+	freeBursts []*burst
+	freeSlots  [slotClasses][][]slot
+	// scratch is where detach rebuilds a closing burst's entries for the
+	// heuristic, which keeps none of them: one array for every close, as long
+	// as the longest burst of the largest class.
+	scratch []session.Entry
 
 	// Deferred mirrors of the process-wide metrics: pushResolved and close
 	// touch only these plain fields, and syncMetrics folds them into the
@@ -92,31 +107,98 @@ type Tail struct {
 	syncedMaxDepth  int64
 }
 
-// Entry arrays come in capacity classes: class c holds burstCap<<c entries.
+// Slot arrays come in capacity classes: class c holds burstCap<<c slots.
 // A burst starts at class 0 and moves up one class each time it fills its
 // array, handing the full one back, so it never holds more than twice its
 // entries or burstCap; a closed burst's array goes back to its own class,
 // never to a new burst, which would leave a long burst's capacity to a short
 // one. The free lists keep at most maxFreeBursts headers and, in class c,
-// maxFreeEntries>>c arrays: the same number of slots in every class.
+// maxFreeSlots>>c arrays: the same number of slots in every class.
 const (
-	maxFreeBursts  = 512
-	maxFreeEntries = 512
-	burstCap       = 16
-	entryClasses   = 7 // up to 1024 entries; a longer burst grows by append
+	maxFreeBursts = 512
+	maxFreeSlots  = 512
+	burstCap      = 16
+	slotClasses   = 7 // up to 1024 slots; a longer burst grows by append
 )
 
-// burst is one user's open request run. lastNano mirrors last.UnixNano()
-// so the per-record gap check compares plain integers instead of paying
-// time.Time.Sub; it is math.MinInt64 while the burst has no activity.
-// unsorted records that some entry arrived with a timestamp below the
-// burst's max at append time — exactly when the entries slice is out of
-// order — so close sorts only bursts that need it, without a scan.
+// burst is one user's open request run. lastNano is the newest of its
+// slots' times, so the per-record gap check compares plain integers; it is
+// math.MinInt64 while the burst has no activity. unsorted records that some
+// slot arrived with a time below the burst's newest at append time — exactly
+// when the slots are out of order — so close sorts only bursts that need it,
+// without a scan.
 type burst struct {
-	entries  []session.Entry
-	last     time.Time
+	slots    []slot
 	lastNano int64
 	unsorted bool
+}
+
+// slot is one buffered request (see the Tail doc): its page, the kind of
+// zone its time had — zoneUTC, zoneLocal, or otherwise a fixed offset in
+// seconds east of UTC — and its time as UnixNano.
+type slot struct {
+	page webgraph.PageID
+	zone int32
+	at   int64
+}
+
+// The zone kinds that are not an offset: no real zone is 68 years off UTC.
+const (
+	zoneUTC   = math.MinInt32
+	zoneLocal = math.MinInt32 + 1
+)
+
+// slotOf packs one request into a slot.
+func slotOf(page webgraph.PageID, at time.Time) slot {
+	var zone int32 = zoneLocal
+	switch at.Location() {
+	case time.UTC:
+		zone = zoneUTC
+	case time.Local:
+	default:
+		_, off := at.Zone()
+		zone = int32(off)
+	}
+	return slot{page: page, zone: zone, at: at.UnixNano()}
+}
+
+// fitsSlot reports whether at comes back from a slot as the same instant in
+// a zone of the same offset: its instant is within UnixNano's range, and its
+// offset, when its zone is neither UTC nor Local, is one a slot can name.
+func fitsSlot(at time.Time) bool {
+	s := slotOf(0, at)
+	if !time.Unix(0, s.at).Equal(at) {
+		return false
+	}
+	switch at.Location() {
+	case time.UTC, time.Local:
+		return true
+	}
+	_, off := at.Zone()
+	return int(s.zone) == off && s.zone > zoneLocal
+}
+
+// appendEntries rebuilds slots as entries onto dst, each time in the zone it
+// was pushed with: time.Unix gives time.Local, UTC is one call more, and a
+// fixed offset takes clf.FixedZone's Location, looked up once per run of one
+// offset.
+func appendEntries(dst []session.Entry, slots []slot) []session.Entry {
+	zone, loc := int32(zoneLocal), (*time.Location)(nil)
+	for _, s := range slots {
+		at := time.Unix(0, s.at)
+		switch s.zone {
+		case zoneLocal:
+		case zoneUTC:
+			at = at.UTC()
+		default:
+			if s.zone != zone {
+				zone, loc = s.zone, clf.FixedZone(int(s.zone))
+			}
+			at = at.In(loc)
+		}
+		dst = append(dst, session.Entry{Page: s.page, Time: at})
+	}
+	return dst
 }
 
 // NewTail builds a streaming processor from the same Config as NewPipeline
@@ -216,34 +298,33 @@ func (t *Tail) pushStaged(dst []session.Session, v pageView) []session.Session {
 // half of Push after staging, which ShardedTail routes to a user's shard. It
 // does not sweep: the clock belongs to whoever routes the records.
 func (t *Tail) pushResolved(dst []session.Session, user string, page webgraph.PageID, at time.Time) []session.Session {
-	atN := at.UnixNano()
+	s := slotOf(page, at)
 	b := t.buffers[user]
 	out := dst
 	if b == nil {
 		b = t.newBurst()
 		t.buffers[user] = b
 		t.stats.Users++
-		t.wheelAdd(user, at)
-	} else if len(b.entries) > 0 && atN-b.lastNano > t.rhoNano {
+		t.wheelAdd(user, s.at)
+	} else if len(b.slots) > 0 && s.at-b.lastNano > t.rhoNano {
 		// Gap close: the user stays buffered (their next burst starts with
 		// this record), so no eviction and no wheel touch — the stale wheel
 		// entry is revalidated lazily when its bucket ages out.
 		out = t.closeInto(out, t.detach(user, b))
-		b.entries = t.takeEntries(0)
-	} else if atN < b.lastNano {
+		b.slots = t.takeSlots(0)
+	} else if s.at < b.lastNano {
 		b.unsorted = true
 	}
-	if len(b.entries) == cap(b.entries) {
-		b.entries = t.growEntries(b.entries)
+	if len(b.slots) == cap(b.slots) {
+		b.slots = t.growSlots(b.slots)
 	}
-	b.entries = append(b.entries, session.Entry{Page: page, Time: at})
+	b.slots = append(b.slots, s)
 	t.buffered++
-	if n := int64(len(b.entries)); n > t.maxDepth {
+	if n := int64(len(b.slots)); n > t.maxDepth {
 		t.maxDepth = n
 	}
-	if atN > b.lastNano {
-		b.last = at
-		b.lastNano = atN
+	if s.at > b.lastNano {
+		b.lastNano = s.at
 	}
 	return out
 }
@@ -282,7 +363,7 @@ func (t *Tail) agedUsers(now time.Time) []string {
 	if len(t.wheel) == 0 {
 		return nil
 	}
-	cutBucket := bucketOf(now.Add(-t.rho), t.rho)
+	cutBucket := bucketOf(now.Add(-t.rho).UnixNano(), t.rho)
 	var aged []int64
 	for bk := range t.wheel {
 		if bk <= cutBucket {
@@ -299,13 +380,13 @@ func (t *Tail) agedUsers(now time.Time) []string {
 		delete(t.wheel, bk)
 		for _, u := range bucket {
 			b := t.buffers[u]
-			if b == nil || len(b.entries) == 0 {
+			if b == nil || len(b.slots) == 0 {
 				continue // evicted since insertion; stale entry, drop it
 			}
-			if now.Sub(b.last) > t.rho {
+			if now.Sub(time.Unix(0, b.lastNano)) > t.rho {
 				users = append(users, u)
 			} else {
-				t.wheelAdd(u, b.last)
+				t.wheelAdd(u, b.lastNano)
 			}
 		}
 	}
@@ -329,7 +410,7 @@ func (t *Tail) Flush() []session.Session {
 func (t *Tail) openUsers() []string {
 	users := make([]string, 0, len(t.buffers))
 	for u, b := range t.buffers {
-		if len(b.entries) > 0 {
+		if len(b.slots) > 0 {
 			users = append(users, u)
 		}
 	}
@@ -344,12 +425,13 @@ func (t *Tail) openUsers() []string {
 // returns is counted again (see the Tail doc).
 func (t *Tail) Stats() Stats { return t.stats }
 
-// detach takes b's entries off as a stream for closeInto and leaves the
-// burst empty: the caller evicts it or hands it a fresh slice.
+// detach takes b's slots off, rebuilt as a stream in the Tail's scratch
+// entries for closeInto, recycles them and leaves the burst empty: the caller
+// evicts it or hands it a fresh slice.
 func (t *Tail) detach(user string, b *burst) session.Stream {
-	entries := b.entries
-	b.entries = nil
-	t.buffered -= len(entries)
+	slots := b.slots
+	b.slots = nil
+	t.buffered -= len(slots)
 	// Out-of-order arrivals within the burst (merged proxy logs, clock
 	// skew) are sorted here; cross-burst reordering beyond ρ, and a record
 	// more than ρ behind the log's newest, are log defects the caller owns:
@@ -358,12 +440,12 @@ func (t *Tail) detach(user string, b *burst) session.Stream {
 	// inversion as it arrives, so the common close pays neither a sort nor a
 	// scan.
 	if b.unsorted {
-		sort.SliceStable(entries, func(i, j int) bool {
-			return entries[i].Time.Before(entries[j].Time)
-		})
+		slices.SortStableFunc(slots, func(x, y slot) int { return cmp.Compare(x.at, y.at) })
 		b.unsorted = false
 	}
-	return session.Stream{User: user, Entries: entries}
+	t.scratch = appendEntries(t.scratch[:0], slots)
+	t.recycleSlots(slots)
+	return session.Stream{User: user, Entries: t.scratch}
 }
 
 // closeUsers closes and evicts the picked users, in the order given,
@@ -372,7 +454,7 @@ func (t *Tail) detach(user string, b *burst) session.Stream {
 // one for a user evicted and back, so agedUsers may pick them twice.
 func (t *Tail) closeUsers(dst []session.Session, users []string) []session.Session {
 	for _, u := range users {
-		if b := t.buffers[u]; b != nil && len(b.entries) > 0 {
+		if b := t.buffers[u]; b != nil && len(b.slots) > 0 {
 			st := t.detach(u, b)
 			t.evict(u, b)
 			dst = t.closeInto(dst, st)
@@ -382,8 +464,10 @@ func (t *Tail) closeUsers(dst []session.Session, users []string) []session.Sessi
 }
 
 // closeInto reconstructs a detached stream onto dst, on the lent lane while
-// lending and the kept one otherwise, counts its sessions and recycles its
-// entry array: no heuristic retains its input (heuristics.Reconstructor).
+// lending and the kept one otherwise, and counts its sessions. Its entries
+// are the scratch the next detach overwrites: no heuristic retains its input
+// (heuristics.Reconstructor). A scratch grown past the largest slot class is
+// let go, so one long burst does not pin its length.
 func (t *Tail) closeInto(dst []session.Session, st session.Stream) []session.Session {
 	l := t.kept
 	if t.lending {
@@ -393,7 +477,9 @@ func (t *Tail) closeInto(dst []session.Session, st session.Stream) []session.Ses
 	dst = l.reconstruct(dst, st)
 	t.stats.Sessions += len(dst) - from
 	t.pendingSessions += int64(len(dst) - from)
-	t.recycleEntries(st.Entries)
+	if cap(t.scratch) > burstCap<<(slotClasses-1) {
+		t.scratch = nil
+	}
 	return dst
 }
 
@@ -406,8 +492,7 @@ func (t *Tail) evict(user string, b *burst) {
 		t.clock = idleClock
 	}
 	if len(t.freeBursts) < maxFreeBursts {
-		b.entries = nil
-		b.last = time.Time{}
+		b.slots = nil
 		b.lastNano = math.MinInt64
 		b.unsorted = false
 		t.freeBursts = append(t.freeBursts, b)
@@ -415,7 +500,7 @@ func (t *Tail) evict(user string, b *burst) {
 }
 
 // newBurst returns a zeroed burst header, recycled when possible, seeded
-// with a recycled entry array.
+// with a recycled slot array.
 func (t *Tail) newBurst() *burst {
 	var b *burst
 	if n := len(t.freeBursts); n > 0 {
@@ -425,51 +510,51 @@ func (t *Tail) newBurst() *burst {
 	} else {
 		b = &burst{}
 	}
-	b.entries = t.takeEntries(0)
+	b.slots = t.takeSlots(0)
 	b.lastNano = math.MinInt64
 	b.unsorted = false
 	return b
 }
 
-// takeEntries pops a recycled entry array of class c (len 0), or allocates
-// one. Class 0 is where every burst starts: a typical burst's size, so the
-// common case pays no 1→2→4→8→16 growth ladder.
-func (t *Tail) takeEntries(c int) []session.Entry {
-	free := t.freeEntries[c]
+// takeSlots pops a recycled slot array of class c (len 0), or allocates one.
+// Class 0 is where every burst starts: a typical burst's size, so the common
+// case pays no 1→2→4→8→16 growth ladder.
+func (t *Tail) takeSlots(c int) []slot {
+	free := t.freeSlots[c]
 	if n := len(free); n > 0 {
 		s := free[n-1]
 		free[n-1] = nil
-		t.freeEntries[c] = free[:n-1]
+		t.freeSlots[c] = free[:n-1]
 		return s
 	}
-	return make([]session.Entry, 0, burstCap<<c)
+	return make([]slot, 0, burstCap<<c)
 }
 
-// growEntries moves a full entry array's entries into an array of the next
-// class and recycles the full one. An array of no class — restored from a
+// growSlots moves a full slot array's slots into an array of the next class
+// and recycles the full one. An array of no class — restored from a
 // snapshot, or past the largest class — is returned as it is, for append.
-func (t *Tail) growEntries(s []session.Entry) []session.Entry {
-	c := entryClass(cap(s))
-	if c < 0 || c+1 == entryClasses {
+func (t *Tail) growSlots(s []slot) []slot {
+	c := slotClass(cap(s))
+	if c < 0 || c+1 == slotClasses {
 		return s
 	}
-	grown := append(t.takeEntries(c+1), s...)
-	t.recycleEntries(s)
+	grown := append(t.takeSlots(c+1), s...)
+	t.recycleSlots(s)
 	return grown
 }
 
-// recycleEntries returns an entry array to the free list of its class, if it
-// has one. Safe because no Reconstructor retains the input entries (they
-// copy what they keep), and Snapshot deep-copies — pinned by tests.
-func (t *Tail) recycleEntries(s []session.Entry) {
-	if c := entryClass(cap(s)); c >= 0 && len(t.freeEntries[c]) < maxFreeEntries>>c {
-		t.freeEntries[c] = append(t.freeEntries[c], s[:0])
+// recycleSlots returns a slot array to the free list of its class, if it has
+// one. Safe because the slots are copied out — into the scratch a close
+// rebuilds entries in, or a snapshot's own entries — before they are let go.
+func (t *Tail) recycleSlots(s []slot) {
+	if c := slotClass(cap(s)); c >= 0 && len(t.freeSlots[c]) < maxFreeSlots>>c {
+		t.freeSlots[c] = append(t.freeSlots[c], s[:0])
 	}
 }
 
-// entryClass is the class of an entry array of capacity n, or -1.
-func entryClass(n int) int {
-	for c := range entryClasses {
+// slotClass is the class of a slot array of capacity n, or -1.
+func slotClass(n int) int {
+	for c := range slotClasses {
 		if burstCap<<c == n {
 			return c
 		}
@@ -477,16 +562,15 @@ func entryClass(n int) int {
 	return -1
 }
 
-// wheelAdd inserts user into the expiry-wheel bucket covering at.
-func (t *Tail) wheelAdd(user string, at time.Time) {
+// wheelAdd inserts user into the expiry-wheel bucket covering at (UnixNano).
+func (t *Tail) wheelAdd(user string, at int64) {
 	bk := bucketOf(at, t.rho)
 	t.wheel[bk] = append(t.wheel[bk], user)
 }
 
-// bucketOf maps a timestamp to its ρ-width wheel bucket (floor division, so
-// pre-epoch timestamps bucket consistently too).
-func bucketOf(at time.Time, rho time.Duration) int64 {
-	ns := at.UnixNano()
+// bucketOf maps a UnixNano timestamp to its ρ-width wheel bucket (floor
+// division, so pre-epoch timestamps bucket consistently too).
+func bucketOf(ns int64, rho time.Duration) int64 {
 	w := int64(rho)
 	bk := ns / w
 	if ns < 0 && ns%w != 0 {
@@ -512,7 +596,7 @@ func (c *logClock) advance(at time.Time, rho time.Duration) (cut time.Time, ok b
 	}
 	c.newest = n
 	cut = at.Add(-rho)
-	if bk := bucketOf(cut, rho); bk > c.bucket {
+	if bk := bucketOf(cut.UnixNano(), rho); bk > c.bucket {
 		c.bucket = bk
 		return cut, true
 	}
@@ -543,18 +627,8 @@ func (t *Tail) syncMetrics() {
 	t.lent.flush()
 }
 
-// entriesSorted reports whether the burst is already in time order (the
+// slotsSorted reports whether the slots are already in time order (the
 // overwhelmingly common case for real logs).
-func entriesSorted(entries []session.Entry) bool {
-	// UnixNano is order-preserving, and the integer compare keeps this
-	// every-close pre-scan off the time.Time comparison slow path.
-	prev := int64(math.MinInt64)
-	for i := range entries {
-		et := entries[i].Time.UnixNano()
-		if et < prev {
-			return false
-		}
-		prev = et
-	}
-	return true
+func slotsSorted(slots []slot) bool {
+	return slices.IsSortedFunc(slots, func(x, y slot) int { return cmp.Compare(x.at, y.at) })
 }

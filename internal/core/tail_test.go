@@ -217,3 +217,31 @@ func TestTailEquivalentToBatchForGapBoundedHeuristics(t *testing.T) {
 		}
 	}
 }
+
+// TestSlotKeepsZone: a time packed into a burst slot and rebuilt is == to the
+// one pushed when its zone is UTC, time.Local (on either side of a DST change,
+// where the local zone has one) or an unnamed fixed offset as clf parses it;
+// a named fixed zone comes back as the same instant at the same offset. CI
+// runs it under TZ=Asia/Kolkata too, where Local is +05:30.
+func TestSlotKeepsZone(t *testing.T) {
+	base := time.Date(2024, 3, 10, 5, 30, 0, 123, time.UTC)
+	same := map[string]time.Time{
+		"UTC":           base,
+		"Local":         base.Local(),
+		"Local, summer": base.AddDate(0, 4, 0).Local(),
+		"+05:30":        base.In(clf.FixedZone(5*3600 + 1800)),
+		"-07:00":        base.In(clf.FixedZone(-7 * 3600)),
+		"+00:00":        base.In(clf.FixedZone(0)),
+		"pre-1970":      time.Date(1901, 1, 1, 0, 0, 0, 999999999, clf.FixedZone(-3*3600)),
+	}
+	for name, at := range same {
+		if got := appendEntries(nil, []slot{slotOf(7, at)})[0]; got != (session.Entry{Page: 7, Time: at}) {
+			t.Errorf("%s: %v (%v) came back as %v (%v)", name, at, at.Location(), got.Time, got.Time.Location())
+		}
+	}
+	named := base.In(time.FixedZone("EST", -5*3600))
+	got := appendEntries(nil, []slot{slotOf(7, named)})[0].Time
+	if _, off := got.Zone(); !got.Equal(named) || off != -5*3600 {
+		t.Errorf("EST: %v came back as %v", named, got)
+	}
+}
