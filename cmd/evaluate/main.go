@@ -6,7 +6,7 @@
 //
 //	evaluate -experiment stp|lpp|nip|all [-agents 10000] [-seed 1]
 //	         [-pages 300] [-outdeg 15] [-csv DIR] [-session-stats] [-via-clf]
-//	         [-workers N] [-progress]
+//	         [-workers N] [-progress] [-cpuprofile FILE] [-memprofile FILE]
 //
 // Sweep points (and -experiment defaults replicas) run concurrently on one
 // bounded worker pool (-workers, default all cores) over one shared
@@ -28,7 +28,10 @@
 //
 // How fast any of this runs is the benchmark's to say, not this command's:
 // bench/ times `evaluate -experiment lpp` end to end (workload eval_sweep)
-// and the ingestion layers one by one; see bench/README.md.
+// and the ingestion layers one by one; see bench/README.md. Where the time
+// goes is -cpuprofile's to say: a CPU profile of the whole run, and
+// -memprofile a heap profile at its end, for go tool pprof. Neither changes
+// stdout.
 //
 // Accuracy is reported under both readings of the paper's §5.1 metric:
 // matched (one-to-one, headline) and exists (any capturer counts); see
@@ -45,6 +48,7 @@ import (
 
 	"smartsra/internal/eval"
 	"smartsra/internal/metrics"
+	"smartsra/internal/prof"
 )
 
 func main() {
@@ -62,14 +66,22 @@ func main() {
 		withRef    = flag.Bool("include-referrer", false, "also evaluate the referrer-chain upper bound (heurR)")
 		workers    = flag.Int("workers", 0, "concurrent sweep points (<=0: all cores; 1: sequential)")
 		progress   = flag.Bool("progress", false, "report per-point progress and a metrics snapshot on stderr")
+		profiles   = prof.Register(flag.CommandLine)
 	)
 	flag.Parse()
 	if msg := usageError(*replicas, *pages, flag.Args()); msg != "" {
 		fmt.Fprintln(os.Stderr, "evaluate:", msg)
 		os.Exit(2)
 	}
-	if err := run(*experiment, *agents, *seed, *replicas, *pages, *outdeg, *csvDir, *svgDir,
-		*stats, *viaCLF, *withRef, *workers, *progress); err != nil {
+	stop, err := profiles.Start()
+	if err == nil {
+		err = run(*experiment, *agents, *seed, *replicas, *pages, *outdeg, *csvDir, *svgDir,
+			*stats, *viaCLF, *withRef, *workers, *progress)
+		if serr := stop(); err == nil {
+			err = serr
+		}
+	}
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "evaluate:", err)
 		os.Exit(1)
 	}

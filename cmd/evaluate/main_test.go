@@ -5,6 +5,7 @@ import (
 	"errors"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -96,6 +97,24 @@ func TestOutputIndependentOfWorkers(t *testing.T) {
 			if !strings.Contains(stderr, "histo   "+histo+" ") {
 				t.Errorf("%v -progress: no %s histogram on stderr:\n%s", shape, histo, stderr)
 			}
+		}
+	}
+}
+
+// -cpuprofile and -memprofile write their profiles and leave stdout alone:
+// byte for byte what the same run prints without them.
+func TestProfilesLeaveStdoutAlone(t *testing.T) {
+	args := []string{"-experiment", "lpp", "-agents", "200"}
+	want, _ := evaluate(t, args...)
+	dir := t.TempDir()
+	cpu, mem := filepath.Join(dir, "cpu.prof"), filepath.Join(dir, "mem.prof")
+	got, _ := evaluate(t, append(args, "-cpuprofile", cpu, "-memprofile", mem)...)
+	if got != want {
+		t.Errorf("stdout with profiles differs from a run without them:\n%s\nwant:\n%s", got, want)
+	}
+	for _, f := range []string{cpu, mem} {
+		if st, err := os.Stat(f); err != nil || st.Size() == 0 {
+			t.Errorf("%s: want a non-empty profile (err %v)", f, err)
 		}
 	}
 }

@@ -8,6 +8,7 @@
 //	sessionize -topology topology.json -log access.log [-heuristic heur4]
 //	           [-no-clean] [-stats-only] [-stream] [-expire-every 30s]
 //	           [-sessions out.txt] [-checkpoint state.ckpt] [-checkpoint-every 5s]
+//	           [-cpuprofile FILE] [-memprofile FILE]
 //
 // A log is read one way: each gzip member of -log inflates on a goroutine of
 // its own, one parser goroutine cuts and parses line-aligned chunks, and the
@@ -74,6 +75,7 @@ import (
 	"smartsra/internal/clf"
 	"smartsra/internal/core"
 	"smartsra/internal/heuristics"
+	"smartsra/internal/prof"
 	"smartsra/internal/referrer"
 	"smartsra/internal/session"
 	"smartsra/internal/webgraph"
@@ -108,6 +110,7 @@ func main() {
 	flag.StringVar(&o.ckptPath, "checkpoint", "", "crash-recovery checkpoint file for -stream (resume an interrupted run exactly)")
 	flag.DurationVar(&o.ckptEvery, "checkpoint-every", 5*time.Second, "how often to snapshot state for -checkpoint")
 	flag.StringVar(&o.cutsPath, "cuts", "", "expiry-cut journal written by serve (<sessions>.cuts): replay its timed expiries at the exact record boundaries the live run used (needs -stream and a real -log file)")
+	profiles := prof.Register(flag.CommandLine)
 	flag.Parse()
 	if o.topoPath == "" || o.logPath == "" {
 		flag.Usage()
@@ -127,7 +130,14 @@ func main() {
 			fmt.Fprintf(os.Stderr, "sessionize: -workers %d has no effect: one parser goroutine reads the log\n", n)
 		}
 	}
-	if err := run(o); err != nil {
+	stop, err := profiles.Start()
+	if err == nil {
+		err = run(o)
+		if serr := stop(); err == nil {
+			err = serr
+		}
+	}
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "sessionize:", err)
 		os.Exit(1)
 	}

@@ -416,3 +416,38 @@ func TestReferrerHonoursSessions(t *testing.T) {
 		t.Errorf("%s holds %q (err %v), want %q", out, got, err, want)
 	}
 }
+
+// -cpuprofile and -memprofile write their profiles and leave the sessions
+// and the stats line alone.
+func TestProfilesLeaveOutputAlone(t *testing.T) {
+	dir := t.TempDir()
+	logPath := filepath.Join(dir, "access.log")
+	at := time.Date(2006, 1, 2, 8, 0, 0, 0, time.UTC)
+	var log string
+	for i := 0; i < 50; i++ {
+		log += logLine(fmt.Sprintf("10.0.0.%d", i%7), at.Add(time.Duration(i)*time.Minute), "/P1.html")
+	}
+	if err := os.WriteFile(logPath, []byte(log), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	run := func(extra ...string) (string, string) {
+		t.Helper()
+		cmd, stderr := sessionize(append([]string{"-topology", figure1(t, dir), "-log", logPath}, extra...)...)
+		out, err := cmd.Output()
+		if err != nil {
+			t.Fatalf("sessionize %v: %v; stderr:\n%s", extra, err, stderr)
+		}
+		return string(out), stderr.String()
+	}
+	wantOut, wantErr := run()
+	cpu, mem := filepath.Join(dir, "cpu.prof"), filepath.Join(dir, "mem.prof")
+	gotOut, gotErr := run("-cpuprofile", cpu, "-memprofile", mem)
+	if gotOut != wantOut || gotErr != wantErr {
+		t.Errorf("output with profiles:\n%s%s\nwant:\n%s%s", gotOut, gotErr, wantOut, wantErr)
+	}
+	for _, f := range []string{cpu, mem} {
+		if st, err := os.Stat(f); err != nil || st.Size() == 0 {
+			t.Errorf("%s: want a non-empty profile (err %v)", f, err)
+		}
+	}
+}

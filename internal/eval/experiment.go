@@ -178,8 +178,8 @@ func EvaluatePointOn(g *webgraph.Graph, cfg RunConfig) (*PointResult, error) {
 
 // pointScorer is a point's scoring side: one pass per heuristic (plus the
 // referrer chain's scorer under IncludeReferrer), fed one simulated user at
-// a time. Every tally is an integer sum or a histogram, so the order users
-// arrive in cannot change the result.
+// a time, all on one scratch. Every tally is an integer sum or a histogram,
+// so the order users arrive in cannot change the result.
 type pointScorer struct {
 	g          *webgraph.Graph
 	cfg        RunConfig
@@ -195,9 +195,10 @@ func newPointScorer(g *webgraph.Graph, cfg RunConfig) *pointScorer {
 	if build == nil {
 		build = DefaultHeuristics
 	}
-	ps := &pointScorer{g: g, cfg: cfg, heuristics: build(g), chain: referrer.New(g)}
+	scr := newScratch(g.NumPages())
+	ps := &pointScorer{g: g, cfg: cfg, heuristics: build(g), chain: referrer.New(g), chained: scorer{scratch: scr}}
 	for _, h := range ps.heuristics {
-		ps.passes = append(ps.passes, newPass(h))
+		ps.passes = append(ps.passes, newPass(h, scr))
 	}
 	return ps
 }

@@ -42,8 +42,14 @@ func (p *pageLists) add(entries []session.Entry) {
 // by position, because proxy-merged agents share one label. User number u
 // owns lists [first[u], first[u+1]). Score and ScoreMatched, which take whole
 // session sets, build one over the real sessions.
+//
+// Its pages are renumbered too, densely in order of first sight on the real
+// side, so the matcher's page table is as long as the real sessions' distinct
+// pages, whatever IDs a session file holds. A candidate page that no real
+// session has becomes len(pages), which equals no real page.
 type sessionIndex struct {
 	users map[string]int
+	pages map[webgraph.PageID]webgraph.PageID
 	first []int
 	lists pageLists
 }
@@ -54,10 +60,11 @@ func (ix *sessionIndex) user(u int) pageLists {
 
 // groupByUser packs sessions and counting-sorts their spans into per-user
 // runs under the numbering in users, each user's sessions in input order.
-// With grow set an unseen label takes the next number (the real side, which
-// defines the numbering); otherwise its sessions are left out (candidates of
-// a user with no real session can capture nothing).
-func groupByUser(sessions []session.Session, users map[string]int, grow bool) *sessionIndex {
+// With grow set an unseen label or page takes the next number (the real
+// side, which defines the numberings); otherwise a session of an unseen
+// label is left out (candidates of a user with no real session can capture
+// nothing), and an unseen page becomes len(pages).
+func groupByUser(sessions []session.Session, users map[string]int, pages map[webgraph.PageID]webgraph.PageID, grow bool) *sessionIndex {
 	in := pageLists{spans: make([]span, 0, len(sessions))}
 	owner := make([]int, 0, len(sessions))
 	first := make([]int, len(users)+1)
@@ -71,7 +78,18 @@ func groupByUser(sessions []session.Session, users map[string]int, grow bool) *s
 			users[sessions[i].User] = u
 			first = append(first, 0)
 		}
-		in.add(sessions[i].Entries)
+		lo := len(in.pages)
+		for _, e := range sessions[i].Entries {
+			p, ok := pages[e.Page]
+			if !ok {
+				p = webgraph.PageID(len(pages))
+				if grow {
+					pages[e.Page] = p
+				}
+			}
+			in.pages = append(in.pages, p)
+		}
+		in.spans = append(in.spans, span{lo, len(in.pages)})
 		owner = append(owner, u)
 		first[u+1]++
 	}
@@ -84,12 +102,12 @@ func groupByUser(sessions []session.Session, users map[string]int, grow bool) *s
 		spans[next[u]] = in.spans[k]
 		next[u]++
 	}
-	return &sessionIndex{users: users, first: first, lists: pageLists{pages: in.pages, spans: spans}}
+	return &sessionIndex{users: users, pages: pages, first: first, lists: pageLists{pages: in.pages, spans: spans}}
 }
 
 // indexSessions groups a ground-truth session set by user.
 func indexSessions(real []session.Session) *sessionIndex {
-	return groupByUser(real, make(map[string]int), true)
+	return groupByUser(real, make(map[string]int), make(map[webgraph.PageID]webgraph.PageID), true)
 }
 
 // tally is what scoring one heuristic's candidates yields. Every field is an
@@ -140,11 +158,29 @@ func (t tally) stats() SessionStats {
 	return st
 }
 
-// scorer is one pass's scratch and running sums.
-type scorer struct {
-	tally
+// scratch is the kernel's working memory: the capture graph and the
+// candidate arena. A point's passes score a user one after another on one
+// goroutine, so they share one scratch.
+type scratch struct {
 	m    matcher
 	cand pageLists // the current user's candidates, repacked per user
+}
+
+// newScratch returns a scratch whose page table is sized for page IDs below
+// pages, so a user's pages never grow it.
+func newScratch(pages int) *scratch {
+	scr := &scratch{}
+	scr.m.head = make([]int, pages)
+	for p := range scr.m.head {
+		scr.m.head[p] = unindexed
+	}
+	return scr
+}
+
+// scorer is one pass's running sums over a scratch it may share.
+type scorer struct {
+	tally
+	*scratch
 }
 
 // user scores one user: both readings of the one capture graph.
@@ -159,8 +195,8 @@ func (s *scorer) user(real, cand pageLists) {
 // scoreSessions scores a candidate set in any order against the indexed real
 // sessions: group by user, then the kernel per user.
 func (ix *sessionIndex) scoreSessions(candidates []session.Session) tally {
-	cx := groupByUser(candidates, ix.users, false)
-	var s scorer
+	cx := groupByUser(candidates, ix.users, ix.pages, false)
+	s := scorer{scratch: newScratch(len(ix.pages) + 1)}
 	for u := 0; u < len(ix.first)-1; u++ {
 		s.user(ix.user(u), cx.user(u))
 	}
@@ -189,8 +225,8 @@ type pass struct {
 	release     func()
 }
 
-func newPass(h heuristics.Reconstructor) *pass {
-	p := &pass{}
+func newPass(h heuristics.Reconstructor, scr *scratch) *pass {
+	p := &pass{scorer: scorer{scratch: scr}}
 	p.reconstruct, p.release = heuristics.Lend(h)
 	return p
 }

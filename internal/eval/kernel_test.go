@@ -18,12 +18,12 @@ import (
 )
 
 // The references below are the metrics read literally — a materialised
-// candidate set, one Pages()-per-probe capture test per (real, candidate)
-// pair, a textbook recursive matching, a sort for the median — and share no
-// code with the kernel.
+// candidate set, the capture relation's one definition (session.Captures)
+// tested per (real, candidate) pair, a textbook recursive matching, a sort
+// for the median — and share no code with the kernel.
 
 func naiveCaptures(h, r session.Session) bool {
-	return h.User == r.User && session.ContainsPages(h.Pages(), r.Pages())
+	return h.User == r.User && session.Captures(h, r)
 }
 
 func naiveExists(real, cands []session.Session) int {
@@ -274,7 +274,7 @@ func TestScoreStreamsMatchesNaive(t *testing.T) {
 		rng.Shuffle(len(real), func(i, j int) { real[i], real[j] = real[j], real[i] })
 		wantExists, wantMatched := naiveExists(real, cands), naiveMatched(real, cands)
 		wantStats := naiveStats(cands)
-		p := newPass(h)
+		p := newPass(h, newScratch(0))
 		var lists pageLists
 		for _, st := range streams {
 			lists.reset()

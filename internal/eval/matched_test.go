@@ -2,6 +2,10 @@ package eval
 
 import (
 	"fmt"
+	"math"
+	"math/rand"
+	"runtime"
+	"slices"
 	"testing"
 
 	"smartsra/internal/heuristics"
@@ -96,6 +100,99 @@ func TestMatcherReuseAcrossUsers(t *testing.T) {
 	want := Accuracy{Real: 43, Captured: 41}
 	if got := ScoreMatched(real, cands); got != want {
 		t.Errorf("%+v, want %+v", got, want)
+	}
+}
+
+// The capture graph holds exactly the pairs the relation's one definition,
+// session.Captures, gives: adj[i] is {j : Captures(cand[j], real[i])} in
+// ascending j, and Exists counts the non-empty rows. One matcher takes every
+// user in turn, as a pass does, so an index entry an earlier user left
+// behind shows as a wrong edge. The users have empty real and candidate sessions,
+// pages repeated within a session, page IDs above every earlier user's (a
+// page table sized from the first user would miss them), and one user has
+// over 500 sessions on each side, a merged proxy's size.
+func TestCaptureMatchesBruteForce(t *testing.T) {
+	rng := rand.New(rand.NewSource(35))
+	sessions := func(n, pages int) []session.Session {
+		out := make([]session.Session, n)
+		for i := range out {
+			// A small alphabet repeats pages within a session and makes
+			// captures common; lengths start at 0.
+			for k := rng.Intn(7); k > 0; k-- {
+				out[i].Entries = append(out[i].Entries, session.Entry{Page: webgraph.PageID(rng.Intn(pages))})
+			}
+		}
+		return out
+	}
+	pack := func(ss []session.Session) pageLists {
+		var p pageLists
+		for i := range ss {
+			p.add(ss[i].Entries)
+		}
+		return p
+	}
+	var m matcher
+	for u := 0; u < 400; u++ {
+		nr, nc, pages := 1+rng.Intn(10), rng.Intn(10), 2+u/20
+		if u == 200 {
+			nr, nc = 520, 510
+		}
+		cand := sessions(nc, pages)
+		real := sessions(nr, pages)
+		// Half the real sessions are windows of a candidate, so most rows
+		// have edges.
+		for i := range real {
+			if nc > 0 && rng.Intn(2) == 0 {
+				c := cand[rng.Intn(nc)].Entries
+				lo := rng.Intn(len(c) + 1)
+				real[i].Entries = c[lo : lo+rng.Intn(len(c)-lo+1)]
+			}
+		}
+		exists := m.capture(pack(real), pack(cand))
+		want := 0
+		for i := range real {
+			var row []int
+			for j := range cand {
+				if session.Captures(cand[j], real[i]) {
+					row = append(row, j)
+				}
+			}
+			if len(row) > 0 {
+				want++
+			}
+			if !slices.Equal(m.adj[i], row) {
+				t.Fatalf("user %d real %d %v: adj %v, Captures gives %v", u, i, real[i].Pages(), m.adj[i], row)
+			}
+		}
+		if exists != want {
+			t.Fatalf("user %d: Exists %d, Captures gives %d", u, exists, want)
+		}
+	}
+}
+
+// Score and ScoreMatched take session sets from outside, whose page IDs are
+// whatever a session file holds. The page table follows the distinct pages,
+// not the largest ID: scoring IDs near 2^31 allocates kilobytes, not a
+// 16 GiB table.
+func TestScoreHugePageIDs(t *testing.T) {
+	mk := func(pages ...webgraph.PageID) session.Session {
+		s := session.Session{User: "u"}
+		for _, p := range pages {
+			s.Entries = append(s.Entries, session.Entry{Page: p})
+		}
+		return s
+	}
+	real := []session.Session{mk(math.MaxInt32, 7), mk(7), mk(1 << 30)}
+	cands := []session.Session{mk(3, math.MaxInt32, 7), mk(1<<30 - 1)}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	matched, exists := ScoreMatched(real, cands), Score(real, cands)
+	runtime.ReadMemStats(&after)
+	if matched.Captured != 1 || exists.Captured != 2 {
+		t.Errorf("matched %v, exists %v; want 1 and 2 of 3", matched, exists)
+	}
+	if n := after.TotalAlloc - before.TotalAlloc; n > 1<<20 {
+		t.Errorf("scoring 3 sessions allocated %d bytes", n)
 	}
 }
 

@@ -14,16 +14,11 @@ import (
 // Empty real sessions are vacuously captured.
 //
 // Pages are compared in place on the entry slices, so a probe allocates
-// nothing; callers that already hold flat page sequences use ContainsPages.
+// nothing. This is the relation's one definition: eval's capture graph finds
+// the same pairs through a page-occurrence index, and its tests hold it to
+// this function.
 func Captures(h, r Session) bool {
 	return entryIndexOf(h.Entries, r.Entries) >= 0
-}
-
-// ContainsPages reports whether needle occurs as a contiguous subsequence of
-// haystack — the capture relation over flat page sequences (eval's scoring
-// kernel keeps every session's pages in one arena).
-func ContainsPages(haystack, needle []webgraph.PageID) bool {
-	return indexOf(haystack, needle) >= 0
 }
 
 // CapturedByAny reports whether any of the candidate sessions captures r.
@@ -34,29 +29,6 @@ func CapturedByAny(candidates []Session, r Session) bool {
 		}
 	}
 	return false
-}
-
-// indexOf returns the first index at which needle occurs contiguously in
-// haystack, or -1. This is the "ordinary string searching algorithm" the
-// paper adopts; page sequences are short, so the naive O(n·m) scan is the
-// right tool (and is what the paper describes).
-func indexOf(haystack, needle []webgraph.PageID) int {
-	if len(needle) == 0 {
-		return 0
-	}
-	if len(needle) > len(haystack) {
-		return -1
-	}
-outer:
-	for i := 0; i+len(needle) <= len(haystack); i++ {
-		for j, p := range needle {
-			if haystack[i+j] != p {
-				continue outer
-			}
-		}
-		return i
-	}
-	return -1
 }
 
 // IsSubsequence reports whether needle occurs in haystack as a (not
@@ -83,9 +55,12 @@ func Subsumes(a, b Session) bool {
 	return len(a.Entries) >= len(b.Entries) && entryIndexOf(a.Entries, b.Entries) >= 0
 }
 
-// entryIndexOf is indexOf over entry slices, comparing pages in place so
-// callers need not materialize page sequences. The first-page probe skips
-// the inner loop for the overwhelmingly common mismatch case.
+// entryIndexOf returns the first index at which needle's pages occur
+// contiguously in haystack, or -1, comparing pages in place so callers need
+// not materialize page sequences. This is the "ordinary string searching
+// algorithm" the paper adopts; page sequences are short, so the naive
+// O(n·m) scan is the right tool. The first-page probe skips the inner loop
+// for the overwhelmingly common mismatch case.
 func entryIndexOf(haystack, needle []Entry) int {
 	if len(needle) == 0 {
 		return 0

@@ -93,18 +93,27 @@ func TestMaximalOnlyEdgeCases(t *testing.T) {
 	}
 }
 
-func TestContainsPages(t *testing.T) {
-	hay := []webgraph.PageID{1, 9, 3, 5, 8}
-	if !ContainsPages(hay, []webgraph.PageID{9, 3, 5}) {
+// Captures over bare page sequences: a contiguous run, an interrupted one,
+// and an empty needle and haystack.
+func TestCapturesContiguity(t *testing.T) {
+	pages := func(ps ...webgraph.PageID) Session {
+		s := Session{User: "u"}
+		for _, p := range ps {
+			s.Entries = append(s.Entries, Entry{Page: p})
+		}
+		return s
+	}
+	hay := pages(1, 9, 3, 5, 8)
+	if !Captures(hay, pages(9, 3, 5)) {
 		t.Error("contiguous run not found")
 	}
-	if ContainsPages(hay, []webgraph.PageID{1, 3, 5}) {
+	if Captures(hay, pages(1, 3, 5)) {
 		t.Error("interrupted subsequence reported contiguous")
 	}
-	if !ContainsPages(hay, nil) {
+	if !Captures(hay, pages()) {
 		t.Error("empty needle must be vacuously contained")
 	}
-	if ContainsPages(nil, []webgraph.PageID{1}) {
+	if Captures(pages(), pages(1)) {
 		t.Error("nonempty needle found in empty haystack")
 	}
 }

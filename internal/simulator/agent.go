@@ -9,12 +9,12 @@ import (
 	"smartsra/internal/webgraph"
 )
 
-// agentScratch holds the per-agent working buffers — the browser-cache map
-// and the page arena the pick/backtrack scans fill — so a worker reuses one
-// set across all its agents instead of reallocating per agent. Each worker
-// of a Run allocates its own.
+// agentScratch holds the per-agent working buffers — the browser cache, one
+// flag per page of the graph, and the page arena the pick/backtrack scans
+// fill — so a worker reuses one set across all its agents instead of
+// reallocating per agent. Each worker of a Run allocates its own.
 type agentScratch struct {
-	visited map[webgraph.PageID]bool
+	visited []bool
 	pages   []webgraph.PageID
 	cands   []btCand
 }
@@ -48,7 +48,7 @@ type agent struct {
 	user    string
 	now     time.Time
 	scr     *agentScratch
-	visited map[webgraph.PageID]bool // browser cache: everything ever fetched
+	visited []bool // browser cache: visited[p] once page p was fetched
 	curReal []session.Entry
 	out     agentOutcome
 }

@@ -244,7 +244,7 @@ func eachAgent(g *webgraph.Graph, p Params, visit func(i int, o agentOutcome)) {
 		go func() {
 			defer wg.Done()
 			// One scratch per worker, shared by all its agents.
-			scr := &agentScratch{visited: make(map[webgraph.PageID]bool)}
+			scr := &agentScratch{visited: make([]bool, g.NumPages())}
 			// One generator per worker, re-seeded per agent: Seed rebuilds the
 			// whole 4.9 KB source state, so the draws equal a fresh source's
 			// without allocating one per agent.

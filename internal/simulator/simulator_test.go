@@ -598,7 +598,7 @@ func referenceRun(g *webgraph.Graph, p Params) *Result {
 	for i := 0; i < p.Agents; i++ {
 		rng := rand.New(rand.NewSource(mixSeed(p.Seed, int64(i))))
 		jitter := time.Duration(rng.Int63n(int64(p.StartWindow))).Truncate(time.Second)
-		scr := &agentScratch{visited: make(map[webgraph.PageID]bool)}
+		scr := &agentScratch{visited: make([]bool, g.NumPages())}
 		o := runAgent(g, p, AgentID(i), p.Start.Add(jitter), rng, scr)
 		for s := range o.real {
 			o.real[s].User = users[i]
