@@ -503,8 +503,7 @@ func BenchmarkScoreMatched(b *testing.B) {
 
 // BenchmarkSmartSRAPhase2 measures Smart-SRA reconstruction throughput over
 // one Table 5 workload — dominated by the Phase-2 wave construction and the
-// maximality filter, the two allocation hot spots the per-reconstruction
-// scratch buffers and the length-bucketed MaximalOnly eliminate.
+// maximality filter, whose buffers the per-reconstruction scratch keeps.
 func BenchmarkSmartSRAPhase2(b *testing.B) {
 	params := simulator.PaperParams()
 	params.Agents = 250
@@ -521,6 +520,45 @@ func BenchmarkSmartSRAPhase2(b *testing.B) {
 		sessions = len(heuristics.ReconstructAll(h, res.Streams))
 	}
 	b.ReportMetric(float64(sessions)*float64(b.N)/b.Elapsed().Seconds(), "sessions/s")
+}
+
+// crawlerCandidate is one un-cut simulator.CrawlerRecords bot over the
+// 300-page Table 5 topology (seed 1) as a stream: every page, one to three
+// seconds apart, which Phase 1 keeps as a single candidate.
+func crawlerCandidate(tb testing.TB) (*webgraph.Graph, session.Stream) {
+	tb.Helper()
+	g, err := webgraph.GenerateTopology(webgraph.PaperTopology(), rand.New(rand.NewSource(1)))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	var st session.Stream
+	for _, r := range simulator.CrawlerRecords(g, 1, 1, benchT0) {
+		if p, ok := g.PageByURI(r.URI); ok {
+			st.User = r.Host
+			st.Entries = append(st.Entries, session.Entry{Page: p, Time: r.Time})
+		}
+	}
+	return g, st
+}
+
+// BenchmarkSmartSRACrawlerCandidate reconstructs that candidate: 9,759
+// maximal sessions from 300 requests (ROADMAP item 1), where keeping only
+// the maximal ones (session.MaximalFilter) costs more than building them.
+func BenchmarkSmartSRACrawlerCandidate(b *testing.B) {
+	g, st := crawlerCandidate(b)
+	h := heuristics.NewSmartSRA(g)
+	b.ReportAllocs()
+	var sessions, entries int
+	for i := 0; i < b.N; i++ {
+		out := h.Reconstruct(st)
+		sessions, entries = len(out), 0
+		for _, s := range out {
+			entries += len(s.Entries)
+		}
+	}
+	b.ReportMetric(float64(len(st.Entries)), "requests")
+	b.ReportMetric(float64(sessions), "sessions")
+	b.ReportMetric(float64(entries), "entries")
 }
 
 // BenchmarkHeuristicThroughput measures raw reconstruction throughput of

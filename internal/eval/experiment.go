@@ -195,7 +195,7 @@ func newPointScorer(g *webgraph.Graph, cfg RunConfig) *pointScorer {
 	if build == nil {
 		build = DefaultHeuristics
 	}
-	scr := newScratch(g.NumPages())
+	scr := new(scratch)
 	ps := &pointScorer{g: g, cfg: cfg, heuristics: build(g), chain: referrer.New(g), chained: scorer{scratch: scr}}
 	for _, h := range ps.heuristics {
 		ps.passes = append(ps.passes, newPass(h, scr))

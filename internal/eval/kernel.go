@@ -166,17 +166,6 @@ type scratch struct {
 	cand pageLists // the current user's candidates, repacked per user
 }
 
-// newScratch returns a scratch whose page table is sized for page IDs below
-// pages, so a user's pages never grow it.
-func newScratch(pages int) *scratch {
-	scr := &scratch{}
-	scr.m.head = make([]int, pages)
-	for p := range scr.m.head {
-		scr.m.head[p] = unindexed
-	}
-	return scr
-}
-
 // scorer is one pass's running sums over a scratch it may share.
 type scorer struct {
 	tally
@@ -196,7 +185,7 @@ func (s *scorer) user(real, cand pageLists) {
 // sessions: group by user, then the kernel per user.
 func (ix *sessionIndex) scoreSessions(candidates []session.Session) tally {
 	cx := groupByUser(candidates, ix.users, ix.pages, false)
-	s := scorer{scratch: newScratch(len(ix.pages) + 1)}
+	s := scorer{scratch: new(scratch)}
 	for u := 0; u < len(ix.first)-1; u++ {
 		s.user(ix.user(u), cx.user(u))
 	}

@@ -274,7 +274,7 @@ func TestScoreStreamsMatchesNaive(t *testing.T) {
 		rng.Shuffle(len(real), func(i, j int) { real[i], real[j] = real[j], real[i] })
 		wantExists, wantMatched := naiveExists(real, cands), naiveMatched(real, cands)
 		wantStats := naiveStats(cands)
-		p := newPass(h, newScratch(0))
+		p := newPass(h, new(scratch))
 		var lists pageLists
 		for _, st := range streams {
 			lists.reset()

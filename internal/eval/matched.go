@@ -1,9 +1,8 @@
 package eval
 
 import (
-	"slices"
-
 	"smartsra/internal/session"
+	"smartsra/internal/webgraph"
 )
 
 // ScoreMatched computes accuracy under one-to-one matching: each
@@ -41,25 +40,10 @@ type matcher struct {
 	seen      []bool
 	stack     []matchFrame
 
-	// The current user's page-occurrence index over the pages some real
-	// session starts with: head[p] is the first entry of page p's chain in
-	// occ, and the chain lists every occurrence of p in the candidates in
-	// ascending candidate, then position, order. head[p] is unindexed for
-	// any other page, and for every page between users.
-	head []int
-	occ  []occurrence
-}
-
-// Sentinels in head and occurrence.next.
-const (
-	unindexed = -1 // head: no real session of the user starts with the page
-	chainEnd  = -2 // the page's chain has no (further) occurrence
-)
-
-// occurrence is one position of a page in the candidates: candidate j holds
-// it at pages[at], and next is the page's following occurrence.
-type occurrence struct {
-	j, at, next int
+	// ix finds the current user's captures: the real sessions are its
+	// needles, the candidates (hays) its haystacks.
+	ix   session.Index
+	hays [][]webgraph.PageID
 }
 
 // matchFrame is one level of the explicit augmenting-path DFS: real node i,
@@ -73,11 +57,11 @@ type matchFrame struct {
 // returns how many real sessions have a capturer at all, the Exists reading.
 // Nothing else in eval evaluates the capture relation.
 //
-// It does not test every (real, candidate) pair. The candidates' occurrences
-// of the real sessions' first pages are indexed first (index), so real
-// session i only visits the occurrences of its own first page, and takes
-// candidate j once if the pages from that occurrence on spell the session.
-// An empty real session is captured by every candidate.
+// It does not test every (real, candidate) pair: the real sessions and the
+// candidates go into the containment index (session.Index), so real session
+// i only visits the candidate positions of its own first page, and reads a
+// candidate's pages only where its second page follows. An empty real
+// session is captured by every candidate.
 func (m *matcher) capture(real, cand pageLists) (captured int) {
 	nr, nc := real.len(), cand.len()
 	if cap(m.adj) < nr {
@@ -85,72 +69,28 @@ func (m *matcher) capture(real, cand pageLists) (captured int) {
 	}
 	m.adj, m.nc = m.adj[:nr], nc
 	m.adjArena = m.adjArena[:0]
-	m.index(real, cand)
+	for i := range real.spans {
+		m.ix.Want(real.list(i))
+	}
+	m.hays = m.hays[:0]
+	for j := range cand.spans {
+		m.hays = append(m.hays, cand.list(j))
+	}
+	m.ix.Build(m.hays)
 	for i := range m.adj {
-		rp := real.list(i)
 		lo := len(m.adjArena)
-		if len(rp) == 0 {
-			for j := 0; j < nc; j++ {
-				m.adjArena = append(m.adjArena, j)
-			}
-		} else {
-			last := -1
-			for o := m.head[rp[0]]; o >= 0; o = m.occ[o].next {
-				oc := m.occ[o]
-				if oc.j == last || oc.at+len(rp) > cand.spans[oc.j].hi {
-					continue
-				}
-				if slices.Equal(cand.pages[oc.at:oc.at+len(rp)], rp) {
-					m.adjArena = append(m.adjArena, oc.j)
-					last = oc.j
-				}
-			}
-		}
+		m.ix.Containers(real.list(i), func(j int) bool {
+			m.adjArena = append(m.adjArena, j)
+			return true
+		})
 		m.adj[i] = m.adjArena[lo:len(m.adjArena):len(m.adjArena)]
 		if len(m.adjArena) > lo {
 			captured++
 		}
 	}
-	m.unindex(real)
+	m.ix.Reset()
+	clear(m.hays)
 	return captured
-}
-
-// index opens an empty chain for every page a real session starts with, then
-// chains every candidate occurrence of those pages. Candidates and positions
-// are walked backwards and each occurrence is pushed on its chain's front,
-// so every chain reads in ascending order.
-func (m *matcher) index(real, cand pageLists) {
-	for i := range real.spans {
-		if rp := real.list(i); len(rp) > 0 {
-			p := int(rp[0])
-			for p >= len(m.head) {
-				m.head = append(m.head, unindexed)
-			}
-			m.head[p] = chainEnd
-		}
-	}
-	m.occ = m.occ[:0]
-	for j := cand.len() - 1; j >= 0; j-- {
-		sp := cand.spans[j]
-		for at := sp.hi - 1; at >= sp.lo; at-- {
-			p := int(cand.pages[at])
-			if p >= len(m.head) || m.head[p] == unindexed {
-				continue
-			}
-			m.occ = append(m.occ, occurrence{j: j, at: at, next: m.head[p]})
-			m.head[p] = len(m.occ) - 1
-		}
-	}
-}
-
-// unindex closes the chains index opened, leaving head all unindexed for the
-// next user at the cost of the real sessions, not of the table.
-func (m *matcher) unindex(real pageLists) {
-	for i := range real.spans {
-		if rp := real.list(i); len(rp) > 0 {
-			m.head[rp[0]] = unindexed
-		}
-	}
 }
 
 // matching returns the maximum matching size of the graph capture just

@@ -168,6 +168,50 @@ func TestCaptureMatchesBruteForce(t *testing.T) {
 			t.Fatalf("user %d: Exists %d, Captures gives %d", u, exists, want)
 		}
 	}
+	// MaximalOnly goes through the same containment index from 12 sessions
+	// on. It must keep what the pairwise reading of Captures keeps: session i
+	// goes when another session captures it and is longer, or is equal and
+	// earlier. Sets below, at and above the switch, and one of 5,000.
+	for _, n := range []int{2, 11, 12, 13, 60, 300, 5000} {
+		for trial := 0; trial < 3; trial++ {
+			set := sessions(n, 2+rng.Intn(40))
+			// Windows of other sessions make drops and duplicates common.
+			for i := range set {
+				if rng.Intn(3) == 0 {
+					c := set[rng.Intn(n)].Entries
+					lo := rng.Intn(len(c) + 1)
+					set[i].Entries = slices.Clip(c[lo : lo+rng.Intn(len(c)-lo+1)])
+				}
+			}
+			for i := range set {
+				set[i].User = fmt.Sprint(i) // tells duplicates apart
+			}
+			var want []session.Session
+			for i := range set {
+				dropped := false
+				for j := range set {
+					longer := len(set[j].Entries) > len(set[i].Entries)
+					equal := len(set[j].Entries) == len(set[i].Entries) && j < i
+					if j != i && (longer || equal) && session.Captures(set[j], set[i]) {
+						dropped = true
+						break
+					}
+				}
+				if !dropped {
+					want = append(want, set[i])
+				}
+			}
+			got := session.MaximalOnly(set)
+			if len(got) != len(want) {
+				t.Fatalf("MaximalOnly over %d sessions keeps %d, pairwise Captures %d", n, len(got), len(want))
+			}
+			for i := range got {
+				if got[i].User != want[i].User {
+					t.Fatalf("MaximalOnly over %d sessions: survivor %d is session %s, pairwise Captures keeps %s", n, i, got[i].User, want[i].User)
+				}
+			}
+		}
+	}
 }
 
 // Score and ScoreMatched take session sets from outside, whose page IDs are

@@ -129,6 +129,7 @@ type sraScratch struct {
 	tset     [][]session.Entry // constructed-set headers (pong)
 	tsetT    []int64           // UnixNano of each tset session's last entry
 	arena    entryArena        // backing store for constructed-session entries
+	maximal  session.MaximalFilter
 }
 
 // sraScratchPool recycles reconstruction scratches across Reconstruct calls
@@ -187,9 +188,9 @@ func (h SmartSRA) appendSessions(dst []session.Session, stream session.Stream, s
 	// The algorithm keeps only maximal sequences; enforce it over this
 	// stream's sessions so no output session is subsumed by another (also
 	// drops exact duplicates that can arise from separate extension paths).
-	// MaximalOnly only allocates when something is dropped; copy the kept
+	// The filter only allocates when something is dropped; copy the kept
 	// tail back in place then.
-	kept := session.MaximalOnly(dst[start:])
+	kept := scr.maximal.Keep(dst[start:])
 	if len(kept) != len(dst)-start {
 		dst = dst[:start+copy(dst[start:], kept)]
 	}

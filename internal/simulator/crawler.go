@@ -27,12 +27,19 @@ const CrawlerUserAgent = "sitecrawler/1.0 (+https://bots.example/info)"
 // page reachable from the start set, one request every 1-3 seconds,
 // beginning at start. Records are returned in time order per bot.
 func CrawlerRecords(g *webgraph.Graph, count int, seed int64, start time.Time) []clf.Record {
+	// One generator for the call, re-seeded per bot: the same draws as a
+	// fresh rand.NewSource per bot (see source).
+	return crawlerRecords(g, count, seed, start, rand.New(newSource(0)))
+}
+
+// crawlerRecords is CrawlerRecords on rng, which it re-seeds for every bot.
+func crawlerRecords(g *webgraph.Graph, count int, seed int64, start time.Time, rng *rand.Rand) []clf.Record {
 	if count <= 0 || g.NumPages() == 0 {
 		return nil
 	}
 	var out []clf.Record
 	for b := 0; b < count; b++ {
-		rng := rand.New(rand.NewSource(mixSeed(seed, int64(1_000_000+b))))
+		rng.Seed(mixSeed(seed, int64(1_000_000+b)))
 		ip := crawlerID(b)
 		at := start.Add(time.Duration(rng.Int63n(int64(6 * time.Hour)))).Truncate(time.Second)
 		emit := func(uri string, status int, referer string) {

@@ -245,10 +245,11 @@ func eachAgent(g *webgraph.Graph, p Params, visit func(i int, o agentOutcome)) {
 			defer wg.Done()
 			// One scratch per worker, shared by all its agents.
 			scr := &agentScratch{visited: make([]bool, g.NumPages())}
-			// One generator per worker, re-seeded per agent: Seed rebuilds the
-			// whole 4.9 KB source state, so the draws equal a fresh source's
-			// without allocating one per agent.
-			rng := rand.New(rand.NewSource(0))
+			// One generator per worker, re-seeded per agent. Its source draws
+			// what rand.NewSource(seed) would, but builds a state word only
+			// when a draw first reads it, so an agent pays for the draws it
+			// makes, not for a 607-word seeding.
+			rng := rand.New(newSource(0))
 			for i := int(next.Add(1) - 1); i < p.Agents; i = int(next.Add(1) - 1) {
 				// Seed each agent independently so scheduling cannot change
 				// results. SplitMix-style mixing decorrelates nearby seeds.
