@@ -1,6 +1,7 @@
 package heuristics
 
 import (
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -24,11 +25,8 @@ func TestNamesAndDescriptions(t *testing.T) {
 			t.Errorf("%s has no description", h.Name())
 		}
 	}
-	if !strings.Contains(NewSmartSRA(g).Describe(), "drop") {
-		t.Error("Smart-SRA description missing orphan policy")
-	}
-	if OrphanNewSession.String() != "new-session" || OrphanPolicy(9).String() == "" {
-		t.Error("OrphanPolicy.String wrong")
+	if got, want := NewSmartSRA(g).Describe(), "Smart-SRA (δ=30m0s, ρ=10m0s)"; got != want {
+		t.Errorf("Smart-SRA description = %q, want %q", got, want)
 	}
 }
 
@@ -160,32 +158,51 @@ func TestSmartSRATimeOrphanBecomesSingleton(t *testing.T) {
 	}
 }
 
-// Property: the two orphan policies produce identical output. Because Step I
-// and Step III apply the same (link, strict time order, ρ) predicate, the
-// last-removed referrer of any page always leaves behind a session ending in
-// itself, so no page can fail to attach: the pseudocode's implicit drop case
-// is unreachable. This test pins down that non-obvious invariant.
-func TestSmartSRAOrphanPoliciesEquivalentProperty(t *testing.T) {
-	g := fuzzGraph(t)
-	drop := NewSmartSRA(g)
-	keep := NewSmartSRA(g)
-	keep.Orphans = OrphanNewSession
-	f := func(seed int64, size uint8) bool {
-		rng := rand.New(rand.NewSource(seed))
-		st := randomStream(g, rng, int(size)%80)
-		a, b := drop.Reconstruct(st), keep.Reconstruct(st)
-		if len(a) != len(b) {
-			return false
-		}
-		for i := range a {
-			if a[i].String() != b[i].String() {
-				return false
-			}
-		}
-		return true
+// Property: Phase 2 attaches every entry of a candidate to some session.
+// Step I and Step III apply the same predicate (link, strict time order,
+// ρ), so the referrer that kept a page out of one wave leaves a session
+// ending in itself for the next: the pseudocode's implicit drop of a page
+// that extends nothing can never fire (DESIGN.md, "Orphan pages in Phase
+// 2"). Small dense sites give each page the most competing referrers.
+func TestSmartSRAPhase2AttachesEveryEntryProperty(t *testing.T) {
+	graphs := []*webgraph.Graph{fuzzGraph(t), denseGraph(t, 12, 5), denseGraph(t, 8, 4)}
+	type key struct {
+		page webgraph.PageID
+		ns   int64
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
-		t.Error(err)
+	for _, g := range graphs {
+		for _, infer := range []bool{false, true} {
+			h := NewSmartSRA(g)
+			h.InferBacktracks = infer
+			t.Run(fmt.Sprintf("pages=%d/infer=%v", g.NumPages(), infer), func(t *testing.T) {
+				scr := new(sraScratch)
+				covered := make(map[key]bool)
+				f := func(seed int64, size uint8) bool {
+					st := randomStream(g, rand.New(rand.NewSource(seed)), int(size)%80)
+					scr.bounds = h.phase1(st.Entries, scr.bounds[:0])
+					for b := 0; b+1 < len(scr.bounds); b++ {
+						cand := st.Entries[scr.bounds[b]:scr.bounds[b+1]]
+						clear(covered)
+						for _, s := range h.phase2(cand, scr) {
+							for _, e := range s {
+								covered[key{e.Page, e.Time.UnixNano()}] = true
+							}
+						}
+						for _, e := range cand {
+							if !covered[key{e.Page, e.Time.UnixNano()}] {
+								t.Logf("seed=%d size=%d: page %d at %v left out of %v",
+									seed, size, e.Page, e.Time.Sub(t0), cand)
+								return false
+							}
+						}
+					}
+					return true
+				}
+				if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+					t.Error(err)
+				}
+			})
+		}
 	}
 }
 
@@ -301,6 +318,19 @@ func randomStream(g *webgraph.Graph, rng *rand.Rand, n int) session.Stream {
 		}
 	}
 	return st
+}
+
+// denseGraph is a small uniform site where most pages link to each other.
+func denseGraph(t testing.TB, pages int, outDegree float64) *webgraph.Graph {
+	t.Helper()
+	g, err := webgraph.GenerateTopology(webgraph.TopologyConfig{
+		Pages: pages, AvgOutDegree: outDegree, StartPageFraction: 0.25,
+		Model: webgraph.ModelUniform, EnsureReachable: true,
+	}, rand.New(rand.NewSource(int64(pages))))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
 }
 
 func fuzzGraph(t testing.TB) *webgraph.Graph {

@@ -8,34 +8,6 @@ import (
 	"smartsra/internal/webgraph"
 )
 
-// OrphanPolicy decides what Smart-SRA's second phase does with a page whose
-// every referrer has already been consumed into the interior of the
-// constructed sessions, so that no session's *last* element links to it.
-type OrphanPolicy int
-
-const (
-	// OrphanDrop discards such pages — the literal behaviour of the paper's
-	// Figure 2 pseudocode (a page that extends nothing is simply not added
-	// to the temporary session set). This is the default.
-	OrphanDrop OrphanPolicy = iota
-	// OrphanNewSession starts a fresh single-page session for such pages, a
-	// natural extension the paper does not specify; exposed for the ablation
-	// bench (see DESIGN.md).
-	OrphanNewSession
-)
-
-// String names the policy for reports.
-func (p OrphanPolicy) String() string {
-	switch p {
-	case OrphanDrop:
-		return "drop"
-	case OrphanNewSession:
-		return "new-session"
-	default:
-		return fmt.Sprintf("OrphanPolicy(%d)", int(p))
-	}
-}
-
 // SmartSRA is the paper's Smart Session Reconstruction Algorithm (heur4,
 // §3). Phase 1 splits the user's request stream into candidate sessions
 // using BOTH time-oriented criteria (total duration δ and page-stay ρ).
@@ -52,8 +24,6 @@ type SmartSRA struct {
 	Graph *webgraph.Graph
 	// Rules holds δ (TotalDuration) and ρ (PageStay).
 	Rules session.Rules
-	// Orphans selects the treatment of unattachable pages; see OrphanPolicy.
-	Orphans OrphanPolicy
 	// SkipPhase1 disables the time-based pre-splitting (ablation only; the
 	// whole stream becomes one candidate, though ρ still gates Phase 2
 	// referrer/extension checks).
@@ -76,7 +46,7 @@ type SmartSRA struct {
 }
 
 // NewSmartSRA returns heur4 over g with the paper's default thresholds
-// (δ = 30 min, ρ = 10 min) and the literal-pseudocode orphan policy.
+// (δ = 30 min, ρ = 10 min).
 func NewSmartSRA(g *webgraph.Graph) SmartSRA {
 	return SmartSRA{Graph: g, Rules: session.DefaultRules()}
 }
@@ -90,8 +60,8 @@ func (h SmartSRA) Describe() string {
 	if h.InferBacktracks {
 		extra = ", infer-backtracks"
 	}
-	return fmt.Sprintf("Smart-SRA (δ=%v, ρ=%v, orphans=%v%s)",
-		h.Rules.TotalDuration, h.Rules.PageStay, h.Orphans, extra)
+	return fmt.Sprintf("Smart-SRA (δ=%v, ρ=%v%s)",
+		h.Rules.TotalDuration, h.Rules.PageStay, extra)
 }
 
 // sraScratch holds the reusable working buffers of one reconstruction: the
@@ -316,21 +286,18 @@ func (h SmartSRA) phase2Waves(cand []session.Entry, scr *sraScratch, rho int64) 
 		for k := range extended {
 			extended[k] = false
 		}
+		// Every wave page attaches to some session here: the referrer that
+		// kept it out of the previous wave left a session ending in itself
+		// (DESIGN.md, "Orphan pages in Phase 2").
 		for i := range tpages {
 			e, et := cand[tpages[i]], tpT[i]
-			attached := false
 			for k, sess := range newSet {
 				if lt := lastT[k]; lt < et && et-lt <= rho &&
 					h.Graph.HasEdge(sess[len(sess)-1].Page, e.Page) {
 					tset = append(tset, scr.arena.extend(sess, e))
 					tlastT = append(tlastT, et)
 					extended[k] = true
-					attached = true
 				}
-			}
-			if !attached && h.Orphans == OrphanNewSession {
-				tset = append(tset, scr.arena.clone1(e))
-				tlastT = append(tlastT, et)
 			}
 		}
 		tset, tlastT = h.appendInferredBacktracks(tset, tlastT, cand, tpages, tpT, removed, remvT, rho, &scr.arena)
@@ -365,7 +332,7 @@ func (h SmartSRA) phase2Waves(cand []session.Entry, scr *sraScratch, rho int64) 
 //  2. the topology has an edge from each entry's page to its successor's,
 //     so the wave entry always extends the chain (every session in the
 //     constructed set ends at the current chain head, all extend together,
-//     and the orphan policy is never consulted);
+//     and no wave entry is left unattached);
 //  3. no earlier non-adjacent entry is a time-valid referrer of a later
 //     one — then every inferred backtrack [B, e] the slow path would emit
 //     is an adjacent pair of the chain, contiguous inside it and dropped

@@ -67,11 +67,9 @@ func chainStream(g *webgraph.Graph, rng *rand.Rand, n int) session.Stream {
 func TestPhase2ChainDifferentialProperty(t *testing.T) {
 	g := fuzzGraph(t)
 	variants := map[string]func(SmartSRA) SmartSRA{
-		"default":         func(h SmartSRA) SmartSRA { return h },
-		"backtracks":      func(h SmartSRA) SmartSRA { h.InferBacktracks = true; return h },
-		"orphans":         func(h SmartSRA) SmartSRA { h.Orphans = OrphanNewSession; return h },
-		"backtracks-orph": func(h SmartSRA) SmartSRA { h.InferBacktracks = true; h.Orphans = OrphanNewSession; return h },
-		"no-phase1":       func(h SmartSRA) SmartSRA { h.SkipPhase1 = true; h.InferBacktracks = true; return h },
+		"default":    func(h SmartSRA) SmartSRA { return h },
+		"backtracks": func(h SmartSRA) SmartSRA { h.InferBacktracks = true; return h },
+		"no-phase1":  func(h SmartSRA) SmartSRA { h.SkipPhase1 = true; h.InferBacktracks = true; return h },
 	}
 	gens := map[string]func(*webgraph.Graph, *rand.Rand, int) session.Stream{
 		"chain":  chainStream,

@@ -1,14 +1,13 @@
 // Package stats provides the small descriptive-statistics toolkit the
 // evaluation harness uses: summaries (mean, deviation, quantiles), an
-// online accumulator, fixed-width histograms, and normal-approximation
-// confidence intervals for replicated experiment runs.
+// online accumulator, and normal-approximation confidence intervals for
+// replicated experiment runs.
 package stats
 
 import (
 	"fmt"
 	"math"
 	"sort"
-	"strings"
 )
 
 // Summary describes a sample.
@@ -117,60 +116,3 @@ func (a *Accumulator) Variance() float64 {
 
 // StdDev returns the sample standard deviation.
 func (a *Accumulator) StdDev() float64 { return math.Sqrt(a.Variance()) }
-
-// Histogram is a fixed-width-bin histogram over [Lo, Hi); out-of-range
-// observations clamp into the edge bins.
-type Histogram struct {
-	Lo, Hi float64
-	Counts []int
-	total  int
-}
-
-// NewHistogram builds a histogram with bins equal-width bins over [lo, hi).
-func NewHistogram(lo, hi float64, bins int) (*Histogram, error) {
-	if bins < 1 {
-		return nil, fmt.Errorf("stats: need at least 1 bin, got %d", bins)
-	}
-	if !(lo < hi) {
-		return nil, fmt.Errorf("stats: invalid histogram range [%v, %v)", lo, hi)
-	}
-	return &Histogram{Lo: lo, Hi: hi, Counts: make([]int, bins)}, nil
-}
-
-// Add records one observation.
-func (h *Histogram) Add(x float64) {
-	idx := int(float64(len(h.Counts)) * (x - h.Lo) / (h.Hi - h.Lo))
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(h.Counts) {
-		idx = len(h.Counts) - 1
-	}
-	h.Counts[idx]++
-	h.total++
-}
-
-// Total returns the number of observations recorded.
-func (h *Histogram) Total() int { return h.total }
-
-// String renders the histogram as an ASCII bar chart.
-func (h *Histogram) String() string {
-	const maxBar = 40
-	peak := 0
-	for _, c := range h.Counts {
-		if c > peak {
-			peak = c
-		}
-	}
-	var sb strings.Builder
-	width := (h.Hi - h.Lo) / float64(len(h.Counts))
-	for i, c := range h.Counts {
-		bar := 0
-		if peak > 0 {
-			bar = c * maxBar / peak
-		}
-		fmt.Fprintf(&sb, "[%8.2f, %8.2f) %6d %s\n",
-			h.Lo+float64(i)*width, h.Lo+float64(i+1)*width, c, strings.Repeat("#", bar))
-	}
-	return sb.String()
-}

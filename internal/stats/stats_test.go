@@ -105,38 +105,3 @@ func TestAccumulatorEmpty(t *testing.T) {
 		t.Error("variance of one sample not 0")
 	}
 }
-
-func TestHistogram(t *testing.T) {
-	h, err := NewHistogram(0, 10, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, x := range []float64{0, 1.9, 2, 5, 9.9, -3, 42} {
-		h.Add(x)
-	}
-	if h.Total() != 7 {
-		t.Errorf("total = %d", h.Total())
-	}
-	want := []int{3, 1, 1, 0, 2} // -3 clamps into bin 0; 42 into the last
-	for i, c := range want {
-		if h.Counts[i] != c {
-			t.Errorf("bin %d = %d, want %d (all: %v)", i, h.Counts[i], c, h.Counts)
-		}
-	}
-	out := h.String()
-	if !strings.Contains(out, "#") || strings.Count(out, "\n") != 5 {
-		t.Errorf("histogram render:\n%s", out)
-	}
-}
-
-func TestHistogramValidation(t *testing.T) {
-	if _, err := NewHistogram(0, 10, 0); err == nil {
-		t.Error("0 bins accepted")
-	}
-	if _, err := NewHistogram(5, 5, 3); err == nil {
-		t.Error("empty range accepted")
-	}
-	if _, err := NewHistogram(9, 1, 3); err == nil {
-		t.Error("inverted range accepted")
-	}
-}

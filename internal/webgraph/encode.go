@@ -4,8 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
-	"strings"
 )
 
 // graphJSON is the on-disk representation written by Encode. Edges are
@@ -72,41 +70,4 @@ func Decode(r io.Reader) (*Graph, error) {
 		}
 	}
 	return b.Build()
-}
-
-// WriteDOT renders the graph in Graphviz DOT syntax, with start pages drawn
-// as double circles. Intended for small example graphs.
-func (g *Graph) WriteDOT(w io.Writer, name string) error {
-	if name == "" {
-		name = "webgraph"
-	}
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "digraph %q {\n", name)
-	sb.WriteString("  rankdir=LR;\n")
-	for p := 0; p < g.n; p++ {
-		shape := "circle"
-		if g.IsStartPage(PageID(p)) {
-			shape = "doublecircle"
-		}
-		fmt.Fprintf(&sb, "  n%d [label=%q shape=%s];\n", p, g.labels[p], shape)
-	}
-	type edge struct{ u, v PageID }
-	edges := make([]edge, 0, g.edges)
-	for u := 0; u < g.n; u++ {
-		for _, v := range g.succ[u] {
-			edges = append(edges, edge{PageID(u), v})
-		}
-	}
-	sort.Slice(edges, func(i, j int) bool {
-		if edges[i].u != edges[j].u {
-			return edges[i].u < edges[j].u
-		}
-		return edges[i].v < edges[j].v
-	})
-	for _, e := range edges {
-		fmt.Fprintf(&sb, "  n%d -> n%d;\n", e.u, e.v)
-	}
-	sb.WriteString("}\n")
-	_, err := io.WriteString(w, sb.String())
-	return err
 }

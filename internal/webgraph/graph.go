@@ -131,19 +131,3 @@ func (g *Graph) String() string {
 	return fmt.Sprintf("webgraph.Graph{pages: %d, edges: %d, start pages: %d}",
 		g.n, g.edges, len(g.starts))
 }
-
-// AdjacencyMatrix materializes the Link matrix used by the paper's
-// pseudocode: m[u][v] is true iff there is a hyperlink u->v. It allocates
-// O(N²) booleans, so it is intended for small graphs (examples, tests); the
-// heuristics themselves use HasEdge on the shared bitmap instead.
-func (g *Graph) AdjacencyMatrix() [][]bool {
-	m := make([][]bool, g.n)
-	cells := make([]bool, g.n*g.n)
-	for u := 0; u < g.n; u++ {
-		m[u], cells = cells[:g.n], cells[g.n:]
-		for _, v := range g.succ[u] {
-			m[u][v] = true
-		}
-	}
-	return m
-}

@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
-	"testing/quick"
 )
 
 func TestEmptyGraph(t *testing.T) {
@@ -143,18 +142,6 @@ func TestLabelsAndURILookup(t *testing.T) {
 	}
 }
 
-func TestAdjacencyMatrixMatchesHasEdge(t *testing.T) {
-	g, _ := PaperFigure1()
-	m := g.AdjacencyMatrix()
-	for u := 0; u < g.NumPages(); u++ {
-		for v := 0; v < g.NumPages(); v++ {
-			if m[u][v] != g.HasEdge(PageID(u), PageID(v)) {
-				t.Fatalf("matrix[%d][%d]=%v disagrees with HasEdge", u, v, m[u][v])
-			}
-		}
-	}
-}
-
 func TestPaperFigure1Topology(t *testing.T) {
 	g, ids := PaperFigure1()
 	if g.NumPages() != 6 {
@@ -201,93 +188,6 @@ func TestReachableFrom(t *testing.T) {
 	}
 	if got := g.ReachableFrom(InvalidPage); got != nil {
 		t.Errorf("ReachableFrom(invalid) = %v, want nil", got)
-	}
-}
-
-func TestShortestPath(t *testing.T) {
-	g, ids := PaperFigure1()
-	path := g.ShortestPath(ids["P1"], ids["P23"])
-	if len(path) != 3 {
-		t.Fatalf("ShortestPath(P1,P23) = %v, want length 3", path)
-	}
-	if path[0] != ids["P1"] || path[2] != ids["P23"] {
-		t.Errorf("path endpoints wrong: %v", path)
-	}
-	for i := 0; i+1 < len(path); i++ {
-		if !g.HasEdge(path[i], path[i+1]) {
-			t.Errorf("path step %d not an edge", i)
-		}
-	}
-	if p := g.ShortestPath(ids["P23"], ids["P1"]); p != nil {
-		t.Errorf("ShortestPath(P23,P1) = %v, want nil (unreachable)", p)
-	}
-	if p := g.ShortestPath(ids["P1"], ids["P1"]); len(p) != 1 {
-		t.Errorf("ShortestPath(u,u) = %v, want [u]", p)
-	}
-	if p := g.ShortestPath(InvalidPage, ids["P1"]); p != nil {
-		t.Errorf("ShortestPath from invalid = %v", p)
-	}
-}
-
-func TestInducedSubgraph(t *testing.T) {
-	g, ids := PaperFigure1()
-	sub, back := g.Induced([]PageID{ids["P1"], ids["P13"], ids["P34"], ids["P1"], InvalidPage})
-	if sub.NumPages() != 3 {
-		t.Fatalf("induced subgraph has %d pages, want 3 (dups/invalid dropped)", sub.NumPages())
-	}
-	if len(back) != 3 {
-		t.Fatalf("mapping has %d entries", len(back))
-	}
-	// Find new IDs.
-	find := func(orig PageID) PageID {
-		for i, p := range back {
-			if p == orig {
-				return PageID(i)
-			}
-		}
-		t.Fatalf("page %d missing from mapping", orig)
-		return InvalidPage
-	}
-	n1, n13, n34 := find(ids["P1"]), find(ids["P13"]), find(ids["P34"])
-	if !sub.HasEdge(n1, n13) || !sub.HasEdge(n13, n34) {
-		t.Error("induced subgraph lost an interior edge")
-	}
-	if sub.HasEdge(n1, n34) {
-		t.Error("induced subgraph invented an edge")
-	}
-	if sub.Label(n13) != g.Label(ids["P13"]) {
-		t.Error("induced subgraph lost labels")
-	}
-	if !sub.IsStartPage(n1) {
-		t.Error("induced subgraph lost start-page designation")
-	}
-}
-
-// Property: Induced preserves exactly the edges between kept pages.
-func TestInducedPreservesEdgesProperty(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	cfg := TopologyConfig{Pages: 40, AvgOutDegree: 4, StartPageFraction: 0.1, Model: ModelUniform}
-	g, err := GenerateTopology(cfg, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f := func(raw []uint8) bool {
-		var pages []PageID
-		for _, r := range raw {
-			pages = append(pages, PageID(int(r)%g.NumPages()))
-		}
-		sub, back := g.Induced(pages)
-		for u := 0; u < sub.NumPages(); u++ {
-			for v := 0; v < sub.NumPages(); v++ {
-				if sub.HasEdge(PageID(u), PageID(v)) != g.HasEdge(back[u], back[v]) {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Error(err)
 	}
 }
 
@@ -346,35 +246,4 @@ func TestDecodeRejectsCorruptPayloads(t *testing.T) {
 			t.Errorf("%s: Decode accepted %q", c.name, c.json)
 		}
 	}
-}
-
-func TestWriteDOT(t *testing.T) {
-	g, ids := PaperFigure1()
-	var buf bytes.Buffer
-	if err := g.WriteDOT(&buf, ""); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	if !strings.Contains(out, "digraph") {
-		t.Error("DOT output missing digraph header")
-	}
-	if !strings.Contains(out, "doublecircle") {
-		t.Error("DOT output missing start-page shape")
-	}
-	wantEdge := "n" + itoa(int(ids["P1"])) + " -> n" + itoa(int(ids["P20"])) + ";"
-	if !strings.Contains(out, wantEdge) {
-		t.Errorf("DOT output missing edge %q:\n%s", wantEdge, out)
-	}
-}
-
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	var b []byte
-	for n > 0 {
-		b = append([]byte{byte('0' + n%10)}, b...)
-		n /= 10
-	}
-	return string(b)
 }

@@ -28,92 +28,8 @@ func (g *Graph) ReachableFrom(seeds ...PageID) []PageID {
 	return out
 }
 
-// ShortestPath returns a minimal-hop hyperlink path from u to v (inclusive of
-// both endpoints), or nil when v is unreachable from u.
-func (g *Graph) ShortestPath(u, v PageID) []PageID {
-	if !g.Valid(u) || !g.Valid(v) {
-		return nil
-	}
-	if u == v {
-		return []PageID{u}
-	}
-	parent := make([]PageID, g.n)
-	for i := range parent {
-		parent[i] = InvalidPage
-	}
-	parent[u] = u
-	queue := []PageID{u}
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
-		for _, w := range g.succ[cur] {
-			if parent[w] != InvalidPage {
-				continue
-			}
-			parent[w] = cur
-			if w == v {
-				// Reconstruct path backwards.
-				var rev []PageID
-				for x := v; x != u; x = parent[x] {
-					rev = append(rev, x)
-				}
-				rev = append(rev, u)
-				for i, j := 0, len(rev)-1; i < j; i, j = i+1, j-1 {
-					rev[i], rev[j] = rev[j], rev[i]
-				}
-				return rev
-			}
-			queue = append(queue, w)
-		}
-	}
-	return nil
-}
-
-// Induced returns the subgraph induced by the given pages, plus a mapping
-// from new (dense) page IDs back to the original IDs. The paper's Smart-SRA
-// pseudocode notes that vertices not appearing in the candidate session
-// "must be removed from the graph prior to the execution"; Induced is that
-// operation. Duplicate and invalid pages in the argument are ignored. Labels
-// and start-page designations are carried over.
-func (g *Graph) Induced(pages []PageID) (*Graph, []PageID) {
-	keep := make([]PageID, 0, len(pages))
-	seen := make(map[PageID]bool, len(pages))
-	for _, p := range pages {
-		if g.Valid(p) && !seen[p] {
-			seen[p] = true
-			keep = append(keep, p)
-		}
-	}
-	sortPages(keep)
-	newID := make(map[PageID]PageID, len(keep))
-	for i, p := range keep {
-		newID[p] = PageID(i)
-	}
-	b := NewBuilder(len(keep))
-	for i, p := range keep {
-		// Labels are unique in g, so SetLabel cannot fail on duplicates here.
-		_ = b.SetLabel(PageID(i), g.Label(p))
-		if g.IsStartPage(p) {
-			_ = b.MarkStartPage(PageID(i))
-		}
-		for _, v := range g.succ[p] {
-			if nv, ok := newID[v]; ok {
-				_ = b.AddEdge(PageID(i), nv)
-			}
-		}
-	}
-	sub, err := b.Build()
-	if err != nil {
-		// Unreachable: all inputs were validated against g.
-		panic("webgraph: induced subgraph build failed: " + err.Error())
-	}
-	return sub, keep
-}
-
 func sortPages(ps []PageID) {
-	// Insertion sort is fine for the small slices this package produces in
-	// hot paths; large slices come from ReachableFrom where an O(n log n)
-	// sort would also do, but pages are discovered nearly in order anyway.
+	// Insertion sort: ReachableFrom discovers pages nearly in order anyway.
 	for i := 1; i < len(ps); i++ {
 		for j := i; j > 0 && ps[j] < ps[j-1]; j-- {
 			ps[j], ps[j-1] = ps[j-1], ps[j]
