@@ -20,28 +20,6 @@ import (
 // the string parsers accept and produce identical Records and errors.
 // FuzzParseAnyRecordBytes pins the equivalence.
 
-// ParseRecordBytes is ParseRecord operating on a byte slice. The input is
-// not retained; all returned strings are fresh copies.
-func ParseRecordBytes(line []byte) (Record, error) {
-	if rec, ok := parseRecordFast(trimCRLF(line), nil); ok {
-		return rec, nil
-	}
-	return ParseRecord(string(line))
-}
-
-// ParseCombinedRecordBytes is ParseCombinedRecord operating on a byte slice.
-func ParseCombinedRecordBytes(line []byte) (Record, error) {
-	trimmed := trimCRLF(line)
-	if prefix, ref, agent, ok := splitCombinedTailBytes(trimmed); ok {
-		if rec, ok := parseRecordFast(prefix, nil); ok {
-			rec.Referer = fieldString(ref)
-			rec.UserAgent = string(agent)
-			return rec, nil
-		}
-	}
-	return ParseCombinedRecord(string(line))
-}
-
 // ParseAnyRecordBytes is ParseAnyRecord operating on a byte slice: combined
 // format is detected first, common format otherwise. It is the parser the
 // streaming Scanner uses.

@@ -99,29 +99,6 @@ func TestParseAnyRecordBytesMatchesString(t *testing.T) {
 	}
 }
 
-func TestParseRecordBytesMatchesParseRecord(t *testing.T) {
-	for _, line := range []string{sampleLine, combinedLine, "", "garbage"} {
-		wantRec, wantErr := ParseRecord(line)
-		gotRec, gotErr := ParseRecordBytes([]byte(line))
-		if (wantErr == nil) != (gotErr == nil) {
-			t.Fatalf("line %q: error mismatch: %v vs %v", line, wantErr, gotErr)
-		}
-		if wantErr == nil && !recordsMatch(wantRec, gotRec) {
-			t.Fatalf("line %q: %+v vs %+v", line, wantRec, gotRec)
-		}
-	}
-	for _, line := range []string{combinedLine, sampleLine, ""} {
-		wantRec, wantErr := ParseCombinedRecord(line)
-		gotRec, gotErr := ParseCombinedRecordBytes([]byte(line))
-		if (wantErr == nil) != (gotErr == nil) {
-			t.Fatalf("combined line %q: error mismatch: %v vs %v", line, wantErr, gotErr)
-		}
-		if wantErr == nil && !recordsMatch(wantRec, gotRec) {
-			t.Fatalf("combined line %q: %+v vs %+v", line, wantRec, gotRec)
-		}
-	}
-}
-
 // TestParseCLFTimeMatchesTimeParse sweeps timestamps (normal, leap, DST
 // boundaries, many offsets) and pins the hand-rolled parser to time.Parse.
 func TestParseCLFTimeMatchesTimeParse(t *testing.T) {

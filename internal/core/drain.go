@@ -60,12 +60,11 @@ var (
 // exact and the estimated distribution tracks the true one.
 const reconstructSampleEvery = 64
 
-// lane is one place reconstruction runs: the heuristic's append on a scratch
-// of the lane's own (Smart-SRA's WithScratch; any other heuristic goes
-// through Reconstruct, safe for concurrent use, and release does nothing)
-// and the sampling clock of core.tail.reconstruct.seconds, one series per
-// heuristic. release ends the life of every session appended since the last
-// release. One goroutine at a time uses a lane.
+// lane is one place reconstruction runs: a heuristics.Lend lane of the
+// Tail's heuristic and the sampling clock of core.tail.reconstruct.seconds,
+// one series per heuristic. release ends the life of every session appended
+// since the last release; a lane that is never released keeps them all. One
+// goroutine at a time uses a lane.
 type lane struct {
 	appendTo func([]session.Session, session.Stream) []session.Session
 	release  func()
@@ -76,18 +75,8 @@ type lane struct {
 }
 
 func newLane(h heuristics.Reconstructor) *lane {
-	l := &lane{
-		appendTo: func(dst []session.Session, st session.Stream) []session.Session {
-			return append(dst, h.Reconstruct(st)...)
-		},
-		release: func() {},
-		hist:    metrics.GetHistogram(metrics.WithLabels("core.tail.reconstruct.seconds", "heur", h.Name())),
-	}
-	if sra, ok := h.(interface {
-		WithScratch() (func([]session.Session, session.Stream) []session.Session, func())
-	}); ok {
-		l.appendTo, l.release = sra.WithScratch()
-	}
+	l := &lane{hist: metrics.GetHistogram(metrics.WithLabels("core.tail.reconstruct.seconds", "heur", h.Name()))}
+	l.appendTo, l.release = heuristics.Lend(h)
 	return l
 }
 

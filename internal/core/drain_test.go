@@ -118,8 +118,7 @@ func drainCorpus(n int) []clf.Record {
 // Tail is the reference; PushBatch plus Flush must reproduce it on a Tail and
 // on 1, 2 and 4 shards, and Ingest plus Drain on a Tail, across the
 // drain-batch boundary (batch−1, batch, batch+1 open users), with a Snapshot/Restore in
-// the middle of the input, and for a heuristic that reconstructs through
-// plain Reconstruct (heur3) as well as for Smart-SRA on its owned scratch.
+// the middle of the input, and on heur3's lane as well as Smart-SRA's.
 func TestDrainEquivalence(t *testing.T) {
 	g := goldenGraph()
 	heurs := map[string]func() heuristics.Reconstructor{
@@ -212,35 +211,46 @@ func TestDrainEquivalence(t *testing.T) {
 	}
 }
 
-// TestDrainMixedOwnership interleaves the two ownership regimes on one Tail:
-// sessions returned by PushBatch and Expire are the caller's and must read
-// the same after later lent deliveries have been made, released and (in
-// tests) poisoned on the same Tail — by pushBatchTo, and by a Drain of one
-// batch and of several, which rewind the lent lane after every batch.
+// TestDrainMixedOwnership interleaves the two ownership regimes on one Tail,
+// for every heuristic: sessions returned by PushBatch and Expire are the
+// caller's and must read the same after later lent deliveries have been
+// made, released and (in tests) poisoned on the same Tail — by pushBatchTo,
+// and by a Drain of one batch and of several, which rewind the lent lane's
+// arena after every batch.
 func TestDrainMixedOwnership(t *testing.T) {
-	for _, users := range []int{40, 8*drainBatchUsers + 40} {
-		recs := drainCorpus(users)
-		tl, err := NewTail(Config{Graph: goldenGraph()}, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cut := len(recs) / 2
-		owned := tl.PushBatch(recs[:cut])
-		owned = append(owned, tl.Expire(recs[cut].Time)...)
-		if len(owned) == 0 {
-			t.Fatal("first half closed no session")
-		}
-		before := renderSessions(t, owned)
-		var lent []session.Session
-		var buf []session.Session
-		buf = tl.pushBatchTo(buf, stageAll(tl, recs[cut:]), keep(&lent))
-		tl.Drain(keep(&lent))
-		owned2 := tl.PushBatch(recs[:cut]) // kept scratch again, after a release
-		if !bytes.Equal(renderSessions(t, owned), before) {
-			t.Fatalf("users=%d: caller-owned sessions changed after lent deliveries on the same Tail", users)
-		}
-		if len(lent) == 0 || len(owned2) == 0 {
-			t.Fatalf("users=%d: lent %d, second owned batch %d sessions; want both > 0", users, len(lent), len(owned2))
+	g := goldenGraph()
+	for _, h := range []heuristics.Reconstructor{
+		heuristics.NewTimeTotal(), heuristics.NewTimeGap(), heuristics.NewNavigation(g), heuristics.NewSmartSRA(g),
+	} {
+		for _, users := range []int{40, 8*drainBatchUsers + 40} {
+			recs := drainCorpus(users)
+			tl, err := NewTail(Config{Graph: g, Heuristic: h}, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cut := len(recs) / 2
+			owned := tl.PushBatch(recs[:cut])
+			owned = append(owned, tl.Expire(recs[cut].Time)...)
+			if len(owned) == 0 {
+				t.Fatalf("%s users=%d: first half closed no session", h.Name(), users)
+			}
+			before := renderSessions(t, owned)
+			unchanged := func(after string) {
+				if !bytes.Equal(renderSessions(t, owned), before) {
+					t.Fatalf("%s users=%d: caller-owned sessions changed after %s on the same Tail", h.Name(), users, after)
+				}
+			}
+			var lent []session.Session
+			var buf []session.Session
+			buf = tl.pushBatchTo(buf, stageAll(tl, recs[cut:]), keep(&lent))
+			unchanged("a lent delivery")
+			tl.Drain(keep(&lent))
+			unchanged("a drain")
+			owned2 := tl.PushBatch(recs[:cut]) // kept lane again, after a release
+			unchanged("a second owned batch")
+			if len(lent) == 0 || len(owned2) == 0 {
+				t.Fatalf("%s users=%d: lent %d, second owned batch %d sessions; want both > 0", h.Name(), users, len(lent), len(owned2))
+			}
 		}
 	}
 }

@@ -465,9 +465,9 @@ func (t *Tail) closeUsers(dst []session.Session, users []string) []session.Sessi
 
 // closeInto reconstructs a detached stream onto dst, on the lent lane while
 // lending and the kept one otherwise, and counts its sessions. Its entries
-// are the scratch the next detach overwrites: no heuristic retains its input
-// (heuristics.Reconstructor). A scratch grown past the largest slot class is
-// let go, so one long burst does not pin its length.
+// are the scratch the next detach overwrites: a lane's sessions live in its
+// own arena, never in the input (heuristics.Lend). A scratch grown past the
+// largest slot class is let go, so one long burst does not pin its length.
 func (t *Tail) closeInto(dst []session.Session, st session.Stream) []session.Session {
 	l := t.kept
 	if t.lending {

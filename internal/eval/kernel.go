@@ -204,25 +204,28 @@ func (s *scorer) candidates(real pageLists, cands []session.Session) {
 	s.user(real, s.cand)
 }
 
-// pass is one heuristic's share of a point: its lent reconstruction and the
-// scorer every user's candidates are summed into. A point drives one pass
-// per heuristic, one user at a time, so no candidate set for the whole
-// population ever exists.
+// pass is one heuristic's share of a point: its lane (heuristics.Lend), the
+// buffer the lane appends a user's candidates onto, and the scorer every
+// user's candidates are summed into. A point drives one pass per heuristic,
+// one user at a time, so no candidate set for the whole population ever
+// exists.
 type pass struct {
 	scorer
-	reconstruct func(session.Stream) []session.Session
-	release     func()
+	appendTo func([]session.Session, session.Stream) []session.Session
+	release  func()
+	cands    []session.Session
 }
 
 func newPass(h heuristics.Reconstructor, scr *scratch) *pass {
 	p := &pass{scorer: scorer{scratch: scr}}
-	p.reconstruct, p.release = heuristics.Lend(h)
+	p.appendTo, p.release = heuristics.Lend(h)
 	return p
 }
 
 // user reconstructs one user's stream, scores the candidates against the
-// user's real sessions, and hands the lent sessions back.
+// user's real sessions, and releases the lane.
 func (p *pass) user(real pageLists, st session.Stream) {
-	p.candidates(real, p.reconstruct(st))
+	p.cands = p.appendTo(p.cands[:0], st)
+	p.candidates(real, p.cands)
 	p.release()
 }

@@ -2,15 +2,15 @@ package heuristics
 
 import "smartsra/internal/session"
 
-// entryArena hands out session.Entry slices for the constructed sessions of
-// one reconstruction from a few large blocks instead of one heap allocation
-// per session. Returned slices have exact capacity (three-index slicing),
-// so a caller appending to a retained session falls off the arena instead
-// of clobbering a neighbour. Allocation is append-only within a block —
-// handed-out regions are never rewritten — so an arena is safe to reuse
-// across Reconstruct calls (the scratch pool does): retained sessions pin at
-// most one partially shared block, bounded by arenaMaxBlock. The one
-// exception is rewind, for an owner whose handed-out sessions have all died.
+// entryArena is the storage a lane (Lend) hands its sessions out of: their
+// session.Entry slices come from a few large blocks instead of one heap
+// allocation per session. Returned slices have exact capacity (three-index
+// slicing), so a caller appending to a retained session falls off the arena
+// instead of clobbering a neighbour. Allocation is append-only within a
+// block — handed-out regions are never rewritten — so a lane that is never
+// released can append for as long as it lives: retained sessions pin at most
+// one partially shared block, bounded by arenaMaxBlock. The one exception is
+// rewind, the lane's release, once no session from the arena is alive.
 type entryArena struct {
 	block []session.Entry
 	// next sizes the next block: seeded near the stream length so small
@@ -32,11 +32,11 @@ const arenaMaxBlock = 4096
 const arenaMaxRewound = 1 << 17
 
 // rewind makes everything handed out so far reusable; the owner calls it
-// only once no session from the arena is alive (SmartSRA.WithScratch's
-// release). A period that fit the current block just resets it. One that
-// spilled over several gets a single block with half again its size, so a
-// steady run of similar periods — a drain in equal batches — settles on one
-// block and allocates nothing.
+// only once no session from the arena is alive (a lane's release). A period
+// that fit the current block just resets it. One that spilled over several
+// gets a single block with half again its size, so a steady run of similar
+// periods — a drain in equal batches — settles on one block and allocates
+// nothing.
 func (a *entryArena) rewind() {
 	need := a.spilled + len(a.block)
 	a.block = a.block[:0]
@@ -44,6 +44,14 @@ func (a *entryArena) rewind() {
 		a.block = make([]session.Entry, 0, need+need/2)
 	}
 	a.spilled = 0
+}
+
+// seed sizes a fresh arena's first block for a stream of n entries, so a
+// small user gets one small block.
+func (a *entryArena) seed(n int) {
+	if a.block == nil {
+		a.next = n + 8
+	}
 }
 
 // alloc returns a zeroed n-entry slice with capacity exactly n.

@@ -8,7 +8,8 @@
 //
 // All four consume a per-user request Stream (timestamp order) and emit the
 // reconstructed sessions for that user. They are pure functions of their
-// input and configuration, safe for concurrent use.
+// input and configuration, safe for concurrent use: every Reconstruct call
+// builds on a fresh lane (Lend) of its own.
 package heuristics
 
 import "smartsra/internal/session"
@@ -29,48 +30,51 @@ type Describer interface {
 	Describe() string
 }
 
-// Lend returns h's reconstruction for a single-goroutine loop that is done
-// with one user's sessions before it asks for the next (eval's scoring
-// loop). The sessions reconstruct returns are lent: they live in scratch
-// the pair owns — or alias the stream's own entries — and die at release, so
-// the loop calls release once per user, after it has dropped them, and the
-// steady state allocates nothing. A heuristic Lend does not know is served
-// by its Reconstruct, with a release that does nothing.
-func Lend(h Reconstructor) (reconstruct func(session.Stream) []session.Session, release func()) {
-	var appendSessions func(dst []session.Session, stream session.Stream) []session.Session
-	release = func() {}
+// Lend returns a lane of h: appendTo appends the sessions of one user's
+// stream onto dst, exactly what Reconstruct returns, and release ends the
+// life of every session appended since the previous release. Appended
+// sessions live in storage the lane owns — an entry arena, never the input
+// stream — so a caller releases only once it has dropped them all, and a
+// caller that never releases keeps them as its own. A steady run of appends
+// and releases settles on one arena block and allocates nothing. A
+// heuristic Lend does not know is served by its Reconstruct, with a release
+// that does nothing. The pair shares state: one goroutine at a time uses a
+// lane.
+func Lend(h Reconstructor) (appendTo func(dst []session.Session, st session.Stream) []session.Session, release func()) {
 	switch h := h.(type) {
 	case TimeTotal:
-		appendSessions = func(dst []session.Session, st session.Stream) []session.Session {
-			return h.appendSessions(dst, st, true)
-		}
+		a := new(entryArena)
+		return func(dst []session.Session, st session.Stream) []session.Session {
+			return h.appendSessions(dst, st, a)
+		}, a.rewind
 	case TimeGap:
-		appendSessions = func(dst []session.Session, st session.Stream) []session.Session {
-			return h.appendSessions(dst, st, true)
-		}
+		a := new(entryArena)
+		return func(dst []session.Session, st session.Stream) []session.Session {
+			return h.appendSessions(dst, st, a)
+		}, a.rewind
 	case Navigation:
 		scr := new(navScratch)
-		appendSessions = func(dst []session.Session, st session.Stream) []session.Session {
+		return func(dst []session.Session, st session.Stream) []session.Session {
 			return h.appendSessions(dst, st, scr)
-		}
-		release = scr.arena.rewind
+		}, scr.arena.rewind
 	case SmartSRA:
-		appendSessions, release = h.WithScratch()
-	default:
-		return h.Reconstruct, release
+		scr := new(sraScratch)
+		return func(dst []session.Session, st session.Stream) []session.Session {
+			return h.appendSessions(dst, st, scr)
+		}, scr.arena.rewind
 	}
-	var buf []session.Session
-	return func(st session.Stream) []session.Session {
-		buf = appendSessions(buf[:0], st)
-		return buf
-	}, release
+	return func(dst []session.Session, st session.Stream) []session.Session {
+		return append(dst, h.Reconstruct(st)...)
+	}, func() {}
 }
 
-// ReconstructAll applies h to every stream and concatenates the results.
+// ReconstructAll applies h to every stream and concatenates the results, on
+// one lane that is never released.
 func ReconstructAll(h Reconstructor, streams []session.Stream) []session.Session {
+	appendTo, _ := Lend(h)
 	var out []session.Session
 	for _, st := range streams {
-		out = append(out, h.Reconstruct(st)...)
+		out = appendTo(out, st)
 	}
 	return out
 }

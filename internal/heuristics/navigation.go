@@ -54,9 +54,8 @@ func (h Navigation) Reconstruct(stream session.Stream) []session.Session {
 	return h.appendSessions(nil, stream, new(navScratch))
 }
 
-// navScratch is the working state of one Navigation reconstruction. Lend
-// keeps one across users and rewinds the arena once each user's sessions
-// have been dropped.
+// navScratch is the working state of a Navigation lane (Lend): the open
+// session's buffer and the arena closed sessions are copied into.
 type navScratch struct {
 	cur   []session.Entry // the open session: reused, copied out on close
 	arena entryArena
@@ -64,9 +63,7 @@ type navScratch struct {
 
 func (h Navigation) appendSessions(out []session.Session, stream session.Stream, scr *navScratch) []session.Session {
 	arena := &scr.arena
-	if arena.block == nil {
-		arena.next = len(stream.Entries) + 8
-	}
+	arena.seed(len(stream.Entries))
 	cur := scr.cur[:0]
 	closeCur := func() {
 		out = append(out, session.Session{User: stream.User, Entries: arena.cloneAll(cur)})

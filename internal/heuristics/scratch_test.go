@@ -1,11 +1,15 @@
 package heuristics
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
+	"slices"
+	"sync"
 	"testing"
 
 	"smartsra/internal/session"
+	"smartsra/internal/webgraph"
 )
 
 // deepClone copies sessions and their entry arrays.
@@ -15,61 +19,6 @@ func deepClone(in []session.Session) []session.Session {
 		out[i] = s.Clone()
 	}
 	return out
-}
-
-// TestWithScratchMatchesAppendSessions pins the owned-scratch entry to the
-// pooled one over random and chain-shaped streams, in both regimes: with no
-// release everything appended stays valid (the kept regime core's
-// slice-returning calls rely on); with a release after each "batch" the
-// sessions appended next are right even though they reuse the released
-// storage — including batches large enough to spill over several arena
-// blocks, which the rewind then replaces with one.
-func TestWithScratchMatchesAppendSessions(t *testing.T) {
-	g := fuzzGraph(t)
-	h := NewSmartSRA(g)
-	h.InferBacktracks = true // more sessions per stream: more arena traffic
-	rng := rand.New(rand.NewSource(5))
-	var streams []session.Stream
-	for i := 0; i < 300; i++ {
-		gen := randomStream
-		if i%2 == 0 {
-			gen = chainStream
-		}
-		streams = append(streams, gen(g, rng, 5+rng.Intn(90)))
-	}
-
-	var want []session.Session
-	for _, st := range streams {
-		want = h.AppendSessions(want, st)
-	}
-
-	keptAppend, _ := h.WithScratch()
-	var kept []session.Session
-	for _, st := range streams {
-		kept = keptAppend(kept, st)
-	}
-	if !reflect.DeepEqual(kept, want) {
-		t.Fatalf("WithScratch without release: %d sessions differ from AppendSessions' %d", len(kept), len(want))
-	}
-
-	lentAppend, release := h.WithScratch()
-	for _, batch := range []int{1, 7, 64, len(streams)} {
-		var got, buf []session.Session
-		for i := 0; i < len(streams); i += batch {
-			buf = buf[:0]
-			for _, st := range streams[i:min(i+batch, len(streams))] {
-				buf = lentAppend(buf, st)
-			}
-			got = append(got, deepClone(buf)...)
-			release()
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("WithScratch with release every %d streams: %d sessions differ from AppendSessions' %d", batch, len(got), len(want))
-		}
-	}
-	if !reflect.DeepEqual(kept, want) {
-		t.Fatal("sessions kept from one scratch changed while another was released and reused")
-	}
 }
 
 // TestArenaRewind pins what release does to the storage: a period that fit
@@ -110,42 +59,125 @@ func TestArenaRewind(t *testing.T) {
 // unknownHeuristic hides a heuristic's concrete type from Lend.
 type unknownHeuristic struct{ Reconstructor }
 
-// TestLendMatchesReconstruct pins the lent per-user entry of every heuristic
-// to its Reconstruct, user after user with a release in between — so each
-// user's sessions are right even though they reuse the storage, or alias the
-// stream, that the previous user's were handed out from — and the input
-// stream is left as it was.
-func TestLendMatchesReconstruct(t *testing.T) {
-	g := fuzzGraph(t)
-	rng := rand.New(rand.NewSource(9))
-	var streams []session.Stream
-	for i := 0; i < 200; i++ {
+// lendCases is every heuristic Lend knows, the ablation settings that change
+// what a lane builds, and one it does not know.
+func lendCases(g *webgraph.Graph) []Reconstructor {
+	limited := NewNavigation(g)
+	limited.MaxGap = session.DefaultPageStay
+	infer := NewSmartSRA(g)
+	infer.InferBacktracks = true // more sessions per stream: more arena traffic
+	return []Reconstructor{
+		NewTimeTotal(), NewTimeGap(), NewNavigation(g), limited, NewSmartSRA(g), infer,
+		unknownHeuristic{NewTimeGap()},
+	}
+}
+
+// lendStreams draws n random and chain-shaped streams of up to max entries.
+func lendStreams(g *webgraph.Graph, seed int64, n, max int) []session.Stream {
+	rng := rand.New(rand.NewSource(seed))
+	streams := make([]session.Stream, n)
+	for i := range streams {
 		gen := randomStream
 		if i%3 == 0 {
 			gen = chainStream
 		}
-		streams = append(streams, gen(g, rng, rng.Intn(120)))
+		streams[i] = gen(g, rng, rng.Intn(max))
 	}
-	limited := NewNavigation(g)
-	limited.MaxGap = session.DefaultPageStay
-	for _, h := range []Reconstructor{
-		NewTimeTotal(), NewTimeGap(), NewNavigation(g), limited, NewSmartSRA(g),
-		unknownHeuristic{NewTimeGap()},
-	} {
-		reconstruct, release := Lend(h)
-		for pass := 0; pass < 2; pass++ {
-			for i, st := range streams {
-				before := append([]session.Entry(nil), st.Entries...)
-				got := reconstruct(st)
-				want := h.Reconstruct(st)
-				if len(got) != len(want) || (len(want) > 0 && !reflect.DeepEqual(deepClone(got), want)) {
-					t.Fatalf("%s pass %d stream %d: lent sessions differ from Reconstruct's", h.Name(), pass, i)
-				}
-				release()
-				if !reflect.DeepEqual(st.Entries, before) {
-					t.Fatalf("%s stream %d: the input stream was modified", h.Name(), i)
-				}
+	return streams
+}
+
+// TestLendMatchesReconstruct pins every heuristic's lane to its Reconstruct
+// over random and chain-shaped streams, in both regimes. A lane that is
+// never released keeps everything it appended, and none of it aliases the
+// input: each stream it read is overwritten right after, and its sessions
+// must still read right (the regime ReconstructAll and core's
+// slice-returning calls rely on). A lane released after every 1, 7, 64 or
+// all streams appends the right sessions although they reuse the released
+// storage — including batches large enough to spill over several arena
+// blocks, which the rewind then replaces with one. No stream is modified.
+func TestLendMatchesReconstruct(t *testing.T) {
+	g := fuzzGraph(t)
+	streams := lendStreams(g, 9, 200, 120)
+	before := make([]session.Stream, len(streams))
+	for i, st := range streams {
+		before[i] = session.Stream{User: st.User, Entries: slices.Clone(st.Entries)}
+	}
+	for _, h := range lendCases(g) {
+		var want []session.Session
+		for _, st := range streams {
+			want = append(want, h.Reconstruct(st)...)
+		}
+
+		keptAppend, _ := Lend(h)
+		var kept []session.Session
+		for _, st := range streams {
+			own := slices.Clone(st.Entries)
+			kept = keptAppend(kept, session.Stream{User: st.User, Entries: own})
+			for i := range own {
+				own[i] = session.Entry{Page: webgraph.PageID(math.MinInt32)}
 			}
 		}
+		if !reflect.DeepEqual(kept, want) {
+			t.Fatalf("%s, never released: %d sessions differ from Reconstruct's %d", h.Name(), len(kept), len(want))
+		}
+
+		appendTo, release := Lend(h)
+		for _, batch := range []int{1, 7, 64, len(streams)} {
+			var got, buf []session.Session
+			for i := 0; i < len(streams); i += batch {
+				buf = buf[:0]
+				for _, st := range streams[i:min(i+batch, len(streams))] {
+					buf = appendTo(buf, st)
+				}
+				got = append(got, deepClone(buf)...)
+				release()
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s, released every %d streams: %d sessions differ from Reconstruct's %d", h.Name(), batch, len(got), len(want))
+			}
+		}
+		if !reflect.DeepEqual(kept, want) {
+			t.Fatalf("%s: sessions kept from one lane changed while another was released and reused", h.Name())
+		}
+		if !reflect.DeepEqual(streams, before) {
+			t.Fatalf("%s: an input stream was modified", h.Name())
+		}
+	}
+}
+
+// TestConcurrentReconstruction: Reconstruct is safe for concurrent use
+// because every call builds on a fresh lane of its own. One shared value of
+// each heuristic serves 8 goroutines at once, each running Reconstruct,
+// ReconstructAll and a Lend lane of its own, and every result must equal a
+// sequential run. Under -race a scratch two calls share is a reported race.
+func TestConcurrentReconstruction(t *testing.T) {
+	g := fuzzGraph(t)
+	streams := lendStreams(g, 13, 60, 80)
+	for _, h := range lendCases(g) {
+		want := ReconstructAll(h, streams)
+		var wg sync.WaitGroup
+		for w := 0; w < 8; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				var each, lent, buf []session.Session
+				for _, st := range streams {
+					each = append(each, h.Reconstruct(st)...)
+				}
+				all := ReconstructAll(h, streams)
+				appendTo, release := Lend(h)
+				for _, st := range streams {
+					buf = appendTo(buf[:0], st)
+					lent = append(lent, deepClone(buf)...)
+					release()
+				}
+				for name, got := range map[string][]session.Session{"Reconstruct": each, "ReconstructAll": all, "Lend": lent} {
+					if !reflect.DeepEqual(got, want) {
+						t.Errorf("%s: concurrent %s gave %d sessions, sequential %d", h.Name(), name, len(got), len(want))
+					}
+				}
+			}()
+		}
+		wg.Wait()
 	}
 }

@@ -2,7 +2,6 @@ package heuristics
 
 import (
 	"fmt"
-	"sync"
 
 	"smartsra/internal/session"
 	"smartsra/internal/webgraph"
@@ -64,16 +63,12 @@ func (h SmartSRA) Describe() string {
 		h.Rules.TotalDuration, h.Rules.PageStay, extra)
 }
 
-// sraScratch holds the reusable working buffers of one reconstruction: the
-// Phase-1 candidate boundaries and Phase-2's wave/tpages/rest/removed and
-// constructed-set header arrays. Scratches are pooled across Reconstruct
-// calls (so SmartSRA stays safe for concurrent use while a streaming Tail
-// closing millions of bursts pays no per-burst scratch allocation) and
-// reused across every candidate and wave inside one call. Only the entry
-// slices of the final sessions — which the caller retains — live in the
-// arena, whose append-only blocks make cross-call reuse safe.
-// Entry timestamps are mirrored into parallel []int64 UnixNano arrays
-// (remainT/restT/…): the wave scans are O(n²) time comparisons per wave, and
+// sraScratch is the working state of a Smart-SRA lane (Lend): the Phase-1
+// candidate boundaries, Phase-2's wave/tpages/rest/removed and
+// constructed-set header arrays, reused across every candidate and wave,
+// and the arena the final sessions' entry slices live in.
+// Each candidate's timestamps are converted once into t, UnixNano by
+// candidate index: the wave scans are O(n²) time comparisons per wave, and
 // int64 compare/subtract is several times cheaper than time.Time's
 // wall/monotonic-aware Before and Sub. The conversion is order-preserving,
 // so the session output is unchanged.
@@ -84,15 +79,12 @@ func (h SmartSRA) Describe() string {
 // garbage collector.
 type sraScratch struct {
 	bounds   []int             // phase1 candidate start offsets
+	t        []int64           // the candidate's UnixNano, by index
 	remain   []int32           // Step II working set (ping), candidate indices
-	remainT  []int64           // remain's UnixNano mirror
 	rest     []int32           // Step II working set (pong)
-	restT    []int64           // rest's UnixNano mirror
 	wave     []bool            // Step I no-remaining-referrer marks
 	tpages   []int32           // the current wave's pages
-	tpagesT  []int64           // tpages' UnixNano mirror
 	removed  []int32           // entries consumed by earlier waves
-	removedT []int64           // removed's UnixNano mirror
 	extended []bool            // Step III extension marks
 	set      [][]session.Entry // constructed-set headers (ping)
 	setT     []int64           // UnixNano of each set session's last entry
@@ -102,51 +94,16 @@ type sraScratch struct {
 	maximal  session.MaximalFilter
 }
 
-// sraScratchPool recycles reconstruction scratches across Reconstruct calls
-// (and across SmartSRA instances — the scratch carries no per-instance
-// state). Pooling is what keeps the streaming hot path allocation-free: a
-// Tail closes one burst per user per quiet period, and without the pool each
-// close would rebuild every working buffer from nothing.
-var sraScratchPool = sync.Pool{New: func() any { return new(sraScratch) }}
-
 // Reconstruct implements Reconstructor.
 func (h SmartSRA) Reconstruct(stream session.Stream) []session.Session {
-	return h.AppendSessions(nil, stream)
+	return h.appendSessions(nil, stream, new(sraScratch))
 }
 
-// AppendSessions reconstructs stream like Reconstruct but appends the
-// sessions onto dst and returns it. The appended region equals what
-// Reconstruct would have returned, in the same order, and its entry arrays
-// are the caller's to keep.
-func (h SmartSRA) AppendSessions(dst []session.Session, stream session.Stream) []session.Session {
-	scr := sraScratchPool.Get().(*sraScratch)
-	dst = h.appendSessions(dst, stream, scr)
-	sraScratchPool.Put(scr)
-	return dst
-}
-
-// WithScratch returns AppendSessions bound to a scratch of the caller's own
-// — a streaming consumer closing one burst after another skips the pool
-// round trip per call — together with release, which ends the life of every
-// session appended since the previous release: their entry arrays are
-// reused by later calls, so the caller must have dropped them all. A caller
-// that never calls release keeps AppendSessions' guarantee that appended
-// sessions are its to keep. The pair shares state and is not safe for
-// concurrent use.
-func (h SmartSRA) WithScratch() (appendSessions func(dst []session.Session, stream session.Stream) []session.Session, release func()) {
-	scr := new(sraScratch)
-	return func(dst []session.Session, stream session.Stream) []session.Session {
-		return h.appendSessions(dst, stream, scr)
-	}, scr.arena.rewind
-}
-
-// appendSessions is the reconstruction behind AppendSessions and
-// WithScratch, on whichever scratch the entry point owns.
+// appendSessions appends stream's sessions onto dst, built on the lane's
+// scratch.
 func (h SmartSRA) appendSessions(dst []session.Session, stream session.Stream, scr *sraScratch) []session.Session {
 	start := len(dst)
-	if scr.arena.block == nil {
-		scr.arena.next = len(stream.Entries) + 8
-	}
+	scr.arena.seed(len(stream.Entries))
 	scr.bounds = h.phase1(stream.Entries, scr.bounds[:0])
 	for b := 0; b+1 < len(scr.bounds); b++ {
 		cand := stream.Entries[scr.bounds[b]:scr.bounds[b+1]]
@@ -202,28 +159,31 @@ func (h SmartSRA) phase1(entries []session.Entry, bounds []int) []int {
 // returning the constructed topology-valid sessions. The returned outer
 // slice aliases scratch storage and is only valid until the next phase2
 // call on the same scratch; its element slices come from the scratch's
-// entry arena with exact capacity and are safe to retain — the arena only
-// ever appends into fresh block space, so reusing the scratch (pooled
-// across Reconstruct calls) never rewrites a previously returned session.
+// entry arena with exact capacity, and live until the lane is released.
 func (h SmartSRA) phase2(cand []session.Entry, scr *sraScratch) [][]session.Entry {
 	rho := h.Rules.PageStay.Nanoseconds()
-	if out, ok := h.phase2Chain(cand, scr, rho); ok {
+	t := scr.t[:0]
+	for i := range cand {
+		t = append(t, cand[i].Time.UnixNano())
+	}
+	scr.t = t
+	if out, ok := h.phase2Chain(cand, t, scr, rho); ok {
 		return out
 	}
-	return h.phase2Waves(cand, scr, rho)
+	return h.phase2Waves(cand, t, scr, rho)
 }
 
 // phase2Waves is the general wave construction — every candidate that is
-// not a pure chain (see phase2Chain) goes through here.
-func (h SmartSRA) phase2Waves(cand []session.Entry, scr *sraScratch, rho int64) [][]session.Entry {
-	remaining, remT := scr.remain[:0], scr.remainT[:0]
+// not a pure chain (see phase2Chain) goes through here. t holds cand's
+// UnixNano by index.
+func (h SmartSRA) phase2Waves(cand []session.Entry, t []int64, scr *sraScratch, rho int64) [][]session.Entry {
+	remaining := scr.remain[:0]
 	for i := range cand {
 		remaining = append(remaining, int32(i))
-		remT = append(remT, cand[i].Time.UnixNano())
 	}
-	rest, restT := scr.rest[:0], scr.restT[:0]
+	rest := scr.rest[:0]
 	newSet, lastT := scr.set[:0], scr.setT[:0]
-	removed, remvT := scr.removed[:0], scr.removedT[:0] // consumed by earlier waves
+	removed := scr.removed[:0] // consumed by earlier waves
 	for len(remaining) > 0 {
 		// Step I: collect pages with no remaining referrer — no EARLIER
 		// entry (strictly smaller timestamp, within ρ) links to them. See
@@ -235,45 +195,41 @@ func (h SmartSRA) phase2Waves(cand []session.Entry, scr *sraScratch, rho int64) 
 			scr.wave = wave
 		}
 		wave = wave[:len(remaining)]
-		for i := range remaining {
-			et := remT[i]
+		for i, ri := range remaining {
+			et := t[ri]
 			start := true
-			pi := cand[remaining[i]].Page
-			for j := 0; j < i; j++ {
-				if rt := remT[j]; rt < et && et-rt <= rho &&
-					h.Graph.HasEdge(cand[remaining[j]].Page, pi) {
+			pi := cand[ri].Page
+			for _, rj := range remaining[:i] {
+				if rt := t[rj]; rt < et && et-rt <= rho &&
+					h.Graph.HasEdge(cand[rj].Page, pi) {
 					start = false
 					break
 				}
 			}
 			wave[i] = start
 		}
-		tpages, tpT := scr.tpages[:0], scr.tpagesT[:0]
-		rest, restT = rest[:0], restT[:0]
-		for i := range remaining {
+		tpages := scr.tpages[:0]
+		rest = rest[:0]
+		for i, ri := range remaining {
 			if wave[i] {
-				tpages = append(tpages, remaining[i])
-				tpT = append(tpT, remT[i])
+				tpages = append(tpages, ri)
 			} else {
-				rest = append(rest, remaining[i])
-				restT = append(restT, remT[i])
+				rest = append(rest, ri)
 			}
 		}
-		scr.tpages, scr.tpagesT = tpages, tpT
+		scr.tpages = tpages
 		// The earliest remaining entry always qualifies, so progress is
 		// guaranteed.
 		remaining, rest = rest, remaining // Step II (swap ping/pong buffers)
-		remT, restT = restT, remT
 
 		// Step III: extend the constructed sessions.
 		if len(newSet) == 0 {
-			newSet, lastT = h.appendInferredBacktracks(newSet, lastT, cand, tpages, tpT, removed, remvT, rho, &scr.arena)
-			for i := range tpages {
-				newSet = append(newSet, scr.arena.clone1(cand[tpages[i]]))
-				lastT = append(lastT, tpT[i])
+			newSet, lastT = h.appendInferredBacktracks(newSet, lastT, cand, t, tpages, removed, rho, &scr.arena)
+			for _, ti := range tpages {
+				newSet = append(newSet, scr.arena.clone1(cand[ti]))
+				lastT = append(lastT, t[ti])
 			}
 			removed = append(removed, tpages...)
-			remvT = append(remvT, tpT...)
 			continue
 		}
 		tset, tlastT := scr.tset[:0], scr.tsetT[:0]
@@ -289,8 +245,8 @@ func (h SmartSRA) phase2Waves(cand []session.Entry, scr *sraScratch, rho int64) 
 		// Every wave page attaches to some session here: the referrer that
 		// kept it out of the previous wave left a session ending in itself
 		// (DESIGN.md, "Orphan pages in Phase 2").
-		for i := range tpages {
-			e, et := cand[tpages[i]], tpT[i]
+		for _, ti := range tpages {
+			e, et := cand[ti], t[ti]
 			for k, sess := range newSet {
 				if lt := lastT[k]; lt < et && et-lt <= rho &&
 					h.Graph.HasEdge(sess[len(sess)-1].Page, e.Page) {
@@ -300,7 +256,7 @@ func (h SmartSRA) phase2Waves(cand []session.Entry, scr *sraScratch, rho int64) 
 				}
 			}
 		}
-		tset, tlastT = h.appendInferredBacktracks(tset, tlastT, cand, tpages, tpT, removed, remvT, rho, &scr.arena)
+		tset, tlastT = h.appendInferredBacktracks(tset, tlastT, cand, t, tpages, removed, rho, &scr.arena)
 		for k, sess := range newSet {
 			if !extended[k] {
 				tset = append(tset, sess)
@@ -312,10 +268,8 @@ func (h SmartSRA) phase2Waves(cand []session.Entry, scr *sraScratch, rho int64) 
 		scr.set, scr.tset = newSet, tset[:0]
 		scr.setT, scr.tsetT = lastT, tlastT[:0]
 		removed = append(removed, tpages...)
-		remvT = append(remvT, tpT...)
 	}
 	scr.remain, scr.rest, scr.removed = remaining, rest, removed
-	scr.remainT, scr.restT, scr.removedT = remT, restT, remvT
 	if len(newSet) > 0 {
 		scr.set, scr.setT = newSet, lastT
 	}
@@ -347,16 +301,11 @@ func (h SmartSRA) phase2Waves(cand []session.Entry, scr *sraScratch, rho int64) 
 // is O(n²) edge probes but allocation-free, versus the slow path's O(n³)
 // wave scans plus n-1 arena clones; on a non-chain candidate it bails at
 // the first violation and phase2 proceeds normally.
-func (h SmartSRA) phase2Chain(cand []session.Entry, scr *sraScratch, rho int64) ([][]session.Entry, bool) {
+func (h SmartSRA) phase2Chain(cand []session.Entry, t []int64, scr *sraScratch, rho int64) ([][]session.Entry, bool) {
 	n := len(cand)
 	if n == 0 {
 		return nil, false
 	}
-	t := scr.remainT[:0]
-	for i := range cand {
-		t = append(t, cand[i].Time.UnixNano())
-	}
-	scr.remainT = t
 	for i := 1; i < n; i++ {
 		if t[i-1] >= t[i] || t[i]-t[i-1] > rho ||
 			!h.Graph.HasEdge(cand[i-1].Page, cand[i].Page) {
@@ -383,18 +332,18 @@ func (h SmartSRA) phase2Chain(cand []session.Entry, scr *sraScratch, rho int64) 
 // appendInferredBacktracks appends a [B, e] session (with e's UnixNano onto
 // lastT) for every consumed referrer B of each wave page e (see
 // InferBacktracks). Referrers still inside the candidate cannot qualify: e
-// would not be in the wave then.
-func (h SmartSRA) appendInferredBacktracks(dst [][]session.Entry, lastT []int64, cand []session.Entry, tpages []int32, tpT []int64, removed []int32, remvT []int64, rho int64, arena *entryArena) ([][]session.Entry, []int64) {
+// would not be in the wave then. t holds cand's UnixNano by index.
+func (h SmartSRA) appendInferredBacktracks(dst [][]session.Entry, lastT []int64, cand []session.Entry, t []int64, tpages, removed []int32, rho int64, arena *entryArena) ([][]session.Entry, []int64) {
 	if !h.InferBacktracks {
 		return dst, lastT
 	}
-	for i := range tpages {
-		et := tpT[i]
-		ei := cand[tpages[i]]
-		for j := range removed {
-			if bt := remvT[j]; bt < et && et-bt <= rho &&
-				h.Graph.HasEdge(cand[removed[j]].Page, ei.Page) {
-				dst = append(dst, arena.clone2(cand[removed[j]], ei))
+	for _, ti := range tpages {
+		et := t[ti]
+		ei := cand[ti]
+		for _, rj := range removed {
+			if bt := t[rj]; bt < et && et-bt <= rho &&
+				h.Graph.HasEdge(cand[rj].Page, ei.Page) {
+				dst = append(dst, arena.clone2(cand[rj], ei))
 				lastT = append(lastT, et)
 			}
 		}

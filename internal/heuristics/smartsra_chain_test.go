@@ -19,19 +19,19 @@ import (
 // candidate through phase2Waves, bypassing the chain fast path.
 func reconstructWavesOnly(h SmartSRA, stream session.Stream) []session.Session {
 	var out []session.Session
-	scr := sraScratchPool.Get().(*sraScratch)
-	if scr.arena.block == nil {
-		scr.arena.next = len(stream.Entries) + 8
-	}
+	scr := new(sraScratch)
 	rho := h.Rules.PageStay.Nanoseconds()
 	scr.bounds = h.phase1(stream.Entries, scr.bounds[:0])
 	for b := 0; b+1 < len(scr.bounds); b++ {
 		cand := stream.Entries[scr.bounds[b]:scr.bounds[b+1]]
-		for _, entries := range h.phase2Waves(cand, scr, rho) {
+		t := make([]int64, len(cand))
+		for i := range cand {
+			t[i] = cand[i].Time.UnixNano()
+		}
+		for _, entries := range h.phase2Waves(cand, t, scr, rho) {
 			out = append(out, session.Session{User: stream.User, Entries: entries})
 		}
 	}
-	sraScratchPool.Put(scr)
 	return session.MaximalOnly(out)
 }
 

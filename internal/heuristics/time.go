@@ -29,31 +29,28 @@ func (h TimeTotal) Describe() string {
 
 // Reconstruct implements Reconstructor.
 func (h TimeTotal) Reconstruct(stream session.Stream) []session.Session {
-	return h.appendSessions(nil, stream, false)
+	return h.appendSessions(nil, stream, new(entryArena))
 }
 
-func (h TimeTotal) appendSessions(dst []session.Session, stream session.Stream, lent bool) []session.Session {
+func (h TimeTotal) appendSessions(dst []session.Session, stream session.Stream, arena *entryArena) []session.Session {
 	entries := stream.Entries
-	return appendRuns(dst, stream, lent, func(first, i int) bool {
+	return appendRuns(dst, stream, arena, func(first, i int) bool {
 		return entries[i].Time.Sub(entries[first].Time) > h.Delta
 	})
 }
 
 // appendRuns appends the sessions of a time-oriented heuristic: contiguous
 // runs of the stream, a new one starting at every entry i for which cut,
-// given the current run's first index, says i may not join. A run is copied
-// out exact-size unless lent, when it aliases stream.Entries — only for a
-// consumer that drops the sessions before the stream goes away (Lend).
-func appendRuns(dst []session.Session, stream session.Stream, lent bool, cut func(first, i int) bool) []session.Session {
+// given the current run's first index, says i may not join. Each run is
+// copied into the lane's arena.
+func appendRuns(dst []session.Session, stream session.Stream, arena *entryArena, cut func(first, i int) bool) []session.Session {
+	arena.seed(len(stream.Entries))
 	first := 0
 	for i := 1; i <= len(stream.Entries); i++ {
 		if i < len(stream.Entries) && !cut(first, i) {
 			continue
 		}
-		run := stream.Entries[first:i:i]
-		if !lent {
-			run = append([]session.Entry(nil), run...)
-		}
+		run := arena.cloneAll(stream.Entries[first:i])
 		dst = append(dst, session.Session{User: stream.User, Entries: run})
 		first = i
 	}
@@ -81,12 +78,12 @@ func (h TimeGap) Describe() string {
 
 // Reconstruct implements Reconstructor.
 func (h TimeGap) Reconstruct(stream session.Stream) []session.Session {
-	return h.appendSessions(nil, stream, false)
+	return h.appendSessions(nil, stream, new(entryArena))
 }
 
-func (h TimeGap) appendSessions(dst []session.Session, stream session.Stream, lent bool) []session.Session {
+func (h TimeGap) appendSessions(dst []session.Session, stream session.Stream, arena *entryArena) []session.Session {
 	entries := stream.Entries
-	return appendRuns(dst, stream, lent, func(_, i int) bool {
+	return appendRuns(dst, stream, arena, func(_, i int) bool {
 		return entries[i].Time.Sub(entries[i-1].Time) > h.Rho
 	})
 }
