@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strings"
 	"time"
 
 	"smartsra/internal/checkpoint"
@@ -83,7 +82,7 @@ type owner struct {
 const logBlock = 64 << 10
 
 // newOwner opens everything the options name and brings the sessionizer up
-// to date with it — checkpoint recovery or -backfill — single-threaded,
+// to date with it — checkpoint recovery — single-threaded,
 // before anything is served.
 func newOwner(opts options) (_ *owner, err error) {
 	if err := opts.validate(); err != nil {
@@ -118,12 +117,6 @@ func newOwner(opts options) (_ *owner, err error) {
 		return o, nil
 	}
 
-	var backfill []string
-	if opts.backfill != "" {
-		if backfill, err = clf.ResolveLogPaths(opts.backfill); err != nil {
-			return nil, err
-		}
-	}
 	// The live tail has one owner — the owner goroutine — so it is a plain
 	// Tail, with no lock.
 	st, err := core.NewTail(core.Config{Graph: g}, opts.sessionGap)
@@ -153,12 +146,9 @@ func newOwner(opts options) (_ *owner, err error) {
 
 	if opts.ckptPath != "" {
 		o.ckpt = checkpoint.NewWriter(checkpoint.OS, opts.ckptPath, opts.ckptEvery)
-		err = o.recoverFromCheckpoint()
-	} else if opts.backfill != "" {
-		err = o.backfill(backfill)
-	}
-	if err != nil {
-		return nil, err
+		if err := o.recoverFromCheckpoint(); err != nil {
+			return nil, err
+		}
 	}
 	return o, o.follow(o.off)
 }
@@ -466,19 +456,15 @@ func (o *owner) recoverFromCheckpoint() error {
 	if err != nil {
 		return err
 	}
-	switch {
-	case ck == nil:
-	case ck.LogPath != "" && ck.LogPath != s.logPath:
-		fmt.Fprintf(os.Stderr, "serve: checkpoint was for %s, -log is %s, replaying full log\n",
-			ck.LogPath, s.logPath)
-		ck = nil
-	case ck.LogOffset > logInfo.Size() || ck.SinkOffset > o.tee.good:
-		fmt.Fprintf(os.Stderr, "serve: checkpoint is ahead of %s/%s (rotated?), replaying full log\n",
-			s.logPath, o.tee.f.Name())
-		ck = nil
-	default:
-		if err := o.tee.st.Restore(ck.Tail); err != nil {
-			fmt.Fprintln(os.Stderr, "serve: checkpoint rejected, replaying full log:", err)
+	if ck != nil {
+		_, why := ck.Position([]string{s.logPath}, o.tee.good)
+		if why == "" {
+			if err := o.tee.st.Restore(ck.Tail); err != nil {
+				why = err.Error()
+			}
+		}
+		if why != "" {
+			fmt.Fprintln(os.Stderr, "serve: checkpoint stale, replaying full log:", why)
 			ck = nil
 		}
 	}
@@ -554,22 +540,6 @@ func (o *owner) heldErr(clf.FilePos) error {
 	if len(o.held) > 0 {
 		return errHeld
 	}
-	return nil
-}
-
-// backfill streams an existing access log set — plain, gzip, or a rotated
-// sequence — through the sessionizer before the server starts, in bounded
-// heap regardless of the logs' size. Bursts still open at the end of the
-// history stay buffered so live traffic from the same users continues them
-// seamlessly.
-func (o *owner) backfill(paths []string) error {
-	malformed, err := o.tee.st.IngestFiles(paths, clf.FilePos{}, o.emit, o.heldErr)
-	if err != nil {
-		return fmt.Errorf("backfill %s: %w", strings.Join(paths, ","), err)
-	}
-	stats := o.tee.st.Stats()
-	fmt.Printf("backfilled %s: records=%d malformed=%d sessions=%d (open bursts carry into live traffic)\n",
-		strings.Join(paths, ","), stats.Records, malformed, stats.Sessions)
 	return nil
 }
 

@@ -571,8 +571,6 @@ func TestUsageErrorsNameTheirFlags(t *testing.T) {
 		{options{sessPath: in("s.txt")}, "-sessions needs -log"},
 		{options{sessPath: in("s.txt"), ckptPath: in("c")}, "-sessions needs -log"},
 		{options{logPath: in("a.log"), ckptPath: in("c")}, "-checkpoint needs -log and -sessions"},
-		{options{logPath: in("a.log"), sessPath: in("s.txt"), ckptPath: in("c"), backfill: in("old.log")}, "-checkpoint replaces -backfill"},
-		{options{logPath: in("a.log"), backfill: in("old.log")}, "-backfill needs -sessions"},
 	} {
 		c.opts.topoPath = in("topology.json")
 		if err := run(c.opts); err == nil || !strings.Contains(err.Error(), c.want) {
@@ -999,10 +997,9 @@ func TestFailedSessionSyncSavesNoCheckpoint(t *testing.T) {
 	}
 }
 
-// TestStartupReplayWithFailingSessionWrites: a start-up replay — checkpoint
-// recovery or -backfill — whose sessions the session file refuses is stopped
-// and fails start-up (serve exits 1), rather than holding a whole replay's
-// sessions in memory.
+// TestStartupReplayWithFailingSessionWrites: a start-up replay whose
+// sessions the session file refuses is stopped and fails start-up (serve
+// exits 1), rather than holding a whole replay's sessions in memory.
 func TestStartupReplayWithFailingSessionWrites(t *testing.T) {
 	first := newLiveFixture(t, withCheckpoint)
 	first.start()
@@ -1014,26 +1011,15 @@ func TestStartupReplayWithFailingSessionWrites(t *testing.T) {
 		t.Fatal(err)
 	}
 	faultSessionWrites(t, faultio.FailAfter(0))
-	elsewhere := t.TempDir()
-	for _, c := range []struct {
-		opts options
-		want string
-	}{
-		{first.opts, "replay " + first.opts.logPath + ": "},
-		{options{topoPath: first.opts.topoPath, logPath: filepath.Join(elsewhere, "access.log"),
-			sessPath: filepath.Join(elsewhere, "sessions.txt"), backfill: first.opts.logPath},
-			"backfill " + first.opts.logPath + ": "},
-	} {
-		var err error
-		captureStderr(t, func() {
-			var o *owner
-			if o, err = newOwner(c.opts); err == nil {
-				o.close()
-			}
-		})
-		if !errors.Is(err, errHeld) || !strings.HasPrefix(err.Error(), c.want) {
-			t.Errorf("newOwner = %v, want %q followed by %q", err, c.want, errHeld)
+	var err error
+	captureStderr(t, func() {
+		var o *owner
+		if o, err = newOwner(first.opts); err == nil {
+			o.close()
 		}
+	})
+	if want := "replay " + first.opts.logPath + ": "; !errors.Is(err, errHeld) || !strings.HasPrefix(err.Error(), want) {
+		t.Errorf("newOwner = %v, want %q followed by %q", err, want, errHeld)
 	}
 }
 

@@ -7,7 +7,6 @@
 //
 //	serve -topology topology.json [-addr :8080] [-log access.log] [-combined]
 //	      [-sessions sessions.txt] [-expire-every 30s]
-//	      [-backfill old.log]
 //	      [-checkpoint state.ckpt] [-checkpoint-every 10s]
 //	      [-trust-forwarded]
 //
@@ -53,16 +52,7 @@
 // the access log from the recorded offset — sessions across a crash are
 // emitted exactly once. A corrupt or stale checkpoint is detected and
 // recovery falls back to a full replay of the access log. -checkpoint
-// needs -log and -sessions (the offsets refer to those files) and replaces
-// -backfill (recovery replays the log anyway).
-//
-// -backfill streams an existing access log through the same sessionizer
-// before serving begins, so the live tail starts with history already in
-// place. It accepts a comma-separated list of paths and/or globs
-// ("access.log*"), replayed in lexical order with gzip members decoded
-// transparently, and uses the bounded-memory streaming reader (a decoder per
-// gzip member ‖ one parser ‖ the owner pushing into the tail), as checkpoint
-// recovery does, so arbitrarily large history replays in fixed heap.
+// needs -log and -sessions (the offsets refer to those files).
 package main
 
 import (
@@ -124,7 +114,6 @@ type options struct {
 	sessPath    string
 	sessionGap  time.Duration
 	expireEvery time.Duration
-	backfill    string
 	ckptPath    string
 	ckptEvery   time.Duration
 	trustFwd    bool
@@ -143,16 +132,8 @@ func (o options) validate() error {
 	if o.sessPath != "" && o.logPath == "" {
 		return fmt.Errorf("-sessions needs -log (the live sessionizer reads the access log)")
 	}
-	if o.ckptPath != "" {
-		if o.logPath == "" || o.sessPath == "" {
-			return fmt.Errorf("-checkpoint needs -log and -sessions (its offsets refer to those files)")
-		}
-		if o.backfill != "" {
-			return fmt.Errorf("-checkpoint replaces -backfill (recovery replays the access log)")
-		}
-	}
-	if o.backfill != "" && o.sessPath == "" {
-		return fmt.Errorf("-backfill needs -sessions (there is nowhere to put the sessions)")
+	if o.ckptPath != "" && (o.logPath == "" || o.sessPath == "") {
+		return fmt.Errorf("-checkpoint needs -log and -sessions (its offsets refer to those files)")
 	}
 	return nil
 }
@@ -166,7 +147,6 @@ func main() {
 	flag.StringVar(&o.sessPath, "sessions", "", "sessionize the access log live, appending finalized sessions to this file (needs -log)")
 	flag.DurationVar(&o.sessionGap, "session-gap", 0, "burst gap ρ: a user quiet this long ends their burst (0 = the paper's 10m; offline replays must use the same value)")
 	flag.DurationVar(&o.expireEvery, "expire-every", 30*time.Second, "how often to expire quiet users' bursts for -sessions")
-	flag.StringVar(&o.backfill, "backfill", "", "existing access logs to stream through the sessionizer before serving: paths/globs, gzip ok (needs -sessions)")
 	flag.StringVar(&o.ckptPath, "checkpoint", "", "crash-recovery checkpoint file (needs -log and -sessions)")
 	flag.DurationVar(&o.ckptEvery, "checkpoint-every", 10*time.Second, "how often to snapshot state for -checkpoint")
 	flag.BoolVar(&o.trustFwd, "trust-forwarded", false, "log the first X-Forwarded-For address as the client (trusted proxies and loadgen only)")

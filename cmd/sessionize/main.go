@@ -81,6 +81,10 @@ import (
 	"smartsra/internal/webgraph"
 )
 
+// sessionWriter is what the session output is written to: the file itself,
+// or a test's fault injector in front of it.
+var sessionWriter = func(f *os.File) io.Writer { return f }
+
 // options collects the parsed command line.
 type options struct {
 	topoPath, logPath, heur string
@@ -194,12 +198,7 @@ func run(o options) error {
 		if o.stream {
 			return fmt.Errorf("-stream does not support the referrer heuristic (it chains over the full record list)")
 		}
-		rc, _, err := clf.OpenLogInput(o.logPath)
-		if err != nil {
-			return err
-		}
-		defer rc.Close()
-		return runReferrer(g, rc, o.statsOnly, o.sessPath)
+		return runReferrer(g, paths, o.statsOnly, o.sessPath)
 	}
 
 	h, err := pickHeuristic(o.heur, g)
@@ -235,24 +234,21 @@ func run(o options) error {
 			}
 			fmt.Fprintf(os.Stderr, "sessionize: replaying %d expiry cuts from %s\n", len(cuts), o.cutsPath)
 		}
-		if o.ckptPath != "" {
-			return runStreamCheckpointed(cfg, o.sessionGap, paths, o.sessPath, o.ckptPath, o.ckptEvery)
-		}
-		return runStream(cfg, o.sessionGap, paths, o.statsOnly, o.sessPath, cuts)
+		return runStream(cfg, o, paths, cuts, checkpoint.OS, os.Stderr)
 	}
 	pipeline, err := core.NewPipeline(cfg)
 	if err != nil {
 		return err
 	}
-	in, _, err := clf.OpenLogInput(o.logPath)
+	records, malformed, err := readLog(paths)
 	if err != nil {
 		return err
 	}
-	defer in.Close()
-	res, err := pipeline.ProcessLog(in)
+	res, err := pipeline.ProcessRecords(records)
 	if err != nil {
 		return err
 	}
+	res.Stats.Malformed = malformed
 	if !o.statsOnly {
 		if err := writeSessions(o.sessPath, res.Sessions); err != nil {
 			return err
@@ -280,44 +276,50 @@ func mayNeverEnd(paths []string) bool {
 	return false
 }
 
-// runStream ingests the log through the bounded-memory streaming path: a
-// Tail fed in input order by the chunk reader, writing each session the
-// moment its burst closes — on a gap, or when the log's clock runs 2ρ past
-// it. Heap usage is independent of log length and of the users it has seen,
-// so this path handles logs larger than RAM and never-ending stdin pipes. File inputs
-// (paths non-nil) are read like stdin, one read buffer at a time, with a
-// decoder goroutine per gzip member; nil paths reads stdin.
-// With cfg.ExpireTick set, each tick also finalizes users quiet for longer
-// than the session gap, so sessions keep flowing while input does. A
-// non-empty cuts sequence (from -cuts) replays serve's journaled timed
-// expiries at the exact record boundaries the live run froze them at, making
-// the output byte-identical to the live session stream even when the server
-// ran with -expire-every.
-func runStream(cfg core.Config, rho time.Duration, paths []string, statsOnly bool, sessPath string, cuts []core.ExpiryCut) (err error) {
-	st, err := core.NewTail(cfg, rho)
+// runStream is the one streaming run: a Tail fed in input order by the chunk
+// reader, writing each session the moment its burst closes — on a gap, or
+// when the log's clock runs 2ρ past it. Heap usage is independent of log
+// length and of the users it has seen, so this path handles logs larger than
+// RAM and never-ending stdin pipes. File inputs (paths non-nil) are read like
+// stdin, one read buffer at a time, with a decoder goroutine per gzip member;
+// nil paths reads stdin. With cfg.ExpireTick set, each tick also finalizes
+// users quiet for longer than the session gap, so sessions keep flowing while
+// input does. A non-empty cuts sequence (from -cuts) replays serve's
+// journaled timed expiries at the exact record boundaries the live run froze
+// them at, making the output byte-identical to the live session stream even
+// when the server ran with -expire-every.
+//
+// Sessions go to stdout, to the -sessions file, or with -checkpoint to that
+// file resumed from the latest usable checkpoint in fsys (openSessions), and
+// the run checkpoints at chunk boundaries across the whole multi-file set,
+// with (file index, byte offset) positions so a kill inside access.log.2.gz
+// resumes there. Expiry ticks, the writes and the snapshots all run on the
+// goroutine that ingests, so every checkpoint records a consistent (log
+// position, session offset, open bursts) cut even while expiry is emitting.
+// The first failed session write is the run's error: nothing is written
+// after it, no checkpoint is saved, and ingestion stops at the next chunk
+// boundary. Notices and the stats line go to log.
+func runStream(cfg core.Config, o options, paths []string, cuts []core.ExpiryCut, fsys checkpoint.FS, log io.Writer) (err error) {
+	st, err := core.NewTail(cfg, o.sessionGap)
 	if err != nil {
 		return err
 	}
-	dst := os.Stdout
-	if sessPath != "" {
-		dst, err = os.Create(sessPath)
-		if err != nil {
-			return err
-		}
+	dst, start, err := openSessions(st, o, paths, fsys, log)
+	if err != nil {
+		return err
+	}
+	if dst != os.Stdout {
 		defer func() {
 			if cerr := dst.Close(); err == nil {
 				err = cerr
 			}
 		}()
 	}
-	out := bufio.NewWriter(dst)
+	out := bufio.NewWriter(sessionWriter(dst))
+	var sinkErr error
 	emit := func(s []session.Session) {
-		if statsOnly || len(s) == 0 {
-			return
-		}
-		if err := session.WriteAll(out, s); err != nil {
-			fmt.Fprintln(os.Stderr, "sessionize:", err)
-			os.Exit(1)
+		if sinkErr == nil && !o.statsOnly && len(s) > 0 {
+			sinkErr = session.WriteAll(out, s)
 		}
 	}
 	// Live input flushes every sunk batch: on stdin a chunk is what one read
@@ -328,196 +330,141 @@ func runStream(cfg core.Config, rho time.Duration, paths []string, statsOnly boo
 	if paths == nil || cfg.ExpireTick != nil {
 		sink = func(s []session.Session) {
 			emit(s)
-			if err := out.Flush(); err != nil {
-				fmt.Fprintln(os.Stderr, "sessionize:", err)
-				os.Exit(1)
+			if sinkErr == nil {
+				sinkErr = out.Flush()
 			}
 		}
 	}
-	var malformed int
-	switch {
-	case paths == nil:
-		malformed, err = st.Ingest(os.Stdin, sink, nil)
-	case len(cuts) > 0:
-		malformed, err = st.IngestFilesCuts(paths, clf.FilePos{}, 0, cuts, sink, nil)
-	default:
-		malformed, err = st.IngestFiles(paths, clf.FilePos{}, sink, nil)
-	}
-	if err != nil {
-		// Sessions sunk before a read error are output like any other: write
-		// them out. The read error stays the message and the exit status.
-		if ferr := out.Flush(); ferr != nil {
-			fmt.Fprintln(os.Stderr, "sessionize:", ferr)
-		}
-		return err
-	}
-	// End of input: the users of the log's last 2ρ are still open. The drain
-	// streams them through the same sink, one batch at a time.
-	st.Drain(emit)
-	if err := out.Flush(); err != nil {
-		return err
-	}
-	printStreamStats(cfg, st, malformed)
-	return nil
-}
 
-// validateResume decides whether a loaded checkpoint can position a resume
-// within the resolved input set, returning the start position or a non-empty
-// reason to fall back to a full replay. A checkpoint written before
-// multi-file support (no LogPath) is honored only against a single-file set;
-// otherwise the recorded path must still sit at the recorded index, so a
-// rotated or renamed set degrades to replay instead of resuming into the
-// wrong file. Plain-file offsets are bounds-checked; gzip offsets count
-// decoded bytes, so their validation happens when the decoder discards to
-// the offset.
-func validateResume(ck *checkpoint.Checkpoint, paths []string) (clf.FilePos, string) {
-	if ck.LogFile < 0 || ck.LogFile >= len(paths) {
-		return clf.FilePos{}, fmt.Sprintf("checkpoint file index %d outside the %d-file input set", ck.LogFile, len(paths))
+	var ckpt *checkpoint.Writer
+	if o.ckptPath != "" {
+		ckpt = checkpoint.NewWriter(fsys, o.ckptPath, o.ckptEvery)
 	}
-	target := paths[ck.LogFile]
-	switch {
-	case ck.LogPath == "" && len(paths) > 1:
-		return clf.FilePos{}, "single-file checkpoint cannot place itself in a multi-file set"
-	case ck.LogPath != "" && ck.LogPath != target:
-		return clf.FilePos{}, fmt.Sprintf("checkpoint was at %s, input set now has %s there", ck.LogPath, target)
-	}
-	if !clf.IsGzipFile(target) {
-		fi, err := os.Stat(target)
+	// snapshot puts the session file on stable storage and describes the run
+	// at pos: the sessions the records before pos finalized are the file's
+	// first SinkOffset bytes.
+	snapshot := func(pos clf.FilePos) (*checkpoint.Checkpoint, error) {
+		if sinkErr = out.Flush(); sinkErr != nil {
+			return nil, sinkErr
+		}
+		size, err := dst.Seek(0, io.SeekCurrent)
+		if err == nil {
+			err = dst.Sync()
+		}
 		if err != nil {
-			return clf.FilePos{}, fmt.Sprintf("stat %s: %v", target, err)
+			return nil, fmt.Errorf("session file sync: %w", err)
 		}
-		if ck.LogOffset > fi.Size() {
-			return clf.FilePos{}, "checkpoint is ahead of the log"
-		}
+		return &checkpoint.Checkpoint{
+			LogOffset: pos.Offset, LogFile: pos.File, LogPath: paths[pos.File],
+			SinkOffset: size, Tail: st.Snapshot(),
+		}, nil
 	}
-	return clf.FilePos{File: ck.LogFile, Offset: ck.LogOffset}, ""
-}
-
-// runStreamCheckpointed is runStream made crash-safe: it resumes from the
-// latest valid checkpoint (restoring the sessionizer and truncating the
-// session file to the recorded offset, so the replayed log suffix re-emits
-// exactly the sessions the interruption cut off) and snapshots periodically
-// at chunk boundaries while streaming — across the whole multi-file set,
-// with (file index, byte offset) positions so a kill inside access.log.2.gz
-// resumes there. A missing, corrupt, or stale checkpoint falls back to a
-// full run from the start of the set. Expiry ticks, the writes and the
-// snapshots all run on the goroutine that ingests, so every checkpoint
-// records a consistent (log position, session offset, open bursts) cut even
-// while expiry is emitting.
-func runStreamCheckpointed(cfg core.Config, rho time.Duration, paths []string, sessPath, ckptPath string, every time.Duration) error {
-	st, err := core.NewTail(cfg, rho)
-	if err != nil {
-		return err
-	}
-	ck, reason, err := checkpoint.Resume(checkpoint.OS, ckptPath)
-	if err != nil {
-		return err
-	}
-	if reason != "" {
-		fmt.Fprintln(os.Stderr, "sessionize: checkpoint unusable, starting over:", reason)
-	}
-	sf, err := os.OpenFile(sessPath, os.O_CREATE|os.O_RDWR, 0o644)
-	if err != nil {
-		return err
-	}
-	defer sf.Close()
-	sessInfo, err := sf.Stat()
-	if err != nil {
-		return err
-	}
-
-	var start clf.FilePos
-	var sinkOff int64
-	if ck != nil {
-		pos, why := validateResume(ck, paths)
-		switch {
-		case why != "":
-			fmt.Fprintln(os.Stderr, "sessionize: checkpoint stale, starting over:", why)
-		case ck.SinkOffset > sessInfo.Size():
-			fmt.Fprintln(os.Stderr, "sessionize: checkpoint is ahead of the session file, starting over")
-		default:
-			if err := st.Restore(ck.Tail); err != nil {
-				fmt.Fprintln(os.Stderr, "sessionize: checkpoint rejected, starting over:", err)
-			} else {
-				start, sinkOff = pos, ck.SinkOffset
-			}
-		}
-	}
-	if err := sf.Truncate(sinkOff); err != nil {
-		return err
-	}
-	if _, err := sf.Seek(sinkOff, io.SeekStart); err != nil {
-		return err
-	}
-	if start.File > 0 || start.Offset > 0 {
-		fmt.Fprintf(os.Stderr, "sessionize: resuming %s from byte %d (session file at %d)\n",
-			paths[start.File], start.Offset, sinkOff)
-	}
-
-	w := checkpoint.NewWriter(checkpoint.OS, ckptPath, every)
-	good := sinkOff
 	cur := start
-	var sinkErr error
-	// good advances only past batches whose write succeeded.
-	emit := func(s []session.Session) {
-		if sinkErr != nil || len(s) == 0 {
-			return
+	progress := func(pos clf.FilePos) error {
+		cur = pos
+		if sinkErr == nil && ckpt != nil {
+			// A failed save only costs recovery granularity: the previous
+			// checkpoint file stays valid (atomic rename), so keep streaming.
+			if _, err := ckpt.MaybeSave(func() (*checkpoint.Checkpoint, error) { return snapshot(pos) }); err != nil && sinkErr == nil {
+				fmt.Fprintln(log, "sessionize: checkpoint:", err)
+			}
 		}
-		if sinkErr = session.WriteAll(sf, s); sinkErr == nil {
-			good, sinkErr = sf.Seek(0, io.SeekCurrent)
+		return sinkErr
+	}
+
+	var malformed int
+	if paths == nil {
+		malformed, err = st.Ingest(os.Stdin, sink, progress)
+	} else {
+		malformed, err = st.IngestFilesCuts(paths, start, 0, cuts, sink, progress)
+	}
+	if err == nil {
+		// End of input: the users of the log's last 2ρ are still open. The
+		// drain streams them through the same sink, one batch at a time.
+		st.Drain(emit)
+		err = sinkErr
+	}
+	// Sessions sunk before a read error are output like any other; the read
+	// error stays the message and the exit status.
+	if ferr := out.Flush(); err == nil {
+		err = ferr
+	}
+	if err == nil && ckpt != nil {
+		// The run is complete: record that, so a rerun replays nothing.
+		var ck *checkpoint.Checkpoint
+		if ck, err = snapshot(cur); err == nil {
+			if serr := ckpt.Save(ck); serr != nil {
+				fmt.Fprintln(log, "sessionize: final checkpoint:", serr)
+			}
 		}
 	}
-	malformed, err := st.IngestFiles(paths, start, emit, func(pos clf.FilePos) error {
-		cur = pos
-		if sinkErr != nil {
-			return nil
-		}
-		// A failed save only costs recovery granularity: the previous
-		// checkpoint file stays valid (atomic rename), so keep streaming.
-		if _, err := w.MaybeSave(func() (*checkpoint.Checkpoint, error) {
-			if err := sf.Sync(); err != nil {
-				return nil, fmt.Errorf("session file sync: %w", err)
-			}
-			return &checkpoint.Checkpoint{
-				LogOffset: pos.Offset, LogFile: pos.File, LogPath: paths[pos.File],
-				SinkOffset: good, Tail: st.Snapshot(),
-			}, nil
-		}); err != nil {
-			fmt.Fprintln(os.Stderr, "sessionize: checkpoint:", err)
-		}
-		return nil
-	})
 	if err != nil {
 		return err
 	}
-	if sinkErr != nil {
-		return sinkErr
-	}
-	st.Drain(emit)
-	if sinkErr != nil {
-		return sinkErr
-	}
-	if err := sf.Sync(); err != nil {
-		return err
-	}
-	// The run is complete: record that, so a rerun replays nothing.
-	if err := w.Save(&checkpoint.Checkpoint{
-		LogOffset: cur.Offset, LogFile: cur.File, LogPath: paths[cur.File],
-		SinkOffset: good, Tail: st.Snapshot(),
-	}); err != nil {
-		fmt.Fprintln(os.Stderr, "sessionize: final checkpoint:", err)
-	}
-	printStreamStats(cfg, st, malformed)
-	return nil
-}
-
-func printStreamStats(cfg core.Config, st *core.Tail, malformed int) {
 	stats := st.Stats()
 	stats.Malformed = malformed
 	if d, ok := cfg.Heuristic.(heuristics.Describer); ok {
-		fmt.Fprintf(os.Stderr, "heuristic: %s — %s\n", cfg.Heuristic.Name(), d.Describe())
+		fmt.Fprintf(log, "heuristic: %s — %s\n", cfg.Heuristic.Name(), d.Describe())
 	}
-	fmt.Fprintf(os.Stderr, "pipeline:  %s (streaming)\n", stats)
+	fmt.Fprintf(log, "pipeline:  %s (streaming)\n", stats)
+	return nil
+}
+
+// openSessions opens where a stream run writes: stdout, a new -sessions
+// file, or with -checkpoint the session file as the latest usable checkpoint
+// left it — st restored, the file cut to SinkOffset, where the replayed log
+// re-emits exactly the sessions an interruption cut off — with the position
+// in paths to resume from. A missing, corrupt or stale checkpoint starts
+// over from the start of the set.
+func openSessions(st *core.Tail, o options, paths []string, fsys checkpoint.FS, log io.Writer) (*os.File, clf.FilePos, error) {
+	switch {
+	case o.sessPath == "":
+		return os.Stdout, clf.FilePos{}, nil
+	case o.ckptPath == "":
+		f, err := os.Create(o.sessPath)
+		return f, clf.FilePos{}, err
+	}
+	ck, reason, err := checkpoint.Resume(fsys, o.ckptPath)
+	if err != nil {
+		return nil, clf.FilePos{}, err
+	}
+	if reason != "" {
+		fmt.Fprintln(log, "sessionize: checkpoint unusable, starting over:", reason)
+	}
+	f, err := os.OpenFile(o.sessPath, os.O_CREATE|os.O_RDWR, 0o644)
+	if err != nil {
+		return nil, clf.FilePos{}, err
+	}
+	var start clf.FilePos
+	var sinkOff int64
+	info, err := f.Stat()
+	if err == nil && ck != nil {
+		pos, why := ck.Position(paths, info.Size())
+		if why == "" {
+			if rerr := st.Restore(ck.Tail); rerr != nil {
+				why = rerr.Error()
+			}
+		}
+		if why != "" {
+			fmt.Fprintln(log, "sessionize: checkpoint stale, starting over:", why)
+		} else {
+			start, sinkOff = pos, ck.SinkOffset
+		}
+	}
+	if err == nil {
+		err = f.Truncate(sinkOff)
+	}
+	if err == nil {
+		_, err = f.Seek(sinkOff, io.SeekStart)
+	}
+	if err != nil {
+		f.Close()
+		return nil, clf.FilePos{}, err
+	}
+	if start != (clf.FilePos{}) {
+		fmt.Fprintf(log, "sessionize: resuming %s from byte %d (session file at %d)\n", paths[start.File], start.Offset, sinkOff)
+	}
+	return f, start, nil
 }
 
 // writeSessions writes the batch result to sessPath, or stdout when empty.
@@ -536,9 +483,21 @@ func writeSessions(sessPath string, sessions []session.Session) error {
 	return f.Close()
 }
 
+// readLog reads every record of the input set, or of stdin for nil paths,
+// through the chunk reader -stream reads with.
+func readLog(paths []string) (records []clf.Record, malformed int, err error) {
+	keep := func(recs []clf.Record) { records = append(records, recs...) } // recs is lent: copy out
+	if paths == nil {
+		malformed, err = clf.StreamChunked(os.Stdin, clf.StreamConfig{}, keep, nil)
+	} else {
+		malformed, err = clf.StreamFilesChunked(paths, clf.StreamConfig{}, keep, nil)
+	}
+	return records, malformed, err
+}
+
 // runReferrer sessionizes a combined-format log by referrer chaining.
-func runReferrer(g *webgraph.Graph, in io.Reader, statsOnly bool, sessPath string) error {
-	records, malformed, err := clf.ReadAll(in)
+func runReferrer(g *webgraph.Graph, paths []string, statsOnly bool, sessPath string) error {
+	records, malformed, err := readLog(paths)
 	if err != nil {
 		return err
 	}

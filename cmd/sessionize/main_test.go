@@ -197,19 +197,15 @@ func walkLog() string {
 	return log.String()
 }
 
-// streamTo runs sessionize -stream into dir/name.sessions and returns the
-// file and the child's stderr; the run must succeed and count walkLog's 971
-// user activity periods (Tail's Stats.Users).
-func streamTo(t *testing.T, dir, name string, stdin io.Reader, args ...string) (sessions []byte, stderr string) {
+// writeTo runs sessionize into dir/name.sessions and returns the file and
+// the child's stderr; the run must succeed.
+func writeTo(t *testing.T, dir, name string, stdin io.Reader, args ...string) (sessions []byte, stderr string) {
 	t.Helper()
 	out := filepath.Join(dir, name+".sessions")
-	cmd, errBuf := sessionize(append([]string{"-topology", filepath.Join(dir, "topology.json"), "-stream", "-sessions", out}, args...)...)
+	cmd, errBuf := sessionize(append([]string{"-topology", filepath.Join(dir, "topology.json"), "-sessions", out}, args...)...)
 	cmd.Stdin = stdin
 	if err := cmd.Run(); err != nil {
 		t.Fatalf("%s: %v; stderr:\n%s", name, err, errBuf)
-	}
-	if !strings.Contains(errBuf.String(), "users=971") {
-		t.Fatalf("%s: stderr has no users=971:\n%s", name, errBuf)
 	}
 	b, err := os.ReadFile(out)
 	if err != nil {
@@ -218,10 +214,22 @@ func streamTo(t *testing.T, dir, name string, stdin io.Reader, args ...string) (
 	return b, errBuf.String()
 }
 
+// streamTo is writeTo with -stream; the run must count walkLog's 971 user
+// activity periods (Tail's Stats.Users).
+func streamTo(t *testing.T, dir, name string, stdin io.Reader, args ...string) (sessions []byte, stderr string) {
+	t.Helper()
+	sessions, stderr = writeTo(t, dir, name, stdin, append([]string{"-stream"}, args...)...)
+	if !strings.Contains(stderr, "users=971") {
+		t.Fatalf("%s: stderr has no users=971:\n%s", name, stderr)
+	}
+	return sessions, stderr
+}
+
 // TestPathRedirectAndPipeWriteOneFile: by path, through a redirect (a
 // regular file on stdin), through a pipe, and through a pipe with the expire
 // tick armed (an hour, so it never fires) a log must give one and the same
-// sessions file.
+// sessions file; and batch mode, which reads through the same chunk reader,
+// one and the same batch sessions file by path, redirect and pipe.
 func TestPathRedirectAndPipeWriteOneFile(t *testing.T) {
 	dir := t.TempDir()
 	figure1(t, dir)
@@ -230,17 +238,20 @@ func TestPathRedirectAndPipeWriteOneFile(t *testing.T) {
 	if err := os.WriteFile(logPath, []byte(log), 0o644); err != nil {
 		t.Fatal(err)
 	}
+	redirect := func() *os.File {
+		f, err := os.Open(logPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { f.Close() })
+		return f
+	}
 
 	byPath, _ := streamTo(t, dir, "path", nil, "-log", logPath)
 	if bytes.Count(byPath, []byte("\n")) < 2*777 {
 		t.Fatalf("by path: %d session lines for 777 users", bytes.Count(byPath, []byte("\n")))
 	}
-	f, err := os.Open(logPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	if got, _ := streamTo(t, dir, "redirect", f, "-log", "-", "-expire-every", "-1s"); !bytes.Equal(got, byPath) {
+	if got, _ := streamTo(t, dir, "redirect", redirect(), "-log", "-", "-expire-every", "-1s"); !bytes.Equal(got, byPath) {
 		t.Errorf("sessionize < log differs from sessionize -log log (%d vs %d bytes)", len(got), len(byPath))
 	}
 	// A reader that is not a file: exec copies it into a pipe, as cat would.
@@ -248,6 +259,67 @@ func TestPathRedirectAndPipeWriteOneFile(t *testing.T) {
 		if got, _ := streamTo(t, dir, "pipe"+expire, strings.NewReader(log), "-log", "-", "-expire-every", expire); !bytes.Equal(got, byPath) {
 			t.Errorf("cat log | sessionize -expire-every %s differs from sessionize -log log (%d vs %d bytes)", expire, len(got), len(byPath))
 		}
+	}
+
+	batch, _ := writeTo(t, dir, "batch-path", nil, "-log", logPath)
+	if bytes.Count(batch, []byte("\n")) < 2*777 {
+		t.Fatalf("batch by path: %d session lines for 777 users", bytes.Count(batch, []byte("\n")))
+	}
+	if got, _ := writeTo(t, dir, "batch-redirect", redirect(), "-log", "-"); !bytes.Equal(got, batch) {
+		t.Errorf("batch: sessionize < log differs from sessionize -log log (%d vs %d bytes)", len(got), len(batch))
+	}
+	if got, _ := writeTo(t, dir, "batch-pipe", strings.NewReader(log), "-log", "-"); !bytes.Equal(got, batch) {
+		t.Errorf("batch: cat log | sessionize differs from sessionize -log log (%d vs %d bytes)", len(got), len(batch))
+	}
+}
+
+// TestCheckpointedRerunAppendsNothing: a -stream -checkpoint run that
+// finished leaves a checkpoint at the end of its log, so running the command
+// again resumes there, replays nothing and appends nothing — and the file is
+// the one -stream without a checkpoint writes.
+func TestCheckpointedRerunAppendsNothing(t *testing.T) {
+	dir := t.TempDir()
+	figure1(t, dir)
+	logPath := filepath.Join(dir, "access.log")
+	log := walkLog()
+	if err := os.WriteFile(logPath, []byte(log), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	want, _ := streamTo(t, dir, "plain", nil, "-log", logPath)
+	args := []string{"-log", logPath, "-checkpoint", filepath.Join(dir, "state.ckpt")}
+	first, stderr := streamTo(t, dir, "checkpointed", nil, args...)
+	if strings.Contains(stderr, "resuming") || !bytes.Equal(first, want) {
+		t.Fatalf("first checkpointed run: %d bytes (want %d), stderr:\n%s", len(first), len(want), stderr)
+	}
+	again, stderr := streamTo(t, dir, "checkpointed", nil, args...)
+	if resume := fmt.Sprintf("sessionize: resuming %s from byte %d (session file at %d)", logPath, len(log), len(want)); !strings.Contains(stderr, resume) {
+		t.Errorf("rerun: stderr does not say %q:\n%s", resume, stderr)
+	}
+	if !bytes.Equal(again, want) {
+		t.Errorf("rerun: %d bytes in the session file, want the %d -stream writes", len(again), len(want))
+	}
+}
+
+// TestSessionWriteErrorExitsThroughMain: a session file that refuses writes
+// ends the run with exit status 1 and the write error, through main, so the
+// CPU profile is still written.
+func TestSessionWriteErrorExitsThroughMain(t *testing.T) {
+	if _, err := os.Stat("/dev/full"); err != nil {
+		t.Skip("no /dev/full:", err)
+	}
+	dir := t.TempDir()
+	logPath := filepath.Join(dir, "access.log")
+	if err := os.WriteFile(logPath, []byte(walkLog()), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cpu := filepath.Join(dir, "cpu.prof")
+	cmd, stderr := sessionize("-topology", figure1(t, dir), "-log", logPath, "-stream", "-sessions", "/dev/full", "-cpuprofile", cpu)
+	err := cmd.Run()
+	if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != 1 || !strings.Contains(stderr.String(), "no space left on device") {
+		t.Fatalf("err = %v, want exit status 1 and the write error; stderr:\n%s", err, stderr)
+	}
+	if st, err := os.Stat(cpu); err != nil || st.Size() == 0 {
+		t.Errorf("%s: want a non-empty profile (err %v)", cpu, err)
 	}
 }
 

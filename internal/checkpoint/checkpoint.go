@@ -23,8 +23,10 @@ import (
 	"errors"
 	"fmt"
 	"io/fs"
+	"os"
 	"path/filepath"
 
+	"smartsra/internal/clf"
 	"smartsra/internal/core"
 	"smartsra/internal/metrics"
 )
@@ -189,4 +191,38 @@ func Resume(fsys FS, path string) (ck *Checkpoint, reason string, err error) {
 	default:
 		return nil, "", err
 	}
+}
+
+// Position decides whether ck can resume the input set paths — the resolved,
+// ordered files a run reads — with a session file that holds sinkSize bytes.
+// It returns where in the set to resume, or a non-empty reason to replay the
+// set from its start. A checkpoint without LogPath places itself only in a
+// one-file set; otherwise the recorded path must still sit at the recorded
+// index, so a rotated or renamed set replays instead of resuming in the wrong
+// file. A plain file's offset must lie within the file; a gzip member's
+// counts decoded bytes, so the decoder checks it as it discards up to it.
+// The session file must reach SinkOffset, where the resume truncates it.
+func (ck *Checkpoint) Position(paths []string, sinkSize int64) (clf.FilePos, string) {
+	if ck.LogFile < 0 || ck.LogFile >= len(paths) {
+		return clf.FilePos{}, fmt.Sprintf("checkpoint file index %d outside the %d-file input set", ck.LogFile, len(paths))
+	}
+	target := paths[ck.LogFile]
+	switch {
+	case ck.LogPath == "" && len(paths) > 1:
+		return clf.FilePos{}, "single-file checkpoint cannot place itself in a multi-file set"
+	case ck.LogPath != "" && ck.LogPath != target:
+		return clf.FilePos{}, fmt.Sprintf("checkpoint was at %s, input set now has %s there", ck.LogPath, target)
+	case ck.SinkOffset > sinkSize:
+		return clf.FilePos{}, fmt.Sprintf("checkpoint is at byte %d of a %d-byte session file", ck.SinkOffset, sinkSize)
+	}
+	if !clf.IsGzipFile(target) {
+		fi, err := os.Stat(target)
+		if err != nil {
+			return clf.FilePos{}, fmt.Sprintf("stat %s: %v", target, err)
+		}
+		if ck.LogOffset > fi.Size() {
+			return clf.FilePos{}, fmt.Sprintf("checkpoint is at byte %d of the %d-byte %s", ck.LogOffset, fi.Size(), target)
+		}
+	}
+	return clf.FilePos{File: ck.LogFile, Offset: ck.LogOffset}, ""
 }

@@ -104,88 +104,3 @@ func closeAll(closers []io.Closer) error {
 	}
 	return first
 }
-
-// OpenLogInput is the shared CLI input opener: spec "-" yields stdin, and
-// anything else resolves through ResolveLogPaths into a single logical
-// stream — each file gzip-sniffed and decoded, concatenated in lexical
-// order with a newline injected between files whose last line lacks one
-// (so a record straddling a rotation boundary never merges with the next
-// file's first line). It also returns the resolved paths (nil for stdin)
-// so callers that stream per-file — checkpointed ingestion — can use the
-// same resolution.
-func OpenLogInput(spec string) (io.ReadCloser, []string, error) {
-	if spec == "-" {
-		return io.NopCloser(os.Stdin), nil, nil
-	}
-	paths, err := ResolveLogPaths(spec)
-	if err != nil {
-		return nil, nil, err
-	}
-	return &concatReader{paths: paths}, paths, nil
-}
-
-// concatReader streams the decoded contents of a file list, opening each
-// lazily and separating files with an injected '\n' when needed.
-type concatReader struct {
-	paths  []string
-	next   int
-	cur    io.ReadCloser
-	last   byte
-	sawAny bool
-	needNL bool
-}
-
-func (c *concatReader) Read(p []byte) (int, error) {
-	if len(p) == 0 {
-		return 0, nil
-	}
-	for {
-		if c.needNL {
-			c.needNL = false
-			p[0] = '\n'
-			return 1, nil
-		}
-		if c.cur == nil {
-			if c.next >= len(c.paths) {
-				return 0, io.EOF
-			}
-			rc, err := OpenDecoded(c.paths[c.next])
-			if err != nil {
-				return 0, err
-			}
-			c.cur, c.sawAny = rc, false
-			c.next++
-		}
-		n, err := c.cur.Read(p)
-		if n > 0 {
-			c.last = p[n-1]
-			c.sawAny = true
-		}
-		if err == io.EOF {
-			cerr := c.cur.Close()
-			c.cur = nil
-			if cerr != nil {
-				return n, cerr
-			}
-			if c.sawAny && c.last != '\n' && c.next < len(c.paths) {
-				c.needNL = true
-			}
-			if n > 0 {
-				return n, nil
-			}
-			continue
-		}
-		if n > 0 || err != nil {
-			return n, err
-		}
-	}
-}
-
-func (c *concatReader) Close() error {
-	if c.cur == nil {
-		return nil
-	}
-	err := c.cur.Close()
-	c.cur = nil
-	return err
-}

@@ -91,23 +91,6 @@ func TestStreamFilesMatchesConcat(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The shared CLI opener must present the same concatenated view.
-	rc, rpaths, err := OpenLogInput(strings.Join(paths, ","))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rpaths) != len(paths) {
-		t.Fatalf("OpenLogInput paths: %v", rpaths)
-	}
-	cat, catBad, err := ReadAll(rc)
-	rc.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(cat) != len(want) || catBad != wantBad {
-		t.Fatalf("OpenLogInput: %d/%d records, want %d/%d", len(cat), catBad, len(want), wantBad)
-	}
-
 	for _, chunk := range []int{256, 4096, readChunkSize} {
 		var got []Record
 		bad, err := StreamFilesChunked(paths, StreamConfig{ChunkBytes: chunk},
@@ -287,17 +270,6 @@ func TestOpenDecodedSniffsGzip(t *testing.T) {
 	}
 	if string(data) != "hello\nworld\n" {
 		t.Fatalf("decoded %q", data)
-	}
-}
-
-func TestOpenLogInputStdin(t *testing.T) {
-	rc, paths, err := OpenLogInput("-")
-	if err != nil {
-		t.Fatal(err)
-	}
-	rc.Close()
-	if paths != nil {
-		t.Fatalf("stdin must report no paths, got %v", paths)
 	}
 }
 

@@ -102,7 +102,7 @@ func StreamStaged[T any](r io.Reader, cfg StreamConfig, stage func(*Record) T, e
 //
 // Files are independent record streams: a final line without a trailing
 // newline still parses, exactly as if the files were concatenated with
-// newline separators (OpenLogInput's batch view). progress receives the
+// newline separators. progress receives the
 // line-aligned FilePos just past each chunk (decoded bytes within a gzip
 // member); checkpointing consumers return an error from it to stop cleanly
 // mid-set.

@@ -22,8 +22,8 @@ import (
 // identical operation sequence on the same deterministic state machine.
 //
 // The boundary is a record count, not a byte offset, so cuts compose with
-// multi-file input sets, backfill prologues, and gzip members: whatever the
-// source, the Nth record pushed is the Nth record pushed.
+// multi-file input sets and gzip members: whatever the source, the Nth
+// record pushed is the Nth record pushed.
 type ExpiryCut struct {
 	// Seq orders cuts within a run (1-based, strictly increasing). Crash
 	// recovery uses it to skip cuts already baked into a restored snapshot:
