@@ -8,34 +8,34 @@
 //
 //	loadgen -url http://127.0.0.1:8080 -topo topology.json \
 //	        [-agents 500] [-seed 1] [-speedup 60] [-workers 8] \
-//	        [-duration 0] [-chaos] [-json report.json]
+//	        [-duration 0] [-chaos]
 //
 // -speedup compresses simulated time (60 means one simulated minute per real
 // second); 0 disables pacing and issues requests as fast as the workers can,
-// which is the overload configuration. The process exits 0 as long as the
-// replay itself ran; shed responses are data, not failure — gate the JSON
-// report with benchgate.
+// which is the overload configuration. Shed responses are data, not failure.
 //
 // -chaos runs the adversarial suite (slowloris header-drippers, per-IP
 // floods, connection churn, malformed request lines) concurrently with the
-// normal replay, then scrapes the server's /debug/metrics so the JSON report
-// (tool "loadgen-chaos") carries both the client-side classification and the
-// server's own conservation and admission counters for benchgate.
+// normal replay, then waits for the server's /debug/metrics to show its live
+// sessionizer caught up.
+//
+// After the run loadgen prints one line per check (loadgen.Check) and exits
+// 1 if a check failed. A run cut short by -duration or a signal prints its
+// checks and exits 0.
 package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
 	"os/signal"
 	"runtime"
+	"strings"
 	"syscall"
 	"time"
 
 	"smartsra/internal/loadgen"
-	"smartsra/internal/metrics"
 	"smartsra/internal/simulator"
 	"smartsra/internal/webgraph"
 )
@@ -54,12 +54,11 @@ func main() {
 		workers  = flag.Int("workers", 8, "concurrent in-flight requests")
 		timeout  = flag.Duration("timeout", 10*time.Second, "per-request timeout")
 		duration = flag.Duration("duration", 0, "stop the replay after this wall-clock time (0 = run the whole schedule)")
-		chaos    = flag.Bool("chaos", false, "run the adversarial suite (slowloris, floods, churn, malformed) alongside the replay and scrape the server's /debug/metrics into the report")
-		jsonPath = flag.String("json", "", "write the report as flat JSON to this file (benchgate-compatible)")
+		chaos    = flag.Bool("chaos", false, "run the adversarial suite (slowloris, floods, churn, malformed) alongside the replay and check the server's /debug/metrics counters after it")
 	)
 	flag.Parse()
 	if err := run(*url, *topoPath, *agents, *seed, *stp, *lpp, *nip,
-		*window, *speedup, *workers, *timeout, *duration, *chaos, *jsonPath); err != nil {
+		*window, *speedup, *workers, *timeout, *duration, *chaos); err != nil {
 		fmt.Fprintln(os.Stderr, "loadgen:", err)
 		os.Exit(1)
 	}
@@ -67,7 +66,7 @@ func main() {
 
 func run(url, topoPath string, agents int, seed int64, stp, lpp, nip float64,
 	window time.Duration, speedup float64, workers int,
-	timeout, duration time.Duration, chaos bool, jsonPath string) error {
+	timeout, duration time.Duration, chaos bool) error {
 	if url == "" || topoPath == "" {
 		return fmt.Errorf("both -url and -topo are required")
 	}
@@ -108,99 +107,71 @@ func run(url, topoPath string, agents int, seed int64, stp, lpp, nip float64,
 
 	// The chaos suite attacks the same server while the legitimate replay
 	// runs, so admission control is exercised under real mixed traffic.
-	var chaosRep loadgen.ChaosReport
+	var chaosRep *loadgen.ChaosReport
 	var chaosErr error
 	chaosDone := make(chan struct{})
 	if chaos {
 		go func() {
 			defer close(chaosDone)
-			chaosRep, chaosErr = loadgen.RunChaos(ctx, loadgen.ChaosConfig{BaseURL: url})
+			r, err := loadgen.RunChaos(ctx, loadgen.ChaosConfig{BaseURL: url})
+			chaosRep, chaosErr = &r, err
 		}()
 	} else {
 		close(chaosDone)
 	}
 
-	reg := metrics.NewRegistry()
 	rep, err := loadgen.Run(ctx, loadgen.Config{
 		BaseURL:  url,
 		Requests: reqs,
 		Speedup:  speedup,
 		Workers:  workers,
 		Timeout:  timeout,
-		Registry: reg,
 	})
 	if err != nil && err != context.Canceled && err != context.DeadlineExceeded {
 		return err
 	}
+	cut := err != nil
 	fmt.Printf("replay:   %s\n", rep)
 	<-chaosDone
 	if chaosErr != nil {
 		return chaosErr
 	}
+	var server map[string]int64
 	if chaos {
 		fmt.Printf("chaos:    %s\n", chaosRep)
+		if server, err = caughtUp(url); err != nil {
+			return err
+		}
 	}
 
-	if jsonPath != "" {
-		fields := rep.Fields()
-		fields["gomaxprocs"] = runtime.GOMAXPROCS(0)
-		fields["seed"] = seed
-		fields["agents"] = agents
-		fields["speedup_factor"] = speedup
-		fields["workers"] = workers
-		if chaos {
-			fields["tool"] = "loadgen-chaos"
-			for k, v := range chaosRep.Fields() {
-				fields[k] = v
-			}
-			if err := mergeServeMetrics(fields, url); err != nil {
-				return err
-			}
+	var failed []string
+	for _, r := range loadgen.Check(rep, chaosRep, server, runtime.GOMAXPROCS(0)) {
+		fmt.Println(r)
+		if r.Failed {
+			failed = append(failed, r.Check)
 		}
-		data, err := json.MarshalIndent(fields, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(jsonPath, append(data, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("report:   %s\n", jsonPath)
+	}
+	if len(failed) > 0 && !cut {
+		return fmt.Errorf("failed checks: %s", strings.Join(failed, ", "))
 	}
 	return nil
 }
 
-// mergeServeMetrics scrapes the server's /debug/metrics into fields under
-// flat benchgate-friendly keys. It first polls until the live sessionizer has
+// caughtUp polls the server's /debug/metrics until its live sessionizer has
 // read every logged request back from the access log (serve.requests ==
-// serve.ingest.records), because the chaos gate asserts the settled state;
-// after 30s it records whatever the server reports — a sessionizer that fell
-// behind for good should fail the gate loudly, not hide behind a scrape that
-// gave up silently.
-func mergeServeMetrics(fields map[string]any, url string) error {
+// serve.ingest.records), because the chaos checks assert the settled state.
+// After 30s it returns whatever the server reports: a sessionizer that fell
+// behind for good fails the check, it does not hide behind a poll that gave
+// up silently.
+func caughtUp(url string) (map[string]int64, error) {
 	ctx, cancel := context.WithTimeout(context.Background(), 45*time.Second)
 	defer cancel()
 	deadline := time.Now().Add(30 * time.Second)
-	var m map[string]int64
 	for {
-		var err error
-		m, err = loadgen.ScrapeMetrics(ctx, url)
-		if err != nil {
-			return err
-		}
-		if m["serve.requests"] == m["serve.ingest.records"] || time.Now().After(deadline) {
-			break
+		m, err := loadgen.ScrapeMetrics(ctx, url)
+		if err != nil || m["serve.requests"] == m["serve.ingest.records"] || time.Now().After(deadline) {
+			return m, err
 		}
 		time.Sleep(500 * time.Millisecond)
 	}
-	for k, name := range map[string]string{
-		"serve_requests":          "serve.requests",
-		"serve_ingest_records":    "serve.ingest.records",
-		"admission_admitted":      `serve.admission.requests{outcome="admitted"}`,
-		"admission_ip_limited":    `serve.admission.requests{outcome="ip_limited"}`,
-		"admission_inflight_shed": `serve.admission.requests{outcome="inflight_shed"}`,
-		"conns_accepted":          "serve.conns.accepted",
-	} {
-		fields[k] = m[name]
-	}
-	return nil
 }

@@ -15,7 +15,6 @@ import (
 	"smartsra/internal/clf"
 	"smartsra/internal/core"
 	"smartsra/internal/loadgen"
-	"smartsra/internal/metrics"
 	"smartsra/internal/simulator"
 	"smartsra/internal/webgraph"
 )
@@ -122,7 +121,6 @@ func TestLiveOfflineEquivalenceWithExpiry(t *testing.T) {
 			Speedup:  speedup,
 			Workers:  8,
 			Timeout:  2 * time.Second,
-			Registry: metrics.NewRegistry(),
 		})
 		repc <- rep
 	}()

@@ -19,7 +19,6 @@ import (
 	"smartsra/internal/clf"
 	"smartsra/internal/core"
 	"smartsra/internal/loadgen"
-	"smartsra/internal/metrics"
 	"smartsra/internal/session"
 	"smartsra/internal/simulator"
 	"smartsra/internal/webgraph"
@@ -208,7 +207,6 @@ func TestSoakCrashRecoveryUnderLoad(t *testing.T) {
 			Speedup:  speedup,
 			Workers:  8,
 			Timeout:  2 * time.Second,
-			Registry: metrics.NewRegistry(),
 		})
 		repc <- rep
 	}()

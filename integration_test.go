@@ -130,20 +130,18 @@ association rules (16 total, min confidence 0.50):
 }
 
 // TestEveryCommandIsRun fails when a command under cmd/ is neither run by
-// TestCLIWorkflow nor tested in its own directory. loadgen and benchgate are
-// exempt: CI's load and chaos smoke steps run them, and benchgate is to fold
-// into a loadgen exit status.
+// TestCLIWorkflow nor tested in its own directory.
 func TestEveryCommandIsRun(t *testing.T) {
-	exempt := map[string]bool{"loadgen": true, "benchgate": true}
+	run := map[string]bool{}
 	for _, tool := range workflowTools {
-		exempt[tool] = true
+		run[tool] = true
 	}
 	dirs, err := os.ReadDir("cmd")
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, d := range dirs {
-		if !d.IsDir() || exempt[d.Name()] {
+		if !d.IsDir() || run[d.Name()] {
 			continue
 		}
 		tests, err := filepath.Glob(filepath.Join("cmd", d.Name(), "*_test.go"))

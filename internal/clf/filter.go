@@ -1,9 +1,6 @@
 package clf
 
-import (
-	"strings"
-	"time"
-)
+import "strings"
 
 // Filter decides whether a record survives data cleaning. Filters return
 // true to KEEP the record.
@@ -23,14 +20,6 @@ func SuccessOnly(r Record) bool { return r.Success() }
 // MethodGET keeps only GET requests (the paper restricts to page fetches).
 func MethodGET(r Record) bool { return r.Method == "GET" }
 
-// defaultResourceSuffixes are path suffixes that denote embedded resources
-// rather than page views.
-var defaultResourceSuffixes = []string{
-	".gif", ".jpg", ".jpeg", ".png", ".ico", ".bmp", ".svg",
-	".css", ".js", ".swf", ".woff", ".woff2", ".ttf",
-	".mp3", ".mp4", ".avi", ".mpeg", ".pdf", ".zip", ".gz",
-}
-
 // DropResources drops requests for embedded resources (images, scripts,
 // styles, media, archives) using the conventional suffix list. Query strings
 // and fragments are stripped before matching.
@@ -39,12 +28,12 @@ func DropResources(r Record) bool {
 }
 
 // isResourcePath reports whether path (query already stripped) ends in one
-// of defaultResourceSuffixes. It runs on every ingested record, so instead
-// of lowering the path and probing each suffix it extracts the extension of
-// the final path segment (bounded at longestResourceSuffix bytes),
-// ASCII-lowers it into a stack buffer, and matches with one switch. Paths
-// without a dot in the last segment — the overwhelmingly common page-view
-// case — exit after a single backward scan.
+// of the resource suffixes its switch lists. It runs on every ingested
+// record, so instead of lowering the path and probing each suffix it
+// extracts the extension of the final path segment (bounded at
+// longestResourceSuffix bytes), ASCII-lowers it into a stack buffer, and
+// matches with one switch. Paths without a dot in the last segment — the
+// overwhelmingly common page-view case — exit after a single backward scan.
 func isResourcePath(path string) bool {
 	dot := -1
 	for i := len(path) - 1; i >= 0; i-- {
@@ -80,20 +69,8 @@ func isResourcePath(path string) bool {
 }
 
 // longestResourceSuffix bounds the extension buffer in isResourcePath; it
-// must cover the longest entry in defaultResourceSuffixes (".woff2").
+// must cover the longest suffix in its switch (".woff2").
 const longestResourceSuffix = 6
-
-// DropSuffixes returns a filter that drops any URI whose path ends with one
-// of the given suffixes (case-insensitive).
-func DropSuffixes(suffixes ...string) Filter {
-	lowered := make([]string, len(suffixes))
-	for i, s := range suffixes {
-		lowered[i] = strings.ToLower(s)
-	}
-	return func(r Record) bool {
-		return !hasAnySuffix(pathOnly(r.URI), lowered)
-	}
-}
 
 // DropRobots drops requests for /robots.txt (a crawler signature; CLF lacks
 // a user-agent field, so the path is the only available signal).
@@ -125,20 +102,6 @@ func DropUserAgentContaining(substrings ...string) Filter {
 			if strings.Contains(ua, s) {
 				return false
 			}
-		}
-		return true
-	}
-}
-
-// TimeWindow returns a filter keeping records within [from, to). Zero times
-// disable that bound.
-func TimeWindow(from, to time.Time) Filter {
-	return func(r Record) bool {
-		if !from.IsZero() && r.Time.Before(from) {
-			return false
-		}
-		if !to.IsZero() && !r.Time.Before(to) {
-			return false
 		}
 		return true
 	}
@@ -199,17 +162,4 @@ func stripQuery(uri string) string {
 		uri = uri[:i]
 	}
 	return uri
-}
-
-func pathOnly(uri string) string {
-	return strings.ToLower(stripQuery(uri))
-}
-
-func hasAnySuffix(path string, suffixes []string) bool {
-	for _, s := range suffixes {
-		if strings.HasSuffix(path, s) {
-			return true
-		}
-	}
-	return false
 }

@@ -42,44 +42,6 @@ func TestBasicFilters(t *testing.T) {
 	}
 }
 
-func TestDropSuffixes(t *testing.T) {
-	f := DropSuffixes(".XML", ".rss")
-	if f(rec("GET", "/feed.xml", 200)) {
-		t.Error("kept .xml despite case-insensitive suffix")
-	}
-	if f(rec("GET", "/feed.rss?page=2", 200)) {
-		t.Error("kept .rss with query string")
-	}
-	if !f(rec("GET", "/feed.html", 200)) {
-		t.Error("dropped unrelated suffix")
-	}
-}
-
-func TestTimeWindow(t *testing.T) {
-	from := time.Date(2006, 1, 2, 12, 0, 0, 0, time.UTC)
-	to := from.Add(time.Hour)
-	f := TimeWindow(from, to)
-	in := rec("GET", "/x", 200)
-	in.Time = from.Add(time.Minute)
-	if !f(in) {
-		t.Error("dropped in-window record")
-	}
-	before := in
-	before.Time = from.Add(-time.Second)
-	if f(before) {
-		t.Error("kept record before window")
-	}
-	atEnd := in
-	atEnd.Time = to
-	if f(atEnd) {
-		t.Error("kept record at exclusive end")
-	}
-	open := TimeWindow(time.Time{}, time.Time{})
-	if !open(before) || !open(atEnd) {
-		t.Error("open window dropped records")
-	}
-}
-
 func TestChainAndApply(t *testing.T) {
 	f := Chain(SuccessOnly, MethodGET, DropResources)
 	records := []Record{

@@ -2,9 +2,9 @@
 // well-behaved simulated users, RunChaos attacks the same server the way a
 // hostile or broken internet does — slowloris connections that trickle
 // headers forever, single-source floods, connection churn, and malformed
-// request lines — and classifies how the server defended itself. Chaos
-// results are data, not pass/fail: benchgate asserts on the classified
-// counts (and on the server's own /debug/metrics) after the run.
+// request lines — and classifies how the server defended itself. The
+// classified counts are data; Check holds them (and the server's own
+// /debug/metrics) to the defences after the run.
 package loadgen
 
 import (
@@ -61,9 +61,8 @@ type ChaosReport struct {
 	// counts those the server terminated (read-header deadline) before the
 	// run deadline. Opened == ServerClosed means the defense held.
 	SlowOpened, SlowServerClosed int64
-	// Flood outcome counts, same vocabulary as Report: 2xx / 429 / 503 /
-	// everything else.
-	FloodSent, FloodAccepted, FloodRejected, FloodShed, FloodErrors int64
+	// Flood classifies the flood's requests as Run classifies the replay's.
+	Flood Tally
 	// ChurnCycles counts completed connect-disconnect cycles.
 	ChurnCycles int64
 	// MalformedSent counts garbage request lines written; MalformedRefused
@@ -73,31 +72,11 @@ type ChaosReport struct {
 	Duration time.Duration
 }
 
-// Fields flattens the report for the benchgate JSON, prefixed chaos_ so it
-// can be merged with a concurrent replay Report's fields.
-func (r ChaosReport) Fields() map[string]any {
-	return map[string]any{
-		"chaos_slow_opened":        r.SlowOpened,
-		"chaos_slow_server_closed": r.SlowServerClosed,
-		"chaos_flood_sent":         r.FloodSent,
-		"chaos_flood_accepted":     r.FloodAccepted,
-		"chaos_flood_rejected":     r.FloodRejected,
-		"chaos_flood_shed":         r.FloodShed,
-		"chaos_flood_errors":       r.FloodErrors,
-		"chaos_churn_cycles":       r.ChurnCycles,
-		"chaos_malformed_sent":     r.MalformedSent,
-		"chaos_malformed_refused":  r.MalformedRefused,
-		"chaos_duration_seconds":   r.Duration.Seconds(),
-	}
-}
-
 // String summarizes the report for logs.
 func (r ChaosReport) String() string {
 	return fmt.Sprintf(
-		"slowloris=%d/%d closed flood sent=%d accepted=%d rejected=%d shed=%d errors=%d churn=%d malformed=%d/%d refused in %s",
-		r.SlowServerClosed, r.SlowOpened,
-		r.FloodSent, r.FloodAccepted, r.FloodRejected, r.FloodShed, r.FloodErrors,
-		r.ChurnCycles, r.MalformedRefused, r.MalformedSent,
+		"slowloris=%d/%d closed flood %s churn=%d malformed=%d/%d refused in %s",
+		r.SlowServerClosed, r.SlowOpened, r.Flood, r.ChurnCycles, r.MalformedRefused, r.MalformedSent,
 		r.Duration.Round(time.Millisecond))
 }
 
@@ -218,12 +197,7 @@ func slowloris(ctx context.Context, addr string, interval time.Duration, rep *Ch
 // flood fires back-to-back requests from one simulated source address and
 // classifies every response.
 func flood(ctx context.Context, cfg ChaosConfig, ip string, rep *ChaosReport) {
-	client := &http.Client{
-		Timeout: cfg.Timeout,
-		CheckRedirect: func(*http.Request, []*http.Request) error {
-			return http.ErrUseLastResponse
-		},
-	}
+	client := newClient(cfg.Timeout)
 	defer client.CloseIdleConnections()
 	for i := 0; i < cfg.FloodPerIP; i++ {
 		if ctx.Err() != nil {
@@ -235,24 +209,7 @@ func flood(ctx context.Context, cfg ChaosConfig, ip string, rep *ChaosReport) {
 		}
 		req.Header.Set("User-Agent", "smartsra-chaos/1.0")
 		req.Header.Set("X-Forwarded-For", ip)
-		atomic.AddInt64(&rep.FloodSent, 1)
-		resp, err := client.Do(req)
-		if err != nil {
-			atomic.AddInt64(&rep.FloodErrors, 1)
-			continue
-		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		switch {
-		case resp.StatusCode == http.StatusTooManyRequests:
-			atomic.AddInt64(&rep.FloodRejected, 1)
-		case resp.StatusCode == http.StatusServiceUnavailable:
-			atomic.AddInt64(&rep.FloodShed, 1)
-		case resp.StatusCode >= 200 && resp.StatusCode < 400:
-			atomic.AddInt64(&rep.FloodAccepted, 1)
-		default:
-			atomic.AddInt64(&rep.FloodErrors, 1)
-		}
+		rep.Flood.count(client.Do(req))
 	}
 }
 
@@ -309,8 +266,8 @@ func malformed(ctx context.Context, addr string, n int, rep *ChaosReport) {
 
 // ScrapeMetrics fetches baseURL's /debug/metrics text endpoint ("counter
 // name value" / "gauge name value" lines, labeled series rendered as
-// name{k="v"}) into a flat map. Chaos soaks use it to read the server's own
-// conservation and admission counters into the benchgate report.
+// name{k="v"}) into a flat map, keyed by the registry's names. A chaos run
+// reads the server's own conservation and admission counters with it.
 func ScrapeMetrics(ctx context.Context, baseURL string) (map[string]int64, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, baseURL+"/debug/metrics", nil)
 	if err != nil {

@@ -67,20 +67,20 @@ func TestChaosClassification(t *testing.T) {
 		t.Errorf("server closed %d of %d slowloris connections; the read-header deadline should kill them all",
 			rep.SlowServerClosed, rep.SlowOpened)
 	}
-	if rep.FloodSent != floodIPs*floodPerIP {
-		t.Errorf("flood sent %d, want %d", rep.FloodSent, floodIPs*floodPerIP)
+	if rep.Flood.Sent != floodIPs*floodPerIP {
+		t.Errorf("flood sent %d, want %d", rep.Flood.Sent, floodIPs*floodPerIP)
 	}
-	if got := rep.FloodAccepted + rep.FloodRejected + rep.FloodShed + rep.FloodErrors; got != rep.FloodSent {
-		t.Errorf("flood classification leaks: %d classified of %d sent", got, rep.FloodSent)
+	if got := rep.Flood.Accepted + rep.Flood.Rejected + rep.Flood.Shed + rep.Flood.Errors; got != rep.Flood.Sent {
+		t.Errorf("flood classification leaks: %d classified of %d sent", got, rep.Flood.Sent)
 	}
 	// Each flooding IP gets its burst admitted and (nearly) everything else
 	// 429'd; the tiny refill rate can admit at most a request or two extra.
-	if rep.FloodAccepted < floodIPs*burst {
-		t.Errorf("flood accepted %d, want at least the %d budgeted", rep.FloodAccepted, floodIPs*burst)
+	if rep.Flood.Accepted < floodIPs*burst {
+		t.Errorf("flood accepted %d, want at least the %d budgeted", rep.Flood.Accepted, floodIPs*burst)
 	}
-	if rep.FloodRejected < int64(floodIPs*(floodPerIP-burst)-floodIPs) {
+	if rep.Flood.Rejected < int64(floodIPs*(floodPerIP-burst)-floodIPs) {
 		t.Errorf("flood rejected %d, want ~%d over-budget requests 429'd",
-			rep.FloodRejected, floodIPs*(floodPerIP-burst))
+			rep.Flood.Rejected, floodIPs*(floodPerIP-burst))
 	}
 	if rep.ChurnCycles != churnN {
 		t.Errorf("churn completed %d cycles, want %d", rep.ChurnCycles, churnN)

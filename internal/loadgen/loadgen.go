@@ -36,18 +36,15 @@ type Config struct {
 	Workers int
 	// Timeout bounds each request (default 10s).
 	Timeout time.Duration
-	// Registry receives loadgen.* counters and the latency histogram
-	// (default metrics.Default).
-	Registry *metrics.Registry
-	// UserAgent is sent on every request (default "smartsra-loadgen/1.0").
-	UserAgent string
 }
 
-// Report is the outcome of one replay.
-type Report struct {
+// Tally counts the outcomes of a set of requests. Every request sent lands
+// in exactly one of Accepted, Shed, Rejected and Errors.
+type Tally struct {
 	// Sent counts requests handed to the HTTP client.
 	Sent int64
-	// Accepted counts 2xx responses.
+	// Accepted counts 2xx and 3xx responses (the site's "/" start page
+	// answers 302, and the client follows no redirect).
 	Accepted int64
 	// Shed counts 503 responses — the server's explicit load-shedding signal.
 	Shed int64
@@ -57,6 +54,54 @@ type Report struct {
 	Rejected int64
 	// Errors counts transport failures and any other status.
 	Errors int64
+}
+
+// count classifies one request by what the HTTP client returned for it,
+// draining and closing the response body. It is safe for concurrent use.
+func (t *Tally) count(resp *http.Response, err error) {
+	atomic.AddInt64(&t.Sent, 1)
+	if err != nil {
+		atomic.AddInt64(&t.Errors, 1)
+		return
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	switch {
+	case resp.StatusCode == http.StatusServiceUnavailable:
+		atomic.AddInt64(&t.Shed, 1)
+	case resp.StatusCode == http.StatusTooManyRequests:
+		atomic.AddInt64(&t.Rejected, 1)
+	case resp.StatusCode >= 200 && resp.StatusCode < 400:
+		atomic.AddInt64(&t.Accepted, 1)
+	default:
+		atomic.AddInt64(&t.Errors, 1)
+	}
+}
+
+// conserves reports whether every request sent was classified exactly once.
+func (t Tally) conserves() bool {
+	return t.Sent > 0 && t.Accepted+t.Shed+t.Rejected+t.Errors == t.Sent
+}
+
+func (t Tally) String() string {
+	return fmt.Sprintf("sent=%d accepted=%d shed=%d rejected=%d errors=%d",
+		t.Sent, t.Accepted, t.Shed, t.Rejected, t.Errors)
+}
+
+// newClient returns a client that follows no redirect, so a redirect is the
+// outcome of the request that got it.
+func newClient(timeout time.Duration) *http.Client {
+	return &http.Client{
+		Timeout: timeout,
+		CheckRedirect: func(*http.Request, []*http.Request) error {
+			return http.ErrUseLastResponse
+		},
+	}
+}
+
+// Report is the outcome of one replay.
+type Report struct {
+	Tally
 	// Duration is the wall-clock span of the replay.
 	Duration time.Duration
 	// Latency holds the full client-side latency distribution of every
@@ -64,39 +109,14 @@ type Report struct {
 	Latency metrics.HistogramStats
 }
 
-// ShedRate is Shed / Sent (0 for an empty run).
-func (r Report) ShedRate() float64 {
-	if r.Sent == 0 {
-		return 0
-	}
-	return float64(r.Shed) / float64(r.Sent)
-}
-
-// Fields flattens the report into the flat-JSON shape the benchgate tool
-// checks: conservation inputs, quantiles in seconds, and the shed rate.
-func (r Report) Fields() map[string]any {
-	return map[string]any{
-		"tool":             "loadgen",
-		"sent":             r.Sent,
-		"accepted":         r.Accepted,
-		"shed":             r.Shed,
-		"rejected":         r.Rejected,
-		"errors":           r.Errors,
-		"shed_rate":        r.ShedRate(),
-		"duration_seconds": r.Duration.Seconds(),
-		"latency_count":    r.Latency.Count,
-		"latency_mean":     r.Latency.Mean(),
-		"p50_seconds":      r.Latency.Quantile(0.50),
-		"p99_seconds":      r.Latency.Quantile(0.99),
-		"p999_seconds":     r.Latency.Quantile(0.999),
-	}
-}
-
 // String summarizes the report for logs.
 func (r Report) String() string {
-	return fmt.Sprintf(
-		"sent=%d accepted=%d shed=%d rejected=%d errors=%d shed_rate=%.3f p50=%s p99=%s p999=%s in %s",
-		r.Sent, r.Accepted, r.Shed, r.Rejected, r.Errors, r.ShedRate(),
+	shedRate := 0.0
+	if r.Sent > 0 {
+		shedRate = float64(r.Shed) / float64(r.Sent)
+	}
+	return fmt.Sprintf("%s shed_rate=%.3f p50=%s p99=%s p999=%s in %s",
+		r.Tally, shedRate,
 		secs(r.Latency.Quantile(0.50)), secs(r.Latency.Quantile(0.99)),
 		secs(r.Latency.Quantile(0.999)), r.Duration.Round(time.Millisecond))
 }
@@ -121,30 +141,11 @@ func Run(ctx context.Context, cfg Config) (Report, error) {
 	if timeout <= 0 {
 		timeout = 10 * time.Second
 	}
-	reg := cfg.Registry
-	if reg == nil {
-		reg = metrics.Default
-	}
-	agent := cfg.UserAgent
-	if agent == "" {
-		agent = "smartsra-loadgen/1.0"
-	}
-	var (
-		sent     = reg.GetCounter("loadgen.sent")
-		accepted = reg.GetCounter("loadgen.accepted")
-		shed     = reg.GetCounter("loadgen.shed")
-		rejected = reg.GetCounter("loadgen.rejected")
-		errors   = reg.GetCounter("loadgen.errors")
-		latency  = reg.GetHistogramBuckets("loadgen.latency.seconds", metrics.LatencyBuckets)
-	)
-	client := &http.Client{
-		Timeout: timeout,
-		// The site's "/" start-page redirect must count as one request, and
-		// page URIs never redirect, so follow nothing.
-		CheckRedirect: func(*http.Request, []*http.Request) error {
-			return http.ErrUseLastResponse
-		},
-	}
+	// The histogram is this run's own: a registry shared between runs would
+	// mix their latencies.
+	reg := metrics.NewRegistry()
+	latency := reg.GetHistogramBuckets("loadgen.latency.seconds", metrics.LatencyBuckets)
+	client := newClient(timeout)
 	defer client.CloseIdleConnections()
 
 	var rep Report
@@ -157,13 +158,10 @@ func Run(ctx context.Context, cfg Config) (Report, error) {
 			for q := range work {
 				req, err := http.NewRequestWithContext(ctx, http.MethodGet, cfg.BaseURL+q.URI, nil)
 				if err != nil {
-					atomic.AddInt64(&rep.Sent, 1)
-					atomic.AddInt64(&rep.Errors, 1)
-					sent.Add(1)
-					errors.Add(1)
+					rep.count(nil, err)
 					continue
 				}
-				req.Header.Set("User-Agent", agent)
+				req.Header.Set("User-Agent", "smartsra-loadgen/1.0")
 				// The simulated user's identity rides X-Forwarded-For so a
 				// server started with -trust-forwarded keys sessions by
 				// simulated user, not by the one loopback address all
@@ -174,29 +172,9 @@ func Run(ctx context.Context, cfg Config) (Report, error) {
 				}
 				start := time.Now()
 				resp, err := client.Do(req)
-				atomic.AddInt64(&rep.Sent, 1)
-				sent.Add(1)
-				if err != nil {
-					atomic.AddInt64(&rep.Errors, 1)
-					errors.Add(1)
-					continue
-				}
-				io.Copy(io.Discard, resp.Body)
-				resp.Body.Close()
-				latency.Observe(time.Since(start).Seconds())
-				switch {
-				case resp.StatusCode == http.StatusServiceUnavailable:
-					atomic.AddInt64(&rep.Shed, 1)
-					shed.Add(1)
-				case resp.StatusCode == http.StatusTooManyRequests:
-					atomic.AddInt64(&rep.Rejected, 1)
-					rejected.Add(1)
-				case resp.StatusCode >= 200 && resp.StatusCode < 300:
-					atomic.AddInt64(&rep.Accepted, 1)
-					accepted.Add(1)
-				default:
-					atomic.AddInt64(&rep.Errors, 1)
-					errors.Add(1)
+				rep.count(resp, err)
+				if err == nil {
+					latency.Observe(time.Since(start).Seconds())
 				}
 			}
 		}()

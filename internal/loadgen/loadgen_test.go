@@ -9,7 +9,6 @@ import (
 	"testing"
 	"time"
 
-	"smartsra/internal/metrics"
 	"smartsra/internal/simulator"
 )
 
@@ -46,13 +45,11 @@ func TestRunConservation(t *testing.T) {
 	}))
 	defer srv.Close()
 
-	reg := metrics.NewRegistry()
 	reqs := schedule(200, time.Second)
 	rep, err := Run(context.Background(), Config{
 		BaseURL:  srv.URL,
 		Requests: reqs,
 		Workers:  4,
-		Registry: reg,
 		// Speedup 0: no pacing, full pressure.
 	})
 	if err != nil {
@@ -77,9 +74,6 @@ func TestRunConservation(t *testing.T) {
 	if p99 := rep.Latency.Quantile(0.99); p99 <= 0 {
 		t.Errorf("p99 = %v, want > 0", p99)
 	}
-	if reg.GetCounter("loadgen.shed").Value() != rep.Shed {
-		t.Error("registry counters diverge from the report")
-	}
 }
 
 // TestRunPacing: with a finite speedup the replay must take at least the
@@ -99,7 +93,6 @@ func TestRunPacing(t *testing.T) {
 		Requests: reqs,
 		Speedup:  100,
 		Workers:  4,
-		Registry: metrics.NewRegistry(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -133,7 +126,6 @@ func TestRunCancel(t *testing.T) {
 			Requests: schedule(1000, time.Millisecond),
 			Workers:  2,
 			Timeout:  5 * time.Second,
-			Registry: metrics.NewRegistry(),
 		})
 	}()
 	time.Sleep(50 * time.Millisecond)
@@ -148,5 +140,40 @@ func TestRunCancel(t *testing.T) {
 	}
 	if rep.Sent >= 1000 {
 		t.Errorf("cancel did not stop dispatch (sent %d)", rep.Sent)
+	}
+}
+
+// TestRunsKeepTheirOwnLatencies: two replays in one process each report the
+// latencies of their own responses, not of every run so far.
+func TestRunsKeepTheirOwnLatencies(t *testing.T) {
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Write([]byte("ok"))
+	}))
+	defer srv.Close()
+
+	for i := 0; i < 2; i++ {
+		rep, err := Run(context.Background(), Config{BaseURL: srv.URL, Requests: schedule(30, time.Second), Workers: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Latency.Count != rep.Accepted || rep.Accepted != 30 {
+			t.Errorf("run %d: latency count %d for %d responses (30 sent)", i+1, rep.Latency.Count, rep.Accepted)
+		}
+	}
+}
+
+// TestTallyClassifies pins the one classifier the replay and the flood share:
+// a redirect is accepted, 503 is shed, 429 is rejected, and any other status
+// or a transport failure is an error.
+func TestTallyClassifies(t *testing.T) {
+	var got Tally
+	for _, status := range []int{200, 302, 503, 429, 404, 500} {
+		rec := httptest.NewRecorder()
+		rec.WriteHeader(status)
+		got.count(rec.Result(), nil)
+	}
+	got.count(nil, context.DeadlineExceeded)
+	if want := (Tally{Sent: 7, Accepted: 2, Shed: 1, Rejected: 1, Errors: 3}); got != want {
+		t.Errorf("tally %+v, want %+v", got, want)
 	}
 }

@@ -103,18 +103,7 @@ func newHistogram(bounds []float64) *Histogram {
 }
 
 // Observe records one value.
-func (h *Histogram) Observe(v float64) {
-	i := sort.SearchFloat64s(h.bounds, v) // first bound >= v; len(bounds) = +Inf
-	h.counts[i].Add(1)
-	h.count.Add(1)
-	for {
-		old := h.sumBits.Load()
-		next := math.Float64bits(math.Float64frombits(old) + v)
-		if h.sumBits.CompareAndSwap(old, next) {
-			return
-		}
-	}
-}
+func (h *Histogram) Observe(v float64) { h.ObserveWeighted(v, 1) }
 
 // ObserveDuration records a duration in seconds — the conventional unit for
 // time histograms.
@@ -129,7 +118,7 @@ func (h *Histogram) ObserveWeighted(v float64, n int64) {
 	if n <= 0 {
 		return
 	}
-	i := sort.SearchFloat64s(h.bounds, v)
+	i := sort.SearchFloat64s(h.bounds, v) // first bound >= v; len(bounds) = +Inf
 	h.counts[i].Add(n)
 	h.count.Add(n)
 	for {

@@ -31,7 +31,7 @@ func ExampleBrowse() {
 	}
 	sink := &CollectSink{}
 	clock := &fakeClock{now: time.Date(2006, 1, 2, 0, 0, 0, 0, time.UTC)}
-	srv := httptest.NewServer(AccessLog(NewSite(g), sink, clock.Now))
+	srv := httptest.NewServer(AccessLogWith(NewSite(g), sink, LogOptions{Now: clock.Now}))
 	defer srv.Close()
 	fmt.Println("site:", g)
 

@@ -16,7 +16,7 @@ import (
 // FuzzAccessLogRecord hammers the untrusted HTTP → CLF boundary: hostile
 // URIs, Referers, User-Agents, and forwarded client addresses (NULs, CRLF,
 // quotes, terminal escapes, multi-megabyte values) flow through
-// webserver.AccessLog and the CLF writer, and every written line must
+// webserver.AccessLogWith and the CLF writer, and every written line must
 // re-parse to exactly the record that was logged — one line per request, no
 // log injection, no torn framing, no record lost to the 1 MiB line cap.
 func FuzzAccessLogRecord(f *testing.F) {

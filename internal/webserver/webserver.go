@@ -178,15 +178,10 @@ type LogOptions struct {
 	TrustForwardedFor bool
 }
 
-// AccessLog wraps an http.Handler with CLF access logging: every request
+// AccessLogWith wraps an http.Handler with CLF access logging: every request
 // produces one clf.Record on the sink, with the client IP, timestamp,
 // request line, status, byte count, Referer, and User-Agent (the last two
-// populate combined-format rendering only).
-func AccessLog(next http.Handler, sink LogSink, now func() time.Time) http.Handler {
-	return AccessLogWith(next, sink, LogOptions{Now: now})
-}
-
-// AccessLogWith is AccessLog with options. Every client-controlled field
+// populate combined-format rendering only). Every client-controlled field
 // (host, URI, protocol, method, Referer, User-Agent) passes through
 // clf.SanitizeRecord before reaching the sink, so a hostile request cannot
 // inject log lines, tear CLF framing, or blow a field past the line cap —

@@ -111,7 +111,7 @@ func TestAccessLogProducesParseableCLF(t *testing.T) {
 	g, ids, site := figureSite(t)
 	sink := &CollectSink{}
 	clock := &fakeClock{now: time.Date(2006, 1, 2, 12, 0, 0, 0, time.UTC)}
-	srv := httptest.NewServer(AccessLog(site, sink, clock.Now))
+	srv := httptest.NewServer(AccessLogWith(site, sink, LogOptions{Now: clock.Now}))
 	defer srv.Close()
 
 	req, _ := http.NewRequest("GET", srv.URL+g.Label(ids["P1"]), nil)
@@ -219,7 +219,7 @@ func TestLiveBrowseEndToEnd(t *testing.T) {
 	}
 	sink := &CollectSink{}
 	clock := &fakeClock{now: time.Date(2006, 1, 2, 0, 0, 0, 0, time.UTC)}
-	srv := httptest.NewServer(AccessLog(NewSite(g), sink, clock.Now))
+	srv := httptest.NewServer(AccessLogWith(NewSite(g), sink, LogOptions{Now: clock.Now}))
 	defer srv.Close()
 
 	var entries []string
