@@ -43,7 +43,7 @@ type liveFixture struct {
 
 	expire, ckpt chan time.Time
 	clock        time.Time // what own.now returns
-	stopped      bool
+	running      bool      // started and not stopped: the cleanup stops it
 }
 
 // t0 is where the fixtures' request times start.
@@ -95,7 +95,7 @@ func newLiveFixture(t *testing.T, mut func(*options)) *liveFixture {
 	f.own.now = func() time.Time { return f.clock }
 	f.own.expireTick, f.own.ckptTick = f.expire, f.ckpt
 	t.Cleanup(func() {
-		if !f.stopped {
+		if f.running {
 			f.stop()
 		}
 		f.own.close()
@@ -103,10 +103,13 @@ func newLiveFixture(t *testing.T, mut func(*options)) *liveFixture {
 	return f
 }
 
-func (f *liveFixture) start() { go f.own.run() }
+func (f *liveFixture) start() {
+	f.running = true
+	go f.own.run()
+}
 
 func (f *liveFixture) stop() {
-	f.stopped = true
+	f.running = false
 	f.own.stop()
 }
 
@@ -270,7 +273,7 @@ func page(h http.Handler, user string, i int) *httptest.ResponseRecorder {
 func TestQueueBarrierWaitsForProcessing(t *testing.T) {
 	f := newLiveFixture(t, withCheckpoint)
 	saves := 0
-	f.own.ckpt = checkpoint.NewWriter(hookFS{FS: checkpoint.OS, beforeRename: func(tmp string) {
+	f.own.stream.Ckpt = checkpoint.NewWriter(hookFS{FS: checkpoint.OS, beforeRename: func(tmp string) {
 		saves++
 		ck, err := checkpoint.Load(checkpoint.OS, tmp)
 		if err != nil {
@@ -286,9 +289,9 @@ func TestQueueBarrierWaitsForProcessing(t *testing.T) {
 			t.Errorf("checkpoint %d: %d records in the tail, but %d log lines before LogOffset %d",
 				saves, ck.Tail.Stats.Records, lines, ck.LogOffset)
 		}
-		if sess := f.readFile(f.opts.sessPath); ck.SinkOffset != f.own.tee.good || ck.SinkOffset != int64(len(sess)) {
+		if sess := f.readFile(f.opts.sessPath); ck.SinkOffset != f.own.stream.Out.Good || ck.SinkOffset != int64(len(sess)) {
 			t.Errorf("checkpoint %d: SinkOffset %d, session file known good to %d of %d bytes",
-				saves, ck.SinkOffset, f.own.tee.good, len(sess))
+				saves, ck.SinkOffset, f.own.stream.Out.Good, len(sess))
 		}
 	}}, f.opts.ckptPath, 0)
 	f.start()
@@ -335,7 +338,7 @@ func TestQueueBarrierWaitsForProcessing(t *testing.T) {
 func TestCheckpointSaveLeavesLogLockFree(t *testing.T) {
 	f := newLiveFixture(t, withCheckpoint)
 	hold, entered, release := true, make(chan struct{}), make(chan struct{})
-	f.own.ckpt = checkpoint.NewWriter(hookFS{FS: checkpoint.OS, beforeCreate: func() {
+	f.own.stream.Ckpt = checkpoint.NewWriter(hookFS{FS: checkpoint.OS, beforeCreate: func() {
 		if hold { // the first save only; the owner alone runs this
 			hold = false
 			entered <- struct{}{}
@@ -409,7 +412,7 @@ func TestQueueStopDrainsFullBacklog(t *testing.T) {
 	}
 	f.start()
 	f.stop()
-	if got := f.own.tee.st.Stats().Records; got != backlog {
+	if got := f.own.stream.Tail.Stats().Records; got != backlog {
 		t.Fatalf("processed %d of %d backlog records", got, backlog)
 	}
 	if got := metricIngested.Value() - ingested; got != backlog {
@@ -430,7 +433,7 @@ func TestQueueStragglerAfterStop(t *testing.T) {
 	second := newLiveFixture(t, func(o *options) {
 		o.logPath, o.sessPath, o.ckptPath = first.opts.logPath, first.opts.sessPath, first.opts.ckptPath
 	})
-	if got := second.own.tee.st.Stats().Records; got != 2 {
+	if got := second.own.stream.Tail.Stats().Records; got != 2 {
 		t.Fatalf("recovered tail counts %d records, want the first run's one and the straggler", got)
 	}
 	second.start()
@@ -503,7 +506,7 @@ func TestTornLineWaitsForItsNewline(t *testing.T) {
 		t.Fatalf("%d records ingested, want the completed line and the one logged after it", got)
 	}
 	f.stop()
-	if got := f.own.tee.st.Stats().Records; got != 2 {
+	if got := f.own.stream.Tail.Stats().Records; got != 2 {
 		t.Fatalf("tail saw %d records, want 2", got)
 	}
 	if live, want := f.readFile(f.opts.sessPath), f.cutReplay(); !bytes.Equal(live, want) {
@@ -537,7 +540,7 @@ func TestRotationReadsTheOldLogToItsEnd(t *testing.T) {
 		f.send(request("10.0.0.1", 3+i, time.Duration(3+i)*time.Second))
 	}
 	f.stop()
-	if got := f.own.tee.st.Stats().Records; got != 5 {
+	if got := f.own.stream.Tail.Stats().Records; got != 5 {
 		t.Fatalf("tail saw %d records, want the 3 in the rotated log and the 2 after", got)
 	}
 	if n := bytes.Count(f.readFile(f.opts.logPath), []byte("\n")); n != 2 {
@@ -594,7 +597,6 @@ func TestListenerErrorKeepsOpenSessions(t *testing.T) {
 	}
 	result := make(chan error, 1)
 	go func() { result <- f.own.serve(&http.Server{Handler: f.s.handler(f.opts)}, ln, nil) }()
-	f.stopped = true // serve stops the owner itself
 
 	client := &http.Client{Transport: &http.Transport{DisableKeepAlives: true}}
 	users := []string{"10.1.0.1", "10.1.0.2", "10.1.0.3"}
@@ -763,7 +765,7 @@ func (f *liveFixture) land() {
 // outage is reported once when it starts and once when it ends.
 func TestFailedSessionWriteKeepsOrder(t *testing.T) {
 	f := newLiveFixture(t, nil)
-	f.own.tee.w = &faultio.Writer{W: f.own.tee.f, Schedule: faultio.FaultAt(faultio.Short, 0, 1, 2, 3, 4, 5, 6)}
+	f.own.stream.Out.W = &faultio.Writer{W: f.own.stream.Out.F, Schedule: faultio.FaultAt(faultio.Short, 0, 1, 2, 3, 4, 5, 6)}
 	past := session.DefaultPageStay + time.Minute
 	stderr := captureStderr(t, func() {
 		f.start()
@@ -859,7 +861,7 @@ func sessionWriteOutage(t *testing.T, seed int64, abandon bool) {
 	faultSessionWrites(t, seededWrites(rng, &mode))
 	f := newLiveFixture(t, withCheckpoint)
 	saves, heldSaves := 0, 0
-	f.own.ckpt = checkpoint.NewWriter(hookFS{FS: checkpoint.OS, beforeCreate: func() {
+	f.own.stream.Ckpt = checkpoint.NewWriter(hookFS{FS: checkpoint.OS, beforeCreate: func() {
 		saves++
 		if heldSessions.Value() > 0 {
 			heldSaves++
@@ -975,7 +977,7 @@ func sessionWriteOutage(t *testing.T, seed int64, abandon bool) {
 func TestFailedSessionSyncSavesNoCheckpoint(t *testing.T) {
 	f := newLiveFixture(t, withCheckpoint)
 	saves := 0
-	f.own.ckpt = checkpoint.NewWriter(hookFS{FS: checkpoint.OS, beforeCreate: func() { saves++ }}, f.opts.ckptPath, 0)
+	f.own.stream.Ckpt = checkpoint.NewWriter(hookFS{FS: checkpoint.OS, beforeCreate: func() { saves++ }}, f.opts.ckptPath, 0)
 	f.start()
 	f.send(request("10.0.0.1", 0, 0))
 	f.send(request("10.0.0.1", 1, session.DefaultPageStay+time.Minute)) // the first burst is a session
@@ -984,7 +986,7 @@ func TestFailedSessionSyncSavesNoCheckpoint(t *testing.T) {
 		t.Fatal("no session was written")
 	}
 	before := f.readFile(f.opts.ckptPath)
-	f.own.tee.f.Close() // its sync fails now, as a disk's can
+	f.own.stream.Out.F.Close() // its sync fails now, as a disk's can
 	stderr := captureStderr(t, func() {
 		f.ckpt <- time.Time{}
 		f.stop()
@@ -1018,8 +1020,8 @@ func TestStartupReplayWithFailingSessionWrites(t *testing.T) {
 			o.close()
 		}
 	})
-	if want := "replay " + first.opts.logPath + ": "; !errors.Is(err, errHeld) || !strings.HasPrefix(err.Error(), want) {
-		t.Errorf("newOwner = %v, want %q followed by %q", err, want, errHeld)
+	if want := "replay " + first.opts.logPath + ": "; !errors.Is(err, faultio.ErrInjected) || !strings.HasPrefix(err.Error(), want) {
+		t.Errorf("newOwner = %v, want %q followed by the refused write", err, want)
 	}
 }
 
@@ -1050,7 +1052,7 @@ func TestOldDeadLetterJournalIsNamedAtStartup(t *testing.T) {
 // whatever the next run appends.
 func TestStopWithSessionWritesHeldLeavesNoTornWrite(t *testing.T) {
 	f := newLiveFixture(t, nil)
-	f.own.tee.w = &faultio.Writer{W: f.own.tee.f, Schedule: func(call int) faultio.Fault {
+	f.own.stream.Out.W = &faultio.Writer{W: f.own.stream.Out.F, Schedule: func(call int) faultio.Fault {
 		if call == 0 {
 			return faultio.OK
 		}

@@ -52,7 +52,9 @@
 // the access log from the recorded offset — sessions across a crash are
 // emitted exactly once. A corrupt or stale checkpoint is detected and
 // recovery falls back to a full replay of the access log. -checkpoint
-// needs -log and -sessions (the offsets refer to those files).
+// needs -log and -sessions (the offsets refer to those files). The owner's
+// sessionizing, recovery and checkpoints are checkpoint.Run, the streaming
+// run sessionize -stream drives over a log that ends.
 package main
 
 import (
@@ -187,19 +189,19 @@ func run(o options) error {
 	fmt.Printf("serve: listening on %s\n", ln.Addr())
 	fmt.Printf("serving %s on %s (log: %s, format: %s, metrics: /debug/metrics, profiles: /debug/pprof/)\n",
 		s.g, ln.Addr(), orStderr(o.logPath), format(o.combined))
-	if own.tee != nil {
+	if own.stream != nil {
 		fmt.Printf("sessionizing %s live to %s (expire every %v)\n", o.logPath, o.sessPath, o.expireEvery)
 	}
-	if own.ckpt != nil {
+	if own.stream != nil && own.stream.Ckpt != nil {
 		fmt.Printf("checkpointing to %s every %v\n", o.ckptPath, o.ckptEvery)
 	}
 
 	// Timers are messages to the owner like everything else. A period of zero
 	// or less gets time.Tick's nil channel: a select case that never fires.
-	if own.tee != nil {
+	if own.stream != nil {
 		own.expireTick = time.Tick(o.expireEvery)
 	}
-	if own.ckpt != nil {
+	if own.stream != nil && own.stream.Ckpt != nil {
 		own.ckptTick = time.Tick(o.ckptEvery)
 	}
 	hup := make(chan os.Signal, 1)

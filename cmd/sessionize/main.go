@@ -36,11 +36,10 @@
 // continuously instead of holding every open burst until EOF. Each tick runs
 // on the goroutine that sessionizes, between two chunks — the record boundary
 // serve journals a cut at — and fires on an idle pipe too, where the parser
-// goroutine is the one waiting for input; with it on, every sunk batch is
-// flushed to the output. The default (0) enables a 30s tick for pipes and
-// stdin and disables it for regular files, where wall-clock expiry would
-// split historical sessions that batch mode merges; a negative value forces
-// it off everywhere.
+// goroutine is the one waiting for input. The default (0) enables a 30s tick
+// for pipes and stdin and disables it for regular files, where wall-clock
+// expiry would split historical sessions that batch mode merges; a negative
+// value forces it off everywhere.
 //
 // -checkpoint makes a streaming run crash-safe: state is periodically
 // snapshotted (open bursts + byte offsets, atomic CRC-protected writes),
@@ -66,7 +65,6 @@ import (
 	"bufio"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"strconv"
 	"time"
@@ -80,10 +78,6 @@ import (
 	"smartsra/internal/session"
 	"smartsra/internal/webgraph"
 )
-
-// sessionWriter is what the session output is written to: the file itself,
-// or a test's fault injector in front of it.
-var sessionWriter = func(f *os.File) io.Writer { return f }
 
 // options collects the parsed command line.
 type options struct {
@@ -198,7 +192,7 @@ func run(o options) error {
 		if o.stream {
 			return fmt.Errorf("-stream does not support the referrer heuristic (it chains over the full record list)")
 		}
-		return runReferrer(g, paths, o.statsOnly, o.sessPath)
+		return runReferrer(g, paths, o)
 	}
 
 	h, err := pickHeuristic(o.heur, g)
@@ -221,20 +215,7 @@ func run(o options) error {
 			defer tick.Stop()
 			cfg.ExpireTick = tick.C
 		}
-		var cuts []core.ExpiryCut
-		if o.cutsPath != "" {
-			cf, err := os.Open(o.cutsPath)
-			if err != nil {
-				return err
-			}
-			cuts, err = core.ReadCuts(cf)
-			cf.Close()
-			if err != nil {
-				return fmt.Errorf("reading %s: %w", o.cutsPath, err)
-			}
-			fmt.Fprintf(os.Stderr, "sessionize: replaying %d expiry cuts from %s\n", len(cuts), o.cutsPath)
-		}
-		return runStream(cfg, o, paths, cuts, checkpoint.OS, os.Stderr)
+		return runStream(cfg, o, paths)
 	}
 	pipeline, err := core.NewPipeline(cfg)
 	if err != nil {
@@ -249,10 +230,8 @@ func run(o options) error {
 		return err
 	}
 	res.Stats.Malformed = malformed
-	if !o.statsOnly {
-		if err := writeSessions(o.sessPath, res.Sessions); err != nil {
-			return err
-		}
+	if err := writeSessions(o, res.Sessions); err != nil {
+		return err
 	}
 	if d, ok := h.(heuristics.Describer); ok {
 		fmt.Fprintf(os.Stderr, "heuristic: %s — %s\n", h.Name(), d.Describe())
@@ -276,211 +255,107 @@ func mayNeverEnd(paths []string) bool {
 	return false
 }
 
-// runStream is the one streaming run: a Tail fed in input order by the chunk
-// reader, writing each session the moment its burst closes — on a gap, or
-// when the log's clock runs 2ρ past it. Heap usage is independent of log
-// length and of the users it has seen, so this path handles logs larger than
-// RAM and never-ending stdin pipes. File inputs (paths non-nil) are read like
-// stdin, one read buffer at a time, with a decoder goroutine per gzip member;
-// nil paths reads stdin. With cfg.ExpireTick set, each tick also finalizes
-// users quiet for longer than the session gap, so sessions keep flowing while
-// input does. A non-empty cuts sequence (from -cuts) replays serve's
-// journaled timed expiries at the exact record boundaries the live run froze
-// them at, making the output byte-identical to the live session stream even
-// when the server ran with -expire-every.
+// runStream is the one streaming run (checkpoint.Run, which serve's owner
+// runs too): a Tail fed in input order by the chunk reader, writing each
+// session the moment its burst closes — on a gap, or when the log's clock
+// runs 2ρ past it. Heap usage is independent of log length and of the users
+// it has seen, so this path handles logs larger than RAM and never-ending
+// stdin pipes. File inputs (paths non-nil) are read like stdin, one read
+// buffer at a time, with a decoder goroutine per gzip member; nil paths reads
+// stdin. With cfg.ExpireTick set, each tick also finalizes users quiet for
+// longer than the session gap, so sessions keep flowing while input does. A
+// -cuts journal replays serve's journaled timed expiries at the exact record
+// boundaries the live run froze them at, making the output byte-identical to
+// the live session stream even when the server ran with -expire-every.
 //
 // Sessions go to stdout, to the -sessions file, or with -checkpoint to that
-// file resumed from the latest usable checkpoint in fsys (openSessions), and
-// the run checkpoints at chunk boundaries across the whole multi-file set,
-// with (file index, byte offset) positions so a kill inside access.log.2.gz
-// resumes there. Expiry ticks, the writes and the snapshots all run on the
-// goroutine that ingests, so every checkpoint records a consistent (log
+// file resumed from the latest usable checkpoint, and the run checkpoints at
+// chunk boundaries across the whole multi-file set, with (file index, byte
+// offset) positions so a kill inside access.log.2.gz resumes there. Every
+// sunk batch is written at once, so a live pipe's sessions are on the output
+// as its lines arrive. Expiry ticks, the writes and the snapshots all run on
+// the goroutine that ingests, so every checkpoint records a consistent (log
 // position, session offset, open bursts) cut even while expiry is emitting.
 // The first failed session write is the run's error: nothing is written
 // after it, no checkpoint is saved, and ingestion stops at the next chunk
-// boundary. Notices and the stats line go to log.
-func runStream(cfg core.Config, o options, paths []string, cuts []core.ExpiryCut, fsys checkpoint.FS, log io.Writer) (err error) {
+// boundary.
+func runStream(cfg core.Config, o options, paths []string) (err error) {
 	st, err := core.NewTail(cfg, o.sessionGap)
 	if err != nil {
 		return err
 	}
-	dst, start, err := openSessions(st, o, paths, fsys, log)
-	if err != nil {
+	run := &checkpoint.Run{Tail: st, Paths: paths, Notices: os.Stderr, Name: "sessionize"}
+	if o.cutsPath != "" {
+		if run.Journal, err = os.Open(o.cutsPath); err != nil {
+			return err
+		}
+		defer run.Journal.Close()
+	}
+	if run.Out, err = output(o); err != nil {
 		return err
 	}
-	if dst != os.Stdout {
-		defer func() {
-			if cerr := dst.Close(); err == nil {
-				err = cerr
-			}
-		}()
-	}
-	out := bufio.NewWriter(sessionWriter(dst))
-	var sinkErr error
-	emit := func(s []session.Session) {
-		if sinkErr == nil && !o.statsOnly && len(s) > 0 {
-			sinkErr = session.WriteAll(out, s)
-		}
-	}
-	// Live input flushes every sunk batch: on stdin a chunk is what one read
-	// returned, and whoever watches a live pipe's output should see its
-	// sessions as its lines arrive — and an expiry tick's as it fires, not at
-	// the next buffer fill.
-	sink := emit
-	if paths == nil || cfg.ExpireTick != nil {
-		sink = func(s []session.Session) {
-			emit(s)
-			if sinkErr == nil {
-				sinkErr = out.Flush()
-			}
-		}
-	}
-
-	var ckpt *checkpoint.Writer
+	defer closeOutput(o, run.Out, &err)
 	if o.ckptPath != "" {
-		ckpt = checkpoint.NewWriter(fsys, o.ckptPath, o.ckptEvery)
+		run.Ckpt = checkpoint.NewWriter(checkpoint.OS, o.ckptPath, o.ckptEvery)
 	}
-	// snapshot puts the session file on stable storage and describes the run
-	// at pos: the sessions the records before pos finalized are the file's
-	// first SinkOffset bytes.
-	snapshot := func(pos clf.FilePos) (*checkpoint.Checkpoint, error) {
-		if sinkErr = out.Flush(); sinkErr != nil {
-			return nil, sinkErr
-		}
-		size, err := dst.Seek(0, io.SeekCurrent)
-		if err == nil {
-			err = dst.Sync()
-		}
-		if err != nil {
-			return nil, fmt.Errorf("session file sync: %w", err)
-		}
-		return &checkpoint.Checkpoint{
-			LogOffset: pos.Offset, LogFile: pos.File, LogPath: paths[pos.File],
-			SinkOffset: size, Tail: st.Snapshot(),
-		}, nil
-	}
-	cur := start
-	progress := func(pos clf.FilePos) error {
-		cur = pos
-		if sinkErr == nil && ckpt != nil {
-			// A failed save only costs recovery granularity: the previous
-			// checkpoint file stays valid (atomic rename), so keep streaming.
-			if _, err := ckpt.MaybeSave(func() (*checkpoint.Checkpoint, error) { return snapshot(pos) }); err != nil && sinkErr == nil {
-				fmt.Fprintln(log, "sessionize: checkpoint:", err)
-			}
-		}
-		return sinkErr
-	}
-
-	var malformed int
-	if paths == nil {
-		malformed, err = st.Ingest(os.Stdin, sink, progress)
-	} else {
-		malformed, err = st.IngestFilesCuts(paths, start, 0, cuts, sink, progress)
-	}
-	if err == nil {
-		// End of input: the users of the log's last 2ρ are still open. The
-		// drain streams them through the same sink, one batch at a time.
-		st.Drain(emit)
-		err = sinkErr
+	if err := run.Recover(); err != nil {
+		return err
 	}
 	// Sessions sunk before a read error are output like any other; the read
 	// error stays the message and the exit status.
-	if ferr := out.Flush(); err == nil {
-		err = ferr
-	}
-	if err == nil && ckpt != nil {
-		// The run is complete: record that, so a rerun replays nothing.
-		var ck *checkpoint.Checkpoint
-		if ck, err = snapshot(cur); err == nil {
-			if serr := ckpt.Save(ck); serr != nil {
-				fmt.Fprintln(log, "sessionize: final checkpoint:", serr)
-			}
-		}
-	}
-	if err != nil {
+	if err := run.Ingest(os.Stdin); err != nil {
 		return err
 	}
-	stats := st.Stats()
-	stats.Malformed = malformed
-	if d, ok := cfg.Heuristic.(heuristics.Describer); ok {
-		fmt.Fprintf(log, "heuristic: %s — %s\n", cfg.Heuristic.Name(), d.Describe())
+	if err := run.Finish(); err != nil {
+		return err
 	}
-	fmt.Fprintf(log, "pipeline:  %s (streaming)\n", stats)
+	if run.Ckpt != nil {
+		// The run is complete: record that, so a rerun replays nothing.
+		if err := run.Save(); err != nil {
+			fmt.Fprintln(os.Stderr, "sessionize: final checkpoint:", err)
+		}
+	}
+	if d, ok := cfg.Heuristic.(heuristics.Describer); ok {
+		fmt.Fprintf(os.Stderr, "heuristic: %s — %s\n", cfg.Heuristic.Name(), d.Describe())
+	}
+	fmt.Fprintf(os.Stderr, "pipeline:  %s (streaming)\n", st.Stats())
 	return nil
 }
 
-// openSessions opens where a stream run writes: stdout, a new -sessions
-// file, or with -checkpoint the session file as the latest usable checkpoint
-// left it — st restored, the file cut to SinkOffset, where the replayed log
-// re-emits exactly the sessions an interruption cut off — with the position
-// in paths to resume from. A missing, corrupt or stale checkpoint starts
-// over from the start of the set.
-func openSessions(st *core.Tail, o options, paths []string, fsys checkpoint.FS, log io.Writer) (*os.File, clf.FilePos, error) {
+// output opens where sessions go: stdout, a new -sessions file, or with
+// -checkpoint that file as it stands, for the run to cut back; nil for
+// -stats-only.
+func output(o options) (*checkpoint.Sink, error) {
 	switch {
+	case o.statsOnly:
+		return nil, nil
 	case o.sessPath == "":
-		return os.Stdout, clf.FilePos{}, nil
-	case o.ckptPath == "":
-		f, err := os.Create(o.sessPath)
-		return f, clf.FilePos{}, err
+		return &checkpoint.Sink{F: os.Stdout, W: os.Stdout}, nil
+	case o.ckptPath != "":
+		return checkpoint.OpenSink(o.sessPath)
 	}
-	ck, reason, err := checkpoint.Resume(fsys, o.ckptPath)
-	if err != nil {
-		return nil, clf.FilePos{}, err
-	}
-	if reason != "" {
-		fmt.Fprintln(log, "sessionize: checkpoint unusable, starting over:", reason)
-	}
-	f, err := os.OpenFile(o.sessPath, os.O_CREATE|os.O_RDWR, 0o644)
-	if err != nil {
-		return nil, clf.FilePos{}, err
-	}
-	var start clf.FilePos
-	var sinkOff int64
-	info, err := f.Stat()
-	if err == nil && ck != nil {
-		pos, why := ck.Position(paths, info.Size())
-		if why == "" {
-			if rerr := st.Restore(ck.Tail); rerr != nil {
-				why = rerr.Error()
-			}
-		}
-		if why != "" {
-			fmt.Fprintln(log, "sessionize: checkpoint stale, starting over:", why)
-		} else {
-			start, sinkOff = pos, ck.SinkOffset
-		}
-	}
-	if err == nil {
-		err = f.Truncate(sinkOff)
-	}
-	if err == nil {
-		_, err = f.Seek(sinkOff, io.SeekStart)
-	}
-	if err != nil {
-		f.Close()
-		return nil, clf.FilePos{}, err
-	}
-	if start != (clf.FilePos{}) {
-		fmt.Fprintf(log, "sessionize: resuming %s from byte %d (session file at %d)\n", paths[start.File], start.Offset, sinkOff)
-	}
-	return f, start, nil
+	f, err := os.Create(o.sessPath)
+	return &checkpoint.Sink{F: f, W: f}, err
 }
 
-// writeSessions writes the batch result to sessPath, or stdout when empty.
-func writeSessions(sessPath string, sessions []session.Session) error {
-	if sessPath == "" {
-		return session.WriteAll(os.Stdout, sessions)
+// closeOutput closes a -sessions file; its error is the run's if the run had
+// none.
+func closeOutput(o options, out *checkpoint.Sink, err *error) {
+	if o.sessPath != "" {
+		if cerr := out.F.Close(); *err == nil {
+			*err = cerr
+		}
 	}
-	f, err := os.Create(sessPath)
-	if err != nil {
+}
+
+// writeSessions writes a batch result where output says.
+func writeSessions(o options, sessions []session.Session) (err error) {
+	out, err := output(o)
+	if out == nil || err != nil {
 		return err
 	}
-	if err := session.WriteAll(f, sessions); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+	defer closeOutput(o, out, &err)
+	return out.WriteBatch(sessions)
 }
 
 // readLog reads every record of the input set, or of stdin for nil paths,
@@ -496,7 +371,7 @@ func readLog(paths []string) (records []clf.Record, malformed int, err error) {
 }
 
 // runReferrer sessionizes a combined-format log by referrer chaining.
-func runReferrer(g *webgraph.Graph, paths []string, statsOnly bool, sessPath string) error {
+func runReferrer(g *webgraph.Graph, paths []string, o options) error {
 	records, malformed, err := readLog(paths)
 	if err != nil {
 		return err
@@ -507,10 +382,8 @@ func runReferrer(g *webgraph.Graph, paths []string, statsOnly bool, sessPath str
 	if err != nil {
 		return err
 	}
-	if !statsOnly {
-		if err := writeSessions(sessPath, sessions); err != nil {
-			return err
-		}
+	if err := writeSessions(o, sessions); err != nil {
+		return err
 	}
 	withRef := 0
 	for _, rec := range cleaned {

@@ -15,7 +15,6 @@ type Writer struct {
 	path  string
 	every time.Duration
 	last  time.Time
-	err   error
 	// buf holds the last save's file; the next save encodes into its
 	// storage, so a steady-state save allocates nothing for the encoding.
 	buf []byte
@@ -32,13 +31,12 @@ func (w *Writer) Path() string { return w.path }
 
 // Save writes a checkpoint unconditionally and resets the rate-limit clock.
 // A failed save leaves the previous on-disk checkpoint intact (Save in this
-// package is atomic), so the writer records the error and carries on — a
+// package is atomic), so the caller can report the error and carry on — a
 // flaky disk degrades recovery granularity, it does not stop ingestion.
 func (w *Writer) Save(ck *Checkpoint) error {
 	w.last = w.now()
 	w.buf = encode(w.buf, ck)
-	w.err = write(w.fsys, w.path, w.buf)
-	return w.err
+	return write(w.fsys, w.path, w.buf)
 }
 
 // MaybeSave saves if at least the configured interval elapsed since the last
@@ -55,9 +53,6 @@ func (w *Writer) MaybeSave(build func() (*Checkpoint, error)) (saved bool, err e
 	}
 	return true, w.Save(ck)
 }
-
-// Err returns the most recent Save error, or nil if the last save landed.
-func (w *Writer) Err() error { return w.err }
 
 func (w *Writer) now() time.Time {
 	if w.Now != nil {

@@ -20,6 +20,7 @@ import (
 type posMark struct {
 	Pos  FilePos
 	Seen int
+	Bad  int // malformed lines reported by then
 }
 
 // inlineRun is what one pass over a file set produced.
@@ -62,7 +63,7 @@ func inlineSources(n, first int, open func(int) (Source, error), chunkBytes int)
 			scratch, bad = parseChunkIntern(data, scratch[:0], in)
 			run.bad += skipped + bad
 			run.recs = append(run.recs, scratch...)
-			run.marks = append(run.marks, posMark{FilePos{File: i, Offset: end}, len(run.recs)})
+			run.marks = append(run.marks, posMark{FilePos{File: i, Offset: end}, len(run.recs), run.bad})
 		}
 	}
 	return run
@@ -72,10 +73,7 @@ func inlineSources(n, first int, open func(int) (Source, error), chunkBytes int)
 func aheadSources(n, first int, open func(int) (Source, error), chunkBytes int) (run inlineRun) {
 	run.bad, run.err = streamSources(n, first, open, StreamConfig{ChunkBytes: chunkBytes}, copyRecord,
 		func(recs []Record) { run.recs = append(run.recs, recs...) },
-		func(pos FilePos) error {
-			run.marks = append(run.marks, posMark{pos, len(run.recs)})
-			return nil
-		})
+		markProgress(&run))
 	return run
 }
 
@@ -90,18 +88,26 @@ func opener(paths []string, cfg StreamConfig) func(int) (Source, error) {
 	}
 }
 
+// markProgress is a progress that records each report in run.marks, with the
+// malformed lines reported so far.
+func markProgress(run *inlineRun) func(FilePos, int) error {
+	bad := 0
+	return func(pos FilePos, n int) error {
+		bad += n
+		run.marks = append(run.marks, posMark{pos, len(run.recs), bad})
+		return nil
+	}
+}
+
 func inlineStream(paths []string, cfg StreamConfig) inlineRun {
 	return inlineSources(len(paths), cfg.Start.File, opener(paths, cfg), cfg.ChunkBytes)
 }
 
 // aheadStream goes through the exported call, as core does.
 func aheadStream(paths []string, cfg StreamConfig) (run inlineRun) {
-	run.bad, run.err = StreamFilesChunked(paths, cfg,
+	run.bad, run.err = StreamFilesStaged(paths, cfg, copyRecord,
 		func(recs []Record) { run.recs = append(run.recs, recs...) },
-		func(pos FilePos) error {
-			run.marks = append(run.marks, posMark{pos, len(run.recs)})
-			return nil
-		})
+		markProgress(&run))
 	return run
 }
 
@@ -285,7 +291,7 @@ func TestParserLeavesNoGoroutine(t *testing.T) {
 	}
 	settle(t, "borrowed reader, read error", before)
 	src := newReaderSource(strings.NewReader(text), 0)
-	if _, err := streamSources(1, 0, func(int) (Source, error) { return src, nil }, StreamConfig{ChunkBytes: 2048}, copyRecord, func([]Record) {}, stopAt(3)); err != errStop {
+	if _, err := streamSources(1, 0, func(int) (Source, error) { return src, nil }, StreamConfig{ChunkBytes: 2048}, copyRecord, func([]Record) {}, positions(stopAt(3))); err != errStop {
 		t.Fatalf("borrowed reader abort: err = %v", err)
 	}
 	settle(t, "borrowed reader abort", before)
@@ -340,7 +346,7 @@ func TestAbortDropsChunksParsedAhead(t *testing.T) {
 	reports := 0
 	bad, err := streamSources(1, 0, func(int) (Source, error) { return src, nil }, StreamConfig{ChunkBytes: chunk}, copyRecord,
 		func(recs []Record) { got = append(got, recs...) },
-		func(FilePos) error {
+		func(FilePos, int) error {
 			if reports++; reports < k {
 				return nil
 			}

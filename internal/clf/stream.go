@@ -76,7 +76,7 @@ func (c StreamConfig) withDefaults() StreamConfig {
 //
 //go:noinline
 func StreamChunked(r io.Reader, cfg StreamConfig, emitChunk func([]Record), progress func(FilePos) error) (malformed int, err error) {
-	return StreamStaged(r, cfg, copyRecord, emitChunk, progress)
+	return StreamStaged(r, cfg, copyRecord, emitChunk, positions(progress))
 }
 
 // StreamStaged is StreamChunked handing on, in place of each record, what
@@ -84,8 +84,10 @@ func StreamChunked(r io.Reader, cfg StreamConfig, emitChunk func([]Record), prog
 // input order, so it must be safe to call beside the calling goroutine (a
 // pure function of the record). Its *Record is the parser's scratch, valid
 // only during the call. A consumer that needs three fields of a 168-byte
-// Record pays for three in the ring.
-func StreamStaged[T any](r io.Reader, cfg StreamConfig, stage func(*Record) T, emitChunk func([]T), progress func(FilePos) error) (malformed int, err error) {
+// Record pays for three in the ring. progress also receives the chunk's
+// malformed-line count, so a consumer that checkpoints at a position can
+// count the malformed lines before it.
+func StreamStaged[T any](r io.Reader, cfg StreamConfig, stage func(*Record) T, emitChunk func([]T), progress func(pos FilePos, malformed int) error) (malformed int, err error) {
 	src := newReaderSource(r, 0) // no closers: r is borrowed
 	open := func(int) (Source, error) { return src, nil }
 	return streamSources(1, 0, open, cfg.withDefaults(), stage, emitChunk, progress)
@@ -109,12 +111,13 @@ func StreamStaged[T any](r io.Reader, cfg StreamConfig, stage func(*Record) T, e
 //
 //go:noinline
 func StreamFilesChunked(paths []string, cfg StreamConfig, emitChunk func([]Record), progress func(FilePos) error) (malformed int, err error) {
-	return StreamFilesStaged(paths, cfg, copyRecord, emitChunk, progress)
+	return StreamFilesStaged(paths, cfg, copyRecord, emitChunk, positions(progress))
 }
 
 // StreamFilesStaged is StreamFilesChunked handing on what stage makes of each
-// record, as StreamStaged does.
-func StreamFilesStaged[T any](paths []string, cfg StreamConfig, stage func(*Record) T, emitChunk func([]T), progress func(FilePos) error) (malformed int, err error) {
+// record, and each chunk's malformed-line count to progress, as StreamStaged
+// does.
+func StreamFilesStaged[T any](paths []string, cfg StreamConfig, stage func(*Record) T, emitChunk func([]T), progress func(pos FilePos, malformed int) error) (malformed int, err error) {
 	cfg = cfg.withDefaults()
 	open := func(i int) (Source, error) {
 		var off int64
@@ -128,6 +131,14 @@ func StreamFilesStaged[T any](paths []string, cfg StreamConfig, stage func(*Reco
 
 // copyRecord is the stage of the Record streams: the record itself.
 func copyRecord(rec *Record) Record { return *rec }
+
+// positions is the Record streams' progress: the position alone.
+func positions(progress func(FilePos) error) func(FilePos, int) error {
+	if progress == nil {
+		return nil
+	}
+	return func(pos FilePos, _ int) error { return progress(pos) }
+}
 
 // parsedChunk is one chunk's parse result and where the chunk ended; bad
 // includes the over-long lines skipped on the way there, and a message with
@@ -264,7 +275,7 @@ func (p *parser[T]) send(c parsedChunk[T]) bool {
 // input order and the calling goroutine emits behind it, running cfg.OnTick
 // for each cfg.Tick in between. The parser has ended, its sources closed, on
 // return.
-func streamSources[T any](n, first int, open func(int) (Source, error), cfg StreamConfig, stage func(*Record) T, emitChunk func([]T), progress func(FilePos) error) (malformed int, err error) {
+func streamSources[T any](n, first int, open func(int) (Source, error), cfg StreamConfig, stage func(*Record) T, emitChunk func([]T), progress func(FilePos, int) error) (malformed int, err error) {
 	records := 0
 	defer func() {
 		metricRecords.Add(int64(records))
@@ -295,7 +306,7 @@ func streamSources[T any](n, first int, open func(int) (Source, error), cfg Stre
 		}
 		p.free <- retire(c.recs)
 		if progress != nil {
-			if perr := progress(c.pos); perr != nil {
+			if perr := progress(c.pos, c.bad); perr != nil {
 				return malformed, perr
 			}
 		}

@@ -88,12 +88,20 @@ func (t *Tail) ingest(in logInput, sink SessionSink, progress func(clf.FilePos) 
 	feed, expire, flush := t.cutFeeder(sink, in.base, in.cuts)
 	scfg := clf.StreamConfig{ChunkBytes: t.cfg.StreamChunkBytes, Start: in.start, Tick: t.cfg.ExpireTick, OnTick: expire}
 	// The pure stages run on the parser goroutine: the ring between it and
-	// this one carries page views, not records.
+	// this one carries page views, not records. Each chunk's malformed lines
+	// are counted before its progress, so a snapshot there carries them.
 	stage := t.cfg.stage
+	counted := func(pos clf.FilePos, bad int) error {
+		t.stats.Malformed += bad
+		if progress == nil {
+			return nil
+		}
+		return progress(pos)
+	}
 	if in.r != nil {
-		malformed, err = clf.StreamStaged(in.r, scfg, stage, feed, progress)
+		malformed, err = clf.StreamStaged(in.r, scfg, stage, feed, counted)
 	} else {
-		malformed, err = clf.StreamFilesStaged(in.paths, scfg, stage, feed, progress)
+		malformed, err = clf.StreamFilesStaged(in.paths, scfg, stage, feed, counted)
 	}
 	if err != nil {
 		return malformed, err

@@ -235,6 +235,10 @@ func (t *Tail) Push(rec clf.Record) []session.Session {
 	return out
 }
 
+// AddMalformed counts n log lines a caller that parses for itself skipped,
+// so Stats and Snapshot carry them as they carry the ones ingestion skips.
+func (t *Tail) AddMalformed(n int) { t.stats.Malformed += n }
+
 // PushBatch feeds a slice of records, returning the sessions they finalized
 // in exactly the order a record-at-a-time Push loop would have returned
 // them. It is the amortized hot path: stage counters and metrics flush once
@@ -419,7 +423,8 @@ func (t *Tail) openUsers() []string {
 	return users
 }
 
-// Stats returns the counters accumulated so far. Sessions counts emitted
+// Stats returns the counters accumulated so far, restored ones included.
+// Malformed counts the lines ingestion and AddMalformed skipped. Sessions counts emitted
 // sessions only; buffered requests are not yet sessions. Users counts user
 // activations: a user evicted by the log's clock, Expire or Flush who later
 // returns is counted again (see the Tail doc).
