@@ -29,12 +29,13 @@ var (
 
 // owner is the one goroutine that reads the access log (run), and the state
 // only it touches once serving starts: its place in the log and the
-// sessionizer behind it. Everything that happens to that state — the log
-// grew, an expiry, a checkpoint, a rotation, shutdown — is a message its
+// sessionizer behind it. Everything that happens to that state — a read
+// tick, an expiry, a checkpoint, a rotation, shutdown — is a message its
 // single select takes, and each starts by reading the log to its end
 // (catchUp), so each happens at an exact record boundary with no lock to say
-// so. The one thing it shares with the request path is the server's log
-// lock, which it takes to rotate.
+// so. It shares the access-log file and the server's log lock with the
+// request path, and takes the lock only to rotate; a request never signals
+// it.
 type owner struct {
 	s *server
 
@@ -55,10 +56,11 @@ type owner struct {
 	buf  []byte
 	torn int
 
-	// The owner's inbox beside the wake channel. run fills the tick channels
-	// from tickers and hup from the signal; tests fire them by hand. A nil
-	// channel is a case that never fires.
+	// The owner's inbox. run fills the tick channels from tickers and hup
+	// from the signal; tests fire them by hand. A nil channel is a case that
+	// never fires.
 	now        func() time.Time
+	readTick   <-chan time.Time
 	expireTick <-chan time.Time
 	ckptTick   <-chan time.Time
 	hup        <-chan os.Signal
@@ -67,6 +69,12 @@ type owner struct {
 
 // logBlock is how much of the access log one read asks for.
 const logBlock = 64 << 10
+
+// readEvery is how often the owner reads the access log when no other message
+// is due. A session gap is seconds at the least (the paper's ρ is minutes), so
+// a line read this late changes no session; and a tick that does not follow
+// the traffic costs no wake-up and no read(2) per request.
+const readEvery = 100 * time.Millisecond
 
 // newOwner opens everything the options name and brings the sessionizer up
 // to date with it — checkpoint recovery — single-threaded,
@@ -120,7 +128,6 @@ func newOwner(opts options) (_ *owner, err error) {
 		fmt.Fprintf(os.Stderr, "serve: %s (%d bytes) is an older build's dead-letter journal; nothing reads it, and its sessions are in the access log\n",
 			opts.sessPath+".deadletter", info.Size())
 	}
-	s.wake = make(chan struct{}, 1)
 
 	// Journal timed-expiry cuts beside the session file: the tail's input is
 	// the log, so replaying the log with these cuts reproduces the live
@@ -179,7 +186,7 @@ func (o *owner) run() {
 	defer close(o.done)
 	for {
 		select {
-		case <-o.s.wake:
+		case <-o.readTick:
 			o.catchUp()
 		case <-o.expireTick:
 			o.expire()
@@ -211,11 +218,10 @@ func (o *owner) stop() {
 // newline lands. Lines are parsed exactly as a replay of the log parses them,
 // so the tail's input is the log's records, in the log's order.
 //
-// A read that does not fill the buffer has reached the end, so a wake costs
-// one read(2) — not ReadAt's two, a pread and its EOF probe: under load each
-// costs several times its price in a loop (EXPERIMENTS.md, "The access log
-// is the ingest queue"). Whatever is written after that read comes with a
-// wake of its own.
+// A read that does not fill the buffer has reached the end, so a catch-up
+// with nothing new costs one read(2) — not ReadAt's two, a pread and its EOF
+// probe (EXPERIMENTS.md, "The access log is the ingest queue"). Whatever is
+// written after that read waits for the next message: at most readEvery.
 func (o *owner) catchUp() bool {
 	if n := o.stream.Held(); n > 0 {
 		if !o.stream.Retry() {

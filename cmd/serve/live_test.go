@@ -41,9 +41,9 @@ type liveFixture struct {
 	own  *owner
 	s    *server
 
-	expire, ckpt chan time.Time
-	clock        time.Time // what own.now returns
-	running      bool      // started and not stopped: the cleanup stops it
+	read, expire, ckpt chan time.Time
+	clock              time.Time // what own.now returns
+	running            bool      // started and not stopped: the cleanup stops it
 }
 
 // t0 is where the fixtures' request times start.
@@ -77,7 +77,7 @@ func newLiveFixture(t *testing.T, mut func(*options)) *liveFixture {
 	if err := tf.Close(); err != nil {
 		t.Fatal(err)
 	}
-	f := &liveFixture{t: t, clock: t0, expire: make(chan time.Time), ckpt: make(chan time.Time)}
+	f := &liveFixture{t: t, clock: t0, read: make(chan time.Time), expire: make(chan time.Time), ckpt: make(chan time.Time)}
 	f.opts = options{
 		topoPath: filepath.Join(dir, "topology.json"),
 		logPath:  filepath.Join(dir, "access.log"),
@@ -93,7 +93,7 @@ func newLiveFixture(t *testing.T, mut func(*options)) *liveFixture {
 	heldSessions.Set(0) // the gauge is the process's; an earlier owner may have left it set
 	f.s = f.own.s
 	f.own.now = func() time.Time { return f.clock }
-	f.own.expireTick, f.own.ckptTick = f.expire, f.ckpt
+	f.own.readTick, f.own.expireTick, f.own.ckptTick = f.read, f.expire, f.ckpt
 	t.Cleanup(func() {
 		if f.running {
 			f.stop()
@@ -145,13 +145,12 @@ func (f *liveFixture) spin(what string, cond func() bool) {
 }
 
 // fence returns once the owner has finished every message it took before and
-// read the log as far as it reached when fence was called. Wakes go through
-// the owner's one-slot channel: the second send returns only once the owner
-// took the first, which it did after the log reached that far, and the third
-// only once it finished reading for the first.
+// read the log as far as it reached when fence was called. The read tick is
+// unbuffered: the first send returns once the owner took it, after every
+// earlier message, and the second once the first tick's catch-up finished.
 func (f *liveFixture) fence() {
-	for i := 0; i < 3; i++ {
-		f.s.wake <- struct{}{}
+	for i := 0; i < 2; i++ {
+		f.read <- time.Time{}
 	}
 }
 
@@ -398,17 +397,13 @@ func TestCheckpointSaveLeavesLogLockFree(t *testing.T) {
 
 // TestQueueStopDrainsFullBacklog: the access log is the queue, and stopping
 // reads it to its end. Records logged before the owner ever ran — the stop
-// request may be the first message it takes — are all processed. Logging
-// them left the owner a wake.
+// request may be the first message it takes — are all processed.
 func TestQueueStopDrainsFullBacklog(t *testing.T) {
 	const backlog = 512
 	f := newLiveFixture(t, nil)
 	ingested := metricIngested.Value()
 	for i := 0; i < backlog; i++ {
 		f.send(testRecord(i))
-	}
-	if len(f.s.wake) != 1 {
-		t.Error("logging a record left the owner no wake")
 	}
 	f.start()
 	f.stop()
@@ -417,6 +412,84 @@ func TestQueueStopDrainsFullBacklog(t *testing.T) {
 	}
 	if got := metricIngested.Value() - ingested; got != backlog {
 		t.Fatalf("serve.ingest.records grew by %d, want %d", got, backlog)
+	}
+}
+
+// TestReadTickIngestsTheLog: logging a request only appends it to the access
+// log. The owner reads the log on its read tick, so records logged to a
+// running owner that takes no message stay unread, and one tick reads them
+// all.
+func TestReadTickIngestsTheLog(t *testing.T) {
+	const n = 20
+	f := newLiveFixture(t, nil)
+	f.start()
+	ingested := metricIngested.Value()
+	for i := 0; i < n; i++ {
+		f.send(request("10.0.0.1", i, time.Duration(i)*time.Second))
+	}
+	time.Sleep(50 * time.Millisecond) // room for a read that must not happen
+	if got := metricIngested.Value() - ingested; got != 0 {
+		t.Fatalf("serve.ingest.records grew by %d with no tick fired", got)
+	}
+	f.fence() // one tick, and one more that returns once its catch-up is done
+	if got := metricIngested.Value() - ingested; got != n {
+		t.Fatalf("serve.ingest.records grew by %d after a tick, want %d", got, n)
+	}
+	f.stop()
+	if live, want := f.readFile(f.opts.sessPath), f.cutReplay(); !bytes.Equal(live, want) {
+		t.Fatalf("live sessions diverge from the replay of the log:\nlive:\n%s\nreplay:\n%s", live, want)
+	}
+}
+
+// TestReadTickPacesHeldRetries: while the session file refuses writes, the
+// owner retries the held sessions once per message it takes — a read tick
+// when nothing else is due — and never because a request was logged.
+func TestReadTickPacesHeldRetries(t *testing.T) {
+	f := newLiveFixture(t, nil)
+	var down atomic.Bool
+	down.Store(true)
+	f.own.stream.Out.W = &faultio.Writer{W: f.own.stream.Out.F, Schedule: func(int) faultio.Fault {
+		if down.Load() {
+			return faultio.Fail
+		}
+		return faultio.OK
+	}}
+	past := session.DefaultPageStay + time.Minute
+	tries := metricSessionWriteErrors.Value()
+	// failed waits until the refused write and its retries number at least n,
+	// and returns how many there were.
+	failed := func(n int64) int64 {
+		f.spin(fmt.Sprint(n, " failed session writes"), func() bool { return metricSessionWriteErrors.Value()-tries >= n })
+		return metricSessionWriteErrors.Value() - tries
+	}
+	captureStderr(t, func() {
+		f.start()
+		f.send(request("10.0.0.1", 0, 0))
+		f.send(request("10.0.0.1", 1, past)) // the first session is refused
+		f.fence()                            // and retried on the fence's second tick
+		if got := failed(2); got != 2 {
+			t.Errorf("%d failed session writes, want the refused one and one retry", got)
+		}
+		for i := 0; i < 10; i++ {
+			f.send(request("10.0.0.2", i, past+time.Duration(i)*time.Second))
+		}
+		time.Sleep(50 * time.Millisecond) // room for a retry that must not happen
+		if got := metricSessionWriteErrors.Value() - tries; got != 2 {
+			t.Errorf("logging 10 requests retried the held sessions %d times", got-2)
+		}
+		f.fence()
+		if got := failed(4); got != 4 {
+			t.Errorf("%d failed session writes after two more read ticks, want 4", got)
+		}
+		down.Store(false)
+		f.fence()
+		if n := heldSessions.Value(); n != 0 {
+			t.Errorf("%d sessions still held after a tick with the file taking writes", n)
+		}
+		f.stop()
+	})
+	if live, want := f.readFile(f.opts.sessPath), f.cutReplay(); !bytes.Equal(live, want) {
+		t.Fatalf("live sessions diverge from the cut-replay of the log after the outage:\nlive:\n%s\nreplay:\n%s", live, want)
 	}
 }
 
@@ -525,10 +598,7 @@ func TestRotationReadsTheOldLogToItsEnd(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		f.send(request("10.0.0.1", i, time.Duration(i)*time.Second))
 	}
-	select { // the owner sees no wake: only the rotation can read these
-	case <-f.s.wake:
-	default:
-	}
+	// No read tick fires before the SIGHUP: only the rotation reads these.
 	rotated := f.opts.logPath + ".1"
 	if err := os.Rename(f.opts.logPath, rotated); err != nil {
 		t.Fatal(err)
@@ -746,7 +816,7 @@ func faultSessionWrites(t *testing.T, writes faultio.Schedule) {
 }
 
 // land fences until the owner holds no sessions: held sessions are retried
-// on each message the owner takes, so an outage ends on a later wake.
+// on each message the owner takes, so an outage ends on a later read tick.
 func (f *liveFixture) land() {
 	f.t.Helper()
 	for i := 0; i < 1000; i++ {

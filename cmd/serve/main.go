@@ -26,13 +26,15 @@
 // touches the core.Tail (Smart-SRA, no lock: nothing else may), appends
 // finalized sessions to the session file, expires quiet users every
 // -expire-every, journals those expiry cuts, checkpoints and rotates. A
-// handler appends its line to the log and flushes under the log lock, then
-// wakes the owner; the log is the only queue between them, so the live
-// tail's input is the log by construction. The owner takes the log lock only
-// to rotate. A session write that fails is held, and until the file takes it
-// the owner reads no more of the log: the log is the backlog of the session
-// file too, so no later session lands before a held one, and each message
-// the owner takes retries the write.
+// handler appends its line to the log and flushes under the log lock, and
+// that is all: the owner reads what was appended every 100 ms, and before
+// every other message it takes. The log is the only queue between them, so
+// the live tail's input is the log by construction. The owner takes the log
+// lock only to rotate. A session write that fails is held, and until the
+// file takes it the owner reads no more of the log: the log is the backlog
+// of the session file too, so no later session lands before a held one, and
+// each message the owner takes — a read tick at the least — retries the
+// write.
 //
 // Nothing behind the log sheds: a request is refused, if at all, by
 // admission control (-max-inflight, -ip-rate) before it is served or logged.
@@ -199,6 +201,7 @@ func run(o options) error {
 	// Timers are messages to the owner like everything else. A period of zero
 	// or less gets time.Tick's nil channel: a select case that never fires.
 	if own.stream != nil {
+		own.readTick = time.Tick(readEvery)
 		own.expireTick = time.Tick(o.expireEvery)
 	}
 	if own.stream != nil && own.stream.Ckpt != nil {
@@ -288,10 +291,9 @@ func timed(next http.Handler) http.Handler {
 	})
 }
 
-// server is what the request path can reach: the access log, and a way to
-// wake the owner. Everything downstream of the log — tail, session file, cut
-// journal, checkpoints — belongs to the owner (live.go) and is not reachable
-// from here.
+// server is what the request path can reach: the access log. Everything
+// downstream of the log — tail, session file, cut journal, checkpoints —
+// belongs to the owner (live.go) and is not reachable from here.
 type server struct {
 	g        *webgraph.Graph
 	combined bool
@@ -305,11 +307,6 @@ type server struct {
 	logPath string
 	logFile *os.File // nil when logging to stderr; synced by the owner
 	sink    *webserver.WriterSink
-
-	// wake tells the owner the log has grown; nil without -sessions. One slot:
-	// a wake that finds it full is already covered by the pending one, since
-	// the owner reads to the end of the file.
-	wake chan struct{}
 }
 
 func newLogWriter(out io.Writer, combined bool) *clf.Writer {
@@ -321,7 +318,7 @@ func newLogWriter(out io.Writer, combined bool) *clf.Writer {
 
 // Record implements webserver.LogSink, the access logger's sink: it appends
 // and flushes each record so tail -f works — and so the owner, which reads
-// the same file, sees it — then wakes the owner if one is sessionizing.
+// the same file on its own tick, sees it.
 func (s *server) Record(r clf.Record) {
 	metricRequests.Inc()
 	s.logMu.Lock()
@@ -331,10 +328,6 @@ func (s *server) Record(r clf.Record) {
 	s.sink.Record(r)
 	err := s.sink.Flush()
 	s.logMu.Unlock()
-	select {
-	case s.wake <- struct{}{}:
-	default: // a wake is already pending, or nobody sessionizes (nil)
-	}
 	if err != nil {
 		metricLogWriteErrors.Inc()
 		if !wasFailing {

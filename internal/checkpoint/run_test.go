@@ -10,7 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -117,10 +117,7 @@ func simgenCorpus(t *testing.T) corpus {
 }
 
 // corpora are the logs every fail-stop schedule runs over. The garbled one
-// is golden with 5 of its 25 lines malformed: with every 3rd, 4th, 6th or
-// 7th garbled instead, the sessions, their bytes and the counters still
-// match, but no MultiFile kill of its two seeds lands a resume inside the
-// gzip member, which that test requires.
+// is golden with every 5th of its 25 lines malformed.
 var corpora = map[string]func(*testing.T) corpus{
 	"golden":  goldenCorpus,
 	"garbled": func(t *testing.T) corpus { return garbled(goldenCorpus(t), 5) },
@@ -201,19 +198,19 @@ func newCrashRig(c corpus, paths []string, fsys checkpoint.FS) *crashRig {
 
 // stream is one sessionize -stream -checkpoint run, checkpointing at every
 // chunk boundary, as cmd/sessionize drives the runner: Recover, Ingest,
-// Finish and the final Save. Its session writes go through wrap(file). It
-// returns the run's counters and notices.
-func (r *crashRig) stream(t *testing.T, fsys checkpoint.FS, wrap func(*os.File) io.Writer) (core.Stats, string, error) {
+// Finish and the final Save. Its session writes go through wrap(run), in
+// front of run.Out.F. It returns the run's counters and notices.
+func (r *crashRig) stream(t *testing.T, fsys checkpoint.FS, wrap func(*checkpoint.Run) io.Writer) (core.Stats, string, error) {
 	t.Helper()
 	out, err := checkpoint.OpenSink(r.sessPath)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer out.F.Close()
-	out.W = wrap(out.F)
 	var log bytes.Buffer
 	run := &checkpoint.Run{Tail: newTail(t, r.c), Out: out, Paths: r.paths,
 		Ckpt: checkpoint.NewWriter(fsys, r.ckptPath, 0), Notices: &log, Name: "sessionize"}
+	out.W = wrap(run)
 	err = run.Recover()
 	if err == nil {
 		err = run.Ingest(nil)
@@ -237,7 +234,8 @@ func (r *crashRig) stream(t *testing.T, fsys checkpoint.FS, wrap func(*os.File) 
 // whether the run crashed, its counters and its notices.
 func (r *crashRig) run(t *testing.T, killAt int64, fault faultio.Fault) (crashed bool, stats core.Stats, notices string) {
 	t.Helper()
-	stats, notices, err := r.stream(t, r.fsys, func(f *os.File) io.Writer {
+	stats, notices, err := r.stream(t, r.fsys, func(run *checkpoint.Run) io.Writer {
+		f := run.Out.F
 		return &faultio.Writer{W: f, Schedule: func(int) faultio.Fault {
 			if off, err := f.Seek(0, io.SeekCurrent); err == nil && killAt >= 0 && off >= killAt {
 				return fault
@@ -262,18 +260,27 @@ func (r *crashRig) run(t *testing.T, killAt int64, fault faultio.Fault) (crashed
 	return true, stats, notices
 }
 
-// lastWrite runs sessionize to completion on a fresh state and returns where
-// its last session write starts. Every run that reaches the end of the log
-// writes there — the Tail's emission does not depend on where a run resumed,
-// every sunk batch is written as it is sunk, and the drain's writes follow
-// the last one — so a kill at or before it crashes any run that has not
+// write is one session write of an uninterrupted run: where it starts in the
+// session file, and where in the log the run stood — its last chunk
+// boundary, where it last checkpointed — when it wrote.
+type write struct {
+	at  int64
+	pos clf.FilePos
+}
+
+// writes runs sessionize to completion on a fresh state and lists its session
+// writes. Every run writes the same bytes at the same offsets — the Tail's
+// emission does not depend on where a run resumed, every sunk batch is
+// written as it is sunk, and the drain's writes follow the last one — so a
+// kill at or before the last write's start crashes any run that has not
 // finished.
-func (r *crashRig) lastWrite(t *testing.T) int64 {
+func (r *crashRig) writes(t *testing.T) []write {
 	t.Helper()
-	last := int64(-1)
-	_, notices, err := r.stream(t, checkpoint.OS, func(f *os.File) io.Writer {
-		return &faultio.Writer{W: f, Schedule: func(int) faultio.Fault {
-			last, _ = f.Seek(0, io.SeekCurrent)
+	var ws []write
+	_, notices, err := r.stream(t, checkpoint.OS, func(run *checkpoint.Run) io.Writer {
+		return &faultio.Writer{W: run.Out.F, Schedule: func(int) faultio.Fault {
+			at, _ := run.Out.F.Seek(0, io.SeekCurrent)
+			ws = append(ws, write{at: at, pos: run.Pos})
 			return faultio.OK
 		}}
 	})
@@ -285,10 +292,17 @@ func (r *crashRig) lastWrite(t *testing.T) int64 {
 			t.Fatal(err)
 		}
 	}
-	if last < 0 {
+	if len(ws) == 0 {
 		t.Fatal("uninterrupted run wrote no sessions")
 	}
-	return last
+	return ws
+}
+
+// lastWrite is where the uninterrupted run's last session write starts.
+func (r *crashRig) lastWrite(t *testing.T) int64 {
+	t.Helper()
+	ws := r.writes(t)
+	return ws[len(ws)-1].at
 }
 
 // crashThenFinish crashes a run at each of kills, alternating failed and
@@ -349,8 +363,25 @@ func sortedKills(rng *rand.Rand, n int, last int64) []int64 {
 	for i := range kills {
 		kills[i] = rng.Int63n(last + 1)
 	}
-	sort.Slice(kills, func(i, j int) bool { return kills[i] < kills[j] })
+	slices.Sort(kills)
 	return kills
+}
+
+// memberKill draws a kill point among the session writes ws made while the
+// run stood inside the gzip member, paths[1], past its first byte: the run it
+// crashes checkpointed inside the member before that write.
+func memberKill(t *testing.T, rng *rand.Rand, ws []write) int64 {
+	t.Helper()
+	var in []int64
+	for _, w := range ws {
+		if w.pos.File == 1 && w.pos.Offset > 0 {
+			in = append(in, w.at)
+		}
+	}
+	if len(in) == 0 {
+		t.Fatal("the uninterrupted run wrote no session from inside the gzip member")
+	}
+	return in[rng.Intn(len(in))]
 }
 
 var resumedAt = regexp.MustCompile(`\w+: resuming (\S+) from byte (\d+) `)
@@ -474,31 +505,35 @@ func rotateCorpus(t *testing.T, c corpus, dir string) []string {
 // TestCrashRecoveryMultiFile is the harness over a rotated three-file set —
 // the middle member gzip-compressed, the first missing its final newline —
 // where a resume must land at the recorded (file, offset) position,
-// including inside the gzip member, whose offsets count decoded bytes.
+// including inside the gzip member, whose offsets count decoded bytes. One
+// kill of each seed falls among the session writes the uninterrupted run
+// made after a chunk boundary inside the member, so a resume lands there by
+// construction; the other three are drawn from the whole file.
 func TestCrashRecoveryMultiFile(t *testing.T) {
 	for name, load := range corpora {
 		t.Run(name, func(t *testing.T) {
 			c := load(t)
 			want, stats := referenceRun(t, c)
-			inGzip := 0
 			for seed := int64(1); seed <= 2; seed++ {
 				paths := rotateCorpus(t, c, t.TempDir())
 				rig := newCrashRig(c, paths, checkpointFaults())
-				kills := sortedKills(rand.New(rand.NewSource(seed)), 4, rig.lastWrite(t))
+				ws := rig.writes(t)
+				rng := rand.New(rand.NewSource(seed))
+				kills := append(sortedKills(rng, 3, ws[len(ws)-1].at), memberKill(t, rng, ws))
+				slices.Sort(kills)
 				notices := rig.crashThenFinish(t, kills, stats)
 				requireFile(t, rig.sessPath, want, fmt.Sprintf("seed %d", seed))
 				at, offsets := resumes(t, notices)
 				if len(at) == 0 {
 					t.Fatalf("seed %d: no run resumed from a checkpoint; notices:\n%s", seed, notices)
 				}
+				inGzip := false
 				for i := range at {
-					if at[i] == paths[1] && offsets[i] > 0 {
-						inGzip++
-					}
+					inGzip = inGzip || at[i] == paths[1] && offsets[i] > 0
 				}
-			}
-			if inGzip == 0 {
-				t.Fatal("no run resumed inside the gzip member")
+				if !inGzip {
+					t.Fatalf("seed %d: no run resumed inside the gzip member; notices:\n%s", seed, notices)
+				}
 			}
 		})
 	}
