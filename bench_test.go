@@ -18,7 +18,6 @@ import (
 
 	"smartsra/internal/eval"
 	"smartsra/internal/heuristics"
-	"smartsra/internal/predict"
 	"smartsra/internal/referrer"
 	"smartsra/internal/session"
 	"smartsra/internal/simulator"
@@ -423,40 +422,6 @@ func BenchmarkReferrerUpperBound(b *testing.B) {
 		}
 		b.ReportMetric(acc.Percent(), "acc%")
 	})
-}
-
-// BenchmarkApplicationPrefetch measures the downstream pre-fetching payoff:
-// a next-page predictor trained on each heuristic's sessions, evaluated as
-// top-3 hit rate on held-out ground-truth navigation.
-func BenchmarkApplicationPrefetch(b *testing.B) {
-	params := simulator.PaperParams()
-	params.Agents = 400
-	g, res := benchWorkload(b, webgraph.PaperTopology(), params)
-	cut := len(res.Streams) / 2
-	trainStreams := res.Streams[:cut]
-	evalUsers := make(map[string]bool)
-	for _, st := range res.Streams[cut:] {
-		evalUsers[st.User] = true
-	}
-	var evalReal []session.Session
-	for _, r := range res.Real {
-		if evalUsers[r.User] {
-			evalReal = append(evalReal, r)
-		}
-	}
-	for _, h := range eval.DefaultHeuristics(g) {
-		b.Run(h.Name(), func(b *testing.B) {
-			var rate float64
-			for i := 0; i < b.N; i++ {
-				model, err := predict.Train(heuristics.ReconstructAll(h, trainStreams), 2)
-				if err != nil {
-					b.Fatal(err)
-				}
-				rate, _ = model.HitRate(evalReal, 3)
-			}
-			b.ReportMetric(rate*100, "hit@3%")
-		})
-	}
 }
 
 // BenchmarkEvaluatePoint measures one full evaluation point — simulate,

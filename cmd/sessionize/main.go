@@ -180,12 +180,10 @@ func run(o options) error {
 
 	// -log accepts "-" (stdin), a single file, a comma list, or a glob
 	// ("access.log*") over plain and gzip files — the shapes a rotated
-	// retention window takes. paths stays nil for stdin.
-	var paths []string
-	if o.logPath != "-" {
-		if paths, err = clf.ResolveLogPaths(o.logPath); err != nil {
-			return err
-		}
+	// retention window takes. paths is nil for stdin.
+	paths, err := clf.ResolveLogPaths(o.logPath)
+	if err != nil {
+		return err
 	}
 
 	if o.heur == "referrer" {
@@ -195,7 +193,7 @@ func run(o options) error {
 		return runReferrer(g, paths, o)
 	}
 
-	h, err := pickHeuristic(o.heur, g)
+	h, err := heuristics.ByName(o.heur, g)
 	if err != nil {
 		return err
 	}
@@ -221,15 +219,10 @@ func run(o options) error {
 	if err != nil {
 		return err
 	}
-	records, malformed, err := readLog(paths)
+	res, err := pipeline.ProcessLog(paths, os.Stdin)
 	if err != nil {
 		return err
 	}
-	res, err := pipeline.ProcessRecords(records)
-	if err != nil {
-		return err
-	}
-	res.Stats.Malformed = malformed
 	if err := writeSessions(o, res.Sessions); err != nil {
 		return err
 	}
@@ -358,21 +351,9 @@ func writeSessions(o options, sessions []session.Session) (err error) {
 	return out.WriteBatch(sessions)
 }
 
-// readLog reads every record of the input set, or of stdin for nil paths,
-// through the chunk reader -stream reads with.
-func readLog(paths []string) (records []clf.Record, malformed int, err error) {
-	keep := func(recs []clf.Record) { records = append(records, recs...) } // recs is lent: copy out
-	if paths == nil {
-		malformed, err = clf.StreamChunked(os.Stdin, clf.StreamConfig{}, keep, nil)
-	} else {
-		malformed, err = clf.StreamFilesChunked(paths, clf.StreamConfig{}, keep, nil)
-	}
-	return records, malformed, err
-}
-
 // runReferrer sessionizes a combined-format log by referrer chaining.
 func runReferrer(g *webgraph.Graph, paths []string, o options) error {
-	records, malformed, err := readLog(paths)
+	records, malformed, err := clf.ReadLog(paths, os.Stdin)
 	if err != nil {
 		return err
 	}
@@ -395,18 +376,4 @@ func runReferrer(g *webgraph.Graph, paths []string, o options) error {
 	fmt.Fprintf(os.Stderr, "pipeline:  records=%d malformed=%d filtered=%d with-referer=%d sessions=%d\n",
 		len(records), malformed, dropped, withRef, len(sessions))
 	return nil
-}
-
-func pickHeuristic(name string, g *webgraph.Graph) (heuristics.Reconstructor, error) {
-	switch name {
-	case "heur1":
-		return heuristics.NewTimeTotal(), nil
-	case "heur2":
-		return heuristics.NewTimeGap(), nil
-	case "heur3":
-		return heuristics.NewNavigation(g), nil
-	case "heur4":
-		return heuristics.NewSmartSRA(g), nil
-	}
-	return nil, fmt.Errorf("unknown heuristic %q (want heur1..heur4)", name)
 }

@@ -8,6 +8,9 @@
 //	wumine -topology topology.json -log access.log [-heuristic heur4]
 //	       [-min-support 10] [-max-len 5] [-min-confidence 0.5]
 //	       [-containment contiguous] [-top 20]
+//
+// -log is read as sessionize's batch mode reads it (core.Pipeline.ProcessLog):
+// "-" for stdin, or a comma list or glob of plain and gzip files.
 package main
 
 import (
@@ -16,6 +19,7 @@ import (
 	"fmt"
 	"os"
 
+	"smartsra/internal/clf"
 	"smartsra/internal/core"
 	"smartsra/internal/heuristics"
 	"smartsra/internal/mining"
@@ -25,7 +29,7 @@ import (
 func main() {
 	var (
 		topoPath = flag.String("topology", "", "topology JSON written by simgen (required)")
-		logPath  = flag.String("log", "", "CLF access log (required; - for stdin)")
+		logPath  = flag.String("log", "", "CLF access logs: comma-separated paths/globs, gzip ok (required; - for stdin)")
 		heur     = flag.String("heuristic", "heur4", "heur1|heur2|heur3|heur4")
 		minSup   = flag.Int("min-support", 10, "minimum supporting sessions per pattern")
 		maxLen   = flag.Int("max-len", 5, "maximum pattern length (0 = unlimited)")
@@ -55,18 +59,9 @@ func run(topoPath, logPath, heur string, minSup, maxLen int, minConf float64,
 	if err != nil {
 		return err
 	}
-	var h heuristics.Reconstructor
-	switch heur {
-	case "heur1":
-		h = heuristics.NewTimeTotal()
-	case "heur2":
-		h = heuristics.NewTimeGap()
-	case "heur3":
-		h = heuristics.NewNavigation(g)
-	case "heur4":
-		h = heuristics.NewSmartSRA(g)
-	default:
-		return fmt.Errorf("unknown heuristic %q", heur)
+	h, err := heuristics.ByName(heur, g)
+	if err != nil {
+		return err
 	}
 	var containment mining.Containment
 	switch contain {
@@ -78,19 +73,15 @@ func run(topoPath, logPath, heur string, minSup, maxLen int, minConf float64,
 		return fmt.Errorf("unknown containment %q", contain)
 	}
 
+	paths, err := clf.ResolveLogPaths(logPath)
+	if err != nil {
+		return err
+	}
 	pipeline, err := core.NewPipeline(core.Config{Graph: g, Heuristic: h})
 	if err != nil {
 		return err
 	}
-	in := os.Stdin
-	if logPath != "-" {
-		in, err = os.Open(logPath)
-		if err != nil {
-			return err
-		}
-		defer in.Close()
-	}
-	res, err := pipeline.ProcessLog(bufio.NewReader(in))
+	res, err := pipeline.ProcessLog(paths, os.Stdin)
 	if err != nil {
 		return err
 	}

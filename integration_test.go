@@ -7,9 +7,14 @@ package smartsra
 // between tools, and file-format regressions that unit tests cannot see.
 
 import (
+	"bytes"
+	"compress/gzip"
+	"go/parser"
+	"go/token"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -117,6 +122,12 @@ association rules (16 total, min confidence 0.50):
 `; wm != want {
 		t.Errorf("wumine stdout:\n%s\nwant:\n%s", wm, want)
 	}
+	// A gzip copy of the log mines the same patterns.
+	gzLog := logf + ".gz"
+	writeGzip(t, gzLog, logf)
+	if gz, _ := run("wumine", "-topology", topo, "-log", gzLog, "-min-support", "5", "-top", "3"); gz != wm {
+		t.Errorf("wumine on the gzip copy:\n%s\nwant what the plain log gives:\n%s", gz, wm)
+	}
 
 	// evaluate: a miniature sweep and the replicated defaults.
 	ev, _ := run("evaluate", "-experiment", "nip", "-agents", "120", "-pages", "80")
@@ -126,6 +137,26 @@ association rules (16 total, min confidence 0.50):
 	def, _ := run("evaluate", "-experiment", "defaults", "-agents", "120", "-replicas", "2")
 	if !strings.Contains(def, "±") {
 		t.Errorf("evaluate defaults output:\n%s", def)
+	}
+}
+
+// writeGzip writes a gzip copy of the file src to dst.
+func writeGzip(t *testing.T, dst, src string) {
+	t.Helper()
+	data, err := os.ReadFile(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	zw := gzip.NewWriter(&buf)
+	if _, err := zw.Write(data); err != nil {
+		t.Fatal(err)
+	}
+	if err := zw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(dst, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -150,6 +181,72 @@ func TestEveryCommandIsRun(t *testing.T) {
 		}
 		if len(tests) == 0 {
 			t.Errorf("cmd/%s has no test file and TestCLIWorkflow does not run it", d.Name())
+		}
+	}
+}
+
+// TestEveryPackageIsRun fails when a package under internal/ is reached by
+// no command: not imported, directly or through other packages, by the
+// non-test files of cmd/*. unrun names the exceptions, each with its reason.
+func TestEveryPackageIsRun(t *testing.T) {
+	unrun := map[string]string{
+		"internal/faultio": "only tests import it",
+		"internal/plan":    "only bench/ imports it, until ROADMAP item 2",
+	}
+	reached := map[string]bool{}
+	var visit func(dir string)
+	visit = func(dir string) {
+		if reached[dir] {
+			return
+		}
+		reached[dir] = true
+		files, err := filepath.Glob(filepath.Join(dir, "*.go"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, file := range files {
+			if strings.HasSuffix(file, "_test.go") {
+				continue
+			}
+			f, err := parser.ParseFile(token.NewFileSet(), file, nil, parser.ImportsOnly)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, imp := range f.Imports {
+				path, err := strconv.Unquote(imp.Path.Value)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if pkg, ok := strings.CutPrefix(path, "smartsra/"); ok {
+					visit(pkg)
+				}
+			}
+		}
+	}
+	cmds, err := os.ReadDir("cmd")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range cmds {
+		if d.IsDir() {
+			visit("cmd/" + d.Name())
+		}
+	}
+	pkgs, err := os.ReadDir("internal")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range pkgs {
+		if !d.IsDir() {
+			continue
+		}
+		pkg := "internal/" + d.Name()
+		reason, exempt := unrun[pkg]
+		switch {
+		case !reached[pkg] && !exempt:
+			t.Errorf("%s: no command reaches it; delete it, or name it in unrun with a reason", pkg)
+		case reached[pkg] && exempt:
+			t.Errorf("%s: a command reaches it now; drop its unrun entry (%q)", pkg, reason)
 		}
 	}
 }

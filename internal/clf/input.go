@@ -13,10 +13,14 @@ import (
 // ResolveLogPaths expands a -log flag value into the ordered list of files
 // it names: a comma-separated list of paths and/or globs ("access.log*"),
 // resolved, deduplicated, and sorted lexically — the order rotated log sets
-// like access.log.1.gz, access.log.2.gz are replayed in. The spec "-"
-// (stdin) is the caller's to handle; here it is rejected, as is a glob that
+// like access.log.1.gz, access.log.2.gz are replayed in. The spec "-" is
+// stdin, returned as nil paths, which ReadLog and the streaming readers take
+// to mean the caller's reader; "-" in a list is rejected, as is a glob that
 // matches nothing.
 func ResolveLogPaths(spec string) ([]string, error) {
+	if spec == "-" {
+		return nil, nil
+	}
 	var paths []string
 	seen := make(map[string]bool)
 	for _, part := range strings.Split(spec, ",") {
@@ -50,6 +54,21 @@ func ResolveLogPaths(spec string) ([]string, error) {
 	}
 	sort.Strings(paths)
 	return paths, nil
+}
+
+// ReadLog reads every record of the log set paths — plain, gzip or rotated
+// files, as ResolveLogPaths lists them — or, for nil paths, of stdin, through
+// the chunk reader (StreamFilesChunked, StreamChunked), and returns them with
+// the malformed-line count. Records read before a read error are returned
+// with it.
+func ReadLog(paths []string, stdin io.Reader) (records []Record, malformed int, err error) {
+	keep := func(recs []Record) { records = append(records, recs...) } // recs is lent: copy out
+	if paths == nil {
+		malformed, err = StreamChunked(stdin, StreamConfig{}, keep, nil)
+	} else {
+		malformed, err = StreamFilesChunked(paths, StreamConfig{}, keep, nil)
+	}
+	return records, malformed, err
 }
 
 // IsGzipFile reports whether path starts with the gzip magic bytes (the

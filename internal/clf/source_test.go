@@ -79,34 +79,46 @@ func TestResolveLogPaths(t *testing.T) {
 	if _, err := ResolveLogPaths("-," + want[0]); err == nil {
 		t.Fatal("want error mixing stdin with files")
 	}
+	if got, err := ResolveLogPaths("-"); got != nil || err != nil {
+		t.Fatalf("stdin: got %v, %v; want nil paths", got, err)
+	}
 }
 
 // TestStreamFilesMatchesConcat is the multi-file equivalence bar: a rotated
 // plain/gzip/plain set streams byte-identically to zcat-then-concatenate
-// through the sequential reader, across chunk sizes.
+// through the sequential reader, across chunk sizes, and ReadLog collects
+// the same records from the set and from its text on stdin.
 func TestStreamFilesMatchesConcat(t *testing.T) {
 	paths, full := rotatedSet(t, 11, 600)
 	want, wantBad, err := ReadAll(strings.NewReader(full))
 	if err != nil {
 		t.Fatal(err)
 	}
+	check := func(name string, got []Record, bad int, err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if bad != wantBad || len(got) != len(want) {
+			t.Fatalf("%s: %d/%d records, want %d/%d", name, len(got), bad, len(want), wantBad)
+		}
+		for i := range got {
+			if !recordsMatch(got[i], want[i]) {
+				t.Fatalf("%s: record %d differs", name, i)
+			}
+		}
+	}
 
 	for _, chunk := range []int{256, 4096, readChunkSize} {
 		var got []Record
 		bad, err := StreamFilesChunked(paths, StreamConfig{ChunkBytes: chunk},
 			func(recs []Record) { got = append(got, recs...) }, nil)
-		if err != nil {
-			t.Fatalf("chunk=%d: %v", chunk, err)
-		}
-		if bad != wantBad || len(got) != len(want) {
-			t.Fatalf("chunk=%d: %d/%d records, want %d/%d", chunk, len(got), bad, len(want), wantBad)
-		}
-		for i := range got {
-			if !recordsMatch(got[i], want[i]) {
-				t.Fatalf("chunk=%d: record %d differs", chunk, i)
-			}
-		}
+		check(fmt.Sprintf("chunk=%d", chunk), got, bad, err)
 	}
+	got, bad, err := ReadLog(paths, nil)
+	check("ReadLog(files)", got, bad, err)
+	got, bad, err = ReadLog(nil, strings.NewReader(full))
+	check("ReadLog(stdin)", got, bad, err)
 }
 
 // TestStreamFilesResume: every progress-reported FilePos is a valid resume

@@ -25,7 +25,7 @@ func ExamplePipeline_ProcessLog() {
 		fmt.Println(err)
 		return
 	}
-	res, err := p.ProcessLog(strings.NewReader(log))
+	res, err := p.ProcessLog(nil, strings.NewReader(log))
 	if err != nil {
 		fmt.Println(err)
 		return

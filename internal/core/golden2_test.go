@@ -87,7 +87,7 @@ func TestGoldenCorpusSimgen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := ref.ProcessLog(bytes.NewReader(log))
+	res, err := ref.ProcessLog(nil, bytes.NewReader(log))
 	if err != nil {
 		t.Fatal(err)
 	}

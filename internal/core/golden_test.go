@@ -77,7 +77,7 @@ func TestGoldenCorpusBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := ref.ProcessLog(bytes.NewReader(log))
+	res, err := ref.ProcessLog(nil, bytes.NewReader(log))
 	if err != nil {
 		t.Fatal(err)
 	}

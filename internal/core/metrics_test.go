@@ -27,7 +27,7 @@ func TestPipelineMetricsUnderConcurrentUse(t *testing.T) {
 	}, "\n")
 
 	before := metrics.Default.Snapshot()
-	ref, err := p.ProcessLog(strings.NewReader(log))
+	ref, err := p.ProcessLog(nil, strings.NewReader(log))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +39,7 @@ func TestPipelineMetricsUnderConcurrentUse(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for j := 0; j < per; j++ {
-				res, err := p.ProcessLog(strings.NewReader(log))
+				res, err := p.ProcessLog(nil, strings.NewReader(log))
 				if err != nil {
 					t.Error(err)
 					return

@@ -7,7 +7,7 @@
 //
 //	g, _ := webgraph.Decode(topologyFile)
 //	p, _ := core.NewPipeline(core.Config{Graph: g})
-//	result, _ := p.ProcessLog(logFile)
+//	result, _ := p.ProcessLog([]string{"access.log"}, nil)
 //	for _, s := range result.Sessions { ... }
 //
 // However a log gets here — ProcessLog, which collects it, or the streaming
@@ -59,14 +59,10 @@ type Config struct {
 	// Filter cleans records before user identification; nil means
 	// clf.StandardCleaning(). Use clf.KeepAll to disable cleaning.
 	//
-	// Filter, Key and Resolver must be pure functions of their input: during
-	// a Tail's Ingest* they run on clf's parser goroutine, beside the
-	// goroutine that owns the Tail, a chunk or two ahead of it.
+	// Filter must be a pure function of its input: during a Tail's Ingest*
+	// it runs on clf's parser goroutine, beside the goroutine that owns the
+	// Tail, a chunk or two ahead of it.
 	Filter clf.Filter
-	// Key identifies users; nil means prep.ByIP.
-	Key prep.UserKey
-	// Resolver maps URIs to pages; nil means resolving against Graph labels.
-	Resolver prep.Resolver
 	// StreamChunkBytes is the streaming reader's chunk size, which is also
 	// the granularity of ingestion's progress callbacks — and therefore of
 	// checkpoints. <= 0 means the clf default (~1 MiB). It never changes the
@@ -105,19 +101,20 @@ type pageView struct {
 func (pageView) Lent() pageView { return pageView{user: "\x00lent"} }
 
 // stage runs the pure per-record stages that precede buffering — clean,
-// resolve, key. The record travels by pointer: a clf.Record is 168 bytes,
-// and the Filter and Key calls, whose types take it by value, are the only
-// copies a line pays. During Tail ingestion it runs on clf's parser
-// goroutine, beside the Tail's.
+// resolve the URI against Graph's labels, key the user by IP (§1: the only
+// identity a common-format log has). The record travels by pointer: a
+// clf.Record is 168 bytes, and the Filter call, whose type takes it by
+// value, is the only copy a line pays. During Tail ingestion it runs on
+// clf's parser goroutine, beside the Tail's.
 func (c *Config) stage(rec *clf.Record) pageView {
 	if c.Filter != nil && !c.Filter(*rec) {
 		return pageView{res: stageFiltered}
 	}
-	page, ok := c.Resolver(rec.URI)
+	page, ok := c.Graph.PageByURI(rec.URI)
 	if !ok {
 		return pageView{res: stageUnresolved}
 	}
-	return pageView{user: c.Key(*rec), at: rec.Time, page: page}
+	return pageView{user: rec.Host, at: rec.Time, page: page}
 }
 
 // Pipeline is an immutable, reusable log-to-sessions processor. It is safe
@@ -136,12 +133,6 @@ func NewPipeline(cfg Config) (*Pipeline, error) {
 	}
 	if cfg.Filter == nil {
 		cfg.Filter = clf.StandardCleaning()
-	}
-	if cfg.Key == nil {
-		cfg.Key = prep.ByIP
-	}
-	if cfg.Resolver == nil {
-		cfg.Resolver = prep.GraphResolver(cfg.Graph)
 	}
 	return &Pipeline{cfg: cfg}, nil
 }
@@ -178,15 +169,13 @@ func (s Stats) String() string {
 		s.Records, s.Malformed, s.Filtered, s.Unresolved, s.Users, s.Sessions)
 }
 
-// ProcessLog runs the full pipeline on a CLF log: parse (skipping malformed
-// lines), clean, identify users, order each user's requests, and reconstruct
-// sessions. It fails only on read errors; data-quality issues are counted in
-// Stats.
-func (p *Pipeline) ProcessLog(r io.Reader) (*Result, error) {
-	var records []clf.Record
-	malformed, err := clf.StreamChunked(r, clf.StreamConfig{}, func(recs []clf.Record) {
-		records = append(records, recs...) // recs is lent: copy out
-	}, nil)
+// ProcessLog runs the full pipeline on a CLF log — the files paths names
+// (plain, gzip or rotated; see clf.ResolveLogPaths), or stdin for nil paths:
+// parse (skipping malformed lines), clean, identify users, order each user's
+// requests, and reconstruct sessions. It fails only on read errors;
+// data-quality issues are counted in Stats.
+func (p *Pipeline) ProcessLog(paths []string, stdin io.Reader) (*Result, error) {
+	records, malformed, err := clf.ReadLog(paths, stdin)
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
@@ -200,9 +189,8 @@ func (p *Pipeline) ProcessLog(r io.Reader) (*Result, error) {
 
 // ProcessRecords runs the pipeline on already-parsed records.
 func (p *Pipeline) ProcessRecords(records []clf.Record) (*Result, error) {
-	streams, pstats, err := prep.BuildStreams(records, p.cfg.Resolver, prep.Options{
+	streams, pstats, err := prep.BuildStreams(records, prep.GraphResolver(p.cfg.Graph), prep.Options{
 		Filter: p.cfg.Filter,
-		Key:    p.cfg.Key,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)

@@ -46,7 +46,7 @@ func TestProcessLogEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := p.ProcessLog(strings.NewReader(log))
+	res, err := p.ProcessLog(nil, strings.NewReader(log))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +95,7 @@ func TestProcessLogCustomHeuristicAndFilter(t *testing.T) {
 		t.Fatal(err)
 	}
 	log := `10.0.0.1 - - [02/Jan/2006:12:00:00 +0000] "POST /P1.html HTTP/1.1" 500 100`
-	res, err := p.ProcessLog(strings.NewReader(log))
+	res, err := p.ProcessLog(nil, strings.NewReader(log))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +147,7 @@ func TestProcessLogReadError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.ProcessLog(failingReader{}); err == nil {
+	if _, err := p.ProcessLog(nil, failingReader{}); err == nil {
 		t.Error("read error not propagated")
 	}
 }

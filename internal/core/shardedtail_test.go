@@ -101,7 +101,7 @@ func TestPipelineParallelMatchesSequential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := p.ProcessLog(bytes.NewReader(log))
+		got, err := p.ProcessLog(nil, bytes.NewReader(log))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -26,8 +26,8 @@ func DiscardSessions([]session.Session) {}
 // Ingest streams a CLF log from a reader the caller lends — a pipe, stdin,
 // bytes in memory — into the Tail through the bounded-memory chunk reader
 // (clf.StreamStaged): the input is parsed in line-aligned chunks on one
-// goroutine beside this one, which also runs Config's Filter, Resolver and
-// Key on each record, and each chunk's page views — user, time, page — are
+// goroutine beside this one, which also cleans, resolves and keys each
+// record (Config.stage), and each chunk's page views — user, time, page — are
 // delivered in input order straight into the batched push, so heap stays
 // bounded by a few chunks plus the users the log's clock leaves open, no
 // matter how long the log is — nothing is materialized — and a chunk is what

@@ -1,12 +1,10 @@
 package eval
 
 import (
-	"math/rand"
 	"strings"
 	"testing"
 	"time"
 
-	"smartsra/internal/heuristics"
 	"smartsra/internal/session"
 	"smartsra/internal/simulator"
 	"smartsra/internal/webgraph"
@@ -375,75 +373,6 @@ func TestReplicate(t *testing.T) {
 	}
 	if _, err := Replicate(cfg, nil); err == nil {
 		t.Error("empty seed list accepted")
-	}
-}
-
-func TestLengthDistribution(t *testing.T) {
-	sessions := []session.Session{
-		mk("u", 1), mk("u", 1), // length 1 x2
-		mk("u", 1, 2),          // length 2
-		mk("u", 1, 2, 3, 4, 5), // length 5 folds into bucket 3
-		{User: "empty"},
-	}
-	d := LengthDistribution(sessions, 3)
-	if len(d) != 3 {
-		t.Fatalf("dist = %v", d)
-	}
-	if d[0] != 0.5 || d[1] != 0.25 || d[2] != 0.25 {
-		t.Errorf("dist = %v", d)
-	}
-	if got := LengthDistribution(nil, 3); got != nil {
-		t.Errorf("empty dist = %v", got)
-	}
-	if got := LengthDistribution(sessions, 0); got != nil {
-		t.Errorf("maxLen 0 dist = %v", got)
-	}
-	if got := LengthDistribution([]session.Session{{User: "e"}}, 3); got != nil {
-		t.Errorf("all-empty dist = %v", got)
-	}
-}
-
-func TestTotalVariation(t *testing.T) {
-	if got := TotalVariation([]float64{0.5, 0.5}, []float64{0.5, 0.5}); got != 0 {
-		t.Errorf("identical TV = %v", got)
-	}
-	if got := TotalVariation([]float64{1, 0}, []float64{0, 1}); got != 1 {
-		t.Errorf("disjoint TV = %v", got)
-	}
-	if got := TotalVariation([]float64{1}, []float64{0.5, 0.5}); got != 0.5 {
-		t.Errorf("padded TV = %v", got)
-	}
-}
-
-func TestLengthFidelityOrdersHeuristics(t *testing.T) {
-	cfg := smallConfig()
-	// Fidelity needs sessions; reuse EvaluatePoint's machinery by hand.
-	g, err := webgraph.GenerateTopology(cfg.Topology, rand.New(rand.NewSource(cfg.TopologySeed)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := simulator.Run(g, cfg.Params)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fid := func(h heuristics.Reconstructor) float64 {
-		v, err := LengthFidelity(res.Real, heuristics.ReconstructAll(h, res.Streams), 20)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return v
-	}
-	smart := fid(heuristics.NewSmartSRA(g))
-	timegap := fid(heuristics.NewTimeGap())
-	if smart >= timegap {
-		t.Errorf("Smart-SRA length fidelity (TV=%.3f) not better than time-gap (TV=%.3f)",
-			smart, timegap)
-	}
-	if _, err := LengthFidelity(nil, res.Real, 10); err == nil {
-		t.Error("empty real set accepted")
-	}
-	if _, err := LengthFidelity(res.Real, res.Real, 0); err == nil {
-		t.Error("maxLen 0 accepted")
 	}
 }
 

@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"runtime"
@@ -243,15 +244,23 @@ func userLog(u *simulator.User) *simulator.Result {
 
 // roundTripCLF renders u's requests as CLF text and rebuilds its stream
 // through the full parsing/cleaning pipeline, as a production deployment
-// would: one stream, or none if cleaning dropped every record.
+// would — the text through the byte parser the log readers use: one stream,
+// or none if cleaning dropped every record. A rendered line the parser
+// rejects is an error.
 func roundTripCLF(g *webgraph.Graph, u *simulator.User) ([]session.Stream, error) {
 	records := userLog(u).Log(g)
-	for i, r := range records {
-		rec, err := clf.ParseRecord(r.String())
-		if err != nil {
-			return nil, fmt.Errorf("eval: round trip: %w", err)
-		}
-		records[i] = rec
+	var text bytes.Buffer
+	w := clf.NewWriter(&text)
+	for _, r := range records {
+		w.Write(r) // the first failed write is Flush's error
+	}
+	if err := w.Flush(); err != nil {
+		return nil, fmt.Errorf("eval: round trip: %w", err)
+	}
+	n := len(records)
+	records, malformed := clf.ParseChunk(text.Bytes(), records[:0])
+	if malformed > 0 {
+		return nil, fmt.Errorf("eval: round trip: %d of %d rendered lines malformed", malformed, n)
 	}
 	streams, _, err := prep.BuildStreams(records, prep.GraphResolver(g), prep.Options{
 		Filter: clf.StandardCleaning(),

@@ -12,7 +12,12 @@
 // builds on a fresh lane (Lend) of its own.
 package heuristics
 
-import "smartsra/internal/session"
+import (
+	"fmt"
+
+	"smartsra/internal/session"
+	"smartsra/internal/webgraph"
+)
 
 // Reconstructor is a session reconstruction heuristic.
 type Reconstructor interface {
@@ -28,6 +33,22 @@ type Reconstructor interface {
 // Describer is implemented by heuristics that can explain themselves.
 type Describer interface {
 	Describe() string
+}
+
+// ByName returns the heuristic a command line names, "heur1" to "heur4",
+// with the paper's thresholds; g is the site topology heur3 and heur4 need.
+func ByName(name string, g *webgraph.Graph) (Reconstructor, error) {
+	switch name {
+	case "heur1":
+		return NewTimeTotal(), nil
+	case "heur2":
+		return NewTimeGap(), nil
+	case "heur3":
+		return NewNavigation(g), nil
+	case "heur4":
+		return NewSmartSRA(g), nil
+	}
+	return nil, fmt.Errorf("unknown heuristic %q (want heur1..heur4)", name)
 }
 
 // Lend returns a lane of h: appendTo appends the sessions of one user's

@@ -24,6 +24,12 @@ func TestNamesAndDescriptions(t *testing.T) {
 		if !ok || d.Describe() == "" {
 			t.Errorf("%s has no description", h.Name())
 		}
+		if byName, err := ByName(wantNames[i], g); err != nil || byName.Name() != wantNames[i] {
+			t.Errorf("ByName(%q) = %v, %v", wantNames[i], byName, err)
+		}
+	}
+	if _, err := ByName("referrer", g); err == nil {
+		t.Error("ByName accepted a name that is not one of the four")
 	}
 	if got, want := NewSmartSRA(g).Describe(), "Smart-SRA (δ=30m0s, ρ=10m0s)"; got != want {
 		t.Errorf("Smart-SRA description = %q, want %q", got, want)

@@ -20,7 +20,8 @@ func sessionOf(pages ...int) session.Session {
 	return s
 }
 
-// ExampleMine finds frequent navigation paths and the rules they imply.
+// ExampleMine finds frequent navigation paths, prints the frequent page
+// pairs, and the rules the paths imply.
 func ExampleMine() {
 	sessions := []session.Session{
 		sessionOf(1, 2, 3),
@@ -35,8 +36,10 @@ func ExampleMine() {
 		fmt.Println(err)
 		return
 	}
-	for _, p := range mining.TopK(patterns, 2, 2) {
-		fmt.Println(p)
+	for _, p := range patterns {
+		if len(p.Pages) == 2 {
+			fmt.Println(p)
+		}
 	}
 	for _, r := range mining.Rules(patterns, 0.6) {
 		fmt.Println(r)

@@ -227,86 +227,3 @@ func TestRulesEmpty(t *testing.T) {
 		t.Errorf("rules from singletons: %v", got)
 	}
 }
-
-func TestFilterMaximal(t *testing.T) {
-	sessions := []session.Session{mk(1, 2, 3), mk(1, 2, 3)}
-	patterns, err := Mine(sessions, Config{MinSupport: 2, Containment: Contiguous})
-	if err != nil {
-		t.Fatal(err)
-	}
-	maximal := FilterMaximal(patterns, Contiguous)
-	// Only [1 2 3] is maximal; every sub-run is contained in it.
-	if len(maximal) != 1 || len(maximal[0].Pages) != 3 {
-		t.Errorf("maximal = %v", maximal)
-	}
-	// Under subsequence containment the same holds here.
-	subPatterns, err := Mine(sessions, Config{MinSupport: 2, Containment: Subsequence})
-	if err != nil {
-		t.Fatal(err)
-	}
-	subMax := FilterMaximal(subPatterns, Subsequence)
-	if len(subMax) != 1 {
-		t.Errorf("subsequence maximal = %v", subMax)
-	}
-	if got := FilterMaximal(nil, Contiguous); len(got) != 0 {
-		t.Errorf("FilterMaximal(nil) = %v", got)
-	}
-}
-
-func TestFilterMaximalKeepsIncomparable(t *testing.T) {
-	sessions := []session.Session{
-		mk(1, 2), mk(1, 2),
-		mk(3, 4), mk(3, 4),
-	}
-	patterns, err := Mine(sessions, Config{MinSupport: 2, Containment: Contiguous})
-	if err != nil {
-		t.Fatal(err)
-	}
-	maximal := FilterMaximal(patterns, Contiguous)
-	if len(maximal) != 2 {
-		t.Errorf("maximal = %v, want [1 2] and [3 4]", maximal)
-	}
-}
-
-func TestTopK(t *testing.T) {
-	sessions := []session.Session{
-		mk(1, 2), mk(1, 2), mk(1, 2),
-		mk(5, 6), mk(5, 6),
-	}
-	patterns, err := Mine(sessions, Config{MinSupport: 2, Containment: Contiguous})
-	if err != nil {
-		t.Fatal(err)
-	}
-	top := TopK(patterns, 2, 2)
-	if len(top) != 2 {
-		t.Fatalf("top = %v", top)
-	}
-	if top[0].Support != 3 || len(top[0].Pages) != 2 {
-		t.Errorf("top[0] = %v", top[0])
-	}
-	for _, p := range top {
-		if len(p.Pages) < 2 {
-			t.Errorf("minLen ignored: %v", p)
-		}
-	}
-	if got := TopK(patterns, 0, 1); len(got) != 0 {
-		t.Errorf("TopK(0) = %v", got)
-	}
-}
-
-func TestSupportLookup(t *testing.T) {
-	sessions := []session.Session{mk(1, 2, 3), mk(1, 2, 3)}
-	patterns, err := Mine(sessions, Config{MinSupport: 2, Containment: Contiguous})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := Support(patterns, []webgraph.PageID{1, 2}); got != 2 {
-		t.Errorf("Support([1 2]) = %d", got)
-	}
-	if got := Support(patterns, []webgraph.PageID{2, 1}); got != 0 {
-		t.Errorf("Support([2 1]) = %d, want 0", got)
-	}
-	if got := Support(nil, []webgraph.PageID{1}); got != 0 {
-		t.Errorf("Support(nil) = %d", got)
-	}
-}

@@ -2,7 +2,7 @@
 // timestamp-ordered request streams that session reconstruction heuristics
 // consume. It covers the paper's user-identification step: for reactive
 // processing "IP address, request time, and URL are the only information
-// needed", so users default to being keyed by IP.
+// needed", so users are keyed by IP.
 package prep
 
 import (
@@ -14,23 +14,6 @@ import (
 	"smartsra/internal/webgraph"
 )
 
-// UserKey derives a user identity from a record. The zero-value default used
-// by Options is ByIP.
-type UserKey func(clf.Record) string
-
-// ByIP keys users by client IP — the only identity a CLF reactive pipeline
-// has (the paper, §1).
-func ByIP(r clf.Record) string { return r.Host }
-
-// ByIPAndAuthUser keys by IP plus the authenticated user name when present,
-// which separates users behind a shared proxy IP on sites using HTTP auth.
-func ByIPAndAuthUser(r clf.Record) string {
-	if r.AuthUser == "" || r.AuthUser == "-" {
-		return r.Host
-	}
-	return r.Host + "|" + r.AuthUser
-}
-
 // Resolver maps a request URI to a page of the site topology. Unresolvable
 // URIs (external links, unmapped paths) are dropped and counted.
 type Resolver func(uri string) (webgraph.PageID, bool)
@@ -40,14 +23,11 @@ func GraphResolver(g *webgraph.Graph) Resolver {
 	return g.PageByURI
 }
 
-// Options configures BuildStreams. The zero value means: no cleaning filter,
-// users keyed by IP.
+// Options configures BuildStreams. The zero value means no cleaning filter.
 type Options struct {
 	// Filter drops records before user identification; nil keeps everything.
 	// Use clf.StandardCleaning() for the conventional pipeline.
 	Filter clf.Filter
-	// Key derives user identities; nil means ByIP.
-	Key UserKey
 }
 
 // Stats reports what happened to the input during stream building.
@@ -76,10 +56,6 @@ func BuildStreams(records []clf.Record, resolve Resolver, opts Options) ([]sessi
 	if resolve == nil {
 		return nil, Stats{}, fmt.Errorf("prep: nil resolver")
 	}
-	key := opts.Key
-	if key == nil {
-		key = ByIP
-	}
 	stats := Stats{Records: len(records)}
 	byUser := make(map[string][]session.Entry)
 	for _, rec := range records {
@@ -92,8 +68,7 @@ func BuildStreams(records []clf.Record, resolve Resolver, opts Options) ([]sessi
 			stats.Unresolved++
 			continue
 		}
-		u := key(rec)
-		byUser[u] = append(byUser[u], session.Entry{Page: page, Time: rec.Time})
+		byUser[rec.Host] = append(byUser[rec.Host], session.Entry{Page: page, Time: rec.Time})
 	}
 	users := make([]string, 0, len(byUser))
 	for u := range byUser {

@@ -98,38 +98,3 @@ func TestBuildStreamsNilResolver(t *testing.T) {
 		t.Error("nil resolver accepted")
 	}
 }
-
-func TestUserKeys(t *testing.T) {
-	r := rec("1.2.3.4", "/P1.html", 0)
-	if ByIP(r) != "1.2.3.4" {
-		t.Errorf("ByIP = %q", ByIP(r))
-	}
-	if ByIPAndAuthUser(r) != "1.2.3.4" {
-		t.Errorf("ByIPAndAuthUser with dash = %q", ByIPAndAuthUser(r))
-	}
-	r.AuthUser = "alice"
-	if ByIPAndAuthUser(r) != "1.2.3.4|alice" {
-		t.Errorf("ByIPAndAuthUser = %q", ByIPAndAuthUser(r))
-	}
-	r.AuthUser = ""
-	if ByIPAndAuthUser(r) != "1.2.3.4" {
-		t.Errorf("ByIPAndAuthUser with empty = %q", ByIPAndAuthUser(r))
-	}
-}
-
-func TestCustomKeySeparatesProxyUsers(t *testing.T) {
-	g, _ := figureGraph(t)
-	a := rec("proxy", "/P1.html", 0)
-	a.AuthUser = "alice"
-	b := rec("proxy", "/P1.html", 1)
-	b.AuthUser = "bob"
-	streams, stats, err := BuildStreams([]clf.Record{a, b}, GraphResolver(g), Options{
-		Key: ByIPAndAuthUser,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Users != 2 || len(streams) != 2 {
-		t.Fatalf("proxy users not separated: %+v", stats)
-	}
-}

@@ -19,7 +19,6 @@ import (
 	"time"
 
 	"smartsra/internal/clf"
-	"smartsra/internal/prep"
 	"smartsra/internal/session"
 	"smartsra/internal/webgraph"
 )
@@ -31,8 +30,6 @@ type Reconstructor struct {
 	Graph *webgraph.Graph
 	// Rules holds δ and ρ; zero value means the paper's defaults.
 	Rules session.Rules
-	// Key identifies users; nil means prep.ByIP.
-	Key prep.UserKey
 }
 
 // New returns a referrer-based reconstructor with the paper's thresholds.
@@ -80,10 +77,6 @@ func (r Reconstructor) Reconstruct(records []clf.Record) ([]session.Session, err
 	if err := rules.Validate(); err != nil {
 		return nil, err
 	}
-	key := r.Key
-	if key == nil {
-		key = prep.ByIP
-	}
 
 	byUser := make(map[string][]request)
 	var users []string
@@ -98,7 +91,7 @@ func (r Reconstructor) Reconstruct(records []clf.Record) ([]session.Session, err
 				ref = p
 			}
 		}
-		u := key(rec)
+		u := rec.Host
 		if _, seen := byUser[u]; !seen {
 			users = append(users, u)
 		}

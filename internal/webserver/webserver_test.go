@@ -3,9 +3,7 @@ package webserver
 import (
 	"bytes"
 	"errors"
-	"fmt"
 	"io"
-	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -14,9 +12,6 @@ import (
 	"time"
 
 	"smartsra/internal/clf"
-	"smartsra/internal/core"
-	"smartsra/internal/eval"
-	"smartsra/internal/session"
 	"smartsra/internal/webgraph"
 )
 
@@ -40,7 +35,7 @@ func TestSiteServesPagesWithLinks(t *testing.T) {
 	if resp.StatusCode != 200 {
 		t.Fatalf("status %d", resp.StatusCode)
 	}
-	links := ExtractLinks(string(body))
+	links := extractLinks(string(body))
 	if len(links) != 2 {
 		t.Fatalf("P13 links = %v, want its 2 successors", links)
 	}
@@ -183,113 +178,35 @@ type failWriter struct{}
 
 func (failWriter) Write([]byte) (int, error) { return 0, errors.New("closed") }
 
+// extractLinks returns the href targets of a page's anchors, in order.
+func extractLinks(body string) []string {
+	var out []string
+	for {
+		_, rest, ok := strings.Cut(body, `href="`)
+		if !ok {
+			return out
+		}
+		link, after, ok := strings.Cut(rest, `"`)
+		if !ok {
+			return out
+		}
+		if link != "" {
+			out = append(out, link)
+		}
+		body = after
+	}
+}
+
 func TestExtractLinks(t *testing.T) {
 	body := `<a href="/a.html">a</a> <img src="x"> <a href="/b.html">b</a> <a href="">empty</a>`
-	got := ExtractLinks(body)
+	got := extractLinks(body)
 	if len(got) != 2 || got[0] != "/a.html" || got[1] != "/b.html" {
 		t.Errorf("links = %v", got)
 	}
-	if got := ExtractLinks("no links here"); len(got) != 0 {
+	if got := extractLinks("no links here"); len(got) != 0 {
 		t.Errorf("links = %v", got)
 	}
-	if got := ExtractLinks(`<a href="/unterminated`); len(got) != 0 {
+	if got := extractLinks(`<a href="/unterminated`); len(got) != 0 {
 		t.Errorf("links = %v", got)
 	}
-}
-
-func TestBrowseValidation(t *testing.T) {
-	if _, err := Browse(nil, "", BrowseConfig{}); err == nil {
-		t.Error("no entries accepted")
-	}
-	if _, err := Browse(nil, "", BrowseConfig{Entries: []string{"/x"}}); err == nil {
-		t.Error("nil rng accepted")
-	}
-}
-
-// The full loop: live agents browse the real HTTP site; the middleware's log
-// is processed by the reactive pipeline; reconstructed sessions are scored
-// against the agents' client-side ground truth.
-func TestLiveBrowseEndToEnd(t *testing.T) {
-	g, err := webgraph.GenerateTopology(webgraph.TopologyConfig{
-		Pages: 60, AvgOutDegree: 5, StartPageFraction: 0.1,
-		Model: webgraph.ModelUniform, EnsureReachable: true,
-	}, rand.New(rand.NewSource(8)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	sink := &CollectSink{}
-	clock := &fakeClock{now: time.Date(2006, 1, 2, 0, 0, 0, 0, time.UTC)}
-	srv := httptest.NewServer(AccessLogWith(NewSite(g), sink, LogOptions{Now: clock.Now}))
-	defer srv.Close()
-
-	var entries []string
-	for _, p := range g.StartPages() {
-		entries = append(entries, g.Label(p))
-	}
-
-	// All agents share the loopback IP, so identity comes from the
-	// User-Agent header; the pipeline below keys users the same way.
-	var real []session.Session
-	totalFetched, totalCached := 0, 0
-	for agentID := 0; agentID < 20; agentID++ {
-		ua := fmt.Sprintf("live-agent-%d", agentID)
-		res, err := Browse(http.DefaultClient, srv.URL, BrowseConfig{
-			Entries: entries,
-			STP:     0.08, LPP: 0.30, NIP: 0.30,
-			MaxRequests: 60,
-			Rng:         rand.New(rand.NewSource(int64(agentID))),
-			UserAgent:   ua,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		totalFetched += res.Fetched
-		totalCached += res.CacheHits
-		for _, uris := range res.RealSessions {
-			s := session.Session{User: ua}
-			for i, uri := range uris {
-				page, ok := g.PageByURI(uri)
-				if !ok {
-					t.Fatalf("agent visited unknown URI %q", uri)
-				}
-				s.Entries = append(s.Entries, session.Entry{
-					Page: page,
-					Time: clock.now.Add(time.Duration(i) * time.Second),
-				})
-			}
-			real = append(real, s)
-		}
-	}
-
-	records := sink.Records()
-	if len(records) != totalFetched {
-		t.Fatalf("middleware logged %d records, agents fetched %d", len(records), totalFetched)
-	}
-	if totalCached == 0 {
-		t.Error("no cache hits; the client-side cache is not working")
-	}
-
-	pipeline, err := core.NewPipeline(core.Config{
-		Graph: g,
-		Key:   func(r clf.Record) string { return r.UserAgent },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := pipeline.ProcessRecords(records)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.Stats.Users != 20 {
-		t.Errorf("users = %d, want 20", out.Stats.Users)
-	}
-	if out.Stats.Sessions == 0 {
-		t.Fatal("no sessions reconstructed from live traffic")
-	}
-	acc := eval.Score(real, out.Sessions)
-	if acc.Real == 0 || acc.Captured == 0 {
-		t.Fatalf("live accuracy degenerate: %s", acc)
-	}
-	t.Logf("live end-to-end: %d records, %d sessions, accuracy %s",
-		len(records), out.Stats.Sessions, acc)
 }
