@@ -203,36 +203,6 @@ func benchWorkload(b *testing.B, topo webgraph.TopologyConfig, params simulator.
 	return g, res
 }
 
-// BenchmarkAblationPhase1Rules measures Smart-SRA with Phase-1 rules
-// selectively disabled (DESIGN.md ablation: how much of the win comes from
-// the time pre-split vs the topology phase).
-func BenchmarkAblationPhase1Rules(b *testing.B) {
-	params := simulator.PaperParams()
-	params.Agents = 250
-	g, res := benchWorkload(b, webgraph.PaperTopology(), params)
-	variants := []struct {
-		name string
-		mut  func(*heuristics.SmartSRA)
-	}{
-		{"full", func(*heuristics.SmartSRA) {}},
-		{"no-total-duration", func(h *heuristics.SmartSRA) { h.DisableTotalDuration = true }},
-		{"no-page-stay", func(h *heuristics.SmartSRA) { h.DisablePageStay = true }},
-		{"no-phase1", func(h *heuristics.SmartSRA) { h.SkipPhase1 = true }},
-	}
-	for _, v := range variants {
-		b.Run(v.name, func(b *testing.B) {
-			h := heuristics.NewSmartSRA(g)
-			v.mut(&h)
-			var acc eval.Accuracy
-			for i := 0; i < b.N; i++ {
-				cands := heuristics.ReconstructAll(h, res.Streams)
-				acc = eval.ScoreMatched(res.Real, cands)
-			}
-			b.ReportMetric(acc.Percent(), "acc%")
-		})
-	}
-}
-
 // BenchmarkAblationStartPages sweeps the start-page fraction, the one
 // Table 5 parameter the paper leaves unspecified (DESIGN.md).
 func BenchmarkAblationStartPages(b *testing.B) {
@@ -264,26 +234,6 @@ func BenchmarkAblationTopologyModel(b *testing.B) {
 			params := simulator.PaperParams()
 			params.Agents = 250
 			g, res := benchWorkload(b, topo, params)
-			h := heuristics.NewSmartSRA(g)
-			var acc eval.Accuracy
-			for i := 0; i < b.N; i++ {
-				cands := heuristics.ReconstructAll(h, res.Streams)
-				acc = eval.ScoreMatched(res.Real, cands)
-			}
-			b.ReportMetric(acc.Percent(), "acc%")
-		})
-	}
-}
-
-// BenchmarkAblationRevisitPolicy compares the browser-cache revisit model
-// against the cleaner fresh-only variant (DESIGN.md).
-func BenchmarkAblationRevisitPolicy(b *testing.B) {
-	for _, policy := range []simulator.RevisitPolicy{simulator.RevisitCache, simulator.RevisitAvoid} {
-		b.Run(policy.String(), func(b *testing.B) {
-			params := simulator.PaperParams()
-			params.Agents = 250
-			params.Revisit = policy
-			g, res := benchWorkload(b, webgraph.PaperTopology(), params)
 			h := heuristics.NewSmartSRA(g)
 			var acc eval.Accuracy
 			for i := 0; i < b.N; i++ {
@@ -354,33 +304,6 @@ func BenchmarkAblationProxySharing(b *testing.B) {
 			params.ProxySize = 5
 			g, res := benchWorkload(b, webgraph.PaperTopology(), params)
 			h := heuristics.NewSmartSRA(g)
-			var acc eval.Accuracy
-			for i := 0; i < b.N; i++ {
-				cands := heuristics.ReconstructAll(h, res.Streams)
-				acc = eval.ScoreMatched(res.Real, cands)
-			}
-			b.ReportMetric(acc.Percent(), "acc%")
-		})
-	}
-}
-
-// BenchmarkExtensionInferBacktracks measures the paper's future-work
-// "intelligent path completion" (SmartSRA.InferBacktracks) against plain
-// Smart-SRA at a high backtracking rate (LPP=60%), where its inferred
-// [backtrack-target, page] sessions matter most.
-func BenchmarkExtensionInferBacktracks(b *testing.B) {
-	params := simulator.PaperParams()
-	params.Agents = 250
-	params.LPP = 0.60
-	g, res := benchWorkload(b, webgraph.PaperTopology(), params)
-	for _, infer := range []bool{false, true} {
-		name := "plain"
-		if infer {
-			name = "infer-backtracks"
-		}
-		b.Run(name, func(b *testing.B) {
-			h := heuristics.NewSmartSRA(g)
-			h.InferBacktracks = infer
 			var acc eval.Accuracy
 			for i := 0; i < b.N; i++ {
 				cands := heuristics.ReconstructAll(h, res.Streams)

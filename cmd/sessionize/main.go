@@ -6,7 +6,7 @@
 // Usage:
 //
 //	sessionize -topology topology.json -log access.log [-heuristic heur4]
-//	           [-no-clean] [-stats-only] [-stream] [-expire-every 30s]
+//	           [-no-clean] [-stats-only] [-stream] [-session-gap 10m]
 //	           [-sessions out.txt] [-checkpoint state.ckpt] [-checkpoint-every 5s]
 //	           [-cpuprofile FILE] [-memprofile FILE]
 //
@@ -30,16 +30,13 @@
 // finalization order rather than batch order; for Smart-SRA and the
 // time-gap heuristic the session contents are identical to batch mode. The
 // users= count is of activity periods: a user closed and back counts again.
-//
-// -expire-every finalizes users quiet for longer than the session gap even
-// while input is still flowing, so an endless pipe emits sessions
-// continuously instead of holding every open burst until EOF. Each tick runs
-// on the goroutine that sessionizes, between two chunks — the record boundary
-// serve journals a cut at — and fires on an idle pipe too, where the parser
-// goroutine is the one waiting for input. The default (0) enables a 30s tick
-// for pipes and stdin and disables it for regular files, where wall-clock
-// expiry would split historical sessions that batch mode merges; a negative
-// value forces it off everywhere.
+// Only the log closes a user — their own next request more than ρ later, any
+// record more than 2ρ past their last, or the end of the input — never the
+// wall clock, so the output is a function of the input bytes whether they
+// come from files, a redirect or a pipe, however the pipe pauses. A quiet
+// user's last session on a `tail -f` pipe therefore waits for the log's clock
+// or for EOF; serve -sessions is the live tool, which expires on its own
+// timer and journals each cut it makes.
 //
 // -checkpoint makes a streaming run crash-safe: state is periodically
 // snapshotted (open bursts + byte offsets, atomic CRC-protected writes),
@@ -49,16 +46,13 @@
 // byte-identical to an uninterrupted run. It needs -stream, -sessions (a
 // truncatable output file instead of stdout), and a real -log file (the
 // resume offset seeks into it, so stdin won't do). A corrupt or truncated
-// checkpoint is detected and the run falls back to a full replay. Periodic
-// expiry composes with it: expired sessions go through the same offset
-// bookkeeping, so checkpoints always describe a consistent cut.
+// checkpoint is detected and the run falls back to a full replay.
 //
 // -cuts replays a live serve run that used -expire-every: serve journals
 // every timed expiry as an exact record boundary into <sessions>.cuts, and
 // this flag applies those expiries at the same boundaries while replaying
 // the access log, so the offline output is byte-identical to the live
-// session stream. It needs -stream and a real -log file, and it replaces
-// wall-clock expiry entirely (combining it with -expire-every is an error).
+// session stream. It needs -stream and a real -log file.
 package main
 
 import (
@@ -85,7 +79,6 @@ type options struct {
 	noClean, statsOnly      bool
 	stream                  bool
 	sessionGap              time.Duration
-	expireEvery             time.Duration
 	sessPath, ckptPath      string
 	ckptEvery               time.Duration
 	cutsPath                string
@@ -96,7 +89,6 @@ func main() {
 	// -workers is parsed and ignored. It stays because bench/offline.go:138
 	// passes "-workers 0"; ROADMAP item 2 drops it with that line.
 	workers := flag.String("workers", "auto", "ignored: a log is read by one parser goroutine beside the sessionizer (accepts auto or an integer)")
-	flag.DurationVar(&o.expireEvery, "expire-every", 0, "finalize quiet users this often while streaming (0 = auto: 30s for pipes/stdin, off for files; <0 = off)")
 	flag.StringVar(&o.topoPath, "topology", "", "topology JSON written by simgen (required)")
 	flag.StringVar(&o.logPath, "log", "", "CLF access logs: comma-separated paths/globs, gzip ok (required; - for stdin)")
 	flag.StringVar(&o.heur, "heuristic", "heur4", "heur1|heur2|heur3|heur4|referrer (referrer needs a combined-format log)")
@@ -163,10 +155,6 @@ func run(o options) error {
 		if o.ckptPath != "" {
 			return fmt.Errorf("-cuts is incompatible with -checkpoint (serve's own recovery already replays cuts from its checkpoint)")
 		}
-		if o.expireEvery > 0 {
-			return fmt.Errorf("-cuts replaces wall-clock expiry with the journaled cut sequence; drop -expire-every")
-		}
-		o.expireEvery = -1 // force the wall-clock tick off; cuts are the expiry
 	}
 	tf, err := os.Open(o.topoPath)
 	if err != nil {
@@ -202,17 +190,6 @@ func run(o options) error {
 		cfg.Filter = clf.KeepAll
 	}
 	if o.stream {
-		expire := o.expireEvery
-		if expire == 0 && mayNeverEnd(paths) {
-			// Live-ish input: without periodic expiry an endless pipe would
-			// buffer every user's open burst until EOF never comes.
-			expire = 30 * time.Second
-		}
-		if expire > 0 {
-			tick := time.NewTicker(expire)
-			defer tick.Stop()
-			cfg.ExpireTick = tick.C
-		}
 		return runStream(cfg, o, paths)
 	}
 	pipeline, err := core.NewPipeline(cfg)
@@ -233,42 +210,27 @@ func run(o options) error {
 	return nil
 }
 
-// mayNeverEnd reports input that is not all regular files: stdin (nil paths)
-// when it is a pipe or a terminal, or a named FIFO or device.
-func mayNeverEnd(paths []string) bool {
-	irregular := func(fi os.FileInfo, err error) bool { return err != nil || !fi.Mode().IsRegular() }
-	if paths == nil {
-		return irregular(os.Stdin.Stat())
-	}
-	for _, p := range paths {
-		if irregular(os.Stat(p)) {
-			return true
-		}
-	}
-	return false
-}
-
 // runStream is the one streaming run (checkpoint.Run, which serve's owner
 // runs too): a Tail fed in input order by the chunk reader, writing each
 // session the moment its burst closes — on a gap, or when the log's clock
-// runs 2ρ past it. Heap usage is independent of log length and of the users
-// it has seen, so this path handles logs larger than RAM and never-ending
-// stdin pipes. File inputs (paths non-nil) are read like stdin, one read
-// buffer at a time, with a decoder goroutine per gzip member; nil paths reads
-// stdin. With cfg.ExpireTick set, each tick also finalizes users quiet for
-// longer than the session gap, so sessions keep flowing while input does. A
-// -cuts journal replays serve's journaled timed expiries at the exact record
-// boundaries the live run froze them at, making the output byte-identical to
-// the live session stream even when the server ran with -expire-every.
+// runs 2ρ past it — and the rest at the end of the input. Heap usage is
+// independent of log length and of the users it has seen, so this path
+// handles logs larger than RAM and never-ending stdin pipes. File inputs
+// (paths non-nil) are read like stdin, one read buffer at a time, with a
+// decoder goroutine per gzip member; nil paths reads stdin. Nothing but the
+// input decides where a session ends: a -cuts journal replays serve's
+// journaled timed expiries at the exact record boundaries the live run froze
+// them at, making the output byte-identical to the live session stream even
+// when the server ran with -expire-every.
 //
 // Sessions go to stdout, to the -sessions file, or with -checkpoint to that
 // file resumed from the latest usable checkpoint, and the run checkpoints at
 // chunk boundaries across the whole multi-file set, with (file index, byte
 // offset) positions so a kill inside access.log.2.gz resumes there. Every
 // sunk batch is written at once, so a live pipe's sessions are on the output
-// as its lines arrive. Expiry ticks, the writes and the snapshots all run on
-// the goroutine that ingests, so every checkpoint records a consistent (log
-// position, session offset, open bursts) cut even while expiry is emitting.
+// as its lines arrive. The writes and the snapshots run on the goroutine that
+// ingests, so every checkpoint records a consistent (log position, session
+// offset, open bursts) cut.
 // The first failed session write is the run's error: nothing is written
 // after it, no checkpoint is saved, and ingestion stops at the next chunk
 // boundary.

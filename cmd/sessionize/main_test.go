@@ -62,11 +62,10 @@ func logLine(host string, at time.Time, uri string) string {
 
 // TestPipeSessionReachesStdoutAsItsLinesArrive: on stdin every sunk batch is
 // flushed, so the session a line closes is on stdout while the pipe is still
-// open — with the expire sweep, the only other flush before EOF, switched
-// off. The writer holds the pipe open until the line is read; the timeout is
+// open. The writer holds the pipe open until the line is read; the timeout is
 // the failure guard, not the synchronisation.
 func TestPipeSessionReachesStdoutAsItsLinesArrive(t *testing.T) {
-	cmd, stderr := sessionize("-topology", figure1(t, t.TempDir()), "-log", "-", "-stream", "-expire-every", "-1s")
+	cmd, stderr := sessionize("-topology", figure1(t, t.TempDir()), "-log", "-", "-stream")
 	pr, pw, err := os.Pipe()
 	if err != nil {
 		t.Fatal(err)
@@ -115,60 +114,6 @@ func TestPipeSessionReachesStdoutAsItsLinesArrive(t *testing.T) {
 	}
 	if extra, ok := <-lines; ok {
 		t.Errorf("unexpected third line %q", extra)
-	}
-	if err := cmd.Wait(); err != nil {
-		t.Fatalf("sessionize: %v; stderr:\n%s", err, stderr)
-	}
-}
-
-// TestExpiryFiresOnAnIdlePipe: with -expire-every on, a user quiet for longer
-// than the session gap has their session written while stdin is still open
-// and nothing more arrives — the tick does not wait for input. The line is
-// historical, so the first tick expires it; the timeout is the failure guard,
-// not the synchronisation.
-func TestExpiryFiresOnAnIdlePipe(t *testing.T) {
-	cmd, stderr := sessionize("-topology", figure1(t, t.TempDir()), "-log", "-", "-stream",
-		"-session-gap", "1s", "-expire-every", "50ms")
-	pr, pw, err := os.Pipe()
-	if err != nil {
-		t.Fatal(err)
-	}
-	cmd.Stdin = pr
-	stdout, err := cmd.StdoutPipe()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := cmd.Start(); err != nil {
-		t.Fatal(err)
-	}
-	pr.Close()
-	lines := make(chan string, 1)
-	go func() {
-		defer close(lines)
-		for sc := bufio.NewScanner(stdout); sc.Scan(); {
-			lines <- sc.Text()
-		}
-	}()
-	fail := func(format string, args ...any) {
-		t.Helper()
-		cmd.Process.Kill()
-		cmd.Wait()
-		t.Fatalf(format+"; stderr:\n%s", append(args, stderr)...)
-	}
-	if _, err := io.WriteString(pw, logLine("10.0.0.1", time.Date(2006, 1, 2, 8, 0, 0, 0, time.UTC), "/P1.html")); err != nil {
-		fail("write: %v", err)
-	}
-	select {
-	case line, ok := <-lines:
-		if !ok || line != "10.0.0.1:[0]" {
-			fail("stdout gave %q (open %v), want 10.0.0.1:[0]", line, ok)
-		}
-	case <-time.After(30 * time.Second):
-		fail("no session on stdout 30 s after the line, stdin still open")
-	}
-	pw.Close()
-	if extra, ok := <-lines; ok {
-		t.Errorf("unexpected line %q after EOF", extra)
 	}
 	if err := cmd.Wait(); err != nil {
 		t.Fatalf("sessionize: %v; stderr:\n%s", err, stderr)
@@ -226,8 +171,7 @@ func streamTo(t *testing.T, dir, name string, stdin io.Reader, args ...string) (
 }
 
 // TestPathRedirectAndPipeWriteOneFile: by path, through a redirect (a
-// regular file on stdin), through a pipe, and through a pipe with the expire
-// tick armed (an hour, so it never fires) a log must give one and the same
+// regular file on stdin) and through a pipe a log must give one and the same
 // sessions file; and batch mode, which reads through the same chunk reader,
 // one and the same batch sessions file by path, redirect and pipe.
 func TestPathRedirectAndPipeWriteOneFile(t *testing.T) {
@@ -251,14 +195,12 @@ func TestPathRedirectAndPipeWriteOneFile(t *testing.T) {
 	if bytes.Count(byPath, []byte("\n")) < 2*777 {
 		t.Fatalf("by path: %d session lines for 777 users", bytes.Count(byPath, []byte("\n")))
 	}
-	if got, _ := streamTo(t, dir, "redirect", redirect(), "-log", "-", "-expire-every", "-1s"); !bytes.Equal(got, byPath) {
+	if got, _ := streamTo(t, dir, "redirect", redirect(), "-log", "-"); !bytes.Equal(got, byPath) {
 		t.Errorf("sessionize < log differs from sessionize -log log (%d vs %d bytes)", len(got), len(byPath))
 	}
 	// A reader that is not a file: exec copies it into a pipe, as cat would.
-	for _, expire := range []string{"-1s", "1h"} {
-		if got, _ := streamTo(t, dir, "pipe"+expire, strings.NewReader(log), "-log", "-", "-expire-every", expire); !bytes.Equal(got, byPath) {
-			t.Errorf("cat log | sessionize -expire-every %s differs from sessionize -log log (%d vs %d bytes)", expire, len(got), len(byPath))
-		}
+	if got, _ := streamTo(t, dir, "pipe", strings.NewReader(log), "-log", "-"); !bytes.Equal(got, byPath) {
+		t.Errorf("cat log | sessionize differs from sessionize -log log (%d vs %d bytes)", len(got), len(byPath))
 	}
 
 	batch, _ := writeTo(t, dir, "batch-path", nil, "-log", logPath)
@@ -348,7 +290,7 @@ func TestWorkersFlagIsParsedAndIgnored(t *testing.T) {
 			t.Errorf("-workers %s: want %d notice lines on stderr:\n%s", w, notices, stderr)
 		}
 	}
-	for _, bad := range [][]string{{"-workers", "x"}, {"-shards", "2"}, {"-stream-depth", "8"}} {
+	for _, bad := range [][]string{{"-workers", "x"}, {"-shards", "2"}, {"-stream-depth", "8"}, {"-expire-every", "30s"}} {
 		cmd, stderr := sessionize(append([]string{"-topology", topo, "-log", logPath, "-stream"}, bad...)...)
 		err := cmd.Run()
 		if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != 2 {

@@ -71,7 +71,7 @@ func inlineSources(n, first int, open func(int) (Source, error), chunkBytes int)
 
 // aheadSources is the same pass through the engine under test.
 func aheadSources(n, first int, open func(int) (Source, error), chunkBytes int) (run inlineRun) {
-	run.bad, run.err = streamSources(n, first, open, StreamConfig{ChunkBytes: chunkBytes}, copyRecord,
+	run.bad, run.err = streamSources(n, first, open, chunkBytes, copyRecord,
 		func(recs []Record) { run.recs = append(run.recs, recs...) },
 		markProgress(&run))
 	return run
@@ -291,7 +291,7 @@ func TestParserLeavesNoGoroutine(t *testing.T) {
 	}
 	settle(t, "borrowed reader, read error", before)
 	src := newReaderSource(strings.NewReader(text), 0)
-	if _, err := streamSources(1, 0, func(int) (Source, error) { return src, nil }, StreamConfig{ChunkBytes: 2048}, copyRecord, func([]Record) {}, positions(stopAt(3))); err != errStop {
+	if _, err := streamSources(1, 0, func(int) (Source, error) { return src, nil }, 2048, copyRecord, func([]Record) {}, positions(stopAt(3))); err != errStop {
 		t.Fatalf("borrowed reader abort: err = %v", err)
 	}
 	settle(t, "borrowed reader abort", before)
@@ -344,7 +344,7 @@ func TestAbortDropsChunksParsedAhead(t *testing.T) {
 	src := &countingSource{readerSource: memSource(text)}
 	var got []Record
 	reports := 0
-	bad, err := streamSources(1, 0, func(int) (Source, error) { return src, nil }, StreamConfig{ChunkBytes: chunk}, copyRecord,
+	bad, err := streamSources(1, 0, func(int) (Source, error) { return src, nil }, chunk, copyRecord,
 		func(recs []Record) { got = append(got, recs...) },
 		func(FilePos, int) error {
 			if reports++; reports < k {
@@ -384,7 +384,7 @@ func TestParseCountersSaySideThatWaited(t *testing.T) {
 	text := synthLog(79, 400)
 	run := func(src Source, emit func([]Record)) (chunks, wait, stall int64) {
 		c0, w0, s0 := metricParseChunks.Value(), metricParseWait.Value(), metricParseStall.Value()
-		if _, err := streamSources(1, 0, func(int) (Source, error) { return src, nil }, StreamConfig{ChunkBytes: 2048}, copyRecord, emit, nil); err != nil {
+		if _, err := streamSources(1, 0, func(int) (Source, error) { return src, nil }, 2048, copyRecord, emit, nil); err != nil {
 			t.Fatal(err)
 		}
 		return metricParseChunks.Value() - c0, metricParseWait.Value() - w0, metricParseStall.Value() - s0

@@ -9,7 +9,7 @@ import (
 )
 
 // StreamConfig tunes the Stream* readers. Zero values mean:
-// ~1 MiB chunks, start at the first byte of the first file, no tick.
+// ~1 MiB chunks, start at the first byte of the first file.
 type StreamConfig struct {
 	// Workers is ignored: there is one parser goroutine and no pool. The
 	// field stays because bench/layers.go:104 and :269 set it; ROADMAP item 2
@@ -26,13 +26,6 @@ type StreamConfig struct {
 	// stays because bench/layers.go:269 sets it; ROADMAP item 2 drops it
 	// with Workers.
 	NoMmap bool
-	// Tick, when non-nil, is a second input of the emitting loop: each value
-	// received runs OnTick on the goroutine that emits, between two chunks —
-	// after one chunk's emitChunk and progress, before the next chunk's. The
-	// parser, not the emitting goroutine, blocks in Read, so a tick fires on
-	// an idle pipe too.
-	Tick   <-chan time.Time
-	OnTick func(time.Time)
 }
 
 // withDefaults resolves the zero value the openers themselves read.
@@ -90,7 +83,7 @@ func StreamChunked(r io.Reader, cfg StreamConfig, emitChunk func([]Record), prog
 func StreamStaged[T any](r io.Reader, cfg StreamConfig, stage func(*Record) T, emitChunk func([]T), progress func(pos FilePos, malformed int) error) (malformed int, err error) {
 	src := newReaderSource(r, 0) // no closers: r is borrowed
 	open := func(int) (Source, error) { return src, nil }
-	return streamSources(1, 0, open, cfg.withDefaults(), stage, emitChunk, progress)
+	return streamSources(1, 0, open, cfg.withDefaults().ChunkBytes, stage, emitChunk, progress)
 }
 
 // StreamFilesChunked is StreamChunked over an ordered multi-file log set —
@@ -126,7 +119,7 @@ func StreamFilesStaged[T any](paths []string, cfg StreamConfig, stage func(*Reco
 		}
 		return openSourceAt(paths[i], off, cfg.ChunkBytes)
 	}
-	return streamSources(len(paths), max(cfg.Start.File, 0), open, cfg, stage, emitChunk, progress)
+	return streamSources(len(paths), max(cfg.Start.File, 0), open, cfg.ChunkBytes, stage, emitChunk, progress)
 }
 
 // copyRecord is the stage of the Record streams: the record itself.
@@ -272,29 +265,20 @@ func (p *parser[T]) send(c parsedChunk[T]) bool {
 // streamSources runs the parse pipeline over n ordered sources, opened
 // lazily by open, starting at index first, delivering each chunk's staged
 // records as one slice: one parser goroutine reads, parses and stages in
-// input order and the calling goroutine emits behind it, running cfg.OnTick
-// for each cfg.Tick in between. The parser has ended, its sources closed, on
-// return.
-func streamSources[T any](n, first int, open func(int) (Source, error), cfg StreamConfig, stage func(*Record) T, emitChunk func([]T), progress func(FilePos, int) error) (malformed int, err error) {
+// input order and the calling goroutine emits behind it. The parser has
+// ended, its sources closed, on return.
+func streamSources[T any](n, first int, open func(int) (Source, error), chunkBytes int, stage func(*Record) T, emitChunk func([]T), progress func(FilePos, int) error) (malformed int, err error) {
 	records := 0
 	defer func() {
 		metricRecords.Add(int64(records))
 		metricMalformed.Add(int64(malformed))
 	}()
-	p := startParser(n, first, open, cfg.ChunkBytes, stage)
+	p := startParser(n, first, open, chunkBytes, stage)
 	defer p.stop() // every exit waits for the parser, which closes its source
 	for {
 		start := time.Now()
-		var c parsedChunk[T]
-		var ok bool
-		select {
-		case c, ok = <-p.out:
-			metricParseWait.Add(int64(time.Since(start)))
-		case now := <-cfg.Tick:
-			metricParseWait.Add(int64(time.Since(start)))
-			cfg.OnTick(now)
-			continue
-		}
+		c, ok := <-p.out
+		metricParseWait.Add(int64(time.Since(start)))
 		if !ok || c.err != nil {
 			return malformed, c.err
 		}

@@ -123,19 +123,16 @@ func CutsAfter(cuts []ExpiryCut, seq int64) []ExpiryCut {
 // runs, and its sessions go to the sink in place — exactly the interleaving
 // the live run journaled. Splitting never changes emission.
 //
-// expire is that same step for a live tick: between two chunks — the record
-// boundary a cut names — Expire(now) and its sessions to the sink. The
-// returned flush applies any cuts at or past the final record count (expiry
-// that fired after the last record arrived); call it after the stream ends,
-// before Flush or Drain.
-func (t *Tail) cutFeeder(sink SessionSink, base int64, cuts []ExpiryCut) (feed func([]pageView), expire func(time.Time), flush func()) {
+// The returned flush applies any cuts at or past the final record count
+// (expiry that fired after the last record arrived); call it after the
+// stream ends, before Flush or Drain.
+func (t *Tail) cutFeeder(sink SessionSink, base int64, cuts []ExpiryCut) (feed func([]pageView), flush func()) {
 	count := base
 	ci := 0
 	var buf []session.Session
-	expire = func(at time.Time) { deliver(sink, t.Expire(at), false) }
 	applyDue := func() {
 		for ci < len(cuts) && cuts[ci].Records <= count {
-			expire(cuts[ci].At)
+			deliver(sink, t.Expire(cuts[ci].At), false)
 			ci++
 		}
 	}
@@ -153,7 +150,7 @@ func (t *Tail) cutFeeder(sink SessionSink, base int64, cuts []ExpiryCut) (feed f
 			views = views[n:]
 		}
 	}
-	return feed, expire, applyDue
+	return feed, applyDue
 }
 
 // IngestFilesCuts is IngestFiles with timed-expiry replay: base is the

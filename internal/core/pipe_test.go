@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"runtime"
 	"testing"
 	"time"
 
@@ -14,7 +15,8 @@ import (
 // closing its user's burst, and the writer keeps the pipe open — writing
 // nothing more — until that session has reached the sink. An ingestion that
 // waits for a chunk to fill never sinks it; then the writer's timeout fails
-// the pipe.
+// the pipe. Ingest leaves no goroutine behind: clf's parser, blocked in Read
+// while the pipe was idle, ends with the input.
 func TestPipeDeliversWhatWasWritten(t *testing.T) {
 	g := goldenGraph()
 	t0 := time.Date(2006, 1, 2, 12, 0, 0, 0, time.UTC)
@@ -27,6 +29,7 @@ func TestPipeDeliversWhatWasWritten(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	before := runtime.NumGoroutine()
 	pr, pw := io.Pipe()
 	sunk := make(chan struct{})
 	go func() {
@@ -51,5 +54,12 @@ func TestPipeDeliversWhatWasWritten(t *testing.T) {
 	}, nil)
 	if err != nil || len(got) != 1 || got[0] != "u2" {
 		t.Errorf("want session u2 sunk while the writer holds the pipe open; got %v, err %v", got, err)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after Ingest returned, %d before", runtime.NumGoroutine(), before)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }

@@ -13,8 +13,7 @@
 // However a log gets here — ProcessLog, which collects it, or the streaming
 // Tail.Ingest / IngestFiles, which do not — it is read one way: a decoder per
 // gzip member ‖ clf's one parser goroutine ‖ the calling goroutine, which
-// cleans, sessionizes and sinks, and expires between chunks when a tick says
-// so. Nothing here sizes or selects that, nothing here takes a lock — a Tail
+// sessionizes and sinks. Nothing here sizes or selects that, nothing here takes a lock — a Tail
 // has one owner goroutine — and nothing here starts a goroutine.
 package core
 
@@ -68,10 +67,6 @@ type Config struct {
 	// checkpoints. <= 0 means the clf default (~1 MiB). It never changes the
 	// output.
 	StreamChunkBytes int
-	// ExpireTick, when non-nil, is a Tail ingestion's periodic expiry: each
-	// value received runs Expire with it between two chunks, on the goroutine
-	// that ingests (see Tail.Ingest). Typically a time.Ticker's C.
-	ExpireTick <-chan time.Time
 }
 
 // stageResult is the verdict of the pre-buffer stages on one record.

@@ -44,10 +44,6 @@ func DiscardSessions([]session.Session) {}
 // which is the invariant crash recovery needs; a non-nil error from it
 // aborts the stream and is returned.
 //
-// Each value from Config.ExpireTick runs Expire with it on the calling
-// goroutine, between two chunks, and lends the sessions to sink: on an idle
-// pipe too, since the parser goroutine is the one blocked reading it.
-//
 // The emitted sessions are byte-identical to pushing clf.ReadAll's records
 // one by one, for any chunk size — the golden-corpus and fuzz harnesses pin
 // this.
@@ -80,13 +76,13 @@ type logInput struct {
 }
 
 // ingest is the one ingestion engine: it wires the clf chunk reader for in
-// through the feeder into the Tail, and the expiry tick into its loop.
+// through the feeder into the Tail.
 func (t *Tail) ingest(in logInput, sink SessionSink, progress func(clf.FilePos) error) (malformed int, err error) {
 	if sink == nil {
 		sink = DiscardSessions
 	}
-	feed, expire, flush := t.cutFeeder(sink, in.base, in.cuts)
-	scfg := clf.StreamConfig{ChunkBytes: t.cfg.StreamChunkBytes, Start: in.start, Tick: t.cfg.ExpireTick, OnTick: expire}
+	feed, flush := t.cutFeeder(sink, in.base, in.cuts)
+	scfg := clf.StreamConfig{ChunkBytes: t.cfg.StreamChunkBytes, Start: in.start}
 	// The pure stages run on the parser goroutine: the ring between it and
 	// this one carries page views, not records. Each chunk's malformed lines
 	// are counted before its progress, so a snapshot there carries them.

@@ -58,9 +58,7 @@ import (
 // neither UTC nor Local; and only instants UnixNano can hold, years 1678 to
 // 2262, are kept.
 //
-// Tail is not safe for concurrent use: one goroutine owns it. A periodic
-// Expire beside ingestion runs on that goroutine too, between two chunks
-// (Config.ExpireTick).
+// Tail is not safe for concurrent use: one goroutine owns it.
 type Tail struct {
 	cfg      Config
 	rho      time.Duration

@@ -83,13 +83,6 @@ func (a *entryArena) clone1(e session.Entry) []session.Entry {
 	return s
 }
 
-// clone2 allocates a two-entry session.
-func (a *entryArena) clone2(e0, e1 session.Entry) []session.Entry {
-	s := a.alloc(2)
-	s[0], s[1] = e0, e1
-	return s
-}
-
 // extend returns sess with e appended. When sess is the arena's most recent
 // allocation and its block has room, it grows in place — the appended slot
 // was never handed out, so every existing region (including sess itself,

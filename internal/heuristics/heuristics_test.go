@@ -3,7 +3,8 @@ package heuristics
 import (
 	"fmt"
 	"math/rand"
-	"strings"
+	"reflect"
+	"sort"
 	"testing"
 	"testing/quick"
 	"time"
@@ -177,38 +178,35 @@ func TestSmartSRAPhase2AttachesEveryEntryProperty(t *testing.T) {
 		ns   int64
 	}
 	for _, g := range graphs {
-		for _, infer := range []bool{false, true} {
-			h := NewSmartSRA(g)
-			h.InferBacktracks = infer
-			t.Run(fmt.Sprintf("pages=%d/infer=%v", g.NumPages(), infer), func(t *testing.T) {
-				scr := new(sraScratch)
-				covered := make(map[key]bool)
-				f := func(seed int64, size uint8) bool {
-					st := randomStream(g, rand.New(rand.NewSource(seed)), int(size)%80)
-					scr.bounds = h.phase1(st.Entries, scr.bounds[:0])
-					for b := 0; b+1 < len(scr.bounds); b++ {
-						cand := st.Entries[scr.bounds[b]:scr.bounds[b+1]]
-						clear(covered)
-						for _, s := range h.phase2(cand, scr) {
-							for _, e := range s {
-								covered[key{e.Page, e.Time.UnixNano()}] = true
-							}
-						}
-						for _, e := range cand {
-							if !covered[key{e.Page, e.Time.UnixNano()}] {
-								t.Logf("seed=%d size=%d: page %d at %v left out of %v",
-									seed, size, e.Page, e.Time.Sub(t0), cand)
-								return false
-							}
+		h := NewSmartSRA(g)
+		t.Run(fmt.Sprintf("pages=%d", g.NumPages()), func(t *testing.T) {
+			scr := new(sraScratch)
+			covered := make(map[key]bool)
+			f := func(seed int64, size uint8) bool {
+				st := randomStream(g, rand.New(rand.NewSource(seed)), int(size)%80)
+				scr.bounds = h.phase1(st.Entries, scr.bounds[:0])
+				for b := 0; b+1 < len(scr.bounds); b++ {
+					cand := st.Entries[scr.bounds[b]:scr.bounds[b+1]]
+					clear(covered)
+					for _, s := range h.phase2(cand, scr) {
+						for _, e := range s {
+							covered[key{e.Page, e.Time.UnixNano()}] = true
 						}
 					}
-					return true
+					for _, e := range cand {
+						if !covered[key{e.Page, e.Time.UnixNano()}] {
+							t.Logf("seed=%d size=%d: page %d at %v left out of %v",
+								seed, size, e.Page, e.Time.Sub(t0), cand)
+							return false
+						}
+					}
 				}
-				if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
-					t.Error(err)
-				}
-			})
-		}
+				return true
+			}
+			if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+				t.Error(err)
+			}
+		})
 	}
 }
 
@@ -231,34 +229,45 @@ func TestSmartSRAPhase1Splits(t *testing.T) {
 	}
 }
 
-func TestSmartSRAAblationFlags(t *testing.T) {
-	g, ids := webgraph.PaperFigure1()
-	// 11-minute gap between linked pages.
-	st := figStream(ids, "P1", 0, "P13", 11)
-
-	noGap := NewSmartSRA(g)
-	noGap.DisablePageStay = true
-	got := noGap.Reconstruct(st)
-	// Phase 1 keeps them together, but Phase 2's ρ check still refuses the
-	// 11-minute extension, so they end up as separate sessions.
-	if len(got) != 2 {
-		t.Errorf("DisablePageStay: got %v", got)
+// TestSmartSRAPhase2RefusesStaleReferrer: Phase 2 applies ρ itself, not
+// only through Phase 1's split. Within one candidate — consecutive gaps ≤ ρ,
+// so Phase 1 keeps it whole — a page is joined only to referrers at most ρ
+// before it: the fresher referrer's session takes it and the stale one's
+// does not, and a page whose only referrer is stale starts a session of its
+// own. So does a linked page handed to phase2 more than ρ after its
+// referrer.
+func TestSmartSRAPhase2RefusesStaleReferrer(t *testing.T) {
+	b := webgraph.NewBuilder(4)
+	for _, e := range [][2]webgraph.PageID{{0, 2}, {1, 2}} {
+		if err := b.AddEdge(e[0], e[1]); err != nil {
+			t.Fatal(err)
+		}
 	}
-
-	skip := NewSmartSRA(g)
-	skip.SkipPhase1 = true
-	st2 := figStream(ids, "P1", 0, "P13", 50)
-	got2 := skip.Reconstruct(st2)
-	if len(got2) != 2 {
-		t.Errorf("SkipPhase1 with distant pages: got %v", got2)
+	h := NewSmartSRA(b.MustBuild())
+	scr := new(sraScratch)
+	at := func(page webgraph.PageID, min int) session.Entry {
+		return session.Entry{Page: page, Time: t0.Add(time.Duration(min) * time.Minute)}
 	}
-
-	noTotal := NewSmartSRA(g)
-	noTotal.DisableTotalDuration = true
-	st3 := figStream(ids, "P1", 0, "P13", 9, "P49", 18, "P23", 27, "P23", 36)
-	for _, s := range noTotal.Reconstruct(st3) {
-		if !s.SatisfiesTimestampOrdering(noTotal.Rules) {
-			t.Errorf("DisableTotalDuration broke ordering rule: %v", s)
+	for _, c := range []struct {
+		cand []session.Entry
+		want []string // each session's pages, sorted
+	}{
+		{[]session.Entry{at(0, 0), at(1, 6), at(2, 12)}, []string{"[0]", "[1 2]"}},
+		{[]session.Entry{at(0, 0), at(3, 6), at(2, 12)}, []string{"[0]", "[2]", "[3]"}},
+		{[]session.Entry{at(0, 0), at(2, 11)}, []string{"[0]", "[2]"}},
+	} {
+		if c.cand[1].Time.Sub(c.cand[0].Time) <= h.Rules.PageStay {
+			if bounds := h.phase1(c.cand, nil); len(bounds) != 2 {
+				t.Fatalf("%v: Phase 1 split the candidate at %v", c.cand, bounds)
+			}
+		}
+		var got []string
+		for _, s := range h.phase2(c.cand, scr) {
+			got = append(got, fmt.Sprint(session.Session{Entries: s}.Pages()))
+		}
+		sort.Strings(got)
+		if !reflect.DeepEqual(got, c.want) {
+			t.Errorf("%v: Phase 2 built %v, want %v", c.cand, got, c.want)
 		}
 	}
 }
@@ -481,127 +490,6 @@ func TestHeuristicsDoNotMutateInput(t *testing.T) {
 				t.Fatalf("%s mutated input at %d", h.Name(), i)
 			}
 		}
-	}
-}
-
-func TestSmartSRAInferBacktracks(t *testing.T) {
-	// Stream [B@0, C@2, X@4] with edges B->C and B->X only. The user really
-	// backtracked from C to B (cache) before fetching X, so the real second
-	// session is [B, X]. Plain Smart-SRA attaches X nowhere useful once C
-	// extended [B]; with InferBacktracks the inferred [B, X] session appears.
-	b := webgraph.NewBuilder(3)
-	for _, e := range [][2]webgraph.PageID{{0, 1}, {0, 2}} {
-		if err := b.AddEdge(e[0], e[1]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	g := b.MustBuild()
-	st := session.Stream{User: "u", Entries: []session.Entry{
-		{Page: 0, Time: t0},
-		{Page: 1, Time: t0.Add(2 * time.Minute)},
-		{Page: 2, Time: t0.Add(4 * time.Minute)},
-	}}
-
-	plain := NewSmartSRA(g)
-	gotPlain := plain.Reconstruct(st)
-	// Plain Smart-SRA: wave 1 {B}, wave 2 {C, X} both extend [B]: the
-	// sessions [B,C] and [B,X] already both exist here (same-wave fan-out),
-	// so use a harder case below for the difference; first confirm the
-	// fan-out baseline.
-	if len(gotPlain) != 2 {
-		t.Fatalf("baseline fan-out: %v", gotPlain)
-	}
-
-	// Harder: [B@0, C@2, D@4, X@6], edges B->C, C->D, B->X. X's wave comes
-	// after C extended [B] (wave 2) and D extended [B,C] (wave 3)... X is a
-	// wave-2 page too (its only referrer B is removed in wave 1). Push X to
-	// a later wave by giving it referrer D as well: edges B->X, D->X is not
-	// what we want (D would anchor it). Instead make X arrive with B out of
-	// every session *end*: B@0, C@2, X@12 with ρ=10: B->X gap 12 > ρ, so no
-	// wave ever anchors X to B — and InferBacktracks (which applies the same
-	// ρ rule) must NOT invent it either.
-	st2 := session.Stream{User: "u", Entries: []session.Entry{
-		{Page: 0, Time: t0},
-		{Page: 1, Time: t0.Add(2 * time.Minute)},
-		{Page: 2, Time: t0.Add(12 * time.Minute)},
-	}}
-	infer := NewSmartSRA(g)
-	infer.InferBacktracks = true
-	got2 := infer.Reconstruct(st2)
-	for _, s := range got2 {
-		if !s.Valid(g, infer.Rules) {
-			t.Errorf("inferred session violates rules: %v", s)
-		}
-		if s.Len() == 2 && s.Entries[0].Page == 0 && s.Entries[1].Page == 2 {
-			t.Errorf("inferred backtrack ignored the ρ rule: %v", got2)
-		}
-	}
-}
-
-func TestSmartSRAInferBacktracksRecoversInterleavedSession(t *testing.T) {
-	// Pages A,B,C,E (0,1,2,3) with edges A->B, B->C, A->E, C->E. Stream
-	// [A@0, B@2, C@4, E@6]: E stays out of the early waves because its
-	// referrer C is still alive, so by E's wave the only session is
-	// [A, B, C] and E anchors to C — the candidate [A,B,C,E] does not
-	// contain [A, E] contiguously. The real user backtracked to A through
-	// the cache before fetching E, so the ground-truth second session is
-	// [A, E]; only backtrack inference recovers it.
-	b := webgraph.NewBuilder(4)
-	for _, e := range [][2]webgraph.PageID{{0, 1}, {1, 2}, {0, 3}, {2, 3}} {
-		if err := b.AddEdge(e[0], e[1]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	g := b.MustBuild()
-	st := session.Stream{User: "u", Entries: []session.Entry{
-		{Page: 0, Time: t0},
-		{Page: 1, Time: t0.Add(2 * time.Minute)},
-		{Page: 2, Time: t0.Add(4 * time.Minute)},
-		{Page: 3, Time: t0.Add(6 * time.Minute)},
-	}}
-	want := session.Session{User: "u", Entries: []session.Entry{
-		{Page: 0, Time: t0}, {Page: 3, Time: t0.Add(6 * time.Minute)},
-	}}
-
-	plain := NewSmartSRA(g)
-	if session.CapturedByAny(plain.Reconstruct(st), want) {
-		t.Fatal("plain Smart-SRA unexpectedly captured [A E]; test premise broken")
-	}
-	infer := NewSmartSRA(g)
-	infer.InferBacktracks = true
-	got := infer.Reconstruct(st)
-	if !session.CapturedByAny(got, want) {
-		t.Errorf("InferBacktracks did not recover [A E]: %v", got)
-	}
-	for _, s := range got {
-		if !s.Valid(g, infer.Rules) {
-			t.Errorf("session violates rules: %v", s)
-		}
-	}
-	if got := infer.Describe(); !strings.Contains(got, "infer-backtracks") {
-		t.Errorf("Describe = %q", got)
-	}
-}
-
-// Property: InferBacktracks preserves validity and maximality and never
-// reduces the set of captured page pairs.
-func TestSmartSRAInferBacktracksValidityProperty(t *testing.T) {
-	g := fuzzGraph(t)
-	infer := NewSmartSRA(g)
-	infer.InferBacktracks = true
-	f := func(seed int64, size uint8) bool {
-		rng := rand.New(rand.NewSource(seed))
-		st := randomStream(g, rng, int(size)%60)
-		out := infer.Reconstruct(st)
-		for _, s := range out {
-			if !s.Valid(g, infer.Rules) {
-				return false
-			}
-		}
-		return len(session.MaximalOnly(out)) == len(out)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Error(err)
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"slices"
 	"sync"
 	"testing"
+	"time"
 
 	"smartsra/internal/session"
 	"smartsra/internal/webgraph"
@@ -59,31 +60,53 @@ func TestArenaRewind(t *testing.T) {
 // unknownHeuristic hides a heuristic's concrete type from Lend.
 type unknownHeuristic struct{ Reconstructor }
 
-// lendCases is every heuristic Lend knows, the ablation settings that change
-// what a lane builds, and one it does not know.
+// lendCases is every heuristic Lend knows, the settings that change what a
+// lane builds, and one it does not know.
 func lendCases(g *webgraph.Graph) []Reconstructor {
 	limited := NewNavigation(g)
 	limited.MaxGap = session.DefaultPageStay
-	infer := NewSmartSRA(g)
-	infer.InferBacktracks = true // more sessions per stream: more arena traffic
 	return []Reconstructor{
-		NewTimeTotal(), NewTimeGap(), NewNavigation(g), limited, NewSmartSRA(g), infer,
+		NewTimeTotal(), NewTimeGap(), NewNavigation(g), limited, NewSmartSRA(g),
 		unknownHeuristic{NewTimeGap()},
 	}
 }
 
-// lendStreams draws n random and chain-shaped streams of up to max entries.
+// lendStreams draws n random, chain-shaped and dense streams of up to max
+// entries.
 func lendStreams(g *webgraph.Graph, seed int64, n, max int) []session.Stream {
 	rng := rand.New(rand.NewSource(seed))
 	streams := make([]session.Stream, n)
 	for i := range streams {
 		gen := randomStream
-		if i%3 == 0 {
+		switch i % 3 {
+		case 0:
 			gen = chainStream
+		case 1:
+			gen = denseStream
 		}
 		streams[i] = gen(g, rng, rng.Intn(max))
 	}
 	return streams
+}
+
+// denseStream is a random walk over g under a minute a step, so Phase 1 cuts
+// it only at δ and Smart-SRA's candidates are long: each wave page extends
+// every session ending at one of its referrers, so a stream makes many
+// sessions — more arena traffic per stream than the other shapes.
+func denseStream(g *webgraph.Graph, rng *rand.Rand, n int) session.Stream {
+	st := session.Stream{User: "dense"}
+	now := t0
+	cur := webgraph.PageID(rng.Intn(g.NumPages()))
+	for i := 0; i < n; i++ {
+		st.Entries = append(st.Entries, session.Entry{Page: cur, Time: now})
+		if succ := g.Succ(cur); len(succ) > 0 && rng.Intn(4) != 0 {
+			cur = succ[rng.Intn(len(succ))]
+		} else {
+			cur = webgraph.PageID(rng.Intn(g.NumPages()))
+		}
+		now = now.Add(time.Duration(5+rng.Intn(55)) * time.Second)
+	}
+	return st
 }
 
 // TestLendMatchesReconstruct pins every heuristic's lane to its Reconstruct

@@ -23,25 +23,6 @@ type SmartSRA struct {
 	Graph *webgraph.Graph
 	// Rules holds δ (TotalDuration) and ρ (PageStay).
 	Rules session.Rules
-	// SkipPhase1 disables the time-based pre-splitting (ablation only; the
-	// whole stream becomes one candidate, though ρ still gates Phase 2
-	// referrer/extension checks).
-	SkipPhase1 bool
-	// DisableTotalDuration drops the δ rule from Phase 1 (ablation only).
-	DisableTotalDuration bool
-	// DisablePageStay drops the ρ rule from Phase 1 (ablation only; ρ still
-	// gates Phase 2 checks).
-	DisablePageStay bool
-	// InferBacktracks enables the "intelligent path completion" the paper's
-	// conclusion calls for as future work: when a page e enters a wave, a
-	// fresh two-page session [B, e] is opened for every already-consumed
-	// referrer B of e (hyperlink B→e, B earlier, within ρ). This models the
-	// user having moved back to B through the browser cache before
-	// requesting e — the LPP behavior whose sessions plain Smart-SRA misses
-	// whenever B is no longer the last element of any constructed session.
-	// Sessions it opens still satisfy both session rules; subsumed ones are
-	// pruned by the maximality pass.
-	InferBacktracks bool
 }
 
 // NewSmartSRA returns heur4 over g with the paper's default thresholds
@@ -55,18 +36,13 @@ func (SmartSRA) Name() string { return "heur4" }
 
 // Describe implements Describer.
 func (h SmartSRA) Describe() string {
-	extra := ""
-	if h.InferBacktracks {
-		extra = ", infer-backtracks"
-	}
-	return fmt.Sprintf("Smart-SRA (δ=%v, ρ=%v%s)",
-		h.Rules.TotalDuration, h.Rules.PageStay, extra)
+	return fmt.Sprintf("Smart-SRA (δ=%v, ρ=%v)", h.Rules.TotalDuration, h.Rules.PageStay)
 }
 
 // sraScratch is the working state of a Smart-SRA lane (Lend): the Phase-1
-// candidate boundaries, Phase-2's wave/tpages/rest/removed and
-// constructed-set header arrays, reused across every candidate and wave,
-// and the arena the final sessions' entry slices live in.
+// candidate boundaries, Phase-2's wave/tpages/rest and constructed-set
+// header arrays, reused across every candidate and wave, and the arena the
+// final sessions' entry slices live in.
 // Each candidate's timestamps are converted once into t, UnixNano by
 // candidate index: the wave scans are O(n²) time comparisons per wave, and
 // int64 compare/subtract is several times cheaper than time.Time's
@@ -84,7 +60,6 @@ type sraScratch struct {
 	rest     []int32           // Step II working set (pong)
 	wave     []bool            // Step I no-remaining-referrer marks
 	tpages   []int32           // the current wave's pages
-	removed  []int32           // entries consumed by earlier waves
 	extended []bool            // Step III extension marks
 	set      [][]session.Entry // constructed-set headers (ping)
 	setT     []int64           // UnixNano of each set session's last entry
@@ -133,24 +108,20 @@ func (h SmartSRA) phase1(entries []session.Entry, bounds []int) []int {
 		return bounds
 	}
 	bounds = append(bounds, 0)
-	if !h.SkipPhase1 {
-		// Integer nanosecond comparisons, same trick as phase2: UnixNano is
-		// order-preserving, so the split points are identical to the
-		// time.Time.Sub form at a fraction of the per-entry cost.
-		rho := h.Rules.PageStay.Nanoseconds()
-		delta := h.Rules.TotalDuration.Nanoseconds()
-		prev := entries[0].Time.UnixNano()
-		startT := prev
-		for i := 1; i < len(entries); i++ {
-			et := entries[i].Time.UnixNano()
-			gapBreak := !h.DisablePageStay && et-prev > rho
-			totalBreak := !h.DisableTotalDuration && et-startT > delta
-			if gapBreak || totalBreak {
-				bounds = append(bounds, i)
-				startT = et
-			}
-			prev = et
+	// Integer nanosecond comparisons, same trick as phase2: UnixNano is
+	// order-preserving, so the split points are identical to the
+	// time.Time.Sub form at a fraction of the per-entry cost.
+	rho := h.Rules.PageStay.Nanoseconds()
+	delta := h.Rules.TotalDuration.Nanoseconds()
+	prev := entries[0].Time.UnixNano()
+	startT := prev
+	for i := 1; i < len(entries); i++ {
+		et := entries[i].Time.UnixNano()
+		if et-prev > rho || et-startT > delta {
+			bounds = append(bounds, i)
+			startT = et
 		}
+		prev = et
 	}
 	return append(bounds, len(entries))
 }
@@ -183,7 +154,6 @@ func (h SmartSRA) phase2Waves(cand []session.Entry, t []int64, scr *sraScratch, 
 	}
 	rest := scr.rest[:0]
 	newSet, lastT := scr.set[:0], scr.setT[:0]
-	removed := scr.removed[:0] // consumed by earlier waves
 	for len(remaining) > 0 {
 		// Step I: collect pages with no remaining referrer — no EARLIER
 		// entry (strictly smaller timestamp, within ρ) links to them. See
@@ -224,12 +194,10 @@ func (h SmartSRA) phase2Waves(cand []session.Entry, t []int64, scr *sraScratch, 
 
 		// Step III: extend the constructed sessions.
 		if len(newSet) == 0 {
-			newSet, lastT = h.appendInferredBacktracks(newSet, lastT, cand, t, tpages, removed, rho, &scr.arena)
 			for _, ti := range tpages {
 				newSet = append(newSet, scr.arena.clone1(cand[ti]))
 				lastT = append(lastT, t[ti])
 			}
-			removed = append(removed, tpages...)
 			continue
 		}
 		tset, tlastT := scr.tset[:0], scr.tsetT[:0]
@@ -256,7 +224,6 @@ func (h SmartSRA) phase2Waves(cand []session.Entry, t []int64, scr *sraScratch, 
 				}
 			}
 		}
-		tset, tlastT = h.appendInferredBacktracks(tset, tlastT, cand, t, tpages, removed, rho, &scr.arena)
 		for k, sess := range newSet {
 			if !extended[k] {
 				tset = append(tset, sess)
@@ -267,9 +234,8 @@ func (h SmartSRA) phase2Waves(cand []session.Entry, t []int64, scr *sraScratch, 
 		lastT, tlastT = tlastT, lastT
 		scr.set, scr.tset = newSet, tset[:0]
 		scr.setT, scr.tsetT = lastT, tlastT[:0]
-		removed = append(removed, tpages...)
 	}
-	scr.remain, scr.rest, scr.removed = remaining, rest, removed
+	scr.remain, scr.rest = remaining, rest
 	if len(newSet) > 0 {
 		scr.set, scr.setT = newSet, lastT
 	}
@@ -278,7 +244,7 @@ func (h SmartSRA) phase2Waves(cand []session.Entry, t []int64, scr *sraScratch, 
 
 // phase2Chain is phase2's fast path for the dominant burst shape in real
 // navigation: a candidate whose entries already form one unambiguous
-// referrer chain. Three conditions make the wave construction's outcome a
+// referrer chain. Two conditions make the wave construction's outcome a
 // foregone conclusion:
 //
 //  1. timestamps strictly increase with consecutive gaps ≤ ρ, so every
@@ -286,21 +252,13 @@ func (h SmartSRA) phase2Waves(cand []session.Entry, t []int64, scr *sraScratch, 
 //  2. the topology has an edge from each entry's page to its successor's,
 //     so the wave entry always extends the chain (every session in the
 //     constructed set ends at the current chain head, all extend together,
-//     and no wave entry is left unattached);
-//  3. no earlier non-adjacent entry is a time-valid referrer of a later
-//     one — then every inferred backtrack [B, e] the slow path would emit
-//     is an adjacent pair of the chain, contiguous inside it and dropped
-//     by MaximalOnly (as is any equal-pages session from another candidate
-//     that the clone would have deduplicated: it is subsumed by this chain
-//     directly). Only checked when InferBacktracks is on; without
-//     inference no backtrack clones exist at all.
+//     and no wave entry is left unattached).
 //
-// Under those conditions the post-filter reconstruction is exactly one
-// session — the candidate itself — so the wave machinery, the backtrack
-// clones, and their MaximalOnly filtering are skipped wholesale. The guard
-// is O(n²) edge probes but allocation-free, versus the slow path's O(n³)
-// wave scans plus n-1 arena clones; on a non-chain candidate it bails at
-// the first violation and phase2 proceeds normally.
+// Under those conditions the reconstruction is exactly one session — the
+// candidate itself — so the wave machinery is skipped wholesale. The guard
+// is n-1 edge probes and allocation-free, versus the slow path's O(n³) wave
+// scans plus n-1 arena extensions; on a non-chain candidate it bails at the
+// first violation and phase2 proceeds normally.
 func (h SmartSRA) phase2Chain(cand []session.Entry, t []int64, scr *sraScratch, rho int64) ([][]session.Entry, bool) {
 	n := len(cand)
 	if n == 0 {
@@ -312,41 +270,7 @@ func (h SmartSRA) phase2Chain(cand []session.Entry, t []int64, scr *sraScratch, 
 			return nil, false
 		}
 	}
-	if h.InferBacktracks {
-		for i := 2; i < n; i++ {
-			et := t[i]
-			for j := 0; j+1 < i; j++ {
-				// t[j] < et is implied by the strict increase above; the
-				// gap bound is not.
-				if et-t[j] <= rho && h.Graph.HasEdge(cand[j].Page, cand[i].Page) {
-					return nil, false
-				}
-			}
-		}
-	}
 	set := append(scr.set[:0], scr.arena.cloneAll(cand))
 	scr.set = set
 	return set, true
-}
-
-// appendInferredBacktracks appends a [B, e] session (with e's UnixNano onto
-// lastT) for every consumed referrer B of each wave page e (see
-// InferBacktracks). Referrers still inside the candidate cannot qualify: e
-// would not be in the wave then. t holds cand's UnixNano by index.
-func (h SmartSRA) appendInferredBacktracks(dst [][]session.Entry, lastT []int64, cand []session.Entry, t []int64, tpages, removed []int32, rho int64, arena *entryArena) ([][]session.Entry, []int64) {
-	if !h.InferBacktracks {
-		return dst, lastT
-	}
-	for _, ti := range tpages {
-		et := t[ti]
-		ei := cand[ti]
-		for _, rj := range removed {
-			if bt := t[rj]; bt < et && et-bt <= rho &&
-				h.Graph.HasEdge(cand[rj].Page, ei.Page) {
-				dst = append(dst, arena.clone2(cand[rj], ei))
-				lastT = append(lastT, et)
-			}
-		}
-	}
-	return dst, lastT
 }

@@ -88,70 +88,56 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// Mine returns all frequent patterns in the sessions under cfg, using
-// apriori-style level-wise candidate generation: frequent length-k patterns
-// are extended by frequent single pages, and support is counted against the
-// sessions. Patterns are returned sorted by descending support, then by
-// ascending length, then lexicographically — a stable, report-friendly order.
+// Mine returns all frequent patterns in the sessions under cfg, grown
+// apriori-style one page at a time: only a frequent pattern is extended, and
+// each of its frequent one-page extensions is a pattern of its own. Support
+// is counted by projection: every frequent pattern keeps where it ends in
+// each session that supports it — every occurrence for contiguous
+// containment, the earliest-ending embedding for subsequence — and one pass
+// over those ends counts all of its extensions at once (the page right after
+// an occurrence; any page after the embedding), so no candidate is tested
+// against a session that cannot hold it. Patterns are returned sorted by
+// descending support, then by ascending length, then lexicographically — a
+// stable, report-friendly order.
 func Mine(sessions []session.Session, cfg Config) ([]Pattern, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	seqs := make([][]webgraph.PageID, 0, len(sessions))
+	m := miner{cfg: cfg}
+	dense := make(map[webgraph.PageID]int32)
+	// The empty pattern ends before every position a contiguous pattern can
+	// start at, and before the first page of a session for a subsequence.
+	var root []end
 	for _, s := range sessions {
-		if s.Len() > 0 {
-			seqs = append(seqs, s.Pages())
+		if s.Len() == 0 {
+			continue
 		}
-	}
-
-	// Level 1: frequent single pages.
-	counts := make(map[webgraph.PageID]int)
-	for _, seq := range seqs {
-		seen := make(map[webgraph.PageID]bool, len(seq))
-		for _, p := range seq {
-			if !seen[p] {
-				seen[p] = true
-				counts[p]++
+		seq := make([]int32, s.Len())
+		for i, e := range s.Entries {
+			d, ok := dense[e.Page]
+			if !ok {
+				d = int32(len(m.pages))
+				dense[e.Page] = d
+				m.pages = append(m.pages, e.Page)
+				m.count = append(m.count, 0)
+				m.seen = append(m.seen, 0)
+				m.slot = append(m.slot, -1)
 			}
+			seq[i] = d
+		}
+		n := int32(len(m.seqs))
+		m.seqs = append(m.seqs, seq)
+		if cfg.Containment == Subsequence {
+			root = append(root, end{n, -1})
+			continue
+		}
+		for e := -1; e < len(seq)-1; e++ {
+			root = append(root, end{n, int32(e)})
 		}
 	}
-	var frequentPages []webgraph.PageID
-	var out []Pattern
-	for p, c := range counts {
-		if c >= cfg.MinSupport {
-			frequentPages = append(frequentPages, p)
-			out = append(out, Pattern{Pages: []webgraph.PageID{p}, Support: c})
-		}
-	}
-	sort.Slice(frequentPages, func(i, j int) bool { return frequentPages[i] < frequentPages[j] })
+	m.extend(nil, root)
 
-	// Level k+1: extend each frequent pattern by each frequent page. The
-	// apriori property (any prefix of a frequent pattern is frequent) makes
-	// prefix extension complete for both containment semantics.
-	level := make([][]webgraph.PageID, 0, len(frequentPages))
-	for _, p := range out {
-		level = append(level, p.Pages)
-	}
-	for k := 2; len(level) > 0 && (cfg.MaxLength == 0 || k <= cfg.MaxLength); k++ {
-		var next [][]webgraph.PageID
-		for _, base := range level {
-			for _, ext := range frequentPages {
-				cand := append(append(make([]webgraph.PageID, 0, len(base)+1), base...), ext)
-				support := 0
-				for _, seq := range seqs {
-					if contains(seq, cand, cfg.Containment) {
-						support++
-					}
-				}
-				if support >= cfg.MinSupport {
-					out = append(out, Pattern{Pages: cand, Support: support})
-					next = append(next, cand)
-				}
-			}
-		}
-		level = next
-	}
-
+	out := m.out
 	sort.Slice(out, func(i, j int) bool {
 		a, b := out[i], out[j]
 		if a.Support != b.Support {
@@ -170,23 +156,95 @@ func Mine(sessions []session.Session, cfg Config) ([]Pattern, error) {
 	return out, nil
 }
 
-func contains(seq, pattern []webgraph.PageID, c Containment) bool {
-	if c == Subsequence {
-		return session.IsSubsequence(seq, pattern)
+// end is where a pattern ends in one session: the index of its last page in
+// seqs[seq] (-1 for the empty pattern).
+type end struct{ seq, at int32 }
+
+// miner is one Mine call's state. Pages are renumbered densely (pages maps
+// back) so the per-page scratch is slices: count, seen and slot are indexed
+// by dense page and clean between passes.
+type miner struct {
+	cfg   Config
+	seqs  [][]int32
+	pages []webgraph.PageID
+	count []int   // sessions supporting pattern·page, this pass
+	seen  []int64 // pass<<32 | session that last counted pattern·page
+	slot  []int32 // index of pattern·page among the frequent extensions, or -1
+	pass  int64
+	out   []Pattern
+}
+
+// extension is one frequent one-page extension of a pattern, and where it
+// ends in the sessions that support it.
+type extension struct {
+	page    int32
+	support int
+	ends    []end
+}
+
+// extend appends every frequent one-page extension of pattern, which ends at
+// ends, to m.out and then extends each in turn (depth first, so only one
+// path of projections is held at a time).
+func (m *miner) extend(pattern []webgraph.PageID, ends []end) {
+	subseq := m.cfg.Containment == Subsequence
+	// next bounds the positions that extend a pattern ending at e: the one
+	// right after it, or every later one.
+	next := func(seq []int32, e int32) []int32 {
+		if subseq {
+			return seq[e+1:]
+		}
+		return seq[e+1 : min(int(e)+2, len(seq))]
 	}
-	if len(pattern) > len(seq) {
-		return false
+	// Count each extension once per supporting session.
+	m.pass++
+	var touched []int32
+	for _, o := range ends {
+		key := m.pass<<32 | int64(o.seq)
+		for _, x := range next(m.seqs[o.seq], o.at) {
+			if m.seen[x] == key {
+				continue
+			}
+			m.seen[x] = key
+			if m.count[x] == 0 {
+				touched = append(touched, x)
+			}
+			m.count[x]++
+		}
 	}
-outer:
-	for i := 0; i+len(pattern) <= len(seq); i++ {
-		for j, p := range pattern {
-			if seq[i+j] != p {
-				continue outer
+	var exts []extension
+	for _, x := range touched {
+		if m.count[x] >= m.cfg.MinSupport {
+			m.slot[x] = int32(len(exts))
+			exts = append(exts, extension{page: x, support: m.count[x]})
+		}
+	}
+	// Collect where each frequent extension ends: after every occurrence,
+	// or at the first page after the earliest-ending embedding.
+	if len(exts) > 0 {
+		m.pass++
+		for _, o := range ends {
+			key := m.pass<<32 | int64(o.seq)
+			for i, x := range next(m.seqs[o.seq], o.at) {
+				if subseq && m.seen[x] == key {
+					continue
+				}
+				m.seen[x] = key
+				if k := m.slot[x]; k >= 0 {
+					exts[k].ends = append(exts[k].ends, end{o.seq, o.at + 1 + int32(i)})
+				}
 			}
 		}
-		return true
 	}
-	return false
+	for _, x := range touched {
+		m.count[x], m.slot[x] = 0, -1
+	}
+	for _, e := range exts {
+		pages := append(append(make([]webgraph.PageID, 0, len(pattern)+1), pattern...), m.pages[e.page])
+		m.out = append(m.out, Pattern{Pages: pages, Support: e.support})
+		if m.cfg.MaxLength == 0 || len(pages) < m.cfg.MaxLength {
+			m.extend(pages, e.ends)
+		}
+	}
 }
 
 // Rule is a navigation association rule A => B: sessions that follow path A

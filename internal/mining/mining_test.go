@@ -1,6 +1,10 @@
 package mining
 
 import (
+	"fmt"
+	"math/rand"
+	"reflect"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -164,6 +168,126 @@ func TestMineEmptyInput(t *testing.T) {
 	}
 	if len(patterns) != 0 {
 		t.Errorf("patterns from empty input: %v", patterns)
+	}
+}
+
+// mineByScan is the level-wise apriori scan Mine replaced, kept as its
+// reference: every frequent pattern is extended by every frequent page, and
+// each candidate is tested against every session.
+func mineByScan(sessions []session.Session, cfg Config) []Pattern {
+	seqs := make([][]webgraph.PageID, 0, len(sessions))
+	for _, s := range sessions {
+		if s.Len() > 0 {
+			seqs = append(seqs, s.Pages())
+		}
+	}
+	counts := make(map[webgraph.PageID]int)
+	for _, seq := range seqs {
+		seen := make(map[webgraph.PageID]bool, len(seq))
+		for _, p := range seq {
+			if !seen[p] {
+				seen[p] = true
+				counts[p]++
+			}
+		}
+	}
+	var frequentPages []webgraph.PageID
+	var out []Pattern
+	for p, c := range counts {
+		if c >= cfg.MinSupport {
+			frequentPages = append(frequentPages, p)
+			out = append(out, Pattern{Pages: []webgraph.PageID{p}, Support: c})
+		}
+	}
+	level := make([][]webgraph.PageID, 0, len(frequentPages))
+	for _, p := range out {
+		level = append(level, p.Pages)
+	}
+	for k := 2; len(level) > 0 && (cfg.MaxLength == 0 || k <= cfg.MaxLength); k++ {
+		var next [][]webgraph.PageID
+		for _, base := range level {
+			for _, ext := range frequentPages {
+				cand := append(append(make([]webgraph.PageID, 0, len(base)+1), base...), ext)
+				support := 0
+				for _, seq := range seqs {
+					if contains(seq, cand, cfg.Containment) {
+						support++
+					}
+				}
+				if support >= cfg.MinSupport {
+					out = append(out, Pattern{Pages: cand, Support: support})
+					next = append(next, cand)
+				}
+			}
+		}
+		level = next
+	}
+	sort.Slice(out, func(i, j int) bool {
+		a, b := out[i], out[j]
+		if a.Support != b.Support {
+			return a.Support > b.Support
+		}
+		if len(a.Pages) != len(b.Pages) {
+			return len(a.Pages) < len(b.Pages)
+		}
+		for x := range a.Pages {
+			if a.Pages[x] != b.Pages[x] {
+				return a.Pages[x] < b.Pages[x]
+			}
+		}
+		return false
+	})
+	return out
+}
+
+func contains(seq, pattern []webgraph.PageID, c Containment) bool {
+	if c == Subsequence {
+		return session.IsSubsequence(seq, pattern)
+	}
+outer:
+	for i := 0; i+len(pattern) <= len(seq); i++ {
+		for j, p := range pattern {
+			if seq[i+j] != p {
+				continue outer
+			}
+		}
+		return true
+	}
+	return false
+}
+
+// Property: Mine finds exactly the reference scan's patterns, supports and
+// order, for both containments, with and without a length cap, at min
+// support 1–5. Sessions are short walks over a few pages, empty ones
+// included, so patterns repeat within and across sessions.
+func TestMineMatchesScanProperty(t *testing.T) {
+	rng := rand.New(rand.NewSource(44))
+	for _, c := range []Containment{Contiguous, Subsequence} {
+		for _, maxLen := range []int{0, 3} {
+			for minSup := 1; minSup <= 5; minSup++ {
+				cfg := Config{MinSupport: minSup, MaxLength: maxLen, Containment: c}
+				t.Run(fmt.Sprintf("%v/max=%d/min=%d", c, maxLen, minSup), func(t *testing.T) {
+					for trial := 0; trial < 40; trial++ {
+						sessions := make([]session.Session, rng.Intn(25))
+						pages := 1 + rng.Intn(6)
+						for i := range sessions {
+							walk := make([]int, rng.Intn(9))
+							for j := range walk {
+								walk[j] = 100 + rng.Intn(pages)
+							}
+							sessions[i] = mk(walk...)
+						}
+						got, err := Mine(sessions, cfg)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if want := mineByScan(sessions, cfg); !reflect.DeepEqual(got, want) {
+							t.Fatalf("trial %d: Mine found %d patterns, the scan %d\n got %v\nwant %v", trial, len(got), len(want), got, want)
+						}
+					}
+				})
+			}
+		}
 	}
 }
 

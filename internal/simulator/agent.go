@@ -119,8 +119,11 @@ func (a *agent) run() {
 			a.out.stats.DeadEnds++
 			break
 		}
+		// Uniformly among the linked pages: a target visited before is
+		// served from the browser cache, in the real session but never in
+		// the log (the paper's cache model).
 		a.now = a.now.Add(a.stay())
-		next = a.pickSuccessor(succ)
+		next = succ[a.rng.Intn(len(succ))]
 	}
 	a.flushReal()
 }
@@ -246,23 +249,6 @@ func (a *agent) backtrack() (webgraph.PageID, bool) {
 	a.now = a.now.Add(a.stay())
 	fresh := arena[c.lo:c.hi]
 	return fresh[a.rng.Intn(len(fresh))], true
-}
-
-// pickSuccessor applies the revisit policy to choose among linked pages.
-func (a *agent) pickSuccessor(succ []webgraph.PageID) webgraph.PageID {
-	if a.p.Revisit == RevisitAvoid {
-		fresh := a.scr.pages[:0]
-		for _, v := range succ {
-			if !a.visited[v] {
-				fresh = append(fresh, v)
-			}
-		}
-		a.scr.pages = fresh
-		if len(fresh) > 0 {
-			return fresh[a.rng.Intn(len(fresh))]
-		}
-	}
-	return succ[a.rng.Intn(len(succ))]
 }
 
 // flushReal closes the current real session, if any.

@@ -12,35 +12,6 @@ import (
 	"time"
 )
 
-// RevisitPolicy controls what behavior 2 (follow a link from the current
-// page) does when the randomly chosen link target was visited before.
-type RevisitPolicy int
-
-const (
-	// RevisitCache picks uniformly among all linked pages; a previously
-	// visited target is served from the browser cache (it stays in the real
-	// session but never reaches the server log). This is the default: the
-	// paper's cache model eliminates every request the browser can serve
-	// locally.
-	RevisitCache RevisitPolicy = iota
-	// RevisitAvoid prefers unvisited link targets when any exist, falling
-	// back to visited ones (cache-served) otherwise. Exposed for the
-	// sensitivity bench; produces cleaner logs than real traffic.
-	RevisitAvoid
-)
-
-// String names the policy for reports.
-func (p RevisitPolicy) String() string {
-	switch p {
-	case RevisitCache:
-		return "cache"
-	case RevisitAvoid:
-		return "avoid"
-	default:
-		return fmt.Sprintf("RevisitPolicy(%d)", int(p))
-	}
-}
-
 // Params configures a simulation run. Start from PaperParams and adjust.
 type Params struct {
 	// STP is the Session Termination Probability: at each request the agent
@@ -75,8 +46,6 @@ type Params struct {
 	// pathological parameter choices (e.g. STP=0 would never terminate).
 	// Zero means 1000.
 	MaxRequests int
-	// Revisit selects the behavior-2 revisit policy; see RevisitPolicy.
-	Revisit RevisitPolicy
 	// Workers bounds the number of agents simulated concurrently; zero means
 	// GOMAXPROCS.
 	Workers int

@@ -367,33 +367,6 @@ func TestMaxRequestsCap(t *testing.T) {
 	}
 }
 
-func TestRevisitPolicies(t *testing.T) {
-	g := testTopology(t)
-	pc := testParams()
-	pc.Revisit = RevisitCache
-	pa := testParams()
-	pa.Revisit = RevisitAvoid
-	rc, err := Run(g, pc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ra, err := Run(g, pa)
-	if err != nil {
-		t.Fatal(err)
-	}
-	frac := func(r *Result) float64 {
-		return float64(r.Stats.CacheHits) / float64(r.Stats.Navigations)
-	}
-	if frac(ra) >= frac(rc) {
-		t.Errorf("RevisitAvoid cache fraction %.3f not below RevisitCache %.3f",
-			frac(ra), frac(rc))
-	}
-	if RevisitCache.String() != "cache" || RevisitAvoid.String() != "avoid" ||
-		RevisitPolicy(7).String() == "" {
-		t.Error("RevisitPolicy.String wrong")
-	}
-}
-
 func TestBehaviorCountsRoughlyMatchProbabilities(t *testing.T) {
 	g := testTopology(t)
 	p := testParams()
