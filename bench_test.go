@@ -224,27 +224,6 @@ func BenchmarkAblationStartPages(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationTopologyModel compares the uniform random model against
-// the preferential-attachment variant (DESIGN.md).
-func BenchmarkAblationTopologyModel(b *testing.B) {
-	for _, model := range []webgraph.TopologyModel{webgraph.ModelUniform, webgraph.ModelPreferential} {
-		b.Run(model.String(), func(b *testing.B) {
-			topo := webgraph.PaperTopology()
-			topo.Model = model
-			params := simulator.PaperParams()
-			params.Agents = 250
-			g, res := benchWorkload(b, topo, params)
-			h := heuristics.NewSmartSRA(g)
-			var acc eval.Accuracy
-			for i := 0; i < b.N; i++ {
-				cands := heuristics.ReconstructAll(h, res.Streams)
-				acc = eval.ScoreMatched(res.Real, cands)
-			}
-			b.ReportMetric(acc.Percent(), "acc%")
-		})
-	}
-}
-
 // BenchmarkAblationNavigationTimeLimit measures §2.2's missing knob: the
 // navigation-oriented heuristic with and without a page-stay time limit.
 func BenchmarkAblationNavigationTimeLimit(b *testing.B) {

@@ -3,9 +3,11 @@ package main
 import (
 	"bytes"
 	"errors"
+	"math"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -115,6 +117,73 @@ func TestProfilesLeaveStdoutAlone(t *testing.T) {
 	for _, f := range []string{cpu, mem} {
 		if st, err := os.Stat(f); err != nil || st.Size() == 0 {
 			t.Errorf("%s: want a non-empty profile (err %v)", f, err)
+		}
+	}
+}
+
+// -via-clf routes every request through a CLF encode, parse and clean and
+// prints what the direct run prints; -include-referrer adds the heurR
+// column and -session-stats the session-shape block; -csv and -svg write the
+// figure's files, the CSV row for row the printed table.
+func TestReportFlags(t *testing.T) {
+	args := []string{"-experiment", "lpp", "-agents", "300"}
+	plain, _ := evaluate(t, args...)
+	if strings.Contains(plain, "heurR") || strings.Contains(plain, "session shapes") {
+		t.Fatalf("the plain run prints the referrer column or session shapes:\n%s", plain)
+	}
+	if viaCLF, _ := evaluate(t, append(args, "-via-clf")...); viaCLF != plain {
+		t.Errorf("-via-clf stdout differs from the direct run:\n%s\nwant:\n%s", viaCLF, plain)
+	}
+
+	more, _ := evaluate(t, append(args, "-include-referrer", "-session-stats")...)
+	header := "LPP%               heur1           heur2           heur3           heur4           heurR   real-sessions"
+	if !strings.Contains(more, header) {
+		t.Errorf("-include-referrer: no heurR column in\n%s", more)
+	}
+	if !strings.Contains(more, "figure9 — reconstructed session shapes\nLPP=0%:\n") ||
+		strings.Count(more, "  heurR   sessions=") != 10 {
+		t.Errorf("-session-stats: no session-shape block with heurR at each of 10 points in\n%s", more)
+	}
+
+	dir := t.TempDir()
+	evaluate(t, append(args, "-csv", dir, "-svg", dir)...)
+	svg, err := os.ReadFile(filepath.Join(dir, "figure9.svg"))
+	if err != nil || !bytes.HasPrefix(svg, []byte("<svg")) {
+		t.Errorf("-svg: figure9.svg = %.40q (err %v), want an SVG file", svg, err)
+	}
+	csv, err := os.ReadFile(filepath.Join(dir, "figure9.csv"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var table [][]string
+	for _, line := range strings.Split(plain, "\n") {
+		if f := strings.Fields(strings.NewReplacer("(", "", ")", "").Replace(line)); len(f) == 10 {
+			if _, err := strconv.Atoi(f[0]); err == nil {
+				table = append(table, f)
+			}
+		}
+	}
+	rows := strings.Split(strings.TrimSpace(string(csv)), "\n")
+	if len(table) != 10 || len(rows) != len(table)+1 {
+		t.Fatalf("-csv: %d rows for a table of %d points:\n%s", len(rows)-1, len(table), csv)
+	}
+	for i, row := range rows[1:] {
+		cells := strings.Split(row, ",")
+		if len(cells) != len(table[i]) {
+			t.Fatalf("-csv row %d: %q, want %d cells", i, row, len(table[i]))
+		}
+		for j, cell := range cells {
+			v, err := strconv.ParseFloat(cell, 64)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, _ := strconv.ParseFloat(table[i][j], 64)
+			if j < len(cells)-1 {
+				v *= 100 // a share in the CSV, a percentage in the table
+			}
+			if math.Abs(v-want) > 0.051 {
+				t.Errorf("-csv row %d cell %d: %s, the table prints %s", i, j, cell, table[i][j])
+			}
 		}
 	}
 }

@@ -7,8 +7,11 @@
 // Usage:
 //
 //	loadgen -url http://127.0.0.1:8080 -topo topology.json \
-//	        [-agents 500] [-seed 1] [-speedup 60] [-workers 8] \
-//	        [-duration 0] [-chaos]
+//	        [-agents 500] [-seed 1] [-speedup 60] [-workers 8] [-chaos]
+//
+// The schedule is the paper's Table 5 agents (simulator.PaperParams) with
+// their starts spread over one simulated hour; each request times out after
+// 10 s.
 //
 // -speedup compresses simulated time (60 means one simulated minute per real
 // second); 0 disables pacing and issues requests as fast as the workers can,
@@ -20,8 +23,8 @@
 // sessionizer caught up.
 //
 // After the run loadgen prints one line per check (loadgen.Check) and exits
-// 1 if a check failed. A run cut short by -duration or a signal prints its
-// checks and exits 0.
+// 1 if a check failed. A run cut short by a signal prints its checks and
+// exits 0.
 package main
 
 import (
@@ -46,27 +49,18 @@ func main() {
 		topoPath = flag.String("topo", "", "topology JSON the server is serving (required)")
 		agents   = flag.Int("agents", 500, "number of simulated users")
 		seed     = flag.Int64("seed", 1, "simulation seed (fixed seed = reproducible schedule)")
-		stp      = flag.Float64("stp", 0.05, "session termination probability")
-		lpp      = flag.Float64("lpp", 0.30, "link-from-previous-pages probability")
-		nip      = flag.Float64("nip", 0.30, "new-initial-page probability")
-		window   = flag.Duration("start-window", time.Hour, "simulated window over which users begin")
 		speedup  = flag.Float64("speedup", 60, "simulated seconds replayed per real second (0 = no pacing, maximum pressure)")
 		workers  = flag.Int("workers", 8, "concurrent in-flight requests")
-		timeout  = flag.Duration("timeout", 10*time.Second, "per-request timeout")
-		duration = flag.Duration("duration", 0, "stop the replay after this wall-clock time (0 = run the whole schedule)")
 		chaos    = flag.Bool("chaos", false, "run the adversarial suite (slowloris, floods, churn, malformed) alongside the replay and check the server's /debug/metrics counters after it")
 	)
 	flag.Parse()
-	if err := run(*url, *topoPath, *agents, *seed, *stp, *lpp, *nip,
-		*window, *speedup, *workers, *timeout, *duration, *chaos); err != nil {
+	if err := run(*url, *topoPath, *agents, *seed, *speedup, *workers, *chaos); err != nil {
 		fmt.Fprintln(os.Stderr, "loadgen:", err)
 		os.Exit(1)
 	}
 }
 
-func run(url, topoPath string, agents int, seed int64, stp, lpp, nip float64,
-	window time.Duration, speedup float64, workers int,
-	timeout, duration time.Duration, chaos bool) error {
+func run(url, topoPath string, agents int, seed int64, speedup float64, workers int, chaos bool) error {
 	if url == "" || topoPath == "" {
 		return fmt.Errorf("both -url and -topo are required")
 	}
@@ -82,9 +76,8 @@ func run(url, topoPath string, agents int, seed int64, stp, lpp, nip float64,
 
 	params := simulator.PaperParams()
 	params.Agents = agents
-	params.STP, params.LPP, params.NIP = stp, lpp, nip
 	params.Seed = seed
-	params.StartWindow = window
+	params.StartWindow = time.Hour
 	res, err := simulator.Run(g, params)
 	if err != nil {
 		return err
@@ -99,11 +92,6 @@ func run(url, topoPath string, agents int, seed int64, stp, lpp, nip float64,
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	if duration > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, duration)
-		defer cancel()
-	}
 
 	// The chaos suite attacks the same server while the legitimate replay
 	// runs, so admission control is exercised under real mixed traffic.
@@ -125,9 +113,8 @@ func run(url, topoPath string, agents int, seed int64, stp, lpp, nip float64,
 		Requests: reqs,
 		Speedup:  speedup,
 		Workers:  workers,
-		Timeout:  timeout,
 	})
-	if err != nil && err != context.Canceled && err != context.DeadlineExceeded {
+	if err != nil && err != context.Canceled {
 		return err
 	}
 	cut := err != nil

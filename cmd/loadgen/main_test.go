@@ -9,7 +9,6 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"smartsra/internal/webgraph"
 	"smartsra/internal/webserver"
@@ -20,7 +19,6 @@ func site(t *testing.T) (*webgraph.Graph, string) {
 	t.Helper()
 	g, err := webgraph.GenerateTopology(webgraph.TopologyConfig{
 		Pages: 60, AvgOutDegree: 6, StartPageFraction: 0.1,
-		Model: webgraph.ModelUniform, EnsureReachable: true,
 	}, rand.New(rand.NewSource(7)))
 	if err != nil {
 		t.Fatal(err)
@@ -41,7 +39,7 @@ func site(t *testing.T) (*webgraph.Graph, string) {
 
 // replay runs loadgen's whole run, unpaced, against url.
 func replay(url, topo string) error {
-	return run(url, topo, 40, 7, 0.05, 0.30, 0.30, time.Hour, 0, 4, 10*time.Second, 0, false)
+	return run(url, topo, 40, 7, 0, 4, false)
 }
 
 // TestRunPassesAgainstTheSite: the replay against the site it was generated

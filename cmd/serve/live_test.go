@@ -53,7 +53,6 @@ var t0 = time.Date(2026, 8, 8, 12, 0, 0, 0, time.UTC)
 var fixtureGraph = func() *webgraph.Graph {
 	g, err := webgraph.GenerateTopology(webgraph.TopologyConfig{
 		Pages: 40, AvgOutDegree: 6, StartPageFraction: 0.1,
-		Model: webgraph.ModelUniform, EnsureReachable: true,
 	}, rand.New(rand.NewSource(3)))
 	if err != nil {
 		panic(err)

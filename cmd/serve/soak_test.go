@@ -28,13 +28,18 @@ import (
 // set it IS the server under test (options from env, straight into run), so
 // the soak test can SIGKILL a real serve process — goroutine-level fault
 // injection cannot model losing the page cache, the socket, and every
-// in-flight write at once.
+// in-flight write at once. With SERVE_CHILD set it is serve itself, main on
+// the command line it was given.
 func TestMain(m *testing.M) {
-	if os.Getenv("SERVE_SOAK_CHILD") == "1" {
+	switch {
+	case os.Getenv("SERVE_SOAK_CHILD") == "1":
 		if err := soakChild(); err != nil {
 			fmt.Fprintln(os.Stderr, "soak child:", err)
 			os.Exit(1)
 		}
+		os.Exit(0)
+	case os.Getenv("SERVE_CHILD") == "1":
+		main()
 		os.Exit(0)
 	}
 	os.Exit(m.Run())
@@ -103,10 +108,26 @@ func (p *soakProc) output() string {
 // knobs in soakChild.
 func startServe(t *testing.T, dir, addr string, extraEnv ...string) *soakProc {
 	t.Helper()
-	p := &soakProc{cmd: exec.Command(os.Args[0])}
-	p.cmd.Env = append(os.Environ(),
+	cmd := exec.Command(os.Args[0])
+	cmd.Env = append(os.Environ(),
 		"SERVE_SOAK_CHILD=1", "SERVE_SOAK_DIR="+dir, "SERVE_SOAK_ADDR="+addr)
-	p.cmd.Env = append(p.cmd.Env, extraEnv...)
+	cmd.Env = append(cmd.Env, extraEnv...)
+	return startChild(t, cmd)
+}
+
+// startServeArgs launches the test binary as serve on a command line and
+// waits until it is accepting connections.
+func startServeArgs(t *testing.T, args ...string) *soakProc {
+	t.Helper()
+	cmd := exec.Command(os.Args[0], args...)
+	cmd.Env = append(os.Environ(), "SERVE_CHILD=1")
+	return startChild(t, cmd)
+}
+
+// startChild starts cmd and waits for its "listening on" line.
+func startChild(t *testing.T, cmd *exec.Cmd) *soakProc {
+	t.Helper()
+	p := &soakProc{cmd: cmd}
 	stdout, err := p.cmd.StdoutPipe()
 	if err != nil {
 		t.Fatal(err)
@@ -156,7 +177,6 @@ func TestSoakCrashRecoveryUnderLoad(t *testing.T) {
 
 	g, err := webgraph.GenerateTopology(webgraph.TopologyConfig{
 		Pages: 150, AvgOutDegree: 8, StartPageFraction: 0.08,
-		Model: webgraph.ModelUniform, EnsureReachable: true,
 	}, rand.New(rand.NewSource(11)))
 	if err != nil {
 		t.Fatal(err)

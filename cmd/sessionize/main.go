@@ -6,9 +6,13 @@
 // Usage:
 //
 //	sessionize -topology topology.json -log access.log [-heuristic heur4]
-//	           [-no-clean] [-stats-only] [-stream] [-session-gap 10m]
-//	           [-sessions out.txt] [-checkpoint state.ckpt] [-checkpoint-every 5s]
+//	           [-stream] [-session-gap 10m] [-sessions out.txt]
+//	           [-checkpoint state.ckpt] [-checkpoint-every 5s] [-cuts FILE]
 //	           [-cpuprofile FILE] [-memprofile FILE]
+//
+// Records pass the standard cleaning (clf.StandardCleaning) before users are
+// identified. Statistics go to stderr, so -sessions /dev/null prints them
+// alone.
 //
 // A log is read one way: each gzip member of -log inflates on a goroutine of
 // its own, one parser goroutine cuts and parses line-aligned chunks, and the
@@ -76,7 +80,6 @@ import (
 // options collects the parsed command line.
 type options struct {
 	topoPath, logPath, heur string
-	noClean, statsOnly      bool
 	stream                  bool
 	sessionGap              time.Duration
 	sessPath, ckptPath      string
@@ -92,8 +95,6 @@ func main() {
 	flag.StringVar(&o.topoPath, "topology", "", "topology JSON written by simgen (required)")
 	flag.StringVar(&o.logPath, "log", "", "CLF access logs: comma-separated paths/globs, gzip ok (required; - for stdin)")
 	flag.StringVar(&o.heur, "heuristic", "heur4", "heur1|heur2|heur3|heur4|referrer (referrer needs a combined-format log)")
-	flag.BoolVar(&o.noClean, "no-clean", false, "skip the standard data-cleaning filter")
-	flag.BoolVar(&o.statsOnly, "stats-only", false, "print statistics but not the sessions (cannot be combined with -sessions)")
 	flag.BoolVar(&o.stream, "stream", false, "bounded-memory streaming ingestion: sessions print as they finalize, heap holds the users of the log's last 2-3 session gaps, independent of log size")
 	flag.DurationVar(&o.sessionGap, "session-gap", 0, "burst gap ρ for -stream: a user quiet this long ends their burst (0 = the paper's 10m; match the serve run when replaying its log)")
 	flag.StringVar(&o.sessPath, "sessions", "", "write sessions to this file instead of stdout (required by -checkpoint)")
@@ -104,10 +105,6 @@ func main() {
 	flag.Parse()
 	if o.topoPath == "" || o.logPath == "" {
 		flag.Usage()
-		os.Exit(2)
-	}
-	if o.statsOnly && o.sessPath != "" {
-		fmt.Fprintln(os.Stderr, "sessionize: -stats-only prints no sessions, so -sessions has nothing to write; drop one of the two")
 		os.Exit(2)
 	}
 	if *workers != "auto" {
@@ -186,9 +183,6 @@ func run(o options) error {
 		return err
 	}
 	cfg := core.Config{Graph: g, Heuristic: h}
-	if o.noClean {
-		cfg.Filter = clf.KeepAll
-	}
 	if o.stream {
 		return runStream(cfg, o, paths)
 	}
@@ -278,12 +272,9 @@ func runStream(cfg core.Config, o options, paths []string) (err error) {
 }
 
 // output opens where sessions go: stdout, a new -sessions file, or with
-// -checkpoint that file as it stands, for the run to cut back; nil for
-// -stats-only.
+// -checkpoint that file as it stands, for the run to cut back.
 func output(o options) (*checkpoint.Sink, error) {
 	switch {
-	case o.statsOnly:
-		return nil, nil
 	case o.sessPath == "":
 		return &checkpoint.Sink{F: os.Stdout, W: os.Stdout}, nil
 	case o.ckptPath != "":
@@ -306,7 +297,7 @@ func closeOutput(o options, out *checkpoint.Sink, err *error) {
 // writeSessions writes a batch result where output says.
 func writeSessions(o options, sessions []session.Session) (err error) {
 	out, err := output(o)
-	if out == nil || err != nil {
+	if err != nil {
 		return err
 	}
 	defer closeOutput(o, out, &err)

@@ -299,40 +299,6 @@ func TestWorkersFlagIsParsedAndIgnored(t *testing.T) {
 	}
 }
 
-// TestStatsOnlyRejectsSessions: -stats-only writes no sessions, so naming a
-// -sessions file as well is a usage error in every mode, caught before the
-// file is opened — the file a user already had is left as it was.
-func TestStatsOnlyRejectsSessions(t *testing.T) {
-	dir := t.TempDir()
-	topo := figure1(t, dir)
-	at := time.Date(2006, 1, 2, 8, 0, 0, 0, time.UTC)
-	logPath := filepath.Join(dir, "access.log")
-	if err := os.WriteFile(logPath, []byte(logLine("10.0.0.1", at, "/P1.html")+
-		logLine("10.0.0.1", at.Add(time.Hour), "/P13.html")), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	const kept = "sessions from an earlier run\n"
-	for name, mode := range map[string][]string{
-		"batch":             nil,
-		"stream":            {"-stream"},
-		"stream checkpoint": {"-stream", "-checkpoint", filepath.Join(dir, "state.ckpt")},
-	} {
-		out := filepath.Join(dir, "kept.sessions")
-		if err := os.WriteFile(out, []byte(kept), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		cmd, stderr := sessionize(append([]string{"-topology", topo, "-log", logPath, "-stats-only", "-sessions", out}, mode...)...)
-		err := cmd.Run()
-		if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != 2 ||
-			!strings.Contains(stderr.String(), "-stats-only") || !strings.Contains(stderr.String(), "-sessions") {
-			t.Errorf("%s: err = %v, want exit status 2 naming both flags; stderr:\n%s", name, err, stderr)
-		}
-		if got, err := os.ReadFile(out); err != nil || string(got) != kept {
-			t.Errorf("%s: %s holds %q (err %v), want it unchanged", name, out, got, err)
-		}
-	}
-}
-
 // TestReadErrorKeepsSessionsAlreadySunk: sessions finalized before a read
 // error are output — in the -sessions file or on stdout — and the run still
 // exits 1 with the read error as its message. The log's second and third
@@ -463,5 +429,57 @@ func TestProfilesLeaveOutputAlone(t *testing.T) {
 		if st, err := os.Stat(f); err != nil || st.Size() == 0 {
 			t.Errorf("%s: want a non-empty profile (err %v)", f, err)
 		}
+	}
+}
+
+// TestCheckpointEveryResumesAKilledRun: with -checkpoint-every 0 a -stream
+// run saves at every chunk boundary. Killed with SIGKILL once its first
+// checkpoint is on disk and run again, it resumes mid-log and finishes the
+// session file an uninterrupted run writes, byte for byte.
+func TestCheckpointEveryResumesAKilledRun(t *testing.T) {
+	dir := t.TempDir()
+	figure1(t, dir)
+	walk := []string{"/P1.html", "/P13.html", "/P34.html", "/P1.html", "/P20.html", "/P23.html"}
+	base := time.Date(2006, 1, 2, 8, 0, 0, 0, time.UTC)
+	var log strings.Builder
+	for i := 0; log.Len() < 4<<20; i++ { // four 1 MiB chunks
+		u := i % 1000
+		log.WriteString(logLine(fmt.Sprintf("10.3.%d.%d", u>>8, u&255), base.Add(time.Duration(i)*100*time.Millisecond), walk[(i/1000+u)%len(walk)]))
+	}
+	logPath := filepath.Join(dir, "access.log")
+	if err := os.WriteFile(logPath, []byte(log.String()), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	want, _ := writeTo(t, dir, "plain", nil, "-stream", "-log", logPath)
+
+	ckpt := filepath.Join(dir, "state.ckpt")
+	args := []string{"-stream", "-log", logPath, "-checkpoint", ckpt, "-checkpoint-every", "0"}
+	cmd, stderr := sessionize(append([]string{"-topology", filepath.Join(dir, "topology.json"),
+		"-sessions", filepath.Join(dir, "killed.sessions")}, args...)...)
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(30 * time.Second); ; time.Sleep(time.Millisecond) {
+		if _, err := os.Stat(ckpt); err == nil {
+			break
+		}
+		if time.Now().After(deadline) {
+			cmd.Process.Kill()
+			t.Fatalf("no checkpoint after 30 s; stderr:\n%s", stderr)
+		}
+	}
+	if err := cmd.Process.Kill(); err != nil {
+		t.Fatal(err)
+	}
+	if err := cmd.Wait(); err == nil {
+		t.Fatalf("the run finished before it was killed; stderr:\n%s", stderr)
+	}
+	got, errs := writeTo(t, dir, "killed", nil, args...)
+	if !strings.Contains(errs, "sessionize: resuming "+logPath+" from byte ") ||
+		strings.Contains(errs, fmt.Sprintf("from byte %d ", log.Len())) {
+		t.Errorf("the rerun does not resume mid-log; stderr:\n%s", errs)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("killed and resumed: %d bytes in the session file, want the %d an uninterrupted run writes", len(got), len(want))
 	}
 }

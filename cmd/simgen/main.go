@@ -6,8 +6,11 @@
 //
 // Usage:
 //
-//	simgen -out DIR [-pages 300] [-outdeg 15] [-starts 0.05] [-model uniform]
-//	       [-agents 10000] [-stp 0.05] [-lpp 0.3] [-nip 0.3] [-seed 1]
+//	simgen -out DIR [-pages 300] [-outdeg 15] [-agents 10000]
+//	       [-stp 0.05] [-lpp 0.3] [-nip 0.3] [-seed 1] [-combined]
+//
+// The topology is Table 5's uniform random graph: 5% of the pages are entry
+// pages and every page is reachable from one.
 package main
 
 import (
@@ -28,8 +31,6 @@ func main() {
 		out      = flag.String("out", ".", "output directory")
 		pages    = flag.Int("pages", 300, "number of web pages (Table 5: 300)")
 		outdeg   = flag.Float64("outdeg", 15, "average out-degree (Table 5: 15)")
-		starts   = flag.Float64("starts", 0.05, "fraction of pages that are session entry pages")
-		model    = flag.String("model", "uniform", "topology model: uniform or preferential")
 		agents   = flag.Int("agents", 10000, "number of simulated agents (Table 5: 10000)")
 		stp      = flag.Float64("stp", 0.05, "session termination probability")
 		lpp      = flag.Float64("lpp", 0.30, "link-from-previous-pages probability")
@@ -38,22 +39,16 @@ func main() {
 		combined = flag.Bool("combined", false, "write Combined Log Format (with Referer and User-Agent)")
 	)
 	flag.Parse()
-	if err := run(*out, *pages, *outdeg, *starts, *model, *agents, *stp, *lpp, *nip, *seed, *combined); err != nil {
+	if err := run(*out, *pages, *outdeg, *agents, *stp, *lpp, *nip, *seed, *combined); err != nil {
 		fmt.Fprintln(os.Stderr, "simgen:", err)
 		os.Exit(1)
 	}
 }
 
-func run(out string, pages int, outdeg, starts float64, model string,
-	agents int, stp, lpp, nip float64, seed int64, combined bool) error {
-	m, err := webgraph.ParseTopologyModel(model)
-	if err != nil {
-		return err
-	}
-	cfg := webgraph.TopologyConfig{
-		Pages: pages, AvgOutDegree: outdeg, StartPageFraction: starts,
-		Model: m, EnsureReachable: true,
-	}
+func run(out string, pages int, outdeg float64, agents int,
+	stp, lpp, nip float64, seed int64, combined bool) error {
+	cfg := webgraph.PaperTopology()
+	cfg.Pages, cfg.AvgOutDegree = pages, outdeg
 	g, err := webgraph.GenerateTopology(cfg, rand.New(rand.NewSource(seed)))
 	if err != nil {
 		return err

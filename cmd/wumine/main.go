@@ -6,8 +6,10 @@
 // Usage:
 //
 //	wumine -topology topology.json -log access.log [-heuristic heur4]
-//	       [-min-support 10] [-max-len 5] [-min-confidence 0.5]
-//	       [-containment contiguous] [-top 20]
+//	       [-min-support 10] [-max-len 5] [-min-confidence 0.5] [-top 20]
+//
+// A session supports a pattern only where the pattern occurs in it as an
+// uninterrupted run, as the paper scores capture (§5.1).
 //
 // -log is read as sessionize's batch mode reads it (core.Pipeline.ProcessLog):
 // "-" for stdin, or a comma list or glob of plain and gzip files.
@@ -34,7 +36,6 @@ func main() {
 		minSup   = flag.Int("min-support", 10, "minimum supporting sessions per pattern")
 		maxLen   = flag.Int("max-len", 5, "maximum pattern length (0 = unlimited)")
 		minConf  = flag.Float64("min-confidence", 0.5, "minimum rule confidence")
-		contain  = flag.String("containment", "contiguous", "contiguous or subsequence")
 		top      = flag.Int("top", 20, "print at most this many patterns and rules")
 	)
 	flag.Parse()
@@ -42,14 +43,13 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	if err := run(*topoPath, *logPath, *heur, *minSup, *maxLen, *minConf, *contain, *top); err != nil {
+	if err := run(*topoPath, *logPath, *heur, *minSup, *maxLen, *minConf, *top); err != nil {
 		fmt.Fprintln(os.Stderr, "wumine:", err)
 		os.Exit(1)
 	}
 }
 
-func run(topoPath, logPath, heur string, minSup, maxLen int, minConf float64,
-	contain string, top int) error {
+func run(topoPath, logPath, heur string, minSup, maxLen int, minConf float64, top int) error {
 	tf, err := os.Open(topoPath)
 	if err != nil {
 		return err
@@ -63,16 +63,6 @@ func run(topoPath, logPath, heur string, minSup, maxLen int, minConf float64,
 	if err != nil {
 		return err
 	}
-	var containment mining.Containment
-	switch contain {
-	case "contiguous":
-		containment = mining.Contiguous
-	case "subsequence":
-		containment = mining.Subsequence
-	default:
-		return fmt.Errorf("unknown containment %q", contain)
-	}
-
 	paths, err := clf.ResolveLogPaths(logPath)
 	if err != nil {
 		return err
@@ -88,13 +78,13 @@ func run(topoPath, logPath, heur string, minSup, maxLen int, minConf float64,
 	fmt.Fprintf(os.Stderr, "pipeline: %s\n", res.Stats)
 
 	patterns, err := mining.Mine(res.Sessions, mining.Config{
-		MinSupport: minSup, MaxLength: maxLen, Containment: containment,
+		MinSupport: minSup, MaxLength: maxLen,
 	})
 	if err != nil {
 		return err
 	}
-	fmt.Printf("frequent patterns (%d total, min support %d, %s):\n",
-		len(patterns), minSup, containment)
+	fmt.Printf("frequent patterns (%d total, min support %d, contiguous):\n",
+		len(patterns), minSup)
 	for i, p := range patterns {
 		if i >= top {
 			fmt.Printf("  ... %d more\n", len(patterns)-top)

@@ -9,11 +9,14 @@ package smartsra
 import (
 	"bytes"
 	"compress/gzip"
+	"go/ast"
 	"go/parser"
 	"go/token"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
+	"sort"
 	"strconv"
 	"strings"
 	"testing"
@@ -108,7 +111,7 @@ accuracy (exists):      2558/2912 (87.8%)
 	}
 
 	// wumine: frequent patterns.
-	wm, _ := run("wumine", "-topology", topo, "-log", logf, "-min-support", "5", "-top", "3")
+	wm, wmErr := run("wumine", "-topology", topo, "-log", logf, "-min-support", "5", "-top", "3")
 	if want := `frequent patterns (407 total, min support 5, contiguous):
   [83] x345  /index.html
   [99] x344  /p/99.html
@@ -129,6 +132,56 @@ association rules (16 total, min confidence 0.50):
 		t.Errorf("wumine on the gzip copy:\n%s\nwant what the plain log gives:\n%s", gz, wm)
 	}
 
+	// wumine's knobs: heur2's sessions, patterns of at most two pages, rules
+	// of confidence 0.90 and up.
+	wm2, wm2Err := run("wumine", "-topology", topo, "-log", logf, "-min-support", "5", "-top", "1000000",
+		"-heuristic", "heur2", "-max-len", "2", "-min-confidence", "0.9")
+	if wm2Err == wmErr || !strings.HasPrefix(wm2Err, "pipeline: ") {
+		t.Errorf("wumine -heuristic heur2: pipeline line %q, heur4's %q", wm2Err, wmErr)
+	}
+	if !strings.Contains(wm2, "min confidence 0.90):") || !strings.Contains(wm2, "] x") {
+		t.Errorf("wumine heur2 stdout:\n%s", wm2)
+	}
+	pairs := 0
+	for _, line := range strings.Split(wm2, "\n") {
+		if pages, ok := strings.CutPrefix(line, "  ["); ok && strings.Contains(line, "] x") {
+			switch n := len(strings.Fields(pages[:strings.Index(pages, "]")])); {
+			case n > 2:
+				t.Errorf("wumine -max-len 2 printed %q", line)
+			case n == 2:
+				pairs++
+			}
+		}
+	}
+	if pairs == 0 {
+		t.Errorf("wumine -max-len 2 printed no two-page pattern:\n%s", wm2)
+	}
+	confident, _ := run("wumine", "-topology", topo, "-log", logf, "-min-support", "5", "-top", "1000000", "-min-confidence", "0.9")
+	rules := ruleConfidences(t, confident)
+	if all := count(t, wm, "association rules ("); len(rules) == 0 || len(rules) >= all {
+		t.Errorf("wumine -min-confidence 0.9 printed %d rules, want some and fewer than the %d at 0.5:\n%s", len(rules), all, confident)
+	}
+	for _, c := range append(rules, ruleConfidences(t, wm2)...) {
+		if c < 0.9 {
+			t.Errorf("wumine -min-confidence 0.9 printed a rule of confidence %.2f", c)
+		}
+	}
+
+	// simgen's knobs: with no link-from-previous or new-initial page, a
+	// fourfold termination probability and a third of the links, the run
+	// navigates less over a sparser topology.
+	sparse, _ := run("simgen", "-out", filepath.Join(dir, "sparse"), "-agents", "300", "-seed", "11", "-pages", "120",
+		"-lpp", "0", "-nip", "0", "-stp", "0.2", "-outdeg", "5")
+	if !strings.Contains(sparse, " nip=0 lpp=0\n") {
+		t.Errorf("simgen -lpp 0 -nip 0: run line in\n%s", sparse)
+	}
+	if got, paper := count(t, sparse, "navigations="), count(t, out, "navigations="); got >= paper {
+		t.Errorf("simgen -stp 0.2 navigates %d times, the defaults %d", got, paper)
+	}
+	if got, paper := count(t, sparse, "edges: "), count(t, out, "edges: "); got >= paper {
+		t.Errorf("simgen -outdeg 5 links %d times, the default 15 %d", got, paper)
+	}
+
 	// evaluate: a miniature sweep and the replicated defaults.
 	ev, _ := run("evaluate", "-experiment", "nip", "-agents", "120", "-pages", "80")
 	if !strings.Contains(ev, "figure10") || !strings.Contains(ev, "shape:") {
@@ -138,6 +191,37 @@ association rules (16 total, min confidence 0.50):
 	if !strings.Contains(def, "±") {
 		t.Errorf("evaluate defaults output:\n%s", def)
 	}
+}
+
+// count returns the integer after the first key in out.
+func count(t *testing.T, out, key string) int {
+	t.Helper()
+	_, after, ok := strings.Cut(out, key)
+	if !ok {
+		t.Fatalf("no %q in\n%s", key, out)
+	}
+	digits := after[:len(after)-len(strings.TrimLeft(after, "0123456789"))]
+	n, err := strconv.Atoi(digits)
+	if err != nil {
+		t.Fatalf("%q in\n%s: %v", key, out, err)
+	}
+	return n
+}
+
+// ruleConfidences returns the confidence of every rule wumine printed.
+func ruleConfidences(t *testing.T, out string) []float64 {
+	t.Helper()
+	var confs []float64
+	for _, line := range strings.Split(out, "\n") {
+		if _, after, ok := strings.Cut(line, "(conf "); ok {
+			c, err := strconv.ParseFloat(after[:strings.Index(after, ",")], 64)
+			if err != nil {
+				t.Fatalf("rule %q: %v", line, err)
+			}
+			confs = append(confs, c)
+		}
+	}
+	return confs
 }
 
 // writeGzip writes a gzip copy of the file src to dst.
@@ -271,4 +355,190 @@ func TestCLIErrors(t *testing.T) {
 			t.Errorf("sessionize %v succeeded, want failure", args)
 		}
 	}
+}
+
+// TestEveryFlagIsSet fails when a flag a command defines is passed on none
+// of that command's command lines: no string literal in cmd/<c>/*_test.go,
+// no call in a root test or in bench/ whose string literals name the tool,
+// and no line of the CI workflow that runs bin/<c>. A Go call to a
+// command's run function sets no flag. unset names the exceptions, each
+// with its reason.
+func TestEveryFlagIsSet(t *testing.T) {
+	unset := map[string]string{}
+	defined := map[string]bool{} // "<c> -name"
+	set := map[string]bool{}
+	cmds, err := os.ReadDir("cmd")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var tools []string
+	for _, d := range cmds {
+		if d.IsDir() {
+			tools = append(tools, d.Name())
+		}
+	}
+	for _, c := range tools {
+		for _, f := range parseGoFiles(t, filepath.Join("cmd", c, "*.go")) {
+			test := strings.HasSuffix(f.name, "_test.go")
+			ast.Inspect(f.file, func(n ast.Node) bool {
+				if call, ok := n.(*ast.CallExpr); ok && !test {
+					for _, name := range flagNames(call) {
+						defined[c+" -"+name] = true
+					}
+				}
+				if s, ok := stringLit(n); ok && test {
+					if name, ok := flagArg(s); ok {
+						set[c+" "+name] = true
+					}
+				}
+				return true
+			})
+		}
+	}
+	// A call in a root test or in bench/ sets the flags among its string
+	// literals — its arguments', not a function literal's — when one of
+	// them names the tool: run("simgen", …), exec.Command(e.tool("serve"), …).
+	files := append(parseGoFiles(t, "*_test.go"), parseGoFiles(t, filepath.Join("bench", "*.go"))...)
+	for _, f := range files {
+		ast.Inspect(f.file, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok {
+				return true
+			}
+			var lits []string
+			ast.Inspect(call, func(n ast.Node) bool {
+				if s, ok := stringLit(n); ok {
+					lits = append(lits, s)
+				}
+				_, fn := n.(*ast.FuncLit)
+				return !fn
+			})
+			for _, c := range tools {
+				if !slices.Contains(lits, c) {
+					continue
+				}
+				for _, s := range lits {
+					if name, ok := flagArg(s); ok {
+						set[c+" "+name] = true
+					}
+				}
+			}
+			return true
+		})
+	}
+	ci, err := os.ReadFile(filepath.Join(".github", "workflows", "ci.yml"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(strings.ReplaceAll(string(ci), "\\\n", " "), "\n") {
+		fields := strings.Fields(line)
+		for i, field := range fields {
+			c, ok := strings.CutPrefix(strings.TrimPrefix(field, "./"), "bin/")
+			if !ok || !slices.Contains(tools, c) {
+				continue
+			}
+			for _, arg := range fields[i+1:] {
+				if name, ok := flagArg(arg); ok {
+					set[c+" "+name] = true
+				}
+			}
+		}
+	}
+	var names []string
+	for name := range defined {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		reason, exempt := unset[name]
+		switch {
+		case !set[name] && !exempt:
+			t.Errorf("%s: no test, CI step or bench/ run passes it; test it, or delete it", name)
+		case set[name] && exempt:
+			t.Errorf("%s: a command line passes it now; drop its unset entry (%q)", name, reason)
+		}
+	}
+	for name := range unset {
+		if !defined[name] {
+			t.Errorf("%s: no command defines it; drop its unset entry", name)
+		}
+	}
+}
+
+type goFile struct {
+	name string
+	file *ast.File
+}
+
+// parseGoFiles parses the Go files pattern matches.
+func parseGoFiles(t *testing.T, pattern string) []goFile {
+	t.Helper()
+	paths, err := filepath.Glob(pattern)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var files []goFile
+	for _, p := range paths {
+		f, err := parser.ParseFile(token.NewFileSet(), p, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		files = append(files, goFile{p, f})
+	}
+	return files
+}
+
+// flagNames returns the flags a call defines: flag.X("name", …) and
+// flag.XVar(&v, "name", …) on the command line's set, and -cpuprofile and
+// -memprofile for prof.Register.
+func flagNames(call *ast.CallExpr) []string {
+	sel, ok := call.Fun.(*ast.SelectorExpr)
+	if !ok {
+		return nil
+	}
+	pkg, ok := sel.X.(*ast.Ident)
+	if !ok {
+		return nil
+	}
+	fn := sel.Sel.Name
+	if pkg.Name == "prof" && fn == "Register" {
+		return []string{"cpuprofile", "memprofile"}
+	}
+	arg := 0
+	switch {
+	case pkg.Name != "flag":
+		return nil
+	case strings.HasSuffix(fn, "Var"):
+		arg = 1
+	case !slices.Contains([]string{"Bool", "BoolFunc", "Duration", "Float64", "Func", "Int", "Int64", "String", "Uint", "Uint64"}, fn):
+		return nil
+	}
+	if len(call.Args) <= arg {
+		return nil
+	}
+	if name, ok := stringLit(call.Args[arg]); ok {
+		return []string{name}
+	}
+	return nil
+}
+
+// stringLit returns the value of a Go string literal.
+func stringLit(n ast.Node) (string, bool) {
+	lit, ok := n.(*ast.BasicLit)
+	if !ok || lit.Kind != token.STRING {
+		return "", false
+	}
+	s, err := strconv.Unquote(lit.Value)
+	return s, err == nil
+}
+
+// flagArg returns "-name" for a command-line argument -name or -name=value.
+func flagArg(s string) (string, bool) {
+	name, ok := strings.CutPrefix(s, "-")
+	name = strings.TrimPrefix(name, "-")
+	name, _, _ = strings.Cut(name, "=")
+	if !ok || name == "" || name[0] < 'a' || name[0] > 'z' {
+		return "", false
+	}
+	return "-" + name, true
 }

@@ -27,7 +27,7 @@ import (
 // that owns Tail.
 type Run struct {
 	Tail *core.Tail
-	Out  *Sink // nil discards the sessions
+	Out  *Sink
 	// Paths is the ordered log set the run reads, and Pos where in it the
 	// Tail stands: every record before Pos is in Tail, and every session
 	// they finalized is in Out or held. A nil Paths is the reader Ingest is
@@ -220,7 +220,7 @@ func (r *Run) Err() error { return r.err }
 // held — batches are lent — when Out refuses it or sessions are held
 // already, so no later session lands before a held one.
 func (r *Run) emit(batch []session.Session) {
-	if r.Out == nil || len(batch) == 0 {
+	if len(batch) == 0 {
 		return
 	}
 	if r.err == nil {

@@ -79,7 +79,6 @@ func simTopology(t *testing.T) *webgraph.Graph {
 	t.Helper()
 	g, err := webgraph.GenerateTopology(webgraph.TopologyConfig{
 		Pages: 300, AvgOutDegree: 15, StartPageFraction: 0.05,
-		Model: webgraph.ModelUniform, EnsureReachable: true,
 	}, rand.New(rand.NewSource(7)))
 	if err != nil {
 		t.Fatal(err)

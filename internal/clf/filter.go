@@ -11,9 +11,6 @@ import "strings"
 // methods, and crawler traffic are dropped before user identification.
 type Filter func(Record) bool
 
-// KeepAll keeps every record; useful as an explicit no-op.
-func KeepAll(Record) bool { return true }
-
 // SuccessOnly keeps records with 2xx status codes.
 func SuccessOnly(r Record) bool { return r.Success() }
 

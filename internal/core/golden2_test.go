@@ -32,7 +32,6 @@ func regenGolden2(t *testing.T) {
 	t.Helper()
 	g, err := webgraph.GenerateTopology(webgraph.TopologyConfig{
 		Pages: 120, AvgOutDegree: 8, StartPageFraction: 0.08,
-		Model: webgraph.ModelUniform, EnsureReachable: true,
 	}, rand.New(rand.NewSource(golden2Seed)))
 	if err != nil {
 		t.Fatal(err)

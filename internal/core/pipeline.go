@@ -55,13 +55,6 @@ type Config struct {
 	// Heuristic reconstructs sessions; nil means Smart-SRA with the paper's
 	// thresholds.
 	Heuristic heuristics.Reconstructor
-	// Filter cleans records before user identification; nil means
-	// clf.StandardCleaning(). Use clf.KeepAll to disable cleaning.
-	//
-	// Filter must be a pure function of its input: during a Tail's Ingest*
-	// it runs on clf's parser goroutine, beside the goroutine that owns the
-	// Tail, a chunk or two ahead of it.
-	Filter clf.Filter
 	// StreamChunkBytes is the streaming reader's chunk size, which is also
 	// the granularity of ingestion's progress callbacks — and therefore of
 	// checkpoints. <= 0 means the clf default (~1 MiB). It never changes the
@@ -95,14 +88,14 @@ type pageView struct {
 // binaries (see clf.StreamStaged): a user no log names.
 func (pageView) Lent() pageView { return pageView{user: "\x00lent"} }
 
-// stage runs the pure per-record stages that precede buffering — clean,
-// resolve the URI against Graph's labels, key the user by IP (§1: the only
-// identity a common-format log has). The record travels by pointer: a
-// clf.Record is 168 bytes, and the Filter call, whose type takes it by
-// value, is the only copy a line pays. During Tail ingestion it runs on
-// clf's parser goroutine, beside the Tail's.
+// stage runs the pure per-record stages that precede buffering — clean with
+// clf.StandardCleaning, resolve the URI against Graph's labels, key the user
+// by IP (§1: the only identity a common-format log has). The record travels
+// by pointer: a clf.Record is 168 bytes, and the cleaning call, whose type
+// takes it by value, is the only copy a line pays. During Tail ingestion it
+// runs on clf's parser goroutine, beside the Tail's.
 func (c *Config) stage(rec *clf.Record) pageView {
-	if c.Filter != nil && !c.Filter(*rec) {
+	if !clf.StandardCleaning()(*rec) {
 		return pageView{res: stageFiltered}
 	}
 	page, ok := c.Graph.PageByURI(rec.URI)
@@ -125,9 +118,6 @@ func NewPipeline(cfg Config) (*Pipeline, error) {
 	}
 	if cfg.Heuristic == nil {
 		cfg.Heuristic = heuristics.NewSmartSRA(cfg.Graph)
-	}
-	if cfg.Filter == nil {
-		cfg.Filter = clf.StandardCleaning()
 	}
 	return &Pipeline{cfg: cfg}, nil
 }
@@ -166,9 +156,9 @@ func (s Stats) String() string {
 
 // ProcessLog runs the full pipeline on a CLF log — the files paths names
 // (plain, gzip or rotated; see clf.ResolveLogPaths), or stdin for nil paths:
-// parse (skipping malformed lines), clean, identify users, order each user's
-// requests, and reconstruct sessions. It fails only on read errors;
-// data-quality issues are counted in Stats.
+// parse (skipping malformed lines), clean (clf.StandardCleaning), identify
+// users, order each user's requests, and reconstruct sessions. It fails only
+// on read errors; data-quality issues are counted in Stats.
 func (p *Pipeline) ProcessLog(paths []string, stdin io.Reader) (*Result, error) {
 	records, malformed, err := clf.ReadLog(paths, stdin)
 	if err != nil {
@@ -185,7 +175,7 @@ func (p *Pipeline) ProcessLog(paths []string, stdin io.Reader) (*Result, error) 
 // ProcessRecords runs the pipeline on already-parsed records.
 func (p *Pipeline) ProcessRecords(records []clf.Record) (*Result, error) {
 	streams, pstats, err := prep.BuildStreams(records, prep.GraphResolver(p.cfg.Graph), prep.Options{
-		Filter: p.cfg.Filter,
+		Filter: clf.StandardCleaning(),
 	})
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)

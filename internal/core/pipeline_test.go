@@ -6,7 +6,6 @@ import (
 	"strings"
 	"testing"
 
-	"smartsra/internal/clf"
 	"smartsra/internal/heuristics"
 	"smartsra/internal/session"
 	"smartsra/internal/simulator"
@@ -89,18 +88,19 @@ func TestProcessLogCustomHeuristicAndFilter(t *testing.T) {
 	p, err := NewPipeline(Config{
 		Graph:     g,
 		Heuristic: heuristics.NewTimeGap(),
-		Filter:    clf.KeepAll,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	log := `10.0.0.1 - - [02/Jan/2006:12:00:00 +0000] "POST /P1.html HTTP/1.1" 500 100`
+	log := `10.0.0.1 - - [02/Jan/2006:12:00:00 +0000] "POST /P1.html HTTP/1.1" 500 100
+10.0.0.1 - - [02/Jan/2006:12:00:05 +0000] "GET /P1.html HTTP/1.1" 200 100`
 	res, err := p.ProcessLog(nil, strings.NewReader(log))
 	if err != nil {
 		t.Fatal(err)
 	}
-	// KeepAll admits the failed POST; the TimeGap heuristic sessionizes it.
-	if res.Stats.Filtered != 0 || res.Stats.Sessions != 1 {
+	// The standard cleaning drops the failed POST; the TimeGap heuristic
+	// sessionizes the GET.
+	if res.Stats.Filtered != 1 || res.Stats.Sessions != 1 {
 		t.Errorf("stats = %+v", res.Stats)
 	}
 }
@@ -108,7 +108,6 @@ func TestProcessLogCustomHeuristicAndFilter(t *testing.T) {
 func TestProcessRecordsAgainstSimulatedTraffic(t *testing.T) {
 	g, err := webgraph.GenerateTopology(webgraph.TopologyConfig{
 		Pages: 80, AvgOutDegree: 6, StartPageFraction: 0.1,
-		Model: webgraph.ModelUniform, EnsureReachable: true,
 	}, rand.New(rand.NewSource(5)))
 	if err != nil {
 		t.Fatal(err)

@@ -17,7 +17,6 @@ func simulatedLog(t *testing.T, seed int64, agents int) (*webgraph.Graph, []clf.
 	t.Helper()
 	g, err := webgraph.GenerateTopology(webgraph.TopologyConfig{
 		Pages: 60, AvgOutDegree: 5, StartPageFraction: 0.1,
-		Model: webgraph.ModelUniform, EnsureReachable: true,
 	}, rand.New(rand.NewSource(seed)))
 	if err != nil {
 		t.Fatal(err)

@@ -214,47 +214,6 @@ func TestCutsOnDroppedLines(t *testing.T) {
 	}
 }
 
-// TestIngestRunsCustomStages: a Config's own Filter — one that keeps POSTs,
-// which the standard cleaning drops — runs on the parser goroutine during
-// Ingest, and gives what it gives in a Push loop. Under -race this also
-// holds that staging shares nothing with the Tail.
-func TestIngestRunsCustomStages(t *testing.T) {
-	g := goldenGraph()
-	text, _, _ := droppedLinesLog(g, 2000)
-	records, malformed, err := clf.ReadAll(strings.NewReader(text))
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := Config{
-		Graph:  g,
-		Filter: func(r clf.Record) bool { return r.Status < 400 && !strings.HasSuffix(r.URI, ".css") },
-	}
-	want, wantStats := pushLoop(t, cfg, records, nil)
-	_, stdStats := pushLoop(t, Config{Graph: g}, records, nil)
-	if wantStats.Users == 0 || wantStats.Filtered == 0 || wantStats.Filtered >= stdStats.Filtered {
-		t.Fatalf("the custom filter did not act: %+v (standard cleaning: %+v)", wantStats, stdStats)
-	}
-	wantStats.Malformed = malformed
-	for _, chunk := range []int{512, 0} {
-		cfg.StreamChunkBytes = chunk
-		st, err := NewTail(cfg, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var got []session.Session
-		if _, err := st.Ingest(strings.NewReader(text), keep(&got), nil); err != nil {
-			t.Fatal(err)
-		}
-		got = append(got, st.Flush()...)
-		if !bytes.Equal(renderSessions(t, got), want) {
-			t.Errorf("chunk=%d: ingest with custom stages differs from the Push loop", chunk)
-		}
-		if st.Stats() != wantStats {
-			t.Errorf("chunk=%d: stats %+v, want %+v", chunk, st.Stats(), wantStats)
-		}
-	}
-}
-
 // TestLentPageViewsArePoisoned: the page-view slices ingestion is lent are
 // overwritten with pageView.Lent's sentinel once returned, as record slices
 // are, so a feeder that kept one compares garbage.

@@ -162,7 +162,6 @@ func mustPage(t *testing.T, g *webgraph.Graph, uri string) webgraph.PageID {
 func TestTailEquivalentToBatchForGapBoundedHeuristics(t *testing.T) {
 	g, err := webgraph.GenerateTopology(webgraph.TopologyConfig{
 		Pages: 80, AvgOutDegree: 6, StartPageFraction: 0.1,
-		Model: webgraph.ModelUniform, EnsureReachable: true,
 	}, rand.New(rand.NewSource(6)))
 	if err != nil {
 		t.Fatal(err)

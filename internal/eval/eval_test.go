@@ -111,7 +111,6 @@ func smallConfig() RunConfig {
 	cfg := PaperDefaults()
 	cfg.Topology = webgraph.TopologyConfig{
 		Pages: 80, AvgOutDegree: 6, StartPageFraction: 0.1,
-		Model: webgraph.ModelUniform, EnsureReachable: true,
 	}
 	cfg.Params.Agents = 150
 	return cfg

@@ -144,7 +144,6 @@ func randomPointConfig(rng *rand.Rand, proxies bool) RunConfig {
 		Topology: webgraph.TopologyConfig{
 			Pages: 30 + rng.Intn(60), AvgOutDegree: 3 + 5*rng.Float64(),
 			StartPageFraction: 0.05 + 0.1*rng.Float64(),
-			Model:             webgraph.ModelUniform, EnsureReachable: true,
 		},
 		TopologySeed: rng.Int63(),
 		Params:       simulator.PaperParams(),

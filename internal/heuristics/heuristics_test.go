@@ -340,7 +340,6 @@ func denseGraph(t testing.TB, pages int, outDegree float64) *webgraph.Graph {
 	t.Helper()
 	g, err := webgraph.GenerateTopology(webgraph.TopologyConfig{
 		Pages: pages, AvgOutDegree: outDegree, StartPageFraction: 0.25,
-		Model: webgraph.ModelUniform, EnsureReachable: true,
 	}, rand.New(rand.NewSource(int64(pages))))
 	if err != nil {
 		t.Fatal(err)
@@ -352,7 +351,6 @@ func fuzzGraph(t testing.TB) *webgraph.Graph {
 	t.Helper()
 	g, err := webgraph.GenerateTopology(webgraph.TopologyConfig{
 		Pages: 60, AvgOutDegree: 4, StartPageFraction: 0.1,
-		Model: webgraph.ModelUniform, EnsureReachable: true,
 	}, rand.New(rand.NewSource(11)))
 	if err != nil {
 		t.Fatal(err)

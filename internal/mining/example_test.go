@@ -28,10 +28,7 @@ func ExampleMine() {
 		sessionOf(1, 2, 3),
 		sessionOf(1, 2, 4),
 	}
-	patterns, err := mining.Mine(sessions, mining.Config{
-		MinSupport:  2,
-		Containment: mining.Contiguous,
-	})
+	patterns, err := mining.Mine(sessions, mining.Config{MinSupport: 2})
 	if err != nil {
 		fmt.Println(err)
 		return

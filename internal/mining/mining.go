@@ -4,9 +4,9 @@
 // apriori"). It provides apriori-style sequential pattern mining over page
 // sessions: frequent navigation paths and the association rules they imply.
 //
-// Two containment semantics are supported, mirroring internal/session:
-// contiguous (a pattern must appear as an uninterrupted run — navigation
-// paths) and subsequence (gaps allowed — visit patterns).
+// Containment is contiguous, as the paper scores capture (§5.1): a session
+// supports a pattern only when the pattern occurs in it as an uninterrupted
+// run — a navigation path.
 package mining
 
 import (
@@ -17,29 +17,6 @@ import (
 	"smartsra/internal/session"
 	"smartsra/internal/webgraph"
 )
-
-// Containment selects how pattern support is counted.
-type Containment int
-
-const (
-	// Contiguous counts a session as supporting a pattern only when the
-	// pattern occurs as an uninterrupted run (a navigation path).
-	Contiguous Containment = iota
-	// Subsequence counts order-preserving occurrences with gaps.
-	Subsequence
-)
-
-// String names the containment for reports.
-func (c Containment) String() string {
-	switch c {
-	case Contiguous:
-		return "contiguous"
-	case Subsequence:
-		return "subsequence"
-	default:
-		return fmt.Sprintf("Containment(%d)", int(c))
-	}
-}
 
 // Pattern is a frequent page sequence with its support.
 type Pattern struct {
@@ -70,8 +47,6 @@ type Config struct {
 	MinSupport int
 	// MaxLength caps pattern length; 0 means unlimited.
 	MaxLength int
-	// Containment selects the support semantics.
-	Containment Containment
 }
 
 // Validate reports whether the configuration is usable.
@@ -82,9 +57,6 @@ func (c Config) Validate() error {
 	if c.MaxLength < 0 {
 		return fmt.Errorf("mining: negative max length %d", c.MaxLength)
 	}
-	if c.Containment != Contiguous && c.Containment != Subsequence {
-		return fmt.Errorf("mining: unknown containment %d", c.Containment)
-	}
 	return nil
 }
 
@@ -92,11 +64,10 @@ func (c Config) Validate() error {
 // apriori-style one page at a time: only a frequent pattern is extended, and
 // each of its frequent one-page extensions is a pattern of its own. Support
 // is counted by projection: every frequent pattern keeps where it ends in
-// each session that supports it — every occurrence for contiguous
-// containment, the earliest-ending embedding for subsequence — and one pass
-// over those ends counts all of its extensions at once (the page right after
-// an occurrence; any page after the embedding), so no candidate is tested
-// against a session that cannot hold it. Patterns are returned sorted by
+// each session that supports it — every occurrence — and one pass over those
+// ends counts all of its extensions at once (the page right after an
+// occurrence), so no candidate is tested against a session that cannot hold
+// it. Patterns are returned sorted by
 // descending support, then by ascending length, then lexicographically — a
 // stable, report-friendly order.
 func Mine(sessions []session.Session, cfg Config) ([]Pattern, error) {
@@ -105,8 +76,7 @@ func Mine(sessions []session.Session, cfg Config) ([]Pattern, error) {
 	}
 	m := miner{cfg: cfg}
 	dense := make(map[webgraph.PageID]int32)
-	// The empty pattern ends before every position a contiguous pattern can
-	// start at, and before the first page of a session for a subsequence.
+	// The empty pattern ends before every position a pattern can start at.
 	var root []end
 	for _, s := range sessions {
 		if s.Len() == 0 {
@@ -127,10 +97,6 @@ func Mine(sessions []session.Session, cfg Config) ([]Pattern, error) {
 		}
 		n := int32(len(m.seqs))
 		m.seqs = append(m.seqs, seq)
-		if cfg.Containment == Subsequence {
-			root = append(root, end{n, -1})
-			continue
-		}
 		for e := -1; e < len(seq)-1; e++ {
 			root = append(root, end{n, int32(e)})
 		}
@@ -186,30 +152,24 @@ type extension struct {
 // ends, to m.out and then extends each in turn (depth first, so only one
 // path of projections is held at a time).
 func (m *miner) extend(pattern []webgraph.PageID, ends []end) {
-	subseq := m.cfg.Containment == Subsequence
-	// next bounds the positions that extend a pattern ending at e: the one
-	// right after it, or every later one.
-	next := func(seq []int32, e int32) []int32 {
-		if subseq {
-			return seq[e+1:]
-		}
-		return seq[e+1 : min(int(e)+2, len(seq))]
-	}
-	// Count each extension once per supporting session.
+	// Count each extension once per supporting session: the page right
+	// after each occurrence.
 	m.pass++
 	var touched []int32
 	for _, o := range ends {
-		key := m.pass<<32 | int64(o.seq)
-		for _, x := range next(m.seqs[o.seq], o.at) {
-			if m.seen[x] == key {
-				continue
-			}
-			m.seen[x] = key
-			if m.count[x] == 0 {
-				touched = append(touched, x)
-			}
-			m.count[x]++
+		seq := m.seqs[o.seq]
+		if int(o.at)+1 >= len(seq) {
+			continue
 		}
+		x, key := seq[o.at+1], m.pass<<32|int64(o.seq)
+		if m.seen[x] == key {
+			continue
+		}
+		m.seen[x] = key
+		if m.count[x] == 0 {
+			touched = append(touched, x)
+		}
+		m.count[x]++
 	}
 	var exts []extension
 	for _, x := range touched {
@@ -218,20 +178,16 @@ func (m *miner) extend(pattern []webgraph.PageID, ends []end) {
 			exts = append(exts, extension{page: x, support: m.count[x]})
 		}
 	}
-	// Collect where each frequent extension ends: after every occurrence,
-	// or at the first page after the earliest-ending embedding.
+	// Collect where each frequent extension ends: one page after each
+	// occurrence it extends.
 	if len(exts) > 0 {
-		m.pass++
 		for _, o := range ends {
-			key := m.pass<<32 | int64(o.seq)
-			for i, x := range next(m.seqs[o.seq], o.at) {
-				if subseq && m.seen[x] == key {
-					continue
-				}
-				m.seen[x] = key
-				if k := m.slot[x]; k >= 0 {
-					exts[k].ends = append(exts[k].ends, end{o.seq, o.at + 1 + int32(i)})
-				}
+			seq := m.seqs[o.seq]
+			if int(o.at)+1 >= len(seq) {
+				continue
+			}
+			if k := m.slot[seq[o.at+1]]; k >= 0 {
+				exts[k].ends = append(exts[k].ends, end{o.seq, o.at + 1})
 			}
 		}
 	}

@@ -49,7 +49,6 @@ func TestConfigValidate(t *testing.T) {
 	bad := []Config{
 		{MinSupport: 0},
 		{MinSupport: 2, MaxLength: -1},
-		{MinSupport: 2, Containment: Containment(7)},
 	}
 	for i, c := range bad {
 		if err := c.Validate(); err == nil {
@@ -58,10 +57,6 @@ func TestConfigValidate(t *testing.T) {
 	}
 	if _, err := Mine(nil, bad[0]); err == nil {
 		t.Error("Mine accepted invalid config")
-	}
-	if Contiguous.String() != "contiguous" || Subsequence.String() != "subsequence" ||
-		Containment(9).String() == "" {
-		t.Error("Containment.String wrong")
 	}
 }
 
@@ -72,7 +67,7 @@ func TestMineContiguous(t *testing.T) {
 		mk(1, 2, 3),
 		mk(5),
 	}
-	patterns, err := Mine(sessions, Config{MinSupport: 2, Containment: Contiguous})
+	patterns, err := Mine(sessions, Config{MinSupport: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,31 +85,10 @@ func TestMineContiguous(t *testing.T) {
 	}
 }
 
-func TestMineSubsequence(t *testing.T) {
-	sessions := []session.Session{
-		mk(1, 9, 3),
-		mk(1, 3),
-	}
-	patterns, err := Mine(sessions, Config{MinSupport: 2, Containment: Subsequence})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p, ok := find(patterns, 1, 3); !ok || p.Support != 2 {
-		t.Errorf("[1 3] = %+v, %v; want support 2 under subsequence", p, ok)
-	}
-	contig, err := Mine(sessions, Config{MinSupport: 2, Containment: Contiguous})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := find(contig, 1, 3); ok {
-		t.Error("[1 3] found under contiguous containment")
-	}
-}
-
 func TestMineSupportCountsSessionOnce(t *testing.T) {
 	// The pattern appears twice within one session: support is still 1.
 	sessions := []session.Session{mk(1, 2, 1, 2)}
-	patterns, err := Mine(sessions, Config{MinSupport: 1, Containment: Contiguous})
+	patterns, err := Mine(sessions, Config{MinSupport: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +102,7 @@ func TestMineSupportCountsSessionOnce(t *testing.T) {
 
 func TestMineMaxLength(t *testing.T) {
 	sessions := []session.Session{mk(1, 2, 3, 4), mk(1, 2, 3, 4)}
-	patterns, err := Mine(sessions, Config{MinSupport: 2, MaxLength: 2, Containment: Contiguous})
+	patterns, err := Mine(sessions, Config{MinSupport: 2, MaxLength: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +121,7 @@ func TestMineSortOrder(t *testing.T) {
 		mk(1, 2), mk(1, 2), mk(1, 2),
 		mk(3), mk(3),
 	}
-	patterns, err := Mine(sessions, Config{MinSupport: 2, Containment: Contiguous})
+	patterns, err := Mine(sessions, Config{MinSupport: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +184,7 @@ func mineByScan(sessions []session.Session, cfg Config) []Pattern {
 				cand := append(append(make([]webgraph.PageID, 0, len(base)+1), base...), ext)
 				support := 0
 				for _, seq := range seqs {
-					if contains(seq, cand, cfg.Containment) {
+					if contains(seq, cand) {
 						support++
 					}
 				}
@@ -240,10 +214,7 @@ func mineByScan(sessions []session.Session, cfg Config) []Pattern {
 	return out
 }
 
-func contains(seq, pattern []webgraph.PageID, c Containment) bool {
-	if c == Subsequence {
-		return session.IsSubsequence(seq, pattern)
-	}
+func contains(seq, pattern []webgraph.PageID) bool {
 outer:
 	for i := 0; i+len(pattern) <= len(seq); i++ {
 		for j, p := range pattern {
@@ -257,36 +228,34 @@ outer:
 }
 
 // Property: Mine finds exactly the reference scan's patterns, supports and
-// order, for both containments, with and without a length cap, at min
+// order, with and without a length cap, at min
 // support 1–5. Sessions are short walks over a few pages, empty ones
 // included, so patterns repeat within and across sessions.
 func TestMineMatchesScanProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(44))
-	for _, c := range []Containment{Contiguous, Subsequence} {
-		for _, maxLen := range []int{0, 3} {
-			for minSup := 1; minSup <= 5; minSup++ {
-				cfg := Config{MinSupport: minSup, MaxLength: maxLen, Containment: c}
-				t.Run(fmt.Sprintf("%v/max=%d/min=%d", c, maxLen, minSup), func(t *testing.T) {
-					for trial := 0; trial < 40; trial++ {
-						sessions := make([]session.Session, rng.Intn(25))
-						pages := 1 + rng.Intn(6)
-						for i := range sessions {
-							walk := make([]int, rng.Intn(9))
-							for j := range walk {
-								walk[j] = 100 + rng.Intn(pages)
-							}
-							sessions[i] = mk(walk...)
+	for _, maxLen := range []int{0, 3} {
+		for minSup := 1; minSup <= 5; minSup++ {
+			cfg := Config{MinSupport: minSup, MaxLength: maxLen}
+			t.Run(fmt.Sprintf("contiguous/max=%d/min=%d", maxLen, minSup), func(t *testing.T) {
+				for trial := 0; trial < 40; trial++ {
+					sessions := make([]session.Session, rng.Intn(25))
+					pages := 1 + rng.Intn(6)
+					for i := range sessions {
+						walk := make([]int, rng.Intn(9))
+						for j := range walk {
+							walk[j] = 100 + rng.Intn(pages)
 						}
-						got, err := Mine(sessions, cfg)
-						if err != nil {
-							t.Fatal(err)
-						}
-						if want := mineByScan(sessions, cfg); !reflect.DeepEqual(got, want) {
-							t.Fatalf("trial %d: Mine found %d patterns, the scan %d\n got %v\nwant %v", trial, len(got), len(want), got, want)
-						}
+						sessions[i] = mk(walk...)
 					}
-				})
-			}
+					got, err := Mine(sessions, cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if want := mineByScan(sessions, cfg); !reflect.DeepEqual(got, want) {
+						t.Fatalf("trial %d: Mine found %d patterns, the scan %d\n got %v\nwant %v", trial, len(got), len(want), got, want)
+					}
+				}
+			})
 		}
 	}
 }
@@ -305,7 +274,7 @@ func TestRules(t *testing.T) {
 		mk(1, 2, 4),
 		mk(1, 2, 3),
 	}
-	patterns, err := Mine(sessions, Config{MinSupport: 1, Containment: Contiguous})
+	patterns, err := Mine(sessions, Config{MinSupport: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

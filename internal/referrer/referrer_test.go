@@ -192,7 +192,6 @@ func TestReconstructValidation(t *testing.T) {
 func TestReconstructSimulatedTrafficOrdered(t *testing.T) {
 	g, err := webgraph.GenerateTopology(webgraph.TopologyConfig{
 		Pages: 100, AvgOutDegree: 8, StartPageFraction: 0.08,
-		Model: webgraph.ModelUniform, EnsureReachable: true,
 	}, rand.New(rand.NewSource(3)))
 	if err != nil {
 		t.Fatal(err)

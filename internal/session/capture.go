@@ -33,23 +33,6 @@ func CapturedByAny(candidates []Session, r Session) bool {
 	return false
 }
 
-// IsSubsequence reports whether needle occurs in haystack as a (not
-// necessarily contiguous) order-preserving subsequence. This is NOT the
-// paper's capture relation — it is provided for analyses that want the
-// looser notion (e.g. pattern mining support counting).
-func IsSubsequence(haystack, needle []webgraph.PageID) bool {
-	j := 0
-	for _, p := range haystack {
-		if j == len(needle) {
-			return true
-		}
-		if p == needle[j] {
-			j++
-		}
-	}
-	return j == len(needle)
-}
-
 // Subsumes reports whether session a subsumes session b: b's pages occur
 // contiguously within a's. Smart-SRA guarantees its output sessions are
 // maximal, i.e. no output session subsumes another (unless equal).

@@ -198,25 +198,6 @@ func TestCapturesInPlace(t *testing.T) {
 	}
 }
 
-func TestIsSubsequence(t *testing.T) {
-	hay := []webgraph.PageID{1, 9, 3, 5, 8}
-	if !IsSubsequence(hay, []webgraph.PageID{1, 3, 5}) {
-		t.Error("gapped subsequence not found")
-	}
-	if IsSubsequence(hay, []webgraph.PageID{3, 1}) {
-		t.Error("order-violating subsequence found")
-	}
-	if !IsSubsequence(hay, nil) {
-		t.Error("empty subsequence not found")
-	}
-	if IsSubsequence(nil, []webgraph.PageID{1}) {
-		t.Error("subsequence found in empty haystack")
-	}
-	if !IsSubsequence(hay, hay) {
-		t.Error("sequence not a subsequence of itself")
-	}
-}
-
 func TestSubsumesAndMaximalOnly(t *testing.T) {
 	a := mk("u", 1, 0, 2, 1, 3, 2)
 	b := mk("u", 2, 0, 3, 1)

@@ -17,7 +17,6 @@ func testTopology(t testing.TB) *webgraph.Graph {
 	t.Helper()
 	g, err := webgraph.GenerateTopology(webgraph.TopologyConfig{
 		Pages: 80, AvgOutDegree: 6, StartPageFraction: 0.1,
-		Model: webgraph.ModelUniform, EnsureReachable: true,
 	}, rand.New(rand.NewSource(12)))
 	if err != nil {
 		t.Fatal(err)

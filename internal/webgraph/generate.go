@@ -5,45 +5,6 @@ import (
 	"math/rand"
 )
 
-// TopologyModel selects the random-graph model used by GenerateTopology.
-type TopologyModel int
-
-const (
-	// ModelUniform draws each page's link targets uniformly at random; the
-	// out-degree of each page is binomially distributed around the requested
-	// average. This matches the paper's Table 5 setup (a "typical web page
-	// topology" with a fixed average out-degree).
-	ModelUniform TopologyModel = iota
-	// ModelPreferential draws link targets with probability proportional to
-	// their current in-degree plus one (a preferential-attachment variant per
-	// the web-graph models the paper cites [1,8,10]). It produces the heavy
-	// in-degree skew observed on real sites.
-	ModelPreferential
-)
-
-// String names the model for reports and flags.
-func (m TopologyModel) String() string {
-	switch m {
-	case ModelUniform:
-		return "uniform"
-	case ModelPreferential:
-		return "preferential"
-	default:
-		return fmt.Sprintf("TopologyModel(%d)", int(m))
-	}
-}
-
-// ParseTopologyModel converts a flag string to a TopologyModel.
-func ParseTopologyModel(s string) (TopologyModel, error) {
-	switch s {
-	case "uniform":
-		return ModelUniform, nil
-	case "preferential":
-		return ModelPreferential, nil
-	}
-	return 0, fmt.Errorf("webgraph: unknown topology model %q (want uniform or preferential)", s)
-}
-
 // TopologyConfig parameterizes GenerateTopology. The zero value is not
 // useful; start from PaperTopology() and adjust.
 type TopologyConfig struct {
@@ -54,24 +15,15 @@ type TopologyConfig struct {
 	// StartPageFraction is the fraction of pages designated as session entry
 	// pages. The paper does not fix this; we default to 0.05 (15 of 300).
 	StartPageFraction float64
-	// Model selects the random-graph model.
-	Model TopologyModel
-	// EnsureReachable, when set, adds a minimal set of extra edges so that
-	// every page is reachable from at least one start page. Without it the
-	// simulator may generate topologies with pages no agent can visit, which
-	// is harmless but wastes nodes.
-	EnsureReachable bool
 }
 
 // PaperTopology returns the Table 5 configuration: 300 pages, average
-// out-degree 15, 5% start pages, uniform model, reachability enforced.
+// out-degree 15, 5% start pages.
 func PaperTopology() TopologyConfig {
 	return TopologyConfig{
 		Pages:             300,
 		AvgOutDegree:      15,
 		StartPageFraction: 0.05,
-		Model:             ModelUniform,
-		EnsureReachable:   true,
 	}
 }
 
@@ -88,14 +40,15 @@ func (c TopologyConfig) Validate() error {
 		return fmt.Errorf("webgraph: start-page fraction %.3f out of range (0, 1]",
 			c.StartPageFraction)
 	}
-	if c.Model != ModelUniform && c.Model != ModelPreferential {
-		return fmt.Errorf("webgraph: unknown topology model %d", c.Model)
-	}
 	return nil
 }
 
 // GenerateTopology builds a random site topology according to cfg, drawing
-// all randomness from rng so results are reproducible from a seed.
+// all randomness from rng so results are reproducible from a seed. Link
+// targets are uniform over the other pages, the paper's Table 5 "typical web
+// page topology", so each page's out-degree is binomial around the average.
+// A minimal set of extra edges then makes every page reachable from a start
+// page, so no page is one no agent can visit.
 func GenerateTopology(cfg TopologyConfig, rng *rand.Rand) (*Graph, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -120,16 +73,8 @@ func GenerateTopology(cfg TopologyConfig, rng *rand.Rand) (*Graph, error) {
 		return nil, err
 	}
 
-	switch cfg.Model {
-	case ModelUniform:
-		generateUniform(b, cfg, rng)
-	case ModelPreferential:
-		generatePreferential(b, cfg, rng)
-	}
-
-	if cfg.EnsureReachable {
-		ensureReachable(b, starts, rng)
-	}
+	generateUniform(b, cfg, rng)
+	ensureReachable(b, starts, rng)
 	return b.Build()
 }
 
@@ -155,45 +100,6 @@ func generateUniform(b *Builder, cfg TopologyConfig, rng *rand.Rand) {
 			}
 		}
 	}
-}
-
-// generatePreferential draws, for each page, round(AvgOutDegree) targets with
-// probability proportional to (in-degree + 1), skipping self-links and
-// duplicates.
-func generatePreferential(b *Builder, cfg TopologyConfig, rng *rand.Rand) {
-	n := cfg.Pages
-	k := int(cfg.AvgOutDegree + 0.5)
-	if k < 1 {
-		k = 1
-	}
-	indeg := make([]int, n)
-	weightSum := n // sum of (indeg+1) over all pages
-	for u := 0; u < n; u++ {
-		added := 0
-		for attempts := 0; added < k && attempts < 20*k; attempts++ {
-			v := weightedPick(indeg, weightSum, rng)
-			if v == u || b.HasEdge(PageID(u), PageID(v)) {
-				continue
-			}
-			_ = b.AddEdge(PageID(u), PageID(v))
-			indeg[v]++
-			weightSum++
-			added++
-		}
-	}
-}
-
-// weightedPick returns an index drawn with probability (indeg[i]+1)/weightSum.
-func weightedPick(indeg []int, weightSum int, rng *rand.Rand) int {
-	t := rng.Intn(weightSum)
-	acc := 0
-	for i, d := range indeg {
-		acc += d + 1
-		if t < acc {
-			return i
-		}
-	}
-	return len(indeg) - 1
 }
 
 // ensureReachable adds edges so every page is reachable from some start

@@ -17,7 +17,6 @@ func TestTopologyConfigValidate(t *testing.T) {
 		{Pages: 10, AvgOutDegree: 20, StartPageFraction: 0.1},
 		{Pages: 10, AvgOutDegree: 3, StartPageFraction: 0},
 		{Pages: 10, AvgOutDegree: 3, StartPageFraction: 1.5},
-		{Pages: 10, AvgOutDegree: 3, StartPageFraction: 0.1, Model: TopologyModel(9)},
 	}
 	for i, cfg := range bad {
 		if err := cfg.Validate(); err == nil {
@@ -26,24 +25,6 @@ func TestTopologyConfigValidate(t *testing.T) {
 	}
 	if _, err := GenerateTopology(bad[0], rand.New(rand.NewSource(1))); err == nil {
 		t.Error("GenerateTopology accepted invalid config")
-	}
-}
-
-func TestParseTopologyModel(t *testing.T) {
-	if m, err := ParseTopologyModel("uniform"); err != nil || m != ModelUniform {
-		t.Errorf("uniform: %v %v", m, err)
-	}
-	if m, err := ParseTopologyModel("preferential"); err != nil || m != ModelPreferential {
-		t.Errorf("preferential: %v %v", m, err)
-	}
-	if _, err := ParseTopologyModel("scale-free"); err == nil {
-		t.Error("unknown model accepted")
-	}
-	if ModelUniform.String() != "uniform" || ModelPreferential.String() != "preferential" {
-		t.Error("model String() wrong")
-	}
-	if TopologyModel(42).String() == "" {
-		t.Error("unknown model String() empty")
 	}
 }
 
@@ -121,7 +102,6 @@ func TestGenerateEnsuresReachability(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		cfg := TopologyConfig{
 			Pages: 200, AvgOutDegree: 2, StartPageFraction: 0.02,
-			Model: ModelUniform, EnsureReachable: true,
 		}
 		g, err := GenerateTopology(cfg, rng)
 		if err != nil {
@@ -135,45 +115,9 @@ func TestGenerateEnsuresReachability(t *testing.T) {
 	}
 }
 
-func TestGeneratePreferentialSkew(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	cfg := TopologyConfig{
-		Pages: 300, AvgOutDegree: 15, StartPageFraction: 0.05,
-		Model: ModelPreferential, EnsureReachable: true,
-	}
-	g, err := GenerateTopology(cfg, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := g.AvgOutDegree(); math.Abs(d-15) > 2 {
-		t.Errorf("avg out-degree = %.2f, want ~15", d)
-	}
-	// Preferential attachment should produce a noticeably higher maximum
-	// in-degree than the uniform model's binomial concentration.
-	maxIn := 0
-	for _, p := range g.Pages() {
-		if d := g.InDegree(p); d > maxIn {
-			maxIn = d
-		}
-	}
-	gUni, err := GenerateTopology(PaperTopology(), rand.New(rand.NewSource(5)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	maxInUni := 0
-	for _, p := range gUni.Pages() {
-		if d := gUni.InDegree(p); d > maxInUni {
-			maxInUni = d
-		}
-	}
-	if maxIn <= maxInUni {
-		t.Errorf("preferential max in-degree %d not above uniform %d", maxIn, maxInUni)
-	}
-}
-
 func TestGenerateAtLeastOneStartPage(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	cfg := TopologyConfig{Pages: 10, AvgOutDegree: 2, StartPageFraction: 0.001, Model: ModelUniform}
+	cfg := TopologyConfig{Pages: 10, AvgOutDegree: 2, StartPageFraction: 0.001}
 	g, err := GenerateTopology(cfg, rng)
 	if err != nil {
 		t.Fatal(err)

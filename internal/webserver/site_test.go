@@ -46,13 +46,13 @@ func paperGraph(t testing.TB) *webgraph.Graph {
 
 func siteGraphs(t *testing.T) map[string]*webgraph.Graph {
 	t.Helper()
-	cfg := webgraph.PaperTopology()
-	cfg.Model = webgraph.ModelPreferential
-	pref, err := webgraph.GenerateTopology(cfg, rand.New(rand.NewSource(2)))
+	sparse, err := webgraph.GenerateTopology(webgraph.TopologyConfig{
+		Pages: 120, AvgOutDegree: 3, StartPageFraction: 0.1,
+	}, rand.New(rand.NewSource(2)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	return map[string]*webgraph.Graph{"paper": paperGraph(t), "preferential": pref, "escaping": escapingGraph(t)}
+	return map[string]*webgraph.Graph{"paper": paperGraph(t), "sparse": sparse, "escaping": escapingGraph(t)}
 }
 
 // pageRequest asks for a page by its label as r.URL.Path, whatever bytes the
