@@ -10,6 +10,9 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"smartsra/internal/eval"
+	"smartsra/internal/simulator"
 )
 
 // TestMain lets the test binary stand in for the evaluate binary: with
@@ -100,6 +103,42 @@ func TestOutputIndependentOfWorkers(t *testing.T) {
 				t.Errorf("%v -progress: no %s histogram on stderr:\n%s", shape, histo, stderr)
 			}
 		}
+	}
+}
+
+// Under -via-clf every simulated server request is a CLF line parsed back,
+// and -progress's metrics snapshot counts each one as a clf.scanner record,
+// none malformed.
+func TestViaCLFCountsRecords(t *testing.T) {
+	cfg := eval.PaperDefaults()
+	cfg.Params.Agents = 300
+	g, err := eval.Topology(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := simulator.Run(g, cfg.Params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, stderr := evaluate(t, "-experiment", "defaults", "-agents", "300", "-replicas", "1", "-via-clf", "-progress")
+	counter := func(name string) int {
+		for _, line := range strings.Split(stderr, "\n") {
+			if v, ok := strings.CutPrefix(line, "counter "+name+" "); ok {
+				n, err := strconv.Atoi(v)
+				if err != nil {
+					t.Fatalf("%s: %q", name, line)
+				}
+				return n
+			}
+		}
+		t.Fatalf("no counter %s on stderr:\n%s", name, stderr)
+		return 0
+	}
+	if got, want := counter("clf.scanner.records"), res.Stats.ServerRequests; got != want || want == 0 {
+		t.Errorf("clf.scanner.records %d, want the run's %d server requests", got, want)
+	}
+	if got := counter("clf.scanner.malformed"); got != 0 {
+		t.Errorf("clf.scanner.malformed %d, want 0", got)
 	}
 }
 

@@ -16,13 +16,15 @@ const maxLineBytes = 1 << 20
 // including the over-long-line policy: a line past the 1 MiB cap (possible
 // when chunks are larger than the cap: a Source checks only the first line of
 // each of its blocks) is counted and skipped, exactly as the sequential
-// lineScanner does. rec is the caller's scratch (see parser.rec). The intern
+// lineScanner does. Every caller's records and malformed lines reach
+// clf.scanner.records and clf.scanner.malformed here, one Add each per chunk,
+// never per line. rec is the caller's scratch (see parser.rec). The intern
 // table is the caller's, held across chunks so repeated hosts/URIs stay the
 // same string for as long as it lives; the caller retires it via full()
 // before a chunk, so it holds at most maxInternEntries plus one chunk's
 // distinct strings.
 func parseChunkAs[T any](data []byte, out []T, in *internTable, rec *Record, stage func(*Record) T) ([]T, int) {
-	bad := 0
+	bad, before := 0, len(out)
 	for len(data) > 0 {
 		var line []byte
 		if nl := bytes.IndexByte(data, '\n'); nl >= 0 {
@@ -44,6 +46,8 @@ func parseChunkAs[T any](data []byte, out []T, in *internTable, rec *Record, sta
 		}
 		out = append(out, stage(rec))
 	}
+	metricRecords.Add(int64(len(out) - before))
+	metricMalformed.Add(int64(bad))
 	return out, bad
 }
 

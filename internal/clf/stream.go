@@ -243,6 +243,7 @@ func (p *parser[T]) drain(i int, src Source, chunkBytes int) error {
 			}
 			var bad int
 			recs, bad = parseChunkAs(data, recs, p.in, &p.rec, p.stage)
+			metricMalformed.Add(int64(skipped)) // lines the source dropped before the parse
 			ok = p.send(parsedChunk[T]{recs: recs, bad: skipped + bad, pos: FilePos{File: i, Offset: end}})
 		}
 		if !ok {
@@ -268,11 +269,6 @@ func (p *parser[T]) send(c parsedChunk[T]) bool {
 // input order and the calling goroutine emits behind it. The parser has
 // ended, its sources closed, on return.
 func streamSources[T any](n, first int, open func(int) (Source, error), chunkBytes int, stage func(*Record) T, emitChunk func([]T), progress func(FilePos, int) error) (malformed int, err error) {
-	records := 0
-	defer func() {
-		metricRecords.Add(int64(records))
-		metricMalformed.Add(int64(malformed))
-	}()
 	p := startParser(n, first, open, chunkBytes, stage)
 	defer p.stop() // every exit waits for the parser, which closes its source
 	for {
@@ -283,7 +279,6 @@ func streamSources[T any](n, first int, open func(int) (Source, error), chunkByt
 			return malformed, c.err
 		}
 		metricParseChunks.Inc()
-		records += len(c.recs)
 		malformed += c.bad
 		if len(c.recs) > 0 {
 			emitChunk(c.recs)

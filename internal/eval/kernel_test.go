@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
 	"sort"
 	"testing"
 
@@ -322,7 +323,8 @@ func TestHistogramMedian(t *testing.T) {
 }
 
 // kernelWorkload is one simulated population at the paper's defaults,
-// collected user by user as a point receives it.
+// collected user by user as a point receives it. A User is valid only during
+// its visit, so each is deep-copied there.
 func kernelWorkload(tb testing.TB, agents int) (*webgraph.Graph, RunConfig, []*simulator.User) {
 	tb.Helper()
 	cfg := PaperDefaults()
@@ -332,7 +334,19 @@ func kernelWorkload(tb testing.TB, agents int) (*webgraph.Graph, RunConfig, []*s
 		tb.Fatal(err)
 	}
 	var users []*simulator.User
-	if _, err := simulator.Each(g, cfg.Params, func(u *simulator.User) { users = append(users, u) }); err != nil {
+	keep := func(u *simulator.User) {
+		c := &simulator.User{
+			Label:  u.Label,
+			Stream: slices.Clone(u.Stream),
+			Refs:   slices.Clone(u.Refs),
+			Real:   slices.Clone(u.Real),
+		}
+		for i := range c.Real {
+			c.Real[i].Entries = slices.Clone(c.Real[i].Entries)
+		}
+		users = append(users, c)
+	}
+	if _, err := simulator.Each(g, cfg.Params, keep); err != nil {
 		tb.Fatal(err)
 	}
 	return g, cfg, users

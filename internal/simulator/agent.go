@@ -25,11 +25,18 @@ type btCand struct {
 	idx, lo, hi int
 }
 
-// agentOutcome collects everything one simulated user produced.
+// agentOutcome collects everything one simulated user produced. Its slices
+// may be recycled buffers (see eachAgent): runAgent rewinds them to [:0] and
+// writes the agent into them.
 type agentOutcome struct {
 	// real are the ground-truth sessions, every navigation included (cache
-	// hits too).
+	// hits too): cap-limited windows of entries, built when the agent ends.
 	real []session.Session
+	// entries holds every real session's entries back to back, and ends the
+	// end index of each closed session in it: one arena per agent instead of
+	// a growing slice per session.
+	entries []session.Entry
+	ends    []int
 	// served are the requests that reached the web server, in time order —
 	// the agent's slice of the access log.
 	served []session.Entry
@@ -45,24 +52,33 @@ type agent struct {
 	g       *webgraph.Graph
 	p       Params
 	rng     *rand.Rand
-	user    string
 	now     time.Time
 	scr     *agentScratch
 	visited []bool // browser cache: visited[p] once page p was fetched
-	curReal []session.Entry
+	lo      int    // where the current real session starts in out.entries
 	out     agentOutcome
 }
 
-// runAgent simulates one user end to end. The generator must be dedicated to
+// runAgent simulates one user end to end, writing it into buf's slices
+// (rewound; a zero buf starts empty). The generator must be dedicated to
 // this agent (see Run), making the outcome a pure function of (g, p, seed) —
-// scratch only lends buffers and never carries state between agents.
-func runAgent(g *webgraph.Graph, p Params, user string, start time.Time, rng *rand.Rand, scr *agentScratch) agentOutcome {
+// scratch and buf only lend buffers and never carry state between agents.
+func runAgent(g *webgraph.Graph, p Params, user string, start time.Time, rng *rand.Rand, scr *agentScratch, buf agentOutcome) agentOutcome {
 	clear(scr.visited)
 	a := &agent{
-		g: g, p: p, rng: rng, user: user, now: start,
+		g: g, p: p, rng: rng, now: start,
 		scr: scr, visited: scr.visited,
+		out: agentOutcome{
+			real: buf.real[:0], entries: buf.entries[:0], ends: buf.ends[:0],
+			served: buf.served[:0], refs: buf.refs[:0],
+		},
 	}
 	a.run()
+	lo := 0
+	for _, hi := range a.out.ends {
+		a.out.real = append(a.out.real, session.Session{User: user, Entries: a.out.entries[lo:hi:hi]})
+		lo = hi
+	}
 	return a.out
 }
 
@@ -112,7 +128,7 @@ func (a *agent) run() {
 			a.out.stats.BacktrackFailures++
 		}
 		// Behavior 2: follow a link from the most recent page.
-		succ := a.g.Succ(a.curReal[len(a.curReal)-1].Page)
+		succ := a.g.Succ(a.out.entries[len(a.out.entries)-1].Page)
 		if len(succ) == 0 {
 			// Dead-end page: the browser offers nothing to click; the user
 			// leaves (the generators avoid sinks, so this is rare).
@@ -137,8 +153,8 @@ func (a *agent) visit(p webgraph.PageID) {
 	if !a.visited[p] {
 		a.visited[p] = true
 		ref := webgraph.InvalidPage
-		if len(a.curReal) > 0 {
-			ref = a.curReal[len(a.curReal)-1].Page
+		if len(a.out.entries) > a.lo {
+			ref = a.out.entries[len(a.out.entries)-1].Page
 		}
 		a.out.served = append(a.out.served, session.Entry{Page: p, Time: a.now})
 		a.out.refs = append(a.out.refs, ref)
@@ -146,7 +162,7 @@ func (a *agent) visit(p webgraph.PageID) {
 	} else {
 		a.out.stats.CacheHits++
 	}
-	a.curReal = append(a.curReal, session.Entry{Page: p, Time: a.now})
+	a.out.entries = append(a.out.entries, session.Entry{Page: p, Time: a.now})
 }
 
 // stay samples a page-stay time from the configured distribution (Table 5's
@@ -209,7 +225,8 @@ func (a *agent) pickStart() (p webgraph.PageID, fresh bool) {
 // server), close the current real session, open a new one starting at the
 // backtrack target, and return the unvisited page to fetch next.
 func (a *agent) backtrack() (webgraph.PageID, bool) {
-	if len(a.curReal) < 2 {
+	cur := a.out.entries[a.lo:] // the current real session
+	if len(cur) < 2 {
 		return webgraph.InvalidPage, false
 	}
 	// Candidate positions: everything before the most recent page. Each
@@ -218,9 +235,9 @@ func (a *agent) backtrack() (webgraph.PageID, bool) {
 	// buffers have grown to the agent's working set.
 	arena := a.scr.pages[:0]
 	cands := a.scr.cands[:0]
-	for i := 0; i < len(a.curReal)-1; i++ {
+	for i := 0; i < len(cur)-1; i++ {
 		lo := len(arena)
-		for _, v := range a.g.Succ(a.curReal[i].Page) {
+		for _, v := range a.g.Succ(cur[i].Page) {
 			if !a.visited[v] {
 				arena = append(arena, v)
 			}
@@ -234,9 +251,9 @@ func (a *agent) backtrack() (webgraph.PageID, bool) {
 		return webgraph.InvalidPage, false
 	}
 	c := cands[a.rng.Intn(len(cands))]
-	target := a.curReal[c.idx].Page
+	target := cur[c.idx].Page
 	// Back/forward button presses through the cache: one stay per step.
-	steps := len(a.curReal) - 1 - c.idx
+	steps := len(cur) - 1 - c.idx
 	for s := 0; s < steps; s++ {
 		a.now = a.now.Add(a.stay())
 		a.out.stats.CacheHits++
@@ -245,18 +262,19 @@ func (a *agent) backtrack() (webgraph.PageID, bool) {
 	// The simulator "adds a new session starting from [the] previous page
 	// having [a] link to the next page" (§4, behavior 3).
 	a.flushReal()
-	a.curReal = append(a.curReal, session.Entry{Page: target, Time: a.now})
+	a.out.entries = append(a.out.entries, session.Entry{Page: target, Time: a.now})
 	a.now = a.now.Add(a.stay())
 	fresh := arena[c.lo:c.hi]
 	return fresh[a.rng.Intn(len(fresh))], true
 }
 
-// flushReal closes the current real session, if any.
+// flushReal closes the current real session, if any: it records where the
+// session ends in the entry arena, and runAgent makes it a Session.
 func (a *agent) flushReal() {
-	if len(a.curReal) == 0 {
+	if len(a.out.entries) == a.lo {
 		return
 	}
-	a.out.real = append(a.out.real, session.Session{User: a.user, Entries: a.curReal})
+	a.lo = len(a.out.entries)
+	a.out.ends = append(a.out.ends, a.lo)
 	a.out.stats.RealSessions++
-	a.curReal = nil
 }

@@ -2,11 +2,15 @@ package simulator
 
 import (
 	"fmt"
+	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
+	"time"
 
 	"smartsra/internal/session"
+	"smartsra/internal/webgraph"
 )
 
 // Each hands out, label by label, exactly what Run returns: the same stream,
@@ -31,46 +35,97 @@ func TestEachMatchesRun(t *testing.T) {
 		p := testParams()
 		p.Agents, p.ProxyFraction, p.ProxySize = s.agents, s.fraction, s.size
 		what := fmt.Sprintf("agents=%d proxies=%v×%d", s.agents, s.fraction, s.size)
-		want, err := Run(g, p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := make(map[string]*User)
-		stats, err := Each(g, p, func(u *User) {
-			if got[u.Label] != nil {
-				t.Fatalf("%s: label %s visited twice", what, u.Label)
-			}
-			got[u.Label] = u
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if stats != want.Stats {
-			t.Errorf("%s: Stats %+v, Run's %+v", what, stats, want.Stats)
-		}
-		if len(got) != len(want.Streams) {
-			t.Fatalf("%s: %d users visited, Run has %d streams", what, len(got), len(want.Streams))
-		}
-		real := make(map[string][]session.Session)
-		for _, r := range want.Real {
-			real[r.User] = append(real[r.User], r)
-		}
-		for i, st := range want.Streams {
-			u := got[st.User]
-			if u == nil {
-				t.Fatalf("%s: label %s never visited", what, st.User)
-			}
-			if !reflect.DeepEqual(u.Stream, st.Entries) || !reflect.DeepEqual(u.Refs, want.Referrers[i]) {
-				t.Errorf("%s: label %s: stream or referrers differ from Run's", what, st.User)
-			}
-			if !reflect.DeepEqual(u.Real, real[st.User]) {
-				t.Errorf("%s: label %s: real sessions differ from Run's", what, st.User)
-			}
-		}
-		if s.fraction > 0 && len(got) >= s.agents {
-			t.Errorf("%s: %d labels for %d agents: nothing was shared", what, len(got), s.agents)
+		if labels := eachAgainstRun(t, what, g, p, false); s.fraction > 0 && labels >= s.agents {
+			t.Errorf("%s: %d labels for %d agents: nothing was shared", what, labels, s.agents)
 		}
 	}
+}
+
+// Each reuses a User's slices for later users, so a visit that writes into
+// them must not reach any user handed over after it: with every Page, Time
+// and Refs element overwritten once it is copied, each user still arrives
+// equal to Run's, with and without proxy-merged users.
+func TestEachRecycledBuffersDoNotLeak(t *testing.T) {
+	g := testTopology(t)
+	for _, fraction := range []float64{0, 0.5} {
+		p := testParams()
+		p.ProxyFraction, p.ProxySize = fraction, 3
+		for _, workers := range []int{1, 2} {
+			p.Workers = workers
+			eachAgainstRun(t, fmt.Sprintf("proxies=%v×3 workers=%d", fraction, workers), g, p, true)
+		}
+	}
+}
+
+// eachAgainstRun runs Each over (g, p), deep-copying every user in its visit
+// and then, when spoil is set, overwriting every entry and referrer it was
+// handed. It checks the copies and the Stats against Run's and returns how
+// many labels were visited.
+func eachAgainstRun(t *testing.T, what string, g *webgraph.Graph, p Params, spoil bool) int {
+	t.Helper()
+	want, err := Run(g, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spoilt := session.Entry{Page: webgraph.InvalidPage, Time: time.Unix(1, 0)}
+	got := make(map[string]*User)
+	stats, err := Each(g, p, func(u *User) {
+		if got[u.Label] != nil {
+			t.Fatalf("%s: label %s visited twice", what, u.Label)
+		}
+		got[u.Label] = copyUser(u)
+		if !spoil {
+			return
+		}
+		for i := range u.Stream {
+			u.Stream[i], u.Refs[i] = spoilt, webgraph.InvalidPage-1
+		}
+		for _, r := range u.Real {
+			for i := range r.Entries {
+				r.Entries[i] = spoilt
+			}
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats != want.Stats {
+		t.Errorf("%s: Stats %+v, Run's %+v", what, stats, want.Stats)
+	}
+	if len(got) != len(want.Streams) {
+		t.Fatalf("%s: %d users visited, Run has %d streams", what, len(got), len(want.Streams))
+	}
+	real := make(map[string][]session.Session)
+	for _, r := range want.Real {
+		real[r.User] = append(real[r.User], r)
+	}
+	for i, st := range want.Streams {
+		u := got[st.User]
+		if u == nil {
+			t.Fatalf("%s: label %s never visited", what, st.User)
+		}
+		if !reflect.DeepEqual(u.Stream, st.Entries) || !reflect.DeepEqual(u.Refs, want.Referrers[i]) {
+			t.Errorf("%s: label %s: stream or referrers differ from Run's", what, st.User)
+		}
+		if !reflect.DeepEqual(u.Real, real[st.User]) {
+			t.Errorf("%s: label %s: real sessions differ from Run's", what, st.User)
+		}
+	}
+	return len(got)
+}
+
+// copyUser deep-copies u: a User is valid only during its visit.
+func copyUser(u *User) *User {
+	c := &User{
+		Label:  u.Label,
+		Stream: slices.Clone(u.Stream),
+		Refs:   slices.Clone(u.Refs),
+		Real:   slices.Clone(u.Real),
+	}
+	for i := range c.Real {
+		c.Real[i].Entries = slices.Clone(c.Real[i].Entries)
+	}
+	return c
 }
 
 // A run streamed through Each holds a few users per worker, not its
@@ -115,4 +170,33 @@ func TestEachHoldsNoPopulation(t *testing.T) {
 		t.Errorf("Each holds %d B in its last visit, Run's Result %d B: not under a quarter", inLast, held)
 	}
 	t.Logf("Run's Result %d B; Each in its last visit %d B", held, inLast)
+}
+
+// Each writes every agent into recycled outcome buffers: past the first few
+// agents per worker, an agent costs one allocation, its label from
+// assignUsers. Measured at the paper's parameters on the paper's site, a
+// second thousand agents may add that and a constant for buffers still
+// growing to a longer agent, not the ≈ 36 allocations per agent of a
+// simulator that builds each agent's slices afresh.
+func TestEachAllocsPerAgent(t *testing.T) {
+	g, err := webgraph.GenerateTopology(webgraph.PaperTopology(), rand.New(rand.NewSource(2006)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := func(agents int) float64 {
+		p := PaperParams()
+		p.Agents, p.Workers = agents, 2
+		return testing.AllocsPerRun(3, func() {
+			if _, err := Each(g, p, func(*User) {}); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	const slack = 64
+	small, large := allocs(1000), allocs(2000)
+	if extra := large - small; extra > 1000+slack {
+		t.Errorf("Each: %v allocations at 1,000 agents, %v at 2,000: %.2f per extra agent, want at most 1 plus %d in all",
+			small, large, extra/1000, slack)
+	}
+	t.Logf("Each: %v allocations at 1,000 agents, %v at 2,000", small, large)
 }

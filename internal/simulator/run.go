@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"runtime"
 	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -105,11 +106,14 @@ type User struct {
 // Each simulates p.Agents users over g like Run, but hands each log identity
 // to visit as soon as every agent behind it has finished, instead of
 // collecting the run. visit runs on the calling goroutine, one user at a
-// time, in completion order; the User is visit's to keep or drop. A run
-// therefore holds at most two finished users per simulator worker (plus any
-// proxy group still waiting for an agent), not its whole population. Every
-// label of Run's Result is visited exactly once, with the Real, Stream and
-// Refs Run gives it, and the returned Stats equal Run's.
+// time, in completion order. The User and every slice it holds are valid only
+// during visit: once visit returns, they are reused for later users, so a
+// visit that keeps anything copies it. A run therefore holds at most two
+// finished users per simulator worker (plus any proxy group still waiting for
+// an agent), not its whole population, and in the steady state, with no proxy
+// labels, allocates nothing per agent but its label. Every label of Run's
+// Result is visited exactly once, with the Real, Stream and Refs Run gives
+// it, and the returned Stats equal Run's.
 func Each(g *webgraph.Graph, p Params, visit func(*User)) (Stats, error) {
 	p, err := checkRun(g, p)
 	if err != nil {
@@ -130,15 +134,25 @@ func Each(g *webgraph.Graph, p Params, visit func(*User)) (Stats, error) {
 			members[u]++
 		}
 	}
+	// Outcomes visit is done with go back to the workers: every one in
+	// flight fits, two per worker and the one being visited.
+	free := make(chan agentOutcome, 2*workers(p)+1)
+	recycle := func(o agentOutcome) {
+		select {
+		case free <- o:
+		default:
+		}
+	}
+	var u User
+	var merged User // a proxy group's concatenation, before its time merge
 	stats := Stats{Agents: p.Agents}
-	eachAgent(g, p, func(i int, o agentOutcome) {
+	eachAgent(g, p, labels, free, func(i int, o agentOutcome) {
 		stats.add(o.stats)
 		label := labels[i]
-		for s := range o.real {
-			o.real[s].User = label
-		}
 		if members[label] <= 1 {
-			visit(&User{Label: label, Real: o.real, Stream: o.served, Refs: o.refs})
+			u = User{Label: label, Real: o.real, Stream: o.served, Refs: o.refs}
+			visit(&u)
+			recycle(o)
 			return
 		}
 		group := append(pending[label], member{i, o})
@@ -149,14 +163,18 @@ func Each(g *webgraph.Graph, p Params, visit func(*User)) (Stats, error) {
 		delete(pending, label)
 		// Agent order, whatever order the agents finished in.
 		sort.Slice(group, func(a, b int) bool { return group[a].agent < group[b].agent })
-		u := &User{Label: label}
+		merged.Real, merged.Stream, merged.Refs = merged.Real[:0], merged.Stream[:0], merged.Refs[:0]
 		for _, m := range group {
-			u.Real = append(u.Real, m.out.real...)
-			u.Stream = append(u.Stream, m.out.served...)
-			u.Refs = append(u.Refs, m.out.refs...)
+			merged.Real = append(merged.Real, m.out.real...)
+			merged.Stream = append(merged.Stream, m.out.served...)
+			merged.Refs = append(merged.Refs, m.out.refs...)
 		}
-		u.Stream, u.Refs = mergeByTime(u.Stream, u.Refs)
-		visit(u)
+		u = User{Label: label, Real: merged.Real}
+		u.Stream, u.Refs = mergeByTime(merged.Stream, merged.Refs)
+		visit(&u)
+		for _, m := range group {
+			recycle(m.out)
+		}
 	})
 	return stats, nil
 }
@@ -169,8 +187,9 @@ func Run(g *webgraph.Graph, p Params) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	users := assignUsers(p)
 	outcomes := make([]agentOutcome, p.Agents)
-	eachAgent(g, p, func(i int, o agentOutcome) { outcomes[i] = o })
+	eachAgent(g, p, users, nil, func(i int, o agentOutcome) { outcomes[i] = o })
 
 	nReal, nStreams := 0, 0
 	for i := range outcomes {
@@ -185,12 +204,8 @@ func Run(g *webgraph.Graph, p Params) (*Result, error) {
 		Referrers: make([][]webgraph.PageID, 0, nStreams),
 	}
 	res.Stats.Agents = p.Agents
-	users := assignUsers(p)
 	for i := range outcomes {
 		o := &outcomes[i]
-		for s := range o.real {
-			o.real[s].User = users[i]
-		}
 		res.Real = append(res.Real, o.real...)
 		if len(o.served) > 0 {
 			res.Streams = append(res.Streams, session.Stream{
@@ -216,30 +231,39 @@ func checkRun(g *webgraph.Graph, p Params) (Params, error) {
 	return p.withDefaults(), nil
 }
 
-// eachAgent simulates p's agents (p checked) on p.Workers goroutines and
+// workers is how many goroutines eachAgent runs p's agents on.
+func workers(p Params) int {
+	w := p.Workers
+	if w <= 0 {
+		w = runtime.GOMAXPROCS(0)
+	}
+	return min(w, p.Agents)
+}
+
+// eachAgent simulates p's agents (p checked) on workers(p) goroutines and
 // hands every finished agent's index and outcome to visit over a channel
 // with one slot per worker, so visit runs on the calling goroutine, in
-// completion order. At most two finished agents per worker wait for visit:
-// one in the channel, one held by its blocked worker. The slots are there
-// because without them every agent costs a wake-up of the caller and a park
-// of its worker, which made Run ×1.09 slower on 2 cores.
-func eachAgent(g *webgraph.Graph, p Params, visit func(i int, o agentOutcome)) {
-	workers := p.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > p.Agents {
-		workers = p.Agents
-	}
+// completion order. Agent i's real sessions carry labels[i]. At most two
+// finished agents per worker wait for visit: one in the channel, one held by
+// its blocked worker. The slots are there because without them every agent
+// costs a wake-up of the caller and a park of its worker, which made Run
+// ×1.09 slower on 2 cores.
+//
+// A worker writes each agent into an outcome taken from free when one is
+// there, and into new slices when not; the caller puts an outcome on free
+// once nothing reads it any more. A nil free (Run, which keeps every
+// outcome) always starts empty.
+func eachAgent(g *webgraph.Graph, p Params, labels []string, free chan agentOutcome, visit func(i int, o agentOutcome)) {
 	type finished struct {
 		i int
 		o agentOutcome
 	}
 	var next atomic.Int64 // the next agent index to claim
-	done := make(chan finished, workers)
+	n := workers(p)
+	done := make(chan finished, n)
 	var wg sync.WaitGroup
 	defer wg.Wait()
-	for w := 0; w < workers; w++ {
+	for w := 0; w < n; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -257,7 +281,12 @@ func eachAgent(g *webgraph.Graph, p Params, visit func(i int, o agentOutcome)) {
 				// Whole-second start times survive the CLF format round trip.
 				jitter := time.Duration(rng.Int63n(int64(p.StartWindow))).Truncate(time.Second)
 				start := p.Start.Add(jitter)
-				done <- finished{i, runAgent(g, p, AgentID(i), start, rng, scr)}
+				var buf agentOutcome
+				select {
+				case buf = <-free:
+				default:
+				}
+				done <- finished{i, runAgent(g, p, labels[i], start, rng, scr, buf)}
 			}
 		}()
 	}
@@ -362,13 +391,24 @@ func mergeByTime(entries []session.Entry, refs []webgraph.PageID) ([]session.Ent
 
 // ProxyID formats the synthetic shared IP of proxy group g.
 func ProxyID(g int) string {
-	return fmt.Sprintf("10.200.%d.%d", (g>>8)&255, g&255)
+	return dotted(10, 200, (g>>8)&255, g&255)
 }
 
 // AgentID formats the synthetic IP address of agent i (unique below 2^24
 // agents), e.g. agent 259 -> "10.0.1.3".
 func AgentID(i int) string {
-	return fmt.Sprintf("10.%d.%d.%d", (i>>16)&255, (i>>8)&255, i&255)
+	return dotted(10, (i>>16)&255, (i>>8)&255, i&255)
+}
+
+// dotted formats four octets as a dotted quad: what fmt's "%d.%d.%d.%d"
+// prints, in one allocation, the string, where fmt makes two or more.
+func dotted(a, b, c, d int) string {
+	var buf [15]byte
+	out := strconv.AppendInt(buf[:0], int64(a), 10)
+	for _, o := range [3]int{b, c, d} {
+		out = strconv.AppendInt(append(out, '.'), int64(o), 10)
+	}
+	return string(out)
 }
 
 // mixSeed decorrelates (seed, agent index) pairs with a SplitMix64 round.

@@ -1,6 +1,7 @@
 package simulator
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -338,6 +339,17 @@ func TestAgentIDUnique(t *testing.T) {
 	if AgentID(259) != "10.0.1.3" {
 		t.Errorf("AgentID(259) = %q", AgentID(259))
 	}
+	// Every octet value in every position, as fmt formats it.
+	for i := 0; i < 1<<24; i += 65793 { // 1<<16 + 1<<8 + 1
+		want := fmt.Sprintf("10.%d.%d.%d", (i>>16)&255, (i>>8)&255, i&255)
+		if got := AgentID(i); got != want {
+			t.Fatalf("AgentID(%d) = %q, want %q", i, got, want)
+		}
+		want = fmt.Sprintf("10.200.%d.%d", (i>>8)&255, i&255)
+		if got := ProxyID(i); got != want {
+			t.Fatalf("ProxyID(%d) = %q, want %q", i, got, want)
+		}
+	}
 }
 
 func TestMaxRequestsCap(t *testing.T) {
@@ -571,7 +583,7 @@ func referenceRun(g *webgraph.Graph, p Params) *Result {
 		rng := rand.New(rand.NewSource(mixSeed(p.Seed, int64(i))))
 		jitter := time.Duration(rng.Int63n(int64(p.StartWindow))).Truncate(time.Second)
 		scr := &agentScratch{visited: make([]bool, g.NumPages())}
-		o := runAgent(g, p, AgentID(i), p.Start.Add(jitter), rng, scr)
+		o := runAgent(g, p, AgentID(i), p.Start.Add(jitter), rng, scr, agentOutcome{})
 		for s := range o.real {
 			o.real[s].User = users[i]
 		}
