@@ -10,6 +10,7 @@
 package smartsra
 
 import (
+	"crypto/sha256"
 	"fmt"
 	"math/rand"
 	"runtime"
@@ -369,8 +370,10 @@ func BenchmarkScoreMatched(b *testing.B) {
 }
 
 // BenchmarkSmartSRAPhase2 measures Smart-SRA reconstruction throughput over
-// one Table 5 workload — dominated by the Phase-2 wave construction and the
-// maximality filter, whose buffers the per-reconstruction scratch keeps.
+// one Table 5 workload — dominated by the Phase-2 wave construction, whose
+// link rows, session nodes and entry arena the lane's scratch keeps. The
+// browser cache serves every revisit, so no page repeats in a stream and
+// the maximality filter never runs.
 func BenchmarkSmartSRAPhase2(b *testing.B) {
 	params := simulator.PaperParams()
 	params.Agents = 250
@@ -408,9 +411,32 @@ func crawlerCandidate(tb testing.TB) (*webgraph.Graph, session.Stream) {
 	return g, st
 }
 
+// TestSmartSRACrawlerCandidatePinned pins Smart-SRA's output on that
+// candidate: the session and entry counts and a SHA-256 of the rendered
+// sessions, recorded before Phase 2 built sessions as integer paths and
+// skipped the maximality filter on repeat-free streams. No page repeats in
+// the sweep, so the filter does not run on it.
+func TestSmartSRACrawlerCandidatePinned(t *testing.T) {
+	g, st := crawlerCandidate(t)
+	out := heuristics.NewSmartSRA(g).Reconstruct(st)
+	entries := 0
+	for _, s := range out {
+		entries += len(s.Entries)
+	}
+	sum := sha256.New()
+	if err := session.WriteAll(sum, out); err != nil {
+		t.Fatal(err)
+	}
+	const want = "5338d1cbb89974700a3fb74ac43303054909d1278dbf9eab8c4519c8c847a899"
+	if got := fmt.Sprintf("%x", sum.Sum(nil)); len(out) != 9759 || entries != 157234 || got != want {
+		t.Errorf("crawler candidate: %d sessions, %d entries, sha256 %s; want 9759, 157234, %s", len(out), entries, got, want)
+	}
+}
+
 // BenchmarkSmartSRACrawlerCandidate reconstructs that candidate: 9,759
-// maximal sessions from 300 requests (ROADMAP item 1), where keeping only
-// the maximal ones (session.MaximalFilter) costs more than building them.
+// maximal sessions from 300 requests (ROADMAP item 1). No page repeats in
+// the sweep, so the cost is Phase 2's link rows and waves and writing the
+// 157,234 entries out, with no maximality filter.
 func BenchmarkSmartSRACrawlerCandidate(b *testing.B) {
 	g, st := crawlerCandidate(b)
 	h := heuristics.NewSmartSRA(g)

@@ -4,9 +4,11 @@ import "smartsra/internal/session"
 
 // entryArena is the storage a lane (Lend) hands its sessions out of: their
 // session.Entry slices come from a few large blocks instead of one heap
-// allocation per session. Returned slices have exact capacity (three-index
-// slicing), so a caller appending to a retained session falls off the arena
-// instead of clobbering a neighbour. Allocation is append-only within a
+// allocation per session, and each session is written once, at its final
+// length (Smart-SRA's Phase 2 builds its sessions as paths of integer nodes
+// and writes only the final ones out). Returned slices have exact capacity
+// (three-index slicing), so a caller appending to a retained session falls
+// off the arena instead of clobbering a neighbour. Allocation is append-only within a
 // block — handed-out regions are never rewritten — so a lane that is never
 // released can append for as long as it lives: retained sessions pin at most
 // one partially shared block, bounded by arenaMaxBlock. The one exception is
@@ -74,33 +76,6 @@ func (a *entryArena) alloc(n int) []session.Entry {
 	lo := len(a.block)
 	a.block = a.block[:lo+n]
 	return a.block[lo : lo+n : lo+n]
-}
-
-// clone1 allocates a one-entry session.
-func (a *entryArena) clone1(e session.Entry) []session.Entry {
-	s := a.alloc(1)
-	s[0] = e
-	return s
-}
-
-// extend returns sess with e appended. When sess is the arena's most recent
-// allocation and its block has room, it grows in place — the appended slot
-// was never handed out, so every existing region (including sess itself,
-// which other holders may retain) is untouched, preserving the append-only
-// invariant. A session built by successive extends then costs O(n) writes
-// instead of the O(n²) of copy-per-extend. Otherwise it allocates a copy.
-func (a *entryArena) extend(sess []session.Entry, e session.Entry) []session.Entry {
-	n := len(sess)
-	if lo := len(a.block) - n; n > 0 && lo >= 0 &&
-		cap(a.block) > len(a.block) && &a.block[lo] == &sess[0] {
-		a.block = a.block[:lo+n+1]
-		a.block[lo+n] = e
-		return a.block[lo : lo+n+1 : lo+n+1]
-	}
-	s := a.alloc(n + 1)
-	copy(s, sess)
-	s[n] = e
-	return s
 }
 
 // cloneAll allocates an exact-size copy of sess.

@@ -2,6 +2,8 @@ package heuristics
 
 import (
 	"fmt"
+	"math/bits"
+	"slices"
 
 	"smartsra/internal/session"
 	"smartsra/internal/webgraph"
@@ -39,35 +41,35 @@ func (h SmartSRA) Describe() string {
 	return fmt.Sprintf("Smart-SRA (δ=%v, ρ=%v)", h.Rules.TotalDuration, h.Rules.PageStay)
 }
 
-// sraScratch is the working state of a Smart-SRA lane (Lend): the Phase-1
-// candidate boundaries, Phase-2's wave/tpages/rest and constructed-set
-// header arrays, reused across every candidate and wave, and the arena the
-// final sessions' entry slices live in.
-// Each candidate's timestamps are converted once into t, UnixNano by
-// candidate index: the wave scans are O(n²) time comparisons per wave, and
-// int64 compare/subtract is several times cheaper than time.Time's
-// wall/monotonic-aware Before and Sub. The conversion is order-preserving,
-// so the session output is unchanged.
-// The wave working sets hold int32 indices into the candidate instead of
-// Entry values: the per-wave partition then moves 4-byte integers rather
-// than 32-byte structs (which carry a pointer, so copying them also pays
-// GC write barriers), and the scratch slices stay invisible to the
-// garbage collector.
+// sraScratch is the working state of a Smart-SRA lane (Lend), reused across
+// every stream, candidate and wave. t is the candidate's UnixNano by index:
+// int64 compares are several times cheaper than time.Time's and keep its
+// order. Phase 2 works on integers alone (link rows, a live mask, waves and
+// session nodes), so only the returned headers and the arena hold pointers.
 type sraScratch struct {
 	bounds   []int             // phase1 candidate start offsets
 	t        []int64           // the candidate's UnixNano, by index
-	remain   []int32           // Step II working set (ping), candidate indices
-	rest     []int32           // Step II working set (pong)
-	wave     []bool            // Step I no-remaining-referrer marks
-	tpages   []int32           // the current wave's pages
-	extended []bool            // Step III extension marks
-	set      [][]session.Entry // constructed-set headers (ping)
-	setT     []int64           // UnixNano of each set session's last entry
-	tset     [][]session.Entry // constructed-set headers (pong)
-	tsetT    []int64           // UnixNano of each tset session's last entry
-	arena    entryArena        // backing store for constructed-session entries
+	links    []uint64          // row i, w words: bit j when entry j is a ρ-valid referrer of i
+	live     []uint64          // the entries no wave has taken yet
+	wave     []int32           // the current wave's entries, in candidate order
+	extended []bool            // Step III extension marks, by set position
+	nodes    []sraNode         // every session built for the candidate
+	set      []int32           // the constructed set, node ids (ping)
+	tset     []int32           // the constructed set, node ids (pong)
+	out      [][]session.Entry // the sessions phase2 returns
+	arena    entryArena        // backing store for the returned sessions' entries
+	seen     []uint32          // page → the last stream (generation) that read it
+	gen      uint32            // this stream's generation
 	maximal  session.MaximalFilter
 }
+
+// sraNode is a constructed session as a path: its last entry, the node of
+// the session it extended (-1 for a wave-1 session) and its length.
+type sraNode struct{ entry, parent, len int32 }
+
+// maxKeptLinkWords bounds the link rows (n²/64 words) a lane keeps after a
+// candidate: 256 KiB, a candidate of 1,448 entries.
+const maxKeptLinkWords = 1 << 15
 
 // Reconstruct implements Reconstructor.
 func (h SmartSRA) Reconstruct(stream session.Stream) []session.Session {
@@ -87,16 +89,38 @@ func (h SmartSRA) appendSessions(dst []session.Session, stream session.Stream, s
 			dst = append(dst, session.Session{User: stream.User, Entries: entries})
 		}
 	}
-	// The algorithm keeps only maximal sequences; enforce it over this
-	// stream's sessions so no output session is subsumed by another (also
-	// drops exact duplicates that can arise from separate extension paths).
-	// The filter only allocates when something is dropped; copy the kept
-	// tail back in place then.
-	kept := scr.maximal.Keep(dst[start:])
-	if len(kept) != len(dst)-start {
-		dst = dst[:start+copy(dst[start:], kept)]
+	// The algorithm keeps only maximal sequences. Where no page repeats in
+	// the stream, the waves built no session another one holds and no
+	// duplicate (DESIGN.md §3, "Maximality by construction"); elsewhere the
+	// filter enforces it. It allocates only when it drops a session; copy
+	// the kept tail back in place then.
+	if scr.repeats(stream.Entries, h.Graph.NumPages()) {
+		kept := scr.maximal.Keep(dst[start:])
+		if len(kept) != len(dst)-start {
+			dst = dst[:start+copy(dst[start:], kept)]
+		}
 	}
 	return dst
+}
+
+// repeats reports whether a page occurs twice in entries, or lies outside
+// the graph's pages, which have no stamp. Stamps are never cleared: each
+// call stamps with a generation of its own.
+func (scr *sraScratch) repeats(entries []session.Entry, pages int) bool {
+	if len(scr.seen) < pages {
+		scr.seen = make([]uint32, pages)
+	}
+	if scr.gen++; scr.gen == 0 { // wrapped: a stamp could match again
+		clear(scr.seen)
+		scr.gen = 1
+	}
+	for _, e := range entries {
+		if uint(e.Page) >= uint(len(scr.seen)) || scr.seen[e.Page] == scr.gen {
+			return true
+		}
+		scr.seen[e.Page] = scr.gen
+	}
+	return false
 }
 
 // phase1 splits a request sequence into candidate sessions using the two
@@ -146,100 +170,102 @@ func (h SmartSRA) phase2(cand []session.Entry, scr *sraScratch) [][]session.Entr
 
 // phase2Waves is the general wave construction — every candidate that is
 // not a pure chain (see phase2Chain) goes through here. t holds cand's
-// UnixNano by index.
+// UnixNano by index. Steps I and III both ask whether one entry is a ρ-valid
+// referrer of another (strictly earlier, within ρ, its page linking to the
+// other's), so each pair is probed once, into bit rows. A session is a node:
+// its last entry and the session it extended. The sets hold node ids, and
+// only the final sessions are written out, once each.
 func (h SmartSRA) phase2Waves(cand []session.Entry, t []int64, scr *sraScratch, rho int64) [][]session.Entry {
-	remaining := scr.remain[:0]
+	n := len(cand)
+	w := (n + 63) >> 6
+	links := slices.Grow(scr.links[:0], n*w)[:n*w]
+	clear(links)
 	for i := range cand {
-		remaining = append(remaining, int32(i))
-	}
-	rest := scr.rest[:0]
-	newSet, lastT := scr.set[:0], scr.setT[:0]
-	for len(remaining) > 0 {
-		// Step I: collect pages with no remaining referrer — no EARLIER
-		// entry (strictly smaller timestamp, within ρ) links to them. See
-		// DESIGN.md for the j>i / j<i pseudocode typo note; this reading
-		// matches the paper's worked example (Table 4).
-		wave := scr.wave
-		if cap(wave) < len(remaining) {
-			wave = make([]bool, len(remaining))
-			scr.wave = wave
+		row := links[i*w : (i+1)*w]
+		for j := range cand {
+			if t[j] < t[i] && t[i]-t[j] <= rho && h.Graph.HasEdge(cand[j].Page, cand[i].Page) {
+				row[j>>6] |= 1 << (j & 63)
+			}
 		}
-		wave = wave[:len(remaining)]
-		for i, ri := range remaining {
-			et := t[ri]
-			start := true
-			pi := cand[ri].Page
-			for _, rj := range remaining[:i] {
-				if rt := t[rj]; rt < et && et-rt <= rho &&
-					h.Graph.HasEdge(cand[rj].Page, pi) {
-					start = false
-					break
+	}
+	live := slices.Grow(scr.live[:0], w)[:w]
+	clear(live)
+	for i := range cand {
+		live[i>>6] |= 1 << (i & 63)
+	}
+	nodes, set, tset, wave, extended := scr.nodes[:0], scr.set[:0], scr.tset[:0], scr.wave, scr.extended
+	for left := n; left > 0; {
+		// Step I: collect pages with no remaining referrer — no EARLIER live
+		// entry's bit in their row. See DESIGN.md for the j>i / j<i
+		// pseudocode typo note; this reading matches the paper's worked
+		// example (Table 4).
+		wave = wave[:0]
+		for k, word := range live {
+			for ; word != 0; word &= word - 1 {
+				i := k<<6 | bits.TrailingZeros64(word)
+				row := links[i*w:]
+				refs := row[k] & live[k] & (1<<(i&63) - 1)
+				for m := 0; m < k && refs == 0; m++ {
+					refs = row[m] & live[m]
+				}
+				if refs == 0 {
+					wave = append(wave, int32(i))
 				}
 			}
-			wave[i] = start
 		}
-		tpages := scr.tpages[:0]
-		rest = rest[:0]
-		for i, ri := range remaining {
-			if wave[i] {
-				tpages = append(tpages, ri)
-			} else {
-				rest = append(rest, ri)
-			}
+		// Step II: the wave leaves the live set. The earliest live entry
+		// always qualifies, so progress is guaranteed.
+		for _, i := range wave {
+			live[i>>6] &^= 1 << (i & 63)
 		}
-		scr.tpages = tpages
-		// The earliest remaining entry always qualifies, so progress is
-		// guaranteed.
-		remaining, rest = rest, remaining // Step II (swap ping/pong buffers)
+		left -= len(wave)
 
 		// Step III: extend the constructed sessions.
-		if len(newSet) == 0 {
-			for _, ti := range tpages {
-				newSet = append(newSet, scr.arena.clone1(cand[ti]))
-				lastT = append(lastT, t[ti])
+		if len(set) == 0 {
+			for _, i := range wave {
+				set = append(set, int32(len(nodes)))
+				nodes = append(nodes, sraNode{entry: i, parent: -1, len: 1})
 			}
 			continue
 		}
-		tset, tlastT := scr.tset[:0], scr.tsetT[:0]
-		extended := scr.extended
-		if cap(extended) < len(newSet) {
-			extended = make([]bool, len(newSet))
-			scr.extended = extended
-		}
-		extended = extended[:len(newSet)]
-		for k := range extended {
-			extended[k] = false
-		}
+		extended = slices.Grow(extended[:0], len(set))[:len(set)]
+		clear(extended)
+		tset = tset[:0]
 		// Every wave page attaches to some session here: the referrer that
 		// kept it out of the previous wave left a session ending in itself
 		// (DESIGN.md, "Orphan pages in Phase 2").
-		for _, ti := range tpages {
-			e, et := cand[ti], t[ti]
-			for k, sess := range newSet {
-				if lt := lastT[k]; lt < et && et-lt <= rho &&
-					h.Graph.HasEdge(sess[len(sess)-1].Page, e.Page) {
-					tset = append(tset, scr.arena.extend(sess, e))
-					tlastT = append(tlastT, et)
+		for _, i := range wave {
+			row := links[int(i)*w:]
+			for k, id := range set {
+				if last := nodes[id].entry; row[last>>6]&(1<<(last&63)) != 0 {
+					tset = append(tset, int32(len(nodes)))
+					nodes = append(nodes, sraNode{entry: i, parent: id, len: nodes[id].len + 1})
 					extended[k] = true
 				}
 			}
 		}
-		for k, sess := range newSet {
+		for k, id := range set {
 			if !extended[k] {
-				tset = append(tset, sess)
-				tlastT = append(tlastT, lastT[k])
+				tset = append(tset, id)
 			}
 		}
-		newSet, tset = tset, newSet // swap ping/pong header buffers
-		lastT, tlastT = tlastT, lastT
-		scr.set, scr.tset = newSet, tset[:0]
-		scr.setT, scr.tsetT = lastT, tlastT[:0]
+		set, tset = tset, set // swap ping/pong
 	}
-	scr.remain, scr.rest = remaining, rest
-	if len(newSet) > 0 {
-		scr.set, scr.setT = newSet, lastT
+	out := scr.out[:0]
+	for _, id := range set {
+		s := scr.arena.alloc(int(nodes[id].len))
+		for k := len(s) - 1; k >= 0; k-- {
+			s[k] = cand[nodes[id].entry]
+			id = nodes[id].parent
+		}
+		out = append(out, s)
 	}
-	return newSet
+	if cap(links) > maxKeptLinkWords {
+		links = nil
+	}
+	scr.links, scr.live, scr.wave, scr.extended = links, live, wave, extended
+	scr.nodes, scr.set, scr.tset, scr.out = nodes, set, tset, out
+	return out
 }
 
 // phase2Chain is phase2's fast path for the dominant burst shape in real
@@ -256,9 +282,9 @@ func (h SmartSRA) phase2Waves(cand []session.Entry, t []int64, scr *sraScratch, 
 //
 // Under those conditions the reconstruction is exactly one session — the
 // candidate itself — so the wave machinery is skipped wholesale. The guard
-// is n-1 edge probes and allocation-free, versus the slow path's O(n³) wave
-// scans plus n-1 arena extensions; on a non-chain candidate it bails at the
-// first violation and phase2 proceeds normally.
+// is n-1 edge probes and allocation-free, versus the slow path's n² link
+// probes and n waves; on a non-chain candidate it bails at the first
+// violation and phase2 proceeds normally.
 func (h SmartSRA) phase2Chain(cand []session.Entry, t []int64, scr *sraScratch, rho int64) ([][]session.Entry, bool) {
 	n := len(cand)
 	if n == 0 {
@@ -270,7 +296,6 @@ func (h SmartSRA) phase2Chain(cand []session.Entry, t []int64, scr *sraScratch, 
 			return nil, false
 		}
 	}
-	set := append(scr.set[:0], scr.arena.cloneAll(cand))
-	scr.set = set
-	return set, true
+	scr.out = append(scr.out[:0], scr.arena.cloneAll(cand))
+	return scr.out, true
 }

@@ -34,8 +34,15 @@ func wholeStream(entries []session.Entry) []int {
 
 // reconstructCandidates runs each candidate of stream, bounds as phase1
 // returns them, through phase2 — through phase2Waves alone when wavesOnly —
-// and keeps the maximal sessions, as Reconstruct does.
+// and keeps the maximal sessions, as Reconstruct does on a stream in which a
+// page repeats.
 func reconstructCandidates(h SmartSRA, stream session.Stream, bounds []int, wavesOnly bool) []session.Session {
+	return session.MaximalOnly(phase2Sessions(h, stream, bounds, wavesOnly))
+}
+
+// phase2Sessions is every session phase2 (or phase2Waves alone, when
+// wavesOnly) builds for the candidates of stream, in order, unfiltered.
+func phase2Sessions(h SmartSRA, stream session.Stream, bounds []int, wavesOnly bool) []session.Session {
 	var out []session.Session
 	scr := new(sraScratch)
 	rho := h.Rules.PageStay.Nanoseconds()
@@ -55,7 +62,7 @@ func reconstructCandidates(h SmartSRA, stream session.Stream, bounds []int, wave
 			out = append(out, session.Session{User: stream.User, Entries: entries})
 		}
 	}
-	return session.MaximalOnly(out)
+	return out
 }
 
 // chainStream follows topology successors with small strictly increasing

@@ -174,29 +174,34 @@ func TestEachHoldsNoPopulation(t *testing.T) {
 
 // Each writes every agent into recycled outcome buffers: past the first few
 // agents per worker, an agent costs one allocation, its label from
-// assignUsers. Measured at the paper's parameters on the paper's site, a
-// second thousand agents may add that and a constant for buffers still
-// growing to a longer agent, not the ≈ 36 allocations per agent of a
-// simulator that builds each agent's slices afresh.
+// assignUsers (a proxy label is made once per group). Measured at the
+// paper's parameters on the paper's site, with no proxies, half and every
+// agent behind four-agent proxies, a second thousand agents may add that
+// and a constant for buffers still growing to a longer agent or a larger
+// group, not the ≈ 36 allocations per agent of a simulator that builds each
+// agent's slices afresh, nor outcomes dropped while a group waits.
 func TestEachAllocsPerAgent(t *testing.T) {
 	g, err := webgraph.GenerateTopology(webgraph.PaperTopology(), rand.New(rand.NewSource(2006)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	allocs := func(agents int) float64 {
-		p := PaperParams()
-		p.Agents, p.Workers = agents, 2
-		return testing.AllocsPerRun(3, func() {
-			if _, err := Each(g, p, func(*User) {}); err != nil {
-				t.Fatal(err)
-			}
-		})
+	for _, fraction := range []float64{0, 0.5, 1} {
+		allocs := func(agents int) float64 {
+			p := PaperParams()
+			p.Agents, p.Workers = agents, 2
+			p.ProxyFraction, p.ProxySize = fraction, 4
+			return testing.AllocsPerRun(3, func() {
+				if _, err := Each(g, p, func(*User) {}); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		const slack = 64
+		small, large := allocs(1000), allocs(2000)
+		if extra := large - small; extra > 1000+slack {
+			t.Errorf("Each, proxies %v×4: %v allocations at 1,000 agents, %v at 2,000: %.2f per extra agent, want at most 1 plus %d in all",
+				fraction, small, large, extra/1000, slack)
+		}
+		t.Logf("Each, proxies %v×4: %v allocations at 1,000 agents, %v at 2,000", fraction, small, large)
 	}
-	const slack = 64
-	small, large := allocs(1000), allocs(2000)
-	if extra := large - small; extra > 1000+slack {
-		t.Errorf("Each: %v allocations at 1,000 agents, %v at 2,000: %.2f per extra agent, want at most 1 plus %d in all",
-			small, large, extra/1000, slack)
-	}
-	t.Logf("Each: %v allocations at 1,000 agents, %v at 2,000", small, large)
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -110,8 +111,9 @@ type User struct {
 // during visit: once visit returns, they are reused for later users, so a
 // visit that keeps anything copies it. A run therefore holds at most two
 // finished users per simulator worker (plus any proxy group still waiting for
-// an agent), not its whole population, and in the steady state, with no proxy
-// labels, allocates nothing per agent but its label. Every label of Run's
+// an agent), not its whole population, and in the steady state allocates
+// nothing per agent but its label, and per proxy group its label and its
+// member list. Every label of Run's
 // Result is visited exactly once, with the Real, Stream and Refs Run gives
 // it, and the returned Stats equal Run's.
 func Each(g *webgraph.Graph, p Params, visit func(*User)) (Stats, error) {
@@ -134,35 +136,47 @@ func Each(g *webgraph.Graph, p Params, visit func(*User)) (Stats, error) {
 			members[u]++
 		}
 	}
-	// Outcomes visit is done with go back to the workers: every one in
-	// flight fits, two per worker and the one being visited.
+	// Outcomes visit is done with go back to the workers through free, which
+	// holds every one in flight: two per worker and the one being visited.
+	// Outcomes a proxy group parked come back on top of those, so what free
+	// cannot take waits in spare and tops free up as the workers drain it.
 	free := make(chan agentOutcome, 2*workers(p)+1)
-	recycle := func(o agentOutcome) {
-		select {
-		case free <- o:
-		default:
+	var spare []agentOutcome
+	refill := func() {
+		for n := len(spare); n > 0; n-- {
+			select {
+			case free <- spare[n-1]:
+				spare[n-1], spare = agentOutcome{}, spare[:n-1]
+			default:
+				return
+			}
 		}
 	}
 	var u User
 	var merged User // a proxy group's concatenation, before its time merge
+	var byTime timeMerge
 	stats := Stats{Agents: p.Agents}
 	eachAgent(g, p, labels, free, func(i int, o agentOutcome) {
+		defer refill()
 		stats.add(o.stats)
 		label := labels[i]
 		if members[label] <= 1 {
 			u = User{Label: label, Real: o.real, Stream: o.served, Refs: o.refs}
 			visit(&u)
-			recycle(o)
+			spare = append(spare, o)
 			return
 		}
-		group := append(pending[label], member{i, o})
-		if len(group) < members[label] {
+		group, ok := pending[label]
+		if !ok {
+			group = make([]member, 0, members[label])
+		}
+		if group = append(group, member{i, o}); len(group) < members[label] {
 			pending[label] = group
 			return
 		}
 		delete(pending, label)
 		// Agent order, whatever order the agents finished in.
-		sort.Slice(group, func(a, b int) bool { return group[a].agent < group[b].agent })
+		slices.SortFunc(group, func(a, b member) int { return a.agent - b.agent })
 		merged.Real, merged.Stream, merged.Refs = merged.Real[:0], merged.Stream[:0], merged.Refs[:0]
 		for _, m := range group {
 			merged.Real = append(merged.Real, m.out.real...)
@@ -170,10 +184,10 @@ func Each(g *webgraph.Graph, p Params, visit func(*User)) (Stats, error) {
 			merged.Refs = append(merged.Refs, m.out.refs...)
 		}
 		u = User{Label: label, Real: merged.Real}
-		u.Stream, u.Refs = mergeByTime(merged.Stream, merged.Refs)
+		u.Stream, u.Refs = byTime.merge(merged.Stream, merged.Refs)
 		visit(&u)
 		for _, m := range group {
-			recycle(m.out)
+			spare = append(spare, m.out)
 		}
 	})
 	return stats, nil
@@ -309,11 +323,13 @@ func assignUsers(p Params) []string {
 		return users
 	}
 	rng := rand.New(rand.NewSource(mixSeed(p.Seed, -1)))
-	proxied := 0
+	proxied, proxy := 0, ""
 	for i := range users {
 		if rng.Float64() < p.ProxyFraction {
-			group := proxied / p.ProxySize
-			users[i] = ProxyID(group)
+			if proxied%p.ProxySize == 0 { // a new group: its label, once
+				proxy = ProxyID(proxied / p.ProxySize)
+			}
+			users[i] = proxy
 			proxied++
 		} else {
 			users[i] = AgentID(i)
@@ -362,31 +378,36 @@ func (r *Result) mergeSharedUsers() {
 	r.Referrers = r.Referrers[:0]
 	for _, u := range order {
 		m := byUser[u]
-		entries, refs := mergeByTime(m.entries, m.refs)
+		entries, refs := new(timeMerge).merge(m.entries, m.refs)
 		r.Streams = append(r.Streams, session.Stream{User: u, Entries: entries})
 		r.Referrers = append(r.Referrers, refs)
 	}
 }
 
-// mergeByTime merges the streams (and referrer rows) of one shared label,
-// concatenated in agent order: it returns them sorted together by time,
+// timeMerge merges the streams (and referrer rows) of one shared label,
+// concatenated in agent order: merge returns them sorted together by time,
 // stable so that per-agent order survives ties. Run and Each both merge
-// through it.
-func mergeByTime(entries []session.Entry, refs []webgraph.PageID) ([]session.Entry, []webgraph.PageID) {
-	idx := make([]int, len(entries))
-	for i := range idx {
-		idx[i] = i
+// through it; the result lives in the timeMerge's own buffers, valid until
+// its next merge, so Each merges every group into the same storage.
+type timeMerge struct {
+	idx     []int
+	entries []session.Entry
+	refs    []webgraph.PageID
+}
+
+func (m *timeMerge) merge(entries []session.Entry, refs []webgraph.PageID) ([]session.Entry, []webgraph.PageID) {
+	m.idx = slices.Grow(m.idx[:0], len(entries))
+	for i := range entries {
+		m.idx = append(m.idx, i)
 	}
-	sort.SliceStable(idx, func(a, b int) bool {
-		return entries[idx[a]].Time.Before(entries[idx[b]].Time)
-	})
-	sortedEntries := make([]session.Entry, len(idx))
-	sortedRefs := make([]webgraph.PageID, len(idx))
-	for i, j := range idx {
-		sortedEntries[i] = entries[j]
-		sortedRefs[i] = refs[j]
+	slices.SortStableFunc(m.idx, func(a, b int) int { return entries[a].Time.Compare(entries[b].Time) })
+	m.entries = slices.Grow(m.entries[:0], len(entries))
+	m.refs = slices.Grow(m.refs[:0], len(entries))
+	for _, j := range m.idx {
+		m.entries = append(m.entries, entries[j])
+		m.refs = append(m.refs, refs[j])
 	}
-	return sortedEntries, sortedRefs
+	return m.entries, m.refs
 }
 
 // ProxyID formats the synthetic shared IP of proxy group g.
