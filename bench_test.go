@@ -62,8 +62,8 @@ func BenchmarkTable1TimeHeuristics(b *testing.B) {
 	b.ReportAllocs()
 	var n1, n2 int
 	for i := 0; i < b.N; i++ {
-		n1 = len(h1.Reconstruct(st))
-		n2 = len(h2.Reconstruct(st))
+		n1 = len(heuristics.ReconstructAll(h1, []session.Stream{st}))
+		n2 = len(heuristics.ReconstructAll(h2, []session.Stream{st}))
 	}
 	b.ReportMetric(float64(n1), "heur1-sessions")
 	b.ReportMetric(float64(n2), "heur2-sessions")
@@ -78,7 +78,7 @@ func BenchmarkTable2Navigation(b *testing.B) {
 	b.ReportAllocs()
 	var length int
 	for i := 0; i < b.N; i++ {
-		out := h.Reconstruct(st)
+		out := heuristics.ReconstructAll(h, []session.Stream{st})
 		length = out[0].Len()
 	}
 	b.ReportMetric(float64(length), "session-length") // Table 2: 8 entries
@@ -93,7 +93,7 @@ func BenchmarkTable4SmartSRA(b *testing.B) {
 	b.ReportAllocs()
 	var sessions int
 	for i := 0; i < b.N; i++ {
-		sessions = len(h.Reconstruct(st))
+		sessions = len(heuristics.ReconstructAll(h, []session.Stream{st}))
 	}
 	b.ReportMetric(float64(sessions), "maximal-sessions") // Table 4: 3
 }
@@ -111,7 +111,7 @@ func benchSweep(b *testing.B, exp eval.Experiment) {
 	b.Helper()
 	var last *eval.SweepResult
 	for i := 0; i < b.N; i++ {
-		res, err := exp.Run()
+		res, err := exp.RunWith(eval.RunOptions{Workers: 1})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -255,8 +255,12 @@ func BenchmarkAblationNavigationTimeLimit(b *testing.B) {
 // BenchmarkAblationStayModel checks robustness to the dwell-time shape:
 // Table 5's normal distribution vs a heavy-tailed lognormal.
 func BenchmarkAblationStayModel(b *testing.B) {
-	for _, model := range []simulator.StayModel{simulator.StayNormal, simulator.StayLognormal} {
-		b.Run(model.String(), func(b *testing.B) {
+	for _, m := range []struct {
+		name  string
+		model simulator.StayModel
+	}{{"normal", simulator.StayNormal}, {"lognormal", simulator.StayLognormal}} {
+		model := m.model
+		b.Run(m.name, func(b *testing.B) {
 			params := simulator.PaperParams()
 			params.Agents = 250
 			params.Stay = model
@@ -418,7 +422,7 @@ func crawlerCandidate(tb testing.TB) (*webgraph.Graph, session.Stream) {
 // the sweep, so the filter does not run on it.
 func TestSmartSRACrawlerCandidatePinned(t *testing.T) {
 	g, st := crawlerCandidate(t)
-	out := heuristics.NewSmartSRA(g).Reconstruct(st)
+	out := heuristics.ReconstructAll(heuristics.NewSmartSRA(g), []session.Stream{st})
 	entries := 0
 	for _, s := range out {
 		entries += len(s.Entries)
@@ -443,7 +447,7 @@ func BenchmarkSmartSRACrawlerCandidate(b *testing.B) {
 	b.ReportAllocs()
 	var sessions, entries int
 	for i := 0; i < b.N; i++ {
-		out := h.Reconstruct(st)
+		out := heuristics.ReconstructAll(h, []session.Stream{st})
 		sessions, entries = len(out), 0
 		for _, s := range out {
 			entries += len(s.Entries)

@@ -19,10 +19,21 @@ import (
 // EVALUATE_CHILD=1 it runs main on its arguments.
 func TestMain(m *testing.M) {
 	if os.Getenv("EVALUATE_CHILD") == "1" {
+		coverChild()
 		main()
 		os.Exit(0)
 	}
 	os.Exit(m.Run())
+}
+
+// coverChild sends a child's coverage to CHILD_GOCOVERDIR when it is set, so
+// the root package's TestEveryFunctionIsRun counts what the child ran:
+// go test gives the test binary a GOCOVERDIR of its own, which a child would
+// otherwise inherit.
+func coverChild() {
+	if dir := os.Getenv("CHILD_GOCOVERDIR"); dir != "" {
+		os.Setenv("GOCOVERDIR", dir)
+	}
 }
 
 // evaluate runs this package's main on args, on four Ps whatever the box
@@ -224,5 +235,30 @@ func TestReportFlags(t *testing.T) {
 				t.Errorf("-csv row %d cell %d: %s, the table prints %s", i, j, cell, table[i][j])
 			}
 		}
+	}
+}
+
+// TestFigure8Sweep: -experiment stp sweeps Figure 8's STP values, 1 % to
+// 20 %, one table row each in order, and closes with the shape line.
+func TestFigure8Sweep(t *testing.T) {
+	out, _ := evaluate(t, "-experiment", "stp", "-agents", "300")
+	if !strings.HasPrefix(out, "figure8 — Real accuracy vs STP") {
+		t.Fatalf("no figure8 title in\n%s", out)
+	}
+	var stps []int
+	for _, line := range strings.Split(out, "\n") {
+		if f := strings.Fields(line); len(f) == 10 {
+			if stp, err := strconv.Atoi(f[0]); err == nil {
+				stps = append(stps, stp)
+			}
+		}
+	}
+	for i, stp := range stps {
+		if stp != i+1 {
+			t.Fatalf("rows for STP %v%%, want 1 to 20 in order:\n%s", stps, out)
+		}
+	}
+	if len(stps) != 20 || !strings.Contains(out, "\nshape: ") {
+		t.Errorf("%d rows and no shape line, want 20 and one:\n%s", len(stps), out)
 	}
 }

@@ -13,6 +13,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"regexp"
 	"runtime"
 	"strings"
 	"sync"
@@ -363,6 +364,13 @@ func TestCheckpointSaveLeavesLogLockFree(t *testing.T) {
 	if metrics.Code != http.StatusOK || !strings.Contains(metrics.Body.String(), "serve.requests") {
 		fail("/debug/metrics during a save: status %d", metrics.Code)
 	}
+	// A Prometheus scrape asks for the text exposition format.
+	prom := httptest.NewRecorder()
+	h.ServeHTTP(prom, httptest.NewRequest("GET", "/debug/metrics?format=prometheus", nil))
+	if ct := prom.Header().Get("Content-Type"); prom.Code != http.StatusOK || !strings.HasPrefix(ct, "text/plain; version=0.0.4") ||
+		!regexp.MustCompile(`(?m)^serve_requests [0-9]+$`).MatchString(prom.Body.String()) {
+		fail("/debug/metrics?format=prometheus: status %d, Content-Type %q, want a serve_requests sample:\n%s", prom.Code, ct, prom.Body)
+	}
 	lines := bytes.Count(f.readFile(f.opts.logPath), []byte("\n"))
 	served := make(chan *httptest.ResponseRecorder, 1)
 	go func() { served <- page(h, "10.0.0.2", 2) }()
@@ -391,6 +399,57 @@ func TestCheckpointSaveLeavesLogLockFree(t *testing.T) {
 	}
 	if !users["10.0.0.1"] || !users["10.0.0.2"] {
 		t.Fatalf("session file has users %v, want both 10.0.0.1 and the one served during the save", users)
+	}
+}
+
+// TestAdmissionOnTheLivePath: with -ip-rate, -ip-burst and -max-inflight
+// the handler turns a client over its budget away with 429 and a request
+// over the in-flight cap with 503, each with a Retry-After of 1 to 3
+// seconds, and logs neither; under address churn the per-client bucket table
+// stays at its 65,536-client bound by evicting idle clients.
+func TestAdmissionOnTheLivePath(t *testing.T) {
+	f := newLiveFixture(t, func(o *options) {
+		o.ipRate, o.ipBurst, o.maxInflight, o.trustFwd = 0.001, 2, 1, true
+	})
+	h := f.s.handler(f.opts)
+	refused := func(w *httptest.ResponseRecorder, code int) {
+		t.Helper()
+		if ra := w.Header().Get("Retry-After"); w.Code != code || ra < "1" || ra > "3" || len(ra) != 1 {
+			t.Fatalf("status %d, Retry-After %q; want %d and 1 to 3 s", w.Code, ra, code)
+		}
+	}
+	for i := 0; i < 2; i++ {
+		if w := page(h, "10.7.0.1", i); w.Code != http.StatusOK {
+			t.Fatalf("request %d within the burst: status %d", i, w.Code)
+		}
+	}
+	refused(page(h, "10.7.0.1", 2), http.StatusTooManyRequests)
+
+	// A request waiting on the log lock is in flight; the next ones are over
+	// the cap, each from a client of its own until the table is full.
+	f.s.logMu.Lock()
+	inflight := metrics.GetGauge("serve.admission.inflight")
+	held := make(chan *httptest.ResponseRecorder)
+	go func() { held <- page(h, "10.7.0.2", 3) }()
+	f.spin("a request in flight", func() bool { return inflight.Value() == 1 })
+	refused(page(h, "10.7.0.3", 4), http.StatusServiceUnavailable)
+	tracked, evicted := metrics.GetGauge("serve.admission.tracked_ips"), metrics.GetCounter("serve.admission.evicted_ips")
+	before := evicted.Value()
+	churn := httptest.NewRequest("GET", "/", nil)
+	for i := 0; tracked.Value() < 65536; i++ {
+		churn.Header.Set("X-Forwarded-For", fmt.Sprintf("10.8.%d.%d", i>>8, i&255))
+		h.ServeHTTP(httptest.NewRecorder(), churn)
+	}
+	page(h, "10.9.0.1", 0)
+	if tracked.Value() > 65536 || evicted.Value() == before {
+		t.Errorf("%d clients tracked and %d evicted past the bound", tracked.Value(), evicted.Value()-before)
+	}
+	f.s.logMu.Unlock()
+	if w := <-held; w.Code != http.StatusOK {
+		t.Fatalf("the request in flight: status %d", w.Code)
+	}
+	if lines := bytes.Count(f.readFile(f.opts.logPath), []byte("\n")); lines != 3 {
+		t.Fatalf("the access log has %d lines, want the 3 admitted requests", lines)
 	}
 }
 
@@ -723,7 +782,7 @@ func checkpointFile(version byte, payload []byte) []byte {
 // `sessionize -cuts` replay of the log — rebuilt from byte 0, as the
 // scribbled-over head of the old session file shows.
 func TestVersion1CheckpointFallsBackToFullReplay(t *testing.T) {
-	fallsBackToFullReplay(t, 1, func([]byte) []byte {
+	fallsBackToFullReplay(t, "format version 1", func([]byte) []byte {
 		return checkpointFile(1, []byte("a gob stream, intact under its CRC"))
 	})
 }
@@ -733,16 +792,25 @@ func TestVersion1CheckpointFallsBackToFullReplay(t *testing.T) {
 // re-framed the way that build wrote it, with an empty drop-span list at the
 // end of the payload.
 func TestVersion2CheckpointFallsBackToFullReplay(t *testing.T) {
-	fallsBackToFullReplay(t, 2, func(current []byte) []byte {
+	fallsBackToFullReplay(t, "format version 2", func(current []byte) []byte {
 		return checkpointFile(2, append(bytes.Clone(current[20:]), 0))
+	})
+}
+
+// TestUndecodableCheckpointFallsBackToFullReplay: so is a checkpoint of this
+// format version whose CRC holds but whose payload does not decode: this
+// run's own checkpoint with a byte after its payload.
+func TestUndecodableCheckpointFallsBackToFullReplay(t *testing.T) {
+	fallsBackToFullReplay(t, "1 trailing bytes", func(current []byte) []byte {
+		return checkpointFile(current[7], append(bytes.Clone(current[20:]), 0))
 	})
 }
 
 // fallsBackToFullReplay runs serve, replaces its checkpoint with old(the
 // checkpoint it wrote), scribbles over the session file's head, and requires
-// the next run to refuse the checkpoint for its format version and rebuild
-// the session file as the cut-replay of the log.
-func fallsBackToFullReplay(t *testing.T, version int, old func(current []byte) []byte) {
+// the next run to refuse the checkpoint, saying why, and rebuild the session
+// file as the cut-replay of the log.
+func fallsBackToFullReplay(t *testing.T, why string, old func(current []byte) []byte) {
 	first := newLiveFixture(t, withCheckpoint)
 	first.start()
 	for i := 0; i < 12; i++ {
@@ -775,8 +843,8 @@ func fallsBackToFullReplay(t *testing.T, version int, old func(current []byte) [
 			o.logPath, o.sessPath, o.ckptPath = first.opts.logPath, first.opts.sessPath, first.opts.ckptPath
 		})
 	})
-	if want := fmt.Sprintf("format version %d", version); !strings.Contains(stderr, want) {
-		t.Fatalf("recovery's stderr does not say %q:\n%s", want, stderr)
+	if !strings.Contains(stderr, why) {
+		t.Fatalf("recovery's stderr does not say %q:\n%s", why, stderr)
 	}
 	second.start()
 	for i := 0; i < 4; i++ {

@@ -33,16 +33,28 @@ import (
 func TestMain(m *testing.M) {
 	switch {
 	case os.Getenv("SERVE_SOAK_CHILD") == "1":
+		coverChild()
 		if err := soakChild(); err != nil {
 			fmt.Fprintln(os.Stderr, "soak child:", err)
 			os.Exit(1)
 		}
 		os.Exit(0)
 	case os.Getenv("SERVE_CHILD") == "1":
+		coverChild()
 		main()
 		os.Exit(0)
 	}
 	os.Exit(m.Run())
+}
+
+// coverChild sends a child's coverage to CHILD_GOCOVERDIR when it is set, so
+// the root package's TestEveryFunctionIsRun counts what the child ran:
+// go test gives the test binary a GOCOVERDIR of its own, which a child would
+// otherwise inherit.
+func coverChild() {
+	if dir := os.Getenv("CHILD_GOCOVERDIR"); dir != "" {
+		os.Setenv("GOCOVERDIR", dir)
+	}
 }
 
 func soakChild() error {

@@ -197,9 +197,7 @@ func run(o options) error {
 	if err := writeSessions(o, res.Sessions); err != nil {
 		return err
 	}
-	if d, ok := h.(heuristics.Describer); ok {
-		fmt.Fprintf(os.Stderr, "heuristic: %s — %s\n", h.Name(), d.Describe())
-	}
+	fmt.Fprintf(os.Stderr, "heuristic: %s — %s\n", h.Name(), h.Describe())
 	fmt.Fprintf(os.Stderr, "pipeline:  %s\n", res.Stats)
 	return nil
 }
@@ -264,9 +262,7 @@ func runStream(cfg core.Config, o options, paths []string) (err error) {
 			fmt.Fprintln(os.Stderr, "sessionize: final checkpoint:", err)
 		}
 	}
-	if d, ok := cfg.Heuristic.(heuristics.Describer); ok {
-		fmt.Fprintf(os.Stderr, "heuristic: %s — %s\n", cfg.Heuristic.Name(), d.Describe())
-	}
+	fmt.Fprintf(os.Stderr, "heuristic: %s — %s\n", cfg.Heuristic.Name(), cfg.Heuristic.Describe())
 	fmt.Fprintf(os.Stderr, "pipeline:  %s (streaming)\n", st.Stats())
 	return nil
 }
@@ -280,7 +276,10 @@ func output(o options) (*checkpoint.Sink, error) {
 	case o.ckptPath != "":
 		return checkpoint.OpenSink(o.sessPath)
 	}
-	f, err := os.Create(o.sessPath)
+	// Write-only, unlike os.Create: opened read-write, a pipe such as
+	// /dev/stdout has this process as a reader too, and a write after the
+	// real reader left blocks forever instead of failing with EPIPE.
+	f, err := os.OpenFile(o.sessPath, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 	return &checkpoint.Sink{F: f, W: f}, err
 }
 

@@ -9,6 +9,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -21,10 +22,21 @@ import (
 // too, so every batch a sink was lent is overwritten after the sink returns.
 func TestMain(m *testing.M) {
 	if os.Getenv("SESSIONIZE_CHILD") == "1" {
+		coverChild()
 		main()
 		os.Exit(0)
 	}
 	os.Exit(m.Run())
+}
+
+// coverChild sends a child's coverage to CHILD_GOCOVERDIR when it is set, so
+// the root package's TestEveryFunctionIsRun counts what the child ran:
+// go test gives the test binary a GOCOVERDIR of its own, which a child would
+// otherwise inherit.
+func coverChild() {
+	if dir := os.Getenv("CHILD_GOCOVERDIR"); dir != "" {
+		os.Setenv("GOCOVERDIR", dir)
+	}
 }
 
 // sessionize prepares a child running this package's main on args, on two Ps
@@ -239,6 +251,113 @@ func TestCheckpointedRerunAppendsNothing(t *testing.T) {
 	}
 	if !bytes.Equal(again, want) {
 		t.Errorf("rerun: %d bytes in the session file, want the %d -stream writes", len(again), len(want))
+	}
+}
+
+// TestSessionsToAPipeEndWithItsReader: -sessions /dev/stdout with stdout a
+// pipe whose reader leaves after the first line ends the run, batch and
+// -stream alike, once a write fails with EPIPE. Opened read-write, the file
+// made the process a reader of its own pipe, so no write ever failed and the
+// run blocked for good once the pipe was full.
+func TestSessionsToAPipeEndWithItsReader(t *testing.T) {
+	if runtime.GOOS != "linux" {
+		t.Skip("opening /dev/stdout reopens the pipe itself on Linux only")
+	}
+	dir := t.TempDir()
+	topo := figure1(t, dir)
+	// 3,000 users' walks: sessions enough to fill a pipe several times over.
+	walk := []string{"/P1.html", "/P13.html", "/P34.html", "/P1.html", "/P20.html", "/P23.html"}
+	base := time.Date(2006, 1, 2, 8, 0, 0, 0, time.UTC)
+	var log strings.Builder
+	for step, page := range walk {
+		for u := 0; u < 3000; u++ {
+			log.WriteString(logLine(fmt.Sprintf("10.3.%d.%d", u>>8, u&255), base.Add(time.Duration(step)*time.Minute), page))
+		}
+	}
+	logPath := filepath.Join(dir, "access.log")
+	if err := os.WriteFile(logPath, []byte(log.String()), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, mode := range [][]string{nil, {"-stream"}} {
+		cmd, stderr := sessionize(append([]string{"-topology", topo, "-log", logPath, "-sessions", "/dev/stdout"}, mode...)...)
+		pr, pw, err := os.Pipe()
+		if err != nil {
+			t.Fatal(err)
+		}
+		cmd.Stdout = pw
+		if err := cmd.Start(); err != nil {
+			t.Fatal(err)
+		}
+		pw.Close()
+		if _, err := bufio.NewReader(pr).ReadString('\n'); err != nil {
+			t.Fatalf("%v: no first session line: %v; stderr:\n%s", mode, err, stderr)
+		}
+		pr.Close()
+		done := make(chan error, 1)
+		go func() { done <- cmd.Wait() }()
+		select {
+		case <-done:
+		case <-time.After(10 * time.Second):
+			cmd.Process.Kill()
+			<-done
+			t.Fatalf("%v: still running 10 s after the pipe's reader left", mode)
+		}
+	}
+}
+
+// TestHeuristicLine: each heuristic -heuristic names reconstructs the log
+// and says which it is, with its thresholds, on stderr, batch and -stream.
+func TestHeuristicLine(t *testing.T) {
+	dir := t.TempDir()
+	figure1(t, dir)
+	logPath := filepath.Join(dir, "access.log")
+	if err := os.WriteFile(logPath, []byte(walkLog()), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for heur, line := range map[string]string{
+		"heur1": "heuristic: heur1 — time-oriented (total session duration ≤ 30m0s)\n",
+		"heur2": "heuristic: heur2 — time-oriented (page-stay time ≤ 10m0s)\n",
+		"heur3": "heuristic: heur3 — navigation-oriented with backward path completion\n",
+		"heur4": "heuristic: heur4 — Smart-SRA (δ=30m0s, ρ=10m0s)\n",
+	} {
+		for _, mode := range []string{"batch", "stream"} {
+			args := []string{"-heuristic", heur, "-log", logPath}
+			if mode == "stream" {
+				args = append(args, "-stream")
+			}
+			sessions, stderr := writeTo(t, dir, heur+"-"+mode, nil, args...)
+			if !strings.Contains(stderr, line) || len(sessions) == 0 {
+				t.Errorf("%s, %s: %d bytes of sessions, stderr:\n%s\nwant the line %q", heur, mode, len(sessions), stderr, line)
+			}
+		}
+	}
+}
+
+// TestLogZonesAndMalformedStatus: a log whose lines carry different UTC
+// offsets (a server that moved zone, a daylight-saving change) orders one
+// user's requests by instant, so three pages a minute apart written at
+// +0000, +0530 and -0700 are one session; a line whose status is not a
+// number is malformed, batch and -stream alike. Three offsets make at least
+// two of them not the box's own, whatever its zone.
+func TestLogZonesAndMalformedStatus(t *testing.T) {
+	dir := t.TempDir()
+	figure1(t, dir)
+	_, ids := webgraph.PaperFigure1()
+	log := `10.9.0.1 - - [02/Jan/2006:08:00:00 +0000] "GET /P1.html HTTP/1.1" 200 100
+10.9.0.1 - - [02/Jan/2006:13:31:00 +0530] "GET /P13.html HTTP/1.1" 200 100
+10.9.0.1 - - [02/Jan/2006:01:02:00 -0700] "GET /P34.html HTTP/1.1" 200 100
+10.9.0.1 - - [02/Jan/2006:08:03:00 +0000] "GET /P1.html HTTP/1.1" 2x0 100
+`
+	logPath := filepath.Join(dir, "access.log")
+	if err := os.WriteFile(logPath, []byte(log), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	want := fmt.Sprintf("10.9.0.1:[%d %d %d]\n", ids["P1"], ids["P13"], ids["P34"])
+	for _, mode := range [][]string{nil, {"-stream"}} {
+		sessions, stderr := writeTo(t, dir, fmt.Sprint(len(mode)), nil, append([]string{"-log", logPath}, mode...)...)
+		if string(sessions) != want || !strings.Contains(stderr, "records=3 malformed=1 ") {
+			t.Errorf("%v: sessions %q, want %q; stderr:\n%s", mode, sessions, want, stderr)
+		}
 	}
 }
 

@@ -25,12 +25,18 @@ import (
 // workflowTools are the commands TestCLIWorkflow runs.
 var workflowTools = []string{"simgen", "sessionize", "score", "wumine", "evaluate"}
 
-// buildTools compiles workflowTools into dir and returns a runner.
-func buildTools(t *testing.T, dir string) func(tool string, args ...string) (string, string) {
+// buildTools compiles workflowTools into dir and returns a runner. With a
+// coverDir the tools are built with -cover over the whole module and write
+// their coverage there; a -cover tool run without GOCOVERDIR warns on stderr,
+// so the other tests build plain ones.
+func buildTools(t *testing.T, dir, coverDir string) func(tool string, args ...string) (string, string) {
 	t.Helper()
 	for _, tool := range workflowTools {
-		bin := filepath.Join(dir, tool)
-		cmd := exec.Command("go", "build", "-o", bin, "./cmd/"+tool)
+		args := []string{"build", "-o", filepath.Join(dir, tool)}
+		if coverDir != "" {
+			args = append(args, "-cover", "-coverpkg=smartsra/...")
+		}
+		cmd := exec.Command("go", append(args, "./cmd/"+tool)...)
 		cmd.Env = os.Environ()
 		if out, err := cmd.CombinedOutput(); err != nil {
 			t.Fatalf("build %s: %v\n%s", tool, err, out)
@@ -39,6 +45,9 @@ func buildTools(t *testing.T, dir string) func(tool string, args ...string) (str
 	return func(tool string, args ...string) (stdout, stderr string) {
 		t.Helper()
 		cmd := exec.Command(filepath.Join(dir, tool), args...)
+		if coverDir != "" {
+			cmd.Env = append(os.Environ(), "GOCOVERDIR="+coverDir)
+		}
 		var so, se strings.Builder
 		cmd.Stdout, cmd.Stderr = &so, &se
 		if err := cmd.Run(); err != nil {
@@ -54,7 +63,11 @@ func TestCLIWorkflow(t *testing.T) {
 		t.Skip("builds binaries")
 	}
 	dir := t.TempDir()
-	run := buildTools(t, dir)
+	workflow(t, dir, buildTools(t, dir, ""))
+}
+
+// workflow runs the documented workflow's command lines in dir.
+func workflow(t *testing.T, dir string, run func(tool string, args ...string) (string, string)) {
 	site := filepath.Join(dir, "site")
 
 	// simgen: topology + log + ground truth.
@@ -168,10 +181,11 @@ association rules (16 total, min confidence 0.50):
 	}
 
 	// simgen's knobs: with no link-from-previous or new-initial page, a
-	// fourfold termination probability and a third of the links, the run
-	// navigates less over a sparser topology.
+	// fourfold termination probability and a fifth of the links, the run
+	// navigates less over a sparser topology, one so sparse that the
+	// generator must link pages no start page reaches.
 	sparse, _ := run("simgen", "-out", filepath.Join(dir, "sparse"), "-agents", "300", "-seed", "11", "-pages", "120",
-		"-lpp", "0", "-nip", "0", "-stp", "0.2", "-outdeg", "5")
+		"-lpp", "0", "-nip", "0", "-stp", "0.2", "-outdeg", "3")
 	if !strings.Contains(sparse, " nip=0 lpp=0\n") {
 		t.Errorf("simgen -lpp 0 -nip 0: run line in\n%s", sparse)
 	}
@@ -179,7 +193,7 @@ association rules (16 total, min confidence 0.50):
 		t.Errorf("simgen -stp 0.2 navigates %d times, the defaults %d", got, paper)
 	}
 	if got, paper := count(t, sparse, "edges: "), count(t, out, "edges: "); got >= paper {
-		t.Errorf("simgen -outdeg 5 links %d times, the default 15 %d", got, paper)
+		t.Errorf("simgen -outdeg 3 links %d times, the default 15 %d", got, paper)
 	}
 
 	// evaluate: a miniature sweep and the replicated defaults.
@@ -541,4 +555,160 @@ func flagArg(s string) (string, bool) {
 		return "", false
 	}
 	return "-" + name, true
+}
+
+// The reasons a function may run in no command. unreached admits no other.
+const (
+	forBench     = "bench/ calls it, and bench/ is frozen until ROADMAP item 2 deletes it"
+	forReference = "another package's tests use it as their independent reference (aim 3)"
+	forInterface = "an interface requires it"
+	forCI        = "only a named CI step reaches it"
+	forProxies   = "the simulator's proxy path: no command sets Params.ProxyFraction until ROADMAP items 2 and 13"
+)
+
+// TestEveryFunctionIsRun fails when a non-test function outside
+// internal/faultio runs in none of the command lines the tests start: the
+// workflow above on tools built with -cover, and the cmd/* tests, in-process
+// and in their re-executed children, on test binaries built with -cover. A
+// function counts as run when any of its statements ran. unreached names
+// the exceptions, "file Func" or "file Type.Method", or a file when nothing
+// in it runs, each with one of the reasons above. Run it alone with
+// go test -run TestEveryFunctionIsRun -v . to see the counts.
+func TestEveryFunctionIsRun(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and tests every command with coverage")
+	}
+	unreached := map[string]string{
+		"internal/clf/bytes.go ParseAnyRecordBytes": forBench,
+		"internal/clf/input.go OpenDecoded":         forBench,
+		"internal/clf/input.go stackedCloser.Close": forBench,
+		"internal/clf/line.go":                      forBench, // lineScanner, under Scanner
+		"internal/clf/scanner.go NewScanner":        forBench,
+		"internal/clf/scanner.go Scanner.Scan":      forBench,
+		"internal/clf/scanner.go Scanner.Record":    forBench,
+		"internal/clf/scanner.go Scanner.Err":       forBench,
+		"internal/clf/scanner.go Scanner.Malformed": forBench,
+		"internal/clf/scanner.go Scanner.LinesRead": forBench,
+		"internal/clf/scanner.go isBlank":           forBench,
+		"internal/core/shardedtail.go":              forBench,
+		"internal/core/tail.go Tail.Push":           forBench,
+		"internal/core/tail.go Tail.PushBatch":      forBench,
+		"internal/core/tail.go Tail.Flush":          forBench,
+		"internal/core/tail.go Tail.Buffered":       forBench,
+		"internal/core/tail.go Tail.ActiveUsers":    forBench,
+		"internal/core/stream.go DiscardSessions":   forBench,
+		"internal/checkpoint/checkpoint.go Save":    forBench,
+		"internal/simulator/crawler.go":             forBench, // CrawlerRecords
+
+		"internal/clf/scanner.go ReadAll":                                forReference, // the streaming tests' reader
+		"internal/session/capture.go Captures":                           forReference, // eval's capture index
+		"internal/session/capture.go MaximalOnly":                        forReference, // Phase 2's maximality
+		"internal/session/session.go Session.Duration":                   forReference, // under Valid
+		"internal/session/session.go Session.SatisfiesTimestampOrdering": forReference,
+		"internal/session/session.go Session.SatisfiesTopology":          forReference,
+		"internal/session/session.go Session.WithinTotalDuration":        forReference,
+		"internal/session/session.go Session.Valid":                      forReference,
+		"internal/webgraph/builder.go Builder.MustBuild":                 forReference,
+
+		"internal/clf/record.go ParseError.Error":                    forInterface, // error
+		"internal/clf/record.go truncate":                            forInterface, // under ParseError.Error
+		"internal/webserver/webserver.go countingWriter.WriteHeader": forInterface, // http.ResponseWriter
+		"internal/checkpoint/fs.go osFS.Remove":                      forInterface, // checkpoint.FS
+
+		"cmd/loadgen/main.go main":     forCI, // load smoke and chaos soak
+		"cmd/loadgen/main.go caughtUp": forCI, // chaos soak: loadgen -chaos
+		"internal/loadgen/chaos.go":    forCI, // chaos soak: loadgen -chaos
+
+		"internal/simulator/run.go timeMerge.merge": forProxies,
+		"internal/simulator/run.go ProxyID":         forProxies,
+	}
+	dir := t.TempDir()
+	cover := filepath.Join(dir, "cover")
+	if err := os.Mkdir(cover, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	workflow(t, dir, buildTools(t, dir, cover))
+	goTool(t, []string{"CHILD_GOCOVERDIR=" + cover},
+		"test", "-count=1", "-cover", "-coverpkg=smartsra/...", "./cmd/...", "-args", "-test.gocoverdir="+cover)
+	// go tool covdata func merges the data and prints one line per function,
+	// "smartsra/<file>:<line>:\t<Func>\t<pct>%", a method as *Type.Method or
+	// Type.Method.
+	ran := map[string]bool{}       // "file Func" → any statement ran
+	files := map[string][]string{} // file → its "file Func" keys
+	lines := map[string]string{}
+	for _, line := range strings.Split(goTool(t, nil, "tool", "covdata", "func", "-i="+cover), "\n") {
+		f := strings.Fields(line)
+		if len(f) != 3 || f[0] == "total" {
+			continue
+		}
+		loc, ok := strings.CutPrefix(strings.TrimSuffix(f[0], ":"), "smartsra/")
+		if !ok {
+			t.Fatalf("covdata func line %q", line)
+		}
+		file, at, _ := strings.Cut(loc, ":")
+		if strings.HasPrefix(file, "internal/faultio/") {
+			continue
+		}
+		key := file + " " + strings.TrimPrefix(f[1], "*")
+		ran[key] = f[2] != "0.0%"
+		files[file] = append(files[file], key)
+		lines[key] = at
+	}
+	if len(ran) == 0 {
+		t.Fatal("no function in the coverage profile")
+	}
+	exempt := func(key string) (string, bool) {
+		if reason, ok := unreached[key]; ok {
+			return reason, true
+		}
+		file, _, _ := strings.Cut(key, " ")
+		reason, ok := unreached[file]
+		return reason, ok
+	}
+	keys := make([]string, 0, len(ran))
+	for key := range ran {
+		keys = append(keys, key)
+	}
+	sort.Strings(keys)
+	counts := map[string]int{}
+	for _, key := range keys {
+		reason, ok := exempt(key)
+		file, name, _ := strings.Cut(key, " ")
+		switch {
+		case !ran[key] && !ok:
+			t.Errorf("%s:%s %s: no command runs it; run it from a test's command line, move it into the _test.go files of the one package whose tests use it, or delete it",
+				file, lines[key], name)
+		case ran[key] && ok:
+			t.Errorf("%s:%s %s: a command runs it now; drop its unreached entry (%q)", file, lines[key], name, reason)
+		case ok:
+			counts[reason]++
+		}
+	}
+	reasons := []string{forBench, forReference, forInterface, forCI, forProxies}
+	for entry, reason := range unreached {
+		_, named := ran[entry]
+		if !named && files[entry] == nil {
+			t.Errorf("%s: no such non-test function or file; drop its unreached entry", entry)
+		}
+		if !slices.Contains(reasons, reason) {
+			t.Errorf("%s: %q is not one of the reasons a function may run in no command", entry, reason)
+		}
+	}
+	t.Logf("%d non-test functions, %d run in no command", len(ran), counts[forBench]+counts[forReference]+counts[forInterface]+counts[forCI]+counts[forProxies])
+	for _, reason := range reasons {
+		t.Logf("%3d exempt: %s", counts[reason], reason)
+	}
+}
+
+// goTool runs the go command with args and extra environment, and returns its
+// output.
+func goTool(t *testing.T, env []string, args ...string) string {
+	t.Helper()
+	cmd := exec.Command("go", args...)
+	cmd.Env = append(os.Environ(), env...)
+	out, err := cmd.CombinedOutput()
+	if err != nil {
+		t.Fatalf("go %v: %v\n%s", args, err, out)
+	}
+	return string(out)
 }

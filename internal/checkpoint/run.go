@@ -270,9 +270,12 @@ type Sink struct {
 }
 
 // OpenSink opens the session file at path, created if missing, at its end:
-// the output Recover cuts back to a checkpoint's SinkOffset.
+// the output Recover cuts back to a checkpoint's SinkOffset. It is opened
+// write-only: a read-write open of a pipe such as /dev/stdout makes the
+// process a reader of its own pipe, so a write once the real reader is gone
+// blocks instead of failing with EPIPE.
 func OpenSink(path string) (*Sink, error) {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644) // not append-only: reset truncates and seeks
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY, 0o644) // not append-only: reset truncates and seeks
 	if err != nil {
 		return nil, err
 	}

@@ -21,10 +21,6 @@ const NoField = "-"
 // HasReferer reports whether the record carries a usable referer.
 func (r Record) HasReferer() bool { return r.Referer != "" && r.Referer != NoField }
 
-// CombinedString renders the record as a combined-format line. Empty
-// referer/user-agent render as "-".
-func (r Record) CombinedString() string { return string(r.appendCombinedTo(nil)) }
-
 // appendCombinedTo appends the record's combined-format line (without
 // trailing newline) to dst: the common-format line, rendered once, and the
 // two quoted fields.

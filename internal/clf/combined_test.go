@@ -9,6 +9,10 @@ import (
 
 var combinedLine = sampleLine + ` "/p/3.html" "Mozilla/5.0 (X11; Linux)"`
 
+// CombinedString renders the record as a combined-format line. Empty
+// referer/user-agent render as "-".
+func (r Record) CombinedString() string { return string(r.appendCombinedTo(nil)) }
+
 func TestParseCombinedRecord(t *testing.T) {
 	r, err := ParseCombinedRecord(combinedLine)
 	if err != nil {

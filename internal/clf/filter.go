@@ -11,19 +11,6 @@ import "strings"
 // methods, and crawler traffic are dropped before user identification.
 type Filter func(Record) bool
 
-// SuccessOnly keeps records with 2xx status codes.
-func SuccessOnly(r Record) bool { return r.Success() }
-
-// MethodGET keeps only GET requests (the paper restricts to page fetches).
-func MethodGET(r Record) bool { return r.Method == "GET" }
-
-// DropResources drops requests for embedded resources (images, scripts,
-// styles, media, archives) using the conventional suffix list. Query strings
-// and fragments are stripped before matching.
-func DropResources(r Record) bool {
-	return !isResourcePath(stripQuery(r.URI))
-}
-
 // isResourcePath reports whether path (query already stripped) ends in one
 // of the resource suffixes its switch lists. It runs on every ingested
 // record, so instead of lowering the path and probing each suffix it
@@ -69,64 +56,23 @@ func isResourcePath(path string) bool {
 // must cover the longest suffix in its switch (".woff2").
 const longestResourceSuffix = 6
 
-// DropRobots drops requests for /robots.txt (a crawler signature; CLF lacks
-// a user-agent field, so the path is the only available signal).
-func DropRobots(r Record) bool {
-	return !isRobotsPath(stripQuery(r.URI))
-}
-
 // isRobotsPath reports whether path (query already stripped) is /robots.txt
 // in any letter case.
 func isRobotsPath(path string) bool {
 	return len(path) == len("/robots.txt") && strings.EqualFold(path, "/robots.txt")
 }
 
-// DropUserAgentContaining returns a filter dropping records whose combined-
-// format user agent contains any of the given substrings
-// (case-insensitive) — the standard way to remove crawler traffic when the
-// log carries user agents. Common-format records (no user agent) are kept.
-func DropUserAgentContaining(substrings ...string) Filter {
-	lowered := make([]string, len(substrings))
-	for i, s := range substrings {
-		lowered[i] = strings.ToLower(s)
-	}
-	return func(r Record) bool {
-		if r.UserAgent == "" || r.UserAgent == NoField {
-			return true
-		}
-		ua := strings.ToLower(r.UserAgent)
-		for _, s := range lowered {
-			if strings.Contains(ua, s) {
-				return false
-			}
-		}
-		return true
-	}
-}
-
-// Chain combines filters; a record survives only if every filter keeps it.
-func Chain(filters ...Filter) Filter {
-	return func(r Record) bool {
-		for _, f := range filters {
-			if !f(r) {
-				return false
-			}
-		}
-		return true
-	}
-}
-
 // StandardCleaning is the conventional WUM cleaning pipeline: successful GET
 // page views only, no embedded resources, no robots.txt probes — the same
-// verdicts as Chain(SuccessOnly, MethodGET, DropResources, DropRobots).
+// verdicts as the chain of one-test filters filter_test.go holds it to.
 func StandardCleaning() Filter { return standardCleaning }
 
 // standardCleaning is that chain as one body, because it runs on every
 // ingested line: one Record copy (the call) and one query strip per line,
-// where going through Chain costs a copy per link and a strip per path test.
+// where a chain costs a copy per link and a strip per path test.
 func standardCleaning(r Record) bool {
-	// The status test is Success spelled out: inlined, the value-receiver
-	// call copies the whole Record once more.
+	// The status test is spelled out: a value-receiver method would copy
+	// the whole Record once more.
 	if r.Status < 200 || r.Status >= 300 || r.Method != "GET" {
 		return false
 	}

@@ -1,6 +1,7 @@
 package clf
 
 import (
+	"strings"
 	"testing"
 	"time"
 )
@@ -9,6 +10,64 @@ func rec(method, uri string, status int) Record {
 	return Record{
 		Host: "10.0.0.1", Time: time.Date(2006, 1, 2, 12, 0, 0, 0, time.UTC),
 		Method: method, URI: uri, Protocol: "HTTP/1.1", Status: status, Bytes: 1,
+	}
+}
+
+// The filters below are the one-test links of StandardCleaning's chain, and
+// the user-agent filter a combined log adds for crawlers: the reference the
+// fused predicate is held to.
+
+// SuccessOnly keeps records with 2xx status codes.
+func SuccessOnly(r Record) bool { return r.Status >= 200 && r.Status < 300 }
+
+// MethodGET keeps only GET requests (the paper restricts to page fetches).
+func MethodGET(r Record) bool { return r.Method == "GET" }
+
+// DropResources drops requests for embedded resources (images, scripts,
+// styles, media, archives) using the conventional suffix list. Query strings
+// and fragments are stripped before matching.
+func DropResources(r Record) bool {
+	return !isResourcePath(stripQuery(r.URI))
+}
+
+// DropRobots drops requests for /robots.txt (a crawler signature; CLF lacks
+// a user-agent field, so the path is the only available signal).
+func DropRobots(r Record) bool {
+	return !isRobotsPath(stripQuery(r.URI))
+}
+
+// DropUserAgentContaining returns a filter dropping records whose combined-
+// format user agent contains any of the given substrings
+// (case-insensitive) — the standard way to remove crawler traffic when the
+// log carries user agents. Common-format records (no user agent) are kept.
+func DropUserAgentContaining(substrings ...string) Filter {
+	lowered := make([]string, len(substrings))
+	for i, s := range substrings {
+		lowered[i] = strings.ToLower(s)
+	}
+	return func(r Record) bool {
+		if r.UserAgent == "" || r.UserAgent == NoField {
+			return true
+		}
+		ua := strings.ToLower(r.UserAgent)
+		for _, s := range lowered {
+			if strings.Contains(ua, s) {
+				return false
+			}
+		}
+		return true
+	}
+}
+
+// Chain combines filters; a record survives only if every filter keeps it.
+func Chain(filters ...Filter) Filter {
+	return func(r Record) bool {
+		for _, f := range filters {
+			if !f(r) {
+				return false
+			}
+		}
+		return true
 	}
 }
 

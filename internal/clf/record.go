@@ -97,15 +97,6 @@ func (r Record) appendTo(dst []byte) []byte {
 	return strconv.AppendInt(dst, r.Bytes, 10)
 }
 
-// Request reconstructs the quoted request line, e.g. "GET /x HTTP/1.1".
-func (r Record) Request() string {
-	return r.Method + " " + r.URI + " " + r.Protocol
-}
-
-// Success reports whether the status code indicates a successful response
-// (2xx) — the paper's "success of return code" attribute.
-func (r Record) Success() bool { return r.Status >= 200 && r.Status < 300 }
-
 // ParseError describes a malformed CLF line. It records the offending line
 // and, when known, its 1-based position in the input stream.
 type ParseError struct {

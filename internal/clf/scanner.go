@@ -170,7 +170,6 @@ func ReadAll(r io.Reader) (records []Record, malformed int, err error) {
 // Writer emits Records as CLF lines (common format by default).
 type Writer struct {
 	w        *bufio.Writer
-	n        int
 	err      error
 	combined bool
 }
@@ -202,12 +201,8 @@ func (w *Writer) Write(rec Record) error {
 		w.err = err
 		return err
 	}
-	w.n++
 	return nil
 }
-
-// Count returns the number of records written so far.
-func (w *Writer) Count() int { return w.n }
 
 // Flush drains buffered output and returns the first error seen.
 func (w *Writer) Flush() error {

@@ -19,6 +19,11 @@ import (
 // every shard count. The same corpus then runs through Tail.Ingest — the
 // path cmd/serve and cmd/sessionize actually take — where a batch is a
 // chunk, in chunks from about one line to the whole log.
+// wheelBuckets returns the number of non-empty expiry-wheel buckets (test
+// and debugging hook: the wheel's size tracks the active window, not the
+// total users seen).
+func (t *Tail) wheelBuckets() int { return len(t.wheel) }
+
 func TestGoldenCorpusBatchSizes(t *testing.T) {
 	log := readGolden(t, "golden.log")
 	g := goldenGraph()

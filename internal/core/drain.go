@@ -60,8 +60,8 @@ var (
 // exact and the estimated distribution tracks the true one.
 const reconstructSampleEvery = 64
 
-// lane is one place reconstruction runs: a heuristics.Lend lane of the
-// Tail's heuristic and the sampling clock of core.tail.reconstruct.seconds,
+// lane is one place reconstruction runs: a lane of the Tail's heuristic
+// (Reconstructor.Lend) and the sampling clock of core.tail.reconstruct.seconds,
 // one series per heuristic. release ends the life of every session appended
 // since the last release; a lane that is never released keeps them all. One
 // goroutine at a time uses a lane.
@@ -76,7 +76,7 @@ type lane struct {
 
 func newLane(h heuristics.Reconstructor) *lane {
 	l := &lane{hist: metrics.GetHistogram(metrics.WithLabels("core.tail.reconstruct.seconds", "heur", h.Name()))}
-	l.appendTo, l.release = heuristics.Lend(h)
+	l.appendTo, l.release = h.Lend()
 	return l
 }
 

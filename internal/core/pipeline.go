@@ -199,6 +199,3 @@ func (p *Pipeline) ProcessRecords(records []clf.Record) (*Result, error) {
 		},
 	}, nil
 }
-
-// Heuristic returns the reconstructor the pipeline uses.
-func (p *Pipeline) Heuristic() heuristics.Reconstructor { return p.cfg.Heuristic }

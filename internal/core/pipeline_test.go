@@ -12,6 +12,9 @@ import (
 	"smartsra/internal/webgraph"
 )
 
+// Heuristic returns the reconstructor the pipeline uses.
+func (p *Pipeline) Heuristic() heuristics.Reconstructor { return p.cfg.Heuristic }
+
 func TestNewPipelineRequiresGraph(t *testing.T) {
 	if _, err := NewPipeline(Config{}); err == nil {
 		t.Error("nil graph accepted")
@@ -75,8 +78,8 @@ func TestProcessLogEndToEnd(t *testing.T) {
 	if len(u1) != 1 || u1[0].Len() != 3 {
 		t.Errorf("user 10.0.0.1 sessions = %v", u1)
 	}
-	if got := u1[0].Pages(); got[0] != ids["P1"] || got[2] != ids["P34"] {
-		t.Errorf("session pages = %v", got)
+	if got := u1[0].Entries; got[0].Page != ids["P1"] || got[2].Page != ids["P34"] {
+		t.Errorf("session = %v", u1[0])
 	}
 	if !strings.Contains(st.String(), "users=2") {
 		t.Errorf("Stats.String = %q", st.String())

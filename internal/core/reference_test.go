@@ -30,7 +30,7 @@ func referenceSessions(g *webgraph.Graph, h heuristics.Reconstructor, recs []clf
 		sort.SliceStable(entries, func(i, j int) bool { return entries[i].Time.Before(entries[j].Time) })
 		for start, i := 0, 1; i <= len(entries); i++ {
 			if i == len(entries) || entries[i].Time.Sub(entries[i-1].Time) > rho {
-				for _, s := range h.Reconstruct(session.Stream{User: user, Entries: entries[start:i]}) {
+				for _, s := range heuristics.ReconstructAll(h, []session.Stream{{User: user, Entries: entries[start:i]}}) {
 					out = append(out, s.String())
 				}
 				start = i

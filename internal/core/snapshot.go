@@ -152,13 +152,3 @@ func newest(entries []session.Entry) int {
 	}
 	return n
 }
-
-// Buffered returns the number of entries held across all user states — the
-// size of the open-burst backlog the snapshot carries.
-func (s TailSnapshot) Buffered() int {
-	n := 0
-	for i := range s.Users {
-		n += len(s.Users[i].Entries)
-	}
-	return n
-}

@@ -11,6 +11,16 @@ import (
 )
 
 // feedTail pushes records one by one, collecting finalized sessions.
+// Buffered returns the number of entries held across all user states — the
+// size of the open-burst backlog the snapshot carries.
+func (s TailSnapshot) Buffered() int {
+	n := 0
+	for i := range s.Users {
+		n += len(s.Users[i].Entries)
+	}
+	return n
+}
+
 func feedTail(push func(clf.Record) []session.Session, records []clf.Record) []session.Session {
 	var out []session.Session
 	for _, rec := range records {

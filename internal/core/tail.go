@@ -339,11 +339,6 @@ func (t *Tail) Buffered() int { return t.buffered }
 // set that bounds the Tail's memory after eviction.
 func (t *Tail) ActiveUsers() int { return len(t.buffers) }
 
-// wheelBuckets returns the number of non-empty expiry-wheel buckets (test
-// and debugging hook: the wheel's size tracks the active window, not the
-// total users seen).
-func (t *Tail) wheelBuckets() int { return len(t.wheel) }
-
 // Expire finalizes every user whose last request is more than ρ before now,
 // returning their sessions and evicting the users. Call it periodically when
 // tailing a live log, whose clock can stand still while the wall clock does
@@ -469,7 +464,7 @@ func (t *Tail) closeUsers(dst []session.Session, users []string) []session.Sessi
 // closeInto reconstructs a detached stream onto dst, on the lent lane while
 // lending and the kept one otherwise, and counts its sessions. Its entries
 // are the scratch the next detach overwrites: a lane's sessions live in its
-// own arena, never in the input (heuristics.Lend). A scratch grown past the
+// own arena, never in the input (Reconstructor.Lend). A scratch grown past the
 // largest slot class is let go, so one long burst does not pin its length.
 func (t *Tail) closeInto(dst []session.Session, st session.Stream) []session.Session {
 	l := t.kept

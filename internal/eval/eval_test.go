@@ -107,6 +107,15 @@ func TestSummarize(t *testing.T) {
 }
 
 // smallConfig returns a fast evaluation configuration.
+// evaluatePoint generates cfg's topology and evaluates one point on it.
+func evaluatePoint(cfg RunConfig) (*PointResult, error) {
+	g, err := Topology(cfg)
+	if err != nil {
+		return nil, err
+	}
+	return EvaluatePointOn(g, cfg)
+}
+
 func smallConfig() RunConfig {
 	cfg := PaperDefaults()
 	cfg.Topology = webgraph.TopologyConfig{
@@ -117,7 +126,7 @@ func smallConfig() RunConfig {
 }
 
 func TestEvaluatePoint(t *testing.T) {
-	p, err := EvaluatePoint(smallConfig())
+	p, err := evaluatePoint(smallConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +153,7 @@ func TestEvaluatePoint(t *testing.T) {
 func TestEvaluatePointDefaultsTopology(t *testing.T) {
 	cfg := RunConfig{Params: simulator.PaperParams()}
 	cfg.Params.Agents = 30
-	p, err := EvaluatePoint(cfg)
+	p, err := evaluatePoint(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,13 +166,13 @@ func TestEvaluatePointDefaultsTopology(t *testing.T) {
 // timestamps, resolvable URIs): accuracies through the full parse+clean
 // pipeline equal the direct ones.
 func TestEvaluatePointViaCLFMatchesDirect(t *testing.T) {
-	direct, err := EvaluatePoint(smallConfig())
+	direct, err := evaluatePoint(smallConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg := smallConfig()
 	cfg.ViaCLF = true
-	piped, err := EvaluatePoint(cfg)
+	piped, err := evaluatePoint(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +194,7 @@ func TestExperimentRun(t *testing.T) {
 		Name: "mini", Title: "mini sweep", Variable: "STP",
 		Values: []float64{0.05, 0.2}, Base: base,
 	}
-	res, err := exp.Run()
+	res, err := exp.RunWith(RunOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +206,7 @@ func TestExperimentRun(t *testing.T) {
 	}
 	bad := exp
 	bad.Variable = "XYZ"
-	if _, err := bad.Run(); err == nil {
+	if _, err := bad.RunWith(RunOptions{Workers: 1}); err == nil {
 		t.Error("unknown variable accepted")
 	}
 }
@@ -227,7 +236,7 @@ func TestReportWriters(t *testing.T) {
 		Name: "mini", Title: "mini sweep", Variable: "LPP",
 		Values: []float64{0, 0.5}, Base: base,
 	}
-	res, err := exp.Run()
+	res, err := exp.RunWith(RunOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -316,7 +325,7 @@ func TestPaperShapeAtDefaults(t *testing.T) {
 	}
 	cfg := PaperDefaults()
 	cfg.Params.Agents = 800
-	p, err := EvaluatePoint(cfg)
+	p, err := evaluatePoint(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -336,7 +345,7 @@ func TestPaperShapeAtDefaults(t *testing.T) {
 func TestReplicate(t *testing.T) {
 	cfg := smallConfig()
 	cfg.Params.Agents = 80
-	res, err := Replicate(cfg, []int64{1, 2, 3})
+	res, err := ReplicateWith(cfg, []int64{1, 2, 3}, RunOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -370,7 +379,7 @@ func TestReplicate(t *testing.T) {
 	if !strings.Contains(sb.String(), "±") || !strings.Contains(sb.String(), "heur4") {
 		t.Errorf("table:\n%s", sb.String())
 	}
-	if _, err := Replicate(cfg, nil); err == nil {
+	if _, err := ReplicateWith(cfg, nil, RunOptions{Workers: 1}); err == nil {
 		t.Error("empty seed list accepted")
 	}
 }
@@ -380,7 +389,7 @@ func TestReplicate(t *testing.T) {
 func TestIncludeReferrerAddsUpperBound(t *testing.T) {
 	cfg := smallConfig()
 	cfg.IncludeReferrer = true
-	p, err := EvaluatePoint(cfg)
+	p, err := evaluatePoint(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -395,7 +404,7 @@ func TestIncludeReferrerAddsUpperBound(t *testing.T) {
 	// Reporters include the extra column.
 	exp := Experiment{Name: "mini", Title: "mini", Variable: "STP",
 		Values: []float64{0.1}, Base: cfg}
-	res, err := exp.Run()
+	res, err := exp.RunWith(RunOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -414,7 +423,7 @@ func TestIncludeReferrerAddsUpperBound(t *testing.T) {
 		t.Error("SVG legend missing heurR")
 	}
 	// Without the flag, only the four series appear.
-	plain, err := EvaluatePoint(smallConfig())
+	plain, err := evaluatePoint(smallConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -438,7 +447,7 @@ func TestFigureShapesReproduce(t *testing.T) {
 	sweeps[1].Values = []float64{0, 0.40, 0.90}
 	sweeps[2].Values = []float64{0, 0.40, 0.90}
 	for _, e := range sweeps {
-		res, err := e.Run()
+		res, err := e.RunWith(RunOptions{Workers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -6,17 +6,22 @@ import (
 	"smartsra/internal/eval"
 )
 
-// ExampleEvaluatePoint scores the four heuristics against ground truth at one
+// ExampleEvaluatePointOn scores the four heuristics against ground truth at one
 // point of the paper's evaluation: Table 5 defaults, trimmed from 10,000
 // agents to 2,000. "matched" is one-to-one credit, the paper's "correctly
 // reconstructed sessions"; "exists" counts a real session if any candidate
 // captures it. heur3's mean length shows the backward-movement inflation of
 // §2.2, and heur4 (Smart-SRA) produces roughly one candidate per real
 // session.
-func ExampleEvaluatePoint() {
+func ExampleEvaluatePointOn() {
 	cfg := eval.PaperDefaults()
 	cfg.Params.Agents = 2000
-	point, err := eval.EvaluatePoint(cfg)
+	g, err := eval.Topology(cfg)
+	if err != nil {
+		fmt.Println(err)
+		return
+	}
+	point, err := eval.EvaluatePointOn(g, cfg)
 	if err != nil {
 		fmt.Println(err)
 		return

@@ -109,17 +109,8 @@ func Topology(cfg RunConfig) (*webgraph.Graph, error) {
 	return webgraph.GenerateTopology(topoCfg, rand.New(rand.NewSource(cfg.TopologySeed)))
 }
 
-// EvaluatePoint simulates one run and scores every heuristic on it.
-func EvaluatePoint(cfg RunConfig) (*PointResult, error) {
-	g, err := Topology(cfg)
-	if err != nil {
-		return nil, err
-	}
-	return EvaluatePointOn(g, cfg)
-}
-
-// EvaluatePointOn is EvaluatePoint over an already-generated topology. The
-// graph is only read, never written, so many points may share one. The
+// EvaluatePointOn simulates one run over g and scores every heuristic on
+// it. The graph is only read, never written, so many points may share one. The
 // simulator spreads agents over cfg.Params.Workers goroutines (0: its own
 // default) and hands each finished user to the calling goroutine
 // (simulator.Each), which scores it beside the simulator: the user's real
@@ -440,12 +431,6 @@ func runPoints(g *webgraph.Graph, cfgs []RunConfig, opts RunOptions) ([]*PointRe
 	return points, 0, nil
 }
 
-// Run executes the sweep sequentially — the bit-for-bit reference for
-// RunWith, which parallelizes it.
-func (e Experiment) Run() (*SweepResult, error) {
-	return e.RunWith(RunOptions{Workers: 1})
-}
-
 // pointConfigs expands the sweep into one RunConfig per swept value.
 func (e Experiment) pointConfigs() ([]RunConfig, error) {
 	cfgs := make([]RunConfig, len(e.Values))
@@ -470,7 +455,7 @@ func (e Experiment) pointConfigs() ([]RunConfig, error) {
 // (runPoints). The topology is generated once (the swept variables only
 // affect agent behavior, and topology generation is seeded independently —
 // see RunConfig.TopologySeed) and shared read-only by every point. Results
-// are identical to Run's for any worker count; on error the lowest-indexed
+// are identical for any worker count; on error the lowest-indexed
 // failing point's error is returned.
 func (e Experiment) RunWith(opts RunOptions) (*SweepResult, error) {
 	cfgs, err := e.pointConfigs()

@@ -204,7 +204,7 @@ func (s *scorer) candidates(real pageLists, cands []session.Session) {
 	s.user(real, s.cand)
 }
 
-// pass is one heuristic's share of a point: its lane (heuristics.Lend), the
+// pass is one heuristic's share of a point: its lane (Reconstructor.Lend), the
 // buffer the lane appends a user's candidates onto, and the scorer every
 // user's candidates are summed into. A point drives one pass per heuristic,
 // one user at a time, so no candidate set for the whole population ever
@@ -218,7 +218,7 @@ type pass struct {
 
 func newPass(h heuristics.Reconstructor, scr *scratch) *pass {
 	p := &pass{scorer: scorer{scratch: scr}}
-	p.appendTo, p.release = heuristics.Lend(h)
+	p.appendTo, p.release = h.Lend()
 	return p
 }
 

@@ -234,7 +234,13 @@ type scripted map[string][]session.Session
 
 func (scripted) Name() string { return "scripted" }
 
-func (h scripted) Reconstruct(st session.Stream) []session.Session { return h[st.User] }
+func (scripted) Describe() string { return "fixed candidate sets" }
+
+func (h scripted) Lend() (func([]session.Session, session.Stream) []session.Session, func()) {
+	return func(dst []session.Session, st session.Stream) []session.Session {
+		return append(dst, h[st.User]...)
+	}, func() {}
+}
 
 // Random synthetic populations over a three-page alphabet (so captures and
 // contested matchings are common) with every awkward shape: users with real

@@ -161,7 +161,7 @@ func TestCaptureMatchesBruteForce(t *testing.T) {
 				want++
 			}
 			if !slices.Equal(m.adj[i], row) {
-				t.Fatalf("user %d real %d %v: adj %v, Captures gives %v", u, i, real[i].Pages(), m.adj[i], row)
+				t.Fatalf("user %d real %d %v: adj %v, Captures gives %v", u, i, real[i], m.adj[i], row)
 			}
 		}
 		if exists != want {

@@ -40,7 +40,7 @@ func miniExperiment() Experiment {
 // points are seeded independently and share the topology read-only.
 func TestRunWithMatchesSequential(t *testing.T) {
 	exp := miniExperiment()
-	seq, err := exp.Run()
+	seq, err := exp.RunWith(RunOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +117,7 @@ func TestReplicateWithMatchesSequential(t *testing.T) {
 	cfg := smallConfig()
 	cfg.Params.Agents = 80
 	seeds := []int64{1, 2, 3, 4, 5}
-	seq, err := Replicate(cfg, seeds)
+	seq, err := ReplicateWith(cfg, seeds, RunOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +183,7 @@ func TestSeriesNamesCustomSet(t *testing.T) {
 	cfg := smallConfig()
 	cfg.IncludeReferrer = true
 	cfg.Heuristics = customSet
-	p, err := EvaluatePoint(cfg)
+	p, err := evaluatePoint(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +193,7 @@ func TestSeriesNamesCustomSet(t *testing.T) {
 	}
 	exp := Experiment{Name: "mini", Title: "mini", Variable: "STP",
 		Values: []float64{0.05}, Base: cfg}
-	res, err := exp.Run()
+	res, err := exp.RunWith(RunOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +226,7 @@ func TestSeriesNamesCustomSet(t *testing.T) {
 // per point (generation is deterministic in TopologySeed).
 func TestEvaluatePointOnSharedTopology(t *testing.T) {
 	cfg := smallConfig()
-	direct, err := EvaluatePoint(cfg)
+	direct, err := evaluatePoint(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,16 +25,10 @@ type ReplicateResult struct {
 	Exists map[string]stats.Summary
 }
 
-// Replicate runs EvaluatePoint once per seed and summarizes the spread. At
-// least one seed is required. It is the sequential reference for
-// ReplicateWith, which parallelizes it.
-func Replicate(cfg RunConfig, seeds []int64) (*ReplicateResult, error) {
-	return ReplicateWith(cfg, seeds, RunOptions{Workers: 1})
-}
-
-// ReplicateWith is Replicate under the bounded worker pool (runPoints): the
+// ReplicateWith runs one point per seed under the bounded worker pool
+// (runPoints) and summarizes the spread; at least one seed is required. The
 // topology is generated once and shared read-only, and seeds are evaluated
-// concurrently. Results are identical to Replicate's for any worker count.
+// concurrently. Results are identical for any worker count.
 // The summarized series are the heuristics the points actually evaluated —
 // including custom cfg.Heuristics sets and the cfg.IncludeReferrer upper
 // bound — not a hardcoded list.

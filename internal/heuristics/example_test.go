@@ -28,7 +28,7 @@ func ExampleSmartSRA() {
 		rev[id] = n
 	}
 	h := heuristics.NewSmartSRA(g)
-	for _, s := range h.Reconstruct(stream) {
+	for _, s := range heuristics.ReconstructAll(h, []session.Stream{stream}) {
 		for i, e := range s.Entries {
 			if i > 0 {
 				fmt.Print(" ")
@@ -52,7 +52,7 @@ func ExampleTimeGap() {
 		{Page: ids["P13"], Time: t0.Add(2 * time.Minute)},
 		{Page: ids["P49"], Time: t0.Add(20 * time.Minute)}, // 18-minute gap
 	}}
-	for _, s := range heuristics.NewTimeGap().Reconstruct(stream) {
+	for _, s := range heuristics.ReconstructAll(heuristics.NewTimeGap(), []session.Stream{stream}) {
 		fmt.Println(s.Len(), "pages")
 	}
 	// Output:

@@ -21,8 +21,7 @@ func TestNamesAndDescriptions(t *testing.T) {
 		if h.Name() != wantNames[i] {
 			t.Errorf("heuristic %d Name = %q, want %q", i, h.Name(), wantNames[i])
 		}
-		d, ok := h.(Describer)
-		if !ok || d.Describe() == "" {
+		if h.Describe() == "" {
 			t.Errorf("%s has no description", h.Name())
 		}
 		if byName, err := ByName(wantNames[i], g); err != nil || byName.Name() != wantNames[i] {
@@ -37,15 +36,29 @@ func TestNamesAndDescriptions(t *testing.T) {
 	}
 }
 
+// pages returns the page IDs of entries, in order.
+func pages(entries []session.Entry) []webgraph.PageID {
+	out := make([]webgraph.PageID, len(entries))
+	for i, e := range entries {
+		out[i] = e.Page
+	}
+	return out
+}
+
+// reconstruct returns the sessions of one stream, on a fresh lane of h.
+func reconstruct(h Reconstructor, st session.Stream) []session.Session {
+	return ReconstructAll(h, []session.Stream{st})
+}
+
 func TestEmptyAndSingletonStreams(t *testing.T) {
 	g, ids := webgraph.PaperFigure1()
 	hs := []Reconstructor{NewTimeTotal(), NewTimeGap(), NewNavigation(g), NewSmartSRA(g)}
 	for _, h := range hs {
-		if got := h.Reconstruct(session.Stream{User: "u"}); len(got) != 0 {
+		if got := reconstruct(h, session.Stream{User: "u"}); len(got) != 0 {
 			t.Errorf("%s on empty stream: %v", h.Name(), got)
 		}
 		one := figStream(ids, "P1", 0)
-		got := h.Reconstruct(one)
+		got := reconstruct(h, one)
 		if len(got) != 1 || got[0].Len() != 1 || got[0].Entries[0].Page != ids["P1"] {
 			t.Errorf("%s on singleton stream: %v", h.Name(), got)
 		}
@@ -59,12 +72,12 @@ func TestTimeTotalBoundaryInclusive(t *testing.T) {
 	_, ids := webgraph.PaperFigure1()
 	// Exactly δ from the first page: still the same session (ti - t0 ≤ δ).
 	st := figStream(ids, "P1", 0, "P20", 30)
-	got := NewTimeTotal().Reconstruct(st)
+	got := reconstruct(NewTimeTotal(), st)
 	if len(got) != 1 {
 		t.Errorf("30-minute-span stream split: %v", got)
 	}
 	st2 := figStream(ids, "P1", 0, "P20", 31)
-	if got := NewTimeTotal().Reconstruct(st2); len(got) != 2 {
+	if got := reconstruct(NewTimeTotal(), st2); len(got) != 2 {
 		t.Errorf("31-minute-span stream not split: %v", got)
 	}
 }
@@ -72,11 +85,11 @@ func TestTimeTotalBoundaryInclusive(t *testing.T) {
 func TestTimeGapBoundaryInclusive(t *testing.T) {
 	_, ids := webgraph.PaperFigure1()
 	st := figStream(ids, "P1", 0, "P20", 10)
-	if got := NewTimeGap().Reconstruct(st); len(got) != 1 {
+	if got := reconstruct(NewTimeGap(), st); len(got) != 1 {
 		t.Errorf("10-minute gap split: %v", got)
 	}
 	st2 := figStream(ids, "P1", 0, "P20", 11)
-	if got := NewTimeGap().Reconstruct(st2); len(got) != 2 {
+	if got := reconstruct(NewTimeGap(), st2); len(got) != 2 {
 		t.Errorf("11-minute gap not split: %v", got)
 	}
 }
@@ -85,7 +98,7 @@ func TestTimeTotalRestartsWindowAtNewSession(t *testing.T) {
 	_, ids := webgraph.PaperFigure1()
 	// 0, 31 (split), 45: the 45 entry is within 30 of 31, so joins session 2.
 	st := figStream(ids, "P1", 0, "P20", 31, "P13", 45)
-	got := NewTimeTotal().Reconstruct(st)
+	got := reconstruct(NewTimeTotal(), st)
 	if len(got) != 2 || got[1].Len() != 2 {
 		t.Errorf("window not restarted: %v", got)
 	}
@@ -95,7 +108,7 @@ func TestNavigationClosesSessionWhenUnreachable(t *testing.T) {
 	g, ids := webgraph.PaperFigure1()
 	// P49's only in-link is from P13; from [P20] nothing reaches P49.
 	st := figStream(ids, "P20", 0, "P49", 2)
-	got := names(ids, NewNavigation(g).Reconstruct(st))
+	got := names(ids, reconstruct(NewNavigation(g), st))
 	if len(got) != 2 || !eqSeq(got[0], []string{"P20"}) || !eqSeq(got[1], []string{"P49"}) {
 		t.Errorf("navigation did not close unreachable session: %v", got)
 	}
@@ -106,7 +119,7 @@ func TestNavigationBacktracksMultipleSteps(t *testing.T) {
 	// [P1, P13, P34]; next P20 is linked only from P1 (index 0): backward
 	// movements P13, P1 are inserted.
 	st := figStream(ids, "P1", 0, "P13", 2, "P34", 4, "P20", 6)
-	got := names(ids, NewNavigation(g).Reconstruct(st))
+	got := names(ids, reconstruct(NewNavigation(g), st))
 	want := []string{"P1", "P13", "P34", "P13", "P1", "P20"}
 	if len(got) != 1 || !eqSeq(got[0], want) {
 		t.Errorf("multi-step backtrack = %v, want %v", got, want)
@@ -116,7 +129,7 @@ func TestNavigationBacktracksMultipleSteps(t *testing.T) {
 func TestNavigationPairsAreForwardOrBackwardEdges(t *testing.T) {
 	g, ids := webgraph.PaperFigure1()
 	st := figStream(ids, "P1", 0, "P13", 1, "P49", 2, "P34", 3, "P20", 4, "P23", 5)
-	for _, s := range NewNavigation(g).Reconstruct(st) {
+	for _, s := range reconstruct(NewNavigation(g), st) {
 		for i := 1; i < len(s.Entries); i++ {
 			a, b := s.Entries[i-1].Page, s.Entries[i].Page
 			if !g.HasEdge(a, b) && !g.HasEdge(b, a) {
@@ -147,7 +160,7 @@ func TestSmartSRATimeOrphanBecomesSingleton(t *testing.T) {
 		{Page: 2, Time: t0.Add(9 * time.Minute)},
 		{Page: 3, Time: t0.Add(14 * time.Minute)},
 	}}
-	got := NewSmartSRA(g).Reconstruct(st)
+	got := reconstruct(NewSmartSRA(g), st)
 	if len(got) != 2 {
 		t.Fatalf("got %v, want [0 1 2] and [3]", got)
 	}
@@ -215,13 +228,13 @@ func TestSmartSRAPhase1Splits(t *testing.T) {
 	h := NewSmartSRA(g)
 	// An 11-minute gap forces a Phase-1 split even though P13->P49 is an edge.
 	st := figStream(ids, "P1", 0, "P13", 5, "P49", 17)
-	got := names(ids, h.Reconstruct(st))
+	got := names(ids, reconstruct(h, st))
 	if !containsSeq(got, []string{"P1", "P13"}) || !containsSeq(got, []string{"P49"}) {
 		t.Errorf("page-stay split missing: %v", got)
 	}
 	// Total-duration split: increments of 9 minutes stay under ρ but pass δ.
 	st2 := figStream(ids, "P1", 0, "P13", 9, "P49", 18, "P23", 27, "P23", 36)
-	got2 := NewSmartSRA(g).Reconstruct(st2)
+	got2 := reconstruct(NewSmartSRA(g), st2)
 	for _, s := range got2 {
 		if s.Duration() > h.Rules.TotalDuration {
 			t.Errorf("session exceeds δ: %v", s)
@@ -263,7 +276,7 @@ func TestSmartSRAPhase2RefusesStaleReferrer(t *testing.T) {
 		}
 		var got []string
 		for _, s := range h.phase2(c.cand, scr) {
-			got = append(got, fmt.Sprint(session.Session{Entries: s}.Pages()))
+			got = append(got, fmt.Sprint(pages(s)))
 		}
 		sort.Strings(got)
 		if !reflect.DeepEqual(got, c.want) {
@@ -277,7 +290,7 @@ func TestSmartSRADuplicateTimestampsDoNotChain(t *testing.T) {
 	// Two requests with identical timestamps: the Timestamp Ordering Rule
 	// requires strictly increasing times, so P13 cannot extend P1's session.
 	st := figStream(ids, "P1", 0, "P13", 0)
-	got := NewSmartSRA(g).Reconstruct(st)
+	got := reconstruct(NewSmartSRA(g), st)
 	if len(got) != 2 {
 		t.Errorf("equal-timestamp pages chained: %v", got)
 	}
@@ -365,7 +378,7 @@ func TestSmartSRAOutputsAlwaysValidProperty(t *testing.T) {
 	f := func(seed int64, size uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
 		st := randomStream(g, rng, int(size)%80)
-		for _, s := range h.Reconstruct(st) {
+		for _, s := range reconstruct(h, st) {
 			if !s.Valid(g, h.Rules) {
 				return false
 			}
@@ -385,7 +398,7 @@ func TestSmartSRAMaximalityProperty(t *testing.T) {
 	f := func(seed int64, size uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
 		st := randomStream(g, rng, int(size)%60)
-		out := h.Reconstruct(st)
+		out := reconstruct(h, st)
 		return len(session.MaximalOnly(out)) == len(out)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
@@ -402,7 +415,7 @@ func TestTimeHeuristicsPartitionProperty(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			st := randomStream(g, rng, int(size)%80)
 			var rebuilt []session.Entry
-			for _, s := range h.Reconstruct(st) {
+			for _, s := range reconstruct(h, st) {
 				rebuilt = append(rebuilt, s.Entries...)
 			}
 			if len(rebuilt) != len(st.Entries) {
@@ -431,7 +444,7 @@ func TestNavigationPreservesInputProperty(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		st := randomStream(g, rng, int(size)%60)
 		var all []session.Entry
-		for _, s := range h.Reconstruct(st) {
+		for _, s := range reconstruct(h, st) {
 			for i := 1; i < len(s.Entries); i++ {
 				a, b := s.Entries[i-1].Page, s.Entries[i].Page
 				if !g.HasEdge(a, b) && !g.HasEdge(b, a) {
@@ -461,8 +474,8 @@ func TestHeuristicsDeterministicProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	st := randomStream(g, rng, 50)
 	for _, h := range hs {
-		a := h.Reconstruct(st)
-		b := h.Reconstruct(st)
+		a := reconstruct(h, st)
+		b := reconstruct(h, st)
 		if len(a) != len(b) {
 			t.Errorf("%s nondeterministic session count", h.Name())
 			continue
@@ -482,7 +495,7 @@ func TestHeuristicsDoNotMutateInput(t *testing.T) {
 	st := randomStream(g, rng, 40)
 	snapshot := append([]session.Entry(nil), st.Entries...)
 	for _, h := range []Reconstructor{NewTimeTotal(), NewTimeGap(), NewNavigation(g), NewSmartSRA(g)} {
-		_ = h.Reconstruct(st)
+		_ = reconstruct(h, st)
 		for i := range snapshot {
 			if st.Entries[i] != snapshot[i] {
 				t.Fatalf("%s mutated input at %d", h.Name(), i)
@@ -496,18 +509,18 @@ func TestNavigationMaxGap(t *testing.T) {
 	// P1 -> P13 linked but 25 minutes apart.
 	st := figStream(ids, "P1", 0, "P13", 25)
 	plain := NewNavigation(g)
-	if got := plain.Reconstruct(st); len(got) != 1 {
+	if got := reconstruct(plain, st); len(got) != 1 {
 		t.Errorf("paper configuration split on time: %v", got)
 	}
 	limited := NewNavigation(g)
 	limited.MaxGap = 10 * time.Minute
-	got := limited.Reconstruct(st)
+	got := reconstruct(limited, st)
 	if len(got) != 2 {
 		t.Errorf("MaxGap=10m did not split: %v", got)
 	}
 	// Within the gap, behavior is unchanged.
 	st2 := figStream(ids, "P1", 0, "P13", 5)
-	if got := limited.Reconstruct(st2); len(got) != 1 || got[0].Len() != 2 {
+	if got := reconstruct(limited, st2); len(got) != 1 || got[0].Len() != 2 {
 		t.Errorf("MaxGap split a tight session: %v", got)
 	}
 }

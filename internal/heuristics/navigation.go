@@ -35,12 +35,12 @@ func NewNavigation(g *webgraph.Graph) Navigation { return Navigation{Graph: g} }
 // Name implements Reconstructor.
 func (Navigation) Name() string { return "heur3" }
 
-// Describe implements Describer.
+// Describe implements Reconstructor.
 func (Navigation) Describe() string {
 	return "navigation-oriented with backward path completion"
 }
 
-// Reconstruct implements Reconstructor.
+// Lend implements Reconstructor.
 //
 // Inserted backward movements carry interpolated timestamps strictly between
 // the surrounding real requests, so that output sessions remain in
@@ -50,8 +50,11 @@ func (Navigation) Describe() string {
 // exact-size from an entry arena when they close, so a stream with many
 // sessions costs a handful of block allocations instead of per-session
 // append churn.
-func (h Navigation) Reconstruct(stream session.Stream) []session.Session {
-	return h.appendSessions(nil, stream, new(navScratch))
+func (h Navigation) Lend() (func([]session.Session, session.Stream) []session.Session, func()) {
+	scr := new(navScratch)
+	return func(dst []session.Session, st session.Stream) []session.Session {
+		return h.appendSessions(dst, st, scr)
+	}, scr.arena.rewind
 }
 
 // navScratch is the working state of a Navigation lane (Lend): the open

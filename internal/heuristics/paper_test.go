@@ -74,7 +74,7 @@ func table1(ids map[string]webgraph.PageID) session.Stream {
 
 func TestPaperTable1_TimeTotal(t *testing.T) {
 	_, ids := webgraph.PaperFigure1()
-	got := names(ids, NewTimeTotal().Reconstruct(table1(ids)))
+	got := names(ids, reconstruct(NewTimeTotal(), table1(ids)))
 	want := [][]string{{"P1", "P20", "P13", "P49"}, {"P34", "P23"}}
 	if len(got) != 2 || !eqSeq(got[0], want[0]) || !eqSeq(got[1], want[1]) {
 		t.Errorf("heur1(Table 1) = %v, want %v", got, want)
@@ -83,7 +83,7 @@ func TestPaperTable1_TimeTotal(t *testing.T) {
 
 func TestPaperTable1_TimeGap(t *testing.T) {
 	_, ids := webgraph.PaperFigure1()
-	got := names(ids, NewTimeGap().Reconstruct(table1(ids)))
+	got := names(ids, reconstruct(NewTimeGap(), table1(ids)))
 	want := [][]string{{"P1", "P20", "P13"}, {"P49", "P34"}, {"P23"}}
 	if len(got) != 3 {
 		t.Fatalf("heur2(Table 1) = %v, want %v", got, want)
@@ -97,7 +97,7 @@ func TestPaperTable1_TimeGap(t *testing.T) {
 
 func TestPaperTable2_Navigation(t *testing.T) {
 	g, ids := webgraph.PaperFigure1()
-	got := names(ids, NewNavigation(g).Reconstruct(table1(ids)))
+	got := names(ids, reconstruct(NewNavigation(g), table1(ids)))
 	// Table 2's final session, backward movements included.
 	want := []string{"P1", "P20", "P1", "P13", "P49", "P13", "P34", "P23"}
 	if len(got) != 1 || !eqSeq(got[0], want) {
@@ -107,7 +107,7 @@ func TestPaperTable2_Navigation(t *testing.T) {
 
 func TestPaperTable2_NavigationTimesMonotonic(t *testing.T) {
 	g, ids := webgraph.PaperFigure1()
-	sessions := NewNavigation(g).Reconstruct(table1(ids))
+	sessions := reconstruct(NewNavigation(g), table1(ids))
 	for _, s := range sessions {
 		for i := 1; i < len(s.Entries); i++ {
 			if s.Entries[i].Time.Before(s.Entries[i-1].Time) {
@@ -126,7 +126,7 @@ func table3(ids map[string]webgraph.PageID) session.Stream {
 
 func TestPaperTable4_SmartSRA(t *testing.T) {
 	g, ids := webgraph.PaperFigure1()
-	got := names(ids, NewSmartSRA(g).Reconstruct(table3(ids)))
+	got := names(ids, reconstruct(NewSmartSRA(g), table3(ids)))
 	want := [][]string{
 		{"P1", "P13", "P34", "P23"},
 		{"P1", "P13", "P49", "P23"},
@@ -145,7 +145,7 @@ func TestPaperTable4_SmartSRA(t *testing.T) {
 func TestPaperTable4_SmartSRAOutputsValid(t *testing.T) {
 	g, ids := webgraph.PaperFigure1()
 	h := NewSmartSRA(g)
-	for _, s := range h.Reconstruct(table3(ids)) {
+	for _, s := range reconstruct(h, table3(ids)) {
 		if !s.Valid(g, h.Rules) {
 			t.Errorf("session %v violates the session rules", s)
 		}
@@ -159,7 +159,7 @@ func TestPaperTable4_SmartSRAOutputsValid(t *testing.T) {
 func TestPaperFigure3_SmartSRASplitsOnNewStartPage(t *testing.T) {
 	g, ids := webgraph.PaperFigure1()
 	stream := figStream(ids, "P1", 0, "P20", 2, "P49", 4, "P23", 6)
-	got := names(ids, NewSmartSRA(g).Reconstruct(stream))
+	got := names(ids, reconstruct(NewSmartSRA(g), stream))
 	if !containsSeq(got, []string{"P49", "P23"}) {
 		t.Errorf("Smart-SRA did not split out [P49 P23]: %v", got)
 	}

@@ -109,8 +109,8 @@ func denseStream(g *webgraph.Graph, rng *rand.Rand, n int) session.Stream {
 	return st
 }
 
-// TestLendMatchesReconstruct pins every heuristic's lane to its Reconstruct
-// over random and chain-shaped streams, in both regimes. A lane that is
+// TestLendMatchesReconstruct pins every heuristic's lane to a fresh lane per
+// stream over random and chain-shaped streams, in both regimes. A lane that is
 // never released keeps everything it appended, and none of it aliases the
 // input: each stream it read is overwritten right after, and its sessions
 // must still read right (the regime ReconstructAll and core's
@@ -128,10 +128,10 @@ func TestLendMatchesReconstruct(t *testing.T) {
 	for _, h := range lendCases(g) {
 		var want []session.Session
 		for _, st := range streams {
-			want = append(want, h.Reconstruct(st)...)
+			want = append(want, reconstruct(h, st)...)
 		}
 
-		keptAppend, _ := Lend(h)
+		keptAppend, _ := h.Lend()
 		var kept []session.Session
 		for _, st := range streams {
 			own := slices.Clone(st.Entries)
@@ -141,10 +141,10 @@ func TestLendMatchesReconstruct(t *testing.T) {
 			}
 		}
 		if !reflect.DeepEqual(kept, want) {
-			t.Fatalf("%s, never released: %d sessions differ from Reconstruct's %d", h.Name(), len(kept), len(want))
+			t.Fatalf("%s, never released: %d sessions differ from a fresh lane's %d", h.Name(), len(kept), len(want))
 		}
 
-		appendTo, release := Lend(h)
+		appendTo, release := h.Lend()
 		for _, batch := range []int{1, 7, 64, len(streams)} {
 			var got, buf []session.Session
 			for i := 0; i < len(streams); i += batch {
@@ -156,7 +156,7 @@ func TestLendMatchesReconstruct(t *testing.T) {
 				release()
 			}
 			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("%s, released every %d streams: %d sessions differ from Reconstruct's %d", h.Name(), batch, len(got), len(want))
+				t.Fatalf("%s, released every %d streams: %d sessions differ from a fresh lane's %d", h.Name(), batch, len(got), len(want))
 			}
 		}
 		if !reflect.DeepEqual(kept, want) {
@@ -168,11 +168,12 @@ func TestLendMatchesReconstruct(t *testing.T) {
 	}
 }
 
-// TestConcurrentReconstruction: Reconstruct is safe for concurrent use
-// because every call builds on a fresh lane of its own. One shared value of
-// each heuristic serves 8 goroutines at once, each running Reconstruct,
-// ReconstructAll and a Lend lane of its own, and every result must equal a
-// sequential run. Under -race a scratch two calls share is a reported race.
+// TestConcurrentReconstruction: a heuristic is safe for concurrent use
+// because every lane has storage of its own. One shared value of each
+// heuristic serves 8 goroutines at once, each running a fresh lane per
+// stream, ReconstructAll and one lane of its own, and every result must
+// equal a sequential run. Under -race a scratch two lanes share is a
+// reported race.
 func TestConcurrentReconstruction(t *testing.T) {
 	g := fuzzGraph(t)
 	streams := lendStreams(g, 13, 60, 80)
@@ -185,16 +186,16 @@ func TestConcurrentReconstruction(t *testing.T) {
 				defer wg.Done()
 				var each, lent, buf []session.Session
 				for _, st := range streams {
-					each = append(each, h.Reconstruct(st)...)
+					each = append(each, reconstruct(h, st)...)
 				}
 				all := ReconstructAll(h, streams)
-				appendTo, release := Lend(h)
+				appendTo, release := h.Lend()
 				for _, st := range streams {
 					buf = appendTo(buf[:0], st)
 					lent = append(lent, deepClone(buf)...)
 					release()
 				}
-				for name, got := range map[string][]session.Session{"Reconstruct": each, "ReconstructAll": all, "Lend": lent} {
+				for name, got := range map[string][]session.Session{"a lane per stream": each, "ReconstructAll": all, "Lend": lent} {
 					if !reflect.DeepEqual(got, want) {
 						t.Errorf("%s: concurrent %s gave %d sessions, sequential %d", h.Name(), name, len(got), len(want))
 					}

@@ -36,7 +36,7 @@ func NewSmartSRA(g *webgraph.Graph) SmartSRA {
 // Name implements Reconstructor.
 func (SmartSRA) Name() string { return "heur4" }
 
-// Describe implements Describer.
+// Describe implements Reconstructor.
 func (h SmartSRA) Describe() string {
 	return fmt.Sprintf("Smart-SRA (δ=%v, ρ=%v)", h.Rules.TotalDuration, h.Rules.PageStay)
 }
@@ -71,9 +71,12 @@ type sraNode struct{ entry, parent, len int32 }
 // candidate: 256 KiB, a candidate of 1,448 entries.
 const maxKeptLinkWords = 1 << 15
 
-// Reconstruct implements Reconstructor.
-func (h SmartSRA) Reconstruct(stream session.Stream) []session.Session {
-	return h.appendSessions(nil, stream, new(sraScratch))
+// Lend implements Reconstructor.
+func (h SmartSRA) Lend() (func([]session.Session, session.Stream) []session.Session, func()) {
+	scr := new(sraScratch)
+	return func(dst []session.Session, st session.Stream) []session.Session {
+		return h.appendSessions(dst, st, scr)
+	}, scr.arena.rewind
 }
 
 // appendSessions appends stream's sessions onto dst, built on the lane's

@@ -18,7 +18,7 @@ import (
 	"smartsra/internal/webgraph"
 )
 
-// reconstructWavesOnly mirrors SmartSRA.Reconstruct but routes every
+// reconstructWavesOnly mirrors a SmartSRA lane but routes every
 // candidate through phase2Waves, bypassing the chain fast path.
 func reconstructWavesOnly(h SmartSRA, stream session.Stream) []session.Session {
 	return reconstructCandidates(h, stream, h.phase1(stream.Entries, nil), true)
@@ -34,7 +34,7 @@ func wholeStream(entries []session.Entry) []int {
 
 // reconstructCandidates runs each candidate of stream, bounds as phase1
 // returns them, through phase2 — through phase2Waves alone when wavesOnly —
-// and keeps the maximal sessions, as Reconstruct does on a stream in which a
+// and keeps the maximal sessions, as a lane does on a stream in which a
 // page repeats.
 func reconstructCandidates(h SmartSRA, stream session.Stream, bounds []int, wavesOnly bool) []session.Session {
 	return session.MaximalOnly(phase2Sessions(h, stream, bounds, wavesOnly))
@@ -91,7 +91,7 @@ func chainStream(g *webgraph.Graph, rng *rand.Rand, n int) session.Stream {
 	return st
 }
 
-// Property: for any stream, Reconstruct (fast path eligible) and the
+// Property: for any stream, a lane (fast path eligible) and the
 // waves-only reference produce deeply equal output — same sessions, same
 // order, same entry times — and so do phase2 and phase2Waves over whole
 // streams.
@@ -104,7 +104,9 @@ func TestPhase2ChainDifferentialProperty(t *testing.T) {
 		cut         func([]session.Entry) []int
 		reconstruct func(session.Stream) []session.Session
 	}{
-		"default": {func(e []session.Entry) []int { return h.phase1(e, nil) }, h.Reconstruct},
+		"default": {func(e []session.Entry) []int { return h.phase1(e, nil) }, func(st session.Stream) []session.Session {
+			return reconstruct(h, st)
+		}},
 		"no-phase1": {wholeStream, func(st session.Stream) []session.Session {
 			return reconstructCandidates(h, st, wholeStream(st.Entries), false)
 		}},
@@ -156,7 +158,7 @@ func TestPhase2ChainIgnoresAlternativeReferrer(t *testing.T) {
 	if got := reconstructWavesOnly(h, st); !reflect.DeepEqual(got, want) {
 		t.Fatalf("waves: got %v, want the chain [0 1 2] alone", got)
 	}
-	if got := h.Reconstruct(st); !reflect.DeepEqual(got, want) {
+	if got := reconstruct(h, st); !reflect.DeepEqual(got, want) {
 		t.Fatalf("fast path: got %v, want the chain [0 1 2] alone", got)
 	}
 }

@@ -164,10 +164,10 @@ func FuzzPhase2(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		g, st := decodePhase2(t, data)
 		h := NewSmartSRA(g)
-		got := h.Reconstruct(st)
+		got := reconstruct(h, st)
 		for _, s := range got {
 			if !s.Valid(g, h.Rules) {
-				t.Fatalf("session %v breaks a Smart-SRA rule", s.Pages())
+				t.Fatalf("session %v breaks a Smart-SRA rule", pages(s.Entries))
 			}
 		}
 		if want := reconstructCandidates(h, st, h.phase1(st.Entries, nil), false); !reflect.DeepEqual(got, want) {

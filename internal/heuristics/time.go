@@ -22,14 +22,17 @@ func NewTimeTotal() TimeTotal { return TimeTotal{Delta: session.DefaultTotalDura
 // Name implements Reconstructor.
 func (TimeTotal) Name() string { return "heur1" }
 
-// Describe implements Describer.
+// Describe implements Reconstructor.
 func (h TimeTotal) Describe() string {
 	return fmt.Sprintf("time-oriented (total session duration ≤ %v)", h.Delta)
 }
 
-// Reconstruct implements Reconstructor.
-func (h TimeTotal) Reconstruct(stream session.Stream) []session.Session {
-	return h.appendSessions(nil, stream, new(entryArena))
+// Lend implements Reconstructor.
+func (h TimeTotal) Lend() (func([]session.Session, session.Stream) []session.Session, func()) {
+	a := new(entryArena)
+	return func(dst []session.Session, st session.Stream) []session.Session {
+		return h.appendSessions(dst, st, a)
+	}, a.rewind
 }
 
 func (h TimeTotal) appendSessions(dst []session.Session, stream session.Stream, arena *entryArena) []session.Session {
@@ -71,14 +74,17 @@ func NewTimeGap() TimeGap { return TimeGap{Rho: session.DefaultPageStay} }
 // Name implements Reconstructor.
 func (TimeGap) Name() string { return "heur2" }
 
-// Describe implements Describer.
+// Describe implements Reconstructor.
 func (h TimeGap) Describe() string {
 	return fmt.Sprintf("time-oriented (page-stay time ≤ %v)", h.Rho)
 }
 
-// Reconstruct implements Reconstructor.
-func (h TimeGap) Reconstruct(stream session.Stream) []session.Session {
-	return h.appendSessions(nil, stream, new(entryArena))
+// Lend implements Reconstructor.
+func (h TimeGap) Lend() (func([]session.Session, session.Stream) []session.Session, func()) {
+	a := new(entryArena)
+	return func(dst []session.Session, st session.Stream) []session.Session {
+		return h.appendSessions(dst, st, a)
+	}, a.rewind
 }
 
 func (h TimeGap) appendSessions(dst []session.Session, stream session.Stream, arena *entryArena) []session.Session {

@@ -227,7 +227,7 @@ func TestSnapshotTextIncludesGaugesAndHistograms(t *testing.T) {
 	r := NewRegistry()
 	r.GetGauge("g").Set(42)
 	r.GetHistogramBuckets("h", []float64{1}).Observe(0.5)
-	text := r.Snapshot().String()
+	text := snapshotText(r.Snapshot())
 	if !strings.Contains(text, "gauge   g 42") {
 		t.Errorf("gauge line missing:\n%s", text)
 	}

@@ -70,7 +70,7 @@ func TestWritePrometheusGroupsLabeledSeries(t *testing.T) {
 func TestWriteTextPrintsLabeledKeysVerbatim(t *testing.T) {
 	r := NewRegistry()
 	r.GetCounter(WithLabels("hits", "h", "a")).Inc()
-	out := r.Snapshot().String()
+	out := snapshotText(r.Snapshot())
 	if !strings.Contains(out, `counter hits{h="a"} 1`) {
 		t.Errorf("text output:\n%s", out)
 	}

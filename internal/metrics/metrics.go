@@ -309,26 +309,6 @@ func (r *Registry) Snapshot() Snapshot {
 	return s
 }
 
-// Reset zeroes every registered metric (the registry keeps its names, so
-// cached pointers stay valid). Intended for tests.
-func (r *Registry) Reset() {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	for _, c := range r.counters {
-		c.v.Store(0)
-	}
-	for _, g := range r.gauges {
-		g.v.Store(0)
-	}
-	for _, h := range r.histograms {
-		for i := range h.counts {
-			h.counts[i].Store(0)
-		}
-		h.count.Store(0)
-		h.sumBits.Store(0)
-	}
-}
-
 // WriteText renders the snapshot as sorted "name value" lines, counters
 // first, e.g.:
 //
@@ -451,13 +431,6 @@ func (s Snapshot) WritePrometheus(w io.Writer) error {
 // representation that round-trips.
 func trimFloat(f float64) string {
 	return strconv.FormatFloat(f, 'g', -1, 64)
-}
-
-// String renders the snapshot as WriteText does.
-func (s Snapshot) String() string {
-	var sb strings.Builder
-	s.WriteText(&sb)
-	return sb.String()
 }
 
 // Handler serves the registry's current snapshot — mount it at

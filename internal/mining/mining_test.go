@@ -151,9 +151,14 @@ func TestMineEmptyInput(t *testing.T) {
 func mineByScan(sessions []session.Session, cfg Config) []Pattern {
 	seqs := make([][]webgraph.PageID, 0, len(sessions))
 	for _, s := range sessions {
-		if s.Len() > 0 {
-			seqs = append(seqs, s.Pages())
+		if s.Len() == 0 {
+			continue
 		}
+		seq := make([]webgraph.PageID, s.Len())
+		for i, e := range s.Entries {
+			seq[i] = e.Page
+		}
+		seqs = append(seqs, seq)
 	}
 	counts := make(map[webgraph.PageID]int)
 	for _, seq := range seqs {

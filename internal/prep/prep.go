@@ -43,12 +43,6 @@ type Stats struct {
 	Users int
 }
 
-// String summarizes the stats for reports.
-func (s Stats) String() string {
-	return fmt.Sprintf("records=%d filtered=%d unresolved=%d users=%d",
-		s.Records, s.Filtered, s.Unresolved, s.Users)
-}
-
 // BuildStreams groups records into per-user request streams, sorted by
 // timestamp within each user (stable, so same-timestamp records keep log
 // order). Streams are returned sorted by user key for determinism.

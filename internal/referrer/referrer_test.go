@@ -50,12 +50,12 @@ func TestReconstructChainsOnReferer(t *testing.T) {
 		{ids["P1"], ids["P20"]},
 	}
 	for i, w := range want {
-		pages := got[i].Pages()
-		if len(pages) != len(w) {
+		entries := got[i].Entries
+		if len(entries) != len(w) {
 			t.Fatalf("session %d = %v, want %v", i, got[i], w)
 		}
 		for j := range w {
-			if pages[j] != w[j] {
+			if entries[j].Page != w[j] {
 				t.Fatalf("session %d = %v, want %v", i, got[i], w)
 			}
 		}
@@ -86,8 +86,8 @@ func TestReconstructPrefersMostRecentlyExtended(t *testing.T) {
 	// The second session (extended last) should have received P49.
 	var withP49 *session.Session
 	for i := range got {
-		pages := got[i].Pages()
-		if pages[len(pages)-1] == ids["P49"] {
+		entries := got[i].Entries
+		if entries[len(entries)-1].Page == ids["P49"] {
 			withP49 = &got[i]
 		}
 	}

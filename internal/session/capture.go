@@ -23,23 +23,6 @@ func Captures(h, r Session) bool {
 	return entryIndexOf(h.Entries, r.Entries) >= 0
 }
 
-// CapturedByAny reports whether any of the candidate sessions captures r.
-func CapturedByAny(candidates []Session, r Session) bool {
-	for _, h := range candidates {
-		if Captures(h, r) {
-			return true
-		}
-	}
-	return false
-}
-
-// Subsumes reports whether session a subsumes session b: b's pages occur
-// contiguously within a's. Smart-SRA guarantees its output sessions are
-// maximal, i.e. no output session subsumes another (unless equal).
-func Subsumes(a, b Session) bool {
-	return len(a.Entries) >= len(b.Entries) && entryIndexOf(a.Entries, b.Entries) >= 0
-}
-
 // entryIndexOf returns the first index at which needle's pages occur
 // contiguously in haystack, or -1, comparing pages in place so callers need
 // not materialize page sequences. This is the "ordinary string searching

@@ -45,15 +45,6 @@ type Session struct {
 	Entries []Entry
 }
 
-// Pages returns just the page IDs of the session, in order.
-func (s Session) Pages() []webgraph.PageID {
-	out := make([]webgraph.PageID, len(s.Entries))
-	for i, e := range s.Entries {
-		out[i] = e.Page
-	}
-	return out
-}
-
 // Len returns the number of page views in the session.
 func (s Session) Len() int { return len(s.Entries) }
 

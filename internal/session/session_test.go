@@ -11,6 +11,32 @@ import (
 var t0 = time.Date(2006, 1, 2, 12, 0, 0, 0, time.UTC)
 
 // mk builds a session from (page, minute-offset) pairs.
+// Pages returns just the page IDs of the session, in order.
+func (s Session) Pages() []webgraph.PageID {
+	out := make([]webgraph.PageID, len(s.Entries))
+	for i, e := range s.Entries {
+		out[i] = e.Page
+	}
+	return out
+}
+
+// CapturedByAny reports whether any of the candidate sessions captures r.
+func CapturedByAny(candidates []Session, r Session) bool {
+	for _, h := range candidates {
+		if Captures(h, r) {
+			return true
+		}
+	}
+	return false
+}
+
+// Subsumes reports whether session a subsumes session b: b's pages occur
+// contiguously within a's. Smart-SRA guarantees its output sessions are
+// maximal, i.e. no output session subsumes another (unless equal).
+func Subsumes(a, b Session) bool {
+	return len(a.Entries) >= len(b.Entries) && entryIndexOf(a.Entries, b.Entries) >= 0
+}
+
 func mk(user string, pairs ...int) Session {
 	if len(pairs)%2 != 0 {
 		panic("mk needs page,minute pairs")

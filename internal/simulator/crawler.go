@@ -13,7 +13,7 @@ import (
 // tight timing and no session structure. Crawler records pollute analytics
 // and must be removed by the data-cleaning phase; the common log format
 // offers only the /robots.txt fetch as a signal, while the combined format
-// exposes the bot user agent (see clf.DropUserAgentContaining).
+// exposes the bot user agent.
 //
 // Crawlers never affect ground-truth sessions or the simulator's Streams —
 // they are log pollution by construction.

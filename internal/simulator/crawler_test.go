@@ -1,6 +1,7 @@
 package simulator
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -58,8 +59,11 @@ func TestCrawlerCleaningWithUserAgent(t *testing.T) {
 	g := testTopology(t)
 	start := time.Date(2006, 1, 2, 0, 0, 0, 0, time.UTC)
 	recs := CrawlerRecords(g, 1, 3, start)
-	f := clf.Chain(clf.StandardCleaning(), clf.DropUserAgentContaining("crawler", "bot"))
-	kept, dropped := clf.Apply(recs, f)
+	clean := clf.StandardCleaning()
+	kept, dropped := clf.Apply(recs, func(r clf.Record) bool {
+		ua := strings.ToLower(r.UserAgent)
+		return clean(r) && !strings.Contains(ua, "crawler") && !strings.Contains(ua, "bot")
+	})
 	if len(kept) != 0 {
 		t.Errorf("%d crawler records survived UA cleaning", len(kept))
 	}

@@ -74,18 +74,6 @@ const (
 	StayLognormal
 )
 
-// String names the model for reports.
-func (m StayModel) String() string {
-	switch m {
-	case StayNormal:
-		return "normal"
-	case StayLognormal:
-		return "lognormal"
-	default:
-		return fmt.Sprintf("StayModel(%d)", int(m))
-	}
-}
-
 // PaperParams returns Table 5's fixed parameters: STP 5%, LPP 30%, NIP 30%,
 // page-stay N(2.12 min, 0.5 min), 10000 agents.
 func PaperParams() Params {

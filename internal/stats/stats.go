@@ -5,7 +5,6 @@
 package stats
 
 import (
-	"fmt"
 	"math"
 	"sort"
 )
@@ -42,12 +41,6 @@ func Summarize(xs []float64) Summary {
 	s.Min, s.Max = sorted[0], sorted[len(sorted)-1]
 	s.Median = Quantile(sorted, 0.5)
 	return s
-}
-
-// String renders the summary compactly.
-func (s Summary) String() string {
-	return fmt.Sprintf("n=%d mean=%.3f sd=%.3f min=%.3f p50=%.3f max=%.3f",
-		s.N, s.Mean, s.StdDev, s.Min, s.Median, s.Max)
 }
 
 // CI95 returns the normal-approximation 95% confidence half-width for the
@@ -99,9 +92,6 @@ func (a *Accumulator) Add(x float64) {
 	a.mean += delta / float64(a.n)
 	a.m2 += delta * (x - a.mean)
 }
-
-// N returns the number of observations.
-func (a *Accumulator) N() int { return a.n }
 
 // Mean returns the running mean (0 when empty).
 func (a *Accumulator) Mean() float64 { return a.mean }

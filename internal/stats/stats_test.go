@@ -3,7 +3,6 @@ package stats
 import (
 	"math"
 	"math/rand"
-	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -25,8 +24,8 @@ func TestSummarize(t *testing.T) {
 	if !almost(s.Median, 4.5) {
 		t.Errorf("median = %v", s.Median)
 	}
-	if !strings.Contains(s.String(), "n=8") {
-		t.Errorf("String = %q", s.String())
+	if s.N != 8 {
+		t.Errorf("n = %d", s.N)
 	}
 }
 
@@ -86,7 +85,7 @@ func TestAccumulatorMatchesTwoPassProperty(t *testing.T) {
 			ss += (x - mean) * (x - mean)
 		}
 		variance := ss / float64(len(xs)-1)
-		return acc.N() == len(xs) &&
+		return acc.n == len(xs) &&
 			math.Abs(acc.Mean()-mean) < 1e-6 &&
 			math.Abs(acc.Variance()-variance) < 1e-6
 	}
@@ -97,7 +96,7 @@ func TestAccumulatorMatchesTwoPassProperty(t *testing.T) {
 
 func TestAccumulatorEmpty(t *testing.T) {
 	var a Accumulator
-	if a.N() != 0 || a.Mean() != 0 || a.Variance() != 0 || a.StdDev() != 0 {
+	if a.n != 0 || a.Mean() != 0 || a.Variance() != 0 || a.StdDev() != 0 {
 		t.Errorf("zero accumulator: %+v", a)
 	}
 	a.Add(5)

@@ -69,14 +69,6 @@ func (b *Builder) HasEdge(u, v PageID) bool {
 	return false
 }
 
-// OutDegree returns the current number of edges leaving u.
-func (b *Builder) OutDegree(u PageID) int {
-	if int(u) < 0 || int(u) >= b.n {
-		return 0
-	}
-	return len(b.succ[u])
-}
-
 // SetLabel assigns a URI label to page p, replacing the default.
 func (b *Builder) SetLabel(p PageID, uri string) error {
 	if int(p) < 0 || int(p) >= b.n {
@@ -105,7 +97,6 @@ func (b *Builder) Build() (*Graph, error) {
 	g := &Graph{
 		n:      b.n,
 		succ:   make([][]PageID, b.n),
-		pred:   make([][]PageID, b.n),
 		labels: append([]string(nil), b.labels...),
 		byURI:  make(map[string]PageID, b.n),
 		edges:  b.edges,
@@ -119,11 +110,7 @@ func (b *Builder) Build() (*Graph, error) {
 		for _, v := range out {
 			idx := u*b.n + int(v)
 			g.bits[idx>>6] |= 1 << uint(idx&63)
-			g.pred[v] = append(g.pred[v], PageID(u))
 		}
-	}
-	for v := 0; v < b.n; v++ {
-		sort.Slice(g.pred[v], func(i, j int) bool { return g.pred[v][i] < g.pred[v][j] })
 	}
 	for i, uri := range g.labels {
 		if prev, dup := g.byURI[uri]; dup {

@@ -10,7 +10,6 @@ package webgraph
 
 import (
 	"fmt"
-	"sort"
 )
 
 // PageID identifies a page (node) in a Graph. IDs are dense: a graph with N
@@ -27,7 +26,6 @@ const InvalidPage PageID = -1
 type Graph struct {
 	n      int
 	succ   [][]PageID // out-edges, sorted ascending
-	pred   [][]PageID // in-edges, sorted ascending
 	bits   []uint64   // row-major adjacency bitmap: bit (u*n + v) set iff u->v
 	labels []string   // URI label per page, e.g. "/p/17.html"
 	byURI  map[string]PageID
@@ -37,9 +35,6 @@ type Graph struct {
 
 // NumPages returns the number of pages (nodes).
 func (g *Graph) NumPages() int { return g.n }
-
-// NumEdges returns the number of hyperlinks (directed edges).
-func (g *Graph) NumEdges() int { return g.edges }
 
 // Valid reports whether p is a page of this graph.
 func (g *Graph) Valid(p PageID) bool { return p >= 0 && int(p) < g.n }
@@ -61,31 +56,6 @@ func (g *Graph) Succ(p PageID) []PageID {
 		return nil
 	}
 	return g.succ[p]
-}
-
-// Pred returns the pages that link to p (p's in-neighbors), sorted ascending.
-// The returned slice is shared; callers must not modify it.
-func (g *Graph) Pred(p PageID) []PageID {
-	if !g.Valid(p) {
-		return nil
-	}
-	return g.pred[p]
-}
-
-// OutDegree returns the number of hyperlinks leaving p.
-func (g *Graph) OutDegree(p PageID) int { return len(g.Succ(p)) }
-
-// InDegree returns the number of hyperlinks pointing at p.
-func (g *Graph) InDegree(p PageID) int { return len(g.Pred(p)) }
-
-// AvgOutDegree returns the mean out-degree across all pages, or 0 for an
-// empty graph. Table 5 of the paper fixes this at 15 for the default
-// topology.
-func (g *Graph) AvgOutDegree() float64 {
-	if g.n == 0 {
-		return 0
-	}
-	return float64(g.edges) / float64(g.n)
 }
 
 // Label returns the URI label of page p, or "" if p is invalid.
@@ -110,12 +80,6 @@ func (g *Graph) PageByURI(uri string) (PageID, bool) {
 // pages"), sorted ascending. The returned slice is shared; callers must not
 // modify it.
 func (g *Graph) StartPages() []PageID { return g.starts }
-
-// IsStartPage reports whether p is a designated entry page.
-func (g *Graph) IsStartPage(p PageID) bool {
-	i := sort.Search(len(g.starts), func(i int) bool { return g.starts[i] >= p })
-	return i < len(g.starts) && g.starts[i] == p
-}
 
 // Pages returns all page IDs in ascending order, in a fresh slice.
 func (g *Graph) Pages() []PageID {

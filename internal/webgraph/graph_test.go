@@ -3,9 +3,76 @@ package webgraph
 import (
 	"bytes"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 )
+
+// The graph queries below only tests ask.
+
+// NumEdges returns the number of hyperlinks (directed edges).
+func (g *Graph) NumEdges() int { return g.edges }
+
+// Pred returns the pages that link to p (p's in-neighbors), sorted ascending.
+func (g *Graph) Pred(p PageID) []PageID {
+	var out []PageID
+	for u := 0; u < g.n; u++ {
+		if g.HasEdge(PageID(u), p) {
+			out = append(out, PageID(u))
+		}
+	}
+	return out
+}
+
+// OutDegree returns the number of hyperlinks leaving p.
+func (g *Graph) OutDegree(p PageID) int { return len(g.Succ(p)) }
+
+// InDegree returns the number of hyperlinks pointing at p.
+func (g *Graph) InDegree(p PageID) int { return len(g.Pred(p)) }
+
+// AvgOutDegree returns the mean out-degree across all pages, or 0 for an
+// empty graph. Table 5 of the paper fixes this at 15 for the default
+// topology.
+func (g *Graph) AvgOutDegree() float64 {
+	if g.n == 0 {
+		return 0
+	}
+	return float64(g.edges) / float64(g.n)
+}
+
+// IsStartPage reports whether p is a designated entry page.
+func (g *Graph) IsStartPage(p PageID) bool {
+	_, found := slices.BinarySearch(g.starts, p)
+	return found
+}
+
+// ReachableFrom returns the set of pages reachable from any page in seeds by
+// following hyperlinks forward (including the seeds themselves), as a sorted
+// slice.
+func (g *Graph) ReachableFrom(seeds ...PageID) []PageID {
+	reached := make([]bool, g.n)
+	queue := make([]PageID, 0, len(seeds))
+	for _, s := range seeds {
+		if g.Valid(s) && !reached[s] {
+			reached[s] = true
+			queue = append(queue, s)
+		}
+	}
+	var out []PageID
+	for len(queue) > 0 {
+		u := queue[0]
+		queue = queue[1:]
+		out = append(out, u)
+		for _, v := range g.succ[u] {
+			if !reached[v] {
+				reached[v] = true
+				queue = append(queue, v)
+			}
+		}
+	}
+	slices.Sort(out)
+	return out
+}
 
 func TestEmptyGraph(t *testing.T) {
 	g := NewBuilder(0).MustBuild()

@@ -96,26 +96,6 @@ type LogSink interface {
 	Record(clf.Record)
 }
 
-// CollectSink is a concurrency-safe in-memory LogSink.
-type CollectSink struct {
-	mu      sync.Mutex
-	records []clf.Record
-}
-
-// Record implements LogSink.
-func (c *CollectSink) Record(r clf.Record) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.records = append(c.records, r)
-}
-
-// Records returns a copy of everything collected so far.
-func (c *CollectSink) Records() []clf.Record {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return append([]clf.Record(nil), c.records...)
-}
-
 // WriterSink adapts a clf.Writer into a LogSink. Errors are retained and
 // reported by Err (an access logger must not fail requests).
 type WriterSink struct {

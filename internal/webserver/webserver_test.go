@@ -15,6 +15,26 @@ import (
 	"smartsra/internal/webgraph"
 )
 
+// CollectSink is a concurrency-safe in-memory LogSink.
+type CollectSink struct {
+	mu      sync.Mutex
+	records []clf.Record
+}
+
+// Record implements LogSink.
+func (c *CollectSink) Record(r clf.Record) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.records = append(c.records, r)
+}
+
+// Records returns a copy of everything collected so far.
+func (c *CollectSink) Records() []clf.Record {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return append([]clf.Record(nil), c.records...)
+}
+
 func figureSite(t *testing.T) (*webgraph.Graph, map[string]webgraph.PageID, *Site) {
 	t.Helper()
 	g, ids := webgraph.PaperFigure1()
@@ -143,8 +163,18 @@ func TestAccessLogProducesParseableCLF(t *testing.T) {
 		t.Error("fake clock not increasing")
 	}
 	// Every record round-trips through the combined format.
+	var buf bytes.Buffer
+	w := clf.NewCombinedWriter(&buf)
 	for _, rec := range recs {
-		if _, err := clf.ParseCombinedRecord(rec.CombinedString()); err != nil {
+		if err := w.Write(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(strings.TrimSuffix(buf.String(), "\n"), "\n") {
+		if _, err := clf.ParseCombinedRecord(line); err != nil {
 			t.Errorf("record does not re-parse: %v", err)
 		}
 	}
