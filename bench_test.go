@@ -225,57 +225,6 @@ func BenchmarkAblationStartPages(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationNavigationTimeLimit measures §2.2's missing knob: the
-// navigation-oriented heuristic with and without a page-stay time limit.
-func BenchmarkAblationNavigationTimeLimit(b *testing.B) {
-	params := simulator.PaperParams()
-	params.Agents = 250
-	g, res := benchWorkload(b, webgraph.PaperTopology(), params)
-	for _, gap := range []time.Duration{0, 10 * time.Minute} {
-		name := "unlimited"
-		if gap > 0 {
-			name = "maxgap=10m"
-		}
-		b.Run(name, func(b *testing.B) {
-			h := heuristics.NewNavigation(g)
-			h.MaxGap = gap
-			var acc eval.Accuracy
-			var shape eval.SessionStats
-			for i := 0; i < b.N; i++ {
-				cands := heuristics.ReconstructAll(h, res.Streams)
-				acc = eval.ScoreMatched(res.Real, cands)
-				shape = eval.Summarize(cands)
-			}
-			b.ReportMetric(acc.Percent(), "acc%")
-			b.ReportMetric(float64(shape.MaxLength), "max-session-len")
-		})
-	}
-}
-
-// BenchmarkAblationStayModel checks robustness to the dwell-time shape:
-// Table 5's normal distribution vs a heavy-tailed lognormal.
-func BenchmarkAblationStayModel(b *testing.B) {
-	for _, m := range []struct {
-		name  string
-		model simulator.StayModel
-	}{{"normal", simulator.StayNormal}, {"lognormal", simulator.StayLognormal}} {
-		model := m.model
-		b.Run(m.name, func(b *testing.B) {
-			params := simulator.PaperParams()
-			params.Agents = 250
-			params.Stay = model
-			g, res := benchWorkload(b, webgraph.PaperTopology(), params)
-			h := heuristics.NewSmartSRA(g)
-			var acc eval.Accuracy
-			for i := 0; i < b.N; i++ {
-				cands := heuristics.ReconstructAll(h, res.Streams)
-				acc = eval.ScoreMatched(res.Real, cands)
-			}
-			b.ReportMetric(acc.Percent(), "acc%")
-		})
-	}
-}
-
 // BenchmarkAblationProxySharing measures the §1 proxy effect: agents behind
 // shared IPs have their streams merged in the log, and every heuristic
 // degrades because it must disentangle interleaved users.

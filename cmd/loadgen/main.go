@@ -101,7 +101,7 @@ func run(url, topoPath string, agents int, seed int64, speedup float64, workers 
 	if chaos {
 		go func() {
 			defer close(chaosDone)
-			r, err := loadgen.RunChaos(ctx, loadgen.ChaosConfig{BaseURL: url})
+			r, err := loadgen.RunChaos(ctx, url)
 			chaosRep, chaosErr = &r, err
 		}()
 	} else {

@@ -262,7 +262,7 @@ func (s *server) handler(o options) http.Handler {
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	root := webserver.AccessLogWith(webserver.NewSite(s.g), s,
-		webserver.LogOptions{Now: time.Now, TrustForwardedFor: o.trustFwd})
+		webserver.LogOptions{TrustForwardedFor: o.trustFwd})
 	// Admission control is the one place a request is refused: a flooding
 	// client is turned away (429) and the in-flight cap bounds handler
 	// concurrency (503) before anything is served or logged. /debug/metrics

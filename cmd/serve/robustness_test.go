@@ -120,7 +120,6 @@ func TestLiveOfflineEquivalenceWithExpiry(t *testing.T) {
 			Requests: reqs,
 			Speedup:  speedup,
 			Workers:  8,
-			Timeout:  2 * time.Second,
 		})
 		repc <- rep
 	}()

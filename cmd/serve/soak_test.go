@@ -238,7 +238,6 @@ func TestSoakCrashRecoveryUnderLoad(t *testing.T) {
 			Requests: reqs,
 			Speedup:  speedup,
 			Workers:  8,
-			Timeout:  2 * time.Second,
 		})
 		repc <- rep
 	}()

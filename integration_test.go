@@ -9,9 +9,12 @@ package smartsra
 import (
 	"bytes"
 	"compress/gzip"
+	"fmt"
 	"go/ast"
+	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -557,13 +560,17 @@ func flagArg(s string) (string, bool) {
 	return "-" + name, true
 }
 
-// The reasons a function may run in no command. unreached admits no other.
+// The reasons a function may run in no command, or a field be set by none.
+// unreached admits the first five, unset forBench, forProxies and the last
+// two.
 const (
 	forBench     = "bench/ calls it, and bench/ is frozen until ROADMAP item 2 deletes it"
 	forReference = "another package's tests use it as their independent reference (aim 3)"
 	forInterface = "an interface requires it"
 	forCI        = "only a named CI step reaches it"
 	forProxies   = "the simulator's proxy path: no command sets Params.ProxyFraction until ROADMAP items 2 and 13"
+	forFixtures  = "another package's tests need a value no command uses, to build an input small enough to test"
+	forState     = "the package writes it as output or running state, and callers only read it"
 )
 
 // TestEveryFunctionIsRun fails when a non-test function outside
@@ -712,3 +719,248 @@ func goTool(t *testing.T, env []string, args ...string) string {
 	}
 	return string(out)
 }
+
+// TestEveryFieldIsSet fails when an exported field of an exported struct
+// type under internal/ (outside faultio and plan) is written by no non-test
+// file, or, when its type is a settings type — one whose fields some
+// non-test file outside its package writes — by no non-test file outside
+// its package. A write is a key or a positional element of a composite
+// literal, an assignment or inc/dec target (every field of a selector
+// chain: cfg.Params.Agents = n writes RunConfig.Params too), an address
+// &x.F, or the receiver x.F of a pointer-method call. Embedded fields are
+// not checked. unset names the exceptions, "pkg.Type.Field", each with one
+// of the reasons above. Run it alone with
+// go test -run TestEveryFieldIsSet -v . to see the counts.
+func TestEveryFieldIsSet(t *testing.T) {
+	unset := map[string]string{
+		"clf.StreamConfig.Workers":                  forBench,
+		"clf.StreamConfig.NoMmap":                   forBench,
+		"simulator.Params.ProxyFraction":            forProxies,
+		"simulator.Params.ProxySize":                forProxies,
+		"core.Config.StreamChunkBytes":              forFixtures, // checkpoints within small logs
+		"webgraph.TopologyConfig.StartPageFraction": forFixtures,
+		"checkpoint.Sink.Good":                      forState,
+		"simulator.Result.Real":                     forState,
+		"simulator.Result.Stats":                    forState,
+	}
+	fset := token.NewFileSet()
+	files := map[string][]*ast.File{} // import path → its non-test files
+	err := filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path == "bench" || d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".") && path != "." {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			return err
+		}
+		pkg := "smartsra/" + filepath.ToSlash(filepath.Dir(path))
+		files[pkg] = append(files[pkg], f)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	info := &types.Info{
+		Types:      map[ast.Expr]types.TypeAndValue{},
+		Uses:       map[*ast.Ident]types.Object{},
+		Selections: map[*ast.SelectorExpr]*types.Selection{},
+	}
+	checked := map[string]*types.Package{}
+	var imp importerFunc
+	std := importer.ForCompiler(fset, "gc", nil)
+	imp = func(path string) (*types.Package, error) {
+		if pkg, ok := checked[path]; ok {
+			return pkg, nil
+		}
+		if _, ok := files[path]; !ok {
+			return std.Import(path)
+		}
+		conf := types.Config{Importer: imp}
+		pkg, err := conf.Check(path, fset, files[path], info)
+		checked[path] = pkg
+		return pkg, err
+	}
+	var paths []string
+	for path := range files {
+		paths = append(paths, path)
+	}
+	sort.Strings(paths)
+	for _, path := range paths {
+		if _, err := imp(path); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// The fields in scope, each with where it is declared.
+	type field struct {
+		key, typ, pkg, pos string
+	}
+	fields := map[*types.Var]*field{}
+	for _, path := range paths {
+		pkg := strings.TrimPrefix(path, "smartsra/")
+		if !strings.HasPrefix(pkg, "internal/") || pkg == "internal/faultio" || pkg == "internal/plan" {
+			continue
+		}
+		scope := checked[path].Scope()
+		for _, name := range scope.Names() {
+			tn, ok := scope.Lookup(name).(*types.TypeName)
+			if !ok || !tn.Exported() || tn.IsAlias() {
+				continue
+			}
+			st, ok := tn.Type().Underlying().(*types.Struct)
+			if !ok {
+				continue
+			}
+			for i := 0; i < st.NumFields(); i++ {
+				v := st.Field(i)
+				if !v.Exported() || v.Embedded() {
+					continue
+				}
+				p := fset.Position(v.Pos())
+				fields[v] = &field{
+					key: checked[path].Name() + "." + name + "." + v.Name(),
+					typ: path + "." + name,
+					pkg: path,
+					pos: fmt.Sprintf("%s:%d", p.Filename, p.Line),
+				}
+			}
+		}
+	}
+
+	// The writes: field → the packages whose non-test files write it.
+	writers := map[*types.Var]map[string]bool{}
+	write := func(v *types.Var, pkg string) {
+		if v == nil {
+			return
+		}
+		v = v.Origin()
+		if writers[v] == nil {
+			writers[v] = map[string]bool{}
+		}
+		writers[v][pkg] = true
+	}
+	// chain writes every field of a selector chain that ends in x.
+	var chain func(x ast.Expr, pkg string)
+	chain = func(x ast.Expr, pkg string) {
+		switch e := x.(type) {
+		case *ast.ParenExpr:
+			chain(e.X, pkg)
+		case *ast.StarExpr:
+			chain(e.X, pkg)
+		case *ast.IndexExpr:
+			chain(e.X, pkg)
+		case *ast.SelectorExpr:
+			if s, ok := info.Selections[e]; ok && s.Kind() == types.FieldVal {
+				write(s.Obj().(*types.Var), pkg)
+				chain(e.X, pkg)
+			}
+		}
+	}
+	for _, path := range paths {
+		for _, f := range files[path] {
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.CompositeLit:
+					st, ok := info.TypeOf(n).Underlying().(*types.Struct)
+					if !ok {
+						break
+					}
+					for i, elt := range n.Elts {
+						if kv, ok := elt.(*ast.KeyValueExpr); ok {
+							v, _ := info.Uses[kv.Key.(*ast.Ident)].(*types.Var)
+							write(v, path)
+						} else {
+							write(st.Field(i), path)
+						}
+					}
+				case *ast.AssignStmt:
+					for _, lhs := range n.Lhs {
+						chain(lhs, path)
+					}
+				case *ast.IncDecStmt:
+					chain(n.X, path)
+				case *ast.UnaryExpr:
+					if n.Op == token.AND {
+						chain(n.X, path)
+					}
+				case *ast.CallExpr:
+					sel, ok := n.Fun.(*ast.SelectorExpr)
+					if !ok {
+						break
+					}
+					if s, ok := info.Selections[sel]; ok && s.Kind() == types.MethodVal {
+						if _, ptr := s.Obj().Type().(*types.Signature).Recv().Type().(*types.Pointer); ptr {
+							chain(sel.X, path)
+						}
+					}
+				}
+				return true
+			})
+		}
+	}
+	settings := map[string]bool{} // type → some field written outside its package
+	outside := map[*types.Var]bool{}
+	for v, f := range fields {
+		for pkg := range writers[v] {
+			if pkg != f.pkg {
+				settings[f.typ], outside[v] = true, true
+			}
+		}
+	}
+
+	var keys []string
+	byKey := map[string]*types.Var{}
+	for v, f := range fields {
+		keys = append(keys, f.key)
+		byKey[f.key] = v
+	}
+	sort.Strings(keys)
+	counts := map[string]int{}
+	for _, key := range keys {
+		v := byKey[key]
+		f := fields[v]
+		var why string
+		switch {
+		case len(writers[v]) == 0:
+			why = "no non-test file writes it"
+		case settings[f.typ] && !outside[v]:
+			why = "no non-test file outside its package writes it, and it configures that package"
+		}
+		reason, exempt := unset[key]
+		switch {
+		case why != "" && !exempt:
+			t.Errorf("%s %s: %s; make it a constant, unexported, or delete it", f.pos, key, why)
+		case why == "" && exempt:
+			t.Errorf("%s %s: a command sets it now; drop its unset entry (%q)", f.pos, key, reason)
+		case exempt:
+			counts[reason]++
+		}
+	}
+	reasons := []string{forBench, forProxies, forFixtures, forState}
+	for key, reason := range unset {
+		if byKey[key] == nil {
+			t.Errorf("%s: no such field in scope; drop its unset entry", key)
+		}
+		if !slices.Contains(reasons, reason) {
+			t.Errorf("%s: %q is not one of the reasons a field may be set by no command", key, reason)
+		}
+	}
+	t.Logf("%d fields checked, %d set by no command", len(keys), counts[forBench]+counts[forProxies]+counts[forFixtures]+counts[forState])
+	for _, reason := range reasons {
+		t.Logf("%3d exempt: %s", counts[reason], reason)
+	}
+}
+
+// importerFunc is a types.Importer.
+type importerFunc func(path string) (*types.Package, error)
+
+func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }

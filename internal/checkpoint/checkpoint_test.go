@@ -233,7 +233,7 @@ func TestWriterRateLimit(t *testing.T) {
 	fsys := &faultio.FS{WriteFaults: faultio.FaultAt(faultio.Fail, 1)}
 	w := checkpoint.NewWriter(fsys, path, time.Minute)
 	clock := time.Date(2024, 3, 1, 12, 0, 0, 0, time.UTC)
-	w.Now = func() time.Time { return clock }
+	checkpoint.SetClock(w, func() time.Time { return clock })
 
 	builds := 0
 	build := func() (*checkpoint.Checkpoint, error) {

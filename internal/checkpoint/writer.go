@@ -7,9 +7,9 @@ import "time"
 // chunk boundary, every request). It is not safe for concurrent use; callers
 // invoke it from the goroutine that owns the sessionizer state.
 type Writer struct {
-	// Now is the clock; nil means time.Now. Tests inject a fake to exercise
-	// the rate limit deterministically.
-	Now func() time.Time
+	// clock stands in for time.Now when set: tests inject a fake to
+	// exercise the rate limit deterministically.
+	clock func() time.Time
 
 	fsys  FS
 	path  string
@@ -55,8 +55,8 @@ func (w *Writer) MaybeSave(build func() (*Checkpoint, error)) (saved bool, err e
 }
 
 func (w *Writer) now() time.Time {
-	if w.Now != nil {
-		return w.Now()
+	if w.clock != nil {
+		return w.clock()
 	}
 	return time.Now()
 }

@@ -52,9 +52,10 @@ func DefaultHeuristics(g *webgraph.Graph) []heuristics.Reconstructor {
 type RunConfig struct {
 	// Topology configures the random site; zero value means PaperTopology.
 	Topology webgraph.TopologyConfig
-	// TopologySeed seeds topology generation (independent of agent
+	// topologySeed seeds topology generation (independent of agent
 	// randomness so sweeps reuse one site, like the paper's fixed web site).
-	TopologySeed int64
+	// It is 2006; the package's tests draw others.
+	topologySeed int64
 	// Params configures the agent simulator.
 	Params simulator.Params
 	// ViaCLF routes the simulated requests through an actual Common Log
@@ -67,15 +68,16 @@ type RunConfig struct {
 	// log — the reactive upper bound the paper's common-format setting
 	// cannot reach.
 	IncludeReferrer bool
-	// Heuristics overrides the contenders; nil means DefaultHeuristics.
-	Heuristics func(g *webgraph.Graph) []heuristics.Reconstructor
+	// heuristics overrides the contenders for the package's tests; nil
+	// means DefaultHeuristics.
+	heuristics func(g *webgraph.Graph) []heuristics.Reconstructor
 }
 
 // PaperDefaults returns the Table 5 evaluation configuration.
 func PaperDefaults() RunConfig {
 	return RunConfig{
 		Topology:     webgraph.PaperTopology(),
-		TopologySeed: 2006,
+		topologySeed: 2006,
 		Params:       simulator.PaperParams(),
 	}
 }
@@ -98,7 +100,7 @@ type PointResult struct {
 }
 
 // Topology generates the site graph cfg describes. The generation RNG is
-// seeded with cfg.TopologySeed, independent of agent randomness, so the same
+// seeded with cfg.topologySeed, independent of agent randomness, so the same
 // configuration always yields the same graph — sweeps and replications can
 // generate it once and share it read-only across concurrent points.
 func Topology(cfg RunConfig) (*webgraph.Graph, error) {
@@ -106,7 +108,7 @@ func Topology(cfg RunConfig) (*webgraph.Graph, error) {
 	if topoCfg.Pages == 0 {
 		topoCfg = webgraph.PaperTopology()
 	}
-	return webgraph.GenerateTopology(topoCfg, rand.New(rand.NewSource(cfg.TopologySeed)))
+	return webgraph.GenerateTopology(topoCfg, rand.New(rand.NewSource(cfg.topologySeed)))
 }
 
 // EvaluatePointOn simulates one run over g and scores every heuristic on
@@ -183,7 +185,7 @@ type pointScorer struct {
 }
 
 func newPointScorer(g *webgraph.Graph, cfg RunConfig) *pointScorer {
-	build := cfg.Heuristics
+	build := cfg.heuristics
 	if build == nil {
 		build = DefaultHeuristics
 	}
@@ -454,7 +456,7 @@ func (e Experiment) pointConfigs() ([]RunConfig, error) {
 // RunWith executes the sweep's points under the bounded worker pool
 // (runPoints). The topology is generated once (the swept variables only
 // affect agent behavior, and topology generation is seeded independently —
-// see RunConfig.TopologySeed) and shared read-only by every point. Results
+// see RunConfig.topologySeed) and shared read-only by every point. Results
 // are identical for any worker count; on error the lowest-indexed
 // failing point's error is returned.
 func (e Experiment) RunWith(opts RunOptions) (*SweepResult, error) {

@@ -146,7 +146,7 @@ func randomPointConfig(rng *rand.Rand, proxies bool) RunConfig {
 			Pages: 30 + rng.Intn(60), AvgOutDegree: 3 + 5*rng.Float64(),
 			StartPageFraction: 0.05 + 0.1*rng.Float64(),
 		},
-		TopologySeed: rng.Int63(),
+		topologySeed: rng.Int63(),
 		Params:       simulator.PaperParams(),
 	}
 	cfg.Params.Agents = 30 + rng.Intn(60)
@@ -363,7 +363,7 @@ func kernelWorkload(tb testing.TB, agents int) (*webgraph.Graph, RunConfig, []*s
 func TestScoreStreamsSteadyStateAllocs(t *testing.T) {
 	g, cfg, users := kernelWorkload(t, 60)
 	for _, h := range DefaultHeuristics(g) {
-		cfg.Heuristics = func(*webgraph.Graph) []heuristics.Reconstructor { return []heuristics.Reconstructor{h} }
+		cfg.heuristics = func(*webgraph.Graph) []heuristics.Reconstructor { return []heuristics.Reconstructor{h} }
 		ps := newPointScorer(g, cfg)
 		pass := func() {
 			for _, u := range users {

@@ -137,7 +137,7 @@ func TestReplicateReportsActualSeries(t *testing.T) {
 	cfg := smallConfig()
 	cfg.Params.Agents = 80
 	cfg.IncludeReferrer = true
-	cfg.Heuristics = customSet
+	cfg.heuristics = customSet
 	seeds := []int64{1, 2, 3}
 	res, err := ReplicateWith(cfg, seeds, RunOptions{Workers: 2})
 	if err != nil {
@@ -182,7 +182,7 @@ func TestReplicateReportsActualSeries(t *testing.T) {
 func TestSeriesNamesCustomSet(t *testing.T) {
 	cfg := smallConfig()
 	cfg.IncludeReferrer = true
-	cfg.Heuristics = customSet
+	cfg.heuristics = customSet
 	p, err := evaluatePoint(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -223,7 +223,7 @@ func TestSeriesNamesCustomSet(t *testing.T) {
 }
 
 // Sharing one generated topology across points must equal regenerating it
-// per point (generation is deterministic in TopologySeed).
+// per point (generation is deterministic in topologySeed).
 func TestEvaluatePointOnSharedTopology(t *testing.T) {
 	cfg := smallConfig()
 	direct, err := evaluatePoint(cfg)

@@ -30,7 +30,7 @@ type ReplicateResult struct {
 // topology is generated once and shared read-only, and seeds are evaluated
 // concurrently. Results are identical for any worker count.
 // The summarized series are the heuristics the points actually evaluated —
-// including custom cfg.Heuristics sets and the cfg.IncludeReferrer upper
+// including custom cfg.heuristics sets and the cfg.IncludeReferrer upper
 // bound — not a hardcoded list.
 func ReplicateWith(cfg RunConfig, seeds []int64, opts RunOptions) (*ReplicateResult, error) {
 	if len(seeds) == 0 {

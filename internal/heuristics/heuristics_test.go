@@ -503,24 +503,3 @@ func TestHeuristicsDoNotMutateInput(t *testing.T) {
 		}
 	}
 }
-
-func TestNavigationMaxGap(t *testing.T) {
-	g, ids := webgraph.PaperFigure1()
-	// P1 -> P13 linked but 25 minutes apart.
-	st := figStream(ids, "P1", 0, "P13", 25)
-	plain := NewNavigation(g)
-	if got := reconstruct(plain, st); len(got) != 1 {
-		t.Errorf("paper configuration split on time: %v", got)
-	}
-	limited := NewNavigation(g)
-	limited.MaxGap = 10 * time.Minute
-	got := reconstruct(limited, st)
-	if len(got) != 2 {
-		t.Errorf("MaxGap=10m did not split: %v", got)
-	}
-	// Within the gap, behavior is unchanged.
-	st2 := figStream(ids, "P1", 0, "P13", 5)
-	if got := reconstruct(limited, st2); len(got) != 1 || got[0].Len() != 2 {
-		t.Errorf("MaxGap split a tight session: %v", got)
-	}
-}

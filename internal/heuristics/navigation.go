@@ -21,11 +21,6 @@ import (
 type Navigation struct {
 	// Graph is the site topology consulted for hyperlinks.
 	Graph *webgraph.Graph
-	// MaxGap, when positive, closes the session whenever consecutive
-	// requests are further apart than this — the time limitation §2.2 notes
-	// the plain heuristic lacks ("it is possible to obtain very long
-	// sessions"). Zero (the paper's configuration) disables it.
-	MaxGap time.Duration
 }
 
 // NewNavigation returns heur3 over the given topology, without a time
@@ -78,11 +73,6 @@ func (h Navigation) appendSessions(out []session.Session, stream session.Stream,
 			continue
 		}
 		last := cur[len(cur)-1]
-		if h.MaxGap > 0 && e.Time.Sub(last.Time) > h.MaxGap {
-			closeCur()
-			cur = append(cur, e)
-			continue
-		}
 		if h.Graph.HasEdge(last.Page, e.Page) {
 			cur = append(cur, e)
 			continue

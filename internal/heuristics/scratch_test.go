@@ -60,13 +60,10 @@ func TestArenaRewind(t *testing.T) {
 // unknownHeuristic hides a heuristic's concrete type from Lend.
 type unknownHeuristic struct{ Reconstructor }
 
-// lendCases is every heuristic Lend knows, the settings that change what a
-// lane builds, and one it does not know.
+// lendCases is every heuristic Lend knows and one it does not know.
 func lendCases(g *webgraph.Graph) []Reconstructor {
-	limited := NewNavigation(g)
-	limited.MaxGap = session.DefaultPageStay
 	return []Reconstructor{
-		NewTimeTotal(), NewTimeGap(), NewNavigation(g), limited, NewSmartSRA(g),
+		NewTimeTotal(), NewTimeGap(), NewNavigation(g), NewSmartSRA(g),
 		unknownHeuristic{NewTimeGap()},
 	}
 }

@@ -21,39 +21,31 @@ import (
 	"time"
 )
 
-// ChaosConfig configures one adversarial run. The zero value of each knob
-// picks a small default, so ChaosConfig{BaseURL: u} is a usable smoke test.
-type ChaosConfig struct {
-	// BaseURL is the server root, e.g. "http://127.0.0.1:8080".
-	BaseURL string
-	// Slowloris is the number of concurrent slow connections, each sending
-	// a valid request line and then dripping one header every SlowInterval
-	// without ever finishing (default 8). A hardened server cuts them off
-	// with its read-header deadline.
-	Slowloris int
-	// SlowInterval is the drip period (default 500ms).
-	SlowInterval time.Duration
-	// FloodIPs is how many distinct hostile sources flood the server; each
-	// rides its own X-Forwarded-For address so per-IP admission sees them
-	// as separate clients (default 4).
-	FloodIPs int
-	// FloodPerIP is how many back-to-back requests each flooding source
-	// sends (default 50).
-	FloodPerIP int
-	// Churn is the number of connect-then-immediately-disconnect cycles,
-	// exercising connection accounting without ever sending a byte
-	// (default 100).
-	Churn int
-	// Malformed is the number of connections that send a garbage request
-	// line (default 25). The server should answer 400 or hang up, never
-	// log or ingest them.
-	Malformed int
-	// Duration bounds the whole chaos run (default 15s) — slowloris
-	// connections the server never closes are abandoned at the deadline.
-	Duration time.Duration
-	// Timeout bounds each flood request (default 5s).
-	Timeout time.Duration
-}
+// The chaos run's adversaries, one fixed mix: enough of each to see the
+// defence that meets it, small enough for a smoke test.
+const (
+	// slowConns concurrent slow connections each send a valid request line
+	// and then drip one header every slowInterval without ever finishing. A
+	// hardened server cuts them off with its read-header deadline.
+	slowConns    = 8
+	slowInterval = 500 * time.Millisecond
+	// floodIPs distinct hostile sources each send floodPerIP back-to-back
+	// requests, each bounded by floodTimeout. Each rides its own
+	// X-Forwarded-For address so per-IP admission sees them as separate
+	// clients.
+	floodIPs     = 4
+	floodPerIP   = 50
+	floodTimeout = 5 * time.Second
+	// churnCycles connect-then-immediately-disconnect cycles exercise
+	// connection accounting without ever sending a byte.
+	churnCycles = 100
+	// malformedConns connections send a garbage request line. The server
+	// should answer 400 or hang up, never log or ingest them.
+	malformedConns = 25
+	// chaosDuration bounds the whole run: slowloris connections the server
+	// never closes are abandoned at the deadline.
+	chaosDuration = 15 * time.Second
+)
 
 // ChaosReport classifies what happened to each adversary.
 type ChaosReport struct {
@@ -80,73 +72,49 @@ func (r ChaosReport) String() string {
 		r.Duration.Round(time.Millisecond))
 }
 
-// RunChaos attacks cfg.BaseURL with every configured adversary concurrently
+// RunChaos attacks the server at baseURL with every adversary concurrently
 // and blocks until all of them finish or the deadline passes. Like Run, the
 // returned error covers setup only — adversary failures are the data.
-func RunChaos(ctx context.Context, cfg ChaosConfig) (ChaosReport, error) {
-	if cfg.BaseURL == "" {
+func RunChaos(ctx context.Context, baseURL string) (ChaosReport, error) {
+	if baseURL == "" {
 		return ChaosReport{}, fmt.Errorf("loadgen: no base URL")
 	}
-	u, err := url.Parse(cfg.BaseURL)
+	u, err := url.Parse(baseURL)
 	if err != nil || u.Host == "" {
-		return ChaosReport{}, fmt.Errorf("loadgen: bad base URL %q", cfg.BaseURL)
+		return ChaosReport{}, fmt.Errorf("loadgen: bad base URL %q", baseURL)
 	}
 	addr := u.Host
-	if cfg.Slowloris <= 0 {
-		cfg.Slowloris = 8
-	}
-	if cfg.SlowInterval <= 0 {
-		cfg.SlowInterval = 500 * time.Millisecond
-	}
-	if cfg.FloodIPs <= 0 {
-		cfg.FloodIPs = 4
-	}
-	if cfg.FloodPerIP <= 0 {
-		cfg.FloodPerIP = 50
-	}
-	if cfg.Churn <= 0 {
-		cfg.Churn = 100
-	}
-	if cfg.Malformed <= 0 {
-		cfg.Malformed = 25
-	}
-	if cfg.Duration <= 0 {
-		cfg.Duration = 15 * time.Second
-	}
-	if cfg.Timeout <= 0 {
-		cfg.Timeout = 5 * time.Second
-	}
-	ctx, cancel := context.WithTimeout(ctx, cfg.Duration)
+	ctx, cancel := context.WithTimeout(ctx, chaosDuration)
 	defer cancel()
 
 	var rep ChaosReport
 	start := time.Now()
 	var wg sync.WaitGroup
 
-	for i := 0; i < cfg.Slowloris; i++ {
+	for i := 0; i < slowConns; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			slowloris(ctx, addr, cfg.SlowInterval, &rep)
+			slowloris(ctx, addr, &rep)
 		}()
 	}
-	for i := 0; i < cfg.FloodIPs; i++ {
+	for i := 0; i < floodIPs; i++ {
 		ip := fmt.Sprintf("203.0.113.%d", i+1) // TEST-NET-3, never a real user
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			flood(ctx, cfg, ip, &rep)
+			flood(ctx, baseURL, ip, &rep)
 		}()
 	}
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		churn(ctx, addr, cfg.Churn, &rep)
+		churn(ctx, addr, &rep)
 	}()
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		malformed(ctx, addr, cfg.Malformed, &rep)
+		malformed(ctx, addr, &rep)
 	}()
 
 	wg.Wait()
@@ -158,7 +126,7 @@ func RunChaos(ctx context.Context, cfg ChaosConfig) (ChaosReport, error) {
 // request line, then one useless header per interval, never the blank line
 // that ends the headers. The connection counts as server-closed when a read
 // hits EOF or a drip write fails before ctx expires.
-func slowloris(ctx context.Context, addr string, interval time.Duration, rep *ChaosReport) {
+func slowloris(ctx context.Context, addr string, rep *ChaosReport) {
 	d := net.Dialer{Timeout: 2 * time.Second}
 	c, err := d.DialContext(ctx, "tcp", addr)
 	if err != nil {
@@ -171,7 +139,7 @@ func slowloris(ctx context.Context, addr string, interval time.Duration, rep *Ch
 		return
 	}
 	buf := make([]byte, 256)
-	t := time.NewTicker(interval)
+	t := time.NewTicker(slowInterval)
 	defer t.Stop()
 	for {
 		select {
@@ -196,14 +164,14 @@ func slowloris(ctx context.Context, addr string, interval time.Duration, rep *Ch
 
 // flood fires back-to-back requests from one simulated source address and
 // classifies every response.
-func flood(ctx context.Context, cfg ChaosConfig, ip string, rep *ChaosReport) {
-	client := newClient(cfg.Timeout)
+func flood(ctx context.Context, baseURL, ip string, rep *ChaosReport) {
+	client := newClient(floodTimeout)
 	defer client.CloseIdleConnections()
-	for i := 0; i < cfg.FloodPerIP; i++ {
+	for i := 0; i < floodPerIP; i++ {
 		if ctx.Err() != nil {
 			return
 		}
-		req, err := http.NewRequestWithContext(ctx, http.MethodGet, cfg.BaseURL+"/", nil)
+		req, err := http.NewRequestWithContext(ctx, http.MethodGet, baseURL+"/", nil)
 		if err != nil {
 			return
 		}
@@ -216,9 +184,9 @@ func flood(ctx context.Context, cfg ChaosConfig, ip string, rep *ChaosReport) {
 // churn opens and immediately abandons connections — no bytes, no goodbye —
 // the pattern of port scanners and broken clients. The server should account
 // for them (serve.conns.*) and leak nothing.
-func churn(ctx context.Context, addr string, n int, rep *ChaosReport) {
+func churn(ctx context.Context, addr string, rep *ChaosReport) {
 	d := net.Dialer{Timeout: 2 * time.Second}
-	for i := 0; i < n; i++ {
+	for i := 0; i < churnCycles; i++ {
 		if ctx.Err() != nil {
 			return
 		}
@@ -234,9 +202,9 @@ func churn(ctx context.Context, addr string, n int, rep *ChaosReport) {
 // malformed sends garbage request lines and counts the server's refusals
 // (4xx or an immediate hangup). Anything else — a 2xx, a hang — is left
 // uncounted and shows up as MalformedSent > MalformedRefused.
-func malformed(ctx context.Context, addr string, n int, rep *ChaosReport) {
+func malformed(ctx context.Context, addr string, rep *ChaosReport) {
 	d := net.Dialer{Timeout: 2 * time.Second}
-	for i := 0; i < n; i++ {
+	for i := 0; i < malformedConns; i++ {
 		if ctx.Err() != nil {
 			return
 		}

@@ -29,14 +29,7 @@ func startHardenedServer(t *testing.T, h http.Handler) string {
 // read-header deadline, floods split into admitted-within-budget plus 429s,
 // churn completes, and malformed request lines are all refused.
 func TestChaosClassification(t *testing.T) {
-	const (
-		slow       = 4
-		floodIPs   = 3
-		floodPerIP = 10
-		burst      = 3
-		churnN     = 20
-		malformedN = 5
-	)
+	const burst = 3
 	adm := webserver.NewAdmission(webserver.AdmissionConfig{
 		PerIPRate:         0.001, // effectively no refill within the test
 		PerIPBurst:        burst,
@@ -45,23 +38,14 @@ func TestChaosClassification(t *testing.T) {
 	base := startHardenedServer(t, adm.Wrap(http.HandlerFunc(
 		func(w http.ResponseWriter, r *http.Request) { w.WriteHeader(http.StatusOK) })))
 
-	rep, err := RunChaos(context.Background(), ChaosConfig{
-		BaseURL:      base,
-		Slowloris:    slow,
-		SlowInterval: 50 * time.Millisecond,
-		FloodIPs:     floodIPs,
-		FloodPerIP:   floodPerIP,
-		Churn:        churnN,
-		Malformed:    malformedN,
-		Duration:     10 * time.Second,
-	})
+	rep, err := RunChaos(context.Background(), base)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Logf("chaos: %s", rep)
 
-	if rep.SlowOpened != slow {
-		t.Errorf("slowloris opened %d connections, want %d", rep.SlowOpened, slow)
+	if rep.SlowOpened != slowConns {
+		t.Errorf("slowloris opened %d connections, want %d", rep.SlowOpened, slowConns)
 	}
 	if rep.SlowServerClosed != rep.SlowOpened {
 		t.Errorf("server closed %d of %d slowloris connections; the read-header deadline should kill them all",
@@ -82,12 +66,12 @@ func TestChaosClassification(t *testing.T) {
 		t.Errorf("flood rejected %d, want ~%d over-budget requests 429'd",
 			rep.Flood.Rejected, floodIPs*(floodPerIP-burst))
 	}
-	if rep.ChurnCycles != churnN {
-		t.Errorf("churn completed %d cycles, want %d", rep.ChurnCycles, churnN)
+	if rep.ChurnCycles != churnCycles {
+		t.Errorf("churn completed %d cycles, want %d", rep.ChurnCycles, churnCycles)
 	}
-	if rep.MalformedSent != malformedN || rep.MalformedRefused != malformedN {
+	if rep.MalformedSent != malformedConns || rep.MalformedRefused != malformedConns {
 		t.Errorf("malformed: %d/%d refused, want all %d",
-			rep.MalformedRefused, rep.MalformedSent, malformedN)
+			rep.MalformedRefused, rep.MalformedSent, malformedConns)
 	}
 }
 

@@ -34,9 +34,10 @@ type Config struct {
 	Speedup float64
 	// Workers is the number of concurrent in-flight requests (default 8).
 	Workers int
-	// Timeout bounds each request (default 10s).
-	Timeout time.Duration
 }
+
+// requestTimeout bounds each replayed request.
+const requestTimeout = 10 * time.Second
 
 // Tally counts the outcomes of a set of requests. Every request sent lands
 // in exactly one of Accepted, Shed, Rejected and Errors.
@@ -137,15 +138,11 @@ func Run(ctx context.Context, cfg Config) (Report, error) {
 	if workers <= 0 {
 		workers = 8
 	}
-	timeout := cfg.Timeout
-	if timeout <= 0 {
-		timeout = 10 * time.Second
-	}
 	// The histogram is this run's own: a registry shared between runs would
 	// mix their latencies.
 	reg := metrics.NewRegistry()
 	latency := reg.GetHistogramBuckets("loadgen.latency.seconds", metrics.LatencyBuckets)
-	client := newClient(timeout)
+	client := newClient(requestTimeout)
 	defer client.CloseIdleConnections()
 
 	var rep Report

@@ -125,7 +125,6 @@ func TestRunCancel(t *testing.T) {
 			BaseURL:  srv.URL,
 			Requests: schedule(1000, time.Millisecond),
 			Workers:  2,
-			Timeout:  5 * time.Second,
 		})
 	}()
 	time.Sleep(50 * time.Millisecond)

@@ -27,8 +27,6 @@ type Chart struct {
 	XLabel, YLabel string
 	// Series are the lines, drawn in order.
 	Series []Series
-	// Width and Height are the SVG dimensions in pixels; zero means 720x460.
-	Width, Height int
 	// YMin/YMax pin the y-axis range; when both are zero the range is
 	// computed from the data (padded).
 	YMin, YMax float64
@@ -38,6 +36,8 @@ type Chart struct {
 var palette = []string{"#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b"}
 
 const (
+	width        = 720.0 // the SVG dimensions in pixels
+	height       = 460.0
 	marginLeft   = 64.0
 	marginRight  = 24.0
 	marginTop    = 40.0
@@ -59,14 +59,6 @@ func (c *Chart) WriteSVG(w io.Writer) error {
 			return fmt.Errorf("plot: series %q is empty", s.Name)
 		}
 	}
-	width, height := float64(c.Width), float64(c.Height)
-	if width == 0 {
-		width = 720
-	}
-	if height == 0 {
-		height = 460
-	}
-
 	xmin, xmax := math.Inf(1), math.Inf(-1)
 	ymin, ymax := math.Inf(1), math.Inf(-1)
 	for _, s := range c.Series {

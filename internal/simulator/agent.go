@@ -1,7 +1,6 @@
 package simulator
 
 import (
-	"math"
 	"math/rand"
 	"time"
 
@@ -92,7 +91,7 @@ func (a *agent) run() {
 	for requests := 0; ; {
 		a.visit(next)
 		requests++
-		if requests >= a.p.MaxRequests {
+		if requests >= maxRequests {
 			a.out.stats.RequestCapHits++
 			break
 		}
@@ -165,40 +164,20 @@ func (a *agent) visit(p webgraph.PageID) {
 	a.out.entries = append(a.out.entries, session.Entry{Page: p, Time: a.now})
 }
 
-// stay samples a page-stay time from the configured distribution (Table 5's
-// truncated normal N(MeanStay, StdDevStay²) by default, or the heavy-tailed
-// lognormal ablation), clamped to [2s, ρ): the paper fixes behavior 2/3
+// stay samples a page-stay time from Table 5's truncated normal
+// N(meanStay, stdDevStay²), clamped to [2s, ρ): the paper fixes behavior 2/3
 // inter-request gaps below the 10-minute page-stay bound. Stays are whole
 // seconds and at least 2s so that timestamps remain strictly increasing even
 // after the one-second truncation of the CLF log format.
 func (a *agent) stay() time.Duration {
 	const floor = 2 * time.Second
-	ceil := session.DefaultPageStay
-	mean, sd := float64(a.p.MeanStay), float64(a.p.StdDevStay)
 	for i := 0; i < 64; i++ {
-		var raw float64
-		if a.p.Stay == StayLognormal {
-			// Median mean, log-scale sigma relative to the mean.
-			sigma := sd / mean
-			raw = mean * math.Exp(a.rng.NormFloat64()*sigma)
-		} else {
-			raw = a.rng.NormFloat64()*sd + mean
-		}
-		d := time.Duration(raw).Round(time.Second)
-		if d >= floor && d < ceil {
+		raw := a.rng.NormFloat64()*float64(stdDevStay) + float64(meanStay)
+		if d := time.Duration(raw).Round(time.Second); d >= floor && d < session.DefaultPageStay {
 			return d
 		}
 	}
-	// Degenerate parameters (e.g. mean far outside the window): use the
-	// clamped mean.
-	d := a.p.MeanStay.Round(time.Second)
-	if d < floor {
-		d = floor
-	}
-	if d >= ceil {
-		d = ceil - time.Second
-	}
-	return d
+	return meanStay.Round(time.Second) // 64 draws outside [2s, ρ): never seen
 }
 
 // pickStart returns a uniformly chosen unvisited start page when one

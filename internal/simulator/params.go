@@ -25,27 +25,15 @@ type Params struct {
 	// an unvisited start page, ending the current session (behavior 1).
 	// Range [0, 1).
 	NIP float64
-	// MeanStay is the mean page-stay time; the paper uses 2.12 minutes
-	// (median of a normal distribution equals its mean).
-	MeanStay time.Duration
-	// StdDevStay is the page-stay standard deviation; 0.5 minutes in the
-	// paper.
-	StdDevStay time.Duration
 	// Agents is the number of simulated web users; 10000 in Table 5.
 	Agents int
 	// Seed makes the whole run reproducible. Each agent derives its own
 	// deterministic generator from Seed, so results do not depend on
 	// scheduling.
 	Seed int64
-	// Start is the simulated wall-clock origin; agents begin at Start plus a
-	// per-agent offset inside StartWindow. Zero means 2006-01-02 00:00 UTC.
-	Start time.Time
-	// StartWindow spreads agent arrivals; zero means 24h.
+	// StartWindow spreads agent arrivals: each agent begins at origin plus
+	// an offset inside it. Zero means 24h.
 	StartWindow time.Duration
-	// MaxRequests caps one agent's total navigations as a safety net against
-	// pathological parameter choices (e.g. STP=0 would never terminate).
-	// Zero means 1000.
-	MaxRequests int
 	// Workers bounds the number of agents simulated concurrently; zero means
 	// GOMAXPROCS.
 	Workers int
@@ -57,34 +45,33 @@ type Params struct {
 	ProxyFraction float64
 	// ProxySize is how many agents share one proxy IP; zero means 4.
 	ProxySize int
-	// Stay selects the page-stay distribution; see StayModel.
-	Stay StayModel
 }
 
-// StayModel selects the shape of the page-stay time distribution.
-type StayModel int
-
+// Table 5 fixes the page-stay law, and the simulator fixes where time starts
+// and how long an agent may run.
 const (
-	// StayNormal draws stays from N(MeanStay, StdDevStay²) — the paper's
-	// Table 5 model.
-	StayNormal StayModel = iota
-	// StayLognormal draws stays from a lognormal with median MeanStay and
-	// log-scale σ = StdDevStay/MeanStay — the heavy-tailed shape real dwell
-	// times exhibit; exposed as a robustness ablation.
-	StayLognormal
+	// meanStay is the mean page-stay time; the paper uses 2.12 minutes
+	// (median of a normal distribution equals its mean).
+	meanStay = 2*time.Minute + 7200*time.Millisecond // 2m07.2s
+	// stdDevStay is the page-stay standard deviation, 0.5 minutes.
+	stdDevStay = 30 * time.Second
+	// maxRequests caps one agent's total navigations, a safety net for an
+	// STP near zero.
+	maxRequests = 1000
 )
 
+// origin is the simulated wall-clock origin, 2006-01-02 00:00 UTC.
+var origin = time.Date(2006, 1, 2, 0, 0, 0, 0, time.UTC)
+
 // PaperParams returns Table 5's fixed parameters: STP 5%, LPP 30%, NIP 30%,
-// page-stay N(2.12 min, 0.5 min), 10000 agents.
+// 10000 agents. Its page-stay law, N(2.12 min, σ 0.5 min), is fixed.
 func PaperParams() Params {
 	return Params{
-		STP:        0.05,
-		LPP:        0.30,
-		NIP:        0.30,
-		MeanStay:   2*time.Minute + 7200*time.Millisecond, // 2.12 min = 2m07.2s
-		StdDevStay: 30 * time.Second,
-		Agents:     10000,
-		Seed:       1,
+		STP:    0.05,
+		LPP:    0.30,
+		NIP:    0.30,
+		Agents: 10000,
+		Seed:   1,
 	}
 }
 
@@ -99,17 +86,8 @@ func (p Params) Validate() error {
 	if p.NIP < 0 || p.NIP >= 1 {
 		return fmt.Errorf("simulator: NIP %.3f out of range [0, 1)", p.NIP)
 	}
-	if p.MeanStay <= 0 {
-		return fmt.Errorf("simulator: mean stay %v not positive", p.MeanStay)
-	}
-	if p.StdDevStay < 0 {
-		return fmt.Errorf("simulator: stay deviation %v negative", p.StdDevStay)
-	}
 	if p.Agents <= 0 {
 		return fmt.Errorf("simulator: agent count %d not positive", p.Agents)
-	}
-	if p.MaxRequests < 0 {
-		return fmt.Errorf("simulator: max requests %d negative", p.MaxRequests)
 	}
 	if p.ProxyFraction < 0 || p.ProxyFraction > 1 {
 		return fmt.Errorf("simulator: proxy fraction %.3f out of range [0, 1]", p.ProxyFraction)
@@ -122,14 +100,8 @@ func (p Params) Validate() error {
 
 // withDefaults fills the zero-value fields.
 func (p Params) withDefaults() Params {
-	if p.Start.IsZero() {
-		p.Start = time.Date(2006, 1, 2, 0, 0, 0, 0, time.UTC)
-	}
 	if p.StartWindow == 0 {
 		p.StartWindow = 24 * time.Hour
-	}
-	if p.MaxRequests == 0 {
-		p.MaxRequests = 1000
 	}
 	if p.ProxySize == 0 {
 		p.ProxySize = 4

@@ -42,7 +42,7 @@ type Stats struct {
 	// CachedStartJumps counts behavior-1 events whose target start page was
 	// already cached (the jump never reached the server log).
 	CachedStartJumps int
-	// RequestCapHits counts agents stopped by the MaxRequests safety cap.
+	// RequestCapHits counts agents stopped by the maxRequests safety cap.
 	RequestCapHits int
 }
 
@@ -294,7 +294,7 @@ func eachAgent(g *webgraph.Graph, p Params, labels []string, free chan agentOutc
 				rng.Seed(mixSeed(p.Seed, int64(i)))
 				// Whole-second start times survive the CLF format round trip.
 				jitter := time.Duration(rng.Int63n(int64(p.StartWindow))).Truncate(time.Second)
-				start := p.Start.Add(jitter)
+				start := origin.Add(jitter)
 				var buf agentOutcome
 				select {
 				case buf = <-free:

@@ -49,10 +49,7 @@ func TestParamsValidate(t *testing.T) {
 		mut(func(p *Params) { p.LPP = 1 }),
 		mut(func(p *Params) { p.NIP = -0.1 }),
 		mut(func(p *Params) { p.NIP = 1 }),
-		mut(func(p *Params) { p.MeanStay = 0 }),
-		mut(func(p *Params) { p.StdDevStay = -time.Second }),
 		mut(func(p *Params) { p.Agents = 0 }),
-		mut(func(p *Params) { p.MaxRequests = -1 }),
 	}
 	for i, p := range bad {
 		if err := p.Validate(); err == nil {
@@ -70,11 +67,11 @@ func TestPaperParamsMatchTable5(t *testing.T) {
 	if p.STP != 0.05 || p.LPP != 0.30 || p.NIP != 0.30 {
 		t.Errorf("probabilities %v/%v/%v, want 0.05/0.30/0.30", p.STP, p.LPP, p.NIP)
 	}
-	if p.MeanStay != 2*time.Minute+7200*time.Millisecond {
-		t.Errorf("mean stay = %v, want 2.12 min", p.MeanStay)
+	if meanStay != 2*time.Minute+7200*time.Millisecond {
+		t.Errorf("mean stay = %v, want 2.12 min", meanStay)
 	}
-	if p.StdDevStay != 30*time.Second {
-		t.Errorf("stay deviation = %v, want 0.5 min", p.StdDevStay)
+	if stdDevStay != 30*time.Second {
+		t.Errorf("stay deviation = %v, want 0.5 min", stdDevStay)
 	}
 	if p.Agents != 10000 {
 		t.Errorf("agents = %d, want 10000", p.Agents)
@@ -295,7 +292,7 @@ func TestStayDistribution(t *testing.T) {
 		t.Fatalf("too few gaps (%v) to judge the distribution", n)
 	}
 	mean := sum / n
-	want := p.MeanStay.Seconds()
+	want := meanStay.Seconds()
 	if math.Abs(mean-want) > want*0.15 {
 		t.Errorf("mean stay %.1fs deviates from %.1fs", mean, want)
 	}
@@ -354,12 +351,21 @@ func TestAgentIDUnique(t *testing.T) {
 }
 
 func TestMaxRequestsCap(t *testing.T) {
-	g := testTopology(t)
+	// A three-page ring has no dead end, so only the cap stops an agent.
+	b := webgraph.NewBuilder(3)
+	for u := webgraph.PageID(0); u < 3; u++ {
+		if err := b.AddEdge(u, (u+1)%3); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := b.MarkStartPage(0); err != nil {
+		t.Fatal(err)
+	}
+	g := b.MustBuild()
 	p := testParams()
-	p.STP = 0.001 // nearly immortal agents
+	p.STP = 1e-9 // immortal agents: only the cap stops them
 	p.NIP = 0
 	p.LPP = 0
-	p.MaxRequests = 10
 	p.Agents = 50
 	res, err := Run(g, p)
 	if err != nil {
@@ -370,12 +376,12 @@ func TestMaxRequestsCap(t *testing.T) {
 		perAgent[s.User] += s.Len()
 	}
 	for u, n := range perAgent {
-		if n > 10 {
-			t.Errorf("agent %s made %d navigations, cap 10", u, n)
+		if n > maxRequests {
+			t.Errorf("agent %s made %d navigations, cap %d", u, n, maxRequests)
 		}
 	}
-	if res.Stats.RequestCapHits == 0 {
-		t.Error("cap never hit despite STP=0.001")
+	if res.Stats.RequestCapHits != p.Agents {
+		t.Errorf("cap hit by %d of %d agents with STP=1e-9", res.Stats.RequestCapHits, p.Agents)
 	}
 }
 
@@ -528,46 +534,6 @@ func TestCachedStartJumpsAtHighNIP(t *testing.T) {
 	}
 }
 
-func TestStayLognormalSkew(t *testing.T) {
-	g := testTopology(t)
-	pn := testParams()
-	pn.Agents = 400
-	pl := pn
-	pl.Stay = StayLognormal
-	rn, err := Run(g, pn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rl, err := Run(g, pl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gaps := func(r *Result) (mean, max float64) {
-		var sum, n float64
-		for _, s := range r.Real {
-			for i := 1; i < len(s.Entries); i++ {
-				g := s.Entries[i].Time.Sub(s.Entries[i-1].Time).Seconds()
-				sum += g
-				n++
-				if g > max {
-					max = g
-				}
-			}
-		}
-		return sum / n, max
-	}
-	meanN, maxN := gaps(rn)
-	meanL, maxL := gaps(rl)
-	// Lognormal with median = the normal's mean has a higher mean and a
-	// heavier tail.
-	if meanL <= meanN {
-		t.Errorf("lognormal mean gap %.1fs not above normal %.1fs", meanL, meanN)
-	}
-	if maxL <= maxN {
-		t.Errorf("lognormal max gap %.1fs not above normal %.1fs", maxL, maxN)
-	}
-}
-
 // referenceRun is Run read naively: agents one after another, each with a
 // freshly built source and scratch, results grown by append. Run's shared
 // per-worker generator and presized slices must not be observable.
@@ -580,7 +546,7 @@ func referenceRun(g *webgraph.Graph, p Params) *Result {
 		rng := rand.New(rand.NewSource(mixSeed(p.Seed, int64(i))))
 		jitter := time.Duration(rng.Int63n(int64(p.StartWindow))).Truncate(time.Second)
 		scr := &agentScratch{visited: make([]bool, g.NumPages())}
-		o := runAgent(g, p, AgentID(i), p.Start.Add(jitter), rng, scr, agentOutcome{})
+		o := runAgent(g, p, AgentID(i), origin.Add(jitter), rng, scr, agentOutcome{})
 		for s := range o.real {
 			o.real[s].User = users[i]
 		}

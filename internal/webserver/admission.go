@@ -34,6 +34,11 @@ var (
 	metricEvictedIPs = metrics.GetCounter("serve.admission.evicted_ips")
 )
 
+// maxTrackedIPs bounds the bucket table so hostile address churn cannot grow
+// it without bound; at the cap, fully-idle buckets are swept and, if none
+// are, an arbitrary one is evicted.
+const maxTrackedIPs = 65536
+
 // retryAfterSeconds returns a jittered Retry-After value in [1, 3] seconds.
 // Both admission refusals (503 and 429) use it: a fixed Retry-After teaches
 // every shed client the same wake-up time, which converts one overload spike
@@ -53,20 +58,10 @@ type AdmissionConfig struct {
 	// send instantaneously before the rate applies. 0 defaults to
 	// max(1, round(PerIPRate)).
 	PerIPBurst int
-	// MaxTrackedIPs bounds the bucket table so hostile address churn cannot
-	// grow it without bound; at the cap, fully-idle buckets are swept and,
-	// if none are, an arbitrary one is evicted. 0 defaults to 65536.
-	MaxTrackedIPs int
 	// TrustForwardedFor keys buckets by the first X-Forwarded-For address
 	// instead of the connection address, matching the access log's client
 	// attribution (see ClientIP). Enable only behind a trusted proxy.
 	TrustForwardedFor bool
-	// Now is the bucket clock; nil means time.Now. Tests inject a frozen
-	// clock to assert exact admission counts.
-	Now func() time.Time
-	// RetryAfter supplies the Retry-After seconds for shed responses; nil
-	// means a jittered 1 to 3.
-	RetryAfter func() int
 }
 
 // Admission is the middleware state: an in-flight counter and the per-IP
@@ -74,6 +69,10 @@ type AdmissionConfig struct {
 type Admission struct {
 	cfg   AdmissionConfig
 	burst float64
+	// now is the bucket clock and maxIPs the bucket table's cap: time.Now
+	// and maxTrackedIPs, which tests replace.
+	now    func() time.Time
+	maxIPs int
 
 	mu       sync.Mutex
 	inflight int
@@ -90,15 +89,6 @@ type ipBucket struct {
 
 // NewAdmission builds the gate.
 func NewAdmission(cfg AdmissionConfig) *Admission {
-	if cfg.Now == nil {
-		cfg.Now = time.Now
-	}
-	if cfg.RetryAfter == nil {
-		cfg.RetryAfter = retryAfterSeconds
-	}
-	if cfg.MaxTrackedIPs <= 0 {
-		cfg.MaxTrackedIPs = 65536
-	}
 	burst := float64(cfg.PerIPBurst)
 	if cfg.PerIPBurst <= 0 {
 		burst = float64(int(cfg.PerIPRate + 0.5))
@@ -106,7 +96,7 @@ func NewAdmission(cfg AdmissionConfig) *Admission {
 			burst = 1
 		}
 	}
-	return &Admission{cfg: cfg, burst: burst, buckets: make(map[string]*ipBucket)}
+	return &Admission{cfg: cfg, burst: burst, now: time.Now, maxIPs: maxTrackedIPs, buckets: make(map[string]*ipBucket)}
 }
 
 // allowIP takes one token from ip's bucket, refilling lazily; reports
@@ -114,7 +104,7 @@ func NewAdmission(cfg AdmissionConfig) *Admission {
 func (a *Admission) allowIP(ip string, now time.Time) bool {
 	b, ok := a.buckets[ip]
 	if !ok {
-		if len(a.buckets) >= a.cfg.MaxTrackedIPs {
+		if len(a.buckets) >= a.maxIPs {
 			a.evictLocked(now)
 		}
 		b = &ipBucket{tokens: a.burst, last: now}
@@ -161,7 +151,7 @@ func (a *Admission) evictLocked(now time.Time) {
 
 // shed writes a shedding response with the jittered Retry-After.
 func (a *Admission) shed(w http.ResponseWriter, status int, body string) {
-	w.Header().Set("Retry-After", strconv.Itoa(a.cfg.RetryAfter()))
+	w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds()))
 	http.Error(w, body, status)
 }
 
@@ -173,7 +163,7 @@ func (a *Admission) Wrap(next http.Handler) http.Handler {
 		if a.cfg.PerIPRate > 0 {
 			ip := ClientIP(r, a.cfg.TrustForwardedFor)
 			a.mu.Lock()
-			ok := a.allowIP(ip, a.cfg.Now())
+			ok := a.allowIP(ip, a.now())
 			a.mu.Unlock()
 			if !ok {
 				metricIPLimited.Inc()

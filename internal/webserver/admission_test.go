@@ -31,8 +31,8 @@ func TestPerIPCapExactness(t *testing.T) {
 		PerIPRate:         1,
 		PerIPBurst:        burst,
 		TrustForwardedFor: true,
-		Now:               func() time.Time { return frozen },
 	})
+	a.now = func() time.Time { return frozen }
 	h := a.Wrap(okHandler())
 
 	admitted := make(map[string]int)
@@ -78,8 +78,8 @@ func TestPerIPRefill(t *testing.T) {
 	a := NewAdmission(AdmissionConfig{
 		PerIPRate:  2, // 2 req/s
 		PerIPBurst: 4,
-		Now:        func() time.Time { return now },
 	})
+	a.now = func() time.Time { return now }
 	h := a.Wrap(okHandler())
 	send := func() int {
 		req := httptest.NewRequest("GET", "/", nil)
@@ -170,15 +170,16 @@ func TestInFlightCap(t *testing.T) {
 }
 
 // TestBucketTableBounded pins the memory bound: hostile address churn never
-// grows the bucket table past MaxTrackedIPs.
+// grows the bucket table past its cap (64 here; TestAdmissionOnTheLivePath
+// churns serve's 65,536).
 func TestBucketTableBounded(t *testing.T) {
 	now := time.Date(2026, 8, 8, 12, 0, 0, 0, time.UTC)
 	a := NewAdmission(AdmissionConfig{
-		PerIPRate:     1,
-		PerIPBurst:    2,
-		MaxTrackedIPs: 64,
-		Now:           func() time.Time { return now },
+		PerIPRate:  1,
+		PerIPBurst: 2,
 	})
+	a.now = func() time.Time { return now }
+	a.maxIPs = 64
 	h := a.Wrap(okHandler())
 	for i := 0; i < 1000; i++ {
 		req := httptest.NewRequest("GET", "/", nil)

@@ -1,4 +1,4 @@
-package webserver_test
+package webserver
 
 import (
 	"bytes"
@@ -10,13 +10,12 @@ import (
 	"time"
 
 	"smartsra/internal/clf"
-	"smartsra/internal/webserver"
 )
 
 // FuzzAccessLogRecord hammers the untrusted HTTP → CLF boundary: hostile
 // URIs, Referers, User-Agents, and forwarded client addresses (NULs, CRLF,
 // quotes, terminal escapes, multi-megabyte values) flow through
-// webserver.AccessLogWith and the CLF writer, and every written line must
+// AccessLogWith and the CLF writer, and every written line must
 // re-parse to exactly the record that was logged — one line per request, no
 // log injection, no torn framing, no record lost to the 1 MiB line cap.
 func FuzzAccessLogRecord(f *testing.F) {
@@ -35,13 +34,13 @@ func FuzzAccessLogRecord(f *testing.F) {
 
 	at := time.Date(2026, 8, 8, 12, 0, 0, 0, time.UTC)
 	f.Fuzz(func(t *testing.T, uri, referer, agent, fwd string) {
-		sink := &webserver.CollectSink{}
-		h := webserver.AccessLogWith(
+		sink := &CollectSink{}
+		h := AccessLogWith(
 			http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 				w.Write([]byte("ok"))
 			}),
 			sink,
-			webserver.LogOptions{Now: func() time.Time { return at }, TrustForwardedFor: true},
+			LogOptions{now: func() time.Time { return at }, TrustForwardedFor: true},
 		)
 
 		// Build the request by hand: URL.Opaque carries the raw fuzz bytes

@@ -148,8 +148,8 @@ func (s *WriterSink) Err() error {
 
 // LogOptions configures AccessLogWith.
 type LogOptions struct {
-	// Now is the request clock; nil means time.Now.
-	Now func() time.Time
+	// now is the request clock, which tests replace; nil means time.Now.
+	now func() time.Time
 	// TrustForwardedFor logs the first address of an X-Forwarded-For header
 	// as the client host when the header is present. Enable it only when a
 	// trusted proxy (or a load generator replaying many simulated users over
@@ -167,7 +167,7 @@ type LogOptions struct {
 // inject log lines, tear CLF framing, or blow a field past the line cap —
 // the written line always re-parses to the logged record.
 func AccessLogWith(next http.Handler, sink LogSink, opts LogOptions) http.Handler {
-	now := opts.Now
+	now := opts.now
 	if now == nil {
 		now = time.Now
 	}

@@ -126,7 +126,7 @@ func TestAccessLogProducesParseableCLF(t *testing.T) {
 	g, ids, site := figureSite(t)
 	sink := &CollectSink{}
 	clock := &fakeClock{now: time.Date(2006, 1, 2, 12, 0, 0, 0, time.UTC)}
-	srv := httptest.NewServer(AccessLogWith(site, sink, LogOptions{Now: clock.Now}))
+	srv := httptest.NewServer(AccessLogWith(site, sink, LogOptions{now: clock.Now}))
 	defer srv.Close()
 
 	req, _ := http.NewRequest("GET", srv.URL+g.Label(ids["P1"]), nil)
