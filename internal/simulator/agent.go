@@ -9,24 +9,20 @@ import (
 )
 
 // agentScratch holds the per-agent working buffers — the browser cache, one
-// flag per page of the graph, and the page arena the pick/backtrack scans
-// fill — so a worker reuses one set across all its agents instead of
-// reallocating per agent. Each worker of a Run allocates its own.
+// flag per page of the graph, the backtrack candidates and the unvisited
+// successors of the one backtrack drew — so a worker reuses one set across
+// all its agents instead of reallocating per agent. Each worker allocates
+// its own.
 type agentScratch struct {
 	visited []bool
+	cands   []int
 	pages   []webgraph.PageID
-	cands   []btCand
-}
-
-// btCand is one backtrack candidate: position idx in the current real
-// session, with its unvisited successors packed at pages[lo:hi].
-type btCand struct {
-	idx, lo, hi int
 }
 
 // agentOutcome collects everything one simulated user produced. Its slices
-// may be recycled buffers (see eachAgent): runAgent rewinds them to [:0] and
-// writes the agent into them.
+// are lent by the worker's outlet (Each's recycled buffers, the tails of a
+// Run worker's arena): runAgent rewinds them to [:0] and writes the agent
+// into them.
 type agentOutcome struct {
 	// real are the ground-truth sessions, every navigation included (cache
 	// hits too): cap-limited windows of entries, built when the agent ends.
@@ -130,7 +126,11 @@ func (a *agent) run() {
 		succ := a.g.Succ(a.out.entries[len(a.out.entries)-1].Page)
 		if len(succ) == 0 {
 			// Dead-end page: the browser offers nothing to click; the user
-			// leaves (the generators avoid sinks, so this is rare).
+			// leaves. GenerateTopology draws binomial out-degrees and its
+			// reachability pass gives an unreached page an in-link, never an
+			// out-link, so a sink can survive; at Table 5's 300 pages and
+			// mean out-degree 15 a topology has one with odds of about
+			// 300·e⁻¹⁵ (under 10⁻⁴), so the figures never take this branch.
 			a.out.stats.DeadEnds++
 			break
 		}
@@ -182,20 +182,31 @@ func (a *agent) stay() time.Duration {
 
 // pickStart returns a uniformly chosen unvisited start page when one
 // remains (fresh=true), falling back to a uniformly chosen visited one
-// (fresh=false, cache-served).
+// (fresh=false, cache-served). It draws the rank of the page among the
+// unvisited start pages, then walks to it, so no list of them is built.
 func (a *agent) pickStart() (p webgraph.PageID, fresh bool) {
 	starts := a.g.StartPages()
-	unvisited := a.scr.pages[:0]
+	unvisited := 0
 	for _, s := range starts {
 		if !a.visited[s] {
-			unvisited = append(unvisited, s)
+			unvisited++
 		}
 	}
-	a.scr.pages = unvisited
-	if len(unvisited) > 0 {
-		return unvisited[a.rng.Intn(len(unvisited))], true
+	if unvisited == 0 {
+		return starts[a.rng.Intn(len(starts))], false
 	}
-	return starts[a.rng.Intn(len(starts))], false
+	k := a.rng.Intn(unvisited)
+	for _, s := range starts {
+		if a.visited[s] {
+			continue
+		}
+		if k == 0 {
+			p = s
+			break
+		}
+		k--
+	}
+	return p, true
 }
 
 // backtrack implements behavior 3: pick an earlier page of the current real
@@ -208,31 +219,33 @@ func (a *agent) backtrack() (webgraph.PageID, bool) {
 	if len(cur) < 2 {
 		return webgraph.InvalidPage, false
 	}
-	// Candidate positions: everything before the most recent page. Each
-	// position's unvisited successors are packed into the shared page arena
-	// as a [lo, hi) range, so the scan allocates nothing once the scratch
-	// buffers have grown to the agent's working set.
-	arena := a.scr.pages[:0]
+	// Candidate positions: everything before the most recent page that
+	// links to an unvisited page; the scan of a position stops at the first
+	// such link. Only the drawn position's unvisited successors are listed.
 	cands := a.scr.cands[:0]
 	for i := 0; i < len(cur)-1; i++ {
-		lo := len(arena)
 		for _, v := range a.g.Succ(cur[i].Page) {
 			if !a.visited[v] {
-				arena = append(arena, v)
+				cands = append(cands, i)
+				break
 			}
 		}
-		if len(arena) > lo {
-			cands = append(cands, btCand{idx: i, lo: lo, hi: len(arena)})
-		}
 	}
-	a.scr.pages, a.scr.cands = arena, cands
+	a.scr.cands = cands
 	if len(cands) == 0 {
 		return webgraph.InvalidPage, false
 	}
 	c := cands[a.rng.Intn(len(cands))]
-	target := cur[c.idx].Page
+	fresh := a.scr.pages[:0]
+	for _, v := range a.g.Succ(cur[c].Page) {
+		if !a.visited[v] {
+			fresh = append(fresh, v)
+		}
+	}
+	a.scr.pages = fresh
+	target := cur[c].Page
 	// Back/forward button presses through the cache: one stay per step.
-	steps := len(cur) - 1 - c.idx
+	steps := len(cur) - 1 - c
 	for s := 0; s < steps; s++ {
 		a.now = a.now.Add(a.stay())
 		a.out.stats.CacheHits++
@@ -243,7 +256,6 @@ func (a *agent) backtrack() (webgraph.PageID, bool) {
 	a.flushReal()
 	a.out.entries = append(a.out.entries, session.Entry{Page: target, Time: a.now})
 	a.now = a.now.Add(a.stay())
-	fresh := arena[c.lo:c.hi]
 	return fresh[a.rng.Intn(len(fresh))], true
 }
 

@@ -2,7 +2,6 @@ package simulator
 
 import (
 	"fmt"
-	"math/rand"
 	"reflect"
 	"runtime"
 	"slices"
@@ -178,20 +177,42 @@ func TestEachHoldsNoPopulation(t *testing.T) {
 // paper's parameters on the paper's site, with no proxies, half and every
 // agent behind four-agent proxies, a second thousand agents may add that
 // and a constant for buffers still growing to a longer agent or a larger
-// group, not the ≈ 36 allocations per agent of a simulator that builds each
+// group, not the ≈ 22.6 allocations per agent Run made while it built each
 // agent's slices afresh, nor outcomes dropped while a group waits.
 func TestEachAllocsPerAgent(t *testing.T) {
-	g, err := webgraph.GenerateTopology(webgraph.PaperTopology(), rand.New(rand.NewSource(2006)))
-	if err != nil {
-		t.Fatal(err)
-	}
+	allocsPerAgent(t, "Each", func(g *webgraph.Graph, p Params) error {
+		_, err := Each(g, p, func(*User) {})
+		return err
+	})
+}
+
+// Run writes its agents into per-worker chunk arenas and its workers store
+// each outcome themselves: past the first chunk per worker, an agent costs
+// one allocation, its label from assignUsers, as in Each, with no proxies,
+// half and every agent behind four-agent proxies (merging a shared label
+// allocates per run, not per group). Building each agent's slices afresh
+// made 22.6 allocations per agent without proxies, 26.5 at half and 24.5
+// with every agent proxied.
+func TestRunAllocsPerAgent(t *testing.T) {
+	allocsPerAgent(t, "Run", func(g *webgraph.Graph, p Params) error {
+		_, err := Run(g, p)
+		return err
+	})
+}
+
+// allocsPerAgent fails t unless sim, on the paper's site with PaperParams
+// and 2 workers, makes at most one allocation per agent, plus a constant,
+// from 1,000 to 2,000 agents, with no proxies, half and every agent behind
+// four-agent proxies.
+func allocsPerAgent(t *testing.T, name string, sim func(*webgraph.Graph, Params) error) {
+	g := paperSite(t)
 	for _, fraction := range []float64{0, 0.5, 1} {
 		allocs := func(agents int) float64 {
 			p := PaperParams()
 			p.Agents, p.Workers = agents, 2
 			p.ProxyFraction, p.ProxySize = fraction, 4
 			return testing.AllocsPerRun(3, func() {
-				if _, err := Each(g, p, func(*User) {}); err != nil {
+				if err := sim(g, p); err != nil {
 					t.Fatal(err)
 				}
 			})
@@ -199,9 +220,9 @@ func TestEachAllocsPerAgent(t *testing.T) {
 		const slack = 64
 		small, large := allocs(1000), allocs(2000)
 		if extra := large - small; extra > 1000+slack {
-			t.Errorf("Each, proxies %v×4: %v allocations at 1,000 agents, %v at 2,000: %.2f per extra agent, want at most 1 plus %d in all",
-				fraction, small, large, extra/1000, slack)
+			t.Errorf("%s, proxies %v×4: %v allocations at 1,000 agents, %v at 2,000: %.2f per extra agent, want at most 1 plus %d in all",
+				name, fraction, small, large, extra/1000, slack)
 		}
-		t.Logf("Each, proxies %v×4: %v allocations at 1,000 agents, %v at 2,000", fraction, small, large)
+		t.Logf("%s, proxies %v×4: %v allocations at 1,000 agents, %v at 2,000", name, fraction, small, large)
 	}
 }

@@ -156,7 +156,7 @@ func Each(g *webgraph.Graph, p Params, visit func(*User)) (Stats, error) {
 	var merged User // a proxy group's concatenation, before its time merge
 	var byTime timeMerge
 	stats := Stats{Agents: p.Agents}
-	eachAgent(g, p, labels, free, func(i int, o agentOutcome) {
+	handle := func(i int, o agentOutcome) {
 		defer refill()
 		stats.add(o.stats)
 		label := labels[i]
@@ -189,13 +189,29 @@ func Each(g *webgraph.Graph, p Params, visit func(*User)) (Stats, error) {
 		for _, m := range group {
 			spare = append(spare, m.out)
 		}
-	})
+	}
+	// Finished agents come to this goroutine over a channel with one slot
+	// per worker, so at most two per worker wait for visit: one in a slot,
+	// one held by its blocked worker. The slots are there because without
+	// them every agent costs a wake-up of this goroutine and a park of its
+	// worker, which made the simulator ×1.09 slower on 2 cores.
+	out := sendOutlet{free: free, done: make(chan finished, workers(p))}
+	wait := eachAgent(g, p, labels, func() outlet { return out })
+	defer wait()
+	// Every agent index is claimed once, so exactly p.Agents outcomes come.
+	for range p.Agents {
+		f := <-out.done
+		handle(f.i, f.o)
+	}
 	return stats, nil
 }
 
 // Run simulates p.Agents users over g. It parallelizes across agents; the
 // output is deterministic in (g, p) because every agent draws from its own
-// generator seeded with p.Seed and the agent index.
+// generator seeded with p.Seed and the agent index. Each worker writes its
+// agents into an arena of its own and stores agent i's outcome at
+// outcomes[i] itself, so Run only waits for the workers, then assembles the
+// Result in agent order.
 func Run(g *webgraph.Graph, p Params) (*Result, error) {
 	p, err := checkRun(g, p)
 	if err != nil {
@@ -203,7 +219,8 @@ func Run(g *webgraph.Graph, p Params) (*Result, error) {
 	}
 	users := assignUsers(p)
 	outcomes := make([]agentOutcome, p.Agents)
-	eachAgent(g, p, users, nil, func(i int, o agentOutcome) { outcomes[i] = o })
+	wait := eachAgent(g, p, users, func() outlet { return &arena{outcomes: outcomes} })
+	wait()
 
 	nReal, nStreams := 0, 0
 	for i := range outcomes {
@@ -254,33 +271,26 @@ func workers(p Params) int {
 	return min(w, p.Agents)
 }
 
+// An outlet is where one worker's agents go: buf lends the slices the
+// worker writes its next agent into (runAgent rewinds them), and hand takes
+// agent i's finished outcome.
+type outlet interface {
+	buf() agentOutcome
+	hand(i int, o agentOutcome)
+}
+
 // eachAgent simulates p's agents (p checked) on workers(p) goroutines and
-// hands every finished agent's index and outcome to visit over a channel
-// with one slot per worker, so visit runs on the calling goroutine, in
-// completion order. Agent i's real sessions carry labels[i]. At most two
-// finished agents per worker wait for visit: one in the channel, one held by
-// its blocked worker. The slots are there because without them every agent
-// costs a wake-up of the caller and a park of its worker, which made Run
-// ×1.09 slower on 2 cores.
-//
-// A worker writes each agent into an outcome taken from free when one is
-// there, and into new slices when not; the caller puts an outcome on free
-// once nothing reads it any more. A nil free (Run, which keeps every
-// outcome) always starts empty.
-func eachAgent(g *webgraph.Graph, p Params, labels []string, free chan agentOutcome, visit func(i int, o agentOutcome)) {
-	type finished struct {
-		i int
-		o agentOutcome
-	}
+// returns a wait that returns once every agent has been handed over. Each
+// worker calls newOutlet once and runs every agent it claims through that
+// outlet. Agent i's real sessions carry labels[i].
+func eachAgent(g *webgraph.Graph, p Params, labels []string, newOutlet func() outlet) (wait func()) {
 	var next atomic.Int64 // the next agent index to claim
-	n := workers(p)
-	done := make(chan finished, n)
 	var wg sync.WaitGroup
-	defer wg.Wait()
-	for w := 0; w < n; w++ {
+	for range workers(p) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			out := newOutlet()
 			// One scratch per worker, shared by all its agents.
 			scr := &agentScratch{visited: make([]bool, g.NumPages())}
 			// One generator per worker, re-seeded per agent. Its source draws
@@ -294,21 +304,92 @@ func eachAgent(g *webgraph.Graph, p Params, labels []string, free chan agentOutc
 				rng.Seed(mixSeed(p.Seed, int64(i)))
 				// Whole-second start times survive the CLF format round trip.
 				jitter := time.Duration(rng.Int63n(int64(p.StartWindow))).Truncate(time.Second)
-				start := origin.Add(jitter)
-				var buf agentOutcome
-				select {
-				case buf = <-free:
-				default:
-				}
-				done <- finished{i, runAgent(g, p, labels[i], start, rng, scr, buf)}
+				out.hand(i, runAgent(g, p, labels[i], origin.Add(jitter), rng, scr, out.buf()))
 			}
 		}()
 	}
-	// Every agent index is claimed once, so exactly p.Agents outcomes come.
-	for range p.Agents {
-		f := <-done
-		visit(f.i, f.o)
+	return wg.Wait
+}
+
+// finished is agent i's outcome on its way from a worker to Each's visit.
+type finished struct {
+	i int
+	o agentOutcome
+}
+
+// sendOutlet is Each's outlet, shared by its workers: an agent is written
+// into an outcome taken from free when one is there, and into new slices
+// when not, and goes to Each's goroutine on done.
+type sendOutlet struct {
+	free chan agentOutcome
+	done chan finished
+}
+
+func (s sendOutlet) buf() (o agentOutcome) {
+	select {
+	case o = <-s.free:
+	default:
 	}
+	return o
+}
+
+func (s sendOutlet) hand(i int, o agentOutcome) { s.done <- finished{i, o} }
+
+// Run's workers write agents into chunks of arenaChunk elements, and start a
+// fresh chunk once fewer than arenaTail remain.
+const (
+	arenaChunk = 16 << 10
+	arenaTail  = 256
+)
+
+// arena is one Run worker's outlet. It owns a chunk for each slice kind the
+// Result keeps, writes every agent into the chunks' tails and stores the
+// agent's outcome as windows of them whose capacity is clipped, so an append
+// to one user's slice cannot write into the next user's data. An agent that
+// outgrows a tail is moved to a slice of its own by append. So a worker
+// allocates a chunk per few hundred agents instead of slices per agent.
+type arena struct {
+	real     []session.Session
+	entries  []session.Entry
+	served   []session.Entry
+	refs     []webgraph.PageID
+	ends     []int          // scratch, rewound per agent: the Result keeps no ends
+	outcomes []agentOutcome // Run's, one per agent
+}
+
+func (a *arena) buf() agentOutcome {
+	return agentOutcome{
+		real: chunkTail(&a.real), entries: chunkTail(&a.entries),
+		served: chunkTail(&a.served), refs: chunkTail(&a.refs), ends: a.ends,
+	}
+}
+
+func (a *arena) hand(i int, o agentOutcome) {
+	a.ends = o.ends
+	o.ends = nil
+	o.real, o.entries = keepTail(&a.real, o.real), keepTail(&a.entries, o.entries)
+	o.served, o.refs = keepTail(&a.served, o.served), keepTail(&a.refs, o.refs)
+	a.outcomes[i] = o
+}
+
+// chunkTail returns the free end of *chunk, empty with the rest of its
+// capacity, after starting a fresh chunk when fewer than arenaTail elements
+// remain.
+func chunkTail[E any](chunk *[]E) []E {
+	if cap(*chunk)-len(*chunk) < arenaTail {
+		*chunk = make([]E, 0, arenaChunk)
+	}
+	return (*chunk)[len(*chunk):]
+}
+
+// keepTail takes s, written from chunkTail(chunk), into *chunk and returns it
+// with its capacity clipped. An s that append moved holds more capacity than
+// the tail had; it is returned clipped and the tail stays free.
+func keepTail[E any](chunk *[]E, s []E) []E {
+	if cap(s) == cap(*chunk)-len(*chunk) {
+		*chunk = (*chunk)[:len(*chunk)+len(s)]
+	}
+	return s[:len(s):len(s)]
 }
 
 // assignUsers maps each agent index to its log-visible identity: its own
@@ -342,46 +423,62 @@ func assignUsers(p Params) []string {
 // log identity into one stream per user, re-sorted by time; the paper's §1
 // proxy effect. Streams of unshared users are untouched, as is Real: ground
 // truth stays per physical user (with the shared User label, since that is
-// what any reactive reconstruction can attribute sessions to).
+// what any reactive reconstruction can attribute sessions to). Merged
+// streams are laid out back to back in one entry and one referrer buffer,
+// so the merge allocates per run, not per shared user.
 func (r *Result) mergeSharedUsers() {
-	count := make(map[string]int, len(r.Streams))
+	// A merged stream per label, in order of first appearance: how many
+	// streams it folds, and its window [lo, hi) of the shared buffers.
+	type merged struct{ streams, lo, hi int }
+	slot := make(map[string]int, len(r.Streams))
+	var out []merged
 	for _, st := range r.Streams {
-		count[st.User]++
-	}
-	shared := false
-	for _, c := range count {
-		if c > 1 {
-			shared = true
-			break
+		s, ok := slot[st.User]
+		if !ok {
+			s = len(out)
+			slot[st.User] = s
+			out = append(out, merged{})
 		}
+		out[s].streams++
+		out[s].hi += len(st.Entries)
 	}
-	if !shared {
+	if len(out) == len(r.Streams) {
 		return
 	}
-	type merged struct {
-		entries []session.Entry
-		refs    []webgraph.PageID
-	}
-	byUser := make(map[string]*merged)
-	var order []string
-	for i, st := range r.Streams {
-		m := byUser[st.User]
-		if m == nil {
-			m = &merged{}
-			byUser[st.User] = m
-			order = append(order, st.User)
+	total := 0
+	for s := range out {
+		if m := &out[s]; m.streams > 1 {
+			m.lo, m.hi, total = total, total, total+m.hi
 		}
-		m.entries = append(m.entries, st.Entries...)
-		m.refs = append(m.refs, r.Referrers[i]...)
 	}
-	r.Streams = r.Streams[:0]
-	r.Referrers = r.Referrers[:0]
-	for _, u := range order {
-		m := byUser[u]
-		entries, refs := new(timeMerge).merge(m.entries, m.refs)
-		r.Streams = append(r.Streams, session.Stream{User: u, Entries: entries})
-		r.Referrers = append(r.Referrers, refs)
+	entries := make([]session.Entry, total)
+	refs := make([]webgraph.PageID, total)
+	streams := make([]session.Stream, len(out))
+	rows := make([][]webgraph.PageID, len(out))
+	for i, st := range r.Streams {
+		s := slot[st.User]
+		m := &out[s]
+		if m.streams == 1 {
+			streams[s], rows[s] = st, r.Referrers[i]
+			continue
+		}
+		streams[s].User = st.User
+		copy(entries[m.hi:], st.Entries)
+		copy(refs[m.hi:], r.Referrers[i])
+		m.hi += len(st.Entries)
 	}
+	var byTime timeMerge
+	for s, m := range out {
+		if m.streams == 1 {
+			continue
+		}
+		e, rf := entries[m.lo:m.hi:m.hi], refs[m.lo:m.hi:m.hi]
+		me, mr := byTime.merge(e, rf)
+		copy(e, me)
+		copy(rf, mr)
+		streams[s].Entries, rows[s] = e, rf
+	}
+	r.Streams, r.Referrers = streams, rows
 }
 
 // timeMerge merges the streams (and referrer rows) of one shared label,

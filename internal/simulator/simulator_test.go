@@ -1,6 +1,8 @@
 package simulator
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"math"
 	"math/rand"
@@ -385,6 +387,40 @@ func TestMaxRequestsCap(t *testing.T) {
 	}
 }
 
+// A page with no out-link ends the agent: GenerateTopology can leave one,
+// since its reachability pass adds in-links only. Start page 0 links to page
+// 1, which links nowhere; with LPP = NIP = 0 and an STP that never fires,
+// every agent reads both pages and stops at the sink, not at the cap.
+func TestDeadEndStopsAgent(t *testing.T) {
+	b := webgraph.NewBuilder(2)
+	if err := b.AddEdge(0, 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.MarkStartPage(0); err != nil {
+		t.Fatal(err)
+	}
+	g := b.MustBuild()
+	p := testParams()
+	p.STP, p.NIP, p.LPP = 1e-9, 0, 0
+	p.Agents = 50
+	res, err := Run(g, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Stats.DeadEnds != p.Agents || res.Stats.RequestCapHits != 0 {
+		t.Errorf("DeadEnds %d, RequestCapHits %d for %d agents: want every agent stopped by the sink",
+			res.Stats.DeadEnds, res.Stats.RequestCapHits, p.Agents)
+	}
+	if len(res.Real) != p.Agents {
+		t.Fatalf("%d real sessions for %d agents", len(res.Real), p.Agents)
+	}
+	for _, r := range res.Real {
+		if r.Len() != 2 {
+			t.Errorf("%s: real session of %d pages, want 2 (the start page and the sink)", r.User, r.Len())
+		}
+	}
+}
+
 func TestBehaviorCountsRoughlyMatchProbabilities(t *testing.T) {
 	g := testTopology(t)
 	p := testParams()
@@ -592,4 +628,112 @@ func TestRunMatchesFreshSourcePerAgent(t *testing.T) {
 			}
 		}
 	}
+}
+
+// paperSite is Table 5's 300-page site, topology seed 2006.
+func paperSite(t testing.TB) *webgraph.Graph {
+	t.Helper()
+	g, err := webgraph.GenerateTopology(webgraph.PaperTopology(), rand.New(rand.NewSource(2006)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
+// runDigest hashes a Result: the real sessions as session.WriteAll writes
+// them, then one line per stream (its label, then page@UnixNano per entry)
+// and one per referrer row.
+func runDigest(t *testing.T, res *Result) string {
+	t.Helper()
+	h := sha256.New()
+	if err := session.WriteAll(h, res.Real); err != nil {
+		t.Fatal(err)
+	}
+	for i, st := range res.Streams {
+		fmt.Fprint(h, st.User)
+		for _, e := range st.Entries {
+			fmt.Fprintf(h, " %d@%d", e.Page, e.Time.UnixNano())
+		}
+		fmt.Fprintln(h)
+		for _, r := range res.Referrers[i] {
+			fmt.Fprintf(h, " %d", r)
+		}
+		fmt.Fprintln(h)
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// Run's output is pinned byte for byte: 2,000 Table 5 agents on the paper's
+// site at seed 3, without proxies and with half the agents behind
+// three-agent proxies. referenceRun runs the same runAgent as Run, so it
+// cannot see a change of draw order inside the agent loop; these hashes can.
+func TestRunBytesPinned(t *testing.T) {
+	g := paperSite(t)
+	for _, c := range []struct {
+		fraction float64
+		want     string
+	}{
+		{0, "51da47451117d360f825953106c0caf1db8120dac581eb0af6ec88e232e2bb11"},
+		{0.5, "0f28aba7b2f2ba36c06909b65b233539f5926f2546f40e6711beb535d0f0ce69"},
+	} {
+		p := PaperParams()
+		p.Agents, p.Seed = 2000, 3
+		p.ProxyFraction, p.ProxySize = c.fraction, 3
+		res, err := Run(g, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := runDigest(t, res); got != c.want {
+			t.Errorf("proxies %v×3: Run's output hashes to %s, pinned %s", c.fraction, got, c.want)
+		}
+	}
+}
+
+// Run's workers write agents back to back into shared chunks, so every
+// slice the Result holds must end where its user's data ends: after one
+// element is appended to every stream, referrer row and real session (the
+// appended slices dropped), the Result still deep-equals a copy taken
+// before.
+func TestRunWindowsDoNotAlias(t *testing.T) {
+	g := testTopology(t)
+	spoilt := session.Entry{Page: webgraph.InvalidPage, Time: time.Unix(1, 0)}
+	for _, fraction := range []float64{0, 0.4} {
+		for _, workers := range []int{1, 2, 5} {
+			p := testParams()
+			p.ProxyFraction, p.ProxySize, p.Workers = fraction, 3, workers
+			res, err := Run(g, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := copyResult(res)
+			for i := range res.Streams {
+				_ = append(res.Streams[i].Entries, spoilt)
+				_ = append(res.Referrers[i], webgraph.InvalidPage-1)
+			}
+			for k := range res.Real {
+				_ = append(res.Real[k].Entries, spoilt)
+			}
+			if !reflect.DeepEqual(res, want) {
+				t.Errorf("proxies %v×3 workers=%d: an append to one user's slice changed another user's data", fraction, workers)
+			}
+		}
+	}
+}
+
+// copyResult deep-copies r.
+func copyResult(r *Result) *Result {
+	c := &Result{
+		Real:      slices.Clone(r.Real),
+		Streams:   slices.Clone(r.Streams),
+		Referrers: slices.Clone(r.Referrers),
+		Stats:     r.Stats,
+	}
+	for k := range c.Real {
+		c.Real[k].Entries = slices.Clone(c.Real[k].Entries)
+	}
+	for i := range c.Streams {
+		c.Streams[i].Entries = slices.Clone(c.Streams[i].Entries)
+		c.Referrers[i] = slices.Clone(c.Referrers[i])
+	}
+	return c
 }
