@@ -255,7 +255,7 @@ func BenchmarkReferrerUpperBound(b *testing.B) {
 	params := simulator.PaperParams()
 	params.Agents = 250
 	g, res := benchWorkload(b, webgraph.PaperTopology(), params)
-	records := res.LogCombined(g)
+	records := res.Log(g)
 
 	b.Run("heurR-referrer-chain", func(b *testing.B) {
 		r := referrer.New(g)

@@ -17,6 +17,7 @@ import (
 	"bufio"
 	"flag"
 	"fmt"
+	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -66,34 +67,28 @@ func run(out string, pages int, outdeg float64, agents int,
 	if err := os.MkdirAll(out, 0o755); err != nil {
 		return err
 	}
-	if err := writeFile(filepath.Join(out, "topology.json"), func(w *bufio.Writer) error {
-		return g.Encode(w)
-	}); err != nil {
-		return err
+	newWriter := clf.NewWriter
+	if combined {
+		newWriter = clf.NewCombinedWriter
 	}
-	if err := writeFile(filepath.Join(out, "access.log"), func(w *bufio.Writer) error {
-		if combined {
-			cw := clf.NewCombinedWriter(w)
-			for _, rec := range res.LogCombined(g) {
-				if err := cw.Write(rec); err != nil {
+	for _, file := range []struct {
+		name string
+		fill func(io.Writer) error
+	}{
+		{"topology.json", g.Encode},
+		{"access.log", func(w io.Writer) error { return res.WriteLog(newWriter(w), g) }},
+		{"sessions.real", func(w io.Writer) error {
+			for _, s := range res.Real {
+				if _, err := fmt.Fprintln(w, s); err != nil {
 					return err
 				}
 			}
-			return cw.Flush()
+			return nil
+		}},
+	} {
+		if err := writeFile(filepath.Join(out, file.name), file.fill); err != nil {
+			return err
 		}
-		return clf.WriteAll(w, res.Log(g))
-	}); err != nil {
-		return err
-	}
-	if err := writeFile(filepath.Join(out, "sessions.real"), func(w *bufio.Writer) error {
-		for _, s := range res.Real {
-			if _, err := fmt.Fprintln(w, s); err != nil {
-				return err
-			}
-		}
-		return nil
-	}); err != nil {
-		return err
 	}
 
 	fmt.Printf("topology: %s\n", g)
@@ -102,7 +97,7 @@ func run(out string, pages int, outdeg float64, agents int,
 	return nil
 }
 
-func writeFile(path string, fill func(*bufio.Writer) error) error {
+func writeFile(path string, fill func(io.Writer) error) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err

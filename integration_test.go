@@ -591,6 +591,7 @@ func TestEveryFunctionIsRun(t *testing.T) {
 		"internal/clf/input.go stackedCloser.Close": forBench,
 		"internal/clf/line.go":                      forBench, // lineScanner, under Scanner
 		"internal/clf/scanner.go NewScanner":        forBench,
+		"internal/clf/scanner.go WriteAll":          forBench, // bench/gen_test.go's reference render
 		"internal/clf/scanner.go Scanner.Scan":      forBench,
 		"internal/clf/scanner.go Scanner.Record":    forBench,
 		"internal/clf/scanner.go Scanner.Err":       forBench,
@@ -626,8 +627,7 @@ func TestEveryFunctionIsRun(t *testing.T) {
 		"cmd/loadgen/main.go caughtUp": forCI, // chaos soak: loadgen -chaos
 		"internal/loadgen/chaos.go":    forCI, // chaos soak: loadgen -chaos
 
-		"internal/simulator/run.go timeMerge.merge": forProxies,
-		"internal/simulator/run.go ProxyID":         forProxies,
+		"internal/simulator/run.go ProxyID": forProxies,
 	}
 	dir := t.TempDir()
 	cover := filepath.Join(dir, "cover")

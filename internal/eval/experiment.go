@@ -217,7 +217,7 @@ func (ps *pointScorer) user(u *simulator.User) error {
 		}
 	}
 	if ps.cfg.IncludeReferrer {
-		chain, err := ps.chain.Reconstruct(userLog(u).LogCombined(ps.g))
+		chain, err := ps.chain.Reconstruct(userLog(u).Log(ps.g))
 		if err != nil {
 			return err
 		}
@@ -226,8 +226,8 @@ func (ps *pointScorer) user(u *simulator.User) error {
 	return nil
 }
 
-// userLog is a run holding only u, so that its Log and LogCombined render
-// u's slice of the whole run's log.
+// userLog is a run holding only u, so that its Log renders u's slice of the
+// whole run's log.
 func userLog(u *simulator.User) *simulator.Result {
 	return &simulator.Result{
 		Streams:   []session.Stream{{User: u.Label, Entries: u.Stream}},

@@ -130,7 +130,7 @@ func naivePoint(t *testing.T, g *webgraph.Graph, cfg RunConfig) *PointResult {
 	}
 	if cfg.IncludeReferrer {
 		r := referrer.New(g)
-		chain, err := r.Reconstruct(res.LogCombined(g))
+		chain, err := r.Reconstruct(res.Log(g))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -202,7 +202,7 @@ func TestReconstructSimulatedTrafficOrdered(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	chain, err := New(g).Reconstruct(res.LogCombined(g))
+	chain, err := New(g).Reconstruct(res.Log(g))
 	if err != nil {
 		t.Fatal(err)
 	}

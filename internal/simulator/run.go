@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"runtime"
 	"slices"
-	"sort"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -113,9 +112,8 @@ type User struct {
 // finished users per simulator worker (plus any proxy group still waiting for
 // an agent), not its whole population, and in the steady state allocates
 // nothing per agent but its label, and per proxy group its label and its
-// member list. Every label of Run's
-// Result is visited exactly once, with the Real, Stream and Refs Run gives
-// it, and the returned Stats equal Run's.
+// member list. Every label of Run's Result is visited exactly once, with the
+// Real, Stream and Refs Run gives it, and the returned Stats equal Run's.
 func Each(g *webgraph.Graph, p Params, visit func(*User)) (Stats, error) {
 	p, err := checkRun(g, p)
 	if err != nil {
@@ -153,8 +151,9 @@ func Each(g *webgraph.Graph, p Params, visit func(*User)) (Stats, error) {
 		}
 	}
 	var u User
-	var merged User // a proxy group's concatenation, before its time merge
-	var byTime timeMerge
+	var merged User            // a proxy group's buffers, reused for every group
+	var subs [][]session.Entry // its agents' streams, in agent order
+	var heap []cursor
 	stats := Stats{Agents: p.Agents}
 	handle := func(i int, o agentOutcome) {
 		defer refill()
@@ -177,14 +176,17 @@ func Each(g *webgraph.Graph, p Params, visit func(*User)) (Stats, error) {
 		delete(pending, label)
 		// Agent order, whatever order the agents finished in.
 		slices.SortFunc(group, func(a, b member) int { return a.agent - b.agent })
-		merged.Real, merged.Stream, merged.Refs = merged.Real[:0], merged.Stream[:0], merged.Refs[:0]
+		merged.Real, merged.Stream, merged.Refs, subs = merged.Real[:0], merged.Stream[:0], merged.Refs[:0], subs[:0]
 		for _, m := range group {
 			merged.Real = append(merged.Real, m.out.real...)
-			merged.Stream = append(merged.Stream, m.out.served...)
-			merged.Refs = append(merged.Refs, m.out.refs...)
+			subs = append(subs, m.out.served)
 		}
-		u = User{Label: label, Real: merged.Real}
-		u.Stream, u.Refs = byTime.merge(merged.Stream, merged.Refs)
+		heap = mergeByTime(heap, subs, func(k, j int) {
+			merged.Stream = append(merged.Stream, group[k].out.served[j])
+			merged.Refs = append(merged.Refs, group[k].out.refs[j])
+		})
+		u = merged
+		u.Label = label
 		visit(&u)
 		for _, m := range group {
 			spare = append(spare, m.out)
@@ -420,7 +422,7 @@ func assignUsers(p Params) []string {
 }
 
 // mergeSharedUsers folds streams (and referrer rows) of agents that share a
-// log identity into one stream per user, re-sorted by time; the paper's §1
+// log identity into one stream per user, merged by time; the paper's §1
 // proxy effect. Streams of unshared users are untouched, as is Real: ground
 // truth stays per physical user (with the shared User label, since that is
 // what any reactive reconstruction can attribute sessions to). Merged
@@ -431,14 +433,15 @@ func (r *Result) mergeSharedUsers() {
 	// streams it folds, and its window [lo, hi) of the shared buffers.
 	type merged struct{ streams, lo, hi int }
 	slot := make(map[string]int, len(r.Streams))
+	of := make([]int, len(r.Streams)) // each stream's slot
 	var out []merged
-	for _, st := range r.Streams {
+	for i, st := range r.Streams {
 		s, ok := slot[st.User]
 		if !ok {
-			s = len(out)
-			slot[st.User] = s
+			s, slot[st.User] = len(out), len(out)
 			out = append(out, merged{})
 		}
+		of[i] = s
 		out[s].streams++
 		out[s].hi += len(st.Entries)
 	}
@@ -455,56 +458,78 @@ func (r *Result) mergeSharedUsers() {
 	refs := make([]webgraph.PageID, total)
 	streams := make([]session.Stream, len(out))
 	rows := make([][]webgraph.PageID, len(out))
+	shared := make([][]session.Entry, len(r.Streams)) // empty for unshared users
 	for i, st := range r.Streams {
-		s := slot[st.User]
-		m := &out[s]
-		if m.streams == 1 {
-			streams[s], rows[s] = st, r.Referrers[i]
-			continue
+		streams[of[i]], rows[of[i]] = st, r.Referrers[i] // a shared label's Entries and row come below
+		if out[of[i]].streams > 1 {
+			shared[i] = st.Entries
 		}
-		streams[s].User = st.User
-		copy(entries[m.hi:], st.Entries)
-		copy(refs[m.hi:], r.Referrers[i])
-		m.hi += len(st.Entries)
 	}
-	var byTime timeMerge
+	// One merge of every shared stream: its order within one label's
+	// streams is the merge of that label's streams alone.
+	mergeByTime(nil, shared, func(i, j int) {
+		m := &out[of[i]]
+		entries[m.hi], refs[m.hi] = shared[i][j], r.Referrers[i][j]
+		m.hi++
+	})
 	for s, m := range out {
-		if m.streams == 1 {
-			continue
+		if m.streams > 1 {
+			streams[s].Entries, rows[s] = entries[m.lo:m.hi:m.hi], refs[m.lo:m.hi:m.hi]
 		}
-		e, rf := entries[m.lo:m.hi:m.hi], refs[m.lo:m.hi:m.hi]
-		me, mr := byTime.merge(e, rf)
-		copy(e, me)
-		copy(rf, mr)
-		streams[s].Entries, rows[s] = e, rf
 	}
 	r.Streams, r.Referrers = streams, rows
 }
 
-// timeMerge merges the streams (and referrer rows) of one shared label,
-// concatenated in agent order: merge returns them sorted together by time,
-// stable so that per-agent order survives ties. Run and Each both merge
-// through it; the result lives in the timeMerge's own buffers, valid until
-// its next merge, so Each merges every group into the same storage.
-type timeMerge struct {
-	idx     []int
-	entries []session.Entry
-	refs    []webgraph.PageID
+// cursor is a stream's next entry in mergeByTime: its time in UnixNano, the
+// stream, and the entry's position in it.
+type cursor struct {
+	at   int64
+	s, j int32
 }
 
-func (m *timeMerge) merge(entries []session.Entry, refs []webgraph.PageID) ([]session.Entry, []webgraph.PageID) {
-	m.idx = slices.Grow(m.idx[:0], len(entries))
-	for i := range entries {
-		m.idx = append(m.idx, i)
+func (c cursor) before(d cursor) bool { return c.at < d.at || c.at == d.at && c.s < d.s }
+
+// mergeByTime is the one order of the simulator's output: a k-way merge, by
+// (time, stream index), of streams that are each in time order. It calls
+// yield(s, j) for every entry streams[s][j]. A stream's own entries keep their
+// order, so the merge is a stable sort by time of the streams laid end to
+// end, made without moving an entry: of a proxy group's streams in agent
+// order, and of a run's streams in Result order for its log. It returns heap,
+// its scratch, for the next merge to reuse.
+func mergeByTime(heap []cursor, streams [][]session.Entry, yield func(s, j int)) []cursor {
+	h := heap[:0]
+	for s, st := range streams {
+		if len(st) > 0 {
+			h = append(h, cursor{st[0].Time.UnixNano(), int32(s), 0})
+		}
 	}
-	slices.SortStableFunc(m.idx, func(a, b int) int { return entries[a].Time.Compare(entries[b].Time) })
-	m.entries = slices.Grow(m.entries[:0], len(entries))
-	m.refs = slices.Grow(m.refs[:0], len(entries))
-	for _, j := range m.idx {
-		m.entries = append(m.entries, entries[j])
-		m.refs = append(m.refs, refs[j])
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		siftDown(h, i)
 	}
-	return m.entries, m.refs
+	for len(h) > 0 {
+		c := h[0]
+		yield(int(c.s), int(c.j))
+		if st := streams[c.s]; int(c.j)+1 < len(st) {
+			h[0] = cursor{st[c.j+1].Time.UnixNano(), c.s, c.j + 1}
+		} else {
+			h[0], h = h[len(h)-1], h[:len(h)-1]
+		}
+		siftDown(h, 0)
+	}
+	return h
+}
+
+// siftDown moves h[i] down the min-heap h to where it belongs.
+func siftDown(h []cursor, i int) {
+	for k := 2*i + 1; k < len(h); i, k = k, 2*k+1 {
+		if k+1 < len(h) && h[k+1].before(h[k]) {
+			k++
+		}
+		if !h[k].before(h[i]) {
+			return
+		}
+		h[i], h[k] = h[k], h[i]
+	}
 }
 
 // ProxyID formats the synthetic shared IP of proxy group g.
@@ -538,49 +563,47 @@ func mixSeed(seed, i int64) int64 {
 	return int64(z)
 }
 
-// Log renders the run as a Common Log Format access log: all agents'
-// server-side requests merged into timestamp order (ties broken by agent,
-// then log position). Byte counts are synthesized deterministically from the
-// page ID; status is always 200 and the method GET, since the simulator
-// models successful page fetches only.
+// Log renders the run as an access log in mergeByTime's order: by time, then
+// stream (agent order), then log position. Status is always 200 and the method
+// GET (the simulator models successful fetches only), byte counts come from
+// the page ID, and each record also carries the Combined Log Format's Referer,
+// recorded at navigation time, and a synthetic user agent.
 func (r *Result) Log(g *webgraph.Graph) []clf.Record {
-	return r.log(g, false)
-}
-
-// LogCombined renders the run as a Combined Log Format access log: like Log,
-// plus the Referer recorded at navigation time and a synthetic user agent.
-// This is the input for referrer-based reconstruction (internal/referrer).
-func (r *Result) LogCombined(g *webgraph.Graph) []clf.Record {
-	return r.log(g, true)
-}
-
-func (r *Result) log(g *webgraph.Graph, combined bool) []clf.Record {
-	var records []clf.Record
-	for i, st := range r.Streams {
-		for j, e := range st.Entries {
-			rec := clf.Record{
-				Host:     st.User,
-				Ident:    "-",
-				AuthUser: "-",
-				Time:     e.Time,
-				Method:   "GET",
-				URI:      g.Label(e.Page),
-				Protocol: "HTTP/1.1",
-				Status:   200,
-				Bytes:    1024 + int64(e.Page)*37%4096,
-			}
-			if combined {
-				rec.UserAgent = "agent-simulator/1.0"
-				rec.Referer = clf.NoField
-				if ref := r.Referrers[i][j]; g.Valid(ref) {
-					rec.Referer = g.Label(ref)
-				}
-			}
-			records = append(records, rec)
-		}
-	}
-	sort.SliceStable(records, func(i, j int) bool {
-		return records[i].Time.Before(records[j].Time)
-	})
+	records := make([]clf.Record, 0, r.requests())
+	r.render(g, func(rec clf.Record) { records = append(records, rec) })
 	return records
+}
+
+// WriteLog writes Log's records through w, in w's format, each as the merge
+// yields it, so the log is never held whole; then it flushes w.
+func (r *Result) WriteLog(w *clf.Writer, g *webgraph.Graph) error {
+	r.render(g, func(rec clf.Record) { w.Write(rec) }) // the first failed write is Flush's error
+	return w.Flush()
+}
+
+// render yields Log's records one by one.
+func (r *Result) render(g *webgraph.Graph, yield func(clf.Record)) {
+	streams := make([][]session.Entry, len(r.Streams))
+	for i := range r.Streams {
+		streams[i] = r.Streams[i].Entries
+	}
+	mergeByTime(nil, streams, func(i, j int) {
+		e := r.Streams[i].Entries[j]
+		rec := clf.Record{Host: r.Streams[i].User, Ident: "-", AuthUser: "-", Time: e.Time,
+			Method: "GET", URI: g.Label(e.Page), Protocol: "HTTP/1.1",
+			Status: 200, Bytes: 1024 + int64(e.Page)*37%4096,
+			Referer: clf.NoField, UserAgent: "agent-simulator/1.0"}
+		if ref := r.Referrers[i][j]; g.Valid(ref) {
+			rec.Referer = g.Label(ref)
+		}
+		yield(rec)
+	})
+}
+
+// requests counts the run's server requests.
+func (r *Result) requests() (n int) {
+	for _, st := range r.Streams {
+		n += len(st.Entries)
+	}
+	return n
 }

@@ -1,7 +1,6 @@
 package simulator
 
 import (
-	"sort"
 	"time"
 
 	"smartsra/internal/clf"
@@ -25,31 +24,13 @@ type Request struct {
 	At time.Time
 }
 
-// Schedule flattens the run into one globally time-ordered request sequence
-// (ties broken by agent order, then per-agent log position — the same order
-// Log uses), ready for a load generator to replay against a running server.
+// Schedule flattens the run into one time-ordered request sequence, Log's
+// records in Log's order, ready for a load generator to replay against a
+// running server.
 func (r *Result) Schedule(g *webgraph.Graph) []Request {
-	n := 0
-	for _, st := range r.Streams {
-		n += len(st.Entries)
-	}
-	reqs := make([]Request, 0, n)
-	for i, st := range r.Streams {
-		for j, e := range st.Entries {
-			req := Request{
-				User:    st.User,
-				URI:     g.Label(e.Page),
-				Referer: clf.NoField,
-				At:      e.Time,
-			}
-			if ref := r.Referrers[i][j]; g.Valid(ref) {
-				req.Referer = g.Label(ref)
-			}
-			reqs = append(reqs, req)
-		}
-	}
-	sort.SliceStable(reqs, func(i, j int) bool {
-		return reqs[i].At.Before(reqs[j].At)
+	reqs := make([]Request, 0, r.requests())
+	r.render(g, func(rec clf.Record) {
+		reqs = append(reqs, Request{User: rec.Host, URI: rec.URI, Referer: rec.Referer, At: rec.Time})
 	})
 	return reqs
 }

@@ -19,7 +19,7 @@ func TestScheduleMatchesLog(t *testing.T) {
 		t.Fatal(err)
 	}
 	reqs := res.Schedule(g)
-	recs := res.LogCombined(g)
+	recs := res.Log(g)
 	if len(reqs) != len(recs) {
 		t.Fatalf("schedule has %d requests, log has %d records", len(reqs), len(recs))
 	}
