@@ -20,19 +20,28 @@
 // nothing to size and no flag that changes it (-workers is still accepted,
 // and ignored, for the benchmark's command line).
 //
-// -stream switches to bounded-memory streaming ingestion: each parsed chunk
-// goes straight into a streaming sessionizer and sessions print as they
-// finalize. Memory is a few chunks plus the users of the log's last 2ρ to
-// 3ρ (the session gap): the sessionizer reads time off the log, and closes a
-// user once the newest record is more than 2ρ past their last request —
+// Both modes run one sessionizer, core.Tail. Without -stream it has no burst
+// horizon: it holds every user's requests until the end of the input, then
+// reconstructs each user's whole history, sorted by time, and prints the
+// sessions in user order.
+//
+// -stream switches to bounded-memory streaming ingestion: sessions print as
+// they finalize. Memory is a few chunks plus the users of the log's last 2ρ
+// to 3ρ (the session gap): the sessionizer reads time off the log, and closes
+// a user once the newest record is more than 2ρ past their last request —
 // one ρ the paper's burst gap, one a lateness allowance for records logged
 // out of order. Memory therefore does not grow with the log's length or its
 // total user count, so it suits logs far larger than RAM (or stdin pipes
 // that never end: a chunk read from stdin is what one read returned, so a
 // `tail -f` pipe's lines are sessionized as they arrive and the sessions
 // they close are flushed to the output with them). Sessions are emitted in
-// finalization order rather than batch order; for Smart-SRA and the
-// time-gap heuristic the session contents are identical to batch mode. The
+// finalization order rather than batch order, and the heuristic sees one
+// burst of a user at a time rather than their whole history. For the
+// time-gap heuristic (heur2) the session contents are identical to batch
+// mode. The time-total and navigation heuristics can join requests across a
+// longer gap in batch mode, and Smart-SRA's maximality filter can drop a
+// short visit in batch mode that -stream keeps, when its pages repeat in a
+// session of another burst (ROADMAP item 4). The
 // users= count is of activity periods: a user closed and back counts again.
 // Only the log closes a user — their own next request more than ρ later, any
 // record more than 2ρ past their last, or the end of the input — never the
@@ -182,38 +191,24 @@ func run(o options) error {
 	if err != nil {
 		return err
 	}
-	cfg := core.Config{Graph: g, Heuristic: h}
-	if o.stream {
-		return runStream(cfg, o, paths)
-	}
-	pipeline, err := core.NewPipeline(cfg)
-	if err != nil {
-		return err
-	}
-	res, err := pipeline.ProcessLog(paths, os.Stdin)
-	if err != nil {
-		return err
-	}
-	if err := writeSessions(o, res.Sessions); err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "heuristic: %s — %s\n", h.Name(), h.Describe())
-	fmt.Fprintf(os.Stderr, "pipeline:  %s\n", res.Stats)
-	return nil
+	return runStream(core.Config{Graph: g, Heuristic: h}, o, paths)
 }
 
-// runStream is the one streaming run (checkpoint.Run, which serve's owner
-// runs too): a Tail fed in input order by the chunk reader, writing each
-// session the moment its burst closes — on a gap, or when the log's clock
-// runs 2ρ past it — and the rest at the end of the input. Heap usage is
-// independent of log length and of the users it has seen, so this path
-// handles logs larger than RAM and never-ending stdin pipes. File inputs
-// (paths non-nil) are read like stdin, one read buffer at a time, with a
-// decoder goroutine per gzip member; nil paths reads stdin. Nothing but the
-// input decides where a session ends: a -cuts journal replays serve's
-// journaled timed expiries at the exact record boundaries the live run froze
-// them at, making the output byte-identical to the live session stream even
-// when the server ran with -expire-every.
+// runStream is the one sessionizing run, batch and -stream alike
+// (checkpoint.Run, which serve's owner runs too): a Tail fed in input order
+// by the chunk reader, writing each session the moment its burst closes and
+// the rest at the end of the input. With -stream a burst closes on a gap, or
+// when the log's clock runs 2ρ past it, so heap usage is independent of log
+// length and of the users it has seen, and this path handles logs larger
+// than RAM and never-ending stdin pipes. Without it the Tail has no burst
+// horizon (core.NoHorizon): it holds every user's requests, 16 bytes each,
+// and writes every session at the end. File inputs (paths non-nil) are read
+// like stdin, one read buffer at a time, with a decoder goroutine per gzip
+// member; nil paths reads stdin. Nothing but the input decides where a
+// session ends: a -cuts journal replays serve's journaled timed expiries at
+// the exact record boundaries the live run froze them at, making the output
+// byte-identical to the live session stream even when the server ran with
+// -expire-every.
 //
 // Sessions go to stdout, to the -sessions file, or with -checkpoint to that
 // file resumed from the latest usable checkpoint, and the run checkpoints at
@@ -227,7 +222,11 @@ func run(o options) error {
 // after it, no checkpoint is saved, and ingestion stops at the next chunk
 // boundary.
 func runStream(cfg core.Config, o options, paths []string) (err error) {
-	st, err := core.NewTail(cfg, o.sessionGap)
+	gap, mode := core.NoHorizon, ""
+	if o.stream {
+		gap, mode = o.sessionGap, " (streaming)"
+	}
+	st, err := core.NewTail(cfg, gap)
 	if err != nil {
 		return err
 	}
@@ -263,7 +262,7 @@ func runStream(cfg core.Config, o options, paths []string) (err error) {
 		}
 	}
 	fmt.Fprintf(os.Stderr, "heuristic: %s — %s\n", cfg.Heuristic.Name(), cfg.Heuristic.Describe())
-	fmt.Fprintf(os.Stderr, "pipeline:  %s (streaming)\n", st.Stats())
+	fmt.Fprintf(os.Stderr, "pipeline:  %s%s\n", st.Stats(), mode)
 	return nil
 }
 
@@ -293,7 +292,7 @@ func closeOutput(o options, out *checkpoint.Sink, err *error) {
 	}
 }
 
-// writeSessions writes a batch result where output says.
+// writeSessions writes the referrer heuristic's sessions where output says.
 func writeSessions(o options, sessions []session.Session) (err error) {
 	out, err := output(o)
 	if err != nil {

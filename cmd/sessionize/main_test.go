@@ -361,6 +361,31 @@ func TestLogZonesAndMalformedStatus(t *testing.T) {
 	}
 }
 
+// TestLogTimeOutsideUnixNano: a line whose time no UnixNano can hold (after
+// 2262) is malformed, batch and -stream alike, so the user's two requests
+// around it are one session in both modes; read as a time, it would order
+// after them in batch mode and wrap to somewhere else in -stream.
+func TestLogTimeOutsideUnixNano(t *testing.T) {
+	dir := t.TempDir()
+	figure1(t, dir)
+	_, ids := webgraph.PaperFigure1()
+	log := `10.9.0.2 - - [02/Jan/2006:02:20:04 +0000] "GET /P1.html HTTP/1.1" 200 100
+10.9.0.2 - - [02/Jan/2300:02:22:08 +0000] "GET /P34.html HTTP/1.1" 200 100
+10.9.0.2 - - [02/Jan/2006:02:21:04 +0000] "GET /P13.html HTTP/1.1" 200 100
+`
+	logPath := filepath.Join(dir, "access.log")
+	if err := os.WriteFile(logPath, []byte(log), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	want := fmt.Sprintf("10.9.0.2:[%d %d]\n", ids["P1"], ids["P13"])
+	for _, mode := range [][]string{nil, {"-stream"}} {
+		sessions, stderr := writeTo(t, dir, fmt.Sprint(len(mode)), nil, append([]string{"-log", logPath, "-heuristic", "heur2"}, mode...)...)
+		if string(sessions) != want || !strings.Contains(stderr, "records=2 malformed=1 ") {
+			t.Errorf("%v: sessions %q, want %q; stderr:\n%s", mode, sessions, want, stderr)
+		}
+	}
+}
+
 // TestSessionWriteErrorExitsThroughMain: a session file that refuses writes
 // ends the run with exit status 1 and the write error, through main, so the
 // CPU profile is still written.
@@ -479,7 +504,8 @@ func TestReadErrorKeepsSessionsAlreadySunk(t *testing.T) {
 
 // TestReferrerHonoursSessions: -heuristic referrer writes where -sessions
 // says, like every other heuristic: the file holds what stdout held without
-// the flag, and stdout stays empty.
+// the flag, and stdout stays empty. Read from stdin (-log -), the log gives
+// what it gives from its file.
 func TestReferrerHonoursSessions(t *testing.T) {
 	dir := t.TempDir()
 	topo := figure1(t, dir)
@@ -488,9 +514,10 @@ func TestReferrerHonoursSessions(t *testing.T) {
 		return strings.TrimSuffix(logLine(host, at, uri), "\n") + fmt.Sprintf(" %q \"test\"\n", referer)
 	}
 	logPath := filepath.Join(dir, "combined.log")
-	if err := os.WriteFile(logPath, []byte(combined("10.0.0.1", at, "/P1.html", "-")+
-		combined("10.0.0.1", at.Add(time.Minute), "/P13.html", "/P1.html")+
-		combined("10.0.0.2", at.Add(2*time.Minute), "/P1.html", "-")), 0o644); err != nil {
+	log := combined("10.0.0.1", at, "/P1.html", "-") +
+		combined("10.0.0.1", at.Add(time.Minute), "/P13.html", "/P1.html") +
+		combined("10.0.0.2", at.Add(2*time.Minute), "/P1.html", "-")
+	if err := os.WriteFile(logPath, []byte(log), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	run := func(args ...string) string {
@@ -513,6 +540,11 @@ func TestReferrerHonoursSessions(t *testing.T) {
 	}
 	if got, err := os.ReadFile(out); err != nil || string(got) != want {
 		t.Errorf("%s holds %q (err %v), want %q", out, got, err, want)
+	}
+	cmd, stderr := sessionize("-topology", topo, "-log", "-", "-heuristic", "referrer")
+	cmd.Stdin = strings.NewReader(log)
+	if got, err := cmd.Output(); err != nil || string(got) != want {
+		t.Errorf("from stdin: %q (err %v; stderr:\n%s), want %q", got, err, stderr, want)
 	}
 }
 

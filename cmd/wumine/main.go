@@ -11,8 +11,10 @@
 // A session supports a pattern only where the pattern occurs in it as an
 // uninterrupted run, as the paper scores capture (§5.1).
 //
-// -log is read as sessionize's batch mode reads it (core.Pipeline.ProcessLog):
-// "-" for stdin, or a comma list or glob of plain and gzip files.
+// -log is read and sessionized as sessionize's batch mode does it, by a
+// core.Tail with no burst horizon (core.NoHorizon), which reconstructs each
+// user's whole history: "-" for stdin, or a comma list or glob of plain and
+// gzip files.
 package main
 
 import (
@@ -67,17 +69,22 @@ func run(topoPath, logPath, heur string, minSup, maxLen int, minConf float64, to
 	if err != nil {
 		return err
 	}
-	pipeline, err := core.NewPipeline(core.Config{Graph: g, Heuristic: h})
+	tl, err := core.NewTail(core.Config{Graph: g, Heuristic: h}, core.NoHorizon)
 	if err != nil {
 		return err
 	}
-	res, err := pipeline.ProcessLog(paths, os.Stdin)
+	if paths == nil {
+		_, err = tl.Ingest(os.Stdin, nil, nil)
+	} else {
+		_, err = tl.IngestFiles(paths, clf.FilePos{}, nil, nil)
+	}
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(os.Stderr, "pipeline: %s\n", res.Stats)
+	sessions := tl.Flush()
+	fmt.Fprintf(os.Stderr, "pipeline: %s\n", tl.Stats())
 
-	patterns, err := mining.Mine(res.Sessions, mining.Config{
+	patterns, err := mining.Mine(sessions, mining.Config{
 		MinSupport: minSup, MaxLength: maxLen,
 	})
 	if err != nil {

@@ -37,7 +37,7 @@ func ingestWorkload(b *testing.B) (*webgraph.Graph, []clf.Record, []byte) {
 
 // BenchmarkIngest measures the streaming ingestion layer: CLF parse
 // throughput (legacy per-line-string path, []byte fast path, the chunk reader
-// collected into a slice as ProcessLog does) and Tail sessionization, record
+// collected into a slice as ReadLog does) and Tail sessionization, record
 // by record and in batches. The records/s metric is the headline; allocs/op
 // shows the parse path's allocation reduction. Output identity is pinned by
 // TestReadAllParallelMatchesReadAll and TestGoldenCorpusBatchSizes.

@@ -586,27 +586,27 @@ func TestEveryFunctionIsRun(t *testing.T) {
 		t.Skip("builds and tests every command with coverage")
 	}
 	unreached := map[string]string{
-		"internal/clf/bytes.go ParseAnyRecordBytes": forBench,
-		"internal/clf/input.go OpenDecoded":         forBench,
-		"internal/clf/input.go stackedCloser.Close": forBench,
-		"internal/clf/line.go":                      forBench, // lineScanner, under Scanner
-		"internal/clf/scanner.go NewScanner":        forBench,
-		"internal/clf/scanner.go WriteAll":          forBench, // bench/gen_test.go's reference render
-		"internal/clf/scanner.go Scanner.Scan":      forBench,
-		"internal/clf/scanner.go Scanner.Record":    forBench,
-		"internal/clf/scanner.go Scanner.Err":       forBench,
-		"internal/clf/scanner.go Scanner.Malformed": forBench,
-		"internal/clf/scanner.go Scanner.LinesRead": forBench,
-		"internal/clf/scanner.go isBlank":           forBench,
-		"internal/core/shardedtail.go":              forBench,
-		"internal/core/tail.go Tail.Push":           forBench,
-		"internal/core/tail.go Tail.PushBatch":      forBench,
-		"internal/core/tail.go Tail.Flush":          forBench,
-		"internal/core/tail.go Tail.Buffered":       forBench,
-		"internal/core/tail.go Tail.ActiveUsers":    forBench,
-		"internal/core/stream.go DiscardSessions":   forBench,
-		"internal/checkpoint/checkpoint.go Save":    forBench,
-		"internal/simulator/crawler.go":             forBench, // CrawlerRecords
+		"internal/clf/bytes.go ParseAnyRecordBytes":        forBench,
+		"internal/clf/input.go OpenDecoded":                forBench,
+		"internal/clf/input.go stackedCloser.Close":        forBench,
+		"internal/clf/line.go":                             forBench, // lineScanner, under Scanner
+		"internal/clf/scanner.go NewScanner":               forBench,
+		"internal/clf/scanner.go WriteAll":                 forBench, // bench/gen_test.go's reference render
+		"internal/clf/scanner.go Scanner.Scan":             forBench,
+		"internal/clf/scanner.go Scanner.Record":           forBench,
+		"internal/clf/scanner.go Scanner.Err":              forBench,
+		"internal/clf/scanner.go Scanner.Malformed":        forBench,
+		"internal/clf/scanner.go Scanner.LinesRead":        forBench,
+		"internal/clf/scanner.go isBlank":                  forBench,
+		"internal/core/shardedtail.go":                     forBench,
+		"internal/core/tail.go Tail.Push":                  forBench,
+		"internal/core/tail.go Tail.PushBatch":             forBench,
+		"internal/core/tail.go Tail.Buffered":              forBench,
+		"internal/core/tail.go Tail.ActiveUsers":           forBench,
+		"internal/core/stream.go DiscardSessions":          forBench,
+		"internal/heuristics/heuristics.go ReconstructAll": forBench, // and core's tests' batch reference
+		"internal/checkpoint/checkpoint.go Save":           forBench,
+		"internal/simulator/crawler.go":                    forBench, // CrawlerRecords
 
 		"internal/clf/scanner.go ReadAll":                                forReference, // the streaming tests' reader
 		"internal/session/capture.go Captures":                           forReference, // eval's capture index

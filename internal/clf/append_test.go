@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -119,8 +120,8 @@ func TestAppendMatchesReference(t *testing.T) {
 		"status 599":    with(func(r *Record) { r.Status = 599 }),
 		"zone -0500":    with(func(r *Record) { r.Time = utc.In(time.FixedZone("EST", -5*3600)) }),
 		"zone +0530":    with(func(r *Record) { r.Time = utc.In(time.FixedZone("IST", 5*3600+1800)) }),
-		"year 999":      with(func(r *Record) { r.Time = time.Date(999, 12, 31, 23, 59, 59, 0, time.UTC) }),
-		"year 1":        with(func(r *Record) { r.Time = time.Date(1, 1, 1, 0, 0, 0, 0, time.UTC) }),
+		"year 1678":     with(func(r *Record) { r.Time = time.Date(1678, 1, 1, 0, 0, 0, 0, time.UTC) }),
+		"year 2262":     with(func(r *Record) { r.Time = time.Date(2262, 4, 11, 23, 47, 16, 0, time.UTC) }),
 		"referer+agent": with(func(r *Record) { r.Referer, r.UserAgent = "http://site/p/3.html", "Mozilla/5.0 (X11; Linux)" }),
 		"dash tail":     with(func(r *Record) { r.Referer, r.UserAgent = "-", "-" }),
 		"quotes in tail": with(func(r *Record) {
@@ -135,9 +136,12 @@ func TestAppendMatchesReference(t *testing.T) {
 		})
 	}
 	// Outside what re-parses to itself, the reference is still the reference:
-	// no field is interpreted, the numbers print as fmt's %d did.
+	// no field is interpreted, the numbers print as fmt's %d did. (A time
+	// UnixNano cannot hold, years 1 and 999 here, makes the line malformed.)
 	for name, rec := range map[string]Record{
 		"zero":            {},
+		"year 999":        with(func(r *Record) { r.Time = time.Date(999, 12, 31, 23, 59, 59, 0, time.UTC) }),
+		"year 1":          with(func(r *Record) { r.Time = time.Date(1, 1, 1, 0, 0, 0, 0, time.UTC) }),
 		"bytes 2^62":      with(func(r *Record) { r.Bytes = 1<<62 + 7 }),
 		"sub-second":      with(func(r *Record) { r.Time = utc.Add(987654321 * time.Nanosecond) }),
 		"negative status": with(func(r *Record) { r.Status = -7 }),
@@ -162,12 +166,12 @@ func FuzzRecordAppend(f *testing.F) {
 			Time: time.Unix(sec, 0).In(time.FixedZone("", zoneMin*60))}
 		checkAppendMatchesReference(t, rec)
 
-		// What the strict parser reads back: a four-digit year, a zone of
-		// whole minutes inside a day, a byte count up to its 2^40 cap.
-		const year0, year9999 = -62167219200, 253402300799
+		// What the strict parser reads back: a time UnixNano can hold, a zone
+		// of whole minutes inside a day, a byte count up to its 2^40 cap.
+		const first, last = math.MinInt64 / 1_000_000_000, math.MaxInt64 / 1_000_000_000 // whole seconds UnixNano holds
 		zoneMin %= 24 * 60
 		rec.Bytes = min(size, 1<<40)
-		sec = min(max(sec, year0+24*3600), year9999-24*3600)
+		sec = min(max(sec, first), last)
 		rec.Time = time.Unix(sec, 0).In(time.FixedZone("", zoneMin*60))
 		checkWriterRoundTrip(t, rec)
 	})

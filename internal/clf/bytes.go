@@ -409,7 +409,9 @@ func parseCLFTime(b []byte) (time.Time, bool) {
 		return time.Time{}, false
 	}
 	year := yHi*100 + yLo
-	if day < 1 || day > daysIn(month, year) ||
+	// Every time of the years 1678–2261, in any zone, is one UnixNano holds;
+	// the strict parser decides the years at either edge (inNanoRange).
+	if year < 1678 || year > 2261 || day < 1 || day > daysIn(month, year) ||
 		hour > 23 || min > 59 || sec > 59 || zh > 23 || zm > 59 {
 		return time.Time{}, false
 	}

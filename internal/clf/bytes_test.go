@@ -143,6 +143,34 @@ func TestParseCLFTimeMatchesTimeParse(t *testing.T) {
 	}
 }
 
+// TestParsersRejectTimesOutsideUnixNano: a time UnixNano cannot hold makes
+// the line malformed in the fast parser and in the reference alike, common
+// and combined, up to the last nanosecond either way; a time just inside is
+// kept.
+func TestParsersRejectTimesOutsideUnixNano(t *testing.T) {
+	line := func(stamp string) string { return `10.0.0.1 - - [` + stamp + `] "GET /p/58.html HTTP/1.1" 200 1` }
+	for stamp, ok := range map[string]bool{
+		"02/Jan/2006:02:22:08 +0000": true,
+		"11/Apr/2262:23:47:16 +0000": true,
+		"11/Apr/2262:23:47:17 +0000": false,
+		"12/Apr/2262:01:47:16 +0200": true,
+		"02/Jan/2300:02:22:08 +0000": false,
+		"21/Sep/1677:00:12:44 +0000": true,
+		"21/Sep/1677:00:12:43 +0000": false,
+		"02/Jan/1600:00:00:00 -0700": false,
+		"01/Jan/1678:00:00:00 +2359": true, // the fast parser's year bounds, at the widest zones
+		"31/Dec/2261:23:59:59 -2359": true,
+	} {
+		for _, l := range []string{line(stamp), line(stamp) + ` "-" "agent"`} {
+			_, _, refErr := ParseAnyRecord(l)
+			_, _, err := ParseAnyRecordBytes([]byte(l))
+			if (refErr == nil) != ok || (err == nil) != ok {
+				t.Errorf("%q: reference error %v, fast error %v; want accepted = %v", l, refErr, err, ok)
+			}
+		}
+	}
+}
+
 // TestParseCLFTimeRejectsShapes pins fallback on malformed shapes.
 func TestParseCLFTimeRejectsShapes(t *testing.T) {
 	bad := []string{
@@ -297,6 +325,8 @@ func FuzzParseAnyRecordBytes(f *testing.F) {
 	f.Add("")
 	f.Add(`1.2.3.4 - - [bad date] "GET / HTTP/1.1" 200 1`)
 	f.Add("a b c [02/Jan/2006:15:04:05 +0000] \"x y z\" 200\t5")
+	f.Add(`x - - [02/Jan/2300:02:22:08 +0000] "GET / HTTP/1.1" 200 0`)
+	f.Add(`x - - [11/Apr/2262:23:47:16 +0000] "GET / HTTP/1.1" 200 0 "-" "-"`)
 	f.Fuzz(func(t *testing.T, line string) {
 		if len(line) > 1<<16 {
 			return

@@ -120,9 +120,15 @@ func truncate(s string, n int) string {
 	return s[:n] + "..."
 }
 
+// inNanoRange reports whether t is an instant time.UnixNano can hold, which
+// is how a sessionizer keeps a request's time (core's Tail): roughly the
+// years 1678 to 2262. Both parsers reject a line whose time is not.
+func inNanoRange(t time.Time) bool { return time.Unix(0, t.UnixNano()).Equal(t) }
+
 // ParseRecord parses a single CLF line. It is strict about structure (field
-// count, bracketed date, quoted request, numeric status) but tolerant about
-// content (any method name, any URI).
+// count, bracketed date, quoted request, numeric status) and about the time,
+// which must be one inNanoRange admits, but tolerant about content (any
+// method name, any URI).
 func ParseRecord(line string) (Record, error) {
 	fail := func(reason string) (Record, error) {
 		return Record{}, &ParseError{Line: line, Reason: reason}
@@ -153,6 +159,9 @@ func ParseRecord(line string) (Record, error) {
 	ts, err := time.Parse(TimeLayout, rest[1:close])
 	if err != nil {
 		return fail("bad timestamp: " + err.Error())
+	}
+	if !inNanoRange(ts) {
+		return fail("timestamp outside the years 1678 to 2262")
 	}
 	rest = rest[close+1:]
 	if !strings.HasPrefix(rest, " ") {

@@ -101,7 +101,7 @@ func TestStreamParallelOversizedLine(t *testing.T) {
 }
 
 // TestTruncatedGzipThroughBorrowedReader: a reader's own ErrUnexpectedEOF —
-// here OpenDecoded's, over a gzip file cut short, as ProcessLog reads one — is
+// here OpenDecoded's, over a gzip file cut short, as ReadLog reads one — is
 // a read error, not the clean end the decoder ring's short final block is.
 func TestTruncatedGzipThroughBorrowedReader(t *testing.T) {
 	whole := gzipBytes(t, synthLog(83, 1200), gzip.DefaultCompression)

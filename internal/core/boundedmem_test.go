@@ -131,8 +131,8 @@ type memUse struct {
 // multi-hundred-MiB synthetic log (generated, never materialized) streamed
 // through Tail.Ingest must keep the live-heap high-water under a fixed
 // budget that does not depend on the log's length — the property that
-// separates streaming ingestion from ProcessLog, whose record slice alone
-// would dwarf the budget. Two lengths run under the same budget to pin the
+// separates streaming ingestion from reading the log into a record slice,
+// which alone would dwarf the budget. Two lengths run under the same budget to pin the
 // independence claim, once from a reader and once from a gzip file, whose
 // decoder ring is then under the same budget. The short log also runs from a
 // plain file, whose resident set must grow no more than the reader's: a file

@@ -8,10 +8,11 @@ import (
 	"smartsra/internal/webgraph"
 )
 
-// ExamplePipeline_ProcessLog runs the full reactive pipeline — parse, clean,
-// identify users, reconstruct sessions with Smart-SRA — on a small CLF log
-// over the paper's Figure 1 topology.
-func ExamplePipeline_ProcessLog() {
+// ExampleNoHorizon runs the full reactive pipeline in batch — parse, clean,
+// identify users, reconstruct each user's whole history with Smart-SRA — on a
+// small CLF log over the paper's Figure 1 topology: a Tail with no burst
+// horizon closes nothing while it reads, and Flush reconstructs everything.
+func ExampleNoHorizon() {
 	g, _ := webgraph.PaperFigure1()
 	log := strings.Join([]string{
 		`10.0.0.1 - - [02/Jan/2006:12:00:00 +0000] "GET /P1.html HTTP/1.1" 200 100`,
@@ -20,18 +21,18 @@ func ExamplePipeline_ProcessLog() {
 		`10.0.0.1 - - [02/Jan/2006:12:04:00 +0000] "GET /P34.html HTTP/1.1" 200 100`,
 	}, "\n")
 
-	p, err := core.NewPipeline(core.Config{Graph: g})
+	t, err := core.NewTail(core.Config{Graph: g}, core.NoHorizon)
 	if err != nil {
 		fmt.Println(err)
 		return
 	}
-	res, err := p.ProcessLog(nil, strings.NewReader(log))
-	if err != nil {
+	if _, err := t.Ingest(strings.NewReader(log), nil, nil); err != nil {
 		fmt.Println(err)
 		return
 	}
-	fmt.Println(res.Stats)
-	for _, s := range res.Sessions {
+	sessions := t.Flush()
+	fmt.Println(t.Stats())
+	for _, s := range sessions {
 		fmt.Println(s)
 	}
 	// Output:

@@ -81,31 +81,31 @@ func TestGoldenCorpusSimgen(t *testing.T) {
 	g := golden2Graph(t)
 	log := readGolden(t, "golden2.log")
 
-	// Batch reference.
-	ref, err := NewPipeline(Config{Graph: g})
-	if err != nil {
-		t.Fatal(err)
+	// Batch: a NoHorizon Tail, and batchReference, on the same golden file.
+	sessions, batchStats := batchIngest(t, Config{Graph: g}, string(log))
+	if batchStats.Malformed != 0 {
+		t.Fatalf("simgen corpus has %d malformed lines, want 0", batchStats.Malformed)
 	}
-	res, err := ref.ProcessLog(nil, bytes.NewReader(log))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Stats.Malformed != 0 {
-		t.Fatalf("simgen corpus has %d malformed lines, want 0", res.Stats.Malformed)
-	}
-	writeOrCompareGolden(t, "golden2.batch.sessions", renderSessions(t, res.Sessions))
-
-	// Streaming reference (single Tail, sequential feed) and sweep.
-	refTail, err := NewTail(Config{Graph: g}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	writeOrCompareGolden(t, "golden2.batch.sessions", renderSessions(t, sessions))
 	records, bad, err := clf.ReadAll(bytes.NewReader(log))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if bad != 0 {
 		t.Fatalf("ReadAll malformed = %d, want 0", bad)
+	}
+	ref, refStats := batchReference(t, g, nil, records)
+	if !bytes.Equal(renderSessions(t, ref), readGolden(t, "golden2.batch.sessions")) {
+		t.Error("the reference's sessions differ from golden2.batch.sessions")
+	}
+	if refStats != batchStats {
+		t.Errorf("the reference counts %+v, the NoHorizon Tail %+v", refStats, batchStats)
+	}
+
+	// Streaming reference (single Tail, sequential feed) and sweep.
+	refTail, err := NewTail(Config{Graph: g}, 0)
+	if err != nil {
+		t.Fatal(err)
 	}
 	var refStream []session.Session
 	for _, rec := range records {

@@ -14,11 +14,11 @@ import (
 
 // The end-to-end golden corpus: a committed CLF fixture mixing clean,
 // malformed, out-of-order, CRLF-terminated, combined-format, filtered, and
-// unresolved lines, pinned to checked-in session output. Every ingestion
-// variant — batch (sessionize-style Pipeline.ProcessLog) and streaming
-// (serve-style Tail feeding) — must reproduce its golden file byte for byte
-// across the whole {source, chunk size, batch size} sweep, and every
-// variant must count the same malformed lines. Regenerate with
+// unresolved lines, pinned to checked-in session output. Batch (a NoHorizon
+// Tail, as sessionize runs it) and streaming (a Tail with the paper's ρ, as
+// sessionize -stream and serve run it) must each reproduce their golden file
+// byte for byte across the whole {source, chunk size, batch size} sweep, and
+// every variant must count the same malformed lines. Regenerate with
 //
 //	go test ./internal/core -run TestGoldenCorpus -update
 var update = flag.Bool("update", false, "rewrite the golden corpus outputs")
@@ -67,24 +67,32 @@ func goldenGraph() *webgraph.Graph {
 	return g
 }
 
-// TestGoldenCorpusBatch pins the sessionize-style batch path: ProcessLog
-// produces the committed session file and stats line.
+// TestGoldenCorpusBatch pins the batch path, a NoHorizon Tail read by
+// Ingest and drained, to the committed session file and stats line, and
+// holds batchReference, which shares no code with the Tail, to the same two
+// files.
 func TestGoldenCorpusBatch(t *testing.T) {
 	log := readGolden(t, "golden.log")
 	g := goldenGraph()
 
-	ref, err := NewPipeline(Config{Graph: g})
+	sessions, st := batchIngest(t, Config{Graph: g}, string(log))
+	writeOrCompareGolden(t, "golden.batch.sessions", renderSessions(t, sessions))
+	writeOrCompareGolden(t, "golden.stats", []byte(st.String()+"\n"))
+	if st.Malformed != goldenMalformed {
+		t.Fatalf("batch malformed = %d, want %d", st.Malformed, goldenMalformed)
+	}
+
+	records, bad, err := clf.ReadAll(bytes.NewReader(log))
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := ref.ProcessLog(nil, bytes.NewReader(log))
-	if err != nil {
-		t.Fatal(err)
+	ref, refStats := batchReference(t, g, nil, records)
+	refStats.Malformed = bad
+	if !bytes.Equal(renderSessions(t, ref), readGolden(t, "golden.batch.sessions")) {
+		t.Errorf("the reference's sessions differ from golden.batch.sessions:\n%s", renderSessions(t, ref))
 	}
-	writeOrCompareGolden(t, "golden.batch.sessions", renderSessions(t, res.Sessions))
-	writeOrCompareGolden(t, "golden.stats", []byte(res.Stats.String()+"\n"))
-	if res.Stats.Malformed != goldenMalformed {
-		t.Fatalf("batch malformed = %d, want %d", res.Stats.Malformed, goldenMalformed)
+	if got := refStats.String() + "\n"; got != string(readGolden(t, "golden.stats")) {
+		t.Errorf("the reference's stats %q differ from golden.stats", got)
 	}
 }
 
@@ -98,8 +106,8 @@ func readGoldenOrGot(t *testing.T, name string, got []byte) []byte {
 }
 
 // TestGoldenCorpusStream pins the serve-style streaming path: every record
-// source (ReadAll; StreamChunked collected into a slice as ProcessLog does,
-// and pushed chunk by chunk, at the default and at a small chunk size;
+// source (ReadAll; StreamChunked collected into a slice, and pushed chunk by
+// chunk, at the default and at a small chunk size;
 // Tail.Ingest) feeding a Tail emits byte-identical sessions — the
 // finalized-during-feed prefix and the Flush tail concatenated — and the
 // same malformed count.

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -10,61 +8,6 @@ import (
 	"smartsra/internal/metrics"
 	"smartsra/internal/webgraph"
 )
-
-// A Pipeline is documented safe for concurrent use; the process-wide
-// metrics counters must stay exact when many goroutines process logs at
-// once (run under -race).
-func TestPipelineMetricsUnderConcurrentUse(t *testing.T) {
-	g, _ := webgraph.PaperFigure1()
-	p, err := NewPipeline(Config{Graph: g})
-	if err != nil {
-		t.Fatal(err)
-	}
-	log := strings.Join([]string{
-		`10.0.0.1 - - [02/Jan/2006:12:00:00 +0000] "GET /P1.html HTTP/1.1" 200 100`,
-		`10.0.0.1 - - [02/Jan/2006:12:02:00 +0000] "GET /P13.html HTTP/1.1" 200 100`,
-		`10.0.0.1 - - [02/Jan/2006:12:05:00 +0000] "GET /P34.html HTTP/1.1" 200 100`,
-	}, "\n")
-
-	before := metrics.Default.Snapshot()
-	ref, err := p.ProcessLog(nil, strings.NewReader(log))
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	const goroutines, per = 8, 20
-	var wg sync.WaitGroup
-	for i := 0; i < goroutines; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := 0; j < per; j++ {
-				res, err := p.ProcessLog(nil, strings.NewReader(log))
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				if len(res.Sessions) != len(ref.Sessions) {
-					t.Errorf("sessions = %d, want %d", len(res.Sessions), len(ref.Sessions))
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-
-	after := metrics.Default.Snapshot()
-	runs := int64(goroutines*per + 1) // + the reference run
-	if got := after.Counters["core.pipeline.records"] - before.Counters["core.pipeline.records"]; got != runs*int64(ref.Stats.Records) {
-		t.Errorf("core.pipeline.records delta = %d, want %d", got, runs*int64(ref.Stats.Records))
-	}
-	if got := after.Counters["core.pipeline.sessions"] - before.Counters["core.pipeline.sessions"]; got != runs*int64(len(ref.Sessions)) {
-		t.Errorf("core.pipeline.sessions delta = %d, want %d", got, runs*int64(len(ref.Sessions)))
-	}
-	if got := after.Counters["clf.scanner.records"] - before.Counters["clf.scanner.records"]; got != runs*int64(ref.Stats.Records) {
-		t.Errorf("clf.scanner.records delta = %d, want %d", got, runs*int64(ref.Stats.Records))
-	}
-}
 
 func TestTailMetrics(t *testing.T) {
 	g, _ := webgraph.PaperFigure1()

@@ -11,6 +11,7 @@ import (
 
 	"smartsra/internal/clf"
 	"smartsra/internal/heuristics"
+	"smartsra/internal/prep"
 	"smartsra/internal/session"
 	"smartsra/internal/webgraph"
 )
@@ -39,6 +40,24 @@ func referenceSessions(g *webgraph.Graph, h heuristics.Reconstructor, recs []clf
 	}
 	sort.Strings(out)
 	return out
+}
+
+// batchReference is what a NoHorizon Tail must emit, built with no code of
+// the Tail's: the records cleaned, resolved, grouped by user and stable-sorted
+// by time (prep.BuildStreams), each user's whole history reconstructed on its
+// own (heuristics.ReconstructAll), in user order. Its Stats are the ones the
+// Tail must count, malformed lines aside (the caller's reader counts those).
+func batchReference(t *testing.T, g *webgraph.Graph, h heuristics.Reconstructor, recs []clf.Record) ([]session.Session, Stats) {
+	t.Helper()
+	if h == nil {
+		h = heuristics.NewSmartSRA(g)
+	}
+	streams, ps, err := prep.BuildStreams(recs, prep.GraphResolver(g), prep.Options{Filter: clf.StandardCleaning()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sessions := heuristics.ReconstructAll(h, streams)
+	return sessions, Stats{Records: ps.Records, Filtered: ps.Filtered, Unresolved: ps.Unresolved, Users: ps.Users, Sessions: len(sessions)}
 }
 
 // latenessLog builds a random log of users walking g's links: visits of 1–8
@@ -179,6 +198,62 @@ func TestTailMatchesReference(t *testing.T) {
 			}
 			got = append(got, restored.PushBatch(recs[cut:])...)
 			check(fmt.Sprintf("Snapshot→Restore at record %d", cut), append(got, restored.Flush()...))
+		}
+	}
+}
+
+// TestNoHorizonMatchesBatchReference holds a NoHorizon Tail — sessionize's
+// batch mode — to batchReference, sessions byte for byte and Stats, for
+// heur1–heur4 over random multi-user logs whose records arrive out of order
+// and in mixed zones: latenessLog's order, with every 7th time written at
+// +05:30, and the same records shuffled outright, since with no horizon a
+// user's requests may come in any order. The Tail reads each log through
+// Ingest at two chunk sizes and Drains it, and through PushBatch and Flush.
+func TestNoHorizonMatchesBatchReference(t *testing.T) {
+	g := goldenGraph()
+	ist := clf.FixedZone(5*3600 + 1800)
+	heurs := []heuristics.Reconstructor{
+		heuristics.NewTimeTotal(), heuristics.NewTimeGap(), heuristics.NewNavigation(g), heuristics.NewSmartSRA(g),
+	}
+	for seed := int64(1); seed <= 8; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		recs := latenessLog(rng, g, 20+rng.Intn(60), 10*time.Minute)
+		for i := 0; i < len(recs); i += 7 {
+			recs[i].Time = recs[i].Time.In(ist)
+		}
+		shuffled := append([]clf.Record(nil), recs...)
+		rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+		for order, log := range map[string][]clf.Record{"late": recs, "shuffled": shuffled} {
+			var text strings.Builder
+			for _, r := range log {
+				text.WriteString(r.String())
+				text.WriteByte('\n')
+			}
+			for _, h := range heurs {
+				label := fmt.Sprintf("seed=%d %s %s", seed, order, h.Name())
+				ref, refStats := batchReference(t, g, h, log)
+				want, refText := renderSessions(t, ref), sessionStrings(ref)
+				sort.Strings(refText)
+				check := func(how string, got []session.Session, st Stats) {
+					t.Helper()
+					if !bytes.Equal(renderSessions(t, got), want) {
+						t.Errorf("%s: %s differs from the reference (first multiset difference: %q)", label, how, firstDifference(sessionStrings(got), refText))
+					}
+					if st != refStats {
+						t.Errorf("%s: %s counts %+v, the reference %+v", label, how, st, refStats)
+					}
+				}
+				for _, chunk := range []int{128, 64 << 10} {
+					got, st := batchIngest(t, Config{Graph: g, Heuristic: h, StreamChunkBytes: chunk}, text.String())
+					check(fmt.Sprintf("Ingest at %d-byte chunks", chunk), got, st)
+				}
+				tl, err := NewTail(Config{Graph: g, Heuristic: h}, NoHorizon)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got := tl.PushBatch(log)
+				check("PushBatch and Flush", append(got, tl.Flush()...), tl.Stats())
+			}
 		}
 	}
 }

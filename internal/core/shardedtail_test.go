@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"smartsra/internal/clf"
@@ -76,54 +77,41 @@ func TestShardedTailEquivalentToTail(t *testing.T) {
 	}
 }
 
-// TestPipelineParallelMatchesSequential pins Pipeline.ProcessLog, whose log
-// is parsed on a goroutine beside the caller, to ProcessRecords over the
-// sequential Scanner's records: same stats, sessions and streams.
+// TestPipelineParallelMatchesSequential pins the batch pipeline, a NoHorizon
+// Tail whose log Ingest parses on a goroutine beside the caller, to a
+// NoHorizon Tail pushed the sequential Scanner's records: same stats and
+// sessions.
 func TestPipelineParallelMatchesSequential(t *testing.T) {
 	g, records := simulatedLog(t, 5, 120)
 	var buf bytes.Buffer
 	if err := clf.WriteAll(&buf, records); err != nil {
 		t.Fatal(err)
 	}
-	log := buf.Bytes()
-	scanned, malformed, err := clf.ReadAll(bytes.NewReader(log))
+	log := buf.String()
+	scanned, malformed, err := clf.ReadAll(strings.NewReader(log))
 	if err != nil || malformed != 0 {
 		t.Fatalf("ReadAll: %d malformed, err %v", malformed, err)
 	}
 
-	for _, h := range []heuristics.Reconstructor{nil, heuristics.NewTimeGap()} {
-		p, err := NewPipeline(Config{Graph: g, Heuristic: h})
+	for _, h := range []heuristics.Reconstructor{heuristics.NewSmartSRA(g), heuristics.NewTimeGap()} {
+		cfg := Config{Graph: g, Heuristic: h}
+		seq, err := NewTail(cfg, NoHorizon)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := p.ProcessRecords(scanned)
-		if err != nil {
-			t.Fatal(err)
+		want := append(seq.PushBatch(scanned), seq.Flush()...)
+		got, st := batchIngest(t, cfg, log)
+		name := h.Name()
+		if st != seq.Stats() {
+			t.Fatalf("%s: stats differ: %+v vs %+v", name, st, seq.Stats())
 		}
-		got, err := p.ProcessLog(nil, bytes.NewReader(log))
-		if err != nil {
-			t.Fatal(err)
-		}
-		name := p.Heuristic().Name()
-		if got.Stats != want.Stats {
-			t.Fatalf("%s: stats differ: %+v vs %+v", name, got.Stats, want.Stats)
-		}
-		ws, gs := sessionStrings(want.Sessions), sessionStrings(got.Sessions)
+		ws, gs := sessionStrings(want), sessionStrings(got)
 		if len(ws) != len(gs) {
 			t.Fatalf("%s: %d sessions vs %d", name, len(gs), len(ws))
 		}
 		for i := range ws {
 			if ws[i] != gs[i] {
 				t.Fatalf("%s: session %d differs:\nseq: %s\npar: %s", name, i, ws[i], gs[i])
-			}
-		}
-		if len(got.Streams) != len(want.Streams) {
-			t.Fatalf("%s: %d streams vs %d", name, len(got.Streams), len(want.Streams))
-		}
-		for i := range want.Streams {
-			if want.Streams[i].User != got.Streams[i].User ||
-				len(want.Streams[i].Entries) != len(got.Streams[i].Entries) {
-				t.Fatalf("%s: stream %d differs", name, i)
 			}
 		}
 	}

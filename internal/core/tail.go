@@ -8,24 +8,38 @@ import (
 	"time"
 
 	"smartsra/internal/clf"
+	"smartsra/internal/heuristics"
 	"smartsra/internal/session"
 	"smartsra/internal/webgraph"
 )
 
-// Tail is the incremental counterpart of Pipeline: it consumes access-log
-// records one at a time (e.g. from a live log tail) and emits reconstructed
-// sessions as soon as they can no longer change.
+// Tail is the module's one sessionizer: it consumes access-log records one
+// at a time (from a log file, a pipe or a live log tail) and emits
+// reconstructed sessions as soon as they can no longer change.
 //
 // Records are buffered per user into "activity bursts". A user's burst is
 // closed — and handed to the heuristic — when a new record arrives more
 // than the page-stay bound ρ after the burst's last request, when the log's
-// own clock has run 2ρ past it, or when Expire/Flush decides the user has
-// gone quiet. Because every heuristic's sessions never span a gap larger
-// than ρ (that is the Phase-1 page-stay rule), burst-at-a-time
-// reconstruction is exactly equivalent to batch processing for Smart-SRA and
-// the time-gap heuristic; the time-total and navigation heuristics can merge
-// across >ρ gaps in batch mode, so their streamed output may split earlier
-// (documented, covered by tests).
+// own clock has run 2ρ past it, or when Expire/Flush/Drain decides the user
+// has gone quiet. The heuristic therefore sees one burst at a time, not the
+// user's whole history, and for three of the four heuristics the two can
+// give different sessions. The time-total and navigation heuristics can join
+// requests across a gap longer than ρ. Smart-SRA's maximality filter runs
+// over every session of the stream it is handed, when a page repeats in that
+// stream: handed a whole history, it drops a short visit whose pages all
+// reappear in a longer session of another burst, which it keeps when handed
+// the visit's burst alone (ROADMAP item 4: the golden corpus gives 7 sessions
+// from whole histories and 8 from bursts). Only the time-gap heuristic, whose
+// sessions never span a gap longer than ρ, gives the same sessions either way.
+//
+// With NoHorizon as its burst gap a Tail closes nothing before Flush or
+// Drain: no gap ends a burst and it keeps no expiry wheel, so neither the
+// log's clock nor Expire finds a user to close, and each user's burst is
+// their whole history, in any order the log gives it; its memory is every
+// request's slot. That is batch sessionization: Drain then closes every user
+// in user order, each history stable-sorted by time, which is what grouping
+// the log by user and reconstructing each group gives (prep.BuildStreams +
+// heuristics.ReconstructAll, the tests' reference).
 //
 // The log's clock is the newest request among the open users. Whenever it
 // minus ρ enters a new ρ-wide bucket of the expiry wheel, the pushing call
@@ -199,12 +213,18 @@ func appendEntries(dst []session.Entry, slots []slot) []session.Entry {
 	return dst
 }
 
-// NewTail builds a streaming processor from the same Config as NewPipeline
-// plus the burst gap ρ (zero means the paper's 10 minutes).
+// NoHorizon is the burst gap of a Tail that closes no burst before the end
+// of its input: the batch sessionizer (see the Tail doc).
+const NoHorizon time.Duration = math.MaxInt64
+
+// NewTail builds a sessionizer for cfg with the burst gap ρ: zero means the
+// paper's 10 minutes, NoHorizon no gap at all.
 func NewTail(cfg Config, rho time.Duration) (*Tail, error) {
-	p, err := NewPipeline(cfg) // reuse validation and defaulting
-	if err != nil {
-		return nil, err
+	if cfg.Graph == nil {
+		return nil, fmt.Errorf("core: Config.Graph is required")
+	}
+	if cfg.Heuristic == nil {
+		cfg.Heuristic = heuristics.NewSmartSRA(cfg.Graph)
 	}
 	if rho == 0 {
 		rho = session.DefaultPageStay
@@ -213,14 +233,14 @@ func NewTail(cfg Config, rho time.Duration) (*Tail, error) {
 		return nil, fmt.Errorf("core: negative burst gap %v", rho)
 	}
 	return &Tail{
-		cfg:     p.cfg,
+		cfg:     cfg,
 		rho:     rho,
 		rhoNano: rho.Nanoseconds(),
 		buffers: make(map[string]*burst),
 		wheel:   make(map[int64][]string),
 		clock:   idleClock,
-		kept:    newLane(p.cfg.Heuristic),
-		lent:    newLane(p.cfg.Heuristic),
+		kept:    newLane(cfg.Heuristic),
+		lent:    newLane(cfg.Heuristic),
 	}, nil
 }
 
@@ -561,7 +581,11 @@ func slotClass(n int) int {
 }
 
 // wheelAdd inserts user into the expiry-wheel bucket covering at (UnixNano).
+// A NoHorizon Tail keeps no wheel: none of its users ages out.
 func (t *Tail) wheelAdd(user string, at int64) {
+	if t.rho == NoHorizon {
+		return
+	}
 	bk := bucketOf(at, t.rho)
 	t.wheel[bk] = append(t.wheel[bk], user)
 }

@@ -7,7 +7,7 @@
 // call sites hold the *Counter / *Histogram returned by a one-time lookup
 // instead of resolving the name per event.
 //
-//	var processed = metrics.GetCounter("core.pipeline.records")
+//	var processed = metrics.GetCounter("core.tail.records")
 //	...
 //	processed.Add(int64(len(records)))
 package metrics
