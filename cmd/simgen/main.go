@@ -23,6 +23,7 @@ import (
 	"path/filepath"
 
 	"smartsra/internal/clf"
+	"smartsra/internal/session"
 	"smartsra/internal/simulator"
 	"smartsra/internal/webgraph"
 )
@@ -77,14 +78,7 @@ func run(out string, pages int, outdeg float64, agents int,
 	}{
 		{"topology.json", g.Encode},
 		{"access.log", func(w io.Writer) error { return res.WriteLog(newWriter(w), g) }},
-		{"sessions.real", func(w io.Writer) error {
-			for _, s := range res.Real {
-				if _, err := fmt.Fprintln(w, s); err != nil {
-					return err
-				}
-			}
-			return nil
-		}},
+		{"sessions.real", func(w io.Writer) error { return session.WriteAll(w, res.Real) }},
 	} {
 		if err := writeFile(filepath.Join(out, file.name), file.fill); err != nil {
 			return err

@@ -49,10 +49,10 @@ func referenceCombined(r Record) string {
 func checkAppendMatchesReference(t *testing.T, rec Record) {
 	t.Helper()
 	const prefix = "kept:"
-	if got, want := string(rec.appendTo([]byte(prefix))), prefix+referenceString(rec); got != want {
+	if got, want := string(rec.appendTo([]byte(prefix), nil)), prefix+referenceString(rec); got != want {
 		t.Fatalf("appendTo\n got %q\nwant %q", got, want)
 	}
-	if got, want := string(rec.appendCombinedTo([]byte(prefix))), prefix+referenceCombined(rec); got != want {
+	if got, want := string(rec.appendCombinedTo([]byte(prefix), nil)), prefix+referenceCombined(rec); got != want {
 		t.Fatalf("appendCombinedTo\n got %q\nwant %q", got, want)
 	}
 	if got, want := rec.String(), referenceString(rec); got != want {
@@ -175,6 +175,49 @@ func FuzzRecordAppend(f *testing.F) {
 		rec.Time = time.Unix(sec, 0).In(time.FixedZone("", zoneMin*60))
 		checkWriterRoundTrip(t, rec)
 	})
+}
+
+// A Writer formats a time only when its second or location differs from the
+// last record's, so its lines must equal String's (and CombinedString's)
+// whatever the sequence: a second crossed forwards and backwards, one second
+// in UTC, +0530 and −0700 and in two zones of one offset, times that differ
+// only below the second, and half a second before 1970, which is second −1,
+// not second 0.
+func TestWriterMatchesStringAcrossSeconds(t *testing.T) {
+	at := time.Date(2006, 1, 2, 15, 4, 5, 0, time.UTC)
+	ist, pdt := time.FixedZone("IST", 5*3600+1800), time.FixedZone("PDT", -7*3600)
+	times := []time.Time{
+		at, at.Add(300 * time.Millisecond), at.Add(time.Second - 1), at.Add(time.Second),
+		at.Add(time.Second).In(ist), at.Add(time.Second).In(pdt), at.Add(time.Second + 1).In(pdt),
+		at.Add(time.Second), at.Add(time.Second).In(time.FixedZone("IST", 5*3600+1800)),
+		at.Add(time.Second).In(ist), at.In(ist), at, at.Add(time.Second).Local(),
+		time.Unix(0, 0).UTC(), time.Unix(0, -5e8).UTC(), time.Unix(-1, 0).UTC(), time.Unix(0, 0).UTC(),
+	}
+	for _, combined := range []bool{false, true} {
+		var buf bytes.Buffer
+		w, render := NewWriter(&buf), Record.String
+		if combined {
+			w, render = NewCombinedWriter(&buf), Record.CombinedString
+		}
+		var want []string
+		for i, tm := range times {
+			rec := Record{Host: fmt.Sprintf("10.0.0.%d", i), Time: tm, Method: "GET", URI: "/a", Protocol: "HTTP/1.1",
+				Status: 200, Bytes: int64(i), Referer: "/r", UserAgent: "ua"}
+			if err := w.Write(rec); err != nil {
+				t.Fatal(err)
+			}
+			want = append(want, render(rec))
+		}
+		if err := w.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		got := strings.Split(strings.TrimSuffix(buf.String(), "\n"), "\n")
+		for i := range want {
+			if i >= len(got) || got[i] != want[i] {
+				t.Fatalf("combined=%v: line %d (%v)\n got %q\nwant %q", combined, i, times[i], got[min(i, len(got)-1)], want[i])
+			}
+		}
+	}
 }
 
 // A line longer than the Writer's buffer reaches the destination whole and

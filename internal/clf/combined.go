@@ -22,9 +22,9 @@ const NoField = "-"
 func (r Record) HasReferer() bool { return r.Referer != "" && r.Referer != NoField }
 
 // appendCombinedTo appends the record's combined-format line (without
-// trailing newline) to dst: the common-format line, rendered once, and the
-// two quoted fields.
-func (r Record) appendCombinedTo(dst []byte) []byte {
+// trailing newline) to dst, its time through last: the common-format line,
+// rendered once, and the two quoted fields.
+func (r Record) appendCombinedTo(dst []byte, last *stamp) []byte {
 	ref, agent := r.Referer, r.UserAgent
 	if ref == "" {
 		ref = NoField
@@ -32,7 +32,7 @@ func (r Record) appendCombinedTo(dst []byte) []byte {
 	if agent == "" {
 		agent = NoField
 	}
-	dst = append(r.appendTo(dst), ' ')
+	dst = append(r.appendTo(dst, last), ' ')
 	dst = append(appendQuoted(dst, ref), ' ')
 	return appendQuoted(dst, agent)
 }

@@ -11,7 +11,7 @@ var combinedLine = sampleLine + ` "/p/3.html" "Mozilla/5.0 (X11; Linux)"`
 
 // CombinedString renders the record as a combined-format line. Empty
 // referer/user-agent render as "-".
-func (r Record) CombinedString() string { return string(r.appendCombinedTo(nil)) }
+func (r Record) CombinedString() string { return string(r.appendCombinedTo(nil, nil)) }
 
 func TestParseCombinedRecord(t *testing.T) {
 	r, err := ParseCombinedRecord(combinedLine)

@@ -62,12 +62,13 @@ type Record struct {
 }
 
 // String renders the record as a CLF line (without trailing newline).
-func (r Record) String() string { return string(r.appendTo(nil)) }
+func (r Record) String() string { return string(r.appendTo(nil, nil)) }
 
-// appendTo appends the record's CLF line (without trailing newline) to dst.
-// It is the one rendering of the common-format fields: String, the combined
-// rendering and Writer all go through it.
-func (r Record) appendTo(dst []byte) []byte {
+// appendTo appends the record's CLF line (without trailing newline) to dst,
+// its time through last (see stamp.append). It is the one rendering of the
+// common-format fields: String, the combined rendering and Writer all go
+// through it.
+func (r Record) appendTo(dst []byte, last *stamp) []byte {
 	ident, user := r.Ident, r.AuthUser
 	if ident == "" {
 		ident = "-"
@@ -81,7 +82,7 @@ func (r Record) appendTo(dst []byte) []byte {
 	dst = append(dst, ' ')
 	dst = append(dst, user...)
 	dst = append(dst, " ["...)
-	dst = r.Time.AppendFormat(dst, TimeLayout)
+	dst = last.append(dst, r.Time)
 	dst = append(dst, "] \""...)
 	dst = append(dst, r.Method...)
 	dst = append(dst, ' ')
@@ -95,6 +96,30 @@ func (r Record) appendTo(dst []byte) []byte {
 		return append(dst, '-')
 	}
 	return strconv.AppendInt(dst, r.Bytes, 10)
+}
+
+// stamp is the last timestamp a Writer formatted: its Unix second, its
+// location and its text. Records come in runs of one second, and
+// time.Time.AppendFormat reads its layout anew on every call, so a Writer
+// formats a second once per run.
+type stamp struct {
+	sec  int64
+	loc  *time.Location
+	text []byte
+}
+
+// append appends t in TimeLayout to dst. A nil s formats t; otherwise t is
+// formatted only when its second or location is not the last one's, since
+// the layout shows nothing below the second and one location gives one
+// second one offset. A zero stamp holds no location, which no time has.
+func (s *stamp) append(dst []byte, t time.Time) []byte {
+	if s == nil {
+		return t.AppendFormat(dst, TimeLayout)
+	}
+	if sec, loc := t.Unix(), t.Location(); sec != s.sec || loc != s.loc {
+		s.sec, s.loc, s.text = sec, loc, t.AppendFormat(s.text[:0], TimeLayout)
+	}
+	return append(dst, s.text...)
 }
 
 // ParseError describes a malformed CLF line. It records the offending line

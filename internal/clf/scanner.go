@@ -172,6 +172,7 @@ type Writer struct {
 	w        *bufio.Writer
 	err      error
 	combined bool
+	last     stamp // the last time written, formatted
 }
 
 // NewWriter returns a Writer targeting w. Call Flush when done.
@@ -186,16 +187,17 @@ func NewCombinedWriter(w io.Writer) *Writer {
 }
 
 // Write appends one record as a CLF line, rendered straight into the
-// buffer's free space.
+// buffer's free space. A time in the second and location of the previous
+// record's is not formatted again.
 func (w *Writer) Write(rec Record) error {
 	if w.err != nil {
 		return w.err
 	}
 	line := w.w.AvailableBuffer()
 	if w.combined {
-		line = rec.appendCombinedTo(line)
+		line = rec.appendCombinedTo(line, &w.last)
 	} else {
-		line = rec.appendTo(line)
+		line = rec.appendTo(line, &w.last)
 	}
 	if _, err := w.w.Write(append(line, '\n')); err != nil {
 		w.err = err

@@ -25,14 +25,14 @@ func ExampleTail() {
 			Protocol: "HTTP/1.1", Status: 200, Bytes: 1,
 		}
 		for _, s := range tl.Push(rec) {
-			fmt.Println("closed:", s)
+			fmt.Printf("closed: %s\n", s.AppendText(nil))
 		}
 	}
 	push("/P1.html", t0)
 	push("/P13.html", t0.Add(2*time.Minute))
 	push("/P1.html", t0.Add(40*time.Minute)) // >ρ gap closes the burst
 	for _, s := range tl.Flush() {
-		fmt.Println("flushed:", s)
+		fmt.Printf("flushed: %s\n", s.AppendText(nil))
 	}
 	// Output:
 	// closed: 10.0.0.1:[0 1]

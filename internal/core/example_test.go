@@ -33,7 +33,7 @@ func ExampleNoHorizon() {
 	sessions := t.Flush()
 	fmt.Println(t.Stats())
 	for _, s := range sessions {
-		fmt.Println(s)
+		fmt.Printf("%s\n", s.AppendText(nil))
 	}
 	// Output:
 	// records=4 malformed=0 filtered=1 unresolved=0 users=1 sessions=1

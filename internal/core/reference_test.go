@@ -32,7 +32,7 @@ func referenceSessions(g *webgraph.Graph, h heuristics.Reconstructor, recs []clf
 		for start, i := 0, 1; i <= len(entries); i++ {
 			if i == len(entries) || entries[i].Time.Sub(entries[i-1].Time) > rho {
 				for _, s := range heuristics.ReconstructAll(h, []session.Stream{{User: user, Entries: entries[start:i]}}) {
-					out = append(out, s.String())
+					out = append(out, string(s.AppendText(nil)))
 				}
 				start = i
 			}

@@ -35,7 +35,7 @@ func simulatedLog(t *testing.T, seed int64, agents int) (*webgraph.Graph, []clf.
 func sessionStrings(sessions []session.Session) []string {
 	out := make([]string, len(sessions))
 	for i, s := range sessions {
-		out[i] = s.String()
+		out[i] = string(s.AppendText(nil))
 	}
 	return out
 }

@@ -199,10 +199,10 @@ func TestTailEquivalentToBatchForGapBoundedHeuristics(t *testing.T) {
 		// Compare as per-user multisets (emission order differs).
 		count := make(map[string]int)
 		for _, s := range batch {
-			count[s.String()]++
+			count[string(s.AppendText(nil))]++
 		}
 		for _, s := range streamed {
-			count[s.String()]--
+			count[string(s.AppendText(nil))]--
 		}
 		for k, c := range count {
 			if c != 0 {

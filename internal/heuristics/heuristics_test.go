@@ -1,6 +1,7 @@
 package heuristics
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -481,7 +482,7 @@ func TestHeuristicsDeterministicProperty(t *testing.T) {
 			continue
 		}
 		for i := range a {
-			if a[i].String() != b[i].String() {
+			if !bytes.Equal(a[i].AppendText(nil), b[i].AppendText(nil)) {
 				t.Errorf("%s nondeterministic session %d", h.Name(), i)
 			}
 		}

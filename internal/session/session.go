@@ -57,11 +57,8 @@ func (s Session) Duration() time.Duration {
 	return s.Entries[len(s.Entries)-1].Time.Sub(s.Entries[0].Time)
 }
 
-// String renders the session compactly, e.g. "u7:[3 14 15]".
-func (s Session) String() string { return string(s.AppendText(nil)) }
-
-// AppendText appends the String rendering of s — one line of the session
-// text format, without the newline — to dst and returns the extended
+// AppendText appends s compactly, e.g. "u7:[3 14 15]" — one line of the
+// session text format, without the newline — to dst and returns the extended
 // buffer. It allocates only when dst must grow, so a writer encoding many
 // sessions into one reused buffer (WriteAll) pays nothing per session.
 func (s Session) AppendText(dst []byte) []byte {

@@ -10,6 +10,9 @@ import (
 
 var t0 = time.Date(2006, 1, 2, 12, 0, 0, 0, time.UTC)
 
+// String renders the session as AppendText does.
+func (s Session) String() string { return string(s.AppendText(nil)) }
+
 // mk builds a session from (page, minute-offset) pairs.
 // Pages returns just the page IDs of the session, in order.
 func (s Session) Pages() []webgraph.PageID {

@@ -4,8 +4,10 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 	"time"
@@ -110,14 +112,29 @@ func firstDiff[E any](a, b []E) int {
 }
 
 // The merge itself, on random streams that are each in time order: no
-// streams, empty streams, a single stream, times drawn from a few seconds
-// (so entries tie within and across streams) and streams whose every entry
-// has the same time. Its order must be a stable sort by time of the streams
-// laid end to end, and one heap is reused throughout.
+// streams, empty streams, a single stream, and five kinds of times.
+//   - Whole seconds a few seconds apart, so entries tie within and across
+//     streams, or all at one time.
+//   - Fractions of a second apart, from a first time off a whole second, so
+//     one second holds different times from one stream and from several.
+//   - Up to years apart, so the span holds more seconds than there are
+//     entries and the buckets are wider than a second.
+//   - The same, before 1970.
+//   - Drawn from the earliest and latest times UnixNano can hold, whose span
+//     overflows a signed difference.
+//
+// Its order must be a stable sort by time of the streams laid end to end,
+// one scratch is reused throughout, and no order uses more buckets than
+// entries. The kinds must also produce what they are there for: ties,
+// different times within one second of one stream and of two, and spans of
+// more seconds than entries.
 func TestMergeByTimeMatchesStableSort(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	var heap []cursor
-	for n := range 2000 {
+	var order timeOrder
+	ends := []int64{math.MinInt64, math.MinInt64 + 1, math.MinInt64 + 1e9, -1e9 - 1, -1, 0, 1, 1e9, math.MaxInt64 - 1e9, math.MaxInt64 - 1, math.MaxInt64}
+	var ties, coarse int
+	subSecond := map[bool]int{} // by whether the two entries are of one stream
+	for n := range 5000 {
 		k := rng.Intn(7)
 		if n%10 == 0 {
 			k = 1
@@ -126,13 +143,37 @@ func TestMergeByTimeMatchesStableSort(t *testing.T) {
 		if n%7 == 0 {
 			spread = 1 // every entry at the same time
 		}
+		kind := n % 5
+		start := origin
+		switch kind {
+		case 1:
+			start = origin.Add(time.Duration(rng.Int63n(1e9)))
+		case 3:
+			start = time.Date(1901, 12, 14, 0, 0, 0, rng.Intn(2)*5e8, time.UTC)
+		}
 		streams := make([][]session.Entry, k)
 		type pos struct{ s, j int }
 		var want []pos
 		for s := range streams {
-			at := origin
-			for j := range rng.Intn(12) {
-				at = at.Add(time.Duration(rng.Intn(spread)) * time.Second)
+			at, m := start, rng.Intn(12)
+			var extremes []int64
+			if kind == 4 {
+				for range m {
+					extremes = append(extremes, ends[rng.Intn(len(ends))])
+				}
+				slices.Sort(extremes)
+			}
+			for j := range m {
+				switch kind {
+				case 0:
+					at = at.Add(time.Duration(rng.Intn(spread)) * time.Second)
+				case 1:
+					at = at.Add(time.Duration(rng.Intn(spread)) * 250 * time.Millisecond)
+				case 2, 3:
+					at = at.Add(time.Duration(rng.Intn(spread)) * time.Duration(rng.Int63n(int64(3*365*24*time.Hour))))
+				case 4:
+					at = time.Unix(0, extremes[j])
+				}
 				streams[s] = append(streams[s], session.Entry{Page: webgraph.PageID(j), Time: at})
 				want = append(want, pos{s, j})
 			}
@@ -141,10 +182,33 @@ func TestMergeByTimeMatchesStableSort(t *testing.T) {
 			return streams[want[a].s][want[a].j].Time.Before(streams[want[b].s][want[b].j].Time)
 		})
 		var got []pos
-		heap = mergeByTime(heap, streams, func(s, j int) { got = append(got, pos{s, j}) })
+		order.mergeByTime(streams, func(s, j int) { got = append(got, pos{s, j}) })
 		if len(got) != len(want) || (len(got) > 0 && !reflect.DeepEqual(got, want)) {
-			t.Fatalf("case %d (%d streams, lengths %v): merge order\n %v\nwant\n %v", n, k, lens(streams), got, want)
+			t.Fatalf("case %d (kind %d, %d streams, lengths %v): merge order\n %v\nwant\n %v", n, kind, k, lens(streams), got, want)
 		}
+		if len(want) == 0 {
+			continue
+		}
+		at := func(p pos) time.Time { return streams[p.s][p.j].Time }
+		second := func(p pos) time.Duration { return at(p).Sub(at(want[0])) / time.Second }
+		for i := 1; i < len(want); i++ {
+			switch a, b := want[i-1], want[i]; {
+			case at(a).Equal(at(b)):
+				ties++
+			case kind == 1 && second(a) == second(b):
+				subSecond[a.s == b.s]++
+			}
+		}
+		if span := at(want[len(want)-1]).Sub(at(want[0])); span > time.Duration(len(want))*time.Second {
+			coarse++
+		}
+		if len(order.bucket) > len(want) {
+			t.Fatalf("case %d (kind %d): %d buckets for %d entries", n, kind, len(order.bucket), len(want))
+		}
+	}
+	if ties == 0 || subSecond[true] == 0 || subSecond[false] == 0 || coarse == 0 {
+		t.Errorf("ties %d, different times within one second of one stream %d and of two %d, spans of more seconds than entries %d: a case the order can get wrong is untested",
+			ties, subSecond[true], subSecond[false], coarse)
 	}
 }
 
@@ -192,5 +256,41 @@ func TestLogBytesPinned(t *testing.T) {
 				t.Errorf("proxies %v×3, combined %v: the log hashes to %s, pinned %s", c.fraction, combined, got, want)
 			}
 		}
+	}
+}
+
+// BenchmarkMergeByTime times the order of a run's log, as Log, Schedule and
+// WriteLog make it, with fresh scratch per order: 16,000 agents starting
+// within one hour (the load the live benchmark replays) and 55,000 within 24
+// hours (simgen -agents 55000), each on Table 5's site. It reports ns/record;
+// B/op is the scratch.
+func BenchmarkMergeByTime(b *testing.B) {
+	g, err := webgraph.GenerateTopology(webgraph.PaperTopology(), rand.New(rand.NewSource(1)))
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, shape := range []struct {
+		agents int
+		window time.Duration
+	}{{16000, time.Hour}, {55000, 24 * time.Hour}} {
+		p := PaperParams()
+		p.Agents, p.Seed, p.StartWindow = shape.agents, 2, shape.window
+		res, err := Run(g, p)
+		if err != nil {
+			b.Fatal(err)
+		}
+		streams := make([][]session.Entry, len(res.Streams))
+		for i := range res.Streams {
+			streams[i] = res.Streams[i].Entries
+		}
+		records := res.requests()
+		b.Run(fmt.Sprintf("agents=%d/window=%v", shape.agents, shape.window), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				var order timeOrder
+				order.mergeByTime(streams, func(s, j int) {})
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(records), "ns/record")
+		})
 	}
 }

@@ -1,7 +1,9 @@
 package simulator
 
 import (
+	"cmp"
 	"fmt"
+	"math"
 	"math/rand"
 	"runtime"
 	"slices"
@@ -153,7 +155,7 @@ func Each(g *webgraph.Graph, p Params, visit func(*User)) (Stats, error) {
 	var u User
 	var merged User            // a proxy group's buffers, reused for every group
 	var subs [][]session.Entry // its agents' streams, in agent order
-	var heap []cursor
+	var order timeOrder        // the merge's scratch, reused for every group
 	stats := Stats{Agents: p.Agents}
 	handle := func(i int, o agentOutcome) {
 		defer refill()
@@ -181,7 +183,7 @@ func Each(g *webgraph.Graph, p Params, visit func(*User)) (Stats, error) {
 			merged.Real = append(merged.Real, m.out.real...)
 			subs = append(subs, m.out.served)
 		}
-		heap = mergeByTime(heap, subs, func(k, j int) {
+		order.mergeByTime(subs, func(k, j int) {
 			merged.Stream = append(merged.Stream, group[k].out.served[j])
 			merged.Refs = append(merged.Refs, group[k].out.refs[j])
 		})
@@ -467,7 +469,7 @@ func (r *Result) mergeSharedUsers() {
 	}
 	// One merge of every shared stream: its order within one label's
 	// streams is the merge of that label's streams alone.
-	mergeByTime(nil, shared, func(i, j int) {
+	new(timeOrder).mergeByTime(shared, func(i, j int) {
 		m := &out[of[i]]
 		entries[m.hi], refs[m.hi] = shared[i][j], r.Referrers[i][j]
 		m.hi++
@@ -480,55 +482,91 @@ func (r *Result) mergeSharedUsers() {
 	r.Streams, r.Referrers = streams, rows
 }
 
-// cursor is a stream's next entry in mergeByTime: its time in UnixNano, the
-// stream, and the entry's position in it.
-type cursor struct {
-	at   int64
-	s, j int32
+// timeOrder is mergeByTime's scratch, kept from one merge for the next: 8 B
+// per entry and 4 B per time bucket.
+type timeOrder struct {
+	at     []entryAt // every entry's place, bucket after bucket
+	bucket []int32   // per bucket: its count, then its start in at, then its end
 }
 
-func (c cursor) before(d cursor) bool { return c.at < d.at || c.at == d.at && c.s < d.s }
+// entryAt is the place of the entry streams[s][j].
+type entryAt struct{ s, j int32 }
 
-// mergeByTime is the one order of the simulator's output: a k-way merge, by
-// (time, stream index), of streams that are each in time order. It calls
-// yield(s, j) for every entry streams[s][j]. A stream's own entries keep their
-// order, so the merge is a stable sort by time of the streams laid end to
-// end, made without moving an entry: of a proxy group's streams in agent
-// order, and of a run's streams in Result order for its log. It returns heap,
-// its scratch, for the next merge to reuse.
-func mergeByTime(heap []cursor, streams [][]session.Entry, yield func(s, j int)) []cursor {
-	h := heap[:0]
+// mergeByTime is the one order of the simulator's output: a stable sort by
+// time of streams laid end to end, that is by (time, stream index, position),
+// made without moving an entry. It calls yield(s, j) for every entry
+// streams[s][j] in that order: of a proxy group's streams in agent order, and
+// of a run's streams in Result order for its log. The streams hold fewer than
+// 2^31 entries in all.
+//
+// It is a counting sort. It counts the entries into buckets of whole seconds
+// from the earliest time, one second wide unless the span holds more seconds
+// than there are entries; then each bucket is the smallest power of two
+// seconds wide that makes the buckets no more than the entries. It places
+// every entry's (stream, position) in its bucket, streams in order and each
+// stream in order, so a bucket lists its entries in (stream, position) order.
+// A bucket whose entries share one time is thus in the stable sort's order
+// already; a bucket whose entries differ in time, which needs an entry off a
+// whole second from the earliest or a bucket wider than a second, is
+// stable-sorted by exact time. The buckets follow each other in time, so the
+// whole is in order, in O(entries + buckets) when every bucket holds one time,
+// as the simulator's whole-second streams do.
+func (o *timeOrder) mergeByTime(streams [][]session.Entry, yield func(s, j int)) {
+	n, first, last := 0, int64(math.MaxInt64), int64(math.MinInt64)
+	for _, st := range streams {
+		for j := range st {
+			at := st[j].Time.UnixNano()
+			first, last = min(first, at), max(last, at)
+		}
+		n += len(st)
+	}
+	if n == 0 {
+		return
+	}
+	// Offsets from first are unsigned: last - first can exceed MaxInt64.
+	seconds, shift := (uint64(last)-uint64(first))/1e9+1, uint(0)
+	for (seconds-1)>>shift >= uint64(n) {
+		shift++
+	}
+	buckets := int((seconds-1)>>shift) + 1
+	o.bucket = slices.Grow(o.bucket[:0], buckets)[:buckets]
+	clear(o.bucket)
+	var offSecond uint64 // nonzero once an entry lies off a whole second from first
+	for _, st := range streams {
+		for j := range st {
+			d := uint64(st[j].Time.UnixNano()) - uint64(first)
+			offSecond |= d % 1e9
+			o.bucket[d/1e9>>shift]++
+		}
+	}
+	start := int32(0)
+	for b, count := range o.bucket {
+		o.bucket[b], start = start, start+count
+	}
+	o.at = slices.Grow(o.at[:0], n)[:n]
 	for s, st := range streams {
-		if len(st) > 0 {
-			h = append(h, cursor{st[0].Time.UnixNano(), int32(s), 0})
+		for j := range st {
+			b := (uint64(st[j].Time.UnixNano()) - uint64(first)) / 1e9 >> shift
+			o.at[o.bucket[b]] = entryAt{int32(s), int32(j)}
+			o.bucket[b]++
 		}
 	}
-	for i := len(h)/2 - 1; i >= 0; i-- {
-		siftDown(h, i)
+	if offSecond != 0 || shift > 0 {
+		at := func(e entryAt) int64 { return streams[e.s][e.j].Time.UnixNano() }
+		start = 0
+		for _, end := range o.bucket {
+			in := o.at[start:end]
+			for _, e := range in {
+				if at(e) != at(in[0]) {
+					slices.SortStableFunc(in, func(a, b entryAt) int { return cmp.Compare(at(a), at(b)) })
+					break
+				}
+			}
+			start = end
+		}
 	}
-	for len(h) > 0 {
-		c := h[0]
-		yield(int(c.s), int(c.j))
-		if st := streams[c.s]; int(c.j)+1 < len(st) {
-			h[0] = cursor{st[c.j+1].Time.UnixNano(), c.s, c.j + 1}
-		} else {
-			h[0], h = h[len(h)-1], h[:len(h)-1]
-		}
-		siftDown(h, 0)
-	}
-	return h
-}
-
-// siftDown moves h[i] down the min-heap h to where it belongs.
-func siftDown(h []cursor, i int) {
-	for k := 2*i + 1; k < len(h); i, k = k, 2*k+1 {
-		if k+1 < len(h) && h[k+1].before(h[k]) {
-			k++
-		}
-		if !h[k].before(h[i]) {
-			return
-		}
-		h[i], h[k] = h[k], h[i]
+	for _, e := range o.at {
+		yield(int(e.s), int(e.j))
 	}
 }
 
@@ -587,7 +625,7 @@ func (r *Result) render(g *webgraph.Graph, yield func(clf.Record)) {
 	for i := range r.Streams {
 		streams[i] = r.Streams[i].Entries
 	}
-	mergeByTime(nil, streams, func(i, j int) {
+	new(timeOrder).mergeByTime(streams, func(i, j int) {
 		e := r.Streams[i].Entries[j]
 		rec := clf.Record{Host: r.Streams[i].User, Ident: "-", AuthUser: "-", Time: e.Time,
 			Method: "GET", URI: g.Label(e.Page), Protocol: "HTTP/1.1",

@@ -1,6 +1,7 @@
 package simulator
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
@@ -107,7 +108,7 @@ func TestRunDeterministic(t *testing.T) {
 		t.Fatalf("real session counts differ: %d vs %d", len(r1.Real), len(r2.Real))
 	}
 	for i := range r1.Real {
-		if r1.Real[i].String() != r2.Real[i].String() {
+		if !bytes.Equal(r1.Real[i].AppendText(nil), r2.Real[i].AppendText(nil)) {
 			t.Fatalf("real session %d differs", i)
 		}
 	}
